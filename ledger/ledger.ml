@@ -5,14 +5,17 @@
    insert/delete stream (the VMC term of §3.3).
 
    One client in one process on one domain, closed loop: each operation
-   starts when the previous one has returned.  [--trace 0] prints the
-   end-to-end metrics.  [--trace 1] runs the pipeline untraced, then
-   again with the [Obs] registry on and every call this file makes into
-   a layer's public functions wrapped in a span, and prints per-layer
-   metrics, each layer's self time and the tracing overhead.  Answers
-   are checked outside the timed regions; every mismatch counts as a
-   failed operation.  The last line of standard output is one JSON
-   object. *)
+   starts when the previous one has returned.  A run is a number of
+   identical rounds, each the whole pipeline from an empty store; each
+   sample position keeps its fastest round, and every time is scaled by
+   the host's speed as a reference computation measures it ([Host]).
+   [--trace 0] prints the end-to-end metrics.  [--trace 1] follows every
+   round with a traced one, with the [Obs] registry on and every call
+   this file makes into a layer's public functions wrapped in a span,
+   and prints per-layer metrics, each layer's self time, the tracing
+   overhead and the unscaled figures.  Answers are checked outside the
+   timed regions; every mismatch counts as a failed operation.  The last
+   line of standard output is one JSON object. *)
 
 let now = Obs.now_ns
 let seconds_of ns = float_of_int ns /. 1e9
@@ -28,31 +31,30 @@ type workload = {
   reasoning : bool;
   groups : int;  (* walks, three queries each *)
   max_states : int;
-  setup_reps : int;
-  select_reps : int;
-  materialize_reps : int;
-  answers : int;
+  rounds : int;  (* identical passes of the whole pipeline *)
+  materialize_reps : int;  (* per round *)
+  answers : int;  (* per round, and so are the counts below *)
   eval_pairs : int;  (* cold+warm evaluations before the update stream *)
   updates : int;
   base_share : float;  (* share of deletes that remove base triples *)
   read_every : int;  (* a cold+warm evaluation after every this many updates *)
 }
 
-(* Operation counts are for a 10-second run and scale with --seconds. *)
+(* Operation counts are per round; a round takes about six seconds on a
+   2-core host, and --seconds sets the number of rounds. *)
 let workloads =
   let serve =
     {
       name = "serve";
       backend = Rdf.Backend.Hash;
-      entities = 40_000;
+      entities = 12_000;
       reasoning = false;
       groups = 7;
       max_states = 6000;
-      setup_reps = 5;
-      select_reps = 3;
-      materialize_reps = 15;
-      answers = 20_000;
-      eval_pairs = 1500;
+      rounds = 5;
+      materialize_reps = 10;
+      answers = 4200;
+      eval_pairs = 525;
       updates = 2400;
       base_share = 0.5;
       read_every = 0;
@@ -67,71 +69,152 @@ let workloads =
       serve with
       name = "churn";
       backend = Rdf.Backend.Compact;
-      entities = 12_000;
-      answers = 20_000;
+      entities = 3_000;
+      max_states = 3000;
+      answers = 4200;
       eval_pairs = 0;
       updates = 24_000;
       base_share = 0.9;
-      read_every = 24;
+      read_every = 96;
     };
     {
       serve with
       name = "rdfs";
-      entities = 7_500;
+      entities = 3_000;
       reasoning = true;
       max_states = 2000;
-      select_reps = 3;
-      answers = 5000;
-      eval_pairs = 1200;
+      materialize_reps = 5;
+      answers = 2100;
     };
   ]
 
 let scale ~seconds ~tiny w =
-  let k n = max 2 (n * seconds / 10) in
-  let w =
-    {
-      w with
-      answers = k w.answers;
-      eval_pairs = (if w.eval_pairs = 0 then 0 else k w.eval_pairs);
-      updates = k w.updates;
-    }
-  in
   if tiny then
     {
       w with
       entities = w.entities / 20;
       max_states = 100;
-      setup_reps = 2;
-      select_reps = 1;
+      rounds = 2;
       materialize_reps = 2;
+      answers = 42;
+      eval_pairs = (if w.eval_pairs = 0 then 0 else 21);
+      updates = min w.updates 480;
     }
-  else w
+  else { w with rounds = max 2 (seconds / 6) }
+
+(* The fewest samples behind any p99 the run reports: inserts or
+   deletes. *)
+let p99_samples w = w.updates / 2
+
+(* ---------- host speed ------------------------------------------------- *)
+
+(* A shared host changes speed for tens of seconds at a time, by up to
+   half.  A fixed reference computation of the benchmark's own — integer
+   arithmetic and branches over an array in L2, no allocation, nothing of
+   the program under test — is timed next to the measurements, and every
+   time is scaled by [reference_ns / kernel], the time it would have
+   taken on a host where the reference computation takes
+   [reference_ns].  The unscaled times are reported with --trace 1. *)
+module Host = struct
+  let reference_ns = 330_000.
+  let cells = Array.make 32768 0
+
+  let kernel () =
+    let x = ref 1 in
+    for i = 1 to 150_000 do
+      x := ((!x * 1103515245) + 12345) land 0x3fffffff;
+      let j = !x land 32767 in
+      if cells.(j) land 1 = 0 then cells.(j) <- cells.(j) + i
+      else cells.(j) <- cells.(j) lxor !x
+    done;
+    !x
+
+  let kernels = ref []  (* every calibration, for the traced run *)
+  let factor = ref 1.
+  let last = ref 0
+
+  (* The fastest of three runs of the reference computation. *)
+  let calibrate () =
+    let best = ref max_int in
+    for _ = 1 to 3 do
+      let t0 = Obs.now_ns () in
+      ignore (Sys.opaque_identity (kernel ()) : int);
+      best := min !best (Obs.now_ns () - t0)
+    done;
+    kernels := float_of_int !best :: !kernels;
+    factor := reference_ns /. float_of_int !best;
+    last := Obs.now_ns ()
+
+  (* Recalibrates when the last calibration is 50 ms old. *)
+  let refresh () = if Obs.now_ns () - !last > 50_000_000 then calibrate ()
+end
 
 (* ---------- samples ---------------------------------------------------- *)
 
+(* Every round repeats the same operations in the same order, so the
+   i-th sample of a round measures the same work as the i-th of any
+   other.  After [next_round], a sample replaces the value at its
+   position when it is smaller: the per-position minimum over rounds
+   discards the seconds in which a shared host runs slowly, as long as
+   one round ran that operation at full speed.  Without [next_round],
+   samples accumulate. *)
 module Samples = struct
-  type t = { mutable data : float array; mutable n : int }
+  type t = {
+    mutable data : float array;  (* scaled to the reference host *)
+    mutable raw : float array;  (* as measured *)
+    mutable n : int;
+    mutable pos : int;
+  }
 
-  let create () = { data = Array.make 256 0.; n = 0 }
+  let create () = { data = Array.make 256 0.; raw = Array.make 256 0.; n = 0; pos = 0 }
+  let next_round t = t.pos <- 0
 
+  (* [x] as measured, at the host's current speed *)
   let add t x =
-    if t.n = Array.length t.data then begin
-      let grown = Array.make (2 * t.n) 0. in
-      Array.blit t.data 0 grown 0 t.n;
-      t.data <- grown
+    let scaled = x *. !Host.factor in
+    if t.pos < t.n then begin
+      t.data.(t.pos) <- Float.min t.data.(t.pos) scaled;
+      t.raw.(t.pos) <- Float.min t.raw.(t.pos) x
+    end
+    else begin
+      if t.n = Array.length t.data then begin
+        let grow a =
+          let grown = Array.make (2 * t.n) 0. in
+          Array.blit a 0 grown 0 t.n;
+          grown
+        in
+        t.data <- grow t.data;
+        t.raw <- grow t.raw
+      end;
+      t.data.(t.n) <- scaled;
+      t.raw.(t.n) <- x;
+      t.n <- t.n + 1
     end;
-    t.data.(t.n) <- x;
-    t.n <- t.n + 1
+    t.pos <- t.pos + 1
 
   (* Nearest-rank quantile; 0 when empty. *)
-  let quantile t q =
-    if t.n = 0 then 0.
+  let quantile_of a n q =
+    if n = 0 then 0.
     else begin
-      let sorted = Array.sub t.data 0 t.n in
+      let sorted = Array.sub a 0 n in
       Array.sort Float.compare sorted;
-      let rank = int_of_float (Float.ceil (q *. float_of_int t.n)) in
-      sorted.(max 0 (min (t.n - 1) (rank - 1)))
+      let rank = int_of_float (Float.ceil (q *. float_of_int n)) in
+      sorted.(max 0 (min (n - 1) (rank - 1)))
     end
+
+  let quantile t q = quantile_of t.data t.n q
+  let quantile_raw t q = quantile_of t.raw t.n q
+
+  (* Geometric mean; 0 when empty. *)
+  let geomean_of a n =
+    let logs = ref 0. in
+    for i = 0 to n - 1 do
+      logs := !logs +. Float.log (Float.max a.(i) 1e-3)
+    done;
+    if n = 0 then 0. else Float.exp (!logs /. float_of_int n)
+
+  let geomean t = geomean_of t.data t.n
+  let geomean_raw t = geomean_of t.raw t.n
 end
 
 (* ---------- correctness bookkeeping ------------------------------------ *)
@@ -152,6 +235,7 @@ let check ok msg =
    an exception or a result [ok] rejects is a failure. *)
 let timed samples label f ok =
   incr attempted;
+  Host.refresh ();
   let t0 = now () in
   match f () with
   | v ->
@@ -212,6 +296,11 @@ module Span = struct
       !spans.(i).stop <- now ();
       open_spans := rest
     | [] -> ()
+
+  let reset () =
+    count := 0;
+    open_spans := [];
+    requests := 0
 
   let wrap ~request layer name f =
     if not !on then f ()
@@ -295,6 +384,7 @@ let ops phase n =
    GC work charged to the phase; the result and the elapsed ns. *)
 let measured phase f =
   Gc.compact ();
+  Host.calibrate ();
   let s0 = Gc.quick_stat () in
   let t0 = now () in
   let v = Span.request phase f in
@@ -302,21 +392,15 @@ let measured phase f =
   charge phase s0 (Gc.quick_stat ());
   (v, dt)
 
-(* A phase repeated from a cold state: the last result and the median
-   seconds. *)
-let repeat phase ~reps ?(before = ignore) f =
-  let times = Samples.create () in
-  let last = ref None in
-  for _ = 1 to reps do
-    last := None;
-    before ();
-    let v, dt = measured phase f in
-    Samples.add times (seconds_of dt);
-    last := Some v
-  done;
-  match !last with
-  | Some v -> (v, Samples.quantile times 0.5)
-  | None -> invalid_arg "repeat: no repetitions"
+(* A timed phase whose seconds go to [samples]. *)
+let phase samples name f =
+  let v, dt = measured name f in
+  (* a long phase: the host's speed over it, from both ends *)
+  let before = !Host.factor in
+  Host.calibrate ();
+  Host.factor := (before +. !Host.factor) /. 2.;
+  Samples.add samples (seconds_of dt);
+  v
 
 (* ---------- inputs and stores ------------------------------------------ *)
 
@@ -379,9 +463,11 @@ let store_digest store =
 type db = {
   store : Rdf.Store.t;  (* explicit triples: selection, views, direct evaluation *)
   inc : Rdf.Incremental.t option;  (* rdfs: the DRed-maintained saturation *)
-  stats : Stats.Statistics.t;
 }
 
+(* The statistics are a probe in the selector's own mode (reformulated
+   counts on rdfs): [Core.Selector.select] builds statistics of its own,
+   so select_s pays for them again. *)
 let setup inp =
   let store =
     Span.call "rdf" "Store.add/load" (fun () -> load inp.w.backend inp.rdf)
@@ -393,15 +479,14 @@ let setup inp =
              Rdf.Incremental.create inp.schema (Rdf.Store.copy store)))
     else None
   in
-  (* on rdfs, plain counts on the saturation are the post-reformulation
-     statistics (Theorem 4.2) *)
-  let stats =
-    Stats.Statistics.create
-      (match inc with Some i -> Rdf.Incremental.store i | None -> store)
+  let mode =
+    if inp.w.reasoning then Stats.Statistics.Reformulated inp.schema
+    else Stats.Statistics.Plain
   in
+  let stats = Stats.Statistics.create ~mode store in
   Span.call "stats" "Statistics.prewarm" (fun () ->
       Stats.Statistics.prewarm stats (Array.to_list inp.queries));
-  { store; inc; stats }
+  { store; inc }
 
 let reset_caches () =
   Query.Plan.reset_cache ();
@@ -557,60 +642,121 @@ let hist_quantile reg name q =
 
 (* ---------- one pass of the pipeline ----------------------------------- *)
 
+(* The samples of every round of a run. *)
+type acc = {
+  setup : Samples.t;  (* one a round, never folded: the median is reported *)
+  select : Samples.t;
+  materialize : Samples.t;
+  answer : Samples.t;
+  cold : Samples.t;
+  warm : Samples.t;
+  inserts : Samples.t;
+  deletes : Samples.t;
+}
+
+let new_acc () =
+  let s = Samples.create in
+  {
+    setup = s ();
+    select = s ();
+    materialize = s ();
+    answer = s ();
+    cold = s ();
+    warm = s ();
+    inserts = s ();
+    deletes = s ();
+  }
+
+let next_round acc =
+  List.iter Samples.next_round
+    [ acc.select; acc.materialize; acc.answer; acc.cold; acc.warm; acc.inserts; acc.deletes ]
+
+(* The end-to-end metrics: name, value, unit and sample count.  Each
+   quantile or mean is taken over the per-position minima of the rounds.
+   Answers report a geometric mean, as TPC-H's power metric does over
+   its queries: some queries are a scan of one view and others join, so
+   a quantile would jump between the two with the seed, and a plain mean
+   would follow the one slowest query. *)
+let summarize ?(raw = false) acc =
+  let q name unit (s : Samples.t) p =
+    (name, (if raw then Samples.quantile_raw s p else Samples.quantile s p), unit, s.n)
+  in
+  let geomean name unit (s : Samples.t) =
+    (name, (if raw then Samples.geomean_raw s else Samples.geomean s), unit, s.n)
+  in
+  [
+    q "setup_s" "s" acc.setup 0.5;
+    q "select_s" "s" acc.select 0.5;
+    q "materialize_s" "s" acc.materialize 0.5;
+    geomean "answer_geomean_us" "us" acc.answer;
+    q "eval_cold_p50_us" "us" acc.cold 0.5;
+    q "eval_warm_p50_us" "us" acc.warm 0.5;
+    q "insert_p50_us" "us" acc.inserts 0.5;
+    q "insert_p99_us" "us" acc.inserts 0.99;
+    q "delete_p50_us" "us" acc.deletes 0.5;
+    q "delete_p99_us" "us" acc.deletes 0.99;
+    ( "peak_heap_mb",
+      float_of_int ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8)) /. 1048576.,
+      "MB",
+      1 );
+  ]
+
 type pass = {
-  e2e : (string * float * string * int) list;  (* name, value, unit, samples *)
   layers : (string * float * string) list;
   gc : (string * gc_work) list;
 }
 
-let run_pass inp ~traced =
+(* Each query's answer count, from the first round's oracle. *)
+let expected = ref [||]
+
+(* One round: the whole pipeline from an empty store, its samples added
+   to [acc].  The oracles run in the [first] round; later rounds repeat
+   its work exactly and check their answer counts against it. *)
+let run_pass inp acc ~first ~traced =
   let w = inp.w in
   let queries = inp.queries in
   let nq = Array.length queries in
   gc_work := [];
-  let e2e = ref [] and layers = ref [] in
-  let report name unit n v = e2e := (name, v, unit, n) :: !e2e in
+  reset_caches ();
+  let layers = ref [] in
   let layer name unit v = layers := (name, v, unit) :: !layers in
-  let latency name (s : Samples.t) ~p99 =
-    report (name ^ "_p50_us") "us" s.n (Samples.quantile s 0.5);
-    if p99 then report (name ^ "_p99_us") "us" s.n (Samples.quantile s 0.99)
-  in
 
   (* 1. set-up: load, saturate (rdfs), statistics *)
-  let db, setup_s = repeat "setup" ~reps:w.setup_reps (fun () -> setup inp) in
-  ops "setup" (w.setup_reps * Array.length inp.rdf);
-  report "setup_s" "s" w.setup_reps setup_s;
+  let db = phase acc.setup "setup" (fun () -> setup inp) in
+  ops "setup" (Array.length inp.rdf);
   let resident = per (Rdf.Store.resident_bytes db.store) (Rdf.Store.size db.store) in
 
   (* 2. view selection: DFS-AVF-STV, no time budget, a state cap; the
-     fresh-variable counter restarts so every repetition does the same
-     work *)
+     fresh-variable counter restarts so every round does the same work *)
   let reasoning =
     if w.reasoning then Core.Selector.Post_reformulation inp.schema
     else Core.Selector.No_reasoning
   in
   let options = { Core.Search.default_options with max_states = Some w.max_states } in
-  let sel, select_s =
-    repeat "select" ~reps:w.select_reps ~before:Query.Qterm.reset_fresh_counter
-      (fun () ->
+  Query.Qterm.reset_fresh_counter ();
+  let sel =
+    phase acc.select "select" (fun () ->
         Span.call "core" "Selector.select" (fun () ->
             Core.Selector.select ~jobs:1 ~store:db.store ~reasoning ~options
               (Array.to_list queries)))
   in
   let search = sel.Core.Selector.report in
-  ops "select" (w.select_reps * search.Core.Search.created);
-  report "select_s" "s" w.select_reps select_s;
+  ops "select" search.Core.Search.created;
 
-  (* 3. materialization from cold plan and MQO caches *)
-  let views, materialize_s =
-    repeat "materialize" ~reps:w.materialize_reps ~before:reset_caches (fun () ->
+  (* 3. materialization, each repetition from cold plan and MQO caches *)
+  let materialize () =
+    reset_caches ();
+    phase acc.materialize "materialize" (fun () ->
         Span.call "engine" "Materialize.materialize_views" (fun () ->
             Engine.Materialize.materialize_views db.store sel.Core.Selector.recommended))
   in
+  for _ = 2 to w.materialize_reps do
+    ignore (materialize () : Engine.Materialize.env)
+  done;
+  let views = materialize () in
   let view_rows = Engine.Materialize.total_cardinality views in
   let view_bytes = if traced then Engine.Materialize.total_size_bytes db.store views else 0 in
   ops "materialize" (w.materialize_reps * view_rows);
-  report "materialize_s" "s" w.materialize_reps materialize_s;
 
   (* the oracle, outside the clock: answers through the views, direct
      evaluation and Reference (on the saturation under rdfs) agree *)
@@ -628,34 +774,35 @@ let run_pass inp ~traced =
   let oracle_store =
     match db.inc with Some i -> Rdf.Incremental.store i | None -> db.store
   in
-  let expected =
-    Array.mapi
-      (fun k (q : Query.Cq.t) ->
-        let name = q.Query.Cq.name in
-        match
-          let reference = Query.Evaluation.Reference.eval_cq oracle_store q in
-          let direct =
-            match reformulated.(k) with
-            | Some u -> Query.Evaluation.eval_ucq db.store u
-            | None -> Query.Evaluation.eval_cq db.store q
-          in
-          let via_views = Engine.Executor.execute_query db.store views rewriting.(k) in
-          (reference, direct, via_views)
-        with
-        | reference, direct, via_views ->
-          check
-            (Query.Evaluation.same_answers direct reference
-            && Query.Evaluation.same_answers via_views reference)
-            (name ^ ": views, direct evaluation and Reference disagree");
-          List.length reference
-        | exception e ->
-          check false (name ^ ": " ^ Printexc.to_string e);
-          -1)
-      queries
-  in
+  if first then
+    expected :=
+      Array.mapi
+        (fun k (q : Query.Cq.t) ->
+          let name = q.Query.Cq.name in
+          match
+            let reference = Query.Evaluation.Reference.eval_cq oracle_store q in
+            let direct =
+              match reformulated.(k) with
+              | Some u -> Query.Evaluation.eval_ucq db.store u
+              | None -> Query.Evaluation.eval_cq db.store q
+            in
+            let via_views = Engine.Executor.execute_query db.store views rewriting.(k) in
+            (reference, direct, via_views)
+          with
+          | reference, direct, via_views ->
+            check
+              (Query.Evaluation.same_answers direct reference
+              && Query.Evaluation.same_answers via_views reference)
+              (name ^ ": views, direct evaluation and Reference disagree");
+            List.length reference
+          | exception e ->
+            check false (name ^ ": " ^ Printexc.to_string e);
+            -1)
+        queries;
+  let expected = !expected in
 
   (* 4. answering through the rewritings *)
-  let answer = Samples.create () and rows_out = ref 0 in
+  let answer = acc.answer and rows_out = ref 0 in
   ignore
     (measured "answer" (fun () ->
          for i = 0 to w.answers - 1 do
@@ -673,7 +820,6 @@ let run_pass inp ~traced =
                   n = expected.(k)))
          done));
   ops "answer" w.answers;
-  latency "answer" answer ~p99:true;
 
   (* 5. direct evaluation: the first execution with empty plan and MQO
      caches, then the same query again at the same store version *)
@@ -686,7 +832,7 @@ let run_pass inp ~traced =
       Span.call "query" "Evaluation.eval_cq_codes" (fun () ->
           Query.Evaluation.eval_cq_codes db.store queries.(k))
   in
-  let cold = Samples.create () and warm = Samples.create () in
+  let cold = acc.cold and warm = acc.warm in
   let eval_pair k ok =
     reset_caches ();
     let name = queries.(k).Query.Cq.name in
@@ -724,16 +870,6 @@ let run_pass inp ~traced =
     (code tr.Rdf.Triple.s, code tr.Rdf.Triple.p, code tr.Rdf.Triple.o)
   in
   let changed = ref 0 and removed = ref 0 in
-  let delta_ns = ref 0 and delta_calls = ref 0 in
-  let delta store cq enc =
-    let t0 = now () in
-    let d = Engine.Maintenance.delta_insert store cq enc in
-    delta_ns := !delta_ns + (now () - t0);
-    incr delta_calls;
-    d
-  in
-  (* traced inserts take [Maintenance.insert_triple]'s steps one call at
-     a time, so the store write and the view deltas are timed apart *)
   let insert tr =
     match db.inc with
     | Some inc ->
@@ -741,18 +877,9 @@ let run_pass inp ~traced =
         (Span.call "rdf" "Incremental.insert" (fun () -> Rdf.Incremental.insert inc tr)
           : int);
       0
-    | None when not traced -> Engine.Maintenance.insert_triple db.store maintained tr
     | None ->
-      if not (Span.call "rdf" "Store.add" (fun () -> Rdf.Store.add db.store tr)) then 0
-      else
-        let enc = encode db.store tr in
-        Span.call "engine" "Maintenance.delta_insert" (fun () ->
-            List.fold_left
-              (fun acc (cq, rel) ->
-                List.fold_left
-                  (fun acc row -> if Engine.Relation.add_row rel row then acc + 1 else acc)
-                  acc (delta db.store cq enc))
-              0 maintained)
+      Span.call "engine" "Maintenance.insert_triple" (fun () ->
+          Engine.Maintenance.insert_triple db.store maintained tr)
   in
   let delete tr =
     match db.inc with
@@ -765,23 +892,37 @@ let run_pass inp ~traced =
       Span.call "engine" "Maintenance.delete_triple" (fun () ->
           Engine.Maintenance.delete_triple db.store maintained tr)
   in
-  (* rdfs, traced, outside the clock: the best state's view deltas over
-     the saturation — the maintenance the VMC term charges for *)
-  let best_views =
-    List.map (fun (v : Core.View.t) -> v.Core.View.cq) search.Core.Search.best.Core.State.views
-  in
-  let rdfs_deltas tr =
+  (* traced, after each insert and outside the clock: every view's delta
+     for the inserted triple, timed apart from the store write.  On rdfs
+     these are the best state's views over the saturation, the
+     maintenance the VMC term charges for. *)
+  let delta_store, delta_views =
     match db.inc with
-    | Some inc when traced ->
-      let store = Rdf.Incremental.store inc in
-      let enc = encode store tr in
-      Span.call "engine" "Maintenance.delta_insert" (fun () ->
-          List.iter
-            (fun cq -> changed := !changed + List.length (delta store cq enc))
-            best_views)
-    | Some _ | None -> ()
+    | Some inc ->
+      ( Rdf.Incremental.store inc,
+        List.map
+          (fun (v : Core.View.t) -> v.Core.View.cq)
+          search.Core.Search.best.Core.State.views )
+    | None -> (db.store, List.map fst maintained)
   in
-  let inserts = Samples.create () and deletes = Samples.create () in
+  let delta_ns = ref 0 and delta_calls = ref 0 in
+  let probe_deltas tr =
+    if traced then
+      Span.request "delta" (fun () ->
+          let enc = encode delta_store tr in
+          List.iter
+            (fun cq ->
+              let d, dt =
+                timed_call "engine" "Maintenance.delta_insert" (fun () ->
+                    Engine.Maintenance.delta_insert delta_store cq enc)
+              in
+              delta_ns := !delta_ns + dt;
+              incr delta_calls;
+              (* elsewhere the maintained views' own counts are summed *)
+              if Option.is_some db.inc then changed := !changed + List.length d)
+            delta_views)
+  in
+  let inserts = acc.inserts and deletes = acc.deletes in
   let reads = ref 0 in
   (* churn: a read after writes, cold then warm, checked outside the
      clock against the answer through the maintained views *)
@@ -821,7 +962,7 @@ let run_pass inp ~traced =
                  with
                  | Some n -> changed := !changed + n
                  | None -> ());
-                rdfs_deltas tr)
+                probe_deltas tr)
               | Gen.Delete t -> (
                 let tr = Gen.to_rdf t in
                 match
@@ -834,13 +975,10 @@ let run_pass inp ~traced =
              if w.read_every > 0 && (i + 1) mod w.read_every = 0 then read_after_writes ())
            inp.updates));
   ops "update" (Array.length inp.updates);
-  latency "eval_cold" cold ~p99:true;
-  latency "eval_warm" warm ~p99:false;
-  latency "insert" inserts ~p99:true;
-  latency "delete" deletes ~p99:true;
 
   (* the oracle after the stream, outside the clock *)
   (match db.inc with
+   | _ when not first -> ()
    | None ->
      List.iter
        (fun ((cq : Query.Cq.t), rel) ->
@@ -871,8 +1009,6 @@ let run_pass inp ~traced =
             (fun enc ok -> ok && Rdf.Store.mem dred (decode saturated enc))
             true)
        "the DRed-maintained store differs from the saturation of the explicit triples");
-  report "peak_heap_mb" "MB" 1
-    (float_of_int ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8)) /. 1048576.);
 
   if traced then begin
     let reg = Obs.global () in
@@ -881,7 +1017,8 @@ let run_pass inp ~traced =
     let decodes = count "store.block_decodes" and hits = count "store.block_cache_hits" in
     (* counters first: the probes below add work of their own *)
     layer "store.load_ns_per_triple" "ns"
-      (per (snd (Span.total "Store.add/load")) (w.setup_reps * Array.length inp.rdf));
+      (let calls, ns = Span.total "Store.add/load" in
+       per ns (calls * Array.length inp.rdf));
     layer "store.resident_bytes_per_triple" "bytes" resident;
     layer "store.scanned_triples" "count" (count "store.scanned_triples");
     layer "store.block_decodes" "count" decodes;
@@ -890,7 +1027,8 @@ let run_pass inp ~traced =
     layer "store.merges" "count" (count "store.merges");
     layer "store.merge_rows" "count" (count "store.merge_rows");
     layer "stats.prewarm_s" "s" (Span.mean_ns "Statistics.prewarm" /. 1e9);
-    layer "stats.atoms_counted" "count" (float_of_int (Stats.Statistics.cache_size db.stats));
+    layer "stats.atoms_counted" "count"
+      (float_of_int (Stats.Statistics.cache_size sel.Core.Selector.stats));
     layer "search.states_created" "count" created;
     layer "search.states_per_s" "1/s" (ratio created (Span.mean_ns "Selector.select" /. 1e9));
     layer "search.expand_p50_ns" "ns" (hist_quantile reg "search.expand.ns" 0.5);
@@ -936,7 +1074,7 @@ let run_pass inp ~traced =
     in
     Span.request "probes" (fun () -> probes inp db ~cqs layer)
   end;
-  { e2e = List.rev !e2e; layers = List.rev !layers; gc = !gc_work }
+  { layers = List.rev !layers; gc = !gc_work }
 
 (* ---------- output ----------------------------------------------------- *)
 
@@ -975,7 +1113,7 @@ let overhead_of =
   [
     ("select_s", "s");
     ("materialize_s", "s");
-    ("answer_p50_us", "us");
+    ("answer_geomean_us", "us");
     ("eval_cold_p50_us", "us");
     ("insert_p50_us", "us");
     ("delete_p50_us", "us");
@@ -1010,7 +1148,13 @@ let () =
       prerr_endline usage;
       exit 2
   in
-  Gc.set { (Gc.get ()) with Gc.minor_heap_size = 1 lsl 20; space_overhead = 120 };
+  (* a p99 is reported only with at least ten samples beyond it *)
+  if (not !tiny) && p99_samples w < 1000 then begin
+    Printf.eprintf "ledger: --seconds %d leaves %d samples for a p99, fewer than 1000\n"
+      !seconds (p99_samples w);
+    exit 2
+  end;
+  Gc.set { (Gc.get ()) with Gc.minor_heap_size = 1 lsl 18; space_overhead = 120 };
   let inp = make_inputs w ~seed:!seed in
   let on_hash = store_digest (load Rdf.Backend.Hash inp.rdf) in
   let on_compact = store_digest (load Rdf.Backend.Compact inp.rdf) in
@@ -1019,15 +1163,41 @@ let () =
     (Array.length inp.rdf) (Array.length inp.queries) (Array.length inp.updates);
   Printf.printf "inputs digest %s; stores: hash %s, compact %s\n%!" inp.digest on_hash
     on_compact;
-  let plain = run_pass inp ~traced:false in
-  let metrics =
-    if !trace = 0 then plain.e2e
-    else begin
-      reset_caches ();
+  (* rounds alternate with traced rounds, so both meet the same host *)
+  let plain_acc = new_acc () and traced_acc = new_acc () in
+  let plain = ref None and traced = ref None in
+  for r = 1 to w.rounds do
+    next_round plain_acc;
+    plain := Some (run_pass inp plain_acc ~first:(r = 1) ~traced:false);
+    if !trace = 1 then begin
+      (* counters and spans describe the last traced round *)
+      next_round traced_acc;
       Obs.set_global (Obs.create ());
+      Span.reset ();
       Span.on := true;
-      let traced = run_pass inp ~traced:true in
+      traced := Some (run_pass inp traced_acc ~first:false ~traced:true);
       Span.on := false;
+      Obs.set_global Obs.disabled
+    end
+  done;
+  let e2e = summarize plain_acc in
+  let unscaled =
+    List.filter_map
+      (fun (n, v, u, _) ->
+        if String.equal u "MB" then None else Some ("unscaled." ^ n, v, u))
+      (summarize ~raw:true plain_acc)
+  in
+  let kernel_us =
+    let k = Array.of_list !Host.kernels in
+    Samples.quantile_of k (Array.length k) 0.5 /. 1e3
+  in
+  Printf.printf "host: the reference computation took %.1f us (median), %.1f us scaled\n%!"
+    kernel_us (Host.reference_ns /. 1e3);
+  List.iter (fun (n, v, u) -> Printf.printf "  %-44s %18.4f %-6s\n" n v u) unscaled;
+  let metrics =
+    match (!plain, !traced) with
+    | _, None | None, _ -> e2e
+    | Some plain, Some traced ->
       Span.write (Printf.sprintf ".ledger/spans-%s-%d.tsv" w.name !seed);
       let gc =
         List.concat_map
@@ -1050,13 +1220,16 @@ let () =
       let overhead =
         List.map
           (fun (m, unit) ->
-            ("trace.overhead." ^ m, value_of m traced.e2e -. value_of m plain.e2e, unit))
+            ( "trace.overhead." ^ m,
+              value_of m (summarize traced_acc) -. value_of m e2e,
+              unit ))
           overhead_of
       in
       let layers =
         traced.layers @ gc @ spans
         @ [ ("trace.spans", float_of_int !Span.count, "count") ]
         @ overhead
+        @ (("host.kernel_us", kernel_us, "us") :: unscaled)
       in
       Printf.printf "fingerprint %s seed %d:%s\n" w.name !seed
         (String.concat ""
@@ -1067,6 +1240,5 @@ let () =
                 | None -> "")
               fingerprint));
       List.map (fun (n, v, u) -> (n, v, u, 1)) layers
-    end
   in
   print_result metrics
