@@ -5,8 +5,10 @@
    The two engines must produce identical per-query answer counts (the
    run aborts otherwise); the BENCH json's eval section then records the
    deterministic work counts (queries, answers, bindings, probes) for
-   the exact baseline compare, plus bindings/sec for both engines and
-   the per-query latency percentiles for the threshold compare. *)
+   the exact baseline compare, plus bindings/sec and the per-query
+   latency percentiles of the cold pass (plan cache reset before every
+   repetition) for the threshold compare.  The warm rate (plans
+   cached) sits beside it in [eval_modes]. *)
 
 let reps = match Harness.scale with Harness.Quick -> 30 | Harness.Full -> 200
 
@@ -75,11 +77,9 @@ let run () =
   Harness.section "Eval: compiled plans vs the reference evaluator";
   let store = Lazy.force Harness.barton_store in
   let queries = workload store in
-  (* fresh plan and MQO caches: earlier experiments in the same process
-     must not change when captures trigger, or the deterministic probe
-     count drifts between standalone and full runs *)
+  (* a fresh plan cache: earlier experiments in the same process must
+     not leave guarded re-orders behind *)
   Query.Plan.reset_cache ();
-  Query.Mqo.reset ();
   (* correctness gate (and warm-up): identical answer counts per query *)
   let counts evaluate =
     List.map (fun q -> List.length (evaluate store q)) queries
@@ -88,86 +88,42 @@ let run () =
   let reference_counts = counts Query.Evaluation.Reference.eval_cq_codes in
   if not (List.equal Int.equal compiled_counts reference_counts) then
     failwith "eval bench: compiled and reference answer counts differ";
-  (* reference pass: wall-clock and binding count, then wiped from the
-     registry so the BENCH numbers cover the compiled pass alone *)
   let reg = Obs.global () in
   let bindings_of () =
     Option.value ~default:0 (Obs.find_counter reg "eval.bindings")
   in
-  Obs.reset reg;
-  let (), ref_secs =
-    Harness.time_once (fun () ->
-        for _ = 1 to reps do
-          List.iter
-            (fun q -> ignore (Query.Evaluation.Reference.eval_cq_codes store q))
-            queries
-        done)
+  let rate bindings secs =
+    if secs > 0. then float_of_int bindings /. secs else 0.
   in
-  let ref_bindings = bindings_of () in
-  let ref_rate =
-    if ref_secs > 0. then float_of_int ref_bindings /. ref_secs else 0.
-  in
-  (* variant passes, run BEFORE the headline measurement so their
-     counter traffic is wiped by the reset below and the headline's
-     deterministic fields stay exactly comparable across baselines.
-     Neither variant touches the multi-query optimizer's state: the
-     tuple pass drives Plan directly and the batch pass runs with MQO
-     disabled, so the headline still sees precisely one warm-up
-     (the correctness gate) per query. *)
-  let variant_pass f =
+  (* reference pass, then the warm pass (plans compiled by the gate
+     above stay cached): both are wiped from the registry afterwards so
+     the BENCH eval section covers the cold pass alone *)
+  let timed_pass evaluate =
     Obs.reset reg;
-    Query.Plan.reset_cache ();
-    let b0 = bindings_of () in
     let (), secs =
       Harness.time_once (fun () ->
           for _ = 1 to reps do
-            List.iter f queries
+            List.iter (fun q -> ignore (evaluate store q)) queries
           done)
     in
-    let b = bindings_of () - b0 in
-    if secs > 0. then float_of_int b /. secs else 0.
+    (bindings_of (), secs)
   in
-  let tuple_rate =
-    variant_pass (fun q ->
-        let plan = Query.Plan.cached store q in
-        let rows =
-          Query.Rowset.create (max 64 (Query.Plan.size_hint plan))
-        in
-        Query.Plan.exec_into_tuple plan store rows;
-        ignore (Query.Rowset.elements rows))
+  let ref_bindings, ref_secs =
+    timed_pass Query.Evaluation.Reference.eval_cq_codes
   in
-  let batch_rate =
-    Query.Mqo.set_enabled false;
-    Fun.protect
-      ~finally:(fun () -> Query.Mqo.set_enabled true)
-      (fun () ->
-        variant_pass (fun q ->
-            ignore (Query.Evaluation.eval_cq_codes store q)))
-  in
-  (* same pass with Rowset's packed-key dedup hashing disabled (per-row
-     FNV loop instead of one multiply-mix): the batch/nopack delta is
-     the packing win on the result-dedup path *)
-  let nopack_rate =
-    Query.Mqo.set_enabled false;
-    Query.Rowset.set_key_packing false;
-    Fun.protect
-      ~finally:(fun () ->
-        Query.Rowset.set_key_packing true;
-        Query.Mqo.set_enabled true)
-      (fun () ->
-        variant_pass (fun q ->
-            ignore (Query.Evaluation.eval_cq_codes store q)))
-  in
+  let ref_rate = rate ref_bindings ref_secs in
+  let warm_bindings, warm_secs = timed_pass Query.Evaluation.eval_cq_codes in
+  let warm_rate = rate warm_bindings warm_secs in
   Obs.reset reg;
-  Query.Plan.reset_cache ();
-  (* compiled pass (the headline: batch pipeline + MQO): plan
-     compilation happens inside the timed region, so the cache-miss
-     cost of the first repetition is part of the price *)
+  (* cold pass (the headline): every repetition starts from an empty
+     plan cache, so compilation is inside the timed region on every
+     query *)
   let run_timer = Obs.timer reg "eval.run" in
   let qhist = Obs.histogram reg "eval.query.ns" in
   let answers = Obs.counter reg "eval.answers" in
   Obs.time run_timer (fun () ->
       for _ = 1 to reps do
+        Query.Plan.reset_cache ();
         List.iter
           (fun q ->
             let t0 = Obs.now_ns () in
@@ -177,51 +133,37 @@ let run () =
           queries
       done);
   let bindings = bindings_of () in
-  let compiled_ns = Obs.timer_ns run_timer in
-  let compiled_rate =
-    if compiled_ns > 0 then
-      float_of_int bindings /. (float_of_int compiled_ns /. 1e9)
-    else 0.
-  in
-  let speedup = if ref_rate > 0. then compiled_rate /. ref_rate else 0. in
+  let cold_ns = Obs.timer_ns run_timer in
+  let cold_rate = rate bindings (float_of_int cold_ns /. 1e9) in
+  let speedup = if ref_rate > 0. then cold_rate /. ref_rate else 0. in
   Obs.set_gauge (Obs.gauge reg "eval.reference.bindings_per_sec") ref_rate;
   Obs.set_gauge (Obs.gauge reg "eval.reference.speedup") speedup;
-  Harness.add_bench_field "eval_variants"
+  Harness.add_bench_field "eval_modes"
     (Obs.Json.Obj
        [
-         ("tuple_bindings_per_sec", Obs.Json.Float tuple_rate);
-         ("batch_bindings_per_sec", Obs.Json.Float batch_rate);
-         ("batch_nopack_bindings_per_sec", Obs.Json.Float nopack_rate);
-         ("batch_mqo_bindings_per_sec", Obs.Json.Float compiled_rate);
+         ("cold_bindings_per_sec", Obs.Json.Float cold_rate);
+         ("warm_bindings_per_sec", Obs.Json.Float warm_rate);
        ]);
   Harness.print_table
     ~header:
-      [ "queries"; "reps"; "bindings"; "compiled b/s"; "reference b/s"; "speedup" ]
+      [
+        "queries"; "reps"; "bindings"; "cold b/s"; "warm b/s"; "reference b/s";
+        "cold speedup";
+      ]
     [
       [
         string_of_int (List.length queries);
         string_of_int reps;
         string_of_int bindings;
-        Harness.fmt_float compiled_rate;
+        Harness.fmt_float cold_rate;
+        Harness.fmt_float warm_rate;
         Harness.fmt_float ref_rate;
         Printf.sprintf "%.1fx" speedup;
       ];
     ];
-  Harness.subsection "execution variants (bindings/sec)";
-  Harness.print_table
-    ~header:[ "tuple"; "batch (no mqo)"; "batch, fnv keys"; "batch + mqo" ]
-    [
-      [
-        Harness.fmt_float tuple_rate;
-        Harness.fmt_float batch_rate;
-        Harness.fmt_float nopack_rate;
-        Harness.fmt_float compiled_rate;
-      ];
-    ];
   (* the number of complete assignments is join-order independent, so
-     the two engines must agree on it exactly *)
-  if bindings <> ref_bindings then
+     all three passes must agree on it exactly *)
+  if bindings <> ref_bindings || warm_bindings <> ref_bindings then
     Printf.printf
-      "  warning: binding counts differ (compiled %d vs reference %d)\n"
-      bindings ref_bindings
-
+      "  warning: binding counts differ (cold %d, warm %d, reference %d)\n"
+      bindings warm_bindings ref_bindings

@@ -9,7 +9,7 @@
      dune exec bench/main.exe -- baseline \
        --baseline BENCH_baseline.json --fail-over 20   # regression gate
 
-   Experiments: baseline, eval, mqo, table2, table3, fig4, fig5, fig6, fig7,
+   Experiments: baseline, eval, table2, table3, fig4, fig5, fig6, fig7,
    fig8, ablation, parallel, store.
 
    Each top-level experiment writes BENCH_<experiment>.json (states/sec,
@@ -34,7 +34,6 @@ let experiments =
   [
     ("baseline", Baseline.run);
     ("eval", Eval.run);
-    ("mqo", Mqo.run);
     ("table2", fun () -> Tables.run_table2 ());
     ("table3", fun () -> Tables.run_table3 ());
     ("fig4", Fig4.run);

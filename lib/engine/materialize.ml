@@ -19,13 +19,7 @@ let materialize_ucq store (u : Query.Ucq.t) =
   in
   Relation.make ~name:(Query.Ucq.name u) ~cols rows
 
-(* Materializing a view set is the multi-query optimizer's home
-   ground: recommended views share plan prefixes by construction
-   (relaxations of one another, common subject-property backbones), so
-   pre-registering the whole workload lets shared prefixes be captured
-   on the first evaluation instead of the second. *)
 let materialize_views store views =
-  Query.Mqo.prepare store (List.concat_map Query.Ucq.disjuncts views);
   let env = Hashtbl.create (List.length views) in
   List.iter
     (fun u ->
@@ -35,8 +29,6 @@ let materialize_views store views =
   env
 
 let materialize_state store (s : Core.State.t) =
-  Query.Mqo.prepare store
-    (List.map (fun v -> v.Core.View.cq) s.Core.State.views);
   let env = Hashtbl.create (List.length s.Core.State.views) in
   List.iter
     (fun v ->

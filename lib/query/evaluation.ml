@@ -232,25 +232,12 @@ let check_codes name compiled reference =
 let eval_cq_rowset store (q : Cq.t) =
   Obs.incr (obs_evals ());
   let plan = Plan.cached store q in
-  Mqo.eval_rowset plan store
+  let rows = Rowset.create (max 64 (Plan.size_hint plan)) in
+  Plan.exec_into plan store rows;
+  rows
 
 let eval_cq_codes store q =
   let rows = Rowset.elements (eval_cq_rowset store q) in
-  if strict_enabled () then
-    check_codes q.Cq.name rows (Reference.eval_cq_codes store q);
-  rows
-
-(* One-shot evaluation that bypasses the multi-query optimizer: for
-   callers interleaving evaluation with store mutation (incremental
-   maintenance delta queries), where prefix registration could never
-   promote anything — every mutation moves the version — and would
-   only churn the seen table. *)
-let eval_cq_codes_transient store (q : Cq.t) =
-  Obs.incr (obs_evals ());
-  let plan = Plan.cached store q in
-  let rows = Rowset.create (max 64 (Plan.size_hint plan)) in
-  Plan.exec_into plan store rows;
-  let rows = Rowset.elements rows in
   if strict_enabled () then
     check_codes q.Cq.name rows (Reference.eval_cq_codes store q);
   rows
@@ -268,7 +255,7 @@ let ucq_rowset store u =
   in
   let hint = List.fold_left (fun n p -> n + Plan.size_hint p) 0 plans in
   let rows = Rowset.create (max 64 hint) in
-  List.iter (fun p -> Mqo.exec_into p store rows) plans;
+  List.iter (fun p -> Plan.exec_into p store rows) plans;
   rows
 
 let eval_ucq_codes store u =

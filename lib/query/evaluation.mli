@@ -21,12 +21,6 @@ val eval_cq_codes : Rdf.Store.t -> Cq.t -> int array list
 (** Like {!eval_cq} but dictionary-encoded; head constants are encoded
     into the store's dictionary on the fly. *)
 
-val eval_cq_codes_transient : Rdf.Store.t -> Cq.t -> int array list
-(** {!eval_cq_codes} bypassing the multi-query optimizer ({!Mqo}):
-    for one-shot queries interleaved with store mutation (incremental
-    maintenance deltas), where every mutation invalidates the prefix
-    cache anyway and registration would only churn it. *)
-
 val eval_ucq_codes : Rdf.Store.t -> Ucq.t -> int array list
 
 val count_cq : Rdf.Store.t -> Cq.t -> int

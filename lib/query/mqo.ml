@@ -1,402 +1,5 @@
-(* Multi-query optimization over compiled plans.
+(* Inert shim; see mqo.mli. *)
 
-   The workload of this system is a query SET: the view-selection
-   search costs every query of the application together, view
-   materialization evaluates every recommended view, and the eval
-   benchmark replays a fixed workload.  Those queries share structure
-   by construction — relaxations of one another, views covering
-   several queries — and after compilation the sharing is syntactic:
-   plans whose first [d] steps serialize identically ([Plan.prefix_id])
-   produce identical partial-binding streams over identical dense slot
-   prefixes.
-
-   This module exploits that above the plan cache.  Every execution
-   registers its plan's prefix ids; once a prefix has been seen twice
-   at the same store version — two plans of one workload sharing it,
-   or the same plan re-evaluated — the next execution captures the
-   batch stream crossing that depth into a column buffer
-   ([Batch.buf]).  Later executions of any plan with that prefix skip
-   the shared steps entirely: the pipeline starts at the prefix depth,
-   seeded from the captured buffer.  A full-depth hit degenerates to a
-   replay — projection and dedup only.
-
-   Correctness hinges on two stamps: entries record the store version
-   at capture (any store mutation invalidates them — lookups compare
-   against [Rdf.Store.version]), and prefix serialization embeds the
-   store id and resolved constant codes (so dictionary growth or a
-   guarded re-order simply produces different ids, orphaning stale
-   entries rather than ever matching them).  Orphans are reclaimed by
-   the words budget: the cache is dropped wholesale when captured
-   buffers exceed it.
-
-   Concurrency: worker domains evaluate concurrently during cost
-   estimation, so the seen table, the entry table and the words
-   counter are guarded by one spinlock, same discipline as the plan
-   cache.  Captured buffers are filled outside the lock and published
-   under it, write-once; readers replay them without locking. *)
-
-module ITbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash i = i land max_int
-end)
-
-let obs_hits = Obs.cached_counter "mqo.prefix.hits"
-let obs_evals = Obs.cached_counter "mqo.prefix.evals"
-let obs_result_hits = Obs.cached_counter "mqo.result.hits"
-let obs_result_evals = Obs.cached_counter "mqo.result.evals"
-let obs_capture_rows = Obs.cached_counter "mqo.capture.rows"
-let obs_evictions = Obs.cached_counter "mqo.cache.evictions"
-
-(* How often a prefix id has been seen at a store version; the count
-   restarts when the version moves, so a mutating store (incremental
-   maintenance) never promotes anything to capture. *)
-type seen = { mutable sv : int; mutable scount : int }
-
-type entry = {
-  e_version : int;  (* store version at capture *)
-  e_depth : int;    (* prefix length the buffer materializes *)
-  e_rows : Batch.buf;  (* width = bound slots at that depth; write-once *)
-}
-
-(* A cached result set: the deduplicated, head-projected rows of a
-   whole plan ([Plan.result_id]).  Sits above the prefix cache — a
-   result hit skips not just the join but projection and dedup too,
-   degenerating a re-evaluation to two array copies
-   ([Rowset.absorb]).  [r_bindings] preserves the duplicate-included
-   binding count of the real execution for the telemetry. *)
-type result_entry = {
-  r_version : int;
-  r_rows : Rowset.t;  (* trimmed copy; write-once, never handed out *)
-  r_bindings : int;
-}
-
-let lock = Multicore.Spinlock.create ()
-let seen_tbl : seen ITbl.t = ITbl.create 256 [@@guarded_by "lock"]
-let cache : entry ITbl.t = ITbl.create 64 [@@guarded_by "lock"]
-let results : result_entry ITbl.t = ITbl.create 64 [@@guarded_by "lock"]
-let cached_words = ref 0 [@@guarded_by "lock"]
-
-(* Promote a prefix to capture once two executions at one version
-   wanted it. *)
-let capture_threshold = 2
-
-(* Total int cells of captured buffers kept live; beyond this the
-   cache is dropped wholesale (simple, and eviction is expected to be
-   rare — one buffer outliving its version is reclaimed here too). *)
-let budget_words = ref (4 * 1024 * 1024)
-let set_budget_words n = budget_words := max 1024 n
-
-let enabled_flag = Atomic.make true
-let set_enabled b = Atomic.set enabled_flag b
-let enabled () = Atomic.get enabled_flag
-
-let reset () =
-  Multicore.Spinlock.with_lock lock (fun () ->
-      (* analyze: allow unguarded-write -- holding lock *)
-      ITbl.reset seen_tbl;
-      ITbl.reset cache;
-      ITbl.reset results;
-      cached_words := 0)
-
-(* must hold [lock]: drop every captured buffer and result wholesale
-   when the words budget is exceeded (eviction is expected to be rare;
-   entries outliving their version are reclaimed here too). *)
-let check_budget () =
-  if !cached_words > !budget_words then begin
-    (* analyze: allow unguarded-write -- callers hold lock *)
-    ITbl.reset cache;
-    (* analyze: allow unguarded-write -- callers hold lock *)
-    ITbl.reset results;
-    (* analyze: allow unguarded-write -- callers hold lock *)
-    cached_words := 0;
-    Obs.incr (obs_evictions ())
-  end
-
-(* must hold [lock] *)
-let bump_seen id v =
-  let s =
-    match ITbl.find_opt seen_tbl id with
-    | Some s -> s
-    | None ->
-      let s = { sv = v; scount = 0 } in
-      (* analyze: allow unguarded-write -- callers hold lock *)
-      ITbl.add seen_tbl id s;
-      s
-  in
-  if s.sv <> v then begin
-    s.sv <- v;
-    s.scount <- 0
-  end;
-  s.scount <- s.scount + 1;
-  s.scount
-
-(* One locked pass per execution: register every prefix of the plan
-   plus its result id, find the deepest cached prefix valid at this
-   version (the replay seed), the deepest capture-worthy one beyond
-   it, and whether the full result set is worth caching. *)
-let decide plan v =
-  let n = Plan.step_count plan in
-  Multicore.Spinlock.with_lock lock (fun () ->
-      let start = ref 0 in
-      let input = ref None in
-      let d = ref n in
-      while !input = None && !d >= 1 do
-        (match ITbl.find_opt cache (Plan.prefix_id plan !d) with
-        | Some e when e.e_version = v ->
-          start := !d;
-          input := Some e.e_rows
-        | Some _ | None -> ());
-        decr d
-      done;
-      let capture = ref 0 in
-      for d = 1 to n do
-        let id = Plan.prefix_id plan d in
-        let count = bump_seen id v in
-        if d > !start && count >= capture_threshold then begin
-          let cached_here =
-            match ITbl.find_opt cache id with
-            | Some e -> e.e_version = v
-            | None -> false
-          in
-          if not cached_here then capture := d
-        end
-      done;
-      let rcount = bump_seen (Plan.result_id plan) v in
-      (!start, !input, !capture, rcount >= capture_threshold))
-
-let publish id v depth buf =
-  Multicore.Spinlock.with_lock lock (fun () ->
-      (match ITbl.find_opt cache id with
-      | Some old when old.e_version = v ->
-        (* a racing domain captured the same prefix first; keep its
-           buffer (identical contents) *)
-        ()
-      | Some old ->
-        cached_words := !cached_words - Batch.buf_words old.e_rows;
-        cached_words := !cached_words + Batch.buf_words buf;
-        (* analyze: allow unguarded-write -- holding lock *)
-        ITbl.replace cache id { e_version = v; e_depth = depth; e_rows = buf }
-      | None ->
-        cached_words := !cached_words + Batch.buf_words buf;
-        (* analyze: allow unguarded-write -- holding lock *)
-        ITbl.add cache id { e_version = v; e_depth = depth; e_rows = buf });
-      check_budget ())
-
-(* Publish a result-set copy; the copy was built outside the lock, a
-   racing first capture at the same version keeps its (identical)
-   rows. *)
-let publish_result id v rcopy bindings =
-  Multicore.Spinlock.with_lock lock (fun () ->
-      (match ITbl.find_opt results id with
-      | Some old when old.r_version = v -> ()
-      | Some old ->
-        cached_words :=
-          !cached_words - Rowset.words old.r_rows + Rowset.words rcopy;
-        (* analyze: allow unguarded-write -- holding lock *)
-        ITbl.replace results id
-          { r_version = v; r_rows = rcopy; r_bindings = bindings }
-      | None ->
-        cached_words := !cached_words + Rowset.words rcopy;
-        (* analyze: allow unguarded-write -- holding lock *)
-        ITbl.add results id
-          { r_version = v; r_rows = rcopy; r_bindings = bindings });
-      check_budget ())
-
-let find_result plan v =
-  Multicore.Spinlock.with_lock lock (fun () ->
-      match ITbl.find_opt results (Plan.result_id plan) with
-      | Some e when e.r_version = v -> Some e
-      | Some _ | None -> None)
-
-let exec_into plan store rows =
-  if
-    (not (Atomic.get enabled_flag))
-    || Plan.is_impossible plan
-    || Plan.step_count plan = 0
-  then Plan.exec_into plan store rows
-  else begin
-    let v = Rdf.Store.version store in
-    match find_result plan v with
-    | Some e ->
-      (* result-level replay: no pipeline at all.  An empty
-         destination adopts a copy of the cached storage wholesale;
-         a pre-filled one (UCQ disjuncts accumulating) falls back to
-         per-row insertion. *)
-      Obs.incr (obs_result_hits ());
-      let before = Rowset.cardinal rows in
-      if before = 0 then Rowset.absorb rows e.r_rows
-      else Rowset.iter (fun row -> ignore (Rowset.add rows row)) e.r_rows;
-      Plan.note_result plan ~bindings:e.r_bindings
-        ~cardinality:(Rowset.cardinal rows - before)
-    | None ->
-      let before = Rowset.cardinal rows in
-      let start, input, capture_depth, capture_result = decide plan v in
-      if start > 0 then Obs.incr (obs_hits ());
-      let capture =
-        if capture_depth > start then
-          Some
-            ( capture_depth,
-              Batch.buf_create ~width:(Plan.bound_after plan capture_depth) )
-        else None
-      in
-      Plan.exec_batched_into ~start ?input ?capture plan store rows;
-      (match capture with
-      | Some (d, buf) ->
-        Obs.incr (obs_evals ());
-        Obs.add (obs_capture_rows ()) (Batch.buf_rows buf);
-        publish (Plan.prefix_id plan d) v d buf
-      | None -> ());
-      (* Cache the result only when the destination started empty —
-         otherwise it holds other disjuncts' rows too. *)
-      if capture_result && before = 0 then begin
-        Obs.incr (obs_result_evals ());
-        publish_result (Plan.result_id plan) v (Rowset.copy rows)
-          (Plan.last_bindings plan)
-      end
-  end
-
-(* Evaluate into a fresh set, sized to skip table growth on a real
-   execution but kept minimal when a cached result will replace the
-   storage anyway. *)
-let eval_rowset plan store =
-  let hint =
-    if
-      Atomic.get enabled_flag
-      && (not (Plan.is_impossible plan))
-      && Plan.step_count plan > 0
-      && find_result plan (Rdf.Store.version store) <> None
-    then 16
-    else max 64 (Plan.size_hint plan)
-  in
-  let rows = Rowset.create hint in
-  exec_into plan store rows;
-  rows
-
-let prepare store qs =
-  if Atomic.get enabled_flag then begin
-    let v = Rdf.Store.version store in
-    let plans =
-      List.filter
-        (fun p -> not (Plan.is_impossible p))
-        (List.map (Plan.cached store) qs)
-    in
-    Multicore.Spinlock.with_lock lock (fun () ->
-        List.iter
-          (fun p ->
-            for d = 1 to Plan.step_count p do
-              ignore (bump_seen (Plan.prefix_id p d) v)
-            done;
-            ignore (bump_seen (Plan.result_id p) v))
-          plans)
-  end
-
-(* ---------- explain ------------------------------------------------------ *)
-
-let stats () =
-  Multicore.Spinlock.with_lock lock (fun () ->
-      (ITbl.length cache + ITbl.length results, !cached_words))
-
-(* The shared-subplan DAG of a workload, as text: every prefix shared
-   by at least two plans (or by every evaluation of a repeated plan —
-   isomorphic queries share one plan and so count once here), deepest
-   first, with its member queries and the atoms the shared steps
-   cover; then one line per query summarizing its plan and the deepest
-   prefix it shares. *)
-let explain store qs =
-  let buf = Buffer.create 512 in
-  let plans = List.map (fun (q : Cq.t) -> (q, Plan.cached store q)) qs in
-  let add = Buffer.add_string buf in
-  add
-    (Printf.sprintf "shared-subplan DAG (store %d, version %d, %d queries)\n"
-       (Rdf.Store.id store) (Rdf.Store.version store) (List.length plans));
-  (* prefix id -> (depth, representative (q, plan), member names) *)
-  let groups : (int * (Cq.t * Plan.t) * string list ref) ITbl.t =
-    ITbl.create 64
-  in
-  let order = ref [] in
-  List.iter
-    (fun ((q : Cq.t), p) ->
-      if not (Plan.is_impossible p) then
-        for d = 1 to Plan.step_count p do
-          let id = Plan.prefix_id p d in
-          match ITbl.find_opt groups id with
-          | Some (_, _, members) ->
-            if not (List.mem q.Cq.name !members) then
-              members := q.Cq.name :: !members
-          | None ->
-            ITbl.add groups id (d, (q, p), ref [ q.Cq.name ]);
-            order := id :: !order
-        done)
-    plans;
-  let cached_now =
-    Multicore.Spinlock.with_lock lock (fun () ->
-        let v = Rdf.Store.version store in
-        List.filter_map
-          (fun id ->
-            match ITbl.find_opt cache id with
-            | Some e when e.e_version = v -> Some (id, Batch.buf_rows e.e_rows)
-            | Some _ | None -> None)
-          (List.rev !order))
-  in
-  let shared =
-    List.filter
-      (fun id ->
-        let _, _, members = ITbl.find groups id in
-        List.length !members >= 2)
-      (List.rev !order)
-  in
-  let shared =
-    List.sort
-      (fun a b ->
-        let da, _, _ = ITbl.find groups a and db, _, _ = ITbl.find groups b in
-        let c = Int.compare db da in
-        if c <> 0 then c else Int.compare a b)
-      shared
-  in
-  if shared = [] then add "  (no shared prefixes across this workload)\n";
-  List.iter
-    (fun id ->
-      let d, ((q : Cq.t), p), members = ITbl.find groups id in
-      let atoms = Array.of_list q.Cq.body in
-      let ord = Plan.atom_order p in
-      let steps =
-        String.concat " ⋈ "
-          (List.init d (fun i -> Atom.to_string atoms.(ord.(i))))
-      in
-      let status =
-        match List.assoc_opt id cached_now with
-        | Some rows -> Printf.sprintf " [cached: %d rows]" rows
-        | None -> ""
-      in
-      add
-        (Printf.sprintf "  prefix p#%d depth %d shared by {%s}%s\n    %s\n" id
-           d
-           (String.concat ", " (List.sort String.compare !members))
-           status steps))
-    shared;
-  List.iter
-    (fun ((q : Cq.t), p) ->
-      if Plan.is_impossible p then
-        add (Printf.sprintf "  %s: impossible (empty at compile time)\n" q.Cq.name)
-      else begin
-        let deepest = ref 0 in
-        let deepest_id = ref 0 in
-        for d = 1 to Plan.step_count p do
-          let id = Plan.prefix_id p d in
-          let _, _, members = ITbl.find groups id in
-          if List.length !members >= 2 then begin
-            deepest := d;
-            deepest_id := id
-          end
-        done;
-        add
-          (Printf.sprintf "  %s: %d steps%s\n" q.Cq.name (Plan.step_count p)
-             (if !deepest > 0 then
-                Printf.sprintf ", shares p#%d through step %d" !deepest_id
-                  !deepest
-              else ", no shared prefix"))
-      end)
-    plans;
-  Buffer.contents buf
+let reset () = ()
+let set_enabled (_ : bool) = ()
+let stats () = (0, 0)

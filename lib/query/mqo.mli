@@ -1,74 +1,16 @@
-(** Multi-query optimization: shared-subplan caching above the plan
-    cache.
+(** Inert entry points kept for the pipeline ledger benchmark.
 
-    Plans whose first [d] steps serialize to the same
-    {!Plan.prefix_id} produce identical partial-binding streams over
-    identical dense slot prefixes.  This module registers every
-    executed plan's prefixes; once a prefix has been wanted twice at
-    one store version (two workload queries sharing it, or one plan
-    re-evaluated), the next execution captures the columnar batch
-    stream crossing that depth, and later executions of {e any} plan
-    with the prefix start there, seeded from the captured buffer — a
-    full-depth hit degenerates to projection + dedup replay.
-
-    Above the prefix cache sits a {e result} cache keyed by
-    {!Plan.result_id} (full step sequence plus head projection): once
-    a plan's complete, deduplicated result set has been wanted twice
-    at one version it is kept as a trimmed {!Rowset} copy, and later
-    evaluations adopt it at memcpy speed ({!Rowset.absorb}) — no
-    join, no projection, no re-dedup.
-
-    Entries are stamped with {!Rdf.Store.version}: any store mutation
-    silently invalidates them, and a words budget drops the cache
-    wholesale when captured buffers outgrow it.  All tables are
-    guarded by one spinlock (worker domains evaluate concurrently);
-    captured buffers are write-once and replayed without locking.
-
-    Instruments: [mqo.prefix.hits] (executions seeded from a cached
-    prefix), [mqo.prefix.evals] (prefix captures),
-    [mqo.result.hits] / [mqo.result.evals] (result-level replays and
-    captures), [mqo.capture.rows], [mqo.cache.evictions]. *)
-
-val exec_into : Plan.t -> Rdf.Store.t -> Rowset.t -> unit
-(** MQO-aware {!Plan.exec_into}: registers the plan's prefixes,
-    replays the deepest valid cached prefix (or the whole cached
-    result), captures a newly promoted one.  Falls back to the plain
-    batched execution when disabled (or for impossible plans).  Same
-    result set and {!Plan.size_hint} contract as
-    {!Plan.exec_into}. *)
-
-val eval_rowset : Plan.t -> Rdf.Store.t -> Rowset.t
-(** Evaluate into a fresh set: {!exec_into} plus sizing — the set is
-    pre-sized from {!Plan.size_hint} for a real execution but kept
-    minimal when a cached result will replace its storage anyway. *)
-
-val prepare : Rdf.Store.t -> Cq.t list -> unit
-(** Pre-register a workload: compiles (via the plan cache) and bumps
-    every plan's prefixes at the current store version, so prefixes
-    shared across the workload are captured on the {e first}
-    execution instead of the second.  Call before materializing a
-    view set or evaluating a query batch. *)
-
-val explain : Rdf.Store.t -> Cq.t list -> string
-(** Render the workload's shared-subplan DAG: every prefix shared by
-    at least two plans (deepest first, with member queries, covered
-    atoms and capture status), then a per-query summary.  Compiles
-    through the plan cache; does not execute anything. *)
-
-val set_enabled : bool -> unit
-(** Toggle the MQO path process-wide (default enabled).  When off,
-    {!exec_into} is exactly {!Plan.exec_into} and {!prepare} is a
-    no-op. *)
-
-val enabled : unit -> bool
-
-val set_budget_words : int -> unit
-(** Cap (in int cells) on live captured buffers; the cache is dropped
-    wholesale beyond it.  Default 4M words. *)
+    The multi-query optimizer that lived here (shared-prefix capture
+    and a result cache above the plan cache) has been removed: every
+    query now runs its compiled plan ({!Plan.exec_into}).  The ledger
+    still calls these three functions; each does nothing, and the
+    next change to the benchmark deletes the module. *)
 
 val reset : unit -> unit
-(** Drop all seen counts and captured buffers (all stores).  For tests
-    and benchmarks. *)
+(** No-op. *)
+
+val set_enabled : bool -> unit
+(** No-op: there is no optimizer to toggle. *)
 
 val stats : unit -> int * int
-(** [(entries, words)] currently cached. *)
+(** Always [(0, 0)]: nothing is cached. *)

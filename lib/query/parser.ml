@@ -100,23 +100,29 @@ let tokenize input =
 
 (* ---------- token stream -------------------------------------------------- *)
 
-type stream = { mutable tokens : (token * int) list }
+(* [line] is the line of the last consumed token (1 before the first):
+   every error raised while parsing names it, including running out of
+   tokens and constructor errors on a finished rule or triple. *)
+type stream = { mutable tokens : (token * int) list; mutable line : int }
+
+let stream_of input = { tokens = tokenize input; line = 1 }
+
+let fail s message = fail_at s.line message
 
 let peek s = match s.tokens with [] -> None | (tok, _) :: _ -> Some tok
 
-let line_of s = match s.tokens with [] -> 0 | (_, line) :: _ -> line
-
 let advance s =
   match s.tokens with
-  | [] -> raise (Parse_error "unexpected end of input")
-  | (tok, _) :: rest ->
+  | [] -> fail s "unexpected end of input"
+  | (tok, line) :: rest ->
     s.tokens <- rest;
+    s.line <- line;
     tok
 
 let expect s expected =
   let tok = advance s in
   if tok <> expected then
-    fail_at (line_of s)
+    fail s
       (Printf.sprintf "expected %s, found %s" (token_to_string expected)
          (token_to_string tok))
 
@@ -124,19 +130,16 @@ let expect s expected =
 
 let rdf_type_keyword = "type"
 
-let term_of_token line = function
+let term_of_token s = function
   | Variable x -> Qterm.Var x
   | Uri u -> Qterm.Cst (Rdf.Term.Uri u)
   | Literal l -> Qterm.Cst (Rdf.Term.Literal l)
   | Ident w when String.equal w rdf_type_keyword ->
     Qterm.Cst Rdf.Vocabulary.rdf_type
   | Ident w -> Qterm.Cst (Rdf.Term.Uri w)
-  | tok ->
-    fail_at line (Printf.sprintf "expected a term, found %s" (token_to_string tok))
+  | tok -> fail s (Printf.sprintf "expected a term, found %s" (token_to_string tok))
 
-let parse_term s =
-  let line = line_of s in
-  term_of_token line (advance s)
+let parse_term s = term_of_token s (advance s)
 
 (* ---------- query parsing ------------------------------------------------- *)
 
@@ -148,7 +151,7 @@ let parse_term_list s =
     | Comma -> loop (term :: acc)
     | Rparen -> List.rev (term :: acc)
     | tok ->
-      fail_at (line_of s)
+      fail s
         (Printf.sprintf "expected , or ), found %s" (token_to_string tok))
   in
   loop []
@@ -157,12 +160,12 @@ let parse_atom s =
   (match advance s with
   | Ident "t" -> ()
   | tok ->
-    fail_at (line_of s)
+    fail s
       (Printf.sprintf "expected atom t(...), found %s" (token_to_string tok)));
   match parse_term_list s with
   | [ subject; predicate; obj ] -> Atom.make subject predicate obj
   | terms ->
-    fail_at (line_of s)
+    fail s
       (Printf.sprintf "atom must have 3 terms, found %d" (List.length terms))
 
 let parse_rule s =
@@ -170,7 +173,7 @@ let parse_rule s =
     match advance s with
     | Ident n -> n
     | tok ->
-      fail_at (line_of s)
+      fail s
         (Printf.sprintf "expected query name, found %s" (token_to_string tok))
   in
   let head = parse_term_list s in
@@ -181,15 +184,13 @@ let parse_rule s =
     | Comma -> body (atom :: acc)
     | Dot -> List.rev (atom :: acc)
     | tok ->
-      fail_at (line_of s)
+      fail s
         (Printf.sprintf "expected , or ., found %s" (token_to_string tok))
   in
   let body = body [] in
-  try Cq.make ~name ~head ~body
-  with Invalid_argument message -> raise (Parse_error message)
+  try Cq.make ~name ~head ~body with Invalid_argument message -> fail s message
 
-let parse_workload input =
-  let s = { tokens = tokenize input } in
+let parse_rules s =
   let rec loop acc =
     match peek s with
     | None -> List.rev acc
@@ -197,48 +198,49 @@ let parse_workload input =
   in
   loop []
 
+let parse_workload input = parse_rules (stream_of input)
+
 let parse_query input =
-  match parse_workload input with
+  let s = stream_of input in
+  match parse_rules s with
   | [ q ] -> q
   | queries ->
-    raise
-      (Parse_error
-         (Printf.sprintf "expected exactly one query, found %d"
-            (List.length queries)))
+    fail s
+      (Printf.sprintf "expected exactly one query, found %d"
+         (List.length queries))
 
 (* ---------- schema parsing ------------------------------------------------ *)
 
-let constant_of_term line = function
+(* A schema constant: the next term, which must be a URI. *)
+let parse_constant s =
+  match parse_term s with
   | Qterm.Cst (Rdf.Term.Uri _ as t) -> t
-  | Qterm.Cst _ -> fail_at line "schema terms must be URIs"
-  | Qterm.Var _ -> fail_at line "schema statements cannot contain variables"
+  | Qterm.Cst _ -> fail s "schema terms must be URIs"
+  | Qterm.Var _ -> fail s "schema statements cannot contain variables"
 
 let parse_schema input =
-  let s = { tokens = tokenize input } in
+  let s = stream_of input in
   let rec loop acc =
     match peek s with
     | None -> Rdf.Schema.of_statements (List.rev acc)
     | Some _ ->
-      let line = line_of s in
-      let subject = constant_of_term line (parse_term s) in
-      let relation =
+      let subject = parse_constant s in
+      let statement =
         match advance s with
-        | Ident r -> String.lowercase_ascii r
+        | Ident r -> (
+          match String.lowercase_ascii r with
+          | "subclassof" -> fun obj -> Rdf.Schema.Subclass (subject, obj)
+          | "subpropertyof" -> fun obj -> Rdf.Schema.Subproperty (subject, obj)
+          | "domain" -> fun obj -> Rdf.Schema.Domain (subject, obj)
+          | "range" -> fun obj -> Rdf.Schema.Range (subject, obj)
+          | other -> fail s ("unknown schema relation " ^ other))
         | tok ->
-          fail_at (line_of s)
+          fail s
             (Printf.sprintf "expected a schema relation, found %s"
                (token_to_string tok))
       in
-      let obj = constant_of_term (line_of s) (parse_term s) in
+      let statement = statement (parse_constant s) in
       expect s Dot;
-      let statement =
-        match relation with
-        | "subclassof" -> Rdf.Schema.Subclass (subject, obj)
-        | "subpropertyof" -> Rdf.Schema.Subproperty (subject, obj)
-        | "domain" -> Rdf.Schema.Domain (subject, obj)
-        | "range" -> Rdf.Schema.Range (subject, obj)
-        | other -> fail_at line ("unknown schema relation " ^ other)
-      in
       loop (statement :: acc)
   in
   loop []
@@ -246,23 +248,23 @@ let parse_schema input =
 (* ---------- triple parsing ------------------------------------------------ *)
 
 let parse_triples input =
-  let s = { tokens = tokenize input } in
-  let rdf_term line = function
+  let s = stream_of input in
+  let rdf_term () =
+    match parse_term s with
     | Qterm.Cst t -> t
-    | Qterm.Var _ -> fail_at line "triples cannot contain variables"
+    | Qterm.Var _ -> fail s "triples cannot contain variables"
   in
   let rec loop acc =
     match peek s with
     | None -> List.rev acc
     | Some _ ->
-      let line = line_of s in
-      let subject = rdf_term line (parse_term s) in
-      let predicate = rdf_term (line_of s) (parse_term s) in
-      let obj = rdf_term (line_of s) (parse_term s) in
+      let subject = rdf_term () in
+      let predicate = rdf_term () in
+      let obj = rdf_term () in
       expect s Dot;
       let triple =
         try Rdf.Triple.make subject predicate obj
-        with Invalid_argument message -> raise (Parse_error message)
+        with Invalid_argument message -> fail s message
       in
       loop (triple :: acc)
   in

@@ -53,12 +53,7 @@ module Tbl = Hashtbl.Make (Key)
    prefilter.  The mode is chosen per set on first insert and sticks,
    because the open-addressed slots cache row hashes: if a row ever
    fails the fit check (a code too wide, or a different width), the
-   set demotes to FNV by rebuilding its index once.  Sets adopted via
-   {!copy}/{!absorb} rebuild as FNV too. *)
-
-let packing_enabled = Atomic.make true
-let set_key_packing b = Atomic.set packing_enabled b
-let key_packing () = Atomic.get packing_enabled
+   set demotes to FNV by rebuilding its index once. *)
 
 (* Bits per column for width [w]; 0 = don't pack (too many columns for
    a useful per-column range). *)
@@ -89,11 +84,7 @@ type t = {
       (* interleaved pairs: slot j is [slots.(2j)] = arena offset + 1
          (0 = free) and [slots.(2j + 1)] = the cached row hash, so one
          probe touches one cache line *)
-  mutable mask : int;
-      (* slot capacity - 1; capacity is 2^k.  [-1] = index absent (a
-         set adopted by {!absorb} copies only the arena; the index is
-         rebuilt lazily on the first probe, so read-only consumers —
-         [elements], [cardinal], [fold] — never pay for it) *)
+  mutable mask : int;  (* slot capacity - 1; capacity is 2^k *)
   mutable count : int;
   mutable arena : int array;  (* rows, packed as consecutive [len; elems...] records *)
   mutable arena_n : int;  (* used prefix of [arena] *)
@@ -177,12 +168,12 @@ let grow_slots t =
     end
   done
 
-(* Rebuild the slot index from the arena: hash each packed row and
-   place it in the first free slot — arena rows are distinct by
-   construction, so no equality checks are needed.  Only sets adopted
-   via {!absorb} arrive here, and only when they are subsequently
-   probed or extended. *)
-let rebuild_index t =
+(* Abandon packed hashing: every cached slot hash is stale, so the
+   index is rebuilt (FNV) from the arena — hash each packed row and
+   place it in the first free slot; arena rows are distinct by
+   construction, so no equality checks are needed.  At most once per
+   set. *)
+let demote t =
   let rec pow2 c =
     if c >= t.count * 2 || c >= Sys.max_array_length / 4 then c else pow2 (c * 2)
   in
@@ -212,12 +203,6 @@ let rebuild_index t =
   (* the rebuilt slots cache FNV hashes *)
   t.pack_bits <- -1
 
-let ensure_index t = if t.mask < 0 then rebuild_index t
-
-(* Abandon packed hashing: every cached slot hash is stale, so the
-   index is rebuilt (FNV) from the arena.  At most once per set. *)
-let demote t = rebuild_index t
-
 let ensure_arena t extra =
   let need = t.arena_n + extra in
   if need > Array.length t.arena then begin
@@ -227,7 +212,6 @@ let ensure_arena t extra =
   end
 
 let mem t row =
-  ensure_index t;
   if t.pack_bits > 0 then
     if Array.length row <> t.pack_width then false
     else begin
@@ -243,10 +227,7 @@ let mem t row =
 let insert_hash t row =
   if t.pack_bits = 0 then begin
     t.pack_width <- Array.length row;
-    t.pack_bits <-
-      (if key_packing () then
-         match choose_bits (Array.length row) with 0 -> -1 | b -> b
-       else -1)
+    t.pack_bits <- (match choose_bits (Array.length row) with 0 -> -1 | b -> b)
   end;
   if t.pack_bits > 0 then
     if Array.length row <> t.pack_width then begin
@@ -265,7 +246,6 @@ let insert_hash t row =
    ownership of the array — one scratch buffer may be reused across
    calls. *)
 let add t row =
-  ensure_index t;
   if 2 * (t.count + 1) > t.mask + 1 then grow_slots t;
   let h = insert_hash t row in
   let j = find_slot t h row in
@@ -288,9 +268,7 @@ let add t row =
     true
   end
 
-let add_copy = add
-
-(* Columnar row at live index [r] of [cols] equals the arena row at
+(* Columnar row [r] of [cols] equals the arena row at
    offset [o]?  Same contract as [arena_equal], reading the candidate
    out of column vectors instead of a scratch row. *)
 let arena_equal_cols (arena : int array) o (cols : int array array) r w =
@@ -304,24 +282,21 @@ let arena_equal_cols (arena : int array) o (cols : int array array) r w =
   in
   go 0
 
-(* Bulk insert of a whole batch: capacity and arena growth are checked
-   once for the batch's worst case, then every row goes through a
-   single probe sequence hashing and comparing straight out of the
-   column vectors — no scratch row is ever materialized.  Returns the
-   number of rows that were new. *)
-let add_batch t (b : Batch.t) =
-  let w = b.Batch.width in
-  let m = Batch.live b in
+(* Bulk insert of rows [0, m) of the column vectors [cols]: capacity
+   and arena growth are checked once for the worst case, then every row
+   goes through a single probe sequence hashing and comparing straight
+   out of the columns — no scratch row is ever materialized.  Returns
+   the number of rows that were new. *)
+let add_columns t (cols : int array array) m =
+  let w = Array.length cols in
   if m = 0 then 0
   else begin
-    ensure_index t;
     while 2 * (t.count + m) > t.mask + 1 do
       grow_slots t
     done;
     ensure_arena t (m * (w + 1));
-    let cols = b.Batch.cols in
     let added = ref 0 in
-    (* insert row [r] of the batch under hash [h]; shared by both loops *)
+    (* insert row [r] of the columns under hash [h]; shared by both loops *)
     let insert_row slots arena mask r h =
       let rec probe k =
         let j = (h + k) land mask in
@@ -350,9 +325,7 @@ let add_batch t (b : Batch.t) =
     in
     if t.pack_bits = 0 then begin
       t.pack_width <- w;
-      t.pack_bits <-
-        (if key_packing () then match choose_bits w with 0 -> -1 | bb -> bb
-         else -1)
+      t.pack_bits <- (match choose_bits w with 0 -> -1 | bb -> bb)
     end
     else if t.pack_bits > 0 && w <> t.pack_width then demote t;
     let i = ref 0 in
@@ -365,7 +338,7 @@ let add_batch t (b : Batch.t) =
       let slots = t.slots and arena = t.arena and mask = t.mask in
       (try
          while !i < m do
-           let r = Batch.row_at b !i in
+           let r = !i in
            let k = ref 0 in
            let c = ref 0 in
            while
@@ -394,7 +367,7 @@ let add_batch t (b : Batch.t) =
       done;
       let slots = t.slots and arena = t.arena and mask = t.mask in
       while !i < m do
-        let r = Batch.row_at b !i in
+        let r = !i in
         let h = ref 0x811c9dc5 in
         for c = 0 to w - 1 do
           h :=
@@ -409,42 +382,6 @@ let add_batch t (b : Batch.t) =
   end
 
 let cardinal t = t.count
-
-(* Deep copy: one memcpy of the arena trimmed to its used prefix —
-   what the MQO result cache stores.  The slot index is not copied
-   (rebuilt lazily if the copy is ever probed or extended), so a copy
-   holds exactly its rows and costs exactly one array copy. *)
-let copy t =
-  {
-    slots = [||];
-    mask = -1;
-    count = t.count;
-    arena = Array.sub t.arena 0 t.arena_n;
-    arena_n = t.arena_n;
-    (* the lazily rebuilt index hashes with FNV *)
-    pack_bits = -1;
-    pack_width = 0;
-  }
-
-(* Replace an EMPTY set's storage with a copy of [src]'s — the
-   result-replay fast path.  Only the packed arena is copied (one
-   memcpy); the slot index is marked absent and rebuilt lazily if the
-   destination is ever probed or extended, so the dominant consumers
-   — enumerate-only callers — pay a single arena copy total.  The
-   copy keeps [src] immutable under later mutation of the
-   destination. *)
-let absorb dst src =
-  if dst.count <> 0 then invalid_arg "Rowset.absorb: destination not empty";
-  dst.slots <- [||];
-  dst.mask <- -1;
-  dst.count <- src.count;
-  dst.arena <- Array.copy src.arena;
-  dst.arena_n <- src.arena_n;
-  dst.pack_bits <- -1;
-  dst.pack_width <- 0
-
-(* Allocated int cells — what the MQO cache budgets by. *)
-let words t = Array.length t.slots + Array.length t.arena
 
 let fold f t init =
   let arena = t.arena in

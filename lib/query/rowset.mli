@@ -30,13 +30,6 @@ type t
     (one index rebuild) if a later row does not fit; semantics are
     identical either way. *)
 
-val set_key_packing : bool -> unit
-(** Globally enable/disable packed hashing for sets created {e and
-    first inserted into} afterwards (default on).  The [eval] bench's
-    [nopack] variant uses this to measure the packing win. *)
-
-val key_packing : unit -> bool
-
 val create : int -> t
 (** [create n] sizes the table for about [n] rows (it grows as
     needed). *)
@@ -48,34 +41,15 @@ val add : t -> int array -> bool
     otherwise.  The row's elements are copied into the set, so the
     caller may reuse (or mutate) the array afterwards. *)
 
-val add_copy : t -> int array -> bool
-(** Alias of {!add}; kept for emitters that want the copy-on-insert
-    contract spelled out at the call site. *)
-
-val add_batch : t -> Batch.t -> int
-(** Bulk {!add} of a whole columnar batch (its live rows, through the
-    selection vector): slot-array and arena growth are checked once up
-    front, then each row is one probe sequence hashing and comparing
-    directly against the column vectors — no scratch row.  Returns how
-    many rows were new. *)
+val add_columns : t -> int array array -> int -> int
+(** [add_columns t cols n] — bulk {!add} of rows [0, n) stored
+    column-major ([cols.(c).(r)] is column [c] of row [r]; every
+    column holds at least [n] values): slot-array and arena growth are
+    checked once up front, then each row is one probe sequence hashing
+    and comparing directly against the column vectors — no scratch
+    row.  Returns how many rows were new. *)
 
 val cardinal : t -> int
-
-val copy : t -> t
-(** Deep copy: one memcpy of the packed rows (trimmed to the used
-    prefix), no per-row hashing.  The hash index is rebuilt lazily if
-    the copy is ever probed or extended; enumerate-only consumers
-    never pay for it.  What the MQO result cache stores. *)
-
-val absorb : t -> t -> unit
-(** [absorb dst src] replaces the {e empty} set [dst]'s storage with a
-    copy of [src]'s rows — the result-replay fast path, one memcpy
-    instead of per-row re-insertion (index rebuilt lazily, as with
-    {!copy}).  [src] stays independent of later mutation of [dst].
-    @raise Invalid_argument when [dst] is not empty. *)
-
-val words : t -> int
-(** Allocated int cells — what the MQO cache budgets by. *)
 
 val fold : (int array -> 'a -> 'a) -> t -> 'a -> 'a
 

@@ -47,5 +47,4 @@ module type S = sig
   val fold_column_codes : t -> [ `S | `P | `O ] -> (int -> 'a -> 'a) -> 'a -> 'a
   val resident_bytes : t -> int
   val compact : t -> unit
-  val recommended_batch_rows : t -> int
 end

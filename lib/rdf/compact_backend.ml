@@ -456,8 +456,3 @@ let resident_bytes t =
   + Hash_backend.resident_bytes t.mem_del
   + (match t.all_cache with Some (a, _) -> 8 * Array.length a | None -> 0)
   + Hashtbl.fold (fun _ (a, _) acc -> acc + (8 * Array.length a)) t.scan_cache 0
-
-(* Batches sized to the block geometry: two blocks in flight keeps the
-   scan-fill loop inside the decoded block while amortizing per-batch
-   overhead. *)
-let recommended_batch_rows t = 2 * Segment.block_rows t.spo

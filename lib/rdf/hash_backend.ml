@@ -50,7 +50,7 @@ let bucket_delete b s p o =
 type index = (int, bucket) Hashtbl.t
 
 type t = {
-  all : (int * int * int, unit) Hashtbl.t;
+  all : (int * int * int, int) Hashtbl.t;  (* triple -> its row in [triples] *)
   triples : bucket;  (* every triple, for all-wildcard scans *)
   idx_s : index;
   idx_p : index;
@@ -92,7 +92,7 @@ let add t s p o =
   let triple = (s, p, o) in
   if Hashtbl.mem t.all triple then false
   else begin
-    Hashtbl.add t.all triple ();
+    Hashtbl.add t.all triple t.triples.n;
     bucket_push t.triples s p o;
     bucket_add t.idx_s s s p o;
     bucket_add t.idx_p p s p o;
@@ -103,12 +103,30 @@ let add t s p o =
     true
   end
 
+(* The all-triples bucket is as large as the store, so its removal
+   does not scan: [all] records each triple's row, and the swap-remove
+   moves the last row into the hole (the same order [bucket_delete]
+   leaves) and re-points that row's entry. *)
+let remove_row t i =
+  let b = t.triples in
+  let last = b.n - 1 in
+  if i <> last then begin
+    let d = b.data in
+    let s = d.(3 * last) and p = d.((3 * last) + 1) and o = d.((3 * last) + 2) in
+    d.(3 * i) <- s;
+    d.((3 * i) + 1) <- p;
+    d.((3 * i) + 2) <- o;
+    Hashtbl.replace t.all (s, p, o) i
+  end;
+  b.n <- last
+
 let remove t s p o =
   let triple = (s, p, o) in
-  if not (Hashtbl.mem t.all triple) then false
-  else begin
+  match Hashtbl.find_opt t.all triple with
+  | None -> false
+  | Some i ->
     Hashtbl.remove t.all triple;
-    bucket_delete t.triples s p o;
+    remove_row t i;
     bucket_remove t.idx_s s s p o;
     bucket_remove t.idx_p p s p o;
     bucket_remove t.idx_o o s p o;
@@ -116,7 +134,6 @@ let remove t s p o =
     bucket_remove t.idx_so (pair_key s o) s p o;
     bucket_remove t.idx_po (pair_key p o) s p o;
     true
-  end
 
 let mem t s p o = Hashtbl.mem t.all (s, p, o)
 let size t = t.triples.n
@@ -150,7 +167,7 @@ let scan1 t col code = scan_bucket (Hashtbl.find_opt (index_of_column t col) cod
 let scan2 t cols a b =
   scan_bucket (Hashtbl.find_opt (index_of_pair t cols) (pair_key a b))
 
-let fold_all t f init = Hashtbl.fold (fun triple () acc -> f triple acc) t.all init
+let fold_all t f init = Hashtbl.fold (fun triple _ acc -> f triple acc) t.all init
 let distinct_in_column t col = Hashtbl.length (index_of_column t col)
 
 let fold_column_codes t col f init =
@@ -178,19 +195,3 @@ let resident_bytes t =
   8 * words
 
 let compact _ = ()
-
-(* Cache-aware batch sizing hint: a batch should comfortably hold the
-   typical scan fan-out, i.e. a few times the mean single-column
-   bucket, rounded to a power of two and clamped so tiny stores don't
-   collapse the pipeline and huge ones don't blow the cache. *)
-let recommended_batch_rows t =
-  let d =
-    Hashtbl.length t.idx_s + Hashtbl.length t.idx_p + Hashtbl.length t.idx_o
-  in
-  if d = 0 then 1024
-  else begin
-    let avg = 3 * size t / d in
-    let target = 8 * max 1 avg in
-    let rec pow2 c = if c >= target || c >= 4096 then c else pow2 (2 * c) in
-    pow2 128
-  end

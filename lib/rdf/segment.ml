@@ -42,7 +42,6 @@ type t = {
 }
 
 let n t = t.n
-let block_rows t = t.block_rows
 let distinct_leading t = t.distinct_a
 
 let rows_in_block t i =

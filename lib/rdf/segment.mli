@@ -23,8 +23,6 @@ val default_block_rows : int
 val n : t -> int
 (** Total rows. *)
 
-val block_rows : t -> int
-
 val distinct_leading : t -> int
 (** Number of distinct leading-column values, counted at build time. *)
 

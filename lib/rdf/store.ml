@@ -298,8 +298,3 @@ let resident_bytes t =
   match t.repr with
   | Hash h -> Hash_backend.resident_bytes h
   | Compact c -> Compact_backend.resident_bytes c
-
-let recommended_batch_rows t =
-  match t.repr with
-  | Hash h -> Hash_backend.recommended_batch_rows h
-  | Compact c -> Compact_backend.recommended_batch_rows c

@@ -140,8 +140,3 @@ val resident_bytes : t -> int
 (** Estimated live bytes of the backend's index structures (the shared
     dictionary is excluded).  The [store] bench experiment reports
     this as bytes/triple per backend. *)
-
-val recommended_batch_rows : t -> int
-(** The backend's preferred {!Query.Plan} batch capacity: derived from
-    the block geometry (compact) or the bucket-size histogram (hash).
-    Consumed by [Plan.set_batch_capacity_auto]. *)

@@ -96,6 +96,25 @@ let gen_store =
 
 let arb_store = make ~print:(fun s -> Printf.sprintf "<store:%d triples>" (Rdf.Store.size s)) gen_store
 
+(* A store on a generated backend, flushed into segments on the compact
+   one: properties that take it check both storage layouts. *)
+let gen_backend = Gen.oneofl [ Rdf.Backend.Hash; Rdf.Backend.Compact ]
+
+let store_on kind triples =
+  let st = Rdf.Store.create ~backend:kind () in
+  List.iter (fun t -> ignore (Rdf.Store.add st t : bool)) triples;
+  Rdf.Store.compact st;
+  st
+
+let arb_backend_store =
+  make
+    ~print:(fun s ->
+      Printf.sprintf "<%s store:%d triples>"
+        (Rdf.Backend.kind_name (Rdf.Store.backend s))
+        (Rdf.Store.size s))
+    (Gen.map2 store_on gen_backend
+       (Gen.list_size (Gen.int_range 3 30) gen_data_triple))
+
 let gen_statement =
   Gen.oneof
     [

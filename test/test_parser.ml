@@ -66,6 +66,22 @@ let test_parse_errors () =
       | _ -> Alcotest.failf "expected parse error on %s" text)
     cases
 
+(* Every parse error names the line of the last token consumed — also
+   when the input runs out and when Cq.make rejects a finished rule. *)
+let test_parse_error_lines () =
+  List.iter
+    (fun (text, expected) ->
+      match Query.Parser.parse_query text with
+      | exception Query.Parser.Parse_error message ->
+        check_string text expected message
+      | _ -> Alcotest.failf "expected parse error on %s" text)
+    [
+      ("q(X) :- .", "line 1: expected atom t(...), found .");
+      ("q(X) :-\n  t(X, <p>, Y)", "line 2: unexpected end of input");
+      ( "q(Z) :- t(X, <p>, Y).",
+        "line 1: Cq.make: unsafe head variable Z" );
+    ]
+
 let test_parse_schema () =
   let schema =
     Query.Parser.parse_schema
@@ -133,6 +149,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_query_roundtrip;
           to_alcotest prop_query_roundtrip;
           Alcotest.test_case "errors" `Quick test_parse_errors;
+          Alcotest.test_case "error lines" `Quick test_parse_error_lines;
         ] );
       ( "schema",
         [

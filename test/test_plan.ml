@@ -1,7 +1,8 @@
 (* Compiled query plans (Query.Plan): differential testing against the
    interpretive Reference evaluator on adversarial random queries —
    repeated variables, constants absent from the store, genuine
-   cross-products — plus the plan cache's hit/staleness behaviour. *)
+   cross-products — on both storage backends, plus the plan cache's
+   hit/staleness behaviour. *)
 
 open Support
 
@@ -76,7 +77,7 @@ let arb_plan_ucq = QCheck.make ~print:Query.Ucq.to_string gen_plan_ucq
 
 let prop_cq_differential =
   QCheck.Test.make ~name:"compiled CQ evaluation = Reference" ~count:400
-    (QCheck.pair arb_store arb_plan_cq)
+    (QCheck.pair arb_backend_store arb_plan_cq)
     (fun (store, q) ->
       Query.Plan.reset_cache ();
       agree store q)
@@ -92,7 +93,7 @@ let prop_cq_cached_differential =
 
 let prop_ucq_differential =
   QCheck.Test.make ~name:"compiled UCQ evaluation = Reference" ~count:200
-    (QCheck.pair arb_store arb_plan_ucq)
+    (QCheck.pair arb_backend_store arb_plan_ucq)
     (fun (store, u) ->
       Query.Plan.reset_cache ();
       sort_rows (Query.Evaluation.eval_ucq_codes store u)
@@ -110,7 +111,8 @@ let prop_mutation_differential =
   QCheck.Test.make
     ~name:"cached plan correct after store mutation (incl. new constants)"
     ~count:200
-    (QCheck.triple arb_store arb_plan_cq (QCheck.make Support.gen_data_triple))
+    (QCheck.triple arb_backend_store arb_plan_cq
+       (QCheck.make Support.gen_data_triple))
     (fun (store, q, extra) ->
       Query.Plan.reset_cache ();
       let before = agree store q in
@@ -123,90 +125,47 @@ let prop_mutation_differential =
            (triple (uri "absent:z") (uri "absent:z") (uri "absent:z")));
       before && agree store q)
 
-(* ---------- batch pipeline and MQO differential -------------------------- *)
+(* ---------- the executor itself ---------------------------------------- *)
 
-let with_mqo_disabled f =
-  Query.Mqo.set_enabled false;
-  Fun.protect ~finally:(fun () -> Query.Mqo.set_enabled true) f
-
-(* Tuple walker, batch pipeline (MQO off) and the MQO path — evaluated
-   twice so the second run may replay a cached result — must all
-   produce the Reference answer set, and each must leave the same
-   size_hint (the deduplicated cardinality) on the plan. *)
-let prop_batch_mqo_tuple_agree =
-  QCheck.Test.make
-    ~name:"tuple, batch and MQO execution agree (rows and size_hint)"
+(* [Plan.exec_into] straight into a fresh row set, twice (compile, then
+   the cached plan), must give the Reference rows and leave the
+   deduplicated cardinality as the plan's size_hint.  Each store also
+   runs two fixed shapes: a type chain no generated store satisfies
+   (empty result) and two unconnected atoms (a cross product). *)
+let prop_executor_reference =
+  let empty =
+    cq [ v "X" ]
+      [
+        atom (v "X") (Query.Qterm.Cst rdf_type) (v "Y");
+        atom (v "Y") (Query.Qterm.Cst rdf_type) (v "Z");
+      ]
+  in
+  let cross =
+    cq [ v "X"; v "Z" ]
+      [
+        atom (v "X") (v "P") (v "Y");
+        atom (v "Z") (Query.Qterm.Cst rdf_type) (v "W");
+      ]
+  in
+  QCheck.Test.make ~name:"executor = Reference (rows and size_hint)"
     ~count:200
     (QCheck.pair arb_store arb_plan_cq)
     (fun (store, q) ->
       Query.Plan.reset_cache ();
-      Query.Mqo.reset ();
-      let reference =
-        sort_rows (Query.Evaluation.Reference.eval_cq_codes store q)
+      let matches q =
+        let reference =
+          sort_rows (Query.Evaluation.Reference.eval_cq_codes store q)
+        in
+        let run () =
+          let plan = Query.Plan.cached store q in
+          let rs = Query.Rowset.create 16 in
+          Query.Plan.exec_into plan store rs;
+          sort_rows (Query.Rowset.elements rs) = reference
+          && Query.Plan.size_hint plan = List.length reference
+        in
+        run () && run ()
       in
-      let cardinality = List.length reference in
-      let hint_ok () =
-        Query.Plan.size_hint (Query.Plan.cached store q) = cardinality
-      in
-      let tuple_rows =
-        let plan = Query.Plan.cached store q in
-        let rs = Query.Rowset.create 16 in
-        Query.Plan.exec_into_tuple plan store rs;
-        sort_rows (Query.Rowset.elements rs)
-      in
-      let tuple_hint = hint_ok () in
-      let batch_rows =
-        with_mqo_disabled (fun () ->
-            sort_rows (Query.Evaluation.eval_cq_codes store q))
-      in
-      let batch_hint = hint_ok () in
-      let mqo1 = sort_rows (Query.Evaluation.eval_cq_codes store q) in
-      let mqo2 = sort_rows (Query.Evaluation.eval_cq_codes store q) in
-      let mqo_hint = hint_ok () in
-      tuple_rows = reference && batch_rows = reference && mqo1 = reference
-      && mqo2 = reference && tuple_hint && batch_hint && mqo_hint)
-
-(* Capacity 1 flushes after every row, 3 exercises partially-filled
-   final batches, 1024 is the default; all must agree with Reference. *)
-let prop_batch_capacity_edges =
-  QCheck.Test.make ~name:"batch pipeline correct at capacities 1, 3, 1024"
-    ~count:100
-    (QCheck.pair arb_store arb_plan_cq)
-    (fun (store, q) ->
-      let reference =
-        sort_rows (Query.Evaluation.Reference.eval_cq_codes store q)
-      in
-      let ok =
-        List.for_all
-          (fun cap ->
-            Query.Plan.set_batch_capacity cap;
-            Query.Plan.reset_cache ();
-            Query.Mqo.reset ();
-            with_mqo_disabled (fun () ->
-                sort_rows (Query.Evaluation.eval_cq_codes store q) = reference))
-          [ 1; 3; 1024 ]
-      in
-      Query.Plan.set_batch_capacity 1024;
-      ok)
-
-(* Like prop_mutation_differential, but with the MQO caches warmed
-   first (two evaluations: capture then replay): the version stamp must
-   invalidate every cached prefix and result when the store grows —
-   including dictionary growth that resurrects an impossible plan. *)
-let prop_mqo_mutation_differential =
-  QCheck.Test.make
-    ~name:"warm MQO caches invalidated by store mutation (incl. dict growth)"
-    ~count:150
-    (QCheck.triple arb_store arb_plan_cq (QCheck.make Support.gen_data_triple))
-    (fun (store, q, extra) ->
-      Query.Plan.reset_cache ();
-      Query.Mqo.reset ();
-      let before = agree store q && agree store q in
-      ignore (Rdf.Store.add store extra);
-      ignore
-        (Rdf.Store.add store
-           (triple (uri "absent:z") (uri "absent:z") (uri "absent:z")));
-      before && agree store q && agree store q)
+      matches q && matches empty && matches cross)
 
 (* ---------- directed plan tests ------------------------------------------ *)
 
@@ -262,25 +221,6 @@ let test_cross_product () =
   check_int "2 x 1 product" 2
     (List.length (Query.Evaluation.eval_cq_codes store q));
   check_bool "agrees with reference" true (agree store q)
-
-let test_batch_boundary_cardinalities () =
-  Query.Mqo.reset ();
-  let store = small_store () in
-  (* P0 holds exactly 2 rows: capacity 2 makes the single batch exactly
-     full, capacity 1 makes every batch full; the unmatched pattern
-     drives the empty-batch flush path *)
-  let q2 = cq [ v "X"; v "Y" ] [ atom (v "X") (c "P0") (v "Y") ] in
-  let empty = cq [ v "X" ] [ atom (v "X") (c "P1") (c "C0") ] in
-  List.iter
-    (fun cap ->
-      Query.Plan.set_batch_capacity cap;
-      Query.Plan.reset_cache ();
-      check_int (Printf.sprintf "2 rows at capacity %d" cap) 2
-        (List.length (Query.Evaluation.eval_cq_codes store q2));
-      check_int (Printf.sprintf "0 rows at capacity %d" cap) 0
-        (List.length (Query.Evaluation.eval_cq_codes store empty)))
-    [ 1; 2; 1024 ];
-  Query.Plan.set_batch_capacity 1024
 
 let test_exec_wrong_store_raises () =
   Query.Plan.reset_cache ();
@@ -358,9 +298,7 @@ let () =
           to_alcotest prop_ucq_differential;
           to_alcotest prop_counts_agree;
           to_alcotest prop_mutation_differential;
-          to_alcotest prop_batch_mqo_tuple_agree;
-          to_alcotest prop_batch_capacity_edges;
-          to_alcotest prop_mqo_mutation_differential;
+          to_alcotest prop_executor_reference;
         ] );
       ( "plans",
         [
@@ -371,8 +309,6 @@ let () =
           Alcotest.test_case "repeated variable in one atom" `Quick
             test_repeated_variable;
           Alcotest.test_case "cross product" `Quick test_cross_product;
-          Alcotest.test_case "empty and exactly-full batches" `Quick
-            test_batch_boundary_cardinalities;
           Alcotest.test_case "exec on foreign store raises" `Quick
             test_exec_wrong_store_raises;
         ] );

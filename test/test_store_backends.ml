@@ -308,9 +308,6 @@ let test_barton_scale_parity () =
       check_bool "bucket content" true
         (matching_terms hash tpat = matching_terms compact tpat))
     (Rdf.Store.column_codes hash `P);
-  check_bool "recommended batch rows positive" true
-    (Rdf.Store.recommended_batch_rows compact > 0
-    && Rdf.Store.recommended_batch_rows hash > 0);
   check_bool "compact resident bytes below hash" true
     (Rdf.Store.resident_bytes compact < Rdf.Store.resident_bytes hash)
 

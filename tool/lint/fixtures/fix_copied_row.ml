@@ -11,7 +11,7 @@ let consed plan store =
 type holder = { mutable last : int array }
 
 let field_set plan store h =
-  Query.Plan.exec_tuple plan store (fun row -> h.last <- Array.copy row)
+  Query.Plan.exec plan store (fun row -> h.last <- Array.copy row)
 
 let scalar_read plan store =
   let total = ref 0 in

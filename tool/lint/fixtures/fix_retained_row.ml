@@ -11,7 +11,7 @@ let consed plan store =
 type holder = { mutable last : int array }
 
 let field_set plan store h =
-  Query.Plan.exec_tuple plan store (fun row -> h.last <- row)
+  Query.Plan.exec plan store (fun row -> h.last <- row)
 
 let ref_set plan store =
   let last = ref [||] in
@@ -23,6 +23,6 @@ let hashed plan store tbl =
 
 let arrayed plan store out =
   let i = ref 0 in
-  Query.Plan.exec_tuple plan store (fun row ->
+  Query.Plan.exec plan store (fun row ->
       Array.set out !i row;
       incr i)

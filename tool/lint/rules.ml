@@ -85,8 +85,8 @@ let rules =
     {
       id = "retained-exec-row";
       summary =
-        "callback passed to Plan.exec / Plan.exec_tuple stores the emitted \
-         row array without copying; the executor reuses that buffer across \
+        "callback passed to Plan.exec stores the emitted row array \
+         without copying; the executor reuses that buffer across \
          emissions, so the stored rows all mutate to the last one — store \
          [Array.copy row] instead";
       scope = Everywhere;
@@ -166,11 +166,11 @@ let shared_table_fields =
 let hashtbl_mutators =
   [ "add"; "replace"; "remove"; "reset"; "clear"; "filter_map_inplace" ]
 
-(* Row-streaming entry points of the compiled-plan executor: their
+(* Row-streaming entry point of the compiled-plan executor: its
    callback receives a binding frame the executor reuses for the next
    emission, so the callback owns the array only for the duration of
    the call. *)
-let row_callback_entries = [ ("Plan", "exec"); ("Plan", "exec_tuple") ]
+let row_callback_entries = [ ("Plan", "exec") ]
 
 (* (module, function) applications that retain a positional argument
    beyond the call: passing the raw emitted row to one of these inside
