@@ -322,10 +322,10 @@ let compare_to_baseline name current =
           (* eval-experiment determinism: answer/binding/probe counts of
              the fixed workload (absent, hence skipped, elsewhere) *)
           "eval.queries"; "eval.answers"; "eval.bindings"; "eval.probes";
-          (* parallel-experiment determinism flags: deterministic mode
-             must reproduce the sequential report, free mode the best
-             cost (absent, hence skipped, elsewhere) *)
-          "parallel.det_matches_sequential"; "parallel.free_best_cost_matches";
+          (* parallel-experiment fixpoint flag: a completed parallel
+             run must reach the sequential best cost (absent, hence
+             skipped, elsewhere) *)
+          "parallel.free_best_cost_matches";
         ];
       (* Rates compare hardware as much as code: when the baseline was
          recorded on a host with a different core count (v4 stamp;
@@ -362,7 +362,6 @@ let compare_to_baseline name current =
       in
       rate "states_per_sec";
       rate "eval.bindings_per_sec";
-      rate "parallel.det_4.states_per_sec";
       rate "parallel.free_4.states_per_sec";
       (* store-experiment rates (absent, hence skipped, elsewhere).
          The bytes ratio is deterministic in spirit but depends on

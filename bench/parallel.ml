@@ -1,18 +1,17 @@
 (* Multicore scaling of the search: the baseline workload run
-   sequentially and then across OCaml 5 domains in both parallel modes.
+   sequentially and then across OCaml 5 domains with work stealing.
 
    Two kinds of numbers come out of this experiment and they are held to
-   different standards.  The determinism flags
-   (parallel.det_matches_sequential, parallel.free_best_cost_matches)
-   must reproduce exactly across runs and machines — deterministic mode
-   is contractually bit-identical to the sequential search and free mode
-   must reach the same fixpoint on a completed run.  The throughput and
-   speedup figures are wall-clock-derived and machine-dependent: on a
-   single-CPU host the domains time-slice one core and the speedup
-   hovers at or below 1.0; the committed baseline records whatever the
-   reference host measured and the rate comparison only warns.
+   different standards.  The fixpoint flag
+   (parallel.free_best_cost_matches) must reproduce exactly across runs
+   and machines — a completed parallel run must reach the sequential
+   best cost.  The throughput and speedup figures are
+   wall-clock-derived and machine-dependent: on a single-CPU host the
+   domains time-slice one core and the speedup hovers at or below 1.0;
+   the committed baseline records whatever the reference host measured
+   and the rate comparison only warns.
 
-   Free-mode runs leave schedule-dependent totals in the Obs registry,
+   Parallel runs leave schedule-dependent totals in the Obs registry,
    so the registry is wiped and a canonical sequential run is replayed
    last: the generic BENCH fields (states_created, best_cost, ...) stay
    deterministic and the parallel numbers travel in their own
@@ -34,10 +33,10 @@ let run () =
   ignore (Core.Search.run stats opts queries);
   let seq, seq_s = Harness.time_once (fun () -> Core.Search.run stats opts queries) in
   let seq_rate = float_of_int seq.Core.Search.created /. seq_s in
-  let measure mode jobs =
+  let measure jobs =
     let report, secs =
       Harness.time_once (fun () ->
-          Core.Parallel_search.run ~jobs ~mode stats opts queries)
+          Core.Parallel_search.run ~jobs stats opts queries)
     in
     let rate = float_of_int report.Core.Search.created /. secs in
     (report, secs, rate)
@@ -72,31 +71,12 @@ let run () =
     Printf.printf "  host: %d recommended domain(s)\n"
       (Multicore.recommended_domain_count ());
     let jobs_list = [ 2; 4 ] in
-    let det =
-      List.map (fun j -> (j, measure Core.Parallel_search.Deterministic j)) jobs_list
-    in
-    let free =
-      List.map (fun j -> (j, measure Core.Parallel_search.Free j)) jobs_list
-    in
+    let free = List.map (fun j -> (j, measure j)) jobs_list in
     Harness.print_table
       ~header:
         [ "mode"; "jobs"; "created"; "explored"; "best cost"; "ms"; "st/s"; "speedup"; "done" ]
       (row "sequential" 1 (seq, seq_s, seq_rate)
-      :: List.map (fun (j, m) -> row "deterministic" j m) det
-      @ List.map (fun (j, m) -> row "free" j m) free);
-    (* Deterministic mode must reproduce the sequential report exactly:
-       every counter and the best cost. *)
-    let det_matches =
-      List.for_all
-        (fun (_, ((r : Core.Search.report), _, _)) ->
-          r.Core.Search.created = seq.Core.Search.created
-          && r.Core.Search.duplicates = seq.Core.Search.duplicates
-          && r.Core.Search.discarded = seq.Core.Search.discarded
-          && r.Core.Search.explored = seq.Core.Search.explored
-          && Float.abs (r.Core.Search.best_cost -. seq.Core.Search.best_cost)
-             <= 1e-9)
-        det
-    in
+      :: List.map (fun (j, m) -> row "free" j m) free);
     (* Free mode explores in schedule order, so counters may differ, but
        a completed run must land on the same best cost. *)
     let free_matches =
@@ -107,8 +87,6 @@ let run () =
              <= 1e-6 *. Float.max 1.0 (Float.abs seq.Core.Search.best_cost))
         free
     in
-    Printf.printf "  deterministic mode reproduces the sequential report: %s\n"
-      (if det_matches then "yes" else "NO — REGRESSION");
     Printf.printf "  free mode reaches the sequential best cost: %s\n"
       (if free_matches then "yes" else "NO — REGRESSION");
     let config label (report, secs, rate) =
@@ -128,14 +106,10 @@ let run () =
         ("available", Obs.Json.Int 1);
         ( "recommended_domains",
           Obs.Json.Int (Multicore.recommended_domain_count ()) );
-        ("det_matches_sequential", Obs.Json.Int (if det_matches then 1 else 0));
         ( "free_best_cost_matches",
           Obs.Json.Int (if free_matches then 1 else 0) );
         config "sequential" (seq, seq_s, seq_rate);
       ]
-      @ List.map
-          (fun (j, m) -> config (Printf.sprintf "det_%d" j) m)
-          det
       @ List.map
           (fun (j, m) -> config (Printf.sprintf "free_%d" j) m)
           free

@@ -301,34 +301,29 @@ let select_cmd =
              with $(b,rdfviews report).")
   in
   let jobs_arg =
+    let non_negative =
+      let parse s =
+        match int_of_string_opt s with
+        | Some n when n >= 0 -> Ok n
+        | Some _ | None ->
+          Error (`Msg (Printf.sprintf "invalid value '%s', expected N >= 0" s))
+      in
+      Arg.conv (parse, Format.pp_print_int)
+    in
     Arg.(
-      value & opt int 1
+      value & opt non_negative 1
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Search with $(docv) parallel domains (requires an OCaml 5 \
-             build; 0 means the runtime's recommended domain count). The \
-             default 1 is the sequential engine. See CONCURRENCY.md.")
-  in
-  let par_mode_arg =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("det", Core.Parallel_search.Deterministic);
-               ("deterministic", Core.Parallel_search.Deterministic);
-               ("free", Core.Parallel_search.Free);
-             ])
-          Core.Parallel_search.Deterministic
-      & info [ "par-mode"; "parallel-mode" ] ~docv:"MODE"
-          ~doc:
-            "Parallel mode with --jobs > 1: $(b,det) reproduces the \
-             sequential result exactly; $(b,free) is faster but \
-             schedule-dependent in its counters.")
+            "Search with $(docv) parallel domains over work-stealing \
+             deques (requires an OCaml 5 build; 0 means the runtime's \
+             recommended domain count). The default 1 is the sequential \
+             engine; with more domains the counters depend on the \
+             schedule, and a completed run reaches the sequential best \
+             cost. See CONCURRENCY.md.")
   in
   let run data workload schema reasoning strategy budget no_avf no_stv materialize sql
       state_out trace_states trace metrics telemetry telemetry_interval jobs
-      par_mode store_backend =
+      store_backend =
     handle_errors @@ fun () ->
     with_metrics metrics @@ fun () ->
     with_telemetry telemetry telemetry_interval @@ fun () ->
@@ -350,7 +345,7 @@ let select_cmd =
     if jobs > 1 && not Multicore.available then
       failwith "--jobs > 1 requires an OCaml 5 build (this one is sequential)";
     let traced = ref [] in
-    (* under --jobs with the free mode the hook runs on any domain *)
+    (* under --jobs the hook runs on any domain *)
     let traced_lock = Multicore.Spinlock.create () in
     let options =
       {
@@ -371,8 +366,7 @@ let select_cmd =
     in
     let result =
       Obs.span (Obs.global ()) "select" (fun () ->
-          Core.Selector.select ~jobs ~parallel_mode:par_mode ~store ~reasoning
-            ~options queries)
+          Core.Selector.select ~jobs ~store ~reasoning ~options queries)
     in
     let report = result.Core.Selector.report in
     Printf.printf
@@ -384,9 +378,7 @@ let select_cmd =
         (* greedy picks are inherently sequential; Parallel_search falls
            back, so do not claim a parallel run in the banner *)
         ", jobs ignored (gstr is sequential)"
-      | _ when jobs > 1 ->
-        Printf.sprintf ", %d jobs %s" jobs
-          (Core.Parallel_search.mode_name par_mode)
+      | _ when jobs > 1 -> Printf.sprintf ", %d jobs" jobs
       | _ -> "")
       report.Core.Search.explored report.Core.Search.elapsed
       report.Core.Search.initial_cost report.Core.Search.best_cost
@@ -447,7 +439,7 @@ let select_cmd =
       const run $ data_arg $ workload_arg $ schema_opt_arg $ reasoning_arg
       $ strategy_arg $ budget_arg $ no_avf_arg $ no_stv_arg $ materialize_arg
       $ sql_arg $ state_out_arg $ trace_states_arg $ trace_arg $ metrics_arg
-      $ telemetry_arg $ telemetry_interval_arg $ jobs_arg $ par_mode_arg
+      $ telemetry_arg $ telemetry_interval_arg $ jobs_arg
       $ store_backend_arg)
 
 (* ---------- check ----------------------------------------------------------- *)

@@ -1,74 +1,32 @@
 (* Parallel view-selection search over OCaml 5 domains.
 
-   Two modes, both built from Search.Internal's building blocks so that
-   the sequential engine remains the single source of truth for what a
-   search step means:
-
-   - Deterministic: the coordinating domain replays the exact
-     sequential worklist (FIFO for EXNAIVE/EXSTR, LIFO for DFS) and is
-     the only domain that touches the engine; worker domains
-     speculatively precompute the pure half of each expansion
-     (successor generation + AVF collapse + key forcing) for frontier
-     states published on a fixed-size board.  Every accounting decision
-     is replayed in sequential order, so the report is identical to the
-     sequential run's.
-
-   - Free: the frontier is sharded across per-domain work-stealing
-     deques; dedup goes through the shared Shard_tbl; each domain keeps
-     its own cost estimator, counters, incumbent and Obs registry, all
-     merged after the join.  Counters and exploration order are
-     schedule-dependent; on completed runs the explored distinct-state
-     set — and hence the best cost — matches the sequential fixpoint.
+   The frontier is sharded across per-domain work-stealing deques.
+   Each domain runs the sequential engine's own expansion
+   (Search.Internal.expand) on an engine forked from the coordinator's:
+   the forks share the options, the seen-table (a Shard_tbl, so the
+   rank-reopen rule stays atomic across domains), the start time and
+   the strict reference, and keep their own estimator, counters,
+   incumbent and Obs registry.  After the join every fork is merged
+   into the coordinator's engine and the report comes from the
+   sequential epilogue.  Counters and exploration order are
+   schedule-dependent; on completed runs the accepted state set — and
+   hence the best cost — matches the sequential fixpoint.
 
    GSTR is inherently sequential (each stage is a closure from the
    single best state of the previous one) and falls back, as does
-   anything on OCaml 4.x or with jobs <= 1. *)
+   anything on OCaml 4.x or with jobs = 1. *)
 
 module I = Search.Internal
-
-type mode = Deterministic | Free
-
-let mode_name = function Deterministic -> "deterministic" | Free -> "free"
-
-let mode_of_string s =
-  match String.lowercase_ascii s with
-  | "det" | "deterministic" -> Some Deterministic
-  | "free" -> Some Free
-  | _ -> None
-
-(* Obs handles mirroring Search's: same metric names, so per-domain
-   registries line up with the sequential engine's and merge cleanly. *)
-let obs_created = Obs.cached_counter "search.created"
-let obs_duplicates = Obs.cached_counter "search.duplicates"
-let obs_discarded = Obs.cached_counter "search.discarded"
-let obs_explored = Obs.cached_counter "search.explored"
-let obs_reopened = Obs.cached_counter "search.reopened"
-let obs_expand_time = Obs.cached_timer "search.expand"
-let obs_expand_hist = Obs.cached_histogram "search.expand.ns"
-
-let obs_stratum_created =
-  let arr =
-    Array.make (List.length Transition.all_kinds)
-      (Obs.cached_counter "search.stratum.VB.created")
-  in
-  List.iter
-    (fun k ->
-      arr.(Transition.kind_rank k) <-
-        Obs.cached_counter
-          ("search.stratum." ^ Transition.kind_name k ^ ".created"))
-    Transition.all_kinds;
-  arr
 
 (* Per-domain utilization, folded into the coordinator's ambient sink
    after the join — same post-join discipline as the per-domain Obs
    registries, so workers never touch the shared sink.  Each entry is
    [(slot, work_ns, steal_ns, total_ns)]: [work] is time inside
-   expansions (deterministic mode: speculations), [steal] time probing
-   other domains' deques, [idle] the rest of the domain's wall clock
-   (backoff, board scans, lock waits).  Slots are this run's worker
-   indices — slot 0 is the coordinating domain — not runtime domain
-   ids.  The exporter renders these as one Prometheus family per
-   quantity with a [domain] label. *)
+   expansions, [steal] time probing other domains' deques, [idle] the
+   rest of the domain's wall clock (backoff, lock waits).  Slots are
+   this run's worker indices — slot 0 is the coordinating domain — not
+   runtime domain ids.  The exporter renders these as one Prometheus
+   family per quantity with a [domain] label. *)
 let note_utilization entries =
   let sink = Obs.global () in
   if Obs.is_enabled sink then begin
@@ -97,196 +55,7 @@ let note_utilization entries =
   end
 [@@coordinator_only]
 
-(* ---------- deterministic mode ------------------------------------------- *)
-
-(* The pure half of one expansion, in the exact order the sequential
-   engine would admit the successors: kinds in [allowed_kinds] order,
-   successors in generation order, each AVF-collapsed and its identity
-   key forced (the expensive parts).  Runs on any domain. *)
-let speculate options state rank =
-  List.concat_map
-    (fun kind ->
-      let rk = I.rank_of options kind in
-      List.map
-        (fun (succ, delta) ->
-          let succ, delta = I.collapse options ~delta succ in
-          ignore (State.key succ);
-          (succ, delta, rk))
-        (Transition.successors_with_delta state kind))
-    (I.allowed_kinds options rank)
-[@@domain_safe]
-
-type det_task = {
-  dt_state : State.t;
-  dt_rank : int;
-  dt_status : int Atomic.t;  (* 0 free, 1 claimed, 2 done *)
-  mutable dt_result : (State.t * Delta.t * int) list;  (* valid once done *)
-  mutable dt_exn : exn option;  (* speculation raised; re-raised on consume *)
-  mutable dt_slot : int;  (* board slot, -1 if never published *)
-}
-
-(* How many frontier tasks are visible to workers at once.  The
-   coordinator publishes tasks as worklist items are created and
-   retires them as it consumes results, so the board is a sliding
-   window over the frontier, not the whole frontier. *)
-let board_size = 128
-
-(* Speculation never mutates shared state, so a worker may compute a
-   task the coordinator ends up not needing (a stale board entry): the
-   wasted work is bounded by the board size.  An exception raised by a
-   speculation is stored on the task and re-raised by the coordinator
-   when it consumes it — the computation is deterministic, so the
-   sequential run would have raised the same exception at the same
-   expansion. *)
-(* Returns the worker's (work_ns, total_ns): time inside speculations
-   vs. the domain's whole wall clock, for utilization accounting. *)
-let det_worker board stop options =
-  let t_begin = Obs.now_ns () in
-  let work_ns = ref 0 in
-  let n = Array.length board in
-  let rec go i claimed =
-    if Atomic.get stop then ()
-    else if i >= n then begin
-      (* an idle pass: back off instead of hammering the board *)
-      if not claimed then Multicore.cpu_relax ();
-      go 0 false
-    end
-    else begin
-      let claimed =
-        match Atomic.get board.(i) with
-        | Some t
-          when Atomic.get t.dt_status = 0
-               && Atomic.compare_and_set t.dt_status 0 1 ->
-          let s0 = Obs.now_ns () in
-          (match
-             (* lint: allow catch-all — stored, re-raised by the coordinator *)
-             try Ok (speculate options t.dt_state t.dt_rank) with e -> Error e
-           with
-          | Ok r -> t.dt_result <- r
-          | Error e -> t.dt_exn <- Some e);
-          work_ns := !work_ns + (Obs.now_ns () - s0);
-          Atomic.set t.dt_status 2;
-          true
-        | _ -> claimed
-      in
-      go (i + 1) claimed
-    end
-  in
-  go 0 false;
-  (!work_ns, Obs.now_ns () - t_begin)
-[@@domain_safe]
-
-let det_run ~jobs p =
-  let engine = p.I.p_engine in
-  let options = I.engine_options engine in
-  let board = Array.init board_size (fun _ -> Atomic.make None) in
-  let stop = Atomic.make false in
-  let free_slots = ref (List.init board_size Fun.id) in
-  let make_task state rank =
-    let t =
-      {
-        dt_state = state;
-        dt_rank = rank;
-        dt_status = Atomic.make 0;
-        dt_result = [];
-        dt_exn = None;
-        dt_slot = -1;
-      }
-    in
-    (match !free_slots with
-    | s :: rest ->
-      free_slots := rest;
-      t.dt_slot <- s;
-      Atomic.set board.(s) (Some t)
-    | [] -> ());
-    t
-  in
-  let retire t =
-    if t.dt_slot >= 0 then begin
-      Atomic.set board.(t.dt_slot) None;
-      free_slots := t.dt_slot :: !free_slots
-    end
-  in
-  (* The coordinator claims unstarted tasks itself (no waiting on a
-     worker that might not get there); for claimed ones it spins until
-     publication — the worker is mid-speculation, which is finite. *)
-  let consume t =
-    if Atomic.compare_and_set t.dt_status 0 1 then begin
-      t.dt_result <- speculate options t.dt_state t.dt_rank;
-      Atomic.set t.dt_status 2
-    end
-    else
-      while Atomic.get t.dt_status <> 2 do
-        Multicore.cpu_relax ()
-      done;
-    retire t;
-    match t.dt_exn with Some e -> raise e | None -> t.dt_result
-  in
-  let expand_task t =
-    let results = consume t in
-    I.note_explored engine;
-    I.with_expand_metrics t.dt_rank @@ fun () ->
-    List.filter_map
-      (fun (succ, delta, rk) ->
-        match I.register engine ~rank:rk ~parent:t.dt_state ~delta succ with
-        | Some (s, r) -> Some (make_task s r)
-        | None -> None)
-      results
-  in
-  let workers =
-    List.init (jobs - 1) (fun _ ->
-        Multicore.spawn (fun () -> det_worker board stop options))
-  in
-  let completed = ref true in
-  (* Joined in [finally] so the handles are reaped even when the replay
-     raises; utilization is only recorded on the normal path.  The
-     coordinator (slot 0) gets no entry here — it replays the
-     sequential worklist, so its wall clock is the run itself. *)
-  let util = ref [] in
-  Fun.protect
-    ~finally:(fun () ->
-      Atomic.set stop true;
-      util :=
-        List.mapi
-          (fun i h ->
-            let work, total = Multicore.join h in
-            (i + 1, work, 0, total))
-          workers)
-    (fun () ->
-      let t0 = make_task p.I.p_initial 0 in
-      match options.Search.strategy with
-      | Search.Dfs ->
-        let pending = ref [ t0 ] in
-        let rec loop () =
-          match !pending with
-          | [] -> ()
-          | t :: rest ->
-            if I.should_stop engine then completed := false
-            else begin
-              pending := expand_task t @ rest;
-              loop ()
-            end
-        in
-        loop ()
-      | Search.Exnaive | Search.Exstr ->
-        let pending = Queue.create () in
-        Queue.add t0 pending;
-        let rec loop () =
-          if not (Queue.is_empty pending) then
-            if I.should_stop engine then completed := false
-            else begin
-              let t = Queue.pop pending in
-              List.iter (fun t' -> Queue.add t' pending) (expand_task t);
-              loop ()
-            end
-        in
-        loop ()
-      | Search.Gstr -> assert false (* routed to the sequential engine *));
-  note_utilization !util;
-  I.epilogue p ~completed:!completed
-[@@coordinator_only]
-
-(* ---------- free mode ----------------------------------------------------- *)
+(* ---------- the work-stealing deque --------------------------------------- *)
 
 (* A two-stack deque under a spinlock: [dq_old] oldest-first, [dq_young]
    newest-first; reversals move elements between them amortized O(1).
@@ -333,317 +102,167 @@ let dq_take_oldest dq =
           Some x
         | [] -> None))
 
-(* Everything the worker domains share.  [sh_stop]: 0 running, 1 time
-   budget exceeded, 2 state cap exceeded, 3 a worker raised. *)
+(* ---------- workers -------------------------------------------------------- *)
+
+(* Everything the worker domains share.  [sh_outstanding] counts items
+   pushed but not yet fully expanded (all deques empty is not enough:
+   an in-flight expansion may still push).  [sh_stop] is set by the
+   first domain that hits the time budget or the state cap, or
+   raises; everyone else then drains. *)
 type shared = {
-  sh_options : Search.options;
   sh_lifo : bool;
-  sh_stats : Stats.Statistics.t;
-  sh_weights : Cost.weights;
-  sh_strict : Invariant.reference option;
-  sh_seen : Shard_tbl.t;
   sh_deques : dq array;
   sh_outstanding : int Atomic.t;
-  sh_stop : int Atomic.t;
-  sh_started : float;
-  sh_initial : State.t;
-  sh_initial_cost : float;
-  sh_obs_enabled : bool;
+  sh_stop : bool Atomic.t;
 }
 
-type worker_out = {
-  o_index : int;  (* this run's worker slot, 0 = coordinator *)
-  o_created : int;
-  o_duplicates : int;
-  o_discarded : int;
-  o_explored : int;
-  o_best : State.t;
-  o_best_cost : float;
-  o_trajectory : (float * float) list;  (* newest first *)
-  o_registry : Obs.t option;  (* the worker's own sink, to merge *)
-  o_work_ns : int;  (* time inside expansions *)
-  o_steal_ns : int;  (* time probing other deques *)
-  o_total_ns : int;  (* the domain's whole wall clock *)
+(* One domain's view of the run: its slot, its engine, and its time
+   split for the utilization report. *)
+type worker = {
+  w_slot : int;
+  w_engine : I.engine;
+  mutable w_work_ns : int;
+  mutable w_steal_ns : int;
 }
 
-let free_worker sh ~index ~estimator ~registry =
-  let t_begin = Obs.now_ns () in
-  let work_ns = ref 0
-  and steal_ns = ref 0 in
-  let created = ref 0
-  and duplicates = ref 0
-  and discarded = ref 0
-  and explored = ref 0 in
-  let best = ref sh.sh_initial
-  and best_cost = ref sh.sh_initial_cost
-  and traj = ref [] in
-  let own = sh.sh_deques.(index) in
+let take_own sh w =
+  let own = sh.sh_deques.(w.w_slot) in
+  if sh.sh_lifo then dq_take_newest own else dq_take_oldest own
+
+(* Victims in a fixed order: slot+1, slot+2, ... *)
+let steal sh w =
   let jobs = Array.length sh.sh_deques in
-  let take_own () =
-    if sh.sh_lifo then dq_take_newest own else dq_take_oldest own
-  in
-  (* deterministic victim order: (index+1), (index+2), ... *)
-  let steal () =
-    let rec try_victim k =
-      if k >= jobs then None
-      else
-        let v = sh.sh_deques.((index + k) mod jobs) in
-        match
-          if sh.sh_lifo then dq_take_oldest v else dq_take_newest v
-        with
-        | Some _ as it -> it
-        | None -> try_victim (k + 1)
-    in
-    try_victim 1
-  in
-  let push item =
-    Atomic.incr sh.sh_outstanding;
-    dq_push own item
-  in
-  let elapsed () = Unix.gettimeofday () -. sh.sh_started in
-  let check_budget () =
-    (match sh.sh_options.Search.time_budget with
-    | Some b when elapsed () > b ->
-      ignore (Atomic.compare_and_set sh.sh_stop 0 1)
-    | _ -> ());
-    match sh.sh_options.Search.max_states with
-    | Some cap when Shard_tbl.population sh.sh_seen > cap ->
-      ignore (Atomic.compare_and_set sh.sh_stop 0 2)
-    | _ -> ()
-  in
-  let admit ~parent ~rk ~delta succ =
-    let succ, delta = I.collapse sh.sh_options ~delta succ in
-    incr created;
-    Obs.incr (obs_created ());
-    Obs.incr (obs_stratum_created.(rk) ());
-    if Search.violates_stop sh.sh_options succ then begin
-      incr discarded;
-      Obs.incr (obs_discarded ())
-    end
+  let rec try_victim k =
+    if k >= jobs then None
     else
-      match Shard_tbl.visit sh.sh_seen (State.key succ) rk with
-      | Shard_tbl.Duplicate ->
-        incr duplicates;
-        Obs.incr (obs_duplicates ())
-      | Shard_tbl.Reopened ->
-        incr duplicates;
-        Obs.incr (obs_duplicates ());
-        Obs.incr (obs_reopened ());
-        push (succ, rk)
-      | Shard_tbl.New ->
-        let cost = Cost.state_cost_delta estimator ~parent ~delta succ in
-        (match sh.sh_strict with
-        | Some reference -> Invariant.assert_valid ~estimator reference succ
-        | None -> ());
-        if cost < !best_cost then begin
-          best := succ;
-          best_cost := cost;
-          traj := (elapsed (), cost) :: !traj
-        end;
-        (match sh.sh_options.Search.on_accept with
-        | Some hook -> hook succ
-        | None -> ());
-        push (succ, rk)
+      let v = sh.sh_deques.((w.w_slot + k) mod jobs) in
+      match if sh.sh_lifo then dq_take_oldest v else dq_take_newest v with
+      | Some _ as it -> it
+      | None -> try_victim (k + 1)
   in
-  let expand (state, rank) =
-    incr explored;
-    Obs.incr (obs_explored ());
-    (Obs.time_with (obs_expand_time ()) (obs_expand_hist ()) @@ fun () ->
-     List.iter
-       (fun kind ->
-         let rk = I.rank_of sh.sh_options kind in
-         List.iter
-           (fun (succ, delta) -> admit ~parent:state ~rk ~delta succ)
-           (Transition.successors_with_delta state kind))
-       (I.allowed_kinds sh.sh_options rank));
-    Atomic.decr sh.sh_outstanding
-  in
-  let expand it =
-    let s0 = Obs.now_ns () in
-    expand it;
-    work_ns := !work_ns + (Obs.now_ns () - s0)
-  in
+  let s0 = Obs.now_ns () in
+  let stolen = try_victim 1 in
+  w.w_steal_ns <- w.w_steal_ns + (Obs.now_ns () - s0);
+  stolen
+
+let expand sh w (state, rank) =
+  let s0 = Obs.now_ns () in
+  List.iter
+    (fun item ->
+      Atomic.incr sh.sh_outstanding;
+      dq_push sh.sh_deques.(w.w_slot) item)
+    (I.expand w.w_engine state rank);
+  Atomic.decr sh.sh_outstanding;
+  w.w_work_ns <- w.w_work_ns + (Obs.now_ns () - s0)
+
+(* Take, else steal, then expand; false when there was nothing to do
+   or the run must stop.  As in the sequential loop, the budget is
+   checked only when there is an item to expand, so a run that
+   exhausts the space is complete. *)
+let step sh w =
+  let item = match take_own sh w with Some _ as it -> it | None -> steal sh w in
+  match item with
+  | None -> false
+  | Some _ when I.should_stop w.w_engine ->
+    Atomic.set sh.sh_stop true;
+    false
+  | Some it ->
+    expand sh w it;
+    true
+
+(* Runs until the frontier is exhausted or some domain stops the run.
+   A raising worker first sets the stop flag so its siblings drain and
+   exit (its in-flight item never returns to the outstanding count);
+   the exception is re-raised on the coordinating domain after the
+   join.  Returns the domain's whole wall clock, in ns. *)
+let work sh w =
+  let t_begin = Obs.now_ns () in
   let rec loop () =
-    if Atomic.get sh.sh_stop <> 0 then ()
-    else begin
-      check_budget ();
-      match take_own () with
-      | Some it ->
-        expand it;
-        loop ()
-      | None -> (
-        let s0 = Obs.now_ns () in
-        let stolen = steal () in
-        steal_ns := !steal_ns + (Obs.now_ns () - s0);
-        match stolen with
-        | Some it ->
-          expand it;
-          loop ()
-        | None ->
-          if Atomic.get sh.sh_outstanding = 0 then ()
-          else begin
-            Multicore.cpu_relax ();
-            loop ()
-          end)
+    if Atomic.get sh.sh_stop then ()
+    else if step sh w then loop ()
+    else if Atomic.get sh.sh_outstanding > 0 then begin
+      Multicore.cpu_relax ();
+      loop ()
     end
   in
-  (* A raising worker first flips the stop flag so its siblings drain
-     and exit (its in-flight item never returns to the outstanding
-     count); the exception is re-raised after the join. *)
-  match
-    (* lint: allow catch-all — re-raised on the coordinating domain *)
-    try Ok (loop ()) with e ->
-      Atomic.set sh.sh_stop 3;
-      Error e
-  with
-  | Ok () ->
-    Ok
-      {
-        o_index = index;
-        o_created = !created;
-        o_duplicates = !duplicates;
-        o_discarded = !discarded;
-        o_explored = !explored;
-        o_best = !best;
-        o_best_cost = !best_cost;
-        o_trajectory = !traj;
-        o_registry = registry;
-        o_work_ns = !work_ns;
-        o_steal_ns = !steal_ns;
-        o_total_ns = Obs.now_ns () - t_begin;
-      }
-  | Error e -> Error e
+  match loop () with
+  | () -> Ok (Obs.now_ns () - t_begin)
+  (* lint: allow catch-all — re-raised on the coordinating domain *)
+  | exception e ->
+    Atomic.set sh.sh_stop true;
+    Error e
 [@@domain_safe]
 
-(* coordinator_only: spawns the workers and replays their results into
-   the engine through Search.Internal. *)
-let free_run ~jobs p =
+let free_run ~jobs ~lifo p =
   let engine = p.I.p_engine in
-  let options = I.engine_options engine in
-  let estimator = I.engine_estimator engine in
-  let _, initial_cost = I.engine_best engine in
-  let seen = Shard_tbl.create () in
-  ignore (Shard_tbl.visit seen (State.key p.I.p_initial) 0);
   let sh =
     {
-      sh_options = options;
-      sh_lifo =
-        (match options.Search.strategy with
-        | Search.Dfs -> true
-        | Search.Exnaive | Search.Exstr | Search.Gstr -> false);
-      sh_stats = Cost.stats estimator;
-      sh_weights = Cost.weights estimator;
-      sh_strict = I.engine_strict_reference engine;
-      sh_seen = seen;
+      sh_lifo = lifo;
       sh_deques = Array.init jobs (fun _ -> dq_create ());
       sh_outstanding = Atomic.make 1;
-      sh_stop = Atomic.make 0;
-      sh_started = Unix.gettimeofday ();
-      sh_initial = p.I.p_initial;
-      sh_initial_cost = initial_cost;
-      sh_obs_enabled = Obs.is_enabled (Obs.global ());
+      sh_stop = Atomic.make false;
     }
   in
+  let worker slot engine =
+    { w_slot = slot; w_engine = engine; w_work_ns = 0; w_steal_ns = 0 }
+  in
+  let coordinator = worker 0 engine in
   dq_push sh.sh_deques.(0) (p.I.p_initial, 0);
+  (* The coordinator expands the initial state before any worker
+     exists, so its successors are always admitted on the traced
+     domain. *)
+  ignore (step sh coordinator);
+  let obs_enabled = Obs.is_enabled (Obs.global ()) in
+  let workers = List.init (jobs - 1) (fun i -> worker (i + 1) (I.fork engine)) in
   let handles =
-    List.init (jobs - 1) (fun i ->
+    List.map
+      (fun w ->
         Multicore.spawn (fun () ->
             let registry =
-              if sh.sh_obs_enabled then begin
+              if obs_enabled then begin
                 let r = Obs.create () in
                 Obs.set_global r;
                 Some r
               end
               else None
             in
-            let estimator = Cost.create sh.sh_stats sh.sh_weights in
-            free_worker sh ~index:(i + 1) ~estimator ~registry))
+            (work sh w, registry)))
+      workers
   in
-  (* the coordinator is worker 0, on the engine's own estimator and the
-     ambient registry *)
-  let out0 = free_worker sh ~index:0 ~estimator ~registry:None in
-  let outs = out0 :: List.map Multicore.join handles in
+  (* let-bound: the coordinator must work before it joins *)
+  let own = work sh coordinator in
+  let outs = (own, None) :: List.map Multicore.join handles in
   (* merge the per-domain registries even when a worker failed: partial
      metrics beat silently dropped ones *)
-  let main_sink = Obs.global () in
   List.iter
-    (fun out ->
-      match out with
-      | Ok { o_registry = Some reg; _ } -> Obs.merge_into ~into:main_sink reg
-      | Ok _ | Error _ -> ())
+    (function
+      | _, Some reg -> Obs.merge_into ~into:(Obs.global ()) reg | _, None -> ())
     outs;
-  (match
-     List.filter_map (function Error e -> Some e | Ok _ -> None) outs
-   with
-  | e :: _ -> raise e
-  | [] -> ());
-  let outs = List.filter_map (function Ok o -> Some o | Error _ -> None) outs in
-  List.iter
-    (fun o ->
-      I.absorb_totals engine ~created:o.o_created ~duplicates:o.o_duplicates
-        ~discarded:o.o_discarded ~explored:o.o_explored)
-    outs;
+  let totals = List.map (function Ok t, _ -> t | Error e, _ -> raise e) outs in
+  List.iter (fun w -> I.merge ~into:engine w.w_engine) workers;
   note_utilization
-    (List.map
-       (fun o -> (o.o_index, o.o_work_ns, o.o_steal_ns, o.o_total_ns))
-       outs);
-  (* merged incumbent: lowest cost; exact ties broken on the state key
-     so the pick does not depend on the schedule *)
-  let base_trajectory = I.engine_trajectory engine in
-  let best, best_cost =
-    List.fold_left
-      (fun (bs, bc) o ->
-        if
-          o.o_best_cost < bc
-          || o.o_best_cost = bc
-             && String.compare (State.key_string o.o_best) (State.key_string bs)
-                < 0
-        then (o.o_best, o.o_best_cost)
-        else (bs, bc))
-      (I.engine_best engine) outs
-  in
-  I.offer_best engine best best_cost;
-  (* merged trajectory: all domains' samples in time order, filtered to
-     the running minimum over the engine's initial samples *)
-  let samples =
-    List.sort
-      (fun (a, _) (b, _) -> Float.compare a b)
-      (List.concat_map (fun o -> o.o_trajectory) outs)
-  in
-  let merged =
-    List.fold_left
-      (fun acc (t, c) ->
-        match acc with
-        | (_, c0) :: _ when c < c0 -> (t, c) :: acc
-        | _ -> acc)
-      base_trajectory samples
-  in
-  I.set_trajectory engine merged;
-  (match Atomic.get sh.sh_stop with 2 -> I.mark_oom engine | _ -> ());
-  let completed = Atomic.get sh.sh_stop = 0 in
-  I.epilogue p ~completed
+    (List.map2
+       (fun w total -> (w.w_slot, w.w_work_ns, w.w_steal_ns, total))
+       (coordinator :: workers) totals);
+  I.epilogue p ~completed:(not (Atomic.get sh.sh_stop))
 [@@coordinator_only]
 
 (* ---------- entry points -------------------------------------------------- *)
 
-let sequential_only options =
+let run_from ?(jobs = 1) estimator options initial =
+  if jobs < 1 then
+    invalid_arg (Printf.sprintf "Parallel_search.run_from: jobs = %d < 1" jobs);
   match options.Search.strategy with
-  | Search.Gstr -> true
-  | Search.Exnaive | Search.Exstr | Search.Dfs -> false
-
-let run_from ?(jobs = 1) ?(mode = Deterministic) estimator options initial =
-  let jobs = max 1 jobs in
-  if jobs = 1 || (not Multicore.available) || sequential_only options then
-    Search.run_from estimator options initial
-  else
+  | (Search.Exnaive | Search.Exstr | Search.Dfs) as strategy
+    when jobs > 1 && Multicore.available ->
     I.with_run_metrics @@ fun () ->
-    let p = I.prologue estimator options initial in
-    match mode with
-    | Deterministic -> det_run ~jobs p
-    | Free -> free_run ~jobs p
+    free_run ~jobs ~lifo:(strategy = Search.Dfs)
+      (I.prologue estimator options initial)
+  | Search.Exnaive | Search.Exstr | Search.Dfs | Search.Gstr ->
+    Search.run_from estimator options initial
 [@@coordinator_only]
 
-let run ?jobs ?mode stats options workload =
+let run ?jobs stats options workload =
   let estimator = Cost.create stats options.Search.weights in
-  run_from ?jobs ?mode estimator options (State.initial workload)
+  run_from ?jobs estimator options (State.initial workload)
 [@@coordinator_only]

@@ -1,55 +1,34 @@
 (** Parallel view-selection search over OCaml 5 domains.
 
-    Shards the search frontier across domains behind the same
-    {!Search.options} interface as the sequential engine.  Two modes:
+    Shards the search frontier across per-domain work-stealing deques
+    behind the same {!Search.options} interface as the sequential
+    engine.  Every domain runs the sequential engine's own expansion on
+    an engine forked from the coordinator's, over one shared sharded
+    seen-table ({!Shard_tbl}); the forks are merged into the
+    coordinator's engine after the join.
 
-    - {!Deterministic} (default): worker domains speculatively
-      precompute the pure half of each expansion (successor generation,
-      AVF collapse, key forcing) while the coordinating domain replays
-      the exact sequential worklist order and performs every accounting
-      decision itself.  The report — created / duplicates / discarded /
-      explored counts, best state and best cost — is {e identical} to
-      the sequential run's, for every strategy and stop condition.
+    Counters and exploration order are schedule-dependent.  On runs
+    that complete (no time or state budget hit) the accepted state set
+    reaches the same fixpoint as the sequential search, so the best
+    cost matches the sequential result up to cost ties.  Event traces
+    cover the coordinating domain only (it expands the initial state
+    itself, so the trace always holds that first expansion), and an
+    [on_accept] hook must be safe to call from any domain.
 
-    - {!Free}: per-domain work-stealing deques over a shared sharded
-      seen-table.  Higher throughput, but counters and exploration
-      order are schedule-dependent; on runs that complete (no time or
-      state budget hit) the explored distinct-state set reaches the
-      same fixpoint, so the best cost matches the sequential result up
-      to cost ties.  Event traces cover the coordinating domain only,
-      and an [on_accept] hook must be safe to call from any domain.
-
-    Falls back to {!Search.run_from} when [jobs <= 1], on OCaml 4.x
+    Falls back to {!Search.run_from} when [jobs = 1], on OCaml 4.x
     ({!Multicore.available} is false), and for [Gstr] — the greedy
     strategy is a chain of closures each seeded by the previous stage's
     single best state, which serializes by construction.
 
-    [RDFVIEWS_STRICT=1] works under both modes: deterministic mode
-    asserts on the coordinating domain exactly as the sequential engine
-    does; free mode asserts on whichever domain admits the state, with
-    that domain's estimator. *)
+    [RDFVIEWS_STRICT=1] asserts on whichever domain admits the state,
+    with that domain's estimator. *)
 
-type mode = Deterministic | Free
-
-val mode_name : mode -> string
-(** ["deterministic"] or ["free"]. *)
-
-val mode_of_string : string -> mode option
-(** Inverse of {!mode_name}; also accepts the ["det"] abbreviation.
-    [None] on anything else. *)
-
-val run_from :
-  ?jobs:int -> ?mode:mode -> Cost.t -> Search.options -> State.t -> Search.report
-(** [run_from ~jobs ~mode estimator options initial] — like
-    {!Search.run_from} with the work spread over [jobs] domains
-    (coordinator included; [jobs] is clamped to at least 1).  Defaults:
-    [jobs = 1] (sequential), [mode = Deterministic]. *)
+val run_from : ?jobs:int -> Cost.t -> Search.options -> State.t -> Search.report
+(** [run_from ~jobs estimator options initial] — like {!Search.run_from}
+    with the work spread over [jobs] domains (coordinator included).
+    Default [jobs = 1] (sequential).
+    @raise Invalid_argument when [jobs < 1]. *)
 
 val run :
-  ?jobs:int ->
-  ?mode:mode ->
-  Stats.Statistics.t ->
-  Search.options ->
-  Query.Cq.t list ->
-  Search.report
+  ?jobs:int -> Stats.Statistics.t -> Search.options -> Query.Cq.t list -> Search.report
 (** Like {!Search.run}, parallelized the same way. *)

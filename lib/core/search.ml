@@ -110,7 +110,9 @@ type engine = {
   strict_reference : Invariant.reference option;
       (* Some under RDFVIEWS_STRICT: every accepted state is asserted
          equivalent to this reference *)
-  seen : int State.Tbl.t;  (* state key -> lowest stratum rank *)
+  seen : Shard_tbl.t;
+      (* state key -> lowest stratum rank; shared by the forks of a
+         parallel run *)
   mutable created : int;
   mutable duplicates : int;
   mutable discarded : int;
@@ -134,7 +136,7 @@ let timed_out engine =
 let memory_exceeded engine =
   match engine.options.max_states with
   | Some cap ->
-    if State.Tbl.length engine.seen > cap then begin
+    if Shard_tbl.population engine.seen > cap then begin
       engine.oom <- true;
       true
     end
@@ -158,11 +160,10 @@ let heartbeat engine =
       ~explored:engine.explored ~best_cost:engine.best_cost
       ~elapsed_ns:(int_of_float (elapsed engine *. 1e9))
 
-(* The pure half of successor admission: the AVF collapse, composing
+(* The first half of successor admission: the AVF collapse, composing
    its fusion deltas on top of the transition's own change so the pair
    handed to {!Cost.state_cost_delta} always describes parent →
-   collapsed state.  Touches no engine state — parallel workers run it
-   speculatively off the coordinating domain. *)
+   collapsed state. *)
 let collapse options ~delta state =
   if options.avf then begin
     match Transition.fusion_closure_delta state with
@@ -193,25 +194,22 @@ let register engine ~rank ~parent ~delta state =
     None
   end
   else begin
-    let key = State.key state in
-    match State.Tbl.find_opt engine.seen key with
-    | Some old_rank when old_rank <= rank ->
+    match Shard_tbl.visit engine.seen (State.key state) rank with
+    | Shard_tbl.Duplicate ->
       engine.duplicates <- engine.duplicates + 1;
       Obs.incr (obs_duplicates ());
       Obs.Trace.state engine.trace ~cls:Obs.Trace.Duplicate ~id ~stratum:rank
         ~cost:Float.nan;
       None
-    | Some _ ->
+    | Shard_tbl.Reopened ->
       (* reached again, but at a lower stratum: re-open *)
       engine.duplicates <- engine.duplicates + 1;
       Obs.incr (obs_duplicates ());
       Obs.incr (obs_reopened ());
-      State.Tbl.replace engine.seen key rank;
       Obs.Trace.state engine.trace ~cls:Obs.Trace.Reopened ~id ~stratum:rank
         ~cost:Float.nan;
       Some (state, rank)
-    | None ->
-      State.Tbl.replace engine.seen key rank;
+    | Shard_tbl.New ->
       (* cost first, then the strict assertion: the incremental result
          must be memoized before Invariant's memo_consistent check so
          that the check exercises the delta path, not a fresh full
@@ -231,7 +229,6 @@ let register engine ~rank ~parent ~delta state =
       | None -> ());
       Some (state, rank)
   end
-[@@coordinator_only]
 
 let consider engine ~rank ~parent ~delta state =
   let state, delta = collapse engine.options ~delta state in
@@ -252,15 +249,11 @@ let rank_of options kind =
 let note_explored engine =
   engine.explored <- engine.explored + 1;
   Obs.incr (obs_explored ())
-[@@coordinator_only]
-
-let with_expand_metrics rank f =
-  Obs.time_with (obs_expand_time ()) (obs_expand_hist ()) @@ fun () ->
-  Obs.time (obs_stratum_expand.(rank) ()) f
 
 let expand engine state rank =
   note_explored engine;
-  with_expand_metrics rank @@ fun () ->
+  Obs.time_with (obs_expand_time ()) (obs_expand_hist ()) @@ fun () ->
+  Obs.time (obs_stratum_expand.(rank) ()) @@ fun () ->
   List.concat_map
     (fun kind ->
       List.filter_map
@@ -407,7 +400,7 @@ let prologue estimator options initial =
       options;
       trace;
       strict_reference;
-      seen = State.Tbl.create 4096;
+      seen = Shard_tbl.create ();
       created = 0;
       duplicates = 0;
       discarded = 0;
@@ -421,7 +414,7 @@ let prologue estimator options initial =
   in
   if engine.best_cost < initial_cost then
     engine.trajectory <- (0., engine.best_cost) :: engine.trajectory;
-  State.Tbl.replace engine.seen (State.key initial) 0;
+  ignore (Shard_tbl.visit engine.seen (State.key initial) 0);
   Obs.Trace.state trace ~cls:Obs.Trace.Accepted ~id:0 ~stratum:0
     ~cost:engine.best_cost;
   { p_engine = engine; p_initial = initial; p_initial_cost = initial_cost }
@@ -469,6 +462,18 @@ let run stats options workload =
   run_from estimator options (State.initial workload)
 [@@coordinator_only]
 
+(* Two (elapsed, best-cost) trajectories, newest first, merged into
+   one: every sample in time order, kept only where it improves on all
+   earlier ones. *)
+let merge_trajectories a b =
+  List.stable_sort
+    (fun (t, _) (t', _) -> Float.compare t t')
+    (List.rev_append a (List.rev b))
+  |> List.fold_left
+       (fun acc (t, c) ->
+         match acc with (_, best) :: _ when c >= best -> acc | _ -> (t, c) :: acc)
+       []
+
 (* Shared machinery for {!Parallel_search}.  Mirrored (with the engine
    record concrete) under [Internal] in the interface; not part of the
    stable API. *)
@@ -484,32 +489,40 @@ module Internal = struct
   let prologue = prologue
   let epilogue = epilogue
   let with_run_metrics = with_run_metrics
-  let collapse = collapse
-  let register = register
-  let note_explored = note_explored
-  let with_expand_metrics = with_expand_metrics
-  let allowed_kinds = allowed_kinds
-  let rank_of = rank_of
+  let expand = expand
   let should_stop engine = timed_out engine || memory_exceeded engine
-  let engine_options engine = engine.options
-  let engine_estimator engine = engine.estimator
-  let engine_strict_reference engine = engine.strict_reference
-  let engine_elapsed = elapsed
-  let engine_best engine = (engine.best, engine.best_cost)
 
-  let absorb_totals engine ~created ~duplicates ~discarded ~explored =
-    engine.created <- engine.created + created;
-    engine.duplicates <- engine.duplicates + duplicates;
-    engine.discarded <- engine.discarded + discarded;
-    engine.explored <- engine.explored + explored
+  let fork engine =
+    {
+      engine with
+      estimator =
+        Cost.create (Cost.stats engine.estimator) (Cost.weights engine.estimator);
+      trace = Obs.Trace.disabled;
+      created = 0;
+      duplicates = 0;
+      discarded = 0;
+      explored = 0;
+      trajectory = [];
+      oom = false;
+    }
+
+  (* Exact cost ties are broken on the state key, so the merged
+     incumbent does not depend on which domain found it first. *)
+  let merge ~into w =
+    into.created <- into.created + w.created;
+    into.duplicates <- into.duplicates + w.duplicates;
+    into.discarded <- into.discarded + w.discarded;
+    into.explored <- into.explored + w.explored;
+    into.oom <- into.oom || w.oom;
+    if
+      w.best_cost < into.best_cost
+      || w.best_cost = into.best_cost
+         && String.compare (State.key_string w.best) (State.key_string into.best)
+            < 0
+    then begin
+      into.best <- w.best;
+      into.best_cost <- w.best_cost
+    end;
+    into.trajectory <- merge_trajectories into.trajectory w.trajectory
   [@@coordinator_only]
-
-  let offer_best engine state cost = note_best engine state cost
-  [@@coordinator_only]
-
-  let set_trajectory engine trajectory = engine.trajectory <- trajectory
-  [@@coordinator_only]
-
-  let engine_trajectory engine = engine.trajectory
-  let mark_oom engine = engine.oom <- true [@@coordinator_only]
 end

@@ -75,16 +75,14 @@ val strategy_name : strategy -> string
 val strategy_of_string : string -> strategy option
 
 (** Building blocks of the sequential engine, exposed for
-    {!Parallel_search} only — no stability guarantees.  The functions
-    here are exactly the ones the sequential strategies are built from,
-    so a parallel run that drives them in the sequential order produces
-    the identical report. *)
+    {!Parallel_search} only — no stability guarantees.  A parallel run
+    is the sequential engine's own {!expand} driven from several
+    domains, each on an engine {!fork}ed from the coordinator's, and
+    folded back with {!merge} after the join. *)
 module Internal : sig
   type engine
   (** The mutable per-run accounting record: estimator, options, trace,
-      seen-table, counters, incumbent best.  Created by {!prologue};
-      mutated only through {!register}, {!note_explored} and the
-      merge helpers below. *)
+      seen-table, counters, incumbent best.  Created by {!prologue}. *)
 
   type prologue = {
     p_engine : engine;
@@ -104,62 +102,23 @@ module Internal : sig
   (** Bumps the run counter and times the whole run, exactly as
       {!Search.run_from} does around its body. *)
 
-  val collapse : options -> delta:Delta.t -> State.t -> State.t * Delta.t
-  (** The pure half of successor admission: the AVF collapse, with the
-      fusion deltas composed onto the transition's own delta.  Safe to
-      run speculatively on any domain. *)
-
-  val register :
-    engine ->
-    rank:int ->
-    parent:State.t ->
-    delta:Delta.t ->
-    State.t ->
-    (State.t * int) option
-  (** The mutating half: account, dedup, cost, strict-check, trace.
-      Expects an already-{!collapse}d state; must only run on the
-      domain that owns the engine. *)
-
-  val note_explored : engine -> unit
-  val with_expand_metrics : int -> (unit -> 'a) -> 'a
-
-  val allowed_kinds : options -> int -> Transition.kind list
-  (** Transition kinds permitted when expanding a state reached at the
-      given stratum rank. *)
-
-  val rank_of : options -> Transition.kind -> int
-  (** The stratum rank a successor inherits from the kind that produced
-      it (always 0 under [Exnaive]). *)
+  val expand : engine -> State.t -> int -> (State.t * int) list
+  (** [expand engine state rank] generates the successors of a state
+      reached at stratum [rank], admits each one (AVF collapse, stop
+      conditions, dedup, cost, strict check, trace, [on_accept]) and
+      returns those to expand further, with their ranks. *)
 
   val should_stop : engine -> bool
   (** Time budget exceeded or seen-table over [max_states] (the latter
       also latches the engine's out-of-memory flag). *)
 
-  val engine_options : engine -> options
-  val engine_estimator : engine -> Cost.t
-  val engine_strict_reference : engine -> Invariant.reference option
-  val engine_elapsed : engine -> float
-  val engine_best : engine -> State.t * float
+  val fork : engine -> engine
+  (** An engine for another domain: it shares the options, seen-table,
+      start time and strict reference, and has its own estimator,
+      counters and incumbent, and no trace. *)
 
-  val absorb_totals :
-    engine ->
-    created:int ->
-    duplicates:int ->
-    discarded:int ->
-    explored:int ->
-    unit
-  (** Add a worker domain's counters into the engine (merge step of a
-      free-mode parallel run). *)
-
-  val offer_best : engine -> State.t -> float -> unit
-  (** Install a candidate incumbent if it improves on the engine's
-      (also appends a trajectory sample). *)
-
-  val set_trajectory : engine -> (float * float) list -> unit
-  (** Replace the trajectory (reverse-chronological, as kept
-      internally) with one merged across domains. *)
-
-  val engine_trajectory : engine -> (float * float) list
-
-  val mark_oom : engine -> unit
+  val merge : into:engine -> engine -> unit
+  (** Fold a forked engine's counters, out-of-memory flag, incumbent
+      and trajectory into [into].  Exact cost ties keep the state with
+      the smaller key. *)
 end

@@ -46,14 +46,10 @@ let recommended_views reasoning state =
       (fun v -> Query.Ucq.dedup (Query.Reformulation.reformulate v.View.cq schema))
       state.State.views
 
-let run_from_state ?(jobs = 1) ?(parallel_mode = Parallel_search.Deterministic)
-    ~store ~reasoning ~options initial =
+let run_from_state ?(jobs = 1) ~store ~reasoning ~options initial =
   let stats, store_for_materialization = statistics_for ~store reasoning in
   let estimator = Cost.create stats options.Search.weights in
-  let report =
-    Parallel_search.run_from ~jobs ~mode:parallel_mode estimator options
-      initial
-  in
+  let report = Parallel_search.run_from ~jobs estimator options initial in
   {
     report;
     recommended = recommended_views reasoning report.Search.best;
@@ -74,6 +70,6 @@ let initial_state reasoning workload =
              Query.Ucq.disjuncts (Query.Reformulation.reformulate q schema) ))
          workload)
 
-let select ?jobs ?parallel_mode ~store ~reasoning ~options workload =
-  run_from_state ?jobs ?parallel_mode ~store ~reasoning ~options
+let select ?jobs ~store ~reasoning ~options workload =
+  run_from_state ?jobs ~store ~reasoning ~options
     (initial_state reasoning workload)

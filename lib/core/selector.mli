@@ -40,7 +40,6 @@ val reasoning_name : reasoning -> string
 
 val select :
   ?jobs:int ->
-  ?parallel_mode:Parallel_search.mode ->
   store:Rdf.Store.t ->
   reasoning:reasoning ->
   options:Search.options ->
@@ -48,9 +47,8 @@ val select :
   result
 (** Run view selection for the workload.  Query names must be
     distinct.  [jobs] (default 1) spreads the search over that many
-    domains via {!Parallel_search} — with the default
-    [parallel_mode = Deterministic] the result is identical to the
-    sequential one. *)
+    domains via {!Parallel_search}; a completed parallel run reaches
+    the sequential best cost. *)
 
 val initial_state : reasoning -> Query.Cq.t list -> State.t
 (** The standard initial state for a workload in the given mode: one
@@ -59,7 +57,6 @@ val initial_state : reasoning -> Query.Cq.t list -> State.t
 
 val run_from_state :
   ?jobs:int ->
-  ?parallel_mode:Parallel_search.mode ->
   store:Rdf.Store.t ->
   reasoning:reasoning ->
   options:Search.options ->

@@ -1673,25 +1673,33 @@ module Trace = struct
 
   (* Parse a trace.  A malformed *last* line is tolerated (a crash can
      truncate the final OS-level write mid-line); a malformed line in
-     the middle raises [Malformed]. *)
+     the middle raises [Malformed], and so does input whose first line
+     is not the meta header [create] writes. *)
   let parse_lines text =
     let lines = String.split_on_char '\n' text in
     let n = List.length lines in
     let events = ref [] in
+    let header = ref false in
+    let expected = {|expected the {"e":"meta"} trace header|} in
     List.iteri
       (fun i line ->
         if not (String.equal (String.trim line) "") then begin
+          let malformed msg =
+            raise (Malformed (Printf.sprintf "line %d: %s" (i + 1) msg))
+          in
           match Json.of_string line with
           | j -> (
             match event_of_json j with
-            | Some e -> events := e :: !events
-            | None -> ())
-          | exception Json.Parse_error msg ->
-            if i < n - 1 then
-              raise
-                (Malformed (Printf.sprintf "line %d: %s" (i + 1) msg))
+            | Some (Meta _ as e) ->
+              header := true;
+              events := e :: !events
+            | Some e when !header -> events := e :: !events
+            | None when !header -> ()
+            | Some _ | None -> malformed expected)
+          | exception Json.Parse_error msg -> if i < n - 1 then malformed msg
         end)
       lines;
+    if not !header then raise (Malformed ("line 1: " ^ expected));
     List.rev !events
 
   let read_file path =

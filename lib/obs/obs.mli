@@ -605,10 +605,12 @@ module Trace : sig
   exception Malformed of string
 
   val parse_lines : string -> event list
-  (** Parse JSONL trace text.  Unknown event kinds are skipped (forward
-      compatibility); a malformed {e last} line is tolerated (a crash
-      can truncate the final write mid-line); a malformed line anywhere
-      else raises {!Malformed}. *)
+  (** Parse JSONL trace text.  The first non-blank line must be the
+      meta event that {!create} writes; unknown event kinds
+      after it are skipped (forward compatibility); a malformed {e last}
+      line is tolerated (a crash can truncate the final write mid-line).
+      A missing header or a malformed line anywhere else raises
+      {!Malformed} with the line number. *)
 
   val read_file : string -> event list
 end

@@ -1,15 +1,12 @@
 open Support
 
-(* Parallel search: deterministic-mode equivalence with the sequential
-   engine, free-mode fixpoint agreement, the sharded interner under
-   domain contention, and Obs registry merging.  Everything involving
-   actual domains is gated on [Multicore.available] so the suite also
-   passes on a sequential-only (OCaml 4.x) build. *)
+(* Parallel search: fixpoint agreement with the sequential engine, the
+   sharded interner under domain contention, and Obs registry merging.
+   Parallel_search falls back to the sequential engine without domains
+   and the interner stress test gates itself on [Multicore.available],
+   so the suite also passes on a sequential-only (OCaml 4.x) build. *)
 
 let stats_for store = Stats.Statistics.create store
-
-let det = Core.Parallel_search.Deterministic
-let free = Core.Parallel_search.Free
 
 let fig3_query =
   cq ~name:"q"
@@ -34,8 +31,8 @@ let two_queries =
       [ atom (v "X") (v "Y") (c "ex:c1") ];
   ]
 
-(* Collect the key strings of accepted states; free mode calls the hook
-   from any domain, so the collection is lock-protected. *)
+(* Collect the key strings of accepted states; the hook runs on any
+   domain, so the collection is lock-protected. *)
 let accept_collector () =
   let lock = Multicore.Spinlock.create () in
   let acc = ref [] in
@@ -45,94 +42,54 @@ let accept_collector () =
   in
   (hook, fun () -> List.sort_uniq String.compare !acc)
 
-let run_one ~jobs ~mode strategy workload =
+let run_one ?(store = fig3_store) ?(max_states = 5000) ~jobs strategy workload
+    =
   let hook, keys = accept_collector () in
   let options =
     {
       Core.Search.default_options with
       strategy;
       avf = true;
-      max_states = Some 5000;
+      max_states = Some max_states;
       on_accept = Some hook;
     }
   in
   let report =
-    Core.Parallel_search.run ~jobs ~mode (stats_for fig3_store) options
-      workload
+    Core.Parallel_search.run ~jobs (stats_for store) options workload
   in
   (report, keys ())
 
-(* ---------- deterministic mode: identical reports ------------------------- *)
-
-let check_det_equivalent strategy workload =
-  let seq, seq_keys = run_one ~jobs:1 ~mode:det strategy workload in
-  let par, par_keys = run_one ~jobs:4 ~mode:det strategy workload in
-  let name = Core.Search.strategy_name strategy in
-  check_int (name ^ " created") seq.Core.Search.created par.Core.Search.created;
-  check_int
-    (name ^ " duplicates")
-    seq.Core.Search.duplicates par.Core.Search.duplicates;
-  check_int
-    (name ^ " discarded")
-    seq.Core.Search.discarded par.Core.Search.discarded;
-  check_int
-    (name ^ " explored")
-    seq.Core.Search.explored par.Core.Search.explored;
-  check_bool
-    (name ^ " completed")
-    seq.Core.Search.completed par.Core.Search.completed;
-  Alcotest.(check (float 1e-9))
-    (name ^ " best cost") seq.Core.Search.best_cost par.Core.Search.best_cost;
-  Alcotest.(check (list string)) (name ^ " accepted set") seq_keys par_keys
-
-let test_det_matches_sequential () =
-  List.iter
-    (fun strategy ->
-      check_det_equivalent strategy [ fig3_query ];
-      check_det_equivalent strategy two_queries)
-    [ Core.Search.Exnaive; Core.Search.Exstr; Core.Search.Dfs ]
+let same_cost a b =
+  Float.abs (a -. b) <= 1e-6 *. Float.max 1. (Float.abs a)
 
 let test_gstr_falls_back () =
   (* GSTR routes to the sequential engine under any job count *)
-  let seq, _ = run_one ~jobs:1 ~mode:det Core.Search.Gstr [ fig3_query ] in
-  let par, _ = run_one ~jobs:4 ~mode:det Core.Search.Gstr [ fig3_query ] in
+  let seq, _ = run_one ~jobs:1 Core.Search.Gstr [ fig3_query ] in
+  let par, _ = run_one ~jobs:4 Core.Search.Gstr [ fig3_query ] in
   check_int "gstr created" seq.Core.Search.created par.Core.Search.created;
   Alcotest.(check (float 1e-9))
     "gstr best cost" seq.Core.Search.best_cost par.Core.Search.best_cost
 
-let prop_det_matches_sequential =
-  QCheck.Test.make ~name:"deterministic parallel ≡ sequential (random workloads)"
-    ~count:20
-    QCheck.(pair arb_store (pair arb_cq arb_cq))
-    (fun (store, (qa, qb)) ->
-      let workload = [ Query.Cq.rename qa "qa"; Query.Cq.rename qb "qb" ] in
-      let options =
-        {
-          Core.Search.default_options with
-          strategy = Core.Search.Dfs;
-          max_states = Some 400;
-        }
-      in
-      let seq = Core.Search.run (stats_for store) options workload in
-      let par =
-        Core.Parallel_search.run ~jobs:3 ~mode:det (stats_for store)
-          options workload
-      in
-      seq.Core.Search.created = par.Core.Search.created
-      && seq.Core.Search.duplicates = par.Core.Search.duplicates
-      && seq.Core.Search.discarded = par.Core.Search.discarded
-      && seq.Core.Search.explored = par.Core.Search.explored
-      && seq.Core.Search.completed = par.Core.Search.completed
-      && Float.abs (seq.Core.Search.best_cost -. par.Core.Search.best_cost)
-         <= 1e-9)
+let test_jobs_below_one_rejected () =
+  List.iter
+    (fun jobs ->
+      match
+        Core.Parallel_search.run_from ~jobs
+          (Core.Cost.create (stats_for fig3_store) Core.Cost.default_weights)
+          Core.Search.default_options
+          (Core.State.initial [ fig3_query ])
+      with
+      | _ -> Alcotest.failf "jobs = %d was accepted" jobs
+      | exception Invalid_argument _ -> ())
+    [ 0; -3 ]
 
 (* ---------- free mode: same fixpoint on completed runs -------------------- *)
 
 let test_free_same_fixpoint () =
   List.iter
     (fun strategy ->
-      let seq, seq_keys = run_one ~jobs:1 ~mode:free strategy two_queries in
-      let par, par_keys = run_one ~jobs:4 ~mode:free strategy two_queries in
+      let seq, seq_keys = run_one ~jobs:1 strategy two_queries in
+      let par, par_keys = run_one ~jobs:4 strategy two_queries in
       let name = Core.Search.strategy_name strategy in
       check_bool (name ^ " seq completed") true seq.Core.Search.completed;
       check_bool (name ^ " par completed") true par.Core.Search.completed;
@@ -141,9 +98,31 @@ let test_free_same_fixpoint () =
       check_bool
         (name ^ " best cost agrees")
         true
-        (Float.abs (seq.Core.Search.best_cost -. par.Core.Search.best_cost)
-        <= 1e-6 *. Float.max 1. (Float.abs seq.Core.Search.best_cost)))
+        (same_cost seq.Core.Search.best_cost par.Core.Search.best_cost))
     [ Core.Search.Exnaive; Core.Search.Exstr; Core.Search.Dfs ]
+
+(* Over random workloads: whenever both runs complete, every strategy at
+   2 and 4 domains accepts the sequential state set and reaches the
+   sequential best cost. *)
+let prop_free_matches_sequential =
+  QCheck.Test.make ~name:"free parallel ≡ sequential fixpoint (random workloads)"
+    ~count:20
+    QCheck.(pair arb_store (pair arb_cq arb_cq))
+    (fun (store, (qa, qb)) ->
+      let workload = [ Query.Cq.rename qa "qa"; Query.Cq.rename qb "qb" ] in
+      List.for_all
+        (fun strategy ->
+          let run jobs = run_one ~store ~max_states:400 ~jobs strategy workload in
+          let seq, seq_keys = run 1 in
+          List.for_all
+            (fun jobs ->
+              let par, par_keys = run jobs in
+              (not (seq.Core.Search.completed && par.Core.Search.completed))
+              || seq_keys = par_keys
+                 && same_cost seq.Core.Search.best_cost
+                      par.Core.Search.best_cost)
+            [ 2; 4 ])
+        [ Core.Search.Dfs; Core.Search.Exstr; Core.Search.Exnaive ])
 
 (* ---------- the sharded interner under contention ------------------------- *)
 
@@ -221,15 +200,14 @@ let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "parallel"
     [
-      ( "deterministic mode",
-        [
-          Alcotest.test_case "fixed workloads, all strategies" `Quick
-            test_det_matches_sequential;
-          Alcotest.test_case "gstr falls back" `Quick test_gstr_falls_back;
-          qt prop_det_matches_sequential;
-        ] );
       ( "free mode",
-        [ Alcotest.test_case "same fixpoint" `Quick test_free_same_fixpoint ] );
+        [
+          Alcotest.test_case "same fixpoint" `Quick test_free_same_fixpoint;
+          Alcotest.test_case "gstr falls back" `Quick test_gstr_falls_back;
+          Alcotest.test_case "jobs below 1 rejected" `Quick
+            test_jobs_below_one_rejected;
+          qt prop_free_matches_sequential;
+        ] );
       ( "interning",
         [ Alcotest.test_case "4-domain stress" `Quick test_intern_stress ] );
       ( "obs merge",

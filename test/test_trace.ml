@@ -124,6 +124,19 @@ let test_malformed_middle_line_raises () =
   | exception Obs.Trace.Malformed _ -> ()
   | _ -> Alcotest.fail "malformed middle line was accepted"
 
+(* Input that is not a trace at all — empty, or JSON without the meta
+   header every trace starts with — is rejected, not read as an empty
+   run. *)
+let test_missing_header_raises () =
+  List.iter
+    (fun (label, text) ->
+      match Obs.Trace.parse_lines text with
+      | exception Obs.Trace.Malformed message ->
+        check_bool (label ^ ": error names line 1") true
+          (String.length message >= 6 && String.sub message 0 6 = "line 1")
+      | _ -> Alcotest.failf "%s accepted as a trace" label)
+    [ ("empty input", ""); ("non-trace JSON", "{\"a\":1}\n") ]
+
 let test_unknown_event_kind_skipped () =
   let text =
     String.concat "\n"
@@ -340,6 +353,50 @@ let test_raise_mid_search_leaves_valid_prefix () =
   check_bool "crashed run not marked completed" true
     (summary.Obs.Report.completed <> Some true)
 
+(* A parallel run traces its coordinating domain, which expands the
+   initial state itself: the trace holds the state events of that first
+   expansion, and its run_end totals are the merged report's. *)
+let test_parallel_traced_run () =
+  with_tmp_trace "parallel" @@ fun path ->
+  let trace = Obs.Trace.create path in
+  Obs.Trace.set_global trace;
+  let report =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Trace.set_global Obs.Trace.disabled;
+        Obs.Trace.close trace)
+      (fun () ->
+        Core.Parallel_search.run ~jobs:2
+          (Stats.Statistics.create (museum_store ()))
+          Core.Search.default_options (museum_queries ()))
+  in
+  let events = Obs.Trace.read_file path in
+  let successors =
+    List.length
+      (List.filter
+         (function Obs.Trace.State { id; _ } -> id > 0 | _ -> false)
+         events)
+  in
+  check_bool "state events for the initial state's successors" true
+    (successors > 0);
+  match
+    List.find_opt (function Obs.Trace.Run_end _ -> true | _ -> false) events
+  with
+  | Some
+      (Obs.Trace.Run_end
+        { best_cost; created; explored; duplicates; discarded; completed; _ })
+    ->
+    check_int "created mirrors report" report.Core.Search.created created;
+    check_int "explored mirrors report" report.Core.Search.explored explored;
+    check_int "duplicates mirrors report" report.Core.Search.duplicates
+      duplicates;
+    check_int "discarded mirrors report" report.Core.Search.discarded discarded;
+    check_bool "completed mirrors report" true
+      (completed = report.Core.Search.completed);
+    check_bool "best cost mirrors report" true
+      (Float.abs (best_cost -. report.Core.Search.best_cost) < 1e-9)
+  | _ -> Alcotest.fail "trace has no run_end"
+
 (* ---------- Obs.Report unit behavior -------------------------------------- *)
 
 let test_report_of_metrics () =
@@ -407,6 +464,7 @@ let () =
             test_malformed_middle_line_raises;
           Alcotest.test_case "unknown kind skipped" `Quick
             test_unknown_event_kind_skipped;
+          Alcotest.test_case "missing header" `Quick test_missing_header_raises;
         ] );
       ( "disabled path",
         [
@@ -420,6 +478,7 @@ let () =
           Alcotest.test_case "strict mode" `Quick test_traced_search_strict;
           Alcotest.test_case "raise mid-search" `Quick
             test_raise_mid_search_leaves_valid_prefix;
+          Alcotest.test_case "parallel run" `Quick test_parallel_traced_run;
         ] );
       ( "report",
         [
