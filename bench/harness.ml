@@ -22,47 +22,29 @@ let barton_entities = match scale with Quick -> 400 | Full -> 5000
 
 (* With --metrics FILE, main.ml installs an Obs registry once before any
    experiment runs; every search/transition/cost/store event of every
-   figure lands in it, grouped under per-experiment spans.  Without the
-   flag the global sink stays the no-op one and the runs are unmetered. *)
+   figure lands in it, grouped under per-experiment spans, and the live
+   exporter keeps FILE current while the experiments run (watch it with
+   `rdfviews top FILE --watch 1`).  Without the flag the global sink
+   stays the no-op one and the runs are unmetered. *)
 
-let metrics_sink : (Obs.t * string) option ref = ref None
+let metrics_exporter : (Obs.Export.exporter * string) option ref = ref None
 
-let enable_metrics path =
+let start_metrics path =
   let registry = Obs.create () in
   Obs.set_global registry;
-  metrics_sink := Some (registry, path)
+  metrics_exporter := Some (Obs.Export.start ~path registry, path)
 
 (* Wrap one experiment (or sub-experiment) in a named trace span; a
    no-op when metrics are disabled. *)
 let experiment name f = Obs.span (Obs.global ()) name f
 
-let write_metrics () =
-  match !metrics_sink with
+let stop_metrics () =
+  match !metrics_exporter with
   | None -> ()
-  | Some (registry, path) ->
-    Obs.write_file registry path;
+  | Some (exporter, path) ->
+    metrics_exporter := None;
+    Obs.Export.stop exporter;
     Printf.printf "\nmetrics written to %s\n" path
-
-(* --telemetry FILE: live Prometheus exposition over whichever registry
-   is active — the shared --metrics one, or each experiment's fresh
-   sink (the exporter re-reads the global per tick, so it follows
-   [toplevel]'s registry swaps).  Also turns runtime-event collection
-   on, which is what populates gc.max_pause_ns in the BENCH json; with
-   the flag absent that field is null and the runs carry no
-   event-collection overhead. *)
-let telemetry : Obs.Export.exporter option ref = ref None
-
-let start_telemetry ~interval path =
-  ignore (Obs.Runtime.start () : bool);
-  telemetry := Some (Obs.Export.start ~interval ~path (fun () -> Obs.global ()))
-
-let stop_telemetry () =
-  match !telemetry with
-  | None -> ()
-  | Some e ->
-    telemetry := None;
-    Obs.Export.stop e;
-    Printf.printf "\ntelemetry written to %s\n" (Obs.Export.exporter_path e)
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -201,9 +183,8 @@ let eval_json registry =
    so the collection counts are this experiment's own, not the process's
    cumulative ones.  They are environment-dependent (like
    peak_heap_words and the rates) and stay out of the exact baseline
-   compare.  max_pause_ns comes from the runtime-events consumer and is
-   null unless --telemetry turned event collection on. *)
-let gc_json registry gc0 gc1 =
+   compare. *)
+let gc_json gc0 gc1 =
   Obs.Json.Obj
     [
       ( "minor_collections",
@@ -211,10 +192,6 @@ let gc_json registry gc0 gc1 =
       ( "major_collections",
         Obs.Json.Int (gc1.Gc.major_collections - gc0.Gc.major_collections) );
       ("compactions", Obs.Json.Int (gc1.Gc.compactions - gc0.Gc.compactions));
-      ( "max_pause_ns",
-        match Obs.find_gauge registry "runtime.gc.max_pause_ns" with
-        | Some v -> Obs.Json.Float v
-        | None -> Obs.Json.Null );
     ]
 
 let bench_json name registry ~gc0 ~gc1 =
@@ -241,11 +218,14 @@ let bench_json name registry ~gc0 ~gc1 =
   Obs.Json.Obj
     ([
       (* v3: added the gc section (collection counts, compactions, max
-         pause when --telemetry collects runtime events).
+         pause when runtime events were collected).
          v4: added host_cores and ocaml_version — environment stamps
          the baseline compare consults: rate thresholds turn warn-only
-         when the core counts differ (different hardware). *)
-      ("schema_version", Obs.Json.Int 4);
+         when the core counts differ (different hardware).
+         v5: dropped gc.max_pause_ns — runtime events run only under
+         --metrics, which writes no BENCH files, so it was always
+         null. *)
+      ("schema_version", Obs.Json.Int 5);
       ("experiment", Obs.Json.String name);
       ("scale", Obs.Json.String scale_name);
       ("host_cores", Obs.Json.Int (Multicore.recommended_domain_count ()));
@@ -267,7 +247,7 @@ let bench_json name registry ~gc0 ~gc1 =
          for a fixed workload, so it participates in the exact compare *)
       ("interned_views", gauge "intern.size");
       ("peak_heap_words", Obs.Json.Int (Gc.quick_stat ()).Gc.top_heap_words);
-      ("gc", gc_json registry gc0 gc1);
+      ("gc", gc_json gc0 gc1);
     ]
     @ (match eval_json registry with
       | Some section -> [ ("eval", section) ]
@@ -387,7 +367,7 @@ let finish_bench () =
    registry so its BENCH json reflects this experiment alone; the
    registry is uninstalled afterwards even if the experiment raises. *)
 let toplevel name f =
-  match (!metrics_sink, !bench_dir) with
+  match (!metrics_exporter, !bench_dir) with
   | Some _, _ | None, None -> experiment name f
   | None, Some dir ->
     extra_bench_fields := [];
@@ -399,9 +379,6 @@ let toplevel name f =
       (fun () ->
         let result = experiment name f in
         let gc1 = Gc.quick_stat () in
-        (* drain any still-buffered runtime events (GC pauses from the
-           run's tail) before reading the max-pause gauge *)
-        if Obs.Runtime.active () then ignore (Obs.Runtime.poll registry : int);
         let json = bench_json name registry ~gc0 ~gc1 in
         mkdir_p dir;
         let file = Filename.concat dir (bench_file_name name) in

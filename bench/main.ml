@@ -5,7 +5,7 @@
      dune exec bench/main.exe            # everything, quick scale
      dune exec bench/main.exe fig4       # one experiment
      BENCH_SCALE=full dune exec bench/main.exe   # paper-scale sizes
-     dune exec bench/main.exe -- --metrics out.json fig4   # + telemetry
+     dune exec bench/main.exe -- --metrics out.json fig4   # + live metrics
      dune exec bench/main.exe -- baseline \
        --baseline BENCH_baseline.json --fail-over 20   # regression gate
 
@@ -20,15 +20,12 @@
    than PCT%% (or any search-outcome mismatch) fail the run.
 
    --metrics FILE instead installs one shared Obs registry before any
-   experiment runs and serializes it to FILE at the end (schema in
-   EXPERIMENTS.md); BENCH emission is disabled in that mode, since the
-   per-experiment numbers would all alias one registry.
-
-   --telemetry FILE additionally turns runtime-event collection on and
-   keeps FILE (Prometheus text format, atomically rewritten every
-   --telemetry-interval seconds) current while the experiments run —
-   watch it with `rdfviews top FILE --watch 1`.  It composes with
-   either mode above and populates the BENCH gc.max_pause_ns field. *)
+   experiment runs and keeps FILE current while the experiments run,
+   with runtime events (GC pauses, domain lifecycle) folded in — watch
+   it with `rdfviews top FILE --watch 1` — and written a last time at
+   the end (schema in EXPERIMENTS.md).  BENCH emission is disabled in
+   that mode, since the per-experiment numbers would all alias one
+   registry. *)
 
 let experiments =
   [
@@ -50,9 +47,7 @@ let usage () =
   print_endline
     "usage: main.exe [--metrics FILE] [--bench-dir DIR] [--no-bench-json]";
   print_endline
-    "                [--baseline FILE] [--fail-over PCT] [--telemetry FILE]";
-  print_endline
-    "                [--telemetry-interval SECS] [experiment...]";
+    "                [--baseline FILE] [--fail-over PCT] [experiment...]";
   print_endline "experiments:";
   List.iter (fun (name, _) -> print_endline ("  " ^ name)) experiments
 
@@ -65,8 +60,6 @@ let missing_value flag =
    "--flag VALUE" and "--flag=VALUE" spellings are accepted. *)
 let parse_args args =
   let metrics = ref None in
-  let telemetry = ref None in
-  let telemetry_interval = ref 1.0 in
   let split arg =
     match String.index_opt arg '=' with
     | Some i when String.length arg > 2 && arg.[0] = '-' ->
@@ -84,23 +77,11 @@ let parse_args args =
       | None ->
         Printf.eprintf "--fail-over wants a percentage, got %s\n" value;
         exit 1)
-    | "--telemetry" -> telemetry := Some value
-    | "--telemetry-interval" -> (
-      match float_of_string_opt value with
-      | Some s -> telemetry_interval := s
-      | None ->
-        Printf.eprintf "--telemetry-interval wants seconds, got %s\n" value;
-        exit 1)
     | _ -> assert false
   in
-  let takes_value =
-    [
-      "--metrics"; "--bench-dir"; "--baseline"; "--fail-over"; "--telemetry";
-      "--telemetry-interval";
-    ]
-  in
+  let takes_value = [ "--metrics"; "--bench-dir"; "--baseline"; "--fail-over" ] in
   let rec go names = function
-    | [] -> (!metrics, !telemetry, !telemetry_interval, List.rev names)
+    | [] -> (!metrics, List.rev names)
     | "--no-bench-json" :: rest ->
       Harness.disable_bench_json ();
       go names rest
@@ -118,16 +99,13 @@ let parse_args args =
   go [] args
 
 let () =
-  let metrics, telemetry, telemetry_interval, requested =
+  let metrics, requested =
     parse_args (match Array.to_list Sys.argv with _ :: args -> args | [] -> [])
   in
   (match metrics with
   | Some path ->
-    Harness.enable_metrics path;
+    Harness.start_metrics path;
     Harness.disable_bench_json ()
-  | None -> ());
-  (match telemetry with
-  | Some path -> Harness.start_telemetry ~interval:telemetry_interval path
   | None -> ());
   Printf.printf
     "RDFViewS reproduction benchmarks (scale: %s; set BENCH_SCALE=full for paper-scale runs)\n"
@@ -145,6 +123,5 @@ let () =
           usage ();
           exit 1)
       names);
-  Harness.stop_telemetry ();
-  Harness.write_metrics ();
+  Harness.stop_metrics ();
   exit (Harness.finish_bench ())

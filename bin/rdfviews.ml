@@ -4,7 +4,7 @@
      select       recommend materialized views for a workload
      check        certify saved states against a workload's semantics
      report       analyze a search trace (or metrics dump) offline
-     top          render a --telemetry snapshot file, optionally live
+     top          summarize a --metrics file, optionally live
      reformulate  reformulate queries w.r.t. an RDFS (Algorithm 1)
      saturate     saturate a dataset w.r.t. an RDFS
      eval         evaluate queries over a dataset
@@ -43,8 +43,8 @@ let handle_errors_code f =
   | Core.State_io.Syntax_error message ->
     Printf.eprintf "state file error: %s\n" message;
     2
-  | Obs.Export.Bad_exposition message ->
-    Printf.eprintf "malformed telemetry exposition: %s\n" message;
+  | Obs.Report.Bad_dump message ->
+    Printf.eprintf "error: malformed metrics dump: %s\n" message;
     2
   | Invalid_argument message | Failure message ->
     Printf.eprintf "error: %s\n" message;
@@ -61,8 +61,8 @@ let handle_errors f =
   | Core.State_io.Syntax_error message ->
     Printf.eprintf "state file error: %s\n" message;
     1
-  | Obs.Export.Bad_exposition message ->
-    Printf.eprintf "malformed telemetry exposition: %s\n" message;
+  | Obs.Report.Bad_dump message ->
+    Printf.eprintf "error: malformed metrics dump: %s\n" message;
     1
   | Invalid_argument message | Failure message ->
     Printf.eprintf "error: %s\n" message;
@@ -109,30 +109,15 @@ let metrics_arg =
     & opt (some string) None
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:
-          "Write run telemetry (named counters, timers and trace spans — \
-           per-transition counts, per-stratum search timings, cost-estimator \
-           cache hits, store probe counts) as JSON to $(docv); use - for \
-           stdout.  See EXPERIMENTS.md for the schema.")
-
-let telemetry_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "telemetry" ] ~docv:"FILE"
-        ~doc:
-          "Periodically write live runtime telemetry — GC pause histograms, \
-           collection counts, domain lifecycle, per-domain utilization and \
-           the search counters — to $(docv) in Prometheus text exposition \
-           format, atomically rewritten every $(b,--telemetry-interval) \
-           seconds (watch it live with $(b,rdfviews top) $(docv)).  On an \
-           OCaml 4.x build the GC and domain series are absent but the flag \
-           still works.")
-
-let telemetry_interval_arg =
-  Arg.(
-    value & opt float 1.0
-    & info [ "telemetry-interval" ] ~docv:"SECONDS"
-        ~doc:"Seconds between telemetry snapshots (default 1, minimum 0.001).")
+          "Write run telemetry (named counters, timers, histograms, gauges \
+           and trace spans — per-transition counts, per-stratum search \
+           timings, cost-estimator cache hits, store probe counts) as JSON \
+           to $(docv).  $(docv) is live: it is written at the start, \
+           atomically rewritten every second with the runtime's GC pauses, \
+           domain lifecycle and per-domain utilization folded in, and \
+           written a last time at the end (watch it with $(b,rdfviews top) \
+           $(docv) $(b,--watch) 1).  Use - to print the dump once to stdout \
+           at the end of the run.  See EXPERIMENTS.md for the schema.")
 
 let store_backend_arg =
   Arg.(
@@ -152,53 +137,34 @@ let store_backend_arg =
 let set_store_backend kind = Rdf.Backend.set_default kind
 
 (* Telemetry is off (a no-op sink) unless --metrics selects a registry,
-   once, before the run starts.  The dump happens only on success, and
-   outside the protect so a write failure surfaces as a plain Sys_error
-   (caught by handle_errors) rather than Fun.Finally_raised. *)
+   once, before the run starts.  For a file, the live exporter keeps it
+   current (a ticker systhread of this domain, so it reads the same
+   registry the run writes) and [stop] writes the end-of-run dump; a
+   path error surfaces from [start], before the run, and a failed final
+   write as a plain Sys_error (caught by handle_errors).  On 4.x builds
+   Runtime.start reports false and the dump carries no runtime series.
+   "-" prints the dump once, after a successful run. *)
 let with_metrics metrics f =
   match metrics with
   | None -> f ()
   | Some path ->
     let registry = Obs.create () in
+    let exporter =
+      if String.equal path "-" then None
+      else Some (Obs.Export.start ~path registry)
+    in
     Obs.set_global registry;
     let result =
-      Fun.protect ~finally:(fun () -> Obs.set_global Obs.disabled) f
+      try Fun.protect ~finally:(fun () -> Obs.set_global Obs.disabled) f
+      with e ->
+        (* the run's own error wins over a failed final write *)
+        (try Option.iter Obs.Export.stop exporter with Sys_error _ -> ());
+        raise e
     in
-    (match path with
-    | "-" -> print_endline (Obs.to_string registry)
-    | file -> Obs.write_file registry file);
+    (match exporter with
+    | Some e -> Obs.Export.stop e
+    | None -> print_endline (Obs.to_string registry));
     result
-
-(* --telemetry layers the live exporter over whatever registry is
-   active: nested under with_metrics it scrapes that registry, and
-   without --metrics it installs its own for the run's duration.  The
-   exporter ticker (a systhread of this domain, so it shares the
-   domain-local Obs.global) drains runtime events into the registry and
-   atomically rewrites PATH in Prometheus text format every interval;
-   [stop] in the finally writes one last snapshot, so the file always
-   ends on the finished run — even a raising one.  On 4.x builds
-   Runtime.start reports false and the exposition carries the search
-   series only. *)
-let with_telemetry telemetry interval f =
-  match telemetry with
-  | None -> f ()
-  | Some path ->
-    let installed =
-      if Obs.is_enabled (Obs.global ()) then false
-      else begin
-        Obs.set_global (Obs.create ());
-        true
-      end
-    in
-    ignore (Obs.Runtime.start () : bool);
-    let exporter =
-      Obs.Export.start ~interval ~path (fun () -> Obs.global ())
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        Obs.Export.stop exporter;
-        if installed then Obs.set_global Obs.disabled)
-      f
 
 (* The event trace mirrors the metrics registry: off unless --trace
    installs a streaming writer for the run.  Closing in the [finally]
@@ -322,11 +288,9 @@ let select_cmd =
              cost. See CONCURRENCY.md.")
   in
   let run data workload schema reasoning strategy budget no_avf no_stv materialize sql
-      state_out trace_states trace metrics telemetry telemetry_interval jobs
-      store_backend =
+      state_out trace_states trace metrics jobs store_backend =
     handle_errors @@ fun () ->
     with_metrics metrics @@ fun () ->
-    with_telemetry telemetry telemetry_interval @@ fun () ->
     with_trace trace @@ fun () ->
     set_store_backend store_backend;
     let store = load_store data in
@@ -439,8 +403,7 @@ let select_cmd =
       const run $ data_arg $ workload_arg $ schema_opt_arg $ reasoning_arg
       $ strategy_arg $ budget_arg $ no_avf_arg $ no_stv_arg $ materialize_arg
       $ sql_arg $ state_out_arg $ trace_states_arg $ trace_arg $ metrics_arg
-      $ telemetry_arg $ telemetry_interval_arg $ jobs_arg
-      $ store_backend_arg)
+      $ jobs_arg $ store_backend_arg)
 
 (* ---------- check ----------------------------------------------------------- *)
 
@@ -551,25 +514,21 @@ let report_cmd =
   let run input =
     handle_errors @@ fun () ->
     let text = read_file input in
-    (* A telemetry snapshot opens with # HELP/# TYPE comments; a metrics
-       dump is one JSON object with a schema_version member; a trace is
-       one JSON object per line.  Sniff the exposition first (it is not
-       JSON at all), then try the whole file as JSON. *)
-    if Obs.Export.looks_like_exposition text then
-      print_string (Obs.Report.render_telemetry (Obs.Export.parse_exposition text))
-    else
-      let summary =
-        try
-          match Obs.Json.of_string (String.trim text) with
-          | json when Obs.Json.member "schema_version" json <> None ->
-            Obs.Report.of_metrics json
-          | _ -> Obs.Report.of_trace (Obs.Trace.parse_lines text)
-          | exception Obs.Json.Parse_error _ ->
-            Obs.Report.of_trace (Obs.Trace.parse_lines text)
-        with Obs.Trace.Malformed message ->
-          failwith ("malformed trace: " ^ message)
-      in
-      print_string (Obs.Report.render summary)
+    (* A metrics dump is one JSON object with a schema_version member; a
+       trace is one JSON object per line, so the whole file only parses
+       as JSON when it is a dump (or a one-line trace). *)
+    let summary =
+      try
+        match Obs.Json.of_string (String.trim text) with
+        | json when Obs.Json.member "schema_version" json <> None ->
+          Obs.Report.of_metrics json
+        | _ -> Obs.Report.of_trace (Obs.Trace.parse_lines text)
+        | exception Obs.Json.Parse_error _ ->
+          Obs.Report.of_trace (Obs.Trace.parse_lines text)
+      with Obs.Trace.Malformed message ->
+        failwith ("malformed trace: " ^ message)
+    in
+    print_string (Obs.Report.render summary)
   in
   let info =
     Cmd.info "report"
@@ -578,8 +537,7 @@ let report_cmd =
          convergence curve (best cost vs. wall time and vs. states \
          created), time-to-within-x%-of-final-cost, per-transition \
          acceptance breakdown and stratum population.  From a --metrics \
-         dump only the aggregate sections are available; a --telemetry \
-         snapshot file renders the $(b,rdfviews top) summary instead."
+         dump only the aggregate sections are available."
   in
   Cmd.v info Term.(const run $ input_arg)
 
@@ -591,29 +549,41 @@ let top_cmd =
       required
       & pos 0 (some non_dir_file) None
       & info [] ~docv:"FILE"
-          ~doc:
-            "A Prometheus text exposition written by $(b,--telemetry) (or \
-             any compatible scrape).")
+          ~doc:"A metrics dump written by $(b,--metrics).")
+  in
+  let period =
+    let parse s =
+      match float_of_string_opt s with
+      | Some p when Float.is_finite p && p > 0. -> Ok p
+      | Some _ | None ->
+        Error
+          (`Msg
+            (Printf.sprintf "invalid value '%s', expected a finite number of \
+                             seconds > 0" s))
+    in
+    Arg.conv (parse, Format.pp_print_float)
   in
   let watch_arg =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some period) None
       & info [ "watch" ] ~docv:"SECONDS"
           ~doc:
             "Re-read and re-render $(i,FILE) every $(docv) seconds (like \
              watch(1)); interrupt to stop.  Pair with a running \
-             $(b,select --telemetry) $(i,FILE) for a live view.")
+             $(b,select --metrics) $(i,FILE) for a live view.")
   in
   let run file watch =
     handle_errors @@ fun () ->
     let render () =
-      Obs.Report.render_telemetry (Obs.Export.parse_exposition (read_file file))
+      match Obs.Json.of_string (read_file file) with
+      | json -> Obs.Report.render_telemetry json
+      | exception Obs.Json.Parse_error message ->
+        raise (Obs.Report.Bad_dump message)
     in
     match watch with
     | None -> print_string (render ())
     | Some period ->
-      let period = if period < 0.1 then 0.1 else period in
       let rec loop () =
         (* clear + home, like watch(1), so the table repaints in place *)
         print_string "\027[2J\027[H";
@@ -627,7 +597,7 @@ let top_cmd =
   let info =
     Cmd.info "top"
       ~doc:
-        "Summarize a live-telemetry snapshot file: GC pauses and collection \
+        "Summarize a live $(b,--metrics) file: GC pauses and collection \
          counts, domain lifecycle, per-domain work/steal/idle utilization \
          and search progress.  With $(b,--watch), repaints periodically \
          like top(1) over a run in flight."
@@ -688,11 +658,9 @@ let saturate_cmd =
 (* ---------- eval ------------------------------------------------------------ *)
 
 let eval_cmd =
-  let run data workload schema metrics telemetry telemetry_interval
-      store_backend =
+  let run data workload schema metrics store_backend =
     handle_errors @@ fun () ->
     with_metrics metrics @@ fun () ->
-    with_telemetry telemetry telemetry_interval @@ fun () ->
     set_store_backend store_backend;
     let store = load_store data in
     let queries = load_workload workload in
@@ -724,7 +692,7 @@ let eval_cmd =
   Cmd.v info
     Term.(
       const run $ data_arg $ workload_arg $ schema_opt_arg $ metrics_arg
-      $ telemetry_arg $ telemetry_interval_arg $ store_backend_arg)
+      $ store_backend_arg)
 
 (* ---------- generate --------------------------------------------------------- *)
 

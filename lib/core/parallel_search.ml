@@ -25,8 +25,8 @@ module I = Search.Internal
    expansions, [steal] time probing other domains' deques, [idle] the
    rest of the domain's wall clock (backoff, lock waits).  Slots are
    this run's worker indices — slot 0 is the coordinating domain — not
-   runtime domain ids.  The exporter renders these as one Prometheus
-   family per quantity with a [domain] label. *)
+   runtime domain ids.  [rdfviews top] renders them as the per-domain
+   utilization table. *)
 let note_utilization entries =
   let sink = Obs.global () in
   if Obs.is_enabled sink then begin

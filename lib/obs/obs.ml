@@ -744,12 +744,6 @@ let to_json t =
 
 let to_string t = Json.to_string ~indent:true (to_json t)
 
-let write_file t path =
-  let oc = open_out path in
-  output_string oc (to_string t);
-  output_char oc '\n';
-  close_out oc
-
 (* ---------- live runtime telemetry --------------------------------------- *)
 
 (* Fold the OCaml runtime's own event stream (GC pauses, collection and
@@ -783,7 +777,7 @@ module Runtime = struct
     | Enabled _ ->
       (* Resolve every handle up front so the metric families exist (at
          zero) from the first poll onward, before any GC event fires —
-         exposition consumers see a stable set of series. *)
+         dump readers see a stable set of series. *)
       let minor_pause = histogram t "runtime.gc.minor.pause_ns" in
       let major_pause = histogram t "runtime.gc.major.pause_ns" in
       let compact_pause = histogram t "runtime.gc.compact.pause_ns" in
@@ -822,496 +816,58 @@ module Runtime = struct
         }
 end
 
-(* ---------- snapshots and Prometheus exposition --------------------------- *)
+(* ---------- the live metrics file --------------------------------------- *)
 
 module Export = struct
-  (* ---------- registry snapshots ---------- *)
+  type hist_snap = { hsn_buckets : int array; hsn_count : int }
 
-  type hist_snap = { hsn_buckets : int array; hsn_count : int; hsn_sum : int }
+  type snapshot = { snap_histograms : (string * hist_snap) list }
 
-  type snapshot = {
-    snap_unix_s : float;  (* Unix.gettimeofday at capture *)
-    snap_counters : (string * int) list;
-    snap_timers : (string * (int * int)) list;  (* (calls, total_ns) *)
-    snap_gauges : (string * float) list;
-    snap_histograms : (string * hist_snap) list;
-  }
-
-  (* Deep copy of a registry's current contents.  Reading a registry
-     while its owning domain mutates it is memory-safe (same-domain
-     systhread or quiescent registry) but advisory in consistency: a
-     snapshot taken mid-update may be one event ahead on one series —
-     acceptable for telemetry, never for accounting. *)
   let snapshot t =
     {
-      snap_unix_s = Unix.gettimeofday ();
-      snap_counters = counters t;
-      snap_timers = timers t;
-      snap_gauges = gauges t;
       snap_histograms =
         List.map
           (fun (name, h) ->
-            ( name,
-              {
-                hsn_buckets = Array.copy h.buckets;
-                hsn_count = h.events;
-                hsn_sum = h.sum;
-              } ))
+            (name, { hsn_buckets = Array.copy h.buckets; hsn_count = h.events }))
           (histograms t);
     }
 
-  (* ---------- bounded snapshot ring ---------- *)
-
-  (* Fixed-capacity ring of the most recent snapshots, oldest
-     overwritten first.  Pushed from the exporter's ticker thread and
-     read from whoever renders, so every mutable field sits behind the
-     ring's spinlock. *)
-  type ring = {
-    r_lock : Multicore.Spinlock.t;
-    r_slots : snapshot option array; [@guarded_by "r_lock"]
-    mutable r_next : int; [@guarded_by "r_lock"]  (* next write slot *)
-    mutable r_count : int; [@guarded_by "r_lock"]
-  }
-
-  let ring_create capacity =
-    let capacity = if capacity < 1 then 1 else capacity in
-    {
-      r_lock = Multicore.Spinlock.create ();
-      r_slots = Array.make capacity None;
-      r_next = 0;
-      r_count = 0;
-    }
-
-  let ring_capacity r = Array.length r.r_slots
-
-  let ring_push r snap =
-    Multicore.Spinlock.with_lock r.r_lock (fun () ->
-        let cap = Array.length r.r_slots in
-        r.r_slots.(r.r_next) <- Some snap;
-        r.r_next <- (r.r_next + 1) mod cap;
-        if r.r_count < cap then r.r_count <- r.r_count + 1)
-
-  let ring_length r = Multicore.Spinlock.with_lock r.r_lock (fun () -> r.r_count)
-
-  (* Oldest first. *)
-  let ring_to_list r =
-    Multicore.Spinlock.with_lock r.r_lock (fun () ->
-        let cap = Array.length r.r_slots in
-        let first = (r.r_next - r.r_count + cap) mod cap in
-        List.init r.r_count (fun i ->
-            match r.r_slots.((first + i) mod cap) with
-            | Some s -> s
-            | None -> assert false (* count covers only filled slots *)))
-
-  (* ---------- Prometheus text exposition ---------- *)
-
-  (* Metric names: "search.expand.ns" -> "rdfviews_search_expand_ns".
-     A "parallel.domain.<i>.<rest>" series instead becomes
-     "rdfviews_parallel_<rest>" with a {domain="<i>"} label, so all
-     domains of one quantity form one family. *)
-  let mangle name =
-    "rdfviews_"
-    ^ String.map
-        (fun c ->
-          match c with
-          | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> c
-          | _ -> '_')
-        name
-
-  let split_domain_label name =
-    match String.split_on_char '.' name with
-    | "parallel" :: "domain" :: idx :: (_ :: _ as rest) -> (
-      match int_of_string_opt idx with
-      | Some i -> (String.concat "." ("parallel" :: rest), [ ("domain", string_of_int i) ])
-      | None -> (name, []))
-    | _ -> (name, [])
-
-  let label_string labels =
-    match labels with
-    | [] -> ""
-    | _ ->
-      "{"
-      ^ String.concat ","
-          (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k v) labels)
-      ^ "}"
-
-  let add_value b v =
-    if Float.is_integer v && Float.abs v < 1e15 then
-      Printf.bprintf b "%.0f" v
-    else Printf.bprintf b "%.17g" v
-
-  (* Group a (name, payload) list into (family base name, labels,
-     payload) runs, one HELP/TYPE header per family, preserving the
-     input's sorted order. *)
-  let group_families series =
-    let tbl = Hashtbl.create 16 in
-    let order = ref [] in
-    List.iter
-      (fun (name, payload) ->
-        let base, labels = split_domain_label name in
-        match Hashtbl.find_opt tbl base with
-        | Some items -> items := (labels, payload) :: !items
-        | None ->
-          Hashtbl.add tbl base (ref [ (labels, payload) ]);
-          order := base :: !order)
-      series;
-    List.rev_map
-      (fun base ->
-        match Hashtbl.find_opt tbl base with
-        | Some items -> (base, List.rev !items)
-        | None -> (base, []))
-      !order
-
-  let exposition_of_snapshot snap =
-    let b = Buffer.create 4096 in
-    let header name typ help =
-      Printf.bprintf b "# HELP %s %s\n# TYPE %s %s\n" name help name typ
-    in
-    header "rdfviews_snapshot_timestamp_seconds" "gauge"
-      "Unix time at which this snapshot was captured.";
-    Printf.bprintf b "rdfviews_snapshot_timestamp_seconds %.6f\n"
-      snap.snap_unix_s;
-    List.iter
-      (fun (base, items) ->
-        let fam = mangle base ^ "_total" in
-        header fam "counter" (Printf.sprintf "Obs counter %s." base);
-        List.iter
-          (fun (labels, v) ->
-            Printf.bprintf b "%s%s %d\n" fam (label_string labels) v)
-          items)
-      (group_families snap.snap_counters);
-    List.iter
-      (fun (base, items) ->
-        let ns = mangle base ^ "_ns_total" in
-        let calls = mangle base ^ "_calls_total" in
-        header ns "counter"
-          (Printf.sprintf "Obs timer %s: accumulated nanoseconds." base);
-        List.iter
-          (fun (labels, (_, total_ns)) ->
-            Printf.bprintf b "%s%s %d\n" ns (label_string labels) total_ns)
-          items;
-        header calls "counter"
-          (Printf.sprintf "Obs timer %s: timed calls." base);
-        List.iter
-          (fun (labels, (c, _)) ->
-            Printf.bprintf b "%s%s %d\n" calls (label_string labels) c)
-          items)
-      (group_families snap.snap_timers);
-    List.iter
-      (fun (base, items) ->
-        let fam = mangle base in
-        header fam "gauge" (Printf.sprintf "Obs gauge %s." base);
-        List.iter
-          (fun (labels, v) ->
-            Printf.bprintf b "%s%s " fam (label_string labels);
-            add_value b v;
-            Buffer.add_char b '\n')
-          items)
-      (group_families snap.snap_gauges);
-    List.iter
-      (fun (base, items) ->
-        let fam = mangle base in
-        header fam "histogram"
-          (Printf.sprintf
-             "Obs histogram %s (log-bucketed; le boundaries are powers of 2)."
-             base);
-        List.iter
-          (fun (labels, h) ->
-            (* cumulative buckets up to the highest non-empty one *)
-            let last = ref (-1) in
-            Array.iteri
-              (fun i n -> if n > 0 then last := i)
-              h.hsn_buckets;
-            let cum = ref 0 in
-            for i = 0 to !last do
-              cum := !cum + h.hsn_buckets.(i);
-              let le =
-                if i = 0 then "0" else Printf.sprintf "%g" (Float.ldexp 1. i)
-              in
-              Printf.bprintf b "%s_bucket%s %d\n" fam
-                (label_string (labels @ [ ("le", le) ]))
-                !cum
-            done;
-            Printf.bprintf b "%s_bucket%s %d\n" fam
-              (label_string (labels @ [ ("le", "+Inf") ]))
-              h.hsn_count;
-            Printf.bprintf b "%s_sum%s %d\n" fam (label_string labels)
-              h.hsn_sum;
-            Printf.bprintf b "%s_count%s %d\n" fam (label_string labels)
-              h.hsn_count)
-          items)
-      (group_families snap.snap_histograms);
-    Buffer.contents b
-
-  let exposition t = exposition_of_snapshot (snapshot t)
-
-  (* ---------- parsing the exposition back ---------- *)
-
-  (* Just enough of the Prometheus text format to read what
-     [exposition_of_snapshot] writes (and ordinary hand-written files):
-     HELP/TYPE comments open a family; sample lines carry optional
-     {k="v",...} labels and a float value.  Unknown comment lines are
-     skipped. *)
-
-  type sample = {
-    s_name : string;  (* full series name, suffixes included *)
-    s_labels : (string * string) list;
-    s_value : float;
-  }
-
-  type family = {
-    f_name : string;  (* family base name from HELP/TYPE *)
-    f_type : string;  (* "counter" | "gauge" | "histogram" | "untyped" *)
-    f_help : string;
-    f_samples : sample list;  (* in file order *)
-  }
-
-  exception Bad_exposition of string
-
-  let is_name_char c =
-    match c with
-    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> true
-    | _ -> false
-
-  let parse_sample_line lineno line =
-    let n = String.length line in
-    let pos = ref 0 in
-    let fail msg =
-      raise (Bad_exposition (Printf.sprintf "line %d: %s" lineno msg))
-    in
-    while !pos < n && is_name_char line.[!pos] do
-      Stdlib.incr pos
-    done;
-    if !pos = 0 then fail "expected a metric name";
-    let name = String.sub line 0 !pos in
-    let labels = ref [] in
-    if !pos < n && Char.equal line.[!pos] '{' then begin
-      Stdlib.incr pos;
-      let rec labels_loop () =
-        while !pos < n && Char.equal line.[!pos] ' ' do
-          Stdlib.incr pos
-        done;
-        if !pos < n && Char.equal line.[!pos] '}' then Stdlib.incr pos
-        else begin
-          let k0 = !pos in
-          while !pos < n && is_name_char line.[!pos] do
-            Stdlib.incr pos
-          done;
-          if !pos = k0 then fail "expected a label name";
-          let key = String.sub line k0 (!pos - k0) in
-          if not (!pos + 1 < n && Char.equal line.[!pos] '='
-                  && Char.equal line.[!pos + 1] '"')
-          then fail "expected =\" after label name";
-          pos := !pos + 2;
-          let buf = Buffer.create 8 in
-          let rec value_loop () =
-            if !pos >= n then fail "unterminated label value"
-            else
-              match line.[!pos] with
-              | '"' -> Stdlib.incr pos
-              | '\\' when !pos + 1 < n ->
-                (match line.[!pos + 1] with
-                | 'n' -> Buffer.add_char buf '\n'
-                | c -> Buffer.add_char buf c);
-                pos := !pos + 2;
-                value_loop ()
-              | c ->
-                Buffer.add_char buf c;
-                Stdlib.incr pos;
-                value_loop ()
-          in
-          value_loop ();
-          labels := (key, Buffer.contents buf) :: !labels;
-          if !pos < n && Char.equal line.[!pos] ',' then begin
-            Stdlib.incr pos;
-            labels_loop ()
-          end
-          else if !pos < n && Char.equal line.[!pos] '}' then Stdlib.incr pos
-          else fail "expected , or } in labels"
-        end
-      in
-      labels_loop ()
-    end;
-    let rest = String.trim (String.sub line !pos (n - !pos)) in
-    (* a trailing timestamp (exposition allows one) would be a second
-       token; take the first *)
-    let value_text =
-      match String.index_opt rest ' ' with
-      | Some i -> String.sub rest 0 i
-      | None -> rest
-    in
-    let value =
-      match value_text with
-      | "+Inf" -> Float.infinity
-      | "-Inf" -> Float.neg_infinity
-      | "NaN" -> Float.nan
-      | s -> (
-        match float_of_string_opt s with
-        | Some f -> f
-        | None -> fail (Printf.sprintf "bad sample value %S" s))
-    in
-    { s_name = name; s_labels = List.rev !labels; s_value = value }
-
-  let parse_exposition text =
-    let families = ref [] in  (* newest first; samples newest first *)
-    let find_family name =
-      List.find_opt
-        (fun f ->
-          String.length name >= String.length f.f_name
-          && String.equal (String.sub name 0 (String.length f.f_name)) f.f_name)
-        !families
-    in
-    let open_family name typ help =
-      match List.find_opt (fun f -> String.equal f.f_name name) !families with
-      | Some f ->
-        let f' =
-          {
-            f with
-            f_type = (if String.equal typ "" then f.f_type else typ);
-            f_help = (if String.equal help "" then f.f_help else help);
-          }
-        in
-        families :=
-          f' :: List.filter (fun g -> not (String.equal g.f_name name)) !families
-      | None ->
-        families :=
-          { f_name = name; f_type = typ; f_help = help; f_samples = [] }
-          :: !families
-    in
-    let comment_fields line =
-      (* "# HELP name text..." / "# TYPE name type" *)
-      match String.split_on_char ' ' line with
-      | "#" :: kw :: name :: rest -> Some (kw, name, String.concat " " rest)
-      | _ -> None
-    in
-    List.iteri
-      (fun i line ->
-        let line = String.trim line in
-        if String.equal line "" then ()
-        else if Char.equal line.[0] '#' then begin
-          match comment_fields line with
-          | Some ("HELP", name, help) -> open_family name "" help
-          | Some ("TYPE", name, typ) -> open_family name typ ""
-          | Some _ | None -> () (* other comments are legal and skipped *)
-        end
-        else begin
-          let s = parse_sample_line (i + 1) line in
-          match find_family s.s_name with
-          | Some f ->
-            let f' = { f with f_samples = s :: f.f_samples } in
-            families :=
-              f'
-              :: List.filter
-                   (fun g -> not (String.equal g.f_name f.f_name))
-                   !families
-          | None ->
-            families :=
-              {
-                f_name = s.s_name;
-                f_type = "untyped";
-                f_help = "";
-                f_samples = [ s ];
-              }
-              :: !families
-        end)
-      (String.split_on_char '\n' text);
-    List.rev_map (fun f -> { f with f_samples = List.rev f.f_samples }) !families
-
-  (* Cheap sniff used by `rdfviews report` to route its input: our own
-     files always open with a HELP comment, and any plausible exposition
-     starts with a HELP/TYPE line or a bare sample. *)
-  let looks_like_exposition text =
-    let rec first_line = function
-      | [] -> None
-      | l :: rest ->
-        let l = String.trim l in
-        if String.equal l "" then first_line rest else Some l
-    in
-    match first_line (String.split_on_char '\n' text) with
-    | None -> false
-    | Some l ->
-      let has_prefix p =
-        String.length l >= String.length p
-        && String.equal (String.sub l 0 (String.length p)) p
-      in
-      has_prefix "# HELP " || has_prefix "# TYPE "
-
-  (* ---------- family lookups (for renderers and tests) ---------- *)
-
-  let find_family families name =
-    List.find_opt (fun f -> String.equal f.f_name name) families
-
-  let sample_value ?(labels = []) families name =
-    List.find_map
-      (fun f ->
-        List.find_map
-          (fun s ->
-            if
-              String.equal s.s_name name
-              && List.for_all
-                   (fun (k, v) ->
-                     match List.assoc_opt k s.s_labels with
-                     | Some v' -> String.equal v v'
-                     | None -> false)
-                   labels
-            then Some s.s_value
-            else None)
-          f.f_samples)
-      families
-
-  (* ---------- the periodic exporter ---------- *)
-
-  (* A ticker systhread that, every [interval] seconds: drains runtime
-     events into the current registry, pushes a snapshot onto the ring,
-     and atomically rewrites [path] with the exposition (tmp + rename,
-     so a scraper never reads a torn file).  The thread shares the
-     installing domain, hence its DLS-resolved [source] sees the same
-     ambient registry the instrumented code writes to. *)
+  (* A ticker systhread of the installing domain that, every second,
+     drains runtime events into the registry and atomically rewrites
+     [path] with its JSON dump (tmp + rename, so a reader never sees a
+     torn file).  The ticker reads the registry while the domain's main
+     thread mutates it: memory-safe, but a dump taken mid-update may be
+     one event ahead on one series. *)
   type exporter = {
-    e_ring : ring;
+    e_registry : t;
     e_path : string;
-    e_interval : float;
     e_stop : bool Atomic.t;
-    e_ticks : int Atomic.t;
-    e_write_errors : int Atomic.t;
-    e_tick : unit -> unit;
-    e_thread : Thread.t option;
+    e_thread : Thread.t;
   }
 
-  let write_atomic path text =
+  let interval = 1.0
+
+  let dump registry path =
+    ignore (Runtime.poll registry : int);
     let tmp = path ^ ".tmp" in
     let oc = open_out tmp in
-    output_string oc text;
-    close_out oc;
+    (* a failed write must not leak the channel: the ticker retries *)
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        output_string oc (to_string registry);
+        output_char oc '\n';
+        close_out oc);
     Sys.rename tmp path
 
-  let default_ring_capacity = 64
-
-  let start ?(ring_capacity = default_ring_capacity) ~interval ~path source =
-    let interval = Float.max 0.001 interval in
-    let ring = ring_create ring_capacity in
+  let start ~path registry =
+    ignore (Runtime.start () : bool);
+    (* resolved on the caller, before the ticker exists *)
+    let ticks = counter registry "telemetry.ticks" in
+    (* the first write is synchronous: the file exists, or the path
+       error raises, before [start] returns *)
+    dump registry path;
     let stop = Atomic.make false in
-    let ticks = Atomic.make 0 in
-    let write_errors = Atomic.make 0 in
-    let tick () =
-      let sink = source () in
-      ignore (Runtime.poll sink : int);
-      Atomic.incr ticks;
-      (* ticks-so-far ride along in the registry so successive scrapes
-         of the file expose a monotonic liveness counter *)
-      let tc = counter sink "telemetry.ticks" in
-      (match sink with Disabled -> () | Enabled _ -> tc.n <- Atomic.get ticks);
-      let snap = snapshot sink in
-      ring_push ring snap;
-      match write_atomic path (exposition_of_snapshot snap) with
-      | () -> ()
-      | exception Sys_error _ -> Atomic.incr write_errors
-    in
-    (* First write happens on the caller: the file exists (or the path
-       error surfaces synchronously) before [start] returns. *)
-    let sink = source () in
-    ignore (Runtime.poll sink : int);
-    write_atomic path (exposition_of_snapshot (snapshot sink));
     let thread =
       Thread.create
         (fun () ->
@@ -1325,38 +881,22 @@ module Export = struct
           in
           while not (Atomic.get stop) do
             pause interval;
-            if not (Atomic.get stop) then tick ()
+            if not (Atomic.get stop) then begin
+              incr ticks;
+              (* a failed periodic write is retried on the next tick;
+                 the final write in [stop] is the one that reports *)
+              try dump registry path with Sys_error _ -> ()
+            end
           done)
         ()
     in
-    {
-      e_ring = ring;
-      e_path = path;
-      e_interval = interval;
-      e_stop = stop;
-      e_ticks = ticks;
-      e_write_errors = write_errors;
-      e_tick = tick;
-      e_thread = Some thread;
-    }
+    { e_registry = registry; e_path = path; e_stop = stop; e_thread = thread }
 
   let stop e =
-    if not (Atomic.get e.e_stop) then begin
-      Atomic.set e.e_stop true;
-      (match e.e_thread with Some th -> Thread.join th | None -> ());
-      (* final tick: the file reflects the end-of-run registry *)
-      e.e_tick ()
+    if not (Atomic.exchange e.e_stop true) then begin
+      Thread.join e.e_thread;
+      dump e.e_registry e.e_path
     end
-
-  let exporter_ring e = e.e_ring
-
-  let exporter_ticks e = Atomic.get e.e_ticks
-
-  let exporter_write_errors e = Atomic.get e.e_write_errors
-
-  let exporter_path e = e.e_path
-
-  let exporter_interval e = e.e_interval
 end
 
 (* ---------- streaming search traces -------------------------------------- *)
@@ -1947,10 +1487,33 @@ module Report = struct
         | None -> if Float.is_finite !best then Some !best else None);
     }
 
+  exception Bad_dump of string
+
+  (* The shape [to_json] writes; anything else is refused by name
+     rather than read as an all-zero run. *)
+  let check_dump json =
+    let fail fmt = Printf.ksprintf (fun m -> raise (Bad_dump m)) fmt in
+    (match Json.member "schema_version" json with
+    | Some (Json.Int 2) -> ()
+    | Some _ -> fail "schema_version: expected 2"
+    | None -> fail "missing member schema_version");
+    List.iter
+      (fun key ->
+        match Json.member key json with
+        | Some (Json.Obj _) -> ()
+        | Some _ -> fail "%s: expected an object" key
+        | None -> fail "missing member %s" key)
+      [ "counters"; "timers"; "histograms"; "gauges" ];
+    match Json.member "spans" json with
+    | Some (Json.List _) -> ()
+    | Some _ -> fail "spans: expected a list"
+    | None -> fail "missing member spans"
+
   (* Degraded analysis of a `--metrics` registry dump: totals and
      per-kind counters are available, but there are no per-event
      records, so the convergence curve is empty. *)
   let of_metrics json =
+    check_dump json;
     let counter name =
       match Option.bind (Json.member "counters" json) (Json.member name) with
       | Some (Json.Int i) -> i
@@ -2167,92 +1730,91 @@ module Report = struct
 
   let _fmt_ms_f ns = Printf.sprintf "%.3f" (ns /. 1e6)
 
-  (* Render one parsed Prometheus exposition (a telemetry snapshot file
-     written under `--telemetry`) as a `top`-style summary: GC activity,
-     domain lifecycle and per-domain utilization, search progress. *)
-  let render_telemetry families =
+  (* Render a `--metrics` dump (the live file the exporter rewrites) as
+     a `top`-style summary: GC activity, domain lifecycle and
+     per-domain utilization, search progress. *)
+  let render_telemetry json =
+    check_dump json;
     let b = Buffer.create 2048 in
-    let v ?labels name = Export.sample_value ?labels families name in
-    let vd name = Option.value ~default:0. (v name) in
+    let members key =
+      match Json.member key json with Some (Json.Obj fields) -> fields | _ -> []
+    in
+    let counters = members "counters" and histograms = members "histograms" in
+    let gauges = members "gauges" and timers = members "timers" in
+    let num = function
+      | Json.Int i -> Some (float_of_int i)
+      | Json.Float f -> Some f
+      | _ -> None
+    in
+    let counter name = Option.bind (List.assoc_opt name counters) num in
+    let gauge name = Option.bind (List.assoc_opt name gauges) num in
+    let hist name field =
+      Option.bind (List.assoc_opt name histograms) (fun h ->
+          Option.bind (Json.member field h) num)
+    in
+    let cd name = Option.value ~default:0. (counter name) in
     Buffer.add_string b "runtime telemetry snapshot\n";
     Buffer.add_string b "==========================\n";
-    (match v "rdfviews_snapshot_timestamp_seconds" with
-    | Some ts ->
-      let tm = Unix.localtime ts in
-      Printf.bprintf b "captured:   %04d-%02d-%02d %02d:%02d:%02d (tick %.0f)\n"
-        (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1) tm.Unix.tm_mday
-        tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
-        (vd "rdfviews_telemetry_ticks_total")
+    (match counter "telemetry.ticks" with
+    | Some n -> Printf.bprintf b "exporter:   %.0f ticks\n" n
     | None -> ());
     let gc_rows =
       List.filter_map
-        (fun (label, count_name, hist_base) ->
-          match v count_name with
+        (fun (label, count_name, pause) ->
+          match counter count_name with
           | None -> None
           | Some n ->
-            let sum = v (hist_base ^ "_sum") in
-            let cnt = v (hist_base ^ "_count") in
+            let sum = hist pause "total" in
             let mean =
-              match (sum, cnt) with
+              match (sum, hist pause "count") with
               | Some s, Some c when c > 0. -> _fmt_ms_f (s /. c)
               | _ -> "-"
             in
-            let total =
-              match sum with Some s -> _fmt_ms_f s | None -> "-"
-            in
+            let total = match sum with Some s -> _fmt_ms_f s | None -> "-" in
             Some [ label; Printf.sprintf "%.0f" n; mean; total ])
         [
-          ( "minor", "rdfviews_runtime_gc_minor_collections_total",
-            "rdfviews_runtime_gc_minor_pause_ns" );
-          ( "major", "rdfviews_runtime_gc_major_collections_total",
-            "rdfviews_runtime_gc_major_pause_ns" );
-          ( "compact", "rdfviews_runtime_gc_compactions_total",
-            "rdfviews_runtime_gc_compact_pause_ns" );
+          ("minor", "runtime.gc.minor.collections", "runtime.gc.minor.pause_ns");
+          ("major", "runtime.gc.major.collections", "runtime.gc.major.pause_ns");
+          ("compact", "runtime.gc.compactions", "runtime.gc.compact.pause_ns");
         ]
     in
     if gc_rows <> [] then begin
       Buffer.add_string b "\ngarbage collector\n";
       _btable b ([ "phase"; "collections"; "mean_ms"; "total_ms" ] :: gc_rows);
-      (match v "rdfviews_runtime_gc_max_pause_ns" with
+      (match gauge "runtime.gc.max_pause_ns" with
       | Some m -> Printf.bprintf b "  max pause: %s ms\n" (_fmt_ms_f m)
       | None -> ());
-      (match v "rdfviews_runtime_gc_minor_allocated_words_total" with
+      (match counter "runtime.gc.minor_allocated_words" with
       | Some w -> Printf.bprintf b "  minor allocated: %s words\n" (_fmt_count w)
       | None -> ());
-      (match v "rdfviews_runtime_events_lost_total" with
+      (match counter "runtime.events.lost" with
       | Some l when l > 0. -> Printf.bprintf b "  LOST EVENTS: %.0f\n" l
       | _ -> ())
     end
     else
       Buffer.add_string b
-        "\ngarbage collector: no runtime events (OCaml 4.x build, or \
-         telemetry started without Runtime_events)\n";
+        "\ngarbage collector: no runtime events (OCaml 4.x build, or a \
+         dump not written by the live exporter)\n";
     let domain_indices =
-      match Export.find_family families "rdfviews_parallel_work_ns_total" with
-      | None -> []
-      | Some f ->
-        List.sort_uniq Int.compare
-          (List.filter_map
-             (fun s ->
-               Option.bind
-                 (List.assoc_opt "domain" s.Export.s_labels)
-                 int_of_string_opt)
-             f.Export.f_samples)
+      List.sort_uniq Int.compare
+        (List.filter_map
+           (fun (name, _) ->
+             match String.split_on_char '.' name with
+             | [ "parallel"; "domain"; i; "work_ns" ] -> int_of_string_opt i
+             | _ -> None)
+           counters)
     in
     Printf.bprintf b "\ndomains: %.0f spawned, %.0f terminated\n"
-      (vd "rdfviews_runtime_domain_spawns_total")
-      (vd "rdfviews_runtime_domain_terminations_total");
+      (cd "runtime.domain.spawns")
+      (cd "runtime.domain.terminations");
     if domain_indices <> [] then begin
       Buffer.add_string b "\nper-domain utilization (last parallel search)\n";
       _btable b
         ([ "domain"; "work_ms"; "steal_ms"; "idle_ms"; "busy" ]
         :: List.map
              (fun i ->
-               let labels = [ ("domain", string_of_int i) ] in
-               let g name = Option.value ~default:0. (v ~labels name) in
-               let work = g "rdfviews_parallel_work_ns_total" in
-               let steal = g "rdfviews_parallel_steal_ns_total" in
-               let idle = g "rdfviews_parallel_idle_ns_total" in
+               let g what = cd (Printf.sprintf "parallel.domain.%d.%s_ns" i what) in
+               let work = g "work" and steal = g "steal" and idle = g "idle" in
                let total = work +. steal +. idle in
                [
                  string_of_int i;
@@ -2265,29 +1827,24 @@ module Report = struct
                ])
              domain_indices)
     end;
-    (match v "rdfviews_search_created_total" with
+    (match counter "search.created" with
     | Some created ->
       Buffer.add_string b "\nsearch\n";
       Printf.bprintf b
         "  states: created %.0f, explored %.0f, duplicates %.0f, discarded \
          %.0f\n"
-        created
-        (vd "rdfviews_search_explored_total")
-        (vd "rdfviews_search_duplicates_total")
-        (vd "rdfviews_search_discarded_total");
-      (match v "rdfviews_search_best_cost" with
+        created (cd "search.explored") (cd "search.duplicates")
+        (cd "search.discarded");
+      (match gauge "search.best_cost" with
       | Some c -> Printf.bprintf b "  best cost: %s" (_fcost c);
-        (match v "rdfviews_search_initial_cost" with
+        (match gauge "search.initial_cost" with
         | Some i when i > 0. ->
           Printf.bprintf b " (rcr %.3f)\n" ((i -. c) /. i)
         | _ -> Buffer.add_char b '\n')
       | None -> ())
-    | None -> Buffer.add_string b "\nsearch: no search counters in snapshot\n");
-    let n_series =
-      List.fold_left (fun acc f -> acc + List.length f.Export.f_samples) 0
-        families
-    in
-    Printf.bprintf b "\n%d series in %d families\n" n_series
-      (List.length families);
+    | None -> Buffer.add_string b "\nsearch: no search counters in dump\n");
+    Printf.bprintf b "\n%d counters, %d timers, %d histograms, %d gauges\n"
+      (List.length counters) (List.length timers) (List.length histograms)
+      (List.length gauges);
     Buffer.contents b
 end

@@ -289,9 +289,6 @@ val to_json : t -> Json.t
 val to_string : t -> string
 (** [Json.to_string ~indent:true (to_json t)]. *)
 
-val write_file : t -> string -> unit
-(** Serialize the registry to a file (trailing newline included). *)
-
 (** {1 Live runtime telemetry}
 
     Folds the OCaml runtime's own event stream — GC pause begin/end
@@ -334,142 +331,39 @@ module Runtime : sig
       call it. *)
 end
 
-(** {1 Snapshots and Prometheus exposition}
+(** {1 The live metrics file}
 
-    The scrapeable surface: point-in-time registry snapshots, a bounded
-    ring of them, a Prometheus text-format renderer/parser, and a
-    periodic file exporter (the [--telemetry FILE] flag).  The renderer
-    is pure and reusable — a future [rdfviews serve] daemon can feed
-    its [/metrics] endpoint from {!Export.exposition} directly. *)
+    The [--metrics FILE] flag: a ticker thread that keeps a JSON dump
+    of one registry current on disk while the run is in flight, read
+    by [rdfviews top] and [rdfviews report]. *)
 module Export : sig
   (** A histogram's frozen contents: raw log-buckets (see
-      {!bucket_of_sample}), sample count and sum. *)
-  type hist_snap = { hsn_buckets : int array; hsn_count : int; hsn_sum : int }
+      {!bucket_of_sample}) and sample count. *)
+  type hist_snap = { hsn_buckets : int array; hsn_count : int }
 
-  (** A deep copy of a registry's contents at one instant. *)
-  type snapshot = {
-    snap_unix_s : float;  (** [Unix.gettimeofday] at capture *)
-    snap_counters : (string * int) list;
-    snap_timers : (string * (int * int)) list;  (** (calls, total_ns) *)
-    snap_gauges : (string * float) list;
-    snap_histograms : (string * hist_snap) list;
-  }
+  type snapshot = { snap_histograms : (string * hist_snap) list }
+  (** A deep copy of a registry's histograms at one instant. *)
 
   val snapshot : t -> snapshot
-  (** Capture the registry.  Safe against same-domain concurrent
-      mutation (the exporter ticker is a systhread of the installing
-      domain); consistency across series is advisory, not
-      transactional. *)
-
-  (** {2 Bounded snapshot ring} *)
-
-  type ring
-  (** A fixed-capacity ring of the most recent snapshots; pushing into
-      a full ring overwrites the oldest.  All operations are
-      thread-safe. *)
-
-  val ring_create : int -> ring
-  (** [ring_create capacity] (clamped to at least 1). *)
-
-  val ring_capacity : ring -> int
-
-  val ring_length : ring -> int
-  (** Snapshots currently held, [<= capacity]. *)
-
-  val ring_push : ring -> snapshot -> unit
-
-  val ring_to_list : ring -> snapshot list
-  (** Held snapshots, oldest first. *)
-
-  (** {2 Prometheus text exposition} *)
-
-  val exposition_of_snapshot : snapshot -> string
-  (** Render a snapshot in Prometheus text format.  Name mangling:
-      [search.expand.ns] becomes [rdfviews_search_expand_ns]; counters
-      get a [_total] suffix; a timer becomes two counters
-      ([_ns_total], [_calls_total]); histograms render cumulative
-      [_bucket{le="..."}] series (le boundaries are the log-bucket
-      powers of two) plus [_sum]/[_count].  A
-      [parallel.domain.<i>.<rest>] series becomes
-      [rdfviews_parallel_<rest>] with a [domain="<i>"] label, so all
-      domains of one quantity form one family. *)
-
-  val exposition : t -> string
-  (** [exposition_of_snapshot (snapshot t)]. *)
-
-  (** {2 Parsing an exposition} *)
-
-  type sample = {
-    s_name : string;  (** full series name, suffixes included *)
-    s_labels : (string * string) list;
-    s_value : float;
-  }
-
-  type family = {
-    f_name : string;  (** family base name from the HELP/TYPE comments *)
-    f_type : string;  (** ["counter"], ["gauge"], ["histogram"] or ["untyped"] *)
-    f_help : string;
-    f_samples : sample list;  (** in file order *)
-  }
-
-  exception Bad_exposition of string
-
-  val parse_exposition : string -> family list
-  (** Parse Prometheus text format (enough of it to read
-      {!exposition_of_snapshot}'s output and ordinary hand-written
-      files).  Samples whose name extends a declared family's name
-      attach to that family; stray samples form their own [untyped]
-      family.  @raise Bad_exposition on a malformed sample line. *)
-
-  val looks_like_exposition : string -> bool
-  (** Cheap sniff: does the first non-blank line open with
-      [# HELP]/[# TYPE]?  Used by [rdfviews report] to autodetect
-      telemetry snapshot files. *)
-
-  val find_family : family list -> string -> family option
-
-  val sample_value :
-    ?labels:(string * string) list -> family list -> string -> float option
-  (** First sample with the given full series name whose labels include
-      all of [labels]. *)
-
-  (** {2 The periodic exporter} *)
 
   type exporter
-  (** A ticker thread snapshotting a registry every interval: drains
-      {!Runtime} events into it, pushes the snapshot onto a ring and
-      atomically rewrites the exposition file (tmp + rename). *)
+  (** A ticker thread that, every second, drains {!Runtime} events into
+      its registry, bumps the [telemetry.ticks] counter and atomically
+      rewrites the file with {!to_string} (tmp + rename). *)
 
-  val default_ring_capacity : int
-
-  val start :
-    ?ring_capacity:int ->
-    interval:float ->
-    path:string ->
-    (unit -> t) ->
-    exporter
-  (** [start ~interval ~path source] writes once synchronously (so the
-      file exists, or the path error raises here) and then ticks every
-      [interval] seconds (clamped to at least 1ms) until {!stop}.
-      [source] is re-read on every tick, so it follows registry swaps
-      ([Obs.set_global]) within the installing domain.  Write failures
-      after the first are counted, not raised. *)
+  val start : path:string -> t -> exporter
+  (** [start ~path registry] starts {!Runtime} event collection and
+      writes the dump once synchronously, so the file exists (or the
+      path error raises [Sys_error]) before it returns; then it ticks
+      every second until {!stop}.  Periodic write failures are retried
+      on the next tick.  The ticker reads the registry while the
+      installing domain mutates it: consistency across series is
+      advisory. *)
 
   val stop : exporter -> unit
-  (** Stop the ticker, join it, and write one final snapshot so the
-      file reflects the end-of-run registry.  Idempotent. *)
-
-  val exporter_ring : exporter -> ring
-
-  val exporter_ticks : exporter -> int
-  (** Completed periodic ticks (the synchronous first write and the
-      final {!stop} write are not counted). *)
-
-  val exporter_write_errors : exporter -> int
-
-  val exporter_path : exporter -> string
-
-  val exporter_interval : exporter -> float
+  (** Stop the ticker, join it, and write the final dump, so the file
+      reflects the end-of-run registry.  Idempotent.
+      @raise Sys_error if the final write fails. *)
 end
 
 (** {1 Streaming search traces}
@@ -661,9 +555,16 @@ module Report : sig
       are authoritative; otherwise (crashed run) totals are
       reconstructed from the per-event records. *)
 
+  exception Bad_dump of string
+  (** A JSON document that is not a registry dump as {!to_json} writes
+      it; the message names the offending member. *)
+
   val of_metrics : Json.t -> summary
   (** Degraded summary from a [--metrics] registry dump: totals and
-      per-kind counters only, no convergence curve. *)
+      per-kind counters only, no convergence curve.
+      @raise Bad_dump unless [schema_version] is [2], [counters],
+      [timers], [histograms] and [gauges] are objects and [spans] is a
+      list. *)
 
   val rcr : summary -> float option
   (** Relative cost reduction (initial − final) / initial. *)
@@ -677,10 +578,10 @@ module Report : sig
       time-to-within table, transition acceptance, stratum
       population). *)
 
-  val render_telemetry : Export.family list -> string
-  (** Human-readable live-telemetry summary (the [rdfviews top] view)
-      from a parsed Prometheus exposition: GC pause table, domain
-      lifecycle, per-domain utilization, and search progress.  Renders
-      a placeholder section for whatever families are absent, so it
-      works on 4.x expositions with no [runtime_*] series. *)
+  val render_telemetry : Json.t -> string
+  (** Human-readable live summary (the [rdfviews top] view) from a
+      [--metrics] dump: GC pause table, domain lifecycle, per-domain
+      utilization, and search progress.  Renders a placeholder section
+      for whatever series are absent, so it works on 4.x dumps with no
+      [runtime.*] series.  @raise Bad_dump as {!of_metrics}. *)
 end

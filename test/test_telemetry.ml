@@ -1,169 +1,13 @@
-(* Live telemetry: the Prometheus exposition round-trip, the snapshot
-   ring, registry merging under real concurrent domains, the
-   runtime-events consumer and the periodic exporter.  Everything that
-   needs actual domains or Runtime_events is gated on the respective
-   [available] flag so the suite also passes on an OCaml 4.x build. *)
-
-let approx = Alcotest.float 1e-9
+(* Live telemetry: registry merging under real concurrent domains, the
+   runtime-events consumer, the live --metrics exporter and the `top`
+   renderer.  Everything that needs actual domains or Runtime_events is
+   gated on the respective [available] flag so the suite also passes on
+   an OCaml 4.x build. *)
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.equal (String.sub haystack i nn) needle || go (i + 1)) in
   nn = 0 || go 0
-
-(* A registry with one of everything, with known values. *)
-let sample_registry () =
-  let t = Obs.create () in
-  Obs.add (Obs.counter t "search.created") 42;
-  Obs.add (Obs.counter t "parallel.domain.0.work_ns") 1000;
-  Obs.add (Obs.counter t "parallel.domain.1.work_ns") 2000;
-  Obs.set_gauge (Obs.gauge t "search.best_cost") 559.25;
-  let tm = Obs.timer t "search.run" in
-  Obs.time tm (fun () -> ());
-  let h = Obs.histogram t "search.expand.ns" in
-  Obs.observe h 0;
-  (* bucket 0 *)
-  Obs.observe h 3;
-  (* le 4 *)
-  Obs.observe h 1000;
-  (* le 1024 *)
-  t
-
-let families_of t = Obs.Export.parse_exposition (Obs.Export.exposition t)
-
-let test_roundtrip_counter_gauge () =
-  let fams = families_of (sample_registry ()) in
-  Alcotest.(check (option approx))
-    "counter value" (Some 42.)
-    (Obs.Export.sample_value fams "rdfviews_search_created_total");
-  Alcotest.(check (option approx))
-    "gauge value" (Some 559.25)
-    (Obs.Export.sample_value fams "rdfviews_search_best_cost");
-  (* the timer splits into two counters *)
-  Alcotest.(check (option approx))
-    "timer calls" (Some 1.)
-    (Obs.Export.sample_value fams "rdfviews_search_run_calls_total");
-  match Obs.Export.find_family fams "rdfviews_search_run_ns_total" with
-  | Some f -> Alcotest.(check string) "timer type" "counter" f.Obs.Export.f_type
-  | None -> Alcotest.fail "timer family missing"
-
-let test_roundtrip_histogram () =
-  let fams = families_of (sample_registry ()) in
-  match Obs.Export.find_family fams "rdfviews_search_expand_ns" with
-  | None -> Alcotest.fail "histogram family missing"
-  | Some f ->
-    Alcotest.(check string) "type" "histogram" f.Obs.Export.f_type;
-    Alcotest.(check (option approx))
-      "count" (Some 3.)
-      (Obs.Export.sample_value fams "rdfviews_search_expand_ns_count");
-    Alcotest.(check (option approx))
-      "sum" (Some 1003.)
-      (Obs.Export.sample_value fams "rdfviews_search_expand_ns_sum");
-    (* cumulative buckets: le="0" holds the <=0 sample, le="4" that plus
-       the sample at 3, +Inf everything *)
-    let at le =
-      Obs.Export.sample_value ~labels:[ ("le", le) ] fams
-        "rdfviews_search_expand_ns_bucket"
-    in
-    Alcotest.(check (option approx)) "le=0" (Some 1.) (at "0");
-    Alcotest.(check (option approx)) "le=4" (Some 2.) (at "4");
-    Alcotest.(check (option approx)) "le=1024" (Some 3.) (at "1024");
-    Alcotest.(check (option approx)) "le=+Inf" (Some 3.) (at "+Inf");
-    (* bucket monotonicity across the whole family *)
-    let buckets =
-      List.filter
-        (fun s ->
-          String.equal s.Obs.Export.s_name "rdfviews_search_expand_ns_bucket")
-        f.Obs.Export.f_samples
-    in
-    ignore
-      (List.fold_left
-         (fun prev s ->
-           if s.Obs.Export.s_value < prev then
-             Alcotest.fail "histogram buckets not monotone";
-           s.Obs.Export.s_value)
-         0. buckets)
-
-let test_domain_labels () =
-  let fams = families_of (sample_registry ()) in
-  (* parallel.domain.<i>.work_ns series collapse into one family with a
-     domain label *)
-  match Obs.Export.find_family fams "rdfviews_parallel_work_ns_total" with
-  | None -> Alcotest.fail "domain-labelled family missing"
-  | Some f ->
-    Alcotest.(check int) "two series" 2 (List.length f.Obs.Export.f_samples);
-    Alcotest.(check (option approx))
-      "domain 0" (Some 1000.)
-      (Obs.Export.sample_value
-         ~labels:[ ("domain", "0") ]
-         fams "rdfviews_parallel_work_ns_total");
-    Alcotest.(check (option approx))
-      "domain 1" (Some 2000.)
-      (Obs.Export.sample_value
-         ~labels:[ ("domain", "1") ]
-         fams "rdfviews_parallel_work_ns_total")
-
-let test_mangling () =
-  let t = Obs.create () in
-  Obs.incr (Obs.counter t "weird-name.with:chars");
-  let fams = families_of t in
-  Alcotest.(check (option approx))
-    "mangled" (Some 1.)
-    (Obs.Export.sample_value fams "rdfviews_weird_name_with_chars_total")
-
-let test_sniff () =
-  Alcotest.(check bool)
-    "exposition" true
-    (Obs.Export.looks_like_exposition
-       (Obs.Export.exposition (sample_registry ())));
-  Alcotest.(check bool)
-    "json is not" false
-    (Obs.Export.looks_like_exposition "{\"schema_version\": 2}");
-  Alcotest.(check bool)
-    "trace is not" false
-    (Obs.Export.looks_like_exposition "{\"event\":\"run_start\"}\n");
-  Alcotest.(check bool)
-    "leading blanks ok" true
-    (Obs.Export.looks_like_exposition "\n\n# HELP x y\n")
-
-let test_parse_errors () =
-  Alcotest.check_raises "bad line"
-    (Obs.Export.Bad_exposition "line 1: expected a metric name")
-    (fun () -> ignore (Obs.Export.parse_exposition "{not an exposition}"))
-
-(* ---------- snapshot ring ------------------------------------------------- *)
-
-let snap_with value =
-  let t = Obs.create () in
-  Obs.add (Obs.counter t "tick") value;
-  Obs.Export.snapshot t
-
-let test_ring_bounds () =
-  let ring = Obs.Export.ring_create 3 in
-  Alcotest.(check int) "capacity" 3 (Obs.Export.ring_capacity ring);
-  Alcotest.(check int) "empty" 0 (Obs.Export.ring_length ring);
-  for i = 1 to 2 do
-    Obs.Export.ring_push ring (snap_with i)
-  done;
-  Alcotest.(check int) "partial" 2 (Obs.Export.ring_length ring);
-  for i = 3 to 7 do
-    Obs.Export.ring_push ring (snap_with i)
-  done;
-  Alcotest.(check int) "full stays bounded" 3 (Obs.Export.ring_length ring);
-  (* oldest first, and the oldest four were overwritten *)
-  let ticks =
-    List.map
-      (fun s -> List.assoc "tick" s.Obs.Export.snap_counters)
-      (Obs.Export.ring_to_list ring)
-  in
-  Alcotest.(check (list int)) "rotation" [ 5; 6; 7 ] ticks
-
-let test_ring_min_capacity () =
-  let ring = Obs.Export.ring_create 0 in
-  Alcotest.(check int) "clamped" 1 (Obs.Export.ring_capacity ring);
-  Obs.Export.ring_push ring (snap_with 1);
-  Obs.Export.ring_push ring (snap_with 2);
-  Alcotest.(check int) "length" 1 (Obs.Export.ring_length ring)
 
 (* ---------- merge under real domains -------------------------------------- *)
 
@@ -266,98 +110,115 @@ let test_runtime_unavailable_noop () =
 
 (* ---------- the exporter --------------------------------------------------- *)
 
-let test_exporter_lifecycle () =
-  let path = Filename.temp_file "rdfviews_tele" ".prom" in
+let read_dump path =
+  let ic = open_in_bin path in
   Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
+    ~finally:(fun () -> close_in ic)
+    (fun () -> Obs.Json.of_string (really_input_string ic (in_channel_length ic)))
+
+let with_temp_file f =
+  let path = Filename.temp_file "rdfviews_metrics" ".json" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
+
+let test_exporter_lifecycle () =
+  with_temp_file (fun path ->
       let t = Obs.create () in
       Obs.add (Obs.counter t "search.created") 7;
-      let e =
-        Obs.Export.start ~ring_capacity:4 ~interval:3600.0 ~path (fun () -> t)
-      in
-      (* the first write is synchronous: the file parses before any tick *)
-      let read_all () =
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      let fams = Obs.Export.parse_exposition (read_all ()) in
-      Alcotest.(check (option approx))
-        "first write" (Some 7.)
-        (Obs.Export.sample_value fams "rdfviews_search_created_total");
+      let e = Obs.Export.start ~path t in
+      (* the first write is synchronous: the file is a dump before any tick *)
+      Alcotest.(check int)
+        "first write" 7
+        (Obs.Report.of_metrics (read_dump path)).Obs.Report.created;
       Obs.add (Obs.counter t "search.created") 3;
       Obs.Export.stop e;
-      (* stop writes a final snapshot over the bumped counter *)
-      let fams = Obs.Export.parse_exposition (read_all ()) in
-      Alcotest.(check (option approx))
-        "final write" (Some 10.)
-        (Obs.Export.sample_value fams "rdfviews_search_created_total");
+      (* stop writes the final dump over the bumped counter *)
       Alcotest.(check int)
-        "no write errors" 0
-        (Obs.Export.exporter_write_errors e);
+        "final write" 10
+        (Obs.Report.of_metrics (read_dump path)).Obs.Report.created;
       Alcotest.(check bool)
-        "ring holds snapshots" true
-        (Obs.Export.ring_length (Obs.Export.exporter_ring e) >= 1);
+        "no tmp file left" false
+        (Sys.file_exists (path ^ ".tmp"));
       (* idempotent stop *)
-      Obs.Export.stop e)
+      Obs.Export.stop e);
+  let missing =
+    Filename.concat
+      (Filename.concat (Filename.get_temp_dir_name ())
+         (Printf.sprintf "rdfviews-missing-%d" (Unix.getpid ())))
+      "m.json"
+  in
+  match Obs.Export.start ~path:missing (Obs.create ()) with
+  | exception Sys_error _ -> ()
+  | e ->
+    Obs.Export.stop e;
+    Alcotest.fail "start into a missing directory did not raise"
 
 let test_exporter_ticks () =
-  let path = Filename.temp_file "rdfviews_tele" ".prom" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
+  with_temp_file (fun path ->
       let t = Obs.create () in
-      let e = Obs.Export.start ~interval:0.02 ~path (fun () -> t) in
-      Unix.sleepf 0.2;
+      let e = Obs.Export.start ~path t in
+      let ticks () = Option.value ~default:0 (Obs.find_counter t "telemetry.ticks") in
+      let deadline = Unix.gettimeofday () +. 30. in
+      while ticks () < 1 && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.05
+      done;
       Obs.Export.stop e;
-      Alcotest.(check bool)
-        "ticked at least once" true
-        (Obs.Export.exporter_ticks e >= 1);
-      (* the ticks counter is exposed in the snapshot itself *)
-      let fams = families_of t in
-      match Obs.Export.sample_value fams "rdfviews_telemetry_ticks_total" with
-      | Some v ->
-        Alcotest.(check bool)
-          "ticks counter tracks" true
-          (int_of_float v >= 1)
-      | None -> Alcotest.fail "telemetry.ticks counter missing")
+      Alcotest.(check bool) "ticked at least once" true (ticks () >= 1);
+      (* the ticks counter rides along in the file itself *)
+      match Obs.Json.member "counters" (read_dump path) with
+      | Some counters -> (
+        match Obs.Json.member "telemetry.ticks" counters with
+        | Some (Obs.Json.Int n) -> Alcotest.(check bool) "ticks in file" true (n >= 1)
+        | _ -> Alcotest.fail "telemetry.ticks missing from the file")
+      | None -> Alcotest.fail "counters missing from the file")
 
 (* ---------- the top renderer ----------------------------------------------- *)
 
+let render t = Obs.Report.render_telemetry (Obs.Json.of_string (Obs.to_string t))
+
 let test_render_telemetry () =
-  let t = sample_registry () in
-  let rendered =
-    Obs.Report.render_telemetry (Obs.Export.parse_exposition (Obs.Export.exposition t))
-  in
-  (* per-domain table present (domains 0 and 1 carry work_ns series) *)
+  let t = Obs.create () in
+  Obs.add (Obs.counter t "search.created") 42;
+  Obs.set_gauge (Obs.gauge t "search.best_cost") 559.25;
+  List.iter
+    (fun d ->
+      List.iter
+        (fun (what, ns) ->
+          Obs.add (Obs.counter t (Printf.sprintf "parallel.domain.%d.%s_ns" d what)) ns)
+        [ ("work", 3_000_000); ("steal", 1_000_000); ("idle", 1_000_000) ])
+    [ 0; 1 ];
+  Obs.add (Obs.counter t "runtime.gc.minor.collections") 2;
+  Obs.observe (Obs.histogram t "runtime.gc.minor.pause_ns") 1000;
+  Obs.observe (Obs.histogram t "runtime.gc.minor.pause_ns") 3000;
+  Obs.set_gauge (Obs.gauge t "runtime.gc.max_pause_ns") 3000.;
+  let rendered = render t in
+  List.iter
+    (fun needle -> Alcotest.(check bool) needle true (contains rendered needle))
+    [
+      "garbage collector\n";
+      (* 2 minor collections, mean 0.002 ms, total 0.004 ms *)
+      "minor  2            0.002    0.004";
+      "max pause: 0.003 ms";
+      "per-domain utilization";
+      "80.0%";
+      "best cost: 559.25";
+    ];
+  (* without runtime or per-domain series: placeholders, no tables *)
+  let bare = Obs.create () in
+  Obs.add (Obs.counter bare "search.created") 1;
+  let rendered = render bare in
   Alcotest.(check bool)
-    "utilization table" true
+    "gc placeholder" true
+    (contains rendered "garbage collector: no runtime events");
+  Alcotest.(check bool)
+    "no utilization table" false
     (contains rendered "per-domain utilization");
   Alcotest.(check bool)
-    "search section" true
-    (contains rendered "best cost")
+    "search placeholder" true
+    (contains (render (Obs.create ())) "no search counters")
 
 let () =
   Alcotest.run "telemetry"
     [
-      ( "exposition",
-        [
-          Alcotest.test_case "counter/gauge/timer round-trip" `Quick
-            test_roundtrip_counter_gauge;
-          Alcotest.test_case "histogram round-trip" `Quick
-            test_roundtrip_histogram;
-          Alcotest.test_case "domain labels" `Quick test_domain_labels;
-          Alcotest.test_case "name mangling" `Quick test_mangling;
-          Alcotest.test_case "format sniffing" `Quick test_sniff;
-          Alcotest.test_case "parse errors" `Quick test_parse_errors;
-        ] );
-      ( "snapshot ring",
-        [
-          Alcotest.test_case "bounds and rotation" `Quick test_ring_bounds;
-          Alcotest.test_case "capacity clamp" `Quick test_ring_min_capacity;
-        ] );
       ( "merge",
         [
           Alcotest.test_case "across real domains" `Quick

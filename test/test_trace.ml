@@ -428,6 +428,19 @@ let test_report_of_metrics () =
   (* the renderer must not claim per-class stratum data it cannot have *)
   ignore (Obs.Report.render summary)
 
+(* A JSON object is a dump only in [to_json]'s shape; anything else is
+   refused by member name, never read as an all-zero run. *)
+let test_report_rejects_bad_dump () =
+  let rejects text message =
+    Alcotest.check_raises text (Obs.Report.Bad_dump message) (fun () ->
+        ignore (Obs.Report.of_metrics (Obs.Json.of_string text)))
+  in
+  rejects {|{"schema_version":2,"counters":[1,2]}|} "counters: expected an object";
+  rejects {|{"schema_version":2}|} "missing member counters";
+  rejects {|{"schema_version":1,"counters":{}}|} "schema_version: expected 2";
+  let empty = Obs.Report.of_metrics (Obs.to_json (Obs.create ())) in
+  check_int "empty registry accepted" 0 empty.Obs.Report.created
+
 let test_report_time_to_within () =
   let summary =
     {
@@ -483,6 +496,7 @@ let () =
       ( "report",
         [
           Alcotest.test_case "of_metrics" `Quick test_report_of_metrics;
+          Alcotest.test_case "malformed dump" `Quick test_report_rejects_bad_dump;
           Alcotest.test_case "time_to_within" `Quick test_report_time_to_within;
         ] );
     ]
