@@ -36,8 +36,12 @@ type view_profile = {
    incremental steps since the last full recompute; VSO and VMC drift
    by float re-association a little on every step, so the chain length
    is capped (REC reuse is exact: untouched rewritings keep their
-   contribution bit-for-bit). *)
+   contribution bit-for-bit).  [rep] is the serial of the state the
+   node was computed for: states with the same key share their views
+   but may differ in their rewritings, hence in REC, so an entry
+   serves only its own representative. *)
 type node = {
+  rep : int;
   total : float;
   vso_n : float;
   rec_n : float;
@@ -50,7 +54,7 @@ type t = {
   stats : Stats.Statistics.t;
   weights : weights;
   profiles : (string, view_profile) Hashtbl.t;  (* by view name *)
-  costs : node State.Tbl.t;                     (* by state key *)
+  costs : node State.Tbl.t;  (* by state key, one representative each *)
   mutable memo_hits : int;
   mutable memo_misses : int;
 }
@@ -259,7 +263,15 @@ let node_full t (s : State.t) =
     List.map (fun (q, r) -> (q, weighted_rw t s r)) s.State.rewritings
   in
   let rec_n = sum_per_rw per_rw in
-  { total = total_of t ~vso_n ~rec_n ~vmc_n; vso_n; rec_n; vmc_n; per_rw; chain = 0 }
+  {
+    rep = s.State.serial;
+    total = total_of t ~vso_n ~rec_n ~vmc_n;
+    vso_n;
+    rec_n;
+    vmc_n;
+    per_rw;
+    chain = 0;
+  }
 
 type breakdown = { vso_part : float; rec_part : float; vmc_part : float; total : float }
 
@@ -290,16 +302,22 @@ let note_miss t =
   Obs.incr (obs_state_misses ());
   sample_memo t
 
+(* The memoized node of [s] itself: an entry left by another state
+   with the same views does not count. *)
+let memo_find t s =
+  match State.Tbl.find_opt t.costs (State.key s) with
+  | Some n when n.rep = s.State.serial -> Some n
+  | Some _ | None -> None
+
 let state_cost t s =
-  let key = State.key s in
-  match State.Tbl.find_opt t.costs key with
+  match memo_find t s with
   | Some n ->
     note_hit t;
     n.total
   | None ->
     note_miss t;
     let n = Obs.time (obs_state_eval ()) (fun () -> node_full t s) in
-    State.Tbl.add t.costs key n;
+    State.Tbl.replace t.costs (State.key s) n;
     n.total
 
 (* ---------- incremental costing ------------------------------------------ *)
@@ -348,6 +366,7 @@ let node_delta t parent_node (d : Delta.t) (child : State.t) =
   in
   let rec_n = sum_per_rw per_rw in
   {
+    rep = child.State.serial;
     total = total_of t ~vso_n ~rec_n ~vmc_n;
     vso_n;
     rec_n;
@@ -357,17 +376,15 @@ let node_delta t parent_node (d : Delta.t) (child : State.t) =
   }
 
 let node_of t s =
-  let key = State.key s in
-  match State.Tbl.find_opt t.costs key with
+  match memo_find t s with
   | Some n -> n
   | None ->
     let n = node_full t s in
-    State.Tbl.add t.costs key n;
+    State.Tbl.replace t.costs (State.key s) n;
     n
 
-let state_cost_delta t ~parent ~delta child =
-  let key = State.key child in
-  match State.Tbl.find_opt t.costs key with
+let state_cost_delta ?(memoize = true) t ~parent ~delta child =
+  match memo_find t child with
   | Some n ->
     note_hit t;
     n.total
@@ -406,11 +423,11 @@ let state_cost_delta t ~parent ~delta child =
               full recompute %.12g on state %s"
              n.total reference.total (State.key_string child))
     end;
-    State.Tbl.add t.costs key n;
+    if memoize then State.Tbl.replace t.costs (State.key child) n;
     n.total
 
 let memo_consistent t s =
-  match State.Tbl.find_opt t.costs (State.key s) with
+  match memo_find t s with
   | None -> true
   | Some memoized ->
     let fresh = (node_full t s).total in

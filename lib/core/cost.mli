@@ -62,9 +62,13 @@ val rewriting_cardinality : t -> State.t -> Rewriting.t -> float
 
 val state_cost : t -> State.t -> float
 (** cε(S), memoized on {!State.key} (compact interned-id keys, hashed
-    once per state). *)
+    once per state).  States with the same key have the same views but
+    may differ in their rewritings, hence in REC: the memo keeps one
+    representative per key and answers only for it, so the result is
+    always the cost of [S] itself. *)
 
-val state_cost_delta : t -> parent:State.t -> delta:Delta.t -> State.t -> float
+val state_cost_delta :
+  ?memoize:bool -> t -> parent:State.t -> delta:Delta.t -> State.t -> float
 (** cε(child), computed incrementally from the parent's memoized cost:
     VSO and VMC are updated by the delta's removed/added views, and only
     the touched rewritings are re-estimated — every untouched rewriting
@@ -75,7 +79,8 @@ val state_cost_delta : t -> parent:State.t -> delta:Delta.t -> State.t -> float
     [RDFVIEWS_STRICT] every incremental result is cross-checked against
     the full recompute within a relative tolerance of 1e-6; divergence
     raises [Failure].  The result is memoized exactly like
-    {!state_cost}. *)
+    {!state_cost}, replacing the key's representative, unless
+    [memoize] is [false] (for a state that will not be expanded). *)
 
 val memo_counts : t -> int * int
 (** Cumulative state-cost memo [(hits, misses)] of this estimator —

@@ -9,8 +9,10 @@
    incumbent and Obs registry.  After the join every fork is merged
    into the coordinator's engine and the report comes from the
    sequential epilogue.  Counters and exploration order are
-   schedule-dependent; on completed runs the accepted state set — and
-   hence the best cost — matches the sequential fixpoint.
+   schedule-dependent; on completed runs the accepted state set matches
+   the sequential fixpoint.  The best cost does too because every
+   arrival of a key is costed (Search.register), not only the first,
+   whose path depends on the schedule.
 
    GSTR is inherently sequential (each stage is a closure from the
    single best state of the previous one) and falls back, as does

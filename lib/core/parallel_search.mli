@@ -9,8 +9,11 @@
 
     Counters and exploration order are schedule-dependent.  On runs
     that complete (no time or state budget hit) the accepted state set
-    reaches the same fixpoint as the sequential search, so the best
-    cost matches the sequential result up to cost ties.  Event traces
+    reaches the same fixpoint as the sequential search.  States reaching
+    the same key along different paths may differ in their rewritings,
+    hence in cost, and every one of them is costed, so the best cost
+    does not hinge on which path reached a key first and matches the
+    sequential result up to cost ties.  Event traces
     cover the coordinating domain only (it expands the initial state
     itself, so the trace always holds that first expansion), and an
     [on_accept] hook must be safe to call from any domain.

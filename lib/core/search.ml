@@ -175,6 +175,26 @@ let collapse options ~delta state =
   end
   else (state, delta)
 
+(* A key names a view set: a state reached again along another path
+   has the same views but may carry other rewritings, hence another
+   REC.  Every arrival is costed, so the incumbent is the cheapest state
+   generated whichever path reaches a key first, an order a parallel
+   run does not share.  Only a state that will be expanded ([memoize])
+   replaces the key's memoized cost; one that becomes the incumbent is
+   strict-checked like an accepted state. *)
+let cost_arrival engine ~memoize ~parent ~delta state =
+  let cost =
+    Cost.state_cost_delta ~memoize engine.estimator ~parent ~delta state
+  in
+  if cost < engine.best_cost then begin
+    (match engine.strict_reference with
+    | Some reference ->
+      Invariant.assert_valid ~estimator:engine.estimator reference state
+    | None -> ());
+    note_best engine state cost
+  end;
+  cost
+
 (* The mutating half: account, dedup against the seen-table, cost,
    strict-check, trace.  Expects an already-{!collapse}d state.  Returns
    [Some (state, rank)] when the state is new (or re-opened at a lower
@@ -196,18 +216,20 @@ let register engine ~rank ~parent ~delta state =
   else begin
     match Shard_tbl.visit engine.seen (State.key state) rank with
     | Shard_tbl.Duplicate ->
+      let cost = cost_arrival engine ~memoize:false ~parent ~delta state in
       engine.duplicates <- engine.duplicates + 1;
       Obs.incr (obs_duplicates ());
       Obs.Trace.state engine.trace ~cls:Obs.Trace.Duplicate ~id ~stratum:rank
-        ~cost:Float.nan;
+        ~cost;
       None
     | Shard_tbl.Reopened ->
       (* reached again, but at a lower stratum: re-open *)
+      let cost = cost_arrival engine ~memoize:true ~parent ~delta state in
       engine.duplicates <- engine.duplicates + 1;
       Obs.incr (obs_duplicates ());
       Obs.incr (obs_reopened ());
       Obs.Trace.state engine.trace ~cls:Obs.Trace.Reopened ~id ~stratum:rank
-        ~cost:Float.nan;
+        ~cost;
       Some (state, rank)
     | Shard_tbl.New ->
       (* cost first, then the strict assertion: the incremental result

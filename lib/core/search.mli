@@ -39,6 +39,8 @@ val default_options : options
 
 type report = {
   best : State.t;
+      (** the cheapest state generated; a duplicate of an accepted key
+          counts, since it may carry other rewritings *)
   best_cost : float;
   initial_cost : float;
   created : int;     (** states produced by transitions *)

@@ -22,6 +22,9 @@ type t = private {
   rewritings : (string * Rewriting.t) list;
       (** query name → rewriting; columns align positionally with the
           query head *)
+  serial : int;
+      (** unique per {!make} call in the process: tells apart states
+          that share a {!key} but may differ in their rewritings *)
   mutable ident : key option;
       (** memoized {!key}; managed internally, never inspect it *)
 }

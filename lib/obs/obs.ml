@@ -1407,7 +1407,8 @@ module Report = struct
              nor attributable to any transition's stratum *)
           if st.id > 0 then created := !created + 1;
           (match (st.cls, st.cost) with
-          | Trace.Accepted, Some c when c < !best ->
+          | (Trace.Accepted | Trace.Duplicate | Trace.Reopened), Some c
+            when c < !best ->
             best := c;
             s := { !s with convergence = (st.at_ns, !created, c) :: !s.convergence }
           | _ -> ());

@@ -7,7 +7,11 @@
      - the backend's contents = segments - mem_del + mem_add.
 
    Counts therefore come straight from rank arithmetic on the segments
-   corrected by the memtable's own O(1) hash counts, and scans decode
+   corrected by the memtable's own O(1) hash counts.  Per-column
+   distinct counts are kept in [distinct] and adjusted by every
+   add/remove whose code's live count in a column crosses between 0
+   and 1 (a merge moves rows without changing any live count), so the
+   cost model reads them in O(1) as on the hash backend.  Scans decode
    the bracketed block range once, filter tombstones, and append the
    memtable's bucket — every returned array is freshly allocated and
    exactly sized, never rewritten in place, so the executor's nested
@@ -50,6 +54,8 @@ type t = {
       (* triples added since the last merge (not in the segments) *)
   mutable mem_del : Hash_backend.t; [@guarded_by "lock"]
       (* tombstones: segment triples deleted since the last merge *)
+  distinct : int array; [@guarded_by "lock"]
+      (* live distinct codes per column, indexed S = 0, P = 1, O = 2 *)
   mutable all_cache : (int array * int) option; [@guarded_by "lock"]
   scan_cache : (int * int * int, int array * int) Hashtbl.t; [@guarded_by "lock"]
       (* memoized scan1/scan2 results keyed by (tag, a, b); the arrays
@@ -65,6 +71,7 @@ let create () =
     osp = Segment.empty;
     mem_add = Hash_backend.create ();
     mem_del = Hash_backend.create ();
+    distinct = [| 0; 0; 0 |];
     all_cache = None;
     scan_cache = Hashtbl.create 256;
   }
@@ -84,6 +91,69 @@ let mem t s p o =
 
 let size t =
   Segment.n t.spo - Hash_backend.size t.mem_del + Hash_backend.size t.mem_add
+
+(* ---------- counts -------------------------------------------------------- *)
+
+(* Each single-column / column-pair lookup maps onto the segment whose
+   sort order leads with those columns; the rank interval is exact and
+   the memtable corrections are O(1) hash counts. *)
+
+let seg_of_col t = function `S -> t.spo | `P -> t.pos | `O -> t.osp
+
+let seg_count1 t col code =
+  let lo, hi = Segment.locate1 (seg_of_col t col) code in
+  hi - lo
+
+let seg_count2 t cols a b =
+  match cols with
+  | `SP ->
+    let lo, hi = Segment.locate2 t.spo a b in
+    hi - lo
+  | `PO ->
+    let lo, hi = Segment.locate2 t.pos a b in
+    hi - lo
+  | `SO ->
+    (* OSP order leads (o, s): arguments arrive as (s, o) *)
+    let lo, hi = Segment.locate2 t.osp b a in
+    hi - lo
+
+let count1 t col code =
+  seg_count1 t col code
+  - Hash_backend.count1 t.mem_del col code
+  + Hash_backend.count1 t.mem_add col code
+
+let count2 t cols a b =
+  seg_count2 t cols a b
+  - Hash_backend.count2 t.mem_del cols a b
+  + Hash_backend.count2 t.mem_add cols a b
+
+(* ---------- distinct counts ----------------------------------------------- *)
+
+let col_slot = function `S -> 0 | `P -> 1 | `O -> 2
+
+(* Is [code] live in the column's segment, i.e. does at least one of
+   its rows survive the tombstones?  An empty segment (a bulk load
+   before its first merge) answers without a rank probe. *)
+let live_in_seg t col code =
+  Segment.n (seg_of_col t col) > 0
+  &&
+  let n = seg_count1 t col code in
+  n > 0 && n > Hash_backend.count1 t.mem_del col code
+
+(* A memtable row carrying [code] settles liveness without the segment
+   rank probe. *)
+let live t col code =
+  Hash_backend.count1 t.mem_add col code > 0 || live_in_seg t col code
+
+(* Bit [col_slot col] is set for each column whose code has no live
+   row.  Taken before a row enters the live set, those columns gain a
+   distinct value; taken after a row leaves it, they lose one.  Either
+   way they are exactly the columns whose code's live count crosses
+   between 0 and 1. *)
+let unseen t s p o =
+  (if live t `S s then 0 else 1)
+  lor (if live t `P p then 0 else 2)
+  lor if live t `O o then 0 else 4
 
 (* ---------- merge --------------------------------------------------------- *)
 
@@ -198,32 +268,37 @@ let maybe_flush t =
 
 let add t s p o =
   Multicore.Spinlock.with_lock t.lock @@ fun () ->
-  if Hash_backend.mem t.mem_add s p o then false
-  else if Hash_backend.mem t.mem_del s p o then begin
-    (* resurrect a tombstoned segment row *)
-    ignore (Hash_backend.remove t.mem_del s p o : bool);
-    invalidate t;
-    true
-  end
-  else if seg_mem t s p o then false
+  let tombstoned = Hash_backend.mem t.mem_del s p o in
+  if Hash_backend.mem t.mem_add s p o || ((not tombstoned) && seg_mem t s p o)
+  then false
   else begin
-    ignore (Hash_backend.add t.mem_add s p o : bool);
+    let fresh = unseen t s p o in
+    for i = 0 to 2 do
+      if fresh land (1 lsl i) <> 0 then t.distinct.(i) <- t.distinct.(i) + 1
+    done;
+    if tombstoned then
+      (* resurrect a tombstoned segment row *)
+      ignore (Hash_backend.remove t.mem_del s p o : bool)
+    else ignore (Hash_backend.add t.mem_add s p o : bool);
     invalidate t;
-    maybe_flush t;
+    if not tombstoned then maybe_flush t;
     true
   end
 
 let remove t s p o =
   Multicore.Spinlock.with_lock t.lock @@ fun () ->
-  if Hash_backend.mem t.mem_add s p o then begin
-    ignore (Hash_backend.remove t.mem_add s p o : bool);
+  let added = Hash_backend.mem t.mem_add s p o in
+  if added || (seg_mem t s p o && not (Hash_backend.mem t.mem_del s p o)) then begin
+    if added then ignore (Hash_backend.remove t.mem_add s p o : bool)
+    else
+      (* tombstone a segment row *)
+      ignore (Hash_backend.add t.mem_del s p o : bool);
+    let gone = unseen t s p o in
+    for i = 0 to 2 do
+      if gone land (1 lsl i) <> 0 then t.distinct.(i) <- t.distinct.(i) - 1
+    done;
     invalidate t;
-    true
-  end
-  else if seg_mem t s p o && not (Hash_backend.mem t.mem_del s p o) then begin
-    ignore (Hash_backend.add t.mem_del s p o : bool);
-    invalidate t;
-    maybe_flush t;
+    if not added then maybe_flush t;
     true
   end
   else false
@@ -232,47 +307,6 @@ let compact t =
   Multicore.Spinlock.with_lock t.lock @@ fun () ->
   if Hash_backend.size t.mem_add > 0 || Hash_backend.size t.mem_del > 0 then
     merge t
-
-(* ---------- counts -------------------------------------------------------- *)
-
-(* Each single-column / column-pair lookup maps onto the segment whose
-   sort order leads with those columns; the rank interval is exact and
-   the memtable corrections are O(1) hash counts. *)
-
-let seg_count1 t col code =
-  match col with
-  | `S ->
-    let lo, hi = Segment.locate1 t.spo code in
-    hi - lo
-  | `P ->
-    let lo, hi = Segment.locate1 t.pos code in
-    hi - lo
-  | `O ->
-    let lo, hi = Segment.locate1 t.osp code in
-    hi - lo
-
-let seg_count2 t cols a b =
-  match cols with
-  | `SP ->
-    let lo, hi = Segment.locate2 t.spo a b in
-    hi - lo
-  | `PO ->
-    let lo, hi = Segment.locate2 t.pos a b in
-    hi - lo
-  | `SO ->
-    (* OSP order leads (o, s): arguments arrive as (s, o) *)
-    let lo, hi = Segment.locate2 t.osp b a in
-    hi - lo
-
-let count1 t col code =
-  seg_count1 t col code
-  - Hash_backend.count1 t.mem_del col code
-  + Hash_backend.count1 t.mem_add col code
-
-let count2 t cols a b =
-  seg_count2 t cols a b
-  - Hash_backend.count2 t.mem_del cols a b
-  + Hash_backend.count2 t.mem_add cols a b
 
 (* ---------- scans --------------------------------------------------------- *)
 
@@ -415,34 +449,17 @@ let fold_all t f init =
 
 (* ---------- column statistics --------------------------------------------- *)
 
-let seg_of_col t = function `S -> t.spo | `P -> t.pos | `O -> t.osp
-
-(* Is [code] live in the column's segment, i.e. does at least one of
-   its rows survive the tombstones? *)
-let live_in_seg t col code =
-  seg_count1 t col code > Hash_backend.count1 t.mem_del col code
-
-let distinct_in_column t col =
-  let base = Segment.distinct_leading (seg_of_col t col) in
-  (* fully tombstoned leading values vanish *)
-  let dead =
-    Hash_backend.fold_column_codes t.mem_del col
-      (fun code acc -> if live_in_seg t col code then acc else acc + 1)
-      0
-  in
-  (* memtable values not present in the (live) segment are new *)
-  let fresh =
-    Hash_backend.fold_column_codes t.mem_add col
-      (fun code acc -> if live_in_seg t col code then acc else acc + 1)
-      0
-  in
-  base - dead + fresh
+let distinct_in_column t col = t.distinct.(col_slot col)
 
 let fold_column_codes t col f init =
   let seg = seg_of_col t col in
   let acc = ref init in
-  Segment.iter_leading seg (fun code ->
-      if live_in_seg t col code then acc := f code !acc);
+  (* without tombstones every leading code of the segment is live *)
+  if Hash_backend.size t.mem_del = 0 then
+    Segment.iter_leading seg (fun code -> acc := f code !acc)
+  else
+    Segment.iter_leading seg (fun code ->
+        if live_in_seg t col code then acc := f code !acc);
   Hash_backend.fold_column_codes t.mem_add col
     (fun code acc -> if live_in_seg t col code then acc else f code acc)
     !acc

@@ -36,13 +36,11 @@ type t = {
   last_b : int array;
   min_c : int array;
   max_c : int array;
-  distinct_a : int;
   cache : int array option Atomic.t array;
   cached : int Atomic.t;  (* blocks currently cached, for the budget *)
 }
 
 let n t = t.n
-let distinct_leading t = t.distinct_a
 
 let rows_in_block t i =
   if i = t.nblocks - 1 then t.n - (i * t.block_rows) else t.block_rows
@@ -101,8 +99,6 @@ module Builder = struct
     cur : int array;  (* pending rows of the open block, stride 3 *)
     mutable cur_n : int;
     mutable total : int;
-    mutable prev_a : int;
-    mutable distinct_a : int;
     offs : grow;
     b_first_a : grow;
     b_last_a : grow;
@@ -120,8 +116,6 @@ module Builder = struct
       cur = Array.make (3 * block_rows) 0;
       cur_n = 0;
       total = 0;
-      prev_a = -1;
-      distinct_a = 0;
       offs = gmake ();
       b_first_a = gmake ();
       b_last_a = gmake ();
@@ -158,10 +152,6 @@ module Builder = struct
     b.cur.((3 * i) + 2) <- c;
     b.cur_n <- i + 1;
     b.total <- b.total + 1;
-    if a <> b.prev_a then begin
-      b.prev_a <- a;
-      b.distinct_a <- b.distinct_a + 1
-    end;
     if b.cur_n = b.block_rows then flush b
 
   let finish b =
@@ -180,7 +170,6 @@ module Builder = struct
       last_b = gtrim b.b_last_b;
       min_c = gtrim b.b_min_c;
       max_c = gtrim b.b_max_c;
-      distinct_a = b.distinct_a;
       cache = Array.init nblocks (fun _ -> Atomic.make None);
       cached = Atomic.make 0;
     }

@@ -23,9 +23,6 @@ val default_block_rows : int
 val n : t -> int
 (** Total rows. *)
 
-val distinct_leading : t -> int
-(** Number of distinct leading-column values, counted at build time. *)
-
 val empty : t
 
 (** Streaming constructor: [push] rows in nondecreasing lexicographic

@@ -104,7 +104,11 @@ val scan2 : t -> [ `SP | `SO | `PO ] -> int -> int -> int array * int
     order named by the variant). *)
 
 val distinct_in_column : t -> [ `S | `P | `O ] -> int
-(** Number of distinct codes in a column, as gathered for the cost model. *)
+(** Number of distinct codes in a column, as gathered for the cost
+    model.  O(1) on both backends: the hash backend reads its column
+    index's size; the compact backend keeps a count per column that
+    each write adjusts when a code's live count crosses between 0 and
+    1, so no memtable or segment is scanned. *)
 
 val column_codes : t -> [ `S | `P | `O ] -> int list
 (** The distinct codes appearing in a column (allocates a list sized

@@ -85,21 +85,33 @@ let test_jobs_below_one_rejected () =
 
 (* ---------- free mode: same fixpoint on completed runs -------------------- *)
 
-let test_free_same_fixpoint () =
+(* Every strategy at 2 and 4 domains completes, accepts the sequential
+   state set and reaches the sequential best cost.  Parallel runs are
+   schedule-dependent, so each job count runs three times. *)
+let check_same_fixpoint ~store ~max_states workload () =
   List.iter
     (fun strategy ->
-      let seq, seq_keys = run_one ~jobs:1 strategy two_queries in
-      let par, par_keys = run_one ~jobs:4 strategy two_queries in
       let name = Core.Search.strategy_name strategy in
+      let seq, seq_keys = run_one ~store ~max_states ~jobs:1 strategy workload in
       check_bool (name ^ " seq completed") true seq.Core.Search.completed;
-      check_bool (name ^ " par completed") true par.Core.Search.completed;
-      Alcotest.(check (list string))
-        (name ^ " accepted set") seq_keys par_keys;
-      check_bool
-        (name ^ " best cost agrees")
-        true
-        (same_cost seq.Core.Search.best_cost par.Core.Search.best_cost))
+      List.iter
+        (fun jobs ->
+          for _ = 1 to 3 do
+            let par, par_keys = run_one ~store ~max_states ~jobs strategy workload in
+            let label = Printf.sprintf "%s --jobs %d" name jobs in
+            check_bool (label ^ " completed") true par.Core.Search.completed;
+            Alcotest.(check (list string))
+              (label ^ " accepted set") seq_keys par_keys;
+            check_bool
+              (label ^ " best cost agrees")
+              true
+              (same_cost seq.Core.Search.best_cost par.Core.Search.best_cost)
+          done)
+        [ 2; 4 ])
     [ Core.Search.Exnaive; Core.Search.Exstr; Core.Search.Dfs ]
+
+let test_free_same_fixpoint =
+  check_same_fixpoint ~store:fig3_store ~max_states:5000 two_queries
 
 (* Over random workloads: whenever both runs complete, every strategy at
    2 and 4 domains accepts the sequential state set and reaches the
@@ -123,6 +135,52 @@ let prop_free_matches_sequential =
                       par.Core.Search.best_cost)
             [ 2; 4 ])
         [ Core.Search.Dfs; Core.Search.Exstr; Core.Search.Exnaive ])
+
+(* Two random cases the property above once caught: on both, EXSTR
+   completed and accepted the same keys at 1 and N domains, yet
+   reported different best costs.  States sharing a key (the same
+   views) differ in their rewritings, and only the first to arrive was
+   costed, so the best cost depended on the arrival order. *)
+let ty e cls = triple (uri e) rdf_type (uri cls)
+let tu s p o = triple (uri s) (uri p) (uri o)
+let tl s p l = triple (uri s) (uri p) (lit l)
+
+let pinned_cases =
+  [
+    ( "QCHECK_SEED=92720565",
+      [
+        ty "e9" "C3"; tu "e6" "P3" "e7"; ty "e0" "C4"; tu "e6" "P0" "e4";
+        ty "e2" "C2"; ty "e7" "C0"; ty "e6" "C0";
+      ],
+      [
+        cq ~name:"qa" [ v "V0"; v "V1" ]
+          [
+            atom (v "V1") (c "P2") (v "V0");
+            atom (v "V1") (c "P3") (v "V3");
+            atom (v "V1") (c "P3") (c "C3");
+          ];
+        cq ~name:"qb" [ v "V0"; v "V1" ] [ atom (v "V1") (c "P3") (v "V0") ];
+      ] );
+    ( "QCHECK_SEED=489963400",
+      [
+        tu "e0" "P2" "C3"; ty "e0" "C1"; ty "e8" "C0"; ty "e3" "C0";
+        ty "e7" "C3"; tu "e6" "P2" "C1"; tu "e7" "P1" "e0"; ty "e0" "C3";
+        ty "e2" "C1"; ty "e5" "C0"; ty "e6" "C3"; tu "e8" "P1" "C1";
+        ty "e3" "C2"; ty "e5" "C2"; tu "e4" "P4" "e0"; ty "e7" "C4";
+        tl "e1" "P4" "l0"; tu "e7" "P1" "C4"; ty "e6" "C1"; tl "e7" "P0" "l1";
+        tu "e3" "P4" "e3"; ty "e0" "C2"; tu "e3" "P1" "C1"; ty "e3" "C1";
+        tl "e7" "P4" "l1"; ty "e5" "C1"; tu "e4" "P2" "C3";
+      ],
+      [
+        cq ~name:"qa" [ v "V0"; v "V5" ]
+          [
+            atom (v "V0") (c "P4") (c "e2");
+            atom (v "V0") (c "P1") (c "e4");
+            atom (v "V0") (c "P1") (v "V5");
+          ];
+        cq ~name:"qb" [ v "V0"; v "V1" ] [ atom (v "V1") (c "P1") (v "V0") ];
+      ] );
+  ]
 
 (* ---------- the sharded interner under contention ------------------------- *)
 
@@ -207,7 +265,15 @@ let () =
           Alcotest.test_case "jobs below 1 rejected" `Quick
             test_jobs_below_one_rejected;
           qt prop_free_matches_sequential;
-        ] );
+        ]
+        @ List.map
+            (fun (name, triples, workload) ->
+              Alcotest.test_case
+                ("same best cost, " ^ name)
+                `Quick
+                (check_same_fixpoint ~store:(store_of triples)
+                   ~max_states:400 workload))
+            pinned_cases );
       ( "interning",
         [ Alcotest.test_case "4-domain stress" `Quick test_intern_stress ] );
       ( "obs merge",
