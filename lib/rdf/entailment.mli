@@ -4,7 +4,35 @@
     RDFS rules of Table 1: propagation of class and property inclusions,
     and domain/range typing.  This is the inflationary fixpoint the paper
     contrasts with query reformulation; Theorem 4.2 relates the two and is
-    exercised by the property tests. *)
+    exercised by the property tests.
+
+    The four instance-level rules each have a single premise, so the
+    saturation of a database is the union, over its triples [e], of
+    [closure(e)]: everything [e] entails on its own, [e] included.
+    [closure(e)] depends on the schema alone.  It is computed in
+    dictionary codes from the reflexive closures of the class and
+    property hierarchies (memoized per code), with no fixpoint over the
+    data.  {!saturate} and {!Incremental} share this one
+    implementation. *)
+
+type rules
+(** The rules of a schema compiled against one store's dictionary. *)
+
+val rules : Store.t -> Schema.t -> rules
+(** Closures are memoized on first use; computing one encodes the
+    classes and properties it mentions in the store's dictionary. *)
+
+val iter_closure : rules -> Store.encoded -> (Store.encoded -> unit) -> unit
+(** [iter_closure r e f] applies [f] to every triple of [closure(e)]:
+    everything [e] entails on its own, [e] included.  A triple reached
+    by two rules may be visited twice. *)
+
+val derives : rules -> Store.encoded -> Store.encoded -> bool
+(** [derives r e u]: is [u] in [closure(e)]? *)
+
+val add_closure : rules -> Store.encoded -> int
+(** Add [closure(e)] to the store; returns the number of triples that
+    were absent. *)
 
 val saturate : Store.t -> Schema.t -> int
 (** Saturate the store in place w.r.t. the schema's instance-level rules:
@@ -13,8 +41,9 @@ val saturate : Store.t -> Schema.t -> int
     {- [(x, p1, y)] and [p1 ⊑p p2] entail [(x, p2, y)];}
     {- [(x, p, y)] and [domain(p) = c] entail [(x, rdf:type, c)];}
     {- [(x, p, y)] and [range(p) = c] entail [(y, rdf:type, c)].}}
-    Returns the number of implicit triples added.  The computation is
-    semi-naive: each rule fires only on newly derived triples. *)
+    An [rdf:type] triple fires the first rule only.  Returns the number
+    of implicit triples added: the closure of every triple in the
+    store, with no worklist. *)
 
 val saturated_copy : Store.t -> Schema.t -> Store.t
 (** Like {!saturate} but on a copy, leaving the original untouched. *)

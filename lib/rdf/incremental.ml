@@ -1,90 +1,17 @@
 type t = {
   schema : Schema.t;
   store : Store.t;
+  rules : Entailment.rules;
+  rdf_type : int;
   explicit : (Store.encoded, unit) Hashtbl.t;
 }
 
-(* The four instance-level RDFS rules all have a single premise, which
-   makes delete-and-rederive particularly simple: a triple is derivable
-   iff some single premise currently in the store yields it. *)
-
-let consequences t (s, p, o) =
-  let rdf_type = Store.encode_term t.store Vocabulary.rdf_type in
-  let decode = Store.decode_term t.store in
-  let encode = Store.encode_term t.store in
-  if p = rdf_type then
-    List.map
-      (fun c2 -> (s, rdf_type, encode c2))
-      (Schema.direct_superclasses t.schema (decode o))
-  else begin
-    let prop = decode p in
-    List.map (fun p2 -> (s, encode p2, o)) (Schema.direct_superproperties t.schema prop)
-    @ List.map (fun c -> (s, rdf_type, encode c)) (Schema.domains_of t.schema prop)
-    @ List.map (fun c -> (o, rdf_type, encode c)) (Schema.ranges_of t.schema prop)
-  end
-
-(* Is the triple derivable in one step from some premise in the store? *)
-let derivable t (s, p, o) =
-  let rdf_type = Store.encode_term t.store Vocabulary.rdf_type in
-  let decode = Store.decode_term t.store in
-  let find term = Store.find_term t.store term in
-  let mem_encoded triple = Store.mem_encoded t.store triple in
-  if p = rdf_type then begin
-    let target_class = decode o in
-    List.exists
-      (fun c1 ->
-        match find c1 with
-        | Some code -> mem_encoded (s, rdf_type, code)
-        | None -> false)
-      (Schema.direct_subclasses t.schema target_class)
-    || List.exists
-         (fun prop ->
-           match find prop with
-           | Some code ->
-             Store.count_matching t.store
-               { Store.ps = Some s; pp = Some code; po = None }
-             > 0
-           | None -> false)
-         (Schema.properties_with_domain t.schema target_class)
-    || List.exists
-         (fun prop ->
-           match find prop with
-           | Some code ->
-             Store.count_matching t.store
-               { Store.ps = None; pp = Some code; po = Some s }
-             > 0
-           | None -> false)
-         (Schema.properties_with_range t.schema target_class)
-  end
-  else
-    List.exists
-      (fun p1 ->
-        match find p1 with
-        | Some code -> mem_encoded (s, code, o)
-        | None -> false)
-      (Schema.direct_subproperties t.schema (decode p))
-
-let propagate t seeds =
-  let added = ref 0 in
-  let queue = Queue.create () in
-  List.iter (fun triple -> Queue.add triple queue) seeds;
-  while not (Queue.is_empty queue) do
-    let triple = Queue.pop queue in
-    List.iter
-      (fun candidate ->
-        if Store.add_encoded t.store candidate then begin
-          incr added;
-          Queue.add candidate queue
-        end)
-      (consequences t triple)
-  done;
-  !added
-
 let create schema store =
-  let t = { schema; store; explicit = Hashtbl.create (Store.size store) } in
-  Store.fold_all store (fun triple () -> Hashtbl.replace t.explicit triple ()) ();
+  let explicit = Hashtbl.create (Store.size store) in
+  Store.fold_all store (fun triple () -> Hashtbl.replace explicit triple ()) ();
   let _ = Entailment.saturate store schema in
-  t
+  let rdf_type = Store.encode_term store Vocabulary.rdf_type in
+  { schema; store; rules = Entailment.rules store schema; rdf_type; explicit }
 
 let store t = t.store
 let schema t = t.schema
@@ -93,79 +20,59 @@ let explicit_count t = Hashtbl.length t.explicit
 
 let implicit_count t = Store.size t.store - explicit_count t
 
-let encode_triple t (tr : Triple.t) =
-  ( Store.encode_term t.store tr.Triple.s,
-    Store.encode_term t.store tr.Triple.p,
-    Store.encode_term t.store tr.Triple.o )
+(* Look the terms up without assigning codes: a term the dictionary
+   has never seen cannot be in an explicit triple. *)
+let find_triple t (tr : Triple.t) =
+  let find = Store.find_term t.store in
+  match (find tr.Triple.s, find tr.Triple.p, find tr.Triple.o) with
+  | Some s, Some p, Some o -> Some (s, p, o)
+  | _ -> None
 
-let is_explicit t tr = Hashtbl.mem t.explicit (encode_triple t tr)
+let is_explicit t tr =
+  match find_triple t tr with
+  | Some triple -> Hashtbl.mem t.explicit triple
+  | None -> false
 
-let insert t tr =
-  let triple = encode_triple t tr in
+let insert t (tr : Triple.t) =
+  let encode = Store.encode_term t.store in
+  let triple = (encode tr.Triple.s, encode tr.Triple.p, encode tr.Triple.o) in
   if Hashtbl.mem t.explicit triple then 0
   else begin
     Hashtbl.replace t.explicit triple ();
-    if Store.mem_encoded t.store triple then
-      (* was implicit: now also explicit; nothing new derivable *)
-      0
-    else begin
-      ignore (Store.add_encoded t.store triple);
-      1 + propagate t [ triple ]
-    end
+    (* already implicit: the store is saturated, so closure(triple) is
+       in it too *)
+    if Store.mem_encoded t.store triple then 0
+    else Entailment.add_closure t.rules triple
   end
 
+(* Does some explicit triple derive [u]?  Every rule keeps the subject
+   except a range rule, which types the object, so only triples with
+   [u]'s subject in their subject or object position can.  Support is
+   checked against explicit triples only, never against derived ones,
+   so a cycle (c1 ⊑ c2 ⊑ c1) cannot keep itself alive. *)
+let supported t ((s, p, o) as u) =
+  let any (data, n) =
+    let rec from i =
+      i < n
+      && (let e = (data.(3 * i), data.((3 * i) + 1), data.((3 * i) + 2)) in
+          (Hashtbl.mem t.explicit e && Entailment.derives t.rules e u)
+          || from (i + 1))
+    in
+    from 0
+  in
+  if p = t.rdf_type then
+    any (Store.scan1 t.store `S s) || any (Store.scan1 t.store `O s)
+  else any (Store.scan2 t.store `SO s o)
+
+(* Only closure(triple) can lose support; it leaves the store exactly
+   when no remaining explicit triple derives it. *)
 let delete t tr =
-  let triple = encode_triple t tr in
-  if not (Hashtbl.mem t.explicit triple) then 0
-  else begin
+  match find_triple t tr with
+  | Some triple when Hashtbl.mem t.explicit triple ->
     Hashtbl.remove t.explicit triple;
-    (* Always over-delete then re-derive: a short-circuit "is it still
-       derivable?" test would be unsound for self-supporting cycles
-       (c1 ⊑ c2 ⊑ c1), where a triple derives itself transitively.
-       Over-deletion followed by grounded re-derivation handles them. *)
-    begin
-      (* over-delete: remove the triple and everything transitively
-         derived from it (unless explicit) *)
-      let overdeleted = ref [] in
-      let queue = Queue.create () in
-      ignore (Store.remove_encoded t.store triple);
-      Queue.add triple queue;
-      let removed = ref 1 in
-      while not (Queue.is_empty queue) do
-        let current = Queue.pop queue in
-        overdeleted := current :: !overdeleted;
-        List.iter
-          (fun candidate ->
-            if
-              Store.mem_encoded t.store candidate
-              && not (Hashtbl.mem t.explicit candidate)
-            then begin
-              ignore (Store.remove_encoded t.store candidate);
-              incr removed;
-              Queue.add candidate queue
-            end)
-          (consequences t current)
-      done;
-      (* re-derive: over-deleted triples still supported by a surviving
-         premise come back (and propagate) *)
-      let rederived = ref true in
-      while !rederived do
-        rederived := false;
-        List.iter
-          (fun candidate ->
-            if (not (Store.mem_encoded t.store candidate)) && derivable t candidate
-            then begin
-              ignore (Store.add_encoded t.store candidate);
-              decr removed;
-              rederived := true
-            end)
-          !overdeleted
-      done;
-      (* triples revived above may support further consequences *)
-      let back =
-        List.filter (fun c -> Store.mem_encoded t.store c) !overdeleted
-      in
-      let re_added = propagate t back in
-      !removed - re_added
-    end
-  end
+    let removed = ref 0 in
+    Entailment.iter_closure t.rules triple (fun u ->
+        if (not (supported t u)) && Store.remove_encoded t.store u then
+          incr removed);
+    !removed
+  | _ -> 0

@@ -121,20 +121,152 @@ let test_cyclic_schema () =
   check_int "both retract" 2 removed;
   check_int "empty" 0 (Rdf.Store.size (Rdf.Incremental.store t))
 
+(* Read-only calls must not assign codes to terms they look up. *)
+let test_lookups_keep_dictionary () =
+  let t = setup () in
+  let dict_size () = Rdf.Store.dict_size (Rdf.Incremental.store t) in
+  let before = dict_size () in
+  let unknown = triple (uri "nobody") (uri "ex:knows") (uri "nothing") in
+  check_bool "unknown is not explicit" false (Rdf.Incremental.is_explicit t unknown);
+  check_int "unknown delete is a no-op" 0 (Rdf.Incremental.delete t unknown);
+  check_int "dictionary unchanged" before (dict_size ())
+
+(* ---------- support paths -------------------------------------------- *)
+
+(* Each fixture deletes (u hasPainted starry) while another explicit
+   triple keeps some of its consequences through one rule. *)
+let artist = uri "ex:artist"
+let title = uri "ex:title"
+let has_sketched = uri "ex:hasSketched"
+let has_title = uri "ex:hasTitle"
+
+let paths_schema =
+  Rdf.Schema.of_statements
+    [
+      Rdf.Schema.Subclass (painting, masterpiece);
+      Rdf.Schema.Subclass (masterpiece, work);
+      Rdf.Schema.Subproperty (has_painted, has_created);
+      Rdf.Schema.Subproperty (has_sketched, has_created);
+      Rdf.Schema.Range (has_painted, painting);
+      Rdf.Schema.Domain (has_created, artist);
+      Rdf.Schema.Range (has_title, title);
+    ]
+
+(* Delete, checking that the store is written once per triple removed. *)
+let delete_counted t tr =
+  let before = Rdf.Store.version (Rdf.Incremental.store t) in
+  let removed = Rdf.Incremental.delete t tr in
+  check_int "one write per removed triple" removed
+    (Rdf.Store.version (Rdf.Incremental.store t) - before);
+  check_bool "consistent" true (consistent_with_scratch t);
+  removed
+
+(* Looked up by codes: a range rule may type a literal, which no
+   [Triple.t] can hold as a subject. *)
+let in_store t (s, p, o) =
+  let st = Rdf.Incremental.store t in
+  match List.map (Rdf.Store.find_term st) [ s; p; o ] with
+  | [ Some s; Some p; Some o ] -> Rdf.Store.mem_encoded st (s, p, o)
+  | _ -> false
+
+let show (s, p, o) = String.concat " " (List.map Rdf.Term.to_string [ s; p; o ])
+let survives t tr = check_bool (show tr ^ " survives") true (in_store t tr)
+let gone t tr = check_bool (show tr ^ " is gone") false (in_store t tr)
+
+let painted = triple (uri "u") has_painted (uri "starry")
+
+let test_supported_by_type_triple () =
+  let t =
+    Rdf.Incremental.create paths_schema
+      (store_of [ painted; triple (uri "starry") rdf_type painting ])
+  in
+  (* painted, (u hasCreated starry), (u type artist) *)
+  check_int "three removed" 3 (delete_counted t painted);
+  List.iter (fun c -> survives t (uri "starry", rdf_type, c))
+    [ painting; masterpiece; work ];
+  gone t (uri "u", rdf_type, artist)
+
+let test_supported_by_domain () =
+  let t =
+    Rdf.Incremental.create paths_schema
+      (store_of [ painted; triple (uri "u") has_created (uri "guernica") ])
+  in
+  (* painted, (u hasCreated starry) and starry's three typings *)
+  check_int "five removed" 5 (delete_counted t painted);
+  survives t (uri "u", rdf_type, artist);
+  gone t (uri "starry", rdf_type, painting)
+
+let test_supported_by_range () =
+  let titled who = triple (uri who) has_title (lit "Starry Night") in
+  let typed = (lit "Starry Night", rdf_type, title) in
+  let t =
+    Rdf.Incremental.create paths_schema
+      (store_of [ titled "u"; titled "v"; painted; triple (uri "w") has_painted (uri "starry") ])
+  in
+  check_int "only the title goes" 1 (delete_counted t (titled "u"));
+  survives t typed;
+  check_int "the literal's typing goes with the last title" 2
+    (delete_counted t (titled "v"));
+  gone t typed;
+  (* painted, (u hasCreated starry), (u type artist) *)
+  check_int "starry stays a painting" 3 (delete_counted t painted);
+  survives t (uri "starry", rdf_type, work)
+
+let test_supported_by_subproperty () =
+  let t =
+    Rdf.Incremental.create paths_schema
+      (store_of [ painted; triple (uri "u") has_sketched (uri "starry") ])
+  in
+  (* painted and starry's three typings *)
+  check_int "four removed" 4 (delete_counted t painted);
+  survives t (uri "u", has_created, uri "starry");
+  survives t (uri "u", rdf_type, artist)
+
+let test_subproperty_cycle () =
+  let p1 = uri "P1" and p2 = uri "P2" and c = uri "C" in
+  let cyclic =
+    Rdf.Schema.of_statements
+      [
+        Rdf.Schema.Subproperty (p1, p2);
+        Rdf.Schema.Subproperty (p2, p1);
+        Rdf.Schema.Domain (p1, c);
+      ]
+  in
+  let base = triple (uri "x") p1 (uri "y") in
+  let t = Rdf.Incremental.create cyclic (store_of [ base ]) in
+  check_int "P1, P2 and the typing" 3 (Rdf.Store.size (Rdf.Incremental.store t));
+  check_int "all three retract" 3 (delete_counted t base);
+  check_int "empty" 0 (Rdf.Store.size (Rdf.Incremental.store t))
+
+(* Half the deletes pick a currently explicit triple (a random one is
+   mostly absent, a no-op).  Every update must write the store exactly
+   as many times as the count it returns: no triple is removed and then
+   added back. *)
 let prop_matches_scratch_saturation =
   QCheck.Test.make
     ~name:"incremental saturation = from-scratch saturation of the explicit set"
     ~count:100
     QCheck.(
-      triple arb_store arb_schema
-        (list_of_size (Gen.return 10) (pair bool (make gen_data_triple))))
-    (fun (store, schema, updates) ->
-      let t = Rdf.Incremental.create schema store in
+      quad (make gen_backend)
+        (make (Gen.list_size (Gen.int_range 3 30) gen_data_triple))
+        arb_schema
+        (list_of_size (Gen.return 10)
+           (triple (int_range 0 3) (make gen_data_triple) small_nat)))
+    (fun (kind, triples, schema, updates) ->
+      let t = Rdf.Incremental.create schema (store_on kind triples) in
       List.for_all
-        (fun (is_insert, tr) ->
-          if is_insert then ignore (Rdf.Incremental.insert t tr)
-          else ignore (Rdf.Incremental.delete t tr);
-          consistent_with_scratch t)
+        (fun (op, tr, pick) ->
+          let before = Rdf.Store.version (Rdf.Incremental.store t) in
+          let changed =
+            match (op, explicit_triples t) with
+            | (0 | 1), _ -> Rdf.Incremental.insert t tr
+            | 3, (_ :: _ as explicit) ->
+              Rdf.Incremental.delete t
+                (List.nth explicit (pick mod List.length explicit))
+            | _ -> Rdf.Incremental.delete t tr
+          in
+          Rdf.Store.version (Rdf.Incremental.store t) - before = changed
+          && consistent_with_scratch t)
         updates)
 
 let prop_counts_consistent =
@@ -166,6 +298,17 @@ let () =
             test_delete_nonexplicit_noop;
           Alcotest.test_case "self-supporting cycles retract" `Quick
             test_cyclic_schema;
+          Alcotest.test_case "sub-property cycles retract" `Quick
+            test_subproperty_cycle;
+          Alcotest.test_case "lookups keep the dictionary" `Quick
+            test_lookups_keep_dictionary;
+        ] );
+      ( "support",
+        [
+          Alcotest.test_case "type triple" `Quick test_supported_by_type_triple;
+          Alcotest.test_case "domain" `Quick test_supported_by_domain;
+          Alcotest.test_case "range, literal object" `Quick test_supported_by_range;
+          Alcotest.test_case "sub-property" `Quick test_supported_by_subproperty;
         ] );
       ( "properties",
         [
