@@ -24,7 +24,7 @@ let barton_entities = match scale with Quick -> 400 | Full -> 5000
    experiment runs; every search/transition/cost/store event of every
    figure lands in it, grouped under per-experiment spans, and the live
    exporter keeps FILE current while the experiments run (watch it with
-   `rdfviews top FILE --watch 1`).  Without the flag the global sink
+   `rdfviews report FILE --watch 1`).  Without the flag the global sink
    stays the no-op one and the runs are unmetered. *)
 
 let metrics_exporter : (Obs.Export.exporter * string) option ref = ref None

@@ -22,7 +22,7 @@
    --metrics FILE instead installs one shared Obs registry before any
    experiment runs and keeps FILE current while the experiments run,
    with runtime events (GC pauses, domain lifecycle) folded in — watch
-   it with `rdfviews top FILE --watch 1` — and written a last time at
+   it with `rdfviews report FILE --watch 1` — and written a last time at
    the end (schema in EXPERIMENTS.md).  BENCH emission is disabled in
    that mode, since the per-experiment numbers would all alias one
    registry. *)

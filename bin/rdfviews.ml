@@ -3,8 +3,7 @@
    Subcommands:
      select       recommend materialized views for a workload
      check        certify saved states against a workload's semantics
-     report       analyze a search trace (or metrics dump) offline
-     top          summarize a --metrics file, optionally live
+     report       render a --metrics dump, optionally live
      reformulate  reformulate queries w.r.t. an RDFS (Algorithm 1)
      saturate     saturate a dataset w.r.t. an RDFS
      eval         evaluate queries over a dataset
@@ -109,14 +108,15 @@ let metrics_arg =
     & opt (some string) None
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:
-          "Write run telemetry (named counters, timers, histograms, gauges \
-           and trace spans — per-transition counts, per-stratum search \
-           timings, cost-estimator cache hits, store probe counts) as JSON \
+          "Write run telemetry (named counters, timers, histograms, gauges, \
+           series and trace spans — per-transition counts, per-stratum \
+           search outcomes and timings, the best-cost trajectory, \
+           cost-estimator cache hits, store probe counts) as JSON \
            to $(docv).  $(docv) is live: it is written at the start, \
            atomically rewritten every second with the runtime's GC pauses, \
            domain lifecycle and per-domain utilization folded in, and \
-           written a last time at the end (watch it with $(b,rdfviews top) \
-           $(docv) $(b,--watch) 1).  Use - to print the dump once to stdout \
+           written a last time at the end (render it with $(b,rdfviews \
+           report) $(docv), live with $(b,--watch) 1).  Use - to print the dump once to stdout \
            at the end of the run.  See EXPERIMENTS.md for the schema.")
 
 let store_backend_arg =
@@ -165,22 +165,6 @@ let with_metrics metrics f =
     | Some e -> Obs.Export.stop e
     | None -> print_endline (Obs.to_string registry));
     result
-
-(* The event trace mirrors the metrics registry: off unless --trace
-   installs a streaming writer for the run.  Closing in the [finally]
-   flushes buffered events even when the search raises, so a failed run
-   still leaves a well-formed JSONL prefix on disk. *)
-let with_trace trace f =
-  match trace with
-  | None -> f ()
-  | Some path ->
-    let t = Obs.Trace.create path in
-    Obs.Trace.set_global t;
-    Fun.protect
-      ~finally:(fun () ->
-        Obs.Trace.set_global Obs.Trace.disabled;
-        Obs.Trace.close t)
-      f
 
 (* ---------- select --------------------------------------------------------- *)
 
@@ -254,18 +238,6 @@ let select_cmd =
                 and deduplication) to $(docv), for offline certification \
                 with $(b,rdfviews check).")
   in
-  let trace_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Stream a per-event search trace (state accepted / discarded / \
-             duplicate / reopened with cost and stratum, per-transition \
-             applied/rejected counts with timings, cost-memo samples, \
-             progress heartbeats) as JSONL to $(docv), for offline analysis \
-             with $(b,rdfviews report).")
-  in
   let jobs_arg =
     let non_negative =
       let parse s =
@@ -288,10 +260,9 @@ let select_cmd =
              cost. See CONCURRENCY.md.")
   in
   let run data workload schema reasoning strategy budget no_avf no_stv materialize sql
-      state_out trace_states trace metrics jobs store_backend =
+      state_out trace_states metrics jobs store_backend =
     handle_errors @@ fun () ->
     with_metrics metrics @@ fun () ->
-    with_trace trace @@ fun () ->
     set_store_backend store_backend;
     let store = load_store data in
     let queries = load_workload workload in
@@ -349,7 +320,7 @@ let select_cmd =
       (Core.Search.rcr report)
       (if report.Core.Search.completed then " [complete]" else "");
     Printf.printf "interner: %d distinct canonical forms\n\n"
-      (Core.Intern.size ());
+      (Interning.size ());
     print_endline "recommended views:";
     List.iter
       (fun u ->
@@ -402,7 +373,7 @@ let select_cmd =
     Term.(
       const run $ data_arg $ workload_arg $ schema_opt_arg $ reasoning_arg
       $ strategy_arg $ budget_arg $ no_avf_arg $ no_stv_arg $ materialize_arg
-      $ sql_arg $ state_out_arg $ trace_states_arg $ trace_arg $ metrics_arg
+      $ sql_arg $ state_out_arg $ trace_states_arg $ metrics_arg
       $ jobs_arg $ store_backend_arg)
 
 (* ---------- check ----------------------------------------------------------- *)
@@ -506,50 +477,7 @@ let report_cmd =
       required
       & pos 0 (some non_dir_file) None
       & info [] ~docv:"FILE"
-          ~doc:
-            "A JSONL search trace (written by $(b,select --trace)) or a \
-             metrics registry dump (written by $(b,--metrics)); the format \
-             is autodetected.")
-  in
-  let run input =
-    handle_errors @@ fun () ->
-    let text = read_file input in
-    (* A metrics dump is one JSON object with a schema_version member; a
-       trace is one JSON object per line, so the whole file only parses
-       as JSON when it is a dump (or a one-line trace). *)
-    let summary =
-      try
-        match Obs.Json.of_string (String.trim text) with
-        | json when Obs.Json.member "schema_version" json <> None ->
-          Obs.Report.of_metrics json
-        | _ -> Obs.Report.of_trace (Obs.Trace.parse_lines text)
-        | exception Obs.Json.Parse_error _ ->
-          Obs.Report.of_trace (Obs.Trace.parse_lines text)
-      with Obs.Trace.Malformed message ->
-        failwith ("malformed trace: " ^ message)
-    in
-    print_string (Obs.Report.render summary)
-  in
-  let info =
-    Cmd.info "report"
-      ~doc:
-        "Reconstruct a search's dynamics offline from its event trace: \
-         convergence curve (best cost vs. wall time and vs. states \
-         created), time-to-within-x%-of-final-cost, per-transition \
-         acceptance breakdown and stratum population.  From a --metrics \
-         dump only the aggregate sections are available."
-  in
-  Cmd.v info Term.(const run $ input_arg)
-
-(* ---------- top ------------------------------------------------------------- *)
-
-let top_cmd =
-  let file_arg =
-    Arg.(
-      required
-      & pos 0 (some non_dir_file) None
-      & info [] ~docv:"FILE"
-          ~doc:"A metrics dump written by $(b,--metrics).")
+          ~doc:"A metrics registry dump (written by $(b,--metrics)).")
   in
   let period =
     let parse s =
@@ -573,11 +501,11 @@ let top_cmd =
              watch(1)); interrupt to stop.  Pair with a running \
              $(b,select --metrics) $(i,FILE) for a live view.")
   in
-  let run file watch =
+  let run input watch =
     handle_errors @@ fun () ->
     let render () =
-      match Obs.Json.of_string (read_file file) with
-      | json -> Obs.Report.render_telemetry json
+      match Obs.Json.of_string (read_file input) with
+      | json -> Obs.Report.render json
       | exception Obs.Json.Parse_error message ->
         raise (Obs.Report.Bad_dump message)
     in
@@ -585,7 +513,7 @@ let top_cmd =
     | None -> print_string (render ())
     | Some period ->
       let rec loop () =
-        (* clear + home, like watch(1), so the table repaints in place *)
+        (* clear + home, like watch(1), so the report repaints in place *)
         print_string "\027[2J\027[H";
         print_string (render ());
         flush stdout;
@@ -595,14 +523,16 @@ let top_cmd =
       loop ()
   in
   let info =
-    Cmd.info "top"
+    Cmd.info "report"
       ~doc:
-        "Summarize a live $(b,--metrics) file: GC pauses and collection \
-         counts, domain lifecycle, per-domain work/steal/idle utilization \
-         and search progress.  With $(b,--watch), repaints periodically \
-         like top(1) over a run in flight."
+        "Render a $(b,--metrics) dump: state totals, convergence curve \
+         (best cost vs. wall time), time-to-within-x%-of-final-cost, \
+         per-transition acceptance, stratum population, and the live \
+         exporter's GC pauses, domain lifecycle and per-domain \
+         work/steal/idle utilization.  With $(b,--watch), repaints \
+         periodically over a run in flight."
   in
-  Cmd.v info Term.(const run $ file_arg $ watch_arg)
+  Cmd.v info Term.(const run $ input_arg $ watch_arg)
 
 (* ---------- reformulate ---------------------------------------------------- *)
 
@@ -796,5 +726,5 @@ let () =
   exit
     (Cmd.eval'
        (Cmd.group info
-          [ select_cmd; check_cmd; report_cmd; top_cmd; reformulate_cmd;
+          [ select_cmd; check_cmd; report_cmd; reformulate_cmd;
             saturate_cmd; eval_cmd; generate_cmd; barton_cmd ]))

@@ -279,28 +279,15 @@ let breakdown t s =
   let n = node_full t s in
   { vso_part = n.vso_n; rec_part = n.rec_n; vmc_part = n.vmc_n; total = n.total }
 
-(* Cumulative memo totals live in the estimator (two concurrent
-   estimators — e.g. bench warm-up vs. measured run — must not
-   cross-contaminate the sampled [cost_memo] trace events).  One event
-   every 256 lookups keeps the trace volume negligible next to the
-   per-state events. *)
-let sample_memo t =
-  let total = t.memo_hits + t.memo_misses in
-  if total land 255 = 0 then
-    Obs.Trace.cost_memo (Obs.Trace.global ()) ~hits:t.memo_hits
-      ~misses:t.memo_misses
-
 let memo_counts t = (t.memo_hits, t.memo_misses)
 
 let note_hit t =
   t.memo_hits <- t.memo_hits + 1;
-  Obs.incr (obs_state_hits ());
-  sample_memo t
+  Obs.incr (obs_state_hits ())
 
 let note_miss t =
   t.memo_misses <- t.memo_misses + 1;
-  Obs.incr (obs_state_misses ());
-  sample_memo t
+  Obs.incr (obs_state_misses ())
 
 (* The memoized node of [s] itself: an entry left by another state
    with the same views does not count. *)

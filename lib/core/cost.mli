@@ -29,7 +29,7 @@ type t
 val create : Stats.Statistics.t -> weights -> t
 (** A fresh estimator with empty memo tables.  Memoization keys on
     interned view identity, so one estimator must only be used with one
-    interner epoch (see {!Intern.reset}). *)
+    interner epoch (see {!Interning.reset}). *)
 
 val weights : t -> weights
 (** The weights the estimator was created with. *)
@@ -83,9 +83,7 @@ val state_cost_delta :
     [memoize] is [false] (for a state that will not be expanded). *)
 
 val memo_counts : t -> int * int
-(** Cumulative state-cost memo [(hits, misses)] of this estimator —
-    per-estimator so concurrent estimators (bench warm-up vs. measured
-    run) cannot cross-contaminate the sampled trace events. *)
+(** Cumulative state-cost memo [(hits, misses)] of this estimator. *)
 
 type breakdown = { vso_part : float; rec_part : float; vmc_part : float; total : float }
 

@@ -27,8 +27,8 @@ module I = Search.Internal
    expansions, [steal] time probing other domains' deques, [idle] the
    rest of the domain's wall clock (backoff, lock waits).  Slots are
    this run's worker indices — slot 0 is the coordinating domain — not
-   runtime domain ids.  [rdfviews top] renders them as the per-domain
-   utilization table. *)
+   runtime domain ids.  [rdfviews report] renders them as the
+   per-domain utilization table. *)
 let note_utilization entries =
   let sink = Obs.global () in
   if Obs.is_enabled sink then begin
@@ -211,8 +211,7 @@ let free_run ~jobs ~lifo p =
   let coordinator = worker 0 engine in
   dq_push sh.sh_deques.(0) (p.I.p_initial, 0);
   (* The coordinator expands the initial state before any worker
-     exists, so its successors are always admitted on the traced
-     domain. *)
+     exists, so the workers start with a frontier to steal from. *)
   ignore (step sh coordinator);
   let obs_enabled = Obs.is_enabled (Obs.global ()) in
   let workers = List.init (jobs - 1) (fun i -> worker (i + 1) (I.fork engine)) in

@@ -13,9 +13,9 @@
     the same key along different paths may differ in their rewritings,
     hence in cost, and every one of them is costed, so the best cost
     does not hinge on which path reached a key first and matches the
-    sequential result up to cost ties.  Event traces
-    cover the coordinating domain only (it expands the initial state
-    itself, so the trace always holds that first expansion), and an
+    sequential result up to cost ties.  Each domain counts into its
+    own [Obs] registry, merged into the coordinator's after the join,
+    so a [--metrics] dump covers the states every domain admitted.  An
     [on_accept] hook must be safe to call from any domain.
 
     Falls back to {!Search.run_from} when [jobs = 1], on OCaml 4.x

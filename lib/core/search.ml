@@ -73,9 +73,11 @@ let violates_stop options state =
     state.State.views
 
 (* Obs mirrors of the engine's accounting, plus what the report cannot
-   carry: per-stratum breakdowns and per-state expansion timings.  The
+   carry: per-stratum outcomes and per-state expansion timings.  The
    stratum of an event is the rank of the transition kind that produced
-   (resp. is expanding) the state. *)
+   (resp. is expanding) the state.  A registry dump is the one record of
+   a search that [rdfviews report] reads, and under [--jobs N] the
+   per-domain registries are merged, so these cover every domain. *)
 let obs_runs = Obs.cached_counter "search.runs"
 let obs_created = Obs.cached_counter "search.created"
 let obs_duplicates = Obs.cached_counter "search.duplicates"
@@ -87,6 +89,7 @@ let obs_expand_time = Obs.cached_timer "search.expand"
 let obs_expand_hist = Obs.cached_histogram "search.expand.ns"
 let obs_initial_cost = Obs.cached_gauge "search.initial_cost"
 let obs_best_cost = Obs.cached_gauge "search.best_cost"
+let obs_completed = Obs.cached_gauge "search.completed"
 let obs_intern_size = Obs.cached_gauge "intern.size"
 
 let obs_per_stratum make =
@@ -96,9 +99,14 @@ let obs_per_stratum make =
     Transition.all_kinds;
   arr
 
-let obs_stratum_created =
+let obs_stratum what =
   obs_per_stratum (fun k ->
-      Obs.cached_counter ("search.stratum." ^ k ^ ".created"))
+      Obs.cached_counter ("search.stratum." ^ k ^ "." ^ what))
+
+let obs_stratum_created = obs_stratum "created"
+let obs_stratum_duplicates = obs_stratum "duplicates"
+let obs_stratum_reopened = obs_stratum "reopened"
+let obs_stratum_discarded = obs_stratum "discarded"
 
 let obs_stratum_expand =
   obs_per_stratum (fun k -> Obs.cached_timer ("search.stratum." ^ k ^ ".expand"))
@@ -106,7 +114,6 @@ let obs_stratum_expand =
 type engine = {
   estimator : Cost.t;
   options : options;
-  trace : Obs.Trace.t;  (* the ambient event trace; Off outside --trace *)
   strict_reference : Invariant.reference option;
       (* Some under RDFVIEWS_STRICT: every accepted state is asserted
          equivalent to this reference *)
@@ -150,16 +157,6 @@ let note_best engine state cost =
     engine.trajectory <- (elapsed engine, cost) :: engine.trajectory
   end
 
-(* Periodic progress marker in the event trace: one event (and a forced
-   flush) every 512 created states, bounding what a crash can lose.  The
-   enabled check comes first so the untraced hot path pays one branch
-   and allocates nothing. *)
-let heartbeat engine =
-  if Obs.Trace.is_enabled engine.trace && engine.created land 511 = 0 then
-    Obs.Trace.heartbeat engine.trace ~created:engine.created
-      ~explored:engine.explored ~best_cost:engine.best_cost
-      ~elapsed_ns:(int_of_float (elapsed engine *. 1e9))
-
 (* The first half of successor admission: the AVF collapse, composing
    its fusion deltas on top of the transition's own change so the pair
    handed to {!Cost.state_cost_delta} always describes parent →
@@ -196,40 +193,35 @@ let cost_arrival engine ~memoize ~parent ~delta state =
   cost
 
 (* The mutating half: account, dedup against the seen-table, cost,
-   strict-check, trace.  Expects an already-{!collapse}d state.  Returns
+   strict-check.  Expects an already-{!collapse}d state.  Returns
    [Some (state, rank)] when the state is new (or re-opened at a lower
    stratum) and should be expanded further. *)
 let register engine ~rank ~parent ~delta state =
   engine.created <- engine.created + 1;
   Obs.incr (obs_created ());
   Obs.incr (obs_stratum_created.(rank) ());
-  heartbeat engine;
-  (* the trace names states by their creation index; 0 is the initial state *)
-  let id = engine.created in
   if violates_stop engine.options state then begin
     engine.discarded <- engine.discarded + 1;
     Obs.incr (obs_discarded ());
-    Obs.Trace.state engine.trace ~cls:Obs.Trace.Discarded ~id ~stratum:rank
-      ~cost:Float.nan;
+    Obs.incr (obs_stratum_discarded.(rank) ());
     None
   end
   else begin
     match Shard_tbl.visit engine.seen (State.key state) rank with
     | Shard_tbl.Duplicate ->
-      let cost = cost_arrival engine ~memoize:false ~parent ~delta state in
+      ignore (cost_arrival engine ~memoize:false ~parent ~delta state : float);
       engine.duplicates <- engine.duplicates + 1;
       Obs.incr (obs_duplicates ());
-      Obs.Trace.state engine.trace ~cls:Obs.Trace.Duplicate ~id ~stratum:rank
-        ~cost;
+      Obs.incr (obs_stratum_duplicates.(rank) ());
       None
     | Shard_tbl.Reopened ->
       (* reached again, but at a lower stratum: re-open *)
-      let cost = cost_arrival engine ~memoize:true ~parent ~delta state in
+      ignore (cost_arrival engine ~memoize:true ~parent ~delta state : float);
       engine.duplicates <- engine.duplicates + 1;
       Obs.incr (obs_duplicates ());
       Obs.incr (obs_reopened ());
-      Obs.Trace.state engine.trace ~cls:Obs.Trace.Reopened ~id ~stratum:rank
-        ~cost;
+      Obs.incr (obs_stratum_duplicates.(rank) ());
+      Obs.incr (obs_stratum_reopened.(rank) ());
       Some (state, rank)
     | Shard_tbl.New ->
       (* cost first, then the strict assertion: the incremental result
@@ -244,8 +236,6 @@ let register engine ~rank ~parent ~delta state =
         Invariant.assert_valid ~estimator:engine.estimator reference state
       | None -> ());
       note_best engine state cost;
-      Obs.Trace.state engine.trace ~cls:Obs.Trace.Accepted ~id ~stratum:rank
-        ~cost;
       (match engine.options.on_accept with
       | Some hook -> hook state
       | None -> ());
@@ -365,13 +355,18 @@ let gstr_search engine initial =
   note_best engine final (Cost.state_cost engine.estimator final);
   !completed
 
+let obs_strategy_runs =
+  List.map
+    (fun s -> (s, Obs.cached_counter ("search.strategy." ^ strategy_name s)))
+    [ Exnaive; Exstr; Dfs; Gstr ]
+
 let with_run_metrics f =
   Obs.incr (obs_runs ());
   Obs.time (obs_run_time ()) f
 
 (* Everything a run does before the strategy loop starts: compute the
    initial cost, recover the strict reference, close the initial state
-   under AVF, open the trace, build the engine and seed the seen-table.
+   under AVF, count the strategy, build the engine and seed the seen-table.
    Split out so {!Parallel_search} shares the exact same entry
    sequence. *)
 type prologue = {
@@ -409,18 +404,11 @@ let prologue estimator options initial =
   | Some reference -> Invariant.assert_valid ~estimator reference initial
   | None -> ());
   (match options.on_accept with Some hook -> hook initial | None -> ());
-  let trace = Obs.Trace.global () in
-  if Obs.Trace.is_enabled trace then
-    Obs.Trace.run_start trace
-      ~strategy:(strategy_name options.strategy)
-      ~strata:
-        (Array.of_list (List.map Transition.kind_name Transition.all_kinds))
-      ~initial_cost;
+  Obs.incr (List.assoc options.strategy obs_strategy_runs ());
   let engine =
     {
       estimator;
       options;
-      trace;
       strict_reference;
       seen = Shard_tbl.create ();
       created = 0;
@@ -437,20 +425,18 @@ let prologue estimator options initial =
   if engine.best_cost < initial_cost then
     engine.trajectory <- (0., engine.best_cost) :: engine.trajectory;
   ignore (Shard_tbl.visit engine.seen (State.key initial) 0);
-  Obs.Trace.state trace ~cls:Obs.Trace.Accepted ~id:0 ~stratum:0
-    ~cost:engine.best_cost;
   { p_engine = engine; p_initial = initial; p_initial_cost = initial_cost }
 [@@coordinator_only]
 
 let epilogue { p_engine = engine; p_initial_cost = initial_cost; _ } ~completed
     =
   let completed = completed && not engine.oom in
-  Obs.Trace.run_end engine.trace ~best_cost:engine.best_cost
-    ~created:engine.created ~explored:engine.explored
-    ~duplicates:engine.duplicates ~discarded:engine.discarded ~completed;
+  let trajectory = List.rev engine.trajectory in
   Obs.set_gauge (obs_initial_cost ()) initial_cost;
   Obs.set_gauge (obs_best_cost ()) engine.best_cost;
-  Obs.set_gauge (obs_intern_size ()) (float_of_int (Intern.size ()));
+  Obs.set_gauge (obs_completed ()) (if completed then 1. else 0.);
+  Obs.set_gauge (obs_intern_size ()) (float_of_int (Interning.size ()));
+  Obs.set_series (Obs.series (Obs.global ()) "search.trajectory") trajectory;
   {
     best = engine.best;
     best_cost = engine.best_cost;
@@ -460,7 +446,7 @@ let epilogue { p_engine = engine; p_initial_cost = initial_cost; _ } ~completed
     discarded = engine.discarded;
     explored = engine.explored;
     elapsed = elapsed engine;
-    trajectory = List.rev engine.trajectory;
+    trajectory;
     completed;
     out_of_memory = engine.oom;
   }
@@ -519,7 +505,6 @@ module Internal = struct
       engine with
       estimator =
         Cost.create (Cost.stats engine.estimator) (Cost.weights engine.estimator);
-      trace = Obs.Trace.disabled;
       created = 0;
       duplicates = 0;
       discarded = 0;

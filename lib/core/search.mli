@@ -83,7 +83,7 @@ val strategy_of_string : string -> strategy option
     folded back with {!merge} after the join. *)
 module Internal : sig
   type engine
-  (** The mutable per-run accounting record: estimator, options, trace,
+  (** The mutable per-run accounting record: estimator, options,
       seen-table, counters, incumbent best.  Created by {!prologue}. *)
 
   type prologue = {
@@ -95,10 +95,12 @@ module Internal : sig
   val prologue : Cost.t -> options -> State.t -> prologue
   (** Everything a run does before the strategy loop: initial cost,
       strict reference recovery, AVF closure of the initial state,
-      trace [run_start], engine construction, seen-table seeding. *)
+      strategy run counter, engine construction, seen-table seeding. *)
 
   val epilogue : prologue -> completed:bool -> report
-  (** Trace [run_end], final gauges, and the report. *)
+  (** Final gauges, the [search.trajectory] series, and the report.
+      Under a parallel run this follows the merges, so the series holds
+      the merged trajectory. *)
 
   val with_run_metrics : (unit -> 'a) -> 'a
   (** Bumps the run counter and times the whole run, exactly as
@@ -107,7 +109,7 @@ module Internal : sig
   val expand : engine -> State.t -> int -> (State.t * int) list
   (** [expand engine state rank] generates the successors of a state
       reached at stratum [rank], admits each one (AVF collapse, stop
-      conditions, dedup, cost, strict check, trace, [on_accept]) and
+      conditions, dedup, cost, strict check, [on_accept]) and
       returns those to expand further, with their ranks. *)
 
   val should_stop : engine -> bool
@@ -117,7 +119,7 @@ module Internal : sig
   val fork : engine -> engine
   (** An engine for another domain: it shares the options, seen-table,
       start time and strict reference, and has its own estimator,
-      counters and incumbent, and no trace. *)
+      counters and incumbent. *)
 
   val merge : into:engine -> engine -> unit
   (** Fold a forked engine's counters, out-of-memory flag, incumbent

@@ -295,7 +295,10 @@ let parse_states text =
           try Query.Parser.parse_query (String.sub line 5 (String.length line - 5))
           with Query.Parser.Parse_error m -> fail "line %d: %s" where m
         in
-        views := View.of_cq cq :: !views
+        let view =
+          try View.of_cq cq with Invalid_argument m -> fail "line %d: %s" where m
+        in
+        views := view :: !views
       end
       else if String.length line > 8 && String.sub line 0 8 = "rewrite " then begin
         if not !open_state then

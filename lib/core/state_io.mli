@@ -36,9 +36,9 @@ val states_to_text : State.t list -> string
 
 val parse_states : string -> State.t list
 (** Parse a whole file's contents.
-    @raise Syntax_error on malformed input
-    @raise Invalid_argument when a view definition is rejected by
-    {!View.of_cq} (disconnected body, duplicate head variables). *)
+    @raise Syntax_error on malformed input, including a view definition
+    rejected by {!View.of_cq} (disconnected body, duplicate head
+    variables); the message starts with the line number. *)
 
 val write_file : string -> State.t list -> unit
 (** {!states_to_text} to the named file (truncating). *)

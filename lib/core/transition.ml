@@ -30,17 +30,7 @@ let obs_time =
 
 let obs_avf_fused = Obs.cached_counter "transition.AVF.fused"
 
-(* Plain cumulative tally next to the Obs counter so [successors] can
-   report a per-call rejected delta to the trace without depending on a
-   registry being installed.  Atomic: parallel search domains derive
-   actions concurrently, and a plain int array would lose updates. *)
-let rejected_tally =
-  Array.init (List.length all_kinds) (fun _ -> Atomic.make 0)
-
-let reject kind =
-  let i = kind_rank kind in
-  Atomic.incr rejected_tally.(i);
-  Obs.incr (obs_rejected.(i) ())
+let reject kind = Obs.incr (obs_rejected.(kind_rank kind) ())
 
 let dedup_head terms =
   let rec go seen = function
@@ -440,10 +430,6 @@ let generate state kind =
 
 let successors_with_delta state kind =
   let i = kind_rank kind in
-  let trace = Obs.Trace.global () in
-  let traced = Obs.Trace.is_enabled trace in
-  let rejected0 = Atomic.get rejected_tally.(i) in
-  let t0 = if traced then Obs.now_ns () else 0 in
   let produced = Obs.time (obs_time.(i) ()) (fun () -> generate state kind) in
   if strict () then
     List.iter
@@ -456,11 +442,6 @@ let successors_with_delta state kind =
                (kind_name kind) problem))
       produced;
   Obs.add (obs_applied.(i) ()) (List.length produced);
-  if traced then
-    Obs.Trace.transition trace ~kind:(kind_name kind)
-      ~applied:(List.length produced)
-      ~rejected:(Atomic.get rejected_tally.(i) - rejected0)
-      ~elapsed_ns:(Obs.now_ns () - t0);
   produced
 [@@domain_safe]
 

@@ -2,7 +2,7 @@
    in plain mutable option fields rather than Lazy.t: parallel search
    domains share view objects across sibling states, and concurrently
    forcing a lazy from two domains raises Lazy.Undefined.  The
-   computations are deterministic and Intern.of_canonical is idempotent,
+   computations are deterministic and Interning.of_canonical is idempotent,
    so a racy duplicate computation writes the same value twice — benign
    — while a lazy would crash. *)
 type t = {
@@ -10,8 +10,8 @@ type t = {
   cq : Query.Cq.t;
   mutable canon : string option;
   mutable canon_body : string option;
-  mutable iid : Intern.id option;
-  mutable body_iid : Intern.id option;
+  mutable iid : Interning.id option;
+  mutable body_iid : Interning.id option;
 }
 
 let counter = Atomic.make 0
@@ -70,7 +70,7 @@ let intern_id v =
   match v.iid with
   | Some i -> i
   | None ->
-    let i = Intern.of_canonical (canonical v) in
+    let i = Interning.of_canonical (canonical v) in
     v.iid <- Some i;
     i
 
@@ -78,7 +78,7 @@ let body_intern_id v =
   match v.body_iid with
   | Some i -> i
   | None ->
-    let i = Intern.of_canonical (canonical_body v) in
+    let i = Interning.of_canonical (canonical_body v) in
     v.body_iid <- Some i;
     i
 

@@ -9,8 +9,8 @@ type t = private {
   cq : Query.Cq.t;
   mutable canon : string option;      (** memoized {!canonical} *)
   mutable canon_body : string option; (** memoized {!canonical_body} *)
-  mutable iid : Intern.id option;     (** memoized interned id of [canon] *)
-  mutable body_iid : Intern.id option;
+  mutable iid : Interning.id option;     (** memoized interned id of [canon] *)
+  mutable body_iid : Interning.id option;
       (** memoized interned id of [canon_body].  The memo fields are
           plain options, not lazies: view objects are shared across the
           states of a parallel search, and the accessors tolerate a racy
@@ -50,12 +50,12 @@ val canonical_body : t -> string
 (** Canonical string of the body only, used to detect fusion
     candidates. *)
 
-val intern_id : t -> Intern.id
+val intern_id : t -> Interning.id
 (** The interned id of {!canonical} — equal exactly for views with equal
     canonical forms, computed once per view.  {!State.key} is built from
     these. *)
 
-val body_intern_id : t -> Intern.id
+val body_intern_id : t -> Interning.id
 (** The interned id of {!canonical_body}; fusion candidates are pairs of
     views with equal body ids. *)
 

@@ -96,7 +96,7 @@ let of_canonical s =
 
 let canonical_of i =
   if i < 0 || i >= Atomic.get count then
-    invalid_arg (Printf.sprintf "Intern.canonical_of: unknown id %d" i);
+    invalid_arg (Printf.sprintf "Interning.canonical_of: unknown id %d" i);
   with_lock rev_lock (fun () -> !names.(i))
 [@@domain_safe]
 

@@ -5,7 +5,7 @@
     State identity ([Core.State.key]), fusion-candidate detection
     ([Core.Transition]) and the compiled-plan cache ([Query.Plan])
     compare these ids instead of the underlying strings.  The library
-    is dependency-free on purpose: both [core] (as [Core.Intern]) and
+    is dependency-free on purpose: both [core] and
     [query] sit on top of the same process-global table.
 
     All operations are domain-safe: the string → id map is sharded

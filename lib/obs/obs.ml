@@ -32,11 +32,20 @@ type gauge = {
   g_live : bool;
 }
 
+(* A point list replaced wholesale on every write, like a gauge: the
+   search's (elapsed, best-cost) trajectory. *)
+type series = {
+  mutable points : (float * float) list;
+  mutable s_set : bool;
+  s_live : bool;
+}
+
 type registry = {
   cs : (string, counter) Hashtbl.t;
   ts : (string, timer) Hashtbl.t;
   hs : (string, histogram) Hashtbl.t;
   gs : (string, gauge) Hashtbl.t;
+  ss : (string, series) Hashtbl.t;
   mutable trace : span_event list;  (* most recently completed first *)
   mutable span_depth : int;
   mutable born_ns : int;
@@ -54,6 +63,7 @@ let create () =
       ts = Hashtbl.create 64;
       hs = Hashtbl.create 16;
       gs = Hashtbl.create 16;
+      ss = Hashtbl.create 4;
       trace = [];
       span_depth = 0;
       born_ns = now_ns ();
@@ -78,6 +88,11 @@ let reset = function
         h.sum <- 0)
       r.hs;
     Hashtbl.iter (fun _ g -> g.g_set <- false) r.gs;
+    Hashtbl.iter
+      (fun _ sr ->
+        sr.points <- [];
+        sr.s_set <- false)
+      r.ss;
     r.trace <- [];
     r.span_depth <- 0;
     (* Re-base the span clock and invalidate any span still open across
@@ -225,6 +240,27 @@ let set_gauge g v =
 
 let gauge_value g = if g.g_set then Some g.g_value else None
 
+(* ---------- series ------------------------------------------------------- *)
+
+let noop_series = { points = []; s_set = false; s_live = false }
+
+let series t name =
+  match t with
+  | Disabled -> noop_series
+  | Enabled r -> (
+    match Hashtbl.find_opt r.ss name with
+    | Some sr -> sr
+    | None ->
+      let sr = { points = []; s_set = false; s_live = true } in
+      Hashtbl.add r.ss name sr;
+      sr)
+
+let set_series sr points =
+  if sr.s_live then begin
+    sr.points <- points;
+    sr.s_set <- true
+  end
+
 (* ---------- spans -------------------------------------------------------- *)
 
 (* [time] for sections feeding both a mean (timer) and a distribution
@@ -303,6 +339,14 @@ let gauges = function
       r.gs []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
+let all_series = function
+  | Disabled -> []
+  | Enabled r ->
+    Hashtbl.fold
+      (fun name sr acc -> if sr.s_set then (name, sr.points) :: acc else acc)
+      r.ss []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
 let find_counter t name =
   match t with
   | Disabled -> None
@@ -327,8 +371,9 @@ let find_gauge t name =
 (* Fold one registry into another — how per-domain registries from a
    parallel search are combined after the workers have been joined.
    Sums are summed (counters, timer totals and call counts, histogram
-   buckets); a gauge travels only into a destination that has not set
-   it (the coordinating domain's value is authoritative); spans are
+   buckets); a gauge or series travels only into a destination that
+   has not set it (the coordinating domain's value is authoritative);
+   spans are
    appended with their start offsets rebased onto the destination's
    clock origin.  Both registries must be quiescent: this runs on the
    joining domain, after the source's owner has terminated. *)
@@ -361,6 +406,13 @@ let merge_into ~into src =
           if not d.g_set then set_gauge d g.g_value
         end)
       src_r.gs;
+    Hashtbl.iter
+      (fun name (sr : series) ->
+        if sr.s_set then begin
+          let d = series dst name in
+          if not d.s_set then set_series d sr.points
+        end)
+      src_r.ss;
     let shift = src_r.born_ns - dst_r.born_ns in
     dst_r.trace <-
       List.map
@@ -688,6 +740,8 @@ module Json = struct
     | _ -> None
 end
 
+let schema_version = 3
+
 let to_json t =
   let counters_json =
     Json.Obj (List.map (fun (name, n) -> (name, Json.Int n)) (counters t))
@@ -719,6 +773,17 @@ let to_json t =
   let gauges_json =
     Json.Obj (List.map (fun (name, v) -> (name, Json.Float v)) (gauges t))
   in
+  let series_json =
+    Json.Obj
+      (List.map
+         (fun (name, points) ->
+           ( name,
+             Json.List
+               (List.map
+                  (fun (x, y) -> Json.List [ Json.Float x; Json.Float y ])
+                  points) ))
+         (all_series t))
+  in
   let spans_json =
     Json.List
       (List.map
@@ -734,11 +799,12 @@ let to_json t =
   in
   Json.Obj
     [
-      ("schema_version", Json.Int 2);
+      ("schema_version", Json.Int schema_version);
       ("counters", counters_json);
       ("timers", timers_json);
       ("histograms", histograms_json);
       ("gauges", gauges_json);
+      ("series", series_json);
       ("spans", spans_json);
     ]
 
@@ -899,360 +965,7 @@ module Export = struct
     end
 end
 
-(* ---------- streaming search traces -------------------------------------- *)
-
-module Trace = struct
-  let schema_version = 1
-
-  type state_class = Accepted | Discarded | Duplicate | Reopened
-
-  let class_name = function
-    | Accepted -> "accepted"
-    | Discarded -> "discarded"
-    | Duplicate -> "duplicate"
-    | Reopened -> "reopened"
-
-  let class_of_name = function
-    | "accepted" -> Some Accepted
-    | "discarded" -> Some Discarded
-    | "duplicate" -> Some Duplicate
-    | "reopened" -> Some Reopened
-    | _ -> None
-
-  type writer = {
-    oc : out_channel;
-    buf : Buffer.t;
-    cap : int;          (* flush threshold, bytes *)
-    w_born : int;       (* ns; event timestamps are offsets from this *)
-    mutable events : int;
-    mutable closed : bool;
-  }
-
-  type t = Off | On of writer
-
-  let disabled = Off
-
-  let is_enabled = function Off -> false | On _ -> true
-
-  (* Events are buffered whole lines; a flush therefore always leaves
-     the file line-aligned, so a crashed run's partial trace is valid
-     JSONL up to the last flush. *)
-  let flush_writer w =
-    if not w.closed then begin
-      output_string w.oc (Buffer.contents w.buf);
-      Buffer.clear w.buf;
-      Stdlib.flush w.oc
-    end
-
-  let finish_line w =
-    Buffer.add_char w.buf '\n';
-    w.events <- w.events + 1;
-    if Buffer.length w.buf >= w.cap then flush_writer w
-
-  let add_float b f =
-    if Float.is_finite f then Printf.bprintf b "%.17g" f
-    else Buffer.add_string b "null"
-
-  let stamp w = Printf.bprintf w.buf {|"t":%d|} (now_ns () - w.w_born)
-
-  let create ?(buffer_bytes = 1 lsl 16) path =
-    let oc = open_out path in
-    let w =
-      {
-        oc;
-        buf = Buffer.create (buffer_bytes + 512);
-        cap = buffer_bytes;
-        w_born = now_ns ();
-        events = 0;
-        closed = false;
-      }
-    in
-    Printf.bprintf w.buf {|{"e":"meta","v":%d}|} schema_version;
-    finish_line w;
-    On w
-
-  let flush = function Off -> () | On w -> flush_writer w
-
-  let close = function
-    | Off -> ()
-    | On w ->
-      if not w.closed then begin
-        flush_writer w;
-        w.closed <- true;
-        close_out w.oc
-      end
-
-  let event_count = function Off -> 0 | On w -> w.events
-
-  (* Emitters: each is a plain call that returns immediately on [Off]
-     without allocating — they sit on the search's hot path. *)
-
-  let run_start t ~strategy ~strata ~initial_cost =
-    match t with
-    | Off -> ()
-    | On w ->
-      Printf.bprintf w.buf {|{"e":"run_start",|};
-      stamp w;
-      Printf.bprintf w.buf {|,"strategy":"%s","strata":[|} strategy;
-      Array.iteri
-        (fun i name ->
-          if i > 0 then Buffer.add_char w.buf ',';
-          Printf.bprintf w.buf {|"%s"|} name)
-        strata;
-      Buffer.add_string w.buf {|],"initial_cost":|};
-      add_float w.buf initial_cost;
-      Buffer.add_char w.buf '}';
-      finish_line w
-
-  let run_end t ~best_cost ~created ~explored ~duplicates ~discarded ~completed =
-    match t with
-    | Off -> ()
-    | On w ->
-      Printf.bprintf w.buf {|{"e":"run_end",|};
-      stamp w;
-      Buffer.add_string w.buf {|,"best_cost":|};
-      add_float w.buf best_cost;
-      Printf.bprintf w.buf
-        {|,"created":%d,"explored":%d,"duplicates":%d,"discarded":%d,"completed":%b}|}
-        created explored duplicates discarded completed;
-      finish_line w;
-      (* a run boundary is always durable *)
-      flush_writer w
-
-  let state t ~cls ~id ~stratum ~cost =
-    match t with
-    | Off -> ()
-    | On w ->
-      Printf.bprintf w.buf {|{"e":"state",|};
-      stamp w;
-      Printf.bprintf w.buf {|,"k":"%s","id":%d,"stratum":%d,"cost":|}
-        (class_name cls) id stratum;
-      add_float w.buf cost;
-      Buffer.add_char w.buf '}';
-      finish_line w
-
-  let transition t ~kind ~applied ~rejected ~elapsed_ns =
-    match t with
-    | Off -> ()
-    | On w ->
-      Printf.bprintf w.buf {|{"e":"transition",|};
-      stamp w;
-      Printf.bprintf w.buf {|,"k":"%s","applied":%d,"rejected":%d,"ns":%d}|}
-        kind applied rejected elapsed_ns;
-      finish_line w
-
-  let cost_memo t ~hits ~misses =
-    match t with
-    | Off -> ()
-    | On w ->
-      Printf.bprintf w.buf {|{"e":"cost_memo",|};
-      stamp w;
-      Printf.bprintf w.buf {|,"hits":%d,"misses":%d}|} hits misses;
-      finish_line w
-
-  let heartbeat t ~created ~explored ~best_cost ~elapsed_ns =
-    match t with
-    | Off -> ()
-    | On w ->
-      Printf.bprintf w.buf {|{"e":"heartbeat",|};
-      stamp w;
-      Printf.bprintf w.buf {|,"created":%d,"explored":%d,"best_cost":|} created
-        explored;
-      add_float w.buf best_cost;
-      Printf.bprintf w.buf {|,"elapsed_ns":%d}|} elapsed_ns;
-      finish_line w;
-      (* heartbeats bound how much a crash can lose *)
-      flush_writer w
-
-  (* ---------- the global trace sink ---------- *)
-
-  (* Domain-local like the metrics sink: a trace writer buffers into a
-     single Buffer, so sharing one across domains would interleave
-     bytes.  Worker domains default to [Off]; under a parallel search
-     the trace therefore records the coordinating domain only. *)
-  let global_trace = Multicore.Dls.new_key (fun () -> Off)
-
-  let set_global t = Multicore.Dls.set global_trace t
-
-  let global () = Multicore.Dls.get global_trace
-
-  (* ---------- reading ---------- *)
-
-  type event =
-    | Meta of { version : int }
-    | Run_start of {
-        at_ns : int;
-        strategy : string;
-        strata : string array;
-        initial_cost : float;
-      }
-    | Run_end of {
-        at_ns : int;
-        best_cost : float;
-        created : int;
-        explored : int;
-        duplicates : int;
-        discarded : int;
-        completed : bool;
-      }
-    | State of {
-        at_ns : int;
-        cls : state_class;
-        id : int;
-        stratum : int;
-        cost : float option;
-      }
-    | Transition of {
-        at_ns : int;
-        kind : string;
-        applied : int;
-        rejected : int;
-        elapsed_ns : int;
-      }
-    | Cost_memo of { at_ns : int; hits : int; misses : int }
-    | Heartbeat of {
-        at_ns : int;
-        created : int;
-        explored : int;
-        best_cost : float;
-        elapsed_ns : int;
-      }
-
-  exception Malformed of string
-
-  let ifield ?(default = 0) j k =
-    match Json.member k j with Some (Json.Int i) -> i | _ -> default
-
-  let ffield j k =
-    match Json.member k j with
-    | Some (Json.Float f) -> f
-    | Some (Json.Int i) -> float_of_int i
-    | _ -> Float.nan
-
-  let ffield_opt j k =
-    match Json.member k j with
-    | Some (Json.Float f) -> Some f
-    | Some (Json.Int i) -> Some (float_of_int i)
-    | Some Json.Null | None | Some _ -> None
-
-  let sfield j k =
-    match Json.member k j with Some (Json.String s) -> s | _ -> ""
-
-  let event_of_json j =
-    let at_ns = ifield j "t" in
-    match Json.member "e" j with
-    | Some (Json.String "meta") -> Some (Meta { version = ifield j "v" })
-    | Some (Json.String "run_start") ->
-      let strata =
-        match Json.member "strata" j with
-        | Some (Json.List items) ->
-          Array.of_list
-            (List.filter_map
-               (function Json.String s -> Some s | _ -> None)
-               items)
-        | _ -> [||]
-      in
-      Some
-        (Run_start
-           {
-             at_ns;
-             strategy = sfield j "strategy";
-             strata;
-             initial_cost = ffield j "initial_cost";
-           })
-    | Some (Json.String "run_end") ->
-      Some
-        (Run_end
-           {
-             at_ns;
-             best_cost = ffield j "best_cost";
-             created = ifield j "created";
-             explored = ifield j "explored";
-             duplicates = ifield j "duplicates";
-             discarded = ifield j "discarded";
-             completed =
-               (match Json.member "completed" j with
-               | Some (Json.Bool b) -> b
-               | _ -> false);
-           })
-    | Some (Json.String "state") ->
-      Option.map
-        (fun cls ->
-          State
-            {
-              at_ns;
-              cls;
-              id = ifield j "id";
-              stratum = ifield j "stratum";
-              cost = ffield_opt j "cost";
-            })
-        (class_of_name (sfield j "k"))
-    | Some (Json.String "transition") ->
-      Some
-        (Transition
-           {
-             at_ns;
-             kind = sfield j "k";
-             applied = ifield j "applied";
-             rejected = ifield j "rejected";
-             elapsed_ns = ifield j "ns";
-           })
-    | Some (Json.String "cost_memo") ->
-      Some (Cost_memo { at_ns; hits = ifield j "hits"; misses = ifield j "misses" })
-    | Some (Json.String "heartbeat") ->
-      Some
-        (Heartbeat
-           {
-             at_ns;
-             created = ifield j "created";
-             explored = ifield j "explored";
-             best_cost = ffield j "best_cost";
-             elapsed_ns = ifield j "elapsed_ns";
-           })
-    | Some _ | None -> None (* unknown event kinds are skipped, not fatal *)
-
-  (* Parse a trace.  A malformed *last* line is tolerated (a crash can
-     truncate the final OS-level write mid-line); a malformed line in
-     the middle raises [Malformed], and so does input whose first line
-     is not the meta header [create] writes. *)
-  let parse_lines text =
-    let lines = String.split_on_char '\n' text in
-    let n = List.length lines in
-    let events = ref [] in
-    let header = ref false in
-    let expected = {|expected the {"e":"meta"} trace header|} in
-    List.iteri
-      (fun i line ->
-        if not (String.equal (String.trim line) "") then begin
-          let malformed msg =
-            raise (Malformed (Printf.sprintf "line %d: %s" (i + 1) msg))
-          in
-          match Json.of_string line with
-          | j -> (
-            match event_of_json j with
-            | Some (Meta _ as e) ->
-              header := true;
-              events := e :: !events
-            | Some e when !header -> events := e :: !events
-            | None when !header -> ()
-            | Some _ | None -> malformed expected)
-          | exception Json.Parse_error msg -> if i < n - 1 then malformed msg
-        end)
-      lines;
-    if not !header then raise (Malformed ("line 1: " ^ expected));
-    List.rev !events
-
-  let read_file path =
-    let ic = open_in_bin path in
-    let text =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    parse_lines text
-end
-
-(* ---------- offline trace analysis --------------------------------------- *)
+(* ---------- the search report -------------------------------------------- *)
 
 module Report = struct
   type kind_row = {
@@ -1268,7 +981,6 @@ module Report = struct
   }
 
   type summary = {
-    source : string;  (* "trace" or "metrics" *)
     strategy : string option;
     initial_cost : float option;
     final_cost : float option;
@@ -1280,8 +992,8 @@ module Report = struct
     reopened : int;
     completed : bool option;
     wall_ns : int option;
-    convergence : (int * int * float) list;
-        (* (at_ns, states created so far, new best cost), oldest first *)
+    convergence : (float * float) list;
+        (* (elapsed seconds, new best cost), oldest first *)
     kinds : kind_row list;
     memo_hits : int;
     memo_misses : int;
@@ -1293,200 +1005,15 @@ module Report = struct
     | _ -> None
 
   (* Earliest convergence point within [pct]% of the final best cost
-     (threshold final * (1 + pct/100)), as (at_ns, states created). *)
+     (threshold final * (1 + pct/100)), in elapsed seconds. *)
   let time_to_within s pct =
     match s.final_cost with
     | None -> None
     | Some final ->
       let threshold = final *. (1. +. (pct /. 100.)) in
       List.find_map
-        (fun (at_ns, created, cost) ->
-          if cost <= threshold then Some (at_ns, created) else None)
+        (fun (at_s, cost) -> if cost <= threshold then Some at_s else None)
         s.convergence
-
-  let empty source =
-    {
-      source;
-      strategy = None;
-      initial_cost = None;
-      final_cost = None;
-      created = 0;
-      explored = 0;
-      duplicates = 0;
-      discarded = 0;
-      accepted = 0;
-      reopened = 0;
-      completed = None;
-      wall_ns = None;
-      convergence = [];
-      kinds = [];
-      memo_hits = 0;
-      memo_misses = 0;
-    }
-
-  type _kind_acc = {
-    mutable a_applied : int;
-    mutable a_rejected : int;
-    mutable a_time : int;
-    mutable a_accepted : int;
-    mutable a_reopened : int;
-    mutable a_duplicates : int;
-    mutable a_discarded : int;
-  }
-
-  let _fresh_acc () =
-    {
-      a_applied = 0;
-      a_rejected = 0;
-      a_time = 0;
-      a_accepted = 0;
-      a_reopened = 0;
-      a_duplicates = 0;
-      a_discarded = 0;
-    }
-
-  let of_trace events =
-    let s = ref (empty "trace") in
-    let strata = ref [||] in
-    let by_kind : (string, _kind_acc) Hashtbl.t = Hashtbl.create 8 in
-    let kind_order = ref [] in
-    let acc_for kind =
-      match Hashtbl.find_opt by_kind kind with
-      | Some a -> a
-      | None ->
-        let a = _fresh_acc () in
-        Hashtbl.add by_kind kind a;
-        kind_order := kind :: !kind_order;
-        a
-    in
-    let kind_of_stratum i =
-      if i >= 0 && i < Array.length !strata then !strata.(i)
-      else Printf.sprintf "#%d" i
-    in
-    let best = ref Float.infinity in
-    let created = ref 0 in
-    let explored = ref 0 in
-    let initial_accepted = ref 0 in
-    let last_ns = ref 0 in
-    let from_run_end = ref false in
-    List.iter
-      (fun e ->
-        (match e with
-        | Trace.Meta _ -> ()
-        | Trace.Run_start r ->
-          last_ns := Stdlib.max !last_ns r.at_ns;
-          strata := r.strata;
-          Array.iter (fun k -> ignore (acc_for k)) r.strata;
-          s :=
-            {
-              !s with
-              strategy = Some r.strategy;
-              initial_cost =
-                (if Float.is_finite r.initial_cost then Some r.initial_cost
-                 else None);
-            }
-        | Trace.Run_end r ->
-          last_ns := Stdlib.max !last_ns r.at_ns;
-          from_run_end := true;
-          s :=
-            {
-              !s with
-              final_cost =
-                (if Float.is_finite r.best_cost then Some r.best_cost
-                 else !s.final_cost);
-              created = r.created;
-              explored = r.explored;
-              duplicates = r.duplicates;
-              discarded = r.discarded;
-              completed = Some r.completed;
-              wall_ns = Some r.at_ns;
-            }
-        | Trace.State st ->
-          last_ns := Stdlib.max !last_ns st.at_ns;
-          (* id 0 is the initial state: accepted, but neither "created"
-             nor attributable to any transition's stratum *)
-          if st.id > 0 then created := !created + 1;
-          (match (st.cls, st.cost) with
-          | (Trace.Accepted | Trace.Duplicate | Trace.Reopened), Some c
-            when c < !best ->
-            best := c;
-            s := { !s with convergence = (st.at_ns, !created, c) :: !s.convergence }
-          | _ -> ());
-          if st.id = 0 then initial_accepted := !initial_accepted + 1
-          else begin
-            let a = acc_for (kind_of_stratum st.stratum) in
-            match st.cls with
-            | Trace.Accepted -> a.a_accepted <- a.a_accepted + 1
-            | Trace.Reopened -> a.a_reopened <- a.a_reopened + 1
-            | Trace.Duplicate -> a.a_duplicates <- a.a_duplicates + 1
-            | Trace.Discarded -> a.a_discarded <- a.a_discarded + 1
-          end
-        | Trace.Transition tr ->
-          last_ns := Stdlib.max !last_ns tr.at_ns;
-          let a = acc_for tr.kind in
-          a.a_applied <- a.a_applied + tr.applied;
-          a.a_rejected <- a.a_rejected + tr.rejected;
-          a.a_time <- a.a_time + tr.elapsed_ns
-        | Trace.Cost_memo m ->
-          last_ns := Stdlib.max !last_ns m.at_ns;
-          s := { !s with memo_hits = m.hits; memo_misses = m.misses }
-        | Trace.Heartbeat h ->
-          last_ns := Stdlib.max !last_ns h.at_ns;
-          explored := h.explored))
-      events;
-    let kinds =
-      List.rev_map
-        (fun kind ->
-          let a = acc_for kind in
-          {
-            kind;
-            applied = a.a_applied;
-            rejected = a.a_rejected;
-            created_k = a.a_accepted + a.a_reopened + a.a_duplicates + a.a_discarded;
-            accepted_k = a.a_accepted;
-            reopened_k = a.a_reopened;
-            duplicates_k = a.a_duplicates;
-            discarded_k = a.a_discarded;
-            time_ns = a.a_time;
-          })
-        !kind_order
-    in
-    let accepted, reopened, duplicates, discarded =
-      List.fold_left
-        (fun (a, r, du, di) row ->
-          ( a + row.accepted_k,
-            r + row.reopened_k,
-            du + row.duplicates_k,
-            di + row.discarded_k ))
-        (0, 0, 0, 0) kinds
-    in
-    let s = !s in
-    let s =
-      if !from_run_end then s
-      else
-        (* crashed / truncated trace: reconstruct totals from the events *)
-        {
-          s with
-          created = !created;
-          explored = !explored;
-          duplicates = duplicates + reopened;
-          discarded;
-          wall_ns = (if !last_ns > 0 then Some !last_ns else None);
-          final_cost =
-            (if Float.is_finite !best then Some !best else s.final_cost);
-        }
-    in
-    {
-      s with
-      accepted = accepted + !initial_accepted;
-      reopened;
-      kinds;
-      convergence = List.rev s.convergence;
-      final_cost =
-        (match s.final_cost with
-        | Some f -> Some f
-        | None -> if Float.is_finite !best then Some !best else None);
-    }
 
   exception Bad_dump of string
 
@@ -1495,8 +1022,8 @@ module Report = struct
   let check_dump json =
     let fail fmt = Printf.ksprintf (fun m -> raise (Bad_dump m)) fmt in
     (match Json.member "schema_version" json with
-    | Some (Json.Int 2) -> ()
-    | Some _ -> fail "schema_version: expected 2"
+    | Some (Json.Int v) when v = schema_version -> ()
+    | Some _ -> fail "schema_version: expected %d" schema_version
     | None -> fail "missing member schema_version");
     List.iter
       (fun key ->
@@ -1504,84 +1031,107 @@ module Report = struct
         | Some (Json.Obj _) -> ()
         | Some _ -> fail "%s: expected an object" key
         | None -> fail "missing member %s" key)
-      [ "counters"; "timers"; "histograms"; "gauges" ];
+      [ "counters"; "timers"; "histograms"; "gauges"; "series" ];
     match Json.member "spans" json with
     | Some (Json.List _) -> ()
     | Some _ -> fail "spans: expected a list"
     | None -> fail "missing member spans"
 
-  (* Degraded analysis of a `--metrics` registry dump: totals and
-     per-kind counters are available, but there are no per-event
-     records, so the convergence curve is empty. *)
+  (* ---------- reading a dump ---------- *)
+
+  let members key json =
+    match Json.member key json with Some (Json.Obj fields) -> fields | _ -> []
+
+  let num = function
+    | Json.Int i -> Some (float_of_int i)
+    | Json.Float f -> Some f
+    | _ -> None
+
+  let find key json name = Option.bind (List.assoc_opt name (members key json)) num
+
+  let count json name =
+    match List.assoc_opt name (members "counters" json) with
+    | Some (Json.Int i) -> i
+    | _ -> 0
+
+  let timer_total json name =
+    match Option.bind (List.assoc_opt name (members "timers" json)) (Json.member "total_ns") with
+    | Some (Json.Int i) -> Some i
+    | _ -> None
+
+  let trajectory json =
+    match List.assoc_opt "search.trajectory" (members "series" json) with
+    | Some (Json.List points) ->
+      List.filter_map
+        (function
+          | Json.List [ x; y ] -> (
+            match (num x, num y) with Some x, Some y -> Some (x, y) | _ -> None)
+          | _ -> None)
+        points
+    | _ -> []
+
   let of_metrics json =
     check_dump json;
-    let counter name =
-      match Option.bind (Json.member "counters" json) (Json.member name) with
-      | Some (Json.Int i) -> i
-      | _ -> 0
-    in
-    let gauge name =
-      match Option.bind (Json.member "gauges" json) (Json.member name) with
-      | Some (Json.Float f) -> Some f
-      | Some (Json.Int i) -> Some (float_of_int i)
-      | _ -> None
-    in
-    let timer_total name =
-      match Option.bind (Json.member "timers" json) (Json.member name) with
-      | Some t -> (
-        match Json.member "total_ns" t with Some (Json.Int i) -> Some i | _ -> None)
-      | _ -> None
-    in
-    let kind_names =
-      match Json.member "counters" json with
-      | Some (Json.Obj fields) ->
-        List.filter_map
-          (fun (name, _) ->
-            match String.split_on_char '.' name with
-            | [ "transition"; kind; "applied" ] -> Some kind
-            | _ -> None)
-          fields
-      | _ -> []
+    let strategies =
+      List.filter_map
+        (fun (name, v) ->
+          match (String.split_on_char '.' name, v) with
+          | [ "search"; "strategy"; st ], Json.Int n when n > 0 -> Some st
+          | _ -> None)
+        (members "counters" json)
     in
     let kinds =
       List.map
         (fun kind ->
+          let transition what = count json (Printf.sprintf "transition.%s.%s" kind what) in
+          let stratum what = count json (Printf.sprintf "search.stratum.%s.%s" kind what) in
+          let created_k = stratum "created" in
+          let duplicates_k = stratum "duplicates" in
+          let discarded_k = stratum "discarded" in
           {
             kind;
-            applied = counter (Printf.sprintf "transition.%s.applied" kind);
-            rejected = counter (Printf.sprintf "transition.%s.rejected" kind);
-            created_k = counter (Printf.sprintf "search.stratum.%s.created" kind);
-            accepted_k = 0;
-            reopened_k = 0;
-            duplicates_k = 0;
-            discarded_k = 0;
+            applied = transition "applied";
+            rejected = transition "rejected";
+            created_k;
+            accepted_k = created_k - duplicates_k - discarded_k;
+            reopened_k = stratum "reopened";
+            duplicates_k;
+            discarded_k;
             time_ns =
               Option.value ~default:0
-                (timer_total (Printf.sprintf "transition.%s.time" kind));
+                (timer_total json (Printf.sprintf "transition.%s.time" kind));
           })
-        kind_names
+        (List.filter_map
+           (fun (name, _) ->
+             match String.split_on_char '.' name with
+             | [ "transition"; kind; "applied" ] -> Some kind
+             | _ -> None)
+           (members "counters" json))
     in
+    let created = count json "search.created" in
+    let duplicates = count json "search.duplicates" in
+    let discarded = count json "search.discarded" in
     {
-      (empty "metrics") with
-      initial_cost = gauge "search.initial_cost";
-      final_cost = gauge "search.best_cost";
-      created = counter "search.created";
-      explored = counter "search.explored";
-      duplicates = counter "search.duplicates";
-      discarded = counter "search.discarded";
-      reopened = counter "search.reopened";
-      accepted =
-        counter "search.created" - counter "search.duplicates"
-        - counter "search.discarded";
-      wall_ns = timer_total "search.run";
+      strategy = (if strategies = [] then None else Some (String.concat ", " strategies));
+      initial_cost = find "gauges" json "search.initial_cost";
+      final_cost = find "gauges" json "search.best_cost";
+      created;
+      explored = count json "search.explored";
+      duplicates;
+      discarded;
+      accepted = created - duplicates - discarded;
+      reopened = count json "search.reopened";
+      completed = Option.map (fun v -> v <> 0.) (find "gauges" json "search.completed");
+      wall_ns = timer_total json "search.run";
+      convergence = trajectory json;
       kinds;
-      memo_hits = counter "cost.state.hits";
-      memo_misses = counter "cost.state.misses";
+      memo_hits = count json "cost.state.hits";
+      memo_misses = count json "cost.state.misses";
     }
 
   (* ---------- text rendering ---------- *)
 
-  let _btable b rows =
+  let btable b rows =
     match rows with
     | [] -> ()
     | header :: _ ->
@@ -1610,14 +1160,21 @@ module Report = struct
           end)
         rows
 
-  let _fcost f = Printf.sprintf "%.6g" f
+  let fcost f = Printf.sprintf "%.6g" f
 
-  let _fsec ns = Printf.sprintf "%.3f" (float_of_int ns /. 1e9)
+  let fsec s = Printf.sprintf "%.3f" s
 
-  let render s =
-    let b = Buffer.create 4096 in
-    Printf.bprintf b "search %s report\n" s.source;
-    Buffer.add_string b "===================\n";
+  let fms ns = Printf.sprintf "%.3f" (ns /. 1e6)
+
+  let fcount f =
+    if Float.abs f >= 1e9 then Printf.sprintf "%.2fG" (f /. 1e9)
+    else if Float.abs f >= 1e6 then Printf.sprintf "%.2fM" (f /. 1e6)
+    else if Float.abs f >= 1e4 then Printf.sprintf "%.1fk" (f /. 1e3)
+    else Printf.sprintf "%.0f" f
+
+  let render_search b s =
+    Buffer.add_string b "search report\n";
+    Buffer.add_string b "=============\n";
     (match s.strategy with
     | Some st -> Printf.bprintf b "strategy:   %s\n" st
     | None -> ());
@@ -1627,15 +1184,14 @@ module Report = struct
       s.created s.accepted s.duplicates s.discarded s.reopened s.explored;
     (match (s.initial_cost, s.final_cost) with
     | Some i, Some f ->
-      Printf.bprintf b "cost:       initial %s -> final best %s" (_fcost i)
-        (_fcost f);
+      Printf.bprintf b "cost:       initial %s -> final best %s" (fcost i) (fcost f);
       (match rcr s with
       | Some r -> Printf.bprintf b " (rcr %.3f)\n" r
       | None -> Buffer.add_char b '\n')
-    | None, Some f -> Printf.bprintf b "cost:       final best %s\n" (_fcost f)
-    | _, None -> Buffer.add_string b "cost:       (no cost events)\n");
+    | None, Some f -> Printf.bprintf b "cost:       final best %s\n" (fcost f)
+    | _, None -> Buffer.add_string b "cost:       (no search in dump)\n");
     (match s.wall_ns with
-    | Some ns -> Printf.bprintf b "wall time:  %s s\n" (_fsec ns)
+    | Some ns -> Printf.bprintf b "wall time:  %s s\n" (fsec (float_of_int ns /. 1e9))
     | None -> ());
     (match s.completed with
     | Some true -> Buffer.add_string b "outcome:    completed (space exhausted)\n"
@@ -1647,117 +1203,63 @@ module Report = struct
         (100.
         *. float_of_int s.memo_hits
         /. float_of_int (s.memo_hits + s.memo_misses));
-    Buffer.add_string b "\nconvergence (best cost vs wall time and states created)\n";
-    if s.convergence = [] then
-      Buffer.add_string b
-        "  (no per-event data; run `rdfviews select --trace FILE` and point \
-         `rdfviews report` at the trace)\n"
-    else
-      _btable b
-        ([ "time_s"; "created"; "best_cost" ]
-        :: List.map
-             (fun (at_ns, created, cost) ->
-               [ _fsec at_ns; string_of_int created; _fcost cost ])
-             s.convergence);
-    if s.convergence <> [] then begin
+    Buffer.add_string b "\nconvergence (best cost vs wall time)\n";
+    if s.convergence = [] then Buffer.add_string b "  (no trajectory in dump)\n"
+    else begin
+      btable b
+        ([ "time_s"; "best_cost" ]
+        :: List.map (fun (at_s, cost) -> [ fsec at_s; fcost cost ]) s.convergence);
       Buffer.add_string b "\ntime to within x% of final best cost\n";
-      _btable b
-        ([ "within"; "time_s"; "created" ]
+      btable b
+        ([ "within"; "time_s" ]
         :: List.filter_map
              (fun pct ->
                Option.map
-                 (fun (at_ns, created) ->
-                   [
-                     Printf.sprintf "%g%%" pct;
-                     _fsec at_ns;
-                     string_of_int created;
-                   ])
+                 (fun at_s -> [ Printf.sprintf "%g%%" pct; fsec at_s ])
                  (time_to_within s pct))
              [ 50.; 20.; 10.; 5.; 1.; 0. ])
     end;
-    (* a metrics dump has no per-state class records, so the per-class
-       columns only appear for trace input *)
-    let per_class = String.equal s.source "trace" in
     if s.kinds <> [] then begin
       Buffer.add_string b "\ntransition acceptance breakdown\n";
-      _btable b
-        (([ "kind"; "applied"; "rejected" ]
-         @ (if per_class then [ "accepted"; "acceptance" ] else [])
-         @ [ "time_ms" ])
+      btable b
+        ([ "kind"; "applied"; "rejected"; "accepted"; "acceptance"; "time_ms" ]
         :: List.map
              (fun k ->
-               [ k.kind; string_of_int k.applied; string_of_int k.rejected ]
-               @ (if per_class then
-                    [
-                      string_of_int k.accepted_k;
-                      (if k.applied = 0 then "-"
-                       else
-                         Printf.sprintf "%.1f%%"
-                           (100. *. float_of_int k.accepted_k
-                           /. float_of_int k.applied));
-                    ]
-                  else [])
-               @ [ Printf.sprintf "%.3f" (float_of_int k.time_ns /. 1e6) ])
+               [
+                 k.kind;
+                 string_of_int k.applied;
+                 string_of_int k.rejected;
+                 string_of_int k.accepted_k;
+                 (if k.applied = 0 then "-"
+                  else
+                    Printf.sprintf "%.1f%%"
+                      (100. *. float_of_int k.accepted_k /. float_of_int k.applied));
+                 fms (float_of_int k.time_ns);
+               ])
              s.kinds);
-      Buffer.add_string b "\nstratum population\n";
-      _btable b
-        (([ "stratum"; "created" ]
-         @
-         if per_class then [ "accepted"; "reopened"; "duplicates"; "discarded" ]
-         else [])
+      Buffer.add_string b "\nstratum population (duplicates include reopened)\n";
+      btable b
+        ([ "stratum"; "created"; "accepted"; "duplicates"; "discarded"; "reopened" ]
         :: List.map
              (fun k ->
-               [ k.kind; string_of_int k.created_k ]
-               @
-               if per_class then
-                 [
-                   string_of_int k.accepted_k;
-                   string_of_int k.reopened_k;
-                   string_of_int k.duplicates_k;
-                   string_of_int k.discarded_k;
-                 ]
-               else [])
+               k.kind
+               :: List.map string_of_int
+                    [ k.created_k; k.accepted_k; k.duplicates_k; k.discarded_k; k.reopened_k ])
              s.kinds)
-    end;
-    Buffer.contents b
+    end
 
-  (* ---------- telemetry snapshot rendering (`rdfviews top`) ---------- *)
-
-  let _fmt_count f =
-    if Float.abs f >= 1e9 then Printf.sprintf "%.2fG" (f /. 1e9)
-    else if Float.abs f >= 1e6 then Printf.sprintf "%.2fM" (f /. 1e6)
-    else if Float.abs f >= 1e4 then Printf.sprintf "%.1fk" (f /. 1e3)
-    else Printf.sprintf "%.0f" f
-
-  let _fmt_ms_f ns = Printf.sprintf "%.3f" (ns /. 1e6)
-
-  (* Render a `--metrics` dump (the live file the exporter rewrites) as
-     a `top`-style summary: GC activity, domain lifecycle and
-     per-domain utilization, search progress. *)
-  let render_telemetry json =
-    check_dump json;
-    let b = Buffer.create 2048 in
-    let members key =
-      match Json.member key json with Some (Json.Obj fields) -> fields | _ -> []
-    in
-    let counters = members "counters" and histograms = members "histograms" in
-    let gauges = members "gauges" and timers = members "timers" in
-    let num = function
-      | Json.Int i -> Some (float_of_int i)
-      | Json.Float f -> Some f
-      | _ -> None
-    in
-    let counter name = Option.bind (List.assoc_opt name counters) num in
-    let gauge name = Option.bind (List.assoc_opt name gauges) num in
+  (* The live exporter's own series: GC activity, domain lifecycle and
+     per-domain utilization.  Placeholders stand in for absent series,
+     so a 4.x dump (no [runtime.*]) still renders. *)
+  let render_runtime b json =
+    let counter = find "counters" json and gauge = find "gauges" json in
     let hist name field =
-      Option.bind (List.assoc_opt name histograms) (fun h ->
+      Option.bind (List.assoc_opt name (members "histograms" json)) (fun h ->
           Option.bind (Json.member field h) num)
     in
     let cd name = Option.value ~default:0. (counter name) in
-    Buffer.add_string b "runtime telemetry snapshot\n";
-    Buffer.add_string b "==========================\n";
     (match counter "telemetry.ticks" with
-    | Some n -> Printf.bprintf b "exporter:   %.0f ticks\n" n
+    | Some n -> Printf.bprintf b "\nexporter:   %.0f ticks\n" n
     | None -> ());
     let gc_rows =
       List.filter_map
@@ -1768,10 +1270,10 @@ module Report = struct
             let sum = hist pause "total" in
             let mean =
               match (sum, hist pause "count") with
-              | Some s, Some c when c > 0. -> _fmt_ms_f (s /. c)
+              | Some s, Some c when c > 0. -> fms (s /. c)
               | _ -> "-"
             in
-            let total = match sum with Some s -> _fmt_ms_f s | None -> "-" in
+            let total = match sum with Some s -> fms s | None -> "-" in
             Some [ label; Printf.sprintf "%.0f" n; mean; total ])
         [
           ("minor", "runtime.gc.minor.collections", "runtime.gc.minor.pause_ns");
@@ -1781,21 +1283,24 @@ module Report = struct
     in
     if gc_rows <> [] then begin
       Buffer.add_string b "\ngarbage collector\n";
-      _btable b ([ "phase"; "collections"; "mean_ms"; "total_ms" ] :: gc_rows);
+      btable b ([ "phase"; "collections"; "mean_ms"; "total_ms" ] :: gc_rows);
       (match gauge "runtime.gc.max_pause_ns" with
-      | Some m -> Printf.bprintf b "  max pause: %s ms\n" (_fmt_ms_f m)
+      | Some m -> Printf.bprintf b "  max pause: %s ms\n" (fms m)
       | None -> ());
       (match counter "runtime.gc.minor_allocated_words" with
-      | Some w -> Printf.bprintf b "  minor allocated: %s words\n" (_fmt_count w)
+      | Some w -> Printf.bprintf b "  minor allocated: %s words\n" (fcount w)
       | None -> ());
-      (match counter "runtime.events.lost" with
+      match counter "runtime.events.lost" with
       | Some l when l > 0. -> Printf.bprintf b "  LOST EVENTS: %.0f\n" l
-      | _ -> ())
+      | _ -> ()
     end
     else
       Buffer.add_string b
         "\ngarbage collector: no runtime events (OCaml 4.x build, or a \
          dump not written by the live exporter)\n";
+    Printf.bprintf b "\ndomains: %.0f spawned, %.0f terminated\n"
+      (cd "runtime.domain.spawns")
+      (cd "runtime.domain.terminations");
     let domain_indices =
       List.sort_uniq Int.compare
         (List.filter_map
@@ -1803,14 +1308,11 @@ module Report = struct
              match String.split_on_char '.' name with
              | [ "parallel"; "domain"; i; "work_ns" ] -> int_of_string_opt i
              | _ -> None)
-           counters)
+           (members "counters" json))
     in
-    Printf.bprintf b "\ndomains: %.0f spawned, %.0f terminated\n"
-      (cd "runtime.domain.spawns")
-      (cd "runtime.domain.terminations");
     if domain_indices <> [] then begin
       Buffer.add_string b "\nper-domain utilization (last parallel search)\n";
-      _btable b
+      btable b
         ([ "domain"; "work_ms"; "steal_ms"; "idle_ms"; "busy" ]
         :: List.map
              (fun i ->
@@ -1819,33 +1321,20 @@ module Report = struct
                let total = work +. steal +. idle in
                [
                  string_of_int i;
-                 _fmt_ms_f work;
-                 _fmt_ms_f steal;
-                 _fmt_ms_f idle;
+                 fms work;
+                 fms steal;
+                 fms idle;
                  (if total > 0. then
                     Printf.sprintf "%.1f%%" (100. *. (work +. steal) /. total)
                   else "-");
                ])
              domain_indices)
-    end;
-    (match counter "search.created" with
-    | Some created ->
-      Buffer.add_string b "\nsearch\n";
-      Printf.bprintf b
-        "  states: created %.0f, explored %.0f, duplicates %.0f, discarded \
-         %.0f\n"
-        created (cd "search.explored") (cd "search.duplicates")
-        (cd "search.discarded");
-      (match gauge "search.best_cost" with
-      | Some c -> Printf.bprintf b "  best cost: %s" (_fcost c);
-        (match gauge "search.initial_cost" with
-        | Some i when i > 0. ->
-          Printf.bprintf b " (rcr %.3f)\n" ((i -. c) /. i)
-        | _ -> Buffer.add_char b '\n')
-      | None -> ())
-    | None -> Buffer.add_string b "\nsearch: no search counters in dump\n");
-    Printf.bprintf b "\n%d counters, %d timers, %d histograms, %d gauges\n"
-      (List.length counters) (List.length timers) (List.length histograms)
-      (List.length gauges);
+    end
+
+  let render json =
+    let s = of_metrics json in
+    let b = Buffer.create 4096 in
+    render_search b s;
+    render_runtime b json;
     Buffer.contents b
 end

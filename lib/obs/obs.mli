@@ -1,10 +1,11 @@
 (** Run-level observability: named counters, monotonic timers, log-bucketed
-    histograms, gauges and nested trace spans, gathered in a registry that
-    serializes to JSON — plus a streaming per-event search trace
-    ({!Trace}) and its offline analyzer ({!Report}).
+    histograms, gauges, point series and nested trace spans, gathered in
+    a registry that serializes to JSON — plus the renderer of a dump
+    ({!Report}).
 
-    The library is the substrate for the paper-style search telemetry
-    (states created / duplicates / time-to-best-cost, §6) and for
+    The registry dump is the one record of a search: the paper-style
+    search telemetry (states created / duplicates / best cost over time,
+    §6) and for
     profiling the hot layers ([Transition], [Search], [Cost],
     [Rdf.Store], [Query.Evaluation]).  Design constraints:
 
@@ -22,7 +23,7 @@
 
 val now_ns : unit -> int
 (** The monotonic clock, in nanoseconds from an arbitrary origin — the
-    clock every timer, histogram and trace timestamp is read from.
+    clock every timer, histogram and span timestamp is read from.
     Exposed for call sites that must time a section without allocating
     a closure. *)
 
@@ -42,7 +43,7 @@ val create : unit -> t
 val is_enabled : t -> bool
 
 val reset : t -> unit
-(** Zero all counters, timers and histograms, unset gauges, drop
+(** Zero all counters, timers and histograms, unset gauges and series, drop
     recorded spans, re-base the span clock, and zero the span nesting
     depth.  A span still open across the reset is dropped (not
     recorded) when it closes, so reusing one registry across benchmark
@@ -149,6 +150,21 @@ val gauge_value : gauge -> float option
 (** [None] until the first {!set_gauge} (and always for the no-op
     gauge). *)
 
+(** {1 Series}
+
+    A series holds the last point list set, like a gauge holds the last
+    value — for curves known only at the end of a run, such as the
+    search's (elapsed seconds, best cost) trajectory. *)
+
+type series
+
+val series : t -> string -> series
+(** The series registered under the given name, created unset on first
+    use.  On a disabled sink, returns the shared no-op series. *)
+
+val set_series : series -> (float * float) list -> unit
+(** Overwrite the series' points (last write wins). *)
+
 (** {1 Spans}
 
     Spans are begin/end trace events with nesting, for coarse phases
@@ -185,6 +201,9 @@ val histograms : t -> (string * histogram) list
 val gauges : t -> (string * float) list
 (** All {e set} gauges, sorted by name. *)
 
+val all_series : t -> (string * (float * float) list) list
+(** All {e set} series, sorted by name. *)
+
 val find_counter : t -> string -> int option
 (** The value of a counter, [None] if never registered. *)
 
@@ -201,7 +220,7 @@ val find_gauge : t -> string -> float option
 val merge_into : into:t -> t -> unit
 (** [merge_into ~into src] folds [src]'s contents into [into]: counters,
     timer totals/call counts and histogram buckets are summed; a gauge
-    set in [src] is copied only where [into] has not set it (the
+    or series set in [src] is copied only where [into] has not set it (the
     destination — typically the coordinating domain of a parallel
     search — stays authoritative); spans are appended with start
     offsets rebased onto [into]'s clock origin.  Both registries must
@@ -272,19 +291,23 @@ module Json : sig
   (** Field lookup in an [Obj]; [None] otherwise. *)
 end
 
+val schema_version : int
+(** The version {!to_json} writes: [3]. *)
+
 val to_json : t -> Json.t
 (** Serialize a registry:
-    {[ { "schema_version": 2,
+    {[ { "schema_version": 3,
          "counters":   { name: int, ... },
          "timers":     { name: { "count": int, "total_ns": int }, ... },
          "histograms": { name: { "count": int, "total": int,
                                  "p50": num, "p90": num, "p99": num }, ... },
          "gauges":     { name: float, ... },
+         "series":     { name: [ [x, y], ... ], ... },
          "spans":      [ { "name": string, "depth": int,
                            "start_ns": int, "elapsed_ns": int }, ... ] } ]}
     A disabled sink serializes to the same shape with empty members.
     Version history: 1 = counters/timers/spans only; 2 adds
-    "histograms" and "gauges". *)
+    "histograms" and "gauges"; 3 adds "series". *)
 
 val to_string : t -> string
 (** [Json.to_string ~indent:true (to_json t)]. *)
@@ -335,7 +358,7 @@ end
 
     The [--metrics FILE] flag: a ticker thread that keeps a JSON dump
     of one registry current on disk while the run is in flight, read
-    by [rdfviews top] and [rdfviews report]. *)
+    by [rdfviews report] (live with [--watch]). *)
 module Export : sig
   (** A histogram's frozen contents: raw log-buckets (see
       {!bucket_of_sample}) and sample count. *)
@@ -366,222 +389,69 @@ module Export : sig
       @raise Sys_error if the final write fails. *)
 end
 
-(** {1 Streaming search traces}
+(** {1 The search report}
 
-    An event-sourced record of one search: every state decision,
-    per-expand transition batch, cost-memo sample and progress
-    heartbeat is appended as one JSON line to a trace file.  The
-    writer buffers whole lines and flushes line-aligned, so a crashed
-    run leaves a file that is valid JSONL up to the last flush
-    ([run_end] and [heartbeat] force a flush).  [rdfviews report]
-    replays a trace offline into the paper's §6 quantities. *)
-module Trace : sig
-  val schema_version : int
-  (** Version written in the leading [meta] event (currently 1). *)
-
-  (** How the search classified a candidate state. *)
-  type state_class = Accepted | Discarded | Duplicate | Reopened
-
-  val class_name : state_class -> string
-  val class_of_name : string -> state_class option
-
-  type t
-  (** A trace sink: either off or an open streaming writer. *)
-
-  val disabled : t
-  (** The off sink; every emitter returns immediately without
-      allocating. *)
-
-  val is_enabled : t -> bool
-
-  val create : ?buffer_bytes:int -> string -> t
-  (** [create path] opens a streaming writer (truncating [path]) and
-      emits the [meta] schema event.  [buffer_bytes] (default 64 KiB)
-      is the flush threshold. *)
-
-  val flush : t -> unit
-  (** Force buffered events to the file (line-aligned). *)
-
-  val close : t -> unit
-  (** Flush and close.  Idempotent; emitters on a closed trace are
-      no-ops. *)
-
-  val event_count : t -> int
-  (** Events emitted so far (including [meta]); [0] when off. *)
-
-  (** {2 Emitters}
-
-      Plain calls that return immediately on the off sink — they sit
-      on the search's hot path and must not allocate when tracing is
-      disabled. *)
-
-  val run_start :
-    t -> strategy:string -> strata:string array -> initial_cost:float -> unit
-  (** [strata] names stratum indices (e.g. [|"VB";"SC";"JC";"VF"|]) so
-      later [state] events' integer [stratum] fields can be labeled by
-      an analyzer that knows nothing of [Core.Transition]. *)
-
-  val run_end :
-    t ->
-    best_cost:float ->
-    created:int ->
-    explored:int ->
-    duplicates:int ->
-    discarded:int ->
-    completed:bool ->
-    unit
-  (** Authoritative end-of-run totals; forces a flush. *)
-
-  val state : t -> cls:state_class -> id:int -> stratum:int -> cost:float -> unit
-  (** One candidate-state decision.  [id] is the running created-states
-      count (0 = the initial state); pass [Float.nan] as [cost] for
-      classes where no cost was computed — it serializes as [null]. *)
-
-  val transition : t -> kind:string -> applied:int -> rejected:int -> elapsed_ns:int -> unit
-  (** One per transition kind per expand: how many successors the kind
-      produced / rejected and how long generation took. *)
-
-  val cost_memo : t -> hits:int -> misses:int -> unit
-  (** Sampled cumulative cost-memo totals. *)
-
-  val heartbeat :
-    t -> created:int -> explored:int -> best_cost:float -> elapsed_ns:int -> unit
-  (** Periodic progress marker; forces a flush, bounding how much a
-      crash can lose. *)
-
-  (** {2 The global trace sink} *)
-
-  val set_global : t -> unit
-  val global : unit -> t
-
-  (** {2 Reading} *)
-
-  type event =
-    | Meta of { version : int }
-    | Run_start of {
-        at_ns : int;
-        strategy : string;
-        strata : string array;
-        initial_cost : float;
-      }
-    | Run_end of {
-        at_ns : int;
-        best_cost : float;
-        created : int;
-        explored : int;
-        duplicates : int;
-        discarded : int;
-        completed : bool;
-      }
-    | State of {
-        at_ns : int;
-        cls : state_class;
-        id : int;
-        stratum : int;
-        cost : float option;
-      }
-    | Transition of {
-        at_ns : int;
-        kind : string;
-        applied : int;
-        rejected : int;
-        elapsed_ns : int;
-      }
-    | Cost_memo of { at_ns : int; hits : int; misses : int }
-    | Heartbeat of {
-        at_ns : int;
-        created : int;
-        explored : int;
-        best_cost : float;
-        elapsed_ns : int;
-      }
-
-  exception Malformed of string
-
-  val parse_lines : string -> event list
-  (** Parse JSONL trace text.  The first non-blank line must be the
-      meta event that {!create} writes; unknown event kinds
-      after it are skipped (forward compatibility); a malformed {e last}
-      line is tolerated (a crash can truncate the final write mid-line).
-      A missing header or a malformed line anywhere else raises
-      {!Malformed} with the line number. *)
-
-  val read_file : string -> event list
-end
-
-(** {1 Offline trace analysis}
-
-    Turns a {!Trace} event stream (or, degraded, a [--metrics]
-    registry dump) into the run summary behind [rdfviews report]:
-    convergence curve, per-transition acceptance, stratum population,
-    time-to-within-x%.  Pure — rendering returns a string; printing is
-    the caller's business. *)
+    Turns a [--metrics] registry dump into the run summary behind
+    [rdfviews report]: state totals, convergence curve,
+    time-to-within-x%, per-transition acceptance, stratum population,
+    and the live exporter's runtime sections.  Pure — rendering returns
+    a string; printing is the caller's business. *)
 module Report : sig
   type kind_row = {
     kind : string;         (** transition kind / stratum label *)
     applied : int;
     rejected : int;
     created_k : int;       (** states created in this stratum *)
-    accepted_k : int;
+    accepted_k : int;      (** [created_k - duplicates_k - discarded_k] *)
     reopened_k : int;
-    duplicates_k : int;
+    duplicates_k : int;    (** includes [reopened_k] *)
     discarded_k : int;
     time_ns : int;         (** total successor-generation time *)
   }
 
   type summary = {
-    source : string;  (** ["trace"] or ["metrics"] *)
     strategy : string option;
+        (** the strategies run, comma-separated *)
     initial_cost : float option;
     final_cost : float option;
     created : int;
     explored : int;
-    duplicates : int;
+    duplicates : int;  (** includes [reopened] *)
     discarded : int;
-    accepted : int;
+    accepted : int;    (** [created - duplicates - discarded] *)
     reopened : int;
     completed : bool option;
     wall_ns : int option;
-    convergence : (int * int * float) list;
-        (** (at_ns, states created so far, new best cost), oldest
-            first; empty for metrics-dump input *)
+    convergence : (float * float) list;
+        (** (elapsed seconds, new best cost), oldest first: the
+            [search.trajectory] series *)
     kinds : kind_row list;
     memo_hits : int;
     memo_misses : int;
   }
-
-  val of_trace : Trace.event list -> summary
-  (** Replay a trace.  When the trace has a [run_end] event its totals
-      are authoritative; otherwise (crashed run) totals are
-      reconstructed from the per-event records. *)
 
   exception Bad_dump of string
   (** A JSON document that is not a registry dump as {!to_json} writes
       it; the message names the offending member. *)
 
   val of_metrics : Json.t -> summary
-  (** Degraded summary from a [--metrics] registry dump: totals and
-      per-kind counters only, no convergence curve.
-      @raise Bad_dump unless [schema_version] is [2], [counters],
-      [timers], [histograms] and [gauges] are objects and [spans] is a
-      list. *)
+  (** The search summary of a [--metrics] registry dump.
+      @raise Bad_dump unless [schema_version] is {!schema_version},
+      [counters], [timers], [histograms], [gauges] and [series] are
+      objects and [spans] is a list. *)
 
   val rcr : summary -> float option
   (** Relative cost reduction (initial − final) / initial. *)
 
-  val time_to_within : summary -> float -> (int * int) option
-  (** [time_to_within s pct]: the earliest convergence point whose cost
-      is ≤ final·(1 + pct/100), as [(at_ns, states created)]. *)
+  val time_to_within : summary -> float -> float option
+  (** [time_to_within s pct]: the elapsed seconds of the earliest
+      convergence point whose cost is ≤ final·(1 + pct/100). *)
 
-  val render : summary -> string
-  (** Human-readable multi-section report (header, convergence table,
-      time-to-within table, transition acceptance, stratum
-      population). *)
-
-  val render_telemetry : Json.t -> string
-  (** Human-readable live summary (the [rdfviews top] view) from a
-      [--metrics] dump: GC pause table, domain lifecycle, per-domain
-      utilization, and search progress.  Renders a placeholder section
-      for whatever series are absent, so it works on 4.x dumps with no
+  val render : Json.t -> string
+  (** Human-readable multi-section report of a dump: header and totals,
+      convergence table, time-to-within table, transition acceptance,
+      stratum population, then the exporter's GC pause table, domain
+      lifecycle and per-domain utilization.  Renders a placeholder for
+      whatever series are absent, so it works on 4.x dumps with no
       [runtime.*] series.  @raise Bad_dump as {!of_metrics}. *)
 end

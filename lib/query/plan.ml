@@ -19,8 +19,8 @@
      re-order recompiles the plan only when a step's observed bucket
      sizes are off its estimate by a large factor;
    - plans are cached per store id, keyed by the interned canonical
-     form of the query (the same process-global [Interning] table
-     behind [Core.Intern]), so repeated evaluation — statistics
+     form of the query (the process-global [Interning] table that
+     [Core] also keys views on), so repeated evaluation — statistics
      gathering, view materialization across search states, incremental
      maintenance — compiles once. *)
 
@@ -436,8 +436,8 @@ let reordered plan store =
    the canonical form lets every isomorphic spelling of a query — the
    same view freshened across search states, the same relaxation
    re-derived during statistics gathering — share one compiled plan.
-   The interner is the process-global [Interning] table also backing
-   [Core.Intern], so ids stay dense and comparisons stay int-sized. *)
+   The interner is the process-global [Interning] table [Core] also
+   keys views on, so ids stay dense and comparisons stay int-sized. *)
 
 module ITbl = Hashtbl.Make (struct
   type t = int

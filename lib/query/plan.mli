@@ -12,7 +12,7 @@
 
     Plans are cached per store id, keyed by the interned canonical form
     of the query ({!Cq.canonical_string} through the process-global
-    [Interning] table shared with [Core.Intern]); isomorphic queries
+    [Interning] table, shared with [Core]); isomorphic queries
     share one plan.  A cached plan is transparently recompiled when a
     constant it proved absent may have appeared (dictionary growth), or
     when observed bucket sizes are off the compile-time estimates by a

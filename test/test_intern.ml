@@ -37,22 +37,22 @@ let museum_store =
 (* ---------- the interner itself ------------------------------------------ *)
 
 let test_intern_basics () =
-  let a = Core.Intern.of_canonical "test_intern:a" in
-  let b = Core.Intern.of_canonical "test_intern:b" in
+  let a = Interning.of_canonical "test_intern:a" in
+  let b = Interning.of_canonical "test_intern:b" in
   check_bool "distinct strings get distinct ids" true (a <> b);
   check_int "interning is idempotent" a
-    (Core.Intern.of_canonical "test_intern:a");
+    (Interning.of_canonical "test_intern:a");
   check_string "ids map back to their string" "test_intern:a"
-    (Core.Intern.canonical_of a);
-  check_bool "mem sees interned strings" true (Core.Intern.mem "test_intern:a");
+    (Interning.canonical_of a);
+  check_bool "mem sees interned strings" true (Interning.mem "test_intern:a");
   check_bool "mem rejects unknown strings" false
-    (Core.Intern.mem "test_intern:never-interned");
-  check_bool "size counts both" true (Core.Intern.size () >= 2)
+    (Interning.mem "test_intern:never-interned");
+  check_bool "size counts both" true (Interning.size () >= 2)
 
 let test_canonical_of_bounds () =
   Alcotest.check_raises "out-of-range id rejected"
-    (Invalid_argument "Intern.canonical_of: unknown id 1073741823") (fun () ->
-      ignore (Core.Intern.canonical_of 0x3FFFFFFF))
+    (Invalid_argument "Interning.canonical_of: unknown id 1073741823") (fun () ->
+      ignore (Interning.canonical_of 0x3FFFFFFF))
 
 (* ---------- id stability under renaming ---------------------------------- *)
 

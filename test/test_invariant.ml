@@ -311,6 +311,21 @@ let test_corrupted_state_file_rejected () =
       (has_violation "structure" violations)
   | states -> Alcotest.failf "expected 1 state, parsed %d" (List.length states)
 
+(* A view the View layer rejects is a syntax error on its own line, not
+   a bare Invalid_argument with no position. *)
+let test_rejected_view_names_line () =
+  List.iter
+    (fun (label, view) ->
+      match Core.State_io.parse_states ("state\n" ^ view ^ "\n") with
+      | exception Core.State_io.Syntax_error message ->
+        check_bool (label ^ ": error names line 2") true
+          (String.length message >= 7 && String.sub message 0 7 = "line 2:")
+      | _ -> Alcotest.failf "%s view accepted" label)
+    [
+      ("disconnected", "view v1(?x, ?y) :- t(?x, <ex:p>, ?z), t(?y, <ex:q>, ?w).");
+      ("duplicate head", "view v1(?x, ?x) :- t(?x, <ex:p>, ?y).");
+    ]
+
 (* ---------- strict mode --------------------------------------------------- *)
 
 let test_strict_mode_search () =
@@ -407,6 +422,8 @@ let () =
             test_expr_round_trip;
           Alcotest.test_case "corrupted file rejected" `Quick
             test_corrupted_state_file_rejected;
+          Alcotest.test_case "rejected view names its line" `Quick
+            test_rejected_view_names_line;
         ] );
       ( "strict",
         [ Alcotest.test_case "strict search" `Quick test_strict_mode_search ] );

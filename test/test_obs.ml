@@ -122,7 +122,19 @@ let test_gauge_semantics () =
   check_bool "reset unsets the gauge" true (Obs.gauge_value g = None);
   let dg = Obs.gauge Obs.disabled "g" in
   Obs.set_gauge dg 1.;
-  check_bool "no-op gauge stays unset" true (Obs.gauge_value dg = None)
+  check_bool "no-op gauge stays unset" true (Obs.gauge_value dg = None);
+  (* a series is a gauge over a point list *)
+  let sr = Obs.series reg "s" in
+  check_bool "unset series not listed" true (Obs.all_series reg = []);
+  Obs.set_series sr [ (0., 3.) ];
+  Obs.set_series sr [ (0., 3.); (1.5, 2.) ];
+  check_bool "series keeps the last points" true
+    (Obs.all_series reg = [ ("s", [ (0., 3.); (1.5, 2.) ]) ]);
+  Obs.reset reg;
+  check_bool "reset unsets the series" true (Obs.all_series reg = []);
+  Obs.set_series (Obs.series Obs.disabled "s") [ (0., 1.) ];
+  check_bool "no-op series records nothing" true
+    (Obs.all_series Obs.disabled = [])
 
 (* ---------- spans -------------------------------------------------------- *)
 
@@ -217,10 +229,16 @@ let test_registry_serialization () =
   let _ = Obs.time (Obs.timer reg "t1") (fun () -> ()) in
   Obs.observe (Obs.histogram reg "h1") 100;
   Obs.set_gauge (Obs.gauge reg "g1") 2.5;
+  Obs.set_series (Obs.series reg "s1") [ (0., 4.); (0.5, 1.25) ];
   Obs.span reg "phase" (fun () -> ());
   let json = Obs.Json.of_string (Obs.to_string reg) in
   check_bool "schema version present" true
-    (Obs.Json.member "schema_version" json = Some (Obs.Json.Int 2));
+    (Obs.Json.member "schema_version" json = Some (Obs.Json.Int 3));
+  check_bool "series serialized as point pairs" true
+    (Option.bind (Obs.Json.member "series" json) (Obs.Json.member "s1")
+    = Some
+        Obs.Json.(
+          List [ List [ Float 0.; Float 4. ]; List [ Float 0.5; Float 1.25 ] ]));
   (match Obs.Json.member "histograms" json with
   | Some hists -> (
     match Obs.Json.member "h1" hists with

@@ -186,13 +186,13 @@ let pinned_cases =
 
 let test_intern_stress () =
   if Multicore.available then begin
-    Core.Intern.reset ();
+    Interning.reset ();
     let domains = 4 and per_domain = 2000 in
     let work d () =
       (* overlapping key space across domains: ids must agree *)
       List.init per_domain (fun i ->
           let s = Printf.sprintf "view<%d>" ((i + (d * 7)) mod 500) in
-          (s, Core.Intern.of_canonical s))
+          (s, Interning.of_canonical s))
     in
     let handles =
       List.init (domains - 1) (fun d -> Multicore.spawn (work (d + 1)))
@@ -201,10 +201,10 @@ let test_intern_stress () =
     let all = mine @ List.concat_map Multicore.join handles in
     List.iter
       (fun (s, id) ->
-        check_int ("stable id for " ^ s) (Core.Intern.of_canonical s) id;
-        Alcotest.(check string) "round trip" s (Core.Intern.canonical_of id))
+        check_int ("stable id for " ^ s) (Interning.of_canonical s) id;
+        Alcotest.(check string) "round trip" s (Interning.canonical_of id))
       all;
-    check_int "distinct strings" 500 (Core.Intern.size ())
+    check_int "distinct strings" 500 (Interning.size ())
   end
 
 (* ---------- Obs registry merging ------------------------------------------ *)
@@ -232,11 +232,17 @@ let test_obs_merge_gauges () =
   Obs.set_gauge (Obs.gauge a "set-in-both" ) 1.;
   Obs.set_gauge (Obs.gauge b "set-in-both") 2.;
   Obs.set_gauge (Obs.gauge b "only-src") 3.;
+  Obs.set_series (Obs.series a "series-in-both") [ (0., 1.) ];
+  Obs.set_series (Obs.series b "series-in-both") [ (0., 2.) ];
+  Obs.set_series (Obs.series b "series-only-src") [ (0., 3.) ];
   Obs.merge_into ~into:a b;
   check_bool "destination gauge wins" true
     (Option.get (Obs.find_gauge a "set-in-both") = 1.);
   check_bool "unset gauge adopted" true
-    (Option.get (Obs.find_gauge a "only-src") = 3.)
+    (Option.get (Obs.find_gauge a "only-src") = 3.);
+  check_bool "series: destination wins, unset adopted" true
+    (Obs.all_series a
+    = [ ("series-in-both", [ (0., 1.) ]); ("series-only-src", [ (0., 3.) ]) ])
 
 let test_obs_merge_spans () =
   let a = Obs.create () and b = Obs.create () in

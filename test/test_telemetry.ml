@@ -1,6 +1,6 @@
 (* Live telemetry: registry merging under real concurrent domains, the
-   runtime-events consumer, the live --metrics exporter and the `top`
-   renderer.  Everything that needs actual domains or Runtime_events is
+   runtime-events consumer, the live --metrics exporter and the runtime
+   sections of the report.  Everything that needs actual domains or Runtime_events is
    gated on the respective [available] flag so the suite also passes on
    an OCaml 4.x build. *)
 
@@ -171,11 +171,11 @@ let test_exporter_ticks () =
         | _ -> Alcotest.fail "telemetry.ticks missing from the file")
       | None -> Alcotest.fail "counters missing from the file")
 
-(* ---------- the top renderer ----------------------------------------------- *)
+(* ---------- the report's runtime sections --------------------------------- *)
 
-let render t = Obs.Report.render_telemetry (Obs.Json.of_string (Obs.to_string t))
+let render t = Obs.Report.render (Obs.Json.of_string (Obs.to_string t))
 
-let test_render_telemetry () =
+let test_render_runtime () =
   let t = Obs.create () in
   Obs.add (Obs.counter t "search.created") 42;
   Obs.set_gauge (Obs.gauge t "search.best_cost") 559.25;
@@ -200,7 +200,7 @@ let test_render_telemetry () =
       "max pause: 0.003 ms";
       "per-domain utilization";
       "80.0%";
-      "best cost: 559.25";
+      "final best 559.25";
     ];
   (* without runtime or per-domain series: placeholders, no tables *)
   let bare = Obs.create () in
@@ -214,7 +214,7 @@ let test_render_telemetry () =
     (contains rendered "per-domain utilization");
   Alcotest.(check bool)
     "search placeholder" true
-    (contains (render (Obs.create ())) "no search counters")
+    (contains (render (Obs.create ())) "no search in dump")
 
 let () =
   Alcotest.run "telemetry"
@@ -236,5 +236,5 @@ let () =
           Alcotest.test_case "periodic ticks" `Quick test_exporter_ticks;
         ] );
       ( "renderer",
-        [ Alcotest.test_case "top summary" `Quick test_render_telemetry ] );
+        [ Alcotest.test_case "runtime sections" `Quick test_render_runtime ] );
     ]

@@ -35,8 +35,8 @@
       - [@@domain_safe] functions must have an empty unguarded write
         footprint and must not reach a coordinator-only function
         (rule `domain-unsafe`).
-      - a local bound to a DLS read (`Multicore.Dls.get`, `Obs.global`,
-        `Obs.Trace.global`) must not be captured by a closure passed to
+      - a local bound to a DLS read (`Multicore.Dls.get`, `Obs.global`)
+        must not be captured by a closure passed to
         `Multicore.spawn` (rule `dls-capture`).
 
    Suppression mirrors tool/lint: a comment containing
@@ -72,8 +72,8 @@ let rules =
        unguarded shared-cell write, or which can reach a \
        [@@coordinator_only] function" );
     ( "dls-capture",
-      "domain-local (DLS) value — Multicore.Dls.get, Obs.global, \
-       Obs.Trace.global — captured by a closure passed to Multicore.spawn; \
+      "domain-local (DLS) value — Multicore.Dls.get, Obs.global — \
+       captured by a closure passed to Multicore.spawn; \
        DLS handles must be re-read on the domain that uses them" );
   ]
 
@@ -365,7 +365,7 @@ let is_spawn name = last_two name = ("Multicore", "spawn")
 
 let is_dls_read name =
   match last_two name with
-  | "Dls", "get" | "Obs", "global" | "Trace", "global" -> true
+  | "Dls", "get" | "Obs", "global" -> true
   | _ -> false
 
 (* The name of the lock protecting a critical section, from the first
