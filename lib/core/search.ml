@@ -65,12 +65,16 @@ let is_all_var_view v =
 let is_triple_table_view v =
   View.atom_count v = 1 && Query.Cq.constant_count v.View.cq = 0
 
+let view_violates options v =
+  (options.stop_tt && is_triple_table_view v)
+  || (options.stop_var && is_all_var_view v)
+
 let violates_stop options state =
-  List.exists
-    (fun v ->
-      (options.stop_tt && is_triple_table_view v)
-      || (options.stop_var && is_all_var_view v))
-    state.State.views
+  List.exists (view_violates options) state.State.views
+
+let stop_test options =
+  if options.stop_tt || options.stop_var then Some (view_violates options)
+  else None
 
 (* Obs mirrors of the engine's accounting, plus what the report cannot
    carry: per-stratum outcomes and per-state expansion timings.  The
@@ -117,6 +121,7 @@ type engine = {
   strict_reference : Invariant.reference option;
       (* Some under RDFVIEWS_STRICT: every accepted state is asserted
          equivalent to this reference *)
+  stop : (View.t -> bool) option;  (* [stop_test options] *)
   seen : Shard_tbl.t;
       (* state key -> lowest stratum rank; shared by the forks of a
          parallel run *)
@@ -160,10 +165,14 @@ let note_best engine state cost =
 (* The first half of successor admission: the AVF collapse, composing
    its fusion deltas on top of the transition's own change so the pair
    handed to {!Cost.state_cost_delta} always describes parent →
-   collapsed state. *)
+   collapsed state.  Every parent is itself collapsed, so only pairs
+   with one of the views the transition added (placed first) can fuse. *)
 let collapse options ~delta state =
   if options.avf then begin
-    match Transition.fusion_closure_delta state with
+    match
+      Transition.fusion_closure_delta
+        ~fresh:(List.length delta.Delta.views_added) state
+    with
     (* no fusion fired (the common case): skip the compose allocation *)
     | state', { Delta.views_removed = []; views_added = []; rewritings_touched = [] }
       ->
@@ -192,59 +201,73 @@ let cost_arrival engine ~memoize ~parent ~delta state =
   end;
   cost
 
+(* Successors pruned by the stop conditions inside {!Transition}: created
+   and discarded at once, never built. *)
+let note_discarded engine ~rank n =
+  if n > 0 then begin
+    engine.created <- engine.created + n;
+    engine.discarded <- engine.discarded + n;
+    Obs.add (obs_created ()) n;
+    Obs.add (obs_stratum_created.(rank) ()) n;
+    Obs.add (obs_discarded ()) n;
+    Obs.add (obs_stratum_discarded.(rank) ()) n
+  end
+
 (* The mutating half: account, dedup against the seen-table, cost,
-   strict-check.  Expects an already-{!collapse}d state.  Returns
-   [Some (state, rank)] when the state is new (or re-opened at a lower
-   stratum) and should be expanded further. *)
+   strict-check.  Expects an already-{!collapse}d state that passes the
+   stop conditions.  Returns [Some (state, rank)] when the state is new
+   (or re-opened at a lower stratum) and should be expanded further. *)
 let register engine ~rank ~parent ~delta state =
   engine.created <- engine.created + 1;
   Obs.incr (obs_created ());
   Obs.incr (obs_stratum_created.(rank) ());
-  if violates_stop engine.options state then begin
-    engine.discarded <- engine.discarded + 1;
-    Obs.incr (obs_discarded ());
-    Obs.incr (obs_stratum_discarded.(rank) ());
+  match Shard_tbl.visit engine.seen (State.key state) rank with
+  | Shard_tbl.Duplicate ->
+    ignore (cost_arrival engine ~memoize:false ~parent ~delta state : float);
+    engine.duplicates <- engine.duplicates + 1;
+    Obs.incr (obs_duplicates ());
+    Obs.incr (obs_stratum_duplicates.(rank) ());
     None
-  end
-  else begin
-    match Shard_tbl.visit engine.seen (State.key state) rank with
-    | Shard_tbl.Duplicate ->
-      ignore (cost_arrival engine ~memoize:false ~parent ~delta state : float);
-      engine.duplicates <- engine.duplicates + 1;
-      Obs.incr (obs_duplicates ());
-      Obs.incr (obs_stratum_duplicates.(rank) ());
-      None
-    | Shard_tbl.Reopened ->
-      (* reached again, but at a lower stratum: re-open *)
-      ignore (cost_arrival engine ~memoize:true ~parent ~delta state : float);
-      engine.duplicates <- engine.duplicates + 1;
-      Obs.incr (obs_duplicates ());
-      Obs.incr (obs_reopened ());
-      Obs.incr (obs_stratum_duplicates.(rank) ());
-      Obs.incr (obs_stratum_reopened.(rank) ());
-      Some (state, rank)
-    | Shard_tbl.New ->
-      (* cost first, then the strict assertion: the incremental result
-         must be memoized before Invariant's memo_consistent check so
-         that the check exercises the delta path, not a fresh full
-         recompute of its own *)
-      let cost =
-        Cost.state_cost_delta engine.estimator ~parent ~delta state
-      in
-      (match engine.strict_reference with
-      | Some reference ->
-        Invariant.assert_valid ~estimator:engine.estimator reference state
-      | None -> ());
-      note_best engine state cost;
-      (match engine.options.on_accept with
-      | Some hook -> hook state
-      | None -> ());
-      Some (state, rank)
-  end
+  | Shard_tbl.Reopened ->
+    (* reached again, but at a lower stratum: re-open *)
+    ignore (cost_arrival engine ~memoize:true ~parent ~delta state : float);
+    engine.duplicates <- engine.duplicates + 1;
+    Obs.incr (obs_duplicates ());
+    Obs.incr (obs_reopened ());
+    Obs.incr (obs_stratum_duplicates.(rank) ());
+    Obs.incr (obs_stratum_reopened.(rank) ());
+    Some (state, rank)
+  | Shard_tbl.New ->
+    (* cost first, then the strict assertion: the incremental result
+       must be memoized before Invariant's memo_consistent check so
+       that the check exercises the delta path, not a fresh full
+       recompute of its own *)
+    let cost =
+      Cost.state_cost_delta engine.estimator ~parent ~delta state
+    in
+    (match engine.strict_reference with
+    | Some reference ->
+      Invariant.assert_valid ~estimator:engine.estimator reference state
+    | None -> ());
+    note_best engine state cost;
+    (match engine.options.on_accept with
+    | Some hook -> hook state
+    | None -> ());
+    Some (state, rank)
 
-let consider engine ~rank ~parent ~delta state =
-  let state, delta = collapse engine.options ~delta state in
-  register engine ~rank ~parent ~delta state
+(* Generate the successors of [parent] by one transition kind and admit
+   them: stop-violating ones are pruned before they are built, the rest
+   are collapsed and registered. *)
+let admit engine ~rank ~parent kind =
+  let built, pruned =
+    Transition.successors_with_delta ?stop:engine.stop parent kind
+  in
+  note_discarded engine ~rank pruned;
+  List.filter_map
+    (fun (succ, delta) ->
+      let succ, delta = collapse engine.options ~delta succ in
+      register engine ~rank ~parent ~delta succ)
+    built
 
 let allowed_kinds options rank =
   match options.strategy with
@@ -268,11 +291,7 @@ let expand engine state rank =
   Obs.time (obs_stratum_expand.(rank) ()) @@ fun () ->
   List.concat_map
     (fun kind ->
-      List.filter_map
-        (fun (succ, delta) ->
-          consider engine ~rank:(rank_of engine.options kind) ~parent:state
-            ~delta succ)
-        (Transition.successors_with_delta state kind))
+      admit engine ~rank:(rank_of engine.options kind) ~parent:state kind)
     (allowed_kinds engine.options rank)
 
 (* Worklist search; [lifo] makes it depth-first.  FIFO uses a Queue to
@@ -325,12 +344,7 @@ let gstr_search engine initial =
         else begin
           note_explored engine;
           let fresh =
-            List.filter_map
-              (fun (succ, delta) ->
-                consider engine
-                  ~rank:(Transition.kind_rank kind)
-                  ~parent:state ~delta succ)
-              (Transition.successors_with_delta state kind)
+            admit engine ~rank:(Transition.kind_rank kind) ~parent:state kind
           in
           List.iter
             (fun (s, _) ->
@@ -410,6 +424,7 @@ let prologue estimator options initial =
       estimator;
       options;
       strict_reference;
+      stop = stop_test options;
       seen = Shard_tbl.create ();
       created = 0;
       duplicates = 0;

@@ -59,6 +59,11 @@ val violates_stop : options -> State.t -> bool
     stopvar).  Exposed for the competitor strategies, which honour the
     same conditions during their per-query development. *)
 
+val stop_test : options -> (View.t -> bool) option
+(** The same conditions on a single view (a state violates them when one
+    of its views does), as {!Transition.successors_with_delta} takes
+    them; [None] when both are off. *)
+
 val rcr : report -> float
 (** Relative cost reduction [(cε(S0) − cε(Sb)) / cε(S0)] (§6.1). *)
 
@@ -108,8 +113,9 @@ module Internal : sig
 
   val expand : engine -> State.t -> int -> (State.t * int) list
   (** [expand engine state rank] generates the successors of a state
-      reached at stratum [rank], admits each one (AVF collapse, stop
-      conditions, dedup, cost, strict check, [on_accept]) and
+      reached at stratum [rank], admits each one (stop conditions,
+      checked before the successor is built; AVF collapse of the views
+      the transition added; dedup, cost, strict check, [on_accept]) and
       returns those to expand further, with their ranks. *)
 
   val should_stop : engine -> bool

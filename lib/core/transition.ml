@@ -6,11 +6,11 @@ let kind_name = function VB -> "VB" | SC -> "SC" | JC -> "JC" | VF -> "VF"
 
 let all_kinds = [ VB; SC; JC; VF ]
 
-(* Per-kind telemetry: [applied] counts successor states actually
-   produced, [rejected] counts candidates pruned before producing a
-   state (disconnecting join-cut orientations, disconnected view-break
-   splits, fusion pairs with equal canonical bodies but no body
-   isomorphism).  Handles index by [kind_rank].
+(* Per-kind telemetry: [applied] counts the successors of a state,
+   built or pruned by the stop test, [rejected] counts candidates that
+   never make a successor (disconnecting join-cut orientations,
+   disconnected view-break splits, fusion pairs with equal canonical
+   bodies but no body isomorphism).  Handles index by [kind_rank].
 
    The per-view enumeration caches below mean a rejection is tallied
    once per view, not once per state containing the view. *)
@@ -101,12 +101,19 @@ let cached cache (v : View.t) derive =
           Hashtbl.add cache.c_tbl v.View.id actions;
           actions)
 
-let apply_actions state kind_cache derive =
+(* A successor before it is built: the victim and one of its cached
+   actions, or a fusion pair with its fused view. *)
+type fusion = { v3 : View.t; expr1 : Rewriting.t; expr2 : Rewriting.t }
+
+type candidate =
+  | Replace of View.t * action
+  | Fuse of View.t * View.t * fusion
+
+let replacement_candidates state kind_cache derive =
   List.concat_map
     (fun v ->
       List.map
-        (fun (replacements, expression) ->
-          State.replace_view state ~victim:v ~replacements ~expression)
+        (fun action -> Replace (v, action))
         (cached kind_cache v derive))
     state.State.views
 
@@ -136,7 +143,7 @@ let sc_actions (v : View.t) : action list =
       ([ v' ], expr))
     (State_graph.selection_edges v.View.cq)
 
-let selection_cuts state = apply_actions state sc_cache sc_actions
+let selection_cuts state = replacement_candidates state sc_cache sc_actions
 
 (* ---------------- Join cut --------------------------------------------- *)
 
@@ -216,7 +223,7 @@ let jc_actions (v : View.t) : action list =
       | _ -> [] (* cannot happen: removing one edge splits in ≤ 2 *))
     (State_graph.join_edges cq)
 
-let join_cuts state = apply_actions state jc_cache jc_actions
+let join_cuts state = replacement_candidates state jc_cache jc_actions
 
 (* ---------------- View break ------------------------------------------- *)
 
@@ -292,7 +299,7 @@ let vb_actions (v : View.t) : action list =
       ([ v1; v2 ], expr))
     (split_candidates v)
 
-let view_breaks state = apply_actions state vb_cache vb_actions
+let view_breaks state = replacement_candidates state vb_cache vb_actions
 
 (* ---------------- View fusion ------------------------------------------ *)
 
@@ -321,7 +328,7 @@ let total_rename cols_v3 fwd head_vars_v2 =
         (c, junk ("_dead_" ^ c)))
     cols_v3
 
-let fuse state v1 v2 =
+let fusion_of v1 v2 =
   match Query.Cq.body_isomorphism v1.View.cq v2.View.cq with
   | None ->
     reject VF;
@@ -350,51 +357,65 @@ let fuse state v1 v2 =
       Rewriting.Project
         (View.columns v2, Rewriting.Rename (mapping, Rewriting.Scan (View.name v3)))
     in
-    let n1 = View.name v1 in
-    let n2 = View.name v2 in
-    let views =
-      v3
-      :: List.filter
-           (fun v ->
-             let n = View.name v in
-             not (String.equal n n1 || String.equal n n2))
-           state.State.views
-    in
-    let touched = ref [] in
-    let rewritings =
-      List.map
-        (fun (q, r) ->
-          if Rewriting.mentions n1 r || Rewriting.mentions n2 r then begin
-            touched := q :: !touched;
-            (q, Rewriting.substitute n2 expr2 (Rewriting.substitute n1 expr1 r))
-          end
-          else (q, r))
-        state.State.rewritings
-    in
-    Some
-      ( State.make ~views ~rewritings,
-        {
-          Delta.views_removed = [ v1; v2 ];
-          views_added = [ v3 ];
-          rewritings_touched = List.rev !touched;
-        } )
+    Some { v3; expr1; expr2 }
 
-let fusion_pairs state =
-  let tagged =
-    List.map (fun v -> (View.body_intern_id v, v)) state.State.views
+let fuse state v1 v2 { v3; expr1; expr2 } =
+  let n1 = View.name v1 in
+  let n2 = View.name v2 in
+  let views =
+    v3
+    :: List.filter
+         (fun v ->
+           let n = View.name v in
+           not (String.equal n n1 || String.equal n n2))
+         state.State.views
   in
-  let rec pairs = function
-    | [] -> []
-    | (key1, v1) :: rest ->
-      List.filter_map
-        (fun (key2, v2) -> if key1 = key2 then Some (v1, v2) else None)
-        rest
-      @ pairs rest
+  let touched = ref [] in
+  let rewritings =
+    List.map
+      (fun (q, r) ->
+        if Rewriting.mentions n1 r || Rewriting.mentions n2 r then begin
+          touched := q :: !touched;
+          (q, Rewriting.substitute n2 expr2 (Rewriting.substitute n1 expr1 r))
+        end
+        else (q, r))
+      state.State.rewritings
   in
-  pairs tagged
+  ( State.make ~views ~rewritings,
+    {
+      Delta.views_removed = [ v1; v2 ];
+      views_added = [ v3 ];
+      rewritings_touched = List.rev !touched;
+    } )
+
+(* The pairs of views with equal body ids that fuse, in view order
+   (left member first), each with the position of its right member.
+   Only pairs whose left member is among the first [fresh] views are
+   tried: the caller knows every other pair, which lies within the
+   tail, not to fuse. *)
+let fusion_pairs ~fresh views =
+  let rec lefts i views () =
+    match views with
+    | v1 :: rest when i < fresh ->
+      partners i v1 (View.body_intern_id v1) rest (i + 1) rest ()
+    | _ -> Seq.Nil
+  and partners i v1 id1 rest j tail () =
+    match tail with
+    | [] -> lefts (i + 1) rest ()
+    | v2 :: more -> (
+      if View.body_intern_id v2 <> id1 then
+        partners i v1 id1 rest (j + 1) more ()
+      else
+        match fusion_of v1 v2 with
+        | Some f -> Seq.Cons ((v1, v2, f, j), partners i v1 id1 rest (j + 1) more)
+        | None -> partners i v1 id1 rest (j + 1) more ())
+  in
+  lefts 0 views
 
 let view_fusions state =
-  List.filter_map (fun (v1, v2) -> fuse state v1 v2) (fusion_pairs state)
+  fusion_pairs ~fresh:max_int state.State.views
+  |> Seq.map (fun (v1, v2, f, _) -> Fuse (v1, v2, f))
+  |> List.of_seq
 
 (* Cheap structural self-check under RDFVIEWS_STRICT.  The full semantic
    checks (rewriting equivalence, cost sanity) live in Invariant and run
@@ -421,51 +442,83 @@ let strict () =
     Atomic.set strict_memo (if b then 1 else 0);
     b
 
-let generate state kind =
+let candidates state kind =
   match kind with
   | VB -> view_breaks state
   | SC -> selection_cuts state
   | JC -> join_cuts state
   | VF -> view_fusions state
 
-let successors_with_delta state kind =
+let build state = function
+  | Replace (victim, (replacements, expression)) ->
+    State.replace_view state ~victim ~replacements ~expression
+  | Fuse (v1, v2, f) -> fuse state v1 v2 f
+
+(* The stop verdict of a candidate's successor, read off the parent
+   without building it: the successor keeps every parent view but the
+   victims, and adds the replacements.  A fusion keeps the body of its
+   victims, so its successor violates exactly when the parent does. *)
+let stop_verdict stop state =
+  match stop with
+  | None -> fun _ -> false
+  | Some stop -> (
+    let violating = List.filter stop state.State.views in
+    function
+    | Replace (victim, (replacements, _)) ->
+      List.exists (fun u -> u.View.id <> victim.View.id) violating
+      || List.exists stop replacements
+    | Fuse _ -> violating <> [])
+
+let check_strict kind stop ~pruned (succ, _) =
+  let fail problem =
+    failwith
+      (Printf.sprintf "Transition.%s produced an invalid state: %s"
+         (kind_name kind) problem)
+  in
+  (match State.structural_violations succ with
+  | [] -> ()
+  | problem :: _ -> fail problem);
+  match stop with
+  | Some stop when List.exists stop succ.State.views <> pruned ->
+    fail "the stop verdict read off the parent disagrees with the successor"
+  | _ -> ()
+
+let successors_with_delta ?stop state kind =
   let i = kind_rank kind in
-  let produced = Obs.time (obs_time.(i) ()) (fun () -> generate state kind) in
-  if strict () then
-    List.iter
-      (fun (succ, _) ->
-        match State.structural_violations succ with
-        | [] -> ()
-        | problem :: _ ->
-          failwith
-            (Printf.sprintf "Transition.%s produced an invalid state: %s"
-               (kind_name kind) problem))
-      produced;
-  Obs.add (obs_applied.(i) ()) (List.length produced);
-  produced
+  let strict = strict () in
+  let pruned = ref 0 in
+  let produced =
+    Obs.time (obs_time.(i) ()) @@ fun () ->
+    let candidates = candidates state kind in
+    Obs.add (obs_applied.(i) ()) (List.length candidates);
+    let violates = stop_verdict stop state in
+    List.filter_map
+      (fun candidate ->
+        let prune = violates candidate in
+        if prune then incr pruned;
+        if prune && not strict then None
+        else begin
+          let successor = build state candidate in
+          if strict then check_strict kind stop ~pruned:prune successor;
+          if prune then None else Some successor
+        end)
+      candidates
+  in
+  (produced, !pruned)
 [@@domain_safe]
 
-let successors state kind = List.map fst (successors_with_delta state kind)
+let successors state kind = List.map fst (fst (successors_with_delta state kind))
 
-let rec fusion_closure_from state acc =
-  match fusion_pairs state with
-  | [] -> (state, acc)
-  | (v1, v2) :: rest -> (
-    match fuse state v1 v2 with
-    | Some (state', d) ->
+let fusion_closure_delta ?(fresh = max_int) state =
+  let rec close fresh state acc =
+    match Seq.uncons (fusion_pairs ~fresh state.State.views) with
+    | None -> (state, acc)
+    | Some ((v1, v2, f, j), _) ->
+      let state', d = fuse state v1 v2 f in
       Obs.incr (obs_avf_fused ());
-      fusion_closure_from state' (Delta.compose acc d)
-    | None -> (
-      (* isomorphism can fail despite equal canonical bodies only in
-         pathological hash-free cases; fall through to other pairs *)
-      match
-        List.find_map (fun (a, b) -> fuse state a b) rest
-      with
-      | Some (state', d) ->
-        Obs.incr (obs_avf_fused ());
-        fusion_closure_from state' (Delta.compose acc d)
-      | None -> (state, acc)))
-
-let fusion_closure_delta state = fusion_closure_from state Delta.empty
+      (* v3 goes first; the other fresh views follow it *)
+      close (if j < fresh then fresh - 1 else fresh) state' (Delta.compose acc d)
+  in
+  close fresh state Delta.empty
 
 let fusion_closure state = fst (fusion_closure_delta state)

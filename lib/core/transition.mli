@@ -29,23 +29,43 @@ val kind_name : kind -> string
 val all_kinds : kind list
 (** In stratification order. *)
 
-val successors_with_delta : State.t -> kind -> (State.t * Delta.t) list
+val successors_with_delta :
+  ?stop:(View.t -> bool) -> State.t -> kind -> (State.t * Delta.t) list * int
 (** All states reachable from the given state by one application of the
     given transition kind, each paired with the exact delta the
     transition applied (views removed, views added, rewritings whose
     expression changed).  The delta feeds {!Cost.state_cost_delta}.  No
     deduplication is performed here; the search deduplicates by
-    {!State.key}. *)
+    {!State.key}.
+
+    [stop] is the search's stop test on a single view: a successor
+    violates it when one of its views does.  A violating successor is
+    pruned before it is built: its verdict is read off the views it
+    keeps from the parent and the cached replacement views (a VF
+    successor keeps its victims' body, so it violates exactly when the
+    parent does).  The pruned successors are left out of the list and
+    counted in the second component; [transition.<K>.applied] counts
+    them too.  Under [RDFVIEWS_STRICT] they are still built, checked
+    structurally, and their verdict checked against their views. *)
 
 val successors : State.t -> kind -> State.t list
-(** [successors s k] is [List.map fst (successors_with_delta s k)]. *)
+(** [successors s k] is every successor of [s] by [k], none pruned. *)
 
-val fusion_closure_delta : State.t -> State.t * Delta.t
+val fusion_closure_delta : ?fresh:int -> State.t -> State.t * Delta.t
 (** Repeatedly apply view fusions until none is applicable — the
     aggressive-view-fusion (AVF) collapse of §5.2; the result is unique
     no matter the fusion order.  Also returns the composition of all
     fusion deltas ({!Delta.empty} when no fusion applied, in which case
-    the returned state is the input itself). *)
+    the returned state is the input itself).
+
+    [~fresh:n] tells the closure that the views after the first [n]
+    cannot fuse with one another, as in a successor of a fusion-closed
+    state, whose [List.length delta.views_added] new views come first.
+    Only pairs whose left member is among the new views (fused views
+    included) are then tried; the fusions made, their order and the
+    result are those of the full closure, which is the default.  A
+    fusion keeps its views' body, so the closure never changes a stop
+    verdict. *)
 
 val fusion_closure : State.t -> State.t
 (** [fusion_closure s] is [fst (fusion_closure_delta s)]. *)

@@ -202,6 +202,113 @@ let test_avf_initial_fusion () =
   check_bool "initial cost already fused" true
     (report.Core.Search.initial_cost > 0.)
 
+(* ---------- pinned search outcomes ----------------------------------------- *)
+
+(* A fixed generated workload searched with AVF and STV on.  Every
+   outcome and search counter is pinned to a literal, so a change to how
+   successors are generated, pruned, collapsed or admitted that moves
+   any of them fails here. *)
+let pinned_store = Workload.Barton.store ~n_entities:50 ~seed:1 ()
+
+let pinned_workload =
+  Workload.Generator.generate_satisfiable pinned_store
+    {
+      Workload.Generator.default_spec with
+      shape = Workload.Generator.Chain;
+      n_queries = 2;
+      atoms_per_query = 3;
+      seed = 3;
+    }
+
+(* The report's counts, then every [search.stratum.<K>.*] and
+   [transition.<K>.applied] counter the run registered. *)
+let pinned_outcome ?(workload = pinned_workload) strategy =
+  let registry = Obs.create () in
+  Obs.set_global registry;
+  let report =
+    Fun.protect
+      ~finally:(fun () -> Obs.set_global Obs.disabled)
+      (fun () ->
+        Core.Search.run (stats_for pinned_store)
+          { Core.Search.default_options with strategy }
+          workload)
+  in
+  check_bool "completed" true report.Core.Search.completed;
+  let counters =
+    List.filter
+      (fun (name, _) ->
+        String.starts_with ~prefix:"search.stratum." name
+        || String.starts_with ~prefix:"transition." name
+           && String.ends_with ~suffix:".applied" name)
+      (Obs.counters registry)
+    |> List.sort compare
+  in
+  ( [
+      ("created", report.Core.Search.created);
+      ("duplicates", report.Core.Search.duplicates);
+      ("discarded", report.Core.Search.discarded);
+      ("explored", report.Core.Search.explored);
+    ]
+    @ counters,
+    Printf.sprintf "%.17g" report.Core.Search.best_cost )
+
+let check_pinned name strategy expected expected_cost =
+  let outcome, cost = pinned_outcome strategy in
+  Alcotest.(check (list (pair string int))) (name ^ " counters") expected outcome;
+  check_string (name ^ " best cost") expected_cost cost
+
+(* This workload reopens no state, so both strategies admit the same
+   successors. *)
+let pinned_counts =
+  [
+    ("created", 1251); ("duplicates", 334); ("discarded", 628);
+    ("explored", 290);
+    ("search.stratum.JC.created", 638);
+    ("search.stratum.JC.discarded", 391);
+    ("search.stratum.JC.duplicates", 111);
+    ("search.stratum.SC.created", 610);
+    ("search.stratum.SC.discarded", 237);
+    ("search.stratum.SC.duplicates", 223);
+    ("search.stratum.VB.created", 3);
+    ("transition.JC.applied", 638);
+    ("transition.SC.applied", 610);
+    ("transition.VB.applied", 3);
+    ("transition.VF.applied", 0);
+  ]
+
+let test_pinned_dfs () =
+  check_pinned "DFS" Core.Search.Dfs pinned_counts "87.115148663808867"
+
+let test_pinned_exstr () =
+  check_pinned "EXSTR" Core.Search.Exstr pinned_counts
+    "87.115148663808867"
+
+(* S0 holds an all-variable single-atom view: no transition applies to
+   it and stopvar rejects it, so every successor of S0 is discarded. *)
+let test_all_variable_initial_state () =
+  let workload =
+    [
+      cq ~name:"qall" [ v "S"; v "O" ] [ atom (v "S") (v "P") (v "O") ];
+      List.hd pinned_workload;
+    ]
+  in
+  let outcome, cost = pinned_outcome ~workload Core.Search.Dfs in
+  Alcotest.(check (list (pair string int)))
+    "counters"
+    [
+      ("created", 4); ("duplicates", 0); ("discarded", 4); ("explored", 1);
+      ("search.stratum.JC.created", 1);
+      ("search.stratum.JC.discarded", 1);
+      ("search.stratum.SC.created", 3);
+      ("search.stratum.SC.discarded", 3);
+      ("transition.JC.applied", 1);
+      ("transition.SC.applied", 3);
+      ("transition.VB.applied", 0);
+      ("transition.VF.applied", 0);
+    ]
+    outcome;
+  check_string "best cost" "7016.8721649484542" cost
+
 (* ---------- GSTR ---------------------------------------------------------- *)
 
 let test_gstr_runs_and_improves () =
@@ -375,6 +482,13 @@ let () =
           Alcotest.test_case "AVF reduces explored states" `Quick
             test_avf_reduces_created;
           Alcotest.test_case "initial fusion" `Quick test_avf_initial_fusion;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "DFS outcome" `Quick test_pinned_dfs;
+          Alcotest.test_case "EXSTR outcome" `Quick test_pinned_exstr;
+          Alcotest.test_case "all-variable S0 discards everything" `Quick
+            test_all_variable_initial_state;
         ] );
       ( "gstr",
         [

@@ -277,6 +277,100 @@ let estimator_for store =
   let stats = Stats.Statistics.create store in
   Core.Cost.create stats Core.Cost.default_weights
 
+(* ---------- admission without rework ------------------------------------ *)
+
+(* Every state of a random walk from S0, S0 included. *)
+let walk_states workload choices =
+  let rec go state acc = function
+    | [] -> List.rev (state :: acc)
+    | (k, choice) :: rest -> (
+      let kind = List.nth Core.Transition.all_kinds (k mod 4) in
+      match Core.Transition.successors state kind with
+      | [] -> go state acc rest
+      | succs ->
+        go (List.nth succs (choice mod List.length succs)) (state :: acc) rest)
+  in
+  go (Core.State.initial workload) [] choices
+
+let stop_settings =
+  List.concat_map
+    (fun stop_tt ->
+      List.map
+        (fun stop_var -> { Core.Search.default_options with stop_tt; stop_var })
+        [ false; true ])
+    [ false; true ]
+
+let keys states =
+  List.map (fun (s, _) -> Core.State.key_string s) states
+
+(* The views in state order, each by its canonical form *)
+let view_forms s = List.map Core.View.intern_id s.Core.State.views
+
+let prop_admission_without_rework =
+  QCheck.Test.make
+    ~name:"pruning and fresh-view fusion agree with building everything"
+    ~count:60
+    QCheck.(
+      pair (pair arb_cq arb_cq)
+        (list_of_size (Gen.int_range 0 8) (pair small_nat small_nat)))
+    (fun ((qa, qb), choices) ->
+      let workload = [ Query.Cq.rename qa "qa"; Query.Cq.rename qb "qb" ] in
+      List.for_all
+        (fun s ->
+          (* the AVF collapse never changes a stop verdict *)
+          List.for_all
+            (fun options ->
+              Core.Search.violates_stop options
+                (Core.Transition.fusion_closure s)
+              = Core.Search.violates_stop options s)
+            stop_settings
+          (* the verdict read off the parent is that of the built
+             successor, action by action *)
+          && List.for_all
+               (fun kind ->
+                 let all, none_pruned =
+                   Core.Transition.successors_with_delta s kind
+                 in
+                 none_pruned = 0
+                 && List.for_all
+                      (fun options ->
+                        let stop = Core.Search.stop_test options in
+                        let kept, pruned =
+                          Core.Transition.successors_with_delta ?stop s kind
+                        in
+                        let passing =
+                          List.filter
+                            (fun (succ, _) ->
+                              not (Core.Search.violates_stop options succ))
+                            all
+                        in
+                        pruned = List.length all - List.length passing
+                        && keys kept = keys passing)
+                      stop_settings)
+               Core.Transition.all_kinds
+          (* from a fusion-closed state, fusing only the views a
+             transition added reaches the full closure, fusion for
+             fusion *)
+          &&
+          let closed = Core.Transition.fusion_closure s in
+          List.for_all
+            (fun kind ->
+              List.for_all
+                (fun (succ, delta) ->
+                  let fresh =
+                    List.length delta.Core.Delta.views_added
+                  in
+                  let partial, _ =
+                    Core.Transition.fusion_closure_delta ~fresh succ
+                  in
+                  let full = Core.Transition.fusion_closure succ in
+                  Core.State.equal_key (Core.State.key partial)
+                    (Core.State.key full)
+                  && view_forms partial = view_forms full)
+                (fst (Core.Transition.successors_with_delta closed kind)))
+            Core.Transition.all_kinds)
+        (walk_states workload choices))
+
 let test_sc_increases_cost () =
   let est = estimator_for museum_store in
   let s0 = Core.State.initial [ q1_paper ] in
@@ -376,6 +470,7 @@ let () =
           Alcotest.test_case "figure 1 sequence" `Quick test_figure1_sequence;
           to_alcotest prop_random_walk_preserves_answers;
         ] );
+      ("admission", [ to_alcotest prop_admission_without_rework ]);
       ( "cost",
         [
           Alcotest.test_case "SC increases cost" `Quick test_sc_increases_cost;
