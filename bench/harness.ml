@@ -137,14 +137,15 @@ let add_bench_field key json =
   extra_bench_fields := (key, json) :: !extra_bench_fields
 
 (* Query-evaluation section, present only when the experiment drove the
-   evaluator under the "eval.run" timer (the eval experiment).  The
+   evaluator under the "eval.run" histogram (the eval experiment).  The
    count fields (queries, answers, bindings, probes) are deterministic
    for a fixed workload and participate in the exact baseline compare;
    the rates are wall-clock-derived and only threshold-compared. *)
 let eval_json registry =
-  match Obs.find_timer registry "eval.run" with
+  match Obs.find_histogram registry "eval.run" with
   | None -> None
-  | Some (_, run_ns) ->
+  | Some run ->
+    let run_ns = Obs.histogram_sum run in
     let counter n = Option.value ~default:0 (Obs.find_counter registry n) in
     let pctl q =
       match Obs.find_histogram registry "eval.query.ns" with
@@ -196,9 +197,6 @@ let gc_json gc0 gc1 =
 
 let bench_json name registry ~gc0 ~gc1 =
   let counter n = Option.value ~default:0 (Obs.find_counter registry n) in
-  let timer_total n =
-    match Obs.find_timer registry n with Some (_, ns) -> ns | None -> 0
-  in
   let pctl q =
     match Obs.find_histogram registry "search.expand.ns" with
     | Some h -> Obs.percentile h q
@@ -210,7 +208,11 @@ let bench_json name registry ~gc0 ~gc1 =
     | None -> Obs.Json.Null
   in
   let created = counter "search.created" in
-  let run_ns = timer_total "search.run" in
+  let run_ns =
+    match Obs.find_histogram registry "search.run" with
+    | Some h -> Obs.histogram_sum h
+    | None -> 0
+  in
   let states_per_sec =
     if run_ns = 0 then 0.
     else float_of_int created /. (float_of_int run_ns /. 1e9)

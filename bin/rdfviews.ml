@@ -108,9 +108,9 @@ let metrics_arg =
     & opt (some string) None
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:
-          "Write run telemetry (named counters, timers, histograms, gauges, \
-           series and trace spans — per-transition counts, per-stratum \
-           search outcomes and timings, the best-cost trajectory, \
+          "Write run telemetry (named counters, histograms, gauges, series \
+           and trace spans — per-transition counts and timings, per-stratum \
+           search outcomes, the best-cost trajectory, \
            cost-estimator cache hits, store probe counts) as JSON \
            to $(docv).  $(docv) is live: it is written at the start, \
            atomically rewritten every second with the runtime's GC pauses, \

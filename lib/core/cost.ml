@@ -9,20 +9,16 @@ type weights = {
 
 let default_weights = { cs = 1.; cr = 1.; cm = 0.5; c1 = 1.; c2 = 1.; f = 2. }
 
-(* Estimator telemetry: memo-table hit rates for view profiles and
-   state costs, the number of algebra nodes estimated, the time spent
-   computing non-memoized state costs, and the incremental path's
-   share (delta-applied vs full-recompute) with its latency
-   distribution. *)
-let obs_profile_hits = Obs.cached_counter "cost.profile.hits"
-let obs_profile_misses = Obs.cached_counter "cost.profile.misses"
+(* Estimator telemetry: the state-cost memo's hit rate, the number of
+   algebra nodes estimated, the time spent computing non-memoized
+   state costs from scratch, and the incremental path's share
+   (delta-applied vs full-recompute). *)
 let obs_state_hits = Obs.cached_counter "cost.state.hits"
 let obs_state_misses = Obs.cached_counter "cost.state.misses"
 let obs_estimate_nodes = Obs.cached_counter "cost.estimate.nodes"
-let obs_state_eval = Obs.cached_timer "cost.state.eval"
+let obs_state_eval = Obs.cached_histogram "cost.state.eval"
 let obs_delta_incremental = Obs.cached_counter "cost.delta.incremental"
 let obs_delta_full = Obs.cached_counter "cost.delta.full"
-let obs_delta_hist = Obs.cached_histogram "cost.delta.ns"
 
 type view_profile = {
   cardinality : float;
@@ -93,11 +89,8 @@ let var_width stats (cq : Query.Cq.t) x =
 
 let profile t (v : View.t) =
   match Hashtbl.find_opt t.profiles (View.name v) with
-  | Some p ->
-    Obs.incr (obs_profile_hits ());
-    p
+  | Some p -> p
   | None ->
-    Obs.incr (obs_profile_misses ());
     let cq = v.View.cq in
     let cardinality = Stats.Cardinality.estimate_cq t.stats cq in
     let cols = View.columns v in
@@ -384,12 +377,9 @@ let state_cost_delta ?(memoize = true) t ~parent ~delta child =
         Obs.time (obs_state_eval ()) (fun () -> node_full t child)
       end
       else
-        let h = obs_delta_hist () in
-        let t0 = if Obs.histogram_live h then Obs.now_ns () else 0 in
         match node_delta t parent_node delta child with
         | n ->
           Obs.incr (obs_delta_incremental ());
-          if Obs.histogram_live h then Obs.observe h (Obs.now_ns () - t0);
           n
         | exception (Delta_mismatch | Invalid_argument _) ->
           (* the delta does not line up with the child's rewritings (a

@@ -32,16 +32,12 @@ module I = Search.Internal
 let note_utilization entries =
   let sink = Obs.global () in
   if Obs.is_enabled sink then begin
-    let agg_work = ref 0 and agg_steal = ref 0 and agg_idle = ref 0 in
     List.iter
       (fun (slot, work, steal, total) ->
         let idle =
           let i = total - work - steal in
           if i < 0 then 0 else i
         in
-        agg_work := !agg_work + work;
-        agg_steal := !agg_steal + steal;
-        agg_idle := !agg_idle + idle;
         let dom name v =
           Obs.add
             (Obs.counter sink (Printf.sprintf "parallel.domain.%d.%s" slot name))
@@ -50,10 +46,7 @@ let note_utilization entries =
         dom "work_ns" work;
         dom "steal_ns" steal;
         dom "idle_ns" idle)
-      entries;
-    Obs.add (Obs.counter sink "parallel.work_ns") !agg_work;
-    Obs.add (Obs.counter sink "parallel.steal_ns") !agg_steal;
-    Obs.add (Obs.counter sink "parallel.idle_ns") !agg_idle
+      entries
   end
 [@@coordinator_only]
 

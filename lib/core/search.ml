@@ -88,8 +88,7 @@ let obs_duplicates = Obs.cached_counter "search.duplicates"
 let obs_discarded = Obs.cached_counter "search.discarded"
 let obs_explored = Obs.cached_counter "search.explored"
 let obs_reopened = Obs.cached_counter "search.reopened"
-let obs_run_time = Obs.cached_timer "search.run"
-let obs_expand_time = Obs.cached_timer "search.expand"
+let obs_run_time = Obs.cached_histogram "search.run"
 let obs_expand_hist = Obs.cached_histogram "search.expand.ns"
 let obs_initial_cost = Obs.cached_gauge "search.initial_cost"
 let obs_best_cost = Obs.cached_gauge "search.best_cost"
@@ -111,9 +110,6 @@ let obs_stratum_created = obs_stratum "created"
 let obs_stratum_duplicates = obs_stratum "duplicates"
 let obs_stratum_reopened = obs_stratum "reopened"
 let obs_stratum_discarded = obs_stratum "discarded"
-
-let obs_stratum_expand =
-  obs_per_stratum (fun k -> Obs.cached_timer ("search.stratum." ^ k ^ ".expand"))
 
 type engine = {
   estimator : Cost.t;
@@ -287,8 +283,7 @@ let note_explored engine =
 
 let expand engine state rank =
   note_explored engine;
-  Obs.time_with (obs_expand_time ()) (obs_expand_hist ()) @@ fun () ->
-  Obs.time (obs_stratum_expand.(rank) ()) @@ fun () ->
+  Obs.time (obs_expand_hist ()) @@ fun () ->
   List.concat_map
     (fun kind ->
       admit engine ~rank:(rank_of engine.options kind) ~parent:state kind)

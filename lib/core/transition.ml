@@ -26,9 +26,7 @@ let obs_rejected =
   obs_per_kind (fun k -> Obs.cached_counter ("transition." ^ k ^ ".rejected"))
 
 let obs_time =
-  obs_per_kind (fun k -> Obs.cached_timer ("transition." ^ k ^ ".time"))
-
-let obs_avf_fused = Obs.cached_counter "transition.AVF.fused"
+  obs_per_kind (fun k -> Obs.cached_histogram ("transition." ^ k ^ ".time"))
 
 let reject kind = Obs.incr (obs_rejected.(kind_rank kind) ())
 
@@ -515,7 +513,6 @@ let fusion_closure_delta ?(fresh = max_int) state =
     | None -> (state, acc)
     | Some ((v1, v2, f, j), _) ->
       let state', d = fuse state v1 v2 f in
-      Obs.incr (obs_avf_fused ());
       (* v3 goes first; the other fresh views follow it *)
       close (if j < fresh then fresh - 1 else fresh) state' (Delta.compose acc d)
   in

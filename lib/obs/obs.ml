@@ -1,4 +1,4 @@
-(* Counters and timers are plain mutable records handed out to call
+(* Counters and histograms are plain mutable records handed out to call
    sites, so an event on the hot path is a field update — no hashing.
    The [live] flag makes the shared no-op handles safe to use from a
    disabled sink without a branchy API. *)
@@ -6,8 +6,6 @@
 let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
 type counter = { mutable n : int; c_live : bool }
-
-type timer = { mutable total_ns : int; mutable calls : int; t_live : bool }
 
 type span_event = {
   span_name : string;
@@ -42,7 +40,6 @@ type series = {
 
 type registry = {
   cs : (string, counter) Hashtbl.t;
-  ts : (string, timer) Hashtbl.t;
   hs : (string, histogram) Hashtbl.t;
   gs : (string, gauge) Hashtbl.t;
   ss : (string, series) Hashtbl.t;
@@ -60,7 +57,6 @@ let create () =
   Enabled
     {
       cs = Hashtbl.create 64;
-      ts = Hashtbl.create 64;
       hs = Hashtbl.create 16;
       gs = Hashtbl.create 16;
       ss = Hashtbl.create 4;
@@ -76,11 +72,6 @@ let reset = function
   | Disabled -> ()
   | Enabled r ->
     Hashtbl.iter (fun _ c -> c.n <- 0) r.cs;
-    Hashtbl.iter
-      (fun _ tm ->
-        tm.total_ns <- 0;
-        tm.calls <- 0)
-      r.ts;
     Hashtbl.iter
       (fun _ h ->
         Array.fill h.buckets 0 (Array.length h.buckets) 0;
@@ -122,36 +113,6 @@ let add c k = if c.c_live then c.n <- c.n + k
 
 let value c = c.n
 
-(* ---------- timers ------------------------------------------------------- *)
-
-let noop_timer = { total_ns = 0; calls = 0; t_live = false }
-
-let timer t name =
-  match t with
-  | Disabled -> noop_timer
-  | Enabled r -> (
-    match Hashtbl.find_opt r.ts name with
-    | Some tm -> tm
-    | None ->
-      let tm = { total_ns = 0; calls = 0; t_live = true } in
-      Hashtbl.add r.ts name tm;
-      tm)
-
-let time tm f =
-  if not tm.t_live then f ()
-  else begin
-    let t0 = now_ns () in
-    Fun.protect
-      ~finally:(fun () ->
-        tm.total_ns <- tm.total_ns + (now_ns () - t0);
-        tm.calls <- tm.calls + 1)
-      f
-  end
-
-let timer_ns tm = tm.total_ns
-
-let timer_count tm = tm.calls
-
 (* ---------- histograms --------------------------------------------------- *)
 
 let noop_histogram = { buckets = [||]; events = 0; sum = 0; h_live = false }
@@ -166,8 +127,6 @@ let histogram t name =
       let h = { buckets = Array.make 64 0; events = 0; sum = 0; h_live = true } in
       Hashtbl.add r.hs name h;
       h)
-
-let histogram_live h = h.h_live
 
 let bucket_of_sample v =
   if v <= 0 then 0
@@ -192,6 +151,14 @@ let observe h v =
     h.buckets.(b) <- h.buckets.(b) + 1;
     h.events <- h.events + 1;
     h.sum <- h.sum + v
+  end
+
+(* On a no-op histogram: one branch, no clock read. *)
+let time h f =
+  if not h.h_live then f ()
+  else begin
+    let t0 = now_ns () in
+    Fun.protect ~finally:(fun () -> observe h (now_ns () - t0)) f
   end
 
 let histogram_count h = h.events
@@ -263,23 +230,6 @@ let set_series sr points =
 
 (* ---------- spans -------------------------------------------------------- *)
 
-(* [time] for sections feeding both a mean (timer) and a distribution
-   (histogram); the clock is read once per side. *)
-let time_with tm h f =
-  if not (tm.t_live || h.h_live) then f ()
-  else begin
-    let t0 = now_ns () in
-    Fun.protect
-      ~finally:(fun () ->
-        let dt = now_ns () - t0 in
-        if tm.t_live then begin
-          tm.total_ns <- tm.total_ns + dt;
-          tm.calls <- tm.calls + 1
-        end;
-        observe h dt)
-      f
-  end
-
 let span t name f =
   match t with
   | Disabled -> f ()
@@ -323,10 +273,6 @@ let counters = function
   | Disabled -> []
   | Enabled r -> sorted_bindings r.cs (fun c -> c.n)
 
-let timers = function
-  | Disabled -> []
-  | Enabled r -> sorted_bindings r.ts (fun tm -> (tm.calls, tm.total_ns))
-
 let histograms = function
   | Disabled -> []
   | Enabled r -> sorted_bindings r.hs (fun h -> h)
@@ -352,12 +298,6 @@ let find_counter t name =
   | Disabled -> None
   | Enabled r -> Option.map (fun c -> c.n) (Hashtbl.find_opt r.cs name)
 
-let find_timer t name =
-  match t with
-  | Disabled -> None
-  | Enabled r ->
-    Option.map (fun tm -> (tm.calls, tm.total_ns)) (Hashtbl.find_opt r.ts name)
-
 let find_histogram t name =
   match t with Disabled -> None | Enabled r -> Hashtbl.find_opt r.hs name
 
@@ -370,10 +310,9 @@ let find_gauge t name =
 
 (* Fold one registry into another — how per-domain registries from a
    parallel search are combined after the workers have been joined.
-   Sums are summed (counters, timer totals and call counts, histogram
-   buckets); a gauge or series travels only into a destination that
-   has not set it (the coordinating domain's value is authoritative);
-   spans are
+   Sums are summed (counters, histogram buckets, counts and totals); a
+   gauge or series travels only into a destination that has not set it
+   (the coordinating domain's value is authoritative); spans are
    appended with their start offsets rebased onto the destination's
    clock origin.  Both registries must be quiescent: this runs on the
    joining domain, after the source's owner has terminated. *)
@@ -386,12 +325,6 @@ let merge_into ~into src =
         let d = counter dst name in
         d.n <- d.n + c.n)
       src_r.cs;
-    Hashtbl.iter
-      (fun name (tm : timer) ->
-        let d = timer dst name in
-        d.total_ns <- d.total_ns + tm.total_ns;
-        d.calls <- d.calls + tm.calls)
-      src_r.ts;
     Hashtbl.iter
       (fun name (h : histogram) ->
         let d = histogram dst name in
@@ -439,58 +372,24 @@ let set_global t =
 
 let global () = Multicore.Dls.get global_sink
 
-let generation () = Multicore.Dls.get global_gen
-
 (* Each cached handle owns a domain-local (generation, handle) pair: the
    memo cell itself must be per-domain, or one domain would resolve
    against another domain's sink. *)
-let cached_counter name =
-  let cache = Multicore.Dls.new_key (fun () -> (-1, noop_counter)) in
+let cached resolve noop name =
+  let cache = Multicore.Dls.new_key (fun () -> (-1, noop)) in
   fun () ->
     let gen = Multicore.Dls.get global_gen in
-    let seen, c = Multicore.Dls.get cache in
-    if seen = gen then c
+    let seen, x = Multicore.Dls.get cache in
+    if seen = gen then x
     else begin
-      let c = counter (Multicore.Dls.get global_sink) name in
-      Multicore.Dls.set cache (gen, c);
-      c
+      let x = resolve (Multicore.Dls.get global_sink) name in
+      Multicore.Dls.set cache (gen, x);
+      x
     end
 
-let cached_timer name =
-  let cache = Multicore.Dls.new_key (fun () -> (-1, noop_timer)) in
-  fun () ->
-    let gen = Multicore.Dls.get global_gen in
-    let seen, tm = Multicore.Dls.get cache in
-    if seen = gen then tm
-    else begin
-      let tm = timer (Multicore.Dls.get global_sink) name in
-      Multicore.Dls.set cache (gen, tm);
-      tm
-    end
-
-let cached_histogram name =
-  let cache = Multicore.Dls.new_key (fun () -> (-1, noop_histogram)) in
-  fun () ->
-    let gen = Multicore.Dls.get global_gen in
-    let seen, h = Multicore.Dls.get cache in
-    if seen = gen then h
-    else begin
-      let h = histogram (Multicore.Dls.get global_sink) name in
-      Multicore.Dls.set cache (gen, h);
-      h
-    end
-
-let cached_gauge name =
-  let cache = Multicore.Dls.new_key (fun () -> (-1, noop_gauge)) in
-  fun () ->
-    let gen = Multicore.Dls.get global_gen in
-    let seen, g = Multicore.Dls.get cache in
-    if seen = gen then g
-    else begin
-      let g = gauge (Multicore.Dls.get global_sink) name in
-      Multicore.Dls.set cache (gen, g);
-      g
-    end
+let cached_counter = cached counter noop_counter
+let cached_histogram = cached histogram noop_histogram
+let cached_gauge = cached gauge noop_gauge
 
 (* ---------- JSON --------------------------------------------------------- *)
 
@@ -740,20 +639,11 @@ module Json = struct
     | _ -> None
 end
 
-let schema_version = 3
+let schema_version = 4
 
 let to_json t =
   let counters_json =
     Json.Obj (List.map (fun (name, n) -> (name, Json.Int n)) (counters t))
-  in
-  let timers_json =
-    Json.Obj
-      (List.map
-         (fun (name, (calls, total_ns)) ->
-           ( name,
-             Json.Obj
-               [ ("count", Json.Int calls); ("total_ns", Json.Int total_ns) ] ))
-         (timers t))
   in
   let histograms_json =
     Json.Obj
@@ -801,7 +691,6 @@ let to_json t =
     [
       ("schema_version", Json.Int schema_version);
       ("counters", counters_json);
-      ("timers", timers_json);
       ("histograms", histograms_json);
       ("gauges", gauges_json);
       ("series", series_json);
@@ -1031,7 +920,7 @@ module Report = struct
         | Some (Json.Obj _) -> ()
         | Some _ -> fail "%s: expected an object" key
         | None -> fail "missing member %s" key)
-      [ "counters"; "timers"; "histograms"; "gauges"; "series" ];
+      [ "counters"; "histograms"; "gauges"; "series" ];
     match Json.member "spans" json with
     | Some (Json.List _) -> ()
     | Some _ -> fail "spans: expected a list"
@@ -1054,10 +943,13 @@ module Report = struct
     | Some (Json.Int i) -> i
     | _ -> 0
 
-  let timer_total json name =
-    match Option.bind (List.assoc_opt name (members "timers" json)) (Json.member "total_ns") with
-    | Some (Json.Int i) -> Some i
-    | _ -> None
+  (* A numeric field ("count", "total", "p50", ...) of a histogram. *)
+  let hist json name field =
+    Option.bind (List.assoc_opt name (members "histograms" json)) (fun h ->
+        Option.bind (Json.member field h) num)
+
+  (* The summed samples of a duration histogram, in ns. *)
+  let total_ns json name = Option.map int_of_float (hist json name "total")
 
   let trajectory json =
     match List.assoc_opt "search.trajectory" (members "series" json) with
@@ -1099,7 +991,7 @@ module Report = struct
             discarded_k;
             time_ns =
               Option.value ~default:0
-                (timer_total json (Printf.sprintf "transition.%s.time" kind));
+                (total_ns json (Printf.sprintf "transition.%s.time" kind));
           })
         (List.filter_map
            (fun (name, _) ->
@@ -1122,7 +1014,7 @@ module Report = struct
       accepted = created - duplicates - discarded;
       reopened = count json "search.reopened";
       completed = Option.map (fun v -> v <> 0.) (find "gauges" json "search.completed");
-      wall_ns = timer_total json "search.run";
+      wall_ns = total_ns json "search.run";
       convergence = trajectory json;
       kinds;
       memo_hits = count json "cost.state.hits";
@@ -1253,10 +1145,7 @@ module Report = struct
      so a 4.x dump (no [runtime.*]) still renders. *)
   let render_runtime b json =
     let counter = find "counters" json and gauge = find "gauges" json in
-    let hist name field =
-      Option.bind (List.assoc_opt name (members "histograms" json)) (fun h ->
-          Option.bind (Json.member field h) num)
-    in
+    let hist = hist json in
     let cd name = Option.value ~default:0. (counter name) in
     (match counter "telemetry.ticks" with
     | Some n -> Printf.bprintf b "\nexporter:   %.0f ticks\n" n

@@ -1,7 +1,7 @@
-(** Run-level observability: named counters, monotonic timers, log-bucketed
-    histograms, gauges, point series and nested trace spans, gathered in
-    a registry that serializes to JSON — plus the renderer of a dump
-    ({!Report}).
+(** Run-level observability: named counters, log-bucketed histograms
+    (which also time sections), gauges, point series and nested trace
+    spans, gathered in a registry that serializes to JSON — plus the
+    renderer of a dump ({!Report}).
 
     The registry dump is the one record of a search: the paper-style
     search telemetry (states created / duplicates / best cost over time,
@@ -15,15 +15,15 @@
        function is a single [if]) or an enabled registry.  The sink in
        effect is selected once at startup via {!set_global};}
     {- {b cheap when enabled} — hot paths hold direct handles to mutable
-       counter/timer records instead of hashing names per event; use
-       {!cached_counter}/{!cached_timer} for module-level handles that
+       counter/histogram records instead of hashing names per event; use
+       {!cached_counter}/{!cached_histogram} for module-level handles that
        re-resolve only when the global sink changes;}
     {- {b deterministic accounting} — counters and span nesting are
-       exact; only timer values depend on the clock.}} *)
+       exact; only durations depend on the clock.}} *)
 
 val now_ns : unit -> int
 (** The monotonic clock, in nanoseconds from an arbitrary origin — the
-    clock every timer, histogram and span timestamp is read from.
+    clock every duration and span timestamp is read from.
     Exposed for call sites that must time a section without allocating
     a closure. *)
 
@@ -43,7 +43,7 @@ val create : unit -> t
 val is_enabled : t -> bool
 
 val reset : t -> unit
-(** Zero all counters, timers and histograms, unset gauges and series, drop
+(** Zero all counters and histograms, unset gauges and series, drop
     recorded spans, re-base the span clock, and zero the span nesting
     depth.  A span still open across the reset is dropped (not
     recorded) when it closes, so reusing one registry across benchmark
@@ -66,34 +66,15 @@ val add : counter -> int -> unit
 val value : counter -> int
 (** Current count; [0] for the no-op counter. *)
 
-(** {1 Timers}
-
-    A timer accumulates total elapsed monotonic nanoseconds and the
-    number of timed calls. *)
-
-type timer
-
-val timer : t -> string -> timer
-(** The timer registered under the given name, created at zero on
-    first use.  On a disabled sink, returns the shared no-op timer. *)
-
-val time : timer -> (unit -> 'a) -> 'a
-(** [time tm f] runs [f], adding its elapsed time to [tm] (also when
-    [f] raises).  On the no-op timer this is just [f ()]. *)
-
-val timer_ns : timer -> int
-(** Accumulated nanoseconds; [0] for the no-op timer. *)
-
-val timer_count : timer -> int
-(** Number of completed [time] calls. *)
-
 (** {1 Histograms}
 
     Log-bucketed distribution of integer samples (latencies in ns,
     sizes): bucket 0 holds non-positive samples, bucket [i >= 1] holds
     samples in [[2^(i-1), 2^i)].  64 buckets cover the whole [int]
     range, so recording never branches on overflow.  Percentiles are
-    bucket-resolution approximations (within a factor of ~1.5). *)
+    bucket-resolution approximations (within a factor of ~1.5).  A
+    duration histogram ({!time}) holds one sample per timed call, in
+    ns: its count is the number of calls and its sum the total time. *)
 
 type histogram
 
@@ -101,13 +82,14 @@ val histogram : t -> string -> histogram
 (** The histogram registered under the given name; the shared no-op
     histogram on a disabled sink. *)
 
-val histogram_live : histogram -> bool
-(** [false] exactly for the no-op histogram — lets a hot path skip
-    reading the clock when nobody will see the sample. *)
-
 val observe : histogram -> int -> unit
 (** Record one sample.  No-op (and allocation-free) on the no-op
     histogram. *)
+
+val time : histogram -> (unit -> 'a) -> 'a
+(** [time h f] runs [f], observing its elapsed nanoseconds in [h] (also
+    when [f] raises).  On the no-op histogram this is just [f ()]: one
+    branch, no clock read, no allocation. *)
 
 val histogram_count : histogram -> int
 (** Number of recorded samples. *)
@@ -126,11 +108,6 @@ val bucket_of_sample : int -> int
 val bucket_representative : int -> float
 (** The representative sample of a bucket: 0 for bucket 0, the
     geometric middle of [[2^(i-1), 2^i)] otherwise. *)
-
-val time_with : timer -> histogram -> (unit -> 'a) -> 'a
-(** [time_with tm h f] runs [f], feeding its elapsed nanoseconds to
-    both the timer (mean) and the histogram (distribution) from a
-    single clock-pair.  Just [f ()] when both handles are no-ops. *)
 
 (** {1 Gauges}
 
@@ -191,10 +168,6 @@ val spans : t -> span_event list
 val counters : t -> (string * int) list
 (** All registered counters, sorted by name. *)
 
-val timers : t -> (string * (int * int)) list
-(** All registered timers as [(name, (count, total_ns))], sorted by
-    name. *)
-
 val histograms : t -> (string * histogram) list
 (** All registered histograms, sorted by name. *)
 
@@ -207,9 +180,6 @@ val all_series : t -> (string * (float * float) list) list
 val find_counter : t -> string -> int option
 (** The value of a counter, [None] if never registered. *)
 
-val find_timer : t -> string -> (int * int) option
-(** A timer as [(count, total_ns)], [None] if never registered. *)
-
 val find_histogram : t -> string -> histogram option
 
 val find_gauge : t -> string -> float option
@@ -218,8 +188,8 @@ val find_gauge : t -> string -> float option
 (** {1 Merging registries} *)
 
 val merge_into : into:t -> t -> unit
-(** [merge_into ~into src] folds [src]'s contents into [into]: counters,
-    timer totals/call counts and histogram buckets are summed; a gauge
+(** [merge_into ~into src] folds [src]'s contents into [into]: counters
+    and histogram buckets, counts and sums are summed; a gauge
     or series set in [src] is copied only where [into] has not set it (the
     destination — typically the coordinating domain of a parallel
     search — stays authoritative); spans are appended with start
@@ -238,25 +208,18 @@ val merge_into : into:t -> t -> unit
     {!merge_into}. *)
 
 val set_global : t -> unit
-(** Install the registry as the calling domain's ambient sink and bump
-    that domain's {!generation}. *)
+(** Install the registry as the calling domain's ambient sink; the
+    calling domain's [cached_*] handles re-resolve on their next use. *)
 
 val global : unit -> t
 (** The calling domain's ambient sink; {!disabled} until the first
     {!set_global} in this domain. *)
-
-val generation : unit -> int
-(** Bumped on every {!set_global} in the calling domain; lets cached
-    handles detect sink changes. *)
 
 val cached_counter : string -> unit -> counter
 (** [cached_counter name] returns a thunk resolving the counter [name]
     against the {e current} global sink, memoized until the sink
     changes.  Bind it at module level; call the thunk at the use
     site. *)
-
-val cached_timer : string -> unit -> timer
-(** Same memoization for timers. *)
 
 val cached_histogram : string -> unit -> histogram
 (** Same memoization for histograms. *)
@@ -292,13 +255,12 @@ module Json : sig
 end
 
 val schema_version : int
-(** The version {!to_json} writes: [3]. *)
+(** The version {!to_json} writes: [4]. *)
 
 val to_json : t -> Json.t
 (** Serialize a registry:
-    {[ { "schema_version": 3,
+    {[ { "schema_version": 4,
          "counters":   { name: int, ... },
-         "timers":     { name: { "count": int, "total_ns": int }, ... },
          "histograms": { name: { "count": int, "total": int,
                                  "p50": num, "p90": num, "p99": num }, ... },
          "gauges":     { name: float, ... },
@@ -306,8 +268,7 @@ val to_json : t -> Json.t
          "spans":      [ { "name": string, "depth": int,
                            "start_ns": int, "elapsed_ns": int }, ... ] } ]}
     A disabled sink serializes to the same shape with empty members.
-    Version history: 1 = counters/timers/spans only; 2 adds
-    "histograms" and "gauges"; 3 adds "series". *)
+    EXPERIMENTS.md lists what each earlier version held. *)
 
 val to_string : t -> string
 (** [Json.to_string ~indent:true (to_json t)]. *)
@@ -406,7 +367,7 @@ module Report : sig
     reopened_k : int;
     duplicates_k : int;    (** includes [reopened_k] *)
     discarded_k : int;
-    time_ns : int;         (** total successor-generation time *)
+    time_ns : int;         (** total time spent building successors *)
   }
 
   type summary = {
@@ -437,8 +398,8 @@ module Report : sig
   val of_metrics : Json.t -> summary
   (** The search summary of a [--metrics] registry dump.
       @raise Bad_dump unless [schema_version] is {!schema_version},
-      [counters], [timers], [histograms], [gauges] and [series] are
-      objects and [spans] is a list. *)
+      [counters], [histograms], [gauges] and [series] are objects and
+      [spans] is a list. *)
 
   val rcr : summary -> float option
   (** Relative cost reduction (initial − final) / initial. *)

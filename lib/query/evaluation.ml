@@ -37,11 +37,8 @@ module Reference = struct
 
   module SMap = Map.Make (String)
 
-  (* Join telemetry: probes pick the next atom (one count_matching each),
-     scans enumerate a chosen atom's bucket, bindings are complete
-     assignments reaching the head projection. *)
-  let obs_atom_probes = Obs.cached_counter "eval.atom_probes"
-  let obs_atom_scans = Obs.cached_counter "eval.atom_scans"
+  (* Join telemetry: bindings are complete assignments reaching the
+     head projection. *)
   let obs_bindings = Obs.cached_counter "eval.bindings"
 
   type slot =
@@ -71,23 +68,9 @@ module Reference = struct
 
   (* Estimated result count of an atom under the current bindings: used to
      pick the cheapest next atom (most selective first). *)
-  let obs_probe_hist = Obs.cached_histogram "eval.probe.ns"
-
   let atom_cost store slots =
     if has_impossible slots then 0
-    else begin
-      Obs.incr (obs_atom_probes ());
-      (* join-ordering probe latency; clock read only under a live
-         histogram, no closure on the common path *)
-      let h = obs_probe_hist () in
-      if Obs.histogram_live h then begin
-        let t0 = Obs.now_ns () in
-        let n = Rdf.Store.count_matching store (pattern_of slots) in
-        Obs.observe h (Obs.now_ns () - t0);
-        n
-      end
-      else Rdf.Store.count_matching store (pattern_of slots)
-    end
+    else Rdf.Store.count_matching store (pattern_of slots)
 
   let extend_bindings bindings slots (ts, tp, to_) =
     let extend acc slot code =
@@ -134,7 +117,6 @@ module Reference = struct
         | None -> ()
         | Some (atom, slots, _) ->
           if not (has_impossible slots) then begin
-            Obs.incr (obs_atom_scans ());
             (* lint: allow phys-equal — removes this one occurrence, not its structural duplicates *)
             let rest = List.filter (fun a -> not (a == atom)) remaining in
             Rdf.Store.iter_matching store (pattern_of slots) (fun triple ->

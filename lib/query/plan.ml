@@ -29,7 +29,6 @@ module SMap = Map.Make (String)
 let obs_cache_hits = Obs.cached_counter "eval.plan.cache_hits"
 let obs_cache_misses = Obs.cached_counter "eval.plan.cache_misses"
 let obs_reorders = Obs.cached_counter "eval.plan.reorders"
-let obs_compile_hist = Obs.cached_histogram "eval.plan.compile.ns"
 let obs_extensions = Obs.cached_counter "eval.frame.extensions"
 let obs_bindings = Obs.cached_counter "eval.bindings"
 
@@ -114,7 +113,7 @@ let estimate store slots (s, p, o) =
   in
   shrink (shrink (shrink (float_of_int base) `S s) `P p) `O o
 
-let compile_internal ?overrides ~generation store (q : Cq.t) =
+let compile_gen ?overrides ~generation store (q : Cq.t) =
   let atoms =
     Array.of_list
       (List.map
@@ -265,16 +264,6 @@ let compile_internal ?overrides ~generation store (q : Cq.t) =
       result_hint = 0;
     }
   end
-
-let compile_gen ?overrides ~generation store q =
-  let h = obs_compile_hist () in
-  if Obs.histogram_live h then begin
-    let t0 = Obs.now_ns () in
-    let plan = compile_internal ?overrides ~generation store q in
-    Obs.observe h (Obs.now_ns () - t0);
-    plan
-  end
-  else compile_internal ?overrides ~generation store q
 
 let compile store q = compile_gen ~generation:0 store q
 

@@ -19,10 +19,9 @@
     large factor (the guarded re-order; capped per plan).
 
     Instruments: [eval.plan.cache_hits] / [eval.plan.cache_misses] /
-    [eval.plan.reorders] counters, [eval.plan.compile.ns] histogram,
-    [eval.frame.extensions] counter (successful per-step frame
-    extensions), and the pre-existing [eval.bindings] (complete
-    assignments). *)
+    [eval.plan.reorders] counters, the [eval.frame.extensions] counter
+    (successful per-step frame extensions), and the pre-existing
+    [eval.bindings] (complete assignments). *)
 
 type t
 

@@ -3,10 +3,9 @@ type encoded = int * int * int
 type pattern = { ps : int option; pp : int option; po : int option }
 
 (* Index telemetry (hooked to the ambient Obs sink; free when disabled).
-   A "probe" is an exact count lookup, a "scan" enumerates matches. *)
-let obs_inserts = Obs.cached_counter "store.inserts"
+   A "probe" is an exact count lookup; a scan adds the triples it
+   enumerates to [store.scanned_triples]. *)
 let obs_count_probes = Obs.cached_counter "store.count_probes"
-let obs_scans = Obs.cached_counter "store.scans"
 let obs_scanned = Obs.cached_counter "store.scanned_triples"
 
 (* Both backends must satisfy the common signature — the dispatch
@@ -65,10 +64,7 @@ let add_encoded t (s, p, o) =
     | Hash h -> Hash_backend.add h s p o
     | Compact c -> Compact_backend.add c s p o
   in
-  if added then begin
-    Obs.incr (obs_inserts ());
-    t.version <- t.version + 1
-  end;
+  if added then t.version <- t.version + 1;
   added
 
 let encode_triple t (tr : Triple.t) =
@@ -126,7 +122,6 @@ let scan_all t =
     | Hash h -> Hash_backend.scan_all h
     | Compact c -> Compact_backend.scan_all c
   in
-  Obs.incr (obs_scans ());
   Obs.add (obs_scanned ()) n;
   r
 
@@ -136,7 +131,6 @@ let scan1 t col code =
     | Hash h -> Hash_backend.scan1 h col code
     | Compact c -> Compact_backend.scan1 c col code
   in
-  Obs.incr (obs_scans ());
   Obs.add (obs_scanned ()) n;
   r
 
@@ -146,7 +140,6 @@ let scan2 t cols a b =
     | Hash h -> Hash_backend.scan2 h cols a b
     | Compact c -> Compact_backend.scan2 c cols a b
   in
-  Obs.incr (obs_scans ());
   Obs.add (obs_scanned ()) n;
   r
 
@@ -166,11 +159,9 @@ let fold_scan (data, n) f init =
 let fold_matching t pat f init =
   match pat with
   | { ps = None; pp = None; po = None } ->
-    Obs.incr (obs_scans ());
     Obs.add (obs_scanned ()) (size t);
     fold_all t f init
   | { ps = Some s; pp = Some p; po = Some o } ->
-    Obs.incr (obs_scans ());
     Obs.incr (obs_scanned ());
     if mem_encoded t (s, p, o) then f (s, p, o) init else init
   | { ps = Some s; pp = Some p; po = None } -> fold_scan (scan2 t `SP s p) f init
@@ -182,7 +173,8 @@ let fold_matching t pat f init =
 
 let iter_matching t pat f = fold_matching t pat (fun tr () -> f tr) ()
 
-let count_of_pattern t pat =
+let count_matching t pat =
+  Obs.incr (obs_count_probes ());
   match pat with
   | { ps = None; pp = None; po = None } -> size t
   | { ps = Some s; pp = Some p; po = Some o } ->
@@ -211,21 +203,6 @@ let count_of_pattern t pat =
     match t.repr with
     | Hash h -> Hash_backend.count1 h `O o
     | Compact c -> Compact_backend.count1 c `O o)
-
-let obs_probe_hist = Obs.cached_histogram "store.probe.ns"
-
-let count_matching t pat =
-  Obs.incr (obs_count_probes ());
-  (* per-probe latency distribution; the clock is only read when a live
-     histogram will see the sample, and no closure is allocated *)
-  let h = obs_probe_hist () in
-  if Obs.histogram_live h then begin
-    let t0 = Obs.now_ns () in
-    let n = count_of_pattern t pat in
-    Obs.observe h (Obs.now_ns () - t0);
-    n
-  end
-  else count_of_pattern t pat
 
 let matching t pat = fold_matching t pat (fun tr acc -> tr :: acc) []
 

@@ -1,4 +1,4 @@
-(* The Obs observability library: deterministic counter/timer/span
+(* The Obs observability library: deterministic counter/histogram/span
    semantics, JSON round-trip, and the consistency of the telemetry a
    real search run emits against its own report. *)
 
@@ -30,24 +30,6 @@ let test_disabled_counter () =
   check_bool "disabled sink has no counters" true (Obs.counters Obs.disabled = []);
   check_bool "disabled is not enabled" false (Obs.is_enabled Obs.disabled)
 
-(* ---------- timers ------------------------------------------------------- *)
-
-let test_timer_semantics () =
-  let reg = Obs.create () in
-  let tm = Obs.timer reg "t" in
-  check_int "fresh timer has no calls" 0 (Obs.timer_count tm);
-  let result = Obs.time tm (fun () -> 1 + 1) in
-  check_int "time returns the result" 2 result;
-  let _ = Obs.time tm (fun () -> ()) in
-  check_int "two calls recorded" 2 (Obs.timer_count tm);
-  check_bool "elapsed is non-negative" true (Obs.timer_ns tm >= 0);
-  (* the timer records also when the thunk raises *)
-  (try Obs.time tm (fun () -> failwith "boom") with Failure _ -> ());
-  check_int "raising call recorded" 3 (Obs.timer_count tm);
-  let dtm = Obs.timer Obs.disabled "t" in
-  check_int "no-op timer passes through" 7 (Obs.time dtm (fun () -> 7));
-  check_int "no-op timer records nothing" 0 (Obs.timer_count dtm)
-
 (* ---------- histograms ---------------------------------------------------- *)
 
 let test_histogram_bucketing () =
@@ -75,7 +57,6 @@ let test_histogram_percentiles () =
   let reg = Obs.create () in
   let h = Obs.histogram reg "h" in
   check_bool "empty percentile is nan" true (Float.is_nan (Obs.percentile h 50.));
-  check_bool "registered histogram is live" true (Obs.histogram_live h);
   for i = 1 to 100 do
     Obs.observe h i
   done;
@@ -91,21 +72,25 @@ let test_histogram_percentiles () =
   check_int "reset zeroes histogram" 0 (Obs.histogram_count h);
   (* disabled sink: shared no-op histogram *)
   let dh = Obs.histogram Obs.disabled "h" in
-  check_bool "no-op histogram is not live" false (Obs.histogram_live dh);
   Obs.observe dh 42;
   check_int "no-op histogram records nothing" 0 (Obs.histogram_count dh)
 
-let test_time_with () =
+(* [time] records one sample per call, in ns: the count is the number
+   of calls and the sum the total elapsed time. *)
+let test_histogram_time () =
   let reg = Obs.create () in
-  let tm = Obs.timer reg "tw" in
-  let h = Obs.histogram reg "tw.hist" in
-  let result = Obs.time_with tm h (fun () -> 5 * 5) in
-  check_int "time_with returns the result" 25 result;
-  check_int "timer saw one call" 1 (Obs.timer_count tm);
-  check_int "histogram saw one sample" 1 (Obs.histogram_count h);
-  (try Obs.time_with tm h (fun () -> failwith "boom") with Failure _ -> ());
-  check_int "raising call recorded in timer" 2 (Obs.timer_count tm);
-  check_int "raising call recorded in histogram" 2 (Obs.histogram_count h)
+  let h = Obs.histogram reg "t" in
+  let result = Obs.time h (fun () -> 1 + 1) in
+  check_int "time returns the result" 2 result;
+  let _ = Obs.time h (fun () -> ()) in
+  check_int "two calls recorded" 2 (Obs.histogram_count h);
+  check_bool "elapsed is non-negative" true (Obs.histogram_sum h >= 0);
+  (* the sample is recorded also when the thunk raises *)
+  (try Obs.time h (fun () -> failwith "boom") with Failure _ -> ());
+  check_int "raising call recorded" 3 (Obs.histogram_count h);
+  let dh = Obs.histogram Obs.disabled "t" in
+  check_int "no-op handle passes through" 7 (Obs.time dh (fun () -> 7));
+  check_int "no-op handle records nothing" 0 (Obs.histogram_count dh)
 
 (* ---------- gauges -------------------------------------------------------- *)
 
@@ -226,14 +211,13 @@ let test_json_parse_errors () =
 let test_registry_serialization () =
   let reg = Obs.create () in
   Obs.add (Obs.counter reg "c1") 5;
-  let _ = Obs.time (Obs.timer reg "t1") (fun () -> ()) in
   Obs.observe (Obs.histogram reg "h1") 100;
   Obs.set_gauge (Obs.gauge reg "g1") 2.5;
   Obs.set_series (Obs.series reg "s1") [ (0., 4.); (0.5, 1.25) ];
   Obs.span reg "phase" (fun () -> ());
   let json = Obs.Json.of_string (Obs.to_string reg) in
   check_bool "schema version present" true
-    (Obs.Json.member "schema_version" json = Some (Obs.Json.Int 3));
+    (Obs.Json.member "schema_version" json = Some (Obs.Json.Int 4));
   check_bool "series serialized as point pairs" true
     (Option.bind (Obs.Json.member "series" json) (Obs.Json.member "s1")
     = Some
@@ -261,14 +245,7 @@ let test_registry_serialization () =
     check_bool "counter value serialized" true
       (Obs.Json.member "c1" counters = Some (Obs.Json.Int 5))
   | None -> Alcotest.fail "no counters member");
-  (match Obs.Json.(member "timers" json) with
-  | Some timers -> (
-    match Obs.Json.member "t1" timers with
-    | Some t1 ->
-      check_bool "timer count serialized" true
-        (Obs.Json.member "count" t1 = Some (Obs.Json.Int 1))
-    | None -> Alcotest.fail "no t1 timer")
-  | None -> Alcotest.fail "no timers member");
+  check_bool "no timers member" true (Obs.Json.member "timers" json = None);
   match Obs.Json.(member "spans" json) with
   | Some (Obs.Json.List [ span ]) ->
     check_bool "span name serialized" true
@@ -396,23 +373,17 @@ let test_search_emits_consistent_counters () =
   check_bool "cost memo hit at least once" true (counter "cost.state.hits" > 0);
   check_bool "cost memo missed at least once" true
     (counter "cost.state.misses" > 0);
-  (match Obs.find_timer reg "cost.state.eval" with
-  | Some (calls, _) ->
+  (match Obs.find_histogram reg "cost.state.eval" with
+  | Some h ->
     check_int "misses are timed or delta-applied"
       (counter "cost.state.misses")
-      (calls + counter "cost.delta.incremental")
-  | None -> Alcotest.fail "cost.state.eval timer missing");
+      (Obs.histogram_count h + counter "cost.delta.incremental")
+  | None -> Alcotest.fail "cost.state.eval histogram missing");
   check_bool "incremental path was taken" true
     (counter "cost.delta.incremental" > 0);
   (* statistics probe the store through the indexed counters *)
   check_bool "store probes recorded" true (counter "store.count_probes" > 0);
   (* expansion timing covers every explored state *)
-  (match Obs.find_timer reg "search.expand" with
-  | Some (calls, _) ->
-    check_int "one expand timing per explored state"
-      report.Core.Search.explored calls
-  | None -> Alcotest.fail "search.expand timer missing");
-  (* the expand-latency histogram mirrors the expand timer call-count *)
   (match Obs.find_histogram reg "search.expand.ns" with
   | Some h ->
     check_int "one histogram sample per explored state"
@@ -447,12 +418,11 @@ let () =
           Alcotest.test_case "semantics" `Quick test_counter_semantics;
           Alcotest.test_case "disabled" `Quick test_disabled_counter;
         ] );
-      ("timers", [ Alcotest.test_case "semantics" `Quick test_timer_semantics ]);
       ( "histograms",
         [
           Alcotest.test_case "bucketing" `Quick test_histogram_bucketing;
           Alcotest.test_case "percentiles" `Quick test_histogram_percentiles;
-          Alcotest.test_case "time_with" `Quick test_time_with;
+          Alcotest.test_case "time" `Quick test_histogram_time;
         ] );
       ("gauges", [ Alcotest.test_case "semantics" `Quick test_gauge_semantics ]);
       ( "spans",

@@ -29,7 +29,6 @@ let contains hay needle =
 let test_disabled_handles_do_not_allocate () =
   Obs.set_global Obs.disabled;
   let counter = Obs.cached_counter "noalloc.counter" in
-  let timer = Obs.cached_timer "noalloc.timer" in
   let histogram = Obs.cached_histogram "noalloc.histogram" in
   let gauge = Obs.cached_gauge "noalloc.gauge" in
   let work () = () in
@@ -38,8 +37,7 @@ let test_disabled_handles_do_not_allocate () =
     Obs.add (counter ()) i;
     Obs.observe (histogram ()) i;
     Obs.set_gauge (gauge ()) 1.5;
-    Obs.time (timer ()) work;
-    Obs.time_with (timer ()) (histogram ()) work
+    Obs.time (histogram ()) work
   in
   (* warm up so any one-time allocation is out of the measured window *)
   round 0;
@@ -48,8 +46,8 @@ let test_disabled_handles_do_not_allocate () =
     round i
   done;
   let allocated = Gc.minor_words () -. before in
-  (* allow a few words of test-loop noise; 60k handle operations that
-     each allocated even one word would show up as >= 60_000 *)
+  (* allow a few words of test-loop noise; 50k handle operations that
+     each allocated even one word would show up as >= 50_000 *)
   check_bool
     (Printf.sprintf "disabled handles allocate nothing (saw %.0f words)"
        allocated)
@@ -137,7 +135,11 @@ let check_dump_consistent (report : Core.Search.report) dump =
   let text = Obs.Report.render dump in
   List.iter
     (fun needle -> check_bool ("render mentions " ^ needle) true (contains text needle))
-    [ "convergence"; "time to within"; "acceptance"; "stratum"; "states"; "outcome" ]
+    [
+      "convergence"; "time to within"; "acceptance"; "stratum"; "states"; "outcome";
+      (* read from the search.run histogram *)
+      "wall time";
+    ]
 
 let run_museum ?(options = Core.Search.default_options) () =
   Core.Search.run (Stats.Statistics.create (museum_store ())) options
@@ -232,11 +234,15 @@ let test_report_rejects_bad_dump () =
     Alcotest.check_raises text (Obs.Report.Bad_dump message) (fun () ->
         ignore (Obs.Report.of_metrics (Obs.Json.of_string text)))
   in
-  rejects {|{"schema_version":3,"counters":[1,2]}|} "counters: expected an object";
-  rejects {|{"schema_version":3}|} "missing member counters";
-  rejects {|{"schema_version":2,"counters":{}}|} "schema_version: expected 3";
+  rejects {|{"schema_version":4,"counters":[1,2]}|} "counters: expected an object";
+  rejects {|{"schema_version":4}|} "missing member counters";
+  rejects {|{"schema_version":2,"counters":{}}|} "schema_version: expected 4";
+  (* a complete v3 dump, which still carried a "timers" member *)
   rejects
-    {|{"schema_version":3,"counters":{},"timers":{},"histograms":{},"gauges":{},"spans":[]}|}
+    {|{"schema_version":3,"counters":{},"timers":{},"histograms":{},"gauges":{},"series":{},"spans":[]}|}
+    "schema_version: expected 4";
+  rejects
+    {|{"schema_version":4,"counters":{},"histograms":{},"gauges":{},"spans":[]}|}
     "missing member series";
   let empty = Obs.Report.of_metrics (Obs.to_json (Obs.create ())) in
   check_int "empty registry accepted" 0 empty.Obs.Report.created
@@ -254,6 +260,120 @@ let test_report_time_to_within () =
   check_bool "within 0%% is the final point" true
     (Obs.Report.time_to_within summary 0. = Some 2.5);
   check_bool "rcr needs an initial cost" true (Obs.Report.rcr summary = None)
+
+(* ---------- the dump boundary under fuzzing -------------------------------- *)
+
+(* A real v4 dump: a museum search's registry, serialized. *)
+let real_dump = lazy (Obs.Json.to_string ~indent:true (snd (with_registry run_museum)))
+
+(* Reading a dump fails only in the two named ways: a malformed
+   document is a [Parse_error] with a location, a well-formed one that
+   is not a dump is [Bad_dump]. *)
+let renders_or_refuses json =
+  match (Obs.Report.of_metrics json, Obs.Report.render json) with
+  | _ -> true
+  | exception Obs.Report.Bad_dump _ -> true
+
+(* Arbitrary strings, strings over the JSON punctuation, and byte
+   substitutions and truncations of a real dump. *)
+let gen_dump_text =
+  let open QCheck.Gen in
+  let json_char =
+    oneofl (List.of_seq (String.to_seq "{}[]\":,.-+eE0123456789 \n\\utrfalsenul"))
+  in
+  let mutated st =
+    let dump = Lazy.force real_dump in
+    let n = String.length dump in
+    oneof
+      [
+        map (fun k -> String.sub dump 0 k) (int_bound n);
+        map
+          (fun edits ->
+            let b = Bytes.of_string dump in
+            List.iter (fun (i, c) -> Bytes.set b i c) edits;
+            Bytes.to_string b)
+          (list_size (int_range 1 8) (pair (int_bound (n - 1)) char));
+      ]
+      st
+  in
+  oneof [ string; string_of json_char; mutated ]
+
+let prop_json_errors_located =
+  QCheck.Test.make ~name:"dump text parses or fails with a located Parse_error"
+    ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_dump_text)
+    (fun text ->
+      match Obs.Json.of_string text with
+      | json -> renders_or_refuses json
+      | exception Obs.Json.Parse_error msg -> contains msg "at offset")
+
+(* v4-shaped documents whose members hold random JSON, keyed by the
+   names the report reads and by random ones. *)
+let gen_v4_shaped =
+  let open QCheck.Gen in
+  let leaf =
+    oneof
+      [
+        return Obs.Json.Null;
+        map (fun b -> Obs.Json.Bool b) bool;
+        map (fun i -> Obs.Json.Int i) (oneof [ small_signed_int; int ]);
+        map (fun f -> Obs.Json.Float f) float;
+        map (fun s -> Obs.Json.String s) (string_size (int_bound 6));
+      ]
+  in
+  let value =
+    sized_size (int_bound 3)
+    @@ fix (fun self n ->
+           if n = 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 ( 1,
+                   map (fun l -> Obs.Json.List l) (list_size (int_bound 3) (self (n - 1))) );
+                 ( 1,
+                   map
+                     (fun l -> Obs.Json.Obj l)
+                     (list_size (int_bound 3)
+                        (pair (oneofl [ "count"; "total"; "p50"; "x" ]) (self (n - 1)))) );
+               ])
+  in
+  let name =
+    oneof
+      [
+        oneofl
+          [
+            "search.created"; "search.duplicates"; "search.discarded"; "search.explored";
+            "search.reopened"; "search.strategy.DFS"; "search.run"; "search.trajectory";
+            "search.best_cost"; "search.initial_cost"; "search.completed";
+            "transition.VB.applied"; "transition.VB.time"; "search.stratum.VB.created";
+            "cost.state.hits"; "cost.state.misses"; "telemetry.ticks";
+            "runtime.gc.minor.collections"; "runtime.gc.minor.pause_ns";
+            "runtime.gc.max_pause_ns"; "runtime.events.lost";
+            "parallel.domain.0.work_ns"; "parallel.domain.x.work_ns";
+          ];
+        string_size (int_bound 8);
+      ]
+  in
+  let member =
+    oneof [ map (fun l -> Obs.Json.Obj l) (list_size (int_bound 6) (pair name value)); value ]
+  in
+  let* version = frequency [ (9, return (Obs.Json.Int 4)); (1, value) ] in
+  let* members =
+    flatten_l
+      (List.map
+         (fun key -> map (fun v -> (key, v)) member)
+         [ "counters"; "histograms"; "gauges"; "series" ])
+  in
+  let* spans =
+    frequency [ (4, map (fun l -> Obs.Json.List l) (list_size (int_bound 3) value)); (1, value) ]
+  in
+  return (Obs.Json.Obj ((("schema_version", version) :: members) @ [ ("spans", spans) ]))
+
+let prop_report_total =
+  QCheck.Test.make ~name:"report renders or refuses any v4-shaped dump" ~count:2000
+    (QCheck.make ~print:(fun j -> Obs.Json.to_string j) gen_v4_shaped)
+    renders_or_refuses
 
 let () =
   Alcotest.run "trace"
@@ -277,5 +397,7 @@ let () =
           Alcotest.test_case "of_metrics" `Quick test_report_of_metrics;
           Alcotest.test_case "malformed dump" `Quick test_report_rejects_bad_dump;
           Alcotest.test_case "time_to_within" `Quick test_report_time_to_within;
+          to_alcotest prop_json_errors_located;
+          to_alcotest prop_report_total;
         ] );
     ]
