@@ -32,43 +32,19 @@ let load_store path = Rdf.Store.of_triples (Query.Parser.parse_triples (read_fil
 let load_workload path = Query.Parser.parse_workload (read_file path)
 let load_schema path = Query.Parser.parse_schema (read_file path)
 
-(* Like [handle_errors] but for commands whose success path already
-   returns an exit code (check: 0 certified / 1 violations found). *)
-let handle_errors_code f =
+(* Run a command body that returns its exit code, reporting expected
+   failures on stderr with exit [code]: 2 for check, whose success path
+   returns 0 certified / 1 violations found, and 1 otherwise. *)
+let exit_on_error code f =
+  let fail fmt = Printf.ksprintf (fun message -> prerr_endline message; code) fmt in
   try f () with
-  | Query.Parser.Parse_error message ->
-    Printf.eprintf "parse error: %s\n" message;
-    2
-  | Core.State_io.Syntax_error message ->
-    Printf.eprintf "state file error: %s\n" message;
-    2
-  | Obs.Report.Bad_dump message ->
-    Printf.eprintf "error: malformed metrics dump: %s\n" message;
-    2
-  | Invalid_argument message | Failure message ->
-    Printf.eprintf "error: %s\n" message;
-    2
-  | Sys_error message ->
-    Printf.eprintf "%s\n" message;
-    2
+  | Query.Parser.Parse_error message -> fail "parse error: %s" message
+  | Core.State_io.Syntax_error message -> fail "state file error: %s" message
+  | Obs.Report.Bad_dump message -> fail "error: malformed metrics dump: %s" message
+  | Invalid_argument message | Failure message -> fail "error: %s" message
+  | Sys_error message -> fail "%s" message
 
-let handle_errors f =
-  try f (); 0 with
-  | Query.Parser.Parse_error message ->
-    Printf.eprintf "parse error: %s\n" message;
-    1
-  | Core.State_io.Syntax_error message ->
-    Printf.eprintf "state file error: %s\n" message;
-    1
-  | Obs.Report.Bad_dump message ->
-    Printf.eprintf "error: malformed metrics dump: %s\n" message;
-    1
-  | Invalid_argument message | Failure message ->
-    Printf.eprintf "error: %s\n" message;
-    1
-  | Sys_error message ->
-    Printf.eprintf "%s\n" message;
-    1
+let handle_errors f = exit_on_error 1 (fun () -> f (); 0)
 
 (* ---------- common arguments ---------------------------------------------- *)
 
@@ -405,7 +381,7 @@ let check_cmd =
                 under pre-reformulation).")
   in
   let run workload schema reasoning state data =
-    handle_errors_code @@ fun () ->
+    exit_on_error 2 @@ fun () ->
     let queries = load_workload workload in
     let reference =
       match (reasoning, Option.map load_schema schema) with

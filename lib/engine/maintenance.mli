@@ -1,12 +1,14 @@
 (** Incremental view maintenance under triple insertions and deletions —
     the operations whose cost the VMC component of §3.3 models.
 
-    Insertion uses the standard delta rule: for each atom of the view
-    unifiable with the new triple, the remainder of the body is evaluated
-    against the updated store; the union of the deltas is added to the
-    materialized relation.  Deletion computes the candidate tuples that
-    used the removed triple and re-derives each against the shrunken
-    store, removing those no longer derivable. *)
+    Insertion uses the standard delta rule: for each view atom matching
+    the new triple, the view's own body is evaluated with that atom's
+    variables bound to the triple's codes
+    ({!Query.Evaluation.eval_cq_codes} [~bound]); the union of the
+    deltas is added to the materialized relation.  Deletion takes the
+    candidate tuples that used the removed triple and re-evaluates the
+    body, head bound to each, against the shrunken store, removing
+    those no longer derivable.  Nothing is interned or cached. *)
 
 val insert_triple :
   Rdf.Store.t -> (Query.Cq.t * Relation.t) list -> Rdf.Triple.t -> int

@@ -1,8 +1,9 @@
 (* Public query evaluation, routed through compiled plans.
 
    Every entry point fetches a cached plan ({!Plan.cached}) and
-   executes it against an int-array frame; the former interpretive
-   backtracking joiner survives unchanged as {!Reference} for
+   executes it against an int-array frame (an evaluation with bound
+   variables compiles an uncached plan instead); the
+   former interpretive backtracking joiner survives as {!Reference} for
    differential testing.  Under RDFVIEWS_STRICT=1 every evaluated
    query is run through both engines and the answer sets are compared
    — a mismatch raises, naming the query. *)
@@ -88,7 +89,7 @@ module Reference = struct
     let (s, p, o) = slots in
     extend (extend (extend (Some bindings) s ts) p tp) o to_
 
-  let eval_bindings store (q : Cq.t) emit =
+  let eval_bindings ?(bound = []) store (q : Cq.t) emit =
     Obs.incr (obs_evals ());
     let rec go bindings remaining =
       match remaining with
@@ -125,7 +126,7 @@ module Reference = struct
                 | None -> ())
           end)
     in
-    go SMap.empty q.body
+    go (List.fold_left (fun env (x, code) -> SMap.add x code env) SMap.empty bound) q.body
 
   let eval_into store (q : Cq.t) results =
     let project bindings =
@@ -140,7 +141,7 @@ module Reference = struct
         let key = Array.to_list tuple in
         if not (Row_table.mem results key) then Row_table.add results key tuple)
 
-  let eval_codes_into store (q : Cq.t) results =
+  let eval_codes_into ?bound store (q : Cq.t) results =
     let project bindings =
       let code_of = function
         | Qterm.Cst c -> Rdf.Store.encode_term store c
@@ -148,12 +149,12 @@ module Reference = struct
       in
       Array.of_list (List.map code_of q.head)
     in
-    eval_bindings store q (fun bindings ->
+    eval_bindings ?bound store q (fun bindings ->
         ignore (Rowset.add results (project bindings)))
 
-  let eval_cq_codes store q =
+  let eval_cq_codes ?bound store q =
     let results = Rowset.create 64 in
-    eval_codes_into store q results;
+    eval_codes_into ?bound store q results;
     Rowset.elements results
 
   let eval_ucq_codes store u =
@@ -218,10 +219,23 @@ let eval_cq_rowset store (q : Cq.t) =
   Plan.exec_into plan store rows;
   rows
 
-let eval_cq_codes store q =
-  let rows = Rowset.elements (eval_cq_rowset store q) in
+(* A bound evaluation compiles its own plan, the bound variables
+   resolved like constants: the codes change from call to call
+   (maintenance binds each update's terms), so caching it would only
+   grow the cache. *)
+let bound_rowset store (q : Cq.t) bound =
+  Obs.incr (obs_evals ());
+  let rows = Rowset.create 16 in
+  Plan.exec_into (Plan.compile ~bound store q) store rows;
+  rows
+
+let eval_cq_codes ?(bound = []) store q =
+  let rows =
+    Rowset.elements
+      (if bound = [] then eval_cq_rowset store q else bound_rowset store q bound)
+  in
   if strict_enabled () then
-    check_codes q.Cq.name rows (Reference.eval_cq_codes store q);
+    check_codes q.Cq.name rows (Reference.eval_cq_codes ~bound store q);
   rows
 
 (* Disjuncts accumulate into one shared row table sized from the sum

@@ -3,7 +3,8 @@
     This is [evaluate] in the sense of Theorem 4.2: standard evaluation
     of plain RDF basic graph patterns, with set semantics.  Since the
     compiled-plan rework, every entry point routes through
-    {!Plan.cached}: the join order is fixed at compile time, bindings
+    a compiled plan, cached unless variables are bound: the join order
+    is fixed at compile time, bindings
     live in an int-slot frame, and isomorphic queries share one cached
     plan per store.  The former interpretive joiner survives as
     {!Reference}; with [RDFVIEWS_STRICT=1] in the environment, every
@@ -17,9 +18,12 @@ val eval_cq : Rdf.Store.t -> Cq.t -> Rdf.Term.t array list
 val eval_ucq : Rdf.Store.t -> Ucq.t -> Rdf.Term.t array list
 (** Set-semantics union of the disjuncts' answers. *)
 
-val eval_cq_codes : Rdf.Store.t -> Cq.t -> int array list
+val eval_cq_codes : ?bound:(string * int) list -> Rdf.Store.t -> Cq.t -> int array list
 (** Like {!eval_cq} but dictionary-encoded; head constants are encoded
-    into the store's dictionary on the fly. *)
+    into the store's dictionary on the fly.  A non-empty [bound] fixes
+    variables (each listed once) to codes and compiles an uncached plan
+    ({!Plan.compile} [~bound]): nothing is interned or cached per
+    call. *)
 
 val eval_ucq_codes : Rdf.Store.t -> Ucq.t -> int array list
 
@@ -40,7 +44,7 @@ exception Differential_mismatch of string
 module Reference : sig
   val eval_cq : Rdf.Store.t -> Cq.t -> Rdf.Term.t array list
   val eval_ucq : Rdf.Store.t -> Ucq.t -> Rdf.Term.t array list
-  val eval_cq_codes : Rdf.Store.t -> Cq.t -> int array list
+  val eval_cq_codes : ?bound:(string * int) list -> Rdf.Store.t -> Cq.t -> int array list
   val eval_ucq_codes : Rdf.Store.t -> Ucq.t -> int array list
   val count_cq : Rdf.Store.t -> Cq.t -> int
   val count_ucq : Rdf.Store.t -> Ucq.t -> int

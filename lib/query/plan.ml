@@ -21,8 +21,12 @@
    - plans are cached per store id, keyed by the interned canonical
      form of the query (the process-global [Interning] table that
      [Core] also keys views on), so repeated evaluation — statistics
-     gathering, view materialization across search states, incremental
-     maintenance — compiles once. *)
+     gathering, view materialization across search states — compiles
+     once;
+   - a plan may be compiled with some variables {e bound} to codes,
+     which then resolve like constants.  Maintenance evaluates a view's
+     own body this way, bound to an update's codes; such plans are never
+     cached, so updates cache nothing. *)
 
 module SMap = Map.Make (String)
 
@@ -92,6 +96,12 @@ let resolve store = function
     | None -> Rabsent)
   | Qterm.Var x -> Rvar x
 
+(* A bound variable resolves like the constant it is bound to. *)
+let bind bound = function
+  | Rvar x as t -> (
+    match List.assoc_opt x bound with Some code -> Rconst code | None -> t)
+  | (Rconst _ | Rabsent) as t -> t
+
 (* Cardinality estimate of an atom given the compile-time constants and
    the set of variables bound by the steps already ordered.  The store
    can count any constant pattern in O(1); bound variables have unknown
@@ -113,13 +123,35 @@ let estimate store slots (s, p, o) =
   in
   shrink (shrink (shrink (float_of_int base) `S s) `P p) `O o
 
-let compile_gen ?overrides ~generation store (q : Cq.t) =
+(* Where each head term's value comes from: a constant's code, a bound
+   variable's code, or a slot.  Written as a plain recursion, head terms
+   left to right, so that compiling allocates no closure for it. *)
+let rec head_sources store slots bound = function
+  | [] -> []
+  | t :: rest ->
+    let src =
+      match t with
+      | Qterm.Cst c -> Hconst (Rdf.Store.encode_term store c)
+      | Qterm.Var x -> (
+        match (SMap.find_opt x slots, List.assoc_opt x bound) with
+        | Some sl, _ -> Hslot sl
+        | None, Some code -> Hconst code
+        | None, None -> invalid_arg "Plan.compile: unsafe head variable")
+    in
+    src :: head_sources store slots bound rest
+
+let compile_gen ?overrides ?(bound = []) ~generation store (q : Cq.t) =
   let atoms =
     Array.of_list
       (List.map
          (fun (a : Atom.t) ->
            (resolve store a.s, resolve store a.p, resolve store a.o))
          q.body)
+  in
+  (* a second pass, so that compiling with nothing bound costs nothing more *)
+  let atoms =
+    if bound = [] then atoms
+    else Array.map (fun (s, p, o) -> (bind bound s, bind bound p, bind bound o)) atoms
   in
   let n = Array.length atoms in
   let impossible =
@@ -238,17 +270,7 @@ let compile_gen ?overrides ~generation store (q : Cq.t) =
       steps :=
         { access; post_s; post_p; post_o; est = !best_est; atom = i } :: !steps
     done;
-    let head =
-      Array.of_list
-        (List.map
-           (function
-             | Qterm.Cst c -> Hconst (Rdf.Store.encode_term store c)
-             | Qterm.Var x -> (
-               match SMap.find_opt x !slots with
-               | Some sl -> Hslot sl
-               | None -> invalid_arg "Plan.compile: unsafe head variable"))
-           q.head)
-    in
+    let head = Array.of_list (head_sources store !slots bound q.head) in
     {
       query = q;
       store_id = Rdf.Store.id store;
@@ -265,7 +287,7 @@ let compile_gen ?overrides ~generation store (q : Cq.t) =
     }
   end
 
-let compile store q = compile_gen ~generation:0 store q
+let compile ?bound store q = compile_gen ?bound ~generation:0 store q
 
 (* ---------- execution ---------------------------------------------------- *)
 

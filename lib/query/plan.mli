@@ -16,7 +16,9 @@
     share one plan.  A cached plan is transparently recompiled when a
     constant it proved absent may have appeared (dictionary growth), or
     when observed bucket sizes are off the compile-time estimates by a
-    large factor (the guarded re-order; capped per plan).
+    large factor (the guarded re-order; capped per plan).  A plan
+    compiled with bound variables ({!compile} [~bound]) is never
+    cached.
 
     Instruments: [eval.plan.cache_hits] / [eval.plan.cache_misses] /
     [eval.plan.reorders] counters, the [eval.frame.extensions] counter
@@ -25,9 +27,11 @@
 
 type t
 
-val compile : Rdf.Store.t -> Cq.t -> t
+val compile : ?bound:(string * int) list -> Rdf.Store.t -> Cq.t -> t
 (** Compile a plan against the store's current dictionary, counts and
-    indexes, bypassing the cache. *)
+    indexes, bypassing the cache.  Each [bound] variable is fixed to
+    its code: the plan treats it as that constant, in the join order,
+    the access paths and the head.  Such plans are never cached. *)
 
 val cached : Rdf.Store.t -> Cq.t -> t
 (** The cached plan for the query's canonical form on this store,

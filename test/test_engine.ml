@@ -215,25 +215,106 @@ let test_delete_keeps_alternative_derivations () =
   check_int "still derivable: no removal" 0 removed;
   check_int "tuple survives" 1 (Engine.Relation.cardinality rel)
 
+(* Updates mix the generated vocabulary with a few terms no generated
+   store holds, so maintenance meets codes its views' plans never saw. *)
+let gen_update =
+  let open QCheck.Gen in
+  let fresh_triple =
+    map3
+      Rdf.Triple.make
+      (oneof [ gen_entity; map (fun i -> uri (Printf.sprintf "new%d" i)) (int_range 0 2) ])
+      gen_prop
+      (map (fun i -> lit (Printf.sprintf "fresh%d" i)) (int_range 0 2))
+  in
+  pair bool (frequency [ (4, gen_data_triple); (1, fresh_triple) ])
+
+let arb_maintenance_case =
+  QCheck.(
+    triple arb_backend_store
+      (list_of_size (Gen.int_range 2 3) arb_cq)
+      (list_of_size (Gen.return 20) (make gen_update)))
+
+(* Several views share one update stream; afterwards each maintained
+   relation holds exactly the rows of a fresh materialization. *)
+let maintenance_matches_recompute (store, views, updates) =
+  let views =
+    List.mapi
+      (fun i view ->
+        let view = Query.Cq.rename view (Printf.sprintf "v%d" i) in
+        (view, Engine.Materialize.materialize_cq store view))
+      views
+  in
+  List.iter
+    (fun (insert, tr) ->
+      if insert then ignore (Engine.Maintenance.insert_triple store views tr)
+      else ignore (Engine.Maintenance.delete_triple store views tr))
+    updates;
+  let sort rel =
+    List.sort compare (List.map Array.to_list (Engine.Relation.to_term_rows store rel))
+  in
+  List.for_all
+    (fun (view, rel) -> sort rel = sort (Engine.Materialize.materialize_cq store view))
+    views
+
 let prop_maintenance_matches_recompute =
-  QCheck.Test.make
-    ~name:"incremental maintenance = recompute from scratch" ~count:80
-    QCheck.(triple arb_store arb_cq (list_of_size (Gen.return 6) (make gen_data_triple)))
-    (fun (store, view, updates) ->
-      let rel = Engine.Materialize.materialize_cq store view in
-      let views = [ (view, rel) ] in
-      List.iteri
-        (fun i tr ->
-          if i mod 2 = 0 then ignore (Engine.Maintenance.insert_triple store views tr)
-          else ignore (Engine.Maintenance.delete_triple store views tr))
-        updates;
-      let recomputed = Engine.Materialize.materialize_cq store view in
-      let sort rel =
-        List.sort compare
-          (List.map Array.to_list
-             (Engine.Relation.to_term_rows store rel))
-      in
-      sort rel = sort recomputed)
+  QCheck.Test.make ~name:"incremental maintenance = recompute from scratch" ~count:80
+    arb_maintenance_case maintenance_matches_recompute
+
+(* The same under RDFVIEWS_STRICT=1: every delta and re-derivation is
+   also run through the Reference evaluator, which raises on a
+   disagreement. *)
+let prop_maintenance_strict =
+  QCheck.Test.make ~name:"strict maintenance = recompute" ~count:30
+    arb_maintenance_case (fun case ->
+      Unix.putenv "RDFVIEWS_STRICT" "1";
+      Fun.protect
+        ~finally:(fun () -> Unix.putenv "RDFVIEWS_STRICT" "")
+        (fun () -> maintenance_matches_recompute case))
+
+(* A delta binds the update's codes into the view's own plan: a long
+   stream of fresh-literal updates interns no query and caches no plan,
+   and deleting what it inserted leaves the view as it was. *)
+let test_maintenance_interns_nothing () =
+  let store = Workload.Barton.store ~n_entities:3000 ~seed:1 () in
+  let typed s =
+    Rdf.Store.count_matching store
+      { Rdf.Store.ps = Some s; pp = Some (Rdf.Store.encode_term store rdf_type); po = None }
+    > 0
+  in
+  (* a typed subject of a property with literal objects *)
+  let subject, prop =
+    match
+      List.find_opt
+        (fun (t : Rdf.Triple.t) ->
+          (match t.Rdf.Triple.o with Rdf.Term.Literal _ -> true | _ -> false)
+          && typed (Rdf.Store.encode_term store t.Rdf.Triple.s))
+        (Rdf.Store.to_triples store)
+    with
+    | Some t -> (t.Rdf.Triple.s, t.Rdf.Triple.p)
+    | None -> Alcotest.fail "no typed subject with a literal-valued property"
+  in
+  let view =
+    cq ~name:"v" [ v "X"; v "Y"; v "C" ]
+      [
+        atom (v "X") (Query.Qterm.Cst rdf_type) (v "C");
+        atom (v "X") (Query.Qterm.Cst prop) (v "Y");
+      ]
+  in
+  let rel = Engine.Materialize.materialize_cq store view in
+  let views = [ (view, rel) ] in
+  let rows () = List.sort compare (List.map Array.to_list (Engine.Relation.rows rel)) in
+  let initial = rows () in
+  let interned = Interning.size () and plans = Query.Plan.cached_plan_count store in
+  let added = ref 0 in
+  for i = 1 to 2000 do
+    let tr = triple subject prop (lit (Printf.sprintf "leak-%d" i)) in
+    added := !added + Engine.Maintenance.insert_triple store views tr;
+    ignore (Engine.Maintenance.delete_triple store views tr : int)
+  done;
+  check_bool "the inserts reached the view" true (!added >= 2000);
+  check_int "no query interned" interned (Interning.size ());
+  check_int "no plan cached" plans (Query.Plan.cached_plan_count store);
+  check_bool "the view is back at its initial rows" true (rows () = initial)
 
 let () =
   Alcotest.run "engine"
@@ -272,5 +353,8 @@ let () =
           Alcotest.test_case "alternative derivations survive" `Quick
             test_delete_keeps_alternative_derivations;
           to_alcotest prop_maintenance_matches_recompute;
+          to_alcotest prop_maintenance_strict;
+          Alcotest.test_case "updates intern and cache nothing" `Quick
+            test_maintenance_interns_nothing;
         ] );
     ]

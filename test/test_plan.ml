@@ -125,6 +125,40 @@ let prop_mutation_differential =
            (triple (uri "absent:z") (uri "absent:z") (uri "absent:z")));
       before && agree store q)
 
+(* A plan compiled with bound variables gives the rows Reference gives
+   from the same bound environment.  The bound variables are a random
+   subset of the body's, their codes drawn from one stored triple, so
+   some bindings hit and some clash. *)
+let gen_bound_case =
+  let open QCheck.Gen in
+  let* store = arb_backend_store.QCheck.gen in
+  let* q = gen_plan_cq in
+  let* s, p, o = oneofl (Rdf.Store.fold_all store List.cons []) in
+  let* picks =
+    flatten_l
+      (List.map (fun x -> map (fun k -> (x, k)) (int_range 0 3)) (Query.Cq.body_vars q))
+  in
+  let bound =
+    List.filter_map
+      (fun (x, k) -> List.nth_opt [ (x, s); (x, p); (x, o) ] k)
+      picks
+  in
+  return (store, q, bound)
+
+let prop_bound_plan =
+  QCheck.Test.make ~name:"bound plan = Reference with bound vars" ~count:300
+    (QCheck.make
+       ~print:(fun (_, q, bound) ->
+         Printf.sprintf "%s with %s" (Query.Cq.to_string q)
+           (String.concat ", " (List.map (fun (x, c) -> Printf.sprintf "%s=%d" x c) bound)))
+       gen_bound_case)
+    (fun (store, q, bound) ->
+      let plan = Query.Plan.compile ~bound store q in
+      let rows = Query.Rowset.create 16 in
+      Query.Plan.exec plan store (fun row -> ignore (Query.Rowset.add rows row));
+      sort_rows (Query.Rowset.elements rows)
+      = sort_rows (Query.Evaluation.Reference.eval_cq_codes ~bound store q))
+
 (* ---------- the executor itself ---------------------------------------- *)
 
 (* [Plan.exec_into] straight into a fresh row set, twice (compile, then
@@ -299,6 +333,7 @@ let () =
           to_alcotest prop_counts_agree;
           to_alcotest prop_mutation_differential;
           to_alcotest prop_executor_reference;
+          to_alcotest prop_bound_plan;
         ] );
       ( "plans",
         [
