@@ -246,6 +246,10 @@ let free_run ~jobs ~lifo p =
 let run_from ?(jobs = 1) estimator options initial =
   if jobs < 1 then
     invalid_arg (Printf.sprintf "Parallel_search.run_from: jobs = %d < 1" jobs);
+  (* the forks share the estimator's statistics: fill the memo here, on
+     the coordinator, so that the search only reads it *)
+  Stats.Statistics.prewarm (Cost.stats estimator)
+    (List.map (fun v -> v.View.cq) initial.State.views);
   match options.Search.strategy with
   | (Search.Exnaive | Search.Exstr | Search.Dfs) as strategy
     when jobs > 1 && Multicore.available ->

@@ -29,7 +29,10 @@
 val run_from : ?jobs:int -> Cost.t -> Search.options -> State.t -> Search.report
 (** [run_from ~jobs estimator options initial] — like {!Search.run_from}
     with the work spread over [jobs] domains (coordinator included).
-    Default [jobs = 1] (sequential).
+    Default [jobs = 1] (sequential).  The forks share the estimator's
+    statistics and only read them: before any fork, the coordinator
+    fills their memo with {!Stats.Statistics.prewarm} on [initial]'s
+    view bodies.
     @raise Invalid_argument when [jobs < 1]. *)
 
 val run :

@@ -241,12 +241,12 @@ let eval_cq_codes ?(bound = []) store q =
 (* Disjuncts accumulate into one shared row table sized from the sum
    of the disjunct plans' last cardinalities (an upper bound when the
    disjuncts overlap, which only lowers the load factor). *)
-let ucq_rowset store u =
+let ucq_rowset ~cache store u =
   let plans =
     List.map
       (fun q ->
         Obs.incr (obs_evals ());
-        Plan.cached store q)
+        if cache then Plan.cached store q else Plan.compile store q)
       (Ucq.disjuncts u)
   in
   let hint = List.fold_left (fun n p -> n + Plan.size_hint p) 0 plans in
@@ -254,8 +254,8 @@ let ucq_rowset store u =
   List.iter (fun p -> Plan.exec_into p store rows) plans;
   rows
 
-let eval_ucq_codes store u =
-  let rows = Rowset.elements (ucq_rowset store u) in
+let eval_ucq_codes ?(cache = true) store u =
+  let rows = Rowset.elements (ucq_rowset ~cache store u) in
   if strict_enabled () then
     check_codes (Ucq.name u) rows (Reference.eval_ucq_codes store u);
   rows
@@ -275,7 +275,7 @@ let eval_cq store q =
   answers
 
 let eval_ucq store u =
-  let answers = decode_rows store (Rowset.elements (ucq_rowset store u)) in
+  let answers = decode_rows store (Rowset.elements (ucq_rowset ~cache:true store u)) in
   if strict_enabled () && not (same_answers answers (Reference.eval_ucq store u))
   then
     raise
@@ -296,4 +296,6 @@ let count_cq store q =
   end;
   n
 
-let count_ucq store u = List.length (eval_ucq_codes store u)
+let count_ucq store u =
+  if strict_enabled () then List.length (eval_ucq_codes ~cache:false store u)
+  else Rowset.cardinal (ucq_rowset ~cache:false store u)

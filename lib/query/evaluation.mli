@@ -3,7 +3,9 @@
     This is [evaluate] in the sense of Theorem 4.2: standard evaluation
     of plain RDF basic graph patterns, with set semantics.  Since the
     compiled-plan rework, every entry point routes through
-    a compiled plan, cached unless variables are bound: the join order
+    a compiled plan, cached unless variables are bound, the caller
+    asks for a one-shot evaluation ([~cache:false]) or the call is
+    {!count_ucq}: the join order
     is fixed at compile time, bindings
     live in an int-slot frame, and isomorphic queries share one cached
     plan per store.  The former interpretive joiner survives as
@@ -25,10 +27,17 @@ val eval_cq_codes : ?bound:(string * int) list -> Rdf.Store.t -> Cq.t -> int arr
     ({!Plan.compile} [~bound]): nothing is interned or cached per
     call. *)
 
-val eval_ucq_codes : Rdf.Store.t -> Ucq.t -> int array list
+val eval_ucq_codes : ?cache:bool -> Rdf.Store.t -> Ucq.t -> int array list
+(** [~cache:false] compiles every disjunct's plan afresh and caches
+    nothing (no plan, no interned canonical form): for a one-shot query
+    whose answer the caller keeps, such as a statistic.  Default
+    [true]. *)
 
 val count_cq : Rdf.Store.t -> Cq.t -> int
+
 val count_ucq : Rdf.Store.t -> Ucq.t -> int
+(** The number of distinct answers, through one-shot plans
+    ([~cache:false] in {!eval_ucq_codes}): a count is never reused. *)
 
 val same_answers : Rdf.Term.t array list -> Rdf.Term.t array list -> bool
 (** Order-insensitive comparison of two answer sets. *)

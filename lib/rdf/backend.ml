@@ -8,9 +8,8 @@ let kind_of_string s =
   | "compact" -> Some Compact
   | _ -> None
 
-(* Atomic: the CLI sets it once at startup, but stores are also
-   created on worker domains (counting copies during cost
-   estimation), which read it. *)
+(* Atomic: the CLI sets it once at startup, and a store created on
+   any domain reads it. *)
 let default_kind = Atomic.make Hash
 
 let set_default k = Atomic.set default_kind k

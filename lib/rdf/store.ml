@@ -28,8 +28,8 @@ type t = {
   ats : float array;
 }
 
-(* Atomic: stores are created on worker domains too (statistics build
-   counting copies during cost estimation), and ids must stay unique. *)
+(* Atomic: a store may be created on any domain, and ids must stay
+   unique because per-store caches are keyed by them. *)
 let next_id = Atomic.make 0
 
 let create ?backend () =

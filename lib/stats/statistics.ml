@@ -8,11 +8,8 @@ type t = {
   atom_counts : (string, float) Hashtbl.t;
   column_distincts : (string, float) Hashtbl.t;
   property_distincts : (string, float) Hashtbl.t;
-  mutable reasoning_store : Rdf.Store.t option;
-      (* lazily-built saturated copy backing the [Reformulated] mode:
-         Theorem 4.2 guarantees the counts equal the per-atom
-         reformulation counts (property-tested), and pattern counting on
-         the copy is O(1); the database itself is never written *)
+  term_sizes : (string, float) Hashtbl.t;
+      (* [Reformulated] only: the store memoizes its own column sizes *)
 }
 
 let create ?(mode = Plain) store =
@@ -22,24 +19,11 @@ let create ?(mode = Plain) store =
     atom_counts = Hashtbl.create 256;
     column_distincts = Hashtbl.create 8;
     property_distincts = Hashtbl.create 64;
-    reasoning_store = None;
+    term_sizes = Hashtbl.create 4;
   }
 
 let mode t = t.mode
 let store t = t.store
-
-(* the store counts are gathered on: the saturated copy under
-   [Reformulated], the store itself under [Plain] *)
-let counting_store t =
-  match t.mode with
-  | Plain -> t.store
-  | Reformulated schema -> (
-    match t.reasoning_store with
-    | Some s -> s
-    | None ->
-      let s = Rdf.Entailment.saturated_copy t.store schema in
-      t.reasoning_store <- Some s;
-      s)
 
 (* Atoms are keyed by their constant pattern only: variable names are
    irrelevant to the count (they are relaxations of one another). *)
@@ -75,12 +59,27 @@ let pattern_count store (a : Query.Atom.t) =
     float_of_int (Rdf.Store.count_matching store { Rdf.Store.ps = s; pp = p; po = o })
   | _ -> 0.
 
+(* §4.3: under [Reformulated schema] a statistic counts the answers of
+   the reformulation of the query that defines it, evaluated on the
+   explicit store.  Theorem 4.2 makes that the count on the saturated
+   database, which is never built.  Each count runs once (the memo keeps
+   it), and [Evaluation.count_ucq] compiles its plans uncached: caching
+   them kept every reformulation's plans and interned canonical forms
+   alive after the search, and the heap state they left slowed later
+   updates. *)
+let count_ucq t u = float_of_int (Query.Evaluation.count_ucq t.store u)
+
 let atom_count t a =
   let key = pattern_key a in
   match Hashtbl.find_opt t.atom_counts key with
   | Some n -> n
   | None ->
-    let n = pattern_count (counting_store t) (canonical_atom a) in
+    let a = canonical_atom a in
+    let n =
+      match t.mode with
+      | Plain -> pattern_count t.store a
+      | Reformulated schema -> count_ucq t (Query.Reformulation.reformulate_atom a schema)
+    in
     Hashtbl.add t.atom_counts key n;
     n
 
@@ -90,14 +89,52 @@ let total_triples t = atom_count t all_var_atom
 
 let column_name = function `S -> "s" | `P -> "p" | `O -> "o"
 
+(* Under [Reformulated], one evaluation of the column query t(_s,_p,_o)
+   projected on the column's variable gives both column statistics: the
+   distinct count, and the integer sum of the distinct values' sizes
+   over that count (the formula of [Rdf.Store.avg_term_size]). *)
+let reformulated_column t schema col =
+  let key = column_name col in
+  let head = [ Query.Qterm.Var ("_" ^ key) ] in
+  let q = Query.Cq.make ~name:"column" ~head ~body:[ all_var_atom ] in
+  let rows =
+    Query.Evaluation.eval_ucq_codes ~cache:false t.store
+      (Query.Reformulation.reformulate q schema)
+  in
+  let total =
+    List.fold_left
+      (fun acc row -> acc + Rdf.Term.size (Rdf.Store.decode_term t.store row.(0)))
+      0 rows
+  in
+  let count = List.length rows in
+  let size = if count = 0 then 0. else float_of_int total /. float_of_int count in
+  Hashtbl.add t.column_distincts key (float_of_int count);
+  Hashtbl.add t.term_sizes key size
+
 let column_distinct t col =
   let key = column_name col in
   match Hashtbl.find_opt t.column_distincts key with
   | Some n -> n
-  | None ->
-    let n = float_of_int (Rdf.Store.distinct_in_column (counting_store t) col) in
-    Hashtbl.add t.column_distincts key n;
-    n
+  | None -> (
+    match t.mode with
+    | Plain ->
+      let n = float_of_int (Rdf.Store.distinct_in_column t.store col) in
+      Hashtbl.add t.column_distincts key n;
+      n
+    | Reformulated schema ->
+      reformulated_column t schema col;
+      Hashtbl.find t.column_distincts key)
+
+let avg_term_size t col =
+  match t.mode with
+  | Plain -> Rdf.Store.avg_term_size t.store col
+  | Reformulated schema -> (
+    let key = column_name col in
+    match Hashtbl.find_opt t.term_sizes key with
+    | Some size -> size
+    | None ->
+      reformulated_column t schema col;
+      Hashtbl.find t.term_sizes key)
 
 let property_distinct t prop col =
   let key = Rdf.Term.to_string prop ^ "\x00" ^ column_name (col :> [ `S | `P | `O ]) in
@@ -107,12 +144,14 @@ let property_distinct t prop col =
     let var = match col with `S -> "_s" | `O -> "_o" in
     let body = [ Query.Atom.make (Query.Qterm.Var "_s") (Query.Qterm.Cst prop) (Query.Qterm.Var "_o") ] in
     let q = Query.Cq.make ~name:"distinct" ~head:[ Query.Qterm.Var var ] ~body in
-    let n = float_of_int (Query.Evaluation.count_cq (counting_store t) q) in
+    let n =
+      match t.mode with
+      | Plain -> float_of_int (Query.Evaluation.count_cq t.store q)
+      | Reformulated schema -> count_ucq t (Query.Reformulation.reformulate q schema)
+    in
     let stored = if n = 0. then -1. else n in
     Hashtbl.add t.property_distincts key stored;
     if stored < 0. then None else Some n
-
-let avg_term_size t col = Rdf.Store.avg_term_size (counting_store t) col
 
 let relaxations (a : Query.Atom.t) =
   let options pos =
@@ -132,8 +171,29 @@ let prewarm t queries =
   List.iter
     (fun q ->
       List.iter
-        (fun a -> List.iter (fun r -> ignore (atom_count t r)) (relaxations a))
+        (fun a ->
+          List.iter
+            (fun (r : Query.Atom.t) ->
+              ignore (atom_count t r : float);
+              match r.p with
+              | Query.Qterm.Cst prop ->
+                ignore (property_distinct t prop `S : float option);
+                ignore (property_distinct t prop `O : float option)
+              | Query.Qterm.Var _ -> ())
+            (relaxations a))
         q.Query.Cq.body)
-    queries
+    queries;
+  List.iter
+    (fun col ->
+      ignore (column_distinct t col : float);
+      ignore (avg_term_size t col : float))
+    [ `S; `P; `O ]
+[@@coordinator_only]
 
 let cache_size t = Hashtbl.length t.atom_counts
+
+let memo_size t =
+  Hashtbl.length t.atom_counts
+  + Hashtbl.length t.column_distincts
+  + Hashtbl.length t.property_distincts
+  + Hashtbl.length t.term_sizes

@@ -11,14 +11,17 @@
     {ul
     {- [Plain] — counts on the store as-is (use on a saturated store for
        the saturation scenario, or when reasoning is ignored);}
-    {- [Reformulated schema] — the count of an atom [a] is
-       [|Reformulate(a, schema)|] (§4.3): the post-reformulation
-       statistics.  Theorem 4.2 makes these equal to pattern counts on
-       the saturated database, so the implementation backs them with a
-       lazily-built in-memory saturated copy (the database itself is
-       never written, preserving the post-reformulation deployment
-       story); the equality with explicit per-atom reformulation
-       counting is property-tested.}} *)
+    {- [Reformulated schema] — the post-reformulation statistics.  Each
+       statistic is the answer count of the reformulation (w.r.t.
+       [schema]) of the query that defines it, evaluated on the explicit
+       store: [|Reformulate(a, schema)|] for an atom [a], the
+       reformulated 1-atom query [t(_s,_p,_o)] projected on a column for
+       that column's distincts and term sizes.  Theorem 4.2 makes every
+       count equal to the one on the saturated database, which is never
+       built; the store gains no triple and its version does not move
+       (head constants of the reformulation are interned in its
+       dictionary).  The equality with the saturated store's statistics
+       is property-tested.}} *)
 
 type mode =
   | Plain
@@ -35,8 +38,14 @@ val mode : t -> mode
 val store : t -> Rdf.Store.t
 
 val prewarm : t -> Query.Cq.t list -> unit
-(** Eagerly count every atom of every query and all its relaxations —
-    the paper's offline gathering step.  Purely an optimization. *)
+(** The paper's offline gathering step: fill the memo with everything
+    the cost model reads while searching from these queries.  That is
+    the count of every relaxation of every atom (each constant replaced
+    or kept), the per-property subject and object distincts of every
+    constant property among them, and the three column distincts and
+    term sizes.  Afterwards a search that starts from these queries only
+    reads the memo, so parallel search forks may share [t]
+    ([Core.Parallel_search.run_from] calls it before forking). *)
 
 val atom_count : t -> Query.Atom.t -> float
 (** Number of triples matching the atom's constant pattern (reflecting
@@ -55,7 +64,14 @@ val property_distinct : t -> Rdf.Term.t -> [ `S | `O ] -> float option
     not appear as a property. *)
 
 val avg_term_size : t -> [ `S | `P | `O ] -> float
-(** Average byte size of column values, for the space-occupancy model. *)
+(** Average byte size of a column's distinct values, for the
+    space-occupancy model.  Under [Reformulated] it is computed once per
+    [t] (like every other statistic); under [Plain] it is the store's
+    own, which follows the store's writes. *)
 
 val cache_size : t -> int
 (** Number of memoized atom counts (for instrumentation). *)
+
+val memo_size : t -> int
+(** Number of memoized statistics of every kind; a search that only
+    reads [t] leaves it unchanged. *)

@@ -182,6 +182,62 @@ let pinned_cases =
       ] );
   ]
 
+(* ---------- post-reformulation: the forks only read the statistics -------- *)
+
+(* Under post-reformulation a statistic is a count over a reformulated
+   query, and a memo miss would compile and run its plans on whichever
+   domain missed.  [Parallel_search.run_from] fills the memo before the
+   fork: a
+   completed --jobs 2 search reaches the sequential best cost and leaves
+   the memo as the fill left it. *)
+let test_post_reformulation_reads_only () =
+  let store = Workload.Barton.store ~n_entities:60 ~seed:1 () in
+  let schema = Workload.Barton.schema () in
+  let workload =
+    Workload.Generator.generate_satisfiable store
+      {
+        Workload.Generator.default_spec with
+        n_queries = 1;
+        atoms_per_query = 2;
+        seed = 1;
+      }
+  in
+  let filled =
+    let stats =
+      Stats.Statistics.create ~mode:(Stats.Statistics.Reformulated schema) store
+    in
+    Stats.Statistics.prewarm stats workload;
+    (Stats.Statistics.cache_size stats, Stats.Statistics.memo_size stats)
+  in
+  let version = Rdf.Store.version store in
+  let select jobs =
+    let result =
+      Core.Selector.select ~jobs ~store
+        ~reasoning:(Core.Selector.Post_reformulation schema)
+        ~options:
+          {
+            Core.Search.default_options with
+            strategy = Core.Search.Dfs;
+            avf = true;
+            max_states = Some 5000;
+          }
+        workload
+    in
+    let label = Printf.sprintf "--jobs %d" jobs in
+    check_bool (label ^ " completed") true
+      result.Core.Selector.report.Core.Search.completed;
+    let stats = result.Core.Selector.stats in
+    check_bool (label ^ " memo as filled") true
+      (filled
+      = (Stats.Statistics.cache_size stats, Stats.Statistics.memo_size stats));
+    result.Core.Selector.report.Core.Search.best_cost
+  in
+  let seq = select 1 in
+  for _ = 1 to 3 do
+    check_bool "best cost agrees" true (same_cost seq (select 2))
+  done;
+  check_int "store version" version (Rdf.Store.version store)
+
 (* ---------- the sharded interner under contention ------------------------- *)
 
 let test_intern_stress () =
@@ -281,7 +337,11 @@ let () =
                 `Quick
                 (check_same_fixpoint ~store:(store_of triples)
                    ~max_states:400 workload))
-            pinned_cases );
+            pinned_cases
+        @ [
+            Alcotest.test_case "post-reformulation forks only read stats"
+              `Quick test_post_reformulation_reads_only;
+          ] );
       ( "interning",
         [ Alcotest.test_case "4-domain stress" `Quick test_intern_stress ] );
       ( "obs merge",

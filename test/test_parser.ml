@@ -136,6 +136,122 @@ let test_barton_export_reimport () =
   let again = Rdf.Store.of_triples (Query.Parser.parse_triples text) in
   check_int "same size" (Rdf.Store.size store) (Rdf.Store.size again)
 
+(* ---------- the text boundaries under fuzzing ------------------------------ *)
+
+(* Valid inputs for each grammar, the seeds of the byte mutations. *)
+let workload_text =
+  q1_text ^ "\n# a comment\nq2(?y) :- t(?y, type, <ex:painting>),\n  t(?y, <ex:label>, \"a b\").\n"
+
+let schema_text =
+  "<ex:painting> subClassOf <ex:picture> .\n<ex:isExpIn> subPropertyOf <ex:isLocatIn> .\n<ex:hasPainted> domain <ex:painter> .\n<ex:hasPainted> range <ex:painting> .\n"
+
+let triples_text =
+  "<ex:vanGogh> <ex:hasPainted> <ex:starryNight> .\n<ex:mona> type <ex:painting> .\n<ex:mona> <ex:label> \"Mona Lisa\" .\n_:b <ex:p> <ex:o> .\n"
+
+let states_text =
+  lazy
+    (let q = Query.Parser.parse_query q1_text in
+     let initial = Core.State.initial [ q ] in
+     let cuts = Core.Transition.successors initial Core.Transition.SC in
+     Core.State_io.states_to_text (initial :: cuts))
+
+let expr_text = "union(project[x, y](join[x=y](scan v1, rename[z->y](select[z=<ex:c>, x=\"l\"](scan v2)))), scan v3)"
+
+(* Tokens of every grammar, run together with random separators. *)
+let soup_tokens =
+  [
+    "q"; "q1"; "v1"; "("; ")"; ","; ":-"; "."; "t"; "X"; "Y"; "?x"; "<ex:p>";
+    "<ex:"; "\"lit\""; "\"open"; "type"; "_:b"; "#"; "subClassOf";
+    "subPropertyOf"; "domain"; "range"; "state"; "view"; "rewrite"; ":=";
+    "---"; "scan"; "select"; "project"; "join"; "rename"; "union"; "[";
+    "]"; "="; "->"; "x"; "\x00"; "\xc3\xa9"; "\\"; "";
+  ]
+
+let gen_soup =
+  let open QCheck.Gen in
+  map (String.concat "")
+    (list_size (int_range 0 40)
+       (map2 ( ^ ) (oneofl soup_tokens) (oneofl [ ""; " "; "\n"; " "; "\t" ])))
+
+(* Byte substitutions, deletions, insertions and truncations of a valid
+   input. *)
+let gen_mutation seed =
+  let open QCheck.Gen in
+  let edit text =
+    let n = String.length text in
+    if n = 0 then return text
+    else
+      oneof
+        [
+          map (fun k -> String.sub text 0 k) (int_bound n);
+          map2
+            (fun i c -> String.mapi (fun j d -> if j = i then c else d) text)
+            (int_bound (n - 1)) char;
+          map
+            (fun i -> String.sub text 0 i ^ String.sub text (i + 1) (n - i - 1))
+            (int_bound (n - 1));
+          map2
+            (fun i c -> String.sub text 0 i ^ String.make 1 c ^ String.sub text i (n - i))
+            (int_bound n) (oneofl (List.of_seq (String.to_seq "()[],.:-=<>\"?_# \nXtq")));
+        ]
+  in
+  fun st ->
+    let text = Lazy.force seed in
+    let rec go text k = if k = 0 then text else go (edit text st) (k - 1) in
+    go text (int_range 1 6 st)
+
+let arb_fuzz seed =
+  QCheck.make ~print:(Printf.sprintf "%S")
+    (QCheck.Gen.oneof [ gen_soup; QCheck.Gen.string; gen_mutation seed ])
+
+(* "line N: ..." *)
+let located message =
+  match Scanf.sscanf message "line %d: %_s@\n" (fun n -> n) with
+  | n -> n >= 1
+  | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> false
+
+let prop_parses_or_locates name seed parse =
+  QCheck.Test.make ~name:(name ^ " parses or fails with a located Parse_error")
+    ~count:1000 (arb_fuzz seed)
+    (fun text ->
+      match parse text with
+      | () -> true
+      | exception Query.Parser.Parse_error message -> located message)
+
+let prop_query_fuzz =
+  prop_parses_or_locates "query" (lazy q1_text) (fun text ->
+      ignore (Query.Parser.parse_query text : Query.Cq.t))
+
+let prop_workload_fuzz =
+  prop_parses_or_locates "workload" (lazy workload_text) (fun text ->
+      ignore (Query.Parser.parse_workload text : Query.Cq.t list))
+
+let prop_schema_fuzz =
+  prop_parses_or_locates "schema" (lazy schema_text) (fun text ->
+      ignore (Query.Parser.parse_schema text : Rdf.Schema.t))
+
+let prop_triples_fuzz =
+  prop_parses_or_locates "triples" (lazy triples_text) (fun text ->
+      ignore (Query.Parser.parse_triples text : Rdf.Triple.t list))
+
+let prop_states_fuzz =
+  QCheck.Test.make
+    ~name:"state file parses or fails with a located Syntax_error" ~count:1000
+    (arb_fuzz states_text)
+    (fun text ->
+      match Core.State_io.parse_states text with
+      | _ -> true
+      | exception Core.State_io.Syntax_error message -> located message)
+
+(* An expression is one line: its errors quote the text, not a line. *)
+let prop_expr_fuzz =
+  QCheck.Test.make ~name:"expression parses or fails with a Syntax_error"
+    ~count:1000 (arb_fuzz (lazy expr_text))
+    (fun text ->
+      match Core.State_io.parse_expr text with
+      | _ -> true
+      | exception Core.State_io.Syntax_error _ -> true)
+
 let () =
   Alcotest.run "parser"
     [
@@ -165,4 +281,14 @@ let () =
           Alcotest.test_case "barton export/import" `Quick
             test_barton_export_reimport;
         ] );
+      ( "fuzz",
+        List.map to_alcotest
+          [
+            prop_query_fuzz;
+            prop_workload_fuzz;
+            prop_schema_fuzz;
+            prop_triples_fuzz;
+            prop_states_fuzz;
+            prop_expr_fuzz;
+          ] );
     ]

@@ -74,35 +74,104 @@ let test_reformulated_counts () =
     (Stats.Statistics.atom_count stats (atom (v "S") (Query.Qterm.Cst rdf_type) (c "ex:painting"))
     = 1.)
 
+(* The saturated copy is the oracle: Reformulated statistics, counted on
+   the explicit store, equal Plain statistics on the saturation, to the
+   last bit (Theorem 4.2). *)
+let same_statistics reform saturated =
+  let props = [ uri "P0"; uri "P1"; uri "P2"; rdf_type ] in
+  let shapes =
+    [
+      atom (v "S") (Query.Qterm.Cst rdf_type) (c "C0");
+      atom (v "S") (c "P0") (v "O");
+      atom (v "S") (c "P1") (c "e3");
+      atom (v "S") (v "P") (v "O");
+      atom (v "S") (Query.Qterm.Cst rdf_type) (v "O");
+    ]
+  in
+  List.for_all
+    (fun a ->
+      Stats.Statistics.atom_count reform a
+      = Stats.Statistics.atom_count saturated a)
+    shapes
+  && Stats.Statistics.total_triples reform
+     = Stats.Statistics.total_triples saturated
+  && List.for_all
+       (fun col ->
+         Stats.Statistics.column_distinct reform col
+         = Stats.Statistics.column_distinct saturated col
+         && Stats.Statistics.avg_term_size reform col
+            = Stats.Statistics.avg_term_size saturated col)
+       [ `S; `P; `O ]
+  && List.for_all
+       (fun p ->
+         List.for_all
+           (fun col ->
+             Stats.Statistics.property_distinct reform p col
+             = Stats.Statistics.property_distinct saturated p col)
+           [ `S; `O ])
+       props
+
 let prop_reformulated_equals_saturated =
   QCheck.Test.make
     ~name:"post-reformulation statistics = saturated-database statistics"
     ~count:100
-    QCheck.(pair arb_store arb_schema)
+    QCheck.(pair arb_backend_store arb_schema)
     (fun (store, schema) ->
       let reform =
         Stats.Statistics.create ~mode:(Stats.Statistics.Reformulated schema) store
       in
       let saturated =
-        Stats.Statistics.create
-          (Rdf.Entailment.saturated_copy store schema)
+        Stats.Statistics.create (Rdf.Entailment.saturated_copy store schema)
       in
-      let shapes =
-        [
-          atom (v "S") (Query.Qterm.Cst rdf_type) (c "C0");
-          atom (v "S") (c "P0") (v "O");
-          atom (v "S") (c "P1") (c "e3");
-          atom (v "S") (v "P") (v "O");
-          atom (v "S") (Query.Qterm.Cst rdf_type) (v "O");
-        ]
+      same_statistics reform saturated)
+
+(* range(p) = C types the objects of p, literals included: the
+   saturation has the literal in subject position, and so must the
+   subject column's statistics. *)
+let test_range_types_literal_subject () =
+  let store =
+    store_of
+      [
+        triple (uri "a") (uri "p") (lit "a long literal value");
+        triple (uri "b") (uri "q") (uri "x");
+      ]
+  in
+  let schema = Rdf.Schema.of_statements [ Rdf.Schema.Range (uri "p", uri "C") ] in
+  let reform =
+    Stats.Statistics.create ~mode:(Stats.Statistics.Reformulated schema) store
+  in
+  let saturated =
+    Stats.Statistics.create (Rdf.Entailment.saturated_copy store schema)
+  in
+  (* subjects a, b and the typed literal *)
+  check_bool "literal subject counted" true
+    (Stats.Statistics.column_distinct reform `S = 3.);
+  check_bool "literal subject weighed" true
+    (Stats.Statistics.avg_term_size reform `S
+    = Stats.Statistics.avg_term_size saturated `S);
+  check_bool "every statistic as on the saturation" true
+    (same_statistics reform saturated)
+
+(* Post-reformulation never writes the database: counting adds no
+   triple and leaves the store's version alone.  Each count is one-shot,
+   so it caches no plan and interns no canonical form either. *)
+let prop_reformulated_leaves_store =
+  QCheck.Test.make ~name:"post-reformulation statistics write no triple"
+    ~count:50
+    QCheck.(triple arb_backend_store arb_schema arb_cq)
+    (fun (store, schema, q) ->
+      let footprint () =
+        ( Rdf.Store.size store,
+          Rdf.Store.version store,
+          Query.Plan.cached_plan_count store,
+          Interning.size () )
       in
-      List.for_all
-        (fun a ->
-          Stats.Statistics.atom_count reform a
-          = Stats.Statistics.atom_count saturated a)
-        shapes
-      && Stats.Statistics.total_triples reform
-         = Stats.Statistics.total_triples saturated)
+      let before = footprint () in
+      let stats =
+        Stats.Statistics.create ~mode:(Stats.Statistics.Reformulated schema) store
+      in
+      Stats.Statistics.prewarm stats [ q ];
+      footprint () = before)
 
 (* ---------- cardinality estimation ---------------------------------------- *)
 
@@ -197,6 +266,9 @@ let () =
           Alcotest.test_case "implicit triples counted" `Quick
             test_reformulated_counts;
           to_alcotest prop_reformulated_equals_saturated;
+          Alcotest.test_case "range-typed literal subject" `Quick
+            test_range_types_literal_subject;
+          to_alcotest prop_reformulated_leaves_store;
         ] );
       ( "cardinality",
         [
