@@ -310,14 +310,6 @@ let max_chain = 24
 
 let delta_tolerance = 1e-6
 
-(* Read per call (not lazily once): tests toggle the variable with
-   Unix.putenv mid-process.  One getenv per newly accepted state is
-   noise next to the estimation work. *)
-let strict_now () =
-  match Sys.getenv_opt "RDFVIEWS_STRICT" with
-  | None | Some "" | Some "0" | Some "false" -> false
-  | Some _ -> true
-
 exception Delta_mismatch
 
 (* parent − removed + added, with only the touched rewritings
@@ -363,7 +355,7 @@ let node_of t s =
     State.Tbl.replace t.costs (State.key s) n;
     n
 
-let state_cost_delta ?(memoize = true) t ~parent ~delta child =
+let state_cost_delta ?(memoize = true) ~strict t ~parent ~delta child =
   match memo_find t child with
   | Some n ->
     note_hit t;
@@ -388,7 +380,7 @@ let state_cost_delta ?(memoize = true) t ~parent ~delta child =
           Obs.incr (obs_delta_full ());
           Obs.time (obs_state_eval ()) (fun () -> node_full t child)
     in
-    if strict_now () && n.chain > 0 then begin
+    if strict && n.chain > 0 then begin
       let reference = node_full t child in
       let scale =
         Float.max 1. (Float.max (Float.abs n.total) (Float.abs reference.total))

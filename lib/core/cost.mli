@@ -68,17 +68,24 @@ val state_cost : t -> State.t -> float
     always the cost of [S] itself. *)
 
 val state_cost_delta :
-  ?memoize:bool -> t -> parent:State.t -> delta:Delta.t -> State.t -> float
+  ?memoize:bool ->
+  strict:bool ->
+  t ->
+  parent:State.t ->
+  delta:Delta.t ->
+  State.t ->
+  float
 (** cε(child), computed incrementally from the parent's memoized cost:
     VSO and VMC are updated by the delta's removed/added views, and only
     the touched rewritings are re-estimated — every untouched rewriting
     keeps its cached REC contribution bit-for-bit.  Falls back to the
     full recompute when the parent was never costed, when the delta does
     not line up with the child, or after {e max_chain} consecutive
-    incremental steps (bounding float drift in VSO/VMC).  Under
-    [RDFVIEWS_STRICT] every incremental result is cross-checked against
-    the full recompute within a relative tolerance of 1e-6; divergence
-    raises [Failure].  The result is memoized exactly like
+    incremental steps (bounding float drift in VSO/VMC).  With
+    [~strict:true] (the search passes strict mode, read once per run)
+    every incremental result is cross-checked against the full
+    recompute within a relative tolerance of 1e-6; divergence raises
+    [Failure].  The result is memoized exactly like
     {!state_cost}, replacing the key's representative, unless
     [memoize] is [false] (for a state that will not be expanded). *)
 

@@ -15,13 +15,6 @@ exception Violation of violation
 let violation_to_string v =
   Printf.sprintf "[%s] %s" v.invariant v.detail
 
-(* ---------- strict mode -------------------------------------------------- *)
-
-let strict_enabled () =
-  match Sys.getenv_opt "RDFVIEWS_STRICT" with
-  | None | Some "" | Some "0" | Some "false" -> false
-  | Some _ -> true
-
 (* ---------- unfolding ---------------------------------------------------- *)
 
 (* A branch of the unfolded expression: one conjunctive disjunct, with one

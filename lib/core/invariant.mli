@@ -13,10 +13,11 @@
     and state-graph edges (parent/child pairs replayable by a
     transition).
 
-    Strict mode ([RDFVIEWS_STRICT=1] in the environment) makes the
-    search assert these invariants on every accepted state — see
-    {!Search.run_from} — and makes {!Transition.successors} check
-    structural invariants on every state it produces. *)
+    Strict mode ([RDFVIEWS_STRICT=1] in the environment, read by
+    {!Query.Evaluation.strict_enabled}) makes the search assert these
+    invariants on every accepted state — see {!Search.run_from} — and
+    makes {!Transition} check structural invariants on every state it
+    produces. *)
 
 type violation = {
   state_key : string;  (** {!State.key} of the offending state *)
@@ -31,10 +32,6 @@ exception Violation of violation
     mode) on the first violation found. *)
 
 val violation_to_string : violation -> string
-
-val strict_enabled : unit -> bool
-(** Whether [RDFVIEWS_STRICT] is set to a truthy value (anything but
-    [""], ["0"] and ["false"]). *)
 
 val unfold : State.t -> Rewriting.t -> (Query.Cq.t list, string) result
 (** Unfold a rewriting into the union of conjunctive queries over the

@@ -115,8 +115,8 @@ type engine = {
   estimator : Cost.t;
   options : options;
   strict_reference : Invariant.reference option;
-      (* Some under RDFVIEWS_STRICT: every accepted state is asserted
-         equivalent to this reference *)
+      (* Some in strict mode (read once per run): every accepted state
+         is asserted equivalent to this reference *)
   stop : (View.t -> bool) option;  (* [stop_test options] *)
   seen : Shard_tbl.t;
       (* state key -> lowest stratum rank; shared by the forks of a
@@ -177,6 +177,10 @@ let collapse options ~delta state =
   end
   else (state, delta)
 
+(* Strict mode, read once per run by {!prologue}: it holds exactly when
+   the run has a strict reference. *)
+let strict engine = Option.is_some engine.strict_reference
+
 (* A key names a view set: a state reached again along another path
    has the same views but may carry other rewritings, hence another
    REC.  Every arrival is costed, so the incumbent is the cheapest state
@@ -186,7 +190,8 @@ let collapse options ~delta state =
    strict-checked like an accepted state. *)
 let cost_arrival engine ~memoize ~parent ~delta state =
   let cost =
-    Cost.state_cost_delta ~memoize engine.estimator ~parent ~delta state
+    Cost.state_cost_delta ~memoize ~strict:(strict engine) engine.estimator
+      ~parent ~delta state
   in
   if cost < engine.best_cost then begin
     (match engine.strict_reference with
@@ -239,7 +244,8 @@ let register engine ~rank ~parent ~delta state =
        that the check exercises the delta path, not a fresh full
        recompute of its own *)
     let cost =
-      Cost.state_cost_delta engine.estimator ~parent ~delta state
+      Cost.state_cost_delta ~strict:(strict engine) engine.estimator ~parent
+        ~delta state
     in
     (match engine.strict_reference with
     | Some reference ->
@@ -256,7 +262,8 @@ let register engine ~rank ~parent ~delta state =
    are collapsed and registered. *)
 let admit engine ~rank ~parent kind =
   let built, pruned =
-    Transition.successors_with_delta ?stop:engine.stop parent kind
+    Transition.successors_with_delta ?stop:engine.stop ~strict:(strict engine)
+      parent kind
   in
   note_discarded engine ~rank pruned;
   List.filter_map
@@ -393,7 +400,7 @@ let prologue estimator options initial =
      of) the workload, so no extra plumbing is needed.  Every accepted
      state is then asserted equivalent to it. *)
   let strict_reference =
-    if Invariant.strict_enabled () then
+    if Query.Evaluation.strict_enabled () then
       match Invariant.reference_of_state initial with
       | Ok reference -> Some reference
       | Error detail ->

@@ -70,10 +70,12 @@ val rcr : report -> float
 val run_from : Cost.t -> options -> State.t -> report
 (** Search from a given initial state (used for pre-reformulation and by
     the competitor harness).  When [RDFVIEWS_STRICT] is set
-    ({!Invariant.strict_enabled}), the reference semantics is recovered
-    from the initial state and {!Invariant.assert_valid} runs on every
-    accepted state; the first violation aborts the search with
-    {!Invariant.Violation}. *)
+    ({!Query.Evaluation.strict_enabled}, read once at the start of the
+    run), the reference semantics is recovered from the initial state
+    and {!Invariant.assert_valid} runs on every accepted state; the
+    first violation aborts the search with {!Invariant.Violation}.  The
+    same reading makes {!Transition} check every successor and
+    {!Cost.state_cost_delta} cross-check every incremental cost. *)
 
 val run : Stats.Statistics.t -> options -> Query.Cq.t list -> report
 (** Search from the standard initial state S0 of the workload. *)

@@ -122,15 +122,6 @@ let replace_view t ~victim ~replacements ~expression =
       rewritings_touched = List.rev !touched;
     } )
 
-let remove_views t victims =
-  let names = List.map View.name victims in
-  make
-    ~views:
-      (List.filter
-         (fun v -> not (List.exists (String.equal (View.name v)) names))
-         t.views)
-    ~rewritings:t.rewritings
-
 let structural_violations t =
   let env = env t in
   let problems = ref [] in

@@ -78,9 +78,6 @@ val replace_view : t -> victim:View.t -> replacements:View.t list ->
     successor and the exact delta (victim removed, replacements added,
     the substituted rewritings touched). *)
 
-val remove_views : t -> View.t list -> t
-(** Remove views (by name) without touching rewritings. *)
-
 val structural_violations : t -> string list
 (** Human-readable descriptions of every structural invariant the state
     breaks: ill-formed or dangling rewritings, views used by no

@@ -415,31 +415,6 @@ let view_fusions state =
   |> Seq.map (fun (v1, v2, f, _) -> Fuse (v1, v2, f))
   |> List.of_seq
 
-(* Cheap structural self-check under RDFVIEWS_STRICT.  The full semantic
-   checks (rewriting equivalence, cost sanity) live in Invariant and run
-   from the search, which sits above this module; checking here as well
-   pinpoints the faulty transition kind instead of the accepting
-   search step.  The environment is read directly to keep this module
-   below Invariant in the dependency order. *)
-(* Memoized in an atomic (-1 unknown / 0 off / 1 on) rather than a lazy
-   or a plain ref: worker domains may hit this concurrently, and the
-   environment answer is the same for all of them, so a racing double
-   initialization is harmless but the cell itself must be atomic. *)
-let strict_memo = Atomic.make (-1)
-
-let strict () =
-  match Atomic.get strict_memo with
-  | 0 -> false
-  | 1 -> true
-  | _ ->
-    let b =
-      match Sys.getenv_opt "RDFVIEWS_STRICT" with
-      | None | Some "" | Some "0" | Some "false" -> false
-      | Some _ -> true
-    in
-    Atomic.set strict_memo (if b then 1 else 0);
-    b
-
 let candidates state kind =
   match kind with
   | VB -> view_breaks state
@@ -467,6 +442,11 @@ let stop_verdict stop state =
       || List.exists stop replacements
     | Fuse _ -> violating <> [])
 
+(* Cheap structural self-check in strict mode.  The full semantic
+   checks (rewriting equivalence, cost sanity) live in Invariant and run
+   from the search, which sits above this module; checking here as well
+   pinpoints the faulty transition kind instead of the accepting
+   search step. *)
 let check_strict kind stop ~pruned (succ, _) =
   let fail problem =
     failwith
@@ -481,9 +461,8 @@ let check_strict kind stop ~pruned (succ, _) =
     fail "the stop verdict read off the parent disagrees with the successor"
   | _ -> ()
 
-let successors_with_delta ?stop state kind =
+let successors_with_delta ?stop ~strict state kind =
   let i = kind_rank kind in
-  let strict = strict () in
   let pruned = ref 0 in
   let produced =
     Obs.time (obs_time.(i) ()) @@ fun () ->
@@ -505,7 +484,9 @@ let successors_with_delta ?stop state kind =
   (produced, !pruned)
 [@@domain_safe]
 
-let successors state kind = List.map fst (fst (successors_with_delta state kind))
+let successors state kind =
+  let strict = Query.Evaluation.strict_enabled () in
+  List.map fst (fst (successors_with_delta ~strict state kind))
 
 let fusion_closure_delta ?(fresh = max_int) state =
   let rec close fresh state acc =

@@ -30,7 +30,11 @@ val all_kinds : kind list
 (** In stratification order. *)
 
 val successors_with_delta :
-  ?stop:(View.t -> bool) -> State.t -> kind -> (State.t * Delta.t) list * int
+  ?stop:(View.t -> bool) ->
+  strict:bool ->
+  State.t ->
+  kind ->
+  (State.t * Delta.t) list * int
 (** All states reachable from the given state by one application of the
     given transition kind, each paired with the exact delta the
     transition applied (views removed, views added, rewritings whose
@@ -45,11 +49,17 @@ val successors_with_delta :
     successor keeps its victims' body, so it violates exactly when the
     parent does).  The pruned successors are left out of the list and
     counted in the second component; [transition.<K>.applied] counts
-    them too.  Under [RDFVIEWS_STRICT] they are still built, checked
-    structurally, and their verdict checked against their views. *)
+    them too.
+
+    With [~strict:true] (the search passes strict mode, read once per
+    run) every successor is checked structurally, and the pruned ones
+    are still built, checked, and their verdict checked against their
+    views; a failed check raises [Failure]. *)
 
 val successors : State.t -> kind -> State.t list
-(** [successors s k] is every successor of [s] by [k], none pruned. *)
+(** [successors s k] is every successor of [s] by [k], none pruned,
+    checked when {!Query.Evaluation.strict_enabled} holds at the
+    call. *)
 
 val fusion_closure_delta : ?fresh:int -> State.t -> State.t * Delta.t
 (** Repeatedly apply view fusions until none is applicable — the

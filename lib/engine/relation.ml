@@ -17,7 +17,6 @@ type t = {
 
 let name t = t.name
 let cols t = t.cols
-let arity t = List.length t.cols
 let cardinality t = t.n
 
 let ensure_capacity t =
@@ -67,11 +66,6 @@ let make ~name ~cols rows =
   in
   List.iter (fun row -> ignore (add_row t row)) rows;
   t
-
-let iter_rows f t =
-  for i = 0 to t.n - 1 do
-    f t.data.(i)
-  done
 
 let fold_rows f t init =
   let acc = ref init in

@@ -15,7 +15,6 @@ val make : name:string -> cols:string list -> int array list -> t
 val name : t -> string
 val cols : t -> string list
 
-val arity : t -> int
 val cardinality : t -> int
 
 val mem : t -> int array -> bool
@@ -30,7 +29,6 @@ val remove_row : t -> int array -> bool
 val rows : t -> int array list
 (** The stored rows (shared, not copied — treat as read-only). *)
 
-val iter_rows : (int array -> unit) -> t -> unit
 val fold_rows : (int array -> 'a -> 'a) -> t -> 'a -> 'a
 
 val project_indices : t -> string list -> int list

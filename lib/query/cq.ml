@@ -79,8 +79,6 @@ let subst f q =
 
 let subst_var x v q = subst (fun y -> if String.equal x y then Some v else None) q
 
-let rename_var x y q = subst_var x (Qterm.Var y) q
-
 let freshen q =
   let mapping =
     List.fold_left

@@ -48,8 +48,6 @@ val subst : (string -> Qterm.t option) -> t -> t
 
 val subst_var : string -> Qterm.t -> t -> t
 
-val rename_var : string -> string -> t -> t
-
 val freshen : t -> t
 (** Rename every variable to a globally fresh name (head positions
     preserved). *)

@@ -8,18 +8,6 @@
    query is run through both engines and the answer sets are compared
    — a mismatch raises, naming the query. *)
 
-(* Answer tuples are rows of domain terms; deduplication goes through a
-   dedicated table built on Rdf.Term's own equal/hash rather than the
-   polymorphic ones. *)
-module Row_table = Hashtbl.Make (struct
-  type t = Rdf.Term.t list
-
-  let equal = List.equal Rdf.Term.equal
-
-  let hash l =
-    List.fold_left (fun h t -> ((h * 31) + Rdf.Term.hash t) land max_int) 17 l
-end)
-
 let obs_evals = Obs.cached_counter "eval.queries"
 
 let same_answers a b =
@@ -28,12 +16,18 @@ let same_answers a b =
   in
   List.equal (List.equal Rdf.Term.equal) (norm a) (norm b)
 
+(* Every answer set is computed as code rows, deduplicated on codes, and
+   decoded only on the way out: distinct code rows decode to distinct
+   term rows (the dictionary is a bijection). *)
+let decode_rows store rows =
+  List.map (Array.map (Rdf.Store.decode_term store)) rows
+
 (* ---------- the reference evaluator -------------------------------------- *)
 
 module Reference = struct
   (* The pre-plan interpretive joiner: per-extension string-keyed maps,
      dynamic cheapest-atom-next ordering re-probed at every binding
-     step.  Kept verbatim (modulo the row tables) as the semantic
+     step.  Kept verbatim (modulo the row sets) as the semantic
      oracle: Plan must agree with it on every query. *)
 
   module SMap = Map.Make (String)
@@ -128,19 +122,6 @@ module Reference = struct
     in
     go (List.fold_left (fun env (x, code) -> SMap.add x code env) SMap.empty bound) q.body
 
-  let eval_into store (q : Cq.t) results =
-    let project bindings =
-      let term_of = function
-        | Qterm.Cst c -> c
-        | Qterm.Var x -> Rdf.Store.decode_term store (SMap.find x bindings)
-      in
-      Array.of_list (List.map term_of q.head)
-    in
-    eval_bindings store q (fun bindings ->
-        let tuple = project bindings in
-        let key = Array.to_list tuple in
-        if not (Row_table.mem results key) then Row_table.add results key tuple)
-
   let eval_codes_into ?bound store (q : Cq.t) results =
     let project bindings =
       let code_of = function
@@ -162,24 +143,17 @@ module Reference = struct
     List.iter (fun q -> eval_codes_into store q results) (Ucq.disjuncts u);
     Rowset.elements results
 
-  let eval_cq store q =
-    let results = Row_table.create 64 in
-    eval_into store q results;
-    Row_table.fold (fun _ tuple acc -> tuple :: acc) results []
-
-  let eval_ucq store u =
-    let results = Row_table.create 64 in
-    List.iter (fun q -> eval_into store q results) (Ucq.disjuncts u);
-    Row_table.fold (fun _ tuple acc -> tuple :: acc) results []
-
-  let count_cq store q = List.length (eval_cq store q)
-  let count_ucq store u = List.length (eval_ucq store u)
+  let eval_cq store q = decode_rows store (eval_cq_codes store q)
+  let eval_ucq store u = decode_rows store (eval_ucq_codes store u)
+  let count_cq store q = List.length (eval_cq_codes store q)
+  let count_ucq store u = List.length (eval_ucq_codes store u)
 end
 
 (* ---------- strict-mode differential check ------------------------------- *)
 
-(* Read per call (tests toggle the variable mid-process); one getenv
-   per evaluated query is noise next to the join itself. *)
+(* The one reader of the variable.  Evaluation reads it per call (tests
+   toggle it mid-process; one getenv per evaluated query is noise next
+   to the join itself); a search reads it once per run. *)
 let strict_enabled () =
   match Sys.getenv_opt "RDFVIEWS_STRICT" with
   | None | Some "" | Some "0" | Some "false" -> false
@@ -229,15 +203,6 @@ let bound_rowset store (q : Cq.t) bound =
   Plan.exec_into (Plan.compile ~bound store q) store rows;
   rows
 
-let eval_cq_codes ?(bound = []) store q =
-  let rows =
-    Rowset.elements
-      (if bound = [] then eval_cq_rowset store q else bound_rowset store q bound)
-  in
-  if strict_enabled () then
-    check_codes q.Cq.name rows (Reference.eval_cq_codes ~bound store q);
-  rows
-
 (* Disjuncts accumulate into one shared row table sized from the sum
    of the disjunct plans' last cardinalities (an upper bound when the
    disjuncts overlap, which only lowers the load factor). *)
@@ -254,48 +219,31 @@ let ucq_rowset ~cache store u =
   List.iter (fun p -> Plan.exec_into p store rows) plans;
   rows
 
-let eval_ucq_codes ?(cache = true) store u =
-  let rows = Rowset.elements (ucq_rowset ~cache store u) in
+(* The one answer path: every entry point below reads the distinct
+   answer rows of one of these two, checked against Reference in strict
+   mode. *)
+let cq_rows ?(bound = []) store q =
+  let rows =
+    if bound = [] then eval_cq_rowset store q else bound_rowset store q bound
+  in
   if strict_enabled () then
-    check_codes (Ucq.name u) rows (Reference.eval_ucq_codes store u);
+    check_codes q.Cq.name (Rowset.elements rows)
+      (Reference.eval_cq_codes ~bound store q);
   rows
 
-let decode_rows store rows =
-  List.map (Array.map (Rdf.Store.decode_term store)) rows
+let ucq_rows ~cache store u =
+  let rows = ucq_rowset ~cache store u in
+  if strict_enabled () then
+    check_codes (Ucq.name u) (Rowset.elements rows)
+      (Reference.eval_ucq_codes store u);
+  rows
 
-(* Distinct code rows decode to distinct term rows (the dictionary is a
-   bijection), so term-level results reuse the code-level dedup. *)
-let eval_cq store q =
-  let answers = decode_rows store (Rowset.elements (eval_cq_rowset store q)) in
-  if strict_enabled () && not (same_answers answers (Reference.eval_cq store q))
-  then
-    raise
-      (Differential_mismatch
-         ("Evaluation: compiled plan disagrees with Reference on " ^ q.Cq.name));
-  answers
+let eval_cq_codes ?bound store q = Rowset.elements (cq_rows ?bound store q)
 
-let eval_ucq store u =
-  let answers = decode_rows store (Rowset.elements (ucq_rowset ~cache:true store u)) in
-  if strict_enabled () && not (same_answers answers (Reference.eval_ucq store u))
-  then
-    raise
-      (Differential_mismatch
-         ("Evaluation: compiled plan disagrees with Reference on " ^ Ucq.name u));
-  answers
+let eval_ucq_codes ?(cache = true) store u =
+  Rowset.elements (ucq_rows ~cache store u)
 
-let count_cq store q =
-  let n = Rowset.cardinal (eval_cq_rowset store q) in
-  if strict_enabled () then begin
-    let r = Reference.count_cq store q in
-    if n <> r then
-      raise
-        (Differential_mismatch
-           (Printf.sprintf
-              "Evaluation: compiled count %d <> reference count %d on %s" n r
-              q.Cq.name))
-  end;
-  n
-
-let count_ucq store u =
-  if strict_enabled () then List.length (eval_ucq_codes ~cache:false store u)
-  else Rowset.cardinal (ucq_rowset ~cache:false store u)
+let eval_cq store q = decode_rows store (eval_cq_codes store q)
+let eval_ucq store u = decode_rows store (eval_ucq_codes store u)
+let count_cq store q = Rowset.cardinal (cq_rows store q)
+let count_ucq store u = Rowset.cardinal (ucq_rows ~cache:false store u)

@@ -11,18 +11,29 @@
     plan per store.  The former interpretive joiner survives as
     {!Reference}; with [RDFVIEWS_STRICT=1] in the environment, every
     evaluated query is run through both engines and any answer-set
-    disagreement raises {!Differential_mismatch}. *)
+    disagreement raises {!Differential_mismatch}.
+
+    Every answer set is computed once, as distinct dictionary-encoded
+    rows: the term-level entry points decode those rows and the counts
+    are their number, in both engines.  Head constants (from
+    reformulation rules 5 and 6) are encoded into the store's
+    dictionary on the way. *)
+
+val strict_enabled : unit -> bool
+(** Whether [RDFVIEWS_STRICT] is set to a truthy value (anything but
+    [""], ["0"] and ["false"]): the one reader of the variable.  Read
+    on every call, so a process may turn strict mode on or off at any
+    time; a search reads it once per run. *)
 
 val eval_cq : Rdf.Store.t -> Cq.t -> Rdf.Term.t array list
-(** All distinct answer tuples of the query on the store.  Head constants
-    (arising from reformulation rules 5 and 6) are returned verbatim. *)
+(** All distinct answer tuples of the query on the store: the decoded
+    rows of {!eval_cq_codes}. *)
 
 val eval_ucq : Rdf.Store.t -> Ucq.t -> Rdf.Term.t array list
 (** Set-semantics union of the disjuncts' answers. *)
 
 val eval_cq_codes : ?bound:(string * int) list -> Rdf.Store.t -> Cq.t -> int array list
-(** Like {!eval_cq} but dictionary-encoded; head constants are encoded
-    into the store's dictionary on the fly.  A non-empty [bound] fixes
+(** The distinct answer rows, dictionary-encoded.  A non-empty [bound] fixes
     variables (each listed once) to codes and compiles an uncached plan
     ({!Plan.compile} [~bound]): nothing is interned or cached per
     call. *)
@@ -34,6 +45,7 @@ val eval_ucq_codes : ?cache:bool -> Rdf.Store.t -> Ucq.t -> int array list
     [true]. *)
 
 val count_cq : Rdf.Store.t -> Cq.t -> int
+(** The number of rows {!eval_cq_codes} returns. *)
 
 val count_ucq : Rdf.Store.t -> Ucq.t -> int
 (** The number of distinct answers, through one-shot plans

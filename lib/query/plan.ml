@@ -15,9 +15,7 @@
      by an earlier step — so the executor never checks boundness at
      runtime;
    - the join order is fixed at compile time, greedily most-selective
-     first from the store's O(1) pattern counts; a cheap guarded
-     re-order recompiles the plan only when a step's observed bucket
-     sizes are off its estimate by a large factor;
+     first from the store's O(1) pattern counts, and never changes;
    - plans are cached per store id, keyed by the interned canonical
      form of the query (the process-global [Interning] table that
      [Core] also keys views on), so repeated evaluation — statistics
@@ -32,7 +30,6 @@ module SMap = Map.Make (String)
 
 let obs_cache_hits = Obs.cached_counter "eval.plan.cache_hits"
 let obs_cache_misses = Obs.cached_counter "eval.plan.cache_misses"
-let obs_reorders = Obs.cached_counter "eval.plan.reorders"
 let obs_extensions = Obs.cached_counter "eval.frame.extensions"
 let obs_bindings = Obs.cached_counter "eval.bindings"
 
@@ -55,23 +52,17 @@ type step = {
   post_s : post;
   post_p : post;
   post_o : post;
-  est : float;  (* compile-time cardinality estimate *)
-  atom : int;   (* index into the source body, for feedback *)
 }
 
 type head_src = Hconst of int | Hslot of int
 
 type t = {
-  query : Cq.t;        (* retained for guarded recompilation *)
   store_id : int;
   steps : step array;
   nslots : int;
   head : head_src array;
   impossible : bool;   (* a body constant is absent from the dictionary *)
   dict_size : int;     (* dictionary size at compile time *)
-  generation : int;    (* guarded re-orders applied so far *)
-  obs_sum : float array;  (* per-step: summed observed bucket sizes *)
-  obs_cnt : int array;    (* per-step: number of observations *)
   mutable last_bindings : int;
       (* complete assignments (duplicates included) counted by the
          last execution *)
@@ -140,7 +131,7 @@ let rec head_sources store slots bound = function
     in
     src :: head_sources store slots bound rest
 
-let compile_gen ?overrides ?(bound = []) ~generation store (q : Cq.t) =
+let compile ?(bound = []) store (q : Cq.t) =
   let atoms =
     Array.of_list
       (List.map
@@ -161,16 +152,12 @@ let compile_gen ?overrides ?(bound = []) ~generation store (q : Cq.t) =
   in
   if impossible then
     {
-      query = q;
       store_id = Rdf.Store.id store;
       steps = [||];
       nslots = 0;
       head = [||];
       impossible = true;
       dict_size = Rdf.Store.dict_size store;
-      generation;
-      obs_sum = [||];
-      obs_cnt = [||];
       last_bindings = 0;
       result_hint = 0;
     }
@@ -196,11 +183,6 @@ let compile_gen ?overrides ?(bound = []) ~generation store (q : Cq.t) =
       in
       k s + k p + k o
     in
-    let override i =
-      match overrides with
-      | Some arr when i < Array.length arr && arr.(i) >= 0. -> Some arr.(i)
-      | Some _ | None -> None
-    in
     (* Greedy order: cheapest estimated atom next; ties prefer the atom
        with more known positions, then source order (determinism). *)
     let steps = ref [] in
@@ -210,11 +192,7 @@ let compile_gen ?overrides ?(bound = []) ~generation store (q : Cq.t) =
       let best_known = ref (-1) in
       for i = 0 to n - 1 do
         if not used.(i) then begin
-          let est =
-            match override i with
-            | Some fb -> fb
-            | None -> estimate store !slots atoms.(i)
-          in
+          let est = estimate store !slots atoms.(i) in
           let known = known_count atoms.(i) in
           if
             est < !best_est
@@ -267,27 +245,20 @@ let compile_gen ?overrides ?(bound = []) ~generation store (q : Cq.t) =
       let post_s = post ks s in
       let post_p = post kp p in
       let post_o = post ko o in
-      steps :=
-        { access; post_s; post_p; post_o; est = !best_est; atom = i } :: !steps
+      steps := { access; post_s; post_p; post_o } :: !steps
     done;
     let head = Array.of_list (head_sources store !slots bound q.head) in
     {
-      query = q;
       store_id = Rdf.Store.id store;
       steps = Array.of_list (List.rev !steps);
       nslots = !nslots;
       head;
       impossible = false;
       dict_size = Rdf.Store.dict_size store;
-      generation;
-      obs_sum = Array.make n 0.;
-      obs_cnt = Array.make n 0;
       last_bindings = 0;
       result_hint = 0;
     }
   end
-
-let compile ?bound store q = compile_gen ?bound ~generation:0 store q
 
 (* ---------- execution ---------------------------------------------------- *)
 
@@ -343,9 +314,6 @@ let exec plan store emit =
             | Two (cols, a, b) -> Rdf.Store.scan2 store cols (value a) (value b)
             | Mem _ -> assert false
           in
-          (* feedback for the guarded re-order *)
-          plan.obs_sum.(d) <- plan.obs_sum.(d) +. float_of_int n;
-          plan.obs_cnt.(d) <- plan.obs_cnt.(d) + 1;
           let post_s = st.post_s and post_p = st.post_p and post_o = st.post_o in
           for i = 0 to n - 1 do
             let base = 3 * i in
@@ -393,53 +361,6 @@ let exec_into plan store rows =
   plan.result_hint <- Rowset.cardinal rows - before
 
 let size_hint plan = plan.result_hint
-
-(* ---------- guarded re-order --------------------------------------------- *)
-
-(* A plan's order is only as good as its estimates.  When a step's
-   observed bucket sizes average a large factor above what compilation
-   predicted (the uniformity assumption failed, or the store has
-   drifted since), the next cache fetch recompiles with the observed
-   averages overriding the estimates for the misjudged atoms.  The
-   generation cap keeps a pathological workload from recompiling
-   forever. *)
-
-let reorder_factor = 32.
-let reorder_floor = 64.
-let max_generation = 3
-
-let needs_reorder plan =
-  (not plan.impossible)
-  && plan.generation < max_generation
-  &&
-  let n = Array.length plan.steps in
-  let rec check d =
-    d < n
-    &&
-    let st = plan.steps.(d) in
-    let cnt = plan.obs_cnt.(d) in
-    (cnt > 0
-     &&
-     let avg = plan.obs_sum.(d) /. float_of_int cnt in
-     avg > reorder_floor && avg > reorder_factor *. Float.max st.est 1.)
-    || check (d + 1)
-  in
-  check 0
-
-let reordered plan store =
-  let overrides = Array.make (List.length plan.query.Cq.body) (-1.) in
-  Array.iteri
-    (fun d st ->
-      if plan.obs_cnt.(d) > 0 then
-        overrides.(st.atom) <- plan.obs_sum.(d) /. float_of_int plan.obs_cnt.(d))
-    plan.steps;
-  Obs.incr (obs_reorders ());
-  let fresh =
-    compile_gen ~overrides ~generation:(plan.generation + 1) store plan.query
-  in
-  (* the result cardinality is order-independent: keep the hint *)
-  fresh.result_hint <- plan.result_hint;
-  fresh
 
 (* ---------- the plan cache ----------------------------------------------- *)
 
@@ -495,25 +416,16 @@ let cached store q =
   in
   match found with
   | Some plan
-    when (not (plan.impossible && Rdf.Store.dict_size store <> plan.dict_size))
-         && not (needs_reorder plan) ->
+    when not (plan.impossible && Rdf.Store.dict_size store <> plan.dict_size) ->
     Obs.incr (obs_cache_hits ());
     plan
-  | Some plan ->
-    (* stale: an absent constant may now exist, or the observed
-       selectivities disagree with the estimates *)
-    Obs.incr (obs_cache_misses ());
-    let fresh =
-      if plan.impossible then compile store q else reordered plan store
-    in
-    Multicore.Spinlock.with_lock cache_lock (fun () ->
-        ITbl.replace (store_table (Rdf.Store.id store)) key fresh);
-    fresh
-  | None ->
+  | Some _ | None ->
+    (* missing, or stale: a constant the plan proved absent may now
+       exist *)
     Obs.incr (obs_cache_misses ());
     let plan = compile store q in
     Multicore.Spinlock.with_lock cache_lock (fun () ->
-        ITbl.add (store_table (Rdf.Store.id store)) key plan);
+        ITbl.replace (store_table (Rdf.Store.id store)) key plan);
     plan
 
 let reset_cache () =

@@ -1,7 +1,7 @@
 (** Compiled query plans: int-slot binding frames over array buckets,
     with a per-store plan cache.
 
-    A plan fixes, at compile time, the join order (greedy
+    A plan fixes, at compile time and for good, the join order (greedy
     most-selective-first from the store's O(1) pattern counts), the
     dense slot number of every variable, and — per body atom — which
     positions are constants (resolved to dictionary codes), which bind
@@ -13,15 +13,13 @@
     Plans are cached per store id, keyed by the interned canonical form
     of the query ({!Cq.canonical_string} through the process-global
     [Interning] table, shared with [Core]); isomorphic queries
-    share one plan.  A cached plan is transparently recompiled when a
-    constant it proved absent may have appeared (dictionary growth), or
-    when observed bucket sizes are off the compile-time estimates by a
-    large factor (the guarded re-order; capped per plan).  A plan
-    compiled with bound variables ({!compile} [~bound]) is never
-    cached.
+    share one plan.  A cached plan is recompiled only when it proved
+    the query empty and the dictionary has grown since (an absent
+    constant may have appeared).  A plan compiled with bound variables
+    ({!compile} [~bound]) is never cached.
 
-    Instruments: [eval.plan.cache_hits] / [eval.plan.cache_misses] /
-    [eval.plan.reorders] counters, the [eval.frame.extensions] counter
+    Instruments: [eval.plan.cache_hits] / [eval.plan.cache_misses]
+    counters, the [eval.frame.extensions] counter
     (successful per-step frame extensions), and the pre-existing
     [eval.bindings] (complete assignments). *)
 
@@ -56,7 +54,7 @@ val last_bindings : t -> int
 
 val size_hint : t -> int
 (** Cardinality of the result set last produced via {!exec_into} (0
-    before the first execution; carried across guarded re-orders).
+    before the first execution).
     Callers use it to pre-size the next execution's row table, so
     steady-state re-evaluation of a cached plan never pays hash-table
     growth. *)

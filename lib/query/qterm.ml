@@ -15,9 +15,6 @@ let var x = Var x
 let cst c = Cst c
 let uri u = Cst (Rdf.Term.Uri u)
 
-let is_var = function Var _ -> true | Cst _ -> false
-let is_cst = function Cst _ -> true | Var _ -> false
-
 let var_name = function Var x -> Some x | Cst _ -> None
 let constant = function Cst c -> Some c | Var _ -> None
 

@@ -17,9 +17,6 @@ val cst : Rdf.Term.t -> t
 val uri : string -> t
 (** [uri u] is [Cst (Uri u)]. *)
 
-val is_var : t -> bool
-val is_cst : t -> bool
-
 val var_name : t -> string option
 val constant : t -> Rdf.Term.t option
 

@@ -13,7 +13,6 @@ let of_cq q = { name = q.Cq.name; disjuncts = [ q ] }
 
 let name t = t.name
 let disjuncts t = t.disjuncts
-let arity t = Cq.arity (List.hd t.disjuncts)
 
 let cardinal t = List.length t.disjuncts
 

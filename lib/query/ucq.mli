@@ -10,7 +10,6 @@ val of_cq : Cq.t -> t
 
 val name : t -> string
 val disjuncts : t -> Cq.t list
-val arity : t -> int
 
 val cardinal : t -> int
 (** Number of disjuncts ([|Qr|]-style counts of Table 3). *)

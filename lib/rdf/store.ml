@@ -101,8 +101,6 @@ let size t =
   | Hash h -> Hash_backend.size h
   | Compact c -> Compact_backend.size c
 
-let pattern_all = { ps = None; pp = None; po = None }
-
 let fold_all t f init =
   match t.repr with
   | Hash h -> Hash_backend.fold_all h f init

@@ -68,9 +68,6 @@ val mem_encoded : t -> encoded -> bool
 val size : t -> int
 (** Number of distinct triples. *)
 
-val pattern_all : pattern
-(** The all-wildcard pattern. *)
-
 val fold_matching : t -> pattern -> (encoded -> 'a -> 'a) -> 'a -> 'a
 (** Fold over all triples matching the pattern, using the most selective
     available index. *)

@@ -333,7 +333,7 @@ let test_strict_mode_search () =
   Fun.protect
     ~finally:(fun () -> Unix.putenv "RDFVIEWS_STRICT" "0")
     (fun () ->
-      check_bool "strict enabled" true (Core.Invariant.strict_enabled ());
+      check_bool "strict enabled" true (Query.Evaluation.strict_enabled ());
       let estimator = estimator_for museum_store in
       let options =
         { Core.Search.default_options with max_states = Some 100 }
@@ -345,7 +345,30 @@ let test_strict_mode_search () =
       in
       check_bool "strict search explored states" true
         (report.Core.Search.explored > 0));
-  check_bool "strict disabled again" false (Core.Invariant.strict_enabled ())
+  check_bool "strict disabled again" false (Query.Evaluation.strict_enabled ())
+
+(* Strict mode is read when a check is due, not latched by the first
+   transition of the process: turned on after transitions ran with it
+   off, it makes Transition check the states it produces.  The states
+   here keep a view no rewriting uses, a structural violation. *)
+let test_strict_mode_mid_process () =
+  let state = Core.State.initial [ q1_paper ] in
+  let broken =
+    Core.State.make ~views:state.Core.State.views
+      ~rewritings:[ ("q1", Core.Rewriting.Scan "ghost") ]
+  in
+  Unix.putenv "RDFVIEWS_STRICT" "0";
+  check_bool "unchecked with strict mode off" true
+    (Core.Transition.successors broken Core.Transition.SC <> []);
+  Unix.putenv "RDFVIEWS_STRICT" "1";
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "RDFVIEWS_STRICT" "0")
+    (fun () ->
+      match Core.Transition.successors broken Core.Transition.SC with
+      | _ -> Alcotest.fail "strict mode turned on late checked no successor"
+      | exception Failure message ->
+        check_bool "the check names the transition" true
+          (String.starts_with ~prefix:"Transition.SC" message))
 
 (* ---------- randomized ---------------------------------------------------- *)
 
@@ -426,7 +449,11 @@ let () =
             test_rejected_view_names_line;
         ] );
       ( "strict",
-        [ Alcotest.test_case "strict search" `Quick test_strict_mode_search ] );
+        [
+          Alcotest.test_case "strict search" `Quick test_strict_mode_search;
+          Alcotest.test_case "strict mode turned on mid-process" `Quick
+            test_strict_mode_mid_process;
+        ] );
       ( "random",
         [
           Alcotest.test_case "random workloads certified" `Quick

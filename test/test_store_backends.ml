@@ -9,12 +9,26 @@ open Support
 
 type op = Add of Rdf.Triple.t | Remove of Rdf.Triple.t | Merge
 
-(* Most ops draw from a small pool of triples, so removes mostly hit
-   live rows and re-adding a triple removed after a merge resurrects a
-   tombstoned segment row. *)
+(* Most ops draw from a pool of triples, so removes mostly hit live
+   rows and re-adding a triple removed after a merge resurrects a
+   tombstoned segment row.  A pool is either small and mixed, or dozens
+   of subjects typed with one class: their removals swap rows inside
+   [rdf:type] and class buckets of dozens of rows. *)
+let gen_pool =
+  let open QCheck.Gen in
+  oneof
+    [
+      array_size (int_range 2 12) gen_data_triple;
+      map
+        (fun n ->
+          Array.init n (fun i ->
+              Rdf.Triple.make (uri (Printf.sprintf "s%d" i)) rdf_type (uri "C0")))
+        (int_range 24 48);
+    ]
+
 let gen_ops =
   let open QCheck.Gen in
-  let* pool = array_size (int_range 2 12) gen_data_triple in
+  let* pool = gen_pool in
   let pick =
     frequency
       [
@@ -30,7 +44,7 @@ let gen_ops =
         (1, return Merge);
       ]
   in
-  list_size (int_range 5 80) gen_op
+  list_size (int_range 5 (max 80 (4 * Array.length pool))) gen_op
 
 let op_to_string = function
   | Add t -> "add " ^ Rdf.Triple.to_string t
@@ -71,6 +85,64 @@ let test_ops_cover_resurrection () =
     true (hits >= 50)
 
 let sorted_triples st = List.sort compare (Rdf.Store.to_triples st)
+
+(* The hash backend's scan order, modelled: each of a triple's seven
+   buckets is a list that appends on add and, on remove, moves its last
+   row into the hole.  The Barton generator and the ledger's
+   fingerprints depend on this order. *)
+type bucket_key =
+  | All
+  | S of Rdf.Term.t
+  | P of Rdf.Term.t
+  | O of Rdf.Term.t
+  | SP of Rdf.Term.t * Rdf.Term.t
+  | SO of Rdf.Term.t * Rdf.Term.t
+  | PO of Rdf.Term.t * Rdf.Term.t
+
+let bucket_keys { Rdf.Triple.s; p; o } =
+  [ All; S s; P p; O o; SP (s, p); SO (s, o); PO (p, o) ]
+
+let model_rows model key = Option.value ~default:[] (Hashtbl.find_opt model key)
+
+let model_add model t =
+  List.iter
+    (fun key -> Hashtbl.replace model key (model_rows model key @ [ t ]))
+    (bucket_keys t)
+
+let model_remove model t =
+  List.iter
+    (fun key ->
+      match List.rev (model_rows model key) with
+      | [] -> assert false
+      | last :: rest ->
+        Hashtbl.replace model key
+          (List.rev_map
+             (fun row -> if Rdf.Triple.equal row t then last else row)
+             rest))
+    (bucket_keys t)
+
+let scan_rows st key =
+  let code term = Option.get (Rdf.Store.find_term st term) in
+  let data, n =
+    match key with
+    | All -> Rdf.Store.scan_all st
+    | S s -> Rdf.Store.scan1 st `S (code s)
+    | P p -> Rdf.Store.scan1 st `P (code p)
+    | O o -> Rdf.Store.scan1 st `O (code o)
+    | SP (s, p) -> Rdf.Store.scan2 st `SP (code s) (code p)
+    | SO (s, o) -> Rdf.Store.scan2 st `SO (code s) (code o)
+    | PO (p, o) -> Rdf.Store.scan2 st `PO (code p) (code o)
+  in
+  let term i = Rdf.Store.decode_term st data.(i) in
+  List.init n (fun i ->
+      Rdf.Triple.make (term (3 * i)) (term ((3 * i) + 1)) (term ((3 * i) + 2)))
+
+let check_scan_order hash model keys =
+  List.iter
+    (fun key ->
+      if not (List.equal Rdf.Triple.equal (scan_rows hash key) (model_rows model key))
+      then QCheck.Test.fail_report "hash scan order diverged from swap-remove")
+    keys
 
 (* Encode a term-level pattern against one store's own dictionary;
    [None] means some constant never entered the dictionary, i.e. the
@@ -141,6 +213,7 @@ let prop_differential =
     ~count:150 arb_ops (fun ops ->
       let hash = Rdf.Store.create ~backend:Rdf.Backend.Hash () in
       let compact = Rdf.Store.create ~backend:Rdf.Backend.Compact () in
+      let model = Hashtbl.create 64 in
       List.iter
         (fun op ->
           (match op with
@@ -149,13 +222,19 @@ let prop_differential =
             let rc = Rdf.Store.add compact t in
             if rh <> rc then
               QCheck.Test.fail_reportf "add %s: hash=%b compact=%b"
-                (Rdf.Triple.to_string t) rh rc
+                (Rdf.Triple.to_string t) rh rc;
+            if rh then model_add model t;
+            check_scan_order hash model (bucket_keys t)
           | Remove t ->
             let rh = Rdf.Store.remove hash t in
             let rc = Rdf.Store.remove compact t in
             if rh <> rc then
               QCheck.Test.fail_reportf "remove %s: hash=%b compact=%b"
-                (Rdf.Triple.to_string t) rh rc
+                (Rdf.Triple.to_string t) rh rc;
+            if rh then begin
+              model_remove model t;
+              check_scan_order hash model (bucket_keys t)
+            end
           | Merge -> Rdf.Store.compact compact);
           if Rdf.Store.size hash <> Rdf.Store.size compact then
             QCheck.Test.fail_reportf "size diverged: hash=%d compact=%d"
@@ -180,6 +259,8 @@ let prop_differential =
         ops;
       if sorted_triples hash <> sorted_triples compact then
         QCheck.Test.fail_report "triple sets diverged";
+      check_scan_order hash model
+        (Hashtbl.fold (fun key _ keys -> key :: keys) model []);
       List.iter
         (fun tpat ->
           let ch = count_pattern hash tpat in

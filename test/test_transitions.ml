@@ -329,14 +329,15 @@ let prop_admission_without_rework =
           && List.for_all
                (fun kind ->
                  let all, none_pruned =
-                   Core.Transition.successors_with_delta s kind
+                   Core.Transition.successors_with_delta ~strict:false s kind
                  in
                  none_pruned = 0
                  && List.for_all
                       (fun options ->
                         let stop = Core.Search.stop_test options in
                         let kept, pruned =
-                          Core.Transition.successors_with_delta ?stop s kind
+                          Core.Transition.successors_with_delta ?stop
+                            ~strict:false s kind
                         in
                         let passing =
                           List.filter
@@ -367,7 +368,9 @@ let prop_admission_without_rework =
                   Core.State.equal_key (Core.State.key partial)
                     (Core.State.key full)
                   && view_forms partial = view_forms full)
-                (fst (Core.Transition.successors_with_delta closed kind)))
+                (fst
+                   (Core.Transition.successors_with_delta ~strict:false closed
+                      kind)))
             Core.Transition.all_kinds)
         (walk_states workload choices))
 
