@@ -1,8 +1,8 @@
 (* Public query evaluation, routed through compiled plans.
 
    Every entry point fetches a cached plan ({!Plan.cached}) and
-   executes it against an int-array frame (an evaluation with bound
-   variables compiles an uncached plan instead); the
+   executes it against an int-array frame (a parameterized evaluation
+   runs the caller's own plan instead); the
    former interpretive backtracking joiner survives as {!Reference} for
    differential testing.  Under RDFVIEWS_STRICT=1 every evaluated
    query is run through both engines and the answer sets are compared
@@ -193,16 +193,6 @@ let eval_cq_rowset store (q : Cq.t) =
   Plan.exec_into plan store rows;
   rows
 
-(* A bound evaluation compiles its own plan, the bound variables
-   resolved like constants: the codes change from call to call
-   (maintenance binds each update's terms), so caching it would only
-   grow the cache. *)
-let bound_rowset store (q : Cq.t) bound =
-  Obs.incr (obs_evals ());
-  let rows = Rowset.create 16 in
-  Plan.exec_into (Plan.compile ~bound store q) store rows;
-  rows
-
 (* Disjuncts accumulate into one shared row table sized from the sum
    of the disjunct plans' last cardinalities (an upper bound when the
    disjuncts overlap, which only lowers the load factor). *)
@@ -222,13 +212,10 @@ let ucq_rowset ~cache store u =
 (* The one answer path: every entry point below reads the distinct
    answer rows of one of these two, checked against Reference in strict
    mode. *)
-let cq_rows ?(bound = []) store q =
-  let rows =
-    if bound = [] then eval_cq_rowset store q else bound_rowset store q bound
-  in
+let cq_rows store q =
+  let rows = eval_cq_rowset store q in
   if strict_enabled () then
-    check_codes q.Cq.name (Rowset.elements rows)
-      (Reference.eval_cq_codes ~bound store q);
+    check_codes q.Cq.name (Rowset.elements rows) (Reference.eval_cq_codes store q);
   rows
 
 let ucq_rows ~cache store u =
@@ -238,7 +225,21 @@ let ucq_rows ~cache store u =
       (Reference.eval_ucq_codes store u);
   rows
 
-let eval_cq_codes ?bound store q = Rowset.elements (cq_rows ?bound store q)
+let eval_cq_codes store q = Rowset.elements (cq_rows store q)
+
+(* In strict mode the call's own rows are checked before they join the
+   caller's, which may already hold rows of other calls. *)
+let eval_params_into store (q : Cq.t) plan ~params args rows =
+  Obs.incr (obs_evals ());
+  if strict_enabled () then begin
+    let own = Rowset.create 16 in
+    Plan.exec_into ~args plan store own;
+    let own = Rowset.elements own in
+    check_codes q.Cq.name own
+      (Reference.eval_cq_codes ~bound:(List.combine params (Array.to_list args)) store q);
+    List.iter (fun row -> ignore (Rowset.add rows row : bool)) own
+  end
+  else Plan.exec_into ~args plan store rows
 
 let eval_ucq_codes ?(cache = true) store u =
   Rowset.elements (ucq_rows ~cache store u)

@@ -3,9 +3,9 @@
     This is [evaluate] in the sense of Theorem 4.2: standard evaluation
     of plain RDF basic graph patterns, with set semantics.  Since the
     compiled-plan rework, every entry point routes through
-    a compiled plan, cached unless variables are bound, the caller
-    asks for a one-shot evaluation ([~cache:false]) or the call is
-    {!count_ucq}: the join order
+    a compiled plan, cached unless the caller brings its own
+    parameterized plan ({!eval_params_into}), asks for a one-shot
+    evaluation ([~cache:false]) or the call is {!count_ucq}: the join order
     is fixed at compile time, bindings
     live in an int-slot frame, and isomorphic queries share one cached
     plan per store.  The former interpretive joiner survives as
@@ -32,11 +32,24 @@ val eval_cq : Rdf.Store.t -> Cq.t -> Rdf.Term.t array list
 val eval_ucq : Rdf.Store.t -> Ucq.t -> Rdf.Term.t array list
 (** Set-semantics union of the disjuncts' answers. *)
 
-val eval_cq_codes : ?bound:(string * int) list -> Rdf.Store.t -> Cq.t -> int array list
-(** The distinct answer rows, dictionary-encoded.  A non-empty [bound] fixes
-    variables (each listed once) to codes and compiles an uncached plan
-    ({!Plan.compile} [~bound]): nothing is interned or cached per
-    call. *)
+val eval_cq_codes : Rdf.Store.t -> Cq.t -> int array list
+(** The distinct answer rows, dictionary-encoded. *)
+
+val eval_params_into :
+  Rdf.Store.t -> Cq.t -> Plan.t -> params:string list -> int array -> Rowset.t -> unit
+(** [eval_params_into store q plan ~params args rows] adds to [rows] the
+    answers of [q] with each [params] variable fixed to the code at the
+    same index of [args], by executing [plan] — which the caller
+    compiled from [q] with {!Plan.compile} [~params] and keeps, so a
+    call compiles, interns and caches nothing.  [Engine.Maintenance]
+    runs every delta and deletion re-check this way, from its memo of
+    prepared views.  A kept plan stays valid while the store's
+    dictionary only grows, since a resolved code never changes; a plan
+    that found a body constant absent answers nothing until it is
+    compiled again, which is why the memo re-prepares a view that found
+    one absent once the dictionary has grown.  Under [RDFVIEWS_STRICT=1] the call's rows are
+    checked against {!Reference.eval_cq_codes} [~bound] with the same
+    codes. *)
 
 val eval_ucq_codes : ?cache:bool -> Rdf.Store.t -> Ucq.t -> int array list
 (** [~cache:false] compiles every disjunct's plan afresh and caches

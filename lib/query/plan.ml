@@ -21,10 +21,11 @@
      [Core] also keys views on), so repeated evaluation — statistics
      gathering, view materialization across search states — compiles
      once;
-   - a plan may be compiled with some variables {e bound} to codes,
-     which then resolve like constants.  Maintenance evaluates a view's
-     own body this way, bound to an update's codes; such plans are never
-     cached, so updates cache nothing. *)
+   - a plan may be compiled with some variables as {e parameters}: they
+     take the first slots, the planner treats them as bound before the
+     first step, and each execution writes its arguments' codes into
+     those slots.  Maintenance compiles a view's delta and re-check
+     plans this way once and runs them with every update's codes. *)
 
 module SMap = Map.Make (String)
 
@@ -59,6 +60,7 @@ type head_src = Hconst of int | Hslot of int
 type t = {
   store_id : int;
   steps : step array;
+  nparams : int;       (* slots [0 .. nparams - 1] are the parameters *)
   nslots : int;
   head : head_src array;
   impossible : bool;   (* a body constant is absent from the dictionary *)
@@ -87,18 +89,13 @@ let resolve store = function
     | None -> Rabsent)
   | Qterm.Var x -> Rvar x
 
-(* A bound variable resolves like the constant it is bound to. *)
-let bind bound = function
-  | Rvar x as t -> (
-    match List.assoc_opt x bound with Some code -> Rconst code | None -> t)
-  | (Rconst _ | Rabsent) as t -> t
-
 (* Cardinality estimate of an atom given the compile-time constants and
-   the set of variables bound by the steps already ordered.  The store
-   can count any constant pattern in O(1); bound variables have unknown
-   values at compile time, so each bound-variable position divides the
-   count by the column's distinct-code population (uniformity
-   assumption). *)
+   the set of variables bound by the parameters and the steps already
+   ordered.  The store can count any constant pattern in O(1); bound
+   variables have unknown values at compile time, so each bound-variable
+   position divides the count by the column's distinct-code population
+   (uniformity assumption).  A parameter is one of them: its code is
+   written at execution time, so the order cannot depend on it. *)
 let estimate store slots (s, p, o) =
   let const = function Rconst c -> Some c | Rvar _ | Rabsent -> None in
   let base =
@@ -114,24 +111,23 @@ let estimate store slots (s, p, o) =
   in
   shrink (shrink (shrink (float_of_int base) `S s) `P p) `O o
 
-(* Where each head term's value comes from: a constant's code, a bound
-   variable's code, or a slot.  Written as a plain recursion, head terms
-   left to right, so that compiling allocates no closure for it. *)
-let rec head_sources store slots bound = function
+(* Where each head term's value comes from: a constant's code or a slot.
+   Written as a plain recursion, head terms left to right, so that
+   compiling allocates no closure for it. *)
+let rec head_sources store slots = function
   | [] -> []
   | t :: rest ->
     let src =
       match t with
       | Qterm.Cst c -> Hconst (Rdf.Store.encode_term store c)
       | Qterm.Var x -> (
-        match (SMap.find_opt x slots, List.assoc_opt x bound) with
-        | Some sl, _ -> Hslot sl
-        | None, Some code -> Hconst code
-        | None, None -> invalid_arg "Plan.compile: unsafe head variable")
+        match SMap.find_opt x slots with
+        | Some sl -> Hslot sl
+        | None -> invalid_arg "Plan.compile: unsafe head variable")
     in
-    src :: head_sources store slots bound rest
+    src :: head_sources store slots rest
 
-let compile ?(bound = []) store (q : Cq.t) =
+let compile ?(params = []) store (q : Cq.t) =
   let atoms =
     Array.of_list
       (List.map
@@ -139,11 +135,7 @@ let compile ?(bound = []) store (q : Cq.t) =
            (resolve store a.s, resolve store a.p, resolve store a.o))
          q.body)
   in
-  (* a second pass, so that compiling with nothing bound costs nothing more *)
-  let atoms =
-    if bound = [] then atoms
-    else Array.map (fun (s, p, o) -> (bind bound s, bind bound p, bind bound o)) atoms
-  in
+  let nparams = List.length params in
   let n = Array.length atoms in
   let impossible =
     Array.exists
@@ -154,6 +146,7 @@ let compile ?(bound = []) store (q : Cq.t) =
     {
       store_id = Rdf.Store.id store;
       steps = [||];
+      nparams;
       nslots = 0;
       head = [||];
       impossible = true;
@@ -174,6 +167,12 @@ let compile ?(bound = []) store (q : Cq.t) =
         incr nslots;
         s
     in
+    (* the parameters take the first slots, bound before the first step *)
+    List.iter
+      (fun x ->
+        if SMap.mem x !slots then invalid_arg "Plan.compile: repeated parameter";
+        ignore (slot_of x : int))
+      params;
     let known_count (s, p, o) =
       let k t =
         match t with
@@ -247,10 +246,11 @@ let compile ?(bound = []) store (q : Cq.t) =
       let post_o = post ko o in
       steps := { access; post_s; post_p; post_o } :: !steps
     done;
-    let head = Array.of_list (head_sources store !slots bound q.head) in
+    let head = Array.of_list (head_sources store !slots q.head) in
     {
       store_id = Rdf.Store.id store;
       steps = Array.of_list (List.rev !steps);
+      nparams;
       nslots = !nslots;
       head;
       impossible = false;
@@ -266,11 +266,14 @@ let compile ?(bound = []) store (q : Cq.t) =
    bucket (or probes membership) with the values bound by steps
    [0 .. d - 1], and every surviving triple extends the frame and
    recurses into step [d + 1]. *)
-let exec plan store emit =
+let exec ?(args = [||]) plan store emit =
   if plan.store_id <> Rdf.Store.id store then
     invalid_arg "Plan.exec: plan compiled against a different store";
+  if Array.length args <> plan.nparams then
+    invalid_arg "Plan.exec: one argument per parameter expected";
   if not plan.impossible then begin
     let frame = Array.make (max plan.nslots 1) (-1) in
+    Array.blit args 0 frame 0 plan.nparams;
     let steps = plan.steps in
     let nsteps = Array.length steps in
     let head = plan.head in
@@ -355,9 +358,9 @@ let exec plan store emit =
 (* The hint is the plan's own contribution (cardinality delta), so
    disjuncts accumulating into a shared table don't inflate each
    other's estimates. *)
-let exec_into plan store rows =
+let exec_into ?args plan store rows =
   let before = Rowset.cardinal rows in
-  exec plan store (fun row -> ignore (Rowset.add rows row));
+  exec ?args plan store (fun row -> ignore (Rowset.add rows row));
   plan.result_hint <- Rowset.cardinal rows - before
 
 let size_hint plan = plan.result_hint

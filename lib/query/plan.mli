@@ -15,8 +15,14 @@
     [Interning] table, shared with [Core]); isomorphic queries
     share one plan.  A cached plan is recompiled only when it proved
     the query empty and the dictionary has grown since (an absent
-    constant may have appeared).  A plan compiled with bound variables
-    ({!compile} [~bound]) is never cached.
+    constant may have appeared).
+
+    A plan may have {e parameter slots} ({!compile} [~params]):
+    variables whose codes each execution supplies ({!exec} [~args]).
+    They take the first slots of the frame and the planner treats them
+    as bound before the first step, so one compiled plan serves every
+    argument vector; an atom they fill becomes an index lookup or a
+    membership probe.  Only parameterless plans are cached.
 
     Instruments: [eval.plan.cache_hits] / [eval.plan.cache_misses]
     counters, the [eval.frame.extensions] counter
@@ -25,26 +31,29 @@
 
 type t
 
-val compile : ?bound:(string * int) list -> Rdf.Store.t -> Cq.t -> t
+val compile : ?params:string list -> Rdf.Store.t -> Cq.t -> t
 (** Compile a plan against the store's current dictionary, counts and
-    indexes, bypassing the cache.  Each [bound] variable is fixed to
-    its code: the plan treats it as that constant, in the join order,
-    the access paths and the head.  Such plans are never cached. *)
+    indexes, bypassing the cache.  The [params] variables (default
+    none; [Invalid_argument] if one repeats) take slots [0 .. k - 1],
+    in order; the join order estimates each as a bound variable of
+    unknown value.  A parameter may appear in the head. *)
 
 val cached : Rdf.Store.t -> Cq.t -> t
 (** The cached plan for the query's canonical form on this store,
     compiling (or transparently recompiling, see above) on miss. *)
 
-val exec : t -> Rdf.Store.t -> (int array -> unit) -> unit
+val exec : ?args:int array -> t -> Rdf.Store.t -> (int array -> unit) -> unit
 (** Stream every complete binding's projected row (duplicates
-    included; set semantics is the caller's).  The store must be the
+    included; set semantics is the caller's), with the parameters set
+    to [args] (default [[||]]): one code per parameter, in {!compile}'s
+    order, or [Invalid_argument].  The store must be the
     one the plan was compiled against ([Invalid_argument] otherwise)
     and must not be mutated during execution.  The emitted array is ONE
     scratch buffer reused across emissions — copy it (or insert it
     into a {!Rowset}, which copies) to retain a row past the
     callback. *)
 
-val exec_into : t -> Rdf.Store.t -> Rowset.t -> unit
+val exec_into : ?args:int array -> t -> Rdf.Store.t -> Rowset.t -> unit
 (** {!exec} with set-semantics accumulation into a row table.  Records
     the plan's cardinality delta as its {!size_hint}. *)
 

@@ -271,9 +271,94 @@ let prop_maintenance_strict =
         ~finally:(fun () -> Unix.putenv "RDFVIEWS_STRICT" "")
         (fun () -> maintenance_matches_recompute case))
 
-(* A delta binds the update's codes into the view's own plan: a long
-   stream of fresh-literal updates interns no query and caches no plan,
-   and deleting what it inserted leaves the view as it was. *)
+let equals_recompute store (view, rel) =
+  let sort rows = List.sort compare (List.map Array.to_list rows) in
+  sort (Engine.Relation.to_term_rows store rel)
+  = sort (Engine.Relation.to_term_rows store (Engine.Materialize.materialize_cq store view))
+
+(* A view whose constant is absent at its first update is empty and
+   gets no plan; once an insert brings the constant in, together with
+   a matching triple, the view must be prepared again and gain the
+   tuple. *)
+let test_maintenance_absent_constant () =
+  let store = store_of museum in
+  let view =
+    cq ~name:"v" [ v "X"; v "Z" ]
+      [
+        atom (v "X") (c "ex:hasPainted") (v "Y");
+        atom (v "Y") (c "ex:exhibitedIn") (v "Z");
+      ]
+  in
+  let views = [ (view, Engine.Materialize.materialize_cq store view) ] in
+  let insert tr = Engine.Maintenance.insert_triple store views tr in
+  check_int "constant absent: nothing added" 0
+    (insert (triple (uri "ex:monet") (uri "ex:hasPainted") (uri "ex:impression")));
+  check_int "the constant arrives with a match" 1
+    (insert (triple (uri "ex:impression") (uri "ex:exhibitedIn") (uri "ex:orsay")));
+  check_bool "maintained = recomputed" true (equals_recompute store (List.hd views));
+  check_int "deleting the match removes the tuple" 1
+    (Engine.Maintenance.delete_triple store views
+       (triple (uri "ex:impression") (uri "ex:exhibitedIn") (uri "ex:orsay")));
+  check_bool "maintained = recomputed after the delete" true
+    (equals_recompute store (List.hd views))
+
+(* Isomorphic views whose head variables differ in name and order, one
+   of them with its atoms listed the other way round, maintained on one
+   stream under strict mode: each keeps its own parameter order, so
+   each equals its own recomputation. *)
+let test_maintenance_isomorphic_views () =
+  let store = store_of museum in
+  let view name head x y z ~swap =
+    let atoms =
+      [ atom (v x) (c "ex:isParentOf") (v y); atom (v y) (c "ex:hasPainted") (v z) ]
+    in
+    cq ~name (List.map v head) (if swap then List.rev atoms else atoms)
+  in
+  let views =
+    List.map
+      (fun q -> (q, Engine.Materialize.materialize_cq store q))
+      [
+        view "v1" [ "X"; "Z" ] "X" "Y" "Z" ~swap:false;
+        view "v2" [ "C"; "A" ] "A" "B" "C" ~swap:false;
+        view "v3" [ "P"; "R" ] "P" "Q" "R" ~swap:true;
+      ]
+  in
+  let t s p o = triple (uri s) (uri p) (uri o) in
+  let stream =
+    [
+      (true, t "ex:monet" "ex:isParentOf" "ex:vincentJr");
+      (true, t "ex:vincentJr" "ex:hasPainted" "ex:irises");
+      (false, t "ex:vanGogh" "ex:isParentOf" "ex:vincentJr");
+      (true, t "ex:monet" "ex:isParentOf" "ex:michel");
+      (true, t "ex:michel" "ex:hasPainted" "ex:lilies");
+      (false, t "ex:vincentJr" "ex:hasPainted" "ex:sunflowers2");
+      (false, t "ex:monet" "ex:isParentOf" "ex:michel");
+    ]
+  in
+  Unix.putenv "RDFVIEWS_STRICT" "1";
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "RDFVIEWS_STRICT" "")
+    (fun () ->
+      List.iter
+        (fun (insert, tr) ->
+          ignore
+            ((if insert then Engine.Maintenance.insert_triple
+              else Engine.Maintenance.delete_triple)
+               store views tr
+              : int);
+          List.iter
+            (fun ((q, _) as view) ->
+              check_bool
+                (Printf.sprintf "%s maintained = recomputed" q.Query.Cq.name)
+                true (equals_recompute store view))
+            views)
+        stream);
+  check_int "one entry per view" 3 (Engine.Maintenance.prepared_count store)
+
+(* A delta runs the view's prepared plans with the update's codes: a
+   long stream of fresh-literal updates interns no query, caches no
+   plan, compiles no plan after the first pair and prepares the view
+   once, and deleting what it inserted leaves the view as it was. *)
 let test_maintenance_interns_nothing () =
   let store = Workload.Barton.store ~n_entities:3000 ~seed:1 () in
   let typed s =
@@ -305,15 +390,20 @@ let test_maintenance_interns_nothing () =
   let rows () = List.sort compare (List.map Array.to_list (Engine.Relation.rows rel)) in
   let initial = rows () in
   let interned = Interning.size () and plans = Query.Plan.cached_plan_count store in
-  let added = ref 0 in
+  let added = ref 0 and compiled = ref 0 in
   for i = 1 to 2000 do
     let tr = triple subject prop (lit (Printf.sprintf "leak-%d" i)) in
     added := !added + Engine.Maintenance.insert_triple store views tr;
-    ignore (Engine.Maintenance.delete_triple store views tr : int)
+    ignore (Engine.Maintenance.delete_triple store views tr : int);
+    if i = 1 then compiled := Engine.Maintenance.compiled_count store
   done;
   check_bool "the inserts reached the view" true (!added >= 2000);
   check_int "no query interned" interned (Interning.size ());
   check_int "no plan cached" plans (Query.Plan.cached_plan_count store);
+  check_bool "the first pair compiled the view's plans" true (!compiled > 0);
+  check_int "no plan compiled after the first pair" !compiled
+    (Engine.Maintenance.compiled_count store);
+  check_int "one prepared view" 1 (Engine.Maintenance.prepared_count store);
   check_bool "the view is back at its initial rows" true (rows () = initial)
 
 let () =
@@ -356,5 +446,9 @@ let () =
           to_alcotest prop_maintenance_strict;
           Alcotest.test_case "updates intern and cache nothing" `Quick
             test_maintenance_interns_nothing;
+          Alcotest.test_case "absent constant appears later" `Quick
+            test_maintenance_absent_constant;
+          Alcotest.test_case "isomorphic views keep their own plans" `Quick
+            test_maintenance_isomorphic_views;
         ] );
     ]

@@ -125,39 +125,47 @@ let prop_mutation_differential =
            (triple (uri "absent:z") (uri "absent:z") (uri "absent:z")));
       before && agree store q)
 
-(* A plan compiled with bound variables gives the rows Reference gives
-   from the same bound environment.  The bound variables are a random
-   subset of the body's, their codes drawn from one stored triple, so
-   some bindings hit and some clash. *)
+(* A plan compiled once with parameter slots gives, for every argument
+   vector, the rows Reference gives from the same bound environment.
+   The parameters are a random subset of the body's variables in a
+   random order; each takes a fixed column of a stored triple, and each
+   of three argument vectors draws its own triple, so some vectors hit
+   and some clash. *)
 let gen_bound_case =
   let open QCheck.Gen in
   let* store = arb_backend_store.QCheck.gen in
   let* q = gen_plan_cq in
-  let* s, p, o = oneofl (Rdf.Store.fold_all store List.cons []) in
+  let triples = Rdf.Store.fold_all store List.cons [] in
   let* picks =
     flatten_l
       (List.map (fun x -> map (fun k -> (x, k)) (int_range 0 3)) (Query.Cq.body_vars q))
   in
-  let bound =
-    List.filter_map
-      (fun (x, k) -> List.nth_opt [ (x, s); (x, p); (x, o) ] k)
-      picks
-  in
-  return (store, q, bound)
+  let* picks = shuffle_l (List.filter (fun (_, k) -> k < 3) picks) in
+  let* drawn = list_repeat 3 (oneofl triples) in
+  let args_of (s, p, o) = Array.of_list (List.map (fun (_, k) -> [| s; p; o |].(k)) picks) in
+  return (store, q, List.map fst picks, List.map args_of drawn)
 
 let prop_bound_plan =
   QCheck.Test.make ~name:"bound plan = Reference with bound vars" ~count:300
     (QCheck.make
-       ~print:(fun (_, q, bound) ->
-         Printf.sprintf "%s with %s" (Query.Cq.to_string q)
-           (String.concat ", " (List.map (fun (x, c) -> Printf.sprintf "%s=%d" x c) bound)))
+       ~print:(fun (_, q, params, args) ->
+         Printf.sprintf "%s with (%s) = %s" (Query.Cq.to_string q)
+           (String.concat ", " params)
+           (String.concat " | "
+              (List.map
+                 (fun a -> String.concat ", " (List.map string_of_int (Array.to_list a)))
+                 args)))
        gen_bound_case)
-    (fun (store, q, bound) ->
-      let plan = Query.Plan.compile ~bound store q in
-      let rows = Query.Rowset.create 16 in
-      Query.Plan.exec plan store (fun row -> ignore (Query.Rowset.add rows row));
-      sort_rows (Query.Rowset.elements rows)
-      = sort_rows (Query.Evaluation.Reference.eval_cq_codes ~bound store q))
+    (fun (store, q, params, args) ->
+      let plan = Query.Plan.compile ~params store q in
+      List.for_all
+        (fun args ->
+          let rows = Query.Rowset.create 16 in
+          Query.Plan.exec ~args plan store (fun row -> ignore (Query.Rowset.add rows row));
+          let bound = List.combine params (Array.to_list args) in
+          sort_rows (Query.Rowset.elements rows)
+          = sort_rows (Query.Evaluation.Reference.eval_cq_codes ~bound store q))
+        args)
 
 (* ---------- the executor itself ---------------------------------------- *)
 
