@@ -20,31 +20,23 @@ let barton_entities = match scale with Quick -> 400 | Full -> 5000
 
 (* ---------- metrics ------------------------------------------------------ *)
 
-(* With --metrics FILE, main.ml installs an Obs registry once before any
-   experiment runs; every search/transition/cost/store event of every
-   figure lands in it, grouped under per-experiment spans, and the live
-   exporter keeps FILE current while the experiments run (watch it with
-   `rdfviews report FILE --watch 1`).  Without the flag the global sink
-   stays the no-op one and the runs are unmetered. *)
+(* With --metrics FILE, main.ml runs the experiments inside
+   [with_metrics]: one Obs registry is installed before any experiment
+   runs, every search/transition/cost/store event of every figure lands
+   in it, grouped under per-experiment spans, and FILE is written before
+   the first experiment and again after the last (also when one raises).
+   Without the flag the global sink stays the no-op one and the runs are
+   unmetered. *)
 
-let metrics_exporter : (Obs.Export.exporter * string) option ref = ref None
-
-let start_metrics path =
+let with_metrics path f =
   let registry = Obs.create () in
   Obs.set_global registry;
-  metrics_exporter := Some (Obs.Export.start ~path registry, path)
+  Obs.Export.with_dump ~path registry f;
+  Printf.printf "\nmetrics written to %s\n" path
 
 (* Wrap one experiment (or sub-experiment) in a named trace span; a
    no-op when metrics are disabled. *)
 let experiment name f = Obs.span (Obs.global ()) name f
-
-let stop_metrics () =
-  match !metrics_exporter with
-  | None -> ()
-  | Some (exporter, path) ->
-    metrics_exporter := None;
-    Obs.Export.stop exporter;
-    Printf.printf "\nmetrics written to %s\n" path
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -365,13 +357,14 @@ let finish_bench () =
     if !regressions > 0 && !fail_over <> None then 1 else 0
 
 (* Run one *top-level* experiment (main.ml only; sub-experiments keep
-   using [experiment]).  Without --metrics, the experiment gets a fresh
-   registry so its BENCH json reflects this experiment alone; the
-   registry is uninstalled afterwards even if the experiment raises. *)
+   using [experiment]).  When it writes BENCH json (never under
+   --metrics), the experiment gets a fresh registry so its BENCH json
+   reflects this experiment alone; the registry is uninstalled
+   afterwards even if the experiment raises. *)
 let toplevel name f =
-  match (!metrics_exporter, !bench_dir) with
-  | Some _, _ | None, None -> experiment name f
-  | None, Some dir ->
+  match !bench_dir with
+  | None -> experiment name f
+  | Some dir ->
     extra_bench_fields := [];
     let registry = Obs.create () in
     Obs.set_global registry;

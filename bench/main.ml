@@ -5,7 +5,7 @@
      dune exec bench/main.exe            # everything, quick scale
      dune exec bench/main.exe fig4       # one experiment
      BENCH_SCALE=full dune exec bench/main.exe   # paper-scale sizes
-     dune exec bench/main.exe -- --metrics out.json fig4   # + live metrics
+     dune exec bench/main.exe -- --metrics out.json fig4   # + metrics dump
      dune exec bench/main.exe -- baseline \
        --baseline BENCH_baseline.json --fail-over 20   # regression gate
 
@@ -20,10 +20,9 @@
    than PCT%% (or any search-outcome mismatch) fail the run.
 
    --metrics FILE instead installs one shared Obs registry before any
-   experiment runs and keeps FILE current while the experiments run,
-   with runtime events (GC pauses, domain lifecycle) folded in — watch
-   it with `rdfviews report FILE --watch 1` — and written a last time at
-   the end (schema in EXPERIMENTS.md).  BENCH emission is disabled in
+   experiment runs and writes FILE before the first experiment and again
+   after the last, GC totals included (render it with `rdfviews report
+   FILE`; schema in EXPERIMENTS.md).  BENCH emission is disabled in
    that mode, since the per-experiment numbers would all alias one
    registry. *)
 
@@ -102,26 +101,27 @@ let () =
   let metrics, requested =
     parse_args (match Array.to_list Sys.argv with _ :: args -> args | [] -> [])
   in
+  let run () =
+    Printf.printf
+      "RDFViewS reproduction benchmarks (scale: %s; set BENCH_SCALE=full for paper-scale runs)\n"
+      Harness.scale_name;
+    let run_named (name, run) = Harness.toplevel name run in
+    match requested with
+    | [] -> List.iter run_named experiments
+    | names ->
+      List.iter
+        (fun name ->
+          match List.assoc_opt name experiments with
+          | Some run -> run_named (name, run)
+          | None ->
+            Printf.printf "unknown experiment: %s\n" name;
+            usage ();
+            exit 1)
+        names
+  in
   (match metrics with
   | Some path ->
-    Harness.start_metrics path;
-    Harness.disable_bench_json ()
-  | None -> ());
-  Printf.printf
-    "RDFViewS reproduction benchmarks (scale: %s; set BENCH_SCALE=full for paper-scale runs)\n"
-    Harness.scale_name;
-  let run_named (name, run) = Harness.toplevel name run in
-  (match requested with
-  | [] -> List.iter run_named experiments
-  | names ->
-    List.iter
-      (fun name ->
-        match List.assoc_opt name experiments with
-        | Some run -> run_named (name, run)
-        | None ->
-          Printf.printf "unknown experiment: %s\n" name;
-          usage ();
-          exit 1)
-      names);
-  Harness.stop_metrics ();
+    Harness.disable_bench_json ();
+    Harness.with_metrics path run
+  | None -> run ());
   exit (Harness.finish_bench ())

@@ -3,7 +3,7 @@
    Subcommands:
      select       recommend materialized views for a workload
      check        certify saved states against a workload's semantics
-     report       render a --metrics dump, optionally live
+     report       render a --metrics dump
      reformulate  reformulate queries w.r.t. an RDFS (Algorithm 1)
      saturate     saturate a dataset w.r.t. an RDFS
      eval         evaluate queries over a dataset
@@ -32,21 +32,37 @@ let load_store path = Rdf.Store.of_triples (Query.Parser.parse_triples (read_fil
 let load_workload path = Query.Parser.parse_workload (read_file path)
 let load_schema path = Query.Parser.parse_schema (read_file path)
 
+(* A combination of options that the argument parser cannot refuse on
+   its own, e.g. a reasoning mode given without --schema. *)
+exception Usage_error of string
+
 (* Run a command body that returns its exit code, reporting expected
    failures on stderr with exit [code]: 2 for check, whose success path
-   returns 0 certified / 1 violations found, and 1 otherwise. *)
+   returns 0 certified / 1 violations found, and 1 otherwise.  Any other
+   exception is a bug and escapes. *)
 let exit_on_error code f =
   let fail fmt = Printf.ksprintf (fun message -> prerr_endline message; code) fmt in
   try f () with
   | Query.Parser.Parse_error message -> fail "parse error: %s" message
   | Core.State_io.Syntax_error message -> fail "state file error: %s" message
   | Obs.Report.Bad_dump message -> fail "error: malformed metrics dump: %s" message
-  | Invalid_argument message | Failure message -> fail "error: %s" message
+  | Usage_error message -> fail "error: %s" message
+  | Workload.Generator.Store_too_small ->
+    fail "error: generate_satisfiable: store too small"
   | Sys_error message -> fail "%s" message
 
 let handle_errors f = exit_on_error 1 (fun () -> f (); 0)
 
 (* ---------- common arguments ---------------------------------------------- *)
+
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | Some _ | None ->
+      Error (`Msg (Printf.sprintf "invalid value '%s', expected N >= %d" s lo))
+  in
+  Arg.conv (parse, Format.pp_print_int)
 
 let data_arg =
   Arg.(
@@ -87,13 +103,12 @@ let metrics_arg =
           "Write run telemetry (named counters, histograms, gauges, series \
            and trace spans — per-transition counts and timings, per-stratum \
            search outcomes, the best-cost trajectory, \
-           cost-estimator cache hits, store probe counts) as JSON \
-           to $(docv).  $(docv) is live: it is written at the start, \
-           atomically rewritten every second with the runtime's GC pauses, \
-           domain lifecycle and per-domain utilization folded in, and \
-           written a last time at the end (render it with $(b,rdfviews \
-           report) $(docv), live with $(b,--watch) 1).  Use - to print the dump once to stdout \
-           at the end of the run.  See EXPERIMENTS.md for the schema.")
+           cost-estimator cache hits, store probe counts, GC totals) as \
+           JSON to $(docv).  $(docv) is written before the run, so a bad \
+           path fails early, and again at its end, also when the run \
+           fails (render it with $(b,rdfviews report) $(docv)).  Use - to \
+           print the dump once to stdout at the end of the run.  See \
+           EXPERIMENTS.md for the schema.")
 
 let store_backend_arg =
   Arg.(
@@ -113,34 +128,25 @@ let store_backend_arg =
 let set_store_backend kind = Rdf.Backend.set_default kind
 
 (* Telemetry is off (a no-op sink) unless --metrics selects a registry,
-   once, before the run starts.  For a file, the live exporter keeps it
-   current (a ticker systhread of this domain, so it reads the same
-   registry the run writes) and [stop] writes the end-of-run dump; a
-   path error surfaces from [start], before the run, and a failed final
-   write as a plain Sys_error (caught by handle_errors).  On 4.x builds
-   Runtime.start reports false and the dump carries no runtime series.
-   "-" prints the dump once, after a successful run. *)
+   once, before the run starts.  A path error surfaces from the first
+   write, before the run, and a failed final write as a plain Sys_error
+   (caught by handle_errors).  "-" prints the dump once, after a
+   successful run. *)
 let with_metrics metrics f =
   match metrics with
   | None -> f ()
   | Some path ->
     let registry = Obs.create () in
-    let exporter =
-      if String.equal path "-" then None
-      else Some (Obs.Export.start ~path registry)
+    let run () =
+      Obs.set_global registry;
+      Fun.protect ~finally:(fun () -> Obs.set_global Obs.disabled) f
     in
-    Obs.set_global registry;
-    let result =
-      try Fun.protect ~finally:(fun () -> Obs.set_global Obs.disabled) f
-      with e ->
-        (* the run's own error wins over a failed final write *)
-        (try Option.iter Obs.Export.stop exporter with Sys_error _ -> ());
-        raise e
-    in
-    (match exporter with
-    | Some e -> Obs.Export.stop e
-    | None -> print_endline (Obs.to_string registry));
-    result
+    if String.equal path "-" then begin
+      let result = run () in
+      print_endline (Obs.Export.dump registry);
+      result
+    end
+    else Obs.Export.with_dump ~path registry run
 
 (* ---------- select --------------------------------------------------------- *)
 
@@ -170,10 +176,22 @@ let select_cmd =
       & info [ "strategy" ] ~docv:"NAME"
           ~doc:"Search strategy: dfs, gstr, exstr or exnaive.")
   in
+  let seconds =
+    let parse s =
+      match float_of_string_opt s with
+      | Some p when Float.is_finite p && p > 0. -> Ok p
+      | Some _ | None ->
+        Error
+          (`Msg
+            (Printf.sprintf "invalid value '%s', expected a finite number of \
+                             seconds > 0" s))
+    in
+    Arg.conv (parse, Format.pp_print_float)
+  in
   let budget_arg =
     Arg.(
       value
-      & opt (some float) (Some 30.)
+      & opt (some seconds) (Some 30.)
       & info [ "budget" ] ~docv:"SECONDS" ~doc:"Search time budget (stoptime).")
   in
   let no_avf_arg =
@@ -215,17 +233,8 @@ let select_cmd =
                 with $(b,rdfviews check).")
   in
   let jobs_arg =
-    let non_negative =
-      let parse s =
-        match int_of_string_opt s with
-        | Some n when n >= 0 -> Ok n
-        | Some _ | None ->
-          Error (`Msg (Printf.sprintf "invalid value '%s', expected N >= 0" s))
-      in
-      Arg.conv (parse, Format.pp_print_int)
-    in
     Arg.(
-      value & opt non_negative 1
+      value & opt (int_at_least 0) 1
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "Search with $(docv) parallel domains over work-stealing \
@@ -250,11 +259,12 @@ let select_cmd =
       | `Pre, Some s -> Core.Selector.Pre_reformulation s
       | `Post, Some s -> Core.Selector.Post_reformulation s
       | (`Saturation | `Pre | `Post), None ->
-        failwith "this reasoning mode requires --schema"
+        raise (Usage_error "this reasoning mode requires --schema")
     in
     let jobs = if jobs = 0 then Multicore.recommended_domain_count () else jobs in
     if jobs > 1 && not Multicore.available then
-      failwith "--jobs > 1 requires an OCaml 5 build (this one is sequential)";
+      raise
+        (Usage_error "--jobs > 1 requires an OCaml 5 build (this one is sequential)");
     let traced = ref [] in
     (* under --jobs the hook runs on any domain *)
     let traced_lock = Multicore.Spinlock.create () in
@@ -393,7 +403,7 @@ let check_cmd =
                ( q.Query.Cq.name,
                  Query.Ucq.disjuncts (Query.Reformulation.reformulate q s) ))
              queries)
-      | `Pre, None -> failwith "--reasoning pre requires --schema"
+      | `Pre, None -> raise (Usage_error "--reasoning pre requires --schema")
     in
     let estimator =
       Option.map
@@ -405,7 +415,7 @@ let check_cmd =
         data
     in
     let states = Core.State_io.read_file state in
-    if states = [] then failwith "state file contains no states";
+    if states = [] then raise (Usage_error "state file contains no states");
     let total = ref 0 in
     List.iteri
       (fun i s ->
@@ -455,60 +465,21 @@ let report_cmd =
       & info [] ~docv:"FILE"
           ~doc:"A metrics registry dump (written by $(b,--metrics)).")
   in
-  let period =
-    let parse s =
-      match float_of_string_opt s with
-      | Some p when Float.is_finite p && p > 0. -> Ok p
-      | Some _ | None ->
-        Error
-          (`Msg
-            (Printf.sprintf "invalid value '%s', expected a finite number of \
-                             seconds > 0" s))
-    in
-    Arg.conv (parse, Format.pp_print_float)
-  in
-  let watch_arg =
-    Arg.(
-      value
-      & opt (some period) None
-      & info [ "watch" ] ~docv:"SECONDS"
-          ~doc:
-            "Re-read and re-render $(i,FILE) every $(docv) seconds (like \
-             watch(1)); interrupt to stop.  Pair with a running \
-             $(b,select --metrics) $(i,FILE) for a live view.")
-  in
-  let run input watch =
+  let run input =
     handle_errors @@ fun () ->
-    let render () =
-      match Obs.Json.of_string (read_file input) with
-      | json -> Obs.Report.render json
-      | exception Obs.Json.Parse_error message ->
-        raise (Obs.Report.Bad_dump message)
-    in
-    match watch with
-    | None -> print_string (render ())
-    | Some period ->
-      let rec loop () =
-        (* clear + home, like watch(1), so the report repaints in place *)
-        print_string "\027[2J\027[H";
-        print_string (render ());
-        flush stdout;
-        Unix.sleepf period;
-        loop ()
-      in
-      loop ()
+    match Obs.Json.of_string (read_file input) with
+    | json -> print_string (Obs.Report.render json)
+    | exception Obs.Json.Parse_error message -> raise (Obs.Report.Bad_dump message)
   in
   let info =
     Cmd.info "report"
       ~doc:
         "Render a $(b,--metrics) dump: state totals, convergence curve \
          (best cost vs. wall time), time-to-within-x%-of-final-cost, \
-         per-transition acceptance, stratum population, and the live \
-         exporter's GC pauses, domain lifecycle and per-domain \
-         work/steal/idle utilization.  With $(b,--watch), repaints \
-         periodically over a run in flight."
+         per-transition acceptance, stratum population, GC totals and \
+         per-domain work/steal/idle utilization."
   in
-  Cmd.v info Term.(const run $ input_arg $ watch_arg)
+  Cmd.v info Term.(const run $ input_arg)
 
 (* ---------- reformulate ---------------------------------------------------- *)
 
@@ -619,10 +590,14 @@ let generate_cmd =
           ~doc:"star, chain, cycle, random-sparse, random-dense or mixed.")
   in
   let queries_arg =
-    Arg.(value & opt int 5 & info [ "queries" ] ~docv:"N" ~doc:"Number of queries.")
+    Arg.(
+      value & opt (int_at_least 0) 5
+      & info [ "queries" ] ~docv:"N" ~doc:"Number of queries.")
   in
   let atoms_arg =
-    Arg.(value & opt int 5 & info [ "atoms" ] ~docv:"N" ~doc:"Atoms per query.")
+    Arg.(
+      value & opt (int_at_least 1) 5
+      & info [ "atoms" ] ~docv:"N" ~doc:"Atoms per query.")
   in
   let commonality_arg =
     Arg.(

@@ -39,9 +39,3 @@ let compose a b =
     rewritings_touched =
       List.sort_uniq String.compare (a.rewritings_touched @ b.rewritings_touched);
   }
-
-let to_string d =
-  let names vs = String.concat "," (List.map View.name vs) in
-  Printf.sprintf "-[%s] +[%s] ~[%s]" (names d.views_removed)
-    (names d.views_added)
-    (String.concat "," d.rewritings_touched)

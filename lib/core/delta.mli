@@ -22,5 +22,3 @@ val compose : t -> t -> t
 (** [compose a b]: the delta of applying [a] then [b] (used to fold the
     aggressive-view-fusion closure into the producing transition's
     delta).  Views added by [a] and removed by [b] cancel out. *)
-
-val to_string : t -> string

@@ -1,10 +1,3 @@
-type config = {
-  triple_table : string;
-  materialized : bool;
-}
-
-let default_config = { triple_table = "triples"; materialized = true }
-
 let quote_ident name = "\"" ^ name ^ "\""
 
 let escape_string s =
@@ -20,7 +13,7 @@ let column_name = function
 (* SELECT body of a conjunctive query over the triple table: one table
    alias per atom, constants as equality predicates, repeated variables
    as join predicates. *)
-let cq_select ?(config = default_config) (q : Query.Cq.t) =
+let cq_select (q : Query.Cq.t) =
   let atoms = Array.of_list q.Query.Cq.body in
   let alias i = Printf.sprintf "t%d" i in
   let first_occurrence = Hashtbl.create 16 in
@@ -51,7 +44,7 @@ let cq_select ?(config = default_config) (q : Query.Cq.t) =
       q.Query.Cq.head
   in
   let from_items =
-    List.init (Array.length atoms) (fun i -> config.triple_table ^ " " ^ alias i)
+    List.init (Array.length atoms) (fun i -> "triples " ^ alias i)
   in
   let where =
     match List.rev !predicates with
@@ -72,13 +65,9 @@ let view_columns (u : Query.Ucq.t) =
       | Query.Qterm.Cst _ -> Printf.sprintf "c%d" i)
     first.Query.Cq.head
 
-let view_ddl ?(config = default_config) u =
-  let body =
-    String.concat "\nUNION\n"
-      (List.map (cq_select ~config) (Query.Ucq.disjuncts u))
-  in
-  Printf.sprintf "CREATE %sVIEW %s(%s) AS\n%s;"
-    (if config.materialized then "MATERIALIZED " else "")
+let view_ddl u =
+  let body = String.concat "\nUNION\n" (List.map cq_select (Query.Ucq.disjuncts u)) in
+  Printf.sprintf "CREATE MATERIALIZED VIEW %s(%s) AS\n%s;"
     (quote_ident (Query.Ucq.name u))
     (String.concat ", " (List.map quote_ident (view_columns u)))
     body
@@ -180,10 +169,8 @@ let rewriting_query env qname expr =
   let sql, _ = render expr in
   Printf.sprintf "-- rewriting of %s\n%s;" qname sql
 
-let deployment_script ?(config = default_config) (result : Selector.result) =
-  let views =
-    List.map (fun u -> view_ddl ~config u) result.Selector.recommended
-  in
+let deployment_script (result : Selector.result) =
+  let views = List.map view_ddl result.Selector.recommended in
   let env = Hashtbl.create 16 in
   List.iter
     (fun u -> Hashtbl.replace env (Query.Ucq.name u) (view_columns u))

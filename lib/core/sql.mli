@@ -13,26 +13,18 @@
     - {!deployment_script} bundles a whole selector result.
 
     Constants are emitted as string literals of their Turtle rendering;
-    the triple table is assumed to be [triples(s, p, o)] (configurable). *)
+    the triple table is [triples(s, p, o)]. *)
 
-type config = {
-  triple_table : string;  (** name of the triple table (default ["triples"]) *)
-  materialized : bool;    (** emit MATERIALIZED views (default true) *)
-}
+val view_ddl : Query.Ucq.t -> string
+(** [CREATE MATERIALIZED VIEW <name>(<cols>) AS <select> [UNION …];]. *)
 
-val default_config : config
-(** [{ triple_table = "triples"; materialized = true }]. *)
-
-val view_ddl : ?config:config -> Query.Ucq.t -> string
-(** [CREATE [MATERIALIZED] VIEW <name>(<cols>) AS <select> [UNION …];]. *)
-
-val cq_select : ?config:config -> Query.Cq.t -> string
+val cq_select : Query.Cq.t -> string
 (** The [SELECT … FROM triples …] body for one conjunctive query. *)
 
 val rewriting_query : Rewriting.env -> string -> Rewriting.t -> string
 (** [rewriting_query env qname r] renders the rewriting of query [qname]
     as a [SELECT] over the view relations. *)
 
-val deployment_script : ?config:config -> Selector.result -> string
+val deployment_script : Selector.result -> string
 (** All view DDL statements followed by one commented query per
     rewriting. *)

@@ -161,8 +161,3 @@ let edge_to_string e =
     e.atom_b
     (Query.Atom.position_name e.pos_b)
     e.var
-
-let selection_to_string e =
-  Printf.sprintf "n%d.%s=%s" e.atom
-    (Query.Atom.position_name e.pos)
-    (Rdf.Term.to_string e.constant)

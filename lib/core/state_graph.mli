@@ -53,6 +53,3 @@ val components_without_occurrence :
 
 val edge_to_string : join_edge -> string
 (** Diagnostic rendering, e.g. ["0.s=1.o (?x)"]. *)
-
-val selection_to_string : selection_edge -> string
-(** Diagnostic rendering, e.g. ["2.p=<ex:hasPainted>"]. *)

@@ -699,79 +699,7 @@ let to_json t =
 
 let to_string t = Json.to_string ~indent:true (to_json t)
 
-(* ---------- live runtime telemetry --------------------------------------- *)
-
-(* Fold the OCaml runtime's own event stream (GC pauses, collection and
-   lifecycle counters) into a registry.  The heavy lifting — and the
-   version gating — lives in Runtime_backend: dune selects a real
-   [Runtime_events] consumer when the library exists (OCaml 5) and a
-   no-op twin otherwise, so this module compiles and degrades
-   gracefully on 4.14. *)
-module Runtime = struct
-  let available = Runtime_backend.available
-
-  (* One cursor per process; [start] is idempotent and [poll] may be
-     called from the main thread and the telemetry exporter's ticker
-     concurrently (the backend serializes the drain under its own
-     lock). *)
-  let started = Atomic.make false
-
-  let start () =
-    if Runtime_backend.available then begin
-      if Runtime_backend.start () then Atomic.set started true;
-      Atomic.get started
-    end
-    else false
-
-  let active () = Atomic.get started
-
-  let poll t =
-    match t with
-    | Disabled -> 0
-    | Enabled _ when not (Atomic.get started) -> 0
-    | Enabled _ ->
-      (* Resolve every handle up front so the metric families exist (at
-         zero) from the first poll onward, before any GC event fires —
-         dump readers see a stable set of series. *)
-      let minor_pause = histogram t "runtime.gc.minor.pause_ns" in
-      let major_pause = histogram t "runtime.gc.major.pause_ns" in
-      let compact_pause = histogram t "runtime.gc.compact.pause_ns" in
-      let minor_n = counter t "runtime.gc.minor.collections" in
-      let major_n = counter t "runtime.gc.major.collections" in
-      let compact_n = counter t "runtime.gc.compactions" in
-      let spawns = counter t "runtime.domain.spawns" in
-      let terminations = counter t "runtime.domain.terminations" in
-      let lost = counter t "runtime.events.lost" in
-      let max_pause = gauge t "runtime.gc.max_pause_ns" in
-      let on_pause kind ns =
-        (match kind with
-        | Runtime_backend.Minor ->
-          incr minor_n;
-          observe minor_pause ns
-        | Runtime_backend.Major ->
-          incr major_n;
-          observe major_pause ns
-        | Runtime_backend.Compact ->
-          incr compact_n;
-          observe compact_pause ns);
-        match gauge_value max_pause with
-        | Some m when m >= float_of_int ns -> ()
-        | Some _ | None -> set_gauge max_pause (float_of_int ns)
-      in
-      Runtime_backend.poll
-        {
-          Runtime_backend.on_pause;
-          on_counter = (fun key v -> add (counter t ("runtime.gc." ^ key)) v);
-          on_lifecycle =
-            (fun kind ->
-              match kind with
-              | Runtime_backend.Spawn -> incr spawns
-              | Runtime_backend.Terminate -> incr terminations);
-          on_lost = (fun n -> add lost n);
-        }
-end
-
-(* ---------- the live metrics file --------------------------------------- *)
+(* ---------- the metrics file --------------------------------------------- *)
 
 module Export = struct
   type hist_snap = { hsn_buckets : int array; hsn_count : int }
@@ -787,71 +715,48 @@ module Export = struct
           (histograms t);
     }
 
-  (* A ticker systhread of the installing domain that, every second,
-     drains runtime events into the registry and atomically rewrites
-     [path] with its JSON dump (tmp + rename, so a reader never sees a
-     torn file).  The ticker reads the registry while the domain's main
-     thread mutates it: memory-safe, but a dump taken mid-update may be
-     one event ahead on one series. *)
-  type exporter = {
-    e_registry : t;
-    e_path : string;
-    e_stop : bool Atomic.t;
-    e_thread : Thread.t;
-  }
+  (* The GC gauges, with the label the report gives them.  They come
+     from one [Gc.quick_stat]: process totals, the source the ledger and
+     the bench harness read too. *)
+  let gc_gauges =
+    let i = float_of_int in
+    [
+      ("gc.minor_collections", "minor collections", fun s -> i s.Gc.minor_collections);
+      ("gc.major_collections", "major collections", fun s -> i s.Gc.major_collections);
+      ("gc.compactions", "compactions", fun s -> i s.Gc.compactions);
+      ("gc.minor_words", "minor words", fun s -> s.Gc.minor_words);
+      ("gc.promoted_words", "promoted words", fun s -> s.Gc.promoted_words);
+      ("gc.top_heap_words", "top heap words", fun s -> i s.Gc.top_heap_words);
+    ]
 
-  let interval = 1.0
+  let dump t =
+    let s = Gc.quick_stat () in
+    List.iter (fun (name, _, read) -> set_gauge (gauge t name) (read s)) gc_gauges;
+    to_string t
 
-  let dump registry path =
-    ignore (Runtime.poll registry : int);
+  (* tmp + rename, so a reader never sees a torn file *)
+  let write path t =
     let tmp = path ^ ".tmp" in
     let oc = open_out tmp in
-    (* a failed write must not leak the channel: the ticker retries *)
     Fun.protect
       ~finally:(fun () -> close_out_noerr oc)
       (fun () ->
-        output_string oc (to_string registry);
+        output_string oc (dump t);
         output_char oc '\n';
         close_out oc);
     Sys.rename tmp path
 
-  let start ~path registry =
-    ignore (Runtime.start () : bool);
-    (* resolved on the caller, before the ticker exists *)
-    let ticks = counter registry "telemetry.ticks" in
-    (* the first write is synchronous: the file exists, or the path
-       error raises, before [start] returns *)
-    dump registry path;
-    let stop = Atomic.make false in
-    let thread =
-      Thread.create
-        (fun () ->
-          (* sleep in short slices so [stop] never waits a full interval *)
-          let rec pause remaining =
-            if (not (Atomic.get stop)) && remaining > 0. then begin
-              let d = Float.min remaining 0.05 in
-              Thread.delay d;
-              pause (remaining -. d)
-            end
-          in
-          while not (Atomic.get stop) do
-            pause interval;
-            if not (Atomic.get stop) then begin
-              incr ticks;
-              (* a failed periodic write is retried on the next tick;
-                 the final write in [stop] is the one that reports *)
-              try dump registry path with Sys_error _ -> ()
-            end
-          done)
-        ()
-    in
-    { e_registry = registry; e_path = path; e_stop = stop; e_thread = thread }
-
-  let stop e =
-    if not (Atomic.exchange e.e_stop true) then begin
-      Thread.join e.e_thread;
-      dump e.e_registry e.e_path
-    end
+  let with_dump ~path t f =
+    write path t;
+    match f () with
+    | v ->
+      write path t;
+      v
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      (* the run's own error wins over a failed final write *)
+      (try write path t with Sys_error _ -> ());
+      Printexc.raise_with_backtrace e bt
 end
 
 (* ---------- the search report -------------------------------------------- *)
@@ -1140,56 +1045,20 @@ module Report = struct
              s.kinds)
     end
 
-  (* The live exporter's own series: GC activity, domain lifecycle and
-     per-domain utilization.  Placeholders stand in for absent series,
-     so a 4.x dump (no [runtime.*]) still renders. *)
+  (* The GC totals the metrics writer sampled at its last write, and
+     the per-domain utilization of the last parallel search. *)
   let render_runtime b json =
-    let counter = find "counters" json and gauge = find "gauges" json in
-    let hist = hist json in
-    let cd name = Option.value ~default:0. (counter name) in
-    (match counter "telemetry.ticks" with
-    | Some n -> Printf.bprintf b "\nexporter:   %.0f ticks\n" n
-    | None -> ());
+    let cd name = Option.value ~default:0. (find "counters" json name) in
     let gc_rows =
       List.filter_map
-        (fun (label, count_name, pause) ->
-          match counter count_name with
-          | None -> None
-          | Some n ->
-            let sum = hist pause "total" in
-            let mean =
-              match (sum, hist pause "count") with
-              | Some s, Some c when c > 0. -> fms (s /. c)
-              | _ -> "-"
-            in
-            let total = match sum with Some s -> fms s | None -> "-" in
-            Some [ label; Printf.sprintf "%.0f" n; mean; total ])
-        [
-          ("minor", "runtime.gc.minor.collections", "runtime.gc.minor.pause_ns");
-          ("major", "runtime.gc.major.collections", "runtime.gc.major.pause_ns");
-          ("compact", "runtime.gc.compactions", "runtime.gc.compact.pause_ns");
-        ]
+        (fun (name, label, _) ->
+          Option.map (fun v -> [ label; fcount v ]) (find "gauges" json name))
+        Export.gc_gauges
     in
     if gc_rows <> [] then begin
-      Buffer.add_string b "\ngarbage collector\n";
-      btable b ([ "phase"; "collections"; "mean_ms"; "total_ms" ] :: gc_rows);
-      (match gauge "runtime.gc.max_pause_ns" with
-      | Some m -> Printf.bprintf b "  max pause: %s ms\n" (fms m)
-      | None -> ());
-      (match counter "runtime.gc.minor_allocated_words" with
-      | Some w -> Printf.bprintf b "  minor allocated: %s words\n" (fcount w)
-      | None -> ());
-      match counter "runtime.events.lost" with
-      | Some l when l > 0. -> Printf.bprintf b "  LOST EVENTS: %.0f\n" l
-      | _ -> ()
-    end
-    else
-      Buffer.add_string b
-        "\ngarbage collector: no runtime events (OCaml 4.x build, or a \
-         dump not written by the live exporter)\n";
-    Printf.bprintf b "\ndomains: %.0f spawned, %.0f terminated\n"
-      (cd "runtime.domain.spawns")
-      (cd "runtime.domain.terminations");
+      Buffer.add_string b "\ngarbage collector (process totals at the last write)\n";
+      btable b ([ "measure"; "value" ] :: gc_rows)
+    end;
     let domain_indices =
       List.sort_uniq Int.compare
         (List.filter_map

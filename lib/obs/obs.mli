@@ -273,53 +273,10 @@ val to_json : t -> Json.t
 val to_string : t -> string
 (** [Json.to_string ~indent:true (to_json t)]. *)
 
-(** {1 Live runtime telemetry}
+(** {1 The metrics file}
 
-    Folds the OCaml runtime's own event stream — GC pause begin/end
-    pairs, allocation counters, domain lifecycle — into a registry, via
-    a self-monitoring [Runtime_events] cursor.  Version-gated like
-    [Multicore]: on OCaml 4.x (no [runtime_events] library) dune
-    selects a no-op backend, {!Runtime.available} is [false] and every
-    call degrades gracefully.
-
-    Metric names fed into the registry:
-    {ul
-    {- histograms [runtime.gc.minor.pause_ns], [runtime.gc.major.pause_ns],
-       [runtime.gc.compact.pause_ns];}
-    {- counters [runtime.gc.minor.collections], [runtime.gc.major.collections],
-       [runtime.gc.compactions], [runtime.gc.minor_promoted_words],
-       [runtime.gc.minor_allocated_words], [runtime.domain.spawns],
-       [runtime.domain.terminations], [runtime.events.lost];}
-    {- gauge [runtime.gc.max_pause_ns].}} *)
-module Runtime : sig
-  val available : bool
-  (** [true] exactly when this build links the real [Runtime_events]
-      consumer (OCaml 5.x). *)
-
-  val start : unit -> bool
-  (** Turn runtime-event collection on and open a cursor over this
-      process's own ring buffers.  Idempotent.  Returns [false] (and
-      stays inert) when {!available} is [false] or the cursor cannot be
-      created.  Creates a [<pid>.events] ring file in the working
-      directory (or [$OCAML_RUNTIME_EVENTS_DIR]); the runtime removes
-      it on normal exit. *)
-
-  val active : unit -> bool
-  (** [true] after a successful {!start}. *)
-
-  val poll : t -> int
-  (** Drain pending runtime events into the given registry and return
-      how many events were consumed.  [0] on a disabled sink or before
-      {!start}.  Thread-safe: concurrent polls serialize on an internal
-      lock, so the exporter's ticker and the main thread may both
-      call it. *)
-end
-
-(** {1 The live metrics file}
-
-    The [--metrics FILE] flag: a ticker thread that keeps a JSON dump
-    of one registry current on disk while the run is in flight, read
-    by [rdfviews report] (live with [--watch]). *)
+    The [--metrics FILE] flag: one JSON dump of a registry, written
+    before the run and again after it, read by [rdfviews report]. *)
 module Export : sig
   (** A histogram's frozen contents: raw log-buckets (see
       {!bucket_of_sample}) and sample count. *)
@@ -330,24 +287,20 @@ module Export : sig
 
   val snapshot : t -> snapshot
 
-  type exporter
-  (** A ticker thread that, every second, drains {!Runtime} events into
-      its registry, bumps the [telemetry.ticks] counter and atomically
-      rewrites the file with {!to_string} (tmp + rename). *)
+  val dump : t -> string
+  (** [dump registry] first sets the registry's GC gauges from one
+      [Gc.quick_stat ()] — process totals of [gc.minor_collections],
+      [gc.major_collections], [gc.compactions], [gc.minor_words],
+      [gc.promoted_words] and [gc.top_heap_words] — then returns its
+      {!to_string}. *)
 
-  val start : path:string -> t -> exporter
-  (** [start ~path registry] starts {!Runtime} event collection and
-      writes the dump once synchronously, so the file exists (or the
-      path error raises [Sys_error]) before it returns; then it ticks
-      every second until {!stop}.  Periodic write failures are retried
-      on the next tick.  The ticker reads the registry while the
-      installing domain mutates it: consistency across series is
-      advisory. *)
-
-  val stop : exporter -> unit
-  (** Stop the ticker, join it, and write the final dump, so the file
-      reflects the end-of-run registry.  Idempotent.
-      @raise Sys_error if the final write fails. *)
+  val with_dump : path:string -> t -> (unit -> 'a) -> 'a
+  (** [with_dump ~path registry f] runs [f] between two writes of
+      {!dump} to [path], each atomic (tmp + rename): one before [f], so
+      a bad path raises [Sys_error] before any work, and one after it,
+      also when [f] raises (the run's exception then wins over a failed
+      final write).
+      @raise Sys_error if a write fails. *)
 end
 
 (** {1 The search report}
@@ -355,7 +308,7 @@ end
     Turns a [--metrics] registry dump into the run summary behind
     [rdfviews report]: state totals, convergence curve,
     time-to-within-x%, per-transition acceptance, stratum population,
-    and the live exporter's runtime sections.  Pure — rendering returns
+    the GC totals and per-domain utilization.  Pure — rendering returns
     a string; printing is the caller's business. *)
 module Report : sig
   type kind_row = {
@@ -411,8 +364,7 @@ module Report : sig
   val render : Json.t -> string
   (** Human-readable multi-section report of a dump: header and totals,
       convergence table, time-to-within table, transition acceptance,
-      stratum population, then the exporter's GC pause table, domain
-      lifecycle and per-domain utilization.  Renders a placeholder for
-      whatever series are absent, so it works on 4.x dumps with no
-      [runtime.*] series.  @raise Bad_dump as {!of_metrics}. *)
+      stratum population, then, when the dump has them, the GC totals
+      {!Export.dump} sampled and per-domain utilization.
+      @raise Bad_dump as {!of_metrics}. *)
 end

@@ -190,11 +190,17 @@ let parse_rule s =
   let body = body [] in
   try Cq.make ~name ~head ~body with Invalid_argument message -> fail s message
 
+(* A workload names each query once: the selector keys rewritings by
+   query name. *)
 let parse_rules s =
   let rec loop acc =
     match peek s with
     | None -> List.rev acc
-    | Some _ -> loop (parse_rule s :: acc)
+    | Some _ ->
+      let q = parse_rule s in
+      if List.exists (fun (p : Cq.t) -> String.equal p.name q.Cq.name) acc then
+        fail s ("duplicate query name " ^ q.Cq.name);
+      loop (q :: acc)
   in
   loop []
 

@@ -39,7 +39,7 @@ val parse_query : string -> Cq.t
 (** Parse exactly one query. *)
 
 val parse_workload : string -> Cq.t list
-(** Parse a sequence of queries. *)
+(** Parse a sequence of queries with distinct names. *)
 
 val parse_schema : string -> Rdf.Schema.t
 

@@ -31,5 +31,3 @@ let decode d code =
   if code < 0 || code >= d.next then raise Not_found else d.by_code.(code)
 
 let size d = d.next
-
-let fold f d init = Term.Table.fold f d.by_term init

@@ -21,5 +21,3 @@ val decode : t -> int -> Term.t
 
 val size : t -> int
 (** Number of distinct encoded terms. *)
-
-val fold : (Term.t -> int -> 'a -> 'a) -> t -> 'a -> 'a

@@ -108,7 +108,6 @@ let closure step start =
 let superclasses_closure t c = closure (direct_superclasses t) c
 let subclasses_closure t c = closure (direct_subclasses t) c
 let superproperties_closure t p = closure (direct_superproperties t) p
-let subproperties_closure t p = closure (direct_subproperties t) p
 
 let to_triples t =
   let triple_of = function

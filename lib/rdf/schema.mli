@@ -58,8 +58,6 @@ val subclasses_closure : t -> Term.t -> Term.t list
 
 val superproperties_closure : t -> Term.t -> Term.t list
 
-val subproperties_closure : t -> Term.t -> Term.t list
-
 val to_triples : t -> Triple.t list
 (** The schema rendered as RDF triples with the RDFS vocabulary. *)
 

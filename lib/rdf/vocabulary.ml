@@ -8,9 +8,3 @@ let rdfs_domain = Term.Uri (rdfs_ns ^ "domain")
 let rdfs_range = Term.Uri (rdfs_ns ^ "range")
 let rdfs_class = Term.Uri (rdfs_ns ^ "Class")
 let rdf_property = Term.Uri (rdf_ns ^ "Property")
-
-let is_schema_property t =
-  Term.equal t rdfs_subclassof
-  || Term.equal t rdfs_subpropertyof
-  || Term.equal t rdfs_domain
-  || Term.equal t rdfs_range

@@ -21,6 +21,3 @@ val rdfs_class : Term.t
 
 val rdf_property : Term.t
 (** [rdf:Property] — the class of all properties. *)
-
-val is_schema_property : Term.t -> bool
-(** True on the four RDFS schema properties of Table 1. *)

@@ -338,6 +338,8 @@ let chain_from_data ?subject rng store spec qi =
     let body = walk start 0 [] in
     if body = [] then None else Some (start, v 0, body)
 
+exception Store_too_small
+
 let generate_satisfiable store spec =
   let rng = Random.State.make [| spec.seed; 771 |] in
   (* commonality: under [High], queries preferentially re-sample around a
@@ -367,7 +369,7 @@ let generate_satisfiable store spec =
       let head = head_of rng anchor body in
       Query.Cq.make ~name:(Printf.sprintf "q%d" (qi + 1)) ~head ~body
     | _ when tries < 50 -> attempt qi (tries + 1)
-    | _ -> failwith "generate_satisfiable: store too small"
+    | _ -> raise Store_too_small
   in
   List.init spec.n_queries (fun qi -> attempt qi 0)
 

@@ -37,10 +37,15 @@ val generate : spec -> Query.Cq.t list
     connected, contain at least one constant, and have no duplicate
     atoms. *)
 
+exception Store_too_small
+(** The store holds too little data of the needed shape to build one
+    of the queries. *)
+
 val generate_satisfiable : Rdf.Store.t -> spec -> Query.Cq.t list
 (** Like {!generate} but all properties and constants are sampled from
     the store by random walks, so each query is non-empty on it.  Cycle
-    and random shapes degrade to data-backed stars and chains. *)
+    and random shapes degrade to data-backed stars and chains.
+    @raise Store_too_small after 50 failed tries at one query. *)
 
 val generalize :
   Rdf.Schema.t -> float -> int -> Query.Cq.t list -> Query.Cq.t list

@@ -82,6 +82,17 @@ let test_parse_error_lines () =
         "line 1: Cq.make: unsafe head variable Z" );
     ]
 
+(* The selector keys rewritings by query name, so a workload that names
+   two queries alike is refused where the second one ends. *)
+let test_duplicate_query_names () =
+  match
+    Query.Parser.parse_workload
+      "q(X) :- t(X, <p>, Y).\nq(X) :-\n  t(X, <q>, Y).\nr(X) :- t(X, <p>, Y)."
+  with
+  | exception Query.Parser.Parse_error message ->
+    check_string "located" "line 3: duplicate query name q" message
+  | _ -> Alcotest.fail "expected a parse error on a duplicate query name"
+
 let test_parse_schema () =
   let schema =
     Query.Parser.parse_schema
@@ -266,6 +277,8 @@ let () =
           to_alcotest prop_query_roundtrip;
           Alcotest.test_case "errors" `Quick test_parse_errors;
           Alcotest.test_case "error lines" `Quick test_parse_error_lines;
+          Alcotest.test_case "duplicate query names" `Quick
+            test_duplicate_query_names;
         ] );
       ( "schema",
         [

@@ -54,15 +54,6 @@ let test_view_ddl_union () =
   check_bool "union of disjuncts" true (contains ddl "UNION");
   check_bool "terminated" true (contains ddl ";")
 
-let test_view_ddl_plain () =
-  let a = cq ~name:"u" [ v "X" ] [ atom (v "X") (c "ex:p") (v "Y") ] in
-  let ddl =
-    Core.Sql.view_ddl
-      ~config:{ Core.Sql.default_config with materialized = false }
-      (Query.Ucq.of_cq a)
-  in
-  check_bool "plain view" true (contains ddl "CREATE VIEW")
-
 let env_of bindings =
   let env = Hashtbl.create 8 in
   List.iter (fun (n, cols) -> Hashtbl.replace env n cols) bindings;
@@ -141,7 +132,6 @@ let () =
             test_cq_select_constant_head;
           Alcotest.test_case "literal escaping" `Quick test_literal_escaping;
           Alcotest.test_case "view DDL with union" `Quick test_view_ddl_union;
-          Alcotest.test_case "plain view" `Quick test_view_ddl_plain;
         ] );
       ( "rewritings",
         [

@@ -1,8 +1,7 @@
-(* Live telemetry: registry merging under real concurrent domains, the
-   runtime-events consumer, the live --metrics exporter and the runtime
-   sections of the report.  Everything that needs actual domains or Runtime_events is
-   gated on the respective [available] flag so the suite also passes on
-   an OCaml 4.x build. *)
+(* Telemetry: registry merging under real concurrent domains, the
+   --metrics writer and the GC and per-domain sections of the report.
+   The test that needs actual domains is gated on [Multicore.available]
+   so the suite also passes on an OCaml 4.x build. *)
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
@@ -70,45 +69,7 @@ let test_merge_across_domains () =
       merged_buckets
   end
 
-(* ---------- the runtime-events consumer ----------------------------------- *)
-
-let test_runtime_poll () =
-  if not Obs.Runtime.available then ()
-  else begin
-    Alcotest.(check bool) "start" true (Obs.Runtime.start ());
-    Alcotest.(check bool) "active" true (Obs.Runtime.active ());
-    Alcotest.(check bool) "idempotent" true (Obs.Runtime.start ());
-    let t = Obs.create () in
-    (* force minor collections so there is something to consume *)
-    for _ = 1 to 5 do
-      Gc.minor ()
-    done;
-    let drained = Obs.Runtime.poll t in
-    Alcotest.(check bool) "events drained" true (drained > 0);
-    let minors =
-      Option.value ~default:0 (Obs.find_counter t "runtime.gc.minor.collections")
-    in
-    Alcotest.(check bool) "minor collections seen" true (minors > 0);
-    (match Obs.find_histogram t "runtime.gc.minor.pause_ns" with
-    | Some h ->
-      Alcotest.(check int) "pause samples" minors (Obs.histogram_count h)
-    | None -> Alcotest.fail "minor pause histogram missing");
-    (* max-pause gauge mirrors the histogram's largest sample *)
-    (match Obs.find_gauge t "runtime.gc.max_pause_ns" with
-    | Some v -> Alcotest.(check bool) "max pause positive" true (v > 0.)
-    | None -> Alcotest.fail "max pause gauge missing");
-    Alcotest.(check int) "disabled sink" 0 (Obs.Runtime.poll Obs.disabled)
-  end
-
-let test_runtime_unavailable_noop () =
-  if Obs.Runtime.available then ()
-  else begin
-    Alcotest.(check bool) "start fails" false (Obs.Runtime.start ());
-    Alcotest.(check bool) "inactive" false (Obs.Runtime.active ());
-    Alcotest.(check int) "poll no-op" 0 (Obs.Runtime.poll (Obs.create ()))
-  end
-
-(* ---------- the exporter --------------------------------------------------- *)
+(* ---------- the metrics writer (Obs.Export) ------------------------------- *)
 
 let read_dump path =
   let ic = open_in_bin path in
@@ -120,56 +81,37 @@ let with_temp_file f =
   let path = Filename.temp_file "rdfviews_metrics" ".json" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
 
+let created path = (Obs.Report.of_metrics (read_dump path)).Obs.Report.created
+
+(* The dump is written before the run and again after it, each time
+   through a tmp file that is renamed over the target. *)
 let test_exporter_lifecycle () =
   with_temp_file (fun path ->
+      Sys.remove path;
       let t = Obs.create () in
       Obs.add (Obs.counter t "search.created") 7;
-      let e = Obs.Export.start ~path t in
-      (* the first write is synchronous: the file is a dump before any tick *)
-      Alcotest.(check int)
-        "first write" 7
-        (Obs.Report.of_metrics (read_dump path)).Obs.Report.created;
-      Obs.add (Obs.counter t "search.created") 3;
-      Obs.Export.stop e;
-      (* stop writes the final dump over the bumped counter *)
-      Alcotest.(check int)
-        "final write" 10
-        (Obs.Report.of_metrics (read_dump path)).Obs.Report.created;
+      let before =
+        Obs.Export.with_dump ~path t (fun () ->
+            let before = created path in
+            Obs.add (Obs.counter t "search.created") 3;
+            before)
+      in
+      Alcotest.(check int) "first write, before the run" 7 before;
+      Alcotest.(check int) "last write, after the run" 10 (created path);
       Alcotest.(check bool)
         "no tmp file left" false
-        (Sys.file_exists (path ^ ".tmp"));
-      (* idempotent stop *)
-      Obs.Export.stop e);
+        (Sys.file_exists (path ^ ".tmp")));
   let missing =
     Filename.concat
       (Filename.concat (Filename.get_temp_dir_name ())
          (Printf.sprintf "rdfviews-missing-%d" (Unix.getpid ())))
       "m.json"
   in
-  match Obs.Export.start ~path:missing (Obs.create ()) with
+  let ran = ref false in
+  (match Obs.Export.with_dump ~path:missing (Obs.create ()) (fun () -> ran := true) with
   | exception Sys_error _ -> ()
-  | e ->
-    Obs.Export.stop e;
-    Alcotest.fail "start into a missing directory did not raise"
-
-let test_exporter_ticks () =
-  with_temp_file (fun path ->
-      let t = Obs.create () in
-      let e = Obs.Export.start ~path t in
-      let ticks () = Option.value ~default:0 (Obs.find_counter t "telemetry.ticks") in
-      let deadline = Unix.gettimeofday () +. 30. in
-      while ticks () < 1 && Unix.gettimeofday () < deadline do
-        Unix.sleepf 0.05
-      done;
-      Obs.Export.stop e;
-      Alcotest.(check bool) "ticked at least once" true (ticks () >= 1);
-      (* the ticks counter rides along in the file itself *)
-      match Obs.Json.member "counters" (read_dump path) with
-      | Some counters -> (
-        match Obs.Json.member "telemetry.ticks" counters with
-        | Some (Obs.Json.Int n) -> Alcotest.(check bool) "ticks in file" true (n >= 1)
-        | _ -> Alcotest.fail "telemetry.ticks missing from the file")
-      | None -> Alcotest.fail "counters missing from the file")
+  | () -> Alcotest.fail "a dump into a missing directory did not raise");
+  Alcotest.(check bool) "the run never started" false !ran
 
 (* ---------- the report's runtime sections --------------------------------- *)
 
@@ -186,29 +128,40 @@ let test_render_runtime () =
           Obs.add (Obs.counter t (Printf.sprintf "parallel.domain.%d.%s_ns" d what)) ns)
         [ ("work", 3_000_000); ("steal", 1_000_000); ("idle", 1_000_000) ])
     [ 0; 1 ];
-  Obs.add (Obs.counter t "runtime.gc.minor.collections") 2;
-  Obs.observe (Obs.histogram t "runtime.gc.minor.pause_ns") 1000;
-  Obs.observe (Obs.histogram t "runtime.gc.minor.pause_ns") 3000;
-  Obs.set_gauge (Obs.gauge t "runtime.gc.max_pause_ns") 3000.;
-  let rendered = render t in
+  Gc.minor ();
+  let dump = Obs.Json.of_string (Obs.Export.dump t) in
+  (* the dump's GC gauges, from one Gc.quick_stat *)
+  let gauge name =
+    match Option.bind (Obs.Json.member "gauges" dump) (Obs.Json.member name) with
+    | Some (Obs.Json.Float v) -> v
+    | Some (Obs.Json.Int v) -> float_of_int v
+    | _ -> Alcotest.failf "gauge %s missing from the dump" name
+  in
+  Alcotest.(check bool) "minor collections" true (gauge "gc.minor_collections" >= 1.);
+  Alcotest.(check bool) "minor words" true (gauge "gc.minor_words" > 0.);
+  Alcotest.(check bool) "top heap words" true (gauge "gc.top_heap_words" > 0.);
+  List.iter
+    (fun name -> Alcotest.(check bool) name true (gauge name >= 0.))
+    [ "gc.major_collections"; "gc.compactions"; "gc.promoted_words" ];
+  let rendered = Obs.Report.render dump in
   List.iter
     (fun needle -> Alcotest.(check bool) needle true (contains rendered needle))
     [
-      "garbage collector\n";
-      (* 2 minor collections, mean 0.002 ms, total 0.004 ms *)
-      "minor  2            0.002    0.004";
-      "max pause: 0.003 ms";
+      "garbage collector (process totals at the last write)\n";
+      "minor collections";
+      "major collections";
+      "compactions";
+      "promoted words";
+      "top heap words";
       "per-domain utilization";
       "80.0%";
       "final best 559.25";
     ];
-  (* without runtime or per-domain series: placeholders, no tables *)
+  (* without GC gauges or per-domain series: no tables *)
   let bare = Obs.create () in
   Obs.add (Obs.counter bare "search.created") 1;
   let rendered = render bare in
-  Alcotest.(check bool)
-    "gc placeholder" true
-    (contains rendered "garbage collector: no runtime events");
+  Alcotest.(check bool) "no gc table" false (contains rendered "garbage collector");
   Alcotest.(check bool)
     "no utilization table" false
     (contains rendered "per-domain utilization");
@@ -224,16 +177,9 @@ let () =
           Alcotest.test_case "across real domains" `Quick
             test_merge_across_domains;
         ] );
-      ( "runtime events",
-        [
-          Alcotest.test_case "start/poll on OCaml 5" `Quick test_runtime_poll;
-          Alcotest.test_case "no-op on 4.x" `Quick
-            test_runtime_unavailable_noop;
-        ] );
       ( "exporter",
         [
           Alcotest.test_case "lifecycle" `Quick test_exporter_lifecycle;
-          Alcotest.test_case "periodic ticks" `Quick test_exporter_ticks;
         ] );
       ( "renderer",
         [ Alcotest.test_case "runtime sections" `Quick test_render_runtime ] );

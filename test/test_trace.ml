@@ -1,7 +1,7 @@
 (* The search record: a --metrics registry dump read back by
    Obs.Report — consistency of a real search (sequential and parallel)
    against its own report, strict mode, a search that raises under the
-   live exporter, and the allocation-free disabled registry handles. *)
+   metrics writer, and the allocation-free disabled registry handles. *)
 
 open Support
 
@@ -171,8 +171,8 @@ let test_dump_strict () =
       check_int "strict-mode created total" report.Core.Search.created
         (Obs.Report.of_metrics dump).Obs.Report.created)
 
-(* A search aborted mid-run (the accept hook raises) under the live
-   exporter still leaves a dump the report reads: the counters so far,
+(* A search aborted mid-run (the accept hook raises) under the metrics
+   writer still leaves a dump the report reads: the counters so far,
    and no outcome, since the run never ended. *)
 let test_raise_mid_search_leaves_dump () =
   with_tmp_dump "crash" @@ fun path ->
@@ -188,14 +188,12 @@ let test_raise_mid_search_leaves_dump () =
     }
   in
   let reg = Obs.create () in
-  let exporter = Obs.Export.start ~path reg in
-  Obs.set_global reg;
   (match
-     Fun.protect
-       ~finally:(fun () ->
-         Obs.set_global Obs.disabled;
-         Obs.Export.stop exporter)
-       (run_museum ~options)
+     Obs.Export.with_dump ~path reg (fun () ->
+         Obs.set_global reg;
+         Fun.protect
+           ~finally:(fun () -> Obs.set_global Obs.disabled)
+           (run_museum ~options))
    with
   | _ -> Alcotest.fail "injected crash did not propagate"
   | exception Failure _ -> ());
@@ -347,9 +345,8 @@ let gen_v4_shaped =
             "search.reopened"; "search.strategy.DFS"; "search.run"; "search.trajectory";
             "search.best_cost"; "search.initial_cost"; "search.completed";
             "transition.VB.applied"; "transition.VB.time"; "search.stratum.VB.created";
-            "cost.state.hits"; "cost.state.misses"; "telemetry.ticks";
-            "runtime.gc.minor.collections"; "runtime.gc.minor.pause_ns";
-            "runtime.gc.max_pause_ns"; "runtime.events.lost";
+            "cost.state.hits"; "cost.state.misses"; "gc.minor_collections";
+            "gc.major_collections"; "gc.minor_words"; "gc.top_heap_words";
             "parallel.domain.0.work_ns"; "parallel.domain.x.work_ns";
           ];
         string_size (int_bound 8);
