@@ -296,8 +296,8 @@ let select_cmd =
       (Core.Selector.reasoning_name reasoning)
       (match strategy with
       | Core.Search.Gstr when jobs > 1 ->
-        (* greedy picks are inherently sequential; Parallel_search falls
-           back, so do not claim a parallel run in the banner *)
+        (* greedy picks are inherently sequential and GSTR runs on one
+           domain, so do not claim a parallel run in the banner *)
         ", jobs ignored (gstr is sequential)"
       | _ when jobs > 1 -> Printf.sprintf ", %d jobs" jobs
       | _ -> "")

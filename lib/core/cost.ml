@@ -229,19 +229,12 @@ let rewriting_cost t s expr =
   let e = estimate t s expr in
   (e.io, e.cpu)
 
-let rewriting_cardinality t s expr = (estimate t s expr).card
-
 (* One rewriting's weighted REC contribution, c1·io + c2·cpu. *)
 let weighted_rw t s expr =
   let io, cpu = rewriting_cost t s expr in
   (t.weights.c1 *. io) +. (t.weights.c2 *. cpu)
 
 let sum_per_rw per_rw = List.fold_left (fun acc (_, c) -> acc +. c) 0. per_rw
-
-let rec_cost t (s : State.t) =
-  List.fold_left
-    (fun acc (_, r) -> acc +. weighted_rw t s r)
-    0. s.State.rewritings
 
 let total_of t ~vso_n ~rec_n ~vmc_n =
   (t.weights.cs *. vso_n) +. (t.weights.cr *. rec_n) +. (t.weights.cm *. vmc_n)

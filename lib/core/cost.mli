@@ -36,7 +36,7 @@ val weights : t -> weights
 
 val stats : t -> Stats.Statistics.t
 (** The statistics the estimator was created with — exposed so a
-    per-domain clone can be built ({!Parallel_search}). *)
+    per-domain clone can be built ({!Search.run_from}). *)
 
 val view_cardinality : t -> View.t -> float
 (** [|v|ε] (memoized). *)
@@ -45,20 +45,11 @@ val view_size : t -> View.t -> float
 (** Estimated space occupancy of the view in bytes: cardinality times the
     summed average size of its head columns. *)
 
-val vso : t -> State.t -> float
-(** [VSOε(S)]: summed space occupancy of the state's views. *)
-
 val vmc : t -> State.t -> float
 (** [VMCε(S)]: summed maintenance cost, [f^len(v)] per view. *)
 
-val rec_cost : t -> State.t -> float
-(** [RECε(S)]: summed evaluation cost of the state's rewritings. *)
-
 val rewriting_cost : t -> State.t -> Rewriting.t -> float * float
 (** [(io, cpu)] estimation for one rewriting in the given state. *)
-
-val rewriting_cardinality : t -> State.t -> Rewriting.t -> float
-(** Estimated output cardinality of a rewriting. *)
 
 val state_cost : t -> State.t -> float
 (** cε(S), memoized on {!State.key} (compact interned-id keys, hashed

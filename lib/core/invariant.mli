@@ -63,14 +63,6 @@ val reference_of_state : State.t -> (reference, string) result
 val ucq_equivalent : Query.Cq.t list -> Query.Cq.t list -> bool
 (** Disjunct-wise equivalence of two unions of conjunctive queries. *)
 
-val check_structure : State.t -> violation list
-(** {!State.structural_violations}, as typed violations. *)
-
-val check_equivalence : reference -> State.t -> violation list
-(** Every reference query has a rewriting; no rewriting targets an
-    unknown query; each rewriting unfolds, has the query's arity, and is
-    both sound (unfolding ⊑ query) and complete (query ⊑ unfolding). *)
-
 val check_costs : Cost.t -> State.t -> violation list
 (** Per-view and per-state estimates are finite and non-negative, the
     total is the weighted sum of its parts, and the memo table agrees

@@ -81,12 +81,6 @@ let views_used expr =
   in
   List.rev (collect [] expr)
 
-let rec scan_count = function
-  | Scan _ -> 1
-  | Select (_, e) | Project (_, e) | Rename (_, e) -> scan_count e
-  | Join (_, l, r) -> scan_count l + scan_count r
-  | Union branches -> List.fold_left (fun acc e -> acc + scan_count e) 0 branches
-
 let well_formed env expr =
   let ok = ref true in
   let check_cols available cols =

@@ -34,8 +34,6 @@ val columns : env -> t -> string list
 (** Output columns of the expression.  Raises [Failure] on unknown view
     symbols or column references. *)
 
-val equal_cond : cond -> cond -> bool
-
 val equal : t -> t -> bool
 (** Structural equality, delegating constants to {!Rdf.Term.equal}. *)
 
@@ -53,10 +51,6 @@ val mentions : string -> t -> bool
 val views_used : t -> string list
 (** Distinct view names scanned by the expression (with multiplicity
     collapsed); order of first occurrence. *)
-
-val scan_count : t -> int
-(** Number of [Scan] leaves, multiplicities included (the [v ∈ r] sum of
-    the I/O cost, §3.3). *)
 
 val well_formed : env -> t -> bool
 (** Checks that all column references resolve and unions are

@@ -296,42 +296,288 @@ let expand engine state rank =
       admit engine ~rank:(rank_of engine.options kind) ~parent:state kind)
     (allowed_kinds engine.options rank)
 
-(* Worklist search; [lifo] makes it depth-first.  FIFO uses a Queue to
-   stay linear on large frontiers. *)
-let worklist_search engine ~lifo initial =
-  let completed = ref true in
-  if lifo then begin
-    let pending = ref [ (initial, 0) ] in
-    let rec loop () =
-      match !pending with
-      | [] -> ()
-      | (state, rank) :: rest ->
-        if timed_out engine || memory_exceeded engine then completed := false
-        else begin
-          pending := expand engine state rank @ rest;
-          loop ()
-        end
-    in
-    loop ()
-  end
-  else begin
-    let pending = Queue.create () in
-    Queue.add (initial, 0) pending;
-    let rec loop () =
-      if not (Queue.is_empty pending) then
-        if timed_out engine || memory_exceeded engine then completed := false
-        else begin
-          let state, rank = Queue.pop pending in
-          List.iter (fun item -> Queue.add item pending) (expand engine state rank);
-          loop ()
-        end
-    in
-    loop ()
+(* ---------- the work-stealing worklist ------------------------------------ *)
+
+(* EXNAIVE, EXSTR and DFS share one loop over [jobs] domains, slot 0
+   being the coordinating domain; at [jobs = 1] it spawns nothing.
+   Each domain owns a deque and pops its own items, DFS the newest and
+   EXSTR/EXNAIVE the oldest; an idle domain steals the oldest item of
+   another.  One expansion's successors are pushed so that their owner
+   pops them in the order {!expand} returned them, so a single domain
+   expands exactly in the paper's depth-first (resp. breadth-first)
+   order.  The other slots run on {!fork}s of the coordinator's engine,
+   {!merge}d back after the join. *)
+
+(* A two-stack deque under a spinlock: [dq_old] oldest-first, [dq_young]
+   newest-first; reversals move elements between them amortized O(1). *)
+type dq = {
+  dq_lock : Multicore.Spinlock.t;
+  mutable dq_old : (State.t * int) list [@guarded_by "dq_lock"];
+  mutable dq_young : (State.t * int) list [@guarded_by "dq_lock"];
+}
+
+let dq_create () =
+  { dq_lock = Multicore.Spinlock.create (); dq_old = []; dq_young = [] }
+
+(* Under LIFO the block goes on the young end as is, its first item
+   newest; under FIFO its items go one by one, the first oldest. *)
+let dq_push_successors dq ~lifo items =
+  Multicore.Spinlock.with_lock dq.dq_lock (fun () ->
+      dq.dq_young <-
+        (if lifo then items @ dq.dq_young
+         else List.rev_append items dq.dq_young))
+
+let dq_take_newest dq =
+  Multicore.Spinlock.with_lock dq.dq_lock (fun () ->
+      match dq.dq_young with
+      | x :: r ->
+        dq.dq_young <- r;
+        Some x
+      | [] -> (
+        match List.rev dq.dq_old with
+        | x :: r ->
+          dq.dq_old <- [];
+          dq.dq_young <- r;
+          Some x
+        | [] -> None))
+
+let dq_take_oldest dq =
+  Multicore.Spinlock.with_lock dq.dq_lock (fun () ->
+      match dq.dq_old with
+      | x :: r ->
+        dq.dq_old <- r;
+        Some x
+      | [] -> (
+        match List.rev dq.dq_young with
+        | x :: r ->
+          dq.dq_young <- [];
+          dq.dq_old <- r;
+          Some x
+        | [] -> None))
+
+(* Everything the domains share.  [sh_outstanding] counts items pushed
+   but not yet fully expanded (all deques empty is not enough: an
+   in-flight expansion may still push).  [sh_stop] is set by the first
+   domain that hits the time budget or the state cap, or raises;
+   everyone else then drains. *)
+type shared = {
+  sh_lifo : bool;
+  sh_deques : dq array;
+  sh_outstanding : int Atomic.t;
+  sh_stop : bool Atomic.t;
+}
+
+(* One domain's view of the run: its slot, its engine, and its time
+   split for the utilization report. *)
+type worker = {
+  w_slot : int;
+  w_engine : engine;
+  mutable w_work_ns : int;
+  mutable w_steal_ns : int;
+}
+
+let take_own sh w =
+  let own = sh.sh_deques.(w.w_slot) in
+  if sh.sh_lifo then dq_take_newest own else dq_take_oldest own
+
+(* Victims in a fixed order: slot+1, slot+2, ... *)
+let steal sh w =
+  let jobs = Array.length sh.sh_deques in
+  let rec try_victim k =
+    if k >= jobs then None
+    else
+      match dq_take_oldest sh.sh_deques.((w.w_slot + k) mod jobs) with
+      | Some _ as it -> it
+      | None -> try_victim (k + 1)
+  in
+  let s0 = Obs.now_ns () in
+  let stolen = try_victim 1 in
+  w.w_steal_ns <- w.w_steal_ns + (Obs.now_ns () - s0);
+  stolen
+
+let expand_item sh w (state, rank) =
+  let s0 = Obs.now_ns () in
+  let successors = expand w.w_engine state rank in
+  ignore (Atomic.fetch_and_add sh.sh_outstanding (List.length successors) : int);
+  dq_push_successors sh.sh_deques.(w.w_slot) ~lifo:sh.sh_lifo successors;
+  Atomic.decr sh.sh_outstanding;
+  w.w_work_ns <- w.w_work_ns + (Obs.now_ns () - s0)
+
+let should_stop engine = timed_out engine || memory_exceeded engine
+
+(* Take, else steal, then expand; false when there was nothing to do
+   or the run must stop.  The budget is checked only when there is an
+   item to expand, so a run that exhausts the space is complete. *)
+let step sh w =
+  let item = match take_own sh w with Some _ as it -> it | None -> steal sh w in
+  match item with
+  | None -> false
+  | Some _ when should_stop w.w_engine ->
+    Atomic.set sh.sh_stop true;
+    false
+  | Some it ->
+    expand_item sh w it;
+    true
+
+(* Runs until the frontier is exhausted or some domain stops the run.
+   A raising domain first sets the stop flag so its siblings drain and
+   exit (its in-flight item never returns to the outstanding count);
+   the exception is re-raised on the coordinating domain after the
+   join.  Returns the domain's whole wall clock, in ns. *)
+let work sh w =
+  let t_begin = Obs.now_ns () in
+  let rec loop () =
+    if Atomic.get sh.sh_stop then ()
+    else if step sh w then loop ()
+    else if Atomic.get sh.sh_outstanding > 0 then begin
+      Multicore.cpu_relax ();
+      loop ()
+    end
+  in
+  match loop () with
+  | () -> Ok (Obs.now_ns () - t_begin)
+  (* lint: allow catch-all — re-raised on the coordinating domain *)
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Atomic.set sh.sh_stop true;
+    Error (e, bt)
+[@@domain_safe]
+
+(* An engine for another domain: it shares the options, seen-table,
+   start time and strict reference, and has its own estimator, counters
+   and incumbent. *)
+let fork engine =
+  {
+    engine with
+    estimator =
+      Cost.create (Cost.stats engine.estimator) (Cost.weights engine.estimator);
+    created = 0;
+    duplicates = 0;
+    discarded = 0;
+    explored = 0;
+    trajectory = [];
+    oom = false;
+  }
+
+(* Two (elapsed, best-cost) trajectories, newest first, merged into
+   one: every sample in time order, kept only where it improves on all
+   earlier ones. *)
+let merge_trajectories a b =
+  List.stable_sort
+    (fun (t, _) (t', _) -> Float.compare t t')
+    (List.rev_append a (List.rev b))
+  |> List.fold_left
+       (fun acc (t, c) ->
+         match acc with (_, best) :: _ when c >= best -> acc | _ -> (t, c) :: acc)
+       []
+
+(* Fold a forked engine's counters, out-of-memory flag, incumbent and
+   trajectory into [into].  Exact cost ties are broken on the state
+   key, so the merged incumbent does not depend on which domain found
+   it first. *)
+let merge ~into w =
+  into.created <- into.created + w.created;
+  into.duplicates <- into.duplicates + w.duplicates;
+  into.discarded <- into.discarded + w.discarded;
+  into.explored <- into.explored + w.explored;
+  into.oom <- into.oom || w.oom;
+  if
+    w.best_cost < into.best_cost
+    || w.best_cost = into.best_cost
+       && String.compare (State.key_string w.best) (State.key_string into.best)
+          < 0
+  then begin
+    into.best <- w.best;
+    into.best_cost <- w.best_cost
   end;
-  !completed
+  into.trajectory <- merge_trajectories into.trajectory w.trajectory
+[@@coordinator_only]
+
+(* Per-domain utilization, folded into the coordinator's ambient sink
+   after the join, so workers never touch the shared sink.  Each entry
+   is [(slot, work_ns, steal_ns, total_ns)]: [work] is time inside
+   expansions, [steal] time probing other domains' deques, [idle] the
+   rest of the domain's wall clock (backoff, lock waits).  [rdfviews
+   report] renders them as the per-domain utilization table. *)
+let note_utilization entries =
+  let sink = Obs.global () in
+  if Obs.is_enabled sink then
+    List.iter
+      (fun (slot, work, steal, total) ->
+        let dom name v =
+          Obs.add
+            (Obs.counter sink (Printf.sprintf "parallel.domain.%d.%s" slot name))
+            v
+        in
+        dom "work_ns" work;
+        dom "steal_ns" steal;
+        dom "idle_ns" (max 0 (total - work - steal)))
+      entries
+[@@coordinator_only]
+
+(* Whether the run completed.  Each spawned domain counts into its own
+   [Obs] registry, merged into the coordinator's after the join, even
+   when a domain failed: partial metrics beat silently dropped ones. *)
+let worklist_search ~jobs ~lifo engine initial =
+  let sh =
+    {
+      sh_lifo = lifo;
+      sh_deques = Array.init jobs (fun _ -> dq_create ());
+      sh_outstanding = Atomic.make 1;
+      sh_stop = Atomic.make false;
+    }
+  in
+  let worker slot engine =
+    { w_slot = slot; w_engine = engine; w_work_ns = 0; w_steal_ns = 0 }
+  in
+  let coordinator = worker 0 engine in
+  dq_push_successors sh.sh_deques.(0) ~lifo [ (initial, 0) ];
+  (* The coordinator expands the initial state before any worker
+     exists, so the workers start with a frontier to steal from. *)
+  ignore (step sh coordinator : bool);
+  let obs_enabled = Obs.is_enabled (Obs.global ()) in
+  let workers = List.init (jobs - 1) (fun i -> worker (i + 1) (fork engine)) in
+  let handles =
+    List.map
+      (fun w ->
+        Multicore.spawn (fun () ->
+            let registry =
+              if obs_enabled then begin
+                let r = Obs.create () in
+                Obs.set_global r;
+                Some r
+              end
+              else None
+            in
+            (work sh w, registry)))
+      workers
+  in
+  (* let-bound: the coordinator must work before it joins *)
+  let own = work sh coordinator in
+  let outs = (own, None) :: List.map Multicore.join handles in
+  List.iter
+    (function
+      | _, Some reg -> Obs.merge_into ~into:(Obs.global ()) reg | _, None -> ())
+    outs;
+  let totals =
+    List.map
+      (function
+        | Ok t, _ -> t | Error (e, bt), _ -> Printexc.raise_with_backtrace e bt)
+      outs
+  in
+  List.iter (fun w -> merge ~into:engine w.w_engine) workers;
+  if jobs > 1 then
+    note_utilization
+      (List.map2
+         (fun w total -> (w.w_slot, w.w_work_ns, w.w_steal_ns, total))
+         (coordinator :: workers) totals);
+  not (Atomic.get sh.sh_stop)
+[@@coordinator_only]
 
 (* Greedy stratified: full closure of one kind from the current best,
-   then restart from the best state found, next kind. *)
+   then restart from the best state found, next kind.  Each stage is
+   seeded by the previous stage's single best state, so it runs on the
+   coordinator alone. *)
 let gstr_search engine initial =
   let completed = ref true in
   let closure_of kind start =
@@ -342,7 +588,7 @@ let gstr_search engine initial =
       match !pending with
       | [] -> ()
       | state :: rest ->
-        if timed_out engine || memory_exceeded engine then completed := false
+        if should_stop engine then completed := false
         else begin
           note_explored engine;
           let fresh =
@@ -376,43 +622,37 @@ let obs_strategy_runs =
     (fun s -> (s, Obs.cached_counter ("search.strategy." ^ strategy_name s)))
     [ Exnaive; Exstr; Dfs; Gstr ]
 
-let with_run_metrics f =
+(* Under RDFVIEWS_STRICT the reference semantics is recovered from the
+   initial state itself: unfolding S0's rewritings yields (a renaming of)
+   the workload, so no extra plumbing is needed.  Every accepted state is
+   then asserted equivalent to it. *)
+let strict_reference_of initial =
+  if Query.Evaluation.strict_enabled () then
+    match Invariant.reference_of_state initial with
+    | Ok reference -> Some reference
+    | Error detail ->
+      raise
+        (Invariant.Violation
+           {
+             Invariant.state_key = State.key_string initial;
+             invariant = "rewriting";
+             detail = "initial state does not unfold: " ^ detail;
+           })
+  else None
+
+let run_from ?(jobs = 1) estimator options initial =
+  if jobs < 1 then
+    invalid_arg (Printf.sprintf "Search.run_from: jobs = %d < 1" jobs);
+  (* the forks share the estimator's statistics: fill the memo here, on
+     the coordinator, so that the search only reads it *)
+  Stats.Statistics.prewarm (Cost.stats estimator)
+    (List.map (fun v -> v.View.cq) initial.State.views);
   Obs.incr (obs_runs ());
-  Obs.time (obs_run_time ()) f
-
-(* Everything a run does before the strategy loop starts: compute the
-   initial cost, recover the strict reference, close the initial state
-   under AVF, count the strategy, build the engine and seed the seen-table.
-   Split out so {!Parallel_search} shares the exact same entry
-   sequence. *)
-type prologue = {
-  p_engine : engine;
-  p_initial : State.t;  (* after the AVF closure *)
-  p_initial_cost : float;
-}
-
-let prologue estimator options initial =
+  Obs.time (obs_run_time ()) @@ fun () ->
   (* S0's cost is that of the raw query set (§5.1); the AVF collapse of
      the initial state, when enabled, counts as the first search gain *)
   let initial_cost = Cost.state_cost estimator initial in
-  (* Under RDFVIEWS_STRICT the reference semantics is recovered from the
-     initial state itself: unfolding S0's rewritings yields (a renaming
-     of) the workload, so no extra plumbing is needed.  Every accepted
-     state is then asserted equivalent to it. *)
-  let strict_reference =
-    if Query.Evaluation.strict_enabled () then
-      match Invariant.reference_of_state initial with
-      | Ok reference -> Some reference
-      | Error detail ->
-        raise
-          (Invariant.Violation
-             {
-               Invariant.state_key = State.key_string initial;
-               invariant = "rewriting";
-               detail = "initial state does not unfold: " ^ detail;
-             })
-    else None
-  in
+  let strict_reference = strict_reference_of initial in
   let initial =
     if options.avf then Transition.fusion_closure initial else initial
   in
@@ -442,11 +682,14 @@ let prologue estimator options initial =
   if engine.best_cost < initial_cost then
     engine.trajectory <- (0., engine.best_cost) :: engine.trajectory;
   ignore (Shard_tbl.visit engine.seen (State.key initial) 0);
-  { p_engine = engine; p_initial = initial; p_initial_cost = initial_cost }
-[@@coordinator_only]
-
-let epilogue { p_engine = engine; p_initial_cost = initial_cost; _ } ~completed
-    =
+  (* OCaml 4.x cannot spawn domains: the loop runs on one *)
+  let jobs = if Multicore.available then jobs else 1 in
+  let completed =
+    match options.strategy with
+    | Exnaive | Exstr -> worklist_search ~jobs ~lifo:false engine initial
+    | Dfs -> worklist_search ~jobs ~lifo:true engine initial
+    | Gstr -> gstr_search engine initial
+  in
   let completed = completed && not engine.oom in
   let trajectory = List.rev engine.trajectory in
   Obs.set_gauge (obs_initial_cost ()) initial_cost;
@@ -469,84 +712,7 @@ let epilogue { p_engine = engine; p_initial_cost = initial_cost; _ } ~completed
   }
 [@@coordinator_only]
 
-let run_from estimator options initial =
-  with_run_metrics @@ fun () ->
-  let p = prologue estimator options initial in
-  let engine = p.p_engine in
-  let completed =
-    match options.strategy with
-    | Exnaive | Exstr -> worklist_search engine ~lifo:false p.p_initial
-    | Dfs -> worklist_search engine ~lifo:true p.p_initial
-    | Gstr -> gstr_search engine p.p_initial
-  in
-  epilogue p ~completed
-[@@coordinator_only]
-
-let run stats options workload =
+let run ?jobs stats options workload =
   let estimator = Cost.create stats options.weights in
-  run_from estimator options (State.initial workload)
+  run_from ?jobs estimator options (State.initial workload)
 [@@coordinator_only]
-
-(* Two (elapsed, best-cost) trajectories, newest first, merged into
-   one: every sample in time order, kept only where it improves on all
-   earlier ones. *)
-let merge_trajectories a b =
-  List.stable_sort
-    (fun (t, _) (t', _) -> Float.compare t t')
-    (List.rev_append a (List.rev b))
-  |> List.fold_left
-       (fun acc (t, c) ->
-         match acc with (_, best) :: _ when c >= best -> acc | _ -> (t, c) :: acc)
-       []
-
-(* Shared machinery for {!Parallel_search}.  Mirrored (with the engine
-   record concrete) under [Internal] in the interface; not part of the
-   stable API. *)
-module Internal = struct
-  type nonrec engine = engine
-
-  type nonrec prologue = prologue = {
-    p_engine : engine;
-    p_initial : State.t;
-    p_initial_cost : float;
-  }
-
-  let prologue = prologue
-  let epilogue = epilogue
-  let with_run_metrics = with_run_metrics
-  let expand = expand
-  let should_stop engine = timed_out engine || memory_exceeded engine
-
-  let fork engine =
-    {
-      engine with
-      estimator =
-        Cost.create (Cost.stats engine.estimator) (Cost.weights engine.estimator);
-      created = 0;
-      duplicates = 0;
-      discarded = 0;
-      explored = 0;
-      trajectory = [];
-      oom = false;
-    }
-
-  (* Exact cost ties are broken on the state key, so the merged
-     incumbent does not depend on which domain found it first. *)
-  let merge ~into w =
-    into.created <- into.created + w.created;
-    into.duplicates <- into.duplicates + w.duplicates;
-    into.discarded <- into.discarded + w.discarded;
-    into.explored <- into.explored + w.explored;
-    into.oom <- into.oom || w.oom;
-    if
-      w.best_cost < into.best_cost
-      || w.best_cost = into.best_cost
-         && String.compare (State.key_string w.best) (State.key_string into.best)
-            < 0
-    then begin
-      into.best <- w.best;
-      into.best_cost <- w.best_cost
-    end;
-    into.trajectory <- merge_trajectories into.trajectory w.trajectory
-  [@@coordinator_only]
-end

@@ -67,70 +67,46 @@ val stop_test : options -> (View.t -> bool) option
 val rcr : report -> float
 (** Relative cost reduction [(cε(S0) − cε(Sb)) / cε(S0)] (§6.1). *)
 
-val run_from : Cost.t -> options -> State.t -> report
-(** Search from a given initial state (used for pre-reformulation and by
-    the competitor harness).  When [RDFVIEWS_STRICT] is set
-    ({!Query.Evaluation.strict_enabled}, read once at the start of the
-    run), the reference semantics is recovered from the initial state
-    and {!Invariant.assert_valid} runs on every accepted state; the
-    first violation aborts the search with {!Invariant.Violation}.  The
-    same reading makes {!Transition} check every successor and
-    {!Cost.state_cost_delta} cross-check every incremental cost. *)
+val run_from : ?jobs:int -> Cost.t -> options -> State.t -> report
+(** [run_from ~jobs estimator options initial] searches from a given
+    initial state (used for pre-reformulation and by the competitor
+    harness).
 
-val run : Stats.Statistics.t -> options -> Query.Cq.t list -> report
+    EXNAIVE, EXSTR and DFS run one work-stealing loop over [jobs]
+    domains, the coordinating one included (default 1: the same loop
+    on the calling domain, spawning nothing).  Each domain pops its own
+    deque, DFS the newest item and EXSTR/EXNAIVE the oldest, and pushes
+    one expansion's successors so that it pops them in the order they
+    were generated; an idle domain steals the oldest item of another.
+    At one domain the search is therefore the paper's depth-first
+    (resp. breadth-first) order.  Under several domains, counters and
+    exploration order are schedule-dependent, but a completed run
+    accepts the same state set and, since every arrival of a key is
+    costed, reaches the same best cost up to cost ties.  Each spawned
+    domain counts into its own [Obs] registry, merged into the
+    caller's after the join, together with [parallel.domain.*]
+    utilization counters; an [on_accept] hook must then be safe to call
+    from any domain.  GSTR, a chain of closures each seeded by the
+    previous stage's single best state, always runs on the calling
+    domain, as does everything on OCaml 4.x ({!Multicore.available} is
+    false).
+
+    The domains share the estimator's statistics and only read them:
+    first, on the calling domain, {!Stats.Statistics.prewarm} fills
+    their memo from [initial]'s view bodies.
+
+    When [RDFVIEWS_STRICT] is set ({!Query.Evaluation.strict_enabled},
+    read once at the start of the run), the reference semantics is
+    recovered from the initial state and {!Invariant.assert_valid} runs
+    on every accepted state, on whichever domain admits it; the first
+    violation aborts the search with {!Invariant.Violation}.  The same
+    reading makes {!Transition} check every successor and
+    {!Cost.state_cost_delta} cross-check every incremental cost.
+    @raise Invalid_argument when [jobs < 1]. *)
+
+val run :
+  ?jobs:int -> Stats.Statistics.t -> options -> Query.Cq.t list -> report
 (** Search from the standard initial state S0 of the workload. *)
 
 val strategy_name : strategy -> string
 val strategy_of_string : string -> strategy option
-
-(** Building blocks of the sequential engine, exposed for
-    {!Parallel_search} only — no stability guarantees.  A parallel run
-    is the sequential engine's own {!expand} driven from several
-    domains, each on an engine {!fork}ed from the coordinator's, and
-    folded back with {!merge} after the join. *)
-module Internal : sig
-  type engine
-  (** The mutable per-run accounting record: estimator, options,
-      seen-table, counters, incumbent best.  Created by {!prologue}. *)
-
-  type prologue = {
-    p_engine : engine;
-    p_initial : State.t;  (** the initial state after the AVF closure *)
-    p_initial_cost : float;
-  }
-
-  val prologue : Cost.t -> options -> State.t -> prologue
-  (** Everything a run does before the strategy loop: initial cost,
-      strict reference recovery, AVF closure of the initial state,
-      strategy run counter, engine construction, seen-table seeding. *)
-
-  val epilogue : prologue -> completed:bool -> report
-  (** Final gauges, the [search.trajectory] series, and the report.
-      Under a parallel run this follows the merges, so the series holds
-      the merged trajectory. *)
-
-  val with_run_metrics : (unit -> 'a) -> 'a
-  (** Bumps the run counter and times the whole run, exactly as
-      {!Search.run_from} does around its body. *)
-
-  val expand : engine -> State.t -> int -> (State.t * int) list
-  (** [expand engine state rank] generates the successors of a state
-      reached at stratum [rank], admits each one (stop conditions,
-      checked before the successor is built; AVF collapse of the views
-      the transition added; dedup, cost, strict check, [on_accept]) and
-      returns those to expand further, with their ranks. *)
-
-  val should_stop : engine -> bool
-  (** Time budget exceeded or seen-table over [max_states] (the latter
-      also latches the engine's out-of-memory flag). *)
-
-  val fork : engine -> engine
-  (** An engine for another domain: it shares the options, seen-table,
-      start time and strict reference, and has its own estimator,
-      counters and incumbent. *)
-
-  val merge : into:engine -> engine -> unit
-  (** Fold a forked engine's counters, out-of-memory flag, incumbent
-      and trajectory into [into].  Exact cost ties keep the state with
-      the smaller key. *)
-end

@@ -46,18 +46,6 @@ let recommended_views reasoning state =
       (fun v -> Query.Ucq.dedup (Query.Reformulation.reformulate v.View.cq schema))
       state.State.views
 
-let run_from_state ?(jobs = 1) ~store ~reasoning ~options initial =
-  let stats, store_for_materialization = statistics_for ~store reasoning in
-  let estimator = Cost.create stats options.Search.weights in
-  let report = Parallel_search.run_from ~jobs estimator options initial in
-  {
-    report;
-    recommended = recommended_views reasoning report.Search.best;
-    rewritings = simplified_rewritings report.Search.best;
-    stats;
-    store_for_materialization;
-  }
-
 (* The standard initial state of a workload, per mode (§5.1 / §4.3). *)
 let initial_state reasoning workload =
   match reasoning with
@@ -71,5 +59,15 @@ let initial_state reasoning workload =
          workload)
 
 let select ?jobs ~store ~reasoning ~options workload =
-  run_from_state ?jobs ~store ~reasoning ~options
-    (initial_state reasoning workload)
+  let stats, store_for_materialization = statistics_for ~store reasoning in
+  let estimator = Cost.create stats options.Search.weights in
+  let report =
+    Search.run_from ?jobs estimator options (initial_state reasoning workload)
+  in
+  {
+    report;
+    recommended = recommended_views reasoning report.Search.best;
+    rewritings = simplified_rewritings report.Search.best;
+    stats;
+    store_for_materialization;
+  }

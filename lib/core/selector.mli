@@ -47,20 +47,5 @@ val select :
   result
 (** Run view selection for the workload.  Query names must be
     distinct.  [jobs] (default 1) spreads the search over that many
-    domains via {!Parallel_search}; a completed parallel run reaches
-    the sequential best cost. *)
-
-val initial_state : reasoning -> Query.Cq.t list -> State.t
-(** The standard initial state for a workload in the given mode: one
-    view per query (§5.1), or one view per reformulation disjunct under
-    pre-reformulation (§4.3). *)
-
-val run_from_state :
-  ?jobs:int ->
-  store:Rdf.Store.t ->
-  reasoning:reasoning ->
-  options:Search.options ->
-  State.t ->
-  result
-(** Like {!select} but searching from an arbitrary valid state — the
-    warm-start entry point used by {!Dynamic}. *)
+    domains ({!Search.run_from}); a completed parallel run reaches the
+    one-domain best cost. *)

@@ -1,7 +1,7 @@
 (* Sharded, spinlock-guarded dedup table over state keys.
 
-   The sequential engine keeps its seen-set in a plain [State.Tbl];
-   under parallel search every domain probes and updates the same
+   The search keeps its seen-set here at any job count; under
+   parallel search every domain probes and updates the same
    logical set, so the table is split into [shard_count] independent
    buckets, each behind its own spinlock.  A key's shard is chosen by
    its precomputed hash, so two domains only contend when they touch

@@ -1,11 +1,11 @@
 (** Domain-safe dedup table over state keys.
 
-    The shared seen-set of a parallel search: a {!State.Tbl} split into
-    independently spinlocked shards selected by {!State.hash_key}, so
-    domains contend only on keys hashing to the same shard.  Implements
-    the same rank-reopen rule as the sequential engine's seen-table — a
-    state is re-admitted only when rediscovered at a strictly lower
-    stratum rank. *)
+    The search's seen-set, shared by its domains: a {!State.Tbl} split
+    into independently spinlocked shards selected by
+    {!State.hash_key}, so domains contend only on keys hashing to the
+    same shard.  Implements the rank-reopen rule — a state is
+    re-admitted only when rediscovered at a strictly lower stratum
+    rank. *)
 
 type t
 

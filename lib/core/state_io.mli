@@ -27,12 +27,10 @@ val expr_to_text : Rewriting.t -> string
 val parse_expr : string -> Rewriting.t
 (** @raise Syntax_error on malformed input. *)
 
-val state_to_text : State.t -> string
-(** Render one state (views then rewritings) in the file grammar. *)
-
 val states_to_text : State.t list -> string
-(** {!state_to_text} for each state, ["---"]-separated — the on-disk
-    format of [--state-out] / [--trace-states]. *)
+(** Each state (views then rewritings) in the file grammar,
+    ["---"]-separated — the on-disk format of [--state-out] /
+    [--trace-states]. *)
 
 val parse_states : string -> State.t list
 (** Parse a whole file's contents.

@@ -10,7 +10,7 @@
 
     All operations are domain-safe: the string → id map is sharded
     under per-shard spinlocks and id allocation is serialized, so
-    parallel search domains ([Core.Parallel_search]) intern
+    parallel search domains ([Core.Search]) intern
     concurrently while ids stay dense, unique and stable.  Only
     {!reset} assumes a single domain. *)
 

@@ -9,7 +9,7 @@
     The 4.x backend never spawns: {!spawn} raises, {!Dls} keys are plain
     per-process cells, and {!Spinlock} degenerates to an uncontended
     CAS.  Callers must therefore check {!available} before taking a
-    parallel code path (see [Core.Parallel_search]). *)
+    parallel code path (see [Core.Search.run_from]). *)
 
 val available : bool
 (** [true] exactly when the runtime can spawn domains (OCaml >= 5.0). *)

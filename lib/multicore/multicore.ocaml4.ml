@@ -1,8 +1,8 @@
 (* lint: allow missing-mli — copy-rule source; the interface is multicore.mli
    OCaml 4.x backend: no domains.  Selected by a dune rule when
    %{ocaml_version} < 5.0; the API compiles but [spawn] raises, so
-   callers must branch on [available] (Parallel_search falls back to
-   the sequential engine).  [Atomic] has been in the stdlib since 4.12,
+   callers must branch on [available] (the search then runs its loop on
+   one domain).  [Atomic] has been in the stdlib since 4.12,
    so the spinlock compiles — uncontended, it is a single CAS.
    lint: allow missing-mli -- template copied to multicore.ml by dune *)
 

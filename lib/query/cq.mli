@@ -52,13 +52,6 @@ val freshen : t -> t
 (** Rename every variable to a globally fresh name (head positions
     preserved). *)
 
-val homomorphism :
-  ?check_head:bool -> from:t -> into:t -> unit -> (string * Qterm.t) list option
-(** A containment mapping from [from] into [into]: a variable mapping
-    sending every atom of [from] onto some atom of [into] and (when
-    [check_head], the default) the head of [from] onto the head of
-    [into] position-wise. *)
-
 val contained_in : t -> t -> bool
 (** [contained_in q1 q2] holds iff q1 ⊆ q2, i.e. there is a containment
     mapping from [q2] into [q1]. *)

@@ -2,12 +2,6 @@ type kind = Hash | Compact
 
 let kind_name = function Hash -> "hash" | Compact -> "compact"
 
-let kind_of_string s =
-  match String.lowercase_ascii s with
-  | "hash" -> Some Hash
-  | "compact" -> Some Compact
-  | _ -> None
-
 (* Atomic: the CLI sets it once at startup, and a store created on
    any domain reads it. *)
 let default_kind = Atomic.make Hash

@@ -12,9 +12,6 @@ type kind = Hash | Compact
 
 val kind_name : kind -> string
 
-val kind_of_string : string -> kind option
-(** Case-insensitive ["hash"] / ["compact"]. *)
-
 val set_default : kind -> unit
 (** Backend used by {!Store.create} when none is requested — the
     [--store-backend] CLI flag sets this before any store is built so

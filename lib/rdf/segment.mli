@@ -17,9 +17,6 @@
 
 type t
 
-val default_block_rows : int
-(** Rows per full block (128) unless {!Builder.create} overrides it. *)
-
 val n : t -> int
 (** Total rows. *)
 

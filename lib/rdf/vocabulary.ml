@@ -6,5 +6,3 @@ let rdfs_subclassof = Term.Uri (rdfs_ns ^ "subClassOf")
 let rdfs_subpropertyof = Term.Uri (rdfs_ns ^ "subPropertyOf")
 let rdfs_domain = Term.Uri (rdfs_ns ^ "domain")
 let rdfs_range = Term.Uri (rdfs_ns ^ "range")
-let rdfs_class = Term.Uri (rdfs_ns ^ "Class")
-let rdf_property = Term.Uri (rdf_ns ^ "Property")

@@ -15,9 +15,3 @@ val rdfs_domain : Term.t
 
 val rdfs_range : Term.t
 (** [rdfs:range] — range typing of a property. *)
-
-val rdfs_class : Term.t
-(** [rdfs:Class] — the class of all classes. *)
-
-val rdf_property : Term.t
-(** [rdf:Property] — the class of all properties. *)

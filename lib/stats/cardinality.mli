@@ -8,11 +8,6 @@
     selectivity of [min(d_i) / prod(d_i)] (which is [1/max(d_1,d_2)] for
     [k = 2]). *)
 
-val position_distinct : Statistics.t -> Query.Atom.t -> Query.Atom.position -> float
-(** Estimated number of distinct values at a position of an atom: exact
-    per-property distincts when the atom's property is a constant, global
-    column distincts otherwise, always capped by the atom's own count. *)
-
 val estimate_cq : Statistics.t -> Query.Cq.t -> float
 (** [|v|ε] for a conjunctive view. *)
 

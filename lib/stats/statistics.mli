@@ -45,7 +45,7 @@ val prewarm : t -> Query.Cq.t list -> unit
     constant property among them, and the three column distincts and
     term sizes.  Afterwards a search that starts from these queries only
     reads the memo, so parallel search forks may share [t]
-    ([Core.Parallel_search.run_from] calls it before forking). *)
+    ([Core.Search.run_from] calls it before any fork). *)
 
 val atom_count : t -> Query.Atom.t -> float
 (** Number of triples matching the atom's constant pattern (reflecting

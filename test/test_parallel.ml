@@ -1,10 +1,10 @@
 open Support
 
-(* Parallel search: fixpoint agreement with the sequential engine, the
-   sharded interner under domain contention, and Obs registry merging.
-   Parallel_search falls back to the sequential engine without domains
-   and the interner stress test gates itself on [Multicore.available],
-   so the suite also passes on a sequential-only (OCaml 4.x) build. *)
+(* Parallel search: fixpoint agreement between one domain and several,
+   the sharded interner under domain contention, and Obs registry
+   merging.  Without domains the search loop runs on one, and the
+   interner stress test gates itself on [Multicore.available], so the
+   suite also passes on a sequential-only (OCaml 4.x) build. *)
 
 let stats_for store = Stats.Statistics.create store
 
@@ -55,7 +55,7 @@ let run_one ?(store = fig3_store) ?(max_states = 5000) ~jobs strategy workload
     }
   in
   let report =
-    Core.Parallel_search.run ~jobs (stats_for store) options workload
+    Core.Search.run ~jobs (stats_for store) options workload
   in
   (report, keys ())
 
@@ -63,7 +63,7 @@ let same_cost a b =
   Float.abs (a -. b) <= 1e-6 *. Float.max 1. (Float.abs a)
 
 let test_gstr_falls_back () =
-  (* GSTR routes to the sequential engine under any job count *)
+  (* GSTR runs on the calling domain under any job count *)
   let seq, _ = run_one ~jobs:1 Core.Search.Gstr [ fig3_query ] in
   let par, _ = run_one ~jobs:4 Core.Search.Gstr [ fig3_query ] in
   check_int "gstr created" seq.Core.Search.created par.Core.Search.created;
@@ -74,10 +74,8 @@ let test_jobs_below_one_rejected () =
   List.iter
     (fun jobs ->
       match
-        Core.Parallel_search.run_from ~jobs
-          (Core.Cost.create (stats_for fig3_store) Core.Cost.default_weights)
-          Core.Search.default_options
-          (Core.State.initial [ fig3_query ])
+        Core.Search.run ~jobs (stats_for fig3_store)
+          Core.Search.default_options [ fig3_query ]
       with
       | _ -> Alcotest.failf "jobs = %d was accepted" jobs
       | exception Invalid_argument _ -> ())
@@ -186,9 +184,8 @@ let pinned_cases =
 
 (* Under post-reformulation a statistic is a count over a reformulated
    query, and a memo miss would compile and run its plans on whichever
-   domain missed.  [Parallel_search.run_from] fills the memo before the
-   fork: a
-   completed --jobs 2 search reaches the sequential best cost and leaves
+   domain missed.  [Search.run_from] fills the memo before the fork: a
+   completed --jobs 2 search reaches the one-domain best cost and leaves
    the memo as the fill left it. *)
 let test_post_reformulation_reads_only () =
   let store = Workload.Barton.store ~n_entities:60 ~seed:1 () in

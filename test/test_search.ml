@@ -111,6 +111,53 @@ let test_two_query_space_agreement () =
   check_int "fused best state" 1
     (List.length exnaive.Core.Search.best.Core.State.views)
 
+(* The order in which one domain accepts the Figure 3 states.  The
+   fixture was captured once from the dedicated one-domain worklist that
+   the work-stealing loop replaced (a list for DFS, a queue for EXSTR
+   and EXNAIVE); the loop at [~jobs:1] must reproduce it exactly.  A
+   state is named by its sorted canonical views, which do not depend on
+   what the process interned before. *)
+let fig3_s0 = "{V1,V2}<=t(V0,V1,<ex:c1>)&t(V0,V2,<ex:c2>)"
+let fig3_s1 = "{V1,V2,V3}<=t(V0,V2,V1)&t(V0,V3,<ex:c2>)"
+let fig3_s2 = "{V1,V2,V3}<=t(V0,V2,V1)&t(V0,V3,<ex:c1>)"
+let fig3_s3 = "{V0,V1}<=t(V1,V0,<ex:c1>) | {V0,V1}<=t(V1,V0,<ex:c2>)"
+let fig3_s4 = "{V1,V2,V3,V4}<=t(V0,V3,V1)&t(V0,V4,V2)"
+let fig3_s5 = "{V0,V1,V2}<=t(V2,V1,V0) | {V0,V1}<=t(V1,V0,<ex:c2>)"
+let fig3_s6 = "{V0,V1,V2}<=t(V2,V1,V0) | {V0,V1,V2}<=t(V2,V1,V0)"
+let fig3_s7 = "{V0,V1,V2}<=t(V2,V1,V0)"
+let fig3_s8 = "{V0,V1,V2}<=t(V2,V1,V0) | {V0,V1}<=t(V1,V0,<ex:c1>)"
+
+let fig3_depth_first =
+  [ fig3_s0; fig3_s1; fig3_s2; fig3_s3; fig3_s4; fig3_s5; fig3_s6; fig3_s7;
+    fig3_s8 ]
+
+let fig3_breadth_first =
+  [ fig3_s0; fig3_s1; fig3_s2; fig3_s3; fig3_s4; fig3_s5; fig3_s8; fig3_s6;
+    fig3_s7 ]
+
+let test_fig3_accept_order () =
+  List.iter
+    (fun (strategy, expected) ->
+      let accepted = ref [] in
+      let hook state =
+        let views = List.map Core.View.canonical state.Core.State.views in
+        accepted := String.concat " | " (List.sort String.compare views) :: !accepted
+      in
+      let report =
+        Core.Search.run ~jobs:1 (stats_for fig3_store)
+          { (options_exhaustive strategy) with on_accept = Some hook }
+          [ fig3_query ]
+      in
+      let name = Core.Search.strategy_name strategy in
+      check_bool (name ^ " completed") true report.Core.Search.completed;
+      Alcotest.(check (list string))
+        (name ^ " accept order") expected (List.rev !accepted))
+    [
+      (Core.Search.Dfs, fig3_depth_first);
+      (Core.Search.Exstr, fig3_breadth_first);
+      (Core.Search.Exnaive, fig3_breadth_first);
+    ]
+
 (* ---------- stop conditions ---------------------------------------------- *)
 
 let test_stop_conditions_shrink_space () =
@@ -468,6 +515,8 @@ let () =
             test_fig3_stratified_no_more_transitions;
           Alcotest.test_case "two-query space agreement" `Quick
             test_two_query_space_agreement;
+          Alcotest.test_case "one-domain accept order" `Quick
+            test_fig3_accept_order;
         ] );
       ( "stop-conditions",
         [

@@ -154,7 +154,7 @@ let test_dump_consistent () =
 let test_parallel_dump_consistent () =
   let report, dump =
     with_registry (fun () ->
-        Core.Parallel_search.run ~jobs:2
+        Core.Search.run ~jobs:2
           (Stats.Statistics.create (museum_store ()))
           Core.Search.default_options (museum_queries ()))
   in

@@ -174,7 +174,7 @@ let last_two name =
   | [ f ] -> ("", f)
   | [] -> ("", "")
 
-(* Local module aliases (`module I = Search.Internal`) are resolved by
+(* Local module aliases (`module S = Search`) are resolved by
    the head ident's unique name, so a path through the alias compares
    equal to the target's own name. *)
 let aliases : (string, string) Hashtbl.t = Hashtbl.create 16
