@@ -28,7 +28,13 @@ let write_out path text =
     output_string oc "\n";
     close_out oc
 
-let load_store path = Rdf.Store.of_triples (Query.Parser.parse_triples (read_file path))
+let load_store ?(backend = Rdf.Backend.Hash) path =
+  let store = Rdf.Store.create ~backend () in
+  List.iter
+    (fun triple -> ignore (Rdf.Store.add store triple))
+    (Query.Parser.parse_triples (read_file path));
+  store
+
 let load_workload path = Query.Parser.parse_workload (read_file path)
 let load_schema path = Query.Parser.parse_schema (read_file path)
 
@@ -47,6 +53,7 @@ let exit_on_error code f =
   | Core.State_io.Syntax_error message -> fail "state file error: %s" message
   | Obs.Report.Bad_dump message -> fail "error: malformed metrics dump: %s" message
   | Usage_error message -> fail "error: %s" message
+  | Core.Selector.Unsupported_query message -> fail "error: %s" message
   | Workload.Generator.Store_too_small ->
     fail "error: generate_satisfiable: store too small"
   | Sys_error message -> fail "%s" message
@@ -122,10 +129,6 @@ let store_backend_arg =
            the default, fastest point mutation) or $(b,compact) (sorted \
            delta-compressed segments with zone maps — several times \
            smaller, for Barton-scale datasets).")
-
-(* Set before any store is built, so derived stores (copies, saturated
-   stores, counting stores) follow the same backend. *)
-let set_store_backend kind = Rdf.Backend.set_default kind
 
 (* Telemetry is off (a no-op sink) unless --metrics selects a registry,
    once, before the run starts.  A path error surfaces from the first
@@ -207,14 +210,6 @@ let select_cmd =
           ~doc:"Also materialize the views and report their sizes and the \
                 query answers.")
   in
-  let sql_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "sql" ] ~docv:"FILE"
-          ~doc:"Write a SQL deployment script (view DDL + rewriting queries) \
-                to $(docv); use - for stdout.")
-  in
   let state_out_arg =
     Arg.(
       value
@@ -244,12 +239,11 @@ let select_cmd =
              schedule, and a completed run reaches the sequential best \
              cost. See CONCURRENCY.md.")
   in
-  let run data workload schema reasoning strategy budget no_avf no_stv materialize sql
+  let run data workload schema reasoning strategy budget no_avf no_stv materialize
       state_out trace_states metrics jobs store_backend =
     handle_errors @@ fun () ->
     with_metrics metrics @@ fun () ->
-    set_store_backend store_backend;
-    let store = load_store data in
+    let store = load_store ~backend:store_backend data in
     let queries = load_workload workload in
     let schema = Option.map load_schema schema in
     let reasoning =
@@ -318,15 +312,6 @@ let select_cmd =
     List.iter
       (fun (q, r) -> Printf.printf "  %s = %s\n" q (Core.Rewriting.to_string r))
       result.Core.Selector.rewritings;
-    (match sql with
-    | Some "-" -> print_endline ("\n" ^ Core.Sql.deployment_script result)
-    | Some file ->
-      let oc = open_out file in
-      output_string oc (Core.Sql.deployment_script result);
-      output_string oc "\n";
-      close_out oc;
-      Printf.printf "\nSQL deployment script written to %s\n" file
-    | None -> ());
     (match state_out with
     | Some file ->
       Core.State_io.write_file file [ report.Core.Search.best ];
@@ -359,7 +344,7 @@ let select_cmd =
     Term.(
       const run $ data_arg $ workload_arg $ schema_opt_arg $ reasoning_arg
       $ strategy_arg $ budget_arg $ no_avf_arg $ no_stv_arg $ materialize_arg
-      $ sql_arg $ state_out_arg $ trace_states_arg $ metrics_arg
+      $ state_out_arg $ trace_states_arg $ metrics_arg
       $ jobs_arg $ store_backend_arg)
 
 (* ---------- check ----------------------------------------------------------- *)
@@ -515,8 +500,7 @@ let saturate_cmd =
   in
   let run data schema output count_only store_backend =
     handle_errors @@ fun () ->
-    set_store_backend store_backend;
-    let store = load_store data in
+    let store = load_store ~backend:store_backend data in
     let schema = load_schema schema in
     let before = Rdf.Store.size store in
     let added = Rdf.Entailment.saturate store schema in
@@ -538,8 +522,7 @@ let eval_cmd =
   let run data workload schema metrics store_backend =
     handle_errors @@ fun () ->
     with_metrics metrics @@ fun () ->
-    set_store_backend store_backend;
-    let store = load_store data in
+    let store = load_store ~backend:store_backend data in
     let queries = load_workload workload in
     let schema = Option.map load_schema schema in
     List.iter

@@ -167,5 +167,3 @@ let rec to_string = function
     "ρ[" ^ String.concat "," (List.map (fun (a, b) -> a ^ "→" ^ b) mapping)
     ^ "](" ^ to_string e ^ ")"
   | Union branches -> String.concat " ∪ " (List.map to_string branches)
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

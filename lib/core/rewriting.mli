@@ -58,6 +58,3 @@ val well_formed : env -> t -> bool
 
 val to_string : t -> string
 (** Single-line rendering of the plan, innermost operator first. *)
-
-val pp : Format.formatter -> t -> unit
-(** Formatter version of {!to_string}. *)

@@ -12,6 +12,8 @@ type result = {
   store_for_materialization : Rdf.Store.t;
 }
 
+exception Unsupported_query of string
+
 let reasoning_name = function
   | No_reasoning -> "none"
   | Saturation _ -> "saturation"
@@ -46,17 +48,31 @@ let recommended_views reasoning state =
       (fun v -> Query.Ucq.dedup (Query.Reformulation.reformulate v.View.cq schema))
       state.State.views
 
-(* The standard initial state of a workload, per mode (§5.1 / §4.3). *)
+(* The standard initial state of a workload, per mode (§5.1 / §4.3).
+   Each query (or disjunct) it starts from must be a valid view. *)
 let initial_state reasoning workload =
+  let check name cq =
+    match View.defect cq with
+    | Some reason ->
+      raise
+        (Unsupported_query
+           (Printf.sprintf "query %s: %s: %s" name reason (Query.Cq.to_string cq)))
+    | None -> ()
+  in
   match reasoning with
-  | No_reasoning | Saturation _ | Post_reformulation _ -> State.initial workload
+  | No_reasoning | Saturation _ | Post_reformulation _ ->
+    List.iter (fun q -> check q.Query.Cq.name q) workload;
+    State.initial workload
   | Pre_reformulation schema ->
-    State.initial_union
-      (List.map
-         (fun q ->
-           ( q.Query.Cq.name,
-             Query.Ucq.disjuncts (Query.Reformulation.reformulate q schema) ))
-         workload)
+    let groups =
+      List.map
+        (fun q ->
+          ( q.Query.Cq.name,
+            Query.Ucq.disjuncts (Query.Reformulation.reformulate q schema) ))
+        workload
+    in
+    List.iter (fun (name, disjuncts) -> List.iter (check name) disjuncts) groups;
+    State.initial_union groups
 
 let select ?jobs ~store ~reasoning ~options workload =
   let stats, store_for_materialization = statistics_for ~store reasoning in

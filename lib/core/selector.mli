@@ -35,6 +35,11 @@ type result = {
           otherwise *)
 }
 
+exception Unsupported_query of string
+(** Raised by {!select}, before the search, when a workload query (or,
+    under [Pre_reformulation], one of its disjuncts) cannot be a view
+    ({!View.defect}).  The message names the query and the reason. *)
+
 val reasoning_name : reasoning -> string
 (** Display name of the scenario ("none", "saturation", ...). *)
 

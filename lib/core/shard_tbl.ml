@@ -51,9 +51,4 @@ let visit t key rank =
   outcome
 [@@domain_safe]
 
-let mem t key =
-  let s = shard_of t key in
-  Multicore.Spinlock.with_lock s.lock (fun () -> State.Tbl.mem s.b_tbl key)
-[@@domain_safe]
-
 let population t = Atomic.get t.population [@@domain_safe]

@@ -25,8 +25,5 @@ val visit : t -> State.key -> int -> outcome
     section, so exactly one of two racing domains observes [New] for a
     given fresh key. *)
 
-val mem : t -> State.key -> bool
-(** [mem t key] is true once any domain has visited [key]. *)
-
 val population : t -> int
 (** Number of distinct keys across all shards (i.e. [New] outcomes). *)

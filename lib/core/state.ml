@@ -168,5 +168,3 @@ let to_string t =
       (List.map (fun (q, r) -> q ^ " = " ^ Rewriting.to_string r) t.rewritings)
   in
   "views:\n  " ^ views ^ "\nrewritings:\n  " ^ rewritings
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -91,6 +91,3 @@ val invariants_hold : t -> bool
 
 val to_string : t -> string
 (** Multi-line rendering: the views, then the rewritings. *)
-
-val pp : Format.formatter -> t -> unit
-(** Formatter version of {!to_string}. *)

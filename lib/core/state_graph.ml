@@ -111,11 +111,6 @@ let components nodes edges =
 
 let edge_pairs q = List.map (fun e -> (e.atom_a, e.atom_b)) (join_edges q)
 
-let is_connected_subset q nodes =
-  match nodes with
-  | [] -> false
-  | _ -> List.length (components nodes (edge_pairs q)) = 1
-
 (* The VB enumeration calls the connectivity test O(2^n) times on one
    view; recomputing (and re-sorting) the edge list inside every call
    dominated its profile.  The checker closes over the edge pairs

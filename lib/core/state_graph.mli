@@ -30,15 +30,12 @@ val join_edges : Query.Cq.t -> join_edge list
 
 val selection_edges : Query.Cq.t -> selection_edge list
 
-val is_connected_subset : Query.Cq.t -> int list -> bool
-(** Whether the subgraph induced by the given atom indices is
-    connected. *)
-
 val subset_checker : Query.Cq.t -> int list -> bool
-(** Partial application precomputes the view's edge pairs once; the
-    returned closure is {!is_connected_subset} without the per-call
-    edge recomputation.  Use when testing many subsets of one view
-    (the VB split enumeration). *)
+(** [subset_checker q nodes]: whether the subgraph of [q]'s view graph
+    induced by the atom indices [nodes] is connected (false when
+    [nodes] is empty).  Partial application precomputes the view's
+    edge pairs once; use it when testing many subsets of one view (the
+    VB split enumeration). *)
 
 val components_without_edge : Query.Cq.t -> join_edge -> int list list
 (** Connected components (lists of atom indices) of the view graph after

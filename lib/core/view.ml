@@ -16,16 +16,20 @@ type t = {
 
 let counter = Atomic.make 0
 
+let defect cq =
+  if not (Query.Cq.is_connected cq) then Some "body is a Cartesian product"
+  else
+    let head_names = List.filter_map Query.Qterm.var_name cq.Query.Cq.head in
+    if List.length (List.sort_uniq String.compare head_names)
+       <> List.length head_names
+    then Some "head repeats a variable"
+    else None
+
 let validate who cq =
-  if not (Query.Cq.is_connected cq) then
-    invalid_arg
-      ("View." ^ who ^ ": view with Cartesian product: " ^ Query.Cq.to_string cq);
-  let head_names = List.filter_map Query.Qterm.var_name cq.Query.Cq.head in
-  if List.length (List.sort_uniq String.compare head_names)
-     <> List.length head_names
-  then
-    invalid_arg
-      ("View." ^ who ^ ": duplicate head variable: " ^ Query.Cq.to_string cq)
+  match defect cq with
+  | Some reason ->
+    invalid_arg ("View." ^ who ^ ": " ^ reason ^ ": " ^ Query.Cq.to_string cq)
+  | None -> ()
 
 let wrap id cq =
   { id; cq; canon = None; canon_body = None; iid = None; body_iid = None }
@@ -86,5 +90,3 @@ let body_intern_id v =
 let reset_counter () = Atomic.set counter 0 [@@coordinator_only]
 
 let to_string v = Query.Cq.to_string v.cq
-
-let pp fmt v = Format.pp_print_string fmt (to_string v)

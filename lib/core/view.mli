@@ -18,11 +18,15 @@ type t = private {
           [Lazy.force] would raise. *)
 }
 
+val defect : Query.Cq.t -> string option
+(** Why the query cannot be a view, if it cannot: its body is
+    disconnected (views with Cartesian products are disallowed, §3.1)
+    or two head variables share a name (view columns must be
+    unambiguous). *)
+
 val make : Query.Cq.t -> t
 (** Wrap a query as a view under a fresh name.  Raises
-    [Invalid_argument] if the query's body is disconnected (views with
-    Cartesian products are disallowed, §3.1) or if two head variables
-    share a name (view columns must be unambiguous). *)
+    [Invalid_argument] with the {!defect} if there is one. *)
 
 val of_cq : Query.Cq.t -> t
 (** Wrap a query as a view {e keeping its name} (used when reloading
@@ -64,6 +68,3 @@ val reset_counter : unit -> unit
 
 val to_string : t -> string
 (** Datalog-style rendering, ["v3(?x) :- t(?x, <p>, ?y)."]. *)
-
-val pp : Format.formatter -> t -> unit
-(** Formatter version of {!to_string}. *)

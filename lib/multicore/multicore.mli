@@ -21,10 +21,6 @@ val cpu_relax : unit -> unit
 (** Hint to the processor inside a spin-wait loop ([Domain.cpu_relax]);
     a no-op on 4.x. *)
 
-val self_index : unit -> int
-(** A small integer identifying the running domain ([Domain.self] as an
-    int); [0] on 4.x.  For diagnostics only — indices are not dense. *)
-
 (** {1 Domains} *)
 
 type 'a handle

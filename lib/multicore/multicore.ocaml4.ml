@@ -12,8 +12,6 @@ let recommended_domain_count () = 1
 
 let cpu_relax () = ()
 
-let self_index () = 0
-
 type 'a handle = 'a
 
 let spawn _f =

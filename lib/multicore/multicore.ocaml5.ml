@@ -10,8 +10,6 @@ let recommended_domain_count () = Domain.recommended_domain_count ()
 
 let cpu_relax () = Domain.cpu_relax ()
 
-let self_index () = (Domain.self () :> int)
-
 type 'a handle = 'a Domain.t
 
 let spawn f = Domain.spawn f

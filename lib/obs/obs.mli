@@ -168,9 +168,6 @@ val spans : t -> span_event list
 val counters : t -> (string * int) list
 (** All registered counters, sorted by name. *)
 
-val histograms : t -> (string * histogram) list
-(** All registered histograms, sorted by name. *)
-
 val gauges : t -> (string * float) list
 (** All {e set} gauges, sorted by name. *)
 

@@ -60,5 +60,3 @@ let shares_var a b =
 let to_string t =
   Printf.sprintf "t(%s, %s, %s)" (Qterm.to_string t.s) (Qterm.to_string t.p)
     (Qterm.to_string t.o)
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

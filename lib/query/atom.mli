@@ -44,4 +44,3 @@ val shares_var : t -> t -> bool
 (** True when the two atoms have a variable in common (a join). *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

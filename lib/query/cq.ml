@@ -393,5 +393,3 @@ let to_string q =
   Printf.sprintf "%s(%s) :- %s" q.name
     (String.concat ", " (List.map Qterm.to_string q.head))
     (String.concat ", " (List.map Atom.to_string q.body))
-
-let pp fmt q = Format.pp_print_string fmt (to_string q)

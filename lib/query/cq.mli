@@ -100,4 +100,3 @@ val canonical_head_set_string : t -> string
     is reached through both SC orders, which permute the head). *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

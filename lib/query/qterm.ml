@@ -30,5 +30,3 @@ let reset_fresh_counter () = Atomic.set counter 0
 let to_string = function
   | Var x -> "?" ^ x
   | Cst c -> Rdf.Term.to_string c
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -27,4 +27,3 @@ val reset_fresh_counter : unit -> unit
 (** Reset the fresh-name counter; only for reproducible tests. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

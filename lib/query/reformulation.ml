@@ -99,8 +99,3 @@ let reformulate_atom atom schema =
     | _ :: _ -> head
   in
   reformulate (Cq.make ~name:"atom" ~head ~body:[ atom ]) schema
-
-let bound q schema =
-  let s = float_of_int (Rdf.Schema.size schema) in
-  let m = float_of_int (Cq.atom_count q) in
-  Float.pow (2. *. s *. s) m

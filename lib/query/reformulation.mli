@@ -28,9 +28,3 @@ val reformulate_atom : Atom.t -> Rdf.Schema.t -> Ucq.t
 (** Reformulation of the 1-atom query whose head projects all the atom's
     variables — the per-atom reformulation used by post-reformulation
     statistics (§4.3, Table 2). *)
-
-val bound : Cq.t -> Rdf.Schema.t -> float
-(** The [(2|S|^2)^m] bound of Theorem 4.1 on the number of output
-    queries.  The constant is too tight for very small schemas when
-    rules 5/6 fire (they bind a variable over the whole vocabulary);
-    see the adjusted-constant property in [test_reformulation.ml]. *)

@@ -43,42 +43,6 @@ end
 
 module Tbl = Hashtbl.Make (Key)
 
-(* ---------- 64-bit key packing ------------------------------------------
-
-   Dictionary codes are small: a row of w narrow columns usually fits
-   in one 62-bit word at [62 / w] bits per column.  When it does, the
-   whole row is hashed with a single multiply-xor mix of the packed
-   word instead of a w-step FNV loop — one multiplication per dedup
-   probe, and the packed compare in the fit check doubles as a cheap
-   prefilter.  The mode is chosen per set on first insert and sticks,
-   because the open-addressed slots cache row hashes: if a row ever
-   fails the fit check (a code too wide, or a different width), the
-   set demotes to FNV by rebuilding its index once. *)
-
-(* Bits per column for width [w]; 0 = don't pack (too many columns for
-   a useful per-column range). *)
-let choose_bits w = if w >= 1 && w <= 7 then 62 / w else 0
-
-(* Finalizing mix of the packed word (splitmix-style): multiplication
-   spreads the low-entropy column bits across the word, the xor-shift
-   folds the high half back down for the low slot-index bits. *)
-let mix k =
-  let h = k * 0x2545F4914F6CDD1D in
-  (h lxor (h lsr 31)) land max_int
-
-(* Packed word of [row] at [bits] per column, or [-1] when some
-   element does not fit (negative or >= 2^bits). *)
-let packed_key_row (row : int array) bits =
-  let w = Array.length row in
-  let lim = 1 lsl bits in
-  let rec go c k =
-    if c >= w then k
-    else
-      let v = Array.unsafe_get row c in
-      if v < 0 || v >= lim then -1 else go (c + 1) ((k lsl bits) lor v)
-  in
-  go 0 0
-
 type t = {
   mutable slots : int array;
       (* interleaved pairs: slot j is [slots.(2j)] = arena offset + 1
@@ -88,12 +52,6 @@ type t = {
   mutable count : int;
   mutable arena : int array;  (* rows, packed as consecutive [len; elems...] records *)
   mutable arena_n : int;  (* used prefix of [arena] *)
-  mutable pack_bits : int;
-      (* hashing mode, fixed while the slot index lives (slots cache
-         hashes): [0] = undecided (nothing inserted yet), [-1] = FNV-1a
-         over the elements, [b > 0] = rows of width [pack_width] packed
-         into one word at [b] bits per column and mixed *)
-  mutable pack_width : int;
 }
 
 let create n =
@@ -105,8 +63,6 @@ let create n =
     count = 0;
     arena = Array.make (max 64 (4 * n)) 0;
     arena_n = 0;
-    pack_bits = 0;
-    pack_width = 0;
   }
 
 (* Row at arena offset [o] (its length word) equals [row]?  Arena
@@ -168,41 +124,6 @@ let grow_slots t =
     end
   done
 
-(* Abandon packed hashing: every cached slot hash is stale, so the
-   index is rebuilt (FNV) from the arena — hash each packed row and
-   place it in the first free slot; arena rows are distinct by
-   construction, so no equality checks are needed.  At most once per
-   set. *)
-let demote t =
-  let rec pow2 c =
-    if c >= t.count * 2 || c >= Sys.max_array_length / 4 then c else pow2 (c * 2)
-  in
-  let cap = pow2 16 in
-  let slots = Array.make (2 * cap) 0 in
-  let mask = cap - 1 in
-  let arena = t.arena in
-  let o = ref 0 in
-  while !o < t.arena_n do
-    let n = Array.unsafe_get arena !o in
-    let h = ref 0x811c9dc5 in
-    for i = 0 to n - 1 do
-      h := (!h lxor Array.unsafe_get arena (!o + 1 + i)) * 0x01000193 land max_int
-    done;
-    let h = !h in
-    let rec free i =
-      let k = (h + i) land mask in
-      if Array.unsafe_get slots (2 * k) = 0 then k else free (i + 1)
-    in
-    let k = free 0 in
-    Array.unsafe_set slots (2 * k) (!o + 1);
-    Array.unsafe_set slots ((2 * k) + 1) h;
-    o := !o + 1 + n
-  done;
-  t.slots <- slots;
-  t.mask <- mask;
-  (* the rebuilt slots cache FNV hashes *)
-  t.pack_bits <- -1
-
 let ensure_arena t extra =
   let need = t.arena_n + extra in
   if need > Array.length t.arena then begin
@@ -211,43 +132,12 @@ let ensure_arena t extra =
     t.arena <- arena
   end
 
-let mem t row =
-  if t.pack_bits > 0 then
-    if Array.length row <> t.pack_width then false
-    else begin
-      let k = packed_key_row row t.pack_bits in
-      (* a row that does not fit the packing cannot be in the set:
-         every stored row passed this check on insert *)
-      k >= 0 && t.slots.(2 * find_slot t (mix k) row) > 0
-    end
-  else t.slots.(2 * find_slot t (Key.hash row) row) > 0
-
-(* Hash of [row] under the set's current mode, deciding the mode on
-   the first insert and demoting to FNV when a row does not pack. *)
-let insert_hash t row =
-  if t.pack_bits = 0 then begin
-    t.pack_width <- Array.length row;
-    t.pack_bits <- (match choose_bits (Array.length row) with 0 -> -1 | b -> b)
-  end;
-  if t.pack_bits > 0 then
-    if Array.length row <> t.pack_width then begin
-      demote t;
-      Key.hash row
-    end
-    else
-      match packed_key_row row t.pack_bits with
-      | -1 ->
-        demote t;
-        Key.hash row
-      | k -> mix k
-  else Key.hash row
-
 (* The row's elements are copied into the arena, so the caller keeps
    ownership of the array — one scratch buffer may be reused across
    calls. *)
 let add t row =
   if 2 * (t.count + 1) > t.mask + 1 then grow_slots t;
-  let h = insert_hash t row in
+  let h = Key.hash row in
   let j = find_slot t h row in
   if Array.unsafe_get t.slots (2 * j) > 0 then false
   else begin
@@ -289,97 +179,46 @@ let arena_equal_cols (arena : int array) o (cols : int array array) r w =
    the number of rows that were new. *)
 let add_columns t (cols : int array array) m =
   let w = Array.length cols in
-  if m = 0 then 0
-  else begin
-    while 2 * (t.count + m) > t.mask + 1 do
-      grow_slots t
+  while 2 * (t.count + m) > t.mask + 1 do
+    grow_slots t
+  done;
+  ensure_arena t (m * (w + 1));
+  let slots = t.slots and arena = t.arena and mask = t.mask in
+  let added = ref 0 in
+  for r = 0 to m - 1 do
+    let h = ref 0x811c9dc5 in
+    for c = 0 to w - 1 do
+      h :=
+        (!h lxor Array.unsafe_get (Array.unsafe_get cols c) r)
+        * 0x01000193 land max_int
     done;
-    ensure_arena t (m * (w + 1));
-    let added = ref 0 in
-    (* insert row [r] of the columns under hash [h]; shared by both loops *)
-    let insert_row slots arena mask r h =
-      let rec probe k =
-        let j = (h + k) land mask in
-        let off = Array.unsafe_get slots (2 * j) in
-        if
-          off = 0
-          || Array.unsafe_get slots ((2 * j) + 1) = h
-             && arena_equal_cols arena (off - 1) cols r w
-        then j
-        else probe (k + 1)
-      in
-      let j = probe 0 in
-      if Array.unsafe_get slots (2 * j) = 0 then begin
-        let o = t.arena_n in
-        Array.unsafe_set arena o w;
-        for c = 0 to w - 1 do
-          Array.unsafe_set arena (o + 1 + c)
-            (Array.unsafe_get (Array.unsafe_get cols c) r)
-        done;
-        t.arena_n <- o + 1 + w;
-        Array.unsafe_set slots (2 * j) (o + 1);
-        Array.unsafe_set slots ((2 * j) + 1) h;
-        t.count <- t.count + 1;
-        incr added
-      end
+    let h = !h in
+    let rec probe k =
+      let j = (h + k) land mask in
+      let off = Array.unsafe_get slots (2 * j) in
+      if
+        off = 0
+        || Array.unsafe_get slots ((2 * j) + 1) = h
+           && arena_equal_cols arena (off - 1) cols r w
+      then j
+      else probe (k + 1)
     in
-    if t.pack_bits = 0 then begin
-      t.pack_width <- w;
-      t.pack_bits <- (match choose_bits w with 0 -> -1 | bb -> bb)
-    end
-    else if t.pack_bits > 0 && w <> t.pack_width then demote t;
-    let i = ref 0 in
-    if t.pack_bits > 0 then begin
-      (* packed fast loop: one multiply-mix per row, straight out of
-         the column vectors; the first non-fitting row demotes the set
-         and hands the tail to the FNV loop below *)
-      let bits = t.pack_bits in
-      let lim = 1 lsl bits in
-      let slots = t.slots and arena = t.arena and mask = t.mask in
-      (try
-         while !i < m do
-           let r = !i in
-           let k = ref 0 in
-           let c = ref 0 in
-           while
-             !c < w
-             &&
-             let v = Array.unsafe_get (Array.unsafe_get cols !c) r in
-             v >= 0 && v < lim
-             && begin
-                  k := (!k lsl bits) lor v;
-                  true
-                end
-           do
-             incr c
-           done;
-           if !c < w then raise_notrace Exit;
-           insert_row slots arena mask r (mix !k);
-           incr i
-         done
-       with Exit -> demote t)
-    end;
-    if !i < m then begin
-      (* a demotion rebuilds the index sized to the current count only:
-         re-provision for the remaining rows *)
-      while 2 * (t.count + (m - !i)) > t.mask + 1 do
-        grow_slots t
+    let j = probe 0 in
+    if Array.unsafe_get slots (2 * j) = 0 then begin
+      let o = t.arena_n in
+      Array.unsafe_set arena o w;
+      for c = 0 to w - 1 do
+        Array.unsafe_set arena (o + 1 + c)
+          (Array.unsafe_get (Array.unsafe_get cols c) r)
       done;
-      let slots = t.slots and arena = t.arena and mask = t.mask in
-      while !i < m do
-        let r = !i in
-        let h = ref 0x811c9dc5 in
-        for c = 0 to w - 1 do
-          h :=
-            (!h lxor Array.unsafe_get (Array.unsafe_get cols c) r)
-            * 0x01000193 land max_int
-        done;
-        insert_row slots arena mask r !h;
-        incr i
-      done
-    end;
-    !added
-  end
+      t.arena_n <- o + 1 + w;
+      Array.unsafe_set slots (2 * j) (o + 1);
+      Array.unsafe_set slots ((2 * j) + 1) h;
+      t.count <- t.count + 1;
+      incr added
+    end
+  done;
+  !added
 
 let cardinal t = t.count
 

@@ -20,21 +20,11 @@ module Tbl : Hashtbl.S with type key = int array
 type t
 (** A set of rows (set semantics; the common case).  Open-addressed
     over a packed int arena: one probe sequence per membership test or
-    insert, no per-row allocation, and iteration in insertion order.
-
-    When a set's rows are narrow (width <= 7 and every code below
-    [2^(62/width)] — the usual case for dictionary-encoded results),
-    the whole row is packed into one 62-bit word and hashed with a
-    single multiply-xor mix instead of a per-column FNV loop.  The
-    mode is picked per set on the first insert and demoted to FNV
-    (one index rebuild) if a later row does not fit; semantics are
-    identical either way. *)
+    insert, no per-row allocation, and iteration in insertion order. *)
 
 val create : int -> t
 (** [create n] sizes the table for about [n] rows (it grows as
     needed). *)
-
-val mem : t -> int array -> bool
 
 val add : t -> int array -> bool
 (** [add t row] records [row] and returns [true] when unseen, [false]

@@ -36,5 +36,3 @@ let dedup t =
 
 let to_string t =
   String.concat "\n  UNION " (List.map Cq.to_string t.disjuncts)
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

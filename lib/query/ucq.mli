@@ -24,4 +24,3 @@ val dedup : t -> t
 (** Remove disjuncts that are duplicates up to variable renaming. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

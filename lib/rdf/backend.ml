@@ -2,13 +2,6 @@ type kind = Hash | Compact
 
 let kind_name = function Hash -> "hash" | Compact -> "compact"
 
-(* Atomic: the CLI sets it once at startup, and a store created on
-   any domain reads it. *)
-let default_kind = Atomic.make Hash
-
-let set_default k = Atomic.set default_kind k
-let default () = Atomic.get default_kind
-
 module type S = sig
   type t
 

@@ -12,14 +12,6 @@ type kind = Hash | Compact
 
 val kind_name : kind -> string
 
-val set_default : kind -> unit
-(** Backend used by {!Store.create} when none is requested — the
-    [--store-backend] CLI flag sets this before any store is built so
-    copies, saturated stores and counting stores follow suit.
-    Defaults to [Hash]. *)
-
-val default : unit -> kind
-
 (** Operations every backend implements over encoded triples.  Scan
     results follow the {!Store} contract: [(data, n)] with the first
     [3n] cells packed as [s; p; o]; each call's array must stay valid

@@ -32,11 +32,10 @@ type t = {
    unique because per-store caches are keyed by them. *)
 let next_id = Atomic.make 0
 
-let create ?backend () =
+let create ?(backend = Backend.Hash) () =
   let id = Atomic.fetch_and_add next_id 1 in
-  let kind = match backend with Some k -> k | None -> Backend.default () in
   let repr =
-    match kind with
+    match backend with
     | Backend.Hash -> Hash (Hash_backend.create ())
     | Backend.Compact -> Compact (Compact_backend.create ())
   in
@@ -52,7 +51,6 @@ let create ?backend () =
 let id t = t.id
 let version t = t.version
 let backend t = match t.repr with Hash _ -> Backend.Hash | Compact _ -> Backend.Compact
-let dictionary t = t.dict
 let dict_size t = Dictionary.size t.dict
 let encode_term t term = Dictionary.encode t.dict term
 let find_term t term = Dictionary.find t.dict term

@@ -19,9 +19,7 @@ type pattern = { ps : int option; pp : int option; po : int option }
 (** A lookup pattern: [None] positions are wildcards. *)
 
 val create : ?backend:Backend.kind -> unit -> t
-(** A fresh empty store on the given backend
-    (default {!Backend.default}, i.e. [Hash] unless the CLI's
-    [--store-backend] said otherwise). *)
+(** A fresh empty store on the given backend (default [Hash]). *)
 
 val backend : t -> Backend.kind
 
@@ -34,9 +32,6 @@ val version : t -> int
 (** Mutation counter: bumped on every successful {!add}/{!remove}.
     Cached plans use it to cheaply detect that compile-time cardinality
     estimates may have drifted. *)
-
-val dictionary : t -> Dictionary.t
-(** The shared dictionary of the store. *)
 
 val dict_size : t -> int
 (** Number of distinct encoded terms ([Dictionary.size]).  A compiled
@@ -119,7 +114,8 @@ val fold_column_codes : t -> [ `S | `P | `O ] -> (int -> 'a -> 'a) -> 'a -> 'a
 val fold_all : t -> (encoded -> 'a -> 'a) -> 'a -> 'a
 
 val copy : t -> t
-(** Deep copy sharing no mutable state (the dictionary is copied too). *)
+(** Deep copy on the same backend, sharing no mutable state (the
+    dictionary is copied too). *)
 
 val of_triples : Triple.t list -> t
 

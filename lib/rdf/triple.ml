@@ -25,5 +25,3 @@ let hash t =
 let to_string t =
   Printf.sprintf "(%s, %s, %s)" (Term.to_string t.s) (Term.to_string t.p)
     (Term.to_string t.o)
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -15,4 +15,3 @@ val equal : t -> t -> bool
 val hash : t -> int
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

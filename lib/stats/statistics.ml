@@ -22,9 +22,6 @@ let create ?(mode = Plain) store =
     term_sizes = Hashtbl.create 4;
   }
 
-let mode t = t.mode
-let store t = t.store
-
 (* Atoms are keyed by their constant pattern only: variable names are
    irrelevant to the count (they are relaxations of one another). *)
 let pattern_key (a : Query.Atom.t) =

@@ -33,10 +33,6 @@ val create : ?mode:mode -> Rdf.Store.t -> t
 (** [create ~mode store] builds a statistics cache over [store];
     [mode] defaults to [Plain]. *)
 
-val mode : t -> mode
-
-val store : t -> Rdf.Store.t
-
 val prewarm : t -> Query.Cq.t list -> unit
 (** The paper's offline gathering step: fill the memo with everything
     the cost model reads while searching from these queries.  That is

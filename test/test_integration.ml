@@ -119,6 +119,41 @@ let test_post_reformulation_views_are_ucqs () =
        (fun u -> Query.Ucq.cardinal u > 1)
        post.Core.Selector.recommended)
 
+(* A query whose body is a Cartesian product, or whose head repeats a
+   variable, is refused by name before the search, and so is a query
+   whose reformulation has such a disjunct: binding the property
+   variable [P] to a constant disconnects the two atoms. *)
+let test_unviewable_queries_refused () =
+  let cartesian =
+    cq ~name:"q1" [ v "X"; v "Y" ]
+      [ atom (v "X") (c "ex:p") (v "Z"); atom (v "Y") (c "ex:q") (v "W") ]
+  in
+  let repeated =
+    cq ~name:"q1" [ v "X"; v "X" ] [ atom (v "X") (c "ex:hasPainted") (v "Z") ]
+  in
+  let property_var =
+    cq ~name:"q1" [ v "X" ]
+      [ atom (v "X") (v "P") (v "O"); atom (v "P") (c "ex:q") (v "L") ]
+  in
+  let pre = Core.Selector.Pre_reformulation schema in
+  List.iter
+    (fun (q, reasoning, reason) ->
+      match
+        Core.Selector.select ~store:(data_store ()) ~reasoning ~options
+          [ q_painters; q ]
+      with
+      | _ -> Alcotest.fail "query accepted"
+      | exception Core.Selector.Unsupported_query message ->
+        check_bool message true
+          (String.starts_with ~prefix:("query q1: " ^ reason ^ ": ") message))
+    [
+      (cartesian, Core.Selector.No_reasoning, "body is a Cartesian product");
+      (cartesian, pre, "body is a Cartesian product");
+      (repeated, Core.Selector.No_reasoning, "head repeats a variable");
+      (repeated, pre, "head repeats a variable");
+      (property_var, pre, "body is a Cartesian product");
+    ]
+
 let test_pre_reformulation_initial_state_is_union () =
   let store = data_store () in
   let groups =
@@ -249,6 +284,8 @@ let () =
             test_post_reformulation_views_are_ucqs;
           Alcotest.test_case "pre-reformulation initial union" `Quick
             test_pre_reformulation_initial_state_is_union;
+          Alcotest.test_case "unviewable queries refused" `Quick
+            test_unviewable_queries_refused;
         ] );
       ( "offline",
         [

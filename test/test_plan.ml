@@ -209,6 +209,78 @@ let prop_executor_reference =
       in
       matches q && matches empty && matches cross)
 
+(* ---------- the row set ---------------------------------------------------- *)
+
+(* Interleaved [Rowset.add] and [Rowset.add_columns] against a list in
+   insertion order.  Rows are 0 to 9 wide, of one width per set or of
+   mixed widths, with codes up to 2^40 drawn from a small pool so that
+   rows repeat; batches of up to 40 rows from a 16-row hint force the
+   slot and arena arrays to grow. *)
+type rowset_op = Add of int array | Add_columns of int * int array list
+
+let gen_rowset_ops =
+  let open QCheck.Gen in
+  let code =
+    frequency
+      [
+        (4, int_range 0 3);
+        (1, oneofl [ 1 lsl 20; (1 lsl 31) + 5; 1 lsl 40 ]);
+      ]
+  in
+  let* fixed = bool in
+  let* w0 = int_range 0 9 in
+  let width = if fixed then return w0 else int_range 0 9 in
+  let op =
+    let* w = width in
+    let row = array_repeat w code in
+    frequency
+      [
+        (1, map (fun r -> Add r) row);
+        (1, map (fun rows -> Add_columns (w, rows)) (list_size (int_range 0 40) row));
+      ]
+  in
+  list_size (int_range 1 30) op
+
+let print_rowset_ops ops =
+  let row r = "[" ^ String.concat ";" (Array.to_list (Array.map string_of_int r)) ^ "]" in
+  String.concat "\n"
+    (List.map
+       (function
+         | Add r -> "add " ^ row r
+         | Add_columns (w, rows) ->
+           Printf.sprintf "add_columns w=%d %s" w (String.concat " " (List.map row rows)))
+       ops)
+
+let prop_rowset_reference =
+  QCheck.Test.make ~name:"add/add_columns = reference set" ~count:300
+    (QCheck.make ~print:print_rowset_ops gen_rowset_ops)
+    (fun ops ->
+      let set = Query.Rowset.create 16 in
+      let seen = Hashtbl.create 64 and order = ref [] in
+      let ref_add r =
+        let key = Array.to_list r in
+        if Hashtbl.mem seen key then false
+        else begin
+          Hashtbl.replace seen key ();
+          order := Array.copy r :: !order;
+          true
+        end
+      in
+      let step = function
+        | Add r -> Query.Rowset.add set r = ref_add r
+        | Add_columns (w, rows) ->
+          let rows = Array.of_list rows in
+          let cols = Array.init w (fun c -> Array.map (fun r -> r.(c)) rows) in
+          let expected = Array.fold_left (fun n r -> if ref_add r then n + 1 else n) 0 rows in
+          Query.Rowset.add_columns set cols (Array.length rows) = expected
+      in
+      List.for_all step ops
+      &&
+      let inserted = List.rev !order in
+      Query.Rowset.cardinal set = List.length inserted
+      && Query.Rowset.elements set = inserted
+      && Query.Rowset.fold (fun r acc -> r :: acc) set [] = !order)
+
 (* ---------- directed plan tests ------------------------------------------ *)
 
 let small_store () =
@@ -343,6 +415,7 @@ let () =
           to_alcotest prop_executor_reference;
           to_alcotest prop_bound_plan;
         ] );
+      ("rowset", [ to_alcotest prop_rowset_reference ]);
       ( "plans",
         [
           Alcotest.test_case "impossible constant" `Quick
