@@ -110,7 +110,8 @@ let metrics_arg =
           "Write run telemetry (named counters, histograms, gauges, series \
            and trace spans — per-transition counts and timings, per-stratum \
            search outcomes, the best-cost trajectory, \
-           cost-estimator cache hits, store probe counts, GC totals) as \
+           incremental and full cost evaluations, store probe counts, GC \
+           totals) as \
            JSON to $(docv).  $(docv) is written before the run, so a bad \
            path fails early, and again at its end, also when the run \
            fails (render it with $(b,rdfviews report) $(docv)).  Use - to \

@@ -29,9 +29,11 @@ let check_resources rs =
   | Some cap -> if rs.live_states > cap then raise (Resources_exhausted `Memory)
   | None -> ()
 
+let cost rs s = Cost.state_cost rs.estimator s
+
 (* Full closure of a one-query state under VB, SC and JC (stratified
    development, as in [21]: view breaks and edge removals on the isolated
-   query). *)
+   query).  Each developed state comes with its cost. *)
 let develop_query rs state =
   let seen = State.Tbl.create 256 in
   let results = ref [] in
@@ -47,7 +49,7 @@ let develop_query rs state =
       State.Tbl.replace seen key ();
       rs.live_states <- rs.live_states + 1;
       check_resources rs;
-      results := s :: !results;
+      results := (s, cost rs s) :: !results;
       Queue.add (s, rank) pending
     end
   in
@@ -73,15 +75,13 @@ let merge_states a b =
   in
   Transition.fusion_closure merged
 
-let cost rs s = Cost.state_cost rs.estimator s
-
-let best_of rs states =
-  match states with
+(* The cheapest (state, cost) pair, the first one on ties. *)
+let best_of = function
   | [] -> None
   | first :: rest ->
     Some
       (List.fold_left
-         (fun acc s -> if cost rs s < cost rs acc then s else acc)
+         (fun ((_, c) as acc) ((_, c') as e) -> if c' < c then e else acc)
          first rest)
 
 (* Pairwise-dominance pruning as in [21]: a combined partial state is
@@ -90,7 +90,7 @@ let best_of rs states =
    count (cheaper with no more views dominates). *)
 let prune_dominated rs states =
   let info =
-    List.map (fun s -> (s, cost rs s, List.length s.State.views)) states
+    List.map (fun (s, c) -> (s, c, List.length s.State.views)) states
   in
   let dominated (s, c, n) =
     List.exists
@@ -101,7 +101,7 @@ let prune_dominated rs states =
   in
   let kept = List.filter (fun entry -> not (dominated entry)) info in
   rs.discarded <- rs.discarded + (List.length states - List.length kept);
-  List.map (fun (s, _, _) -> s) kept
+  List.map (fun (s, c, _) -> (s, c)) kept
 
 (* Heuristic selection of the per-query states to retain: the best one,
    plus any state sharing a fusable view body with some other query's
@@ -109,7 +109,7 @@ let prune_dominated rs states =
 let heuristic_filter rs per_query =
   let body_keys states =
     List.concat_map
-      (fun s -> List.map View.canonical_body s.State.views)
+      (fun (s, _) -> List.map View.canonical_body s.State.views)
       states
     |> List.sort_uniq String.compare
   in
@@ -120,15 +120,15 @@ let heuristic_filter rs per_query =
           (List.filteri (fun j _ -> j <> i) per_query)
       in
       let other_keys = body_keys others in
-      let best = best_of rs states in
-      let fusable s =
+      let best = best_of states in
+      let fusable (s, _) =
         List.exists
           (fun v -> List.mem (View.canonical_body v) other_keys)
           s.State.views
       in
-      let is_best s =
+      let is_best (s, _) =
         (* lint: allow phys-equal — identity of the already-chosen best *)
-        match best with Some b -> s == b | None -> false
+        match best with Some (b, _) -> s == b | None -> false
       in
       let kept = List.filter (fun s -> is_best s || fusable s) states in
       rs.discarded <- rs.discarded + (List.length states - List.length kept);
@@ -144,12 +144,13 @@ let combine rs which per_query =
       (fun combos states ->
         let merged =
           List.concat_map
-            (fun c ->
+            (fun (c, _) ->
               List.map
-                (fun s ->
+                (fun (s, _) ->
                   rs.created <- rs.created + 1;
                   check_resources rs;
-                  merge_states c s)
+                  let m = merge_states c s in
+                  (m, cost rs m))
                 states)
             combos
         in
@@ -158,7 +159,7 @@ let combine rs which per_query =
         let kept =
           match which with
           | Greedy -> (
-            match best_of rs merged with Some b -> [ b ] | None -> [])
+            match best_of merged with Some b -> [ b ] | None -> [])
           | Pruning | Heuristic -> prune_dominated rs merged
         in
         rs.live_states <- rs.live_states + List.length kept;
@@ -198,19 +199,19 @@ let run estimator options which workload =
         | Greedy -> per_query
       in
       let combos = combine rs which per_query in
-      `Finished (best_of rs combos)
+      `Finished (best_of combos)
     with Resources_exhausted reason -> `Exhausted reason
   in
-  let best, completed, oom =
+  let (best, best_cost), completed, oom =
     match outcome with
-    | `Finished (Some b) when cost rs b <= initial_cost -> (b, true, false)
-    | `Finished _ -> (reference, true, false)
-    | `Exhausted `Memory -> (reference, false, true)
-    | `Exhausted `Time -> (reference, false, false)
+    | `Finished (Some (b, c)) when c <= initial_cost -> ((b, c), true, false)
+    | `Finished _ -> ((reference, initial_cost), true, false)
+    | `Exhausted `Memory -> ((reference, initial_cost), false, true)
+    | `Exhausted `Time -> ((reference, initial_cost), false, false)
   in
   {
     Search.best;
-    best_cost = Cost.state_cost estimator best;
+    best_cost;
     initial_cost;
     created = rs.created;
     duplicates = rs.duplicates;

@@ -9,12 +9,9 @@ type weights = {
 
 let default_weights = { cs = 1.; cr = 1.; cm = 0.5; c1 = 1.; c2 = 1.; f = 2. }
 
-(* Estimator telemetry: the state-cost memo's hit rate, the number of
-   algebra nodes estimated, the time spent computing non-memoized
-   state costs from scratch, and the incremental path's share
-   (delta-applied vs full-recompute). *)
-let obs_state_hits = Obs.cached_counter "cost.state.hits"
-let obs_state_misses = Obs.cached_counter "cost.state.misses"
+(* Estimator telemetry: the number of algebra nodes estimated, the time
+   spent computing state costs from scratch, and the incremental path's
+   share (delta-applied vs full-recompute). *)
 let obs_estimate_nodes = Obs.cached_counter "cost.estimate.nodes"
 let obs_state_eval = Obs.cached_histogram "cost.state.eval"
 let obs_delta_incremental = Obs.cached_counter "cost.delta.incremental"
@@ -26,18 +23,14 @@ type view_profile = {
   width : float;                      (* bytes per tuple *)
 }
 
-(* A memoized state cost with enough structure to be updated by a
-   transition delta: the three unweighted components and the weighted
-   per-rewriting REC contributions, in rewriting order.  [chain] counts
-   incremental steps since the last full recompute; VSO and VMC drift
-   by float re-association a little on every step, so the chain length
-   is capped (REC reuse is exact: untouched rewritings keep their
-   contribution bit-for-bit).  [rep] is the serial of the state the
-   node was computed for: states with the same key share their views
-   but may differ in their rewritings, hence in REC, so an entry
-   serves only its own representative. *)
+(* A state cost with enough structure to be updated by a transition
+   delta: the three unweighted components and the weighted per-rewriting
+   REC contributions, in rewriting order.  [chain] counts incremental
+   steps since the last full recompute; VSO and VMC drift by float
+   re-association a little on every step, so the chain length is capped
+   (REC reuse is exact: untouched rewritings keep their contribution
+   bit-for-bit). *)
 type node = {
-  rep : int;
   total : float;
   vso_n : float;
   rec_n : float;
@@ -50,20 +43,9 @@ type t = {
   stats : Stats.Statistics.t;
   weights : weights;
   profiles : (string, view_profile) Hashtbl.t;  (* by view name *)
-  costs : node State.Tbl.t;  (* by state key, one representative each *)
-  mutable memo_hits : int;
-  mutable memo_misses : int;
 }
 
-let create stats weights =
-  {
-    stats;
-    weights;
-    profiles = Hashtbl.create 1024;
-    costs = State.Tbl.create 1024;
-    memo_hits = 0;
-    memo_misses = 0;
-  }
+let create stats weights = { stats; weights; profiles = Hashtbl.create 1024 }
 
 let weights t = t.weights
 let stats t = t.stats
@@ -239,9 +221,10 @@ let sum_per_rw per_rw = List.fold_left (fun acc (_, c) -> acc +. c) 0. per_rw
 let total_of t ~vso_n ~rec_n ~vmc_n =
   (t.weights.cs *. vso_n) +. (t.weights.cr *. rec_n) +. (t.weights.cm *. vmc_n)
 
-(* The reference path: everything from scratch.  Both [breakdown] and
-   the memo's full recomputes go through here, so the strict-mode
-   cross-checks compare the incremental result against exactly this. *)
+(* The reference path: everything from scratch.  [breakdown], [root]
+   and the incremental path's fallbacks all go through here, so the
+   strict-mode cross-check compares the incremental result against
+   exactly this. *)
 let node_full t (s : State.t) =
   let vso_n = vso t s in
   let vmc_n = vmc t s in
@@ -250,7 +233,6 @@ let node_full t (s : State.t) =
   in
   let rec_n = sum_per_rw per_rw in
   {
-    rep = s.State.serial;
     total = total_of t ~vso_n ~rec_n ~vmc_n;
     vso_n;
     rec_n;
@@ -259,39 +241,17 @@ let node_full t (s : State.t) =
     chain = 0;
   }
 
+let total n = n.total
+
+let root t s = Obs.time (obs_state_eval ()) (fun () -> node_full t s)
+
+let state_cost t s = total (root t s)
+
 type breakdown = { vso_part : float; rec_part : float; vmc_part : float; total : float }
 
 let breakdown t s =
   let n = node_full t s in
   { vso_part = n.vso_n; rec_part = n.rec_n; vmc_part = n.vmc_n; total = n.total }
-
-let memo_counts t = (t.memo_hits, t.memo_misses)
-
-let note_hit t =
-  t.memo_hits <- t.memo_hits + 1;
-  Obs.incr (obs_state_hits ())
-
-let note_miss t =
-  t.memo_misses <- t.memo_misses + 1;
-  Obs.incr (obs_state_misses ())
-
-(* The memoized node of [s] itself: an entry left by another state
-   with the same views does not count. *)
-let memo_find t s =
-  match State.Tbl.find_opt t.costs (State.key s) with
-  | Some n when n.rep = s.State.serial -> Some n
-  | Some _ | None -> None
-
-let state_cost t s =
-  match memo_find t s with
-  | Some n ->
-    note_hit t;
-    n.total
-  | None ->
-    note_miss t;
-    let n = Obs.time (obs_state_eval ()) (fun () -> node_full t s) in
-    State.Tbl.replace t.costs (State.key s) n;
-    n.total
 
 (* ---------- incremental costing ------------------------------------------ *)
 
@@ -309,15 +269,15 @@ exception Delta_mismatch
    re-estimated in the child.  Untouched rewritings are physically
    shared with the parent and scan only surviving views, whose profiles
    are memoized by name — their cached contributions are bit-exact. *)
-let node_delta t parent_node (d : Delta.t) (child : State.t) =
+let node_delta t parent (d : Delta.t) (child : State.t) =
   let sum f vs = List.fold_left (fun acc v -> acc +. f v) 0. vs in
   let vso_n =
-    parent_node.vso_n
+    parent.vso_n
     -. sum (view_size t) d.Delta.views_removed
     +. sum (view_size t) d.Delta.views_added
   in
   let vmc_n =
-    parent_node.vmc_n
+    parent.vmc_n
     -. sum (view_maintenance t) d.Delta.views_removed
     +. sum (view_maintenance t) d.Delta.views_added
   in
@@ -327,73 +287,46 @@ let node_delta t parent_node (d : Delta.t) (child : State.t) =
       (fun (q, cached) (q', r) ->
         if not (String.equal q q') then raise Delta_mismatch;
         if touched q then (q, weighted_rw t child r) else (q, cached))
-      parent_node.per_rw child.State.rewritings
+      parent.per_rw child.State.rewritings
   in
   let rec_n = sum_per_rw per_rw in
   {
-    rep = child.State.serial;
     total = total_of t ~vso_n ~rec_n ~vmc_n;
     vso_n;
     rec_n;
     vmc_n;
     per_rw;
-    chain = parent_node.chain + 1;
+    chain = parent.chain + 1;
   }
 
-let node_of t s =
-  match memo_find t s with
-  | Some n -> n
-  | None ->
-    let n = node_full t s in
-    State.Tbl.replace t.costs (State.key s) n;
-    n
-
-let state_cost_delta ?(memoize = true) ~strict t ~parent ~delta child =
-  match memo_find t child with
-  | Some n ->
-    note_hit t;
-    n.total
-  | None ->
-    note_miss t;
-    let parent_node = node_of t parent in
-    let n =
-      if parent_node.chain >= max_chain then begin
+let child ~strict t ~parent ~delta s =
+  let n =
+    if parent.chain >= max_chain then begin
+      Obs.incr (obs_delta_full ());
+      root t s
+    end
+    else
+      match node_delta t parent delta s with
+      | n ->
+        Obs.incr (obs_delta_incremental ());
+        n
+      | exception (Delta_mismatch | Invalid_argument _) ->
+        (* the delta does not line up with the child's rewritings (a
+           caller outside the transition pipeline); fall back to the
+           reference path *)
         Obs.incr (obs_delta_full ());
-        Obs.time (obs_state_eval ()) (fun () -> node_full t child)
-      end
-      else
-        match node_delta t parent_node delta child with
-        | n ->
-          Obs.incr (obs_delta_incremental ());
-          n
-        | exception (Delta_mismatch | Invalid_argument _) ->
-          (* the delta does not line up with the child's rewritings (a
-             caller outside the transition pipeline); fall back to the
-             reference path *)
-          Obs.incr (obs_delta_full ());
-          Obs.time (obs_state_eval ()) (fun () -> node_full t child)
-    in
-    if strict && n.chain > 0 then begin
-      let reference = node_full t child in
-      let scale =
-        Float.max 1. (Float.max (Float.abs n.total) (Float.abs reference.total))
-      in
-      if Float.abs (n.total -. reference.total) > delta_tolerance *. scale then
-        failwith
-          (Printf.sprintf
-             "Cost.state_cost_delta: incremental cost %.12g diverged from \
-              full recompute %.12g on state %s"
-             n.total reference.total (State.key_string child))
-    end;
-    if memoize then State.Tbl.replace t.costs (State.key child) n;
-    n.total
-
-let memo_consistent t s =
-  match memo_find t s with
-  | None -> true
-  | Some memoized ->
-    let fresh = (node_full t s).total in
+        root t s
+  in
+  if strict && n.chain > 0 then begin
+    let reference = node_full t s in
     let scale =
-      Float.max 1. (Float.max (Float.abs memoized.total) (Float.abs fresh))
+      Float.max 1. (Float.max (Float.abs n.total) (Float.abs reference.total))
     in
-    Float.abs (memoized.total -. fresh) <= delta_tolerance *. scale
+    if Float.abs (n.total -. reference.total) > delta_tolerance *. scale then
+      failwith
+        (Printf.sprintf
+           "Cost.child: incremental cost %.12g diverged from full recompute \
+            %.12g on state %s"
+           n.total reference.total (State.key_string s))
+  end;
+  n

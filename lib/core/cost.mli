@@ -24,12 +24,13 @@ val default_weights : weights
 (** The paper's §6 settings: cs = cr = c1 = c2 = 1, cm = 0.5, f = 2. *)
 
 type t
-(** A cost estimator: statistics plus weights plus memo tables. *)
+(** A cost estimator: statistics plus weights plus a table of view
+    profiles (cardinality, column distincts, width). *)
 
 val create : Stats.Statistics.t -> weights -> t
-(** A fresh estimator with empty memo tables.  Memoization keys on
-    interned view identity, so one estimator must only be used with one
-    interner epoch (see {!Interning.reset}). *)
+(** A fresh estimator with an empty profile table.  Profiles are keyed
+    by view name, so one estimator must not outlive a
+    {!View.reset_counter}. *)
 
 val weights : t -> weights
 (** The weights the estimator was created with. *)
@@ -51,48 +52,37 @@ val vmc : t -> State.t -> float
 val rewriting_cost : t -> State.t -> Rewriting.t -> float * float
 (** [(io, cpu)] estimation for one rewriting in the given state. *)
 
+type node
+(** A state's cost with the structure the incremental path updates: the
+    three unweighted components, the weighted REC contribution of each
+    rewriting, and the number of incremental steps since the last full
+    recompute.  The estimator keeps no node: the search holds each
+    state's node beside the state until the state is expanded. *)
+
+val root : t -> State.t -> node
+(** The full recompute of cε(S), timed under [cost.state.eval]. *)
+
+val child :
+  strict:bool -> t -> parent:node -> delta:Delta.t -> State.t -> node
+(** The node of a successor, computed from its parent's node: VSO and
+    VMC are updated by the delta's removed/added views, and only the
+    touched rewritings are re-estimated — every untouched rewriting
+    keeps its parent's REC contribution bit-for-bit.  Falls back to
+    {!root} when the delta does not line up with the child, or after
+    {e max_chain} = 24 consecutive incremental steps (bounding float
+    drift in VSO/VMC).  With [~strict:true] (the search passes strict
+    mode, read once per run) every incremental result is cross-checked
+    against the full recompute within a relative tolerance of 1e-6;
+    divergence raises [Failure]. *)
+
+val total : node -> float
+(** cε of the node's state. *)
+
 val state_cost : t -> State.t -> float
-(** cε(S), memoized on {!State.key} (compact interned-id keys, hashed
-    once per state).  States with the same key have the same views but
-    may differ in their rewritings, hence in REC: the memo keeps one
-    representative per key and answers only for it, so the result is
-    always the cost of [S] itself. *)
-
-val state_cost_delta :
-  ?memoize:bool ->
-  strict:bool ->
-  t ->
-  parent:State.t ->
-  delta:Delta.t ->
-  State.t ->
-  float
-(** cε(child), computed incrementally from the parent's memoized cost:
-    VSO and VMC are updated by the delta's removed/added views, and only
-    the touched rewritings are re-estimated — every untouched rewriting
-    keeps its cached REC contribution bit-for-bit.  Falls back to the
-    full recompute when the parent was never costed, when the delta does
-    not line up with the child, or after {e max_chain} consecutive
-    incremental steps (bounding float drift in VSO/VMC).  With
-    [~strict:true] (the search passes strict mode, read once per run)
-    every incremental result is cross-checked against the full
-    recompute within a relative tolerance of 1e-6; divergence raises
-    [Failure].  The result is memoized exactly like
-    {!state_cost}, replacing the key's representative, unless
-    [memoize] is [false] (for a state that will not be expanded). *)
-
-val memo_counts : t -> int * int
-(** Cumulative state-cost memo [(hits, misses)] of this estimator. *)
+(** cε(S), from scratch: [total (root t s)]. *)
 
 type breakdown = { vso_part : float; rec_part : float; vmc_part : float; total : float }
 
 val breakdown : t -> State.t -> breakdown
 (** Unweighted components and the weighted total, for reporting. *)
 
-val memo_consistent : t -> State.t -> bool
-(** True when the memoized cost for the state (if any) agrees with a
-    fresh full recomputation within a relative tolerance of 1e-6 (the
-    memoized value may have been produced by the incremental path, whose
-    VSO/VMC components drift by float re-association).  States never
-    memoized are vacuously consistent.  This is the
-    incremental-vs-reference cross-check {!Invariant.check_costs} runs
-    on every accepted state in strict mode. *)

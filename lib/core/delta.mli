@@ -3,7 +3,7 @@
     Every transition (Definitions 3.2–3.5) removes one or two views,
     adds one or two replacement views, and substitutes the removed
     symbols inside the rewritings that mention them.  The delta records
-    exactly that, letting {!Cost.state_cost_delta} compute the child's
+    exactly that, letting {!Cost.child} compute the child's
     cost as parent − removed contributions + added contributions, with
     only the touched rewritings re-estimated. *)
 

@@ -325,8 +325,6 @@ let check_costs estimator state =
     note
       (Printf.sprintf "total %g is not the weighted sum of its parts (%g)"
          b.Cost.total recombined);
-  if not (Cost.memo_consistent estimator state) then
-    note "memoized cost disagrees with recomputation";
   List.rev !problems
 
 (* A parent/child edge is replayable when some single transition from the

@@ -9,7 +9,7 @@
     ({!Query.Cq.contained_in}), disjunct-wise for unions
     (Sagiv–Yannakakis).  On top of that semantic core, the checker
     validates structural well-formedness ({!State.structural_violations}),
-    cost-model sanity (finite, non-negative, memo-consistent estimates)
+    cost-model sanity (finite, non-negative, self-consistent estimates)
     and state-graph edges (parent/child pairs replayable by a
     transition).
 
@@ -65,8 +65,9 @@ val ucq_equivalent : Query.Cq.t list -> Query.Cq.t list -> bool
 
 val check_costs : Cost.t -> State.t -> violation list
 (** Per-view and per-state estimates are finite and non-negative, the
-    total is the weighted sum of its parts, and the memo table agrees
-    with recomputation. *)
+    total is the weighted sum of its parts.  The incremental cost the
+    search derives for the state is checked against the full recompute
+    by {!Cost.child} itself. *)
 
 val check_edge : parent:State.t -> child:State.t -> violation list
 (** The child's view set is producible from the parent by one transition

@@ -160,7 +160,7 @@ let note_best engine state cost =
 
 (* The first half of successor admission: the AVF collapse, composing
    its fusion deltas on top of the transition's own change so the pair
-   handed to {!Cost.state_cost_delta} always describes parent →
+   handed to {!Cost.child} always describes parent →
    collapsed state.  Every parent is itself collapsed, so only pairs
    with one of the views the transition added (placed first) can fuse. *)
 let collapse options ~delta state =
@@ -183,16 +183,15 @@ let strict engine = Option.is_some engine.strict_reference
 
 (* A key names a view set: a state reached again along another path
    has the same views but may carry other rewritings, hence another
-   REC.  Every arrival is costed, so the incumbent is the cheapest state
-   generated whichever path reaches a key first, an order a parallel
-   run does not share.  Only a state that will be expanded ([memoize])
-   replaces the key's memoized cost; one that becomes the incumbent is
-   strict-checked like an accepted state. *)
-let cost_arrival engine ~memoize ~parent ~delta state =
-  let cost =
-    Cost.state_cost_delta ~memoize ~strict:(strict engine) engine.estimator
-      ~parent ~delta state
+   REC.  Every arrival is costed from its parent's node, so the
+   incumbent is the cheapest state generated whichever path reaches a
+   key first, an order a parallel run does not share.  One that becomes
+   the incumbent is strict-checked like an accepted state. *)
+let cost_arrival engine ~parent ~delta state =
+  let node =
+    Cost.child ~strict:(strict engine) engine.estimator ~parent ~delta state
   in
+  let cost = Cost.total node in
   if cost < engine.best_cost then begin
     (match engine.strict_reference with
     | Some reference ->
@@ -200,7 +199,7 @@ let cost_arrival engine ~memoize ~parent ~delta state =
     | None -> ());
     note_best engine state cost
   end;
-  cost
+  node
 
 (* Successors pruned by the stop conditions inside {!Transition}: created
    and discarded at once, never built. *)
@@ -216,51 +215,47 @@ let note_discarded engine ~rank n =
 
 (* The mutating half: account, dedup against the seen-table, cost,
    strict-check.  Expects an already-{!collapse}d state that passes the
-   stop conditions.  Returns [Some (state, rank)] when the state is new
-   (or re-opened at a lower stratum) and should be expanded further. *)
+   stop conditions and the node of its [parent].  Returns
+   [Some (state, rank, node)] when the state is new (or re-opened at a
+   lower stratum) and should be expanded further. *)
 let register engine ~rank ~parent ~delta state =
   engine.created <- engine.created + 1;
   Obs.incr (obs_created ());
   Obs.incr (obs_stratum_created.(rank) ());
   match Shard_tbl.visit engine.seen (State.key state) rank with
   | Shard_tbl.Duplicate ->
-    ignore (cost_arrival engine ~memoize:false ~parent ~delta state : float);
+    ignore (cost_arrival engine ~parent ~delta state : Cost.node);
     engine.duplicates <- engine.duplicates + 1;
     Obs.incr (obs_duplicates ());
     Obs.incr (obs_stratum_duplicates.(rank) ());
     None
   | Shard_tbl.Reopened ->
     (* reached again, but at a lower stratum: re-open *)
-    ignore (cost_arrival engine ~memoize:true ~parent ~delta state : float);
+    let node = cost_arrival engine ~parent ~delta state in
     engine.duplicates <- engine.duplicates + 1;
     Obs.incr (obs_duplicates ());
     Obs.incr (obs_reopened ());
     Obs.incr (obs_stratum_duplicates.(rank) ());
     Obs.incr (obs_stratum_reopened.(rank) ());
-    Some (state, rank)
+    Some (state, rank, node)
   | Shard_tbl.New ->
-    (* cost first, then the strict assertion: the incremental result
-       must be memoized before Invariant's memo_consistent check so
-       that the check exercises the delta path, not a fresh full
-       recompute of its own *)
-    let cost =
-      Cost.state_cost_delta ~strict:(strict engine) engine.estimator ~parent
-        ~delta state
+    let node =
+      Cost.child ~strict:(strict engine) engine.estimator ~parent ~delta state
     in
     (match engine.strict_reference with
     | Some reference ->
       Invariant.assert_valid ~estimator:engine.estimator reference state
     | None -> ());
-    note_best engine state cost;
+    note_best engine state (Cost.total node);
     (match engine.options.on_accept with
     | Some hook -> hook state
     | None -> ());
-    Some (state, rank)
+    Some (state, rank, node)
 
-(* Generate the successors of [parent] by one transition kind and admit
-   them: stop-violating ones are pruned before they are built, the rest
-   are collapsed and registered. *)
-let admit engine ~rank ~parent kind =
+(* Generate the successors of [parent] (of cost node [node]) by one
+   transition kind and admit them: stop-violating ones are pruned before
+   they are built, the rest are collapsed and registered. *)
+let admit engine ~rank ~parent ~node kind =
   let built, pruned =
     Transition.successors_with_delta ?stop:engine.stop ~strict:(strict engine)
       parent kind
@@ -269,7 +264,7 @@ let admit engine ~rank ~parent kind =
   List.filter_map
     (fun (succ, delta) ->
       let succ, delta = collapse engine.options ~delta succ in
-      register engine ~rank ~parent ~delta succ)
+      register engine ~rank ~parent:node ~delta succ)
     built
 
 let allowed_kinds options rank =
@@ -288,12 +283,12 @@ let note_explored engine =
   engine.explored <- engine.explored + 1;
   Obs.incr (obs_explored ())
 
-let expand engine state rank =
+let expand engine (state, rank, node) =
   note_explored engine;
   Obs.time (obs_expand_hist ()) @@ fun () ->
   List.concat_map
     (fun kind ->
-      admit engine ~rank:(rank_of engine.options kind) ~parent:state kind)
+      admit engine ~rank:(rank_of engine.options kind) ~parent:state ~node kind)
     (allowed_kinds engine.options rank)
 
 (* ---------- the work-stealing worklist ------------------------------------ *)
@@ -305,15 +300,19 @@ let expand engine state rank =
    another.  One expansion's successors are pushed so that their owner
    pops them in the order {!expand} returned them, so a single domain
    expands exactly in the paper's depth-first (resp. breadth-first)
-   order.  The other slots run on {!fork}s of the coordinator's engine,
-   {!merge}d back after the join. *)
+   order.  An item is a state, its stratum rank and its cost node, so
+   whichever domain expands it costs the successors from that node.  The
+   other slots run on {!fork}s of the coordinator's engine, {!merge}d
+   back after the join. *)
+
+type item = State.t * int * Cost.node
 
 (* A two-stack deque under a spinlock: [dq_old] oldest-first, [dq_young]
    newest-first; reversals move elements between them amortized O(1). *)
 type dq = {
   dq_lock : Multicore.Spinlock.t;
-  mutable dq_old : (State.t * int) list [@guarded_by "dq_lock"];
-  mutable dq_young : (State.t * int) list [@guarded_by "dq_lock"];
+  mutable dq_old : item list [@guarded_by "dq_lock"];
+  mutable dq_young : item list [@guarded_by "dq_lock"];
 }
 
 let dq_create () =
@@ -395,9 +394,9 @@ let steal sh w =
   w.w_steal_ns <- w.w_steal_ns + (Obs.now_ns () - s0);
   stolen
 
-let expand_item sh w (state, rank) =
+let expand_item sh w item =
   let s0 = Obs.now_ns () in
-  let successors = expand w.w_engine state rank in
+  let successors = expand w.w_engine item in
   ignore (Atomic.fetch_and_add sh.sh_outstanding (List.length successors) : int);
   dq_push_successors sh.sh_deques.(w.w_slot) ~lifo:sh.sh_lifo successors;
   Atomic.decr sh.sh_outstanding;
@@ -518,7 +517,7 @@ let note_utilization entries =
 (* Whether the run completed.  Each spawned domain counts into its own
    [Obs] registry, merged into the coordinator's after the join, even
    when a domain failed: partial metrics beat silently dropped ones. *)
-let worklist_search ~jobs ~lifo engine initial =
+let worklist_search ~jobs ~lifo engine root =
   let sh =
     {
       sh_lifo = lifo;
@@ -531,7 +530,7 @@ let worklist_search ~jobs ~lifo engine initial =
     { w_slot = slot; w_engine = engine; w_work_ns = 0; w_steal_ns = 0 }
   in
   let coordinator = worker 0 engine in
-  dq_push_successors sh.sh_deques.(0) ~lifo [ (initial, 0) ];
+  dq_push_successors sh.sh_deques.(0) ~lifo [ root ];
   (* The coordinator expands the initial state before any worker
      exists, so the workers start with a frontier to steal from. *)
   ignore (step sh coordinator : bool);
@@ -576,45 +575,42 @@ let worklist_search ~jobs ~lifo engine initial =
 
 (* Greedy stratified: full closure of one kind from the current best,
    then restart from the best state found, next kind.  Each stage is
-   seeded by the previous stage's single best state, so it runs on the
+   seeded by the previous stage's single best item, so it runs on the
    coordinator alone. *)
-let gstr_search engine initial =
+let gstr_search engine root =
   let completed = ref true in
+  let cost_of (_, _, node) = Cost.total node in
   let closure_of kind start =
     let stage_best = ref start in
-    let stage_best_cost = ref (Cost.state_cost engine.estimator start) in
     let pending = ref [ start ] in
     let rec loop () =
       match !pending with
       | [] -> ()
-      | state :: rest ->
+      | (state, _, node) :: rest ->
         if should_stop engine then completed := false
         else begin
           note_explored engine;
           let fresh =
-            admit engine ~rank:(Transition.kind_rank kind) ~parent:state kind
+            admit engine ~rank:(Transition.kind_rank kind) ~parent:state ~node
+              kind
           in
           List.iter
-            (fun (s, _) ->
-              let c = Cost.state_cost engine.estimator s in
-              if c < !stage_best_cost then begin
-                stage_best := s;
-                stage_best_cost := c
-              end)
+            (fun item ->
+              if cost_of item < cost_of !stage_best then stage_best := item)
             fresh;
-          pending := List.map fst fresh @ rest;
+          pending := fresh @ rest;
           loop ()
         end
     in
     loop ();
     !stage_best
   in
-  let final =
+  let ((final, _, _) as best) =
     List.fold_left
       (fun current kind -> closure_of kind current)
-      initial Transition.all_kinds
+      root Transition.all_kinds
   in
-  note_best engine final (Cost.state_cost engine.estimator final);
+  note_best engine final (cost_of best);
   !completed
 
 let obs_strategy_runs =
@@ -651,11 +647,18 @@ let run_from ?(jobs = 1) estimator options initial =
   Obs.time (obs_run_time ()) @@ fun () ->
   (* S0's cost is that of the raw query set (§5.1); the AVF collapse of
      the initial state, when enabled, counts as the first search gain *)
-  let initial_cost = Cost.state_cost estimator initial in
+  let raw_node = Cost.root estimator initial in
+  let initial_cost = Cost.total raw_node in
   let strict_reference = strict_reference_of initial in
-  let initial =
+  let collapsed =
     if options.avf then Transition.fusion_closure initial else initial
   in
+  let node =
+    (* fusion_closure returns its argument when nothing fuses *)
+    (* lint: allow phys-equal — S0 itself, costed above *)
+    if collapsed == initial then raw_node else Cost.root estimator collapsed
+  in
+  let initial = collapsed in
   (match strict_reference with
   | Some reference -> Invariant.assert_valid ~estimator reference initial
   | None -> ());
@@ -673,7 +676,7 @@ let run_from ?(jobs = 1) estimator options initial =
       discarded = 0;
       explored = 0;
       best = initial;
-      best_cost = Cost.state_cost estimator initial;
+      best_cost = Cost.total node;
       trajectory = [ (0., initial_cost) ];
       oom = false;
       started = now ();
@@ -684,11 +687,12 @@ let run_from ?(jobs = 1) estimator options initial =
   ignore (Shard_tbl.visit engine.seen (State.key initial) 0);
   (* OCaml 4.x cannot spawn domains: the loop runs on one *)
   let jobs = if Multicore.available then jobs else 1 in
+  let root = (initial, 0, node) in
   let completed =
     match options.strategy with
-    | Exnaive | Exstr -> worklist_search ~jobs ~lifo:false engine initial
-    | Dfs -> worklist_search ~jobs ~lifo:true engine initial
-    | Gstr -> gstr_search engine initial
+    | Exnaive | Exstr -> worklist_search ~jobs ~lifo:false engine root
+    | Dfs -> worklist_search ~jobs ~lifo:true engine root
+    | Gstr -> gstr_search engine root
   in
   let completed = completed && not engine.oom in
   let trajectory = List.rev engine.trajectory in

@@ -78,6 +78,9 @@ val run_from : ?jobs:int -> Cost.t -> options -> State.t -> report
     deque, DFS the newest item and EXSTR/EXNAIVE the oldest, and pushes
     one expansion's successors so that it pops them in the order they
     were generated; an idle domain steals the oldest item of another.
+    An item carries its state's {!Cost.node}, computed when the state
+    arrived, so whichever domain expands it costs the successors from
+    that node; the estimator itself keeps no per-state cost.
     At one domain the search is therefore the paper's depth-first
     (resp. breadth-first) order.  Under several domains, counters and
     exploration order are schedule-dependent, but a completed run
@@ -101,7 +104,7 @@ val run_from : ?jobs:int -> Cost.t -> options -> State.t -> report
     on every accepted state, on whichever domain admits it; the first
     violation aborts the search with {!Invariant.Violation}.  The same
     reading makes {!Transition} check every successor and
-    {!Cost.state_cost_delta} cross-check every incremental cost.
+    {!Cost.child} cross-check every incremental cost.
     @raise Invalid_argument when [jobs < 1]. *)
 
 val run :

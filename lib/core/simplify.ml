@@ -129,7 +129,7 @@ let rec simplify env expr =
    views move, so only [rewritings_touched] is populated).  The search
    itself keeps the raw expressions — simplifying mid-search would
    change nothing semantically but would invalidate the bit-exact
-   per-rewriting REC sharing of Cost.state_cost_delta. *)
+   per-rewriting REC sharing of Cost.child. *)
 let state_rewritings (s : State.t) =
   let env = State.env s in
   let touched = ref [] in

@@ -3,15 +3,10 @@ type key = { ids : int array; khash : int }
 type t = {
   views : View.t list;
   rewritings : (string * Rewriting.t) list;
-  serial : int;
   mutable ident : key option;  (* cached structural key; never observable *)
 }
 
-(* Atomic: parallel search builds states on every domain. *)
-let serials = Atomic.make 0
-
-let make ~views ~rewritings =
-  { views; rewritings; serial = Atomic.fetch_and_add serials 1; ident = None }
+let make ~views ~rewritings = { views; rewritings; ident = None }
 
 let check_distinct_names queries =
   let names = List.map (fun q -> q.Query.Cq.name) queries in

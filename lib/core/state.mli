@@ -22,9 +22,6 @@ type t = private {
   rewritings : (string * Rewriting.t) list;
       (** query name → rewriting; columns align positionally with the
           query head *)
-  serial : int;
-      (** unique per {!make} call in the process: tells apart states
-          that share a {!key} but may differ in their rewritings *)
   mutable ident : key option;
       (** memoized {!key}; managed internally, never inspect it *)
 }
@@ -66,7 +63,7 @@ val key_string : t -> string
 
 module Tbl : Hashtbl.S with type key = key
 (** Hash tables keyed by state identity ({!equal_key} / {!hash_key});
-    the search's seen-set and the cost memo live in these. *)
+    the competitors' per-query seen-sets live in these. *)
 
 val find_view : t -> string -> View.t option
 

@@ -38,7 +38,7 @@ val successors_with_delta :
 (** All states reachable from the given state by one application of the
     given transition kind, each paired with the exact delta the
     transition applied (views removed, views added, rewritings whose
-    expression changed).  The delta feeds {!Cost.state_cost_delta}.  No
+    expression changed).  The delta feeds {!Cost.child}.  No
     deduplication is performed here; the search deduplicates by
     {!State.key}.
 

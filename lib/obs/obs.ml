@@ -789,8 +789,6 @@ module Report = struct
     convergence : (float * float) list;
         (* (elapsed seconds, new best cost), oldest first *)
     kinds : kind_row list;
-    memo_hits : int;
-    memo_misses : int;
   }
 
   let rcr s =
@@ -922,8 +920,6 @@ module Report = struct
       wall_ns = total_ns json "search.run";
       convergence = trajectory json;
       kinds;
-      memo_hits = count json "cost.state.hits";
-      memo_misses = count json "cost.state.misses";
     }
 
   (* ---------- text rendering ---------- *)
@@ -994,12 +990,6 @@ module Report = struct
     | Some true -> Buffer.add_string b "outcome:    completed (space exhausted)\n"
     | Some false -> Buffer.add_string b "outcome:    cut (budget or memory)\n"
     | None -> ());
-    if s.memo_hits + s.memo_misses > 0 then
-      Printf.bprintf b "cost memo:  %d hits / %d misses (%.1f%% hit rate)\n"
-        s.memo_hits s.memo_misses
-        (100.
-        *. float_of_int s.memo_hits
-        /. float_of_int (s.memo_hits + s.memo_misses));
     Buffer.add_string b "\nconvergence (best cost vs wall time)\n";
     if s.convergence = [] then Buffer.add_string b "  (no trajectory in dump)\n"
     else begin

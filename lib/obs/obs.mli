@@ -337,8 +337,6 @@ module Report : sig
         (** (elapsed seconds, new best cost), oldest first: the
             [search.trajectory] series *)
     kinds : kind_row list;
-    memo_hits : int;
-    memo_misses : int;
   }
 
   exception Bad_dump of string

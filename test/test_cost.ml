@@ -105,7 +105,7 @@ let test_breakdown_consistent () =
   in
   check_bool "total = weighted sum" true
     (Float.abs (b.Core.Cost.total -. recombined) < 1e-9);
-  check_bool "memoized state_cost agrees" true
+  check_bool "state_cost agrees" true
     (Float.abs (Core.Cost.state_cost est s -. b.Core.Cost.total) < 1e-9)
 
 let test_weights_change_total () =

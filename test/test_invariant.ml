@@ -227,13 +227,6 @@ let test_negative_weights_flagged () =
   check_bool "negative REC estimate flagged" true
     (has_violation "cost" (Core.Invariant.check_costs estimator state))
 
-let test_memo_consistency () =
-  let estimator = estimator_for museum_store in
-  let state = Core.State.initial [ q1_paper ] in
-  ignore (Core.Cost.state_cost estimator state);
-  check_bool "memo consistent after caching" true
-    (Core.Cost.memo_consistent estimator state)
-
 (* ---------- state files --------------------------------------------------- *)
 
 let test_state_file_round_trip () =
@@ -418,7 +411,6 @@ let () =
             test_all_single_transitions_certified;
           Alcotest.test_case "search accepts only valid states" `Quick
             test_search_accepts_only_valid_states;
-          Alcotest.test_case "memo consistency" `Quick test_memo_consistency;
         ] );
       ( "negative",
         [

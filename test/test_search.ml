@@ -330,6 +330,30 @@ let test_pinned_exstr () =
   check_pinned "EXSTR" Core.Search.Exstr pinned_counts
     "87.115148663808867"
 
+(* GSTR's outcome on one domain: its stage loop carries each state's
+   cost node within a stage and the stage's best item into the next, so
+   the counts and the exact best cost (printed with %h) are pinned on
+   Figure 3 and on the pinned Barton workload, whose SC stage moves the
+   next stage's start off S0. *)
+let gstr_outcome store workload =
+  let report =
+    Core.Search.run ~jobs:1 (stats_for store)
+      { Core.Search.default_options with strategy = Core.Search.Gstr }
+      workload
+  in
+  check_bool "completed" true report.Core.Search.completed;
+  Printf.sprintf "created %d, duplicates %d, explored %d, best_cost %h"
+    report.Core.Search.created report.Core.Search.duplicates
+    report.Core.Search.explored report.Core.Search.best_cost
+
+let test_pinned_gstr () =
+  check_string "Figure 3"
+    "created 5, duplicates 0, explored 7, best_cost 0x1.8p+3"
+    (gstr_outcome fig3_store [ fig3_query ]);
+  check_string "Barton"
+    "created 182, duplicates 80, explored 60, best_cost 0x1.5c75e98804f2ep+6"
+    (gstr_outcome pinned_store pinned_workload)
+
 (* S0 holds an all-variable single-atom view: no transition applies to
    it and stopvar rejects it, so every successor of S0 is discarded. *)
 let test_all_variable_initial_state () =
@@ -536,6 +560,7 @@ let () =
         [
           Alcotest.test_case "DFS outcome" `Quick test_pinned_dfs;
           Alcotest.test_case "EXSTR outcome" `Quick test_pinned_exstr;
+          Alcotest.test_case "GSTR outcome" `Quick test_pinned_gstr;
           Alcotest.test_case "all-variable S0 discards everything" `Quick
             test_all_variable_initial_state;
         ] );

@@ -345,7 +345,7 @@ let gen_v4_shaped =
             "search.reopened"; "search.strategy.DFS"; "search.run"; "search.trajectory";
             "search.best_cost"; "search.initial_cost"; "search.completed";
             "transition.VB.applied"; "transition.VB.time"; "search.stratum.VB.created";
-            "cost.state.hits"; "cost.state.misses"; "gc.minor_collections";
+            "cost.delta.incremental"; "cost.delta.full"; "gc.minor_collections";
             "gc.major_collections"; "gc.minor_words"; "gc.top_heap_words";
             "parallel.domain.0.work_ns"; "parallel.domain.x.work_ns";
           ];

@@ -1,7 +1,6 @@
 (* Typedtree-based concurrency-safety analyzer.
 
-   Usage: analyze.exe [--json|--sarif] [--inventory] [--list-rules]
-                      [--root DIR] [PATH ...]
+   Usage: analyze.exe [--inventory] [--list-rules] [--root DIR] [PATH ...]
 
    Reads the .cmt files produced by `dune build` (dune passes -bin-annot
    to every compilation, and the lib/*/dune files also request it
@@ -47,8 +46,7 @@
 open Typedtree
 
 let usage =
-  "analyze.exe [--json|--sarif] [--inventory] [--list-rules] [--root DIR] \
-   [PATH ...]\n\
+  "analyze.exe [--inventory] [--list-rules] [--root DIR] [PATH ...]\n\
    Concurrency-safety analysis over .cmt files (default path: \
    _build/default/lib).\n\
    Exit codes: 0 clean, 1 violations found, 2 usage/read error."
@@ -1010,37 +1008,6 @@ let print_inventory () =
 
 (* ---------- output -------------------------------------------------------- *)
 
-let print_json ordered =
-  let item d =
-    Printf.sprintf
-      "    {\"file\": \"%s\", \"line\": %d, \"col\": %d, \"rule\": \"%s\", \
-       \"message\": \"%s\"}"
-      (Sarif.json_escape d.d_file) d.d_line d.d_col
-      (Sarif.json_escape d.d_rule)
-      (Sarif.json_escape d.d_msg)
-  in
-  Printf.printf
-    "{\n  \"schema_version\": 1,\n  \"units_checked\": %d,\n  \
-     \"suppressed\": %d,\n  \"violations\": [\n%s\n  ]\n}\n"
-    !units_checked !suppressed
-    (String.concat ",\n" (List.map item ordered))
-
-let print_sarif ordered =
-  print_string
-    (Sarif.to_string ~tool_name:"rdfviews-analyze" ~tool_version:"1.0.0"
-       ~rules
-       ~results:
-         (List.map
-            (fun d ->
-              {
-                Sarif.rule_id = d.d_rule;
-                message = d.d_msg;
-                file = d.d_file;
-                line = d.d_line;
-                col = d.d_col;
-              })
-            ordered))
-
 let print_human ~inventory ordered =
   if inventory then print_inventory ();
   List.iter
@@ -1071,18 +1038,10 @@ let rec walk path acc =
   else acc
 
 let () =
-  let json = ref false in
-  let sarif = ref false in
   let inventory = ref false in
   let paths = ref [] in
   let rec parse_args = function
     | [] -> ()
-    | "--json" :: rest ->
-      json := true;
-      parse_args rest
-    | "--sarif" :: rest ->
-      sarif := true;
-      parse_args rest
     | "--inventory" :: rest ->
       inventory := true;
       parse_args rest
@@ -1134,7 +1093,5 @@ let () =
         if c <> 0 then c else Int.compare a.d_line b.d_line)
       !diags
   in
-  if !json then print_json ordered
-  else if !sarif then print_sarif ordered
-  else print_human ~inventory:!inventory ordered;
+  print_human ~inventory:!inventory ordered;
   exit (if ordered = [] then 0 else 1)

@@ -1,6 +1,6 @@
 (* Repo-specific source linter.
 
-   Usage: lint.exe [--json] [--list-rules] [PATH ...]
+   Usage: lint.exe [--list-rules] [PATH ...]
 
    Parses every .ml file under the given paths (default: lib bin bench)
    with the host compiler's parser and walks the parsetree with an
@@ -17,7 +17,7 @@
      2  usage error, unreadable path, or unparseable source file *)
 
 let usage =
-  "lint.exe [--json|--sarif] [--list-rules] [PATH ...]\n\
+  "lint.exe [--list-rules] [PATH ...]\n\
    Lints OCaml sources against the repo rule table (see --list-rules).\n\
    Exit codes: 0 clean, 1 violations found, 2 usage/parse error."
 
@@ -423,38 +423,6 @@ let rec walk path =
 
 (* ---------- output -------------------------------------------------------- *)
 
-let json_escape = Sarif.json_escape
-
-let print_json ordered =
-  let item v =
-    Printf.sprintf
-      "    {\"file\": \"%s\", \"line\": %d, \"col\": %d, \"rule\": \"%s\", \
-       \"message\": \"%s\"}"
-      (json_escape v.file) v.line v.col (json_escape v.rule)
-      (json_escape v.message)
-  in
-  Printf.printf
-    "{\n  \"schema_version\": 1,\n  \"files_checked\": %d,\n  \
-     \"suppressed\": %d,\n  \"violations\": [\n%s\n  ]\n}\n"
-    !files_checked !suppressed
-    (String.concat ",\n" (List.map item ordered))
-
-let print_sarif ordered =
-  print_string
-    (Sarif.to_string ~tool_name:"rdfviews-lint" ~tool_version:"1.0.0"
-       ~rules:(List.map (fun r -> (r.Rules.id, r.Rules.summary)) Rules.rules)
-       ~results:
-         (List.map
-            (fun v ->
-              {
-                Sarif.rule_id = v.rule;
-                message = v.message;
-                file = v.file;
-                line = v.line;
-                col = v.col;
-              })
-            ordered))
-
 let print_human ordered =
   List.iter
     (fun v ->
@@ -479,18 +447,10 @@ let list_rules () =
 (* ---------- main ---------------------------------------------------------- *)
 
 let () =
-  let json = ref false in
-  let sarif = ref false in
   let paths = ref [] in
   let args = List.tl (Array.to_list Sys.argv) in
   let rec parse_args = function
     | [] -> ()
-    | "--json" :: rest ->
-      json := true;
-      parse_args rest
-    | "--sarif" :: rest ->
-      sarif := true;
-      parse_args rest
     | "--list-rules" :: _ ->
       list_rules ();
       exit 0
@@ -526,7 +486,5 @@ let () =
         if c <> 0 then c else Int.compare a.line b.line)
       !violations
   in
-  if !json then print_json ordered
-  else if !sarif then print_sarif ordered
-  else print_human ordered;
+  print_human ordered;
   exit (if ordered = [] then 0 else 1)
