@@ -262,8 +262,12 @@ let random_element rng = function
   | [] -> None
   | l -> Some (List.nth l (Random.State.int rng (List.length l)))
 
+(* Subject codes in ascending order: the backends enumerate a column in
+   their own index order, and the workload must not depend on it. *)
+let subject_codes store = List.sort Int.compare (Rdf.Store.column_codes store `S)
+
 let star_from_data ?subject rng store spec qi =
-  let subjects = Rdf.Store.column_codes store `S in
+  let subjects = subject_codes store in
   let chosen_subject =
     match subject with Some s -> Some s | None -> random_element rng subjects
   in
@@ -300,7 +304,7 @@ let star_from_data ?subject rng store spec qi =
     end
 
 let chain_from_data ?subject rng store spec qi =
-  let subjects = Rdf.Store.column_codes store `S in
+  let subjects = subject_codes store in
   let chosen =
     match subject with Some s -> Some s | None -> random_element rng subjects
   in
