@@ -3,10 +3,11 @@
     A backend stores dictionary-encoded triples and answers the raw
     index operations; {!Store} owns the dictionary, the version stamp
     and the telemetry, and dispatches everything else here.  Two
-    implementations exist: [Hash], the hexastore-style hash-bucket
-    layout (fast point mutation, one boxed entry per triple per
-    index), and [Compact], sorted delta-compressed segments with an
-    LSM memtable (4-10x smaller, Barton-scale capable). *)
+    implementations exist: [Hash], the hexastore-style layout over
+    flat open-addressed int tables (fast point mutation, one probe
+    per count or bucket fetch), and [Compact], sorted delta-compressed
+    segments with an LSM memtable (4-10x smaller, Barton-scale
+    capable). *)
 
 type kind = Hash | Compact
 

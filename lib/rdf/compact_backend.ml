@@ -6,8 +6,10 @@
        [mem_add];
      - the backend's contents = segments - mem_del + mem_add.
 
-   Counts therefore come straight from rank arithmetic on the segments
-   corrected by the memtable's own O(1) hash counts.  Per-column
+   The memtable and the tombstones are each a {!Hash_backend} (flat
+   open-addressed int tables), so counts come straight from rank
+   arithmetic on the segments corrected by two one-probe memtable
+   counts.  Per-column
    distinct counts are kept in [distinct] and adjusted by every
    add/remove whose code's live count in a column crosses between 0
    and 1 (a merge moves rows without changing any live count), so the
@@ -21,7 +23,7 @@
    discipline tool/analyze enforces via the [@guarded_by] field
    annotations.  Reads take no lock — stores are never mutated
    concurrently with reads anywhere in the system (CONCURRENCY.md),
-   matching the hash backend's Hashtbl semantics. *)
+   the same contract as the hash backend's. *)
 
 let obs_merges = Obs.cached_counter "store.merges"
 let obs_merge_rows = Obs.cached_counter "store.merge_rows"
@@ -38,11 +40,13 @@ let flush_floor = 16384
 let all_cache_max_rows = 1 lsl 20
 
 (* scan1/scan2 results are memoized the same way (cleared on any
-   mutation).  Query execution re-scans the same (column, code) keys
-   constantly — the inner side of every join step, and every
-   repetition of a cached plan — and a memo hit costs one table
-   lookup, like the hash backend's bucket fetch.  Entry count is
-   bounded; overflowing resets the table wholesale. *)
+   mutation), in one {!Flat.Buckets} table per scan kind keyed by the
+   code or the code pair's [Flat.pair_key].  Query execution re-scans
+   the same (column, code) keys constantly — the inner side of every
+   join step, and every repetition of a cached plan — and a memo hit
+   costs one int-table probe, like the hash backend's bucket fetch.
+   Entry count is bounded over all kinds; overflowing resets the memo
+   wholesale. *)
 let scan_cache_max_keys = 16384
 
 type t = {
@@ -57,10 +61,10 @@ type t = {
   distinct : int array; [@guarded_by "lock"]
       (* live distinct codes per column, indexed S = 0, P = 1, O = 2 *)
   mutable all_cache : (int array * int) option; [@guarded_by "lock"]
-  scan_cache : (int * int * int, int array * int) Hashtbl.t; [@guarded_by "lock"]
-      (* memoized scan1/scan2 results keyed by (tag, a, b); the arrays
-         are never rewritten in place, so handing the same one to
-         every caller honours the scan contract *)
+  scan_memo : Flat.Buckets.t array; [@guarded_by "lock"]
+      (* memoized scan1/scan2 results, indexed S, P, O, SP, PO, SO;
+         the arrays are never rewritten in place, so handing the same
+         one to every caller honours the scan contract *)
 }
 
 let create () =
@@ -73,15 +77,14 @@ let create () =
     mem_del = Hash_backend.create ();
     distinct = [| 0; 0; 0 |];
     all_cache = None;
-    scan_cache = Hashtbl.create 256;
+    scan_memo = Array.init 6 (fun _ -> Flat.Buckets.create ());
   }
 
 (* Drop every memoized scan result.  Callers hold [t.lock]. *)
 let invalidate t =
   (* analyze: allow unguarded-write -- callers hold lock *)
   t.all_cache <- None;
-  (* analyze: allow unguarded-write -- callers hold lock *)
-  Hashtbl.reset t.scan_cache
+  Array.iter Flat.Buckets.clear t.scan_memo
 
 let seg_mem t s p o = Segment.mem t.spo s p o
 
@@ -343,44 +346,50 @@ let assemble t seg lo hi ~da ~db ~dc ~ndel (mdata, mn) =
     (dst, total)
   end
 
-(* Look up / fill the scan memo.  The table is only touched under
-   [t.lock]; a hit costs one lock + hash probe, a miss builds the
-   result outside the lock (two builders racing on the same key is
-   benign — last write wins, both arrays are correct and immutable). *)
-let cached_scan t key build =
+(* Look up / fill the scan memo of kind [k].  The tables are only
+   touched under [t.lock]; a hit costs one lock + int probe, a miss
+   builds the result outside the lock (two builders racing on the same
+   key is benign — last write wins, both arrays are correct and
+   immutable). *)
+let cached_scan t k key build =
   let hit =
     Multicore.Spinlock.with_lock t.lock (fun () ->
-        Hashtbl.find_opt t.scan_cache key)
+        let memo = t.scan_memo.(k) in
+        let j = Flat.Buckets.find memo key in
+        if j < 0 then None
+        else Some (Flat.Buckets.data memo j, Flat.Buckets.rows memo j))
   in
   match hit with
   | Some r -> r
   | None ->
-    let r = build () in
+    let ((data, n) as r) = build () in
     Multicore.Spinlock.with_lock t.lock (fun () ->
-        if Hashtbl.length t.scan_cache >= scan_cache_max_keys then
-          Hashtbl.reset t.scan_cache;
-        Hashtbl.replace t.scan_cache key r);
+        let keys =
+          Array.fold_left (fun acc m -> acc + Flat.Buckets.length m) 0 t.scan_memo
+        in
+        if keys >= scan_cache_max_keys then Array.iter Flat.Buckets.clear t.scan_memo;
+        Flat.Buckets.replace t.scan_memo.(k) key data n);
     r
 
-(* Memo key tags: 0..2 single-column scans (S, P, O), 3..5 pair scans
+(* Memo kinds: 0..2 single-column scans (S, P, O), 3..5 pair scans
    (SP, PO, SO). *)
 
 let scan1 t col code =
   match col with
   | `S ->
-    cached_scan t (0, code, 0) @@ fun () ->
+    cached_scan t 0 code @@ fun () ->
     let lo, hi = Segment.locate1 t.spo code in
     assemble t t.spo lo hi ~da:0 ~db:1 ~dc:2
       ~ndel:(Hash_backend.count1 t.mem_del `S code)
       (Hash_backend.scan1 t.mem_add `S code)
   | `P ->
-    cached_scan t (1, code, 0) @@ fun () ->
+    cached_scan t 1 code @@ fun () ->
     let lo, hi = Segment.locate1 t.pos code in
     assemble t t.pos lo hi ~da:1 ~db:2 ~dc:0
       ~ndel:(Hash_backend.count1 t.mem_del `P code)
       (Hash_backend.scan1 t.mem_add `P code)
   | `O ->
-    cached_scan t (2, code, 0) @@ fun () ->
+    cached_scan t 2 code @@ fun () ->
     let lo, hi = Segment.locate1 t.osp code in
     assemble t t.osp lo hi ~da:2 ~db:0 ~dc:1
       ~ndel:(Hash_backend.count1 t.mem_del `O code)
@@ -389,19 +398,19 @@ let scan1 t col code =
 let scan2 t cols a b =
   match cols with
   | `SP ->
-    cached_scan t (3, a, b) @@ fun () ->
+    cached_scan t 3 (Flat.pair_key a b) @@ fun () ->
     let lo, hi = Segment.locate2 t.spo a b in
     assemble t t.spo lo hi ~da:0 ~db:1 ~dc:2
       ~ndel:(Hash_backend.count2 t.mem_del `SP a b)
       (Hash_backend.scan2 t.mem_add `SP a b)
   | `PO ->
-    cached_scan t (4, a, b) @@ fun () ->
+    cached_scan t 4 (Flat.pair_key a b) @@ fun () ->
     let lo, hi = Segment.locate2 t.pos a b in
     assemble t t.pos lo hi ~da:1 ~db:2 ~dc:0
       ~ndel:(Hash_backend.count2 t.mem_del `PO a b)
       (Hash_backend.scan2 t.mem_add `PO a b)
   | `SO ->
-    cached_scan t (5, a, b) @@ fun () ->
+    cached_scan t 5 (Flat.pair_key a b) @@ fun () ->
     let lo, hi = Segment.locate2 t.osp b a in
     assemble t t.osp lo hi ~da:2 ~db:0 ~dc:1
       ~ndel:(Hash_backend.count2 t.mem_del `SO a b)
@@ -472,4 +481,7 @@ let resident_bytes t =
   + Hash_backend.resident_bytes t.mem_add
   + Hash_backend.resident_bytes t.mem_del
   + (match t.all_cache with Some (a, _) -> 8 * Array.length a | None -> 0)
-  + Hashtbl.fold (fun _ (a, _) acc -> acc + (8 * Array.length a)) t.scan_cache 0
+  + Array.fold_left
+      (fun acc memo ->
+        Flat.Buckets.fold memo (fun _ a _ acc -> acc + (8 * Array.length a)) acc)
+      0 t.scan_memo

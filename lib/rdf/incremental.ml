@@ -3,12 +3,14 @@ type t = {
   store : Store.t;
   rules : Entailment.rules;
   rdf_type : int;
-  explicit : (Store.encoded, unit) Hashtbl.t;
+  explicit : Flat.Triples.t;  (* probed once per scanned row of a delete *)
 }
 
 let create schema store =
-  let explicit = Hashtbl.create (Store.size store) in
-  Store.fold_all store (fun triple () -> Hashtbl.replace explicit triple ()) ();
+  let explicit = Flat.Triples.create () in
+  Store.fold_all store
+    (fun (s, p, o) () -> ignore (Flat.Triples.add explicit s p o : bool))
+    ();
   let _ = Entailment.saturate store schema in
   let rdf_type = Store.encode_term store Vocabulary.rdf_type in
   { schema; store; rules = Entailment.rules store schema; rdf_type; explicit }
@@ -16,7 +18,7 @@ let create schema store =
 let store t = t.store
 let schema t = t.schema
 
-let explicit_count t = Hashtbl.length t.explicit
+let explicit_count t = Flat.Triples.size t.explicit
 
 let implicit_count t = Store.size t.store - explicit_count t
 
@@ -30,15 +32,16 @@ let find_triple t (tr : Triple.t) =
 
 let is_explicit t tr =
   match find_triple t tr with
-  | Some triple -> Hashtbl.mem t.explicit triple
+  | Some (s, p, o) -> Flat.Triples.mem t.explicit s p o
   | None -> false
 
 let insert t (tr : Triple.t) =
   let encode = Store.encode_term t.store in
-  let triple = (encode tr.Triple.s, encode tr.Triple.p, encode tr.Triple.o) in
-  if Hashtbl.mem t.explicit triple then 0
+  let ((s, p, o) as triple) =
+    (encode tr.Triple.s, encode tr.Triple.p, encode tr.Triple.o)
+  in
+  if not (Flat.Triples.add t.explicit s p o) then 0
   else begin
-    Hashtbl.replace t.explicit triple ();
     (* already implicit: the store is saturated, so closure(triple) is
        in it too *)
     if Store.mem_encoded t.store triple then 0
@@ -54,8 +57,9 @@ let supported t ((s, p, o) as u) =
   let any (data, n) =
     let rec from i =
       i < n
-      && (let e = (data.(3 * i), data.((3 * i) + 1), data.((3 * i) + 2)) in
-          (Hashtbl.mem t.explicit e && Entailment.derives t.rules e u)
+      && (let s = data.(3 * i) and p = data.((3 * i) + 1) and o = data.((3 * i) + 2) in
+          (Flat.Triples.mem t.explicit s p o
+          && Entailment.derives t.rules (s, p, o) u)
           || from (i + 1))
     in
     from 0
@@ -68,8 +72,7 @@ let supported t ((s, p, o) as u) =
    when no remaining explicit triple derives it. *)
 let delete t tr =
   match find_triple t tr with
-  | Some triple when Hashtbl.mem t.explicit triple ->
-    Hashtbl.remove t.explicit triple;
+  | Some ((s, p, o) as triple) when Flat.Triples.remove t.explicit s p o ->
     let removed = ref 0 in
     Entailment.iter_closure t.rules triple (fun u ->
         if (not (supported t u)) && Store.remove_encoded t.store u then

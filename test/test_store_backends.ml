@@ -492,6 +492,244 @@ let test_distinct_reads_no_blocks () =
   | None -> Alcotest.fail "s1 must be in the dictionary");
   check_bool "a probe touches blocks" true (block_counters () <> before)
 
+(* ---------- flat int tables ---------------------------------------------- *)
+
+(* Codes and triples whose slot hash ends in four 1 bits: at every
+   capacity up to 16 slots they share the last slot as their home, so
+   they collide, wrap past the end of the slot array, and exercise
+   backward-shift deletion across the wrap.  Mixed with a few codes
+   and triples that hash anywhere. *)
+let end_home h = h land 15 = 15
+
+let hot_codes =
+  let rec colliding acc c =
+    if List.length acc = 6 then List.rev acc
+    else colliding (if end_home (Rdf.Flat.hash c) then c :: acc else acc) (c + 1)
+  in
+  Array.of_list (colliding [] 0 @ [ 0; 1; 2 ])
+
+let hot_triples =
+  let n = Array.length hot_codes in
+  List.init (n * n * n) (fun i ->
+      (hot_codes.(i mod n), hot_codes.(i / n mod n), hot_codes.(i / (n * n))))
+  |> List.filteri (fun i (s, p, o) -> end_home (Rdf.Flat.hash3 s p o) || i mod 7 = 0)
+  |> Array.of_list
+
+type table_op = Add3 of int | Remove3 of int | Probe3 of int
+
+let arb_table_ops =
+  let open QCheck.Gen in
+  let pick = int_bound (Array.length hot_triples - 1) in
+  let op =
+    frequency
+      [
+        (5, map (fun i -> Add3 i) pick);
+        (4, map (fun i -> Remove3 i) pick);
+        (1, map (fun i -> Probe3 i) pick);
+      ]
+  in
+  let print op =
+    let verb, i =
+      match op with
+      | Add3 i -> ("add", i)
+      | Remove3 i -> ("del", i)
+      | Probe3 i -> ("mem", i)
+    in
+    let s, p, o = hot_triples.(i) in
+    Printf.sprintf "%s (%d, %d, %d)" verb s p o
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map print ops))
+    (list_size (int_range 1 120) op)
+
+module Int3_set = Set.Make (struct
+  type t = int * int * int
+
+  let compare = compare
+end)
+
+let rows_of (data, n) =
+  List.sort compare
+    (List.init n (fun i -> (data.(3 * i), data.((3 * i) + 1), data.((3 * i) + 2))))
+
+let select model pred = Int3_set.elements (Int3_set.filter pred model)
+
+(* The hash backend against a reference set: size, the rows each triple
+   records in its membership slot and buckets, and membership, counts
+   and scans of the given triples' keys in all six indexes. *)
+let check_hash_keys h model keys =
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  if Rdf.Hash_backend.size h <> Int3_set.cardinal model then
+    fail "size %d, expected %d" (Rdf.Hash_backend.size h) (Int3_set.cardinal model);
+  if not (Rdf.Hash_backend.rows_consistent h) then
+    fail "recorded rows no longer point at their triples";
+  List.iter
+    (fun ((s, p, o) as tr) ->
+      if Rdf.Hash_backend.mem h s p o <> Int3_set.mem tr model then
+        fail "mem (%d, %d, %d)" s p o;
+      List.iter
+        (fun (col, c, sel) ->
+          let want = select model sel in
+          if Rdf.Hash_backend.count1 h col c <> List.length want then fail "count1 %d" c;
+          if rows_of (Rdf.Hash_backend.scan1 h col c) <> want then fail "scan1 %d" c)
+        [
+          (`S, s, fun (s', _, _) -> s' = s);
+          (`P, p, fun (_, p', _) -> p' = p);
+          (`O, o, fun (_, _, o') -> o' = o);
+        ];
+      List.iter
+        (fun (cols, a, b, sel) ->
+          let want = select model sel in
+          if Rdf.Hash_backend.count2 h cols a b <> List.length want then
+            fail "count2 (%d, %d)" a b;
+          if rows_of (Rdf.Hash_backend.scan2 h cols a b) <> want then
+            fail "scan2 (%d, %d)" a b)
+        [
+          (`SP, s, p, fun (s', p', _) -> s' = s && p' = p);
+          (`SO, s, o, fun (s', _, o') -> s' = s && o' = o);
+          (`PO, p, o, fun (_, p', o') -> p' = p && o' = o);
+        ])
+    keys
+
+(* Everything: every hot triple's keys, the all-triples scan and the
+   distinct codes of each column. *)
+let check_hash_backend h model =
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  check_hash_keys h model (Array.to_list hot_triples);
+  if rows_of (Rdf.Hash_backend.scan_all h) <> Int3_set.elements model then
+    fail "scan_all";
+  List.iter
+    (fun (col, get) ->
+      let codes = List.sort_uniq compare (List.map get (Int3_set.elements model)) in
+      if Rdf.Hash_backend.distinct_in_column h col <> List.length codes then
+        fail "distinct_in_column";
+      if List.sort compare (Rdf.Hash_backend.fold_column_codes h col List.cons []) <> codes
+      then fail "fold_column_codes")
+    [ (`S, fun (s, _, _) -> s); (`P, fun (_, p, _) -> p); (`O, fun (_, _, o) -> o) ]
+
+let prop_hash_backend_tables =
+  QCheck.Test.make ~name:"flat tables: hash backend against a reference set"
+    ~count:300 arb_table_ops (fun ops ->
+      let h = Rdf.Hash_backend.create () in
+      List.fold_left
+        (fun model op ->
+          let model =
+            match op with
+            | Add3 i ->
+              let ((s, p, o) as tr) = hot_triples.(i) in
+              if Rdf.Hash_backend.add h s p o = Int3_set.mem tr model then
+                QCheck.Test.fail_reportf "add %d" i;
+              Int3_set.add tr model
+            | Remove3 i ->
+              let ((s, p, o) as tr) = hot_triples.(i) in
+              if Rdf.Hash_backend.remove h s p o <> Int3_set.mem tr model then
+                QCheck.Test.fail_reportf "remove %d" i;
+              Int3_set.remove tr model
+            | Probe3 _ -> model
+          in
+          (match op with
+          | Add3 i | Remove3 i | Probe3 i -> check_hash_keys h model [ hot_triples.(i) ]);
+          model)
+        Int3_set.empty ops
+      |> check_hash_backend h;
+      true)
+
+(* Remove-then-re-add of every triple, in insertion and reverse order:
+   each removal moves a last row into the hole, each re-add appends. *)
+let test_hash_backend_readd () =
+  let h = Rdf.Hash_backend.create () in
+  let all = Array.to_list hot_triples in
+  let model = Int3_set.of_list all in
+  List.iter (fun (s, p, o) -> ignore (Rdf.Hash_backend.add h s p o : bool)) all;
+  List.iter
+    (fun order ->
+      List.iter
+        (fun ((s, p, o) as tr) ->
+          check_bool "removed" true (Rdf.Hash_backend.remove h s p o);
+          check_hash_keys h (Int3_set.remove tr model) [ tr ];
+          check_bool "re-added" true (Rdf.Hash_backend.add h s p o);
+          check_hash_keys h model [ tr ])
+        order)
+    [ all; List.rev all ];
+  check_hash_backend h model;
+  List.iter
+    (fun (s, p, o) -> check_bool "emptied" true (Rdf.Hash_backend.remove h s p o))
+    all;
+  check_hash_backend h Int3_set.empty
+
+type bucket_op = Push of int * int | Drop of int * int | Replace of int * int | Clear
+
+(* [Flat.Buckets] alone, against a map from key to row list, with the
+   swap-remove the hash backend performs and the replace/clear the
+   compact scan memo performs. *)
+let prop_buckets =
+  let open QCheck.Gen in
+  let key = map (Array.get hot_codes) (int_bound (Array.length hot_codes - 1)) in
+  let op =
+    frequency
+      [
+        (6, map2 (fun k v -> Push (k, v)) key small_nat);
+        (4, map2 (fun k i -> Drop (k, i)) key small_nat);
+        (1, map2 (fun k n -> Replace (k, n)) key (int_bound 3));
+        (1, return Clear);
+      ]
+  in
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  QCheck.Test.make ~name:"flat tables: buckets against a reference map" ~count:300
+    (QCheck.make (list_size (int_range 1 150) op))
+    (fun ops ->
+      let t = Rdf.Flat.Buckets.create () in
+      let model = Hashtbl.create 16 in
+      List.iter
+        (fun op ->
+          (match op with
+          | Push (k, v) ->
+            let rows = Option.value ~default:[||] (Hashtbl.find_opt model k) in
+            if Rdf.Flat.Buckets.push t k v (v + 1) (v + 2) <> Array.length rows then
+              fail "push %d: row" k;
+            Hashtbl.replace model k (Array.append rows [| v |])
+          | Drop (k, i) -> (
+            match Hashtbl.find_opt model k with
+            | None -> ()
+            | Some [||] -> (* a replaced empty bucket: nothing to drop *) ()
+            | Some rows ->
+              let j = Rdf.Flat.Buckets.find t k in
+              let n = Array.length rows in
+              let i = i mod n in
+              let d = Rdf.Flat.Buckets.data t j in
+              Array.blit d (3 * (n - 1)) d (3 * i) 3;
+              Rdf.Flat.Buckets.set_rows t j (n - 1);
+              rows.(i) <- rows.(n - 1);
+              if n = 1 then Hashtbl.remove model k
+              else Hashtbl.replace model k (Array.sub rows 0 (n - 1)))
+          | Replace (k, n) ->
+            Rdf.Flat.Buckets.replace t k (Array.init (3 * n) (fun c -> (3 * k) + c)) n;
+            Hashtbl.replace model k (Array.init n (fun i -> (3 * k) + (3 * i)))
+          | Clear ->
+            Rdf.Flat.Buckets.clear t;
+            Hashtbl.reset model);
+          if Rdf.Flat.Buckets.length t <> Hashtbl.length model then fail "length";
+          Array.iter
+            (fun k ->
+              let j = Rdf.Flat.Buckets.find t k in
+              match Hashtbl.find_opt model k with
+              | None -> if j >= 0 then fail "key %d present" k
+              | Some rows ->
+                if j < 0 || Rdf.Flat.Buckets.rows t j <> Array.length rows then
+                  fail "key %d" k;
+                let d = Rdf.Flat.Buckets.data t j in
+                Array.iteri
+                  (fun i v -> if d.(3 * i) <> v then fail "key %d row %d" k i)
+                  rows)
+            hot_codes;
+          let keys = Rdf.Flat.Buckets.fold t (fun k _ _ acc -> k :: acc) [] in
+          if
+            List.sort compare keys
+            <> List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) model [])
+          then fail "fold keys")
+        ops;
+      true)
+
 let () =
   Alcotest.run "store_backends"
     [
@@ -501,6 +739,12 @@ let () =
           to_alcotest prop_merge_is_invisible;
           Alcotest.test_case "ops resurrect across merges" `Quick
             test_ops_cover_resurrection;
+        ] );
+      ( "flat tables",
+        [
+          to_alcotest prop_buckets;
+          to_alcotest prop_hash_backend_tables;
+          Alcotest.test_case "remove then re-add" `Quick test_hash_backend_readd;
         ] );
       ("segment edges", segment_edge_tests);
       ( "compact store",
