@@ -9,11 +9,11 @@
    The memtable and the tombstones are each a {!Hash_backend} (flat
    open-addressed int tables), so counts come straight from rank
    arithmetic on the segments corrected by two one-probe memtable
-   counts.  Per-column
-   distinct counts are kept in [distinct] and adjusted by every
-   add/remove whose code's live count in a column crosses between 0
-   and 1 (a merge moves rows without changing any live count), so the
-   cost model reads them in O(1) as on the hash backend.  Scans decode
+   counts.  Per-column distinct counts are kept in [distinct] and
+   adjusted by every add/remove whose code's live count in a column
+   crosses between 0 and 1 (a merge moves rows without changing any
+   live count), so the cost model reads them in O(1) as on the hash
+   backend.  Scans decode
    the bracketed block range once, filter tombstones, and append the
    memtable's bucket — every returned array is freshly allocated and
    exactly sized, never rewritten in place, so the executor's nested

@@ -103,8 +103,9 @@ val distinct_in_column : t -> [ `S | `P | `O ] -> int
     1, so no memtable or segment is scanned. *)
 
 val column_codes : t -> [ `S | `P | `O ] -> int list
-(** The distinct codes appearing in a column (allocates a list sized
-    by the distinct count — prefer {!fold_column_codes} on hot
+(** The distinct codes appearing in a column, in the backend's index
+    order, which differs between backends (allocates a list sized by
+    the distinct count — prefer {!fold_column_codes} on hot
     paths). *)
 
 val fold_column_codes : t -> [ `S | `P | `O ] -> (int -> 'a -> 'a) -> 'a -> 'a
