@@ -73,24 +73,19 @@ module Buckets = struct
   let grow t =
     let old_keys = t.keys and old_data = t.data and old_count = t.count in
     let cap = growth * (t.mask + 1) in
-    let mask = cap - 1 in
-    let keys = Array.make cap free in
-    let data = Array.make cap empty in
-    let count = Array.make cap 0 in
+    t.keys <- Array.make cap free;
+    t.data <- Array.make cap empty;
+    t.count <- Array.make cap 0;
+    t.mask <- cap - 1;
     Array.iteri
       (fun i k ->
         if k <> free then begin
-          let rec go j = if keys.(j) = free then j else go ((j + 1) land mask) in
-          let j = go (hash k land mask) in
-          keys.(j) <- k;
-          data.(j) <- old_data.(i);
-          count.(j) <- old_count.(i)
+          let j = probe t k in
+          t.keys.(j) <- k;
+          t.data.(j) <- old_data.(i);
+          t.count.(j) <- old_count.(i)
         end)
-      old_keys;
-    t.keys <- keys;
-    t.data <- data;
-    t.count <- count;
-    t.mask <- mask
+      old_keys
 
   (* The slot of [key], claimed with an empty bucket if absent. *)
   let rec claim t key =
@@ -159,17 +154,18 @@ module Buckets = struct
   (* A small table is emptied in place: the compact scan memo is
      cleared on every write and refilled by the next reads. *)
   let clear t =
-    if t.size > 0 && t.mask < 256 then begin
-      Array.fill t.keys 0 (t.mask + 1) free;
-      Array.fill t.data 0 (t.mask + 1) empty;
-      Array.fill t.count 0 (t.mask + 1) 0;
-      t.size <- 0
-    end
-    else if t.size > 0 then begin
-      t.keys <- Array.make min_slots free;
-      t.data <- Array.make min_slots empty;
-      t.count <- Array.make min_slots 0;
-      t.mask <- min_slots - 1;
+    if t.size > 0 then begin
+      if t.mask < 256 then begin
+        Array.fill t.keys 0 (t.mask + 1) free;
+        Array.fill t.data 0 (t.mask + 1) empty;
+        Array.fill t.count 0 (t.mask + 1) 0
+      end
+      else begin
+        t.keys <- Array.make min_slots free;
+        t.data <- Array.make min_slots empty;
+        t.count <- Array.make min_slots 0;
+        t.mask <- min_slots - 1
+      end;
       t.size <- 0
     end
 
