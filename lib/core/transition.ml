@@ -12,8 +12,8 @@ let all_kinds = [ VB; SC; JC; VF ]
    disconnected view-break splits, fusion pairs with equal canonical
    bodies but no body isomorphism).  Handles index by [kind_rank].
 
-   The per-view enumeration caches below mean a rejection is tallied
-   once per view, not once per state containing the view. *)
+   The action caches below mean a rejection is tallied once per view
+   (once per view pair for VF), not once per state containing it. *)
 let obs_per_kind make =
   let arr = Array.make (List.length all_kinds) (make "VB") in
   List.iter (fun k -> arr.(kind_rank k) <- make (kind_name k)) all_kinds;
@@ -49,7 +49,7 @@ let view_of_parts head body =
 let replace_atom body i atom =
   List.mapi (fun j a -> if j = i then atom else a) body
 
-(* ---------------- per-view action caches -------------------------------- *)
+(* ---------------- action caches ---------------------------------------- *)
 
 (* The replacement views and the rewriting expression of an SC, JC or VB
    application depend only on the victim view, never on the state around
@@ -57,47 +57,53 @@ let replace_atom body i atom =
    it, so a DFS re-derives each view's actions hundreds of times.  Each
    cache maps the process-unique [View.id] (an int, assigned at
    creation) to the complete [(replacements, expression)] action list;
-   producing a successor is then a single [State.replace_view].
+   producing a successor is then a single [State.replace_view].  A VF
+   fusion likewise depends only on its two views: the fusion cache maps
+   the ordered pair of their ids to the fused view and its two
+   expressions, or to [None] when the bodies are not isomorphic.
 
-   Reusing the cached replacement *view objects* across states is the
-   heart of the speedup: their canonical forms, interned ids and cost
-   profiles are computed once ever instead of once per created state.
-   View names are globally unique ("v<counter>"), so a cached view can
-   sit in any number of sibling states without in-state collisions.
-   Entries are immutable and live as long as the process, like the
-   interner itself. *)
+   Reusing the cached replacement and fused *view objects* across
+   states is the heart of the speedup: their canonical forms, interned
+   ids and cost profiles are computed once ever instead of once per
+   created state.  View names are globally unique ("v<counter>"), so a
+   cached view can sit in any number of sibling states without
+   in-state collisions; no state holds a cached view together with its
+   victim, which every path to that view removed.  Entries are
+   immutable and live as long as the process, like the interner
+   itself. *)
 
 type action = View.t list * Rewriting.t
 
 (* Each cache is guarded by a spinlock held only for the table probe,
-   never for the derivation: two domains racing on an uncached view may
-   both derive (the replacement views differ only in their fresh names,
-   never in canonical form), and the second insert discards its copy so
-   every domain sees one canonical action list per view id.  This is the
-   locking discipline the `unguarded-shared-table` lint rule enforces
-   for the interner and the parallel dedup table. *)
-type guarded_cache = {
+   never for the derivation: two domains racing on an uncached key may
+   both derive (the new views differ only in their fresh names, never in
+   canonical form), and the second insert discards its copy so every
+   domain sees one canonical entry per key.  This is the locking
+   discipline the `unguarded-shared-table` lint rule enforces for the
+   interner and the parallel dedup table. *)
+type ('k, 'v) guarded_cache = {
   c_lock : Multicore.Spinlock.t;
-  c_tbl : (int, action list) Hashtbl.t [@guarded_by "c_lock"];
+  c_tbl : ('k, 'v) Hashtbl.t [@guarded_by "c_lock"];
 }
 
 let guarded_cache () =
   { c_lock = Multicore.Spinlock.create (); c_tbl = Hashtbl.create 1024 }
 
-let cached cache (v : View.t) derive =
+(* The entry under [key], made by [derive arg] on a miss. *)
+let cached cache key derive arg =
   match
     Multicore.Spinlock.with_lock cache.c_lock (fun () ->
-        Hashtbl.find_opt cache.c_tbl v.View.id)
+        Hashtbl.find_opt cache.c_tbl key)
   with
-  | Some actions -> actions
+  | Some value -> value
   | None ->
-    let actions = derive v in
+    let value = derive arg in
     Multicore.Spinlock.with_lock cache.c_lock (fun () ->
-        match Hashtbl.find_opt cache.c_tbl v.View.id with
+        match Hashtbl.find_opt cache.c_tbl key with
         | Some existing -> existing
         | None ->
-          Hashtbl.add cache.c_tbl v.View.id actions;
-          actions)
+          Hashtbl.add cache.c_tbl key value;
+          value)
 
 (* A successor before it is built: the victim and one of its cached
    actions, or a fusion pair with its fused view. *)
@@ -112,7 +118,7 @@ let replacement_candidates state kind_cache derive =
     (fun v ->
       List.map
         (fun action -> Replace (v, action))
-        (cached kind_cache v derive))
+        (cached kind_cache v.View.id derive v))
     state.State.views
 
 (* ---------------- Selection cut ---------------------------------------- *)
@@ -326,7 +332,7 @@ let total_rename cols_v3 fwd head_vars_v2 =
         (c, junk ("_dead_" ^ c)))
     cols_v3
 
-let fusion_of v1 v2 =
+let derive_fusion v1 v2 =
   match Query.Cq.body_isomorphism v1.View.cq v2.View.cq with
   | None ->
     reject VF;
@@ -356,6 +362,11 @@ let fusion_of v1 v2 =
         (View.columns v2, Rewriting.Rename (mapping, Rewriting.Scan (View.name v3)))
     in
     Some { v3; expr1; expr2 }
+
+let vf_cache = guarded_cache ()
+
+let fusion_of (v1 : View.t) (v2 : View.t) =
+  cached vf_cache (v1.View.id, v2.View.id) (derive_fusion v1) v2
 
 let fuse state v1 v2 { v3; expr1; expr2 } =
   let n1 = View.name v1 in

@@ -290,6 +290,129 @@ let walk_states workload choices =
   in
   go (Core.State.initial workload) [] choices
 
+(* ---------- fusion cache ------------------------------------------------- *)
+
+let fusable_a = cq ~name:"qa" [ v "X" ] [ atom (v "X") (c "ex:p") (v "Y") ]
+let fusable_b = cq ~name:"qb" [ v "B" ] [ atom (v "A") (c "ex:p") (v "B") ]
+
+let added (parent : Core.State.t) (s : Core.State.t) =
+  List.filter (fun u -> not (List.memq u parent.views)) s.views
+
+(* The states that hold every view of [views]. *)
+let keeping views states =
+  List.filter
+    (fun (s : Core.State.t) ->
+      List.for_all (fun u -> List.memq u s.views) views)
+    states
+
+let test_vf_pair_shared_across_parents () =
+  (* qd does not fuse; each of its two selection cuts is a parent that
+     keeps the views of qa and qb *)
+  let qd = cq ~name:"qd" [ v "X" ] [ atom (v "X") (c "ex:q") (c "ex:k") ] in
+  let s0 = Core.State.initial [ fusable_a; fusable_b; qd ] in
+  let pair = List.filteri (fun i _ -> i < 2) s0.Core.State.views in
+  let parents = keeping pair (Core.Transition.successors s0 SC) in
+  check_int "two parents keep the pair" 2 (List.length parents);
+  let fused_in parent =
+    let collapsed = Core.Transition.fusion_closure parent in
+    ignore (Core.State.key collapsed : Core.State.key);
+    match added parent collapsed with
+    | [ view ] -> view
+    | _ -> Alcotest.fail "expected one fused view"
+  in
+  match parents with
+  | [ first; second ] ->
+    let view = fused_in first in
+    ignore (Core.State.key second : Core.State.key);
+    List.iter
+      (fun u -> ignore (Core.View.body_intern_id u : Interning.id))
+      second.Core.State.views;
+    let interned = Interning.size () in
+    check_int "one fused view object" view.Core.View.id
+      (fused_in second).Core.View.id;
+    check_int "nothing new interned" interned (Interning.size ())
+  | _ -> assert false
+
+let test_vf_each_pair_own_fusion () =
+  (* qc keeps the subject where qb keeps the object: fusing qa's view
+     with either must answer that query, not the other *)
+  let qc = cq ~name:"qc" [ v "A" ] [ atom (v "A") (c "ex:p") (v "B") ] in
+  let workload = [ fusable_a; fusable_b; qc ] in
+  let store =
+    store_of
+      [ triple (uri "s1") (uri "ex:p") (uri "o1");
+        triple (uri "s2") (uri "ex:p") (uri "o2") ]
+  in
+  let s0 = Core.State.initial workload in
+  let fusions = Core.Transition.successors s0 VF in
+  check_int "every pair fuses" 3 (List.length fusions);
+  List.iter (check_state_equivalent store workload) fusions;
+  let fused = List.concat_map (added s0) fusions in
+  check_int "three fused views" 3
+    (List.length
+       (List.sort_uniq Int.compare
+          (List.map (fun u -> u.Core.View.id) fused)))
+
+let test_vf_rejection_counted_once () =
+  (* A colon-free URI prints bare, so the constant V1 reads like the
+     canonical label of a variable: both bodies render t(V1,<ex:p>,V0),
+     yet no renaming maps one onto the other. *)
+  let qb = cq ~name:"qb" [ v "Y" ] [ atom (c "V1") (c "ex:p") (v "Y") ] in
+  let qd = cq ~name:"qd" [ v "X" ] [ atom (v "X") (c "ex:q") (c "ex:k") ] in
+  let registry = Obs.create () in
+  Obs.set_global registry;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_global Obs.disabled)
+    (fun () ->
+      let s0 = Core.State.initial [ fusable_a; qb; qd ] in
+      let pair = List.filteri (fun i _ -> i < 2) s0.Core.State.views in
+      (match pair with
+      | [ va; vb ] ->
+        check_int "equal body ids" (Core.View.body_intern_id va)
+          (Core.View.body_intern_id vb)
+      | _ -> Alcotest.fail "expected three views");
+      let parents = s0 :: keeping pair (Core.Transition.successors s0 SC) in
+      check_int "three parents hold the pair" 3 (List.length parents);
+      for _ = 1 to 3 do
+        List.iter
+          (fun s ->
+            check_int "no fusion" 0
+              (List.length (Core.Transition.successors s VF));
+            ignore (Core.Transition.fusion_closure s : Core.State.t))
+          parents
+      done;
+      check_int "rejected once" 1
+        (Option.value ~default:0
+           (Obs.find_counter registry "transition.VF.rejected")))
+
+(* qa and qb are renamings of one query, so their views fuse, and so do
+   many of their descendants; the states along a walk share views, so
+   the same pairs come up in many parents. *)
+let prop_collapse_well_formed =
+  QCheck.Test.make
+    ~name:"collapsed successors along a walk are well formed" ~count:60
+    QCheck.(
+      pair (pair arb_cq arb_cq)
+        (list_of_size (Gen.int_range 0 8) (pair small_nat small_nat)))
+    (fun ((q, qc), choices) ->
+      let workload =
+        [ Query.Cq.rename q "qa";
+          Query.Cq.rename (Query.Cq.freshen q) "qb";
+          Query.Cq.rename qc "qc" ]
+      in
+      List.for_all
+        (fun s ->
+          List.for_all
+            (fun kind ->
+              List.for_all
+                (fun succ ->
+                  Core.State.structural_violations
+                    (Core.Transition.fusion_closure succ)
+                  = [])
+                (Core.Transition.successors s kind))
+            Core.Transition.all_kinds)
+        (walk_states workload choices))
+
 let stop_settings =
   List.concat_map
     (fun stop_tt ->
@@ -472,6 +595,16 @@ let () =
           to_alcotest prop_random_walk_preserves_answers;
         ] );
       ("admission", [ to_alcotest prop_admission_without_rework ]);
+      ( "fusion cache",
+        [
+          Alcotest.test_case "a pair fuses once across parents" `Quick
+            test_vf_pair_shared_across_parents;
+          Alcotest.test_case "each pair has its own fusion" `Quick
+            test_vf_each_pair_own_fusion;
+          Alcotest.test_case "a rejected pair is counted once" `Quick
+            test_vf_rejection_counted_once;
+          to_alcotest prop_collapse_well_formed;
+        ] );
       ( "cost",
         [
           Alcotest.test_case "SC increases cost" `Quick test_sc_increases_cost;

@@ -156,7 +156,7 @@ let shared_table_fields =
   [
     ("s_tbl", "interning.ml");   (* Interning's per-shard string table *)
     ("b_tbl", "shard_tbl.ml");   (* Shard_tbl's per-shard rank table *)
-    ("c_tbl", "transition.ml");  (* Transition's guarded action cache *)
+    ("c_tbl", "transition.ml");  (* Transition's action and fusion caches *)
   ]
 
 (* Operations that mutate a hashtable (generic Hashtbl or a Hashtbl.Make
