@@ -57,11 +57,13 @@ module Buckets = struct
      indices are masked, so the unchecked reads stay in bounds. *)
   let probe t key =
     let keys = t.keys and mask = t.mask in
-    let rec go j =
-      let k = Array.unsafe_get keys j in
-      if k = key || k = free then j else go ((j + 1) land mask)
-    in
-    go (hash key land mask)
+    let j = ref (hash key land mask) in
+    let k = ref (Array.unsafe_get keys !j) in
+    while !k <> key && !k <> free do
+      j := (!j + 1) land mask;
+      k := Array.unsafe_get keys !j
+    done;
+    !j
 
   let find t key =
     let j = probe t key in
@@ -130,23 +132,20 @@ module Buckets = struct
      and its own slot. *)
   let delete t j =
     let keys = t.keys and data = t.data and count = t.count and mask = t.mask in
-    let rec shift hole i =
-      let i = (i + 1) land mask in
-      let k = keys.(i) in
-      if k = free then begin
-        keys.(hole) <- free;
-        data.(hole) <- empty;
-        count.(hole) <- 0
-      end
-      else if dist ~mask (hash k land mask) i >= dist ~mask hole i then begin
-        keys.(hole) <- k;
-        data.(hole) <- data.(i);
-        count.(hole) <- count.(i);
-        shift i i
-      end
-      else shift hole i
-    in
-    shift j j;
+    let hole = ref j and i = ref ((j + 1) land mask) in
+    while keys.(!i) <> free do
+      let k = keys.(!i) in
+      if dist ~mask (hash k land mask) !i >= dist ~mask !hole !i then begin
+        keys.(!hole) <- k;
+        data.(!hole) <- data.(!i);
+        count.(!hole) <- count.(!i);
+        hole := !i
+      end;
+      i := (!i + 1) land mask
+    done;
+    keys.(!hole) <- free;
+    data.(!hole) <- empty;
+    count.(!hole) <- 0;
     t.size <- t.size - 1
 
   let set_rows t j n = if n = 0 then delete t j else t.count.(j) <- n
@@ -212,18 +211,19 @@ module Triples = struct
      sequence. *)
   let probe t tag s p o =
     let slots = t.slots and data = t.data and mask = t.mask in
-    let rec go j =
-      let v = Array.unsafe_get slots j in
+    let j = ref (tag land mask) and searching = ref true in
+    while !searching do
+      let v = Array.unsafe_get slots !j in
       if
         v = 0
         || v lsr row_bits = tag
            &&
            let b = 3 * ((v land row_mask) - 1) in
            data.(b) = s && data.(b + 1) = p && data.(b + 2) = o
-      then j
-      else go ((j + 1) land mask)
-    in
-    go (tag land mask)
+      then searching := false
+      else j := (!j + 1) land mask
+    done;
+    !j
 
   let find t s p o =
     let v = t.slots.(probe t (hash3 s p o land row_mask) s p o) in
@@ -268,9 +268,12 @@ module Triples = struct
 
   (* The slot pointing at row [r], whose triple hashes to [tag]. *)
   let slot_of_row t tag r =
-    let v = (tag lsl row_bits) lor (r + 1) in
-    let rec go j = if t.slots.(j) = v then j else go ((j + 1) land t.mask) in
-    go (tag land t.mask)
+    let v = (tag lsl row_bits) lor (r + 1) and slots = t.slots and mask = t.mask in
+    let j = ref (tag land mask) in
+    while slots.(!j) <> v do
+      j := (!j + 1) land mask
+    done;
+    !j
 
   let tag_of_row t r =
     let b = 3 * r in
@@ -279,17 +282,16 @@ module Triples = struct
   (* Backward-shift deletion, as in [Buckets.delete]. *)
   let delete t j =
     let slots = t.slots and mask = t.mask in
-    let rec shift hole i =
-      let i = (i + 1) land mask in
-      let v = slots.(i) in
-      if v = 0 then slots.(hole) <- 0
-      else if dist ~mask (home ~mask v) i >= dist ~mask hole i then begin
-        slots.(hole) <- v;
-        shift i i
-      end
-      else shift hole i
-    in
-    shift j j
+    let hole = ref j and i = ref ((j + 1) land mask) in
+    while slots.(!i) <> 0 do
+      let v = slots.(!i) in
+      if dist ~mask (home ~mask v) !i >= dist ~mask !hole !i then begin
+        slots.(!hole) <- v;
+        hole := !i
+      end;
+      i := (!i + 1) land mask
+    done;
+    slots.(!hole) <- 0
 
   let remove_row t r =
     delete t (slot_of_row t (tag_of_row t r) r);

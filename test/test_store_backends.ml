@@ -657,6 +657,33 @@ let test_hash_backend_readd () =
     all;
   check_hash_backend h Int3_set.empty
 
+(* A store lookup is one probe over int arrays: hits, misses and probe
+   runs that wrap past the last slot all allocate nothing. *)
+let test_probes_do_not_allocate () =
+  let buckets = Rdf.Flat.Buckets.create () in
+  let triples = Rdf.Flat.Triples.create () in
+  for k = 0 to 199 do
+    ignore (Rdf.Flat.Buckets.push buckets (7 * k) k k k : int);
+    ignore (Rdf.Flat.Triples.add triples k (k mod 13) (3 * k) : bool)
+  done;
+  let hits = ref 0 in
+  let lookups () =
+    for i = 0 to 9_999 do
+      let k = i mod 400 in
+      if Rdf.Flat.Buckets.find buckets (7 * k) >= 0 then incr hits;
+      if Rdf.Flat.Triples.mem triples k (k mod 13) (3 * k) then incr hits
+    done
+  in
+  lookups ();
+  hits := 0;
+  let before = Gc.minor_words () in
+  lookups ();
+  let allocated = Gc.minor_words () -. before in
+  check_int "half the lookups hit" 10_000 !hits;
+  check_bool
+    (Printf.sprintf "20k probes allocate nothing (saw %.0f words)" allocated)
+    true (allocated = 0.)
+
 type bucket_op = Push of int * int | Drop of int * int | Replace of int * int | Clear
 
 (* [Flat.Buckets] alone, against a map from key to row list, with the
@@ -745,6 +772,8 @@ let () =
           to_alcotest prop_buckets;
           to_alcotest prop_hash_backend_tables;
           Alcotest.test_case "remove then re-add" `Quick test_hash_backend_readd;
+          Alcotest.test_case "probes do not allocate" `Quick
+            test_probes_do_not_allocate;
         ] );
       ("segment edges", segment_edge_tests);
       ( "compact store",
