@@ -595,7 +595,7 @@ let () =
           to_alcotest prop_random_walk_preserves_answers;
         ] );
       ("admission", [ to_alcotest prop_admission_without_rework ]);
-      ( "fusion cache",
+      ( "vf-cache",
         [
           Alcotest.test_case "a pair fuses once across parents" `Quick
             test_vf_pair_shared_across_parents;
