@@ -98,7 +98,7 @@ let () =
     List.for_all
       (fun (cq, rel) ->
         let fresh = Engine.Materialize.materialize_cq server_store cq in
-        let sort (r : Engine.Relation.t) = List.sort compare (List.map Array.to_list (Engine.Relation.rows r)) in
+        let sort r = List.sort compare (Engine.Relation.fold_rows (fun row acc -> Array.to_list row :: acc) r []) in
         sort fresh = sort rel)
       cq_views
   in

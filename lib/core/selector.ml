@@ -45,7 +45,7 @@ let recommended_views reasoning state =
   | No_reasoning | Saturation _ | Pre_reformulation _ -> plain_views state
   | Post_reformulation schema ->
     List.map
-      (fun v -> Query.Ucq.dedup (Query.Reformulation.reformulate v.View.cq schema))
+      (fun v -> Query.Reformulation.reformulate v.View.cq schema)
       state.State.views
 
 (* The standard initial state of a workload, per mode (§5.1 / §4.3).

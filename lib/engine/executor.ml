@@ -1,12 +1,12 @@
 (* Columnar execution of rewriting plans over materialized views.
 
    Intermediate results are chunks: one flat [int array] per column
-   plus a row count.  Selections filter through a selection vector and
+   plus a row count.  A scan reads a view's columns in place, out of
+   its row set; selections filter through a selection vector and
    gather survivors once; projections reorder column references
-   without touching data; deduplication hands the chunk's columns, in
-   place, to one bulk [Rowset.add_columns] pass.  Rows are only
-   materialized at the boundaries: scanning a [Relation] in and
-   building the result [Relation] out. *)
+   without touching data; deduplication hands the chunk's columns to
+   one bulk [Rowset.add_columns] pass and reads the set's columns in
+   turn.  The result relation is one more such pass. *)
 
 type chunk = {
   cols : string list;  (* column names, in order *)
@@ -21,48 +21,37 @@ let column_index cols c =
   in
   find 0 cols
 
-let chunk_of_rows cols rows =
-  let k = List.length cols in
-  let n = List.length rows in
-  let data = Array.init k (fun _ -> Array.make (max n 1) 0) in
-  List.iteri
-    (fun r row ->
-      for c = 0 to k - 1 do
-        data.(c).(r) <- row.(c)
-      done)
-    rows;
-  { cols; data; n }
+let set_of ch =
+  let rs = Query.Rowset.create (max ch.n 16) in
+  ignore (Query.Rowset.add_columns rs ch.data ch.n : int);
+  rs
 
-let rows_of_chunk ch =
-  let k = List.length ch.cols in
-  List.init ch.n (fun r -> Array.init k (fun c -> ch.data.(c).(r)))
-
-let chunk_of_rowset cols rs =
-  let k = List.length cols in
+(* A set's rows as a chunk, in place.  A set that never held a row has
+   no columns yet. *)
+let of_set cols rs =
   let n = Query.Rowset.cardinal rs in
-  let data = Array.init k (fun _ -> Array.make (max n 1) 0) in
-  let r = ref 0 in
-  Query.Rowset.iter
-    (fun row ->
-      for c = 0 to k - 1 do
-        data.(c).(!r) <- row.(c)
-      done;
-      incr r)
-    rs;
+  let data =
+    if n = 0 then Array.make (List.length cols) [||] else Query.Rowset.columns rs
+  in
   { cols; data; n }
 
 (* Set-semantics dedup of a whole chunk: one bulk pass.  When nothing
    collapses the original chunk is kept (its arrays are read-only). *)
 let dedup ch =
-  let rs = Query.Rowset.create (max ch.n 16) in
-  ignore (Query.Rowset.add_columns rs ch.data ch.n);
-  if Query.Rowset.cardinal rs = ch.n then ch else chunk_of_rowset ch.cols rs
+  let rs = set_of ch in
+  if Query.Rowset.cardinal rs = ch.n then ch else of_set ch.cols rs
+
+(* Row [r]'s codes at columns [idx] of [data], into [key]. *)
+let fill key data idx r =
+  for i = 0 to Array.length idx - 1 do
+    key.(i) <- data.(idx.(i)).(r)
+  done
 
 let rec eval store env expr : chunk =
   match expr with
   | Core.Rewriting.Scan name -> (
     match Hashtbl.find_opt env name with
-    | Some rel -> chunk_of_rows (Relation.cols rel) (Relation.rows rel)
+    | Some rel -> of_set (Relation.cols rel) (Relation.rowset rel)
     | None -> failwith ("Executor: unknown view " ^ name))
   | Core.Rewriting.Select (conds, inner) ->
     let ch = eval store env inner in
@@ -84,7 +73,7 @@ let rec eval store env expr : chunk =
         conds
     in
     (* selection vector of survivors, then one gather per column *)
-    let sel = Array.make (max ch.n 1) 0 in
+    let sel = Array.make ch.n 0 in
     let k = ref 0 in
     for r = 0 to ch.n - 1 do
       if List.for_all (fun test -> test r) tests then begin
@@ -97,10 +86,7 @@ let rec eval store env expr : chunk =
     else
       {
         ch with
-        data =
-          Array.map
-            (fun col -> Array.init (max m 1) (fun i -> col.(sel.(i))))
-            ch.data;
+        data = Array.map (fun col -> Array.init m (fun i -> col.(sel.(i)))) ch.data;
         n = m;
       }
   | Core.Rewriting.Project (out_cols, inner) ->
@@ -148,23 +134,28 @@ let rec eval store env expr : chunk =
     let out_cols = lch.cols @ List.map snd kept_right in
     let lw = List.length lch.cols in
     let kept = Array.of_list (List.map fst kept_right) in
-    (* hash join: bucket left row INDICES by their join-key projection,
-       keyed directly by the int array (no per-probe list allocation) *)
-    let table = Query.Rowset.Tbl.create (max lch.n 16) in
+    (* hash join: the left rows' distinct join keys go into a row set;
+       a key's index there heads its chain of left rows, latest first *)
+    let keys = Query.Rowset.create (max lch.n 16) in
+    let key = Array.make (Array.length lkey) 0 in
+    let first = Array.make lch.n (-1) and next = Array.make lch.n (-1) in
     for r = 0 to lch.n - 1 do
-      let key = Array.map (fun i -> lch.data.(i).(r)) lkey in
-      let prev =
-        match Query.Rowset.Tbl.find_opt table key with
-        | Some rs -> rs
-        | None -> []
+      fill key lch.data lkey r;
+      let g =
+        match Query.Rowset.find keys key with
+        | -1 ->
+          ignore (Query.Rowset.add keys key : bool);
+          Query.Rowset.cardinal keys - 1
+        | g -> g
       in
-      Query.Rowset.Tbl.replace table key (r :: prev)
+      next.(r) <- first.(g);
+      first.(g) <- r
     done;
     (* probe with the right rows, appending matches column-wise into
        growable output vectors *)
     let width = lw + Array.length kept in
     let cap = ref 64 in
-    let out = Array.init (max width 1) (fun _ -> Array.make !cap 0) in
+    let out = Array.init width (fun _ -> Array.make !cap 0) in
     let n = ref 0 in
     let grow need =
       if need > !cap then begin
@@ -178,22 +169,18 @@ let rec eval store env expr : chunk =
       end
     in
     for r = 0 to rch.n - 1 do
-      let key = Array.map (fun i -> rch.data.(i).(r)) rkey in
-      match Query.Rowset.Tbl.find_opt table key with
-      | None -> ()
-      | Some lmatches ->
-        List.iter
-          (fun lr ->
-            grow (!n + 1);
-            let j = !n in
-            for c = 0 to lw - 1 do
-              out.(c).(j) <- lch.data.(c).(lr)
-            done;
-            Array.iteri
-              (fun c i -> out.(lw + c).(j) <- rch.data.(i).(r))
-              kept;
-            n := j + 1)
-          lmatches
+      fill key rch.data rkey r;
+      let lr = ref (match Query.Rowset.find keys key with -1 -> -1 | g -> first.(g)) in
+      while !lr >= 0 do
+        grow (!n + 1);
+        let j = !n in
+        for c = 0 to lw - 1 do
+          out.(c).(j) <- lch.data.(c).(!lr)
+        done;
+        Array.iteri (fun c i -> out.(lw + c).(j) <- rch.data.(i).(r)) kept;
+        n := j + 1;
+        lr := next.(!lr)
+      done
     done;
     { cols = out_cols; data = out; n = !n }
   | Core.Rewriting.Union branches -> (
@@ -205,14 +192,13 @@ let rec eval store env expr : chunk =
       let hint = List.fold_left (fun acc ch -> acc + ch.n) 0 results in
       let rs = Query.Rowset.create (max hint 16) in
       List.iter
-        (fun ch -> ignore (Query.Rowset.add_columns rs ch.data ch.n))
+        (fun ch -> ignore (Query.Rowset.add_columns rs ch.data ch.n : int))
         results;
-      chunk_of_rowset first.cols rs)
+      of_set first.cols rs)
 
 let execute store env expr =
   let ch = eval store env expr in
-  Relation.make ~name:"result" ~cols:ch.cols (rows_of_chunk ch)
+  Relation.of_rowset ~name:"result" ~cols:ch.cols (set_of ch)
 
 let execute_query store env expr =
-  let rel = execute store env expr in
-  Relation.to_term_rows store rel
+  Relation.to_term_rows store (execute store env expr)

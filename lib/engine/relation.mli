@@ -1,13 +1,16 @@
-(** Materialized relations: named, column-labeled sets of
-    dictionary-encoded tuples — the physical representation of a
-    materialized view.
+(** Materialized relations: a name, column labels and one
+    {!Query.Rowset.t} of dictionary-encoded tuples — the physical
+    representation of a materialized view.
 
-    Rows live in a growable array with a row → slot hash index
-    ([Query.Rowset.Tbl], so membership never allocates a list key);
-    insertion is amortized O(1) and removal is an O(1) swap-remove.
-    Row enumeration order is unspecified (set semantics). *)
+    Membership, insertion and removal are the row set's own: a probe
+    allocates nothing, and a removal moves the last tuple into the
+    freed place.  Row enumeration order is unspecified (set
+    semantics). *)
 
 type t
+
+val of_rowset : name:string -> cols:string list -> Query.Rowset.t -> t
+(** Wraps the set, which the relation then owns. *)
 
 val make : name:string -> cols:string list -> int array list -> t
 (** Builds a relation, deduplicating rows (set semantics). *)
@@ -15,19 +18,19 @@ val make : name:string -> cols:string list -> int array list -> t
 val name : t -> string
 val cols : t -> string list
 
+val rowset : t -> Query.Rowset.t
+(** The tuples, read in place. *)
+
 val cardinality : t -> int
 
 val mem : t -> int array -> bool
 
 val add_row : t -> int array -> bool
-(** Insert a tuple; [false] when already present.  The array is
-    retained — do not mutate it afterwards. *)
+(** Insert a tuple; [false] when already present.  The codes are
+    copied. *)
 
 val remove_row : t -> int array -> bool
-(** Swap-remove a tuple; [false] when absent. *)
-
-val rows : t -> int array list
-(** The stored rows (shared, not copied — treat as read-only). *)
+(** Remove a tuple; [false] when absent. *)
 
 val fold_rows : (int array -> 'a -> 'a) -> t -> 'a -> 'a
 

@@ -299,8 +299,10 @@ let render ~head_mode q colors =
     in
     List.mapi (fun i (v, _) -> (v, Printf.sprintf "V%d" i)) sorted
   in
+  (* constants carry slot_color's prefix, so a URI that prints like a
+     variable label (<V1>) never reads as one *)
   let label = function
-    | Qterm.Cst c -> Rdf.Term.to_string c
+    | Qterm.Cst _ as t -> slot_color SMap.empty t
     | Qterm.Var x -> List.assoc x var_rank
   in
   let atom_str (a : Atom.t) =

@@ -177,7 +177,7 @@ let sorted_rows rows = List.sort compare_rows rows
 
 let check_codes name compiled reference =
   let c = sorted_rows compiled and r = sorted_rows reference in
-  if not (List.equal Rowset.Key.equal c r) then
+  if not (List.equal (fun a b -> compare_rows a b = 0) c r) then
     raise
       (Differential_mismatch
          (Printf.sprintf
@@ -186,7 +186,7 @@ let check_codes name compiled reference =
 
 (* ---------- compiled entry points ---------------------------------------- *)
 
-let eval_cq_rowset store (q : Cq.t) =
+let plan_rows store (q : Cq.t) =
   Obs.incr (obs_evals ());
   let plan = Plan.cached store q in
   let rows = Rowset.create (max 64 (Plan.size_hint plan)) in
@@ -196,7 +196,7 @@ let eval_cq_rowset store (q : Cq.t) =
 (* Disjuncts accumulate into one shared row table sized from the sum
    of the disjunct plans' last cardinalities (an upper bound when the
    disjuncts overlap, which only lowers the load factor). *)
-let ucq_rowset ~cache store u =
+let ucq_plan_rows ~cache store u =
   let plans =
     List.map
       (fun q ->
@@ -212,20 +212,20 @@ let ucq_rowset ~cache store u =
 (* The one answer path: every entry point below reads the distinct
    answer rows of one of these two, checked against Reference in strict
    mode. *)
-let cq_rows store q =
-  let rows = eval_cq_rowset store q in
+let eval_cq_rowset store q =
+  let rows = plan_rows store q in
   if strict_enabled () then
     check_codes q.Cq.name (Rowset.elements rows) (Reference.eval_cq_codes store q);
   rows
 
 let ucq_rows ~cache store u =
-  let rows = ucq_rowset ~cache store u in
+  let rows = ucq_plan_rows ~cache store u in
   if strict_enabled () then
     check_codes (Ucq.name u) (Rowset.elements rows)
       (Reference.eval_ucq_codes store u);
   rows
 
-let eval_cq_codes store q = Rowset.elements (cq_rows store q)
+let eval_cq_codes store q = Rowset.elements (eval_cq_rowset store q)
 
 (* In strict mode the call's own rows are checked before they join the
    caller's, which may already hold rows of other calls. *)
@@ -241,10 +241,11 @@ let eval_params_into store (q : Cq.t) plan ~params args rows =
   end
   else Plan.exec_into ~args plan store rows
 
-let eval_ucq_codes ?(cache = true) store u =
-  Rowset.elements (ucq_rows ~cache store u)
+let eval_ucq_rowset store u = ucq_rows ~cache:true store u
+
+let eval_ucq_codes ?(cache = true) store u = Rowset.elements (ucq_rows ~cache store u)
 
 let eval_cq store q = decode_rows store (eval_cq_codes store q)
 let eval_ucq store u = decode_rows store (eval_ucq_codes store u)
-let count_cq store q = Rowset.cardinal (cq_rows store q)
+let count_cq store q = Rowset.cardinal (eval_cq_rowset store q)
 let count_ucq store u = Rowset.cardinal (ucq_rows ~cache:false store u)

@@ -35,6 +35,14 @@ val eval_ucq : Rdf.Store.t -> Ucq.t -> Rdf.Term.t array list
 val eval_cq_codes : Rdf.Store.t -> Cq.t -> int array list
 (** The distinct answer rows, dictionary-encoded. *)
 
+val eval_cq_rowset : Rdf.Store.t -> Cq.t -> Rowset.t
+(** The same rows in the set the plan filled, which the caller then
+    owns: [Engine.Materialize] keeps it as the view's storage. *)
+
+val eval_ucq_rowset : Rdf.Store.t -> Ucq.t -> Rowset.t
+(** The distinct answer rows of the union, through cached plans, in one
+    set the caller owns. *)
+
 val eval_params_into :
   Rdf.Store.t -> Cq.t -> Plan.t -> params:string list -> int array -> Rowset.t -> unit
 (** [eval_params_into store q plan ~params args rows] adds to [rows] the

@@ -1,48 +1,49 @@
-(** Hash sets and tables of dictionary-encoded rows ([int array]).
+(** Hash sets of dictionary-encoded rows ([int array]): the one row
+    table, from the evaluator's answers to a materialized view and the
+    executor's result.
 
-    Replaces the former pattern of keying a generic [Hashtbl] by
-    [Array.to_list row]: rows are hashed directly (FNV-1a over the
-    elements) and compared element-wise, so a membership probe
-    allocates nothing.  Keys are stored by reference — never mutate a
-    row after handing it to a table. *)
-
-module Key : sig
-  type t = int array
-
-  val equal : t -> t -> bool
-  val hash : t -> int
-end
-
-module Tbl : Hashtbl.S with type key = int array
-(** Row-keyed table with arbitrary values (used e.g. by
-    [Engine.Relation] for its row → position index). *)
+    A set's width is fixed by its first row; adding, finding or
+    removing a row of another width raises [Invalid_argument].  Rows
+    are stored column-major, hashed directly (FNV-1a over the codes)
+    and compared in place, so a probe allocates nothing.  Enumeration
+    follows row order: insertion order until a {!remove}, which moves
+    the last row into the freed place. *)
 
 type t
-(** A set of rows (set semantics; the common case).  Open-addressed
-    over a packed int arena: one probe sequence per membership test or
-    insert, no per-row allocation, and iteration in insertion order. *)
 
 val create : int -> t
-(** [create n] sizes the table for about [n] rows (it grows as
+(** [create n] sizes the set for about [n] rows (it grows as
     needed). *)
 
 val add : t -> int array -> bool
 (** [add t row] records [row] and returns [true] when unseen, [false]
-    otherwise.  The row's elements are copied into the set, so the
-    caller may reuse (or mutate) the array afterwards. *)
+    otherwise.  The codes are copied into the set, so the caller may
+    reuse (or mutate) the array afterwards. *)
 
 val add_columns : t -> int array array -> int -> int
-(** [add_columns t cols n] — bulk {!add} of rows [0, n) stored
-    column-major ([cols.(c).(r)] is column [c] of row [r]; every
-    column holds at least [n] values): slot-array and arena growth are
-    checked once up front, then each row is one probe sequence hashing
-    and comparing directly against the column vectors — no scratch
-    row.  Returns how many rows were new. *)
+(** [add_columns t cols n] adds rows [0, n) stored column-major
+    ([cols.(c).(r)] is column [c] of row [r]; every column holds at
+    least [n] values) and returns how many were new. *)
+
+val find : t -> int array -> int
+(** The row's index in {!columns}, or [-1] when absent.  An index stays
+    valid until the next {!remove}. *)
+
+val mem : t -> int array -> bool
+
+val remove : t -> int array -> bool
+(** [remove t row] deletes [row] and returns [true], or returns [false]
+    when absent.  The last row takes the freed index. *)
 
 val cardinal : t -> int
 
-val fold : (int array -> 'a -> 'a) -> t -> 'a -> 'a
+val columns : t -> int array array
+(** The set's own column vectors, read in place: [(columns t).(c).(r)]
+    is code [c] of row [r], for [r < cardinal t].  Treat them as
+    read-only; an {!add} may replace them.  [[||]] until the first row
+    fixes the width. *)
 
-val iter : (int array -> unit) -> t -> unit
+val fold : (int array -> 'a -> 'a) -> t -> 'a -> 'a
+(** Each row is a fresh array. *)
 
 val elements : t -> int array list

@@ -22,17 +22,5 @@ let atom_count t =
 let constant_count t =
   List.fold_left (fun acc q -> acc + Cq.constant_count q) 0 t.disjuncts
 
-let dedup t =
-  let seen = Hashtbl.create 16 in
-  let keep q =
-    let key = Cq.canonical_string q in
-    if Hashtbl.mem seen key then false
-    else begin
-      Hashtbl.add seen key ();
-      true
-    end
-  in
-  { t with disjuncts = List.filter keep t.disjuncts }
-
 let to_string t =
   String.concat "\n  UNION " (List.map Cq.to_string t.disjuncts)

@@ -20,7 +20,4 @@ val atom_count : t -> int
 val constant_count : t -> int
 (** Total number of constants over all disjuncts (#c in Table 3). *)
 
-val dedup : t -> t
-(** Remove disjuncts that are duplicates up to variable renaming. *)
-
 val to_string : t -> string

@@ -387,7 +387,9 @@ let test_maintenance_interns_nothing () =
   in
   let rel = Engine.Materialize.materialize_cq store view in
   let views = [ (view, rel) ] in
-  let rows () = List.sort compare (List.map Array.to_list (Engine.Relation.rows rel)) in
+  let rows () =
+    List.sort compare (Engine.Relation.fold_rows (fun row acc -> Array.to_list row :: acc) rel [])
+  in
   let initial = rows () in
   let interned = Interning.size () and plans = Query.Plan.cached_plan_count store in
   let added = ref 0 and compiled = ref 0 in

@@ -211,12 +211,20 @@ let prop_executor_reference =
 
 (* ---------- the row set ---------------------------------------------------- *)
 
-(* Interleaved [Rowset.add] and [Rowset.add_columns] against a list in
-   insertion order.  Rows are 0 to 9 wide, of one width per set or of
-   mixed widths, with codes up to 2^40 drawn from a small pool so that
-   rows repeat; batches of up to 40 rows from a 16-row hint force the
-   slot and arena arrays to grow. *)
-type rowset_op = Add of int array | Add_columns of int * int array list
+(* Interleaved [Rowset.add], [add_columns], [mem] and [remove] against
+   an array of the rows in row order, which models [remove] exactly:
+   the last row moves into the freed index.  Each set draws one width
+   from 0 to 9, with codes up to 2^40 from a small pool so that rows
+   repeat; batches of up to 40 rows from a 16-row hint force the slot
+   array and the columns to grow, and removals force backward shifts.
+   A row one code wider must raise [Invalid_argument] once the set has
+   a width. *)
+type rowset_op =
+  | Add of int array
+  | Add_columns of int array list
+  | Remove of int array
+  | Mem of int array
+  | Misfit
 
 let gen_rowset_ops =
   let open QCheck.Gen in
@@ -227,59 +235,114 @@ let gen_rowset_ops =
         (1, oneofl [ 1 lsl 20; (1 lsl 31) + 5; 1 lsl 40 ]);
       ]
   in
-  let* fixed = bool in
-  let* w0 = int_range 0 9 in
-  let width = if fixed then return w0 else int_range 0 9 in
+  let* w = int_range 0 9 in
+  let row = array_repeat w code in
   let op =
-    let* w = width in
-    let row = array_repeat w code in
     frequency
       [
-        (1, map (fun r -> Add r) row);
-        (1, map (fun rows -> Add_columns (w, rows)) (list_size (int_range 0 40) row));
+        (3, map (fun r -> Add r) row);
+        (2, map (fun rows -> Add_columns rows) (list_size (int_range 0 40) row));
+        (3, map (fun r -> Remove r) row);
+        (2, map (fun r -> Mem r) row);
+        (1, return Misfit);
       ]
   in
-  list_size (int_range 1 30) op
+  pair (return w) (list_size (int_range 1 60) op)
 
-let print_rowset_ops ops =
+let print_rowset_ops (w, ops) =
   let row r = "[" ^ String.concat ";" (Array.to_list (Array.map string_of_int r)) ^ "]" in
   String.concat "\n"
-    (List.map
-       (function
-         | Add r -> "add " ^ row r
-         | Add_columns (w, rows) ->
-           Printf.sprintf "add_columns w=%d %s" w (String.concat " " (List.map row rows)))
-       ops)
+    (Printf.sprintf "width %d" w
+    :: List.map
+         (function
+           | Add r -> "add " ^ row r
+           | Add_columns rows -> "add_columns " ^ String.concat " " (List.map row rows)
+           | Remove r -> "remove " ^ row r
+           | Mem r -> "mem " ^ row r
+           | Misfit -> "misfit")
+         ops)
 
 let prop_rowset_reference =
   QCheck.Test.make ~name:"add/add_columns = reference set" ~count:300
     (QCheck.make ~print:print_rowset_ops gen_rowset_ops)
-    (fun ops ->
+    (fun (w, ops) ->
       let set = Query.Rowset.create 16 in
-      let seen = Hashtbl.create 64 and order = ref [] in
+      let model = ref [||] and fixed = ref false in
+      let index r =
+        let rec go i =
+          if i = Array.length !model then -1 else if !model.(i) = r then i else go (i + 1)
+        in
+        go 0
+      in
       let ref_add r =
-        let key = Array.to_list r in
-        if Hashtbl.mem seen key then false
-        else begin
-          Hashtbl.replace seen key ();
-          order := Array.copy r :: !order;
-          true
-        end
+        fixed := true;
+        index r < 0 && (model := Array.append !model [| Array.copy r |]; true)
+      in
+      let raises f =
+        match f () with _ -> false | exception Invalid_argument _ -> true
       in
       let step = function
         | Add r -> Query.Rowset.add set r = ref_add r
-        | Add_columns (w, rows) ->
+        | Add_columns rows ->
           let rows = Array.of_list rows in
           let cols = Array.init w (fun c -> Array.map (fun r -> r.(c)) rows) in
           let expected = Array.fold_left (fun n r -> if ref_add r then n + 1 else n) 0 rows in
           Query.Rowset.add_columns set cols (Array.length rows) = expected
+        | Remove r ->
+          let i = index r in
+          if i >= 0 then begin
+            let last = Array.length !model - 1 in
+            !model.(i) <- !model.(last);
+            model := Array.sub !model 0 last
+          end;
+          Query.Rowset.remove set r = (i >= 0)
+        | Mem r -> Query.Rowset.mem set r = (index r >= 0) && Query.Rowset.find set r = index r
+        | Misfit ->
+          let r = Array.make (w + 1) 0 in
+          if !fixed then
+            raises (fun () -> Query.Rowset.add set r)
+            && raises (fun () -> Query.Rowset.mem set r)
+            && raises (fun () -> Query.Rowset.remove set r)
+          else (not (Query.Rowset.mem set r)) && not (Query.Rowset.remove set r)
       in
       List.for_all step ops
       &&
-      let inserted = List.rev !order in
-      Query.Rowset.cardinal set = List.length inserted
-      && Query.Rowset.elements set = inserted
-      && Query.Rowset.fold (fun r acc -> r :: acc) set [] = !order)
+      let rows = Array.to_list !model in
+      let columns = Query.Rowset.columns set in
+      Query.Rowset.cardinal set = List.length rows
+      && Query.Rowset.elements set = rows
+      && Query.Rowset.fold (fun r acc -> r :: acc) set [] = List.rev rows
+      && List.for_all Fun.id (List.mapi (fun i r -> Array.map (fun col -> col.(i)) columns = r) rows))
+
+(* A row-set probe hashes the row and compares codes in place: [mem],
+   [find], adding a present row and removing a row (added back
+   straight after, which stays within capacity) allocate nothing. *)
+let test_rowset_probes_do_not_allocate () =
+  let set = Query.Rowset.create 16 in
+  let rows = Array.init 400 (fun k -> [| k; k mod 13; 3 * k |]) in
+  Array.iteri (fun k row -> if k < 200 then ignore (Query.Rowset.add set row : bool)) rows;
+  let hits = ref 0 in
+  let probes () =
+    for i = 0 to 9_999 do
+      let row = rows.(i mod 400) in
+      if Query.Rowset.mem set row then incr hits;
+      if Query.Rowset.find set row >= 0 then incr hits;
+      if i mod 400 < 200 then begin
+        if not (Query.Rowset.add set row) then incr hits;
+        if Query.Rowset.remove set row && Query.Rowset.add set row then incr hits
+      end
+    done
+  in
+  probes ();
+  hits := 0;
+  let before = Gc.minor_words () in
+  probes ();
+  let allocated = Gc.minor_words () -. before in
+  check_int "every probe of a present row hits" 20_000 !hits;
+  check_int "the set is unchanged" 200 (Query.Rowset.cardinal set);
+  check_bool
+    (Printf.sprintf "the probes allocate nothing (saw %.0f words)" allocated)
+    true (allocated = 0.)
 
 (* ---------- directed plan tests ------------------------------------------ *)
 
@@ -415,7 +478,12 @@ let () =
           to_alcotest prop_executor_reference;
           to_alcotest prop_bound_plan;
         ] );
-      ("rowset", [ to_alcotest prop_rowset_reference ]);
+      ( "rowset",
+        [
+          to_alcotest prop_rowset_reference;
+          Alcotest.test_case "probes allocate nothing" `Quick
+            test_rowset_probes_do_not_allocate;
+        ] );
       ( "plans",
         [
           Alcotest.test_case "impossible constant" `Quick

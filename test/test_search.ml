@@ -117,15 +117,15 @@ let test_two_query_space_agreement () =
    and EXNAIVE); the loop at [~jobs:1] must reproduce it exactly.  A
    state is named by its sorted canonical views, which do not depend on
    what the process interned before. *)
-let fig3_s0 = "{V1,V2}<=t(V0,V1,<ex:c1>)&t(V0,V2,<ex:c2>)"
-let fig3_s1 = "{V1,V2,V3}<=t(V0,V2,V1)&t(V0,V3,<ex:c2>)"
-let fig3_s2 = "{V1,V2,V3}<=t(V0,V2,V1)&t(V0,V3,<ex:c1>)"
-let fig3_s3 = "{V0,V1}<=t(V1,V0,<ex:c1>) | {V0,V1}<=t(V1,V0,<ex:c2>)"
+let fig3_s0 = "{V1,V2}<=t(V0,V1,C:<ex:c1>)&t(V0,V2,C:<ex:c2>)"
+let fig3_s1 = "{V1,V2,V3}<=t(V0,V2,V1)&t(V0,V3,C:<ex:c2>)"
+let fig3_s2 = "{V1,V2,V3}<=t(V0,V2,V1)&t(V0,V3,C:<ex:c1>)"
+let fig3_s3 = "{V0,V1}<=t(V1,V0,C:<ex:c1>) | {V0,V1}<=t(V1,V0,C:<ex:c2>)"
 let fig3_s4 = "{V1,V2,V3,V4}<=t(V0,V3,V1)&t(V0,V4,V2)"
-let fig3_s5 = "{V0,V1,V2}<=t(V2,V1,V0) | {V0,V1}<=t(V1,V0,<ex:c2>)"
+let fig3_s5 = "{V0,V1,V2}<=t(V2,V1,V0) | {V0,V1}<=t(V1,V0,C:<ex:c2>)"
 let fig3_s6 = "{V0,V1,V2}<=t(V2,V1,V0) | {V0,V1,V2}<=t(V2,V1,V0)"
 let fig3_s7 = "{V0,V1,V2}<=t(V2,V1,V0)"
-let fig3_s8 = "{V0,V1,V2}<=t(V2,V1,V0) | {V0,V1}<=t(V1,V0,<ex:c1>)"
+let fig3_s8 = "{V0,V1,V2}<=t(V2,V1,V0) | {V0,V1}<=t(V1,V0,C:<ex:c1>)"
 
 let fig3_depth_first =
   [ fig3_s0; fig3_s1; fig3_s2; fig3_s3; fig3_s4; fig3_s5; fig3_s6; fig3_s7;

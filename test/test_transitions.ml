@@ -290,6 +290,35 @@ let walk_states workload choices =
   in
   go (Core.State.initial workload) [] choices
 
+(* Every state along a random walk, materialized, answers each query
+   through its rewriting as the Reference evaluator answers the query
+   itself, so the executor's selections, joins, projections and renames
+   are checked on real rewritings.  A union of two rewritings answers
+   the union of the two queries: qa with qb when their arities agree,
+   and always qa with qc, a renaming of qa. *)
+let prop_walk_executor_reference =
+  QCheck.Test.make ~name:"walk states answer through views = Reference" ~count:40
+    QCheck.(
+      triple arb_store (pair arb_cq arb_cq)
+        (list_of_size (Gen.int_range 0 8) (pair small_nat small_nat)))
+    (fun (store, (qa, qb), choices) ->
+      let qa = Query.Cq.rename qa "qa" and qb = Query.Cq.rename qb "qb" in
+      let workload = [ qa; qb; Query.Cq.rename (Query.Cq.freshen qa) "qc" ] in
+      let answers q = Query.Evaluation.Reference.eval_cq store q in
+      let agrees env rewriting expected =
+        same_answers (Engine.Executor.execute_query store env rewriting) expected
+      in
+      List.for_all
+        (fun (s : Core.State.t) ->
+          let env = Engine.Materialize.materialize_state store s in
+          let rewriting name = List.assoc name s.rewritings in
+          let union a b = Core.Rewriting.Union [ rewriting a; rewriting b ] in
+          List.for_all (fun q -> agrees env (rewriting q.Query.Cq.name) (answers q)) workload
+          && agrees env (union "qa" "qc") (answers qa)
+          && (Query.Cq.arity qa <> Query.Cq.arity qb
+             || agrees env (union "qa" "qb") (List.sort_uniq compare (answers qa @ answers qb))))
+        (walk_states workload choices))
+
 (* ---------- fusion cache ------------------------------------------------- *)
 
 let fusable_a = cq ~name:"qa" [ v "X" ] [ atom (v "X") (c "ex:p") (v "Y") ]
@@ -354,17 +383,18 @@ let test_vf_each_pair_own_fusion () =
           (List.map (fun u -> u.Core.View.id) fused)))
 
 let test_vf_rejection_counted_once () =
-  (* A colon-free URI prints bare, so the constant V1 reads like the
-     canonical label of a variable: both bodies render t(V1,<ex:p>,V0),
-     yet no renaming maps one onto the other. *)
-  let qb = cq ~name:"qb" [ v "Y" ] [ atom (c "V1") (c "ex:p") (v "Y") ] in
+  (* The literal "k" and a URI spelled with quotes print alike, so both
+     bodies render t(V0,C:<ex:p>,C:"k"), yet the constants differ and no
+     renaming maps one body onto the other. *)
+  let qa = cq ~name:"qa" [ v "X" ] [ atom (v "X") (c "ex:p") (cl "k") ] in
+  let qb = cq ~name:"qb" [ v "Y" ] [ atom (v "Y") (c "ex:p") (c "\"k\"") ] in
   let qd = cq ~name:"qd" [ v "X" ] [ atom (v "X") (c "ex:q") (c "ex:k") ] in
   let registry = Obs.create () in
   Obs.set_global registry;
   Fun.protect
     ~finally:(fun () -> Obs.set_global Obs.disabled)
     (fun () ->
-      let s0 = Core.State.initial [ fusable_a; qb; qd ] in
+      let s0 = Core.State.initial [ qa; qb; qd ] in
       let pair = List.filteri (fun i _ -> i < 2) s0.Core.State.views in
       (match pair with
       | [ va; vb ] ->
@@ -593,6 +623,7 @@ let () =
           Alcotest.test_case "VF head union" `Quick test_vf_head_union;
           Alcotest.test_case "figure 1 sequence" `Quick test_figure1_sequence;
           to_alcotest prop_random_walk_preserves_answers;
+          to_alcotest prop_walk_executor_reference;
         ] );
       ("admission", [ to_alcotest prop_admission_without_rework ]);
       ( "vf-cache",

@@ -135,7 +135,7 @@ let domain_producers =
     ("Cq", "make"); ("Cq", "freshen"); ("Cq", "minimize"); ("Cq", "rename");
     (* a listified row is a domain value: keying a generic Hashtbl by
        [Array.to_list row] means polymorphic hashing of the row — use
-       Query.Rowset (or its Tbl) instead *)
+       Query.Rowset instead *)
     ("Array", "to_list");
   ]
 
