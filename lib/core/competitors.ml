@@ -109,9 +109,9 @@ let prune_dominated rs states =
 let heuristic_filter rs per_query =
   let body_keys states =
     List.concat_map
-      (fun (s, _) -> List.map View.canonical_body s.State.views)
+      (fun (s, _) -> List.map View.body_intern_id s.State.views)
       states
-    |> List.sort_uniq String.compare
+    |> List.sort_uniq Int.compare
   in
   List.mapi
     (fun i states ->
@@ -123,7 +123,7 @@ let heuristic_filter rs per_query =
       let best = best_of states in
       let fusable (s, _) =
         List.exists
-          (fun v -> List.mem (View.canonical_body v) other_keys)
+          (fun v -> List.mem (View.body_intern_id v) other_keys)
           s.State.views
       in
       let is_best (s, _) =

@@ -74,11 +74,8 @@ let profile t (v : View.t) =
   | Some p -> p
   | None ->
     let cq = v.View.cq in
-    let cardinality = Stats.Cardinality.estimate_cq t.stats cq in
     let cols = View.columns v in
-    let distincts =
-      List.map (fun x -> (x, Stats.Cardinality.var_distinct t.stats cq x)) cols
-    in
+    let cardinality, distincts = Stats.Cardinality.profile t.stats cq cols in
     let width =
       List.fold_left (fun acc x -> acc +. var_width t.stats cq x) 0. cols
     in

@@ -9,11 +9,11 @@ let all_kinds = [ VB; SC; JC; VF ]
 (* Per-kind telemetry: [applied] counts the successors of a state,
    built or pruned by the stop test, [rejected] counts candidates that
    never make a successor (disconnecting join-cut orientations,
-   disconnected view-break splits, fusion pairs with equal canonical
-   bodies but no body isomorphism).  Handles index by [kind_rank].
+   disconnected view-break splits).  A VF pair is never rejected: equal
+   body ids mean isomorphic bodies.  Handles index by [kind_rank].
 
-   The action caches below mean a rejection is tallied once per view
-   (once per view pair for VF), not once per state containing it. *)
+   The action caches below mean a rejection is tallied once per view,
+   not once per state containing it. *)
 let obs_per_kind make =
   let arr = Array.make (List.length all_kinds) (make "VB") in
   List.iter (fun k -> arr.(kind_rank k) <- make (kind_name k)) all_kinds;
@@ -60,7 +60,7 @@ let replace_atom body i atom =
    producing a successor is then a single [State.replace_view].  A VF
    fusion likewise depends only on its two views: the fusion cache maps
    the ordered pair of their ids to the fused view and its two
-   expressions, or to [None] when the bodies are not isomorphic.
+   expressions.
 
    Reusing the cached replacement and fused *view objects* across
    states is the heart of the speedup: their canonical forms, interned
@@ -332,11 +332,11 @@ let total_rename cols_v3 fwd head_vars_v2 =
         (c, junk ("_dead_" ^ c)))
     cols_v3
 
+(* Only called on views with equal body ids, whose bodies are therefore
+   isomorphic. *)
 let derive_fusion v1 v2 =
   match Query.Cq.body_isomorphism v1.View.cq v2.View.cq with
-  | None ->
-    reject VF;
-    None
+  | None -> invalid_arg "Transition: equal body ids but no body isomorphism"
   | Some fwd ->
     (* fwd maps v2's variables to v1's *)
     let mapped_head_v2 =
@@ -361,7 +361,7 @@ let derive_fusion v1 v2 =
       Rewriting.Project
         (View.columns v2, Rewriting.Rename (mapping, Rewriting.Scan (View.name v3)))
     in
-    Some { v3; expr1; expr2 }
+    { v3; expr1; expr2 }
 
 let vf_cache = guarded_cache ()
 
@@ -397,7 +397,7 @@ let fuse state v1 v2 { v3; expr1; expr2 } =
       rewritings_touched = List.rev !touched;
     } )
 
-(* The pairs of views with equal body ids that fuse, in view order
+(* The pairs of views with equal body ids, which all fuse, in view order
    (left member first), each with the position of its right member.
    Only pairs whose left member is among the first [fresh] views are
    tried: the caller knows every other pair, which lies within the
@@ -415,9 +415,7 @@ let fusion_pairs ~fresh views =
       if View.body_intern_id v2 <> id1 then
         partners i v1 id1 rest (j + 1) more ()
       else
-        match fusion_of v1 v2 with
-        | Some f -> Seq.Cons ((v1, v2, f, j), partners i v1 id1 rest (j + 1) more)
-        | None -> partners i v1 id1 rest (j + 1) more ())
+        Seq.Cons ((v1, v2, fusion_of v1 v2, j), partners i v1 id1 rest (j + 1) more))
   in
   lefts 0 views
 

@@ -1,15 +1,12 @@
-(* Derived identity data (canonical strings, interned ids) is memoized
-   in plain mutable option fields rather than Lazy.t: parallel search
-   domains share view objects across sibling states, and concurrently
-   forcing a lazy from two domains raises Lazy.Undefined.  The
-   computations are deterministic and Interning.of_canonical is idempotent,
-   so a racy duplicate computation writes the same value twice — benign
-   — while a lazy would crash. *)
+(* The interned ids are memoized in plain mutable option fields rather
+   than Lazy.t: parallel search domains share view objects across
+   sibling states, and concurrently forcing a lazy from two domains
+   raises Lazy.Undefined.  The computations are deterministic and
+   Interning.of_canonical is idempotent, so a racy duplicate computation
+   writes the same value twice — benign — while a lazy would crash. *)
 type t = {
   id : int;
   cq : Query.Cq.t;
-  mutable canon : string option;
-  mutable canon_body : string option;
   mutable iid : Interning.id option;
   mutable body_iid : Interning.id option;
 }
@@ -32,7 +29,7 @@ let validate who cq =
   | None -> ()
 
 let wrap id cq =
-  { id; cq; canon = None; canon_body = None; iid = None; body_iid = None }
+  { id; cq; iid = None; body_iid = None }
 
 let fresh_id () = Atomic.fetch_and_add counter 1 + 1
 
@@ -54,27 +51,11 @@ let columns v =
 
 let atom_count v = Query.Cq.atom_count v.cq
 
-let canonical v =
-  match v.canon with
-  | Some s -> s
-  | None ->
-    let s = Query.Cq.canonical_head_set_string v.cq in
-    v.canon <- Some s;
-    s
-
-let canonical_body v =
-  match v.canon_body with
-  | Some s -> s
-  | None ->
-    let s = Query.Cq.canonical_body_string v.cq in
-    v.canon_body <- Some s;
-    s
-
 let intern_id v =
   match v.iid with
   | Some i -> i
   | None ->
-    let i = Interning.of_canonical (canonical v) in
+    let i = Interning.of_canonical (Query.Cq.canonical_head_set_string v.cq) in
     v.iid <- Some i;
     i
 
@@ -82,7 +63,7 @@ let body_intern_id v =
   match v.body_iid with
   | Some i -> i
   | None ->
-    let i = Interning.of_canonical (canonical_body v) in
+    let i = Interning.of_canonical (Query.Cq.canonical_body_string v.cq) in
     v.body_iid <- Some i;
     i
 

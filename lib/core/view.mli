@@ -7,13 +7,11 @@
 type t = private {
   id : int;
   cq : Query.Cq.t;
-  mutable canon : string option;      (** memoized {!canonical} *)
-  mutable canon_body : string option; (** memoized {!canonical_body} *)
-  mutable iid : Interning.id option;     (** memoized interned id of [canon] *)
+  mutable iid : Interning.id option;  (** memoized {!intern_id} *)
   mutable body_iid : Interning.id option;
-      (** memoized interned id of [canon_body].  The memo fields are
-          plain options, not lazies: view objects are shared across the
-          states of a parallel search, and the accessors tolerate a racy
+      (** memoized {!body_intern_id}.  The memo fields are plain
+          options, not lazies: view objects are shared across the states
+          of a parallel search, and the accessors tolerate a racy
           duplicate computation (deterministic result) where concurrent
           [Lazy.force] would raise. *)
 }
@@ -46,22 +44,18 @@ val columns : t -> string list
 
 val atom_count : t -> int
 
-val canonical : t -> string
-(** Canonical string of the underlying query with the head compared as a
-    set (column order is storage-irrelevant), used for state identity. *)
-
-val canonical_body : t -> string
-(** Canonical string of the body only, used to detect fusion
-    candidates. *)
-
 val intern_id : t -> Interning.id
-(** The interned id of {!canonical} — equal exactly for views with equal
-    canonical forms, computed once per view.  {!State.key} is built from
+(** The interned id of the query's canonical form with the head compared
+    as a set ({!Query.Cq.canonical_head_set_string}; column order is
+    storage-irrelevant) — equal exactly for views that are renamings of
+    one another, computed once per view.  {!State.key} is built from
     these. *)
 
 val body_intern_id : t -> Interning.id
-(** The interned id of {!canonical_body}; fusion candidates are pairs of
-    views with equal body ids. *)
+(** The interned id of the body's canonical form
+    ({!Query.Cq.canonical_body_string}); equal exactly for views whose
+    bodies are isomorphic, so the pairs of views with equal body ids are
+    the fusion pairs. *)
 
 val reset_counter : unit -> unit
 (** Reset the id counter; only for reproducible tests. *)

@@ -5,13 +5,12 @@
     State identity ([Core.State.key]), fusion-candidate detection
     ([Core.Transition]) and the compiled-plan cache ([Query.Plan])
     compare these ids instead of the underlying strings.  The library
-    is dependency-free on purpose: both [core] and
-    [query] sit on top of the same process-global table.
+    depends on [multicore] alone: both [core] and [query] sit on top of
+    the same process-global table.
 
-    All operations are domain-safe: the string → id map is sharded
-    under per-shard spinlocks and id allocation is serialized, so
-    parallel search domains ([Core.Search]) intern
-    concurrently while ids stay dense, unique and stable.  Only
+    All operations are domain-safe: the string → id map is one table
+    under one spinlock, so parallel search domains ([Core.Search])
+    intern concurrently while ids stay dense, unique and stable.  Only
     {!reset} assumes a single domain. *)
 
 type id = int
@@ -19,14 +18,8 @@ type id = int
 val of_canonical : string -> id
 (** The id of a canonical string, allocating a fresh one on first
     sight.  Total and idempotent: equal strings always map to equal
-    ids. *)
-
-val canonical_of : id -> string
-(** The canonical string behind an id.  Raises [Invalid_argument] on an
-    id never returned by {!of_canonical}. *)
-
-val mem : string -> bool
-(** Whether the string has already been interned (no allocation). *)
+    ids, distinct strings to distinct ids, and the ids handed out since
+    the last {!reset} are exactly [0 .. size () - 1]. *)
 
 val size : unit -> int
 (** Number of distinct canonical forms interned so far — exported as

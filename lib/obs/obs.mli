@@ -285,11 +285,12 @@ module Export : sig
   val snapshot : t -> snapshot
 
   val dump : t -> string
-  (** [dump registry] first sets the registry's GC gauges from one
-      [Gc.quick_stat ()] — process totals of [gc.minor_collections],
-      [gc.major_collections], [gc.compactions], [gc.minor_words],
-      [gc.promoted_words] and [gc.top_heap_words] — then returns its
-      {!to_string}. *)
+  (** [dump registry] first sets the registry's GC gauges — process
+      totals of [gc.minor_collections], [gc.major_collections],
+      [gc.compactions], [gc.promoted_words] and [gc.top_heap_words] from
+      one [Gc.quick_stat ()], and [gc.minor_words] from
+      [Gc.minor_words ()], which also counts the current minor heap —
+      then returns its {!to_string}. *)
 
   val with_dump : path:string -> t -> (unit -> 'a) -> 'a
   (** [with_dump ~path registry f] runs [f] between two writes of

@@ -202,71 +202,45 @@ let components q =
 
 let is_connected q = List.length (components q) <= 1
 
-(* -- Body isomorphism (for view fusion) ---------------------------------- *)
-
-let body_isomorphism v1 v2 =
-  if List.length v1.body <> List.length v2.body then None
-  else
-    let targets = Array.of_list v1.body in
-    let n = Array.length targets in
-    (* forward: v2 var -> v1 var; backward ensures injectivity *)
-    let match_term fwd bwd t2 t1 =
-      match (t2, t1) with
-      | Qterm.Cst c2, Qterm.Cst c1 when Rdf.Term.equal c2 c1 -> Some (fwd, bwd)
-      | Qterm.Var x2, Qterm.Var x1 -> (
-        match (SMap.find_opt x2 fwd, SMap.find_opt x1 bwd) with
-        | Some y1, Some y2 ->
-          if String.equal y1 x1 && String.equal y2 x2 then Some (fwd, bwd) else None
-        | None, None -> Some (SMap.add x2 x1 fwd, SMap.add x1 x2 bwd)
-        | Some _, None | None, Some _ -> None)
-      | Qterm.Cst _, _ | Qterm.Var _, _ -> None
-    in
-    let match_atom fwd bwd (a2 : Atom.t) (a1 : Atom.t) =
-      Option.bind (match_term fwd bwd a2.s a1.s) (fun (fwd, bwd) ->
-          Option.bind (match_term fwd bwd a2.p a1.p) (fun (fwd, bwd) ->
-              match_term fwd bwd a2.o a1.o))
-    in
-    let rec search fwd bwd used = function
-      | [] -> Some fwd
-      | a2 :: rest ->
-        let rec try_target i =
-          if i >= n then None
-          else if List.mem i used then try_target (i + 1)
-          else
-            match match_atom fwd bwd a2 targets.(i) with
-            | Some (fwd', bwd') -> (
-              match search fwd' bwd' (i :: used) rest with
-              | Some _ as found -> found
-              | None -> try_target (i + 1))
-            | None -> try_target (i + 1)
-        in
-        try_target 0
-    in
-    Option.map SMap.bindings (search SMap.empty SMap.empty [] v2.body)
-
 (* -- Canonical labeling --------------------------------------------------- *)
 
-let slot_color colors = function
-  | Qterm.Cst c -> "C:" ^ Rdf.Term.to_string c
-  | Qterm.Var x -> SMap.find x colors
+(* A body position as the labelling sees it: a constant, by its key
+   (computed once per labelling), or a variable. *)
+type slot = Fixed of string | Free of string
 
-let atom_signature colors (a : Atom.t) =
-  "(" ^ slot_color colors a.s ^ "," ^ slot_color colors a.p ^ ","
-  ^ slot_color colors a.o ^ ")"
+let slot = function Qterm.Cst c -> Fixed (Rdf.Term.key c) | Qterm.Var x -> Free x
+
+let slots (a : Atom.t) = [| slot a.s; slot a.p; slot a.o |]
+
+let position_names = [| "s"; "p"; "o" |]
+
+(* A constant's colour is its self-delimiting key, which starts with a
+   kind tag (U, B or L); a variable's colour starts with 0 or c.  The two
+   ranges are disjoint, and no label can run into the next slot. *)
+let slot_color colors = function Fixed k -> k | Free x -> SMap.find x colors
 
 let refine_colors body vars colors =
+  (* each atom's signature, built once per round *)
+  let signed =
+    List.map
+      (fun a ->
+        ( a,
+          "(" ^ slot_color colors a.(0) ^ "," ^ slot_color colors a.(1) ^ ","
+          ^ slot_color colors a.(2) ^ ")" ))
+      body
+  in
   let signature v =
     let occurrences =
       List.concat_map
-        (fun a ->
+        (fun (a, sg) ->
           List.filter_map
             (fun pos ->
-              match Atom.term_at a pos with
-              | Qterm.Var x when String.equal x v ->
-                Some (Atom.position_name pos ^ atom_signature colors a)
-              | Qterm.Var _ | Qterm.Cst _ -> None)
-            Atom.positions)
-        body
+              match a.(pos) with
+              | Free x when String.equal x v ->
+                Some (position_names.(pos) ^ sg)
+              | Free _ | Fixed _ -> None)
+            [ 0; 1; 2 ])
+        signed
     in
     SMap.find v colors ^ "|" ^ String.concat ";" (List.sort String.compare occurrences)
   in
@@ -290,7 +264,9 @@ let rec refine_to_fixpoint body vars colors =
 
 type head_mode = Ordered | Set | NoHead
 
-let render ~head_mode q colors =
+(* The form of a discrete colouring, and the label ("V<rank>") it gives
+   each variable. *)
+let render ~head_mode ~head ~body colors =
   let var_rank =
     let sorted =
       List.sort
@@ -299,25 +275,27 @@ let render ~head_mode q colors =
     in
     List.mapi (fun i (v, _) -> (v, Printf.sprintf "V%d" i)) sorted
   in
-  (* constants carry slot_color's prefix, so a URI that prints like a
-     variable label (<V1>) never reads as one *)
-  let label = function
-    | Qterm.Cst _ as t -> slot_color SMap.empty t
-    | Qterm.Var x -> List.assoc x var_rank
+  let label = function Fixed k -> k | Free x -> List.assoc x var_rank in
+  let atom_str a =
+    "t(" ^ label a.(0) ^ "," ^ label a.(1) ^ "," ^ label a.(2) ^ ")"
   in
-  let atom_str (a : Atom.t) =
-    "t(" ^ label a.s ^ "," ^ label a.p ^ "," ^ label a.o ^ ")"
+  let body_str = String.concat "&" (List.sort String.compare (List.map atom_str body)) in
+  let form =
+    match head_mode with
+    | Ordered -> "[" ^ String.concat "," (List.map label head) ^ "]<=" ^ body_str
+    | Set ->
+      "{" ^ String.concat ","
+        (List.sort String.compare (List.map label head)) ^ "}<=" ^ body_str
+    | NoHead -> body_str
   in
-  let body_str = String.concat "&" (List.sort String.compare (List.map atom_str q.body)) in
-  match head_mode with
-  | Ordered -> "[" ^ String.concat "," (List.map label q.head) ^ "]<=" ^ body_str
-  | Set ->
-    "{" ^ String.concat ","
-      (List.sort String.compare (List.map label q.head)) ^ "}<=" ^ body_str
-  | NoHead -> body_str
+  (form, var_rank)
 
-let canonical_generic ~head_mode q =
+(* The canonical form and the labelling that produced it. *)
+let labelling ~head_mode q =
   let vars = body_vars q in
+  let head = List.map slot q.head in
+  let body = List.map slots q.body in
+  let render = render ~head_mode ~head ~body in
   let initial =
     let head_tags =
       match head_mode with
@@ -351,8 +329,8 @@ let canonical_generic ~head_mode q =
     List.length (List.sort_uniq String.compare values) = List.length values
   in
   let rec solve colors =
-    let colors = refine_to_fixpoint q.body vars colors in
-    if discrete colors then render ~head_mode q colors
+    let colors = refine_to_fixpoint body vars colors in
+    if discrete colors then render colors
     else begin
       (* individualize each member of the first ambiguous class, keep the
          lexicographically least outcome: canonical and order-independent *)
@@ -372,12 +350,14 @@ let canonical_generic ~head_mode q =
           (fun v -> solve (SMap.add v (SMap.find v colors ^ "!") colors))
           clash
       in
-      List.fold_left min (List.hd candidates) (List.tl candidates)
+      List.fold_left
+        (fun best c -> if String.compare (fst c) (fst best) < 0 then c else best)
+        (List.hd candidates) (List.tl candidates)
     end
   in
-  if vars = [] then render ~head_mode q SMap.empty else solve initial
+  if vars = [] then render SMap.empty else solve initial
 
-let canonical_string q = canonical_generic ~head_mode:Ordered q
+let canonical_string q = fst (labelling ~head_mode:Ordered q)
 
 let interned_canonical q =
   if q.canon_id >= 0 then q.canon_id
@@ -387,9 +367,22 @@ let interned_canonical q =
     id
   end
 
-let canonical_body_string q = canonical_generic ~head_mode:NoHead q
+let canonical_body_string q = fst (labelling ~head_mode:NoHead q)
 
-let canonical_head_set_string q = canonical_generic ~head_mode:Set q
+let canonical_head_set_string q = fst (labelling ~head_mode:Set q)
+
+(* -- Body isomorphism (for view fusion) ---------------------------------- *)
+
+(* Equal forms give each label to one variable of each body, and the
+   forms are the bodies spelled in those labels: composing the two
+   labellings maps v2's body onto v1's. *)
+let body_isomorphism v1 v2 =
+  let form1, labels1 = labelling ~head_mode:NoHead v1 in
+  let form2, labels2 = labelling ~head_mode:NoHead v2 in
+  if not (String.equal form1 form2) then None
+  else
+    let var_of_label = List.map (fun (x1, l) -> (l, x1)) labels1 in
+    Some (List.map (fun (x2, l) -> (x2, List.assoc l var_of_label)) labels2)
 
 let to_string q =
   Printf.sprintf "%s(%s) :- %s" q.name

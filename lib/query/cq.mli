@@ -75,13 +75,17 @@ val components : t -> Atom.t list list
 val body_isomorphism : t -> t -> (string * string) list option
 (** [body_isomorphism v1 v2] returns a renaming of [v2]'s variables into
     [v1]'s making the bodies equal as atom sets ("their bodies are
-    equivalent up to variable renaming", Definition 3.5), or [None]. *)
+    equivalent up to variable renaming", Definition 3.5), or [None].
+    The renaming is read off the labellings behind the two
+    {!canonical_body_string}s, so it is [None] exactly when those
+    differ. *)
 
 val canonical_string : t -> string
 (** A string invariant under variable renaming and atom reordering:
     two queries have the same canonical string iff one can be renamed
     into the other.  Computed by color refinement with individualization
-    backtracking. *)
+    backtracking; constants are spelled by their {!Rdf.Term.key}, so
+    two distinct constants never read alike. *)
 
 val interned_canonical : t -> int
 (** {!canonical_string} pushed through the process-global [Interning]

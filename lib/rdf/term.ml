@@ -35,6 +35,14 @@ let to_string = function
   | Blank b -> "_:" ^ b
   | Literal l -> "\"" ^ l ^ "\""
 
+(* Kind tag, label length, ':', label: the length says where the label
+   ends, so a label holding ',' ')' '&' '<' or ':' cannot run into what
+   follows it. *)
+let key t =
+  let tag = match t with Uri _ -> "U" | Blank _ -> "B" | Literal _ -> "L" in
+  let l = label t in
+  String.concat "" [ tag; string_of_int (String.length l); ":"; l ]
+
 let of_string s =
   let n = String.length s in
   if n >= 2 && s.[0] = '<' && s.[n - 1] = '>' then Uri (String.sub s 1 (n - 2))

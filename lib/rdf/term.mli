@@ -38,6 +38,13 @@ val to_string : t -> string
 (** Turtle-ish rendering: URIs as [<u>] when they contain a scheme,
     bare otherwise; blank nodes as [_:b]; literals as ["l"]. *)
 
+val key : t -> string
+(** An injective, self-delimiting rendering for canonical forms and memo
+    keys: a kind tag ([U], [B] or [L]), the label's length, [:], then
+    the label.  Unlike {!to_string}, two terms have the same key only
+    when they are {!equal}, and a key can be followed by any text
+    without ambiguity. *)
+
 val of_string : string -> t
 (** Inverse of {!to_string} on its image; bare words parse as URIs. *)
 

@@ -34,12 +34,11 @@ let occurrences (q : Query.Cq.t) =
     q.Query.Cq.body;
   table
 
-let estimate_cq stats (q : Query.Cq.t) =
+let estimate_with stats (q : Query.Cq.t) occs =
   let counts = List.map (Statistics.atom_count stats) q.Query.Cq.body in
   if List.exists (fun c -> c = 0.) counts then 0.
   else
     let cross = List.fold_left ( *. ) 1. counts in
-    let occs = occurrences q in
     let selectivity =
       Hashtbl.fold
         (fun _var places acc ->
@@ -56,17 +55,23 @@ let estimate_cq stats (q : Query.Cq.t) =
     in
     Float.max (cross *. selectivity) 1e-9
 
+let estimate_cq stats q = estimate_with stats q (occurrences q)
+
 let estimate_ucq stats u =
   List.fold_left (fun acc q -> acc +. estimate_cq stats q) 0. (Query.Ucq.disjuncts u)
 
-let var_distinct stats q x =
+let profile stats q columns =
   let occs = occurrences q in
-  match Hashtbl.find_opt occs x with
-  | None | Some [] -> 1.
-  | Some places ->
-    let per_place =
-      List.fold_left
-        (fun acc (a, pos) -> Float.min acc (position_distinct stats a pos))
-        Float.infinity places
-    in
-    Float.max 1. (Float.min per_place (estimate_cq stats q))
+  let card = estimate_with stats q occs in
+  let distinct x =
+    match Hashtbl.find_opt occs x with
+    | None | Some [] -> 1.
+    | Some places ->
+      let per_place =
+        List.fold_left
+          (fun acc (a, pos) -> Float.min acc (position_distinct stats a pos))
+          Float.infinity places
+      in
+      Float.max 1. (Float.min per_place card)
+  in
+  (card, List.map (fun x -> (x, distinct x)) columns)

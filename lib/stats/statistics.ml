@@ -23,13 +23,15 @@ let create ?(mode = Plain) store =
   }
 
 (* Atoms are keyed by their constant pattern only: variable names are
-   irrelevant to the count (they are relaxations of one another). *)
+   irrelevant to the count (they are relaxations of one another).  A
+   constant's key is self-delimiting and never starts with '?', so the
+   three parts need no separator. *)
 let pattern_key (a : Query.Atom.t) =
   let part = function
-    | Query.Qterm.Cst c -> Rdf.Term.to_string c
+    | Query.Qterm.Cst c -> Rdf.Term.key c
     | Query.Qterm.Var _ -> "?"
   in
-  part a.s ^ "\x00" ^ part a.p ^ "\x00" ^ part a.o
+  part a.s ^ part a.p ^ part a.o
 
 (* Rebuild the atom with canonical variable names so that repeated
    variables (t(X,p,X)) do not skew eval-based counts differently from
@@ -134,7 +136,7 @@ let avg_term_size t col =
       Hashtbl.find t.term_sizes key)
 
 let property_distinct t prop col =
-  let key = Rdf.Term.to_string prop ^ "\x00" ^ column_name (col :> [ `S | `P | `O ]) in
+  let key = Rdf.Term.key prop ^ column_name (col :> [ `S | `P | `O ]) in
   match Hashtbl.find_opt t.property_distincts key with
   | Some n -> if n < 0. then None else Some n
   | None ->

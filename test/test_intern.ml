@@ -7,7 +7,6 @@ open Support
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
-let check_string = Alcotest.(check string)
 
 let estimator_for store =
   Core.Cost.create
@@ -42,17 +41,20 @@ let test_intern_basics () =
   check_bool "distinct strings get distinct ids" true (a <> b);
   check_int "interning is idempotent" a
     (Interning.of_canonical "test_intern:a");
-  check_string "ids map back to their string" "test_intern:a"
-    (Interning.canonical_of a);
-  check_bool "mem sees interned strings" true (Interning.mem "test_intern:a");
-  check_bool "mem rejects unknown strings" false
-    (Interning.mem "test_intern:never-interned");
   check_bool "size counts both" true (Interning.size () >= 2)
 
-let test_canonical_of_bounds () =
-  Alcotest.check_raises "out-of-range id rejected"
-    (Invalid_argument "Interning.canonical_of: unknown id 1073741823") (fun () ->
-      ignore (Interning.canonical_of 0x3FFFFFFF))
+(* Ids are dense: a string seen for the first time gets the id [size]
+   had just before, and every id handed out lies below [size]. *)
+let test_ids_dense () =
+  let before = Interning.size () in
+  let fresh = List.init 50 (fun i -> Printf.sprintf "test_intern:dense%d" i) in
+  let ids = List.map Interning.of_canonical fresh in
+  check_bool "next ids in order" true
+    (ids = List.init 50 (fun i -> before + i));
+  check_int "size grew by the new strings" (before + 50) (Interning.size ());
+  check_bool "again: same ids, no growth" true
+    (List.map Interning.of_canonical fresh = ids
+    && Interning.size () = before + 50)
 
 (* ---------- id stability under renaming ---------------------------------- *)
 
@@ -172,7 +174,7 @@ let () =
       ( "interner",
         [
           Alcotest.test_case "basics" `Quick test_intern_basics;
-          Alcotest.test_case "bounds" `Quick test_canonical_of_bounds;
+          Alcotest.test_case "bounds" `Quick test_ids_dense;
         ] );
       ( "stability",
         [

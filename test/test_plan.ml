@@ -446,6 +446,34 @@ let test_isomorphic_queries_share_plan () =
   check_int "isomorphic queries share one plan" 1
     (Query.Plan.cached_plan_count store)
 
+(* The literal "k" and the URI <"k"> print alike through Term.to_string;
+   canonical forms spell constants by Term.key, so the two queries get
+   two forms, two interned ids and two plans, and each its own answer. *)
+let test_quoted_uri_own_plan () =
+  Query.Plan.reset_cache ();
+  let store =
+    store_of
+      (Query.Parser.parse_triples
+         "<ex:s1> <ex:p> \"k\" .\n<ex:s2> <ex:p> <\"k\"> .\n")
+  in
+  match
+    Query.Parser.parse_workload
+      "qc(?x) :- t(?x, <ex:p>, \"k\").\nqd(?x) :- t(?x, <ex:p>, <\"k\">).\n"
+  with
+  | [ qc; qd ] ->
+    List.iter
+      (fun form ->
+        check_bool "distinct forms" true (form qc <> form qd))
+      [ Query.Cq.canonical_string; Query.Cq.canonical_head_set_string;
+        Query.Cq.canonical_body_string ];
+    check_bool "distinct ids" true
+      (Query.Cq.interned_canonical qc <> Query.Cq.interned_canonical qd);
+    let answers q = List.map Array.to_list (Query.Evaluation.eval_cq store q) in
+    check_bool "qc reads s1" true (answers qc = [ [ uri "ex:s1" ] ]);
+    check_bool "qd reads s2" true (answers qd = [ [ uri "ex:s2" ] ]);
+    check_int "two plans" 2 (Query.Plan.cached_plan_count store)
+  | _ -> Alcotest.fail "expected two queries"
+
 let test_stats_gathering_hits_cache () =
   with_registry (fun reg ->
       Query.Plan.reset_cache ();
@@ -501,6 +529,8 @@ let () =
           Alcotest.test_case "hits on reuse" `Quick test_cache_hits_on_reuse;
           Alcotest.test_case "isomorphic queries share a plan" `Quick
             test_isomorphic_queries_share_plan;
+          Alcotest.test_case "a quoted URI has its own plan" `Quick
+            test_quoted_uri_own_plan;
           Alcotest.test_case "stats gathering hits the cache" `Quick
             test_stats_gathering_hits_cache;
         ] );

@@ -233,11 +233,34 @@ let prop_var_distinct_bounded =
     (fun (store, q) ->
       let stats = Stats.Statistics.create store in
       let card = Stats.Cardinality.estimate_cq stats q in
-      List.for_all
-        (fun x ->
-          let d = Stats.Cardinality.var_distinct stats q x in
-          d >= 1. && d <= Float.max card 1. +. 1e-9)
-        (Query.Cq.body_vars q))
+      let card', distincts =
+        Stats.Cardinality.profile stats q (Query.Cq.body_vars q)
+      in
+      Int64.equal (Int64.bits_of_float card) (Int64.bits_of_float card')
+      && List.for_all
+           (fun (_, d) -> d >= 1. && d <= Float.max card 1. +. 1e-9)
+           distincts)
+
+(* The literal "k" and the URI <"k"> print alike; their memo entries
+   must not. *)
+let test_constant_kinds_apart () =
+  let quoted = uri "\"k\"" in
+  let store =
+    store_of
+      [ triple (uri "s1") (uri "ex:p") (lit "k");
+        triple (uri "s2") (uri "ex:p") (lit "k");
+        triple (uri "s3") (uri "ex:p") quoted;
+        triple (uri "s4") quoted (uri "o4");
+        triple (uri "s5") quoted (uri "o5") ]
+  in
+  let stats = Stats.Statistics.create store in
+  let count o = Stats.Statistics.atom_count stats (atom (v "X") (c "ex:p") o) in
+  check_bool "literal counted" true (count (cl "k") = 2.);
+  check_bool "URI counted apart" true (count (Query.Qterm.Cst quoted) = 1.);
+  check_bool "no literal property" true
+    (Stats.Statistics.property_distinct stats (lit "k") `S = None);
+  check_bool "URI property distincts" true
+    (Stats.Statistics.property_distinct stats quoted `S = Some 2.)
 
 let test_estimate_ucq_is_sum_bound () =
   let stats = Stats.Statistics.create sample_store in
@@ -260,6 +283,8 @@ let () =
           Alcotest.test_case "per-property distincts" `Quick
             test_property_distincts;
           Alcotest.test_case "prewarm gathers relaxations" `Quick test_prewarm;
+          Alcotest.test_case "constant kinds kept apart" `Quick
+            test_constant_kinds_apart;
         ] );
       ( "reformulated",
         [

@@ -130,7 +130,7 @@ let test_render_runtime () =
     [ 0; 1 ];
   Gc.minor ();
   let dump = Obs.Json.of_string (Obs.Export.dump t) in
-  (* the dump's GC gauges, from one Gc.quick_stat *)
+  (* the dump's GC gauges *)
   let gauge name =
     match Option.bind (Obs.Json.member "gauges" dump) (Obs.Json.member name) with
     | Some (Obs.Json.Float v) -> v
@@ -169,6 +169,28 @@ let test_render_runtime () =
     "search placeholder" true
     (contains (render (Obs.create ())) "no search in dump")
 
+(* gc.minor_words counts the words of the current minor heap too: after
+   a minor collection, allocating a list of [n] cells raises the gauge
+   by at least [3 n] words, although no collection runs in between. *)
+let test_minor_words_gauge () =
+  let t = Obs.create () in
+  let gauge () =
+    let dump = Obs.Json.of_string (Obs.Export.dump t) in
+    match Option.bind (Obs.Json.member "gauges" dump) (Obs.Json.member "gc.minor_words") with
+    | Some (Obs.Json.Float v) -> v
+    | Some (Obs.Json.Int v) -> float_of_int v
+    | _ -> Alcotest.fail "gc.minor_words missing from the dump"
+  in
+  Gc.minor ();
+  let before = gauge () in
+  let n = 2000 in
+  ignore (Sys.opaque_identity (List.init n Fun.id));
+  let after = gauge () in
+  Alcotest.(check bool)
+    (Printf.sprintf "rose by %.0f words, allocated %d" (after -. before) (3 * n))
+    true
+    (after -. before >= float_of_int (3 * n))
+
 let () =
   Alcotest.run "telemetry"
     [
@@ -182,5 +204,8 @@ let () =
           Alcotest.test_case "lifecycle" `Quick test_exporter_lifecycle;
         ] );
       ( "renderer",
-        [ Alcotest.test_case "runtime sections" `Quick test_render_runtime ] );
+        [
+          Alcotest.test_case "runtime sections" `Quick test_render_runtime;
+          Alcotest.test_case "minor words" `Quick test_minor_words_gauge;
+        ] );
     ]

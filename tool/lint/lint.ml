@@ -103,7 +103,7 @@ let describe_domain_expr (e : Parsetree.expression) =
    polymorphic one. *)
 let locally_bound : (string, unit) Hashtbl.t = Hashtbl.create 16
 
-(* Let-bound aliases of the shared table fields: [let t = shard.s_tbl]
+(* Let-bound aliases of the shared table fields: [let t = table.s_tbl]
    maps "t" -> "s_tbl", so a mutator applied to the bare alias is
    caught too (the rule's original false-negative class). *)
 let table_aliases : (string, string) Hashtbl.t = Hashtbl.create 16
@@ -246,8 +246,8 @@ let check_shared_table ~file ~is_lib fn args loc =
             ->
             report ~file ~loc "unguarded-shared-table"
               (Printf.sprintf
-                 "mutation of shared table %s outside %s bypasses its shard \
-                  lock; go through the owning module's API"
+                 "mutation of shared table %s outside %s bypasses its lock; \
+                  go through the owning module's API"
                  shown owner)
           | _ -> ())
         | None -> ())

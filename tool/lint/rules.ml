@@ -148,13 +148,14 @@ let hashtbl_key_ops =
   [ "add"; "replace"; "find"; "find_opt"; "find_all"; "mem"; "remove" ]
 
 (* Shared mutable table fields and the one source file whose locked
-   entry points are allowed to touch them.  The intern shards and the
-   parallel-search dedup shards are accessed concurrently from several
-   domains; a raw write anywhere else bypasses the shard spinlock and is
-   a data race even when it happens to survive testing. *)
+   entry points are allowed to touch them.  The intern table, the
+   parallel-search dedup shards and the transition caches are accessed
+   concurrently from several domains; a raw write anywhere else bypasses
+   the table's spinlock and is a data race even when it happens to
+   survive testing. *)
 let shared_table_fields =
   [
-    ("s_tbl", "interning.ml");   (* Interning's per-shard string table *)
+    ("s_tbl", "interning.ml");   (* Interning's one string table *)
     ("b_tbl", "shard_tbl.ml");   (* Shard_tbl's per-shard rank table *)
     ("c_tbl", "transition.ml");  (* Transition's action and fusion caches *)
   ]
