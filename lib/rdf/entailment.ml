@@ -76,14 +76,6 @@ let iter_closure r (s, p, o) f =
     Array.iter (fun c -> f (o, ty, c)) (typing r r.ranges Schema.ranges_of p)
   end
 
-let derives r e (us, up, uo) =
-  let exception Found in
-  try
-    iter_closure r e (fun (s, p, o) ->
-        if s = us && p = up && o = uo then raise_notrace Found);
-    false
-  with Found -> true
-
 let add_closure r e =
   let added = ref 0 in
   iter_closure r e (fun u -> if Store.add_encoded r.store u then incr added);

@@ -27,9 +27,6 @@ val iter_closure : rules -> Store.encoded -> (Store.encoded -> unit) -> unit
     everything [e] entails on its own, [e] included.  A triple reached
     by two rules may be visited twice. *)
 
-val derives : rules -> Store.encoded -> Store.encoded -> bool
-(** [derives r e u]: is [u] in [closure(e)]? *)
-
 val add_closure : rules -> Store.encoded -> int
 (** Add [closure(e)] to the store; returns the number of triples that
     were absent. *)

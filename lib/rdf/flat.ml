@@ -304,10 +304,6 @@ module Triples = struct
     t.n <- last;
     last
 
-  let remove t s p o =
-    let r = find t s p o in
-    r >= 0 && (ignore (remove_row t r : int); true)
-
   let fold t f init =
     let acc = ref init in
     for r = 0 to t.n - 1 do

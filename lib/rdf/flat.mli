@@ -3,8 +3,8 @@
     deletion (no tombstones).  Keys are compared in place, so a lookup allocates
     nothing and follows no pointer but the one to its result.  The
     storage layer of {!Hash_backend} (and so of the compact backend's
-    memtable), of the compact backend's scan memo and of
-    {!Incremental}'s explicit set. *)
+    memtable), of the compact backend's scan memo and of the saturated
+    triples whose derivations {!Incremental} counts. *)
 
 val hash : int -> int
 (** The slot hash: a key's home is [hash key land mask]. *)
@@ -85,7 +85,6 @@ module Triples : sig
       last row moves into [r].  Returns that last row's index ([r]
       itself when [r] was last). *)
 
-  val remove : t -> int -> int -> int -> bool
   val fold : t -> (int * int * int -> 'a -> 'a) -> 'a -> 'a
   (** In row order. *)
 

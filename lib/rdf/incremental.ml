@@ -1,26 +1,71 @@
+(* Exact derivation counts: every rule has one premise, so the explicit
+   triples deriving u are those whose closure visits u.  [counts.(r)] is
+   two per such visit to the triple at row [r] of [rows], plus 1 (the
+   low bit) if it is explicit; the store holds those counted above 0. *)
 type t = {
   schema : Schema.t;
   store : Store.t;
   rules : Entailment.rules;
-  rdf_type : int;
-  explicit : Flat.Triples.t;  (* probed once per scanned row of a delete *)
+  rows : Flat.Triples.t;
+  mutable counts : int array;  (* by row of [rows], grown 2x *)
+  mutable explicit : int;  (* counts with the low bit set *)
 }
-
-let create schema store =
-  let explicit = Flat.Triples.create () in
-  Store.fold_all store
-    (fun (s, p, o) () -> ignore (Flat.Triples.add explicit s p o : bool))
-    ();
-  let _ = Entailment.saturate store schema in
-  let rdf_type = Store.encode_term store Vocabulary.rdf_type in
-  { schema; store; rules = Entailment.rules store schema; rdf_type; explicit }
 
 let store t = t.store
 let schema t = t.schema
+let explicit_count t = t.explicit
+let implicit_count t = Store.size t.store - t.explicit
 
-let explicit_count t = Flat.Triples.size t.explicit
+let flagged t (s, p, o) =
+  let r = Flat.Triples.find t.rows s p o in
+  r >= 0 && t.counts.(r) land 1 = 1
 
-let implicit_count t = Store.size t.store - explicit_count t
+(* Add [d] to the count of [u]; true when [u] is new to the store. *)
+let bump t ((s, p, o) as u) d =
+  let r = Flat.Triples.find t.rows s p o in
+  if r >= 0 then t.counts.(r) <- t.counts.(r) + d
+  else begin
+    ignore (Flat.Triples.add t.rows s p o : bool);
+    let fresh = Flat.Triples.size t.rows - 1 and c = t.counts in
+    if fresh = Array.length c then t.counts <- Array.append c c;
+    t.counts.(fresh) <- d
+  end;
+  r < 0 && Store.add_encoded t.store u
+
+(* Subtract [d] from the count of [u]; at 0, [u] leaves the store and
+   [rows], whose last row moves into its place. *)
+let drop t ((s, p, o) as u) d =
+  let r = Flat.Triples.find t.rows s p o in
+  t.counts.(r) <- t.counts.(r) - d;
+  t.counts.(r) = 0
+  && begin
+    t.counts.(r) <- t.counts.(Flat.Triples.remove_row t.rows r);
+    Store.remove_encoded t.store u
+  end
+
+(* [iter_closure] may visit a triple twice: insertion and deletion both
+   count every visit, so they stay symmetric.  Returns the store writes. *)
+let over_closure t e update =
+  let writes = ref 0 in
+  Entailment.iter_closure t.rules e (fun u -> if update t u 2 then incr writes);
+  !writes
+
+(* closure(e) holds e: e has a row once its closure is counted. *)
+let add_explicit t e =
+  if flagged t e then 0
+  else begin
+    t.explicit <- t.explicit + 1;
+    let added = over_closure t e bump in
+    ignore (bump t e 1 : bool);
+    added
+  end
+
+let create schema store =
+  let rules = Entailment.rules store schema and rows = Flat.Triples.create () in
+  let t = { schema; store; rules; rows; counts = [| 0 |]; explicit = 0 } in
+  let triples = List.rev (Store.fold_all store (fun e acc -> e :: acc) []) in
+  List.iter (fun e -> ignore (add_explicit t e : int)) triples;
+  t
 
 (* Look the terms up without assigning codes: a term the dictionary
    has never seen cannot be in an explicit triple. *)
@@ -31,51 +76,16 @@ let find_triple t (tr : Triple.t) =
   | _ -> None
 
 let is_explicit t tr =
-  match find_triple t tr with
-  | Some (s, p, o) -> Flat.Triples.mem t.explicit s p o
-  | None -> false
+  match find_triple t tr with Some e -> flagged t e | None -> false
 
 let insert t (tr : Triple.t) =
   let encode = Store.encode_term t.store in
-  let ((s, p, o) as triple) =
-    (encode tr.Triple.s, encode tr.Triple.p, encode tr.Triple.o)
-  in
-  if not (Flat.Triples.add t.explicit s p o) then 0
-  else begin
-    (* already implicit: the store is saturated, so closure(triple) is
-       in it too *)
-    if Store.mem_encoded t.store triple then 0
-    else Entailment.add_closure t.rules triple
-  end
+  add_explicit t (encode tr.Triple.s, encode tr.Triple.p, encode tr.Triple.o)
 
-(* Does some explicit triple derive [u]?  Every rule keeps the subject
-   except a range rule, which types the object, so only triples with
-   [u]'s subject in their subject or object position can.  Support is
-   checked against explicit triples only, never against derived ones,
-   so a cycle (c1 ⊑ c2 ⊑ c1) cannot keep itself alive. *)
-let supported t ((s, p, o) as u) =
-  let any (data, n) =
-    let rec from i =
-      i < n
-      && (let s = data.(3 * i) and p = data.((3 * i) + 1) and o = data.((3 * i) + 2) in
-          (Flat.Triples.mem t.explicit s p o
-          && Entailment.derives t.rules (s, p, o) u)
-          || from (i + 1))
-    in
-    from 0
-  in
-  if p = t.rdf_type then
-    any (Store.scan1 t.store `S s) || any (Store.scan1 t.store `O s)
-  else any (Store.scan2 t.store `SO s o)
-
-(* Only closure(triple) can lose support; it leaves the store exactly
-   when no remaining explicit triple derives it. *)
 let delete t tr =
   match find_triple t tr with
-  | Some ((s, p, o) as triple) when Flat.Triples.remove t.explicit s p o ->
-    let removed = ref 0 in
-    Entailment.iter_closure t.rules triple (fun u ->
-        if (not (supported t u)) && Store.remove_encoded t.store u then
-          incr removed);
-    !removed
+  | Some e when flagged t e ->
+    t.explicit <- t.explicit - 1;
+    ignore (drop t e 1 : bool);  (* e's closure visits keep it above 0 *)
+    over_closure t e drop
   | _ -> 0

@@ -6,19 +6,19 @@
     implicit triples whose every derivation used it.  The four
     instance-level RDFS rules each have a single premise, so the
     saturation is the union of [closure(e)] over the explicit triples
-    [e] ({!Entailment.iter_closure}), and neither update needs a fixpoint:
+    [e] ({!Entailment.iter_closure}), and the explicit triples deriving
+    [u] are those whose closure holds [u].  Each saturated triple keeps
+    that exact derivation count (the counting algorithm of Gupta,
+    Mumick and Subrahmanian), with a flag for explicit triples:
 
-    - insertion adds the absent part of [closure(t)];
-    - deletion removes each [u] in [closure(t)] that no remaining
-      explicit triple derives.  Only explicit triples sharing [u]'s
-      subject (in their subject or, through a range rule, object
-      position) can derive it, so the check is a few index scans.
-      Support is never taken from derived triples, which makes it
-      safe on cyclic hierarchies ([c1 ⊑ c2 ⊑ c1]).
+    - insertion counts each triple of [closure(t)] once more and stores
+      those it counted for the first time;
+    - deletion counts them once less and removes those left at 0.
 
-    Each update writes the store once per triple it adds or removes.
-    The structure distinguishes the explicit triples (the database) from
-    the derived ones, which plain saturation does not track. *)
+    No update scans an index or runs a fixpoint, and the work does not
+    depend on dictionary codes.  Counts come from explicit triples only,
+    so they are exact on cyclic hierarchies ([c1 ⊑ c2 ⊑ c1]).  Each
+    update writes the store once per triple it adds or removes. *)
 
 type t
 

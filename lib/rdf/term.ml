@@ -30,8 +30,20 @@ let is_uri = function Uri _ -> true | Blank _ | Literal _ -> false
 let is_blank = function Blank _ -> true | Uri _ | Literal _ -> false
 let is_literal = function Literal _ -> true | Uri _ | Blank _ -> false
 
+let of_string s =
+  let n = String.length s in
+  if n >= 2 && s.[0] = '<' && s.[n - 1] = '>' then Uri (String.sub s 1 (n - 2))
+  else if n >= 2 && s.[0] = '_' && s.[1] = ':' then Blank (String.sub s 2 (n - 2))
+  else if n >= 2 && s.[0] = '"' && s.[n - 1] = '"' then
+    Literal (String.sub s 1 (n - 2))
+  else Uri s
+
+(* A URI prints bare only when [of_string] reads the bare text back as
+   that URI, so no two terms print alike. *)
 let to_string = function
-  | Uri u -> if String.contains u ':' then "<" ^ u ^ ">" else u
+  | Uri u as t ->
+    if String.contains u ':' || not (equal (of_string u) t) then "<" ^ u ^ ">"
+    else u
   | Blank b -> "_:" ^ b
   | Literal l -> "\"" ^ l ^ "\""
 
@@ -42,14 +54,6 @@ let key t =
   let tag = match t with Uri _ -> "U" | Blank _ -> "B" | Literal _ -> "L" in
   let l = label t in
   String.concat "" [ tag; string_of_int (String.length l); ":"; l ]
-
-let of_string s =
-  let n = String.length s in
-  if n >= 2 && s.[0] = '<' && s.[n - 1] = '>' then Uri (String.sub s 1 (n - 2))
-  else if n >= 2 && s.[0] = '_' && s.[1] = ':' then Blank (String.sub s 2 (n - 2))
-  else if n >= 2 && s.[0] = '"' && s.[n - 1] = '"' then
-    Literal (String.sub s 1 (n - 2))
-  else Uri s
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 

@@ -35,15 +35,17 @@ val label : t -> string
 (** The raw label of the term, without any syntactic decoration. *)
 
 val to_string : t -> string
-(** Turtle-ish rendering: URIs as [<u>] when they contain a scheme,
-    bare otherwise; blank nodes as [_:b]; literals as ["l"]. *)
+(** Turtle-ish rendering: a URI bare when it has no [:] and
+    {!of_string} reads the bare text back as that URI, as [<u>]
+    otherwise; blank nodes as [_:b]; literals as ["l"].  Injective:
+    the URI [<"k">] and the literal ["k"] print apart. *)
 
 val key : t -> string
 (** An injective, self-delimiting rendering for canonical forms and memo
     keys: a kind tag ([U], [B] or [L]), the label's length, [:], then
-    the label.  Unlike {!to_string}, two terms have the same key only
-    when they are {!equal}, and a key can be followed by any text
-    without ambiguity. *)
+    the label.  Two terms have the same key only when they are
+    {!equal}, and unlike {!to_string}, a key can be followed by any
+    text without ambiguity. *)
 
 val of_string : string -> t
 (** Inverse of {!to_string} on its image; bare words parse as URIs. *)

@@ -131,6 +131,28 @@ let test_lookups_keep_dictionary () =
   check_int "unknown delete is a no-op" 0 (Rdf.Incremental.delete t unknown);
   check_int "dictionary unchanged" before (dict_size ())
 
+(* Updates are count arithmetic over the closure: with a registry
+   installed, neither reads a row of the store's indexes. *)
+let test_updates_scan_nothing () =
+  let t = setup () in
+  let registry = Obs.create () in
+  let scanned () =
+    Option.value ~default:0 (Obs.find_counter registry "store.scanned_triples")
+  in
+  Obs.set_global registry;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_global Obs.disabled)
+    (fun () ->
+      let mona = triple (uri "v") has_painted (uri "mona") in
+      check_int "insert adds five" 5 (Rdf.Incremental.insert t mona);
+      check_int "delete removes five" 5 (Rdf.Incremental.delete t base_triple);
+      check_int "no row scanned" 0 (scanned ());
+      (* the registry does count scans *)
+      let st = Rdf.Incremental.store t in
+      let v = Option.get (Rdf.Store.find_term st (uri "v")) in
+      ignore (Rdf.Store.scan1 st `S v : int array * int);
+      check_bool "a scan is counted" true (scanned () > 0))
+
 (* ---------- support paths -------------------------------------------- *)
 
 (* Each fixture deletes (u hasPainted starry) while another explicit
@@ -222,6 +244,30 @@ let test_supported_by_subproperty () =
   survives t (uri "u", has_created, uri "starry");
   survives t (uri "u", rdf_type, artist)
 
+(* (x type C) is reached twice from (x p C): through p ⊑p rdf:type and
+   through domain(p) = C.  It keeps both visits' counts, so it survives
+   either one of its two explicit supporters and leaves with both. *)
+let test_two_rules_one_supporter () =
+  let p = uri "ex:p" and q = uri "ex:q" and cls = uri "ex:C" in
+  let schema =
+    Rdf.Schema.of_statements
+      [
+        Rdf.Schema.Subproperty (p, rdf_type);
+        Rdf.Schema.Domain (p, cls);
+        Rdf.Schema.Domain (q, cls);
+      ]
+  in
+  let twice = triple (uri "x") p cls and once = triple (uri "x") q (uri "y") in
+  let typed = (uri "x", rdf_type, cls) in
+  List.iter
+    (fun (first, second) ->
+      let t = Rdf.Incremental.create schema (store_of [ twice; once ]) in
+      check_int "the first supporter alone goes" 1 (delete_counted t first);
+      survives t typed;
+      check_int "the typing goes with the second" 2 (delete_counted t second);
+      gone t typed)
+    [ (twice, once); (once, twice) ]
+
 let test_subproperty_cycle () =
   let p1 = uri "P1" and p2 = uri "P2" and c = uri "C" in
   let cyclic =
@@ -238,10 +284,44 @@ let test_subproperty_cycle () =
   check_int "all three retract" 3 (delete_counted t base);
   check_int "empty" 0 (Rdf.Store.size (Rdf.Incremental.store t))
 
+(* Drawn statements plus a class cycle and a property cycle over names
+   the data uses. *)
+let arb_cyclic_schema =
+  let cycles =
+    Rdf.Schema.
+      [
+        Subclass (uri "C0", uri "C1");
+        Subclass (uri "C1", uri "C0");
+        Subproperty (uri "P0", uri "P1");
+        Subproperty (uri "P1", uri "P0");
+      ]
+  in
+  QCheck.make
+    ~print:(fun s -> Format.asprintf "%a" Rdf.Schema.pp s)
+    (QCheck.Gen.map
+       (fun s -> Rdf.Schema.of_statements (Rdf.Schema.statements s @ cycles))
+       gen_schema)
+
+let arb_updates =
+  QCheck.(
+    list_of_size (Gen.return 10)
+      (triple (int_range 0 3) (make gen_data_triple) small_nat))
+
 (* Half the deletes pick a currently explicit triple (a random one is
-   mostly absent, a no-op).  Every update must write the store exactly
-   as many times as the count it returns: no triple is removed and then
-   added back. *)
+   mostly absent, a no-op), in an order that does not depend on codes. *)
+let apply t (op, tr, pick) =
+  match (op, List.sort compare (explicit_triples t)) with
+  | (0 | 1), _ -> Rdf.Incremental.insert t tr
+  | 3, (_ :: _ as explicit) ->
+    Rdf.Incremental.delete t (List.nth explicit (pick mod List.length explicit))
+  | _ -> Rdf.Incremental.delete t tr
+
+let decoded t =
+  List.sort compare
+    (List.map Rdf.Triple.to_string (Rdf.Store.to_triples (Rdf.Incremental.store t)))
+
+(* Every update must write the store exactly as many times as the count
+   it returns: no triple is removed and then added back. *)
 let prop_matches_scratch_saturation =
   QCheck.Test.make
     ~name:"incremental saturation = from-scratch saturation of the explicit set"
@@ -249,25 +329,29 @@ let prop_matches_scratch_saturation =
     QCheck.(
       quad (make gen_backend)
         (make (Gen.list_size (Gen.int_range 3 30) gen_data_triple))
-        arb_schema
-        (list_of_size (Gen.return 10)
-           (triple (int_range 0 3) (make gen_data_triple) small_nat)))
+        arb_cyclic_schema arb_updates)
     (fun (kind, triples, schema, updates) ->
       let t = Rdf.Incremental.create schema (store_on kind triples) in
       List.for_all
-        (fun (op, tr, pick) ->
+        (fun update ->
           let before = Rdf.Store.version (Rdf.Incremental.store t) in
-          let changed =
-            match (op, explicit_triples t) with
-            | (0 | 1), _ -> Rdf.Incremental.insert t tr
-            | 3, (_ :: _ as explicit) ->
-              Rdf.Incremental.delete t
-                (List.nth explicit (pick mod List.length explicit))
-            | _ -> Rdf.Incremental.delete t tr
-          in
+          let changed = apply t update in
           Rdf.Store.version (Rdf.Incremental.store t) - before = changed
           && consistent_with_scratch t)
         updates)
+
+(* Loading the same triples in reverse order gives them other codes;
+   the counts and so the decoded store must not depend on them. *)
+let prop_code_order =
+  QCheck.Test.make ~name:"two load orders, one decoded store" ~count:100
+    QCheck.(
+      quad (make gen_backend)
+        (make (Gen.list_size (Gen.int_range 3 30) gen_data_triple))
+        arb_cyclic_schema arb_updates)
+    (fun (kind, triples, schema, updates) ->
+      let a = Rdf.Incremental.create schema (store_on kind triples) in
+      let b = Rdf.Incremental.create schema (store_on kind (List.rev triples)) in
+      List.for_all (fun u -> apply a u = apply b u && decoded a = decoded b) updates)
 
 let prop_counts_consistent =
   QCheck.Test.make ~name:"explicit + implicit = store size" ~count:50
@@ -302,6 +386,8 @@ let () =
             test_subproperty_cycle;
           Alcotest.test_case "lookups keep the dictionary" `Quick
             test_lookups_keep_dictionary;
+          Alcotest.test_case "updates scan no index" `Quick
+            test_updates_scan_nothing;
         ] );
       ( "support",
         [
@@ -309,10 +395,13 @@ let () =
           Alcotest.test_case "domain" `Quick test_supported_by_domain;
           Alcotest.test_case "range, literal object" `Quick test_supported_by_range;
           Alcotest.test_case "sub-property" `Quick test_supported_by_subproperty;
+          Alcotest.test_case "two rules, one supporter" `Quick
+            test_two_rules_one_supporter;
         ] );
       ( "properties",
         [
           to_alcotest prop_matches_scratch_saturation;
           to_alcotest prop_counts_consistent;
+          to_alcotest prop_code_order;
         ] );
     ]

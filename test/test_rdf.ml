@@ -4,7 +4,10 @@ open Support
 
 let test_term_roundtrip () =
   let terms =
-    [ uri "http://example.org/a"; uri "bare"; blank "b1"; lit "hello world" ]
+    [
+      uri "http://example.org/a"; uri "bare"; blank "b1"; lit "hello world";
+      uri "\"k\""; uri "<k>"; uri ""; lit "a:b";
+    ]
   in
   List.iter
     (fun t ->
