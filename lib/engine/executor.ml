@@ -1,17 +1,24 @@
 (* Columnar execution of rewriting plans over materialized views.
 
    Intermediate results are chunks: one flat [int array] per column
-   plus a row count.  A scan reads a view's columns in place, out of
-   its row set; selections filter through a selection vector and
-   gather survivors once; projections reorder column references
-   without touching data; deduplication hands the chunk's columns to
-   one bulk [Rowset.add_columns] pass and reads the set's columns in
-   turn.  The result relation is one more such pass. *)
+   plus a row count.  A chunk whose rows are exactly a row set's rows
+   records that set, read in place: a scan reads a view's own set; a
+   renaming, a selection that keeps every row and a one-branch union
+   carry their input's set; deduplication and a union of several
+   branches build one with a bulk [Rowset.add_columns] pass.  A
+   selection that drops rows gathers its survivors once, a projection
+   reorders column references and hands them to deduplication, and a
+   join builds fresh columns; none of these is a set.  The result
+   relation wraps the chunk's own set, so a view's rows are never
+   hashed on the way out and any other row is hashed at most once.  It
+   may therefore be a view's own set: read it before the views are
+   next maintained, and never write it. *)
 
 type chunk = {
   cols : string list;  (* column names, in order *)
   data : int array array;  (* per-column values, each of length >= n *)
   n : int;  (* row count *)
+  set : Query.Rowset.t option;  (* the set whose rows these are, if any *)
 }
 
 let column_index cols c =
@@ -33,13 +40,12 @@ let of_set cols rs =
   let data =
     if n = 0 then Array.make (List.length cols) [||] else Query.Rowset.columns rs
   in
-  { cols; data; n }
+  { cols; data; n; set = Some rs }
 
-(* Set-semantics dedup of a whole chunk: one bulk pass.  When nothing
-   collapses the original chunk is kept (its arrays are read-only). *)
+(* Set-semantics dedup of a whole chunk: a set is kept as it is, any
+   other chunk is hashed in one bulk pass and read out of its set. *)
 let dedup ch =
-  let rs = set_of ch in
-  if Query.Rowset.cardinal rs = ch.n then ch else of_set ch.cols rs
+  match ch.set with Some _ -> ch | None -> of_set ch.cols (set_of ch)
 
 (* Row [r]'s codes at columns [idx] of [data], into [key]. *)
 let fill key data idx r =
@@ -58,37 +64,53 @@ let rec eval store env expr : chunk =
     (* compile each condition to a per-row-index predicate over the
        chunk's columns *)
     let tests =
-      List.map
-        (fun cond ->
-          match cond with
-          | Core.Rewriting.Eq_cst (c, term) -> (
-            let col = ch.data.(column_index ch.cols c) in
-            match Rdf.Store.find_term store term with
-            | Some code -> fun r -> col.(r) = code
-            | None -> fun _ -> false)
-          | Core.Rewriting.Eq_col (c1, c2) ->
-            let a = ch.data.(column_index ch.cols c1) in
-            let b = ch.data.(column_index ch.cols c2) in
-            fun r -> a.(r) = b.(r))
-        conds
+      Array.of_list
+        (List.map
+           (fun cond ->
+             match cond with
+             | Core.Rewriting.Eq_cst (c, term) -> (
+               let col = ch.data.(column_index ch.cols c) in
+               match Rdf.Store.find_term store term with
+               | Some code -> fun r -> col.(r) = code
+               | None -> fun _ -> false)
+             | Core.Rewriting.Eq_col (c1, c2) ->
+               let a = ch.data.(column_index ch.cols c1) in
+               let b = ch.data.(column_index ch.cols c2) in
+               fun r -> a.(r) = b.(r))
+           conds)
     in
-    (* selection vector of survivors, then one gather per column *)
-    let sel = Array.make ch.n 0 in
-    let k = ref 0 in
-    for r = 0 to ch.n - 1 do
-      if List.for_all (fun test -> test r) tests then begin
-        sel.(!k) <- r;
-        incr k
-      end
+    let passes r =
+      let i = ref 0 in
+      while !i < Array.length tests && tests.(!i) r do
+        incr i
+      done;
+      !i = Array.length tests
+    in
+    (* rows before the first failing one all pass; when none fails the
+       chunk, and its set, are kept as they are *)
+    let first = ref 0 in
+    while !first < ch.n && passes !first do
+      incr first
     done;
-    let m = !k in
-    if m = ch.n then ch
-    else
+    if !first = ch.n then ch
+    else begin
+      (* selection vector of survivors, then one gather per column *)
+      let sel = Array.init ch.n (fun r -> r) in
+      let k = ref !first in
+      for r = !first + 1 to ch.n - 1 do
+        if passes r then begin
+          sel.(!k) <- r;
+          incr k
+        end
+      done;
+      let m = !k in
       {
         ch with
         data = Array.map (fun col -> Array.init m (fun i -> col.(sel.(i)))) ch.data;
         n = m;
+        set = None;
       }
+    end
   | Core.Rewriting.Project (out_cols, inner) ->
     let ch = eval store env inner in
     (* a projection only reorders column references; the dedup pass
@@ -97,7 +119,7 @@ let rec eval store env expr : chunk =
       Array.of_list
         (List.map (fun c -> ch.data.(column_index ch.cols c)) out_cols)
     in
-    dedup { cols = out_cols; data; n = ch.n }
+    dedup { cols = out_cols; data; n = ch.n; set = None }
   | Core.Rewriting.Rename (mapping, inner) ->
     let ch = eval store env inner in
     let renamed =
@@ -177,12 +199,14 @@ let rec eval store env expr : chunk =
         for c = 0 to lw - 1 do
           out.(c).(j) <- lch.data.(c).(!lr)
         done;
-        Array.iteri (fun c i -> out.(lw + c).(j) <- rch.data.(i).(r)) kept;
+        for c = 0 to Array.length kept - 1 do
+          out.(lw + c).(j) <- rch.data.(kept.(c)).(r)
+        done;
         n := j + 1;
         lr := next.(!lr)
       done
     done;
-    { cols = out_cols; data = out; n = !n }
+    { cols = out_cols; data = out; n = !n; set = None }
   | Core.Rewriting.Union branches -> (
     let results = List.map (eval store env) branches in
     match results with
@@ -198,7 +222,8 @@ let rec eval store env expr : chunk =
 
 let execute store env expr =
   let ch = eval store env expr in
-  Relation.of_rowset ~name:"result" ~cols:ch.cols (set_of ch)
+  let rs = match ch.set with Some rs -> rs | None -> set_of ch in
+  Relation.of_rowset ~name:"result" ~cols:ch.cols rs
 
 let execute_query store env expr =
   Relation.to_term_rows store (execute store env expr)

@@ -34,5 +34,18 @@ let size_bytes store t =
         acc row)
     t 0
 
+(* Decoded straight from the set's columns: one array per row. *)
 let to_term_rows store t =
-  List.rev (fold_rows (fun row acc -> Array.map (Rdf.Store.decode_term store) row :: acc) t [])
+  let cols = Query.Rowset.columns t.rows in
+  let decode c r = Rdf.Store.decode_term store cols.(c).(r) in
+  let acc = ref [] in
+  for r = Query.Rowset.cardinal t.rows - 1 downto 0 do
+    let row =
+      if Array.length cols = 0 then [||] else Array.make (Array.length cols) (decode 0 r)
+    in
+    for c = 1 to Array.length cols - 1 do
+      row.(c) <- decode c r
+    done;
+    acc := row :: !acc
+  done;
+  !acc

@@ -10,7 +10,10 @@
 type t
 
 val of_rowset : name:string -> cols:string list -> Query.Rowset.t -> t
-(** Wraps the set, which the relation then owns. *)
+(** Wraps the set in place; the relation may share the set.  A relation
+    that shares a materialized view's set (an executor result does) is
+    read-only: only {!Maintenance} writes a view's rows, through the
+    view's own relation. *)
 
 val make : name:string -> cols:string list -> int array list -> t
 (** Builds a relation, deduplicating rows (set semantics). *)
@@ -43,3 +46,4 @@ val size_bytes : Rdf.Store.t -> t -> int
     of every tuple. *)
 
 val to_term_rows : Rdf.Store.t -> t -> Rdf.Term.t array list
+(** The decoded tuples, in row order; one fresh array per tuple. *)

@@ -153,6 +153,232 @@ let test_executor_unknown_view () =
     (fun () ->
       ignore (Engine.Executor.execute museum_store env (Core.Rewriting.Scan "nope")))
 
+(* Words a call allocates: on the minor heap, and directly on the
+   major heap, where an array above 256 words goes and where
+   [Gc.minor_words] does not look.  The minor heap is emptied first, so
+   the promoted words in the window are the window's own. *)
+let words_allocated f =
+  Gc.minor ();
+  let minor0 = Gc.minor_words () in
+  let _, promoted0, major0 = Gc.counters () in
+  let x = f () in
+  let _, promoted1, major1 = Gc.counters () in
+  let minor1 = Gc.minor_words () in
+  (x, int_of_float (minor1 -. minor0 +. (major1 -. promoted1) -. (major0 -. promoted0)))
+
+(* A 50k-row view: X is unique, Y cycles, C is one constant. *)
+let big_rows = 50_000
+
+let big_view () =
+  let painter = Rdf.Store.encode_term museum_store (uri "ex:vanGogh") in
+  let rs = Query.Rowset.create big_rows in
+  for i = 0 to big_rows - 1 do
+    ignore (Query.Rowset.add rs [| i; i mod 7; painter |] : bool)
+  done;
+  Engine.Relation.of_rowset ~name:"v" ~cols:[ "X"; "Y"; "C" ] rs
+
+let test_executor_view_in_place () =
+  let view = big_view () in
+  let env = env_of_rels [ view ] in
+  List.iter
+    (fun (label, expr) ->
+      let result, words =
+        words_allocated (fun () -> Engine.Executor.execute museum_store env expr)
+      in
+      check_int (label ^ ": the view's cardinality") big_rows
+        (Engine.Relation.cardinality result);
+      check_bool (label ^ ": the view's own rows") true
+        (Engine.Relation.rowset result == Engine.Relation.rowset view);
+      if words >= 1_000 then
+        Alcotest.failf "%s allocated %d words (want < 1000)" label words)
+    Core.Rewriting.
+      [
+        ("scan", Scan "v");
+        ("rename", Rename ([ ("X", "A"); ("C", "B") ], Scan "v"));
+        ("select every row passes", Select ([ Eq_cst ("C", uri "ex:vanGogh") ], Scan "v"));
+      ]
+
+(* A projection that collapses nothing is hashed once: it allocates no
+   more than building one set of its rows does. *)
+let test_executor_project_hashes_once () =
+  let view = big_view () in
+  let env = env_of_rels [ view ] in
+  let cols = Query.Rowset.columns (Engine.Relation.rowset view) in
+  let (), one_set =
+    words_allocated (fun () ->
+        let rs = Query.Rowset.create big_rows in
+        ignore (Query.Rowset.add_columns rs [| cols.(1); cols.(0) |] big_rows : int))
+  in
+  let result, words =
+    words_allocated (fun () ->
+        Engine.Executor.execute museum_store env
+          (Core.Rewriting.Project ([ "Y"; "X" ], Core.Rewriting.Scan "v")))
+  in
+  check_int "nothing collapses" big_rows (Engine.Relation.cardinality result);
+  if words > one_set + 1_000 then
+    Alcotest.failf "the projection allocated %d words, one set takes %d" words one_set
+
+(* ---------- executor against a naive interpreter --------------------------- *)
+
+(* Relations over four terms; [ex:absent] is in no dictionary. *)
+let naive_terms = List.init 4 (fun i -> uri (Printf.sprintf "ex:e%d" i))
+
+let naive_store =
+  store_of
+    (List.map (fun t -> triple t (uri "ex:p") t) naive_terms)
+
+let naive_views = [ ("r", [ "A"; "B" ]); ("s", [ "B"; "C" ]); ("u", [ "A"; "C" ]) ]
+let naive_names = [ "A"; "B"; "C"; "D"; "E" ]
+
+let gen_naive_rows =
+  let open QCheck.Gen in
+  list_size (int_range 0 6) (array_size (return 2) (oneofl naive_terms))
+
+let gen_cond cols =
+  let open QCheck.Gen in
+  frequency
+    [
+      (2, map2 (fun c t -> Core.Rewriting.Eq_cst (c, t)) (oneofl cols)
+            (oneofl (uri "ex:absent" :: naive_terms)));
+      (2, map2 (fun a b -> Core.Rewriting.Eq_col (a, b)) (oneofl cols) (oneofl cols));
+      (* every row passes *)
+      (1, map (fun c -> Core.Rewriting.Eq_col (c, c)) (oneofl cols));
+    ]
+
+(* Random rewriting trees over [naive_views], with their output
+   columns, which are always distinct names. *)
+let rec gen_tree depth =
+  let open QCheck.Gen in
+  let scan = map (fun (name, cols) -> (Core.Rewriting.Scan name, cols)) (oneofl naive_views) in
+  if depth = 0 then scan
+  else
+    let sub = gen_tree (depth - 1) in
+    (* another branch of a union, made to match [cols] by position and
+       name, or a selection over the first branch when too narrow *)
+    let fit (e, cols) (o, ocols) =
+      let k = List.length cols in
+      if List.length ocols < k then Core.Rewriting.Select ([], e)
+      else
+        let prefix = List.filteri (fun i _ -> i < k) ocols in
+        Core.Rewriting.Rename (List.combine prefix cols, Core.Rewriting.Project (prefix, o))
+    in
+    frequency
+      [
+        (1, scan);
+        ( 2,
+          sub >>= fun (e, cols) ->
+          list_size (int_range 0 2) (gen_cond cols) >|= fun conds ->
+          (Core.Rewriting.Select (conds, e), cols) );
+        ( 2,
+          sub >>= fun (e, cols) ->
+          shuffle_l cols >>= fun shuffled ->
+          int_range 1 (List.length cols) >|= fun k ->
+          let out = List.filteri (fun i _ -> i < k) shuffled in
+          (Core.Rewriting.Project (out, e), out) );
+        ( 1,
+          sub >>= fun (e, cols) ->
+          shuffle_l naive_names >|= fun names ->
+          let fresh = List.filteri (fun i _ -> i < List.length cols) names in
+          (Core.Rewriting.Rename (List.combine cols fresh, e), fresh) );
+        ( 2,
+          pair sub sub >>= fun ((l, lc), (r, rc)) ->
+          frequency
+            [ (2, return []); (1, list_size (int_range 1 2) (pair (oneofl lc) (oneofl rc))) ]
+          >|= fun conds ->
+          (Core.Rewriting.Join (conds, l, r), lc @ List.filter (fun c -> not (List.mem c lc)) rc) );
+        ( 2,
+          sub >>= fun ((e, cols) as first) ->
+          list_size (int_range 0 2) sub >|= fun others ->
+          (Core.Rewriting.Union (e :: List.map (fit first) others), cols) );
+      ]
+
+(* The naive interpreter: decoded rows in lists, nested loops, set
+   semantics only at the end. *)
+let rec naive rels expr =
+  let index cols c =
+    let rec go i = function
+      | [] -> failwith ("naive: unknown column " ^ c)
+      | c' :: rest -> if String.equal c c' then i else go (i + 1) rest
+    in
+    go 0 cols
+  in
+  match expr with
+  | Core.Rewriting.Scan name -> List.assoc name rels
+  | Core.Rewriting.Select (conds, e) ->
+    let cols, rows = naive rels e in
+    let holds row = function
+      | Core.Rewriting.Eq_cst (c, t) -> Rdf.Term.equal (List.nth row (index cols c)) t
+      | Core.Rewriting.Eq_col (a, b) ->
+        Rdf.Term.equal (List.nth row (index cols a)) (List.nth row (index cols b))
+    in
+    (cols, List.filter (fun row -> List.for_all (holds row) conds) rows)
+  | Core.Rewriting.Project (out, e) ->
+    let cols, rows = naive rels e in
+    (out, List.map (fun row -> List.map (fun c -> List.nth row (index cols c)) out) rows)
+  | Core.Rewriting.Rename (mapping, e) ->
+    let cols, rows = naive rels e in
+    (List.map (fun c -> Option.value (List.assoc_opt c mapping) ~default:c) cols, rows)
+  | Core.Rewriting.Join (conds, l, r) ->
+    let lc, lrows = naive rels l and rc, rrows = naive rels r in
+    let pairs =
+      match conds with
+      | [] -> List.filter_map (fun c -> if List.mem c lc then Some (c, c) else None) rc
+      | _ :: _ -> conds
+    in
+    let kept = List.filter (fun c -> not (List.mem c lc)) rc in
+    ( lc @ kept,
+      List.concat_map
+        (fun lrow ->
+          List.filter_map
+            (fun rrow ->
+              let at cols row c = List.nth row (index cols c) in
+              if List.for_all (fun (a, b) -> Rdf.Term.equal (at lc lrow a) (at rc rrow b)) pairs
+              then Some (lrow @ List.map (at rc rrow) kept)
+              else None)
+            rrows)
+        lrows )
+  | Core.Rewriting.Union branches ->
+    let results = List.map (naive rels) branches in
+    (fst (List.hd results), List.concat_map snd results)
+
+let arb_naive_case =
+  let gen =
+    QCheck.Gen.(
+      pair (list_repeat (List.length naive_views) gen_naive_rows) (int_range 0 3 >>= gen_tree))
+  in
+  QCheck.make gen ~print:(fun (rows, (expr, _)) ->
+      Printf.sprintf "%s over %s" (Core.Rewriting.to_string expr)
+        (String.concat "; "
+           (List.map2
+              (fun (name, _) rows ->
+                Printf.sprintf "%s: %d rows" name (List.length rows))
+              naive_views rows)))
+
+let prop_executor_matches_naive =
+  QCheck.Test.make ~name:"executor = naive interpreter" ~count:500 arb_naive_case
+    (fun (rows, (expr, cols)) ->
+      let code t = Rdf.Store.encode_term naive_store t in
+      let env =
+        env_of_rels
+          (List.map2
+             (fun (name, vcols) rows ->
+               Engine.Relation.make ~name ~cols:vcols (List.map (Array.map code) rows))
+             naive_views rows)
+      in
+      let rels =
+        List.map2
+          (fun (name, vcols) rows -> (name, (vcols, List.map Array.to_list rows)))
+          naive_views rows
+      in
+      let result = Engine.Executor.execute naive_store env expr in
+      let got = List.map Array.to_list (Engine.Relation.to_term_rows naive_store result) in
+      let naive_cols, naive_rows = naive rels expr in
+      Engine.Relation.cols result = cols
+      && naive_cols = cols
+      && List.length got = Engine.Relation.cardinality result
+      && List.sort_uniq compare got = List.sort compare got
+      && List.sort compare got = List.sort_uniq compare naive_rows)
+
 (* ---------- maintenance ---------------------------------------------------- *)
 
 let parent_painting_view =
@@ -436,6 +662,11 @@ let () =
           Alcotest.test_case "rename and union" `Quick
             test_executor_rename_and_union;
           Alcotest.test_case "unknown view" `Quick test_executor_unknown_view;
+          Alcotest.test_case "a view's answer is read in place" `Quick
+            test_executor_view_in_place;
+          Alcotest.test_case "a projection is hashed once" `Quick
+            test_executor_project_hashes_once;
+          to_alcotest prop_executor_matches_naive;
         ] );
       ( "maintenance",
         [

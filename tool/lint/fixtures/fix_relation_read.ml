@@ -1,0 +1,14 @@
+(* Clean counterpart to fix_relation_write.ml: reads of a relation and
+   of its row set, and writes to a set of one's own, which is then
+   wrapped.  Must lint clean. *)
+
+let member rel row = Engine.Relation.mem rel row
+
+let index rel row = Query.Rowset.find (Engine.Relation.rowset rel) row
+
+let result_size result = Query.Rowset.cardinal (Engine.Relation.rowset result)
+
+let fresh cols rows =
+  let set = Query.Rowset.create 16 in
+  List.iter (fun row -> ignore (Query.Rowset.add set row : bool)) rows;
+  Engine.Relation.of_rowset ~name:"fresh" ~cols set

@@ -108,9 +108,20 @@ let locally_bound : (string, unit) Hashtbl.t = Hashtbl.create 16
    caught too (the rule's original false-negative class). *)
 let table_aliases : (string, string) Hashtbl.t = Hashtbl.create 16
 
+(* Let-bound aliases of a relation's row set: [let rs = Relation.rowset
+   rel] records "rs", so a row-set write through the alias is caught. *)
+let rowset_aliases : (string, unit) Hashtbl.t = Hashtbl.create 16
+
+let is_relation_rowset (e : Parsetree.expression) =
+  match e.Parsetree.pexp_desc with
+  | Parsetree.Pexp_apply ({ pexp_desc = Parsetree.Pexp_ident { txt; _ }; _ }, _) ->
+    tail_pair txt = ("Relation", "rowset")
+  | _ -> false
+
 let collect_bound structure =
   Hashtbl.reset locally_bound;
   Hashtbl.reset table_aliases;
+  Hashtbl.reset rowset_aliases;
   let it =
     {
       Ast_iterator.default_iterator with
@@ -131,6 +142,9 @@ let collect_bound structure =
             let _, field = tail_pair field_lid in
             if List.mem_assoc field Rules.shared_table_fields then
               Hashtbl.replace table_aliases alias field
+          | Parsetree.Ppat_var { txt = alias; _ }, _
+            when is_relation_rowset vb.Parsetree.pvb_expr ->
+            Hashtbl.replace rowset_aliases alias ()
           | _ -> ());
           Ast_iterator.default_iterator.value_binding self vb);
     }
@@ -330,6 +344,43 @@ let check_retained_row ~file fn args _loc =
     | _ -> ())
   | _ -> ()
 
+(* relation-write: a relation writer ([Rules.relation_writers]),
+   applied or passed as a value, or a row-set writer
+   ([Rules.rowset_writers]) whose set is [Relation.rowset _] or a
+   let-bound alias of it, outside the owning files
+   ([Rules.relation_owners]).  An executor result may share a view's row
+   set, so a write anywhere else could change a view behind its
+   maintenance. *)
+let is_relation_owner file =
+  List.exists (fun owner -> String.ends_with ~suffix:owner file) Rules.relation_owners
+
+let check_relation_write ~file (e : Parsetree.expression) =
+  let is_rowset_alias (target : Parsetree.expression) =
+    match target.Parsetree.pexp_desc with
+    | Parsetree.Pexp_ident { txt = Longident.Lident alias; _ } ->
+      Hashtbl.mem rowset_aliases alias
+    | _ -> false
+  in
+  let writer =
+    match e.Parsetree.pexp_desc with
+    | Parsetree.Pexp_ident { txt; _ } when pair_in Rules.relation_writers txt ->
+      Some txt
+    | Parsetree.Pexp_apply ({ pexp_desc = Parsetree.Pexp_ident { txt; _ }; _ }, args)
+      when pair_in Rules.rowset_writers txt -> (
+      match positional_args args with
+      | target :: _ when is_relation_rowset target || is_rowset_alias target -> Some txt
+      | _ -> None)
+    | _ -> None
+  in
+  match writer with
+  | Some txt when not (is_relation_owner file) ->
+    report ~file ~loc:e.Parsetree.pexp_loc "relation-write"
+      (Printf.sprintf
+         "`%s` writes a relation outside view maintenance; an executor \
+          result may share a view's rows and is read-only"
+         (String.concat "." (flatten txt)))
+  | _ -> ()
+
 let rec catch_all_pattern (p : Parsetree.pattern) =
   match p.Parsetree.ppat_desc with
   | Parsetree.Ppat_any | Parsetree.Ppat_var _ -> true
@@ -354,6 +405,7 @@ let lint_structure ~file ~is_lib structure =
       Ast_iterator.default_iterator with
       expr =
         (fun self e ->
+          check_relation_write ~file e;
           (match e.Parsetree.pexp_desc with
           | Parsetree.Pexp_ident { txt; _ } ->
             check_ident ~file ~is_lib txt e.Parsetree.pexp_loc

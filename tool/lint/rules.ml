@@ -92,6 +92,16 @@ let rules =
       scope = Everywhere;
     };
     {
+      id = "relation-write";
+      summary =
+        "Relation.add_row/remove_row, or a Rowset write on \
+         Relation.rowset _, outside lib/engine/maintenance.ml and \
+         lib/engine/relation.ml; an executor result may share a \
+         materialized view's row set, so relations are written only by \
+         maintenance";
+      scope = Everywhere;
+    };
+    {
       id = "missing-mli";
       summary = "library module without an .mli interface";
       scope = Lib_only;
@@ -186,6 +196,12 @@ let row_retaining_sinks =
     ("Stack", "push");
     ("Array", "set");
   ]
+
+(* The relation writers, the row-set writers, and the files allowed to
+   call them: the relation's own module and view maintenance. *)
+let relation_writers = [ ("Relation", "add_row"); ("Relation", "remove_row") ]
+let rowset_writers = [ ("Rowset", "add"); ("Rowset", "add_columns"); ("Rowset", "remove") ]
+let relation_owners = [ "lib/engine/maintenance.ml"; "lib/engine/relation.ml" ]
 
 (* stdout printers banned in libraries: unqualified Stdlib channel
    printers and the printf family bound to stdout. *)
