@@ -146,7 +146,6 @@ module Reference = struct
   let eval_cq store q = decode_rows store (eval_cq_codes store q)
   let eval_ucq store u = decode_rows store (eval_ucq_codes store u)
   let count_cq store q = List.length (eval_cq_codes store q)
-  let count_ucq store u = List.length (eval_ucq_codes store u)
 end
 
 (* ---------- strict-mode differential check ------------------------------- *)
@@ -218,7 +217,7 @@ let eval_cq_rowset store q =
     check_codes q.Cq.name (Rowset.elements rows) (Reference.eval_cq_codes store q);
   rows
 
-let ucq_rows ~cache store u =
+let eval_ucq_rowset ?(cache = true) store u =
   let rows = ucq_plan_rows ~cache store u in
   if strict_enabled () then
     check_codes (Ucq.name u) (Rowset.elements rows)
@@ -241,11 +240,8 @@ let eval_params_into store (q : Cq.t) plan ~params args rows =
   end
   else Plan.exec_into ~args plan store rows
 
-let eval_ucq_rowset store u = ucq_rows ~cache:true store u
-
-let eval_ucq_codes ?(cache = true) store u = Rowset.elements (ucq_rows ~cache store u)
+let eval_ucq_codes store u = Rowset.elements (eval_ucq_rowset store u)
 
 let eval_cq store q = decode_rows store (eval_cq_codes store q)
 let eval_ucq store u = decode_rows store (eval_ucq_codes store u)
 let count_cq store q = Rowset.cardinal (eval_cq_rowset store q)
-let count_ucq store u = Rowset.cardinal (ucq_rows ~cache:false store u)

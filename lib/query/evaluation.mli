@@ -4,8 +4,8 @@
     of plain RDF basic graph patterns, with set semantics.  Since the
     compiled-plan rework, every entry point routes through
     a compiled plan, cached unless the caller brings its own
-    parameterized plan ({!eval_params_into}), asks for a one-shot
-    evaluation ([~cache:false]) or the call is {!count_ucq}: the join order
+    parameterized plan ({!eval_params_into}) or asks for a one-shot
+    evaluation ([~cache:false]): the join order
     is fixed at compile time, bindings
     live in an int-slot frame, and isomorphic queries share one cached
     plan per store.  The former interpretive joiner survives as
@@ -39,9 +39,12 @@ val eval_cq_rowset : Rdf.Store.t -> Cq.t -> Rowset.t
 (** The same rows in the set the plan filled, which the caller then
     owns: [Engine.Materialize] keeps it as the view's storage. *)
 
-val eval_ucq_rowset : Rdf.Store.t -> Ucq.t -> Rowset.t
-(** The distinct answer rows of the union, through cached plans, in one
-    set the caller owns. *)
+val eval_ucq_rowset : ?cache:bool -> Rdf.Store.t -> Ucq.t -> Rowset.t
+(** The distinct answer rows of the union, in one set the caller owns.
+    [~cache:false] compiles every disjunct's plan afresh and caches
+    nothing (no plan, no interned canonical form): for a one-shot query
+    such as the saturation [Stats.Statistics] reads its post-reformulation
+    statistics from.  Default [true], through cached plans. *)
 
 val eval_params_into :
   Rdf.Store.t -> Cq.t -> Plan.t -> params:string list -> int array -> Rowset.t -> unit
@@ -59,18 +62,11 @@ val eval_params_into :
     checked against {!Reference.eval_cq_codes} [~bound] with the same
     codes. *)
 
-val eval_ucq_codes : ?cache:bool -> Rdf.Store.t -> Ucq.t -> int array list
-(** [~cache:false] compiles every disjunct's plan afresh and caches
-    nothing (no plan, no interned canonical form): for a one-shot query
-    whose answer the caller keeps, such as a statistic.  Default
-    [true]. *)
+val eval_ucq_codes : Rdf.Store.t -> Ucq.t -> int array list
+(** The rows of {!eval_ucq_rowset}, through cached plans. *)
 
 val count_cq : Rdf.Store.t -> Cq.t -> int
 (** The number of rows {!eval_cq_codes} returns. *)
-
-val count_ucq : Rdf.Store.t -> Ucq.t -> int
-(** The number of distinct answers, through one-shot plans
-    ([~cache:false] in {!eval_ucq_codes}): a count is never reused. *)
 
 val same_answers : Rdf.Term.t array list -> Rdf.Term.t array list -> bool
 (** Order-insensitive comparison of two answer sets. *)
@@ -89,5 +85,4 @@ module Reference : sig
   val eval_cq_codes : ?bound:(string * int) list -> Rdf.Store.t -> Cq.t -> int array list
   val eval_ucq_codes : Rdf.Store.t -> Ucq.t -> int array list
   val count_cq : Rdf.Store.t -> Cq.t -> int
-  val count_ucq : Rdf.Store.t -> Ucq.t -> int
 end

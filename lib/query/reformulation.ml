@@ -87,15 +87,3 @@ let reformulate q schema =
       disjuncts
   in
   Ucq.make ~name:q.Cq.name named
-
-let reformulate_atom atom schema =
-  let head = List.map Qterm.var (Atom.var_set atom) in
-  let head = if head = [] then [] else head in
-  (* an all-constant atom would be a boolean query; keep at least the
-     subject for a well-formed head *)
-  let head =
-    match head with
-    | [] -> [ atom.Atom.s ]
-    | _ :: _ -> head
-  in
-  reformulate (Cq.make ~name:"atom" ~head ~body:[ atom ]) schema

@@ -23,8 +23,3 @@
 val reformulate : Cq.t -> Rdf.Schema.t -> Ucq.t
 (** The reformulation of [q]; the original query is always the first
     disjunct.  Duplicates (up to variable renaming) are removed. *)
-
-val reformulate_atom : Atom.t -> Rdf.Schema.t -> Ucq.t
-(** Reformulation of the 1-atom query whose head projects all the atom's
-    variables — the per-atom reformulation used by post-reformulation
-    statistics (§4.3, Table 2). *)

@@ -11,17 +11,20 @@
     {ul
     {- [Plain] — counts on the store as-is (use on a saturated store for
        the saturation scenario, or when reasoning is ignored);}
-    {- [Reformulated schema] — the post-reformulation statistics.  Each
-       statistic is the answer count of the reformulation (w.r.t.
-       [schema]) of the query that defines it, evaluated on the explicit
-       store: [|Reformulate(a, schema)|] for an atom [a], the
-       reformulated 1-atom query [t(_s,_p,_o)] projected on a column for
-       that column's distincts and term sizes.  Theorem 4.2 makes every
-       count equal to the one on the saturated database, which is never
-       built; the store gains no triple and its version does not move
-       (head constants of the reformulation are interned in its
-       dictionary).  The equality with the saturated store's statistics
-       is property-tested.}} *)
+    {- [Reformulated schema] — the post-reformulation statistics.  The
+       reformulation (w.r.t. [schema]) of [t(_s,_p,_o)], heading all
+       three positions, is evaluated once on the explicit store, on the
+       first statistic asked for; by Theorem 4.2 its rows are exactly
+       the triples of the saturated database, which is never built.
+       Every statistic is read off those rows: an atom's count is the
+       number of rows matching its constants, the total the number of
+       rows, and the column and per-property distincts and term sizes
+       their distinct values.  So each number equals the one on the
+       saturated store, which is property-tested.  The store gains no
+       triple and its version does not move; the evaluation caches no
+       plan and interns no canonical form, but the reformulation's head
+       constants are encoded in the store's dictionary, and a statistic
+       resolves its own constants only after that.}} *)
 
 type mode =
   | Plain

@@ -221,14 +221,15 @@ let prop_reformulate_atom_counts_saturated =
       in
       List.for_all
         (fun a ->
-          let by_reformulation =
-            Query.Evaluation.count_ucq store
-              (Query.Reformulation.reformulate_atom a schema)
-          in
           let q =
             Query.Cq.make ~name:"a"
               ~head:(List.map v (Query.Atom.var_set a))
               ~body:[ a ]
+          in
+          let by_reformulation =
+            Query.Rowset.cardinal
+              (Query.Evaluation.eval_ucq_rowset ~cache:false store
+                 (Query.Reformulation.reformulate q schema))
           in
           let on_saturated = Query.Evaluation.count_cq saturated q in
           by_reformulation = on_saturated)

@@ -173,6 +173,102 @@ let prop_reformulated_leaves_store =
       Stats.Statistics.prewarm stats [ q ];
       footprint () = before)
 
+(* With no rdf:type triple in the store, rdf:type and the class C get
+   their codes only when the evaluation of the saturation interns them
+   as head constants of the reformulation.  Asked first on a fresh
+   statistics value, the typed count and rdf:type's distincts must still
+   see the typed subjects: a constant resolved before that evaluation
+   would be found absent and count 0. *)
+let test_constants_resolved_after_evaluation () =
+  let schema = Rdf.Schema.of_statements [ Rdf.Schema.Domain (uri "p", uri "C") ] in
+  List.iter
+    (fun backend ->
+      let store =
+        store_on backend
+          [
+            triple (uri "a") (uri "p") (uri "x");
+            triple (uri "b") (uri "p") (uri "y");
+            triple (uri "b") (uri "q") (uri "z");
+          ]
+      in
+      let name what = Rdf.Backend.kind_name backend ^ ": " ^ what in
+      check_bool (name "rdf:type not yet encoded") true
+        (Option.is_none (Rdf.Store.find_term store rdf_type));
+      let reform =
+        Stats.Statistics.create ~mode:(Stats.Statistics.Reformulated schema) store
+      in
+      let typed = atom (v "S") (Query.Qterm.Cst rdf_type) (c "C") in
+      let count = Stats.Statistics.atom_count reform typed in
+      let subjects = Stats.Statistics.property_distinct reform rdf_type `S in
+      let objects = Stats.Statistics.property_distinct reform rdf_type `O in
+      let saturated =
+        Stats.Statistics.create (Rdf.Entailment.saturated_copy store schema)
+      in
+      check_bool (name "typed count") true (count = 2.);
+      check_bool (name "typed count as on the saturation") true
+        (count = Stats.Statistics.atom_count saturated typed);
+      check_bool (name "typed subjects as on the saturation") true
+        (subjects = Stats.Statistics.property_distinct saturated rdf_type `S);
+      check_bool (name "typed objects as on the saturation") true
+        (objects = Stats.Statistics.property_distinct saturated rdf_type `O))
+    [ Rdf.Backend.Hash; Rdf.Backend.Compact ]
+
+(* Every post-reformulation statistic is read off one evaluation of the
+   reformulated triple query: a prewarm evaluates its disjuncts once
+   (twice under RDFVIEWS_STRICT=1, which reruns each through the
+   Reference evaluator), and nothing after it evaluates again.  The
+   evaluation caches no plan and interns no canonical form. *)
+let test_saturation_evaluated_once () =
+  let schema =
+    Rdf.Schema.of_statements
+      [
+        Rdf.Schema.Subclass (uri "ex:painting", uri "ex:picture");
+        Rdf.Schema.Subproperty (uri "ex:q", uri "ex:p");
+        Rdf.Schema.Domain (uri "ex:p", uri "ex:painting");
+        Rdf.Schema.Range (uri "ex:q", uri "ex:picture");
+      ]
+  in
+  let triple_query =
+    cq [ v "S"; v "P"; v "O" ] [ atom (v "S") (v "P") (v "O") ]
+  in
+  let disjuncts =
+    Query.Ucq.cardinal (Query.Reformulation.reformulate triple_query schema)
+  in
+  let workload =
+    [
+      cq [ v "X" ] [ atom (v "X") (c "ex:p") (v "Y"); atom (v "Y") (c "ex:q") (c "z") ];
+      cq [ v "X" ] [ atom (v "X") (Query.Qterm.Cst rdf_type) (c "ex:picture") ];
+      cq [ v "X"; v "Y" ] [ atom (v "X") (v "P") (v "Y") ];
+    ]
+  in
+  let footprint () =
+    ( Rdf.Store.size sample_store,
+      Rdf.Store.version sample_store,
+      Query.Plan.cached_plan_count sample_store,
+      Interning.size () )
+  in
+  let before = footprint () in
+  let registry = Obs.create () in
+  let evals () = Option.value ~default:0 (Obs.find_counter registry "eval.queries") in
+  Obs.set_global registry;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_global Obs.disabled)
+    (fun () ->
+      let stats =
+        Stats.Statistics.create ~mode:(Stats.Statistics.Reformulated schema)
+          sample_store
+      in
+      let per_evaluation = if Query.Evaluation.strict_enabled () then 2 else 1 in
+      check_bool "several disjuncts" true (disjuncts > 1);
+      Stats.Statistics.prewarm stats workload;
+      check_int "one evaluation" (per_evaluation * disjuncts) (evals ());
+      ignore (Stats.Statistics.atom_count stats (atom (c "b") (v "P") (c "z")) : float);
+      ignore (Stats.Statistics.property_distinct stats (uri "ex:zzz") `O : float option);
+      ignore (Stats.Statistics.total_triples stats : float);
+      Stats.Statistics.prewarm stats workload;
+      check_int "no evaluation after it" (per_evaluation * disjuncts) (evals ()));
+  check_bool "no triple, plan or canonical form" true (footprint () = before)
+
 (* ---------- cardinality estimation ---------------------------------------- *)
 
 let test_single_atom_exact () =
@@ -294,6 +390,10 @@ let () =
           Alcotest.test_case "range-typed literal subject" `Quick
             test_range_types_literal_subject;
           to_alcotest prop_reformulated_leaves_store;
+          Alcotest.test_case "constants resolved after the evaluation" `Quick
+            test_constants_resolved_after_evaluation;
+          Alcotest.test_case "one evaluation per statistics value" `Quick
+            test_saturation_evaluated_once;
         ] );
       ( "cardinality",
         [
