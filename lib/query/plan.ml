@@ -18,9 +18,9 @@
      first from the store's O(1) pattern counts, and never changes;
    - plans are cached per store id, keyed by the interned canonical
      form of the query (the process-global [Interning] table that
-     [Core] also keys views on), so repeated evaluation — statistics
-     gathering, view materialization across search states — compiles
-     once;
+     [Core] also keys views on), so repeated evaluation — view
+     materialization across search states, workload answering —
+     compiles once;
    - a plan may be compiled with some variables as {e parameters}: they
      take the first slots, the planner treats them as bound before the
      first step, and each execution writes its arguments' codes into

@@ -7,6 +7,9 @@ type t = {
 let create () =
   { by_term = Term.Table.create 1024; by_code = Array.make 1024 (Term.Uri ""); next = 0 }
 
+let copy d =
+  { by_term = Term.Table.copy d.by_term; by_code = Array.copy d.by_code; next = d.next }
+
 let grow d =
   if d.next >= Array.length d.by_code then begin
     let bigger = Array.make (2 * Array.length d.by_code) (Term.Uri "") in

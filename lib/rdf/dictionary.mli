@@ -9,6 +9,10 @@ type t
 
 val create : unit -> t
 
+val copy : t -> t
+(** An independent dictionary with the same codes: encoding a term in
+    one leaves the other unchanged. *)
+
 val encode : t -> Term.t -> int
 (** [encode d term] returns the code of [term], assigning a fresh one on
     first encounter. *)

@@ -23,30 +23,22 @@ type t = {
   mutable version : int;
       (* bumped on every successful add/remove; lets cached query plans
          detect store mutation cheaply *)
-  ats_version : int array;
-      (* per-column stamp of the avg_term_size memo (-1 = unset) *)
-  ats : float array;
 }
 
 (* Atomic: a store may be created on any domain, and ids must stay
    unique because per-store caches are keyed by them. *)
 let next_id = Atomic.make 0
 
-let create ?(backend = Backend.Hash) () =
+let with_dict ~backend dict =
   let id = Atomic.fetch_and_add next_id 1 in
   let repr =
     match backend with
     | Backend.Hash -> Hash (Hash_backend.create ())
     | Backend.Compact -> Compact (Compact_backend.create ())
   in
-  {
-    id;
-    dict = Dictionary.create ();
-    repr;
-    version = 0;
-    ats_version = [| -1; -1; -1 |];
-    ats = [| 0.; 0.; 0. |];
-  }
+  { id; dict; repr; version = 0 }
+
+let create ?(backend = Backend.Hash) () = with_dict ~backend (Dictionary.create ())
 
 let id t = t.id
 let version t = t.version
@@ -216,36 +208,13 @@ let fold_column_codes t col f init =
 
 let column_codes t col = fold_column_codes t col (fun code acc -> code :: acc) []
 
-let col_slot = function `S -> 0 | `P -> 1 | `O -> 2
-
-(* Memoized per (store version, column): this sits on the cost model's
-   hot path (Core.Cost reads it per candidate view) and used to decode
-   every distinct term of the column on every call. *)
-let avg_term_size t col =
-  let i = col_slot col in
-  if t.ats_version.(i) = t.version then t.ats.(i)
-  else begin
-    let total, count =
-      fold_column_codes t col
-        (fun code (total, count) ->
-          (total + Term.size (decode_term t code), count + 1))
-        (0, 0)
-    in
-    let v = if count = 0 then 0. else float_of_int total /. float_of_int count in
-    t.ats.(i) <- v;
-    t.ats_version.(i) <- t.version;
-    v
-  end
-
 (* ---------- lifecycle ------------------------------------------------------ *)
 
+(* The copy keeps every code: the dictionary is copied whole and each
+   triple is added as the same codes. *)
 let copy t =
-  let fresh = create ~backend:(backend t) () in
-  fold_all t
-    (fun (s, p, o) () ->
-      let reencode c = Dictionary.encode fresh.dict (decode_term t c) in
-      ignore (add_encoded fresh (reencode s, reencode p, reencode o)))
-    ();
+  let fresh = with_dict ~backend:(backend t) (Dictionary.copy t.dict) in
+  fold_all t (fun tr () -> ignore (add_encoded fresh tr)) ();
   fresh
 
 let of_triples triples =

@@ -71,7 +71,8 @@ val iter_matching : t -> pattern -> (encoded -> unit) -> unit
 
 val count_matching : t -> pattern -> int
 (** Exact number of triples matching the pattern; O(1) for patterns with
-    at most two constants thanks to the indexes (§3.3's statistics). *)
+    at most two constants thanks to the indexes (the query planner's
+    join ordering reads it). *)
 
 val matching : t -> pattern -> encoded list
 
@@ -96,36 +97,25 @@ val scan2 : t -> [ `SP | `SO | `PO ] -> int -> int -> int array * int
     order named by the variant). *)
 
 val distinct_in_column : t -> [ `S | `P | `O ] -> int
-(** Number of distinct codes in a column, as gathered for the cost
-    model.  O(1) on both backends: the hash backend reads its column
-    index's size; the compact backend keeps a count per column that
-    each write adjusts when a code's live count crosses between 0 and
-    1, so no memtable or segment is scanned. *)
+(** Number of distinct codes in a column, as the query planner's join
+    ordering reads it.  O(1) on both backends: the hash backend reads
+    its column index's size; the compact backend keeps a count per
+    column that each write adjusts when a code's live count crosses
+    between 0 and 1, so no memtable or segment is scanned. *)
 
 val column_codes : t -> [ `S | `P | `O ] -> int list
 (** The distinct codes appearing in a column, in the backend's index
-    order, which differs between backends (allocates a list sized by
-    the distinct count — prefer {!fold_column_codes} on hot
-    paths). *)
-
-val fold_column_codes : t -> [ `S | `P | `O ] -> (int -> 'a -> 'a) -> 'a -> 'a
-(** Fold over the distinct codes of a column without materializing
-    them. *)
+    order, which differs between backends. *)
 
 val fold_all : t -> (encoded -> 'a -> 'a) -> 'a -> 'a
 
 val copy : t -> t
-(** Deep copy on the same backend, sharing no mutable state (the
-    dictionary is copied too). *)
+(** Deep copy on the same backend, sharing no mutable state.  The
+    dictionary is copied too, so every term keeps its code. *)
 
 val of_triples : Triple.t list -> t
 
 val to_triples : t -> Triple.t list
-
-val avg_term_size : t -> [ `S | `P | `O ] -> float
-(** Average byte size of the terms in a column (used by VSO, §3.3).
-    Memoized per store version: repeated cost-model reads between
-    mutations are O(1). *)
 
 (** {2 Backend controls} *)
 

@@ -2,12 +2,13 @@ type mode =
   | Plain
   | Reformulated of Rdf.Schema.t
 
-(* [Reformulated] only: the saturated database, as the rows of one
-   evaluation grouped by property.  The triples with property code [p]
-   are rows [first.(p)] to [first.(p + 1) - 1] of [subj] and [obj];
-   [first] covers the codes of the dictionary at the evaluation, and a
+(* The database the statistics describe, grouped by property: the
+   store's own triples under [Plain], the saturated database under
+   [Reformulated].  The triples with property code [p] are rows
+   [first.(p)] to [first.(p + 1) - 1] of [subj] and [obj]; [first]
+   covers the codes of the dictionary when the table was built, and a
    code interned since matches no triple. *)
-type saturation = {
+type table = {
   first : int array;
   subj : int array;
   obj : int array;
@@ -16,23 +17,21 @@ type saturation = {
 type t = {
   store : Rdf.Store.t;
   mode : mode;
-  mutable saturation : saturation option;
+  mutable table : table option;
   atom_counts : (string, float) Hashtbl.t;
-  column_distincts : (string, float) Hashtbl.t;
+  columns : (string, float * float) Hashtbl.t;
+      (* per column: the distinct count and the average term size *)
   property_distincts : (string, float) Hashtbl.t;
-  term_sizes : (string, float) Hashtbl.t;
-      (* [Reformulated] only: the store memoizes its own column sizes *)
 }
 
 let create ?(mode = Plain) store =
   {
     store;
     mode;
-    saturation = None;
+    table = None;
     atom_counts = Hashtbl.create 256;
-    column_distincts = Hashtbl.create 8;
+    columns = Hashtbl.create 4;
     property_distincts = Hashtbl.create 64;
-    term_sizes = Hashtbl.create 4;
   }
 
 (* Atoms are keyed by their constant pattern only: variable names are
@@ -46,102 +45,91 @@ let pattern_key (a : Query.Atom.t) =
   in
   part a.s ^ part a.p ^ part a.o
 
-let pattern_count store (a : Query.Atom.t) =
-  let bound = function
-    | Query.Qterm.Cst c -> (
-      match Rdf.Store.find_term store c with
-      | Some code -> `Ok (Some code)
-      | None -> `Absent)
-    | Query.Qterm.Var _ -> `Ok None
-  in
-  match (bound a.s, bound a.p, bound a.o) with
-  | `Ok s, `Ok p, `Ok o ->
-    float_of_int (Rdf.Store.count_matching store { Rdf.Store.ps = s; pp = p; po = o })
-  | _ -> 0.
-
-(* ---------- the saturation, under [Reformulated] ---------------------------- *)
+(* ---------- the table --------------------------------------------------------- *)
 
 let all_var_atom = Query.Atom.make (Query.Qterm.Var "_s") (Query.Qterm.Var "_p") (Query.Qterm.Var "_o")
 
-(* A counting sort of the rows on their property code. *)
-let group_by_property codes rows =
-  let n = Query.Rowset.cardinal rows in
+(* A counting sort of rows [0, n) on their property code, where [s r],
+   [p r] and [o r] read the codes of row [r]. *)
+let group_by_property codes n s p o =
   let first = Array.make (codes + 1) 0 in
   let subj = Array.make n 0 and obj = Array.make n 0 in
-  if n > 0 then begin
-    let cols = Query.Rowset.columns rows in
-    let s = cols.(0) and p = cols.(1) and o = cols.(2) in
-    for r = 0 to n - 1 do
-      first.(p.(r) + 1) <- first.(p.(r) + 1) + 1
-    done;
-    for c = 1 to codes do
-      first.(c) <- first.(c) + first.(c - 1)
-    done;
-    let next = Array.sub first 0 codes in
-    for r = 0 to n - 1 do
-      let i = next.(p.(r)) in
-      next.(p.(r)) <- i + 1;
-      subj.(i) <- s.(r);
-      obj.(i) <- o.(r)
-    done
-  end;
+  for r = 0 to n - 1 do
+    let c = p r + 1 in
+    first.(c) <- first.(c) + 1
+  done;
+  for c = 1 to codes do
+    first.(c) <- first.(c) + first.(c - 1)
+  done;
+  let next = Array.sub first 0 codes in
+  for r = 0 to n - 1 do
+    let c = p r in
+    let i = next.(c) in
+    next.(c) <- i + 1;
+    subj.(i) <- s r;
+    obj.(i) <- o r
+  done;
   { first; subj; obj }
 
-(* §4.3: under [Reformulated schema] every statistic is read off the
-   answers of the reformulation of t(_s,_p,_o), heading all three
-   positions, evaluated on the explicit store: by Theorem 4.2 those are
-   exactly the triples of the saturated database, which is never built.
-   The evaluation runs once per [t], through one-shot plans: cached
-   plans and interned canonical forms would outlive the search, and
-   the heap state they left slowed later updates.  It interns the head
-   constants of the reformulation (rdf:type, classes and properties of
-   the schema), so a statistic resolves its constants only after it. *)
-let saturation t schema =
-  match t.saturation with
-  | Some sat -> sat
+(* Built once per [t], on the first statistic asked for.  Under [Plain]
+   the rows are the store's triples, read in place by one scan.  Under
+   [Reformulated schema] (§4.3) they are the answers of the
+   reformulation of t(_s,_p,_o), heading all three positions, evaluated
+   on the explicit store: by Theorem 4.2 those are exactly the triples
+   of the saturated database, which is never built.  The evaluation
+   runs through one-shot plans: cached plans and interned canonical
+   forms would outlive the search, and the heap state they left slowed
+   later updates.  It interns the head constants of the reformulation
+   (rdf:type, classes and properties of the schema), so a statistic
+   resolves its constants only after it. *)
+let table t =
+  match t.table with
+  | Some tbl -> tbl
   | None ->
-    let head = [ all_var_atom.s; all_var_atom.p; all_var_atom.o ] in
-    let q = Query.Cq.make ~name:"saturation" ~head ~body:[ all_var_atom ] in
-    let rows =
-      Query.Evaluation.eval_ucq_rowset ~cache:false t.store
-        (Query.Reformulation.reformulate q schema)
+    let tbl =
+      match t.mode with
+      | Plain ->
+        let data, n = Rdf.Store.scan_all t.store in
+        group_by_property (Rdf.Store.dict_size t.store) n
+          (fun r -> data.(3 * r))
+          (fun r -> data.((3 * r) + 1))
+          (fun r -> data.((3 * r) + 2))
+      | Reformulated schema ->
+        let head = [ all_var_atom.s; all_var_atom.p; all_var_atom.o ] in
+        let q = Query.Cq.make ~name:"saturation" ~head ~body:[ all_var_atom ] in
+        let rows =
+          Query.Evaluation.eval_ucq_rowset ~cache:false t.store
+            (Query.Reformulation.reformulate q schema)
+        in
+        let cols = Query.Rowset.columns rows in
+        group_by_property (Rdf.Store.dict_size t.store) (Query.Rowset.cardinal rows)
+          (fun r -> cols.(0).(r))
+          (fun r -> cols.(1).(r))
+          (fun r -> cols.(2).(r))
     in
-    let sat = group_by_property (Rdf.Store.dict_size t.store) rows in
-    t.saturation <- Some sat;
-    sat
+    t.table <- Some tbl;
+    tbl
 
-(* The code of a constant in the saturation, or [None] when no triple
-   can hold it. *)
-let code_in t sat c =
+(* The code of a constant in the table, or [None] when no triple can
+   hold it. *)
+let code_in t tbl c =
   match Rdf.Store.find_term t.store c with
-  | Some code when code < Array.length sat.first - 1 -> Some code
+  | Some code when code < Array.length tbl.first - 1 -> Some code
   | Some _ | None -> None
 
 (* Rows [lo, hi) whose subject and object match [s] and [o], where -1
    matches any code. *)
-let count_rows sat s o lo hi =
+let count_rows tbl s o lo hi =
   let n = ref 0 in
   for i = lo to hi - 1 do
-    if (s < 0 || sat.subj.(i) = s) && (o < 0 || sat.obj.(i) = o) then incr n
+    if (s < 0 || tbl.subj.(i) = s) && (o < 0 || tbl.obj.(i) = o) then incr n
   done;
   !n
 
-let saturated_count t schema (a : Query.Atom.t) =
-  let sat = saturation t schema in
-  let code = function
-    | Query.Qterm.Cst c -> code_in t sat c
-    | Query.Qterm.Var _ -> Some (-1)
-  in
-  match (code a.s, code a.p, code a.o) with
-  | Some s, Some p, Some o ->
-    if p < 0 then count_rows sat s o 0 (Array.length sat.subj)
-    else count_rows sat s o sat.first.(p) sat.first.(p + 1)
-  | _ -> 0
-
 (* Fold [f] over the distinct codes among [codes.(lo)] to
    [codes.(hi - 1)]. *)
-let fold_distinct sat codes lo hi f acc =
-  let seen = Bytes.make (Array.length sat.first - 1) '\000' in
+let fold_distinct tbl codes lo hi f acc =
+  let seen = Bytes.make (Array.length tbl.first - 1) '\000' in
   let acc = ref acc in
   for i = lo to hi - 1 do
     let c = codes.(i) in
@@ -159,11 +147,19 @@ let atom_count t a =
   match Hashtbl.find_opt t.atom_counts key with
   | Some n -> n
   | None ->
-    let n =
-      match t.mode with
-      | Plain -> pattern_count t.store a
-      | Reformulated schema -> float_of_int (saturated_count t schema a)
+    let tbl = table t in
+    let code = function
+      | Query.Qterm.Cst c -> code_in t tbl c
+      | Query.Qterm.Var _ -> Some (-1)
     in
+    let n =
+      match (code a.Query.Atom.s, code a.p, code a.o) with
+      | Some s, Some p, Some o ->
+        if p < 0 then count_rows tbl s o 0 (Array.length tbl.subj)
+        else count_rows tbl s o tbl.first.(p) tbl.first.(p + 1)
+      | _ -> 0
+    in
+    let n = float_of_int n in
     Hashtbl.add t.atom_counts key n;
     n
 
@@ -171,81 +167,53 @@ let total_triples t = atom_count t all_var_atom
 
 let column_name = function `S -> "s" | `P -> "p" | `O -> "o"
 
-(* Under [Reformulated], one pass over a column of the saturation gives
-   both column statistics: the distinct count, and the integer sum of
-   the distinct values' sizes over that count (the formula of
-   [Rdf.Store.avg_term_size]). *)
-let saturated_column t schema col =
-  let sat = saturation t schema in
-  let weigh code (count, total) =
-    (count + 1, total + Rdf.Term.size (Rdf.Store.decode_term t.store code))
-  in
-  let count, total =
-    match col with
-    | `S -> fold_distinct sat sat.subj 0 (Array.length sat.subj) weigh (0, 0)
-    | `O -> fold_distinct sat sat.obj 0 (Array.length sat.obj) weigh (0, 0)
-    | `P ->
-      let acc = ref (0, 0) in
-      for p = 0 to Array.length sat.first - 2 do
-        if sat.first.(p + 1) > sat.first.(p) then acc := weigh p !acc
-      done;
-      !acc
-  in
+(* One pass over a column gives both column statistics: the distinct
+   count, and the integer sum of the distinct values' sizes over that
+   count. *)
+let column t col =
   let key = column_name col in
-  let size = if count = 0 then 0. else float_of_int total /. float_of_int count in
-  Hashtbl.add t.column_distincts key (float_of_int count);
-  Hashtbl.add t.term_sizes key size
+  match Hashtbl.find_opt t.columns key with
+  | Some stats -> stats
+  | None ->
+    let tbl = table t in
+    let weigh code (count, total) =
+      (count + 1, total + Rdf.Term.size (Rdf.Store.decode_term t.store code))
+    in
+    let count, total =
+      match col with
+      | `S -> fold_distinct tbl tbl.subj 0 (Array.length tbl.subj) weigh (0, 0)
+      | `O -> fold_distinct tbl tbl.obj 0 (Array.length tbl.obj) weigh (0, 0)
+      | `P ->
+        let acc = ref (0, 0) in
+        for p = 0 to Array.length tbl.first - 2 do
+          if tbl.first.(p + 1) > tbl.first.(p) then acc := weigh p !acc
+        done;
+        !acc
+    in
+    let size = if count = 0 then 0. else float_of_int total /. float_of_int count in
+    let stats = (float_of_int count, size) in
+    Hashtbl.add t.columns key stats;
+    stats
 
-let column_distinct t col =
-  let key = column_name col in
-  match Hashtbl.find_opt t.column_distincts key with
-  | Some n -> n
-  | None -> (
-    match t.mode with
-    | Plain ->
-      let n = float_of_int (Rdf.Store.distinct_in_column t.store col) in
-      Hashtbl.add t.column_distincts key n;
-      n
-    | Reformulated schema ->
-      saturated_column t schema col;
-      Hashtbl.find t.column_distincts key)
-
-let avg_term_size t col =
-  match t.mode with
-  | Plain -> Rdf.Store.avg_term_size t.store col
-  | Reformulated schema -> (
-    let key = column_name col in
-    match Hashtbl.find_opt t.term_sizes key with
-    | Some size -> size
-    | None ->
-      saturated_column t schema col;
-      Hashtbl.find t.term_sizes key)
-
-let saturated_property_distinct t schema prop col =
-  let sat = saturation t schema in
-  match code_in t sat prop with
-  | None -> 0
-  | Some p ->
-    let codes = match col with `S -> sat.subj | `O -> sat.obj in
-    fold_distinct sat codes sat.first.(p) sat.first.(p + 1) (fun _ n -> n + 1) 0
+let column_distinct t col = fst (column t col)
+let avg_term_size t col = snd (column t col)
 
 let property_distinct t prop col =
   let key = Rdf.Term.key prop ^ column_name (col :> [ `S | `P | `O ]) in
   match Hashtbl.find_opt t.property_distincts key with
   | Some n -> if n < 0. then None else Some n
   | None ->
+    let tbl = table t in
     let n =
-      match t.mode with
-      | Plain ->
-        let var = match col with `S -> "_s" | `O -> "_o" in
-        let body = [ Query.Atom.make (Query.Qterm.Var "_s") (Query.Qterm.Cst prop) (Query.Qterm.Var "_o") ] in
-        let q = Query.Cq.make ~name:"distinct" ~head:[ Query.Qterm.Var var ] ~body in
-        float_of_int (Query.Evaluation.count_cq t.store q)
-      | Reformulated schema -> float_of_int (saturated_property_distinct t schema prop col)
+      match code_in t tbl prop with
+      | None -> 0
+      | Some p ->
+        let codes = match col with `S -> tbl.subj | `O -> tbl.obj in
+        fold_distinct tbl codes tbl.first.(p) tbl.first.(p + 1) (fun _ n -> n + 1) 0
     in
-    let stored = if n = 0. then -1. else n in
+    let stored = if n = 0 then -1. else float_of_int n in
     Hashtbl.add t.property_distincts key stored;
-    if stored < 0. then None else Some n
+    if stored < 0. then None else Some stored
 
 let relaxations (a : Query.Atom.t) =
   let options pos =
@@ -277,17 +245,12 @@ let prewarm t queries =
             (relaxations a))
         q.Query.Cq.body)
     queries;
-  List.iter
-    (fun col ->
-      ignore (column_distinct t col : float);
-      ignore (avg_term_size t col : float))
-    [ `S; `P; `O ]
+  List.iter (fun col -> ignore (column t col : float * float)) [ `S; `P; `O ]
 [@@coordinator_only]
 
 let cache_size t = Hashtbl.length t.atom_counts
 
 let memo_size t =
   Hashtbl.length t.atom_counts
-  + Hashtbl.length t.column_distincts
+  + Hashtbl.length t.columns
   + Hashtbl.length t.property_distincts
-  + Hashtbl.length t.term_sizes

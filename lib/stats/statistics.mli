@@ -7,24 +7,29 @@
     numbers the offline gathering would (every atom reachable during the
     search is a relaxation of a workload atom).
 
-    The [mode] controls how implicit triples are reflected (§4.3):
+    Every statistic is read off one table of triples grouped by
+    property, built on the first statistic asked for (or by {!prewarm}):
+    an atom's count is the number of rows matching its constants, the
+    total the number of rows, and the column and per-property distincts
+    and term sizes their distinct values.  The [mode] says where the
+    rows come from, and so how implicit triples are reflected (§4.3):
     {ul
-    {- [Plain] — counts on the store as-is (use on a saturated store for
-       the saturation scenario, or when reasoning is ignored);}
+    {- [Plain] — the store's own triples, read by one scan (use on a
+       saturated store for the saturation scenario, or when reasoning
+       is ignored);}
     {- [Reformulated schema] — the post-reformulation statistics.  The
        reformulation (w.r.t. [schema]) of [t(_s,_p,_o)], heading all
-       three positions, is evaluated once on the explicit store, on the
-       first statistic asked for; by Theorem 4.2 its rows are exactly
-       the triples of the saturated database, which is never built.
-       Every statistic is read off those rows: an atom's count is the
-       number of rows matching its constants, the total the number of
-       rows, and the column and per-property distincts and term sizes
-       their distinct values.  So each number equals the one on the
-       saturated store, which is property-tested.  The store gains no
-       triple and its version does not move; the evaluation caches no
-       plan and interns no canonical form, but the reformulation's head
-       constants are encoded in the store's dictionary, and a statistic
-       resolves its own constants only after that.}} *)
+       three positions, is evaluated once on the explicit store; by
+       Theorem 4.2 its rows are exactly the triples of the saturated
+       database, which is never built.  So each number equals the one
+       on the saturated store, which is property-tested.  The store
+       gains no triple and its version does not move; the evaluation
+       caches no plan and interns no canonical form, but the
+       reformulation's head constants are encoded in the store's
+       dictionary, and a statistic resolves its own constants only
+       after that.}}
+    Either way [t] describes the store as it was when the table was
+    built: a later write to the store is not reflected. *)
 
 type mode =
   | Plain
@@ -37,8 +42,9 @@ val create : ?mode:mode -> Rdf.Store.t -> t
     [mode] defaults to [Plain]. *)
 
 val prewarm : t -> Query.Cq.t list -> unit
-(** The paper's offline gathering step: fill the memo with everything
-    the cost model reads while searching from these queries.  That is
+(** The paper's offline gathering step: build the table and fill the
+    memo with everything the cost model reads while searching from
+    these queries.  That is
     the count of every relaxation of every atom (each constant replaced
     or kept), the per-property subject and object distincts of every
     constant property among them, and the three column distincts and
@@ -64,9 +70,7 @@ val property_distinct : t -> Rdf.Term.t -> [ `S | `O ] -> float option
 
 val avg_term_size : t -> [ `S | `P | `O ] -> float
 (** Average byte size of a column's distinct values, for the
-    space-occupancy model.  Under [Reformulated] it is computed once per
-    [t] (like every other statistic); under [Plain] it is the store's
-    own, which follows the store's writes. *)
+    space-occupancy model. *)
 
 val cache_size : t -> int
 (** Number of memoized atom counts (for instrumentation). *)

@@ -137,9 +137,17 @@ let test_store_distinct () =
 let test_store_copy_independent () =
   let s = store_of sample_triples in
   let s' = Rdf.Store.copy s in
+  let terms =
+    List.concat_map (fun (tr : Rdf.Triple.t) -> [ tr.s; tr.p; tr.o ]) sample_triples
+  in
+  check_bool "every term keeps its code" true
+    (List.for_all (fun t -> Rdf.Store.find_term s' t = Rdf.Store.find_term s t) terms);
+  let codes = Rdf.Store.dict_size s in
   ignore (Rdf.Store.add s' (triple (uri "new") (uri "p") (uri "b")));
   check_int "copy grew" 6 (Rdf.Store.size s');
-  check_int "original unchanged" 5 (Rdf.Store.size s)
+  check_int "original unchanged" 5 (Rdf.Store.size s);
+  check_int "copy encoded the new term" (codes + 1) (Rdf.Store.dict_size s');
+  check_int "original dictionary unchanged" codes (Rdf.Store.dict_size s)
 
 let test_store_roundtrip () =
   let s = store_of sample_triples in

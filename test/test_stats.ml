@@ -59,6 +59,101 @@ let test_prewarm () =
   (* atom1: 2 relaxations; atom2: 4 relaxations; minus shared all-var *)
   check_bool "cache populated" true (Stats.Statistics.cache_size stats >= 5)
 
+(* Plain statistics against brute force over the store's own
+   interface, on both backends: every count and distinct of a random
+   atom and of each of its relaxations, and each column's average term
+   size as the mean size of its distinct terms. *)
+let gen_atom =
+  let open QCheck.Gen in
+  let pos g = oneof [ return None; map Option.some g ] in
+  map3
+    (fun s p o ->
+      let term name = function
+        | Some t -> Query.Qterm.Cst t
+        | None -> v name
+      in
+      atom (term "S" s) (term "P" p) (term "O" o))
+    (pos gen_entity)
+    (pos (oneof [ gen_prop; return rdf_type ]))
+    (pos gen_object)
+
+let arb_atoms =
+  QCheck.make
+    ~print:(fun atoms -> String.concat ", " (List.map Query.Atom.to_string atoms))
+    QCheck.Gen.(list_size (int_range 1 4) gen_atom)
+
+let all_relaxations (a : Query.Atom.t) =
+  List.fold_left
+    (fun atoms pos ->
+      match Query.Atom.term_at a pos with
+      | Query.Qterm.Cst _ ->
+        atoms
+        @ List.map
+            (fun r -> Query.Atom.set_at r pos (v ("_r" ^ Query.Atom.position_name pos)))
+            atoms
+      | Query.Qterm.Var _ -> atoms)
+    [ a ] Query.Atom.positions
+
+let prop_plain_equals_brute_force =
+  QCheck.Test.make ~name:"plain statistics = brute force" ~count:100
+    QCheck.(pair arb_backend_store arb_atoms)
+    (fun (store, atoms) ->
+      let stats = Stats.Statistics.create store in
+      let triples = Rdf.Store.to_triples store in
+      let column col (tr : Rdf.Triple.t) =
+        match col with `S -> tr.s | `P -> tr.p | `O -> tr.o
+      in
+      let count (a : Query.Atom.t) =
+        let code = function
+          | Query.Qterm.Cst t -> Option.map Option.some (Rdf.Store.find_term store t)
+          | Query.Qterm.Var _ -> Some None
+        in
+        match (code a.s, code a.p, code a.o) with
+        | Some ps, Some pp, Some po -> Rdf.Store.count_matching store { ps; pp; po }
+        | _ -> 0
+      in
+      let property_distinct prop col =
+        let values =
+          List.filter_map
+            (fun (tr : Rdf.Triple.t) ->
+              if Rdf.Term.equal tr.p prop then Some (column col tr) else None)
+            triples
+        in
+        match List.sort_uniq Rdf.Term.compare values with
+        | [] -> None
+        | distinct -> Some (float_of_int (List.length distinct))
+      in
+      let avg_term_size col =
+        match List.sort_uniq Rdf.Term.compare (List.map (column col) triples) with
+        | [] -> 0.
+        | terms ->
+          float_of_int (List.fold_left (fun n t -> n + Rdf.Term.size t) 0 terms)
+          /. float_of_int (List.length terms)
+      in
+      List.for_all
+        (fun a ->
+          List.for_all
+            (fun (r : Query.Atom.t) ->
+              Stats.Statistics.atom_count stats r = float_of_int (count r)
+              &&
+              match r.p with
+              | Query.Qterm.Cst prop ->
+                List.for_all
+                  (fun col ->
+                    Stats.Statistics.property_distinct stats prop col
+                    = property_distinct prop (col :> [ `S | `P | `O ]))
+                  [ `S; `O ]
+              | Query.Qterm.Var _ -> true)
+            (all_relaxations a))
+        atoms
+      && Stats.Statistics.total_triples stats = float_of_int (Rdf.Store.size store)
+      && List.for_all
+           (fun col ->
+             Stats.Statistics.column_distinct stats col
+             = float_of_int (Rdf.Store.distinct_in_column store col)
+             && Stats.Statistics.avg_term_size stats col = avg_term_size col)
+           [ `S; `P; `O ])
+
 (* ---------- reformulated statistics -------------------------------------- *)
 
 let test_reformulated_counts () =
@@ -381,6 +476,7 @@ let () =
           Alcotest.test_case "prewarm gathers relaxations" `Quick test_prewarm;
           Alcotest.test_case "constant kinds kept apart" `Quick
             test_constant_kinds_apart;
+          to_alcotest prop_plain_equals_brute_force;
         ] );
       ( "reformulated",
         [

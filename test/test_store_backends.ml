@@ -277,10 +277,6 @@ let prop_differential =
           if dh <> dc then
             QCheck.Test.fail_reportf "distinct_in_column diverged: %d vs %d" dh
               dc;
-          let ah = Rdf.Store.avg_term_size hash col in
-          let ac = Rdf.Store.avg_term_size compact col in
-          if Float.abs (ah -. ac) > 1e-9 then
-            QCheck.Test.fail_reportf "avg_term_size diverged: %f vs %f" ah ac;
           let codes st =
             List.sort_uniq compare
               (List.map (Rdf.Store.decode_term st) (Rdf.Store.column_codes st col))
