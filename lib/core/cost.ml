@@ -39,13 +39,20 @@ type node = {
   chain : int;
 }
 
+module Id_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash i = i land max_int
+end)
+
 type t = {
   stats : Stats.Statistics.t;
   weights : weights;
-  profiles : (string, view_profile) Hashtbl.t;  (* by view name *)
+  profiles : view_profile Id_tbl.t;  (* by View.id *)
 }
 
-let create stats weights = { stats; weights; profiles = Hashtbl.create 1024 }
+let create stats weights = { stats; weights; profiles = Id_tbl.create 1024 }
 
 let weights t = t.weights
 let stats t = t.stats
@@ -70,7 +77,7 @@ let var_width stats (cq : Query.Cq.t) x =
   | None -> 8.
 
 let profile t (v : View.t) =
-  match Hashtbl.find_opt t.profiles (View.name v) with
+  match Id_tbl.find_opt t.profiles v.View.id with
   | Some p -> p
   | None ->
     let cq = v.View.cq in
@@ -80,7 +87,7 @@ let profile t (v : View.t) =
       List.fold_left (fun acc x -> acc +. var_width t.stats cq x) 0. cols
     in
     let p = { cardinality; distincts; width } in
-    Hashtbl.add t.profiles (View.name v) p;
+    Id_tbl.add t.profiles v.View.id p;
     p
 
 let view_cardinality t v = (profile t v).cardinality
@@ -265,7 +272,7 @@ exception Delta_mismatch
 (* parent − removed + added, with only the touched rewritings
    re-estimated in the child.  Untouched rewritings are physically
    shared with the parent and scan only surviving views, whose profiles
-   are memoized by name — their cached contributions are bit-exact. *)
+   are memoized by id — their cached contributions are bit-exact. *)
 let node_delta t parent (d : Delta.t) (child : State.t) =
   let sum f vs = List.fold_left (fun acc v -> acc +. f v) 0. vs in
   let vso_n =

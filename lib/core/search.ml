@@ -59,11 +59,9 @@ let strategy_of_string s =
    are connected, and two atoms sharing no constant would still share a
    variable — but any multi-atom all-variable view is still rejected as
    its space occupancy exceeds the full triple table. *)
-let is_all_var_view v =
-  Query.Cq.constant_count v.View.cq = 0
+let is_all_var_view v = v.View.constants = 0
 
-let is_triple_table_view v =
-  View.atom_count v = 1 && Query.Cq.constant_count v.View.cq = 0
+let is_triple_table_view v = v.View.constants = 0 && View.atom_count v = 1
 
 let view_violates options v =
   (options.stop_tt && is_triple_table_view v)
@@ -254,18 +252,25 @@ let register engine ~rank ~parent ~delta state =
 
 (* Generate the successors of [parent] (of cost node [node]) by one
    transition kind and admit them: stop-violating ones are pruned before
-   they are built, the rest are collapsed and registered. *)
+   they are built, the rest are collapsed and registered.  Under AVF the
+   parent is collapsed ({!run_from} collapses S0, and every successor is
+   collapsed here before it is registered), so it has no VF successor. *)
 let admit engine ~rank ~parent ~node kind =
-  let built, pruned =
-    Transition.successors_with_delta ?stop:engine.stop ~strict:(strict engine)
-      parent kind
-  in
-  note_discarded engine ~rank pruned;
-  List.filter_map
-    (fun (succ, delta) ->
-      let succ, delta = collapse engine.options ~delta succ in
-      register engine ~rank ~parent:node ~delta succ)
-    built
+  match kind with
+  | Transition.VF when engine.options.avf ->
+    Transition.skip_fusions ~strict:(strict engine) parent;
+    []
+  | VB | SC | JC | VF ->
+    let built, pruned =
+      Transition.successors_with_delta ?stop:engine.stop
+        ~strict:(strict engine) parent kind
+    in
+    note_discarded engine ~rank pruned;
+    List.filter_map
+      (fun (succ, delta) ->
+        let succ, delta = collapse engine.options ~delta succ in
+        register engine ~rank ~parent:node ~delta succ)
+      built
 
 let allowed_kinds options rank =
   match options.strategy with

@@ -397,32 +397,42 @@ let fuse state v1 v2 { v3; expr1; expr2 } =
       rewritings_touched = List.rev !touched;
     } )
 
-(* The pairs of views with equal body ids, which all fuse, in view order
-   (left member first), each with the position of its right member.
+(* The first pair of views with equal body ids, which all fuse, in view
+   order (left member first), with the position of its right member.
    Only pairs whose left member is among the first [fresh] views are
    tried: the caller knows every other pair, which lies within the
-   tail, not to fuse. *)
-let fusion_pairs ~fresh views =
-  let rec lefts i views () =
-    match views with
-    | v1 :: rest when i < fresh ->
-      partners i v1 (View.body_intern_id v1) rest (i + 1) rest ()
-    | _ -> Seq.Nil
-  and partners i v1 id1 rest j tail () =
-    match tail with
-    | [] -> lefts (i + 1) rest ()
-    | v2 :: more -> (
-      if View.body_intern_id v2 <> id1 then
-        partners i v1 id1 rest (j + 1) more ()
-      else
-        Seq.Cons ((v1, v2, fusion_of v1 v2, j), partners i v1 id1 rest (j + 1) more))
-  in
-  lefts 0 views
+   tail, not to fuse.  [i] is the position of the list's head. *)
+let rec first_fusion_pair ~fresh i = function
+  | v1 :: rest when i < fresh -> (
+    match partner_of (View.body_intern_id v1) (i + 1) rest with
+    | Some (v2, j) -> Some (v1, v2, j)
+    | None -> first_fusion_pair ~fresh (i + 1) rest)
+  | _ -> None
 
+(* The first view of the list whose body id is [id], with its position,
+   [j] being that of the list's head. *)
+and partner_of id j = function
+  | [] -> None
+  | v2 :: more ->
+    if View.body_intern_id v2 = id then Some (v2, j)
+    else partner_of id (j + 1) more
+
+(* Every pair of views with equal body ids, in view order. *)
 let view_fusions state =
-  fusion_pairs ~fresh:max_int state.State.views
-  |> Seq.map (fun (v1, v2, f, _) -> Fuse (v1, v2, f))
-  |> List.of_seq
+  let rec lefts acc = function
+    | [] -> List.rev acc
+    | v1 :: rest ->
+      let id = View.body_intern_id v1 in
+      lefts
+        (List.fold_left
+           (fun acc v2 ->
+             if View.body_intern_id v2 = id then
+               Fuse (v1, v2, fusion_of v1 v2) :: acc
+             else acc)
+           acc rest)
+        rest
+  in
+  lefts [] state.State.views
 
 let candidates state kind =
   match kind with
@@ -493,16 +503,31 @@ let successors_with_delta ?stop ~strict state kind =
   (produced, !pruned)
 [@@domain_safe]
 
+(* No fusion applies to a fusion-closed state, so its VF stratum is
+   empty without a scan.  The applied counter is still resolved, which
+   registers it: a metrics dump lists the VF stratum either way. *)
+let skip_fusions ~strict state =
+  Obs.add (obs_applied.(kind_rank VF) ()) 0;
+  if strict then
+    match first_fusion_pair ~fresh:max_int 0 state.State.views with
+    | None -> ()
+    | Some (v1, v2, _) ->
+      failwith
+        (Printf.sprintf
+           "Transition.VF: views %s and %s fuse in a state held to be \
+            fusion-closed"
+           (View.name v1) (View.name v2))
+
 let successors state kind =
   let strict = Query.Evaluation.strict_enabled () in
   List.map fst (fst (successors_with_delta ~strict state kind))
 
 let fusion_closure_delta ?(fresh = max_int) state =
   let rec close fresh state acc =
-    match Seq.uncons (fusion_pairs ~fresh state.State.views) with
+    match first_fusion_pair ~fresh 0 state.State.views with
     | None -> (state, acc)
-    | Some ((v1, v2, f, j), _) ->
-      let state', d = fuse state v1 v2 f in
+    | Some (v1, v2, j) ->
+      let state', d = fuse state v1 v2 (fusion_of v1 v2) in
       (* v3 goes first; the other fresh views follow it *)
       close (if j < fresh then fresh - 1 else fresh) state' (Delta.compose acc d)
   in

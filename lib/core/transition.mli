@@ -56,6 +56,15 @@ val successors_with_delta :
     are still built, checked, and their verdict checked against their
     views; a failed check raises [Failure]. *)
 
+val skip_fusions : strict:bool -> State.t -> unit
+(** The VF stratum of a fusion-closed state, which is empty: no two of
+    its views have equal body ids.  Under AVF every state the search
+    expands is fusion-closed, so the search calls this in place of
+    {!successors_with_delta} for VF.  It registers
+    [transition.VF.applied] without adding to it, and with
+    [~strict:true] scans the views and raises [Failure] if two of them
+    fuse after all. *)
+
 val successors : State.t -> kind -> State.t list
 (** [successors s k] is every successor of [s] by [k], none pruned,
     checked when {!Query.Evaluation.strict_enabled} holds at the

@@ -7,6 +7,7 @@
 type t = {
   id : int;
   cq : Query.Cq.t;
+  constants : int;
   mutable iid : Interning.id option;
   mutable body_iid : Interning.id option;
 }
@@ -29,7 +30,13 @@ let validate who cq =
   | None -> ()
 
 let wrap id cq =
-  { id; cq; iid = None; body_iid = None }
+  {
+    id;
+    cq;
+    constants = Query.Cq.constant_count cq;
+    iid = None;
+    body_iid = None;
+  }
 
 let fresh_id () = Atomic.fetch_and_add counter 1 + 1
 

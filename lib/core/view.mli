@@ -7,6 +7,11 @@
 type t = private {
   id : int;
   cq : Query.Cq.t;
+  constants : int;
+      (** [Query.Cq.constant_count cq], counted once when the view is
+          made: the search's stop conditions read it for every view of
+          every state.  Immutable, so sharing the view across the
+          domains of a parallel search adds no race. *)
   mutable iid : Interning.id option;  (** memoized {!intern_id} *)
   mutable body_iid : Interning.id option;
       (** memoized {!body_intern_id}.  The memo fields are plain

@@ -5,8 +5,8 @@
    per view is unavoidable, but comparing, sorting and hashing them on
    every state key is not.  The interner assigns each distinct canonical
    string a dense non-negative id, so all downstream identity work
-   (State.key, Search.seen dedup, Transition.fusion_pairs) becomes
-   integer work.
+   (State.key, Search.seen dedup, the fusion pairs Transition finds by
+   body id) becomes integer work.
 
    The table is process-global on purpose: view canonicalization is
    deterministic and rename-invariant, so two views with the same

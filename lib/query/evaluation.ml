@@ -244,4 +244,3 @@ let eval_ucq_codes store u = Rowset.elements (eval_ucq_rowset store u)
 
 let eval_cq store q = decode_rows store (eval_cq_codes store q)
 let eval_ucq store u = decode_rows store (eval_ucq_codes store u)
-let count_cq store q = Rowset.cardinal (eval_cq_rowset store q)

@@ -65,9 +65,6 @@ val eval_params_into :
 val eval_ucq_codes : Rdf.Store.t -> Ucq.t -> int array list
 (** The rows of {!eval_ucq_rowset}, through cached plans. *)
 
-val count_cq : Rdf.Store.t -> Cq.t -> int
-(** The number of rows {!eval_cq_codes} returns. *)
-
 val same_answers : Rdf.Term.t array list -> Rdf.Term.t array list -> bool
 (** Order-insensitive comparison of two answer sets. *)
 

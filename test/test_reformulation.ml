@@ -231,7 +231,10 @@ let prop_reformulate_atom_counts_saturated =
               (Query.Evaluation.eval_ucq_rowset ~cache:false store
                  (Query.Reformulation.reformulate q schema))
           in
-          let on_saturated = Query.Evaluation.count_cq saturated q in
+          let on_saturated =
+            Query.Rowset.cardinal
+              (Query.Evaluation.eval_cq_rowset saturated q)
+          in
           by_reformulation = on_saturated)
         shapes)
 

@@ -526,6 +526,66 @@ let prop_admission_without_rework =
             Core.Transition.all_kinds)
         (walk_states workload choices))
 
+(* The facts the search reads off every state, against their
+   definitions: the key against the sorted id list hashed the same way,
+   each view's constant count against its query's, and, under AVF, the
+   body ids of a collapsed state: all distinct, which is why the search
+   skips the VF stratum of a state it expands.  The collapsed states
+   are the fusion closure of each walk state and its successors
+   collapsed on their fresh views alone, as the search collapses
+   them. *)
+let reference_key (s : Core.State.t) =
+  let ids = List.sort Int.compare (List.map Core.View.intern_id s.views) in
+  ( String.concat "." (List.map string_of_int ids),
+    List.fold_left
+      (fun h id -> (h lxor id) * 0x01000193 land max_int)
+      0x811c9dc5 ids )
+
+let facts_hold (s : Core.State.t) =
+  let key = Core.State.key s in
+  (Core.State.key_to_string key, Core.State.hash_key key) = reference_key s
+  && List.for_all
+       (fun (u : Core.View.t) ->
+         u.constants = Query.Cq.constant_count u.cq)
+       s.views
+
+let body_ids_distinct (s : Core.State.t) =
+  let ids = List.map Core.View.body_intern_id s.views in
+  List.length (List.sort_uniq Int.compare ids) = List.length ids
+
+let prop_state_facts =
+  QCheck.Test.make
+    ~name:"keys, constant counts and collapsed body ids = their definitions"
+    ~count:60
+    QCheck.(
+      pair (pair arb_cq arb_cq)
+        (list_of_size (Gen.int_range 0 8) (pair small_nat small_nat)))
+    (fun ((q, qc), choices) ->
+      let workload =
+        [ Query.Cq.rename q "qa";
+          Query.Cq.rename (Query.Cq.freshen q) "qb";
+          Query.Cq.rename qc "qc" ]
+      in
+      let collapsed_holds s = facts_hold s && body_ids_distinct s in
+      List.for_all
+        (fun s ->
+          let closed = Core.Transition.fusion_closure s in
+          facts_hold s && collapsed_holds closed
+          && List.for_all
+               (fun kind ->
+                 List.for_all
+                   (fun (succ, delta) ->
+                     let fresh = List.length delta.Core.Delta.views_added in
+                     facts_hold succ
+                     && collapsed_holds
+                          (fst
+                             (Core.Transition.fusion_closure_delta ~fresh succ)))
+                   (fst
+                      (Core.Transition.successors_with_delta ~strict:false
+                         closed kind)))
+               Core.Transition.all_kinds)
+        (walk_states workload choices))
+
 let test_sc_increases_cost () =
   let est = estimator_for museum_store in
   let s0 = Core.State.initial [ q1_paper ] in
@@ -626,7 +686,11 @@ let () =
           to_alcotest prop_random_walk_preserves_answers;
           to_alcotest prop_walk_executor_reference;
         ] );
-      ("admission", [ to_alcotest prop_admission_without_rework ]);
+      ( "admission",
+        [
+          to_alcotest prop_admission_without_rework;
+          to_alcotest prop_state_facts;
+        ] );
       ( "vf-cache",
         [
           Alcotest.test_case "a pair fuses once across parents" `Quick
