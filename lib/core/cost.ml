@@ -39,20 +39,14 @@ type node = {
   chain : int;
 }
 
-module Id_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash i = i land max_int
-end)
-
 type t = {
   stats : Stats.Statistics.t;
   weights : weights;
-  profiles : view_profile Id_tbl.t;  (* by View.id *)
+  profiles : view_profile Interning.Int_tbl.t;  (* by View.id *)
 }
 
-let create stats weights = { stats; weights; profiles = Id_tbl.create 1024 }
+let create stats weights =
+  { stats; weights; profiles = Interning.Int_tbl.create 1024 }
 
 let weights t = t.weights
 let stats t = t.stats
@@ -77,7 +71,7 @@ let var_width stats (cq : Query.Cq.t) x =
   | None -> 8.
 
 let profile t (v : View.t) =
-  match Id_tbl.find_opt t.profiles v.View.id with
+  match Interning.Int_tbl.find_opt t.profiles v.View.id with
   | Some p -> p
   | None ->
     let cq = v.View.cq in
@@ -87,7 +81,7 @@ let profile t (v : View.t) =
       List.fold_left (fun acc x -> acc +. var_width t.stats cq x) 0. cols
     in
     let p = { cardinality; distincts; width } in
-    Id_tbl.add t.profiles v.View.id p;
+    Interning.Int_tbl.add t.profiles v.View.id p;
     p
 
 let view_cardinality t v = (profile t v).cardinality

@@ -29,9 +29,9 @@ type t
 
 val create : Stats.Statistics.t -> weights -> t
 (** A fresh estimator with an empty profile table.  Profiles are keyed
-    by [View.id], so one estimator must not outlive a
-    {!View.reset_counter}; a view reloaded with {!View.of_cq} keeps its
-    name but gets a fresh id, and so its own profile. *)
+    by [View.id], which no two views share; a view reloaded with
+    {!View.of_cq} keeps its name but gets a fresh id, and so its own
+    profile. *)
 
 val weights : t -> weights
 (** The weights the estimator was created with. *)

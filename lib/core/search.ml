@@ -93,15 +93,8 @@ let obs_best_cost = Obs.cached_gauge "search.best_cost"
 let obs_completed = Obs.cached_gauge "search.completed"
 let obs_intern_size = Obs.cached_gauge "intern.size"
 
-let obs_per_stratum make =
-  let arr = Array.make (List.length Transition.all_kinds) (make "VB") in
-  List.iter
-    (fun k -> arr.(Transition.kind_rank k) <- make (Transition.kind_name k))
-    Transition.all_kinds;
-  arr
-
 let obs_stratum what =
-  obs_per_stratum (fun k ->
+  Transition.obs_per_kind (fun k ->
       Obs.cached_counter ("search.stratum." ^ k ^ "." ^ what))
 
 let obs_stratum_created = obs_stratum "created"

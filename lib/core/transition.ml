@@ -12,8 +12,8 @@ let all_kinds = [ VB; SC; JC; VF ]
    disconnected view-break splits).  A VF pair is never rejected: equal
    body ids mean isomorphic bodies.  Handles index by [kind_rank].
 
-   The action caches below mean a rejection is tallied once per view,
-   not once per state containing it. *)
+   Each view memoizes its actions (below), so a rejection is tallied
+   once per view, not once per state containing it. *)
 let obs_per_kind make =
   let arr = Array.make (List.length all_kinds) (make "VB") in
   List.iter (fun k -> arr.(kind_rank k) <- make (kind_name k)) all_kinds;
@@ -49,81 +49,38 @@ let view_of_parts head body =
 let replace_atom body i atom =
   List.mapi (fun j a -> if j = i then atom else a) body
 
-(* ---------------- action caches ---------------------------------------- *)
+(* ---------------- actions ---------------------------------------------- *)
 
 (* The replacement views and the rewriting expression of an SC, JC or VB
-   application depend only on the victim view, never on the state around
-   it — and the same view object survives across every state that keeps
-   it, so a DFS re-derives each view's actions hundreds of times.  Each
-   cache maps the process-unique [View.id] (an int, assigned at
-   creation) to the complete [(replacements, expression)] action list;
-   producing a successor is then a single [State.replace_view].  A VF
-   fusion likewise depends only on its two views: the fusion cache maps
-   the ordered pair of their ids to the fused view and its two
-   expressions.
+   application depend only on the victim view, and a VF fusion only on
+   its two views, so the views memoize them ({!View.actions},
+   {!View.fusion}) and producing a successor is a single
+   [State.replace_view].  Reusing the replacement and fused *view
+   objects* across states is the heart of the speedup: their canonical
+   forms, interned ids and cost profiles are computed once per view
+   instead of once per created state.  View names are globally unique
+   ("v<counter>"), so a memoized view can sit in any number of sibling
+   states without in-state collisions; no state holds a replacement
+   together with its victim, which every path to the replacement
+   removed. *)
 
-   Reusing the cached replacement and fused *view objects* across
-   states is the heart of the speedup: their canonical forms, interned
-   ids and cost profiles are computed once ever instead of once per
-   created state.  View names are globally unique ("v<counter>"), so a
-   cached view can sit in any number of sibling states without
-   in-state collisions; no state holds a cached view together with its
-   victim, which every path to that view removed.  Entries are
-   immutable and live as long as the process, like the interner
-   itself. *)
+type action = View.action
 
-type action = View.t list * Rewriting.t
-
-(* Each cache is guarded by a spinlock held only for the table probe,
-   never for the derivation: two domains racing on an uncached key may
-   both derive (the new views differ only in their fresh names, never in
-   canonical form), and the second insert discards its copy so every
-   domain sees one canonical entry per key.  This is the locking
-   discipline the `unguarded-shared-table` lint rule enforces for the
-   interner and the parallel dedup table. *)
-type ('k, 'v) guarded_cache = {
-  c_lock : Multicore.Spinlock.t;
-  c_tbl : ('k, 'v) Hashtbl.t [@guarded_by "c_lock"];
-}
-
-let guarded_cache () =
-  { c_lock = Multicore.Spinlock.create (); c_tbl = Hashtbl.create 1024 }
-
-(* The entry under [key], made by [derive arg] on a miss. *)
-let cached cache key derive arg =
-  match
-    Multicore.Spinlock.with_lock cache.c_lock (fun () ->
-        Hashtbl.find_opt cache.c_tbl key)
-  with
-  | Some value -> value
-  | None ->
-    let value = derive arg in
-    Multicore.Spinlock.with_lock cache.c_lock (fun () ->
-        match Hashtbl.find_opt cache.c_tbl key with
-        | Some existing -> existing
-        | None ->
-          Hashtbl.add cache.c_tbl key value;
-          value)
-
-(* A successor before it is built: the victim and one of its cached
-   actions, or a fusion pair with its fused view. *)
-type fusion = { v3 : View.t; expr1 : Rewriting.t; expr2 : Rewriting.t }
-
+(* A successor before it is built: the victim and one of its actions,
+   or a fusion pair with its fused view. *)
 type candidate =
   | Replace of View.t * action
-  | Fuse of View.t * View.t * fusion
+  | Fuse of View.t * View.t * View.fusion
 
-let replacement_candidates state kind_cache derive =
+let replacement_candidates state kind derive =
   List.concat_map
     (fun v ->
       List.map
         (fun action -> Replace (v, action))
-        (cached kind_cache v.View.id derive v))
+        (View.actions v kind derive))
     state.State.views
 
 (* ---------------- Selection cut ---------------------------------------- *)
-
-let sc_cache = guarded_cache ()
 
 let sc_actions (v : View.t) : action list =
   List.map
@@ -146,8 +103,6 @@ let sc_actions (v : View.t) : action list =
       in
       ([ v' ], expr))
     (State_graph.selection_edges v.View.cq)
-
-let selection_cuts state = replacement_candidates state sc_cache sc_actions
 
 (* ---------------- Join cut --------------------------------------------- *)
 
@@ -202,8 +157,6 @@ let join_cut_split v (edge : State_graph.join_edge) comp_a comp_b : action =
   in
   ([ va; vb ], expr)
 
-let jc_cache = guarded_cache ()
-
 let jc_actions (v : View.t) : action list =
   let cq = v.View.cq in
   List.concat_map
@@ -226,8 +179,6 @@ let jc_actions (v : View.t) : action list =
       | [ comp_a; comp_b ] -> [ join_cut_split v edge comp_a comp_b ]
       | _ -> [] (* cannot happen: removing one edge splits in ≤ 2 *))
     (State_graph.join_edges cq)
-
-let join_cuts state = replacement_candidates state jc_cache jc_actions
 
 (* ---------------- View break ------------------------------------------- *)
 
@@ -276,8 +227,6 @@ let split_candidates (v : View.t) =
     in
     splits
 
-let vb_cache = guarded_cache ()
-
 let vb_actions (v : View.t) : action list =
   let body = Array.of_list (body_of v) in
   List.map
@@ -302,8 +251,6 @@ let vb_actions (v : View.t) : action list =
       in
       ([ v1; v2 ], expr))
     (split_candidates v)
-
-let view_breaks state = replacement_candidates state vb_cache vb_actions
 
 (* ---------------- View fusion ------------------------------------------ *)
 
@@ -361,14 +308,11 @@ let derive_fusion v1 v2 =
       Rewriting.Project
         (View.columns v2, Rewriting.Rename (mapping, Rewriting.Scan (View.name v3)))
     in
-    { v3; expr1; expr2 }
+    { View.v3; expr1; expr2 }
 
-let vf_cache = guarded_cache ()
+let fusion_of v1 v2 = View.fusion v1 v2 derive_fusion
 
-let fusion_of (v1 : View.t) (v2 : View.t) =
-  cached vf_cache (v1.View.id, v2.View.id) (derive_fusion v1) v2
-
-let fuse state v1 v2 { v3; expr1; expr2 } =
+let fuse state v1 v2 { View.v3; expr1; expr2 } =
   let n1 = View.name v1 in
   let n2 = View.name v2 in
   let views =
@@ -434,11 +378,10 @@ let view_fusions state =
   in
   lefts [] state.State.views
 
-let candidates state kind =
-  match kind with
-  | VB -> view_breaks state
-  | SC -> selection_cuts state
-  | JC -> join_cuts state
+let candidates state = function
+  | VB -> replacement_candidates state View.VB vb_actions
+  | SC -> replacement_candidates state View.SC sc_actions
+  | JC -> replacement_candidates state View.JC jc_actions
   | VF -> view_fusions state
 
 let build state = function

@@ -29,6 +29,10 @@ val kind_name : kind -> string
 val all_kinds : kind list
 (** In stratification order. *)
 
+val obs_per_kind : (string -> 'a) -> 'a array
+(** [obs_per_kind make] is [make (kind_name k)] for every kind [k], at
+    index [kind_rank k]: a per-kind table of instrument handles. *)
+
 val successors_with_delta :
   ?stop:(View.t -> bool) ->
   strict:bool ->
@@ -45,7 +49,7 @@ val successors_with_delta :
     [stop] is the search's stop test on a single view: a successor
     violates it when one of its views does.  A violating successor is
     pruned before it is built: its verdict is read off the views it
-    keeps from the parent and the cached replacement views (a VF
+    keeps from the parent and the memoized replacement views (a VF
     successor keeps its victims' body, so it violates exactly when the
     parent does).  The pruned successors are left out of the list and
     counted in the second component; [transition.<K>.applied] counts

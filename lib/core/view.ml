@@ -3,14 +3,25 @@
    sibling states, and concurrently forcing a lazy from two domains
    raises Lazy.Undefined.  The computations are deterministic and
    Interning.of_canonical is idempotent, so a racy duplicate computation
-   writes the same value twice — benign — while a lazy would crash. *)
+   writes the same value twice — benign — while a lazy would crash.  The
+   transition memos follow the same convention (see view.mli). *)
 type t = {
   id : int;
   cq : Query.Cq.t;
   constants : int;
   mutable iid : Interning.id option;
   mutable body_iid : Interning.id option;
+  mutable vb : action list option;
+  mutable sc : action list option;
+  mutable jc : action list option;
+  mutable fusions : (int * fusion) list;
 }
+
+and action = t list * Rewriting.t
+
+and fusion = { v3 : t; expr1 : Rewriting.t; expr2 : Rewriting.t }
+
+type replacement = VB | SC | JC
 
 let counter = Atomic.make 0
 
@@ -36,6 +47,10 @@ let wrap id cq =
     constants = Query.Cq.constant_count cq;
     iid = None;
     body_iid = None;
+    vb = None;
+    sc = None;
+    jc = None;
+    fusions = [];
   }
 
 let fresh_id () = Atomic.fetch_and_add counter 1 + 1
@@ -74,7 +89,24 @@ let body_intern_id v =
     v.body_iid <- Some i;
     i
 
-(* coordinator_only: callers must know no other domain is making views. *)
-let reset_counter () = Atomic.set counter 0 [@@coordinator_only]
+let actions v kind derive =
+  match (match kind with VB -> v.vb | SC -> v.sc | JC -> v.jc) with
+  | Some acts -> acts
+  | None ->
+    let acts = derive v in
+    let memo = Some acts in
+    (match kind with
+    | VB -> v.vb <- memo
+    | SC -> v.sc <- memo
+    | JC -> v.jc <- memo);
+    acts
+
+let fusion v1 v2 derive =
+  match List.find_opt (fun (id, _) -> id = v2.id) v1.fusions with
+  | Some (_, f) -> f
+  | None ->
+    let f = derive v1 v2 in
+    v1.fusions <- (v2.id, f) :: v1.fusions;
+    f
 
 let to_string v = Query.Cq.to_string v.cq

@@ -19,7 +19,21 @@ type t = private {
           of a parallel search, and the accessors tolerate a racy
           duplicate computation (deterministic result) where concurrent
           [Lazy.force] would raise. *)
+  mutable vb : action list option;  (** memoized {!actions}, per kind *)
+  mutable sc : action list option;
+  mutable jc : action list option;
+  mutable fusions : (int * fusion) list;
+      (** memoized {!fusion}s, by the right view's [id] *)
 }
+
+and action = t list * Rewriting.t
+(** The views replacing a view, and the expression of it over them. *)
+
+and fusion = { v3 : t; expr1 : Rewriting.t; expr2 : Rewriting.t }
+(** The fused view, and the expressions of the left and right views over
+    it. *)
+
+type replacement = VB | SC | JC  (** The transitions replacing one view. *)
 
 val defect : Query.Cq.t -> string option
 (** Why the query cannot be a view, if it cannot: its body is
@@ -62,8 +76,17 @@ val body_intern_id : t -> Interning.id
     bodies are isomorphic, so the pairs of views with equal body ids are
     the fusion pairs. *)
 
-val reset_counter : unit -> unit
-(** Reset the id counter; only for reproducible tests. *)
+val actions : t -> replacement -> (t -> action list) -> action list
+(** [actions v kind derive] is every application of [kind] to [v],
+    made by [derive v] on the first call for [v] and [kind]: once per
+    view, however many states hold it.  Two domains may both derive the
+    actions of a fresh view; the lists differ only in fresh names, and
+    the last write stays. *)
+
+val fusion : t -> t -> (t -> t -> fusion) -> fusion
+(** [fusion v1 v2 derive] is the fusion of [v1] with [v2], made by
+    [derive v1 v2] on the first call for the pair.  A write lost to a
+    race only means a later call derives again. *)
 
 val to_string : t -> string
 (** Datalog-style rendering, ["v3(?x) :- t(?x, <p>, ?y)."]. *)

@@ -34,12 +34,7 @@ type prepared = {
    so the physical scan almost always hits. *)
 type memo = { mutable entries : prepared list; mutable compiles : int }
 
-module ITbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash i = i land max_int
-end)
+module ITbl = Interning.Int_tbl
 
 (* Domain-local: a memo's plans record their last execution, so sharing
    them across domains would race even behind a lock, and maintenance

@@ -12,14 +12,20 @@
    deterministic and rename-invariant, so two views with the same
    semantics always receive the same id no matter which search,
    estimator or State_io reload produced them.  Ids are never reused;
-   [reset] exists only so reproducible tests can restart the numbering
-   together with [View.reset_counter].
+   [reset] exists only so reproducible tests can restart the numbering.
 
    Domain safety: one table under one spinlock.  A string is interned
    once per new view or query value, never once per state, so the lock
    sees little traffic even under parallel search. *)
 
 type id = int
+
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash i = i land max_int
+end)
 
 type table = {
   lock : Multicore.Spinlock.t;

@@ -15,6 +15,11 @@
 
 type id = int
 
+module Int_tbl : Hashtbl.S with type key = int
+(** A hash table keyed by ints (interned ids, view ids, store ids) that
+    hashes a key by its own value, without the polymorphic hash
+    ([Int.hash] is missing before OCaml 5.1). *)
+
 val of_canonical : string -> id
 (** The id of a canonical string, allocating a fresh one on first
     sight.  Total and idempotent: equal strings always map to equal
@@ -27,5 +32,5 @@ val size : unit -> int
 
 val reset : unit -> unit
 (** Drop all ids and restart numbering from 0.  Only for reproducible
-    tests (alongside {!View.reset_counter}); never call while states
-    built against the old numbering are still alive. *)
+    tests; never call while states built against the old numbering
+    are still alive. *)

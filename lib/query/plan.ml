@@ -374,12 +374,7 @@ let size_hint plan = plan.result_hint
    The interner is the process-global [Interning] table [Core] also
    keys views on, so ids stay dense and comparisons stay int-sized. *)
 
-module ITbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash i = i land max_int
-end)
+module ITbl = Interning.Int_tbl
 
 (* Worker domains compile plans concurrently during cost estimation
    (free-mode parallel search), so the cache — the outer per-store map
@@ -387,8 +382,7 @@ end)
    spinlock.  Compilation itself runs outside the critical section: two
    domains racing on the same uncached query may both compile, and the
    second insert wins, which is harmless because compiled plans for the
-   same key are equivalent.  Same discipline as the action cache in
-   [Core.Transition]. *)
+   same key are equivalent. *)
 let cache_lock = Multicore.Spinlock.create ()
 let caches : t ITbl.t ITbl.t = ITbl.create 8 [@@guarded_by "cache_lock"]
 

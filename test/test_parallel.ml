@@ -1,10 +1,11 @@
 open Support
 
 (* Parallel search: fixpoint agreement between one domain and several,
-   the sharded interner under domain contention, and Obs registry
-   merging.  Without domains the search loop runs on one, and the
-   interner stress test gates itself on [Multicore.available], so the
-   suite also passes on a sequential-only (OCaml 4.x) build. *)
+   the sharded interner and the views' transition memos under domain
+   contention, and Obs registry merging.  Without domains the search
+   loop runs on one, and the two contention tests gate themselves on
+   [Multicore.available], so the suite also passes on a
+   sequential-only (OCaml 4.x) build. *)
 
 let stats_for store = Stats.Statistics.create store
 
@@ -262,6 +263,52 @@ let test_intern_stress () =
     check_int "distinct strings" 500 (Interning.size ())
   end
 
+(* ---------- shared views under contention --------------------------------- *)
+
+(* Four domains build the successors of one fresh state at once, so
+   they race to fill each view's action and fusion memos.  A duplicate
+   fill differs only in fresh view names: every successor is well
+   formed, and every domain sees the same successors by key. *)
+let test_shared_fresh_state () =
+  if Multicore.available then begin
+    let domains = 4 in
+    let chain name =
+      cq ~name [ v "X"; v "W" ]
+        [
+          atom (v "X") (c "ex:p") (v "Y");
+          atom (v "Y") (c "ex:q") (v "Z");
+          atom (v "Z") (c "ex:r") (v "W");
+        ]
+    in
+    let state =
+      Core.State.initial (chain "qc" :: chain "qd" :: two_queries)
+    in
+    let ready = Atomic.make 0 in
+    let work () =
+      Atomic.incr ready;
+      while Atomic.get ready < domains do Multicore.cpu_relax () done;
+      List.concat_map
+        (Core.Transition.successors state)
+        Core.Transition.all_kinds
+    in
+    let handles = List.init (domains - 1) (fun _ -> Multicore.spawn work) in
+    let mine = work () in
+    let all = mine :: List.map Multicore.join handles in
+    List.iter
+      (List.iter (fun s ->
+           check_bool "well formed" true
+             (Core.State.structural_violations s = [])))
+      all;
+    let keys succs =
+      List.sort_uniq String.compare (List.map Core.State.key_string succs)
+    in
+    check_bool "some successors" true (mine <> []);
+    List.iter
+      (fun succs ->
+        check_bool "same successor keys" true (keys succs = keys mine))
+      all
+  end
+
 (* ---------- Obs registry merging ------------------------------------------ *)
 
 let test_obs_merge_counters () =
@@ -343,6 +390,11 @@ let () =
           ] );
       ( "interning",
         [ Alcotest.test_case "4-domain stress" `Quick test_intern_stress ] );
+      ( "view memo",
+        [
+          Alcotest.test_case "4 domains expand one fresh state" `Quick
+            test_shared_fresh_state;
+        ] );
       ( "obs merge",
         [
           Alcotest.test_case "counters/histograms" `Quick

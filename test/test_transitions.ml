@@ -319,7 +319,7 @@ let prop_walk_executor_reference =
              || agrees env (union "qa" "qb") (List.sort_uniq compare (answers qa @ answers qb))))
         (walk_states workload choices))
 
-(* ---------- fusion cache ------------------------------------------------- *)
+(* ---------- per-view memos ---------------------------------------------- *)
 
 let fusable_a = cq ~name:"qa" [ v "X" ] [ atom (v "X") (c "ex:p") (v "Y") ]
 let fusable_b = cq ~name:"qb" [ v "B" ] [ atom (v "A") (c "ex:p") (v "B") ]
@@ -361,6 +361,60 @@ let test_vf_pair_shared_across_parents () =
       (fused_in second).Core.View.id;
     check_int "nothing new interned" interned (Interning.size ())
   | _ -> assert false
+
+(* A 4-atom view with a disconnected VB split ({0,3}) and a join-cut
+   orientation that strands atoms 2-3 (Y in atom 2), so both kinds
+   reject; qd's view does not touch it. *)
+let test_actions_derived_once () =
+  let qv =
+    cq ~name:"qv" [ v "X"; v "W" ]
+      [
+        atom (v "X") (c "ex:p") (v "Y");
+        atom (v "X") (c "ex:q") (v "Y");
+        atom (v "Y") (c "ex:r") (v "Z");
+        atom (v "Z") (c "ex:s") (v "W");
+      ]
+  in
+  let qd = cq ~name:"qd" [ v "X" ] [ atom (v "X") (c "ex:q") (c "ex:k") ] in
+  let registry = Obs.create () in
+  Obs.set_global registry;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_global Obs.disabled)
+    (fun () ->
+      let s0 = Core.State.initial [ qv; qd ] in
+      let victim = List.hd s0.Core.State.views in
+      let parents = keeping [ victim ] (Core.Transition.successors s0 SC) in
+      check_int "two parents keep the victim" 2 (List.length parents);
+      let rejected () =
+        List.map
+          (fun counter ->
+            Option.value ~default:0 (Obs.find_counter registry counter))
+          [ "transition.VB.rejected"; "transition.JC.rejected" ]
+      in
+      (* The ids of the views replacing the victim, per kind *)
+      let replacements parent =
+        List.map
+          (fun kind ->
+            Core.Transition.successors parent kind
+            |> List.filter (fun s -> keeping [ victim ] [ s ] = [])
+            |> List.concat_map (added parent)
+            |> List.map (fun u -> u.Core.View.id))
+          [ Core.Transition.VB; SC; JC ]
+      in
+      match parents with
+      | [ first; second ] ->
+        let ids = replacements first in
+        List.iter
+          (fun kind_ids ->
+            check_bool "the victim has actions" true (kind_ids <> []))
+          ids;
+        let once = rejected () in
+        List.iter
+          (fun n -> check_bool "VB and JC reject" true (n > 0))
+          once;
+        check_bool "same replacement views" true (ids = replacements second);
+        check_bool "rejections not tallied again" true (once = rejected ())
+      | _ -> assert false)
 
 let test_vf_each_pair_own_fusion () =
   (* qc keeps the subject where qb keeps the object: fusing qa's view
@@ -683,6 +737,8 @@ let () =
             test_vf_on_isomorphic_views;
           Alcotest.test_case "VF head union" `Quick test_vf_head_union;
           Alcotest.test_case "figure 1 sequence" `Quick test_figure1_sequence;
+          Alcotest.test_case "actions are derived once per view" `Quick
+            test_actions_derived_once;
           to_alcotest prop_random_walk_preserves_answers;
           to_alcotest prop_walk_executor_reference;
         ] );

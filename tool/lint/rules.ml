@@ -77,7 +77,7 @@ let rules =
       id = "unguarded-shared-table";
       summary =
         "hashtable mutation of a lock-protected shared table field \
-         (s_tbl, b_tbl, c_tbl) — directly or through a let-bound alias \
+         (s_tbl, b_tbl) — directly or through a let-bound alias \
          of the field — outside its owning module; all writes must go \
          through the owner's locked entry points";
       scope = Lib_only;
@@ -158,16 +158,14 @@ let hashtbl_key_ops =
   [ "add"; "replace"; "find"; "find_opt"; "find_all"; "mem"; "remove" ]
 
 (* Shared mutable table fields and the one source file whose locked
-   entry points are allowed to touch them.  The intern table, the
-   parallel-search dedup shards and the transition caches are accessed
-   concurrently from several domains; a raw write anywhere else bypasses
-   the table's spinlock and is a data race even when it happens to
-   survive testing. *)
+   entry points are allowed to touch them.  The intern table and the
+   parallel-search dedup shards are accessed concurrently from several
+   domains; a raw write anywhere else bypasses the table's spinlock and
+   is a data race even when it happens to survive testing. *)
 let shared_table_fields =
   [
     ("s_tbl", "interning.ml");   (* Interning's one string table *)
     ("b_tbl", "shard_tbl.ml");   (* Shard_tbl's per-shard rank table *)
-    ("c_tbl", "transition.ml");  (* Transition's action and fusion caches *)
   ]
 
 (* Operations that mutate a hashtable (generic Hashtbl or a Hashtbl.Make
