@@ -10,7 +10,7 @@ exception Resources_exhausted of [ `Time | `Memory ]
 type run_state = {
   estimator : Cost.t;
   options : Search.options;
-  started : float;
+  started : int;  (* [Obs.now_ns] *)
   mutable created : int;
   mutable duplicates : int;
   mutable discarded : int;
@@ -18,12 +18,12 @@ type run_state = {
   mutable live_states : int;
 }
 
-let now () = Unix.gettimeofday ()
+let elapsed rs = float_of_int (Obs.now_ns () - rs.started) *. 1e-9
 
 let check_resources rs =
   (match rs.options.Search.time_budget with
   | Some budget ->
-    if now () -. rs.started > budget then raise (Resources_exhausted `Time)
+    if elapsed rs > budget then raise (Resources_exhausted `Time)
   | None -> ());
   match rs.options.Search.max_states with
   | Some cap -> if rs.live_states > cap then raise (Resources_exhausted `Memory)
@@ -174,7 +174,7 @@ let run estimator options which workload =
     {
       estimator;
       options;
-      started = now ();
+      started = Obs.now_ns ();
       created = 0;
       duplicates = 0;
       discarded = 0;
@@ -217,7 +217,7 @@ let run estimator options which workload =
     duplicates = rs.duplicates;
     discarded = rs.discarded;
     explored = rs.explored;
-    elapsed = now () -. rs.started;
+    elapsed = elapsed rs;
     trajectory = [];
     completed;
     out_of_memory = oom;

@@ -176,11 +176,13 @@ let rec eval state expr : string list * branch list =
             branches)
           results ))
 
-(* An unfolded branch as a conjunctive query over the triple table.  A
-   branch with an empty body can only arise from a view with an empty
-   body, which Cq.make already forbids; Cq.make also rejects unsafe
-   heads, which unfolding preserves (head variables always originate in
-   some view head, hence appear in the body). *)
+(* A rewriting unfolded into the union of conjunctive queries over the
+   triple table it computes, mirroring the reference executor
+   ({!Engine.Executor}) operation for operation.  A branch with an empty
+   body can only arise from a view with an empty body, which Cq.make
+   already forbids; Cq.make also rejects unsafe heads, which unfolding
+   preserves (head variables always originate in some view head, hence
+   appear in the body). *)
 let unfold state expr =
   match eval state expr with
   | exception Unfold_error m -> Error m

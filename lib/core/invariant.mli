@@ -33,15 +33,6 @@ exception Violation of violation
 
 val violation_to_string : violation -> string
 
-val unfold : State.t -> Rewriting.t -> (Query.Cq.t list, string) result
-(** Unfold a rewriting into the union of conjunctive queries over the
-    triple table it computes, by substituting each view scan with the
-    view's definition and propagating selections, projections, renames
-    and join conditions symbolically.  Mirrors the reference executor
-    ({!Engine.Executor}) operation for operation, including its join
-    column semantics.  [Error] carries a description of the defect
-    (unknown view, unknown column, empty union, ...). *)
-
 type reference = (string * Query.Cq.t list) list
 (** Per-query reference semantics: query name → disjuncts.  Singleton
     lists in the plain scenario; the reformulated union under

@@ -74,33 +74,12 @@ let stop_test options =
   if options.stop_tt || options.stop_var then Some (view_violates options)
   else None
 
-(* Obs mirrors of the engine's accounting, plus what the report cannot
-   carry: per-stratum outcomes and per-state expansion timings.  The
-   stratum of an event is the rank of the transition kind that produced
-   (resp. is expanding) the state.  A registry dump is the one record of
-   a search that [rdfviews report] reads, and under [--jobs N] the
-   per-domain registries are merged, so these cover every domain. *)
+(* The search's own accounting lives in its engine ({!publish} hands it
+   to the ambient sink once per run); what the report cannot carry is
+   counted here: runs, their duration and per-state expansion timings. *)
 let obs_runs = Obs.cached_counter "search.runs"
-let obs_created = Obs.cached_counter "search.created"
-let obs_duplicates = Obs.cached_counter "search.duplicates"
-let obs_discarded = Obs.cached_counter "search.discarded"
-let obs_explored = Obs.cached_counter "search.explored"
-let obs_reopened = Obs.cached_counter "search.reopened"
 let obs_run_time = Obs.cached_histogram "search.run"
 let obs_expand_hist = Obs.cached_histogram "search.expand.ns"
-let obs_initial_cost = Obs.cached_gauge "search.initial_cost"
-let obs_best_cost = Obs.cached_gauge "search.best_cost"
-let obs_completed = Obs.cached_gauge "search.completed"
-let obs_intern_size = Obs.cached_gauge "intern.size"
-
-let obs_stratum what =
-  Transition.obs_per_kind (fun k ->
-      Obs.cached_counter ("search.stratum." ^ k ^ "." ^ what))
-
-let obs_stratum_created = obs_stratum "created"
-let obs_stratum_duplicates = obs_stratum "duplicates"
-let obs_stratum_reopened = obs_stratum "reopened"
-let obs_stratum_discarded = obs_stratum "discarded"
 
 type engine = {
   estimator : Cost.t;
@@ -112,20 +91,27 @@ type engine = {
   seen : Shard_tbl.t;
       (* state key -> lowest stratum rank; shared by the forks of a
          parallel run *)
-  mutable created : int;
-  mutable duplicates : int;
-  mutable discarded : int;
+  created : int array;
+  duplicates : int array;  (* reopened arrivals included *)
+  reopened : int array;
+  discarded : int array;
+      (* the four indexed by the stratum rank of the transition kind
+         that produced the state *)
   mutable explored : int;
   mutable best : State.t;
   mutable best_cost : float;
   mutable trajectory : (float * float) list;
   mutable oom : bool;
-  started : float;
+  started : int;  (* [Obs.now_ns] *)
 }
 
-let now () = Unix.gettimeofday ()
+let per_stratum () = Array.make (List.length Transition.all_kinds) 0
 
-let elapsed engine = now () -. engine.started
+let bump counts rank n = counts.(rank) <- counts.(rank) + n
+
+let total counts = Array.fold_left ( + ) 0 counts
+
+let elapsed engine = float_of_int (Obs.now_ns () - engine.started) *. 1e-9
 
 let timed_out engine =
   match engine.options.time_budget with
@@ -195,14 +181,8 @@ let cost_arrival engine ~parent ~delta state =
 (* Successors pruned by the stop conditions inside {!Transition}: created
    and discarded at once, never built. *)
 let note_discarded engine ~rank n =
-  if n > 0 then begin
-    engine.created <- engine.created + n;
-    engine.discarded <- engine.discarded + n;
-    Obs.add (obs_created ()) n;
-    Obs.add (obs_stratum_created.(rank) ()) n;
-    Obs.add (obs_discarded ()) n;
-    Obs.add (obs_stratum_discarded.(rank) ()) n
-  end
+  bump engine.created rank n;
+  bump engine.discarded rank n
 
 (* The mutating half: account, dedup against the seen-table, cost,
    strict-check.  Expects an already-{!collapse}d state that passes the
@@ -210,24 +190,17 @@ let note_discarded engine ~rank n =
    [Some (state, rank, node)] when the state is new (or re-opened at a
    lower stratum) and should be expanded further. *)
 let register engine ~rank ~parent ~delta state =
-  engine.created <- engine.created + 1;
-  Obs.incr (obs_created ());
-  Obs.incr (obs_stratum_created.(rank) ());
+  bump engine.created rank 1;
   match Shard_tbl.visit engine.seen (State.key state) rank with
   | Shard_tbl.Duplicate ->
     ignore (cost_arrival engine ~parent ~delta state : Cost.node);
-    engine.duplicates <- engine.duplicates + 1;
-    Obs.incr (obs_duplicates ());
-    Obs.incr (obs_stratum_duplicates.(rank) ());
+    bump engine.duplicates rank 1;
     None
   | Shard_tbl.Reopened ->
     (* reached again, but at a lower stratum: re-open *)
     let node = cost_arrival engine ~parent ~delta state in
-    engine.duplicates <- engine.duplicates + 1;
-    Obs.incr (obs_duplicates ());
-    Obs.incr (obs_reopened ());
-    Obs.incr (obs_stratum_duplicates.(rank) ());
-    Obs.incr (obs_stratum_reopened.(rank) ());
+    bump engine.duplicates rank 1;
+    bump engine.reopened rank 1;
     Some (state, rank, node)
   | Shard_tbl.New ->
     let node =
@@ -277,9 +250,7 @@ let rank_of options kind =
   | Exnaive -> 0
   | Exstr | Dfs | Gstr -> Transition.kind_rank kind
 
-let note_explored engine =
-  engine.explored <- engine.explored + 1;
-  Obs.incr (obs_explored ())
+let note_explored engine = engine.explored <- engine.explored + 1
 
 let expand engine (state, rank, node) =
   note_explored engine;
@@ -448,9 +419,10 @@ let fork engine =
     engine with
     estimator =
       Cost.create (Cost.stats engine.estimator) (Cost.weights engine.estimator);
-    created = 0;
-    duplicates = 0;
-    discarded = 0;
+    created = per_stratum ();
+    duplicates = per_stratum ();
+    reopened = per_stratum ();
+    discarded = per_stratum ();
     explored = 0;
     trajectory = [];
     oom = false;
@@ -473,9 +445,11 @@ let merge_trajectories a b =
    key, so the merged incumbent does not depend on which domain found
    it first. *)
 let merge ~into w =
-  into.created <- into.created + w.created;
-  into.duplicates <- into.duplicates + w.duplicates;
-  into.discarded <- into.discarded + w.discarded;
+  let add dst src = Array.iteri (bump dst) src in
+  add into.created w.created;
+  add into.duplicates w.duplicates;
+  add into.reopened w.reopened;
+  add into.discarded w.discarded;
   into.explored <- into.explored + w.explored;
   into.oom <- into.oom || w.oom;
   if
@@ -513,8 +487,9 @@ let note_utilization entries =
 [@@coordinator_only]
 
 (* Whether the run completed.  Each spawned domain counts into its own
-   [Obs] registry, merged into the coordinator's after the join, even
-   when a domain failed: partial metrics beat silently dropped ones. *)
+   [Obs] registry, and its engine's counts into its own fork; both are
+   merged into the coordinator's after the join, even when a domain
+   failed: partial metrics beat silently dropped ones. *)
 let worklist_search ~jobs ~lifo engine root =
   let sh =
     {
@@ -556,13 +531,13 @@ let worklist_search ~jobs ~lifo engine root =
     (function
       | _, Some reg -> Obs.merge_into ~into:(Obs.global ()) reg | _, None -> ())
     outs;
+  List.iter (fun w -> merge ~into:engine w.w_engine) workers;
   let totals =
     List.map
       (function
         | Ok t, _ -> t | Error (e, bt), _ -> Printexc.raise_with_backtrace e bt)
       outs
   in
-  List.iter (fun w -> merge ~into:engine w.w_engine) workers;
   if jobs > 1 then
     note_utilization
       (List.map2
@@ -611,10 +586,30 @@ let gstr_search engine root =
   note_best engine final (cost_of best);
   !completed
 
-let obs_strategy_runs =
-  List.map
-    (fun s -> (s, Obs.cached_counter ("search.strategy." ^ strategy_name s)))
-    [ Exnaive; Exstr; Dfs; Gstr ]
+(* The engine's counts, added to the ambient sink once, after the join
+   (also when the run raised).  A counter is registered only where its
+   count is above zero, as a bump per event would have left it. *)
+let publish engine =
+  let add n counter = if n > 0 then Obs.add (counter ()) n in
+  let sink = Obs.global () in
+  add (total engine.created) (fun () -> Obs.counter sink "search.created");
+  add (total engine.duplicates) (fun () -> Obs.counter sink "search.duplicates");
+  add (total engine.reopened) (fun () -> Obs.counter sink "search.reopened");
+  add (total engine.discarded) (fun () -> Obs.counter sink "search.discarded");
+  add engine.explored (fun () -> Obs.counter sink "search.explored");
+  List.iter
+    (fun kind ->
+      let stratum what counts =
+        add counts.(Transition.kind_rank kind) (fun () ->
+            Obs.counter sink
+              ("search.stratum." ^ Transition.kind_name kind ^ "." ^ what))
+      in
+      stratum "created" engine.created;
+      stratum "duplicates" engine.duplicates;
+      stratum "reopened" engine.reopened;
+      stratum "discarded" engine.discarded)
+    Transition.all_kinds
+[@@coordinator_only]
 
 (* Under RDFVIEWS_STRICT the reference semantics is recovered from the
    initial state itself: unfolding S0's rewritings yields (a renaming of)
@@ -661,7 +656,9 @@ let run_from ?(jobs = 1) estimator options initial =
   | Some reference -> Invariant.assert_valid ~estimator reference initial
   | None -> ());
   (match options.on_accept with Some hook -> hook initial | None -> ());
-  Obs.incr (List.assoc options.strategy obs_strategy_runs ());
+  Obs.incr
+    (Obs.counter (Obs.global ())
+       ("search.strategy." ^ strategy_name options.strategy));
   let engine =
     {
       estimator;
@@ -669,15 +666,16 @@ let run_from ?(jobs = 1) estimator options initial =
       strict_reference;
       stop = stop_test options;
       seen = Shard_tbl.create ();
-      created = 0;
-      duplicates = 0;
-      discarded = 0;
+      created = per_stratum ();
+      duplicates = per_stratum ();
+      reopened = per_stratum ();
+      discarded = per_stratum ();
       explored = 0;
       best = initial;
       best_cost = Cost.total node;
       trajectory = [ (0., initial_cost) ];
       oom = false;
-      started = now ();
+      started = Obs.now_ns ();
     }
   in
   if engine.best_cost < initial_cost then
@@ -687,6 +685,7 @@ let run_from ?(jobs = 1) estimator options initial =
   let jobs = if Multicore.available then jobs else 1 in
   let root = (initial, 0, node) in
   let completed =
+    Fun.protect ~finally:(fun () -> publish engine) @@ fun () ->
     match options.strategy with
     | Exnaive | Exstr -> worklist_search ~jobs ~lifo:false engine root
     | Dfs -> worklist_search ~jobs ~lifo:true engine root
@@ -694,18 +693,21 @@ let run_from ?(jobs = 1) estimator options initial =
   in
   let completed = completed && not engine.oom in
   let trajectory = List.rev engine.trajectory in
-  Obs.set_gauge (obs_initial_cost ()) initial_cost;
-  Obs.set_gauge (obs_best_cost ()) engine.best_cost;
-  Obs.set_gauge (obs_completed ()) (if completed then 1. else 0.);
-  Obs.set_gauge (obs_intern_size ()) (float_of_int (Interning.size ()));
-  Obs.set_series (Obs.series (Obs.global ()) "search.trajectory") trajectory;
+  let sink = Obs.global () in
+  Obs.set_gauge (Obs.gauge sink "search.initial_cost") initial_cost;
+  Obs.set_gauge (Obs.gauge sink "search.best_cost") engine.best_cost;
+  Obs.set_gauge (Obs.gauge sink "search.completed")
+    (if completed then 1. else 0.);
+  Obs.set_gauge (Obs.gauge sink "intern.size")
+    (float_of_int (Interning.size ()));
+  Obs.set_series (Obs.series sink "search.trajectory") trajectory;
   {
     best = engine.best;
     best_cost = engine.best_cost;
     initial_cost;
-    created = engine.created;
-    duplicates = engine.duplicates;
-    discarded = engine.discarded;
+    created = total engine.created;
+    duplicates = total engine.duplicates;
+    discarded = total engine.discarded;
     explored = engine.explored;
     elapsed = elapsed engine;
     trajectory;

@@ -29,10 +29,6 @@ val kind_name : kind -> string
 val all_kinds : kind list
 (** In stratification order. *)
 
-val obs_per_kind : (string -> 'a) -> 'a array
-(** [obs_per_kind make] is [make (kind_name k)] for every kind [k], at
-    index [kind_rank k]: a per-kind table of instrument handles. *)
-
 val successors_with_delta :
   ?stop:(View.t -> bool) ->
   strict:bool ->

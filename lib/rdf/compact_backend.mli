@@ -9,7 +9,8 @@
     memoized between writes in one int-keyed {!Flat.Buckets} table
     per scan kind.
     When the memtable outgrows a fraction of the segment, the three
-    orders are merge-rebuilt in one streaming pass.  4-10x fewer
-    resident bytes per triple than the hash layout at Barton scale. *)
+    orders are merge-rebuilt in one streaming pass.  32.9x fewer
+    resident bytes per triple than the hash layout at 2M triples and
+    42.8x at 10M ([bench/baselines/BENCH_store.json]). *)
 
 include Backend.S

@@ -76,6 +76,8 @@ let iter_closure r (s, p, o) f =
     Array.iter (fun c -> f (o, ty, c)) (typing r r.ranges Schema.ranges_of p)
   end
 
+(* Adds [closure(e)] to the store; returns the number of triples that
+   were absent. *)
 let add_closure r e =
   let added = ref 0 in
   iter_closure r e (fun u -> if Store.add_encoded r.store u then incr added);

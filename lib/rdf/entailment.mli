@@ -27,10 +27,6 @@ val iter_closure : rules -> Store.encoded -> (Store.encoded -> unit) -> unit
     everything [e] entails on its own, [e] included.  A triple reached
     by two rules may be visited twice. *)
 
-val add_closure : rules -> Store.encoded -> int
-(** Add [closure(e)] to the store; returns the number of triples that
-    were absent. *)
-
 val saturate : Store.t -> Schema.t -> int
 (** Saturate the store in place w.r.t. the schema's instance-level rules:
     {ul

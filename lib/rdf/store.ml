@@ -21,8 +21,8 @@ type t = {
   dict : Dictionary.t;
   repr : repr;
   mutable version : int;
-      (* bumped on every successful add/remove; lets cached query plans
-         detect store mutation cheaply *)
+      (* bumped on every successful add/remove; read only by tests, as a
+         witness that a read did not write *)
 }
 
 (* Atomic: a store may be created on any domain, and ids must stay

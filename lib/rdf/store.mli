@@ -5,10 +5,11 @@
     any subset of positions bound to constants — from the best index.
     Two storage backends implement the layout (see {!Backend}): the
     hexastore-style hash-bucket layout ([Hash], the default) and the
-    sorted compressed-segment layout ([Compact], 4-10x smaller,
-    Barton-scale capable).  The store owns the dictionary, the version
-    stamp, and the telemetry; everything else dispatches to the
-    backend picked at creation. *)
+    sorted compressed-segment layout ([Compact], 32.9x fewer bytes per
+    triple at 2M triples and 42.8x at 10M in
+    [bench/baselines/BENCH_store.json], Barton-scale capable).  The
+    store owns the dictionary, the version stamp, and the telemetry;
+    everything else dispatches to the backend picked at creation. *)
 
 type t
 
@@ -30,8 +31,8 @@ val id : t -> int
 
 val version : t -> int
 (** Mutation counter: bumped on every successful {!add}/{!remove}.
-    Cached plans use it to cheaply detect that compile-time cardinality
-    estimates may have drifted. *)
+    Compiled plans do not read it (they check {!dict_size}); tests read
+    it as a witness that a read did not write. *)
 
 val dict_size : t -> int
 (** Number of distinct encoded terms ([Dictionary.size]).  A compiled

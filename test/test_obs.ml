@@ -298,27 +298,23 @@ let test_cached_handles_follow_global () =
 
 (* ---------- integration: a real search run ------------------------------- *)
 
-(* The Figure 3 workload drives Search.run end-to-end against an enabled
-   global sink; the emitted counters must agree with the report and with
-   each other. *)
-let test_search_emits_consistent_counters () =
-  let reg = Obs.create () in
-  Obs.set_global reg;
-  Fun.protect ~finally:(fun () -> Obs.set_global Obs.disabled) @@ fun () ->
-  let query =
-    cq ~name:"q"
-      [ v "Y"; v "Z" ]
-      [ atom (v "X") (v "Y") (c "ex:c1"); atom (v "X") (v "Z") (c "ex:c2") ]
-  in
-  let store =
-    store_of
-      [
-        triple (uri "s1") (uri "p1") (uri "ex:c1");
-        triple (uri "s1") (uri "p2") (uri "ex:c2");
-        triple (uri "s2") (uri "p1") (uri "ex:c1");
-        triple (uri "s2") (uri "p1") (uri "ex:c2");
-      ]
-  in
+let fig3_query =
+  cq ~name:"q"
+    [ v "Y"; v "Z" ]
+    [ atom (v "X") (v "Y") (c "ex:c1"); atom (v "X") (v "Z") (c "ex:c2") ]
+
+let fig3_store =
+  store_of
+    [
+      triple (uri "s1") (uri "p1") (uri "ex:c1");
+      triple (uri "s1") (uri "p2") (uri "ex:c2");
+      triple (uri "s2") (uri "p1") (uri "ex:c1");
+      triple (uri "s2") (uri "p1") (uri "ex:c2");
+    ]
+
+(* The Figure 3 workload, searched exhaustively with no pruning, into
+   a fresh registry installed as the global sink. *)
+let fig3_search ?on_accept ~jobs () =
   let options =
     {
       Core.Search.default_options with
@@ -326,14 +322,45 @@ let test_search_emits_consistent_counters () =
       avf = false;
       stop_tt = false;
       stop_var = false;
+      on_accept;
     }
   in
-  let report =
-    Core.Search.run (Stats.Statistics.create store) options [ query ]
+  let reg = Obs.create () in
+  Obs.set_global reg;
+  Fun.protect ~finally:(fun () -> Obs.set_global Obs.disabled) @@ fun () ->
+  let result =
+    match
+      Core.Search.run ~jobs
+        (Stats.Statistics.create fig3_store)
+        options [ fig3_query ]
+    with
+    | report -> Ok report
+    | exception e -> Error e
   in
-  let counter name =
-    match Obs.find_counter reg name with Some n -> n | None -> 0
+  (result, reg)
+
+let counter_in reg name = Option.value ~default:0 (Obs.find_counter reg name)
+
+(* Σ search.stratum.<K>.created over the strata *)
+let stratum_created reg =
+  List.fold_left
+    (fun acc k ->
+      acc
+      + counter_in reg
+          ("search.stratum." ^ Core.Transition.kind_name k ^ ".created"))
+    0 Core.Transition.all_kinds
+
+(* Search.run end-to-end against an enabled global sink, on one domain
+   and on two; the emitted counters must agree with the report and with
+   each other. *)
+let check_search_counters jobs =
+  let check_int msg = check_int (Printf.sprintf "%s (--jobs %d)" msg jobs) in
+  let report, reg =
+    match fig3_search ~jobs () with
+    | Ok report, reg -> (report, reg)
+    | Error e, _ -> raise e
   in
+  let counter = counter_in reg in
   check_int "search.runs" 1 (counter "search.runs");
   check_int "obs created mirrors the report" report.Core.Search.created
     (counter "search.created");
@@ -354,15 +381,8 @@ let test_search_emits_consistent_counters () =
     (applied >= report.Core.Search.created);
   check_bool "some states were created" true (report.Core.Search.created > 0);
   (* per-stratum created counts partition the global count *)
-  let stratum_created =
-    List.fold_left
-      (fun acc k ->
-        acc
-        + counter ("search.stratum." ^ Core.Transition.kind_name k ^ ".created"))
-      0 Core.Transition.all_kinds
-  in
   check_int "stratum created partitions created" report.Core.Search.created
-    stratum_created;
+    (stratum_created reg);
   (* duplicate-free creations are exactly the distinct non-S0 states *)
   check_int "created minus duplicates = distinct states"
     (report.Core.Search.explored - 1)
@@ -384,7 +404,7 @@ let test_search_emits_consistent_counters () =
     (counter "cost.delta.incremental" > 0);
   (* the statistics read the store's triples by one scan *)
   check_bool "store scanned by the statistics" true
-    (counter "store.scanned_triples" >= Rdf.Store.size store);
+    (counter "store.scanned_triples" >= Rdf.Store.size fig3_store);
   (* expansion timing covers every explored state *)
   (match Obs.find_histogram reg "search.expand.ns" with
   | Some h ->
@@ -399,6 +419,39 @@ let test_search_emits_consistent_counters () =
     check_bool "best cost mirrors the report" true
       (Float.abs (best -. report.Core.Search.best_cost) < 1e-9)
   | _ -> Alcotest.fail "search cost gauges missing")
+
+let test_search_emits_consistent_counters () =
+  List.iter check_search_counters [ 1; 2 ]
+
+(* A run whose accept hook raises at the k-th accepted state still
+   publishes what its engines counted before the raise, on one domain
+   and on two.  S0 and the three states of its expansion are the first
+   four accepted, so the raise comes after the second domain starts. *)
+let test_raise_publishes_partial_counts () =
+  List.iter
+    (fun jobs ->
+      let accepted = Atomic.make 0 in
+      let hook _ =
+        if Atomic.fetch_and_add accepted 1 + 1 >= 6 then failwith "injected"
+      in
+      match fig3_search ~on_accept:hook ~jobs () with
+      | Ok _, _ -> Alcotest.failf "--jobs %d: the injected raise was lost" jobs
+      | Error e, reg ->
+        check_bool "the hook's own exception" true (e = Failure "injected");
+        let counter = counter_in reg in
+        let label what = Printf.sprintf "%s (--jobs %d)" what jobs in
+        check_bool (label "created published") true
+          (counter "search.created" > 0);
+        check_bool (label "explored published") true
+          (counter "search.explored" > 0);
+        (match Obs.find_histogram reg "search.expand.ns" with
+        | Some h ->
+          check_int (label "one expansion sample per explored state")
+            (counter "search.explored") (Obs.histogram_count h)
+        | None -> Alcotest.fail "search.expand.ns histogram missing");
+        check_int (label "stratum created partitions created")
+          (counter "search.created") (stratum_created reg))
+    [ 1; 2 ]
 
 let test_disabled_sink_changes_nothing () =
   Obs.set_global Obs.disabled;
@@ -451,5 +504,7 @@ let () =
             test_search_emits_consistent_counters;
           Alcotest.test_case "disabled sink is inert" `Quick
             test_disabled_sink_changes_nothing;
+          Alcotest.test_case "raise publishes partial counts" `Quick
+            test_raise_publishes_partial_counts;
         ] );
     ]
