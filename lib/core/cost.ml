@@ -9,14 +9,6 @@ type weights = {
 
 let default_weights = { cs = 1.; cr = 1.; cm = 0.5; c1 = 1.; c2 = 1.; f = 2. }
 
-(* Estimator telemetry: the number of algebra nodes estimated, the time
-   spent computing state costs from scratch, and the incremental path's
-   share (delta-applied vs full-recompute). *)
-let obs_estimate_nodes = Obs.cached_counter "cost.estimate.nodes"
-let obs_state_eval = Obs.cached_histogram "cost.state.eval"
-let obs_delta_incremental = Obs.cached_counter "cost.delta.incremental"
-let obs_delta_full = Obs.cached_counter "cost.delta.full"
-
 type view_profile = {
   cardinality : float;
   distincts : (string * float) list;  (* per head column *)
@@ -39,14 +31,40 @@ type node = {
   chain : int;
 }
 
+(* The estimator's books: the algebra nodes estimated, the child nodes
+   made by the delta path and by a full recompute, and the timing of
+   every full recompute.  {!publish} hands the counts to a sink. *)
 type t = {
   stats : Stats.Statistics.t;
   weights : weights;
   profiles : view_profile Interning.Int_tbl.t;  (* by View.id *)
+  mutable estimated : int;
+  mutable incremental : int;
+  mutable full : int;
+  state_eval : Obs.histogram;
 }
 
+let for_run t timings =
+  let state_eval = Obs.histogram timings "cost.state.eval" in
+  { t with estimated = 0; incremental = 0; full = 0; state_eval }
+
 let create stats weights =
-  { stats; weights; profiles = Interning.Int_tbl.create 1024 }
+  let profiles = Interning.Int_tbl.create 1024 in
+  let state_eval = Obs.histogram Obs.disabled "cost.state.eval" in
+  { stats; weights; profiles; estimated = 0; incremental = 0; full = 0; state_eval }
+
+let absorb ~into t =
+  into.estimated <- into.estimated + t.estimated;
+  into.incremental <- into.incremental + t.incremental;
+  into.full <- into.full + t.full
+
+(* A counter is registered only where its count is above zero, as a
+   bump per event would have left it. *)
+let publish t sink =
+  let add n counter = if n > 0 then Obs.add (counter ()) n in
+  add t.estimated (fun () -> Obs.counter sink "cost.estimate.nodes");
+  add t.incremental (fun () -> Obs.counter sink "cost.delta.incremental");
+  add t.full (fun () -> Obs.counter sink "cost.delta.full")
 
 let weights t = t.weights
 let stats t = t.stats
@@ -116,7 +134,7 @@ let set_dist dist col value =
   (col, value) :: List.remove_assoc col dist
 
 let rec estimate t (s : State.t) expr =
-  Obs.incr (obs_estimate_nodes ());
+  t.estimated <- t.estimated + 1;
   match expr with
   | Rewriting.Scan name -> (
     match State.find_view s name with
@@ -241,7 +259,7 @@ let node_full t (s : State.t) =
 
 let total n = n.total
 
-let root t s = Obs.time (obs_state_eval ()) (fun () -> node_full t s)
+let root t s = Obs.time t.state_eval (fun () -> node_full t s)
 
 let state_cost t s = total (root t s)
 
@@ -300,19 +318,19 @@ let node_delta t parent (d : Delta.t) (child : State.t) =
 let child ~strict t ~parent ~delta s =
   let n =
     if parent.chain >= max_chain then begin
-      Obs.incr (obs_delta_full ());
+      t.full <- t.full + 1;
       root t s
     end
     else
       match node_delta t parent delta s with
       | n ->
-        Obs.incr (obs_delta_incremental ());
+        t.incremental <- t.incremental + 1;
         n
       | exception (Delta_mismatch | Invalid_argument _) ->
         (* the delta does not line up with the child's rewritings (a
            caller outside the transition pipeline); fall back to the
            reference path *)
-        Obs.incr (obs_delta_full ());
+        t.full <- t.full + 1;
         root t s
   in
   if strict && n.chain > 0 then begin

@@ -25,13 +25,29 @@ val default_weights : weights
 
 type t
 (** A cost estimator: statistics plus weights plus a table of view
-    profiles (cardinality, column distincts, width). *)
+    profiles (cardinality, column distincts, width), plus its counts of
+    the algebra nodes estimated ([cost.estimate.nodes]) and of the child
+    nodes made by the delta path and by a full recompute
+    ([cost.delta.incremental], [cost.delta.full]).  It reports to no
+    sink on its own: a search run {!publish}es its estimator. *)
 
 val create : Stats.Statistics.t -> weights -> t
-(** A fresh estimator with an empty profile table.  Profiles are keyed
-    by [View.id], which no two views share; a view reloaded with
-    {!View.of_cq} keeps its name but gets a fresh id, and so its own
-    profile. *)
+(** A fresh estimator with an empty profile table, which times nothing.
+    Profiles are keyed by [View.id], which no two views share; a view
+    reloaded with {!View.of_cq} keeps its name but gets a fresh id, and
+    so its own profile. *)
+
+val for_run : t -> Obs.t -> t
+(** An estimator sharing [t]'s statistics, weights and profiles, with
+    its counts at zero and {!root} timed in the registry's
+    [cost.state.eval]: a search run's own, so an estimator reused across
+    runs counts each run apart. *)
+
+val absorb : into:t -> t -> unit
+(** Add the second estimator's counts to the first's. *)
+
+val publish : t -> Obs.t -> unit
+(** Add the counts to the sink; a zero count registers nothing. *)
 
 val weights : t -> weights
 (** The weights the estimator was created with. *)
@@ -61,7 +77,7 @@ type node
     state's node beside the state until the state is expanded. *)
 
 val root : t -> State.t -> node
-(** The full recompute of cε(S), timed under [cost.state.eval]. *)
+(** The full recompute of cε(S), timed as {!for_run} says. *)
 
 val child :
   strict:bool -> t -> parent:node -> delta:Delta.t -> State.t -> node

@@ -74,15 +74,13 @@ let stop_test options =
   if options.stop_tt || options.stop_var then Some (view_violates options)
   else None
 
-(* The search's own accounting lives in its engine ({!publish} hands it
-   to the ambient sink once per run); what the report cannot carry is
-   counted here: runs, their duration and per-state expansion timings. *)
-let obs_runs = Obs.cached_counter "search.runs"
-let obs_run_time = Obs.cached_histogram "search.run"
-let obs_expand_hist = Obs.cached_histogram "search.expand.ns"
-
+(* A run keeps all its books in its engine, and {!publish} hands them to
+   the ambient sink once per run.  Counts are plain ints, on the engine
+   and on its estimator; timings go to the engine's own registry [obs],
+   which reads no clock when the run's sink is disabled. *)
 type engine = {
-  estimator : Cost.t;
+  estimator : Cost.t;  (* {!Cost.for_run}, timing into [obs] *)
+  obs : Obs.t;
   options : options;
   strict_reference : Invariant.reference option;
       (* Some in strict mode (read once per run): every accepted state
@@ -97,6 +95,12 @@ type engine = {
   discarded : int array;
       (* the four indexed by the stratum rank of the transition kind
          that produced the state *)
+  tried : int array;
+      (* states whose successors by the kind were generated, or, VF
+         under AVF, skipped *)
+  applied : int array;  (* their successors, pruned ones included *)
+  rejected : int array;  (* {!Transition.generated}'s [rejected] *)
+      (* the three indexed by the transition kind's rank *)
   mutable explored : int;
   mutable best : State.t;
   mutable best_cost : float;
@@ -178,12 +182,6 @@ let cost_arrival engine ~parent ~delta state =
   end;
   node
 
-(* Successors pruned by the stop conditions inside {!Transition}: created
-   and discarded at once, never built. *)
-let note_discarded engine ~rank n =
-  bump engine.created rank n;
-  bump engine.discarded rank n
-
 (* The mutating half: account, dedup against the seen-table, cost,
    strict-check.  Expects an already-{!collapse}d state that passes the
    stop conditions and the node of its [parent].  Returns
@@ -216,27 +214,41 @@ let register engine ~rank ~parent ~delta state =
     | None -> ());
     Some (state, rank, node)
 
+(* [transition.<K>.time], by kind rank *)
+let time_names =
+  Array.of_list
+    (List.map
+       (fun k -> "transition." ^ Transition.kind_name k ^ ".time")
+       Transition.all_kinds)
+
 (* Generate the successors of [parent] (of cost node [node]) by one
    transition kind and admit them: stop-violating ones are pruned before
    they are built, the rest are collapsed and registered.  Under AVF the
    parent is collapsed ({!run_from} collapses S0, and every successor is
    collapsed here before it is registered), so it has no VF successor. *)
 let admit engine ~rank ~parent ~node kind =
+  let k = Transition.kind_rank kind in
+  bump engine.tried k 1;
   match kind with
   | Transition.VF when engine.options.avf ->
     Transition.skip_fusions ~strict:(strict engine) parent;
     []
   | VB | SC | JC | VF ->
-    let built, pruned =
+    let { Transition.successors; pruned; rejected } =
+      Obs.time (Obs.histogram engine.obs time_names.(k)) @@ fun () ->
       Transition.successors_with_delta ?stop:engine.stop
         ~strict:(strict engine) parent kind
     in
-    note_discarded engine ~rank pruned;
+    bump engine.applied k (List.length successors + pruned);
+    bump engine.rejected k rejected;
+    (* pruned successors are created and discarded at once, never built *)
+    bump engine.created rank pruned;
+    bump engine.discarded rank pruned;
     List.filter_map
       (fun (succ, delta) ->
         let succ, delta = collapse engine.options ~delta succ in
         register engine ~rank ~parent:node ~delta succ)
-      built
+      successors
 
 let allowed_kinds options rank =
   match options.strategy with
@@ -254,7 +266,7 @@ let note_explored engine = engine.explored <- engine.explored + 1
 
 let expand engine (state, rank, node) =
   note_explored engine;
-  Obs.time (obs_expand_hist ()) @@ fun () ->
+  Obs.time (Obs.histogram engine.obs "search.expand.ns") @@ fun () ->
   List.concat_map
     (fun kind ->
       admit engine ~rank:(rank_of engine.options kind) ~parent:state ~node kind)
@@ -412,17 +424,22 @@ let work sh w =
 [@@domain_safe]
 
 (* An engine for another domain: it shares the options, seen-table,
-   start time and strict reference, and has its own estimator, counters
+   start time and strict reference, and has its own estimator, books
    and incumbent. *)
 let fork engine =
+  let obs = if Obs.is_enabled engine.obs then Obs.create () else Obs.disabled in
+  let e = engine.estimator in
   {
     engine with
-    estimator =
-      Cost.create (Cost.stats engine.estimator) (Cost.weights engine.estimator);
+    estimator = Cost.for_run (Cost.create (Cost.stats e) (Cost.weights e)) obs;
+    obs;
     created = per_stratum ();
     duplicates = per_stratum ();
     reopened = per_stratum ();
     discarded = per_stratum ();
+    tried = per_stratum ();
+    applied = per_stratum ();
+    rejected = per_stratum ();
     explored = 0;
     trajectory = [];
     oom = false;
@@ -440,7 +457,7 @@ let merge_trajectories a b =
          match acc with (_, best) :: _ when c >= best -> acc | _ -> (t, c) :: acc)
        []
 
-(* Fold a forked engine's counters, out-of-memory flag, incumbent and
+(* Fold a forked engine's books, out-of-memory flag, incumbent and
    trajectory into [into].  Exact cost ties are broken on the state
    key, so the merged incumbent does not depend on which domain found
    it first. *)
@@ -450,7 +467,12 @@ let merge ~into w =
   add into.duplicates w.duplicates;
   add into.reopened w.reopened;
   add into.discarded w.discarded;
+  add into.tried w.tried;
+  add into.applied w.applied;
+  add into.rejected w.rejected;
   into.explored <- into.explored + w.explored;
+  Cost.absorb ~into:into.estimator w.estimator;
+  Obs.merge_into ~into:into.obs w.obs;
   into.oom <- into.oom || w.oom;
   if
     w.best_cost < into.best_cost
@@ -486,10 +508,10 @@ let note_utilization entries =
       entries
 [@@coordinator_only]
 
-(* Whether the run completed.  Each spawned domain counts into its own
-   [Obs] registry, and its engine's counts into its own fork; both are
-   merged into the coordinator's after the join, even when a domain
-   failed: partial metrics beat silently dropped ones. *)
+(* Whether the run completed.  Each spawned domain keeps its books on
+   its own fork of the engine, merged into the coordinator's after the
+   join, even when a domain failed: partial metrics beat silently
+   dropped ones.  No worker touches a sink. *)
 let worklist_search ~jobs ~lifo engine root =
   let sh =
     {
@@ -507,35 +529,17 @@ let worklist_search ~jobs ~lifo engine root =
   (* The coordinator expands the initial state before any worker
      exists, so the workers start with a frontier to steal from. *)
   ignore (step sh coordinator : bool);
-  let obs_enabled = Obs.is_enabled (Obs.global ()) in
   let workers = List.init (jobs - 1) (fun i -> worker (i + 1) (fork engine)) in
   let handles =
-    List.map
-      (fun w ->
-        Multicore.spawn (fun () ->
-            let registry =
-              if obs_enabled then begin
-                let r = Obs.create () in
-                Obs.set_global r;
-                Some r
-              end
-              else None
-            in
-            (work sh w, registry)))
-      workers
+    List.map (fun w -> Multicore.spawn (fun () -> work sh w)) workers
   in
   (* let-bound: the coordinator must work before it joins *)
   let own = work sh coordinator in
-  let outs = (own, None) :: List.map Multicore.join handles in
-  List.iter
-    (function
-      | _, Some reg -> Obs.merge_into ~into:(Obs.global ()) reg | _, None -> ())
-    outs;
+  let outs = own :: List.map Multicore.join handles in
   List.iter (fun w -> merge ~into:engine w.w_engine) workers;
   let totals =
     List.map
-      (function
-        | Ok t, _ -> t | Error (e, bt), _ -> Printexc.raise_with_backtrace e bt)
+      (function Ok t -> t | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
       outs
   in
   if jobs > 1 then
@@ -586,12 +590,13 @@ let gstr_search engine root =
   note_best engine final (cost_of best);
   !completed
 
-(* The engine's counts, added to the ambient sink once, after the join
-   (also when the run raised).  A counter is registered only where its
-   count is above zero, as a bump per event would have left it. *)
-let publish engine =
+(* The engine's books, added to the sink once, after the join (also
+   when the run raised).  A counter is registered only where its count
+   is above zero, as a bump per event would have left it, except that a
+   kind's [applied] is registered at zero too once the kind was tried,
+   so a dump lists every kind the search tried. *)
+let publish sink engine =
   let add n counter = if n > 0 then Obs.add (counter ()) n in
-  let sink = Obs.global () in
   add (total engine.created) (fun () -> Obs.counter sink "search.created");
   add (total engine.duplicates) (fun () -> Obs.counter sink "search.duplicates");
   add (total engine.reopened) (fun () -> Obs.counter sink "search.reopened");
@@ -599,16 +604,21 @@ let publish engine =
   add engine.explored (fun () -> Obs.counter sink "search.explored");
   List.iter
     (fun kind ->
+      let r = Transition.kind_rank kind and k = Transition.kind_name kind in
+      let counter name () = Obs.counter sink name in
       let stratum what counts =
-        add counts.(Transition.kind_rank kind) (fun () ->
-            Obs.counter sink
-              ("search.stratum." ^ Transition.kind_name kind ^ "." ^ what))
+        add counts.(r) (counter ("search.stratum." ^ k ^ "." ^ what))
       in
       stratum "created" engine.created;
       stratum "duplicates" engine.duplicates;
       stratum "reopened" engine.reopened;
-      stratum "discarded" engine.discarded)
-    Transition.all_kinds
+      stratum "discarded" engine.discarded;
+      if engine.tried.(r) > 0 then
+        Obs.add (counter ("transition." ^ k ^ ".applied") ()) engine.applied.(r);
+      add engine.rejected.(r) (counter ("transition." ^ k ^ ".rejected")))
+    Transition.all_kinds;
+  Cost.publish engine.estimator sink;
+  Obs.merge_into ~into:sink engine.obs
 [@@coordinator_only]
 
 (* Under RDFVIEWS_STRICT the reference semantics is recovered from the
@@ -636,13 +646,40 @@ let run_from ?(jobs = 1) estimator options initial =
      the coordinator, so that the search only reads it *)
   Stats.Statistics.prewarm (Cost.stats estimator)
     (List.map (fun v -> v.View.cq) initial.State.views);
-  Obs.incr (obs_runs ());
-  Obs.time (obs_run_time ()) @@ fun () ->
+  let sink = Obs.global () in
+  Obs.incr (Obs.counter sink "search.runs");
+  Obs.time (Obs.histogram sink "search.run") @@ fun () ->
+  let strict_reference = strict_reference_of initial in
+  let obs = if Obs.is_enabled sink then Obs.create () else Obs.disabled in
+  let engine =
+    {
+      estimator = Cost.for_run estimator obs;
+      obs;
+      options;
+      strict_reference;
+      stop = stop_test options;
+      seen = Shard_tbl.create ();
+      created = per_stratum ();
+      duplicates = per_stratum ();
+      reopened = per_stratum ();
+      discarded = per_stratum ();
+      tried = per_stratum ();
+      applied = per_stratum ();
+      rejected = per_stratum ();
+      explored = 0;
+      best = initial;
+      best_cost = infinity;
+      trajectory = [];
+      oom = false;
+      started = Obs.now_ns ();
+    }
+  in
+  Fun.protect ~finally:(fun () -> publish sink engine) @@ fun () ->
+  let estimator = engine.estimator in
   (* S0's cost is that of the raw query set (§5.1); the AVF collapse of
      the initial state, when enabled, counts as the first search gain *)
   let raw_node = Cost.root estimator initial in
   let initial_cost = Cost.total raw_node in
-  let strict_reference = strict_reference_of initial in
   let collapsed =
     if options.avf then Transition.fusion_closure initial else initial
   in
@@ -656,28 +693,10 @@ let run_from ?(jobs = 1) estimator options initial =
   | Some reference -> Invariant.assert_valid ~estimator reference initial
   | None -> ());
   (match options.on_accept with Some hook -> hook initial | None -> ());
-  Obs.incr
-    (Obs.counter (Obs.global ())
-       ("search.strategy." ^ strategy_name options.strategy));
-  let engine =
-    {
-      estimator;
-      options;
-      strict_reference;
-      stop = stop_test options;
-      seen = Shard_tbl.create ();
-      created = per_stratum ();
-      duplicates = per_stratum ();
-      reopened = per_stratum ();
-      discarded = per_stratum ();
-      explored = 0;
-      best = initial;
-      best_cost = Cost.total node;
-      trajectory = [ (0., initial_cost) ];
-      oom = false;
-      started = Obs.now_ns ();
-    }
-  in
+  Obs.incr (Obs.counter sink ("search.strategy." ^ strategy_name options.strategy));
+  engine.best <- initial;
+  engine.best_cost <- Cost.total node;
+  engine.trajectory <- [ (0., initial_cost) ];
   if engine.best_cost < initial_cost then
     engine.trajectory <- (0., engine.best_cost) :: engine.trajectory;
   ignore (Shard_tbl.visit engine.seen (State.key initial) 0);
@@ -685,7 +704,6 @@ let run_from ?(jobs = 1) estimator options initial =
   let jobs = if Multicore.available then jobs else 1 in
   let root = (initial, 0, node) in
   let completed =
-    Fun.protect ~finally:(fun () -> publish engine) @@ fun () ->
     match options.strategy with
     | Exnaive | Exstr -> worklist_search ~jobs ~lifo:false engine root
     | Dfs -> worklist_search ~jobs ~lifo:true engine root
@@ -693,7 +711,6 @@ let run_from ?(jobs = 1) estimator options initial =
   in
   let completed = completed && not engine.oom in
   let trajectory = List.rev engine.trajectory in
-  let sink = Obs.global () in
   Obs.set_gauge (Obs.gauge sink "search.initial_cost") initial_cost;
   Obs.set_gauge (Obs.gauge sink "search.best_cost") engine.best_cost;
   Obs.set_gauge (Obs.gauge sink "search.completed")

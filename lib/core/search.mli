@@ -85,14 +85,14 @@ val run_from : ?jobs:int -> Cost.t -> options -> State.t -> report
     (resp. breadth-first) order.  Under several domains, counters and
     exploration order are schedule-dependent, but a completed run
     accepts the same state set and, since every arrival of a key is
-    costed, reaches the same best cost up to cost ties.  The search's
-    own counts ([search.created], [search.stratum.<K>.*], ...) are the
-    engines': each domain's are merged after the join and added to the
-    caller's sink once, also when the run raises.  [Transition], [Cost]
-    and the store still count per event, each spawned domain into its
-    own [Obs] registry, merged into the caller's after the join together
-    with [parallel.domain.*] utilization counters; an [on_accept] hook
-    must then be safe to call from any domain.  GSTR, a chain of closures each seeded by the
+    costed, reaches the same best cost up to cost ties.  The run's
+    books ([search.*], [transition.<K>.*], [cost.*]) are the engines'
+    and their estimators': each domain's are merged after the join and
+    added to the caller's sink once, also when the run raises, with the
+    [parallel.domain.*] utilization counters; no worker domain touches
+    a sink.  [estimator]'s own counts are left as they were.  An
+    [on_accept] hook must be safe to call from any domain.  GSTR, a
+    chain of closures each seeded by the
     previous stage's single best state, always runs on the calling
     domain, as does everything on OCaml 4.x ({!Multicore.available} is
     false).

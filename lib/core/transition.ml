@@ -6,30 +6,6 @@ let kind_name = function VB -> "VB" | SC -> "SC" | JC -> "JC" | VF -> "VF"
 
 let all_kinds = [ VB; SC; JC; VF ]
 
-(* Per-kind telemetry: [applied] counts the successors of a state,
-   built or pruned by the stop test, [rejected] counts candidates that
-   never make a successor (disconnecting join-cut orientations,
-   disconnected view-break splits).  A VF pair is never rejected: equal
-   body ids mean isomorphic bodies.  Handles index by [kind_rank].
-
-   Each view memoizes its actions (below), so a rejection is tallied
-   once per view, not once per state containing it. *)
-let obs_per_kind make =
-  let arr = Array.make (List.length all_kinds) (make "VB") in
-  List.iter (fun k -> arr.(kind_rank k) <- make (kind_name k)) all_kinds;
-  arr
-
-let obs_applied =
-  obs_per_kind (fun k -> Obs.cached_counter ("transition." ^ k ^ ".applied"))
-
-let obs_rejected =
-  obs_per_kind (fun k -> Obs.cached_counter ("transition." ^ k ^ ".rejected"))
-
-let obs_time =
-  obs_per_kind (fun k -> Obs.cached_histogram ("transition." ^ k ^ ".time"))
-
-let reject kind = Obs.incr (obs_rejected.(kind_rank kind) ())
-
 let dedup_head terms =
   let rec go seen = function
     | [] -> []
@@ -157,7 +133,12 @@ let join_cut_split v (edge : State_graph.join_edge) comp_a comp_b : action =
   in
   ([ va; vb ], expr)
 
-let jc_actions (v : View.t) : action list =
+(* [rejected] tallies the candidates that never make a successor:
+   disconnecting join-cut orientations here, disconnected view-break
+   splits below.  A VF pair is never rejected: equal body ids mean
+   isomorphic bodies.  Each view memoizes its actions, so a view's
+   rejections are tallied once, not once per state holding it. *)
+let jc_actions rejected (v : View.t) : action list =
   let cq = v.View.cq in
   List.concat_map
     (fun (edge : State_graph.join_edge) ->
@@ -171,7 +152,7 @@ let jc_actions (v : View.t) : action list =
           match State_graph.components_without_occurrence cq i pos with
           | [ _ ] -> [ join_cut_connected v edge (i, pos) ]
           | _ ->
-            reject JC;
+            incr rejected;
             []
         in
         orientation (edge.atom_a, edge.pos_a)
@@ -184,7 +165,7 @@ let jc_actions (v : View.t) : action list =
 
 (* Disjoint connected splits, plus splits overlapping on exactly one
    node.  Atom 0's side is called A to halve the enumeration. *)
-let split_candidates (v : View.t) =
+let split_candidates rejected (v : View.t) =
     let cq = v.View.cq in
     let n = Query.Cq.atom_count cq in
     let splits =
@@ -202,7 +183,7 @@ let split_candidates (v : View.t) =
             let b = List.filter (fun i -> not (List.mem i a)) all in
             if b <> [] && connected a && connected b then
               disjoint := (a, b) :: !disjoint
-            else reject VB
+            else incr rejected
           end
         done;
         let overlapping = ref [] in
@@ -218,7 +199,7 @@ let split_candidates (v : View.t) =
               let b = List.sort Int.compare (k :: b') in
               if connected a && connected b then
                 overlapping := (a, b) :: !overlapping
-              else reject VB
+              else incr rejected
             end
           done
         done;
@@ -227,7 +208,7 @@ let split_candidates (v : View.t) =
     in
     splits
 
-let vb_actions (v : View.t) : action list =
+let vb_actions rejected (v : View.t) : action list =
   let body = Array.of_list (body_of v) in
   List.map
     (fun (comp_a, comp_b) ->
@@ -250,7 +231,7 @@ let vb_actions (v : View.t) : action list =
               ([], Rewriting.Scan (View.name v1), Rewriting.Scan (View.name v2)) )
       in
       ([ v1; v2 ], expr))
-    (split_candidates v)
+    (split_candidates rejected v)
 
 (* ---------------- View fusion ------------------------------------------ *)
 
@@ -378,10 +359,10 @@ let view_fusions state =
   in
   lefts [] state.State.views
 
-let candidates state = function
-  | VB -> replacement_candidates state View.VB vb_actions
+let candidates ~rejected state = function
+  | VB -> replacement_candidates state View.VB (vb_actions rejected)
   | SC -> replacement_candidates state View.SC sc_actions
-  | JC -> replacement_candidates state View.JC jc_actions
+  | JC -> replacement_candidates state View.JC (jc_actions rejected)
   | VF -> view_fusions state
 
 let build state = function
@@ -423,14 +404,18 @@ let check_strict kind stop ~pruned (succ, _) =
     fail "the stop verdict read off the parent disagrees with the successor"
   | _ -> ()
 
+type generated = {
+  successors : (State.t * Delta.t) list;
+  pruned : int;
+  rejected : int;
+}
+
 let successors_with_delta ?stop ~strict state kind =
-  let i = kind_rank kind in
   let pruned = ref 0 in
-  let produced =
-    Obs.time (obs_time.(i) ()) @@ fun () ->
-    let candidates = candidates state kind in
-    Obs.add (obs_applied.(i) ()) (List.length candidates);
-    let violates = stop_verdict stop state in
+  let rejected = ref 0 in
+  let candidates = candidates ~rejected state kind in
+  let violates = stop_verdict stop state in
+  let successors =
     List.filter_map
       (fun candidate ->
         let prune = violates candidate in
@@ -443,14 +428,12 @@ let successors_with_delta ?stop ~strict state kind =
         end)
       candidates
   in
-  (produced, !pruned)
+  { successors; pruned = !pruned; rejected = !rejected }
 [@@domain_safe]
 
 (* No fusion applies to a fusion-closed state, so its VF stratum is
-   empty without a scan.  The applied counter is still resolved, which
-   registers it: a metrics dump lists the VF stratum either way. *)
+   empty without a scan. *)
 let skip_fusions ~strict state =
-  Obs.add (obs_applied.(kind_rank VF) ()) 0;
   if strict then
     match first_fusion_pair ~fresh:max_int 0 state.State.views with
     | None -> ()
@@ -463,7 +446,7 @@ let skip_fusions ~strict state =
 
 let successors state kind =
   let strict = Query.Evaluation.strict_enabled () in
-  List.map fst (fst (successors_with_delta ~strict state kind))
+  List.map fst (successors_with_delta ~strict state kind).successors
 
 let fusion_closure_delta ?(fresh = max_int) state =
   let rec close fresh state acc =

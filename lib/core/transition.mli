@@ -29,18 +29,23 @@ val kind_name : kind -> string
 val all_kinds : kind list
 (** In stratification order. *)
 
+type generated = {
+  successors : (State.t * Delta.t) list;
+  pruned : int;  (** successors pruned by the stop test, not listed *)
+  rejected : int;
+      (** candidates that make no successor (disconnecting join-cut
+          orientations, disconnected view-break splits), tallied when a
+          view's actions are first derived: once per view. *)
+}
+
 val successors_with_delta :
-  ?stop:(View.t -> bool) ->
-  strict:bool ->
-  State.t ->
-  kind ->
-  (State.t * Delta.t) list * int
+  ?stop:(View.t -> bool) -> strict:bool -> State.t -> kind -> generated
 (** All states reachable from the given state by one application of the
     given transition kind, each paired with the exact delta the
     transition applied (views removed, views added, rewritings whose
     expression changed).  The delta feeds {!Cost.child}.  No
     deduplication is performed here; the search deduplicates by
-    {!State.key}.
+    {!State.key} and keeps the tallies in its own books.
 
     [stop] is the search's stop test on a single view: a successor
     violates it when one of its views does.  A violating successor is
@@ -48,8 +53,7 @@ val successors_with_delta :
     keeps from the parent and the memoized replacement views (a VF
     successor keeps its victims' body, so it violates exactly when the
     parent does).  The pruned successors are left out of the list and
-    counted in the second component; [transition.<K>.applied] counts
-    them too.
+    counted in [pruned].
 
     With [~strict:true] (the search passes strict mode, read once per
     run) every successor is checked structurally, and the pruned ones
@@ -60,10 +64,9 @@ val skip_fusions : strict:bool -> State.t -> unit
 (** The VF stratum of a fusion-closed state, which is empty: no two of
     its views have equal body ids.  Under AVF every state the search
     expands is fusion-closed, so the search calls this in place of
-    {!successors_with_delta} for VF.  It registers
-    [transition.VF.applied] without adding to it, and with
-    [~strict:true] scans the views and raises [Failure] if two of them
-    fuse after all. *)
+    {!successors_with_delta} for VF.  With [~strict:true] it scans the
+    views and raises [Failure] if two of them fuse after all; otherwise
+    it does nothing. *)
 
 val successors : State.t -> kind -> State.t list
 (** [successors s k] is every successor of [s] by [k], none pruned,

@@ -92,6 +92,15 @@ let reset = function
     r.born_ns <- now_ns ();
     r.epoch <- r.epoch + 1
 
+(* The instrument registered under [name], made on first use. *)
+let registered table name make =
+  match Hashtbl.find_opt table name with
+  | Some x -> x
+  | None ->
+    let x = make () in
+    Hashtbl.add table name x;
+    x
+
 (* ---------- counters ----------------------------------------------------- *)
 
 let noop_counter = { n = 0; c_live = false }
@@ -99,13 +108,7 @@ let noop_counter = { n = 0; c_live = false }
 let counter t name =
   match t with
   | Disabled -> noop_counter
-  | Enabled r -> (
-    match Hashtbl.find_opt r.cs name with
-    | Some c -> c
-    | None ->
-      let c = { n = 0; c_live = true } in
-      Hashtbl.add r.cs name c;
-      c)
+  | Enabled r -> registered r.cs name (fun () -> { n = 0; c_live = true })
 
 let incr c = if c.c_live then c.n <- c.n + 1
 
@@ -120,13 +123,9 @@ let noop_histogram = { buckets = [||]; events = 0; sum = 0; h_live = false }
 let histogram t name =
   match t with
   | Disabled -> noop_histogram
-  | Enabled r -> (
-    match Hashtbl.find_opt r.hs name with
-    | Some h -> h
-    | None ->
-      let h = { buckets = Array.make 64 0; events = 0; sum = 0; h_live = true } in
-      Hashtbl.add r.hs name h;
-      h)
+  | Enabled r ->
+    registered r.hs name (fun () ->
+        { buckets = Array.make 64 0; events = 0; sum = 0; h_live = true })
 
 let bucket_of_sample v =
   if v <= 0 then 0
@@ -191,13 +190,8 @@ let noop_gauge = { g_value = 0.; g_set = false; g_live = false }
 let gauge t name =
   match t with
   | Disabled -> noop_gauge
-  | Enabled r -> (
-    match Hashtbl.find_opt r.gs name with
-    | Some g -> g
-    | None ->
-      let g = { g_value = 0.; g_set = false; g_live = true } in
-      Hashtbl.add r.gs name g;
-      g)
+  | Enabled r ->
+    registered r.gs name (fun () -> { g_value = 0.; g_set = false; g_live = true })
 
 let set_gauge g v =
   if g.g_live then begin
@@ -214,13 +208,8 @@ let noop_series = { points = []; s_set = false; s_live = false }
 let series t name =
   match t with
   | Disabled -> noop_series
-  | Enabled r -> (
-    match Hashtbl.find_opt r.ss name with
-    | Some sr -> sr
-    | None ->
-      let sr = { points = []; s_set = false; s_live = true } in
-      Hashtbl.add r.ss name sr;
-      sr)
+  | Enabled r ->
+    registered r.ss name (fun () -> { points = []; s_set = false; s_live = true })
 
 let set_series sr points =
   if sr.s_live then begin
@@ -308,18 +297,14 @@ let find_gauge t name =
 
 (* ---------- merging ------------------------------------------------------ *)
 
-(* Fold one registry into another — how per-domain registries from a
-   parallel search are combined after the workers have been joined.
-   Sums are summed (counters, histogram buckets, counts and totals); a
-   gauge or series travels only into a destination that has not set it
-   (the coordinating domain's value is authoritative); spans are
-   appended with their start offsets rebased onto the destination's
-   clock origin.  Both registries must be quiescent: this runs on the
-   joining domain, after the source's owner has terminated. *)
+(* Fold one registry's counters and histograms into another's — how a
+   parallel search folds a domain's timings into the coordinator's, and
+   the coordinator's into the sink.  Both registries must be
+   quiescent. *)
 let merge_into ~into src =
   match (into, src) with
   | Disabled, _ | _, Disabled -> ()
-  | (Enabled dst_r as dst), Enabled src_r ->
+  | (Enabled _ as dst), Enabled src_r ->
     Hashtbl.iter
       (fun name (c : counter) ->
         let d = counter dst name in
@@ -331,37 +316,17 @@ let merge_into ~into src =
         Array.iteri (fun i n -> d.buckets.(i) <- d.buckets.(i) + n) h.buckets;
         d.events <- d.events + h.events;
         d.sum <- d.sum + h.sum)
-      src_r.hs;
-    Hashtbl.iter
-      (fun name (g : gauge) ->
-        if g.g_set then begin
-          let d = gauge dst name in
-          if not d.g_set then set_gauge d g.g_value
-        end)
-      src_r.gs;
-    Hashtbl.iter
-      (fun name (sr : series) ->
-        if sr.s_set then begin
-          let d = series dst name in
-          if not d.s_set then set_series d sr.points
-        end)
-      src_r.ss;
-    let shift = src_r.born_ns - dst_r.born_ns in
-    dst_r.trace <-
-      List.map
-        (fun s -> { s with start_ns = s.start_ns + shift })
-        src_r.trace
-      @ dst_r.trace
+      src_r.hs
 [@@coordinator_only]
 
 (* ---------- the global sink ---------------------------------------------- *)
 
-(* The ambient sink and the caches of the [cached_*] handles are
-   domain-local: each parallel search domain installs (and later hands
-   back) its own registry, so hot-path field updates never race across
-   domains.  A freshly spawned domain starts [Disabled] at generation
-   0 — with a single domain the behaviour is exactly the old global
-   ref's. *)
+(* The ambient sink and the caches of the [cached_counter] handles are
+   domain-local, so a domain that installs no sink never writes into
+   another's.  A freshly spawned domain starts [Disabled] at generation
+   0 — with a single domain the behaviour is exactly a global ref's.
+   Only the coordinating domain reads or installs the sink: a parallel
+   search's workers keep their books on their own engines. *)
 let global_sink = Multicore.Dls.new_key (fun () -> Disabled)
 
 let global_gen = Multicore.Dls.new_key (fun () -> 0)
@@ -369,27 +334,24 @@ let global_gen = Multicore.Dls.new_key (fun () -> 0)
 let set_global t =
   Multicore.Dls.set global_sink t;
   Multicore.Dls.set global_gen (Multicore.Dls.get global_gen + 1)
+[@@coordinator_only]
 
-let global () = Multicore.Dls.get global_sink
+let global () = Multicore.Dls.get global_sink [@@coordinator_only]
 
 (* Each cached handle owns a domain-local (generation, handle) pair: the
    memo cell itself must be per-domain, or one domain would resolve
    against another domain's sink. *)
-let cached resolve noop name =
-  let cache = Multicore.Dls.new_key (fun () -> (-1, noop)) in
+let cached_counter name =
+  let cache = Multicore.Dls.new_key (fun () -> (-1, noop_counter)) in
   fun () ->
     let gen = Multicore.Dls.get global_gen in
-    let seen, x = Multicore.Dls.get cache in
-    if seen = gen then x
+    let seen, c = Multicore.Dls.get cache in
+    if seen = gen then c
     else begin
-      let x = resolve (Multicore.Dls.get global_sink) name in
-      Multicore.Dls.set cache (gen, x);
-      x
+      let c = counter (Multicore.Dls.get global_sink) name in
+      Multicore.Dls.set cache (gen, c);
+      c
     end
-
-let cached_counter = cached counter noop_counter
-let cached_histogram = cached histogram noop_histogram
-let cached_gauge = cached gauge noop_gauge
 
 (* ---------- JSON --------------------------------------------------------- *)
 

@@ -14,10 +14,10 @@
        no-op: incrementing a counter is one predictable branch, timing a
        function is a single [if]) or an enabled registry.  The sink in
        effect is selected once at startup via {!set_global};}
-    {- {b cheap when enabled} — hot paths hold direct handles to mutable
-       counter/histogram records instead of hashing names per event; use
-       {!cached_counter}/{!cached_histogram} for module-level handles that
-       re-resolve only when the global sink changes;}
+    {- {b cheap when enabled} — hot paths keep plain counts and add them
+       to a sink once per run (the search, its transitions and its cost
+       estimator), or hold a {!cached_counter}, a direct handle that
+       re-resolves only when the global sink changes;}
     {- {b deterministic accounting} — counters and span nesting are
        exact; only durations depend on the clock.}} *)
 
@@ -185,14 +185,11 @@ val find_gauge : t -> string -> float option
 (** {1 Merging registries} *)
 
 val merge_into : into:t -> t -> unit
-(** [merge_into ~into src] folds [src]'s contents into [into]: counters
-    and histogram buckets, counts and sums are summed; a gauge
-    or series set in [src] is copied only where [into] has not set it (the
-    destination — typically the coordinating domain of a parallel
-    search — stays authoritative); spans are appended with start
-    offsets rebased onto [into]'s clock origin.  Both registries must
-    be quiescent: call this after joining the domain that owned [src].
-    A [Disabled] sink on either side makes this a no-op. *)
+(** [merge_into ~into src] adds [src]'s counters and histograms (buckets,
+    counts and sums) to [into]'s; gauges, series and spans stay where
+    they are.  Both registries must be quiescent: call this after
+    joining the domain that owned [src].  A [Disabled] sink on either
+    side makes this a no-op. *)
 
 (** {1 The global sink}
 
@@ -200,13 +197,15 @@ val merge_into : into:t -> t -> unit
     the entry point (CLI, bench harness, test) installs a registry.
 
     The ambient sink is {e domain-local}: a freshly spawned domain
-    starts disabled and may install its own registry without racing
-    the spawner's.  Per-domain registries are combined afterwards with
-    {!merge_into}. *)
+    starts disabled.  Only the coordinating domain reads or installs
+    it ([tool/analyze] checks that no worker-domain entry point reaches
+    {!global} or {!set_global}); a parallel search's workers count into
+    their own engines, which the coordinator merges and publishes. *)
 
 val set_global : t -> unit
 (** Install the registry as the calling domain's ambient sink; the
-    calling domain's [cached_*] handles re-resolve on their next use. *)
+    calling domain's {!cached_counter} handles re-resolve on their next
+    use. *)
 
 val global : unit -> t
 (** The calling domain's ambient sink; {!disabled} until the first
@@ -217,12 +216,6 @@ val cached_counter : string -> unit -> counter
     against the {e current} global sink, memoized until the sink
     changes.  Bind it at module level; call the thunk at the use
     site. *)
-
-val cached_histogram : string -> unit -> histogram
-(** Same memoization for histograms. *)
-
-val cached_gauge : string -> unit -> gauge
-(** Same memoization for gauges. *)
 
 (** {1 JSON} *)
 

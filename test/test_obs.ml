@@ -350,6 +350,14 @@ let stratum_created reg =
           ("search.stratum." ^ Core.Transition.kind_name k ^ ".created"))
     0 Core.Transition.all_kinds
 
+(* Σ transition.<K>.applied over the kinds *)
+let transitions_applied reg =
+  List.fold_left
+    (fun acc k ->
+      acc
+      + counter_in reg ("transition." ^ Core.Transition.kind_name k ^ ".applied"))
+    0 Core.Transition.all_kinds
+
 (* Search.run end-to-end against an enabled global sink, on one domain
    and on two; the emitted counters must agree with the report and with
    each other. *)
@@ -370,15 +378,10 @@ let check_search_counters jobs =
     (counter "search.discarded");
   check_int "obs explored mirrors the report" report.Core.Search.explored
     (counter "search.explored");
-  (* every created state is a successor some transition produced *)
-  let applied =
-    List.fold_left
-      (fun acc k ->
-        acc + counter ("transition." ^ Core.Transition.kind_name k ^ ".applied"))
-      0 Core.Transition.all_kinds
-  in
-  check_bool "transitions applied >= states created" true
-    (applied >= report.Core.Search.created);
+  (* every created state is a successor some transition produced, and
+     every successor is created *)
+  check_int "transitions applied = states created" report.Core.Search.created
+    (transitions_applied reg);
   check_bool "some states were created" true (report.Core.Search.created > 0);
   (* per-stratum created counts partition the global count *)
   check_int "stratum created partitions created" report.Core.Search.created
@@ -424,8 +427,8 @@ let test_search_emits_consistent_counters () =
   List.iter check_search_counters [ 1; 2 ]
 
 (* A run whose accept hook raises at the k-th accepted state still
-   publishes what its engines counted before the raise, on one domain
-   and on two.  S0 and the three states of its expansion are the first
+   publishes what its engines and their estimators counted before the
+   raise, on one domain and on two.  S0 and the three states of its expansion are the first
    four accepted, so the raise comes after the second domain starts. *)
 let test_raise_publishes_partial_counts () =
   List.iter
@@ -450,7 +453,17 @@ let test_raise_publishes_partial_counts () =
             (counter "search.explored") (Obs.histogram_count h)
         | None -> Alcotest.fail "search.expand.ns histogram missing");
         check_int (label "stratum created partitions created")
-          (counter "search.created") (stratum_created reg))
+          (counter "search.created") (stratum_created reg);
+        check_int (label "transitions applied = states created")
+          (counter "search.created") (transitions_applied reg);
+        check_bool (label "incremental costing published") true
+          (counter "cost.delta.incremental" > 0);
+        (* the hook ran on S0 and on every state a domain created new,
+           the raising calls included: each domain's books were merged *)
+        check_int (label "every accepted state published")
+          (Atomic.get accepted)
+          (1 + counter "search.created" - counter "search.duplicates"
+          - counter "search.discarded"))
     [ 1; 2 ]
 
 let test_disabled_sink_changes_nothing () =

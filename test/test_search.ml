@@ -286,8 +286,10 @@ let pinned_workload =
     \                   t(X1_1, <barton:prop60>, X1_2),\n\
     \                   t(X1_2, <barton:prop48>, X1_3)."
 
-(* The report's counts, then every [search.stratum.<K>.*] and
-   [transition.<K>.applied] counter the run registered. *)
+(* The report's counts, then every [search.stratum.<K>.*],
+   [transition.<K>.*] and [cost.*] counter the run registered, then the
+   sample counts of its [transition.<K>.time], [cost.state.eval] and
+   [search.expand.ns] histograms. *)
 let pinned_outcome ?(workload = pinned_workload) strategy =
   let registry = Obs.create () in
   Obs.set_global registry;
@@ -303,11 +305,22 @@ let pinned_outcome ?(workload = pinned_workload) strategy =
   let counters =
     List.filter
       (fun (name, _) ->
-        String.starts_with ~prefix:"search.stratum." name
-        || String.starts_with ~prefix:"transition." name
-           && String.ends_with ~suffix:".applied" name)
+        List.exists
+          (fun prefix -> String.starts_with ~prefix name)
+          [ "search.stratum."; "transition."; "cost." ])
       (Obs.counters registry)
     |> List.sort compare
+  in
+  let samples =
+    List.filter_map
+      (fun name ->
+        Option.map
+          (fun h -> (name ^ " samples", Obs.histogram_count h))
+          (Obs.find_histogram registry name))
+      (List.map
+         (fun k -> "transition." ^ Core.Transition.kind_name k ^ ".time")
+         Core.Transition.all_kinds
+      @ [ "cost.state.eval"; "search.expand.ns" ])
   in
   ( [
       ("created", report.Core.Search.created);
@@ -315,7 +328,7 @@ let pinned_outcome ?(workload = pinned_workload) strategy =
       ("discarded", report.Core.Search.discarded);
       ("explored", report.Core.Search.explored);
     ]
-    @ counters,
+    @ counters @ samples,
     Printf.sprintf "%.17g" report.Core.Search.best_cost )
 
 let check_pinned name strategy expected expected_cost =
@@ -323,12 +336,19 @@ let check_pinned name strategy expected expected_cost =
   Alcotest.(check (list (pair string int))) (name ^ " counters") expected outcome;
   check_string (name ^ " best cost") expected_cost cost
 
+(* Strict mode estimates every accepted state once more from scratch,
+   which [cost.estimate.nodes] counts too. *)
+let estimated ~plain ~strict =
+  ("cost.estimate.nodes", if Query.Evaluation.strict_enabled () then strict else plain)
+
 (* This workload reopens no state, so both strategies admit the same
    successors. *)
-let pinned_counts =
+let pinned_counts () =
   [
     ("created", 1251); ("duplicates", 334); ("discarded", 628);
     ("explored", 290);
+    ("cost.delta.incremental", 623);
+    estimated ~plain:4156 ~strict:13834;
     ("search.stratum.JC.created", 638);
     ("search.stratum.JC.discarded", 391);
     ("search.stratum.JC.duplicates", 111);
@@ -339,14 +359,20 @@ let pinned_counts =
     ("transition.JC.applied", 638);
     ("transition.SC.applied", 610);
     ("transition.VB.applied", 3);
+    ("transition.VB.rejected", 3);
     ("transition.VF.applied", 0);
+    ("transition.VB.time samples", 4);
+    ("transition.SC.time samples", 154);
+    ("transition.JC.time samples", 290);
+    ("cost.state.eval samples", 1);
+    ("search.expand.ns samples", 290);
   ]
 
 let test_pinned_dfs () =
-  check_pinned "DFS" Core.Search.Dfs pinned_counts "87.115148663808867"
+  check_pinned "DFS" Core.Search.Dfs (pinned_counts ()) "87.115148663808867"
 
 let test_pinned_exstr () =
-  check_pinned "EXSTR" Core.Search.Exstr pinned_counts
+  check_pinned "EXSTR" Core.Search.Exstr (pinned_counts ())
     "87.115148663808867"
 
 (* GSTR's outcome on one domain: its stage loop carries each state's
@@ -387,6 +413,7 @@ let test_all_variable_initial_state () =
     "counters"
     [
       ("created", 4); ("duplicates", 0); ("discarded", 4); ("explored", 1);
+      estimated ~plain:2 ~strict:4;
       ("search.stratum.JC.created", 1);
       ("search.stratum.JC.discarded", 1);
       ("search.stratum.SC.created", 3);
@@ -395,6 +422,11 @@ let test_all_variable_initial_state () =
       ("transition.SC.applied", 3);
       ("transition.VB.applied", 0);
       ("transition.VF.applied", 0);
+      ("transition.VB.time samples", 1);
+      ("transition.SC.time samples", 1);
+      ("transition.JC.time samples", 1);
+      ("cost.state.eval samples", 1);
+      ("search.expand.ns samples", 1);
     ]
     outcome;
   check_string "best cost" "7016.8721649484542" cost

@@ -376,45 +376,44 @@ let test_actions_derived_once () =
       ]
   in
   let qd = cq ~name:"qd" [ v "X" ] [ atom (v "X") (c "ex:q") (c "ex:k") ] in
-  let registry = Obs.create () in
-  Obs.set_global registry;
-  Fun.protect
-    ~finally:(fun () -> Obs.set_global Obs.disabled)
-    (fun () ->
-      let s0 = Core.State.initial [ qv; qd ] in
-      let victim = List.hd s0.Core.State.views in
-      let parents = keeping [ victim ] (Core.Transition.successors s0 SC) in
-      check_int "two parents keep the victim" 2 (List.length parents);
-      let rejected () =
-        List.map
-          (fun counter ->
-            Option.value ~default:0 (Obs.find_counter registry counter))
-          [ "transition.VB.rejected"; "transition.JC.rejected" ]
-      in
-      (* The ids of the views replacing the victim, per kind *)
-      let replacements parent =
-        List.map
-          (fun kind ->
-            Core.Transition.successors parent kind
-            |> List.filter (fun s -> keeping [ victim ] [ s ] = [])
-            |> List.concat_map (added parent)
-            |> List.map (fun u -> u.Core.View.id))
-          [ Core.Transition.VB; SC; JC ]
-      in
-      match parents with
-      | [ first; second ] ->
-        let ids = replacements first in
-        List.iter
-          (fun kind_ids ->
-            check_bool "the victim has actions" true (kind_ids <> []))
-          ids;
-        let once = rejected () in
-        List.iter
-          (fun n -> check_bool "VB and JC reject" true (n > 0))
-          once;
-        check_bool "same replacement views" true (ids = replacements second);
-        check_bool "rejections not tallied again" true (once = rejected ())
-      | _ -> assert false)
+  let s0 = Core.State.initial [ qv; qd ] in
+  let victim = List.hd s0.Core.State.views in
+  let parents = keeping [ victim ] (Core.Transition.successors s0 SC) in
+  check_int "two parents keep the victim" 2 (List.length parents);
+  (* Per kind: the ids of the views replacing the victim, and the
+     candidates rejected on the way *)
+  let apply parent =
+    List.map
+      (fun kind ->
+        let { Core.Transition.successors; rejected; _ } =
+          Core.Transition.successors_with_delta
+            ~strict:(Query.Evaluation.strict_enabled ())
+            parent kind
+        in
+        ( List.map fst successors
+          |> List.filter (fun s -> keeping [ victim ] [ s ] = [])
+          |> List.concat_map (added parent)
+          |> List.map (fun u -> u.Core.View.id),
+          rejected ))
+      [ Core.Transition.VB; SC; JC ]
+  in
+  match parents with
+  | [ first; second ] ->
+    let once = apply first in
+    List.iter
+      (fun (ids, _) -> check_bool "the victim has actions" true (ids <> []))
+      once;
+    (match List.map snd once with
+    | [ vb; sc; jc ] ->
+      check_bool "VB and JC reject" true (vb > 0 && jc > 0);
+      check_int "SC rejects nothing" 0 sc
+    | _ -> assert false);
+    let again = apply second in
+    check_bool "same replacement views" true
+      (List.map fst once = List.map fst again);
+    check_bool "rejections not tallied again" true
+      (List.for_all (fun (_, rejected) -> rejected = 0) again)
+  | _ -> assert false
 
 let test_vf_each_pair_own_fusion () =
   (* qc keeps the subject where qb keeps the object: fusing qa's view
@@ -443,32 +442,25 @@ let test_vf_distinct_constants_never_pair () =
   let qa = cq ~name:"qa" [ v "X" ] [ atom (v "X") (c "ex:p") (cl "k") ] in
   let qb = cq ~name:"qb" [ v "Y" ] [ atom (v "Y") (c "ex:p") (c "\"k\"") ] in
   let qd = cq ~name:"qd" [ v "X" ] [ atom (v "X") (c "ex:q") (c "ex:k") ] in
-  let registry = Obs.create () in
-  Obs.set_global registry;
-  Fun.protect
-    ~finally:(fun () -> Obs.set_global Obs.disabled)
-    (fun () ->
-      let s0 = Core.State.initial [ qa; qb; qd ] in
-      let pair = List.filteri (fun i _ -> i < 2) s0.Core.State.views in
-      (match pair with
-      | [ va; vb ] ->
-        check_bool "distinct body ids" true
-          (Core.View.body_intern_id va <> Core.View.body_intern_id vb)
-      | _ -> Alcotest.fail "expected three views");
-      let parents = s0 :: keeping pair (Core.Transition.successors s0 SC) in
-      check_int "three parents hold the pair" 3 (List.length parents);
-      List.iter
-        (fun s ->
-          check_int "no fusion" 0
-            (List.length (Core.Transition.successors s VF));
-          check_bool "closure leaves the state" true
-            (Core.Transition.fusion_closure s == s))
-        parents;
-      List.iter
-        (fun counter ->
-          check_int counter 0
-            (Option.value ~default:0 (Obs.find_counter registry counter)))
-        [ "transition.VF.applied"; "transition.VF.rejected" ])
+  let s0 = Core.State.initial [ qa; qb; qd ] in
+  let pair = List.filteri (fun i _ -> i < 2) s0.Core.State.views in
+  (match pair with
+  | [ va; vb ] ->
+    check_bool "distinct body ids" true
+      (Core.View.body_intern_id va <> Core.View.body_intern_id vb)
+  | _ -> Alcotest.fail "expected three views");
+  let parents = s0 :: keeping pair (Core.Transition.successors s0 SC) in
+  check_int "three parents hold the pair" 3 (List.length parents);
+  List.iter
+    (fun s ->
+      let { Core.Transition.successors; pruned; rejected } =
+        Core.Transition.successors_with_delta ~strict:false s VF
+      in
+      check_int "no fusion" 0 (List.length successors + pruned);
+      check_int "no rejection" 0 rejected;
+      check_bool "closure leaves the state" true
+        (Core.Transition.fusion_closure s == s))
+    parents
 
 (* qa and qb are renamings of one query, so their views fuse, and so do
    many of their descendants; the states along a walk share views, so
@@ -534,14 +526,14 @@ let prop_admission_without_rework =
              successor, action by action *)
           && List.for_all
                (fun kind ->
-                 let all, none_pruned =
+                 let { Core.Transition.successors = all; pruned = none_pruned; _ } =
                    Core.Transition.successors_with_delta ~strict:false s kind
                  in
                  none_pruned = 0
                  && List.for_all
                       (fun options ->
                         let stop = Core.Search.stop_test options in
-                        let kept, pruned =
+                        let { Core.Transition.successors = kept; pruned; _ } =
                           Core.Transition.successors_with_delta ?stop
                             ~strict:false s kind
                         in
@@ -574,9 +566,9 @@ let prop_admission_without_rework =
                   Core.State.equal_key (Core.State.key partial)
                     (Core.State.key full)
                   && view_forms partial = view_forms full)
-                (fst
-                   (Core.Transition.successors_with_delta ~strict:false closed
-                      kind)))
+                (Core.Transition.successors_with_delta ~strict:false closed
+                   kind)
+                  .successors)
             Core.Transition.all_kinds)
         (walk_states workload choices))
 
@@ -634,9 +626,9 @@ let prop_state_facts =
                      && collapsed_holds
                           (fst
                              (Core.Transition.fusion_closure_delta ~fresh succ)))
-                   (fst
-                      (Core.Transition.successors_with_delta ~strict:false
-                         closed kind)))
+                   (Core.Transition.successors_with_delta ~strict:false
+                      closed kind)
+                     .successors)
                Core.Transition.all_kinds)
         (walk_states workload choices))
 
