@@ -29,32 +29,23 @@ type prepared = {
   mutable recheck : Query.Plan.t option;  (* compiled on the view's first re-check *)
 }
 
-(* One store's prepared views.  A linear list: the views a store
-   maintains are few and are passed as the same values on every update,
-   so the physical scan almost always hits. *)
+(* One store's prepared views, kept on the store.  A linear list: the
+   views a store maintains are few and are passed as the same values on
+   every update, so the physical scan almost always hits. *)
 type memo = { mutable entries : prepared list; mutable compiles : int }
 
-module ITbl = Interning.Int_tbl
+type Rdf.Store.cache += Memo of memo
 
-(* Domain-local: a memo's plans record their last execution, so sharing
-   them across domains would race even behind a lock, and maintenance
-   runs on one domain per store anyway. *)
-let memos : memo ITbl.t Multicore.Dls.key = Multicore.Dls.new_key (fun () -> ITbl.create 8)
-
-(* Tests churn through many short-lived stores; as in [Query.Plan]'s
-   cache, cap the number of per-store memos. *)
-let max_stores = 64
-
+(* Coordinator-only: a memo's plans record their last execution and the
+   memo has no lock, so one domain maintains a store. *)
 let memo_of store =
-  let tbl = Multicore.Dls.get memos in
-  let sid = Rdf.Store.id store in
-  match ITbl.find_opt tbl sid with
+  match Rdf.Store.find_cache store (function Memo memo -> Some memo | _ -> None) with
   | Some memo -> memo
   | None ->
-    if ITbl.length tbl >= max_stores then ITbl.reset tbl;
     let memo = { entries = []; compiles = 0 } in
-    ITbl.add tbl sid memo;
+    Rdf.Store.add_cache store (Memo memo);
     memo
+[@@coordinator_only]
 
 (* The distinct variables of a term list, in order of first occurrence,
    with the index of that occurrence. *)

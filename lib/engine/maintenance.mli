@@ -25,9 +25,10 @@
     Staleness: the dictionary is append-only, so a resolved code never
     goes stale.  Only an entry that found a body constant absent (the
     view is then empty and has no plan) is prepared again, and only once
-    the dictionary has grown.  Plans never re-order.  The memo is
-    domain-local, and holds at most 64 stores' entries (then it
-    restarts empty). *)
+    the dictionary has grown.  Plans never re-order.  The memo lives on
+    the store ({!Rdf.Store.add_cache}) and dies with it.  It has no
+    lock, so only the coordinating domain maintains a store
+    ([tool/analyze] checks the accessor's [@@coordinator_only]). *)
 
 val insert_triple :
   Rdf.Store.t -> (Query.Cq.t * Relation.t) list -> Rdf.Triple.t -> int
@@ -45,9 +46,7 @@ val delta_insert : Rdf.Store.t -> Query.Cq.t -> Rdf.Store.encoded -> int array l
     exposed for testing. *)
 
 val prepared_count : Rdf.Store.t -> int
-(** Number of views prepared for this store in the calling domain's
-    memo. *)
+(** Number of views prepared for this store. *)
 
 val compiled_count : Rdf.Store.t -> int
-(** Number of plans the calling domain's memo has compiled for this
-    store. *)
+(** Number of plans the memo has compiled for this store. *)

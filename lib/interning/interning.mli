@@ -2,11 +2,12 @@
 
     Maps each distinct canonical form to a dense non-negative integer
     id, assigned on first sight and stable for the life of the process.
-    State identity ([Core.State.key]), fusion-candidate detection
-    ([Core.Transition]) and the compiled-plan cache ([Query.Plan])
-    compare these ids instead of the underlying strings.  The library
-    depends on [multicore] alone: both [core] and [query] sit on top of
-    the same process-global table.
+    State identity ([Core.State.key]) and fusion-candidate detection
+    ([Core.Transition]) compare these ids instead of the underlying
+    strings.  The library depends on [multicore] alone, and only [core]
+    uses it: compiled plans are keyed by their canonical strings on
+    their own store ([Query.Plan]), so evaluating a query interns
+    nothing.
 
     All operations are domain-safe: the string → id map is one table
     under one spinlock, so parallel search domains ([Core.Search])
@@ -16,7 +17,7 @@
 type id = int
 
 module Int_tbl : Hashtbl.S with type key = int
-(** A hash table keyed by ints (interned ids, view ids, store ids) that
+(** A hash table keyed by ints (interned ids, view ids) that
     hashes a key by its own value, without the polymorphic hash
     ([Int.hash] is missing before OCaml 5.1). *)
 

@@ -2,12 +2,14 @@ type t = {
   name : string;
   head : Qterm.t list;
   body : Atom.t list;
-  mutable canon_id : int;
-      (* memoized interned canonical form, -1 = not yet computed.
-         Canonical labeling is the expensive part of a plan-cache
-         lookup, and head/body are immutable after construction, so it
-         is computed at most once per query value.  Every derived query
-         below that changes head or body resets it. *)
+  mutable canon : string;
+      (* memoized canonical form, "" = not yet computed (a body is never
+         empty, so a form never is), and its hash, -1 = not yet.
+         Labelling is the expensive part of a plan-cache lookup, and
+         head/body are immutable after construction, so it runs at most
+         once per query value.  Every derived query below that changes
+         head or body resets both. *)
+  mutable canon_hash : int;
 }
 
 module SMap = Map.Make (String)
@@ -28,7 +30,7 @@ let make ~name ~head ~body =
         invalid_arg ("Cq.make: unsafe head variable " ^ x)
       | Qterm.Var _ | Qterm.Cst _ -> ())
     head;
-  { name; head; body; canon_id = -1 }
+  { name; head; body; canon = ""; canon_hash = -1 }
 
 (* the name does not enter the canonical form: keep the memo *)
 let rename q name = { q with name }
@@ -74,7 +76,8 @@ let subst f q =
     q with
     head = List.map apply_term q.head;
     body = List.map (Atom.subst f) q.body;
-    canon_id = -1;
+    canon = "";
+    canon_hash = -1;
   }
 
 let subst_var x v q = subst (fun y -> if String.equal x y then Some v else None) q
@@ -152,7 +155,7 @@ let minimize q =
       in
       if not head_safe then None
       else
-        let candidate = { q with body = body'; canon_id = -1 } in
+        let candidate = { q with body = body'; canon = ""; canon_hash = -1 } in
         match homomorphism ~from:q ~into:candidate () with
         | Some _ -> Some candidate
         | None -> None
@@ -357,15 +360,19 @@ let labelling ~head_mode q =
   in
   if vars = [] then render SMap.empty else solve initial
 
-let canonical_string q = fst (labelling ~head_mode:Ordered q)
+let canonical_string q =
+  if String.length q.canon = 0 then q.canon <- fst (labelling ~head_mode:Ordered q);
+  q.canon
 
-let interned_canonical q =
-  if q.canon_id >= 0 then q.canon_id
-  else begin
-    let id = Interning.of_canonical (canonical_string q) in
-    q.canon_id <- id;
-    id
-  end
+(* FNV-1a, as [Rdf.Term.hash], with no polymorphic Hashtbl.hash *)
+let canonical_hash q =
+  if q.canon_hash < 0 then begin
+    let h = ref 0x811c9dc5 in
+    let mix c = h := (!h lxor Char.code c) * 0x01000193 land max_int in
+    String.iter mix (canonical_string q);
+    q.canon_hash <- !h
+  end;
+  q.canon_hash
 
 let canonical_body_string q = fst (labelling ~head_mode:NoHead q)
 

@@ -13,7 +13,8 @@ type t = private {
   name : string;
   head : Qterm.t list;
   body : Atom.t list;
-  mutable canon_id : int;  (** internal memo for {!interned_canonical} *)
+  mutable canon : string;  (** internal memo for {!canonical_string} *)
+  mutable canon_hash : int;  (** internal memo for {!canonical_hash} *)
 }
 
 val make : name:string -> head:Qterm.t list -> body:Atom.t list -> t
@@ -85,13 +86,12 @@ val canonical_string : t -> string
     two queries have the same canonical string iff one can be renamed
     into the other.  Computed by color refinement with individualization
     backtracking; constants are spelled by their {!Rdf.Term.key}, so
-    two distinct constants never read alike. *)
+    two distinct constants never read alike.  Memoized on the query
+    value (head and body are immutable, so the labelling runs at most
+    once per value); the plan cache keys on it. *)
 
-val interned_canonical : t -> int
-(** {!canonical_string} pushed through the process-global [Interning]
-    table, memoized on the query value (head and body are immutable, so
-    the labeling runs at most once per value).  Two queries get the
-    same id iff they are isomorphic; the plan cache keys on it. *)
+val canonical_hash : t -> int
+(** A hash of {!canonical_string}, memoized on the query value. *)
 
 val canonical_body_string : t -> string
 (** Like {!canonical_string} but ignoring the head entirely; equal on two

@@ -42,7 +42,7 @@ val eval_cq_rowset : Rdf.Store.t -> Cq.t -> Rowset.t
 val eval_ucq_rowset : ?cache:bool -> Rdf.Store.t -> Ucq.t -> Rowset.t
 (** The distinct answer rows of the union, in one set the caller owns.
     [~cache:false] compiles every disjunct's plan afresh and caches
-    nothing (no plan, no interned canonical form): for a one-shot query
+    none on the store: for a one-shot query
     such as the saturation [Stats.Statistics] reads its post-reformulation
     statistics from.  Default [true], through cached plans. *)
 
@@ -52,7 +52,7 @@ val eval_params_into :
     answers of [q] with each [params] variable fixed to the code at the
     same index of [args], by executing [plan] — which the caller
     compiled from [q] with {!Plan.compile} [~params] and keeps, so a
-    call compiles, interns and caches nothing.  [Engine.Maintenance]
+    call compiles and caches nothing.  [Engine.Maintenance]
     runs every delta and deletion re-check this way, from its memo of
     prepared views.  A kept plan stays valid while the store's
     dictionary only grows, since a resolved code never changes; a plan

@@ -16,11 +16,10 @@
      runtime;
    - the join order is fixed at compile time, greedily most-selective
      first from the store's O(1) pattern counts, and never changes;
-   - plans are cached per store id, keyed by the interned canonical
-     form of the query (the process-global [Interning] table that
-     [Core] also keys views on), so repeated evaluation — view
-     materialization across search states, workload answering —
-     compiles once;
+   - plans are cached on their store, keyed by the canonical form of
+     the query, so repeated evaluation — view materialization across
+     search states, workload answering — compiles once, and the plans
+     die with the store;
    - a plan may be compiled with some variables as {e parameters}: they
      take the first slots, the planner treats them as bound before the
      first step, and each execution writes its arguments' codes into
@@ -367,51 +366,42 @@ let size_hint plan = plan.result_hint
 
 (* ---------- the plan cache ----------------------------------------------- *)
 
-(* Two-level: store id → (interned canonical form → plan).  Keying by
-   the canonical form lets every isomorphic spelling of a query — the
-   same view freshened across search states, the same relaxation
-   re-derived during statistics gathering — share one compiled plan.
-   The interner is the process-global [Interning] table [Core] also
-   keys views on, so ids stay dense and comparisons stay int-sized. *)
+(* Each store keeps its own table, keyed by the query value but
+   compared and hashed by its memoized canonical form, so every
+   isomorphic spelling of a query shares one compiled plan and a warm
+   lookup labels nothing.  A table counts as empty unless it was filled
+   at the current [generation], which {!reset_cache} bumps.  Only the
+   coordinating domain reaches a table ([@@coordinator_only]), so it
+   has no lock. *)
+module Forms = Hashtbl.Make (struct
+  type t = Cq.t
 
-module ITbl = Interning.Int_tbl
+  let equal a b = String.equal (Cq.canonical_string a) (Cq.canonical_string b)
+  let hash = Cq.canonical_hash
+end)
 
-(* Worker domains compile plans concurrently during cost estimation
-   (free-mode parallel search), so the cache — the outer per-store map
-   and the per-store tables reached through it — is guarded by one
-   spinlock.  Compilation itself runs outside the critical section: two
-   domains racing on the same uncached query may both compile, and the
-   second insert wins, which is harmless because compiled plans for the
-   same key are equivalent. *)
-let cache_lock = Multicore.Spinlock.create ()
-let caches : t ITbl.t ITbl.t = ITbl.create 8 [@@guarded_by "cache_lock"]
+type table = { mutable generation : int; plans : t Forms.t }
+type Rdf.Store.cache += Plans of table
 
-(* Tests churn through many short-lived stores; cap the number of
-   per-store tables so abandoned stores do not accumulate plans. *)
-let max_store_tables = 64
+let generation = Atomic.make 0
 
-(* must hold [cache_lock] — both callers below do *)
-let store_table sid =
-  match ITbl.find_opt caches sid with
-  | Some tbl -> tbl
+let current_plans store =
+  let now = Atomic.get generation in
+  match Rdf.Store.find_cache store (function Plans tbl -> Some tbl | _ -> None) with
+  | Some tbl ->
+    if tbl.generation <> now then begin
+      Forms.reset tbl.plans;
+      tbl.generation <- now
+    end;
+    tbl.plans
   | None ->
-    if ITbl.length caches >= max_store_tables then
-      (* analyze: allow unguarded-write -- callers hold cache_lock *)
-      ITbl.reset caches;
-    let tbl = ITbl.create 64 in
-    (* analyze: allow unguarded-write -- callers hold cache_lock *)
-    ITbl.add caches sid tbl;
-    tbl
-
-let cache_key q = Cq.interned_canonical q
+    let tbl = { generation = now; plans = Forms.create 64 } in
+    Rdf.Store.add_cache store (Plans tbl);
+    tbl.plans
 
 let cached store q =
-  let key = cache_key q in
-  let found =
-    Multicore.Spinlock.with_lock cache_lock (fun () ->
-        ITbl.find_opt (store_table (Rdf.Store.id store)) key)
-  in
-  match found with
+  let plans = current_plans store in
+  match Forms.find_opt plans q with
   | Some plan
     when not (plan.impossible && Rdf.Store.dict_size store <> plan.dict_size) ->
     Obs.incr (obs_cache_hits ());
@@ -421,15 +411,10 @@ let cached store q =
        exist *)
     Obs.incr (obs_cache_misses ());
     let plan = compile store q in
-    Multicore.Spinlock.with_lock cache_lock (fun () ->
-        ITbl.replace (store_table (Rdf.Store.id store)) key plan);
+    Forms.replace plans q plan;
     plan
+[@@coordinator_only]
 
-let reset_cache () =
-  Multicore.Spinlock.with_lock cache_lock (fun () -> ITbl.reset caches)
+let reset_cache () = Atomic.incr generation
 
-let cached_plan_count store =
-  Multicore.Spinlock.with_lock cache_lock (fun () ->
-      match ITbl.find_opt caches (Rdf.Store.id store) with
-      | Some tbl -> ITbl.length tbl
-      | None -> 0)
+let cached_plan_count store = Forms.length (current_plans store)

@@ -10,12 +10,12 @@
     against one mutable frame: no maps, no closures and no per-triple
     allocation.
 
-    Plans are cached per store id, keyed by the interned canonical form
-    of the query ({!Cq.canonical_string} through the process-global
-    [Interning] table, shared with [Core]); isomorphic queries
-    share one plan.  A cached plan is recompiled only when it proved
-    the query empty and the dictionary has grown since (an absent
-    constant may have appeared).
+    Plans are cached on the store they were compiled against
+    ({!Rdf.Store.add_cache}), keyed by the query's
+    {!Cq.canonical_string}, so isomorphic queries share one plan and
+    the plans die with their store.  A cached plan is recompiled only
+    when it proved the query empty and the dictionary has grown since
+    (an absent constant may have appeared).
 
     A plan may have {e parameter slots} ({!compile} [~params]):
     variables whose codes each execution supplies ({!exec} [~args]).
@@ -40,7 +40,9 @@ val compile : ?params:string list -> Rdf.Store.t -> Cq.t -> t
 
 val cached : Rdf.Store.t -> Cq.t -> t
 (** The cached plan for the query's canonical form on this store,
-    compiling (or transparently recompiling, see above) on miss. *)
+    compiling (or transparently recompiling, see above) on miss.  The
+    store's table has no lock: only the coordinating domain may call
+    this, which [tool/analyze] checks ([@@coordinator_only]). *)
 
 val exec : ?args:int array -> t -> Rdf.Store.t -> (int array -> unit) -> unit
 (** Stream every complete binding's projected row (duplicates
@@ -73,7 +75,10 @@ val is_impossible : t -> bool
     constant was absent from the store's dictionary. *)
 
 val reset_cache : unit -> unit
-(** Drop every cached plan (all stores).  For tests and benchmarks. *)
+(** Drop every cached plan of every store: it bumps one process-wide
+    generation number, and a store's table filled at an older
+    generation is emptied on its next use.  For benchmarks that time
+    cold evaluation on a store they keep. *)
 
 val cached_plan_count : Rdf.Store.t -> int
 (** Number of plans currently cached for this store. *)

@@ -16,6 +16,8 @@ module _ : Backend.S = Compact_backend
 
 type repr = Hash of Hash_backend.t | Compact of Compact_backend.t
 
+type cache = ..
+
 type t = {
   id : int;
   dict : Dictionary.t;
@@ -23,10 +25,11 @@ type t = {
   mutable version : int;
       (* bumped on every successful add/remove; read only by tests, as a
          witness that a read did not write *)
+  mutable caches : cache list;  (* at most one per upper layer *)
 }
 
 (* Atomic: a store may be created on any domain, and ids must stay
-   unique because per-store caches are keyed by them. *)
+   unique because a compiled plan checks its store by id. *)
 let next_id = Atomic.make 0
 
 let with_dict ~backend dict =
@@ -36,13 +39,15 @@ let with_dict ~backend dict =
     | Backend.Hash -> Hash (Hash_backend.create ())
     | Backend.Compact -> Compact (Compact_backend.create ())
   in
-  { id; dict; repr; version = 0 }
+  { id; dict; repr; version = 0; caches = [] }
 
 let create ?(backend = Backend.Hash) () = with_dict ~backend (Dictionary.create ())
 
 let id t = t.id
 let version t = t.version
 let backend t = match t.repr with Hash _ -> Backend.Hash | Compact _ -> Backend.Compact
+let find_cache t f = List.find_map f t.caches
+let add_cache t c = t.caches <- c :: t.caches
 let dict_size t = Dictionary.size t.dict
 let encode_term t term = Dictionary.encode t.dict term
 let find_term t term = Dictionary.find t.dict term

@@ -25,9 +25,20 @@ val create : ?backend:Backend.kind -> unit -> t
 val backend : t -> Backend.kind
 
 val id : t -> int
-(** A process-unique stamp, assigned at creation.  Compiled query plans
-    ({!Query.Plan}) are cached per store id: codes are only meaningful
-    against the dictionary that produced them. *)
+(** A process-unique stamp, assigned at creation.  A compiled query
+    plan ({!Query.Plan}) records it and refuses any other store: codes
+    are only meaningful against the dictionary that produced them. *)
+
+type cache = ..
+(** What an upper layer derives from a store and keeps on it, so that
+    it dies with the store: {!Query.Plan}'s compiled plans,
+    [Engine.Maintenance]'s prepared views.  Each layer adds its own
+    constructor, and at most one cache per store; a fresh store and a
+    {!copy} have none. *)
+
+val find_cache : t -> (cache -> 'a option) -> 'a option
+
+val add_cache : t -> cache -> unit
 
 val version : t -> int
 (** Mutation counter: bumped on every successful {!add}/{!remove}.

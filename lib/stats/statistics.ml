@@ -5,9 +5,9 @@ type mode =
 (* The database the statistics describe, grouped by property: the
    store's own triples under [Plain], the saturated database under
    [Reformulated].  The triples with property code [p] are rows
-   [first.(p)] to [first.(p + 1) - 1] of [subj] and [obj]; [first]
-   covers the codes of the dictionary when the table was built, and a
-   code interned since matches no triple. *)
+   [first.(p)] to [first.(p + 1) - 1] of [subj] and [obj].  [create]
+   builds it, so [first] covers the codes of the dictionary at that
+   time, and a code interned since matches no triple. *)
 type table = {
   first : int array;
   subj : int array;
@@ -16,23 +16,12 @@ type table = {
 
 type t = {
   store : Rdf.Store.t;
-  mode : mode;
-  mutable table : table option;
+  table : table;
   atom_counts : (string, float) Hashtbl.t;
   columns : (string, float * float) Hashtbl.t;
       (* per column: the distinct count and the average term size *)
   property_distincts : (string, float) Hashtbl.t;
 }
-
-let create ?(mode = Plain) store =
-  {
-    store;
-    mode;
-    table = None;
-    atom_counts = Hashtbl.create 256;
-    columns = Hashtbl.create 4;
-    property_distincts = Hashtbl.create 64;
-  }
 
 (* Atoms are keyed by their constant pattern only: variable names are
    irrelevant to the count (they are relaxations of one another).  A
@@ -71,44 +60,44 @@ let group_by_property codes n s p o =
   done;
   { first; subj; obj }
 
-(* Built once per [t], on the first statistic asked for.  Under [Plain]
-   the rows are the store's triples, read in place by one scan.  Under
-   [Reformulated schema] (§4.3) they are the answers of the
-   reformulation of t(_s,_p,_o), heading all three positions, evaluated
-   on the explicit store: by Theorem 4.2 those are exactly the triples
-   of the saturated database, which is never built.  The evaluation
-   runs through one-shot plans: cached plans and interned canonical
-   forms would outlive the search, and the heap state they left slowed
-   later updates.  It interns the head constants of the reformulation
-   (rdf:type, classes and properties of the schema), so a statistic
-   resolves its constants only after it. *)
-let table t =
-  match t.table with
-  | Some tbl -> tbl
-  | None ->
-    let tbl =
-      match t.mode with
-      | Plain ->
-        let data, n = Rdf.Store.scan_all t.store in
-        group_by_property (Rdf.Store.dict_size t.store) n
-          (fun r -> data.(3 * r))
-          (fun r -> data.((3 * r) + 1))
-          (fun r -> data.((3 * r) + 2))
-      | Reformulated schema ->
-        let head = [ all_var_atom.s; all_var_atom.p; all_var_atom.o ] in
-        let q = Query.Cq.make ~name:"saturation" ~head ~body:[ all_var_atom ] in
-        let rows =
-          Query.Evaluation.eval_ucq_rowset ~cache:false t.store
-            (Query.Reformulation.reformulate q schema)
-        in
-        let cols = Query.Rowset.columns rows in
-        group_by_property (Rdf.Store.dict_size t.store) (Query.Rowset.cardinal rows)
-          (fun r -> cols.(0).(r))
-          (fun r -> cols.(1).(r))
-          (fun r -> cols.(2).(r))
+(* Built by [create].  Under [Plain] the rows are the store's triples,
+   read in place by one scan.  Under [Reformulated schema] (§4.3) they
+   are the answers of the reformulation of t(_s,_p,_o), heading all
+   three positions, evaluated on the explicit store: by Theorem 4.2
+   those are exactly the triples of the saturated database, which is
+   never built.  The evaluation runs through one-shot plans: cached
+   ones would stay on the store after the search, and the heap state
+   they left slowed later updates.  It interns the head constants of
+   the reformulation (rdf:type, classes and properties of the schema),
+   so a statistic resolves its constants only after it. *)
+let build store = function
+  | Plain ->
+    let data, n = Rdf.Store.scan_all store in
+    group_by_property (Rdf.Store.dict_size store) n
+      (fun r -> data.(3 * r))
+      (fun r -> data.((3 * r) + 1))
+      (fun r -> data.((3 * r) + 2))
+  | Reformulated schema ->
+    let head = [ all_var_atom.s; all_var_atom.p; all_var_atom.o ] in
+    let q = Query.Cq.make ~name:"saturation" ~head ~body:[ all_var_atom ] in
+    let rows =
+      Query.Evaluation.eval_ucq_rowset ~cache:false store
+        (Query.Reformulation.reformulate q schema)
     in
-    t.table <- Some tbl;
-    tbl
+    let cols = Query.Rowset.columns rows in
+    group_by_property (Rdf.Store.dict_size store) (Query.Rowset.cardinal rows)
+      (fun r -> cols.(0).(r))
+      (fun r -> cols.(1).(r))
+      (fun r -> cols.(2).(r))
+
+let create ?(mode = Plain) store =
+  {
+    store;
+    table = build store mode;
+    atom_counts = Hashtbl.create 256;
+    columns = Hashtbl.create 4;
+    property_distincts = Hashtbl.create 64;
+  }
 
 (* The code of a constant in the table, or [None] when no triple can
    hold it. *)
@@ -147,7 +136,7 @@ let atom_count t a =
   match Hashtbl.find_opt t.atom_counts key with
   | Some n -> n
   | None ->
-    let tbl = table t in
+    let tbl = t.table in
     let code = function
       | Query.Qterm.Cst c -> code_in t tbl c
       | Query.Qterm.Var _ -> Some (-1)
@@ -175,7 +164,7 @@ let column t col =
   match Hashtbl.find_opt t.columns key with
   | Some stats -> stats
   | None ->
-    let tbl = table t in
+    let tbl = t.table in
     let weigh code (count, total) =
       (count + 1, total + Rdf.Term.size (Rdf.Store.decode_term t.store code))
     in
@@ -203,7 +192,7 @@ let property_distinct t prop col =
   match Hashtbl.find_opt t.property_distincts key with
   | Some n -> if n < 0. then None else Some n
   | None ->
-    let tbl = table t in
+    let tbl = t.table in
     let n =
       match code_in t tbl prop with
       | None -> 0

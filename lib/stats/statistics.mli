@@ -8,10 +8,10 @@
     search is a relaxation of a workload atom).
 
     Every statistic is read off one table of triples grouped by
-    property, built on the first statistic asked for (or by {!prewarm}):
-    an atom's count is the number of rows matching its constants, the
-    total the number of rows, and the column and per-property distincts
-    and term sizes their distinct values.  The [mode] says where the
+    property, built by {!create}: an atom's count is the number of rows
+    matching its constants, the total the number of rows, and the
+    column and per-property distincts and term sizes their distinct
+    values.  The [mode] says where the
     rows come from, and so how implicit triples are reflected (§4.3):
     {ul
     {- [Plain] — the store's own triples, read by one scan (use on a
@@ -24,12 +24,13 @@
        database, which is never built.  So each number equals the one
        on the saturated store, which is property-tested.  The store
        gains no triple and its version does not move; the evaluation
-       caches no plan and interns no canonical form, but the
+       caches no plan, but the
        reformulation's head constants are encoded in the store's
        dictionary, and a statistic resolves its own constants only
        after that.}}
-    Either way [t] describes the store as it was when the table was
-    built: a later write to the store is not reflected. *)
+    Either way [t] describes the store as it was at {!create}: a later
+    write to the store is not reflected, and reading a statistic never
+    evaluates a query. *)
 
 type mode =
   | Plain
@@ -38,13 +39,14 @@ type mode =
 type t
 
 val create : ?mode:mode -> Rdf.Store.t -> t
-(** [create ~mode store] builds a statistics cache over [store];
+(** [create ~mode store] builds the table of [store]'s triples (one
+    scan under [Plain], one evaluation of the reformulated
+    [t(_s,_p,_o)] under [Reformulated]) and an empty memo over it;
     [mode] defaults to [Plain]. *)
 
 val prewarm : t -> Query.Cq.t list -> unit
-(** The paper's offline gathering step: build the table and fill the
-    memo with everything the cost model reads while searching from
-    these queries.  That is
+(** The paper's offline gathering step: fill the memo with everything
+    the cost model reads while searching from these queries.  That is
     the count of every relaxation of every atom (each constant replaced
     or kept), the per-property subject and object distincts of every
     constant property among them, and the three column distincts and

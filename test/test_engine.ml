@@ -634,6 +634,27 @@ let test_maintenance_interns_nothing () =
   check_int "one prepared view" 1 (Engine.Maintenance.prepared_count store);
   check_bool "the view is back at its initial rows" true (rows () = initial)
 
+(* Prepared views live on their store: 64 other stores, each
+   maintaining a view of its own, leave a live store's memo alone. *)
+let test_maintenance_memo_outlives_other_stores () =
+  let store, views = setup_maintenance () in
+  ignore
+    (Engine.Maintenance.insert_triple store views
+       (triple (uri "ex:monet") (uri "ex:isParentOf") (uri "ex:vincentJr"))
+      : int);
+  let prepared = Engine.Maintenance.prepared_count store in
+  let compiled = Engine.Maintenance.compiled_count store in
+  check_bool "the update prepared the view" true (prepared > 0 && compiled > 0);
+  for i = 1 to 64 do
+    let other, other_views = setup_maintenance () in
+    ignore
+      (Engine.Maintenance.insert_triple other other_views
+         (triple (uri "ex:monet") (uri "ex:isParentOf") (uri (Printf.sprintf "ex:c%d" i)))
+        : int)
+  done;
+  check_int "prepared views kept" prepared (Engine.Maintenance.prepared_count store);
+  check_int "compiled plans kept" compiled (Engine.Maintenance.compiled_count store)
+
 let () =
   Alcotest.run "engine"
     [
@@ -683,5 +704,7 @@ let () =
             test_maintenance_absent_constant;
           Alcotest.test_case "isomorphic views keep their own plans" `Quick
             test_maintenance_isomorphic_views;
+          Alcotest.test_case "a memo outlives other stores" `Quick
+            test_maintenance_memo_outlives_other_stores;
         ] );
     ]

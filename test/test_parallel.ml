@@ -236,6 +236,64 @@ let test_post_reformulation_reads_only () =
   done;
   check_int "store version" version (Rdf.Store.version store)
 
+(* ---------- the store's caches: the coordinator's alone ------------------ *)
+
+(* A store's plan table and maintenance memo have no lock, because only
+   the coordinating domain fills them ([@@coordinator_only], checked by
+   tool/analyze).  The runtime witness: with a warm plan table and a
+   prepared view, a --jobs 2 selection under either statistics path
+   leaves both as they were. *)
+let test_select_leaves_store_caches () =
+  let store = Workload.Barton.store ~n_entities:60 ~seed:1 () in
+  let schema = Workload.Barton.schema () in
+  let workload =
+    Workload.Generator.generate_satisfiable store
+      {
+        Workload.Generator.default_spec with
+        n_queries = 1;
+        atoms_per_query = 2;
+        seed = 1;
+      }
+  in
+  let view = List.hd workload in
+  let views = [ (view, Engine.Materialize.materialize_cq store view) ] in
+  (* a new triple matching the view's first atom prepares the view and
+     compiles its delta plan *)
+  let fresh = function
+    | Query.Qterm.Cst t -> t
+    | Query.Qterm.Var x -> uri ("ex:fresh-" ^ x)
+  in
+  let a = List.hd view.Query.Cq.body in
+  ignore
+    (Engine.Maintenance.insert_triple store views
+       (triple (fresh a.Query.Atom.s) (fresh a.p) (fresh a.o))
+      : int);
+  let caches () =
+    ( Query.Plan.cached_plan_count store,
+      Engine.Maintenance.prepared_count store,
+      Engine.Maintenance.compiled_count store )
+  in
+  let ((plans, prepared, compiled) as warm) = caches () in
+  check_bool "warm caches" true (plans > 0 && prepared = 1 && compiled > 0);
+  List.iter
+    (fun reasoning ->
+      let result =
+        Core.Selector.select ~jobs:2 ~store ~reasoning
+          ~options:
+            {
+              Core.Search.default_options with
+              strategy = Core.Search.Dfs;
+              avf = true;
+              max_states = Some 5000;
+            }
+          workload
+      in
+      let label = Core.Selector.reasoning_name reasoning in
+      check_bool (label ^ " completed") true
+        result.Core.Selector.report.Core.Search.completed;
+      check_bool (label ^ " leaves the plans and the memo") true (caches () = warm))
+    [ Core.Selector.No_reasoning; Core.Selector.Post_reformulation schema ]
+
 (* ---------- the sharded interner under contention ------------------------- *)
 
 let test_intern_stress () =
@@ -383,6 +441,8 @@ let () =
         @ [
             Alcotest.test_case "post-reformulation forks only read stats"
               `Quick test_post_reformulation_reads_only;
+            Alcotest.test_case "a selection leaves the store's caches"
+              `Quick test_select_leaves_store_caches;
           ] );
       ( "interning",
         [ Alcotest.test_case "4-domain stress" `Quick test_intern_stress ] );

@@ -79,7 +79,6 @@ let prop_cq_differential =
   QCheck.Test.make ~name:"compiled CQ evaluation = Reference" ~count:400
     (QCheck.pair arb_backend_store arb_plan_cq)
     (fun (store, q) ->
-      Query.Plan.reset_cache ();
       agree store q)
 
 let prop_cq_cached_differential =
@@ -87,7 +86,6 @@ let prop_cq_cached_differential =
     ~count:200
     (QCheck.pair arb_store arb_plan_cq)
     (fun (store, q) ->
-      Query.Plan.reset_cache ();
       (* first call compiles, second must reuse the cached plan *)
       agree store q && agree store q)
 
@@ -95,7 +93,6 @@ let prop_ucq_differential =
   QCheck.Test.make ~name:"compiled UCQ evaluation = Reference" ~count:200
     (QCheck.pair arb_backend_store arb_plan_ucq)
     (fun (store, u) ->
-      Query.Plan.reset_cache ();
       sort_rows (Query.Evaluation.eval_ucq_codes store u)
       = sort_rows (Query.Evaluation.Reference.eval_ucq_codes store u))
 
@@ -103,7 +100,6 @@ let prop_counts_agree =
   QCheck.Test.make ~name:"compiled counts = Reference counts" ~count:200
     (QCheck.pair arb_store arb_plan_cq)
     (fun (store, q) ->
-      Query.Plan.reset_cache ();
       Query.Rowset.cardinal (Query.Evaluation.eval_cq_rowset store q)
       = Query.Evaluation.Reference.count_cq store q)
 
@@ -114,7 +110,6 @@ let prop_mutation_differential =
     (QCheck.triple arb_backend_store arb_plan_cq
        (QCheck.make Support.gen_data_triple))
     (fun (store, q, extra) ->
-      Query.Plan.reset_cache ();
       let before = agree store q in
       (* growing the store (and possibly its dictionary — [extra] or the
          reserved absent constant may introduce fresh terms) must not
@@ -193,7 +188,6 @@ let prop_executor_reference =
     ~count:200
     (QCheck.pair arb_store arb_plan_cq)
     (fun (store, q) ->
-      Query.Plan.reset_cache ();
       let matches q =
         let reference =
           sort_rows (Query.Evaluation.Reference.eval_cq_codes store q)
@@ -356,7 +350,6 @@ let small_store () =
     ]
 
 let test_impossible_constant () =
-  Query.Plan.reset_cache ();
   let store = small_store () in
   let q =
     cq [ v "X" ] [ atom (v "X") (c "nope:p") (v "Y") ]
@@ -366,7 +359,6 @@ let test_impossible_constant () =
   check_bool "no rows" true (Query.Evaluation.eval_cq_codes store q = [])
 
 let test_impossible_plan_invalidated () =
-  Query.Plan.reset_cache ();
   let store = small_store () in
   let q = cq [ v "X" ] [ atom (v "X") (c "late:p") (v "Y") ] in
   check_bool "empty before" true (Query.Evaluation.eval_cq_codes store q = []);
@@ -376,7 +368,6 @@ let test_impossible_plan_invalidated () =
   check_bool "agrees with reference" true (agree store q)
 
 let test_repeated_variable () =
-  Query.Plan.reset_cache ();
   let store = small_store () in
   (* self-loop: X appears twice in one atom *)
   let q = cq [ v "X" ] [ atom (v "X") (c "P1") (v "X") ] in
@@ -385,7 +376,6 @@ let test_repeated_variable () =
   check_bool "agrees with reference" true (agree store q)
 
 let test_cross_product () =
-  Query.Plan.reset_cache ();
   let store = small_store () in
   let q =
     cq
@@ -400,7 +390,6 @@ let test_cross_product () =
   check_bool "agrees with reference" true (agree store q)
 
 let test_exec_wrong_store_raises () =
-  Query.Plan.reset_cache ();
   let store = small_store () in
   let other = small_store () in
   let q = cq [ v "X" ] [ atom (v "X") (c "P0") (v "Y") ] in
@@ -423,7 +412,6 @@ let counter_value reg name =
 
 let test_cache_hits_on_reuse () =
   with_registry (fun reg ->
-      Query.Plan.reset_cache ();
       let store = small_store () in
       let q = cq [ v "X" ] [ atom (v "X") (c "P0") (v "Y") ] in
       ignore (Query.Evaluation.eval_cq_codes store q);
@@ -437,7 +425,6 @@ let test_cache_hits_on_reuse () =
       check_int "one plan cached" 1 (Query.Plan.cached_plan_count store))
 
 let test_isomorphic_queries_share_plan () =
-  Query.Plan.reset_cache ();
   let store = small_store () in
   let q1 = cq ~name:"a" [ v "X" ] [ atom (v "X") (c "P0") (v "Y") ] in
   let q2 = cq ~name:"b" [ v "U" ] [ atom (v "U") (c "P0") (v "W") ] in
@@ -448,9 +435,8 @@ let test_isomorphic_queries_share_plan () =
 
 (* The literal "k" and the URI <"k"> print alike through Term.to_string;
    canonical forms spell constants by Term.key, so the two queries get
-   two forms, two interned ids and two plans, and each its own answer. *)
+   two forms and two plans, and each its own answer. *)
 let test_quoted_uri_own_plan () =
-  Query.Plan.reset_cache ();
   let store =
     store_of
       (Query.Parser.parse_triples
@@ -466,8 +452,6 @@ let test_quoted_uri_own_plan () =
         check_bool "distinct forms" true (form qc <> form qd))
       [ Query.Cq.canonical_string; Query.Cq.canonical_head_set_string;
         Query.Cq.canonical_body_string ];
-    check_bool "distinct ids" true
-      (Query.Cq.interned_canonical qc <> Query.Cq.interned_canonical qd);
     let answers q = List.map Array.to_list (Query.Evaluation.eval_cq store q) in
     check_bool "qc reads s1" true (answers qc = [ [ uri "ex:s1" ] ]);
     check_bool "qd reads s2" true (answers qd = [ [ uri "ex:s2" ] ]);
@@ -480,7 +464,6 @@ let test_quoted_uri_own_plan () =
    value as for the next. *)
 let test_stats_gathering_plans_nothing () =
   with_registry (fun reg ->
-      Query.Plan.reset_cache ();
       let store = small_store () in
       let prop = uri "P0" in
       let footprint () =
@@ -498,6 +481,68 @@ let test_stats_gathering_plans_nothing () =
         [ 1; 2 ];
       check_bool "no probe, and no plan compiled, cached or interned" true
         (footprint () = before))
+
+(* ---------- plan lifetimes ----------------------------------------------- *)
+
+(* A small Barton store and the five satisfiable star queries the
+   default spec draws from it. *)
+let barton_workload seed =
+  let store = Workload.Barton.store ~n_entities:40 ~seed () in
+  let queries =
+    Workload.Generator.generate_satisfiable store
+      { Workload.Generator.default_spec with seed }
+  in
+  (store, queries)
+
+let evaluate_all store queries =
+  List.iter
+    (fun q -> ignore (Query.Evaluation.eval_cq_codes store q : int array list))
+    queries
+
+(* Plans live on their store: 64 other stores, each compiling a plan of
+   its own, leave a live store's plans alone. *)
+let test_plans_outlive_other_stores () =
+  let store, queries = barton_workload 1 in
+  evaluate_all store queries;
+  let plans = Query.Plan.cached_plan_count store in
+  check_bool "plans cached" true (plans > 0);
+  for _ = 1 to 64 do
+    let other = small_store () in
+    evaluate_all other [ cq [ v "X" ] [ atom (v "X") (c "P0") (v "Y") ] ]
+  done;
+  check_int "plans kept" plans (Query.Plan.cached_plan_count store)
+
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+(* A dropped store takes its plans with it: after 20 and after 60
+   stores, each answering its own workload and then dropped, the live
+   heap is the same up to noise, under 100 words a store. *)
+let test_dropped_stores_retain_nothing () =
+  let stores first count =
+    for seed = first to first + count - 1 do
+      let store, queries = barton_workload seed in
+      evaluate_all store queries
+    done
+  in
+  stores 100 20;
+  let after_20 = live_words () in
+  stores 120 40;
+  let after_60 = live_words () in
+  check_bool
+    (Printf.sprintf "live words %d after 20 stores, %d after 60" after_20 after_60)
+    true
+    (after_60 - after_20 < 4_000)
+
+(* A plan is keyed by its query's canonical form on the store, so
+   evaluating new queries interns nothing process-wide. *)
+let test_evaluation_interns_nothing () =
+  let store, queries = barton_workload 200 in
+  let interned = Interning.size () in
+  evaluate_all store queries;
+  check_bool "plans cached" true (Query.Plan.cached_plan_count store > 0);
+  check_int "nothing interned" interned (Interning.size ())
 
 let () =
   Alcotest.run "plan"
@@ -539,5 +584,14 @@ let () =
             test_quoted_uri_own_plan;
           Alcotest.test_case "stats gathering plans nothing" `Quick
             test_stats_gathering_plans_nothing;
+        ] );
+      ( "lifetime",
+        [
+          Alcotest.test_case "plans outlive other stores" `Quick
+            test_plans_outlive_other_stores;
+          Alcotest.test_case "dropped stores retain nothing" `Quick
+            test_dropped_stores_retain_nothing;
+          Alcotest.test_case "evaluation interns nothing" `Quick
+            test_evaluation_interns_nothing;
         ] );
     ]

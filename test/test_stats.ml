@@ -309,7 +309,7 @@ let test_constants_resolved_after_evaluation () =
     [ Rdf.Backend.Hash; Rdf.Backend.Compact ]
 
 (* Every post-reformulation statistic is read off one evaluation of the
-   reformulated triple query: a prewarm evaluates its disjuncts once
+   reformulated triple query: [create] evaluates its disjuncts once
    (twice under RDFVIEWS_STRICT=1, which reruns each through the
    Reference evaluator), and nothing after it evaluates again.  The
    evaluation caches no plan and interns no canonical form. *)
@@ -453,6 +453,31 @@ let test_constant_kinds_apart () =
   check_bool "URI property distincts" true
     (Stats.Statistics.property_distinct stats quoted `S = Some 2.)
 
+(* Statistics describe the store as it was at [create], under both
+   statistics paths: a triple added afterwards, even before the first
+   statistic is read, changes no count. *)
+let test_describes_store_at_create () =
+  List.iter
+    (fun mode ->
+      let store = Rdf.Store.copy sample_store in
+      let stats = Stats.Statistics.create ~mode store in
+      ignore (Rdf.Store.add store (triple (uri "e") (uri "ex:p") (uri "w")) : bool);
+      let reference = Stats.Statistics.create ~mode (Rdf.Store.copy sample_store) in
+      let p_atom = atom (v "S") (c "ex:p") (v "O") in
+      List.iter
+        (fun (what, read) ->
+          check_bool what true (read stats = read reference))
+        [
+          ("total", Stats.Statistics.total_triples);
+          ("p atoms", fun t -> Stats.Statistics.atom_count t p_atom);
+          ("s distinct", fun t -> Stats.Statistics.column_distinct t `S);
+          ( "p subjects",
+            fun t ->
+              Option.value ~default:0.
+                (Stats.Statistics.property_distinct t (uri "ex:p") `S) );
+        ])
+    [ Stats.Statistics.Plain; Stats.Statistics.Reformulated schema_sub ]
+
 let test_estimate_ucq_is_sum_bound () =
   let stats = Stats.Statistics.create sample_store in
   let a = cq [ v "X" ] [ atom (v "X") (c "ex:p") (v "Y") ] in
@@ -476,6 +501,8 @@ let () =
           Alcotest.test_case "prewarm gathers relaxations" `Quick test_prewarm;
           Alcotest.test_case "constant kinds kept apart" `Quick
             test_constant_kinds_apart;
+          Alcotest.test_case "the store as it was at create" `Quick
+            test_describes_store_at_create;
           to_alcotest prop_plain_equals_brute_force;
         ] );
       ( "reformulated",

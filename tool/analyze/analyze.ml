@@ -30,7 +30,10 @@
         — a function referenced inside a closure passed to
         `Multicore.spawn` (rule `racy-global-write`).
       - [@@coordinator_only] functions must be unreachable from worker
-        entry points (rule `coordinator-escape`).
+        entry points (rule `coordinator-escape`).  So must a toplevel
+        handle bound to `Obs.cached_counter _`: calling it reads the
+        calling domain's ambient sink, which only the coordinator
+        installs.
       - [@@domain_safe] functions must have an empty unguarded write
         footprint and must not reach a coordinator-only function
         (rule `domain-unsafe`).
@@ -63,8 +66,8 @@ let rules =
        from a worker-domain entry point (a function referenced in a closure \
        passed to Multicore.spawn)" );
     ( "coordinator-escape",
-      "[@@coordinator_only] function reachable from a worker-domain entry \
-       point" );
+      "[@@coordinator_only] function, or Obs.cached_counter handle, \
+       reachable from a worker-domain entry point" );
     ( "domain-unsafe",
       "[@@domain_safe] function whose propagated footprint contains an \
        unguarded shared-cell write, or which can reach a \
@@ -272,6 +275,7 @@ type node = {
   n_loc : Location.t;
   n_domain_safe : bool;
   n_coordinator_only : bool;
+  n_sink_handle : bool;  (* bound to [Obs.cached_counter _] *)
   mutable n_writes : write_site list;
   mutable n_calls : (string * string list) list;  (* callee, locks held *)
 }
@@ -456,6 +460,17 @@ let binding_ident pat =
   | Tpat_alias ({ pat_desc = Tpat_any; _ }, id, _) -> Some id
   | _ -> None
 
+(* [Obs.cached_counter name] returns a thunk that reads the ambient
+   sink through the DLS, out of sight of the call graph: the binding
+   itself stands for that read. *)
+let sink_handle (e : expression) =
+  match e.exp_desc with
+  | Texp_apply (head, args) -> (
+    match head_name (fst (split_apply head args)) with
+    | Some name -> last_two name = ("Obs", "cached_counter")
+    | None -> false)
+  | _ -> false
+
 let rec collect_structure ~prefix str =
   List.iter (collect_item ~prefix) str.str_items
 
@@ -484,6 +499,7 @@ and collect_item ~prefix si =
                 n_loc = vb.vb_loc;
                 n_domain_safe = has_attr "domain_safe" attrs;
                 n_coordinator_only = has_attr "coordinator_only" attrs;
+                n_sink_handle = sink_handle vb.vb_expr;
                 n_writes = [];
                 n_calls = [];
               }
@@ -726,6 +742,7 @@ and analyze_item ~prefix si =
                 n_loc = vb.vb_loc;
                 n_domain_safe = false;
                 n_coordinator_only = false;
+                n_sink_handle = false;
                 n_writes = [];
                 n_calls = [];
               }
@@ -860,6 +877,8 @@ let effect_footprints () =
   done;
   effects
 
+let coordinator_bound node = node.n_coordinator_only || node.n_sink_handle
+
 (* Reachability to coordinator-only functions, for domain_safe checks. *)
 let reaches_coordinator () =
   let reaches : (string, string) Hashtbl.t = Hashtbl.create 64 in
@@ -871,14 +890,14 @@ let reaches_coordinator () =
       (fun name node ->
         if not (Hashtbl.mem reaches name) then begin
           let hit =
-            if node.n_coordinator_only then Some name
+            if coordinator_bound node then Some name
             else
               List.find_map
                 (fun (callee, _) ->
                   if String.equal callee name then None
                   else
                     match Hashtbl.find_opt nodes callee with
-                    | Some c when c.n_coordinator_only -> Some callee
+                    | Some c when coordinator_bound c -> Some callee
                     | _ -> Hashtbl.find_opt reaches callee)
                 node.n_calls
           in
@@ -928,12 +947,17 @@ let run_checks () =
                    w.w_cell name (chain_to reach name)))
           node.n_writes;
       (* coordinator-escape *)
-      if node.n_coordinator_only && Hashtbl.mem reach name then
+      if coordinator_bound node && Hashtbl.mem reach name then
         report ~loc:node.n_loc "coordinator-escape"
-          (Printf.sprintf
-             "`%s` is [@@coordinator_only] but reachable from a worker-domain \
-              entry point: %s"
-             name (chain_to reach name));
+          (Printf.sprintf "`%s` is %s but reachable from a worker-domain \
+                           entry point: %s"
+             name
+             (if node.n_sink_handle then
+                "an Obs.cached_counter handle, which reads the calling \
+                 domain's ambient sink (only the coordinator installs one, so \
+                 a worker's counts are lost),"
+              else "[@@coordinator_only]")
+             (chain_to reach name));
       (* domain-unsafe *)
       if node.n_domain_safe then begin
         (match Hashtbl.find_opt effects name with

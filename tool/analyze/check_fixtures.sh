@@ -33,6 +33,7 @@ expect Fix_racy racy-global-write
 expect Fix_coordinator coordinator-escape
 expect Fix_domain_unsafe domain-unsafe
 expect Fix_dls dls-capture
+expect Fix_sink_handle coordinator-escape
 
 out=$(./analyze.exe "$objs/afix__Fix_clean.cmt" 2>&1)
 code=$?
