@@ -479,8 +479,9 @@ let reformulate_cmd =
         (List.map
            (fun q ->
              let u = Query.Reformulation.reformulate q schema in
-             Printf.sprintf "# %s: %d union term(s)\n%s" q.Query.Cq.name
+             Printf.sprintf "# %s: %d union term(s), %d shape(s)\n%s" q.Query.Cq.name
                (Query.Ucq.cardinal u)
+               (List.length (Query.Ucq.shapes u))
                (String.concat "\n"
                   (List.map Query.Parser.query_to_text (Query.Ucq.disjuncts u))))
            queries)

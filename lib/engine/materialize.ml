@@ -12,8 +12,7 @@ let materialize_cq store (q : Query.Cq.t) =
     (Query.Evaluation.eval_cq_rowset store q)
 
 let materialize_ucq store (u : Query.Ucq.t) =
-  let first = List.hd (Query.Ucq.disjuncts u) in
-  Relation.of_rowset ~name:(Query.Ucq.name u) ~cols:(columns first.Query.Cq.head)
+  Relation.of_rowset ~name:(Query.Ucq.name u) ~cols:(columns (Query.Ucq.first u).Query.Cq.head)
     (Query.Evaluation.eval_ucq_rowset store u)
 
 let env_of rels =

@@ -9,7 +9,8 @@ val materialize_cq : Rdf.Store.t -> Query.Cq.t -> Relation.t
 
 val materialize_ucq : Rdf.Store.t -> Query.Ucq.t -> Relation.t
 (** Materialize a UCQ view (a reformulated view, §4.3): the set union of
-    its disjuncts, under the name and columns of the first disjunct. *)
+    its disjuncts, evaluated one plan per shape, under the name and
+    columns of the first disjunct ({!Query.Ucq.first}). *)
 
 val materialize_views : Rdf.Store.t -> Query.Ucq.t list -> env
 (** Materialize a recommended view set (the [recommended] field of

@@ -268,8 +268,9 @@ let rec refine_to_fixpoint body vars colors =
 type head_mode = Ordered | Set | NoHead
 
 (* The form of a discrete colouring, and the label ("V<rank>") it gives
-   each variable. *)
-let render ~head_mode ~head ~body colors =
+   each variable.  A tagged variable's tag follows the form, in label
+   order. *)
+let render ~head_mode ~tags ~head ~body colors =
   let var_rank =
     let sorted =
       List.sort
@@ -291,14 +292,26 @@ let render ~head_mode ~head ~body colors =
         (List.sort String.compare (List.map label head)) ^ "}<=" ^ body_str
     | NoHead -> body_str
   in
+  let form =
+    if SMap.is_empty tags then form
+    else
+      List.fold_left
+        (fun acc (v, l) ->
+          match SMap.find_opt v tags with
+          | Some tag -> acc ^ "|" ^ l ^ "=" ^ tag
+          | None -> acc)
+        form var_rank
+  in
   (form, var_rank)
 
-(* The canonical form and the labelling that produced it. *)
-let labelling ~head_mode q =
+(* The canonical form and the labelling that produced it.  A tag joins
+   its variable's initial colour (after a [#], which no head tag
+   holds), so only equally tagged variables can swap labels. *)
+let labelling ?(tags = SMap.empty) ~head_mode q =
   let vars = body_vars q in
   let head = List.map slot q.head in
   let body = List.map slots q.body in
-  let render = render ~head_mode ~head ~body in
+  let render = render ~head_mode ~tags ~head ~body in
   let initial =
     let head_tags =
       match head_mode with
@@ -324,7 +337,11 @@ let labelling ~head_mode q =
     in
     List.fold_left
       (fun acc v ->
-        SMap.add v ("0" ^ Option.value (SMap.find_opt v head_tags) ~default:"E") acc)
+        let color = "0" ^ Option.value (SMap.find_opt v head_tags) ~default:"E" in
+        let color =
+          match SMap.find_opt v tags with Some tag -> color ^ "#" ^ tag | None -> color
+        in
+        SMap.add v color acc)
       SMap.empty vars
   in
   let discrete colors =
@@ -365,14 +382,21 @@ let canonical_string q =
   q.canon
 
 (* FNV-1a, as [Rdf.Term.hash], with no polymorphic Hashtbl.hash *)
+let form_hash form =
+  let h = ref 0x811c9dc5 in
+  let mix c = h := (!h lxor Char.code c) * 0x01000193 land max_int in
+  String.iter mix form;
+  !h
+
 let canonical_hash q =
-  if q.canon_hash < 0 then begin
-    let h = ref 0x811c9dc5 in
-    let mix c = h := (!h lxor Char.code c) * 0x01000193 land max_int in
-    String.iter mix (canonical_string q);
-    q.canon_hash <- !h
-  end;
+  if q.canon_hash < 0 then q.canon_hash <- form_hash (canonical_string q);
   q.canon_hash
+
+let canonical_tagged q = function
+  | [] -> canonical_string q
+  | tags ->
+    let tags = List.fold_left (fun acc (v, tag) -> SMap.add v tag acc) SMap.empty tags in
+    fst (labelling ~tags ~head_mode:Ordered q)
 
 let canonical_body_string q = fst (labelling ~head_mode:NoHead q)
 

@@ -93,6 +93,17 @@ val canonical_string : t -> string
 val canonical_hash : t -> int
 (** A hash of {!canonical_string}, memoized on the query value. *)
 
+val form_hash : string -> int
+(** The hash {!canonical_hash} takes of a form (FNV-1a). *)
+
+val canonical_tagged : t -> (string * string) list -> string
+(** [canonical_tagged q tags] is {!canonical_string} of [q] with each
+    listed variable carrying its tag: two tagged queries get the same
+    string iff a renaming maps one onto the other and every tagged
+    variable onto one with the same tag.  With no tag it is
+    {!canonical_string} (and its memo); otherwise nothing is memoized.
+    {!Rcq} keys its constant sets this way. *)
+
 val canonical_body_string : t -> string
 (** Like {!canonical_string} but ignoring the head entirely; equal on two
     views exactly when {!body_isomorphism} succeeds. *)

@@ -192,16 +192,17 @@ let plan_rows store (q : Cq.t) =
   Plan.exec_into plan store rows;
   rows
 
-(* Disjuncts accumulate into one shared row table sized from the sum
-   of the disjunct plans' last cardinalities (an upper bound when the
-   disjuncts overlap, which only lowers the load factor). *)
+(* One plan per shape: the shapes accumulate into one shared row table
+   sized from the sum of their plans' last cardinalities (an upper
+   bound when their answers overlap, which only lowers the load
+   factor). *)
 let ucq_plan_rows ~cache store u =
   let plans =
     List.map
-      (fun q ->
+      (fun r ->
         Obs.incr (obs_evals ());
-        if cache then Plan.cached store q else Plan.compile store q)
-      (Ucq.disjuncts u)
+        if cache then Plan.cached_rcq store r else Plan.compile_rcq store r)
+      (Ucq.shapes u)
   in
   let hint = List.fold_left (fun n p -> n + Plan.size_hint p) 0 plans in
   let rows = Rowset.create (max 64 hint) in

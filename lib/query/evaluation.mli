@@ -30,7 +30,9 @@ val eval_cq : Rdf.Store.t -> Cq.t -> Rdf.Term.t array list
     rows of {!eval_cq_codes}. *)
 
 val eval_ucq : Rdf.Store.t -> Ucq.t -> Rdf.Term.t array list
-(** Set-semantics union of the disjuncts' answers. *)
+(** Set-semantics union of the disjuncts' answers, computed with one
+    plan per shape ({!Ucq.shapes}); {!Reference} evaluates the
+    disjuncts one by one. *)
 
 val eval_cq_codes : Rdf.Store.t -> Cq.t -> int array list
 (** The distinct answer rows, dictionary-encoded. *)
@@ -41,7 +43,7 @@ val eval_cq_rowset : Rdf.Store.t -> Cq.t -> Rowset.t
 
 val eval_ucq_rowset : ?cache:bool -> Rdf.Store.t -> Ucq.t -> Rowset.t
 (** The distinct answer rows of the union, in one set the caller owns.
-    [~cache:false] compiles every disjunct's plan afresh and caches
+    [~cache:false] compiles every shape's plan afresh and caches
     none on the store: for a one-shot query
     such as the saturation [Stats.Statistics] reads its post-reformulation
     statistics from.  Default [true], through cached plans. *)

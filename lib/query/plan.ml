@@ -24,7 +24,13 @@
      take the first slots, the planner treats them as bound before the
      first step, and each execution writes its arguments' codes into
      those slots.  Maintenance compiles a view's delta and re-check
-     plans this way once and runs them with every update's codes. *)
+     plans this way once and runs them with every update's codes;
+   - a restricted CQ ({!Rcq}, a reformulation shape) compiles into one
+     plan: each restricted variable's constants resolve to sorted codes
+     (absent ones dropped), the first step that mentions the variable
+     writes each code into its slot in turn before probing, and every
+     later step sees it bound.  The order estimate of an atom with such
+     a variable sums the counts over its codes. *)
 
 module SMap = Map.Make (String)
 
@@ -48,6 +54,9 @@ type access =
   | Mem of src * src * src                  (* membership test *)
 
 type step = {
+  iters : (int * int array) array;
+      (* restricted slots first bound at this step, with their codes:
+         the step probes once per combination *)
   access : access;
   post_s : post;
   post_p : post;
@@ -63,6 +72,7 @@ type t = {
   nslots : int;
   head : head_src array;
   impossible : bool;   (* a body constant is absent from the dictionary *)
+  partial : bool;      (* a set constant was absent, and dropped *)
   dict_size : int;     (* dictionary size at compile time *)
   mutable last_bindings : int;
       (* complete assignments (duplicates included) counted by the
@@ -88,18 +98,46 @@ let resolve store = function
     | None -> Rabsent)
   | Qterm.Var x -> Rvar x
 
+let code_in env = function
+  | Rconst c -> Some c
+  | Rvar x -> List.assoc_opt x env
+  | Rabsent -> None
+
+(* The store's count of an atom, with [env] fixing restricted variables
+   to codes. *)
+let count_with store env (s, p, o) =
+  float_of_int
+    (Rdf.Store.count_matching store
+       { Rdf.Store.ps = code_in env s; pp = code_in env p; po = code_in env o })
+
 (* Cardinality estimate of an atom given the compile-time constants and
    the set of variables bound by the parameters and the steps already
    ordered.  The store can count any constant pattern in O(1); bound
    variables have unknown values at compile time, so each bound-variable
    position divides the count by the column's distinct-code population
    (uniformity assumption).  A parameter is one of them: its code is
-   written at execution time, so the order cannot depend on it. *)
-let estimate store slots (s, p, o) =
-  let const = function Rconst c -> Some c | Rvar _ | Rabsent -> None in
+   written at execution time, so the order cannot depend on it.  An
+   atom whose restricted variable is not bound yet sums its counts over
+   the variable's codes, as the step will probe once per code. *)
+let estimate store sets slots ((s, p, o) as atom) =
   let base =
-    Rdf.Store.count_matching store
-      { Rdf.Store.ps = const s; pp = const p; po = const o }
+    if SMap.is_empty sets then count_with store [] atom
+    else
+      (* an unbound restricted variable takes each of its codes in turn *)
+      let unbound =
+        List.sort_uniq String.compare
+          (List.filter_map
+             (function
+               | Rvar x when SMap.mem x sets && not (SMap.mem x slots) -> Some x
+               | Rvar _ | Rconst _ | Rabsent -> None)
+             [ s; p; o ])
+      in
+      let rec sum env = function
+        | [] -> count_with store env atom
+        | x :: rest ->
+          Array.fold_left (fun acc c -> acc +. sum ((x, c) :: env) rest) 0. (SMap.find x sets)
+      in
+      sum [] unbound
   in
   let shrink est col term =
     match term with
@@ -108,7 +146,7 @@ let estimate store slots (s, p, o) =
       if d > 1 then est /. float_of_int d else est
     | Rvar _ | Rconst _ | Rabsent -> est
   in
-  shrink (shrink (shrink (float_of_int base) `S s) `P p) `O o
+  shrink (shrink (shrink base `S s) `P p) `O o
 
 (* Where each head term's value comes from: a constant's code or a slot.
    Written as a plain recursion, head terms left to right, so that
@@ -126,7 +164,23 @@ let rec head_sources store slots = function
     in
     src :: head_sources store slots rest
 
-let compile ?(params = []) store (q : Cq.t) =
+(* A restricted variable's codes: its constants found in the
+   dictionary, sorted. *)
+let resolve_set store partial members =
+  let codes =
+    Array.of_list
+      (List.filter_map
+         (fun c ->
+           let code = Rdf.Store.find_term store c in
+           if Option.is_none code then partial := true;
+           code)
+         (Array.to_list members))
+  in
+  Array.sort Int.compare codes;
+  codes
+
+let compile_rcq ?(params = []) store (r : Rcq.t) =
+  let q = Rcq.cq r in
   let atoms =
     Array.of_list
       (List.map
@@ -134,12 +188,21 @@ let compile ?(params = []) store (q : Cq.t) =
            (resolve store a.s, resolve store a.p, resolve store a.o))
          q.body)
   in
+  let partial = ref false in
+  let sets =
+    List.fold_left
+      (fun acc (x, members) ->
+        if List.mem x params then invalid_arg "Plan.compile: restricted parameter";
+        SMap.add x (resolve_set store partial members) acc)
+      SMap.empty (Rcq.sets r)
+  in
   let nparams = List.length params in
   let n = Array.length atoms in
   let impossible =
     Array.exists
       (fun (s, p, o) -> s = Rabsent || p = Rabsent || o = Rabsent)
       atoms
+    || SMap.exists (fun _ codes -> Array.length codes = 0) sets
   in
   if impossible then
     {
@@ -149,6 +212,7 @@ let compile ?(params = []) store (q : Cq.t) =
       nslots = 0;
       head = [||];
       impossible = true;
+      partial = !partial;
       dict_size = Rdf.Store.dict_size store;
       last_bindings = 0;
       result_hint = 0;
@@ -176,7 +240,7 @@ let compile ?(params = []) store (q : Cq.t) =
       let k t =
         match t with
         | Rconst _ -> 1
-        | Rvar x -> if SMap.mem x !slots then 1 else 0
+        | Rvar x -> if SMap.mem x !slots || SMap.mem x sets then 1 else 0
         | Rabsent -> assert false
       in
       k s + k p + k o
@@ -190,7 +254,7 @@ let compile ?(params = []) store (q : Cq.t) =
       let best_known = ref (-1) in
       for i = 0 to n - 1 do
         if not used.(i) then begin
-          let est = estimate store !slots atoms.(i) in
+          let est = estimate store sets !slots atoms.(i) in
           let known = known_count atoms.(i) in
           if
             est < !best_est
@@ -205,6 +269,19 @@ let compile ?(params = []) store (q : Cq.t) =
       let i = !best in
       used.(i) <- true;
       let (s, p, o) = atoms.(i) in
+      (* Restricted variables first seen here take their slots now, so
+         the access path below reads them as bound. *)
+      let iters =
+        if SMap.is_empty sets then [||]
+        else
+          Array.of_list
+            (List.filter_map
+               (function
+                 | Rvar x when SMap.mem x sets && not (SMap.mem x !slots) ->
+                   Some (slot_of x, SMap.find x sets)
+                 | Rvar _ | Rconst _ | Rabsent -> None)
+               [ s; p; o ])
+      in
       (* Known positions feed the access path; the rest become binds
          (first occurrence) or tests (repeats), assigned in s, p, o
          order so a test always follows its bind. *)
@@ -243,7 +320,7 @@ let compile ?(params = []) store (q : Cq.t) =
       let post_s = post ks s in
       let post_p = post kp p in
       let post_o = post ko o in
-      steps := { access; post_s; post_p; post_o } :: !steps
+      steps := { iters; access; post_s; post_p; post_o } :: !steps
     done;
     let head = Array.of_list (head_sources store !slots q.head) in
     {
@@ -253,11 +330,14 @@ let compile ?(params = []) store (q : Cq.t) =
       nslots = !nslots;
       head;
       impossible = false;
+      partial = !partial;
       dict_size = Rdf.Store.dict_size store;
       last_bindings = 0;
       result_hint = 0;
     }
   end
+
+let compile ?params store q = compile_rcq ?params store (Rcq.of_cq q)
 
 (* ---------- execution ---------------------------------------------------- *)
 
@@ -302,51 +382,63 @@ let exec ?(args = [||]) plan store emit =
       end
       else begin
         let st = Array.unsafe_get steps d in
-        match st.access with
-        | Mem (a, b, c) ->
-          if Rdf.Store.mem_encoded store (value a, value b, value c) then begin
+        if Array.length st.iters = 0 then probe st d else iterate st 0 d
+      end
+    (* write each code of the [k]-th restricted slot, then the next *)
+    and iterate st k d =
+      if k = Array.length st.iters then probe st d
+      else begin
+        let slot, codes = Array.unsafe_get st.iters k in
+        for j = 0 to Array.length codes - 1 do
+          Array.unsafe_set frame slot (Array.unsafe_get codes j);
+          iterate st (k + 1) d
+        done
+      end
+    and probe st d =
+      match st.access with
+      | Mem (a, b, c) ->
+        if Rdf.Store.mem_encoded store (value a, value b, value c) then begin
+          incr n_ext;
+          run (d + 1)
+        end
+      | _ ->
+        let data, n =
+          match st.access with
+          | All -> Rdf.Store.scan_all store
+          | One (col, a) -> Rdf.Store.scan1 store col (value a)
+          | Two (cols, a, b) -> Rdf.Store.scan2 store cols (value a) (value b)
+          | Mem _ -> assert false
+        in
+        let post_s = st.post_s and post_p = st.post_p and post_o = st.post_o in
+        for i = 0 to n - 1 do
+          let base = 3 * i in
+          if
+            (match post_s with
+            | Skip -> true
+            | Bind s ->
+              Array.unsafe_set frame s (Array.unsafe_get data base);
+              true
+            | Test s ->
+              Array.unsafe_get frame s = Array.unsafe_get data base)
+            && (match post_p with
+               | Skip -> true
+               | Bind s ->
+                 Array.unsafe_set frame s (Array.unsafe_get data (base + 1));
+                 true
+               | Test s ->
+                 Array.unsafe_get frame s = Array.unsafe_get data (base + 1))
+            && (match post_o with
+               | Skip -> true
+               | Bind s ->
+                 Array.unsafe_set frame s (Array.unsafe_get data (base + 2));
+                 true
+               | Test s ->
+                 Array.unsafe_get frame s = Array.unsafe_get data (base + 2))
+          then begin
             incr n_ext;
             run (d + 1)
           end
-        | _ ->
-          let data, n =
-            match st.access with
-            | All -> Rdf.Store.scan_all store
-            | One (col, a) -> Rdf.Store.scan1 store col (value a)
-            | Two (cols, a, b) -> Rdf.Store.scan2 store cols (value a) (value b)
-            | Mem _ -> assert false
-          in
-          let post_s = st.post_s and post_p = st.post_p and post_o = st.post_o in
-          for i = 0 to n - 1 do
-            let base = 3 * i in
-            if
-              (match post_s with
-              | Skip -> true
-              | Bind s ->
-                Array.unsafe_set frame s (Array.unsafe_get data base);
-                true
-              | Test s ->
-                Array.unsafe_get frame s = Array.unsafe_get data base)
-              && (match post_p with
-                 | Skip -> true
-                 | Bind s ->
-                   Array.unsafe_set frame s (Array.unsafe_get data (base + 1));
-                   true
-                 | Test s ->
-                   Array.unsafe_get frame s = Array.unsafe_get data (base + 1))
-              && (match post_o with
-                 | Skip -> true
-                 | Bind s ->
-                   Array.unsafe_set frame s (Array.unsafe_get data (base + 2));
-                   true
-                 | Test s ->
-                   Array.unsafe_get frame s = Array.unsafe_get data (base + 2))
-            then begin
-              incr n_ext;
-              run (d + 1)
-            end
-          done
-      end
+        done
     in
     run 0;
     Obs.add (obs_extensions ()) !n_ext;
@@ -374,10 +466,10 @@ let size_hint plan = plan.result_hint
    coordinating domain reaches a table ([@@coordinator_only]), so it
    has no lock. *)
 module Forms = Hashtbl.Make (struct
-  type t = Cq.t
+  type t = Rcq.t
 
-  let equal a b = String.equal (Cq.canonical_string a) (Cq.canonical_string b)
-  let hash = Cq.canonical_hash
+  let equal a b = String.equal (Rcq.canonical_string a) (Rcq.canonical_string b)
+  let hash = Rcq.canonical_hash
 end)
 
 type table = { mutable generation : int; plans : t Forms.t }
@@ -399,21 +491,25 @@ let current_plans store =
     Rdf.Store.add_cache store (Plans tbl);
     tbl.plans
 
-let cached store q =
+let cached_rcq store r =
   let plans = current_plans store in
-  match Forms.find_opt plans q with
+  match Forms.find_opt plans r with
   | Some plan
-    when not (plan.impossible && Rdf.Store.dict_size store <> plan.dict_size) ->
+    when not
+           ((plan.impossible || plan.partial)
+           && Rdf.Store.dict_size store <> plan.dict_size) ->
     Obs.incr (obs_cache_hits ());
     plan
   | Some _ | None ->
-    (* missing, or stale: a constant the plan proved absent may now
-       exist *)
+    (* missing, or stale: a constant the plan found absent (and proved
+       the query empty, or dropped from a set) may now exist *)
     Obs.incr (obs_cache_misses ());
-    let plan = compile store q in
-    Forms.replace plans q plan;
+    let plan = compile_rcq store r in
+    Forms.replace plans r plan;
     plan
 [@@coordinator_only]
+
+let cached store q = cached_rcq store (Rcq.of_cq q) [@@coordinator_only]
 
 let reset_cache () = Atomic.incr generation
 

@@ -10,11 +10,22 @@
     against one mutable frame: no maps, no closures and no per-triple
     allocation.
 
+    A restricted CQ ({!Rcq}, one shape of a reformulation) compiles
+    into one plan.  Each restricted variable's constants are resolved
+    to sorted codes, and those absent from the dictionary are dropped
+    (no triple can hold them).  The first step that mentions the
+    variable writes each code into its slot in turn and probes once per
+    code; later steps see it bound.  The join order estimate of an atom
+    with an unbound restricted variable sums the store's counts over
+    its codes.
+
     Plans are cached on the store they were compiled against
     ({!Rdf.Store.add_cache}), keyed by the query's
-    {!Cq.canonical_string}, so isomorphic queries share one plan and
+    {!Rcq.canonical_string} (the {!Cq.canonical_string} when nothing is
+    restricted), so isomorphic queries share one plan and
     the plans die with their store.  A cached plan is recompiled only
-    when it proved the query empty and the dictionary has grown since
+    when it found a constant absent (and proved the query empty, or
+    dropped the constant from a set) and the dictionary has grown since
     (an absent constant may have appeared).
 
     A plan may have {e parameter slots} ({!compile} [~params]):
@@ -38,11 +49,19 @@ val compile : ?params:string list -> Rdf.Store.t -> Cq.t -> t
     in order; the join order estimates each as a bound variable of
     unknown value.  A parameter may appear in the head. *)
 
+val compile_rcq : ?params:string list -> Rdf.Store.t -> Rcq.t -> t
+(** {!compile} for a restricted CQ.  A parameter may not be restricted
+    ([Invalid_argument]). *)
+
 val cached : Rdf.Store.t -> Cq.t -> t
 (** The cached plan for the query's canonical form on this store,
     compiling (or transparently recompiling, see above) on miss.  The
     store's table has no lock: only the coordinating domain may call
     this, which [tool/analyze] checks ([@@coordinator_only]). *)
+
+val cached_rcq : Rdf.Store.t -> Rcq.t -> t
+(** {!cached} for a restricted CQ, keyed by its canonical form, sets
+    included. *)
 
 val exec : ?args:int array -> t -> Rdf.Store.t -> (int array -> unit) -> unit
 (** Stream every complete binding's projected row (duplicates
@@ -72,7 +91,8 @@ val size_hint : t -> int
 
 val is_impossible : t -> bool
 (** The plan proved the query empty at compile time: some body
-    constant was absent from the store's dictionary. *)
+    constant was absent from the store's dictionary, or every constant
+    of a restricted variable was. *)
 
 val reset_cache : unit -> unit
 (** Drop every cached plan of every store: it bumps one process-wide

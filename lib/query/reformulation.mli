@@ -18,8 +18,16 @@
       [X := pi], for every property [pi] and for [rdf:type].
 
     Rules 5 and 6 extend the state of the art (DL-fragment reformulation)
-    to atoms with variables in class or property position. *)
+    to atoms with variables in class or property position.
+
+    The fixpoint is searched over {e shapes} ({!Rcq}) rather than over
+    single CQs: rules 1 and 2 widen the set of constants a position may
+    take instead of copying the query, and rules 5 and 6 restrict the
+    bound variable.  A constant that also stands elsewhere in the query
+    (a head position bound by rule 5 or 6, say) keeps a shape of its
+    own, since a rule may change it at one occurrence only. *)
 
 val reformulate : Cq.t -> Rdf.Schema.t -> Ucq.t
-(** The reformulation of [q]; the original query is always the first
-    disjunct.  Duplicates (up to variable renaming) are removed. *)
+(** The reformulation of [q], as shapes ({!Ucq.shapes}); its disjuncts
+    ({!Ucq.disjuncts}) are the expansion, the original query first,
+    without duplicates up to variable renaming. *)

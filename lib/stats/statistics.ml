@@ -65,11 +65,12 @@ let group_by_property codes n s p o =
    are the answers of the reformulation of t(_s,_p,_o), heading all
    three positions, evaluated on the explicit store: by Theorem 4.2
    those are exactly the triples of the saturated database, which is
-   never built.  The evaluation runs through one-shot plans: cached
-   ones would stay on the store after the search, and the heap state
-   they left slowed later updates.  It interns the head constants of
-   the reformulation (rdf:type, classes and properties of the schema),
-   so a statistic resolves its constants only after it. *)
+   never built.  The evaluation runs through one-shot plans, one per
+   shape: cached ones would stay on the store after the search, and the
+   heap state they left slowed later updates.  It interns the head
+   constants of the shapes (rdf:type, and the classes and properties
+   some rule rewrites), so a statistic resolves its constants only
+   after it. *)
 let build store = function
   | Plain ->
     let data, n = Rdf.Store.scan_all store in

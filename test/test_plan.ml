@@ -367,6 +367,32 @@ let test_impossible_plan_invalidated () =
     (List.length (Query.Evaluation.eval_cq_codes store q));
   check_bool "agrees with reference" true (agree store q)
 
+(* A shape's plan drops a set constant absent from the dictionary; it is
+   compiled again once the dictionary grows, so a triple of that
+   constant inserted later is answered.  The Barton band property 46 is
+   one of the sub-properties of property 1. *)
+let test_partial_plan_recompiled () =
+  let schema = Workload.Barton.schema () in
+  let props = Array.of_list (Workload.Barton.properties ()) in
+  let q = cq [ v "X"; v "Y" ] [ atom (v "X") (Query.Qterm.Cst props.(1)) (v "Y") ] in
+  let u = Query.Reformulation.reformulate q schema in
+  check_int "one shape" 1 (List.length (Query.Ucq.shapes u));
+  List.iter
+    (fun kind ->
+      let name = Rdf.Backend.kind_name kind ^ ": " in
+      let store = store_on kind [ triple (uri "e1") props.(51) (uri "e2") ] in
+      check_int (name ^ "one row before") 1 (List.length (Query.Evaluation.eval_ucq store u));
+      check_bool (name ^ "property 46 absent") true
+        (Option.is_none (Rdf.Store.find_term store props.(46)));
+      ignore (Rdf.Store.add store (triple (uri "e3") props.(46) (uri "e4")) : bool);
+      let after = Query.Evaluation.eval_ucq store u in
+      check_bool (name ^ "the new triple answers") true
+        (List.exists (Array.for_all2 Rdf.Term.equal [| uri "e3"; uri "e4" |]) after);
+      check_bool (name ^ "as Reference on the saturation") true
+        (same_answers after
+           (Query.Evaluation.Reference.eval_cq (Rdf.Entailment.saturated_copy store schema) q)))
+    [ Rdf.Backend.Hash; Rdf.Backend.Compact ]
+
 let test_repeated_variable () =
   let store = small_store () in
   (* self-loop: X appears twice in one atom *)
@@ -569,6 +595,8 @@ let () =
             test_impossible_constant;
           Alcotest.test_case "impossible plan invalidated by dict growth"
             `Quick test_impossible_plan_invalidated;
+          Alcotest.test_case "plan with a dropped set constant recompiled" `Quick
+            test_partial_plan_recompiled;
           Alcotest.test_case "repeated variable in one atom" `Quick
             test_repeated_variable;
           Alcotest.test_case "cross product" `Quick test_cross_product;

@@ -238,6 +238,123 @@ let prop_reformulate_atom_counts_saturated =
           by_reformulation = on_saturated)
         shapes)
 
+(* ---------- shapes against the oracle ----------------------------------- *)
+
+(* Schemas may also put rdf:type below or above a property: the
+   expansion must follow the oracle there too. *)
+let gen_oracle_schema =
+  let open QCheck.Gen in
+  let* base = gen_rich_schema in
+  let* p = gen_prop in
+  let* odd = int_range 0 3 in
+  return
+    (match odd with
+    | 0 -> Rdf.Schema.add base (Rdf.Schema.Subproperty (p, rdf_type))
+    | 1 -> Rdf.Schema.add base (Rdf.Schema.Subproperty (rdf_type, p))
+    | _ -> base)
+
+let arb_oracle_schema =
+  QCheck.make ~print:(fun s -> Format.asprintf "%a" Rdf.Schema.pp s) gen_oracle_schema
+
+(* Queries whose class and property positions may hold variables from
+   a small pool, so that one variable can stand at several of them, in
+   the head, or at a subject or object too. *)
+let gen_cq_shared_schema_vars =
+  let open QCheck.Gen in
+  let* base = gen_cq in
+  let pool = [ "PV"; "CV"; "V0" ] in
+  let* body =
+    flatten_l
+      (List.map
+         (fun (a : Query.Atom.t) ->
+           let* k = int_range 0 3 in
+           let* x = oneofl pool in
+           return
+             (match k with
+             | 0 -> Query.Atom.set_at a Query.Atom.P (v x)
+             | 1 when Query.Qterm.equal a.Query.Atom.p (Query.Qterm.Cst rdf_type) ->
+               Query.Atom.set_at a Query.Atom.O (v x)
+             | _ -> a))
+         base.Query.Cq.body)
+  in
+  let vars = List.sort_uniq String.compare (List.concat_map Query.Atom.var_set body) in
+  let* head_size = int_range 0 (min 3 (List.length vars)) in
+  let* head = map (List.filteri (fun i _ -> i < head_size)) (shuffle_l vars) in
+  return (cq (List.map v head) body)
+
+let arb_cq_shared_schema_vars = QCheck.make ~print:Query.Cq.to_string gen_cq_shared_schema_vars
+
+let oracle_set q schema =
+  List.sort String.compare
+    (List.map Query.Cq.canonical_string (Oracle.reformulate q schema))
+
+let prop_expansion_is_oracle =
+  QCheck.Test.make ~name:"the shapes expand to the oracle's disjuncts" ~count:300
+    QCheck.(pair (oneof [ arb_cq_schema_vars; arb_cq_shared_schema_vars ]) arb_oracle_schema)
+    (fun (q, schema) ->
+      let u = Query.Reformulation.reformulate q schema in
+      let expansion =
+        List.map Query.Cq.canonical_string (Query.Ucq.disjuncts u)
+      in
+      let first = List.hd (Query.Ucq.disjuncts u) in
+      List.sort String.compare expansion = oracle_set q schema
+      && Query.Cq.canonical_string first = Query.Cq.canonical_string q
+      && List.length (Query.Ucq.shapes u) <= Query.Ucq.cardinal u)
+
+(* Plans of the shapes answer like Reference on the saturated store,
+   whether cached or one-shot, on either backend. *)
+let prop_shapes_reference_on_saturation =
+  QCheck.Test.make ~name:"shape plans answer as Reference on the saturation" ~count:200
+    QCheck.(
+      triple arb_backend_store arb_rich_schema
+        (oneof [ arb_cq_schema_vars; arb_cq_shared_schema_vars ]))
+    (fun (store, schema, q) ->
+      let expected =
+        Query.Evaluation.Reference.eval_cq (Rdf.Entailment.saturated_copy store schema) q
+      in
+      let u = Query.Reformulation.reformulate q schema in
+      let one_shot =
+        List.map
+          (Array.map (Rdf.Store.decode_term store))
+          (Query.Rowset.elements (Query.Evaluation.eval_ucq_rowset ~cache:false store u))
+      in
+      same_answers (Query.Evaluation.eval_ucq store u) expected
+      && same_answers one_shot expected)
+
+(* Table 3's workloads as bench/tables.ml builds them at the quick
+   scale: their reformulations keep the sizes the one-CQ-at-a-time
+   algorithm gave them. *)
+let test_table3_sizes () =
+  let store = Workload.Barton.store ~n_entities:400 ~seed:11 () in
+  let schema = Workload.Barton.schema () in
+  let q2 =
+    Workload.Generator.generate_satisfiable store
+      {
+        Workload.Generator.shape = Workload.Generator.Mixed;
+        n_queries = 10;
+        atoms_per_query = 4;
+        commonality = Workload.Generator.High;
+        seed = 77;
+      }
+    |> Workload.Generator.generalize schema 0.9 7
+  in
+  let q1 = List.filteri (fun i _ -> i < 5) q2 in
+  let sizes queries =
+    let us = List.map (fun q -> Query.Reformulation.reformulate q schema) queries in
+    List.iter2
+      (fun q u ->
+        check_bool (q.Query.Cq.name ^ " expands to the oracle") true
+          (List.sort String.compare
+             (List.map Query.Cq.canonical_string (Query.Ucq.disjuncts u))
+          = oracle_set q schema))
+      queries us;
+    let sum f = List.fold_left (fun acc u -> acc + f u) 0 us in
+    (sum Query.Ucq.cardinal, sum Query.Ucq.atom_count, sum Query.Ucq.constant_count)
+  in
+  let triple = Alcotest.(triple int int int) in
+  Alcotest.check triple "Q1: |Qr|, #a(Qr), #c(Qr)" (16, 41, 64) (sizes q1);
+  Alcotest.check triple "Q2: |Qr|, #a(Qr), #c(Qr)" (27, 69, 99) (sizes q2)
+
 let () =
   Alcotest.run "reformulation"
     [
@@ -264,5 +381,11 @@ let () =
           to_alcotest prop_atom_count_preserved;
           to_alcotest prop_theorem_4_2;
           to_alcotest prop_reformulate_atom_counts_saturated;
+        ] );
+      ( "shapes",
+        [
+          to_alcotest prop_expansion_is_oracle;
+          to_alcotest prop_shapes_reference_on_saturation;
+          Alcotest.test_case "Table 3 sizes" `Quick test_table3_sizes;
         ] );
     ]

@@ -342,9 +342,17 @@ let buffer_mutators =
 
 let queue_mutators = [ "add"; "push"; "pop"; "take"; "clear"; "transfer" ]
 
+(* Simple names of the modules bound to a [Hashtbl.Make] or
+   [Hashtbl.MakeSeeded] application in any unit given to the analyzer,
+   whatever they are called ([Interning.Int_tbl], [Query.Plan.Forms]).
+   Filled by [prescan_unit] over every unit before the first is
+   analyzed, so a unit sees the instances of the units it uses. *)
+let table_instances : (string, unit) Hashtbl.t = Hashtbl.create 16
+
 let is_table_module m =
   m = "Hashtbl" || m = "Tbl" || m = "Table"
   || (String.length m >= 3 && String.sub m (String.length m - 3) 3 = "Tbl")
+  || Hashtbl.mem table_instances m
 
 (* Whether a call to [name] mutates one of its arguments, and which
    positional argument that is (blit-style copies mutate their third). *)
@@ -772,6 +780,44 @@ and analyze_module ~prefix mb =
 
 (* ---------- unit driver --------------------------------------------------- *)
 
+let rec strip_constraints (me : module_expr) =
+  match me.mod_desc with
+  | Tmod_constraint (me', _, _, _) -> strip_constraints me'
+  | d -> d
+
+let is_hashtbl_functor (f : module_expr) =
+  match strip_constraints f with
+  | Tmod_ident (p, _) -> (
+    match last_two (normalize (Path.name p)) with
+    | "Hashtbl", ("Make" | "MakeSeeded") -> true
+    | _ -> false)
+  | _ -> false
+
+let rec prescan_structure str =
+  List.iter
+    (fun si ->
+      match si.str_desc with
+      | Tstr_module mb -> prescan_module mb
+      | Tstr_recmodule mbs -> List.iter prescan_module mbs
+      | _ -> ())
+    str.str_items
+
+and prescan_module mb =
+  match (strip_constraints mb.mb_expr, mb.mb_id) with
+  | Tmod_apply (f, _, _), Some id when is_hashtbl_functor f ->
+    Hashtbl.replace table_instances (Ident.name id) ()
+  | Tmod_structure str, _ -> prescan_structure str
+  | _ -> ()
+
+(* Read errors are left to [scan_unit], which reports them. *)
+let prescan_unit path =
+  match Cmt_format.read_cmt path with
+  | exception _ -> ()
+  | cmt -> (
+    match cmt.Cmt_format.cmt_annots with
+    | Cmt_format.Implementation str -> prescan_structure str
+    | _ -> ())
+
 let scan_unit path =
   match Cmt_format.read_cmt path with
   | exception Sys_error m ->
@@ -1106,6 +1152,7 @@ let () =
        under _build/default/**/.objs/byte/)";
     exit 2
   end;
+  List.iter prescan_unit cmts;
   List.iter scan_unit cmts;
   List.iter prerr_endline !hard_errors;
   if !hard_errors <> [] then exit 2;

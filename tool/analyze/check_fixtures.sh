@@ -34,6 +34,7 @@ expect Fix_coordinator coordinator-escape
 expect Fix_domain_unsafe domain-unsafe
 expect Fix_dls dls-capture
 expect Fix_sink_handle coordinator-escape
+expect Fix_table_instance unguarded-write
 
 out=$(./analyze.exe "$objs/afix__Fix_clean.cmt" 2>&1)
 code=$?
