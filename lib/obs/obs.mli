@@ -11,13 +11,14 @@
 
     {ul
     {- {b near-zero cost when disabled} — a sink is either [disabled] (a
-       no-op: incrementing a counter is one predictable branch, timing a
-       function is a single [if]) or an enabled registry.  The sink in
+       no-op: incrementing a counter in hand is one predictable branch,
+       timing a function is a single [if]) or an enabled registry.  The sink in
        effect is selected once at startup via {!set_global};}
     {- {b cheap when enabled} — hot paths keep plain counts and add them
        to a sink once per run (the search, its transitions and its cost
-       estimator), or hold a {!cached_counter}, a direct handle that
-       re-resolves only when the global sink changes;}
+       estimator), or resolve a {!cached_counter}, a handle that
+       re-resolves only when the global sink changes, once per
+       operation;}
     {- {b deterministic accounting} — counters and span nesting are
        exact; only durations depend on the clock.}} *)
 
@@ -214,8 +215,11 @@ val global : unit -> t
 val cached_counter : string -> unit -> counter
 (** [cached_counter name] returns a thunk resolving the counter [name]
     against the {e current} global sink, memoized until the sink
-    changes.  Bind it at module level; call the thunk at the use
-    site. *)
+    changes.  Bind it at module level; call the thunk once per
+    operation, never per row, bucket or block: each call is a closure
+    call and two [Domain.DLS] reads, also on the disabled sink.  Count
+    per-event work in a local and add the sum when the operation
+    returns. *)
 
 (** {1 JSON} *)
 

@@ -104,10 +104,12 @@ let code_in env = function
   | Rabsent -> None
 
 (* The store's count of an atom, with [env] fixing restricted variables
-   to codes. *)
-let count_with store env (s, p, o) =
+   to codes.  [probes] counts the lookups, added to the sink once per
+   compilation. *)
+let count_with store probes env (s, p, o) =
+  incr probes;
   float_of_int
-    (Rdf.Store.count_matching store
+    (Rdf.Store.Uncounted.count_matching store
        { Rdf.Store.ps = code_in env s; pp = code_in env p; po = code_in env o })
 
 (* Cardinality estimate of an atom given the compile-time constants and
@@ -119,9 +121,9 @@ let count_with store env (s, p, o) =
    written at execution time, so the order cannot depend on it.  An
    atom whose restricted variable is not bound yet sums its counts over
    the variable's codes, as the step will probe once per code. *)
-let estimate store sets slots ((s, p, o) as atom) =
+let estimate store probes sets slots ((s, p, o) as atom) =
   let base =
-    if SMap.is_empty sets then count_with store [] atom
+    if SMap.is_empty sets then count_with store probes [] atom
     else
       (* an unbound restricted variable takes each of its codes in turn *)
       let unbound =
@@ -133,7 +135,7 @@ let estimate store sets slots ((s, p, o) as atom) =
              [ s; p; o ])
       in
       let rec sum env = function
-        | [] -> count_with store env atom
+        | [] -> count_with store probes env atom
         | x :: rest ->
           Array.fold_left (fun acc c -> acc +. sum ((x, c) :: env) rest) 0. (SMap.find x sets)
       in
@@ -248,13 +250,14 @@ let compile_rcq ?(params = []) store (r : Rcq.t) =
     (* Greedy order: cheapest estimated atom next; ties prefer the atom
        with more known positions, then source order (determinism). *)
     let steps = ref [] in
+    let probes = ref 0 in
     for _ = 0 to n - 1 do
       let best = ref (-1) in
       let best_est = ref infinity in
       let best_known = ref (-1) in
       for i = 0 to n - 1 do
         if not used.(i) then begin
-          let est = estimate store sets !slots atoms.(i) in
+          let est = estimate store probes sets !slots atoms.(i) in
           let known = known_count atoms.(i) in
           if
             est < !best_est
@@ -322,6 +325,7 @@ let compile_rcq ?(params = []) store (r : Rcq.t) =
       let post_o = post ko o in
       steps := { iters; access; post_s; post_p; post_o } :: !steps
     done;
+    if !probes > 0 then Rdf.Store.add_count_probes !probes;
     let head = Array.of_list (head_sources store !slots q.head) in
     {
       store_id = Rdf.Store.id store;
@@ -341,6 +345,15 @@ let compile ?params store q = compile_rcq ?params store (Rcq.of_cq q)
 
 (* ---------- execution ---------------------------------------------------- *)
 
+(* One execution's counts: frame extensions, complete bindings, and the
+   rows and number of its scans. *)
+type tally = {
+  mutable ext : int;
+  mutable bind : int;
+  mutable rows : int;
+  mutable scans : int;
+}
+
 (* Depth-first walk over a single mutable frame: step [d] scans its
    bucket (or probes membership) with the values bound by steps
    [0 .. d - 1], and every surviving triple extends the frame and
@@ -357,21 +370,22 @@ let exec ?(args = [||]) plan store emit =
     let nsteps = Array.length steps in
     let head = plan.head in
     let arity = Array.length head in
-    (* extension / binding counts are accumulated locally and flushed
-       with two [Obs.add]s on completion: the per-triple path must not
-       pay a cross-module call per event *)
-    let n_ext = ref 0 in
-    let n_bind = ref 0 in
+    (* extension, binding and scanned-row counts are accumulated
+       locally and flushed on completion, one handle each: resolving a
+       handle per scan cost more than reading a short bucket.  The
+       scanned rows are added only if a step scanned, as a counted scan
+       would have added them. *)
+    let tally = { ext = 0; bind = 0; rows = 0; scans = 0 } in
     (* one scratch row reused for every emission; exec_into copies it
        only when the row enters the result set *)
     let row = Array.make arity 0 in
     let value = function Kconst c -> c | Kslot s -> frame.(s) in
     (* the inner loop reads buckets and the frame unchecked: [base + 2]
-       is within the scan's [3 * n] cells and slots are dense by
+       is within the scan's [3 * len] cells and slots are dense by
        construction, so the bounds checks would be pure overhead *)
     let rec run d =
       if d = nsteps then begin
-        incr n_bind;
+        tally.bind <- tally.bind + 1;
         for i = 0 to arity - 1 do
           Array.unsafe_set row i
             (match Array.unsafe_get head i with
@@ -398,19 +412,22 @@ let exec ?(args = [||]) plan store emit =
       match st.access with
       | Mem (a, b, c) ->
         if Rdf.Store.mem_encoded store (value a, value b, value c) then begin
-          incr n_ext;
+          tally.ext <- tally.ext + 1;
           run (d + 1)
         end
       | _ ->
-        let data, n =
+        let data, len =
           match st.access with
-          | All -> Rdf.Store.scan_all store
-          | One (col, a) -> Rdf.Store.scan1 store col (value a)
-          | Two (cols, a, b) -> Rdf.Store.scan2 store cols (value a) (value b)
+          | All -> Rdf.Store.Uncounted.scan_all store
+          | One (col, a) -> Rdf.Store.Uncounted.scan1 store col (value a)
+          | Two (cols, a, b) ->
+            Rdf.Store.Uncounted.scan2 store cols (value a) (value b)
           | Mem _ -> assert false
         in
+        tally.rows <- tally.rows + len;
+        tally.scans <- tally.scans + 1;
         let post_s = st.post_s and post_p = st.post_p and post_o = st.post_o in
-        for i = 0 to n - 1 do
+        for i = 0 to len - 1 do
           let base = 3 * i in
           if
             (match post_s with
@@ -435,15 +452,16 @@ let exec ?(args = [||]) plan store emit =
                | Test s ->
                  Array.unsafe_get frame s = Array.unsafe_get data (base + 2))
           then begin
-            incr n_ext;
+            tally.ext <- tally.ext + 1;
             run (d + 1)
           end
         done
     in
     run 0;
-    Obs.add (obs_extensions ()) !n_ext;
-    Obs.add (obs_bindings ()) !n_bind;
-    plan.last_bindings <- !n_bind
+    if tally.scans > 0 then Rdf.Store.add_scanned tally.rows;
+    Obs.add (obs_extensions ()) tally.ext;
+    Obs.add (obs_bindings ()) tally.bind;
+    plan.last_bindings <- tally.bind
   end
 
 (* The hint is the plan's own contribution (cardinality delta), so

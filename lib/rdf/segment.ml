@@ -45,35 +45,61 @@ let n t = t.n
 let rows_in_block t i =
   if i = t.nblocks - 1 then t.n - (i * t.block_rows) else t.block_rows
 
-(* A getter closes over one lazily allocated scratch buffer: cache
-   hits (the common case — covered segments of bench stores fit the
-   budget entirely) allocate nothing, and one operation touching
-   several uncached blocks reuses the same scratch. *)
-let make_getter t =
-  let scratch = ref [||] in
-  fun i ->
-    let slot = Array.unsafe_get t.cache i in
-    match Atomic.get slot with
-    | Some arr ->
-      Obs.incr (obs_cache_hits ());
+(* A reader serves the blocks of one operation ([locate1], [locate2],
+   [mem], [iter_range], [blit_range]).  It holds one lazily allocated
+   scratch buffer: cache hits (the common case — covered segments of
+   bench stores fit the budget entirely) allocate nothing, and one
+   operation touching several uncached blocks reuses the same scratch.
+   It counts block hits, decodes and zone-map skips in its own fields,
+   and [finish] adds them to the sink when the operation returns: one
+   handle use each (a closure call and two DLS reads), not one per
+   block read.  Hits and decodes are added only when there was one;
+   skips whenever a zone-map search ran, even if it skipped nothing. *)
+type reader = {
+  seg : t;
+  mutable scratch : int array;
+  mutable hits : int;
+  mutable decodes : int;
+  mutable skips : int;
+  mutable searched : bool;  (* a zone-map search ran *)
+}
+
+let reader t =
+  { seg = t; scratch = [||]; hits = 0; decodes = 0; skips = 0; searched = false }
+
+let note_skips rd k =
+  rd.skips <- rd.skips + k;
+  rd.searched <- true
+
+let finish rd =
+  if rd.hits > 0 then Obs.add (obs_cache_hits ()) rd.hits;
+  if rd.decodes > 0 then Obs.add (obs_decodes ()) rd.decodes;
+  if rd.searched then Obs.add (obs_skips ()) rd.skips
+
+let block rd i =
+  let t = rd.seg in
+  let slot = Array.unsafe_get t.cache i in
+  match Atomic.get slot with
+  | Some arr ->
+    rd.hits <- rd.hits + 1;
+    arr
+  | None ->
+    rd.decodes <- rd.decodes + 1;
+    let rows = rows_in_block t i in
+    if Atomic.get t.cached < cache_budget_blocks then begin
+      let arr = Array.make (3 * rows) 0 in
+      ignore (Block.decode t.data ~pos:t.offsets.(i) ~rows arr : int);
+      Atomic.incr t.cached;
+      Atomic.set slot (Some arr);
       arr
-    | None ->
-      Obs.incr (obs_decodes ());
-      let rows = rows_in_block t i in
-      if Atomic.get t.cached < cache_budget_blocks then begin
-        let arr = Array.make (3 * rows) 0 in
-        ignore (Block.decode t.data ~pos:t.offsets.(i) ~rows arr : int);
-        Atomic.incr t.cached;
-        Atomic.set slot (Some arr);
-        arr
-      end
-      else begin
-        if Array.length !scratch = 0 then
-          scratch := Array.make (3 * t.block_rows) 0;
-        let buf = !scratch in
-        ignore (Block.decode t.data ~pos:t.offsets.(i) ~rows buf : int);
-        buf
-      end
+    end
+    else begin
+      if Array.length rd.scratch = 0 then
+        rd.scratch <- Array.make (3 * t.block_rows) 0;
+      let buf = rd.scratch in
+      ignore (Block.decode t.data ~pos:t.offsets.(i) ~rows buf : int);
+      buf
+    end
 
 (* ---------- construction ------------------------------------------------- *)
 
@@ -215,18 +241,19 @@ let gallop_row key above rlo rhi =
 (* Bracket the candidate blocks for leading value [a]: the zone maps
    exclude every block whose [first_a .. last_a] interval misses [a],
    which is all but the run's boundary blocks. *)
-let locate1_g t get a =
+let locate1_g rd a =
+  let t = rd.seg in
   if t.n = 0 then (0, 0)
   else begin
     let nb = t.nblocks in
     let blo = lower_bound 0 nb (fun i -> Array.unsafe_get t.last_a i >= a) in
     let bhi = lower_bound blo nb (fun i -> Array.unsafe_get t.first_a i > a) in
-    Obs.add (obs_skips ()) (nb - (bhi - blo));
+    note_skips rd (nb - (bhi - blo));
     if blo >= bhi then (0, 0)
     else begin
       let br = t.block_rows in
       let inblock i above =
-        let arr = get i in
+        let arr = block rd i in
         let k = rows_in_block t i in
         lower_bound 0 k (fun j -> above (Array.unsafe_get arr (3 * j)))
       in
@@ -241,9 +268,10 @@ let locate1_g t get a =
    fully covered by the run have zone maps that describe run keys
    exactly, so a binary search over [first_b]/[last_b] narrows the
    row search to at most one block on each side. *)
-let bound_second t get lo hi b ~strict =
+let bound_second rd lo hi b ~strict =
+  let t = rd.seg in
   let br = t.block_rows in
-  let key r = Array.unsafe_get (get (r / br)) ((3 * (r mod br)) + 1) in
+  let key r = Array.unsafe_get (block rd (r / br)) ((3 * (r mod br)) + 1) in
   let above k = if strict then k > b else k >= b in
   let cl = (lo + br - 1) / br and ch = hi / br in
   if cl >= ch then gallop_row key above lo hi
@@ -254,42 +282,55 @@ let bound_second t get lo hi b ~strict =
     let j =
       lower_bound cl ch (fun i -> above (Array.unsafe_get t.last_b i))
     in
-    Obs.add (obs_skips ()) (j - cl);
+    note_skips rd (j - cl);
     if j < ch then gallop_row key above (j * br) (min ((j + 1) * br) hi)
     else gallop_row key above (ch * br) hi
   end
 
-let locate2_g t get a b =
-  let lo, hi = locate1_g t get a in
+let locate2_g rd a b =
+  let lo, hi = locate1_g rd a in
   if lo >= hi then (lo, lo)
   else begin
-    let l2 = bound_second t get lo hi b ~strict:false in
-    let h2 = bound_second t get l2 hi b ~strict:true in
+    let l2 = bound_second rd lo hi b ~strict:false in
+    let h2 = bound_second rd l2 hi b ~strict:true in
     (l2, h2)
   end
 
-let locate1 t a = locate1_g t (make_getter t) a
-let locate2 t a b = locate2_g t (make_getter t) a b
+let locate1 t a =
+  let rd = reader t in
+  let r = locate1_g rd a in
+  finish rd;
+  r
+
+let locate2 t a b =
+  let rd = reader t in
+  let r = locate2_g rd a b in
+  finish rd;
+  r
 
 let mem t a b c =
-  let get = make_getter t in
-  let lo, hi = locate2_g t get a b in
-  lo < hi
-  &&
-  let br = t.block_rows in
-  let key r = Array.unsafe_get (get (r / br)) ((3 * (r mod br)) + 2) in
-  let pos = gallop_row key (fun v -> v >= c) lo hi in
-  pos < hi && key pos = c
+  let rd = reader t in
+  let lo, hi = locate2_g rd a b in
+  let found =
+    lo < hi
+    &&
+    let br = t.block_rows in
+    let key r = Array.unsafe_get (block rd (r / br)) ((3 * (r mod br)) + 2) in
+    let pos = gallop_row key (fun v -> v >= c) lo hi in
+    pos < hi && key pos = c
+  in
+  finish rd;
+  found
 
 (* ---------- enumeration -------------------------------------------------- *)
 
 let iter_range t lo hi f =
   if lo < hi then begin
-    let get = make_getter t in
+    let rd = reader t in
     let br = t.block_rows in
     let b0 = lo / br and b1 = (hi - 1) / br in
     for i = b0 to b1 do
-      let arr = get i in
+      let arr = block rd i in
       let jlo = if i = b0 then lo - (i * br) else 0 in
       let jhi = if i = b1 then hi - (i * br) else rows_in_block t i in
       for j = jlo to jhi - 1 do
@@ -298,17 +339,18 @@ let iter_range t lo hi f =
           (Array.unsafe_get arr ((3 * j) + 1))
           (Array.unsafe_get arr ((3 * j) + 2))
       done
-    done
+    done;
+    finish rd
   end
 
 let blit_range t lo hi dst ~da ~db ~dc =
   if lo < hi then begin
-    let get = make_getter t in
+    let rd = reader t in
     let br = t.block_rows in
     let b0 = lo / br and b1 = (hi - 1) / br in
     let out = ref 0 in
     for i = b0 to b1 do
-      let arr = get i in
+      let arr = block rd i in
       let jlo = if i = b0 then lo - (i * br) else 0 in
       let jhi = if i = b1 then hi - (i * br) else rows_in_block t i in
       for j = jlo to jhi - 1 do
@@ -318,7 +360,8 @@ let blit_range t lo hi dst ~da ~db ~dc =
         Array.unsafe_set dst (base + dc) (Array.unsafe_get arr ((3 * j) + 2));
         incr out
       done
-    done
+    done;
+    finish rd
   end
 
 (* The merge path streams with its own scratch and never populates the

@@ -90,13 +90,14 @@ val matching : t -> pattern -> encoded list
 
 (** {2 Raw scan access}
 
-    Scans for the compiled query executor ({!Query.Plan}): each call
+    Scans that read rows in place, with no tuple per triple: each call
     returns [(data, n)] where the first [3*n] cells of [data] hold the
     matching triples packed as [s; p; o].  On the hash backend the
     array is the {e live} bucket storage (zero-copy); on the compact
     backend it is a fresh exactly-sized copy of the bracketed block
     range.  Either way it stays valid across further scans — treat it
-    as read-only, and do not mutate the store while iterating. *)
+    as read-only, and do not mutate the store while iterating.  Each
+    call adds the rows it returns to [store.scanned_triples]. *)
 
 val scan_all : t -> int array * int
 (** Every triple in the store. *)
@@ -107,6 +108,27 @@ val scan1 : t -> [ `S | `P | `O ] -> int -> int array * int
 val scan2 : t -> [ `SP | `SO | `PO ] -> int -> int -> int array * int
 (** Triples with the given codes in two columns (arguments in the
     order named by the variant). *)
+
+val add_scanned : int -> unit
+(** Add rows read by {!Uncounted} scans to [store.scanned_triples]:
+    once per operation, with the operation's sum. *)
+
+val add_count_probes : int -> unit
+(** Add {!Uncounted.count_matching} calls to [store.count_probes]: once
+    per operation, with the operation's number of probes. *)
+
+(** The same dispatch as {!scan_all}, {!scan1}, {!scan2} and
+    {!count_matching}, without the counting: for a caller that counts
+    its own rows and probes and adds them with {!add_scanned} and
+    {!add_count_probes} once per operation, as {!Query.Plan} does once
+    per execution and once per compilation.  Each counted call resolves
+    a telemetry handle, which costs more than reading a short bucket. *)
+module Uncounted : sig
+  val scan_all : t -> int array * int
+  val scan1 : t -> [ `S | `P | `O ] -> int -> int array * int
+  val scan2 : t -> [ `SP | `SO | `PO ] -> int -> int -> int array * int
+  val count_matching : t -> pattern -> int
+end
 
 val distinct_in_column : t -> [ `S | `P | `O ] -> int
 (** Number of distinct codes in a column, as the query planner's join

@@ -478,6 +478,151 @@ let test_disabled_sink_changes_nothing () =
   in
   check_bool "search still runs" true (report.Core.Search.explored >= 1)
 
+(* ---------- exact store and plan counts --------------------------------- *)
+
+(* The executor adds its scanned rows once per execution, and a segment
+   read adds its block counts once per operation: the totals must stay
+   what per-scan and per-block counting gave.  Each fixture runs one
+   evaluation, one materialization and one UCQ evaluation on a fresh
+   store of each backend (flushed into segments on the compact one),
+   with strict mode off: it would add Reference's work. *)
+let pinned_counters =
+  [
+    "store.scanned_triples";
+    "store.count_probes";
+    "store.block_decodes";
+    "store.block_cache_hits";
+    "store.block_skips";
+    "eval.bindings";
+    "eval.frame.extensions";
+  ]
+
+let fig3_ops () =
+  let view = cq ~name:"v" [ v "X"; v "Y" ] [ atom (v "X") (v "Y") (c "ex:c1") ] in
+  let swapped =
+    cq ~name:"q2" [ v "Y"; v "Z" ]
+      [ atom (v "X") (v "Y") (c "ex:c2"); atom (v "X") (v "Z") (c "ex:c1") ]
+  in
+  let triples = Rdf.Store.to_triples fig3_store in
+  (triples, fig3_query, view, Query.Ucq.make ~name:"u" [ fig3_query; swapped ])
+
+(* A Barton store of several blocks: a typed star to evaluate, a
+   two-property star to materialize, and a class-and-property star
+   whose reformulation under the Barton schema has 104 disjuncts in 3
+   shapes. *)
+let barton_ops () =
+  let store = Workload.Barton.store ~n_entities:300 ~seed:7 () in
+  let props = Array.of_list (Workload.Barton.properties ()) in
+  let p i = Query.Qterm.Cst props.(i) in
+  let ty = Query.Qterm.Cst rdf_type in
+  let class4 = Query.Qterm.Cst (List.nth (Workload.Barton.classes ()) 4) in
+  let typed =
+    cq ~name:"typed" [ v "X"; v "C" ] [ atom (v "X") ty (v "C"); atom (v "X") (p 46) (v "Y") ]
+  in
+  let star =
+    cq ~name:"star" [ v "X"; v "A"; v "B" ]
+      [ atom (v "X") (p 51) (v "A"); atom (v "X") (p 52) (v "B") ]
+  in
+  let classed =
+    cq ~name:"classed" [ v "X"; v "Y" ] [ atom (v "X") ty class4; atom (v "X") (p 1) (v "Y") ]
+  in
+  ( Rdf.Store.to_triples store,
+    typed,
+    star,
+    Query.Reformulation.reformulate classed (Workload.Barton.schema ()) )
+
+(* [f] run with strict mode off and a fresh registry installed *)
+let counted f =
+  let reg = Obs.create () in
+  let strict = Sys.getenv_opt "RDFVIEWS_STRICT" in
+  Unix.putenv "RDFVIEWS_STRICT" "0";
+  Obs.set_global reg;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_global Obs.disabled;
+      Unix.putenv "RDFVIEWS_STRICT" (Option.value ~default:"" strict))
+    f;
+  reg
+
+let counts_of_ops kind (triples, q, view, u) =
+  let store = store_on kind triples in
+  let reg =
+    counted (fun () ->
+        ignore (Query.Evaluation.eval_cq_codes store q : int array list);
+        ignore (Engine.Materialize.materialize_cq store view : Engine.Relation.t);
+        ignore (Query.Evaluation.eval_ucq_codes store u : int array list))
+  in
+  List.map (fun name -> (name, Obs.find_counter reg name)) pinned_counters
+
+(* Pinned from the build that counted per scan and per block read.
+   [None]: never registered (a hash store reads no segment block); a
+   zone-map search registers its skips even when it skipped nothing. *)
+let expected_counts =
+  let shared scanned probes bindings extensions =
+    [
+      ("store.scanned_triples", Some scanned);
+      ("store.count_probes", Some probes);
+      ("eval.bindings", Some bindings);
+      ("eval.frame.extensions", Some extensions);
+    ]
+  in
+  let blocks decodes hits skips =
+    [
+      ("store.block_decodes", decodes);
+      ("store.block_cache_hits", hits);
+      ("store.block_skips", skips);
+    ]
+  in
+  [
+    ( ("fig3", Rdf.Backend.Hash),
+      shared 14 7 8 14 @ blocks None None None );
+    ( ("fig3", Rdf.Backend.Compact),
+      shared 14 7 8 14 @ blocks (Some 1) (Some 43) (Some 0) );
+    ( ("barton", Rdf.Backend.Hash),
+      shared 836 64 294 836 @ blocks None None None );
+    ( ("barton", Rdf.Backend.Compact),
+      shared 836 64 294 836 @ blocks (Some 26) (Some 24586) (Some 35738) );
+  ]
+
+let test_exact_counts () =
+  let show = function None -> "absent" | Some n -> string_of_int n in
+  List.iter
+    (fun (fixture, ops) ->
+      let ops = ops () in
+      let counts kind =
+        let got = counts_of_ops kind ops in
+        List.iter
+          (fun (name, want) ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s %s %s" fixture (Rdf.Backend.kind_name kind) name)
+              (show want)
+              (show (List.assoc name got)))
+          (List.assoc (fixture, kind) expected_counts);
+        got
+      in
+      let hash = counts Rdf.Backend.Hash and compact = counts Rdf.Backend.Compact in
+      List.iter
+        (fun name ->
+          check_int
+            (Printf.sprintf "%s: %s equal on both backends" fixture name)
+            (Option.get (List.assoc name hash))
+            (Option.get (List.assoc name compact)))
+        [ "store.scanned_triples"; "store.count_probes"; "eval.bindings" ])
+    [ ("fig3", fig3_ops); ("barton", barton_ops) ];
+  (* an execution whose one scan reads no row still adds its sum, 0; an
+     impossible plan scans nothing and adds nothing *)
+  let scanned_by q =
+    let store = store_of (Rdf.Store.to_triples fig3_store) in
+    let reg =
+      counted (fun () -> ignore (Query.Evaluation.eval_cq_codes store q : int array list))
+    in
+    show (Obs.find_counter reg "store.scanned_triples")
+  in
+  Alcotest.(check string) "an empty scan is counted" "0"
+    (scanned_by (cq [ v "X" ] [ atom (v "X") (c "p2") (c "ex:c1") ]));
+  Alcotest.(check string) "an impossible plan is not" "absent"
+    (scanned_by (cq [ v "X" ] [ atom (v "X") (c "p9") (c "ex:c1") ]))
+
 let () =
   Alcotest.run "obs"
     [
@@ -519,5 +664,7 @@ let () =
             test_disabled_sink_changes_nothing;
           Alcotest.test_case "raise publishes partial counts" `Quick
             test_raise_publishes_partial_counts;
+          Alcotest.test_case "exact store and plan counts" `Quick
+            test_exact_counts;
         ] );
     ]

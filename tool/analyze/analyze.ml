@@ -423,8 +423,11 @@ let rec lvalue_target (e : expression) =
 
 (* ---------- per-unit pass A: collect bindings, aliases, cells, fields ----- *)
 
-let container_class (ty : Types.type_expr) =
+(* A record field's declared type arrives wrapped in [Tpoly] (with no
+   quantified variables unless the field is polymorphic). *)
+let rec container_class (ty : Types.type_expr) =
   match Types.get_desc ty with
+  | Types.Tpoly (ty, _) -> container_class ty
   | Types.Tconstr (p, _, _) -> (
     match last_two (normalize (Path.name p)) with
     | "Atomic", "t" -> Some Atomic_cell

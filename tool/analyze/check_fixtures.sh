@@ -36,6 +36,20 @@ expect Fix_dls dls-capture
 expect Fix_sink_handle coordinator-escape
 expect Fix_table_instance unguarded-write
 
+# The inventory lists each container field of a record, mutable or not.
+out=$(./analyze.exe --inventory "$objs/afix__Fix_container_field.cmt" 2>&1)
+code=$?
+fields=$(printf '%s\n' "$out" | grep -c 'container field')
+if [ "$code" -ne 0 ] || [ "$fields" -ne 2 ] \
+    || ! printf '%s\n' "$out" | grep -q 'Fix_container_field\.r\.tbl .*container field' \
+    || ! printf '%s\n' "$out" | grep -q 'Fix_container_field\.r\.arr .*container field'; then
+  echo "FAIL Fix_container_field: exit $code, $fields container field(s) (want 0, r.tbl and r.arr)"
+  echo "$out"
+  fail=1
+else
+  echo "ok: Fix_container_field -> 2 container fields"
+fi
+
 out=$(./analyze.exe "$objs/afix__Fix_clean.cmt" 2>&1)
 code=$?
 if [ "$code" -ne 0 ]; then
