@@ -37,5 +37,10 @@ module type S = sig
   val distinct_in_column : t -> [ `S | `P | `O ] -> int
   val fold_column_codes : t -> [ `S | `P | `O ] -> (int -> 'a -> 'a) -> 'a -> 'a
   val resident_bytes : t -> int
+  (** What is resident now: a hash store's pending rows are in its
+      triple set, not yet in its indexes. *)
+
   val compact : t -> unit
+  (** Settle the layout without changing contents: compact merges its
+      memtable into the segments, hash indexes its pending rows. *)
 end

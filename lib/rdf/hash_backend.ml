@@ -6,16 +6,33 @@
    assumption) and the compiled executor (Query.Plan) walks a bucket by
    direct int reads with no per-triple allocation.  [rows], parallel to
    [set], records each triple's row in its six buckets, so deletion
-   swap-removes by row and scans nothing. *)
+   swap-removes by row and scans nothing.
+
+   The indexes are written on first read, not on add.  [add] writes
+   [set] only; rows [0, indexed) of [set] are in every index and rows
+   [indexed, size) are pending.  Every operation that reads an index
+   first calls [sync], which pushes the pending rows into index 0, then
+   into index 1, and so on, in row order: a bulk load fills one table
+   at a time, and a store built by adds and then read holds each bucket
+   in add order, as if it had been read after every add.  [mem], [size],
+   [scan_all] and [fold_all] read [set] alone and never sync.  A remove
+   indexes at most one row (the pending row that moves into an indexed
+   hole), so deleting from a store with a backlog stays O(1).  Bucket
+   order is therefore indexing order: after a remove that meets
+   pending rows, the moved row is indexed ahead of the rows added
+   before it, so the order depends on when the store was read, not on
+   add order alone.  A read may write: one domain at a time reads a
+   store (CONCURRENCY.md). *)
 
 let n_indexes = 6
 
 type t = {
   set : Flat.Triples.t;
   mutable rows : int array;
-      (* stride 6: the triple at row r of [set] sits at row
+      (* stride 6: the triple at row r < [indexed] of [set] sits at row
          [rows.(6r + k)] of its bucket in [idx.(k)] *)
   idx : Flat.Buckets.t array;  (* keyed by s, p, o, sp, so, po *)
+  mutable indexed : int;  (* rows of [set] below this are in every index *)
 }
 
 let create () =
@@ -23,6 +40,7 @@ let create () =
     set = Flat.Triples.create ();
     rows = Array.make (n_indexes * 4) 0;
     idx = Array.init n_indexes (fun _ -> Flat.Buckets.create ());
+    indexed = 0;
   }
 
 let pair_key = Flat.pair_key
@@ -36,20 +54,46 @@ let key k s p o =
   | 4 -> pair_key s o
   | _ -> pair_key p o
 
-let add t s p o =
-  Flat.Triples.add t.set s p o
-  && begin
-    let base = n_indexes * (Flat.Triples.size t.set - 1) in
-    if base = Array.length t.rows then begin
-      let bigger = Array.make (2 * base) 0 in
-      Array.blit t.rows 0 bigger 0 base;
-      t.rows <- bigger
-    end;
-    for k = 0 to n_indexes - 1 do
-      t.rows.(base + k) <- Flat.Buckets.push t.idx.(k) (key k s p o) s p o
-    done;
-    true
-  end
+let add t s p o = Flat.Triples.add t.set s p o
+let mem t s p o = Flat.Triples.mem t.set s p o
+let size t = Flat.Triples.size t.set
+
+(* Room in [rows] for [n] rows, doubling as an add per row would. *)
+let grow t n =
+  let len = ref (Array.length t.rows) in
+  while !len < n_indexes * n do
+    len := 2 * !len
+  done;
+  let bigger = Array.make !len 0 in
+  Array.blit t.rows 0 bigger 0 (Array.length t.rows);
+  t.rows <- bigger
+
+(* Push row [r] of [set] into all six indexes (a remove's moved row). *)
+let index_row t r =
+  let d = Flat.Triples.data t.set in
+  let s = d.(3 * r) and p = d.((3 * r) + 1) and o = d.((3 * r) + 2) in
+  let base = n_indexes * r in
+  for k = 0 to n_indexes - 1 do
+    t.rows.(base + k) <- Flat.Buckets.push t.idx.(k) (key k s p o) s p o
+  done
+
+(* Index the pending rows, one index at a time.  A store's reads are
+   the coordinator's (CONCURRENCY.md), and this is where they write. *)
+let catch_up t =
+  let n = size t in
+  if Array.length t.rows < n_indexes * n then grow t n;
+  let d = Flat.Triples.data t.set in
+  for k = 0 to n_indexes - 1 do
+    let b = t.idx.(k) in
+    for r = t.indexed to n - 1 do
+      let s = d.(3 * r) and p = d.((3 * r) + 1) and o = d.((3 * r) + 2) in
+      t.rows.((n_indexes * r) + k) <- Flat.Buckets.push b (key k s p o) s p o
+    done
+  done;
+  t.indexed <- n
+[@@coordinator_only]
+
+let[@inline] sync t = if t.indexed < size t then catch_up t
 
 (* Swap-remove row [i] of [key]'s bucket in index [k]: the last row
    moves into the hole and its recorded row is re-pointed. *)
@@ -67,21 +111,28 @@ let remove_at t k key i =
   end;
   Flat.Buckets.set_rows b j last
 
+(* A pending row leaves [set] only.  An indexed row leaves its six
+   buckets, and the last row of [set] moves into its place: a pending
+   one is indexed there, an indexed one brings its recorded rows. *)
 let remove t s p o =
   let r = Flat.Triples.find t.set s p o in
   r >= 0
   && begin
-    for k = 0 to n_indexes - 1 do
-      remove_at t k (key k s p o) t.rows.((n_indexes * r) + k)
-    done;
-    let last = Flat.Triples.remove_row t.set r in
-    if last <> r then
-      Array.blit t.rows (n_indexes * last) t.rows (n_indexes * r) n_indexes;
+    if r < t.indexed then begin
+      for k = 0 to n_indexes - 1 do
+        remove_at t k (key k s p o) t.rows.((n_indexes * r) + k)
+      done;
+      let last = Flat.Triples.remove_row t.set r in
+      if last >= t.indexed then index_row t r
+      else begin
+        if last <> r then
+          Array.blit t.rows (n_indexes * last) t.rows (n_indexes * r) n_indexes;
+        t.indexed <- t.indexed - 1
+      end
+    end
+    else ignore (Flat.Triples.remove_row t.set r : int);
     true
   end
-
-let mem t s p o = Flat.Triples.mem t.set s p o
-let size t = Flat.Triples.size t.set
 
 let index_of_column t = function
   | `S -> t.idx.(0)
@@ -97,11 +148,17 @@ let count_key b key =
   let j = Flat.Buckets.find b key in
   if j < 0 then 0 else Flat.Buckets.rows b j
 
-let count1 t col code = count_key (index_of_column t col) code
-let count2 t cols a b = count_key (index_of_pair t cols) (pair_key a b)
+let count1 t col code =
+  sync t;
+  count_key (index_of_column t col) code
+
+let count2 t cols a b =
+  sync t;
+  count_key (index_of_pair t cols) (pair_key a b)
 
 (* Scans return the live bucket storage: zero-copy, and stable under
-   further scans (only mutation rewrites a bucket). *)
+   further scans (a later catch-up only appends past the rows returned;
+   only a remove rewrites a bucket). *)
 let empty_scan = ([||] : int array)
 let scan_all t = (Flat.Triples.data t.set, size t)
 
@@ -109,16 +166,26 @@ let scan_key b key =
   let j = Flat.Buckets.find b key in
   if j < 0 then (empty_scan, 0) else (Flat.Buckets.data b j, Flat.Buckets.rows b j)
 
-let scan1 t col code = scan_key (index_of_column t col) code
-let scan2 t cols a b = scan_key (index_of_pair t cols) (pair_key a b)
+let scan1 t col code =
+  sync t;
+  scan_key (index_of_column t col) code
+
+let scan2 t cols a b =
+  sync t;
+  scan_key (index_of_pair t cols) (pair_key a b)
+
 let fold_all t f init = Flat.Triples.fold t.set f init
-let distinct_in_column t col = Flat.Buckets.length (index_of_column t col)
+
+let distinct_in_column t col =
+  sync t;
+  Flat.Buckets.length (index_of_column t col)
 
 let fold_column_codes t col f init =
+  sync t;
   Flat.Buckets.fold (index_of_column t col) (fun code _ _ acc -> f code acc) init
 
-(* Words of the index structures, each array with its header
-   (dictionary excluded: it is shared Store state). *)
+(* Words of the index structures as they stand, each array with its
+   header (dictionary excluded: it is shared Store state). *)
 let resident_bytes t =
   8
   * Array.fold_left
@@ -126,27 +193,29 @@ let resident_bytes t =
       (Flat.Triples.resident_words t.set + Array.length t.rows + 1)
       t.idx
 
-let compact _ = ()
+let compact = sync
 
+(* Reads the indexes as they stand: a checker must not index. *)
 let rows_consistent t =
-  let ok = ref true in
+  let ok = ref (t.indexed <= size t) in
+  let d = Flat.Triples.data t.set in
   for r = 0 to size t - 1 do
-    let d = Flat.Triples.data t.set in
     let s = d.(3 * r) and p = d.((3 * r) + 1) and o = d.((3 * r) + 2) in
     ok := !ok && Flat.Triples.find t.set s p o = r;
-    for k = 0 to n_indexes - 1 do
-      let b = t.idx.(k) in
-      let j = Flat.Buckets.find b (key k s p o) in
-      let i = t.rows.((n_indexes * r) + k) in
-      ok :=
-        !ok && j >= 0
-        && i < Flat.Buckets.rows b j
-        &&
-        let bd = Flat.Buckets.data b j in
-        bd.(3 * i) = s && bd.((3 * i) + 1) = p && bd.((3 * i) + 2) = o
-    done
+    if r < t.indexed then
+      for k = 0 to n_indexes - 1 do
+        let b = t.idx.(k) in
+        let j = Flat.Buckets.find b (key k s p o) in
+        let i = t.rows.((n_indexes * r) + k) in
+        ok :=
+          !ok && j >= 0
+          && i < Flat.Buckets.rows b j
+          &&
+          let bd = Flat.Buckets.data b j in
+          bd.(3 * i) = s && bd.((3 * i) + 1) = p && bd.((3 * i) + 2) = o
+      done
   done;
   !ok
   && Array.for_all
-       (fun b -> Flat.Buckets.fold b (fun _ _ n acc -> acc + n) 0 = size t)
+       (fun b -> Flat.Buckets.fold b (fun _ _ n acc -> acc + n) 0 = t.indexed)
        t.idx

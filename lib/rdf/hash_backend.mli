@@ -4,12 +4,24 @@
     growable packed-int arrays stored inline in the index slots.  O(1)
     point mutation and counting, live-storage scans.  Each triple
     records its row in every bucket holding it; a remove moves each
-    bucket's last row into the hole, so scan order is append order
+    bucket's last row into the hole, so scan order is indexing order
     with swap-remove holes, and no remove scans a bucket.  Also reused
-    by the compact backend as its LSM memtable/tombstone index. *)
+    by the compact backend as its LSM memtable/tombstone index.
+
+    [add] writes only the triple set; the indexes catch up on the
+    first read that needs them (a count, a scan of one or two columns,
+    a column's distinct codes, or {!compact}), one index at a time and
+    in row order.  A store built by adds and then read holds each
+    bucket in add order.  [mem], [size], [scan_all] and [fold_all]
+    never index, and a remove indexes at most the one pending row that
+    moves into an indexed hole; that row then precedes the pending rows
+    added before it, so after such a remove bucket order depends on
+    when the store was read. *)
 
 include Backend.S
 
 val rows_consistent : t -> bool
-(** Every triple's membership slot and recorded bucket rows point at
-    that triple, and every index holds each triple once.  For tests. *)
+(** Every triple's membership slot points at its row; every indexed
+    triple's recorded bucket rows point at that triple, and every
+    index holds exactly the indexed triples, once each.  Reads the
+    indexes as they stand and indexes nothing.  For tests. *)

@@ -294,6 +294,61 @@ let test_select_leaves_store_caches () =
       check_bool (label ^ " leaves the plans and the memo") true (caches () = warm))
     [ Core.Selector.No_reasoning; Core.Selector.Post_reformulation schema ]
 
+(* A hash store indexes its rows on first read, so a read may write.
+   Only the coordinating domain reads a store (tool/analyze proves
+   [Rdf.Hash_backend.catch_up] [@@coordinator_only]).  The runtime
+   witness: over a copy whose rows are all still pending, a --jobs 2
+   selection reaches the one-domain best cost and reads the same counts,
+   under either statistics path, and no read bumps the version. *)
+let test_select_over_pending_rows () =
+  let source = Workload.Barton.store ~n_entities:60 ~seed:1 () in
+  let schema = Workload.Barton.schema () in
+  let workload =
+    Workload.Generator.generate_satisfiable source
+      {
+        Workload.Generator.default_spec with
+        n_queries = 1;
+        atoms_per_query = 2;
+        seed = 1;
+      }
+  in
+  let atoms = List.concat_map (fun q -> q.Query.Cq.body) workload in
+  List.iter
+    (fun reasoning ->
+      let select jobs =
+        let store = Rdf.Store.copy source in
+        let version = Rdf.Store.version store in
+        let result =
+          Core.Selector.select ~jobs ~store ~reasoning
+            ~options:
+              {
+                Core.Search.default_options with
+                strategy = Core.Search.Dfs;
+                avf = true;
+                max_states = Some 5000;
+              }
+            workload
+        in
+        let label =
+          Printf.sprintf "%s --jobs %d" (Core.Selector.reasoning_name reasoning) jobs
+        in
+        check_bool (label ^ " completed") true
+          result.Core.Selector.report.Core.Search.completed;
+        check_int (label ^ " version") version (Rdf.Store.version store);
+        let stats = result.Core.Selector.stats in
+        ( result.Core.Selector.report.Core.Search.best_cost,
+          List.map (Stats.Statistics.atom_count stats) atoms,
+          List.map (Stats.Statistics.column_distinct stats) [ `S; `P; `O ] )
+      in
+      let seq_cost, seq_counts, seq_distinct = select 1 in
+      for _ = 1 to 3 do
+        let cost, counts, distinct = select 2 in
+        check_bool "best cost agrees" true (same_cost seq_cost cost);
+        check_bool "atom counts agree" true (seq_counts = counts);
+        check_bool "distinct counts agree" true (seq_distinct = distinct)
+      done)
+    [ Core.Selector.No_reasoning; Core.Selector.Post_reformulation schema ]
+
 (* ---------- the sharded interner under contention ------------------------- *)
 
 let test_intern_stress () =
@@ -443,6 +498,8 @@ let () =
               `Quick test_post_reformulation_reads_only;
             Alcotest.test_case "a selection leaves the store's caches"
               `Quick test_select_leaves_store_caches;
+            Alcotest.test_case "a selection over pending rows" `Quick
+              test_select_over_pending_rows;
           ] );
       ( "interning",
         [ Alcotest.test_case "4-domain stress" `Quick test_intern_stress ] );

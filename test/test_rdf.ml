@@ -27,6 +27,29 @@ let test_term_predicates () =
   check_bool "is_literal" true (Rdf.Term.is_literal (lit "a"));
   check_int "size" 5 (Rdf.Term.size (lit "hello"))
 
+(* [Term.hash] is FNV-1a over the label, seeded by the constructor
+   rank; pinned against the recurrence written out here and against
+   fixed values, so a faster loop cannot change a hash. *)
+let test_term_hash_fnv () =
+  let fnv1a rank label =
+    String.fold_left
+      (fun h ch -> (h lxor Char.code ch) * 0x01000193 land max_int)
+      (0x811c9dc5 lxor rank) label
+  in
+  List.iter
+    (fun (make, rank, label, pinned) ->
+      let t = make label in
+      let name = Rdf.Term.to_string t in
+      check_int ("fnv-1a " ^ name) (fnv1a rank label) (Rdf.Term.hash t);
+      check_int ("pinned " ^ name) pinned (Rdf.Term.hash t))
+    [
+      (uri, 0, "", 2166136261);
+      (uri, 0, "http://example.org/a", 3492095714563561263);
+      (blank, 1, "b1", 3758069508379107289);
+      (lit, 2, "hello world", 542208699758676181);
+      (lit, 2, "\xff\x00z", 2370577293968899494);
+    ]
+
 let prop_term_compare_total =
   QCheck.Test.make ~name:"term compare is antisymmetric and transitive-ish"
     ~count:200
@@ -363,6 +386,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_term_roundtrip;
           Alcotest.test_case "ordering" `Quick test_term_order;
           Alcotest.test_case "predicates" `Quick test_term_predicates;
+          Alcotest.test_case "hash is FNV-1a" `Quick test_term_hash_fnv;
           to_alcotest prop_term_compare_total;
         ] );
       ( "triple",

@@ -603,32 +603,200 @@ let check_hash_backend h model =
       then fail "fold_column_codes")
     [ (`S, fun (s, _, _) -> s); (`P, fun (_, p, _) -> p); (`O, fun (_, _, o) -> o) ]
 
-let prop_hash_backend_tables =
-  QCheck.Test.make ~name:"flat tables: hash backend against a reference set"
-    ~count:300 arb_table_ops (fun ops ->
+(* The hash backend against a reference set.  With [read_every_op]
+   each op is followed by a read of its triple's keys, so nothing is
+   pending when a remove comes.  Without it only [Probe3] reads: adds
+   and removes pile up between reads, so removes meet pending rows,
+   indexed rows, and indexed rows whose hole a pending row fills, and
+   between reads only what reads the triple set (size, mem) and the
+   checker (which must not index) run. *)
+let prop_hash_backend_model ~name ~read_every_op =
+  QCheck.Test.make ~name ~count:300 arb_table_ops (fun ops ->
       let h = Rdf.Hash_backend.create () in
       List.fold_left
         (fun model op ->
+          let i = match op with Add3 i | Remove3 i | Probe3 i -> i in
+          let ((s, p, o) as tr) = hot_triples.(i) in
           let model =
             match op with
-            | Add3 i ->
-              let ((s, p, o) as tr) = hot_triples.(i) in
+            | Add3 _ ->
               if Rdf.Hash_backend.add h s p o = Int3_set.mem tr model then
                 QCheck.Test.fail_reportf "add %d" i;
               Int3_set.add tr model
-            | Remove3 i ->
-              let ((s, p, o) as tr) = hot_triples.(i) in
+            | Remove3 _ ->
               if Rdf.Hash_backend.remove h s p o <> Int3_set.mem tr model then
                 QCheck.Test.fail_reportf "remove %d" i;
               Int3_set.remove tr model
             | Probe3 _ -> model
           in
           (match op with
-          | Add3 i | Remove3 i | Probe3 i -> check_hash_keys h model [ hot_triples.(i) ]);
+          | Probe3 _ -> check_hash_keys h model [ tr ]
+          | Add3 _ | Remove3 _ when read_every_op -> check_hash_keys h model [ tr ]
+          | Add3 _ | Remove3 _ ->
+            if Rdf.Hash_backend.size h <> Int3_set.cardinal model then
+              QCheck.Test.fail_reportf "size after op on %d" i;
+            if Rdf.Hash_backend.mem h s p o <> Int3_set.mem tr model then
+              QCheck.Test.fail_reportf "mem after op on %d" i;
+            if not (Rdf.Hash_backend.rows_consistent h) then
+              QCheck.Test.fail_reportf "indexed rows inconsistent after op on %d" i);
           model)
         Int3_set.empty ops
       |> check_hash_backend h;
       true)
+
+let prop_hash_backend_tables =
+  prop_hash_backend_model ~name:"flat tables: hash backend against a reference set"
+    ~read_every_op:true
+
+let prop_hash_backend_pending =
+  prop_hash_backend_model ~name:"flat tables: pending rows against a reference set"
+    ~read_every_op:false
+
+(* How a remove meets the hash backend's pending rows, replayed on the
+   model: the triples live at the last read are indexed, later adds are
+   pending.  An indexed removal while rows are pending moves a pending
+   row into the indexed hole. *)
+type remove_kind = Of_pending | Of_indexed | Of_indexed_moving_pending
+
+let remove_kinds ops =
+  let step (live, indexed, kinds) = function
+    | Add3 i -> (Int3_set.add hot_triples.(i) live, indexed, kinds)
+    | Remove3 i ->
+      let tr = hot_triples.(i) in
+      let kind =
+        if not (Int3_set.mem tr live) then []
+        else if not (Int3_set.mem tr indexed) then [ Of_pending ]
+        else if Int3_set.cardinal live > Int3_set.cardinal indexed then
+          [ Of_indexed_moving_pending ]
+        else [ Of_indexed ]
+      in
+      (Int3_set.remove tr live, Int3_set.remove tr indexed, kind @ kinds)
+    | Probe3 _ -> (live, live, kinds)
+  in
+  let _, _, kinds = List.fold_left step (Int3_set.empty, Int3_set.empty, []) ops in
+  kinds
+
+(* The pending-rows property is only as strong as its sequences: a fixed
+   sample of them must remove each kind of row, in many sequences. *)
+let test_ops_cover_pending_removes () =
+  let sample =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 45 |]) ~n:300
+      (QCheck.get_gen arb_table_ops)
+  in
+  List.iter
+    (fun (kind, name) ->
+      let hits =
+        List.length (List.filter (fun ops -> List.mem kind (remove_kinds ops)) sample)
+      in
+      check_bool
+        (Printf.sprintf "%d/300 sequences remove %s" hits name)
+        true (hits >= 50))
+    [
+      (Of_pending, "a pending row");
+      (Of_indexed, "an indexed row with none pending");
+      (Of_indexed_moving_pending, "an indexed row while rows are pending");
+    ]
+
+(* A store built by adds and then read holds every bucket in the order
+   of a store read after each add: the six indexes are filled one at a
+   time, each in row order.  [Store.fold_scan]'s newest-first order,
+   and through it the Barton generator and the ledger's fingerprints,
+   depend on this. *)
+let test_bulk_order () =
+  let rand = Random.State.make [| 7 |] in
+  let triples =
+    List.init 3_000 (fun _ ->
+        ( Random.State.int rand 60,
+          Random.State.int rand 9,
+          Random.State.int rand 200 ))
+  in
+  let bulk = Rdf.Hash_backend.create () in
+  let stepwise = Rdf.Hash_backend.create () in
+  List.iter
+    (fun (s, p, o) ->
+      ignore (Rdf.Hash_backend.add bulk s p o : bool);
+      if Rdf.Hash_backend.add stepwise s p o then
+        ignore (Rdf.Hash_backend.count1 stepwise `S s : int))
+    triples;
+  let rows (data, n) = Array.sub data 0 (3 * n) in
+  List.iter
+    (fun (s, p, o) ->
+      List.iter
+        (fun (col, c) ->
+          check_bool "scan1 rows in order" true
+            (rows (Rdf.Hash_backend.scan1 bulk col c)
+            = rows (Rdf.Hash_backend.scan1 stepwise col c)))
+        [ (`S, s); (`P, p); (`O, o) ];
+      List.iter
+        (fun (cols, a, b) ->
+          check_bool "scan2 rows in order" true
+            (rows (Rdf.Hash_backend.scan2 bulk cols a b)
+            = rows (Rdf.Hash_backend.scan2 stepwise cols a b)))
+        [ (`SP, s, p); (`SO, s, o); (`PO, p, o) ])
+    triples;
+  List.iter
+    (fun col ->
+      check_bool "column codes in slot order" true
+        (Rdf.Hash_backend.fold_column_codes bulk col List.cons []
+        = Rdf.Hash_backend.fold_column_codes stepwise col List.cons []))
+    [ `S; `P; `O ];
+  check_int "same resident bytes"
+    (Rdf.Hash_backend.resident_bytes stepwise)
+    (Rdf.Hash_backend.resident_bytes bulk);
+  check_bool "consistent" true (Rdf.Hash_backend.rows_consistent bulk);
+  (* After a remove that meets pending rows the order is indexing
+     order, set by when the store was read.  X, B and C share the
+     bucket of predicate 5; A does not.  Removing indexed A while B and
+     C are pending moves C, the set's last row, into A's row and
+     indexes it there, ahead of B.  Without the read, A is pending too
+     and C takes its row before anything is indexed; read after every
+     op, the bucket keeps add order. *)
+  let x = (1, 5, 1) and a = (2, 6, 2) and b = (3, 5, 3) and c = (4, 5, 4) in
+  let p5_after ~read_after =
+    let h = Rdf.Hash_backend.create () in
+    let read () = ignore (Rdf.Hash_backend.count1 h `S 0 : int) in
+    List.iter
+      (fun (s, p, o) ->
+        ignore (Rdf.Hash_backend.add h s p o : bool);
+        if read_after (s, p, o) then read ())
+      [ x; a; b; c ];
+    let s, p, o = a in
+    check_bool "remove a" true (Rdf.Hash_backend.remove h s p o);
+    check_bool "consistent after remove" true (Rdf.Hash_backend.rows_consistent h);
+    let data, n = Rdf.Hash_backend.scan1 h `P 5 in
+    List.init n (fun i -> (data.(3 * i), data.((3 * i) + 1), data.((3 * i) + 2)))
+  in
+  let subjects = List.map (fun (s, _, _) -> s) in
+  List.iter
+    (fun (name, read_after, want) ->
+      Alcotest.(check (list int)) name (subjects want) (subjects (p5_after ~read_after)))
+    [
+      ("read after x, a", (fun tr -> tr = a), [ x; c; b ]);
+      ("never read", (fun _ -> false), [ x; c; b ]);
+      ("read after every add", (fun _ -> true), [ x; b; c ]);
+    ]
+
+(* Plans and warm evaluations key on [Store.version]: a read that
+   indexes pending rows writes the backend but not the store's
+   contents, so the version stays.  The resident bytes, which report
+   what is indexed now, witness that the read did index. *)
+let test_indexing_read_keeps_version () =
+  let st = Rdf.Store.create ~backend:Rdf.Backend.Hash () in
+  for i = 0 to 199 do
+    ignore
+      (Rdf.Store.add st
+         (triple (uri (Printf.sprintf "s%d" (i / 4))) (uri "p") (lit (string_of_int i)))
+        : bool)
+  done;
+  let v = Rdf.Store.version st in
+  let before = Rdf.Store.resident_bytes st in
+  let p = Option.get (Rdf.Store.find_term st (uri "p")) in
+  check_int "count after a backlog" 200
+    (Rdf.Store.count_matching st { Rdf.Store.ps = None; pp = Some p; po = None });
+  check_bool "the read indexed" true (Rdf.Store.resident_bytes st > before);
+  check_int "version unchanged" v (Rdf.Store.version st);
+  Rdf.Store.compact st;
+  check_int "compact leaves the version" v (Rdf.Store.version st)
 
 (* Remove-then-re-add of every triple, in insertion and reverse order:
    each removal moves a last row into the hole, each re-add appends. *)
@@ -767,6 +935,12 @@ let () =
         [
           to_alcotest prop_buckets;
           to_alcotest prop_hash_backend_tables;
+          to_alcotest prop_hash_backend_pending;
+          Alcotest.test_case "reads between removes" `Quick
+            test_ops_cover_pending_removes;
+          Alcotest.test_case "bulk adds keep bucket order" `Quick test_bulk_order;
+          Alcotest.test_case "indexing read keeps version" `Quick
+            test_indexing_read_keeps_version;
           Alcotest.test_case "remove then re-add" `Quick test_hash_backend_readd;
           Alcotest.test_case "probes do not allocate" `Quick
             test_probes_do_not_allocate;
