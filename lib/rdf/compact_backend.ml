@@ -19,11 +19,11 @@
    exactly sized, never rewritten in place, so the executor's nested
    scans stay valid.
 
-   Locking: mutation (add/remove/merge) is serialized by [lock], the
-   discipline tool/analyze enforces via the [@guarded_by] field
-   annotations.  Reads take no lock — stores are never mutated
-   concurrently with reads anywhere in the system (CONCURRENCY.md),
-   the same contract as the hash backend's. *)
+   Locking: none.  One domain at a time reads or writes a store
+   (CONCURRENCY.md), the same contract as the hash backend's, and a
+   read may write here too: it fills the scan memo.  [cached_scan],
+   [scan_all] and [invalidate] are [@@coordinator_only], so
+   tool/analyze proves no worker domain reaches them. *)
 
 let obs_merges = Obs.cached_counter "store.merges"
 let obs_merge_rows = Obs.cached_counter "store.merge_rows"
@@ -45,31 +45,30 @@ let all_cache_max_rows = 1 lsl 20
    the same (column, code) keys constantly — the inner side of every
    join step, and every repetition of a cached plan — and a memo hit
    costs one int-table probe, like the hash backend's bucket fetch.
-   Entry count is bounded over all kinds; overflowing resets the memo
-   wholesale. *)
+   Entry count is bounded over all kinds ([memo_keys]); overflowing
+   resets the memo wholesale. *)
 let scan_cache_max_keys = 16384
 
 type t = {
-  lock : Multicore.Spinlock.t;
-  mutable spo : Segment.t; [@guarded_by "lock"]
-  mutable pos : Segment.t; [@guarded_by "lock"]
-  mutable osp : Segment.t; [@guarded_by "lock"]
-  mutable mem_add : Hash_backend.t; [@guarded_by "lock"]
+  mutable spo : Segment.t;
+  mutable pos : Segment.t;
+  mutable osp : Segment.t;
+  mutable mem_add : Hash_backend.t;
       (* triples added since the last merge (not in the segments) *)
-  mutable mem_del : Hash_backend.t; [@guarded_by "lock"]
+  mutable mem_del : Hash_backend.t;
       (* tombstones: segment triples deleted since the last merge *)
-  distinct : int array; [@guarded_by "lock"]
+  distinct : int array;
       (* live distinct codes per column, indexed S = 0, P = 1, O = 2 *)
-  mutable all_cache : (int array * int) option; [@guarded_by "lock"]
-  scan_memo : Flat.Buckets.t array; [@guarded_by "lock"]
+  mutable all_cache : (int array * int) option;
+  scan_memo : Flat.Buckets.t array;
       (* memoized scan1/scan2 results, indexed S, P, O, SP, PO, SO;
          the arrays are never rewritten in place, so handing the same
          one to every caller honours the scan contract *)
+  mutable memo_keys : int;  (* keys over all six [scan_memo] tables *)
 }
 
 let create () =
   {
-    lock = Multicore.Spinlock.create ();
     spo = Segment.empty;
     pos = Segment.empty;
     osp = Segment.empty;
@@ -78,13 +77,20 @@ let create () =
     distinct = [| 0; 0; 0 |];
     all_cache = None;
     scan_memo = Array.init 6 (fun _ -> Flat.Buckets.create ());
+    memo_keys = 0;
   }
 
-(* Drop every memoized scan result.  Callers hold [t.lock]. *)
+let clear_memo t =
+  if t.memo_keys > 0 then begin
+    Array.iter Flat.Buckets.clear t.scan_memo;
+    t.memo_keys <- 0
+  end
+
+(* Drop every memoized scan result: every add, remove and merge. *)
 let invalidate t =
-  (* analyze: allow unguarded-write -- callers hold lock *)
   t.all_cache <- None;
-  Array.iter Flat.Buckets.clear t.scan_memo
+  clear_memo t
+[@@coordinator_only]
 
 let seg_mem t s p o = Segment.mem t.spo s p o
 
@@ -221,7 +227,6 @@ let rebuild_order old ~mem_rows ~k ~untombed =
   done;
   Segment.Builder.finish b
 
-(* Callers hold [t.lock]. *)
 let merge t =
   let data, n = Hash_backend.scan_all t.mem_add in
   let adds = Array.sub data 0 (3 * n) in
@@ -247,21 +252,15 @@ let merge t =
       ~untombed:(fun o s p -> no_del || not (Hash_backend.mem del s p o))
   in
   Obs.add (obs_merge_rows ()) (Segment.n spo);
-  (* analyze: allow unguarded-write -- callers hold lock *)
   t.spo <- spo;
-  (* analyze: allow unguarded-write -- callers hold lock *)
   t.pos <- pos;
-  (* analyze: allow unguarded-write -- callers hold lock *)
   t.osp <- osp;
-  (* analyze: allow unguarded-write -- callers hold lock *)
   t.mem_add <- Hash_backend.create ();
-  (* analyze: allow unguarded-write -- callers hold lock *)
   t.mem_del <- Hash_backend.create ();
   (* contents are unchanged by a merge, but the memtable arrays the
      memoized results referenced are gone with it *)
   invalidate t
 
-(* Callers hold [t.lock]. *)
 let maybe_flush t =
   let pending = Hash_backend.size t.mem_add + Hash_backend.size t.mem_del in
   if pending >= max flush_floor (Segment.n t.spo / 4) then begin
@@ -270,7 +269,6 @@ let maybe_flush t =
   end
 
 let add t s p o =
-  Multicore.Spinlock.with_lock t.lock @@ fun () ->
   let tombstoned = Hash_backend.mem t.mem_del s p o in
   if Hash_backend.mem t.mem_add s p o || ((not tombstoned) && seg_mem t s p o)
   then false
@@ -289,7 +287,6 @@ let add t s p o =
   end
 
 let remove t s p o =
-  Multicore.Spinlock.with_lock t.lock @@ fun () ->
   let added = Hash_backend.mem t.mem_add s p o in
   if added || (seg_mem t s p o && not (Hash_backend.mem t.mem_del s p o)) then begin
     if added then ignore (Hash_backend.remove t.mem_add s p o : bool)
@@ -307,7 +304,6 @@ let remove t s p o =
   else false
 
 let compact t =
-  Multicore.Spinlock.with_lock t.lock @@ fun () ->
   if Hash_backend.size t.mem_add > 0 || Hash_backend.size t.mem_del > 0 then
     merge t
 
@@ -315,61 +311,62 @@ let compact t =
 
 let empty_scan = ([||] : int array)
 
-(* Assemble one scan result: [seg] rows [lo, hi) written through the
-   column permutation (leading column of the segment lands at [da] of
-   each emitted [s; p; o] row), minus [ndel] tombstones, then the
-   memtable bucket appended.  Exact-size allocation: the tombstone
-   count is known before decoding. *)
-let assemble t seg lo hi ~da ~db ~dc ~ndel (mdata, mn) =
+(* Assemble one scan result: the rows of [seg] whose leading column is
+   [a] (and whose second is [b], for a pair scan: [pair]) written
+   through the column permutation (leading column of the segment lands
+   at [da] of each emitted [s; p; o] row), minus [ndel] tombstones,
+   then the memtable bucket appended.  One segment reader locates the
+   rows and copies them.  Exact-size allocation: the tombstone count is
+   known before decoding. *)
+let assemble t seg ~pair a b ~da ~db ~dc ~ndel (mdata, mn) =
+  let rd = Segment.Reader.create seg in
+  let lo, hi =
+    if pair then Segment.Reader.locate2 rd a b else Segment.Reader.locate1 rd a
+  in
   let nseg = hi - lo - ndel in
   let total = nseg + mn in
-  if total = 0 then (empty_scan, 0)
-  else begin
-    let dst = Array.make (3 * total) 0 in
-    if ndel = 0 then Segment.blit_range seg lo hi dst ~da ~db ~dc
+  let r =
+    if total = 0 then (empty_scan, 0)
     else begin
-      let del = t.mem_del in
-      let out = ref 0 in
-      Segment.iter_range seg lo hi (fun a bb c ->
-          let s = if da = 0 then a else if db = 0 then bb else c in
-          let p = if da = 1 then a else if db = 1 then bb else c in
-          let o = if da = 2 then a else if db = 2 then bb else c in
-          if not (Hash_backend.mem del s p o) then begin
-            let base = 3 * !out in
-            dst.(base) <- s;
-            dst.(base + 1) <- p;
-            dst.(base + 2) <- o;
-            incr out
-          end)
-    end;
-    Array.blit mdata 0 dst (3 * nseg) (3 * mn);
-    (dst, total)
-  end
-
-(* Look up / fill the scan memo of kind [k].  The tables are only
-   touched under [t.lock]; a hit costs one lock + int probe, a miss
-   builds the result outside the lock (two builders racing on the same
-   key is benign — last write wins, both arrays are correct and
-   immutable). *)
-let cached_scan t k key build =
-  let hit =
-    Multicore.Spinlock.with_lock t.lock (fun () ->
-        let memo = t.scan_memo.(k) in
-        let j = Flat.Buckets.find memo key in
-        if j < 0 then None
-        else Some (Flat.Buckets.data memo j, Flat.Buckets.rows memo j))
+      let dst = Array.make (3 * total) 0 in
+      if ndel = 0 then Segment.Reader.blit_range rd lo hi dst ~da ~db ~dc
+      else begin
+        let del = t.mem_del in
+        let out = ref 0 in
+        Segment.Reader.iter_range rd lo hi (fun a bb c ->
+            let s = if da = 0 then a else if db = 0 then bb else c in
+            let p = if da = 1 then a else if db = 1 then bb else c in
+            let o = if da = 2 then a else if db = 2 then bb else c in
+            if not (Hash_backend.mem del s p o) then begin
+              let base = 3 * !out in
+              dst.(base) <- s;
+              dst.(base + 1) <- p;
+              dst.(base + 2) <- o;
+              incr out
+            end)
+      end;
+      Array.blit mdata 0 dst (3 * nseg) (3 * mn);
+      (dst, total)
+    end
   in
-  match hit with
-  | Some r -> r
-  | None ->
+  Segment.Reader.finish rd;
+  r
+
+(* Look up / fill the scan memo of kind [k].  A hit costs one int-table
+   probe; a miss builds the result and records it, first resetting the
+   whole memo when it holds [scan_cache_max_keys] keys. *)
+let cached_scan t k key build =
+  let memo = t.scan_memo.(k) in
+  let j = Flat.Buckets.find memo key in
+  if j >= 0 then (Flat.Buckets.data memo j, Flat.Buckets.rows memo j)
+  else begin
     let ((data, n) as r) = build () in
-    Multicore.Spinlock.with_lock t.lock (fun () ->
-        let keys =
-          Array.fold_left (fun acc m -> acc + Flat.Buckets.length m) 0 t.scan_memo
-        in
-        if keys >= scan_cache_max_keys then Array.iter Flat.Buckets.clear t.scan_memo;
-        Flat.Buckets.replace t.scan_memo.(k) key data n);
+    if t.memo_keys >= scan_cache_max_keys then clear_memo t;
+    Flat.Buckets.replace memo key data n;
+    t.memo_keys <- t.memo_keys + 1;
     r
+  end
+[@@coordinator_only]
 
 (* Memo kinds: 0..2 single-column scans (S, P, O), 3..5 pair scans
    (SP, PO, SO). *)
@@ -378,20 +375,17 @@ let scan1 t col code =
   match col with
   | `S ->
     cached_scan t 0 code @@ fun () ->
-    let lo, hi = Segment.locate1 t.spo code in
-    assemble t t.spo lo hi ~da:0 ~db:1 ~dc:2
+    assemble t t.spo ~pair:false code 0 ~da:0 ~db:1 ~dc:2
       ~ndel:(Hash_backend.count1 t.mem_del `S code)
       (Hash_backend.scan1 t.mem_add `S code)
   | `P ->
     cached_scan t 1 code @@ fun () ->
-    let lo, hi = Segment.locate1 t.pos code in
-    assemble t t.pos lo hi ~da:1 ~db:2 ~dc:0
+    assemble t t.pos ~pair:false code 0 ~da:1 ~db:2 ~dc:0
       ~ndel:(Hash_backend.count1 t.mem_del `P code)
       (Hash_backend.scan1 t.mem_add `P code)
   | `O ->
     cached_scan t 2 code @@ fun () ->
-    let lo, hi = Segment.locate1 t.osp code in
-    assemble t t.osp lo hi ~da:2 ~db:0 ~dc:1
+    assemble t t.osp ~pair:false code 0 ~da:2 ~db:0 ~dc:1
       ~ndel:(Hash_backend.count1 t.mem_del `O code)
       (Hash_backend.scan1 t.mem_add `O code)
 
@@ -399,20 +393,18 @@ let scan2 t cols a b =
   match cols with
   | `SP ->
     cached_scan t 3 (Flat.pair_key a b) @@ fun () ->
-    let lo, hi = Segment.locate2 t.spo a b in
-    assemble t t.spo lo hi ~da:0 ~db:1 ~dc:2
+    assemble t t.spo ~pair:true a b ~da:0 ~db:1 ~dc:2
       ~ndel:(Hash_backend.count2 t.mem_del `SP a b)
       (Hash_backend.scan2 t.mem_add `SP a b)
   | `PO ->
     cached_scan t 4 (Flat.pair_key a b) @@ fun () ->
-    let lo, hi = Segment.locate2 t.pos a b in
-    assemble t t.pos lo hi ~da:1 ~db:2 ~dc:0
+    assemble t t.pos ~pair:true a b ~da:1 ~db:2 ~dc:0
       ~ndel:(Hash_backend.count2 t.mem_del `PO a b)
       (Hash_backend.scan2 t.mem_add `PO a b)
   | `SO ->
+    (* OSP order leads (o, s): arguments arrive as (s, o) *)
     cached_scan t 5 (Flat.pair_key a b) @@ fun () ->
-    let lo, hi = Segment.locate2 t.osp b a in
-    assemble t t.osp lo hi ~da:2 ~db:0 ~dc:1
+    assemble t t.osp ~pair:true b a ~da:2 ~db:0 ~dc:1
       ~ndel:(Hash_backend.count2 t.mem_del `SO a b)
       (Hash_backend.scan2 t.mem_add `SO a b)
 
@@ -439,14 +431,10 @@ let scan_all t =
   | Some r -> r
   | None ->
     let r = build_all t in
-    if size t <= all_cache_max_rows then
-      (* benign single-writer memo (same discipline as mutation);
-         rebuilt arrays are never written in place afterwards *)
-      Multicore.Spinlock.with_lock t.lock @@ fun () ->
-      (* analyze: allow unguarded-write -- holding lock *)
-      t.all_cache <- Some r;
-      r
-    else r
+    (* rebuilt arrays are never written in place afterwards *)
+    if size t <= all_cache_max_rows then t.all_cache <- Some r;
+    r
+[@@coordinator_only]
 
 let fold_all t f init =
   let del = t.mem_del in

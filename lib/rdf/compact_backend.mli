@@ -14,3 +14,7 @@
     42.8x at 10M ([bench/baselines/BENCH_store.json]). *)
 
 include Backend.S
+
+val scan_cache_max_keys : int
+(** The scan memo holds at most this many keys over all six scan kinds;
+    a miss that finds it full empties it first. *)

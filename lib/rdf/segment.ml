@@ -45,11 +45,13 @@ let n t = t.n
 let rows_in_block t i =
   if i = t.nblocks - 1 then t.n - (i * t.block_rows) else t.block_rows
 
-(* A reader serves the blocks of one operation ([locate1], [locate2],
-   [mem], [iter_range], [blit_range]).  It holds one lazily allocated
-   scratch buffer: cache hits (the common case — covered segments of
-   bench stores fit the budget entirely) allocate nothing, and one
-   operation touching several uncached blocks reuses the same scratch.
+(* A reader serves the blocks of one operation: a one-shot [locate1],
+   [locate2] or [mem], or a compact-backend scan, which locates its
+   rows and copies them through one [Reader].  It holds one lazily
+   allocated scratch buffer: cache hits (the common case — covered
+   segments of bench stores fit the budget entirely) allocate nothing,
+   and one operation touching several uncached blocks reuses the same
+   scratch.
    It counts block hits, decodes and zone-map skips in its own fields,
    and [finish] adds them to the sink when the operation returns: one
    handle use each (a closure call and two DLS reads), not one per
@@ -324,45 +326,52 @@ let mem t a b c =
 
 (* ---------- enumeration -------------------------------------------------- *)
 
-let iter_range t lo hi f =
-  if lo < hi then begin
-    let rd = reader t in
-    let br = t.block_rows in
-    let b0 = lo / br and b1 = (hi - 1) / br in
-    for i = b0 to b1 do
-      let arr = block rd i in
-      let jlo = if i = b0 then lo - (i * br) else 0 in
-      let jhi = if i = b1 then hi - (i * br) else rows_in_block t i in
-      for j = jlo to jhi - 1 do
-        f
-          (Array.unsafe_get arr (3 * j))
-          (Array.unsafe_get arr ((3 * j) + 1))
-          (Array.unsafe_get arr ((3 * j) + 2))
-      done
-    done;
-    finish rd
-  end
+module Reader = struct
+  type nonrec t = reader
 
-let blit_range t lo hi dst ~da ~db ~dc =
-  if lo < hi then begin
-    let rd = reader t in
-    let br = t.block_rows in
-    let b0 = lo / br and b1 = (hi - 1) / br in
-    let out = ref 0 in
-    for i = b0 to b1 do
-      let arr = block rd i in
-      let jlo = if i = b0 then lo - (i * br) else 0 in
-      let jhi = if i = b1 then hi - (i * br) else rows_in_block t i in
-      for j = jlo to jhi - 1 do
-        let base = 3 * !out in
-        Array.unsafe_set dst (base + da) (Array.unsafe_get arr (3 * j));
-        Array.unsafe_set dst (base + db) (Array.unsafe_get arr ((3 * j) + 1));
-        Array.unsafe_set dst (base + dc) (Array.unsafe_get arr ((3 * j) + 2));
-        incr out
+  let create = reader
+  let locate1 = locate1_g
+  let locate2 = locate2_g
+  let finish = finish
+
+  let iter_range rd lo hi f =
+    if lo < hi then begin
+      let t = rd.seg in
+      let br = t.block_rows in
+      let b0 = lo / br and b1 = (hi - 1) / br in
+      for i = b0 to b1 do
+        let arr = block rd i in
+        let jlo = if i = b0 then lo - (i * br) else 0 in
+        let jhi = if i = b1 then hi - (i * br) else rows_in_block t i in
+        for j = jlo to jhi - 1 do
+          f
+            (Array.unsafe_get arr (3 * j))
+            (Array.unsafe_get arr ((3 * j) + 1))
+            (Array.unsafe_get arr ((3 * j) + 2))
+        done
       done
-    done;
-    finish rd
-  end
+    end
+
+  let blit_range rd lo hi dst ~da ~db ~dc =
+    if lo < hi then begin
+      let t = rd.seg in
+      let br = t.block_rows in
+      let b0 = lo / br and b1 = (hi - 1) / br in
+      let out = ref 0 in
+      for i = b0 to b1 do
+        let arr = block rd i in
+        let jlo = if i = b0 then lo - (i * br) else 0 in
+        let jhi = if i = b1 then hi - (i * br) else rows_in_block t i in
+        for j = jlo to jhi - 1 do
+          let base = 3 * !out in
+          Array.unsafe_set dst (base + da) (Array.unsafe_get arr (3 * j));
+          Array.unsafe_set dst (base + db) (Array.unsafe_get arr ((3 * j) + 1));
+          Array.unsafe_set dst (base + dc) (Array.unsafe_get arr ((3 * j) + 2));
+          incr out
+        done
+      done
+    end
+end
 
 (* The merge path streams with its own scratch and never populates the
    cache: after a merge the old segment is garbage anyway. *)

@@ -48,16 +48,40 @@ val locate2 : t -> int -> int -> int * int
 
 val mem : t -> int -> int -> int -> bool
 
-val iter_range : t -> int -> int -> (int -> int -> int -> unit) -> unit
-(** [iter_range t lo hi f] applies [f a b c] to each row of the rank
-    interval [\[lo, hi)], in order. *)
+(** One operation's block reads.  A reader counts the blocks it
+    serves from the cache, decodes and skips by zone map, and
+    {!Reader.finish} adds them to [store.block_cache_hits],
+    [store.block_decodes] and [store.block_skips]: a scan that locates
+    its rows and then copies them uses one reader, so it resolves each
+    telemetry handle once.  {!locate1}, {!locate2} and {!mem} each run
+    on a reader of their own. *)
+module Reader : sig
+  type segment := t
+  type t
 
-val blit_range : t -> int -> int -> int array -> da:int -> db:int -> dc:int -> unit
-(** [blit_range t lo hi dst ~da ~db ~dc] writes the rows of
-    [\[lo, hi)] into [dst] packed with stride 3 starting at cell 0,
-    placing the leading column at offset [da] of each row, the second
-    at [db], the third at [dc] — the inverse of the segment's column
-    permutation, so every segment emits [s; p; o] order. *)
+  val create : segment -> t
+
+  val locate1 : t -> int -> int * int
+  (** The one-shot [locate1], on this reader. *)
+
+  val locate2 : t -> int -> int -> int * int
+  (** The one-shot [locate2], on this reader. *)
+
+  val iter_range : t -> int -> int -> (int -> int -> int -> unit) -> unit
+  (** [iter_range r lo hi f] applies [f a b c] to each row of the rank
+      interval [\[lo, hi)], in order. *)
+
+  val blit_range : t -> int -> int -> int array -> da:int -> db:int -> dc:int -> unit
+  (** [blit_range r lo hi dst ~da ~db ~dc] writes the rows of
+      [\[lo, hi)] into [dst] packed with stride 3 starting at cell 0,
+      placing the leading column at offset [da] of each row, the
+      second at [db], the third at [dc] — the inverse of the segment's
+      column permutation, so every segment emits [s; p; o] order. *)
+
+  val finish : t -> unit
+  (** Add the reader's block counts to the sink.  Call it once, when
+      the operation is done. *)
+end
 
 val iter_all : t -> (int -> int -> int -> unit) -> unit
 (** Stream every row in order, decoding block by block (bypasses the

@@ -349,6 +349,93 @@ let test_select_over_pending_rows () =
       done)
     [ Core.Selector.No_reasoning; Core.Selector.Post_reformulation schema ]
 
+(* A compact store memoizes its scans on read, with no lock: only the
+   coordinating domain reads a store (tool/analyze proves
+   [Rdf.Compact_backend.cached_scan] [@@coordinator_only]).  The runtime
+   witness: over a merged compact store with tombstones and memtable
+   rows, a --jobs 2 selection reaches the one-domain best cost and
+   counts, under either statistics path, and afterwards every scan of
+   that store, memoized or not, equals the same scan on a fresh copy. *)
+let test_select_over_compact_store () =
+  let source = Workload.Barton.store ~n_entities:60 ~seed:1 () in
+  let schema = Workload.Barton.schema () in
+  let workload =
+    Workload.Generator.generate_satisfiable source
+      {
+        Workload.Generator.default_spec with
+        n_queries = 1;
+        atoms_per_query = 2;
+        seed = 1;
+      }
+  in
+  let atoms = List.concat_map (fun q -> q.Query.Cq.body) workload in
+  let triples = Rdf.Store.to_triples source in
+  let merged = 9 * List.length triples / 10 in
+  let compact_store () =
+    let store = Rdf.Store.create ~backend:Rdf.Backend.Compact () in
+    let add t = ignore (Rdf.Store.add store t : bool) in
+    List.iteri (fun i t -> if i < merged then add t) triples;
+    Rdf.Store.compact store;
+    List.iteri (fun i t -> if i >= merged then add t) triples;
+    List.iteri
+      (fun i t -> if i < merged && i mod 7 = 0 then ignore (Rdf.Store.remove store t : bool))
+      triples;
+    store
+  in
+  let rows (data, n) =
+    List.sort compare
+      (List.init n (fun i -> (data.(3 * i), data.((3 * i) + 1), data.((3 * i) + 2))))
+  in
+  let same_scans store =
+    let fresh = Rdf.Store.copy store in
+    List.for_all
+      (fun (s, p, o) ->
+        List.for_all
+          (fun (col, a) ->
+            rows (Rdf.Store.scan1 store col a) = rows (Rdf.Store.scan1 fresh col a))
+          [ (`S, s); (`P, p); (`O, o) ]
+        && List.for_all
+             (fun (cols, a, b) ->
+               rows (Rdf.Store.scan2 store cols a b)
+               = rows (Rdf.Store.scan2 fresh cols a b))
+             [ (`SP, s, p); (`PO, p, o); (`SO, s, o) ])
+      (rows (Rdf.Store.scan_all fresh))
+  in
+  List.iter
+    (fun reasoning ->
+      let select jobs =
+        let store = compact_store () in
+        let result =
+          Core.Selector.select ~jobs ~store ~reasoning
+            ~options:
+              {
+                Core.Search.default_options with
+                strategy = Core.Search.Dfs;
+                avf = true;
+                max_states = Some 5000;
+              }
+            workload
+        in
+        let label =
+          Printf.sprintf "%s --jobs %d" (Core.Selector.reasoning_name reasoning) jobs
+        in
+        check_bool (label ^ " completed") true
+          result.Core.Selector.report.Core.Search.completed;
+        check_bool (label ^ " scans equal a fresh copy's") true (same_scans store);
+        let stats = result.Core.Selector.stats in
+        ( result.Core.Selector.report.Core.Search.best_cost,
+          List.map (Stats.Statistics.atom_count stats) atoms,
+          List.map (Stats.Statistics.column_distinct stats) [ `S; `P; `O ] )
+      in
+      let seq_cost, seq_counts, seq_distinct = select 1 in
+      for _ = 1 to 3 do
+        let cost, counts, distinct = select 2 in
+        check_bool "best cost agrees" true (same_cost seq_cost cost);
+        check_bool "atom counts agree" true (seq_counts = counts);
+        check_bool "distinct counts agree" true (seq_distinct = distinct)
+      done)
+    [ Core.Selector.No_reasoning; Core.Selector.Post_reformulation schema ]
+
 (* ---------- the sharded interner under contention ------------------------- *)
 
 let test_intern_stress () =
@@ -500,6 +587,8 @@ let () =
               `Quick test_select_leaves_store_caches;
             Alcotest.test_case "a selection over pending rows" `Quick
               test_select_over_pending_rows;
+            Alcotest.test_case "a selection over a compact store" `Quick
+              test_select_over_compact_store;
           ] );
       ( "interning",
         [ Alcotest.test_case "4-domain stress" `Quick test_intern_stress ] );

@@ -488,6 +488,112 @@ let test_distinct_reads_no_blocks () =
   | None -> Alcotest.fail "s1 must be in the dictionary");
   check_bool "a probe touches blocks" true (block_counters () <> before)
 
+(* Two stores, one per backend, fed the same triples in the same order,
+   so their dictionaries hand out the same codes. *)
+let store_pair triples =
+  let hash = Rdf.Store.create ~backend:Rdf.Backend.Hash () in
+  let compact = Rdf.Store.create ~backend:Rdf.Backend.Compact () in
+  List.iter
+    (fun t ->
+      ignore (Rdf.Store.add hash t : bool);
+      ignore (Rdf.Store.add compact t : bool))
+    triples;
+  (hash, compact)
+
+let sorted_rows (data, n) =
+  List.sort compare
+    (List.init n (fun i -> (data.(3 * i), data.((3 * i) + 1), data.((3 * i) + 2))))
+
+type scan_key =
+  | One of [ `S | `P | `O ] * int
+  | Two of [ `SP | `PO | `SO ] * int * int
+
+(* Every scan1/scan2 key of the rows [(s, p, o)], each once. *)
+let scan_keys rows =
+  List.sort_uniq compare
+    (List.concat_map
+       (fun (s, p, o) ->
+         [
+           One (`S, s); One (`P, p); One (`O, o);
+           Two (`SP, s, p); Two (`PO, p, o); Two (`SO, s, o);
+         ])
+       rows)
+
+let run_scan st = function
+  | One (col, a) -> Rdf.Store.scan1 st col a
+  | Two (cols, a, b) -> Rdf.Store.scan2 st cols a b
+
+let check_scans_match hash compact keys =
+  List.iter
+    (fun key ->
+      if sorted_rows (run_scan hash key) <> sorted_rows (run_scan compact key)
+      then Alcotest.fail "a compact scan differs from the hash backend's")
+    keys
+
+let block_counters reg =
+  List.map
+    (fun name -> Option.value ~default:0 (Obs.find_counter reg name))
+    [ "store.block_decodes"; "store.block_cache_hits"; "store.block_skips" ]
+
+(* A compact scan that misses its memo locates and copies its rows
+   through one segment reader.  The block counts are sums over the
+   blocks read, so they are pinned: the same memo-missing scan1/scan2
+   calls over a merged Barton store, first with no tombstone, then with
+   tombstones in range, decode, hit and skip exactly as many blocks as
+   when the locate and the copy each ran a reader of their own. *)
+let test_scan_block_counts () =
+  let triples = Rdf.Store.to_triples (Workload.Barton.store ~n_entities:300 ~seed:7 ()) in
+  let hash, compact = store_pair triples in
+  Rdf.Store.compact compact;
+  (* every distinct key of the first 60 rows in scan order, all misses *)
+  let keys =
+    scan_keys (List.filteri (fun i _ -> i < 60) (sorted_rows (Rdf.Store.scan_all hash)))
+  in
+  let reg = Obs.create () in
+  Obs.set_global reg;
+  Fun.protect ~finally:(fun () -> Obs.set_global Obs.disabled) @@ fun () ->
+  let phase () =
+    let before = block_counters reg in
+    check_scans_match hash compact keys;
+    List.map2 ( - ) (block_counters reg) before
+  in
+  Alcotest.(check (list int)) "merged: decodes, hits, skips" [ 27; 1878; 3185 ] (phase ());
+  (* tombstones over every fifth row, under the flush threshold *)
+  List.iteri
+    (fun i t ->
+      if i mod 5 = 0 then begin
+        ignore (Rdf.Store.remove hash t : bool);
+        ignore (Rdf.Store.remove compact t : bool)
+      end)
+    triples;
+  Alcotest.(check (list int)) "tombstoned: decodes, hits, skips" [ 0; 1872; 3185 ] (phase ())
+
+(* More distinct scan keys than the memo holds, with no write between
+   them: the memo resets itself when full, and every scan, before and
+   after a reset, still equals the hash backend's. *)
+let test_scan_memo_overflow () =
+  let tr i =
+    triple
+      (uri (Printf.sprintf "s%d" (i / 3)))
+      (uri (Printf.sprintf "p%d" (i mod 7)))
+      (lit (Printf.sprintf "o%d" i))
+  in
+  let hash, compact = store_pair (List.init 9_000 tr) in
+  Rdf.Store.compact compact;
+  for i = 9_000 to 9_999 do
+    ignore (Rdf.Store.add hash (tr i) : bool);
+    ignore (Rdf.Store.add compact (tr i) : bool)
+  done;
+  for i = 0 to 499 do
+    ignore (Rdf.Store.remove hash (tr (7 * i)) : bool);
+    ignore (Rdf.Store.remove compact (tr (7 * i)) : bool)
+  done;
+  let keys = scan_keys (sorted_rows (Rdf.Store.scan_all hash)) in
+  check_bool "more keys than the memo holds" true
+    (List.length keys > Rdf.Compact_backend.scan_cache_max_keys);
+  check_scans_match hash compact keys;
+  check_scans_match hash compact (List.rev keys)
+
 (* ---------- flat int tables ---------------------------------------------- *)
 
 (* Codes and triples whose slot hash ends in four 1 bits: at every
@@ -954,5 +1060,7 @@ let () =
             test_barton_scale_parity;
           Alcotest.test_case "distinct counts read no blocks" `Quick
             test_distinct_reads_no_blocks;
+          Alcotest.test_case "scan block counts" `Quick test_scan_block_counts;
+          Alcotest.test_case "scan memo overflow" `Quick test_scan_memo_overflow;
         ] );
     ]
