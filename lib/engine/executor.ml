@@ -1,24 +1,26 @@
-(* Columnar execution of rewriting plans over materialized views.
+(* Execution of rewriting plans over materialized views, on packed
+   rows.
 
-   Intermediate results are chunks: one flat [int array] per column
-   plus a row count.  A chunk whose rows are exactly a row set's rows
-   records that set, read in place: a scan reads a view's own set; a
-   renaming, a selection that keeps every row and a one-branch union
-   carry their input's set; deduplication and a union of several
-   branches build one with a bulk [Rowset.add_columns] pass.  A
-   selection that drops rows gathers its survivors once, a projection
-   reorders column references and hands them to deduplication, and a
-   join builds fresh columns; none of these is a set.  The result
-   relation wraps the chunk's own set, so a view's rows are never
-   hashed on the way out and any other row is hashed at most once.  It
-   may therefore be a view's own set: read it before the views are
-   next maintained, and never write it. *)
+   Intermediate results are chunks: one flat [int array] holding the
+   rows packed row-major, one code per column each, plus a row count,
+   the layout of a Rdf.Rowset's own rows.  A chunk whose rows are exactly a
+   row set's rows records that set, read in place: a scan reads a
+   view's own set; a renaming, a selection that keeps every row and a
+   one-branch union carry their input's set; a projection adds its
+   projected rows straight into a fresh set, and deduplication and a
+   union of several branches build one with a bulk [Rowset.add_rows]
+   pass.  A selection that drops rows gathers its survivors once and a
+   join builds fresh rows; neither is a set.  The result relation wraps
+   the chunk's own set, so a view's rows are never hashed on the way
+   out and any other row is hashed at most once.  It may therefore be a
+   view's own set: read it before the views are next maintained, and
+   never write it. *)
 
 type chunk = {
   cols : string list;  (* column names, in order *)
-  data : int array array;  (* per-column values, each of length >= n *)
+  data : int array;  (* rows packed [width] codes each, [width * n] or more *)
   n : int;  (* row count *)
-  set : Query.Rowset.t option;  (* the set whose rows these are, if any *)
+  set : Rdf.Rowset.t option;  (* the set whose rows these are, if any *)
 }
 
 let column_index cols c =
@@ -28,29 +30,28 @@ let column_index cols c =
   in
   find 0 cols
 
+(* Codes per row. *)
+let width ch = List.length ch.cols
+
 let set_of ch =
-  let rs = Query.Rowset.create (max ch.n 16) in
-  ignore (Query.Rowset.add_columns rs ch.data ch.n : int);
+  let rs = Rdf.Rowset.create ch.n in
+  ignore (Rdf.Rowset.add_rows rs ~width:(width ch) ch.data ch.n : int);
   rs
 
-(* A set's rows as a chunk, in place.  A set that never held a row has
-   no columns yet. *)
+(* A set's rows as a chunk, in place. *)
 let of_set cols rs =
-  let n = Query.Rowset.cardinal rs in
-  let data =
-    if n = 0 then Array.make (List.length cols) [||] else Query.Rowset.columns rs
-  in
-  { cols; data; n; set = Some rs }
+  { cols; data = Rdf.Rowset.data rs; n = Rdf.Rowset.cardinal rs; set = Some rs }
 
 (* Set-semantics dedup of a whole chunk: a set is kept as it is, any
    other chunk is hashed in one bulk pass and read out of its set. *)
 let dedup ch =
   match ch.set with Some _ -> ch | None -> of_set ch.cols (set_of ch)
 
-(* Row [r]'s codes at columns [idx] of [data], into [key]. *)
-let fill key data idx r =
+(* Row [r]'s codes at columns [idx] of [data], [w] codes a row, into
+   [key]. *)
+let fill key data w idx r =
   for i = 0 to Array.length idx - 1 do
-    key.(i) <- data.(idx.(i)).(r)
+    key.(i) <- data.((w * r) + idx.(i))
   done
 
 let rec eval store env expr : chunk =
@@ -61,22 +62,22 @@ let rec eval store env expr : chunk =
     | None -> failwith ("Executor: unknown view " ^ name))
   | Core.Rewriting.Select (conds, inner) ->
     let ch = eval store env inner in
+    let w = width ch and data = ch.data in
     (* compile each condition to a per-row-index predicate over the
-       chunk's columns *)
+       chunk's rows *)
     let tests =
       Array.of_list
         (List.map
            (fun cond ->
              match cond with
              | Core.Rewriting.Eq_cst (c, term) -> (
-               let col = ch.data.(column_index ch.cols c) in
+               let i = column_index ch.cols c in
                match Rdf.Store.find_term store term with
-               | Some code -> fun r -> col.(r) = code
+               | Some code -> fun r -> data.((w * r) + i) = code
                | None -> fun _ -> false)
              | Core.Rewriting.Eq_col (c1, c2) ->
-               let a = ch.data.(column_index ch.cols c1) in
-               let b = ch.data.(column_index ch.cols c2) in
-               fun r -> a.(r) = b.(r))
+               let a = column_index ch.cols c1 and b = column_index ch.cols c2 in
+               fun r -> data.((w * r) + a) = data.((w * r) + b))
            conds)
     in
     let passes r =
@@ -94,32 +95,30 @@ let rec eval store env expr : chunk =
     done;
     if !first = ch.n then ch
     else begin
-      (* selection vector of survivors, then one gather per column *)
-      let sel = Array.init ch.n (fun r -> r) in
-      let k = ref !first in
+      (* the survivors, gathered once *)
+      let out = Array.make (w * ch.n) 0 in
+      Array.blit data 0 out 0 (w * !first);
+      let m = ref !first in
       for r = !first + 1 to ch.n - 1 do
         if passes r then begin
-          sel.(!k) <- r;
-          incr k
+          Array.blit data (w * r) out (w * !m) w;
+          incr m
         end
       done;
-      let m = !k in
-      {
-        ch with
-        data = Array.map (fun col -> Array.init m (fun i -> col.(sel.(i)))) ch.data;
-        n = m;
-        set = None;
-      }
+      { ch with data = out; n = !m; set = None }
     end
   | Core.Rewriting.Project (out_cols, inner) ->
     let ch = eval store env inner in
-    (* a projection only reorders column references; the dedup pass
-       owns any data movement *)
-    let data =
-      Array.of_list
-        (List.map (fun c -> ch.data.(column_index ch.cols c)) out_cols)
-    in
-    dedup { cols = out_cols; data; n = ch.n; set = None }
+    (* each projected row goes straight into the result set, hashed
+       once *)
+    let idx = Array.of_list (List.map (column_index ch.cols) out_cols) in
+    let rs = Rdf.Rowset.of_width (Array.length idx) ch.n in
+    let key = Rdf.Rowset.key rs and w = width ch in
+    for r = 0 to ch.n - 1 do
+      fill key ch.data w idx r;
+      ignore (Rdf.Rowset.add rs key : bool)
+    done;
+    of_set out_cols rs
   | Core.Rewriting.Rename (mapping, inner) ->
     let ch = eval store env inner in
     let renamed =
@@ -154,59 +153,43 @@ let rec eval store env expr : chunk =
         (List.mapi (fun i c -> (i, c)) rch.cols)
     in
     let out_cols = lch.cols @ List.map snd kept_right in
-    let lw = List.length lch.cols in
+    let lw = width lch and rw = width rch in
     let kept = Array.of_list (List.map fst kept_right) in
     (* hash join: the left rows' distinct join keys go into a row set;
        a key's index there heads its chain of left rows, latest first *)
-    let keys = Query.Rowset.create (max lch.n 16) in
-    let key = Array.make (Array.length lkey) 0 in
+    let keys = Rdf.Rowset.of_width (Array.length lkey) lch.n in
+    let key = Rdf.Rowset.key keys in
     let first = Array.make lch.n (-1) and next = Array.make lch.n (-1) in
     for r = 0 to lch.n - 1 do
-      fill key lch.data lkey r;
-      let g =
-        match Query.Rowset.find keys key with
-        | -1 ->
-          ignore (Query.Rowset.add keys key : bool);
-          Query.Rowset.cardinal keys - 1
-        | g -> g
-      in
+      fill key lch.data lw lkey r;
+      let g = Rdf.Rowset.find_or_add keys key in
       next.(r) <- first.(g);
       first.(g) <- r
     done;
-    (* probe with the right rows, appending matches column-wise into
-       growable output vectors *)
+    (* probe with the right rows, appending matches into a growable
+       packed output *)
     let width = lw + Array.length kept in
-    let cap = ref 64 in
-    let out = Array.init width (fun _ -> Array.make !cap 0) in
+    let out = ref (Array.make (64 * width) 0) in
     let n = ref 0 in
-    let grow need =
-      if need > !cap then begin
-        let cap' = max need (2 * !cap) in
-        for c = 0 to width - 1 do
-          let fresh = Array.make cap' 0 in
-          Array.blit out.(c) 0 fresh 0 !n;
-          out.(c) <- fresh
-        done;
-        cap := cap'
-      end
-    in
     for r = 0 to rch.n - 1 do
-      fill key rch.data rkey r;
-      let lr = ref (match Query.Rowset.find keys key with -1 -> -1 | g -> first.(g)) in
+      fill key rch.data rw rkey r;
+      let lr = ref (match Rdf.Rowset.find keys key with -1 -> -1 | g -> first.(g)) in
       while !lr >= 0 do
-        grow (!n + 1);
-        let j = !n in
-        for c = 0 to lw - 1 do
-          out.(c).(j) <- lch.data.(c).(!lr)
-        done;
+        let b = width * !n in
+        if b + width > Array.length !out then begin
+          let bigger = Array.make (2 * Array.length !out) 0 in
+          Array.blit !out 0 bigger 0 b;
+          out := bigger
+        end;
+        Array.blit lch.data (lw * !lr) !out b lw;
         for c = 0 to Array.length kept - 1 do
-          out.(lw + c).(j) <- rch.data.(kept.(c)).(r)
+          !out.(b + lw + c) <- rch.data.((rw * r) + kept.(c))
         done;
-        n := j + 1;
+        incr n;
         lr := next.(!lr)
       done
     done;
-    { cols = out_cols; data = out; n = !n; set = None }
+    { cols = out_cols; data = !out; n = !n; set = None }
   | Core.Rewriting.Union branches -> (
     let results = List.map (eval store env) branches in
     match results with
@@ -214,9 +197,9 @@ let rec eval store env expr : chunk =
     | [ only ] -> dedup only
     | (first : chunk) :: _ ->
       let hint = List.fold_left (fun acc ch -> acc + ch.n) 0 results in
-      let rs = Query.Rowset.create (max hint 16) in
+      let rs = Rdf.Rowset.create hint in
       List.iter
-        (fun ch -> ignore (Query.Rowset.add_columns rs ch.data ch.n : int))
+        (fun ch -> ignore (Rdf.Rowset.add_rows rs ~width:(width ch) ch.data ch.n : int))
         results;
       of_set first.cols rs)
 

@@ -160,7 +160,7 @@ let delta memo store e triple =
         match !rows with
         | Some set -> set
         | None ->
-          let set = Query.Rowset.create 16 in
+          let set = Rdf.Rowset.create 16 in
           rows := Some set;
           set
       in
@@ -174,7 +174,7 @@ let delta memo store e triple =
 let delta_insert store q triple =
   let memo = memo_of store in
   match delta memo store (prepared memo store q) triple with
-  | Some rows -> Query.Rowset.elements rows
+  | Some rows -> Rdf.Rowset.elements rows
   | None -> []
 
 let encode store (tr : Rdf.Triple.t) =
@@ -193,7 +193,7 @@ let insert_triple store views triple =
         match delta memo store (prepared memo store cq) encoded with
         | None -> acc
         | Some rows ->
-          Query.Rowset.fold
+          Rdf.Rowset.fold
             (fun tuple acc -> if Relation.add_row rel tuple then acc + 1 else acc)
             rows acc)
       0 views
@@ -209,11 +209,11 @@ let derivable memo store e tuple =
       e.recheck <- Some plan;
       plan
   in
-  let rows = Query.Rowset.create 1 in
+  let rows = Rdf.Rowset.create 1 in
   Query.Evaluation.eval_params_into store e.cq plan ~params:e.head_params
     (args_of e.head_firsts (Array.get tuple))
     rows;
-  Query.Rowset.cardinal rows > 0
+  Rdf.Rowset.cardinal rows > 0
 
 let delete_triple store views triple =
   match encode store triple with
@@ -231,7 +231,7 @@ let delete_triple store views triple =
     assert removed;
     List.fold_left
       (fun acc (e, rel, rows) ->
-        Query.Rowset.fold
+        Rdf.Rowset.fold
           (fun tuple acc ->
             if (not (derivable memo store e tuple)) && Relation.remove_row rel tuple then
               acc + 1

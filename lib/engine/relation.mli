@@ -1,5 +1,5 @@
 (** Materialized relations: a name, column labels and one
-    {!Query.Rowset.t} of dictionary-encoded tuples — the physical
+    {!Rdf.Rowset.t} of dictionary-encoded tuples — the physical
     representation of a materialized view.
 
     Membership, insertion and removal are the row set's own: a probe
@@ -9,7 +9,7 @@
 
 type t
 
-val of_rowset : name:string -> cols:string list -> Query.Rowset.t -> t
+val of_rowset : name:string -> cols:string list -> Rdf.Rowset.t -> t
 (** Wraps the set in place; the relation may share the set.  A relation
     that shares a materialized view's set (an executor result does) is
     read-only: only {!Maintenance} writes a view's rows, through the
@@ -21,7 +21,7 @@ val make : name:string -> cols:string list -> int array list -> t
 val name : t -> string
 val cols : t -> string list
 
-val rowset : t -> Query.Rowset.t
+val rowset : t -> Rdf.Rowset.t
 (** The tuples, read in place. *)
 
 val cardinality : t -> int

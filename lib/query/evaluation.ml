@@ -131,17 +131,17 @@ module Reference = struct
       Array.of_list (List.map code_of q.head)
     in
     eval_bindings ?bound store q (fun bindings ->
-        ignore (Rowset.add results (project bindings)))
+        ignore (Rdf.Rowset.add results (project bindings)))
 
   let eval_cq_codes ?bound store q =
-    let results = Rowset.create 64 in
+    let results = Rdf.Rowset.create 64 in
     eval_codes_into ?bound store q results;
-    Rowset.elements results
+    Rdf.Rowset.elements results
 
   let eval_ucq_codes store u =
-    let results = Rowset.create 64 in
+    let results = Rdf.Rowset.create 64 in
     List.iter (fun q -> eval_codes_into store q results) (Ucq.disjuncts u);
-    Rowset.elements results
+    Rdf.Rowset.elements results
 
   let eval_cq store q = decode_rows store (eval_cq_codes store q)
   let eval_ucq store u = decode_rows store (eval_ucq_codes store u)
@@ -188,7 +188,7 @@ let check_codes name compiled reference =
 let plan_rows store (q : Cq.t) =
   Obs.incr (obs_evals ());
   let plan = Plan.cached store q in
-  let rows = Rowset.create (max 64 (Plan.size_hint plan)) in
+  let rows = Rdf.Rowset.create (max 64 (Plan.size_hint plan)) in
   Plan.exec_into plan store rows;
   rows
 
@@ -205,7 +205,7 @@ let ucq_plan_rows ~cache store u =
       (Ucq.shapes u)
   in
   let hint = List.fold_left (fun n p -> n + Plan.size_hint p) 0 plans in
-  let rows = Rowset.create (max 64 hint) in
+  let rows = Rdf.Rowset.create (max 64 hint) in
   List.iter (fun p -> Plan.exec_into p store rows) plans;
   rows
 
@@ -215,33 +215,33 @@ let ucq_plan_rows ~cache store u =
 let eval_cq_rowset store q =
   let rows = plan_rows store q in
   if strict_enabled () then
-    check_codes q.Cq.name (Rowset.elements rows) (Reference.eval_cq_codes store q);
+    check_codes q.Cq.name (Rdf.Rowset.elements rows) (Reference.eval_cq_codes store q);
   rows
 
 let eval_ucq_rowset ?(cache = true) store u =
   let rows = ucq_plan_rows ~cache store u in
   if strict_enabled () then
-    check_codes (Ucq.name u) (Rowset.elements rows)
+    check_codes (Ucq.name u) (Rdf.Rowset.elements rows)
       (Reference.eval_ucq_codes store u);
   rows
 
-let eval_cq_codes store q = Rowset.elements (eval_cq_rowset store q)
+let eval_cq_codes store q = Rdf.Rowset.elements (eval_cq_rowset store q)
 
 (* In strict mode the call's own rows are checked before they join the
    caller's, which may already hold rows of other calls. *)
 let eval_params_into store (q : Cq.t) plan ~params args rows =
   Obs.incr (obs_evals ());
   if strict_enabled () then begin
-    let own = Rowset.create 16 in
+    let own = Rdf.Rowset.create 16 in
     Plan.exec_into ~args plan store own;
-    let own = Rowset.elements own in
+    let own = Rdf.Rowset.elements own in
     check_codes q.Cq.name own
       (Reference.eval_cq_codes ~bound:(List.combine params (Array.to_list args)) store q);
-    List.iter (fun row -> ignore (Rowset.add rows row : bool)) own
+    List.iter (fun row -> ignore (Rdf.Rowset.add rows row : bool)) own
   end
   else Plan.exec_into ~args plan store rows
 
-let eval_ucq_codes store u = Rowset.elements (eval_ucq_rowset store u)
+let eval_ucq_codes store u = Rdf.Rowset.elements (eval_ucq_rowset store u)
 
 let eval_cq store q = decode_rows store (eval_cq_codes store q)
 let eval_ucq store u = decode_rows store (eval_ucq_codes store u)

@@ -37,11 +37,11 @@ val eval_ucq : Rdf.Store.t -> Ucq.t -> Rdf.Term.t array list
 val eval_cq_codes : Rdf.Store.t -> Cq.t -> int array list
 (** The distinct answer rows, dictionary-encoded. *)
 
-val eval_cq_rowset : Rdf.Store.t -> Cq.t -> Rowset.t
+val eval_cq_rowset : Rdf.Store.t -> Cq.t -> Rdf.Rowset.t
 (** The same rows in the set the plan filled, which the caller then
     owns: [Engine.Materialize] keeps it as the view's storage. *)
 
-val eval_ucq_rowset : ?cache:bool -> Rdf.Store.t -> Ucq.t -> Rowset.t
+val eval_ucq_rowset : ?cache:bool -> Rdf.Store.t -> Ucq.t -> Rdf.Rowset.t
 (** The distinct answer rows of the union, in one set the caller owns.
     [~cache:false] compiles every shape's plan afresh and caches
     none on the store: for a one-shot query
@@ -49,7 +49,7 @@ val eval_ucq_rowset : ?cache:bool -> Rdf.Store.t -> Ucq.t -> Rowset.t
     statistics from.  Default [true], through cached plans. *)
 
 val eval_params_into :
-  Rdf.Store.t -> Cq.t -> Plan.t -> params:string list -> int array -> Rowset.t -> unit
+  Rdf.Store.t -> Cq.t -> Plan.t -> params:string list -> int array -> Rdf.Rowset.t -> unit
 (** [eval_params_into store q plan ~params args rows] adds to [rows] the
     answers of [q] with each [params] variable fixed to the code at the
     same index of [args], by executing [plan] — which the caller

@@ -468,9 +468,9 @@ let exec ?(args = [||]) plan store emit =
    disjuncts accumulating into a shared table don't inflate each
    other's estimates. *)
 let exec_into ?args plan store rows =
-  let before = Rowset.cardinal rows in
-  exec ?args plan store (fun row -> ignore (Rowset.add rows row));
-  plan.result_hint <- Rowset.cardinal rows - before
+  let before = Rdf.Rowset.cardinal rows in
+  exec ?args plan store (fun row -> ignore (Rdf.Rowset.add rows row));
+  plan.result_hint <- Rdf.Rowset.cardinal rows - before
 
 let size_hint plan = plan.result_hint
 

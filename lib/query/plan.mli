@@ -71,10 +71,10 @@ val exec : ?args:int array -> t -> Rdf.Store.t -> (int array -> unit) -> unit
     one the plan was compiled against ([Invalid_argument] otherwise)
     and must not be mutated during execution.  The emitted array is ONE
     scratch buffer reused across emissions — copy it (or insert it
-    into a {!Rowset}, which copies) to retain a row past the
+    into a {!Rdf.Rowset}, which copies) to retain a row past the
     callback. *)
 
-val exec_into : ?args:int array -> t -> Rdf.Store.t -> Rowset.t -> unit
+val exec_into : ?args:int array -> t -> Rdf.Store.t -> Rdf.Rowset.t -> unit
 (** {!exec} with set-semantics accumulation into a row table.  Records
     the plan's cardinality delta as its {!size_hint}. *)
 

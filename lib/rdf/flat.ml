@@ -1,12 +1,12 @@
-(* Open-addressed tables of unboxed ints, in Query.Rowset's idiom:
-   linear probing over power-of-two slot arrays, load at most 3/4, and
+(* Open-addressed tables of unboxed ints, in Rowset's idiom: linear
+   probing over power-of-two slot arrays, load at most 3/4, and
    backward-shift deletion, so there are no tombstones and a probe
    sequence ends at the first free slot.  A lookup hashes one int,
    walks a few adjacent cells and compares keys in place: no
    [caml_hash], no polymorphic compare, no boxed key or bucket cell.
-   Both tables start at a few words, since the compact backend creates
-   two fresh memtables on every merge, and grow 4x, so a table reaches
-   its working size in few rehashes (each one a latency spike on the
+   A table starts at a few words, since the compact backend creates
+   two fresh memtables on every merge, and grows 4x, so it reaches its
+   working size in few rehashes (each one a latency spike on the
    insert that triggers it). *)
 
 let min_slots = 4
@@ -21,7 +21,6 @@ let hash k =
   h lxor (h lsr 32)
 
 let pair_key a b = (a lsl 31) lor b
-let hash3 s p o = hash (pair_key s p + (o * 0x2545F4914F6CDD1D))
 
 (* Grows when one more entry would pass 3/4 of the slots. *)
 let full ~entries ~mask = 4 * (entries + 1) > 3 * (mask + 1)
@@ -178,138 +177,4 @@ module Buckets = struct
   (* Three slot arrays, plus each bucket's own array. *)
   let resident_words t =
     fold t (fun _ d _ acc -> acc + 1 + Array.length d) (3 * (t.mask + 2))
-end
-
-module Triples = struct
-  (* A slot packs 31 bits of the triple's hash above its row + 1, so a
-     probe rejects most other triples without reading them, and growth
-     and deletion find an entry's home without rehashing it.  0 marks a
-     free slot. *)
-  let row_bits = 31
-  let row_mask = (1 lsl row_bits) - 1
-
-  type t = {
-    mutable data : int array;  (* packed [s; p; o] rows *)
-    mutable n : int;
-    mutable slots : int array;
-    mutable mask : int;
-  }
-
-  let create () =
-    {
-      data = Array.make (3 * min_slots) 0;
-      n = 0;
-      slots = Array.make min_slots 0;
-      mask = min_slots - 1;
-    }
-
-  let size t = t.n
-  let data t = t.data
-  let home ~mask v = (v lsr row_bits) land mask
-
-  (* The slot holding (s, p, o), or the free slot that ends its probe
-     sequence. *)
-  let probe t tag s p o =
-    let slots = t.slots and data = t.data and mask = t.mask in
-    let j = ref (tag land mask) and searching = ref true in
-    while !searching do
-      let v = Array.unsafe_get slots !j in
-      if
-        v = 0
-        || v lsr row_bits = tag
-           &&
-           let b = 3 * ((v land row_mask) - 1) in
-           data.(b) = s && data.(b + 1) = p && data.(b + 2) = o
-      then searching := false
-      else j := (!j + 1) land mask
-    done;
-    !j
-
-  let find t s p o =
-    let v = t.slots.(probe t (hash3 s p o land row_mask) s p o) in
-    if v = 0 then -1 else (v land row_mask) - 1
-
-  let mem t s p o = find t s p o >= 0
-
-  let grow t =
-    let old = t.slots in
-    let cap = growth * (t.mask + 1) in
-    let mask = cap - 1 in
-    let slots = Array.make cap 0 in
-    Array.iter
-      (fun v ->
-        if v <> 0 then begin
-          let rec go j = if slots.(j) = 0 then j else go ((j + 1) land mask) in
-          slots.(go (home ~mask v)) <- v
-        end)
-      old;
-    t.slots <- slots;
-    t.mask <- mask
-
-  let add t s p o =
-    if full ~entries:t.n ~mask:t.mask then grow t;
-    let tag = hash3 s p o land row_mask in
-    let j = probe t tag s p o in
-    t.slots.(j) = 0
-    && begin
-      let r = t.n in
-      if 3 * r = Array.length t.data then begin
-        let bigger = Array.make (6 * r) 0 in
-        Array.blit t.data 0 bigger 0 (3 * r);
-        t.data <- bigger
-      end;
-      t.data.(3 * r) <- s;
-      t.data.((3 * r) + 1) <- p;
-      t.data.((3 * r) + 2) <- o;
-      t.slots.(j) <- (tag lsl row_bits) lor (r + 1);
-      t.n <- r + 1;
-      true
-    end
-
-  (* The slot pointing at row [r], whose triple hashes to [tag]. *)
-  let slot_of_row t tag r =
-    let v = (tag lsl row_bits) lor (r + 1) and slots = t.slots and mask = t.mask in
-    let j = ref (tag land mask) in
-    while slots.(!j) <> v do
-      j := (!j + 1) land mask
-    done;
-    !j
-
-  let tag_of_row t r =
-    let b = 3 * r in
-    hash3 t.data.(b) t.data.(b + 1) t.data.(b + 2) land row_mask
-
-  (* Backward-shift deletion, as in [Buckets.delete]. *)
-  let delete t j =
-    let slots = t.slots and mask = t.mask in
-    let hole = ref j and i = ref ((j + 1) land mask) in
-    while slots.(!i) <> 0 do
-      let v = slots.(!i) in
-      if dist ~mask (home ~mask v) !i >= dist ~mask !hole !i then begin
-        slots.(!hole) <- v;
-        hole := !i
-      end;
-      i := (!i + 1) land mask
-    done;
-    slots.(!hole) <- 0
-
-  let remove_row t r =
-    delete t (slot_of_row t (tag_of_row t r) r);
-    let last = t.n - 1 in
-    if r <> last then begin
-      Array.blit t.data (3 * last) t.data (3 * r) 3;
-      let tag = tag_of_row t r in
-      t.slots.(slot_of_row t tag last) <- (tag lsl row_bits) lor (r + 1)
-    end;
-    t.n <- last;
-    last
-
-  let fold t f init =
-    let acc = ref init in
-    for r = 0 to t.n - 1 do
-      acc := f (t.data.(3 * r), t.data.((3 * r) + 1), t.data.((3 * r) + 2)) !acc
-    done;
-    !acc
-
-  let resident_words t = Array.length t.data + Array.length t.slots + 2
 end

@@ -1,19 +1,16 @@
 (** Open-addressed tables of unboxed ints: linear probing over
     power-of-two slot arrays grown 4x, load at most 3/4, backward-shift
-    deletion (no tombstones).  Keys are compared in place, so a lookup allocates
-    nothing and follows no pointer but the one to its result.  The
-    storage layer of {!Hash_backend} (and so of the compact backend's
-    memtable), of the compact backend's scan memo and of the saturated
-    triples whose derivations {!Incremental} counts. *)
+    deletion (no tombstones).  Keys are compared in place, so a lookup
+    allocates nothing and follows no pointer but the one to its result.
+    The six indexes of {!Hash_backend} (and so of the compact backend's
+    memtable) and the compact backend's scan memo; the rows themselves
+    live in {!Rowset}. *)
 
 val hash : int -> int
 (** The slot hash: a key's home is [hash key land mask]. *)
 
 val pair_key : int -> int -> int
 (** One non-negative key for a pair of codes below [2^31]. *)
-
-val hash3 : int -> int -> int -> int
-(** The slot hash of a triple in {!Triples}. *)
 
 (** Non-negative int keys mapped to buckets, each an [int array] and
     its used length, stored inline in parallel slot arrays.  A slot index stays valid until the next insertion or
@@ -57,36 +54,4 @@ module Buckets : sig
 
   val resident_words : t -> int
   (** Slot arrays and buckets, headers included. *)
-end
-
-(** A set of [(s, p, o)] triples, packed as consecutive rows of one
-    [int array]; its slots hold each triple's row, so [find] compares
-    the key where it is stored.  Removal moves the last row into the
-    hole. *)
-module Triples : sig
-  type t
-
-  val create : unit -> t
-  val size : t -> int
-
-  val data : t -> int array
-  (** The live rows: the first [3 * size] cells, packed [s; p; o]. *)
-
-  val find : t -> int -> int -> int -> int
-  (** The triple's row, or [-1]. *)
-
-  val mem : t -> int -> int -> int -> bool
-
-  val add : t -> int -> int -> int -> bool
-  (** False if present; a new triple takes row [size - 1]. *)
-
-  val remove_row : t -> int -> int
-  (** [remove_row t r] removes the triple at row [r]; the triple at the
-      last row moves into [r].  Returns that last row's index ([r]
-      itself when [r] was last). *)
-
-  val fold : t -> (int * int * int -> 'a -> 'a) -> 'a -> 'a
-  (** In row order. *)
-
-  val resident_words : t -> int
 end

@@ -1,6 +1,7 @@
-(* The hexastore-style layout, over Flat's open-addressed int tables.
-   Every triple sits once in [set], a packed [s; p; o] array whose
-   membership slots hold each triple's row, and once in a bucket of
+(* The hexastore-style layout, over the open-addressed int tables of
+   Rowset and Flat.  Every triple sits once in [set], a width-3 Rowset
+   (packed [s; p; o] rows whose slots hold each triple's row), probed
+   through the set's own key row, and once in a bucket of
    each of six indexes, keyed by its column or column pair, so
    [count1]/[count2] are one probe (the paper's §3.3 exact-count
    assumption) and the compiled executor (Query.Plan) walks a bucket by
@@ -27,7 +28,7 @@
 let n_indexes = 6
 
 type t = {
-  set : Flat.Triples.t;
+  set : Rowset.t;
   mutable rows : int array;
       (* stride 6: the triple at row r < [indexed] of [set] sits at row
          [rows.(6r + k)] of its bucket in [idx.(k)] *)
@@ -37,7 +38,7 @@ type t = {
 
 let create () =
   {
-    set = Flat.Triples.create ();
+    set = Rowset.of_width 3 0;
     rows = Array.make (n_indexes * 4) 0;
     idx = Array.init n_indexes (fun _ -> Flat.Buckets.create ());
     indexed = 0;
@@ -54,9 +55,10 @@ let key k s p o =
   | 4 -> pair_key s o
   | _ -> pair_key p o
 
-let add t s p o = Flat.Triples.add t.set s p o
-let mem t s p o = Flat.Triples.mem t.set s p o
-let size t = Flat.Triples.size t.set
+let find t s p o = Rowset.find t.set (Rowset.key3 t.set s p o)
+let add t s p o = Rowset.add t.set (Rowset.key3 t.set s p o)
+let mem t s p o = find t s p o >= 0
+let size t = Rowset.cardinal t.set
 
 (* Room in [rows] for [n] rows, doubling as an add per row would. *)
 let grow t n =
@@ -70,7 +72,7 @@ let grow t n =
 
 (* Push row [r] of [set] into all six indexes (a remove's moved row). *)
 let index_row t r =
-  let d = Flat.Triples.data t.set in
+  let d = Rowset.data t.set in
   let s = d.(3 * r) and p = d.((3 * r) + 1) and o = d.((3 * r) + 2) in
   let base = n_indexes * r in
   for k = 0 to n_indexes - 1 do
@@ -82,7 +84,7 @@ let index_row t r =
 let catch_up t =
   let n = size t in
   if Array.length t.rows < n_indexes * n then grow t n;
-  let d = Flat.Triples.data t.set in
+  let d = Rowset.data t.set in
   for k = 0 to n_indexes - 1 do
     let b = t.idx.(k) in
     for r = t.indexed to n - 1 do
@@ -107,7 +109,7 @@ let remove_at t k key i =
     d.(3 * i) <- s;
     d.((3 * i) + 1) <- p;
     d.((3 * i) + 2) <- o;
-    t.rows.((n_indexes * Flat.Triples.find t.set s p o) + k) <- i
+    t.rows.((n_indexes * find t s p o) + k) <- i
   end;
   Flat.Buckets.set_rows b j last
 
@@ -115,14 +117,14 @@ let remove_at t k key i =
    buckets, and the last row of [set] moves into its place: a pending
    one is indexed there, an indexed one brings its recorded rows. *)
 let remove t s p o =
-  let r = Flat.Triples.find t.set s p o in
+  let r = find t s p o in
   r >= 0
   && begin
     if r < t.indexed then begin
       for k = 0 to n_indexes - 1 do
         remove_at t k (key k s p o) t.rows.((n_indexes * r) + k)
       done;
-      let last = Flat.Triples.remove_row t.set r in
+      let last = Rowset.remove_row t.set r in
       if last >= t.indexed then index_row t r
       else begin
         if last <> r then
@@ -130,7 +132,7 @@ let remove t s p o =
         t.indexed <- t.indexed - 1
       end
     end
-    else ignore (Flat.Triples.remove_row t.set r : int);
+    else ignore (Rowset.remove_row t.set r : int);
     true
   end
 
@@ -160,7 +162,7 @@ let count2 t cols a b =
    further scans (a later catch-up only appends past the rows returned;
    only a remove rewrites a bucket). *)
 let empty_scan = ([||] : int array)
-let scan_all t = (Flat.Triples.data t.set, size t)
+let scan_all t = (Rowset.data t.set, size t)
 
 let scan_key b key =
   let j = Flat.Buckets.find b key in
@@ -174,7 +176,12 @@ let scan2 t cols a b =
   sync t;
   scan_key (index_of_pair t cols) (pair_key a b)
 
-let fold_all t f init = Flat.Triples.fold t.set f init
+let fold_all t f init =
+  let d = Rowset.data t.set and acc = ref init in
+  for r = 0 to size t - 1 do
+    acc := f (d.(3 * r), d.((3 * r) + 1), d.((3 * r) + 2)) !acc
+  done;
+  !acc
 
 let distinct_in_column t col =
   sync t;
@@ -190,7 +197,7 @@ let resident_bytes t =
   8
   * Array.fold_left
       (fun acc b -> acc + Flat.Buckets.resident_words b)
-      (Flat.Triples.resident_words t.set + Array.length t.rows + 1)
+      (Rowset.resident_words t.set + Array.length t.rows + 1)
       t.idx
 
 let compact = sync
@@ -198,10 +205,10 @@ let compact = sync
 (* Reads the indexes as they stand: a checker must not index. *)
 let rows_consistent t =
   let ok = ref (t.indexed <= size t) in
-  let d = Flat.Triples.data t.set in
+  let d = Rowset.data t.set in
   for r = 0 to size t - 1 do
     let s = d.(3 * r) and p = d.((3 * r) + 1) and o = d.((3 * r) + 2) in
-    ok := !ok && Flat.Triples.find t.set s p o = r;
+    ok := !ok && find t s p o = r;
     if r < t.indexed then
       for k = 0 to n_indexes - 1 do
         let b = t.idx.(k) in

@@ -1,6 +1,7 @@
 (** Hexastore-style backend (the original {!Store} layout) over
-    {!Flat}'s open-addressed int tables: the triples packed in one
-    array, and six indexes (s, p, o, sp, so, po) whose buckets are
+    open-addressed int tables: the triples in one width-3 {!Rowset}
+    (packed rows), and six {!Flat.Buckets} indexes (s, p, o, sp, so,
+    po) whose buckets are
     growable packed-int arrays stored inline in the index slots.  O(1)
     point mutation and counting, live-storage scans.  Each triple
     records its row in every bucket holding it; a remove moves each

@@ -1,12 +1,13 @@
 (* Exact derivation counts: every rule has one premise, so the explicit
    triples deriving u are those whose closure visits u.  [counts.(r)] is
-   two per such visit to the triple at row [r] of [rows], plus 1 (the
-   low bit) if it is explicit; the store holds those counted above 0. *)
+   two per such visit to the triple at row [r] of [rows], a width-3
+   Rowset probed through its own key row, plus 1 (the low bit) if it is
+   explicit; the store holds those counted above 0. *)
 type t = {
   schema : Schema.t;
   store : Store.t;
   rules : Entailment.rules;
-  rows : Flat.Triples.t;
+  rows : Rowset.t;
   mutable counts : int array;  (* by row of [rows], grown 2x *)
   mutable explicit : int;  (* counts with the low bit set *)
 }
@@ -16,30 +17,32 @@ let schema t = t.schema
 let explicit_count t = t.explicit
 let implicit_count t = Store.size t.store - t.explicit
 
+let find t s p o = Rowset.find t.rows (Rowset.key3 t.rows s p o)
+
 let flagged t (s, p, o) =
-  let r = Flat.Triples.find t.rows s p o in
+  let r = find t s p o in
   r >= 0 && t.counts.(r) land 1 = 1
 
 (* Add [d] to the count of [u]; true when [u] is new to the store. *)
 let bump t ((s, p, o) as u) d =
-  let r = Flat.Triples.find t.rows s p o in
-  if r >= 0 then t.counts.(r) <- t.counts.(r) + d
+  let fresh = Rowset.cardinal t.rows in
+  let r = Rowset.find_or_add t.rows (Rowset.key3 t.rows s p o) in
+  if r < fresh then t.counts.(r) <- t.counts.(r) + d
   else begin
-    ignore (Flat.Triples.add t.rows s p o : bool);
-    let fresh = Flat.Triples.size t.rows - 1 and c = t.counts in
-    if fresh = Array.length c then t.counts <- Array.append c c;
-    t.counts.(fresh) <- d
+    let c = t.counts in
+    if r = Array.length c then t.counts <- Array.append c c;
+    t.counts.(r) <- d
   end;
-  r < 0 && Store.add_encoded t.store u
+  r = fresh && Store.add_encoded t.store u
 
 (* Subtract [d] from the count of [u]; at 0, [u] leaves the store and
    [rows], whose last row moves into its place. *)
 let drop t ((s, p, o) as u) d =
-  let r = Flat.Triples.find t.rows s p o in
+  let r = find t s p o in
   t.counts.(r) <- t.counts.(r) - d;
   t.counts.(r) = 0
   && begin
-    t.counts.(r) <- t.counts.(Flat.Triples.remove_row t.rows r);
+    t.counts.(r) <- t.counts.(Rowset.remove_row t.rows r);
     Store.remove_encoded t.store u
   end
 
@@ -61,7 +64,7 @@ let add_explicit t e =
   end
 
 let create schema store =
-  let rules = Entailment.rules store schema and rows = Flat.Triples.create () in
+  let rules = Entailment.rules store schema and rows = Rowset.of_width 3 0 in
   let t = { schema; store; rules; rows; counts = [| 0 |]; explicit = 0 } in
   let triples = List.rev (Store.fold_all store (fun e acc -> e :: acc) []) in
   List.iter (fun e -> ignore (add_explicit t e : int)) triples;

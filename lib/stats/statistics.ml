@@ -38,13 +38,13 @@ let pattern_key (a : Query.Atom.t) =
 
 let all_var_atom = Query.Atom.make (Query.Qterm.Var "_s") (Query.Qterm.Var "_p") (Query.Qterm.Var "_o")
 
-(* A counting sort of rows [0, n) on their property code, where [s r],
-   [p r] and [o r] read the codes of row [r]. *)
-let group_by_property codes n s p o =
+(* A counting sort of the [n] triples packed [s; p; o] at the start of
+   [data] on their property code. *)
+let group_by_property codes (data, n) =
   let first = Array.make (codes + 1) 0 in
   let subj = Array.make n 0 and obj = Array.make n 0 in
   for r = 0 to n - 1 do
-    let c = p r + 1 in
+    let c = data.((3 * r) + 1) + 1 in
     first.(c) <- first.(c) + 1
   done;
   for c = 1 to codes do
@@ -52,11 +52,11 @@ let group_by_property codes n s p o =
   done;
   let next = Array.sub first 0 codes in
   for r = 0 to n - 1 do
-    let c = p r in
+    let c = data.((3 * r) + 1) in
     let i = next.(c) in
     next.(c) <- i + 1;
-    subj.(i) <- s r;
-    obj.(i) <- o r
+    subj.(i) <- data.(3 * r);
+    obj.(i) <- data.((3 * r) + 2)
   done;
   { first; subj; obj }
 
@@ -72,12 +72,7 @@ let group_by_property codes n s p o =
    some rule rewrites), so a statistic resolves its constants only
    after it. *)
 let build store = function
-  | Plain ->
-    let data, n = Rdf.Store.scan_all store in
-    group_by_property (Rdf.Store.dict_size store) n
-      (fun r -> data.(3 * r))
-      (fun r -> data.((3 * r) + 1))
-      (fun r -> data.((3 * r) + 2))
+  | Plain -> group_by_property (Rdf.Store.dict_size store) (Rdf.Store.scan_all store)
   | Reformulated schema ->
     let head = [ all_var_atom.s; all_var_atom.p; all_var_atom.o ] in
     let q = Query.Cq.make ~name:"saturation" ~head ~body:[ all_var_atom ] in
@@ -85,11 +80,8 @@ let build store = function
       Query.Evaluation.eval_ucq_rowset ~cache:false store
         (Query.Reformulation.reformulate q schema)
     in
-    let cols = Query.Rowset.columns rows in
-    group_by_property (Rdf.Store.dict_size store) (Query.Rowset.cardinal rows)
-      (fun r -> cols.(0).(r))
-      (fun r -> cols.(1).(r))
-      (fun r -> cols.(2).(r))
+    group_by_property (Rdf.Store.dict_size store)
+      (Rdf.Rowset.data rows, Rdf.Rowset.cardinal rows)
 
 let create ?(mode = Plain) store =
   {

@@ -171,9 +171,9 @@ let big_rows = 50_000
 
 let big_view () =
   let painter = Rdf.Store.encode_term museum_store (uri "ex:vanGogh") in
-  let rs = Query.Rowset.create big_rows in
+  let rs = Rdf.Rowset.create big_rows in
   for i = 0 to big_rows - 1 do
-    ignore (Query.Rowset.add rs [| i; i mod 7; painter |] : bool)
+    ignore (Rdf.Rowset.add rs [| i; i mod 7; painter |] : bool)
   done;
   Engine.Relation.of_rowset ~name:"v" ~cols:[ "X"; "Y"; "C" ] rs
 
@@ -203,11 +203,12 @@ let test_executor_view_in_place () =
 let test_executor_project_hashes_once () =
   let view = big_view () in
   let env = env_of_rels [ view ] in
-  let cols = Query.Rowset.columns (Engine.Relation.rowset view) in
+  let data = Rdf.Rowset.data (Engine.Relation.rowset view) in
+  let yx = Array.init (2 * big_rows) (fun i -> data.((3 * (i / 2)) + 1 - (i mod 2))) in
   let (), one_set =
     words_allocated (fun () ->
-        let rs = Query.Rowset.create big_rows in
-        ignore (Query.Rowset.add_columns rs [| cols.(1); cols.(0) |] big_rows : int))
+        let rs = Rdf.Rowset.create big_rows in
+        ignore (Rdf.Rowset.add_rows rs ~width:2 yx big_rows : int))
   in
   let result, words =
     words_allocated (fun () ->

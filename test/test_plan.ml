@@ -100,7 +100,7 @@ let prop_counts_agree =
   QCheck.Test.make ~name:"compiled counts = Reference counts" ~count:200
     (QCheck.pair arb_store arb_plan_cq)
     (fun (store, q) ->
-      Query.Rowset.cardinal (Query.Evaluation.eval_cq_rowset store q)
+      Rdf.Rowset.cardinal (Query.Evaluation.eval_cq_rowset store q)
       = Query.Evaluation.Reference.count_cq store q)
 
 let prop_mutation_differential =
@@ -155,10 +155,10 @@ let prop_bound_plan =
       let plan = Query.Plan.compile ~params store q in
       List.for_all
         (fun args ->
-          let rows = Query.Rowset.create 16 in
-          Query.Plan.exec ~args plan store (fun row -> ignore (Query.Rowset.add rows row));
+          let rows = Rdf.Rowset.create 16 in
+          Query.Plan.exec ~args plan store (fun row -> ignore (Rdf.Rowset.add rows row));
           let bound = List.combine params (Array.to_list args) in
-          sort_rows (Query.Rowset.elements rows)
+          sort_rows (Rdf.Rowset.elements rows)
           = sort_rows (Query.Evaluation.Reference.eval_cq_codes ~bound store q))
         args)
 
@@ -194,9 +194,9 @@ let prop_executor_reference =
         in
         let run () =
           let plan = Query.Plan.cached store q in
-          let rs = Query.Rowset.create 16 in
+          let rs = Rdf.Rowset.create 16 in
           Query.Plan.exec_into plan store rs;
-          sort_rows (Query.Rowset.elements rs) = reference
+          sort_rows (Rdf.Rowset.elements rs) = reference
           && Query.Plan.size_hint plan = List.length reference
         in
         run () && run ()
@@ -205,17 +205,17 @@ let prop_executor_reference =
 
 (* ---------- the row set ---------------------------------------------------- *)
 
-(* Interleaved [Rowset.add], [add_columns], [mem] and [remove] against
+(* Interleaved [Rowset.add], [add_rows], [mem] and [remove] against
    an array of the rows in row order, which models [remove] exactly:
    the last row moves into the freed index.  Each set draws one width
    from 0 to 9, with codes up to 2^40 from a small pool so that rows
    repeat; batches of up to 40 rows from a 16-row hint force the slot
-   array and the columns to grow, and removals force backward shifts.
+   array and the packed rows to grow, and removals force backward shifts.
    A row one code wider must raise [Invalid_argument] once the set has
    a width. *)
 type rowset_op =
   | Add of int array
-  | Add_columns of int array list
+  | Add_rows of int array list
   | Remove of int array
   | Mem of int array
   | Misfit
@@ -235,7 +235,7 @@ let gen_rowset_ops =
     frequency
       [
         (3, map (fun r -> Add r) row);
-        (2, map (fun rows -> Add_columns rows) (list_size (int_range 0 40) row));
+        (2, map (fun rows -> Add_rows rows) (list_size (int_range 0 40) row));
         (3, map (fun r -> Remove r) row);
         (2, map (fun r -> Mem r) row);
         (1, return Misfit);
@@ -250,17 +250,17 @@ let print_rowset_ops (w, ops) =
     :: List.map
          (function
            | Add r -> "add " ^ row r
-           | Add_columns rows -> "add_columns " ^ String.concat " " (List.map row rows)
+           | Add_rows rows -> "add_rows " ^ String.concat " " (List.map row rows)
            | Remove r -> "remove " ^ row r
            | Mem r -> "mem " ^ row r
            | Misfit -> "misfit")
          ops)
 
 let prop_rowset_reference =
-  QCheck.Test.make ~name:"add/add_columns = reference set" ~count:300
+  QCheck.Test.make ~name:"add/add_rows = reference set" ~count:300
     (QCheck.make ~print:print_rowset_ops gen_rowset_ops)
     (fun (w, ops) ->
-      let set = Query.Rowset.create 16 in
+      let set = Rdf.Rowset.create 16 in
       let model = ref [||] and fixed = ref false in
       let index r =
         let rec go i =
@@ -276,12 +276,10 @@ let prop_rowset_reference =
         match f () with _ -> false | exception Invalid_argument _ -> true
       in
       let step = function
-        | Add r -> Query.Rowset.add set r = ref_add r
-        | Add_columns rows ->
-          let rows = Array.of_list rows in
-          let cols = Array.init w (fun c -> Array.map (fun r -> r.(c)) rows) in
-          let expected = Array.fold_left (fun n r -> if ref_add r then n + 1 else n) 0 rows in
-          Query.Rowset.add_columns set cols (Array.length rows) = expected
+        | Add r -> Rdf.Rowset.add set r = ref_add r
+        | Add_rows rows ->
+          let expected = List.fold_left (fun n r -> if ref_add r then n + 1 else n) 0 rows in
+          Rdf.Rowset.add_rows set ~width:w (Array.concat rows) (List.length rows) = expected
         | Remove r ->
           let i = index r in
           if i >= 0 then begin
@@ -289,41 +287,41 @@ let prop_rowset_reference =
             !model.(i) <- !model.(last);
             model := Array.sub !model 0 last
           end;
-          Query.Rowset.remove set r = (i >= 0)
-        | Mem r -> Query.Rowset.mem set r = (index r >= 0) && Query.Rowset.find set r = index r
+          Rdf.Rowset.remove set r = (i >= 0)
+        | Mem r -> Rdf.Rowset.mem set r = (index r >= 0) && Rdf.Rowset.find set r = index r
         | Misfit ->
           let r = Array.make (w + 1) 0 in
           if !fixed then
-            raises (fun () -> Query.Rowset.add set r)
-            && raises (fun () -> Query.Rowset.mem set r)
-            && raises (fun () -> Query.Rowset.remove set r)
-          else (not (Query.Rowset.mem set r)) && not (Query.Rowset.remove set r)
+            raises (fun () -> Rdf.Rowset.add set r)
+            && raises (fun () -> Rdf.Rowset.mem set r)
+            && raises (fun () -> Rdf.Rowset.remove set r)
+          else (not (Rdf.Rowset.mem set r)) && not (Rdf.Rowset.remove set r)
       in
       List.for_all step ops
       &&
       let rows = Array.to_list !model in
-      let columns = Query.Rowset.columns set in
-      Query.Rowset.cardinal set = List.length rows
-      && Query.Rowset.elements set = rows
-      && Query.Rowset.fold (fun r acc -> r :: acc) set [] = List.rev rows
-      && List.for_all Fun.id (List.mapi (fun i r -> Array.map (fun col -> col.(i)) columns = r) rows))
+      let data = Rdf.Rowset.data set in
+      Rdf.Rowset.cardinal set = List.length rows
+      && Rdf.Rowset.elements set = rows
+      && Rdf.Rowset.fold (fun r acc -> r :: acc) set [] = List.rev rows
+      && List.for_all Fun.id (List.mapi (fun i r -> Array.sub data (w * i) w = r) rows))
 
 (* A row-set probe hashes the row and compares codes in place: [mem],
    [find], adding a present row and removing a row (added back
    straight after, which stays within capacity) allocate nothing. *)
 let test_rowset_probes_do_not_allocate () =
-  let set = Query.Rowset.create 16 in
+  let set = Rdf.Rowset.create 16 in
   let rows = Array.init 400 (fun k -> [| k; k mod 13; 3 * k |]) in
-  Array.iteri (fun k row -> if k < 200 then ignore (Query.Rowset.add set row : bool)) rows;
+  Array.iteri (fun k row -> if k < 200 then ignore (Rdf.Rowset.add set row : bool)) rows;
   let hits = ref 0 in
   let probes () =
     for i = 0 to 9_999 do
       let row = rows.(i mod 400) in
-      if Query.Rowset.mem set row then incr hits;
-      if Query.Rowset.find set row >= 0 then incr hits;
+      if Rdf.Rowset.mem set row then incr hits;
+      if Rdf.Rowset.find set row >= 0 then incr hits;
       if i mod 400 < 200 then begin
-        if not (Query.Rowset.add set row) then incr hits;
-        if Query.Rowset.remove set row && Query.Rowset.add set row then incr hits
+        if not (Rdf.Rowset.add set row) then incr hits;
+        if Rdf.Rowset.remove set row && Rdf.Rowset.add set row then incr hits
       end
     done
   in
@@ -333,7 +331,7 @@ let test_rowset_probes_do_not_allocate () =
   probes ();
   let allocated = Gc.minor_words () -. before in
   check_int "every probe of a present row hits" 20_000 !hits;
-  check_int "the set is unchanged" 200 (Query.Rowset.cardinal set);
+  check_int "the set is unchanged" 200 (Rdf.Rowset.cardinal set);
   check_bool
     (Printf.sprintf "the probes allocate nothing (saw %.0f words)" allocated)
     true (allocated = 0.)

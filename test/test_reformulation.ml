@@ -227,12 +227,12 @@ let prop_reformulate_atom_counts_saturated =
               ~body:[ a ]
           in
           let by_reformulation =
-            Query.Rowset.cardinal
+            Rdf.Rowset.cardinal
               (Query.Evaluation.eval_ucq_rowset ~cache:false store
                  (Query.Reformulation.reformulate q schema))
           in
           let on_saturated =
-            Query.Rowset.cardinal
+            Rdf.Rowset.cardinal
               (Query.Evaluation.eval_cq_rowset saturated q)
           in
           by_reformulation = on_saturated)
@@ -316,7 +316,7 @@ let prop_shapes_reference_on_saturation =
       let one_shot =
         List.map
           (Array.map (Rdf.Store.decode_term store))
-          (Query.Rowset.elements (Query.Evaluation.eval_ucq_rowset ~cache:false store u))
+          (Rdf.Rowset.elements (Query.Evaluation.eval_ucq_rowset ~cache:false store u))
       in
       same_answers (Query.Evaluation.eval_ucq store u) expected
       && same_answers one_shot expected)

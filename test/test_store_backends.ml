@@ -614,7 +614,7 @@ let hot_triples =
   let n = Array.length hot_codes in
   List.init (n * n * n) (fun i ->
       (hot_codes.(i mod n), hot_codes.(i / n mod n), hot_codes.(i / (n * n))))
-  |> List.filteri (fun i (s, p, o) -> end_home (Rdf.Flat.hash3 s p o) || i mod 7 = 0)
+  |> List.filteri (fun i (s, p, o) -> end_home (Rdf.Rowset.hash [| s; p; o |]) || i mod 7 = 0)
   |> Array.of_list
 
 type table_op = Add3 of int | Remove3 of int | Probe3 of int
@@ -928,31 +928,159 @@ let test_hash_backend_readd () =
   check_hash_backend h Int3_set.empty
 
 (* A store lookup is one probe over int arrays: hits, misses and probe
-   runs that wrap past the last slot all allocate nothing. *)
+   runs that wrap past the last slot all allocate nothing.  So do the
+   width-3 writes on a warmed table, through its key row: adding a
+   present row, an add/remove cycle and a [remove_row] added back
+   (each stays within capacity). *)
 let test_probes_do_not_allocate () =
   let buckets = Rdf.Flat.Buckets.create () in
-  let triples = Rdf.Flat.Triples.create () in
+  let triples = Rdf.Rowset.of_width 3 0 in
+  let key k = Rdf.Rowset.key3 triples k (k mod 13) (3 * k) in
   for k = 0 to 199 do
     ignore (Rdf.Flat.Buckets.push buckets (7 * k) k k k : int);
-    ignore (Rdf.Flat.Triples.add triples k (k mod 13) (3 * k) : bool)
+    ignore (Rdf.Rowset.add triples (key k) : bool)
   done;
   let hits = ref 0 in
+  let allocated f =
+    f ();
+    hits := 0;
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
   let lookups () =
     for i = 0 to 9_999 do
       let k = i mod 400 in
       if Rdf.Flat.Buckets.find buckets (7 * k) >= 0 then incr hits;
-      if Rdf.Flat.Triples.mem triples k (k mod 13) (3 * k) then incr hits
+      if Rdf.Rowset.mem triples (key k) then incr hits
     done
   in
-  lookups ();
-  hits := 0;
-  let before = Gc.minor_words () in
-  lookups ();
-  let allocated = Gc.minor_words () -. before in
+  let words = allocated lookups in
   check_int "half the lookups hit" 10_000 !hits;
   check_bool
-    (Printf.sprintf "20k probes allocate nothing (saw %.0f words)" allocated)
-    true (allocated = 0.)
+    (Printf.sprintf "20k probes allocate nothing (saw %.0f words)" words)
+    true (words = 0.);
+  List.iter
+    (fun (name, write) ->
+      let words = allocated (fun () -> for i = 0 to 9_999 do write (i mod 200) done) in
+      check_int (name ^ ": every write hit") 10_000 !hits;
+      check_int (name ^ ": the table is unchanged") 200 (Rdf.Rowset.cardinal triples);
+      check_bool
+        (Printf.sprintf "%s: 10k writes allocate nothing (saw %.0f words)" name words)
+        true (words = 0.))
+    [
+      ("add of a present row", fun k -> if not (Rdf.Rowset.add triples (key k)) then incr hits);
+      ( "add/remove cycle",
+        fun k ->
+          if Rdf.Rowset.remove triples (key k) && Rdf.Rowset.add triples (key k) then incr hits );
+      ( "remove_row",
+        fun k ->
+          let r = Rdf.Rowset.find triples (key k) in
+          ignore (Rdf.Rowset.remove_row triples r : int);
+          if Rdf.Rowset.add triples (key k) then incr hits );
+    ]
+
+(* The hash store's footprint, pinned: its triple table starts at four
+   rows and four slots, doubles its rows when full and grows its slots
+   4x past a load of 3/4, so a fixed store reads the same bytes before
+   and after indexing. *)
+let test_resident_bytes_pinned () =
+  List.iter
+    (fun (n, gen, unindexed, indexed) ->
+      let h = Rdf.Hash_backend.create () in
+      for i = 0 to n - 1 do
+        let s, p, o = gen i in
+        ignore (Rdf.Hash_backend.add h s p o : bool)
+      done;
+      check_int (Printf.sprintf "%d triples, unindexed" n) unindexed
+        (Rdf.Hash_backend.resident_bytes h);
+      Rdf.Hash_backend.compact h;
+      check_int (Printf.sprintf "%d triples, indexed" n) indexed
+        (Rdf.Hash_backend.resident_bytes h))
+    [
+      (3_000, (fun i -> (i / 5, i mod 9, 7 * i mod 1_001)), 132_008, 1_280_016);
+      (50_000, (fun i -> (i / 8, i mod 13, i mod 4_099)), 3_670_952, 35_413_112);
+    ]
+
+type row_op =
+  | Add_row of int array
+  | Find_or_add of int array
+  | Find_row of int array
+  | Remove of int array
+  | Remove_at of int
+
+(* The one row table at widths 0 to 5 against a list of its rows in row
+   order, which models removal exactly: the last row moves into the
+   freed index, and [remove_row] returns where it was; [find_or_add]
+   returns the row's index, a new row's being the last.  Codes come from
+   [hot_codes], so rows repeat and, at width 1 and 3, collide in the
+   last slot; at width 0 the table holds at most the one empty row. *)
+let prop_rowset_model =
+  let open QCheck.Gen in
+  let gen =
+    let* w = int_range 0 5 in
+    let row = array_repeat w (map (Array.get hot_codes) (int_bound (Array.length hot_codes - 1))) in
+    let op =
+      frequency
+        [
+          (3, map (fun r -> Add_row r) row);
+          (2, map (fun r -> Find_or_add r) row);
+          (2, map (fun r -> Find_row r) row);
+          (2, map (fun r -> Remove r) row);
+          (2, map (fun i -> Remove_at i) small_nat);
+        ]
+    in
+    pair (return w) (list_size (int_range 1 150) op)
+  in
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  QCheck.Test.make ~name:"flat tables: one row table against a reference list" ~count:300
+    (QCheck.make gen) (fun (w, ops) ->
+      let t = Rdf.Rowset.of_width w 0 in
+      let model = ref [||] in
+      let index r =
+        let rec go i =
+          if i = Array.length !model then -1 else if !model.(i) = r then i else go (i + 1)
+        in
+        go 0
+      in
+      let drop i =
+        let last = Array.length !model - 1 in
+        !model.(i) <- !model.(last);
+        model := Array.sub !model 0 last;
+        last
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Add_row r ->
+            let fresh = index r < 0 in
+            if Rdf.Rowset.add t r <> fresh then fail "add";
+            if fresh then model := Array.append !model [| Array.copy r |]
+          | Find_or_add r ->
+            if index r < 0 then model := Array.append !model [| Array.copy r |];
+            if Rdf.Rowset.find_or_add t r <> index r then fail "find_or_add"
+          | Find_row r -> if Rdf.Rowset.find t r <> index r then fail "find"
+          | Remove r ->
+            let i = index r in
+            if Rdf.Rowset.remove t r <> (i >= 0) then fail "remove";
+            if i >= 0 then ignore (drop i : int)
+          | Remove_at i ->
+            let n = Array.length !model in
+            if n > 0 then
+              let i = i mod n in
+              let moved = Rdf.Rowset.remove_row t i in
+              if moved <> drop i then fail "remove_row %d: moved %d" i moved);
+          let rows = Array.to_list !model in
+          if w = 0 && List.length rows > 1 then fail "width 0 holds %d rows" (List.length rows);
+          if Rdf.Rowset.cardinal t <> List.length rows then fail "cardinal";
+          if Rdf.Rowset.elements t <> rows then fail "row order";
+          if Rdf.Rowset.fold List.cons t [] <> List.rev rows then fail "fold";
+          List.iteri
+            (fun i r -> if Array.sub (Rdf.Rowset.data t) (w * i) w <> r then fail "data row %d" i)
+            rows;
+          List.iteri (fun i r -> if Rdf.Rowset.find t r <> i then fail "find row %d" i) rows)
+        ops;
+      true)
 
 type bucket_op = Push of int * int | Drop of int * int | Replace of int * int | Clear
 
@@ -1040,6 +1168,7 @@ let () =
       ( "flat tables",
         [
           to_alcotest prop_buckets;
+          to_alcotest prop_rowset_model;
           to_alcotest prop_hash_backend_tables;
           to_alcotest prop_hash_backend_pending;
           Alcotest.test_case "reads between removes" `Quick
@@ -1050,6 +1179,7 @@ let () =
           Alcotest.test_case "remove then re-add" `Quick test_hash_backend_readd;
           Alcotest.test_case "probes do not allocate" `Quick
             test_probes_do_not_allocate;
+          Alcotest.test_case "resident bytes pinned" `Quick test_resident_bytes_pinned;
         ] );
       ("segment edges", segment_edge_tests);
       ( "compact store",

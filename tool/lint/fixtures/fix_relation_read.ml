@@ -4,11 +4,11 @@
 
 let member rel row = Engine.Relation.mem rel row
 
-let index rel row = Query.Rowset.find (Engine.Relation.rowset rel) row
+let index rel row = Rdf.Rowset.find (Engine.Relation.rowset rel) row
 
-let result_size result = Query.Rowset.cardinal (Engine.Relation.rowset result)
+let result_size result = Rdf.Rowset.cardinal (Engine.Relation.rowset result)
 
 let fresh cols rows =
-  let set = Query.Rowset.create 16 in
-  List.iter (fun row -> ignore (Query.Rowset.add set row : bool)) rows;
+  let set = Rdf.Rowset.create 16 in
+  List.iter (fun row -> ignore (Rdf.Rowset.add set row : bool)) rows;
   Engine.Relation.of_rowset ~name:"fresh" ~cols set

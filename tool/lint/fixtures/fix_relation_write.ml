@@ -11,10 +11,10 @@ let shrink rel row = ignore (Engine.Relation.remove_row rel row : bool)
 
 let grow_all rel rows = List.filter (Relation.add_row rel) rows
 
-let through_set rel row = Query.Rowset.add (Engine.Relation.rowset rel) row
+let through_set rel row = Rdf.Rowset.add (Engine.Relation.rowset rel) row
 
 let through_alias rel row =
   let rows = Engine.Relation.rowset rel in
-  Query.Rowset.remove rows row
+  Rdf.Rowset.remove rows row
 
-let bulk rel cols n = Query.Rowset.add_columns (Relation.rowset rel) cols n
+let bulk rel rows n = Rdf.Rowset.add_rows (Relation.rowset rel) ~width:2 rows n

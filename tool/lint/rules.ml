@@ -145,7 +145,7 @@ let domain_producers =
     ("Cq", "make"); ("Cq", "freshen"); ("Cq", "minimize"); ("Cq", "rename");
     (* a listified row is a domain value: keying a generic Hashtbl by
        [Array.to_list row] means polymorphic hashing of the row — use
-       Query.Rowset instead *)
+       Rdf.Rowset instead *)
     ("Array", "to_list");
   ]
 
@@ -195,10 +195,15 @@ let row_retaining_sinks =
     ("Array", "set");
   ]
 
-(* The relation writers, the row-set writers, and the files allowed to
-   call them: the relation's own module and view maintenance. *)
+(* The relation writers, the writers of the one row table (Rdf.Rowset),
+   and the files allowed to call them: the relation's own module and
+   view maintenance. *)
 let relation_writers = [ ("Relation", "add_row"); ("Relation", "remove_row") ]
-let rowset_writers = [ ("Rowset", "add"); ("Rowset", "add_columns"); ("Rowset", "remove") ]
+let rowset_writers =
+  [
+    ("Rowset", "add"); ("Rowset", "find_or_add"); ("Rowset", "add_rows");
+    ("Rowset", "remove"); ("Rowset", "remove_row");
+  ]
 let relation_owners = [ "lib/engine/maintenance.ml"; "lib/engine/relation.ml" ]
 
 (* stdout printers banned in libraries: unqualified Stdlib channel
