@@ -219,7 +219,7 @@ let bench_json name registry ~gc0 ~gc1 =
          v5: dropped gc.max_pause_ns — runtime events run only under
          --metrics, which writes no BENCH files, so it was always
          null. *)
-      ("schema_version", Obs.Json.Int 5);
+      ("schema_version", Obs.Json.Int 6);
       ("experiment", Obs.Json.String name);
       ("scale", Obs.Json.String scale_name);
       ("host_cores", Obs.Json.Int (Multicore.recommended_domain_count ()));
@@ -237,9 +237,6 @@ let bench_json name registry ~gc0 ~gc1 =
           ] );
       ("best_cost", gauge "search.best_cost");
       ("initial_cost", gauge "search.initial_cost");
-      (* process-wide interner population after the run: deterministic
-         for a fixed workload, so it participates in the exact compare *)
-      ("interned_views", gauge "intern.size");
       ("peak_heap_words", Obs.Json.Int (Gc.quick_stat ()).Gc.top_heap_words);
       ("gc", gc_json gc0 gc1);
     ]
@@ -292,7 +289,7 @@ let compare_to_baseline name current =
             else Printf.printf "  ok %s: %s\n" key (fmt_float c)
           | _ -> Printf.printf "  skip %s (absent)\n" key)
         [
-          "states_created"; "states_explored"; "best_cost"; "interned_views";
+          "states_created"; "states_explored"; "best_cost";
           (* eval-experiment determinism: answer/binding/probe counts of
              the fixed workload (absent, hence skipped, elsewhere) *)
           "eval.queries"; "eval.answers"; "eval.bindings"; "eval.probes";

@@ -286,7 +286,7 @@ let select_cmd =
     in
     let report = result.Core.Selector.report in
     Printf.printf
-      "search (%s, %s%s): explored %d states in %.2fs; cost %.4g -> %.4g (rcr %.3f)%s\n"
+      "search (%s, %s%s): explored %d states in %.2fs; cost %.4g -> %.4g (rcr %.3f)%s\n\n"
       (Core.Search.strategy_name strategy)
       (Core.Selector.reasoning_name reasoning)
       (match strategy with
@@ -300,8 +300,6 @@ let select_cmd =
       report.Core.Search.initial_cost report.Core.Search.best_cost
       (Core.Search.rcr report)
       (if report.Core.Search.completed then " [complete]" else "");
-    Printf.printf "interner: %d distinct canonical forms\n\n"
-      (Interning.size ());
     print_endline "recommended views:";
     List.iter
       (fun u ->

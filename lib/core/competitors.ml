@@ -109,9 +109,9 @@ let prune_dominated rs states =
 let heuristic_filter rs per_query =
   let body_keys states =
     List.concat_map
-      (fun (s, _) -> List.map View.body_intern_id s.State.views)
+      (fun (s, _) -> List.map View.body_id s.State.views)
       states
-    |> List.sort_uniq Int.compare
+    |> List.sort_uniq View.compare_form_id
   in
   List.mapi
     (fun i states ->
@@ -123,7 +123,9 @@ let heuristic_filter rs per_query =
       let best = best_of states in
       let fusable (s, _) =
         List.exists
-          (fun v -> List.mem (View.body_intern_id v) other_keys)
+          (fun v ->
+            let id = View.body_id v in
+            List.exists (View.equal_form_id id) other_keys)
           s.State.views
       in
       let is_best (s, _) =

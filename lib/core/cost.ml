@@ -31,13 +31,22 @@ type node = {
   chain : int;
 }
 
+(* Keyed by View.id, hashed by its own value, without the polymorphic
+   hash ([Int.hash] is missing before OCaml 5.1). *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash i = i land max_int
+end)
+
 (* The estimator's books: the algebra nodes estimated, the child nodes
    made by the delta path and by a full recompute, and the timing of
    every full recompute.  {!publish} hands the counts to a sink. *)
 type t = {
   stats : Stats.Statistics.t;
   weights : weights;
-  profiles : view_profile Interning.Int_tbl.t;  (* by View.id *)
+  profiles : view_profile Int_tbl.t;  (* by View.id *)
   mutable estimated : int;
   mutable incremental : int;
   mutable full : int;
@@ -49,7 +58,7 @@ let for_run t timings =
   { t with estimated = 0; incremental = 0; full = 0; state_eval }
 
 let create stats weights =
-  let profiles = Interning.Int_tbl.create 1024 in
+  let profiles = Int_tbl.create 1024 in
   let state_eval = Obs.histogram Obs.disabled "cost.state.eval" in
   { stats; weights; profiles; estimated = 0; incremental = 0; full = 0; state_eval }
 
@@ -89,7 +98,7 @@ let var_width stats (cq : Query.Cq.t) x =
   | None -> 8.
 
 let profile t (v : View.t) =
-  match Interning.Int_tbl.find_opt t.profiles v.View.id with
+  match Int_tbl.find_opt t.profiles v.View.id with
   | Some p -> p
   | None ->
     let cq = v.View.cq in
@@ -99,7 +108,7 @@ let profile t (v : View.t) =
       List.fold_left (fun acc x -> acc +. var_width t.stats cq x) 0. cols
     in
     let p = { cardinality; distincts; width } in
-    Interning.Int_tbl.add t.profiles v.View.id p;
+    Int_tbl.add t.profiles v.View.id p;
     p
 
 let view_cardinality t v = (profile t v).cardinality

@@ -715,8 +715,6 @@ let run_from ?(jobs = 1) estimator options initial =
   Obs.set_gauge (Obs.gauge sink "search.best_cost") engine.best_cost;
   Obs.set_gauge (Obs.gauge sink "search.completed")
     (if completed then 1. else 0.);
-  Obs.set_gauge (Obs.gauge sink "intern.size")
-    (float_of_int (Interning.size ()));
   Obs.set_series (Obs.series sink "search.trajectory") trajectory;
   {
     best = engine.best;

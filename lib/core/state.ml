@@ -1,4 +1,4 @@
-type key = { ids : int array; khash : int }
+type key = { ids : int array; lo : int; khash : int }
 
 type t = {
   views : View.t list;
@@ -62,23 +62,39 @@ let sort_ids (ids : int array) =
     ids.(!j + 1) <- x
   done
 
-(* FNV-1a over the sorted id multiset, the same mixing as Rdf.Term.hash.
-   The sorted array makes the key order-insensitive: two states with the
-   same views in any order collide, as §3.1's set semantics requires. *)
+(* Writes the high halves of the views' ids from [ids.(i)] on and
+   returns [lo] plus the sum of their low halves. *)
+let rec fill_ids ids i lo = function
+  | [] -> lo
+  | v :: rest ->
+    let f = View.form_id v in
+    ids.(i) <- f.View.hi;
+    fill_ids ids (i + 1) (lo + f.View.lo) rest
+
+(* The high halves of the view ids, sorted, and the sum of their low
+   halves, which no order changes.  The key carries both halves of every
+   id, yet sorts and stores one int per view: two distinct view sets get
+   equal keys only if a collision of two distinct forms' high halves
+   meets a collision of the low sums.  FNV-1a over the sorted high
+   halves, the same mixing as Rdf.Term.hash, is the hash; the sorted
+   array makes the key order-insensitive, as §3.1's set semantics
+   requires. *)
 let key t =
   match t.ident with
   | Some k -> k
   | None ->
-    let ids = Array.of_list (List.map View.intern_id t.views) in
+    let ids = Array.make (List.length t.views) 0 in
+    let lo = fill_ids ids 0 0 t.views in
     sort_ids ids;
     let h = ref 0x811c9dc5 in
     Array.iter (fun id -> h := (!h lxor id) * 0x01000193 land max_int) ids;
-    let k = { ids; khash = !h } in
+    let k = { ids; lo; khash = !h } in
     t.ident <- Some k;
     k
 
 let equal_key a b =
   a.khash = b.khash
+  && a.lo = b.lo
   && Array.length a.ids = Array.length b.ids
   && (let n = Array.length a.ids in
       let rec eq i = i = n || (a.ids.(i) = b.ids.(i) && eq (i + 1)) in
@@ -87,7 +103,8 @@ let equal_key a b =
 let hash_key k = k.khash
 
 let key_to_string k =
-  String.concat "." (Array.to_list (Array.map string_of_int k.ids))
+  String.concat "." (Array.to_list (Array.map (Printf.sprintf "%016x") k.ids))
+  ^ Printf.sprintf "/%016x" k.lo
 
 let key_string t = key_to_string (key t)
 

@@ -11,11 +11,13 @@
     Field access and pattern matching work as usual. *)
 
 type key
-(** Canonical identity of a state: the sorted multiset of its views'
-    interned canonical ids plus a precomputed hash.  Two states are
-    equivalent iff they have the same view sets (§3.1); comparing keys
-    is O(|views|) integer work, with no canonical strings involved
-    beyond each view's one-time interning. *)
+(** Canonical identity of a state, read off its views' content ids
+    ({!View.form_id}): the sorted high halves, the sum of the low
+    halves, and a precomputed hash.  Two states are equivalent iff they
+    have the same view sets (§3.1); distinct view sets share a key only
+    if a collision of two distinct forms' high halves meets a collision
+    of the low sums.  Comparing keys is O(|views|) integer work, with no
+    canonical strings involved beyond each view's one-time digest. *)
 
 type t = private {
   views : View.t list;
@@ -55,8 +57,9 @@ val hash_key : key -> int
     {!Shard_tbl} shard, so it must not depend on visit order. *)
 
 val key_to_string : key -> string
-(** Diagnostic rendering of a key: the sorted interned ids, dot
-    separated.  Stable within a process; use only for reporting. *)
+(** Rendering of a key: the sorted high halves in hex, dot separated,
+    then [/] and the low sum in hex.  It depends on the view set alone,
+    so it is the same in every process and under any [--jobs]. *)
 
 val key_string : t -> string
 (** [key_to_string (key t)]. *)

@@ -329,17 +329,19 @@ let fuse state v1 v2 { View.v3; expr1; expr2 } =
    tail, not to fuse.  [i] is the position of the list's head. *)
 let rec first_fusion_pair ~fresh i = function
   | v1 :: rest when i < fresh -> (
-    match partner_of (View.body_intern_id v1) (i + 1) rest with
+    match partner_of (View.body_id v1) (i + 1) rest with
     | Some (v2, j) -> Some (v1, v2, j)
     | None -> first_fusion_pair ~fresh (i + 1) rest)
   | _ -> None
 
 (* The first view of the list whose body id is [id], with its position,
-   [j] being that of the list's head. *)
-and partner_of id j = function
+   [j] being that of the list's head.  The halves are compared in place:
+   this loop runs for every fresh view of every successor. *)
+and partner_of (id : View.form_id) j = function
   | [] -> None
   | v2 :: more ->
-    if View.body_intern_id v2 = id then Some (v2, j)
+    let b = View.body_id v2 in
+    if b.hi = id.hi && b.lo = id.lo then Some (v2, j)
     else partner_of id (j + 1) more
 
 (* Every pair of views with equal body ids, in view order. *)
@@ -347,11 +349,11 @@ let view_fusions state =
   let rec lefts acc = function
     | [] -> List.rev acc
     | v1 :: rest ->
-      let id = View.body_intern_id v1 in
+      let id = View.body_id v1 in
       lefts
         (List.fold_left
            (fun acc v2 ->
-             if View.body_intern_id v2 = id then
+             if View.equal_form_id (View.body_id v2) id then
                Fuse (v1, v2, fusion_of v1 v2) :: acc
              else acc)
            acc rest)

@@ -1,16 +1,18 @@
-(* The interned ids are memoized in plain mutable option fields rather
+type form_id = { hi : int; lo : int }
+
+(* The form ids are memoized in plain mutable option fields rather
    than Lazy.t: parallel search domains share view objects across
    sibling states, and concurrently forcing a lazy from two domains
-   raises Lazy.Undefined.  The computations are deterministic and
-   Interning.of_canonical is idempotent, so a racy duplicate computation
-   writes the same value twice — benign — while a lazy would crash.  The
-   transition memos follow the same convention (see view.mli). *)
+   raises Lazy.Undefined.  The computations are deterministic, so a racy
+   duplicate computation writes an equal value twice — benign — while a
+   lazy would crash.  The transition memos follow the same convention
+   (see view.mli). *)
 type t = {
   id : int;
   cq : Query.Cq.t;
   constants : int;
-  mutable iid : Interning.id option;
-  mutable body_iid : Interning.id option;
+  mutable iid : form_id option;
+  mutable body_iid : form_id option;
   mutable vb : action list option;
   mutable sc : action list option;
   mutable jc : action list option;
@@ -73,19 +75,33 @@ let columns v =
 
 let atom_count v = Query.Cq.atom_count v.cq
 
-let intern_id v =
+(* The 128-bit MD5 digest of the form, read as two little-endian 64-bit
+   words; [Int64.to_int] keeps the low 63 bits of each. *)
+let form_id_of_string form =
+  let d = Digest.string form in
+  {
+    hi = Int64.to_int (String.get_int64_le d 0);
+    lo = Int64.to_int (String.get_int64_le d 8);
+  }
+
+let equal_form_id a b = a.hi = b.hi && a.lo = b.lo
+
+let compare_form_id a b =
+  match Int.compare a.hi b.hi with 0 -> Int.compare a.lo b.lo | c -> c
+
+let form_id v =
   match v.iid with
   | Some i -> i
   | None ->
-    let i = Interning.of_canonical (Query.Cq.canonical_head_set_string v.cq) in
+    let i = form_id_of_string (Query.Cq.canonical_head_set_string v.cq) in
     v.iid <- Some i;
     i
 
-let body_intern_id v =
+let body_id v =
   match v.body_iid with
   | Some i -> i
   | None ->
-    let i = Interning.of_canonical (Query.Cq.canonical_body_string v.cq) in
+    let i = form_id_of_string (Query.Cq.canonical_body_string v.cq) in
     v.body_iid <- Some i;
     i
 

@@ -4,6 +4,13 @@
     Views carry a process-unique id; the view name ["v<id>"] is the symbol
     used in rewritings. *)
 
+type form_id = { hi : int; lo : int }
+(** A 126-bit content id of a canonical form: the two 64-bit halves of
+    its MD5 digest, 63 bits kept of each.  It depends on the form alone,
+    so it is the same in every process and under any schedule.  Two
+    ids are equal exactly when the forms are equal, barring an MD5
+    collision. *)
+
 type t = private {
   id : int;
   cq : Query.Cq.t;
@@ -12,9 +19,9 @@ type t = private {
           made: the search's stop conditions read it for every view of
           every state.  Immutable, so sharing the view across the
           domains of a parallel search adds no race. *)
-  mutable iid : Interning.id option;  (** memoized {!intern_id} *)
-  mutable body_iid : Interning.id option;
-      (** memoized {!body_intern_id}.  The memo fields are plain
+  mutable iid : form_id option;  (** memoized {!form_id} *)
+  mutable body_iid : form_id option;
+      (** memoized {!body_id}.  The memo fields are plain
           options, not lazies: view objects are shared across the states
           of a parallel search, and the accessors tolerate a racy
           duplicate computation (deterministic result) where concurrent
@@ -51,8 +58,8 @@ val of_cq : Query.Cq.t -> t
     rewritings that reference them).  Same validation as {!make}. *)
 
 val name : t -> string
-(** The view's name — unique per canonical body within one interner
-    epoch. *)
+(** The symbol the rewritings scan: ["v<id>"] after the process-unique
+    id for {!make}, the query's own name for {!of_cq}. *)
 
 val head : t -> Query.Qterm.t list
 (** The head terms (all variables) in declaration order. *)
@@ -63,15 +70,21 @@ val columns : t -> string list
 
 val atom_count : t -> int
 
-val intern_id : t -> Interning.id
-(** The interned id of the query's canonical form with the head compared
-    as a set ({!Query.Cq.canonical_head_set_string}; column order is
+val equal_form_id : form_id -> form_id -> bool
+(** Both halves equal.  Allocates nothing. *)
+
+val compare_form_id : form_id -> form_id -> int
+(** The order of the high halves, then of the low halves. *)
+
+val form_id : t -> form_id
+(** The id of the query's canonical form with the head compared as a
+    set ({!Query.Cq.canonical_head_set_string}; column order is
     storage-irrelevant) — equal exactly for views that are renamings of
     one another, computed once per view.  {!State.key} is built from
     these. *)
 
-val body_intern_id : t -> Interning.id
-(** The interned id of the body's canonical form
+val body_id : t -> form_id
+(** The id of the body's canonical form
     ({!Query.Cq.canonical_body_string}); equal exactly for views whose
     bodies are isomorphic, so the pairs of views with equal body ids are
     the fusion pairs. *)

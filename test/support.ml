@@ -230,6 +230,14 @@ let gen_renaming (q : Query.Cq.t) =
          | None -> None)
        q)
 
+(* Constants whose printed forms collide (the literal "k" and the URIs
+   "k" and <"k">), and labels holding the canonical form's own
+   separators. *)
+let colliding_constants =
+  [ lit "k"; uri "\"k\""; uri "k"; blank "k"; uri "<k>"; lit "<k>";
+    uri "a,b"; lit "a,b"; uri "c)&t(V0"; lit "c)&t(V0"; uri "V1";
+    lit "a\x00b"; uri "a\x00b"; uri "U1:k"; lit "1:k" ]
+
 let to_alcotest = QCheck_alcotest.to_alcotest
 
 let check_bool = Alcotest.(check bool)

@@ -1,9 +1,10 @@
 open Support
 
-(* The interner and the interned-id state identity: id stability under
-   renaming, key invariance under view permutation, and agreement of the
-   incremental cost path with the full recompute over a large sample of
-   real search states. *)
+(* View identity by content: ids equal exactly when the canonical
+   forms are, id stability under renaming, key invariance under view
+   permutation, a selection that leaves nothing live behind it, and
+   agreement of the incremental cost path with the full recompute over
+   a large sample of real search states. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -33,43 +34,72 @@ let museum_store =
       triple (uri "ex:michel") (uri "ex:hasPainted") (uri "ex:starryNight");
     ]
 
-(* ---------- the interner itself ------------------------------------------ *)
+(* ---------- ids are the forms ------------------------------------------- *)
 
-let test_intern_basics () =
-  let a = Interning.of_canonical "test_intern:a" in
-  let b = Interning.of_canonical "test_intern:b" in
-  check_bool "distinct strings get distinct ids" true (a <> b);
-  check_int "interning is idempotent" a
-    (Interning.of_canonical "test_intern:a");
-  check_bool "size counts both" true (Interning.size () >= 2)
+(* [gen_cq] with one more atom, [?V0 <ex:k> cst], on one of the
+   constants whose printed forms collide. *)
+let with_constant (q : Query.Cq.t) cst =
+  Query.Cq.make ~name:q.name ~head:q.head
+    ~body:(q.body @ [ atom (v "V0") (c "ex:k") (Query.Qterm.Cst cst) ])
 
-(* Ids are dense: a string seen for the first time gets the id [size]
-   had just before, and every id handed out lies below [size]. *)
-let test_ids_dense () =
-  let before = Interning.size () in
-  let fresh = List.init 50 (fun i -> Printf.sprintf "test_intern:dense%d" i) in
-  let ids = List.map Interning.of_canonical fresh in
-  check_bool "next ids in order" true
-    (ids = List.init 50 (fun i -> before + i));
-  check_int "size grew by the new strings" (before + 50) (Interning.size ());
-  check_bool "again: same ids, no growth" true
-    (List.map Interning.of_canonical fresh = ids
-    && Interning.size () = before + 50)
+(* A pair of queries: independent, a renaming of one with its head
+   columns shuffled, or one with two colliding constants. *)
+let gen_view_pair =
+  let open QCheck.Gen in
+  let* q = gen_cq in
+  let* how = int_range 0 2 in
+  match how with
+  | 0 -> map (fun q' -> (q, q')) gen_cq
+  | 1 ->
+    let* (r : Query.Cq.t) = gen_renaming q in
+    let* head = shuffle_l r.head in
+    return (q, Query.Cq.make ~name:r.name ~head ~body:r.body)
+  | _ ->
+    let* a = oneofl colliding_constants in
+    let* b = oneofl colliding_constants in
+    return (with_constant q a, with_constant q b)
+
+(* Both ids of a view pair agree with its canonical forms: the
+   head-set form for [form_id], the body form for [body_id]. *)
+let ids_match_forms qa qb =
+  let va = Core.View.make qa and vb = Core.View.make qb in
+  let same form = String.equal (form va.Core.View.cq) (form vb.Core.View.cq) in
+  Core.View.equal_form_id (Core.View.form_id va) (Core.View.form_id vb)
+  = same Query.Cq.canonical_head_set_string
+  && Core.View.equal_form_id (Core.View.body_id va) (Core.View.body_id vb)
+     = same Query.Cq.canonical_body_string
+
+let test_ids_are_forms () =
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:500 ~name:"ids equal exactly when forms are"
+       (QCheck.make
+          ~print:(fun (a, b) ->
+            Query.Cq.to_string a ^ "  vs  " ^ Query.Cq.to_string b)
+          gen_view_pair)
+       (fun (a, b) -> ids_match_forms a b));
+  (* a URI that prints bare, like <V1>, is not the variable ?V1 *)
+  let a = cq [ v "X" ] [ atom (v "X") (c "ex:p") (v "Y") ] in
+  let b = cq [ c "V1" ] [ atom (c "V1") (c "ex:p") (v "Y") ] in
+  let va = Core.View.make a and vb = Core.View.make b in
+  check_bool "constant head: view ids differ" false
+    (Core.View.equal_form_id (Core.View.form_id va) (Core.View.form_id vb));
+  check_bool "constant head: body ids differ" false
+    (Core.View.equal_form_id (Core.View.body_id va) (Core.View.body_id vb));
+  check_bool "constant head: ids match forms" true (ids_match_forms a b)
 
 (* ---------- id stability under renaming ---------------------------------- *)
 
-(* Interned ids hang off the canonical form, which is
-   variable-rename-invariant: a view and its freshened copy (all
-   variables renamed) must intern to the same id even though their
-   variable names share nothing. *)
+(* Ids hang off the canonical form, which is variable-rename-invariant:
+   a view and its freshened copy (all variables renamed) must get the
+   same id even though their variable names share nothing. *)
 let test_ids_stable_under_freshen () =
   QCheck.Test.check_exn
-    (QCheck.Test.make ~count:200 ~name:"intern_id stable under freshen"
+    (QCheck.Test.make ~count:200 ~name:"form_id stable under freshen"
        (QCheck.make gen_cq) (fun q ->
          let v1 = Core.View.make q in
          let v2 = Core.View.make (Query.Cq.freshen q) in
-         Core.View.intern_id v1 = Core.View.intern_id v2
-         && Core.View.body_intern_id v1 = Core.View.body_intern_id v2))
+         Core.View.form_id v1 = Core.View.form_id v2
+         && Core.View.body_id v1 = Core.View.body_id v2))
 
 let test_ids_distinguish_heads () =
   (* same body, different head: distinct view ids, same body id *)
@@ -80,10 +110,9 @@ let test_ids_distinguish_heads () =
   let v1 = Core.View.make q in
   let v2 = Core.View.make narrowed in
   check_bool "head changes the view id" true
-    (Core.View.intern_id v1 <> Core.View.intern_id v2);
-  check_int "body id ignores the head"
-    (Core.View.body_intern_id v1)
-    (Core.View.body_intern_id v2)
+    (Core.View.form_id v1 <> Core.View.form_id v2);
+  check_bool "body id ignores the head" true
+    (Core.View.body_id v1 = Core.View.body_id v2)
 
 (* ---------- key invariance under permutation ------------------------------ *)
 
@@ -121,6 +150,52 @@ let test_key_ignores_view_order () =
          && Core.State.hash_key (Core.State.key s1)
             = Core.State.hash_key (Core.State.key s2)
          && String.equal (Core.State.key_string s1) (Core.State.key_string s2)))
+
+(* ---------- a selection retains nothing ---------------------------------- *)
+
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+(* Selections [first .. first + count - 1], each a bounded DFS over its
+   own two chain queries on its own fresh Barton store.  Every seed
+   draws other queries, so every selection makes views of forms no
+   earlier one saw. *)
+let select_chains first count =
+  for seed = first to first + count - 1 do
+    let store = Workload.Barton.store ~n_entities:40 ~seed () in
+    let queries =
+      Workload.Generator.generate_satisfiable store
+        {
+          Workload.Generator.default_spec with
+          Workload.Generator.shape = Workload.Generator.Chain;
+          n_queries = 2;
+          atoms_per_query = 3;
+          seed;
+        }
+    in
+    let options =
+      { Core.Search.default_options with max_states = Some 60 }
+    in
+    ignore
+      (Core.Selector.select ~store ~reasoning:Core.Selector.No_reasoning
+         ~options queries
+        : Core.Selector.result)
+  done
+
+(* Views are named by their content, so no table outlives the
+   selection that made them: the live heap after 150 selections is the
+   heap after 50. *)
+let test_selections_retain_nothing () =
+  select_chains 1000 50;
+  let after_50 = live_words () in
+  select_chains 1050 100;
+  let after_150 = live_words () in
+  check_int
+    (Printf.sprintf "live words %d after 50 selections, %d after 150" after_50
+       after_150)
+    0
+    (max 0 (after_150 - after_50))
 
 (* ---------- incremental vs full costing ---------------------------------- *)
 
@@ -171,11 +246,9 @@ let test_incremental_matches_full () =
 let () =
   Alcotest.run "intern"
     [
-      ( "interner",
-        [
-          Alcotest.test_case "basics" `Quick test_intern_basics;
-          Alcotest.test_case "bounds" `Quick test_ids_dense;
-        ] );
+      ( "identity",
+        [ Alcotest.test_case "ids equal exactly when forms are" `Quick
+            test_ids_are_forms ] );
       ( "stability",
         [
           Alcotest.test_case "ids stable under freshen" `Quick
@@ -184,6 +257,11 @@ let () =
             test_ids_distinguish_heads;
           Alcotest.test_case "key ignores view order" `Quick
             test_key_ignores_view_order;
+        ] );
+      ( "retention",
+        [
+          Alcotest.test_case "selections retain nothing" `Quick
+            test_selections_retain_nothing;
         ] );
       ( "incremental cost",
         [

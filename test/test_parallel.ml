@@ -1,11 +1,10 @@
 open Support
 
 (* Parallel search: fixpoint agreement between one domain and several,
-   the sharded interner and the views' transition memos under domain
-   contention, and Obs registry merging.  Without domains the search
-   loop runs on one, and the two contention tests gate themselves on
-   [Multicore.available], so the suite also passes on a
-   sequential-only (OCaml 4.x) build. *)
+   the views' transition memos under domain contention, and Obs
+   registry merging.  Without domains the search loop runs on one, and
+   the contention test gates itself on [Multicore.available], so the
+   suite also passes on a sequential-only (OCaml 4.x) build. *)
 
 let stats_for store = Stats.Statistics.create store
 
@@ -436,33 +435,6 @@ let test_select_over_compact_store () =
       done)
     [ Core.Selector.No_reasoning; Core.Selector.Post_reformulation schema ]
 
-(* ---------- the sharded interner under contention ------------------------- *)
-
-let test_intern_stress () =
-  if Multicore.available then begin
-    Interning.reset ();
-    let domains = 4 and per_domain = 2000 in
-    let work d () =
-      (* overlapping key space across domains: ids must agree *)
-      List.init per_domain (fun i ->
-          let s = Printf.sprintf "view<%d>" ((i + (d * 7)) mod 500) in
-          (s, Interning.of_canonical s))
-    in
-    let handles =
-      List.init (domains - 1) (fun d -> Multicore.spawn (work (d + 1)))
-    in
-    let mine = work 0 () in
-    let all = mine @ List.concat_map Multicore.join handles in
-    List.iter
-      (fun (s, id) ->
-        check_int ("stable id for " ^ s) (Interning.of_canonical s) id)
-      all;
-    (* distinct strings got distinct ids, and the ids are 0 .. 499 *)
-    let ids = List.sort_uniq Int.compare (List.map snd all) in
-    check_bool "dense, distinct ids" true (ids = List.init 500 Fun.id);
-    check_int "distinct strings" 500 (Interning.size ())
-  end
-
 (* ---------- shared views under contention --------------------------------- *)
 
 (* Four domains build the successors of one fresh state at once, so
@@ -590,8 +562,6 @@ let () =
             Alcotest.test_case "a selection over a compact store" `Quick
               test_select_over_compact_store;
           ] );
-      ( "interning",
-        [ Alcotest.test_case "4-domain stress" `Quick test_intern_stress ] );
       ( "view memo",
         [
           Alcotest.test_case "4 domains expand one fresh state" `Quick

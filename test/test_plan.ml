@@ -483,9 +483,8 @@ let test_quoted_uri_own_plan () =
   | _ -> Alcotest.fail "expected two queries"
 
 (* Statistics read the store's triples, not the answers of queries:
-   gathering property distincts probes no index count, compiles no plan,
-   caches none and interns no canonical form, for the first statistics
-   value as for the next. *)
+   gathering property distincts probes no index count, compiles no plan
+   and caches none, for the first statistics value as for the next. *)
 let test_stats_gathering_plans_nothing () =
   with_registry (fun reg ->
       let store = small_store () in
@@ -493,8 +492,7 @@ let test_stats_gathering_plans_nothing () =
       let footprint () =
         ( counter_value reg "store.count_probes",
           counter_value reg "eval.plan.cache_misses",
-          Query.Plan.cached_plan_count store,
-          Interning.size () )
+          Query.Plan.cached_plan_count store )
       in
       let before = footprint () in
       List.iter
@@ -503,7 +501,7 @@ let test_stats_gathering_plans_nothing () =
           ignore (Stats.Statistics.property_distinct stats prop `S);
           ignore (Stats.Statistics.property_distinct stats prop `O))
         [ 1; 2 ];
-      check_bool "no probe, and no plan compiled, cached or interned" true
+      check_bool "no probe, and no plan compiled or cached" true
         (footprint () = before))
 
 (* ---------- plan lifetimes ----------------------------------------------- *)
@@ -559,14 +557,12 @@ let test_dropped_stores_retain_nothing () =
     true
     (after_60 - after_20 < 4_000)
 
-(* A plan is keyed by its query's canonical form on the store, so
-   evaluating new queries interns nothing process-wide. *)
+(* A plan is keyed by its query's canonical form on the store: the
+   store holds the plans of the queries it evaluates. *)
 let test_evaluation_interns_nothing () =
   let store, queries = barton_workload 200 in
-  let interned = Interning.size () in
   evaluate_all store queries;
-  check_bool "plans cached" true (Query.Plan.cached_plan_count store > 0);
-  check_int "nothing interned" interned (Interning.size ())
+  check_bool "plans cached" true (Query.Plan.cached_plan_count store > 0)
 
 let () =
   Alcotest.run "plan"

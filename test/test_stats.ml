@@ -249,7 +249,7 @@ let test_range_types_literal_subject () =
 
 (* Post-reformulation never writes the database: counting adds no
    triple and leaves the store's version alone.  Each count is one-shot,
-   so it caches no plan and interns no canonical form either. *)
+   so it caches no plan either. *)
 let prop_reformulated_leaves_store =
   QCheck.Test.make ~name:"post-reformulation statistics write no triple"
     ~count:50
@@ -258,8 +258,7 @@ let prop_reformulated_leaves_store =
       let footprint () =
         ( Rdf.Store.size store,
           Rdf.Store.version store,
-          Query.Plan.cached_plan_count store,
-          Interning.size () )
+          Query.Plan.cached_plan_count store )
       in
       let before = footprint () in
       let stats =
@@ -312,7 +311,7 @@ let test_constants_resolved_after_evaluation () =
    reformulated triple query: [create] evaluates each of its shapes
    once (and under RDFVIEWS_STRICT=1 each disjunct once more, through
    the Reference evaluator), and nothing after it evaluates again.  The
-   evaluation caches no plan and interns no canonical form. *)
+   evaluation caches no plan. *)
 let test_saturation_evaluated_once () =
   let schema =
     Rdf.Schema.of_statements
@@ -339,8 +338,7 @@ let test_saturation_evaluated_once () =
   let footprint () =
     ( Rdf.Store.size sample_store,
       Rdf.Store.version sample_store,
-      Query.Plan.cached_plan_count sample_store,
-      Interning.size () )
+      Query.Plan.cached_plan_count sample_store )
   in
   let before = footprint () in
   let registry = Obs.create () in
@@ -364,7 +362,7 @@ let test_saturation_evaluated_once () =
       ignore (Stats.Statistics.total_triples stats : float);
       Stats.Statistics.prewarm stats workload;
       check_int "no evaluation after it" evaluation (evals ()));
-  check_bool "no triple, plan or canonical form" true (footprint () = before)
+  check_bool "no triple or plan" true (footprint () = before)
 
 (* ---------- cardinality estimation ---------------------------------------- *)
 

@@ -353,13 +353,8 @@ let test_vf_pair_shared_across_parents () =
   | [ first; second ] ->
     let view = fused_in first in
     ignore (Core.State.key second : Core.State.key);
-    List.iter
-      (fun u -> ignore (Core.View.body_intern_id u : Interning.id))
-      second.Core.State.views;
-    let interned = Interning.size () in
     check_int "one fused view object" view.Core.View.id
-      (fused_in second).Core.View.id;
-    check_int "nothing new interned" interned (Interning.size ())
+      (fused_in second).Core.View.id
   | _ -> assert false
 
 (* A 4-atom view with a disconnected VB split ({0,3}) and a join-cut
@@ -447,7 +442,7 @@ let test_vf_distinct_constants_never_pair () =
   (match pair with
   | [ va; vb ] ->
     check_bool "distinct body ids" true
-      (Core.View.body_intern_id va <> Core.View.body_intern_id vb)
+      (Core.View.body_id va <> Core.View.body_id vb)
   | _ -> Alcotest.fail "expected three views");
   let parents = s0 :: keeping pair (Core.Transition.successors s0 SC) in
   check_int "three parents hold the pair" 3 (List.length parents);
@@ -502,7 +497,7 @@ let keys states =
   List.map (fun (s, _) -> Core.State.key_string s) states
 
 (* The views in state order, each by its canonical form *)
-let view_forms s = List.map Core.View.intern_id s.Core.State.views
+let view_forms s = List.map Core.View.form_id s.Core.State.views
 
 let prop_admission_without_rework =
   QCheck.Test.make
@@ -573,19 +568,23 @@ let prop_admission_without_rework =
         (walk_states workload choices))
 
 (* The facts the search reads off every state, against their
-   definitions: the key against the sorted id list hashed the same way,
-   each view's constant count against its query's, and, under AVF, the
-   body ids of a collapsed state: all distinct, which is why the search
-   skips the VF stratum of a state it expands.  The collapsed states
+   definitions: the key against the sorted high halves of the view ids,
+   hashed the same way, and the sum of their low halves; each view's
+   constant count against its query's; and, under AVF, the body ids of
+   a collapsed state: all distinct, which is why the search skips the
+   VF stratum of a state it expands.  The collapsed states
    are the fusion closure of each walk state and its successors
    collapsed on their fresh views alone, as the search collapses
    them. *)
 let reference_key (s : Core.State.t) =
-  let ids = List.sort Int.compare (List.map Core.View.intern_id s.views) in
-  ( String.concat "." (List.map string_of_int ids),
+  let ids = List.map Core.View.form_id s.views in
+  let his = List.sort Int.compare (List.map (fun (f : Core.View.form_id) -> f.hi) ids) in
+  let lo = List.fold_left (fun acc (f : Core.View.form_id) -> acc + f.lo) 0 ids in
+  ( String.concat "." (List.map (Printf.sprintf "%016x") his)
+    ^ Printf.sprintf "/%016x" lo,
     List.fold_left
-      (fun h id -> (h lxor id) * 0x01000193 land max_int)
-      0x811c9dc5 ids )
+      (fun h hi -> (h lxor hi) * 0x01000193 land max_int)
+      0x811c9dc5 his )
 
 let facts_hold (s : Core.State.t) =
   let key = Core.State.key s in
@@ -596,8 +595,8 @@ let facts_hold (s : Core.State.t) =
        s.views
 
 let body_ids_distinct (s : Core.State.t) =
-  let ids = List.map Core.View.body_intern_id s.views in
-  List.length (List.sort_uniq Int.compare ids) = List.length ids
+  let ids = List.map Core.View.body_id s.views in
+  List.length (List.sort_uniq Core.View.compare_form_id ids) = List.length ids
 
 let prop_state_facts =
   QCheck.Test.make

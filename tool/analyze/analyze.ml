@@ -238,7 +238,7 @@ type cell_class =
   | Plain        (* unannotated mutable container *)
 
 type cell = {
-  cl_name : string;  (* display name, e.g. Interning.names *)
+  cl_name : string;  (* display name, e.g. Shard_tbl.shards *)
   cl_class : cell_class;
   cl_loc : Location.t;
   mutable cl_reads : int;
@@ -344,7 +344,7 @@ let queue_mutators = [ "add"; "push"; "pop"; "take"; "clear"; "transfer" ]
 
 (* Simple names of the modules bound to a [Hashtbl.Make] or
    [Hashtbl.MakeSeeded] application in any unit given to the analyzer,
-   whatever they are called ([Interning.Int_tbl], [Query.Plan.Forms]).
+   whatever they are called ([Cost.Int_tbl], [Query.Plan.Forms]).
    Filled by [prescan_unit] over every unit before the first is
    analyzed, so a unit sees the instances of the units it uses. *)
 let table_instances : (string, unit) Hashtbl.t = Hashtbl.create 16

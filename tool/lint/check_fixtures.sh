@@ -3,6 +3,8 @@
 # its rule at every site, and each clean counterpart must lint clean.
 #   fix_retained_row.ml   -> 5x retained-exec-row; fix_copied_row.ml clean
 #   fix_relation_write.ml -> 6x relation-write;    fix_relation_read.ml clean
+#   lib/fix_toplevel_table.ml -> 8x toplevel-table; lib/fix_owned_table.ml clean
+#     (toplevel-table is a library rule: its fixtures live under lib/)
 # Run from the directory holding lint.exe (dune runs it in
 # _build/default/tool/lint via runtest).
 set -u
@@ -43,5 +45,7 @@ seeded fix_retained_row retained-exec-row 5
 clean fix_copied_row
 seeded fix_relation_write relation-write 6
 clean fix_relation_read
+seeded lib/fix_toplevel_table toplevel-table 8
+clean lib/fix_owned_table
 
 exit $fail

@@ -381,6 +381,37 @@ let check_relation_write ~file (e : Parsetree.expression) =
          (String.concat "." (flatten txt)))
   | _ -> ()
 
+(* toplevel-table: a table constructor ([Rules.table_constructors])
+   applied in the value of a toplevel let, or of a let in a toplevel
+   module, and not under a function: the table is made once, when the
+   module is initialised, and lives as long as the process.  A functor
+   body is a function of its argument, so it is not searched. *)
+let check_toplevel_tables ~file structure =
+  let it =
+    {
+      Ast_iterator.default_iterator with
+      expr =
+        (fun self e ->
+          match e.Parsetree.pexp_desc with
+          | Parsetree.Pexp_fun _ | Parsetree.Pexp_function _ -> ()
+          | Parsetree.Pexp_apply
+              ({ pexp_desc = Parsetree.Pexp_ident { txt; _ }; _ }, _)
+            when pair_in Rules.table_constructors txt ->
+            report ~file ~loc:e.Parsetree.pexp_loc "toplevel-table"
+              (Printf.sprintf
+                 "`%s` outside any function makes a process-global table; \
+                  hang it on the value that owns it"
+                 (String.concat "." (flatten txt)))
+          | _ -> Ast_iterator.default_iterator.expr self e);
+      module_expr =
+        (fun self m ->
+          match m.Parsetree.pmod_desc with
+          | Parsetree.Pmod_functor _ -> ()
+          | _ -> Ast_iterator.default_iterator.module_expr self m);
+    }
+  in
+  it.structure it structure
+
 let rec catch_all_pattern (p : Parsetree.pattern) =
   match p.Parsetree.ppat_desc with
   | Parsetree.Ppat_any | Parsetree.Ppat_var _ -> true
@@ -418,7 +449,8 @@ let lint_structure ~file ~is_lib structure =
           Ast_iterator.default_iterator.expr self e);
     }
   in
-  it.structure it structure
+  it.structure it structure;
+  if is_lib then check_toplevel_tables ~file structure
 
 let read_lines path =
   let ic = open_in_bin path in

@@ -77,9 +77,18 @@ let rules =
       id = "unguarded-shared-table";
       summary =
         "hashtable mutation of a lock-protected shared table field \
-         (s_tbl, b_tbl) — directly or through a let-bound alias \
-         of the field — outside its owning module; all writes must go \
-         through the owner's locked entry points";
+         (b_tbl) — directly or through a let-bound alias of the field — \
+         outside its owning module; all writes must go through the \
+         owner's locked entry points";
+      scope = Lib_only;
+    };
+    {
+      id = "toplevel-table";
+      summary =
+        "toplevel let whose value builds a table (Hashtbl.create, \
+         Tbl.create, Rowset.create, Buckets.create) outside any function \
+         in a library; a process-global table has no owner to drop it and \
+         only grows — hang the table on the value that owns it";
       scope = Lib_only;
     };
     {
@@ -158,14 +167,22 @@ let hashtbl_key_ops =
   [ "add"; "replace"; "find"; "find_opt"; "find_all"; "mem"; "remove" ]
 
 (* Shared mutable table fields and the one source file whose locked
-   entry points are allowed to touch them.  The intern table and the
-   parallel-search dedup shards are accessed concurrently from several
-   domains; a raw write anywhere else bypasses the table's spinlock and
-   is a data race even when it happens to survive testing. *)
+   entry points are allowed to touch them.  The parallel-search dedup
+   shards are accessed concurrently from several domains; a raw write
+   anywhere else bypasses the shard's spinlock and is a data race even
+   when it happens to survive testing. *)
 let shared_table_fields =
   [
-    ("s_tbl", "interning.ml");   (* Interning's one string table *)
     ("b_tbl", "shard_tbl.ml");   (* Shard_tbl's per-shard rank table *)
+  ]
+
+(* (module, function) pairs that build a table: the last module of the
+   access path is matched, so [Hashtbl.create], [State.Tbl.create] and
+   [Rdf.Rowset.create] all hit. *)
+let table_constructors =
+  [
+    ("Hashtbl", "create"); ("Tbl", "create"); ("Rowset", "create");
+    ("Buckets", "create");
   ]
 
 (* Operations that mutate a hashtable (generic Hashtbl or a Hashtbl.Make
