@@ -17,7 +17,6 @@ module type S = sig
   val scan2 : t -> [ `SP | `SO | `PO ] -> int -> int -> int array * int
   val fold_all : t -> (int * int * int -> 'a -> 'a) -> 'a -> 'a
   val distinct_in_column : t -> [ `S | `P | `O ] -> int
-  val fold_column_codes : t -> [ `S | `P | `O ] -> (int -> 'a -> 'a) -> 'a -> 'a
   val resident_bytes : t -> int
   val compact : t -> unit
 end

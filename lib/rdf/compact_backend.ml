@@ -40,11 +40,12 @@ let flush_floor = 16384
 let all_cache_max_rows = 1 lsl 20
 
 (* scan1/scan2 results are memoized the same way (cleared on any
-   mutation), in one {!Flat.Buckets} table per scan kind keyed by the
-   code or the code pair's [Flat.pair_key].  Query execution re-scans
-   the same (column, code) keys constantly — the inner side of every
-   join step, and every repetition of a cached plan — and a memo hit
-   costs one int-table probe, like the hash backend's bucket fetch.
+   mutation), in one {!Rowset.Buckets} table per scan kind keyed by the
+   code or the code pair's [Rowset.Buckets.pair_key].  Query execution
+   re-scans the same (column, code) keys constantly — the inner side of
+   every join step, and every repetition of a cached plan — and a memo
+   hit costs one int-table probe, like the hash backend's bucket
+   fetch.
    Entry count is bounded over all kinds ([memo_keys]); overflowing
    resets the memo wholesale. *)
 let scan_cache_max_keys = 16384
@@ -60,7 +61,7 @@ type t = {
   distinct : int array;
       (* live distinct codes per column, indexed S = 0, P = 1, O = 2 *)
   mutable all_cache : (int array * int) option;
-  scan_memo : Flat.Buckets.t array;
+  scan_memo : Rowset.Buckets.t array;
       (* memoized scan1/scan2 results, indexed S, P, O, SP, PO, SO;
          the arrays are never rewritten in place, so handing the same
          one to every caller honours the scan contract *)
@@ -76,13 +77,13 @@ let create () =
     mem_del = Hash_backend.create ();
     distinct = [| 0; 0; 0 |];
     all_cache = None;
-    scan_memo = Array.init 6 (fun _ -> Flat.Buckets.create ());
+    scan_memo = Array.init 6 (fun _ -> Rowset.Buckets.create ());
     memo_keys = 0;
   }
 
 let clear_memo t =
   if t.memo_keys > 0 then begin
-    Array.iter Flat.Buckets.clear t.scan_memo;
+    Array.iter Rowset.Buckets.clear t.scan_memo;
     t.memo_keys <- 0
   end
 
@@ -357,12 +358,12 @@ let assemble t seg ~pair a b ~da ~db ~dc ~ndel (mdata, mn) =
    whole memo when it holds [scan_cache_max_keys] keys. *)
 let cached_scan t k key build =
   let memo = t.scan_memo.(k) in
-  let j = Flat.Buckets.find memo key in
-  if j >= 0 then (Flat.Buckets.data memo j, Flat.Buckets.rows memo j)
+  let j = Rowset.Buckets.find memo key in
+  if j >= 0 then (Rowset.Buckets.data memo j, Rowset.Buckets.rows memo j)
   else begin
     let ((data, n) as r) = build () in
     if t.memo_keys >= scan_cache_max_keys then clear_memo t;
-    Flat.Buckets.replace memo key data n;
+    Rowset.Buckets.replace memo key data n;
     t.memo_keys <- t.memo_keys + 1;
     r
   end
@@ -392,18 +393,18 @@ let scan1 t col code =
 let scan2 t cols a b =
   match cols with
   | `SP ->
-    cached_scan t 3 (Flat.pair_key a b) @@ fun () ->
+    cached_scan t 3 (Rowset.Buckets.pair_key a b) @@ fun () ->
     assemble t t.spo ~pair:true a b ~da:0 ~db:1 ~dc:2
       ~ndel:(Hash_backend.count2 t.mem_del `SP a b)
       (Hash_backend.scan2 t.mem_add `SP a b)
   | `PO ->
-    cached_scan t 4 (Flat.pair_key a b) @@ fun () ->
+    cached_scan t 4 (Rowset.Buckets.pair_key a b) @@ fun () ->
     assemble t t.pos ~pair:true a b ~da:1 ~db:2 ~dc:0
       ~ndel:(Hash_backend.count2 t.mem_del `PO a b)
       (Hash_backend.scan2 t.mem_add `PO a b)
   | `SO ->
     (* OSP order leads (o, s): arguments arrive as (s, o) *)
-    cached_scan t 5 (Flat.pair_key a b) @@ fun () ->
+    cached_scan t 5 (Rowset.Buckets.pair_key a b) @@ fun () ->
     assemble t t.osp ~pair:true b a ~da:2 ~db:0 ~dc:1
       ~ndel:(Hash_backend.count2 t.mem_del `SO a b)
       (Hash_backend.scan2 t.mem_add `SO a b)
@@ -448,19 +449,6 @@ let fold_all t f init =
 
 let distinct_in_column t col = t.distinct.(col_slot col)
 
-let fold_column_codes t col f init =
-  let seg = seg_of_col t col in
-  let acc = ref init in
-  (* without tombstones every leading code of the segment is live *)
-  if Hash_backend.size t.mem_del = 0 then
-    Segment.iter_leading seg (fun code -> acc := f code !acc)
-  else
-    Segment.iter_leading seg (fun code ->
-        if live_in_seg t col code then acc := f code !acc);
-  Hash_backend.fold_column_codes t.mem_add col
-    (fun code acc -> if live_in_seg t col code then acc else f code acc)
-    !acc
-
 (* ---------- sizing -------------------------------------------------------- *)
 
 let resident_bytes t =
@@ -471,5 +459,5 @@ let resident_bytes t =
   + (match t.all_cache with Some (a, _) -> 8 * Array.length a | None -> 0)
   + Array.fold_left
       (fun acc memo ->
-        Flat.Buckets.fold memo (fun _ a _ acc -> acc + (8 * Array.length a)) acc)
+        Rowset.Buckets.fold memo (fun _ a _ acc -> acc + (8 * Array.length a)) acc)
       0 t.scan_memo

@@ -6,7 +6,7 @@
     over flat int tables, so every count stays exact and one probe
     away; per-column distinct counts are kept up to date by each
     write, so they too are answered in O(1).  Scan results are
-    memoized between writes in one int-keyed {!Flat.Buckets} table
+    memoized between writes in one int-keyed {!Rowset.Buckets} table
     per scan kind.
     When the memtable outgrows a fraction of the segment, the three
     orders are merge-rebuilt in one streaming pass.  32.9x fewer

@@ -1,8 +1,9 @@
-(* The hexastore-style layout, over the open-addressed int tables of
-   Rowset and Flat.  Every triple sits once in [set], a width-3 Rowset
+(* The hexastore-style layout, over Rowset's open-addressed int
+   tables.  Every triple sits once in [set], a width-3 Rowset
    (packed [s; p; o] rows whose slots hold each triple's row), probed
-   through the set's own key row, and once in a bucket of
-   each of six indexes, keyed by its column or column pair, so
+   through the set's own key row, and once in a bucket of each of six
+   indexes, keyed by its column or column pair (a [Rowset.Buckets]: a
+   width-1 Rowset of keys whose rows address their buckets), so
    [count1]/[count2] are one probe (the paper's §3.3 exact-count
    assumption) and the compiled executor (Query.Plan) walks a bucket by
    direct int reads with no per-triple allocation.  [rows], parallel to
@@ -32,7 +33,7 @@ type t = {
   mutable rows : int array;
       (* stride 6: the triple at row r < [indexed] of [set] sits at row
          [rows.(6r + k)] of its bucket in [idx.(k)] *)
-  idx : Flat.Buckets.t array;  (* keyed by s, p, o, sp, so, po *)
+  idx : Rowset.Buckets.t array;  (* keyed by s, p, o, sp, so, po *)
   mutable indexed : int;  (* rows of [set] below this are in every index *)
 }
 
@@ -40,11 +41,11 @@ let create () =
   {
     set = Rowset.of_width 3 0;
     rows = Array.make (n_indexes * 4) 0;
-    idx = Array.init n_indexes (fun _ -> Flat.Buckets.create ());
+    idx = Array.init n_indexes (fun _ -> Rowset.Buckets.create ());
     indexed = 0;
   }
 
-let pair_key = Flat.pair_key
+let pair_key = Rowset.Buckets.pair_key
 
 let key k s p o =
   match k with
@@ -76,7 +77,7 @@ let index_row t r =
   let s = d.(3 * r) and p = d.((3 * r) + 1) and o = d.((3 * r) + 2) in
   let base = n_indexes * r in
   for k = 0 to n_indexes - 1 do
-    t.rows.(base + k) <- Flat.Buckets.push t.idx.(k) (key k s p o) s p o
+    t.rows.(base + k) <- Rowset.Buckets.push t.idx.(k) (key k s p o) s p o
   done
 
 (* Index the pending rows, one index at a time.  A store's reads are
@@ -89,7 +90,7 @@ let catch_up t =
     let b = t.idx.(k) in
     for r = t.indexed to n - 1 do
       let s = d.(3 * r) and p = d.((3 * r) + 1) and o = d.((3 * r) + 2) in
-      t.rows.((n_indexes * r) + k) <- Flat.Buckets.push b (key k s p o) s p o
+      t.rows.((n_indexes * r) + k) <- Rowset.Buckets.push b (key k s p o) s p o
     done
   done;
   t.indexed <- n
@@ -101,17 +102,17 @@ let[@inline] sync t = if t.indexed < size t then catch_up t
    moves into the hole and its recorded row is re-pointed. *)
 let remove_at t k key i =
   let b = t.idx.(k) in
-  let j = Flat.Buckets.find b key in
-  let last = Flat.Buckets.rows b j - 1 in
+  let j = Rowset.Buckets.find b key in
+  let last = Rowset.Buckets.rows b j - 1 in
   if i <> last then begin
-    let d = Flat.Buckets.data b j in
+    let d = Rowset.Buckets.data b j in
     let s = d.(3 * last) and p = d.((3 * last) + 1) and o = d.((3 * last) + 2) in
     d.(3 * i) <- s;
     d.((3 * i) + 1) <- p;
     d.((3 * i) + 2) <- o;
     t.rows.((n_indexes * find t s p o) + k) <- i
   end;
-  Flat.Buckets.set_rows b j last
+  Rowset.Buckets.set_rows b j last
 
 (* A pending row leaves [set] only.  An indexed row leaves its six
    buckets, and the last row of [set] moves into its place: a pending
@@ -147,8 +148,8 @@ let index_of_pair t = function
   | `PO -> t.idx.(5)
 
 let count_key b key =
-  let j = Flat.Buckets.find b key in
-  if j < 0 then 0 else Flat.Buckets.rows b j
+  let j = Rowset.Buckets.find b key in
+  if j < 0 then 0 else Rowset.Buckets.rows b j
 
 let count1 t col code =
   sync t;
@@ -165,8 +166,9 @@ let empty_scan = ([||] : int array)
 let scan_all t = (Rowset.data t.set, size t)
 
 let scan_key b key =
-  let j = Flat.Buckets.find b key in
-  if j < 0 then (empty_scan, 0) else (Flat.Buckets.data b j, Flat.Buckets.rows b j)
+  let j = Rowset.Buckets.find b key in
+  if j < 0 then (empty_scan, 0)
+  else (Rowset.Buckets.data b j, Rowset.Buckets.rows b j)
 
 let scan1 t col code =
   sync t;
@@ -185,18 +187,14 @@ let fold_all t f init =
 
 let distinct_in_column t col =
   sync t;
-  Flat.Buckets.length (index_of_column t col)
-
-let fold_column_codes t col f init =
-  sync t;
-  Flat.Buckets.fold (index_of_column t col) (fun code _ _ acc -> f code acc) init
+  Rowset.Buckets.length (index_of_column t col)
 
 (* Words of the index structures as they stand, each array with its
    header (dictionary excluded: it is shared Store state). *)
 let resident_bytes t =
   8
   * Array.fold_left
-      (fun acc b -> acc + Flat.Buckets.resident_words b)
+      (fun acc b -> acc + Rowset.Buckets.resident_words b)
       (Rowset.resident_words t.set + Array.length t.rows + 1)
       t.idx
 
@@ -212,17 +210,17 @@ let rows_consistent t =
     if r < t.indexed then
       for k = 0 to n_indexes - 1 do
         let b = t.idx.(k) in
-        let j = Flat.Buckets.find b (key k s p o) in
+        let j = Rowset.Buckets.find b (key k s p o) in
         let i = t.rows.((n_indexes * r) + k) in
         ok :=
           !ok && j >= 0
-          && i < Flat.Buckets.rows b j
+          && i < Rowset.Buckets.rows b j
           &&
-          let bd = Flat.Buckets.data b j in
+          let bd = Rowset.Buckets.data b j in
           bd.(3 * i) = s && bd.((3 * i) + 1) = p && bd.((3 * i) + 2) = o
       done
   done;
   !ok
   && Array.for_all
-       (fun b -> Flat.Buckets.fold b (fun _ _ n acc -> acc + n) 0 = t.indexed)
+       (fun b -> Rowset.Buckets.fold b (fun _ _ n acc -> acc + n) 0 = t.indexed)
        t.idx

@@ -1,8 +1,8 @@
 (** Hexastore-style backend (the original {!Store} layout) over
-    open-addressed int tables: the triples in one width-3 {!Rowset}
-    (packed rows), and six {!Flat.Buckets} indexes (s, p, o, sp, so,
-    po) whose buckets are
-    growable packed-int arrays stored inline in the index slots.  O(1)
+    {!Rowset}'s open-addressed int tables: the triples in one width-3
+    table (packed rows), and six {!Rowset.Buckets} indexes (s, p, o,
+    sp, so, po), each a width-1 table of keys whose rows address
+    growable packed-int buckets held beside it.  O(1)
     point mutation and counting, live-storage scans.  Each triple
     records its row in every bucket holding it; a remove moves each
     bucket's last row into the hole, so scan order is indexing order
@@ -11,7 +11,7 @@
 
     [add] writes only the triple set; the indexes catch up on the
     first read that needs them (a count, a scan of one or two columns,
-    a column's distinct codes, or {!compact}), one index at a time and
+    a column's distinct count, or {!compact}), one index at a time and
     in row order.  A store built by adds and then read holds each
     bucket in add order.  [mem], [size], [scan_all] and [fold_all]
     never index, and a remove indexes at most the one pending row that

@@ -1,7 +1,9 @@
-(* The one table of dictionary-encoded rows, in Flat's idiom: linear
+(* The one open-addressed table of dictionary-encoded rows: linear
    probing over a power-of-two slot array, load at most 3/4, and
    backward-shift deletion, so there are no tombstones and a probe
-   sequence ends at the first free slot.
+   sequence ends at the first free slot.  [Buckets], the store's
+   indexes, is a width-1 table of keys with its buckets beside it, so
+   this is the one probe loop, growth rule and delete of the library.
 
    Rows are packed row-major in one int array, the layout every store
    scan already hands out ([s; p; o] at stride 3): a probe compares a
@@ -220,7 +222,11 @@ let remove_row t r =
   delete_slot t (slot_of_row t (hash_at t.data (w * r) w) r);
   let last = t.n - 1 in
   if r <> last then begin
-    Array.blit t.data (w * last) t.data (w * r) w;
+    (* a loop, not [Array.blit], which is a C call for a few cells *)
+    let data = t.data in
+    for c = 0 to w - 1 do
+      Array.unsafe_set data ((w * r) + c) (Array.unsafe_get data ((w * last) + c))
+    done;
     let tag = hash_at t.data (w * r) w in
     t.slots.(slot_of_row t tag last) <- (tag lsl row_bits) lor (r + 1)
   end;
@@ -248,3 +254,114 @@ let elements t =
   !acc
 
 let resident_words t = Array.length t.data + Array.length t.slots + 2
+
+(* A width-1 table of keys; a key's row addresses its bucket in two
+   parallel arrays, so the probe is the table's own, inlined here.  A
+   key whose bucket empties leaves through [remove_row], and the key
+   moved into its row brings its bucket along. *)
+module Buckets = struct
+  type table = t
+
+  type t = {
+    mutable keys : table;
+    mutable data : int array array;  (* by key row: the bucket's storage *)
+    mutable used : int array;  (* by key row: rows in use in [data] *)
+  }
+
+  let empty = ([||] : int array)
+  let pair_key a b = (a lsl 31) lor b
+
+  let create () = { keys = of_width 1 0; data = [||]; used = [||] }
+
+  let length t = t.keys.n
+
+  let find t key =
+    let keys = t.keys in
+    let row = keys.key in
+    Array.unsafe_set row 0 key;
+    let v = Array.unsafe_get keys.slots (probe keys (hash_at row 0 1) row 0) in
+    (v land row_mask) - 1
+
+  let data t j = t.data.(j)
+  let rows t j = t.used.(j)
+
+  (* The key's row, added with an empty bucket when absent. *)
+  let[@inline] claim t key =
+    let keys = t.keys in
+    let row = keys.key in
+    Array.unsafe_set row 0 key;
+    let j = insert keys row 0 in
+    if j = Array.length t.data then begin
+      let cap = max min_rows (2 * j) in
+      let data = Array.make cap empty and used = Array.make cap 0 in
+      Array.blit t.data 0 data 0 j;
+      Array.blit t.used 0 used 0 j;
+      t.data <- data;
+      t.used <- used
+    end;
+    j
+
+  let push t key s p o =
+    let j = claim t key in
+    let n = t.used.(j) in
+    let d = t.data.(j) in
+    let d =
+      if 3 * n < Array.length d then d
+      else begin
+        let bigger = Array.make (max 3 (6 * n)) 0 in
+        Array.blit d 0 bigger 0 (3 * n);
+        t.data.(j) <- bigger;
+        bigger
+      end
+    in
+    d.(3 * n) <- s;
+    d.((3 * n) + 1) <- p;
+    d.((3 * n) + 2) <- o;
+    t.used.(j) <- n + 1;
+    n
+
+  let replace t key d n =
+    let j = claim t key in
+    t.data.(j) <- d;
+    t.used.(j) <- n
+
+  let set_rows t j n =
+    if n > 0 then t.used.(j) <- n
+    else begin
+      let last = remove_row t.keys j in
+      t.data.(j) <- t.data.(last);
+      t.used.(j) <- t.used.(last);
+      t.data.(last) <- empty;
+      t.used.(last) <- 0
+    end
+
+  (* A small table is emptied in place: the compact scan memo is
+     cleared on every write and refilled by the next reads, and a fresh
+     table would grow again on every refill. *)
+  let clear t =
+    let keys = t.keys in
+    if keys.mask >= 256 then begin
+      t.keys <- of_width 1 0;
+      t.data <- [||];
+      t.used <- [||]
+    end
+    else if keys.n > 0 then begin
+      Array.fill keys.slots 0 (keys.mask + 1) 0;
+      Array.fill t.data 0 keys.n empty;
+      Array.fill t.used 0 keys.n 0;
+      keys.n <- 0
+    end
+
+  let fold t f init =
+    let acc = ref init in
+    for j = 0 to length t - 1 do
+      acc := f t.keys.data.(j) t.data.(j) t.used.(j) !acc
+    done;
+    !acc
+
+  (* The key table and the two arrays beside it, plus each bucket. *)
+  let resident_words t =
+    fold t
+      (fun _ d _ acc -> acc + 1 + Array.length d)
+      (resident_words t.keys + Array.length t.data + Array.length t.used + 2)
+end

@@ -79,3 +79,55 @@ val elements : t -> int array list
 
 val resident_words : t -> int
 (** The row and slot arrays, headers included. *)
+
+(** Non-negative int keys mapped to buckets, each an [int array] and
+    its used length: the six indexes of {!Hash_backend} (and so of the
+    compact backend's memtables) and the compact backend's scan memo.
+    The keys are a width-1 table; a key's row index addresses its
+    bucket.  An index stays valid until the next insertion or
+    deletion. *)
+module Buckets : sig
+  type t
+
+  val pair_key : int -> int -> int
+  (** One non-negative key for a pair of codes below [2^31]. *)
+
+  val create : unit -> t
+  val length : t -> int
+  (** Keys present. *)
+
+  val find : t -> int -> int
+  (** The key's index, or [-1]. *)
+
+  val data : t -> int -> int array
+  (** The bucket's live storage. *)
+
+  val rows : t -> int -> int
+  (** Used rows (of three cells each, for {!push}) or cells (for
+      {!replace}) of the bucket. *)
+
+  val push : t -> int -> int -> int -> int -> int
+  (** [push t key s p o] appends the row [s; p; o] to the key's bucket,
+      creating it, and returns the row's index in it.  A full bucket is
+      copied to a new array twice its size: arrays already returned by
+      {!data} are never written again. *)
+
+  val replace : t -> int -> int array -> int -> unit
+  (** [replace t key data rows] binds the key to this bucket. *)
+
+  val set_rows : t -> int -> int -> unit
+  (** [set_rows t j n] truncates the bucket at index [j] to [n] rows;
+      at 0 the key is removed and the last key, with its bucket, takes
+      index [j]. *)
+
+  val clear : t -> unit
+  (** Remove every key; a table past 256 slots shrinks back to the
+      initial few. *)
+
+  val fold : t -> (int -> int array -> int -> 'a -> 'a) -> 'a -> 'a
+  (** Over (key, bucket, rows) in index order. *)
+
+  val resident_words : t -> int
+  (** The key table, the bucket arrays and the buckets, headers
+      included. *)
+end

@@ -1,9 +1,10 @@
 (* Immutable sorted segment of dictionary-encoded rows.  See the .mli
    for the model.  Everything here is bounds-safe by construction:
-   block indices come from the offset table, row ranks are clamped by
-   [n], and the decoded-block cache is an array of Atomics so
-   concurrent readers on other domains either see a fully decoded
-   block or decode their own copy. *)
+   block indices come from the offset table and row ranks are clamped
+   by [n].  The decoded-block cache is plain mutable state: one domain
+   at a time reads a store (CONCURRENCY.md), and every block read ends
+   in [finish], whose telemetry handles tool/analyze keeps off worker
+   domains. *)
 
 (* Small blocks keep the boundary searches cheap: a rank lookup
    decodes at most two blocks, and 128 rows * 3 varints is a few
@@ -36,8 +37,8 @@ type t = {
   last_b : int array;
   min_c : int array;
   max_c : int array;
-  cache : int array option Atomic.t array;
-  cached : int Atomic.t;  (* blocks currently cached, for the budget *)
+  cache : int array array;  (* decoded blocks; [||] until decoded *)
+  mutable cached : int;  (* blocks currently cached, for the budget *)
 }
 
 let n t = t.n
@@ -80,19 +81,19 @@ let finish rd =
 
 let block rd i =
   let t = rd.seg in
-  let slot = Array.unsafe_get t.cache i in
-  match Atomic.get slot with
-  | Some arr ->
+  let arr = Array.unsafe_get t.cache i in
+  if Array.length arr > 0 then begin
     rd.hits <- rd.hits + 1;
     arr
-  | None ->
+  end
+  else begin
     rd.decodes <- rd.decodes + 1;
     let rows = rows_in_block t i in
-    if Atomic.get t.cached < cache_budget_blocks then begin
+    if t.cached < cache_budget_blocks then begin
       let arr = Array.make (3 * rows) 0 in
       ignore (Block.decode t.data ~pos:t.offsets.(i) ~rows arr : int);
-      Atomic.incr t.cached;
-      Atomic.set slot (Some arr);
+      t.cached <- t.cached + 1;
+      Array.unsafe_set t.cache i arr;
       arr
     end
     else begin
@@ -102,6 +103,7 @@ let block rd i =
       ignore (Block.decode t.data ~pos:t.offsets.(i) ~rows buf : int);
       buf
     end
+  end
 
 (* ---------- construction ------------------------------------------------- *)
 
@@ -198,8 +200,8 @@ module Builder = struct
       last_b = gtrim b.b_last_b;
       min_c = gtrim b.b_min_c;
       max_c = gtrim b.b_max_c;
-      cache = Array.init nblocks (fun _ -> Atomic.make None);
-      cached = Atomic.make 0;
+      cache = Array.make nblocks [||];
+      cached = 0;
     }
 end
 
@@ -390,33 +392,6 @@ let iter_all t f =
     done
   end
 
-(* Distinct leading values: a block whose zone map pins a single
-   leading value is never decoded. *)
-let iter_leading t f =
-  if t.n > 0 then begin
-    let scratch = Array.make (3 * t.block_rows) 0 in
-    let prev = ref min_int in
-    for i = 0 to t.nblocks - 1 do
-      if t.first_a.(i) = t.last_a.(i) then begin
-        if t.first_a.(i) <> !prev then begin
-          prev := t.first_a.(i);
-          f !prev
-        end
-      end
-      else begin
-        let k = rows_in_block t i in
-        ignore (Block.decode t.data ~pos:t.offsets.(i) ~rows:k scratch : int);
-        for j = 0 to k - 1 do
-          let a = Array.unsafe_get scratch (3 * j) in
-          if a <> !prev then begin
-            prev := a;
-            f a
-          end
-        done
-      end
-    done
-  end
-
 let resident_bytes t =
   let word_arrays =
     Array.length t.offsets + Array.length t.first_a + Array.length t.last_a
@@ -425,5 +400,5 @@ let resident_bytes t =
   in
   Bytes.length t.data
   + (8 * word_arrays)
-  + (Array.length t.cache * 8 * 3)  (* slot array + atomics *)
-  + (Atomic.get t.cached * 3 * t.block_rows * 8)
+  + (Array.length t.cache * 8)
+  + (t.cached * 3 * t.block_rows * 8)

@@ -12,8 +12,9 @@
     decoding interior blocks.
 
     Segments are immutable, so the bounded decoded-block cache needs
-    no invalidation and can be shared across domains (slots are
-    {!Atomic.t}; a block is published only fully decoded). *)
+    no invalidation.  The cache is plain mutable state: one domain at
+    a time reads a segment, as it reads the store that holds it
+    (CONCURRENCY.md). *)
 
 type t
 
@@ -86,9 +87,6 @@ end
 val iter_all : t -> (int -> int -> int -> unit) -> unit
 (** Stream every row in order, decoding block by block (bypasses the
     cache: the merge path). *)
-
-val iter_leading : t -> (int -> unit) -> unit
-(** Apply to each distinct leading value, in increasing order. *)
 
 val resident_bytes : t -> int
 (** Encoded bytes + zone maps + offsets + currently cached decoded

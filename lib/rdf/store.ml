@@ -216,13 +216,6 @@ let distinct_in_column t col =
   | Hash h -> Hash_backend.distinct_in_column h col
   | Compact c -> Compact_backend.distinct_in_column c col
 
-let fold_column_codes t col f init =
-  match t.repr with
-  | Hash h -> Hash_backend.fold_column_codes h col f init
-  | Compact c -> Compact_backend.fold_column_codes c col f init
-
-let column_codes t col = fold_column_codes t col (fun code acc -> code :: acc) []
-
 (* ---------- lifecycle ------------------------------------------------------ *)
 
 (* The copy keeps every code: the dictionary is copied whole and each

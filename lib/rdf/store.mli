@@ -101,10 +101,10 @@ val matching : t -> pattern -> encoded list
 
     A read may write the backend: the hash backend indexes the rows
     added since its last index read on the next [scan1], [scan2],
-    count, {!distinct_in_column} or {!column_codes} (never on
-    {!scan_all}, {!fold_all}, {!mem} or {!size}), and the compact
-    backend memoizes scan results.  Neither changes contents or
-    {!version}.  One domain at a time reads a store (CONCURRENCY.md).
+    count or {!distinct_in_column} (never on {!scan_all},
+    {!fold_all}, {!mem} or {!size}), and the compact backend memoizes
+    scan results.  Neither changes contents or {!version}.  One domain
+    at a time reads a store (CONCURRENCY.md).
     A bucket lists its rows in the order they were indexed: add order
     for a store built by adds, with removes moving a bucket's last row
     into the hole.  A remove of an indexed triple while later adds are
@@ -150,10 +150,6 @@ val distinct_in_column : t -> [ `S | `P | `O ] -> int
     its column index's size; the compact backend keeps a count per
     column that each write adjusts when a code's live count crosses
     between 0 and 1, so no memtable or segment is scanned. *)
-
-val column_codes : t -> [ `S | `P | `O ] -> int list
-(** The distinct codes appearing in a column, in the backend's index
-    order, which differs between backends. *)
 
 val fold_all : t -> (encoded -> 'a -> 'a) -> 'a -> 'a
 

@@ -262,12 +262,13 @@ let random_element rng = function
   | [] -> None
   | l -> Some (List.nth l (Random.State.int rng (List.length l)))
 
-(* Subject codes in ascending order: the backends enumerate a column in
-   their own index order, and the workload must not depend on it. *)
-let subject_codes store = List.sort Int.compare (Rdf.Store.column_codes store `S)
+(* The distinct subject codes in ascending order, so the workload does
+   not depend on a backend's enumeration order. *)
+let subject_codes store =
+  Rdf.Store.fold_all store (fun (s, _, _) acc -> s :: acc) []
+  |> List.sort_uniq Int.compare
 
-let star_from_data ?subject rng store spec qi =
-  let subjects = subject_codes store in
+let star_from_data ?subject rng store subjects spec qi =
   let chosen_subject =
     match subject with Some s -> Some s | None -> random_element rng subjects
   in
@@ -303,8 +304,7 @@ let star_from_data ?subject rng store spec qi =
       Some (s, subject, body)
     end
 
-let chain_from_data ?subject rng store spec qi =
-  let subjects = subject_codes store in
+let chain_from_data ?subject rng store subjects spec qi =
   let chosen =
     match subject with Some s -> Some s | None -> random_element rng subjects
   in
@@ -350,6 +350,7 @@ let generate_satisfiable store spec =
      subject already used by an earlier query, so that workloads share
      atom patterns and the search has factorization opportunities *)
   let anchors = ref [] in
+  let subjects = subject_codes store in
   let rec attempt qi tries =
     let use_star =
       match shape_for spec qi with
@@ -364,8 +365,8 @@ let generate_satisfiable store spec =
       | High | Low -> None
     in
     let built =
-      if use_star then star_from_data ?subject rng store spec qi
-      else chain_from_data ?subject rng store spec qi
+      if use_star then star_from_data ?subject rng store subjects spec qi
+      else chain_from_data ?subject rng store subjects spec qi
     in
     match built with
     | Some (anchor_code, anchor, body) when List.length body >= 1 ->

@@ -276,13 +276,7 @@ let prop_differential =
           let dc = Rdf.Store.distinct_in_column compact col in
           if dh <> dc then
             QCheck.Test.fail_reportf "distinct_in_column diverged: %d vs %d" dh
-              dc;
-          let codes st =
-            List.sort_uniq compare
-              (List.map (Rdf.Store.decode_term st) (Rdf.Store.column_codes st col))
-          in
-          if codes hash <> codes compact then
-            QCheck.Test.fail_report "column_codes diverged")
+              dc)
         [ `S; `P; `O ];
       true)
 
@@ -430,7 +424,7 @@ let test_barton_scale_parity () =
         (count_pattern compact tpat);
       check_bool "bucket content" true
         (matching_terms hash tpat = matching_terms compact tpat))
-    (Rdf.Store.column_codes hash `P);
+    (List.sort_uniq Int.compare (Rdf.Store.fold_all hash (fun (_, p, _) acc -> p :: acc) []));
   check_bool "compact resident bytes below hash" true
     (Rdf.Store.resident_bytes compact < Rdf.Store.resident_bytes hash)
 
@@ -599,14 +593,15 @@ let test_scan_memo_overflow () =
 (* Codes and triples whose slot hash ends in four 1 bits: at every
    capacity up to 16 slots they share the last slot as their home, so
    they collide, wrap past the end of the slot array, and exercise
-   backward-shift deletion across the wrap.  Mixed with a few codes
-   and triples that hash anywhere. *)
+   backward-shift deletion across the wrap.  A code is hashed as a
+   bucket index hashes its key, as a width-1 row.  Mixed with a few
+   codes and triples that hash anywhere. *)
 let end_home h = h land 15 = 15
 
 let hot_codes =
   let rec colliding acc c =
     if List.length acc = 6 then List.rev acc
-    else colliding (if end_home (Rdf.Flat.hash c) then c :: acc else acc) (c + 1)
+    else colliding (if end_home (Rdf.Rowset.hash [| c |]) then c :: acc else acc) (c + 1)
   in
   Array.of_list (colliding [] 0 @ [ 0; 1; 2 ])
 
@@ -704,9 +699,7 @@ let check_hash_backend h model =
     (fun (col, get) ->
       let codes = List.sort_uniq compare (List.map get (Int3_set.elements model)) in
       if Rdf.Hash_backend.distinct_in_column h col <> List.length codes then
-        fail "distinct_in_column";
-      if List.sort compare (Rdf.Hash_backend.fold_column_codes h col List.cons []) <> codes
-      then fail "fold_column_codes")
+        fail "distinct_in_column")
     [ (`S, fun (s, _, _) -> s); (`P, fun (_, p, _) -> p); (`O, fun (_, _, o) -> o) ]
 
 (* The hash backend against a reference set.  With [read_every_op]
@@ -840,12 +833,6 @@ let test_bulk_order () =
             = rows (Rdf.Hash_backend.scan2 stepwise cols a b)))
         [ (`SP, s, p); (`SO, s, o); (`PO, p, o) ])
     triples;
-  List.iter
-    (fun col ->
-      check_bool "column codes in slot order" true
-        (Rdf.Hash_backend.fold_column_codes bulk col List.cons []
-        = Rdf.Hash_backend.fold_column_codes stepwise col List.cons []))
-    [ `S; `P; `O ];
   check_int "same resident bytes"
     (Rdf.Hash_backend.resident_bytes stepwise)
     (Rdf.Hash_backend.resident_bytes bulk);
@@ -933,11 +920,11 @@ let test_hash_backend_readd () =
    present row, an add/remove cycle and a [remove_row] added back
    (each stays within capacity). *)
 let test_probes_do_not_allocate () =
-  let buckets = Rdf.Flat.Buckets.create () in
+  let buckets = Rdf.Rowset.Buckets.create () in
   let triples = Rdf.Rowset.of_width 3 0 in
   let key k = Rdf.Rowset.key3 triples k (k mod 13) (3 * k) in
   for k = 0 to 199 do
-    ignore (Rdf.Flat.Buckets.push buckets (7 * k) k k k : int);
+    ignore (Rdf.Rowset.Buckets.push buckets (7 * k) k k k : int);
     ignore (Rdf.Rowset.add triples (key k) : bool)
   done;
   let hits = ref 0 in
@@ -951,7 +938,7 @@ let test_probes_do_not_allocate () =
   let lookups () =
     for i = 0 to 9_999 do
       let k = i mod 400 in
-      if Rdf.Flat.Buckets.find buckets (7 * k) >= 0 then incr hits;
+      if Rdf.Rowset.Buckets.find buckets (7 * k) >= 0 then incr hits;
       if Rdf.Rowset.mem triples (key k) then incr hits
     done
   in
@@ -998,8 +985,8 @@ let test_resident_bytes_pinned () =
       check_int (Printf.sprintf "%d triples, indexed" n) indexed
         (Rdf.Hash_backend.resident_bytes h))
     [
-      (3_000, (fun i -> (i / 5, i mod 9, 7 * i mod 1_001)), 132_008, 1_280_016);
-      (50_000, (fun i -> (i / 8, i mod 13, i mod 4_099)), 3_670_952, 35_413_112);
+      (3_000, (fun i -> (i / 5, i mod 9, 7 * i mod 1_001)), 131_864, 1_339_584);
+      (50_000, (fun i -> (i / 8, i mod 13, i mod 4_099)), 3_670_808, 27_417_128);
     ]
 
 type row_op =
@@ -1082,11 +1069,18 @@ let prop_rowset_model =
         ops;
       true)
 
-type bucket_op = Push of int * int | Drop of int * int | Replace of int * int | Clear
+type bucket_op =
+  | Push of int * int
+  | Drop of int * int
+  | Replace of int * int
+  | Empty of int
+  | Clear
 
-(* [Flat.Buckets] alone, against a map from key to row list, with the
+(* [Rowset.Buckets] alone, against a map from key to row list, with the
    swap-remove the hash backend performs and the replace/clear the
-   compact scan memo performs. *)
+   compact scan memo performs.  [Empty k] drops every row of [k]: the
+   last key takes [k]'s index and brings its bucket along, and [k],
+   pushed again, comes back as the last key with a fresh bucket. *)
 let prop_buckets =
   let open QCheck.Gen in
   let key = map (Array.get hot_codes) (int_bound (Array.length hot_codes - 1)) in
@@ -1096,6 +1090,7 @@ let prop_buckets =
         (6, map2 (fun k v -> Push (k, v)) key small_nat);
         (4, map2 (fun k i -> Drop (k, i)) key small_nat);
         (1, map2 (fun k n -> Replace (k, n)) key (int_bound 3));
+        (2, map (fun k -> Empty k) key);
         (1, return Clear);
       ]
   in
@@ -1103,14 +1098,15 @@ let prop_buckets =
   QCheck.Test.make ~name:"flat tables: buckets against a reference map" ~count:300
     (QCheck.make (list_size (int_range 1 150) op))
     (fun ops ->
-      let t = Rdf.Flat.Buckets.create () in
+      let t = Rdf.Rowset.Buckets.create () in
       let model = Hashtbl.create 16 in
+      let keys () = List.rev (Rdf.Rowset.Buckets.fold t (fun k _ _ acc -> k :: acc) []) in
       List.iter
         (fun op ->
           (match op with
           | Push (k, v) ->
             let rows = Option.value ~default:[||] (Hashtbl.find_opt model k) in
-            if Rdf.Flat.Buckets.push t k v (v + 1) (v + 2) <> Array.length rows then
+            if Rdf.Rowset.Buckets.push t k v (v + 1) (v + 2) <> Array.length rows then
               fail "push %d: row" k;
             Hashtbl.replace model k (Array.append rows [| v |])
           | Drop (k, i) -> (
@@ -1118,40 +1114,65 @@ let prop_buckets =
             | None -> ()
             | Some [||] -> (* a replaced empty bucket: nothing to drop *) ()
             | Some rows ->
-              let j = Rdf.Flat.Buckets.find t k in
+              let j = Rdf.Rowset.Buckets.find t k in
               let n = Array.length rows in
               let i = i mod n in
-              let d = Rdf.Flat.Buckets.data t j in
+              let d = Rdf.Rowset.Buckets.data t j in
               Array.blit d (3 * (n - 1)) d (3 * i) 3;
-              Rdf.Flat.Buckets.set_rows t j (n - 1);
+              Rdf.Rowset.Buckets.set_rows t j (n - 1);
               rows.(i) <- rows.(n - 1);
               if n = 1 then Hashtbl.remove model k
               else Hashtbl.replace model k (Array.sub rows 0 (n - 1)))
           | Replace (k, n) ->
-            Rdf.Flat.Buckets.replace t k (Array.init (3 * n) (fun c -> (3 * k) + c)) n;
+            Rdf.Rowset.Buckets.replace t k (Array.init (3 * n) (fun c -> (3 * k) + c)) n;
             Hashtbl.replace model k (Array.init n (fun i -> (3 * k) + (3 * i)))
+          | Empty k -> (
+            let j = Rdf.Rowset.Buckets.find t k in
+            match Hashtbl.find_opt model k with
+            | None -> if j >= 0 then fail "key %d present" k
+            | Some _ ->
+              let last = Rdf.Rowset.Buckets.length t - 1 in
+              let last_key = List.nth (keys ()) last in
+              let last_data = Rdf.Rowset.Buckets.data t last in
+              let last_rows = Rdf.Rowset.Buckets.rows t last in
+              Rdf.Rowset.Buckets.set_rows t j 0;
+              if Rdf.Rowset.Buckets.find t k >= 0 then fail "emptied key %d present" k;
+              if j < last then begin
+                if Rdf.Rowset.Buckets.find t last_key <> j then
+                  fail "last key %d not moved to %d" last_key j;
+                if
+                  Rdf.Rowset.Buckets.data t j != last_data
+                  || Rdf.Rowset.Buckets.rows t j <> last_rows
+                then fail "last key %d moved without its bucket" last_key
+              end;
+              if Rdf.Rowset.Buckets.push t k k (k + 1) (k + 2) <> 0 then
+                fail "re-added key %d: row" k;
+              if Rdf.Rowset.Buckets.find t k <> last then fail "re-added key %d: index" k;
+              Hashtbl.replace model k [| k |])
           | Clear ->
-            Rdf.Flat.Buckets.clear t;
+            Rdf.Rowset.Buckets.clear t;
             Hashtbl.reset model);
-          if Rdf.Flat.Buckets.length t <> Hashtbl.length model then fail "length";
+          if Rdf.Rowset.Buckets.length t <> Hashtbl.length model then fail "length";
           Array.iter
             (fun k ->
-              let j = Rdf.Flat.Buckets.find t k in
+              let j = Rdf.Rowset.Buckets.find t k in
               match Hashtbl.find_opt model k with
               | None -> if j >= 0 then fail "key %d present" k
               | Some rows ->
-                if j < 0 || Rdf.Flat.Buckets.rows t j <> Array.length rows then
+                if j < 0 || Rdf.Rowset.Buckets.rows t j <> Array.length rows then
                   fail "key %d" k;
-                let d = Rdf.Flat.Buckets.data t j in
+                let d = Rdf.Rowset.Buckets.data t j in
                 Array.iteri
                   (fun i v -> if d.(3 * i) <> v then fail "key %d row %d" k i)
                   rows)
             hot_codes;
-          let keys = Rdf.Flat.Buckets.fold t (fun k _ _ acc -> k :: acc) [] in
           if
-            List.sort compare keys
+            List.sort compare (keys ())
             <> List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) model [])
-          then fail "fold keys")
+          then fail "fold keys";
+          List.iteri
+            (fun j k -> if Rdf.Rowset.Buckets.find t k <> j then fail "fold order at %d" j)
+            (keys ()))
         ops;
       true)
 

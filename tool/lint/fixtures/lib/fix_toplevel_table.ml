@@ -11,7 +11,7 @@ let keys = State.Tbl.create 64
 
 let rows = Rdf.Rowset.create 3
 
-let buckets = Flat.Buckets.create ()
+let buckets = Rdf.Rowset.Buckets.create ()
 
 module Memo = struct
   let forms = Hashtbl.create 8

@@ -103,11 +103,6 @@ let describe_domain_expr (e : Parsetree.expression) =
    polymorphic one. *)
 let locally_bound : (string, unit) Hashtbl.t = Hashtbl.create 16
 
-(* Let-bound aliases of the shared table fields: [let t = table.s_tbl]
-   maps "t" -> "s_tbl", so a mutator applied to the bare alias is
-   caught too (the rule's original false-negative class). *)
-let table_aliases : (string, string) Hashtbl.t = Hashtbl.create 16
-
 (* Let-bound aliases of a relation's row set: [let rs = Relation.rowset
    rel] records "rs", so a row-set write through the alias is caught. *)
 let rowset_aliases : (string, unit) Hashtbl.t = Hashtbl.create 16
@@ -120,7 +115,6 @@ let is_relation_rowset (e : Parsetree.expression) =
 
 let collect_bound structure =
   Hashtbl.reset locally_bound;
-  Hashtbl.reset table_aliases;
   Hashtbl.reset rowset_aliases;
   let it =
     {
@@ -133,16 +127,8 @@ let collect_bound structure =
           Ast_iterator.default_iterator.pat self p);
       value_binding =
         (fun self vb ->
-          (match
-             (vb.Parsetree.pvb_pat.Parsetree.ppat_desc,
-              vb.Parsetree.pvb_expr.Parsetree.pexp_desc)
-           with
-          | ( Parsetree.Ppat_var { txt = alias; _ },
-              Parsetree.Pexp_field (_, { txt = field_lid; _ }) ) ->
-            let _, field = tail_pair field_lid in
-            if List.mem_assoc field Rules.shared_table_fields then
-              Hashtbl.replace table_aliases alias field
-          | Parsetree.Ppat_var { txt = alias; _ }, _
+          (match vb.Parsetree.pvb_pat.Parsetree.ppat_desc with
+          | Parsetree.Ppat_var { txt = alias; _ }
             when is_relation_rowset vb.Parsetree.pvb_expr ->
             Hashtbl.replace rowset_aliases alias ()
           | _ -> ());
@@ -221,52 +207,6 @@ let check_apply ~file ~is_lib fn args loc =
            (describe_domain_expr key))
     | _ -> ())
   | _ -> ()
-
-(* unguarded-shared-table: a hashtable mutator applied to one of the
-   lock-protected shared table fields ([Rules.shared_table_fields]) —
-   spelled as the field access itself or as a file-local let-bound
-   alias of it ([table_aliases]) — outside the single file whose locked
-   entry points own that field.  Matches both generic
-   [Hashtbl.add t.s_tbl ...] and functorial [State.Tbl.replace t.b_tbl
-   ...] spellings; runs independently of [check_apply] so the
-   domain-key check on the same call still fires. *)
-let check_shared_table ~file ~is_lib fn args loc =
-  if is_lib then
-    match fn.Parsetree.pexp_desc with
-    | Parsetree.Pexp_ident { txt; _ }
-      when (match tail_pair txt with
-           | ("Hashtbl" | "Tbl"), op -> List.mem op Rules.hashtbl_mutators
-           | _ -> false) -> (
-      let target_field (e : Parsetree.expression) =
-        match e.Parsetree.pexp_desc with
-        | Parsetree.Pexp_field (_, { txt = field_lid; _ }) ->
-          let _, field = tail_pair field_lid in
-          if List.mem_assoc field Rules.shared_table_fields then
-            Some (field, "field `" ^ field ^ "`")
-          else None
-        | Parsetree.Pexp_ident { txt = Longident.Lident alias; _ } -> (
-          match Hashtbl.find_opt table_aliases alias with
-          | Some field ->
-            Some (field, Printf.sprintf "`%s` (alias of field `%s`)" alias field)
-          | None -> None)
-        | _ -> None
-      in
-      match positional_args args with
-      | target :: _ -> (
-        match target_field target with
-        | Some (field, shown) -> (
-          match List.assoc_opt field Rules.shared_table_fields with
-          | Some owner when not (String.equal (Filename.basename file) owner)
-            ->
-            report ~file ~loc "unguarded-shared-table"
-              (Printf.sprintf
-                 "mutation of shared table %s outside %s bypasses its lock; \
-                  go through the owning module's API"
-                 shown owner)
-          | _ -> ())
-        | None -> ())
-      | _ -> ())
-    | _ -> ()
 
 (* retained-exec-row: a callback passed to one of the row-streaming
    executor entry points ([Rules.row_callback_entries]) whose body
@@ -442,7 +382,6 @@ let lint_structure ~file ~is_lib structure =
             check_ident ~file ~is_lib txt e.Parsetree.pexp_loc
           | Parsetree.Pexp_apply (fn, args) ->
             check_apply ~file ~is_lib fn args e.Parsetree.pexp_loc;
-            check_shared_table ~file ~is_lib fn args e.Parsetree.pexp_loc;
             check_retained_row ~file fn args e.Parsetree.pexp_loc
           | Parsetree.Pexp_try (_, cases) when is_lib -> check_try ~file cases
           | _ -> ());

@@ -10,9 +10,7 @@
    to a plain identifier is invisible), never false positives; the
    dedicated [equal]/[compare]/[hash] functions and the [Hashtbl.Make]
    tables introduced alongside this linter are the belt to this
-   suspenders.  The shared-table rule closes the analogous alias hole
-   for its fields by tracking file-local [let t = x.s_tbl]-style
-   bindings; deeper dataflow (aliases through function returns or
+   suspenders.  Dataflow (aliases through bindings, function returns or
    arguments) is the typedtree analyzer's job (tool/analyze). *)
 
 type scope =
@@ -71,15 +69,6 @@ let rules =
       summary =
         "catch-all exception handler (try ... with _ -> / with e ->) in a \
          library; match the specific exceptions intended";
-      scope = Lib_only;
-    };
-    {
-      id = "unguarded-shared-table";
-      summary =
-        "hashtable mutation of a lock-protected shared table field \
-         (b_tbl) — directly or through a let-bound alias of the field — \
-         outside its owning module; all writes must go through the \
-         owner's locked entry points";
       scope = Lib_only;
     };
     {
@@ -166,16 +155,6 @@ let domain_values = [ ("Vocabulary", "rdf_type") ]
 let hashtbl_key_ops =
   [ "add"; "replace"; "find"; "find_opt"; "find_all"; "mem"; "remove" ]
 
-(* Shared mutable table fields and the one source file whose locked
-   entry points are allowed to touch them.  The parallel-search dedup
-   shards are accessed concurrently from several domains; a raw write
-   anywhere else bypasses the shard's spinlock and is a data race even
-   when it happens to survive testing. *)
-let shared_table_fields =
-  [
-    ("b_tbl", "shard_tbl.ml");   (* Shard_tbl's per-shard rank table *)
-  ]
-
 (* (module, function) pairs that build a table: the last module of the
    access path is matched, so [Hashtbl.create], [State.Tbl.create] and
    [Rdf.Rowset.create] all hit. *)
@@ -184,13 +163,6 @@ let table_constructors =
     ("Hashtbl", "create"); ("Tbl", "create"); ("Rowset", "create");
     ("Buckets", "create");
   ]
-
-(* Operations that mutate a hashtable (generic Hashtbl or a Hashtbl.Make
-   table such as State.Tbl).  Reads race too, but every read in the
-   owners is already behind the same lock; the mutators are where an
-   escape does silent structural damage. *)
-let hashtbl_mutators =
-  [ "add"; "replace"; "remove"; "reset"; "clear"; "filter_map_inplace" ]
 
 (* Row-streaming entry point of the compiled-plan executor: its
    callback receives a binding frame the executor reuses for the next
