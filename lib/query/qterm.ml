@@ -13,7 +13,6 @@ let equal a b = compare a b = 0
 
 let var x = Var x
 let cst c = Cst c
-let uri u = Cst (Rdf.Term.Uri u)
 
 let var_name = function Var x -> Some x | Cst _ -> None
 let constant = function Cst c -> Some c | Var _ -> None

@@ -14,8 +14,6 @@ val equal : t -> t -> bool
 
 val var : string -> t
 val cst : Rdf.Term.t -> t
-val uri : string -> t
-(** [uri u] is [Cst (Uri u)]. *)
 
 val var_name : t -> string option
 val constant : t -> Rdf.Term.t option

@@ -36,10 +36,11 @@ module type S = sig
   val fold_all : t -> (int * int * int -> 'a -> 'a) -> 'a -> 'a
   val distinct_in_column : t -> [ `S | `P | `O ] -> int
   val resident_bytes : t -> int
-  (** What is resident now: a hash store's pending rows are in its
-      triple set, not yet in its indexes. *)
+  (** What is resident now: a hash store holds no index until its
+      first index read or {!compact}. *)
 
   val compact : t -> unit
   (** Settle the layout without changing contents: compact merges its
-      memtable into the segments, hash indexes its pending rows. *)
+      memtable into the segments, an unindexed hash store indexes every
+      row. *)
 end

@@ -10,31 +10,26 @@
    [set], records each triple's row in its six buckets, so deletion
    swap-removes by row and scans nothing.
 
-   The indexes are written on first read, not on add.  [add] writes
-   [set] only; rows [0, indexed) of [set] are in every index and rows
-   [indexed, size) are pending.  Every operation that reads an index
-   first calls [sync], which pushes the pending rows into index 0, then
-   into index 1, and so on, in row order: a bulk load fills one table
-   at a time, and a store built by adds and then read holds each bucket
-   in add order, as if it had been read after every add.  [mem], [size],
-   [scan_all] and [fold_all] read [set] alone and never sync.  A remove
-   indexes at most one row (the pending row that moves into an indexed
-   hole), so deleting from a store with a backlog stays O(1).  Bucket
-   order is therefore indexing order: after a remove that meets
-   pending rows, the moved row is indexed ahead of the rows added
-   before it, so the order depends on when the store was read, not on
-   add order alone.  A read may write: one domain at a time reads a
-   store (CONCURRENCY.md). *)
+   A store is unindexed until its first index read: [add] writes [set]
+   only, and the first operation that reads an index ([sync]) pushes
+   every row into index 0, then into index 1, and so on, in row order,
+   so a bulk load fills one table at a time.  From then on the store is
+   indexed and [add] pushes each new row into its six buckets at once,
+   through the same loop.  [mem], [size], [scan_all] and [fold_all]
+   read [set] alone and never index.  Bucket order is the set's row
+   order at the first read, then add order, with removes moving a
+   bucket's last row into the hole.  A read may write: one domain at a
+   time reads a store (CONCURRENCY.md). *)
 
 let n_indexes = 6
 
 type t = {
   set : Rowset.t;
   mutable rows : int array;
-      (* stride 6: the triple at row r < [indexed] of [set] sits at row
-         [rows.(6r + k)] of its bucket in [idx.(k)] *)
+      (* stride 6: once [indexed], the triple at row r of [set] sits at
+         row [rows.(6r + k)] of its bucket in [idx.(k)] *)
   idx : Rowset.Buckets.t array;  (* keyed by s, p, o, sp, so, po *)
-  mutable indexed : int;  (* rows of [set] below this are in every index *)
+  mutable indexed : bool;  (* every row of [set] is in every index; else none is *)
 }
 
 let create () =
@@ -42,7 +37,7 @@ let create () =
     set = Rowset.of_width 3 0;
     rows = Array.make (n_indexes * 4) 0;
     idx = Array.init n_indexes (fun _ -> Rowset.Buckets.create ());
-    indexed = 0;
+    indexed = false;
   }
 
 let pair_key = Rowset.Buckets.pair_key
@@ -57,7 +52,6 @@ let key k s p o =
   | _ -> pair_key p o
 
 let find t s p o = Rowset.find t.set (Rowset.key3 t.set s p o)
-let add t s p o = Rowset.add t.set (Rowset.key3 t.set s p o)
 let mem t s p o = find t s p o >= 0
 let size t = Rowset.cardinal t.set
 
@@ -71,32 +65,36 @@ let grow t n =
   Array.blit t.rows 0 bigger 0 (Array.length t.rows);
   t.rows <- bigger
 
-(* Push row [r] of [set] into all six indexes (a remove's moved row). *)
-let index_row t r =
-  let d = Rowset.data t.set in
-  let s = d.(3 * r) and p = d.((3 * r) + 1) and o = d.((3 * r) + 2) in
-  let base = n_indexes * r in
-  for k = 0 to n_indexes - 1 do
-    t.rows.(base + k) <- Rowset.Buckets.push t.idx.(k) (key k s p o) s p o
-  done
-
-(* Index the pending rows, one index at a time.  A store's reads are
-   the coordinator's (CONCURRENCY.md), and this is where they write. *)
-let catch_up t =
+(* Push rows [from, size) of [set] into the six indexes, one index at
+   a time and each in row order: every row at the first read, and each
+   new row of an indexed store. *)
+let index_from t from =
   let n = size t in
   if Array.length t.rows < n_indexes * n then grow t n;
   let d = Rowset.data t.set in
   for k = 0 to n_indexes - 1 do
     let b = t.idx.(k) in
-    for r = t.indexed to n - 1 do
+    for r = from to n - 1 do
       let s = d.(3 * r) and p = d.((3 * r) + 1) and o = d.((3 * r) + 2) in
       t.rows.((n_indexes * r) + k) <- Rowset.Buckets.push b (key k s p o) s p o
     done
-  done;
-  t.indexed <- n
+  done
+
+(* The first index read.  A store's reads are the coordinator's
+   (CONCURRENCY.md), and this is where they write. *)
+let catch_up t =
+  index_from t 0;
+  t.indexed <- true
 [@@coordinator_only]
 
-let[@inline] sync t = if t.indexed < size t then catch_up t
+let[@inline] sync t = if not t.indexed then catch_up t
+
+let add t s p o =
+  Rowset.add t.set (Rowset.key3 t.set s p o)
+  && begin
+    if t.indexed then index_from t (size t - 1);
+    true
+  end
 
 (* Swap-remove row [i] of [key]'s bucket in index [k]: the last row
    moves into the hole and its recorded row is re-pointed. *)
@@ -114,24 +112,20 @@ let remove_at t k key i =
   end;
   Rowset.Buckets.set_rows b j last
 
-(* A pending row leaves [set] only.  An indexed row leaves its six
-   buckets, and the last row of [set] moves into its place: a pending
-   one is indexed there, an indexed one brings its recorded rows. *)
+(* An unindexed store's row leaves [set] only.  An indexed row leaves
+   its six buckets too, and the last row of [set], moving into its
+   place, brings its recorded rows. *)
 let remove t s p o =
   let r = find t s p o in
   r >= 0
   && begin
-    if r < t.indexed then begin
+    if t.indexed then begin
       for k = 0 to n_indexes - 1 do
         remove_at t k (key k s p o) t.rows.((n_indexes * r) + k)
       done;
       let last = Rowset.remove_row t.set r in
-      if last >= t.indexed then index_row t r
-      else begin
-        if last <> r then
-          Array.blit t.rows (n_indexes * last) t.rows (n_indexes * r) n_indexes;
-        t.indexed <- t.indexed - 1
-      end
+      if last <> r then
+        Array.blit t.rows (n_indexes * last) t.rows (n_indexes * r) n_indexes
     end
     else ignore (Rowset.remove_row t.set r : int);
     true
@@ -160,8 +154,8 @@ let count2 t cols a b =
   count_key (index_of_pair t cols) (pair_key a b)
 
 (* Scans return the live bucket storage: zero-copy, and stable under
-   further scans (a later catch-up only appends past the rows returned;
-   only a remove rewrites a bucket). *)
+   further scans (an add only appends past the rows returned; only a
+   remove rewrites a bucket). *)
 let empty_scan = ([||] : int array)
 let scan_all t = (Rowset.data t.set, size t)
 
@@ -202,12 +196,12 @@ let compact = sync
 
 (* Reads the indexes as they stand: a checker must not index. *)
 let rows_consistent t =
-  let ok = ref (t.indexed <= size t) in
+  let ok = ref true in
   let d = Rowset.data t.set in
   for r = 0 to size t - 1 do
     let s = d.(3 * r) and p = d.((3 * r) + 1) and o = d.((3 * r) + 2) in
     ok := !ok && find t s p o = r;
-    if r < t.indexed then
+    if t.indexed then
       for k = 0 to n_indexes - 1 do
         let b = t.idx.(k) in
         let j = Rowset.Buckets.find b (key k s p o) in
@@ -220,7 +214,8 @@ let rows_consistent t =
           bd.(3 * i) = s && bd.((3 * i) + 1) = p && bd.((3 * i) + 2) = o
       done
   done;
+  let held = if t.indexed then size t else 0 in
   !ok
   && Array.for_all
-       (fun b -> Rowset.Buckets.fold b (fun _ _ n acc -> acc + n) 0 = t.indexed)
+       (fun b -> Rowset.Buckets.fold b (fun _ _ n acc -> acc + n) 0 = held)
        t.idx

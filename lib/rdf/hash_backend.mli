@@ -9,20 +9,18 @@
     with swap-remove holes, and no remove scans a bucket.  Also reused
     by the compact backend as its LSM memtable/tombstone index.
 
-    [add] writes only the triple set; the indexes catch up on the
-    first read that needs them (a count, a scan of one or two columns,
-    a column's distinct count, or {!compact}), one index at a time and
-    in row order.  A store built by adds and then read holds each
-    bucket in add order.  [mem], [size], [scan_all] and [fold_all]
-    never index, and a remove indexes at most the one pending row that
-    moves into an indexed hole; that row then precedes the pending rows
-    added before it, so after such a remove bucket order depends on
-    when the store was read. *)
+    A store is unindexed until the first read that needs an index (a
+    count, a scan of one or two columns, a column's distinct count, or
+    {!compact}), which indexes every triple one index at a time and in
+    row order; from then on each [add] indexes its triple at once.
+    [mem], [size], [scan_all] and [fold_all] never index.  Bucket order
+    is the triple set's order at the first read, then add order. *)
 
 include Backend.S
 
 val rows_consistent : t -> bool
-(** Every triple's membership slot points at its row; every indexed
-    triple's recorded bucket rows point at that triple, and every
-    index holds exactly the indexed triples, once each.  Reads the
-    indexes as they stand and indexes nothing.  For tests. *)
+(** Every triple's membership slot points at its row; once the store is
+    indexed, every triple's recorded bucket rows point at that triple
+    and every index holds exactly the triples, once each; before, every
+    index is empty.  Reads the indexes as they stand and indexes
+    nothing.  For tests. *)

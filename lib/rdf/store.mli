@@ -99,19 +99,15 @@ val matching : t -> pattern -> encoded list
     as read-only, and do not mutate the store while iterating.  Each
     call adds the rows it returns to [store.scanned_triples].
 
-    A read may write the backend: the hash backend indexes the rows
-    added since its last index read on the next [scan1], [scan2],
-    count or {!distinct_in_column} (never on {!scan_all},
-    {!fold_all}, {!mem} or {!size}), and the compact backend memoizes
-    scan results.  Neither changes contents or {!version}.  One domain
-    at a time reads a store (CONCURRENCY.md).
-    A bucket lists its rows in the order they were indexed: add order
-    for a store built by adds, with removes moving a bucket's last row
-    into the hole.  A remove of an indexed triple while later adds are
-    still unindexed indexes the moved row at once, ahead of the rows
-    added before it, so from then on the order follows the store's read
-    history as well as its adds: the same adds, removes and reads give
-    the same order. *)
+    A read may write the backend: a hash store indexes all its rows on
+    its first [scan1], [scan2], count or {!distinct_in_column} (never
+    on {!scan_all}, {!fold_all}, {!mem} or {!size}), and the compact
+    backend memoizes scan results.  Neither changes contents or
+    {!version}.  One domain at a time reads a store (CONCURRENCY.md).
+    A hash bucket lists its rows in the triple set's order at that
+    first read, then in add order, with removes moving a bucket's last
+    row into the hole: the same adds and removes give the same order,
+    whenever the store is read after its first read. *)
 
 val scan_all : t -> int array * int
 (** Every triple in the store. *)
@@ -165,15 +161,14 @@ val to_triples : t -> Triple.t list
 
 val compact : t -> unit
 (** Settle the layout now: the compact backend merges its memtable
-    into the segments, and the hash backend indexes the rows it has
-    not indexed yet (after a bulk load, one index at a time).
-    Contents and version are unchanged — only the internal layout
-    moves.  A loader calls it to pay for the indexes inside its own
-    timing. *)
+    into the segments, and a hash store that no read has indexed yet
+    indexes all its rows, one index at a time.  Contents and version
+    are unchanged — only the internal layout moves.  A loader calls it
+    to pay for the indexes inside its own timing. *)
 
 val resident_bytes : t -> int
 (** Estimated live bytes of the backend's index structures as they
-    stand (the shared dictionary is excluded): before {!compact}, a
-    hash store's pending rows count in its triple set only.  The
+    stand (the shared dictionary is excluded): a hash store that no
+    read or {!compact} has indexed yet counts its triple set only.  The
     [store] bench experiment reports this as bytes/triple per backend,
     after {!compact}. *)

@@ -23,8 +23,6 @@ let hash t =
   !h
 
 let uri u = Uri u
-let blank b = Blank b
-let literal l = Literal l
 
 let is_uri = function Uri _ -> true | Blank _ | Literal _ -> false
 let is_blank = function Blank _ -> true | Uri _ | Literal _ -> false

@@ -21,12 +21,6 @@ val hash : t -> int
 val uri : string -> t
 (** [uri u] is [Uri u]. *)
 
-val blank : string -> t
-(** [blank b] is [Blank b]. *)
-
-val literal : string -> t
-(** [literal l] is [Literal l]. *)
-
 val is_uri : t -> bool
 val is_blank : t -> bool
 val is_literal : t -> bool

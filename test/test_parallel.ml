@@ -296,7 +296,7 @@ let test_select_leaves_store_caches () =
 (* A hash store indexes its rows on first read, so a read may write.
    Only the coordinating domain reads a store (tool/analyze proves
    [Rdf.Hash_backend.catch_up] [@@coordinator_only]).  The runtime
-   witness: over a copy whose rows are all still pending, a --jobs 2
+   witness: over a copy that no read has indexed yet, a --jobs 2
    selection reaches the one-domain best cost and reads the same counts,
    under either statistics path, and no read bumps the version. *)
 let test_select_over_pending_rows () =

@@ -350,6 +350,84 @@ let check_segment ~block_rows rows () =
 
 let rows_n n = List.init n (fun i -> (i / 4, i mod 4, (7 * i) mod 11))
 
+(* A segment of 5,000 four-row blocks, five times the decoded-block
+   cache's 1,024, read at every leading key (even keys present in runs
+   of 1 to 11 rows, odd keys absent) in descending order and then in a
+   stride that jumps across the segment.  Every answer equals the
+   sorted array's; the resident bytes never exceed the construction's
+   by more than 1,024 decoded blocks and reach that bound; and once the
+   cache is full every block read past it is still counted as a
+   decode. *)
+let test_segment_cache_bound () =
+  let rows = 20_000 and block_rows = 4 in
+  let arr = Array.make (3 * rows) 0 in
+  let a = ref 0 and run = ref 0 in
+  for i = 0 to rows - 1 do
+    if !run = 1 + (!a * 7 mod 11) then begin
+      incr a;
+      run := 0
+    end;
+    arr.(3 * i) <- 2 * !a;
+    arr.((3 * i) + 1) <- !run;
+    arr.((3 * i) + 2) <- 2 * i;
+    incr run
+  done;
+  let keys = (2 * !a) + 3 in
+  (* the oracle: each leading key's rank interval, by one pass *)
+  let first = Array.make keys rows and last = Array.make keys rows in
+  for i = rows - 1 downto 0 do
+    let k = arr.(3 * i) in
+    if last.(k) = rows then last.(k) <- i + 1;
+    first.(k) <- i
+  done;
+  let seg = Rdf.Segment.of_sorted_array ~block_rows arr ~rows in
+  let blocks = (rows + block_rows - 1) / block_rows in
+  let bound = 1_024 * 3 * block_rows * 8 in
+  let base = Rdf.Segment.resident_bytes seg in
+  let reg = Obs.create () in
+  Obs.set_global reg;
+  Fun.protect ~finally:(fun () -> Obs.set_global Obs.disabled) @@ fun () ->
+  let decodes () = Option.value ~default:0 (Obs.find_counter reg "store.block_decodes") in
+  let read k =
+    let lo, hi = Rdf.Segment.locate1 seg k in
+    if max 0 (hi - lo) <> last.(k) - first.(k) || (hi > lo && lo <> first.(k)) then
+      Alcotest.failf "locate1 %d: [%d, %d), want [%d, %d)" k lo hi first.(k) last.(k);
+    if hi <= lo && Rdf.Segment.mem seg k 0 0 then Alcotest.failf "mem (%d, 0, 0)" k;
+    let rd = Rdf.Segment.Reader.create seg in
+    let next = ref lo in
+    Rdf.Segment.Reader.iter_range rd lo hi (fun x y z ->
+        let i = !next in
+        if (x, y, z) <> (arr.(3 * i), arr.((3 * i) + 1), arr.((3 * i) + 2)) then
+          Alcotest.failf "iter_range %d: row %d" k i;
+        incr next);
+    Rdf.Segment.Reader.finish rd;
+    if !next <> max lo hi then Alcotest.failf "iter_range %d: %d rows" k (!next - lo);
+    for i = lo to hi - 1 do
+      let x = arr.(3 * i) and y = arr.((3 * i) + 1) and z = arr.((3 * i) + 2) in
+      if not (Rdf.Segment.mem seg x y z) then Alcotest.failf "mem row %d" i;
+      if Rdf.Segment.mem seg x y (z + 1) then Alcotest.failf "mem absent %d" i
+    done;
+    let grown = Rdf.Segment.resident_bytes seg - base in
+    if grown > bound then Alcotest.failf "resident bytes grew by %d > %d" grown bound
+  in
+  check_int "blocks" 5_000 blocks;
+  for k = keys - 1 downto 0 do
+    read k
+  done;
+  check_int "the cache is full" bound (Rdf.Segment.resident_bytes seg - base);
+  let full = decodes () in
+  let stride = 997 in
+  check_bool "the stride visits every key" true (keys mod stride <> 0);
+  for j = 0 to keys - 1 do
+    read (j * stride mod keys)
+  done;
+  check_int "the cache stays full" bound (Rdf.Segment.resident_bytes seg - base);
+  check_bool
+    (Printf.sprintf "%d decodes past a full cache, for %d uncached blocks"
+       (decodes () - full) (blocks - 1_024))
+    true
+    (decodes () - full >= blocks - 1_024)
+
 let segment_edge_tests =
   [
     Alcotest.test_case "empty segment" `Quick (check_segment ~block_rows:4 []);
@@ -364,6 +442,7 @@ let segment_edge_tests =
          (List.init 13 (fun i -> (5, i, i)) @ rows_n 7));
     Alcotest.test_case "uniform leading value" `Quick
       (check_segment ~block_rows:4 (List.init 10 (fun i -> (1, i / 3, i))));
+    Alcotest.test_case "decoded-block cache bound" `Quick test_segment_cache_bound;
   ]
 
 (* A block whose every row is tombstoned: remove all merged triples,
@@ -614,17 +693,14 @@ let hot_triples =
 
 type table_op = Add3 of int | Remove3 of int | Probe3 of int
 
+(* A read-free prefix of up to 60 writes, then up to 120 ops of which
+   one in ten reads: without the prefix few sequences remove a live row
+   before their first read. *)
 let arb_table_ops =
   let open QCheck.Gen in
   let pick = int_bound (Array.length hot_triples - 1) in
-  let op =
-    frequency
-      [
-        (5, map (fun i -> Add3 i) pick);
-        (4, map (fun i -> Remove3 i) pick);
-        (1, map (fun i -> Probe3 i) pick);
-      ]
-  in
+  let write = [ (5, map (fun i -> Add3 i) pick); (4, map (fun i -> Remove3 i) pick) ] in
+  let op = frequency ((1, map (fun i -> Probe3 i) pick) :: write) in
   let print op =
     let verb, i =
       match op with
@@ -637,7 +713,7 @@ let arb_table_ops =
   in
   QCheck.make
     ~print:(fun ops -> String.concat "; " (List.map print ops))
-    (list_size (int_range 1 120) op)
+    (map2 ( @ ) (list_size (int_range 0 60) (frequency write)) (list_size (int_range 1 120) op))
 
 module Int3_set = Set.Make (struct
   type t = int * int * int
@@ -703,12 +779,11 @@ let check_hash_backend h model =
     [ (`S, fun (s, _, _) -> s); (`P, fun (_, p, _) -> p); (`O, fun (_, _, o) -> o) ]
 
 (* The hash backend against a reference set.  With [read_every_op]
-   each op is followed by a read of its triple's keys, so nothing is
-   pending when a remove comes.  Without it only [Probe3] reads: adds
-   and removes pile up between reads, so removes meet pending rows,
-   indexed rows, and indexed rows whose hole a pending row fills, and
-   between reads only what reads the triple set (size, mem) and the
-   checker (which must not index) run. *)
+   each op is followed by a read of its triple's keys, so the store is
+   indexed from its first add.  Without it only [Probe3] reads: until
+   the first one the store is unindexed, so removes meet rows in the
+   triple set only, and between reads only what reads the triple set
+   (size, mem) and the checker (which must not index) run. *)
 let prop_hash_backend_model ~name ~read_every_op =
   QCheck.Test.make ~name ~count:300 arb_table_ops (fun ops ->
       let h = Rdf.Hash_backend.create () in
@@ -751,28 +826,85 @@ let prop_hash_backend_pending =
   prop_hash_backend_model ~name:"flat tables: pending rows against a reference set"
     ~read_every_op:false
 
-(* How a remove meets the hash backend's pending rows, replayed on the
-   model: the triples live at the last read are indexed, later adds are
-   pending.  An indexed removal while rows are pending moves a pending
-   row into the indexed hole. *)
-type remove_kind = Of_pending | Of_indexed | Of_indexed_moving_pending
+(* Once a hash store has had its first read, its buckets hold the same
+   rows in the same order as the same adds and removes on a store read
+   after every op from that read on, whichever reads come between.
+   Before it, nothing is indexed: the checker holds (every index is
+   empty), and the first read of a nonempty store grows its resident
+   bytes, which no later read changes. *)
+let prop_hash_order_after_first_read =
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  let read h (s, _, _) = ignore (Rdf.Hash_backend.count1 h `S s : int) in
+  let scans h (s, p, o) =
+    let rows (data, n) = Array.sub data 0 (3 * n) in
+    List.map
+      (fun (col, c) -> rows (Rdf.Hash_backend.scan1 h col c))
+      [ (`S, s); (`P, p); (`O, o) ]
+    @ List.map
+        (fun (cols, a, b) -> rows (Rdf.Hash_backend.scan2 h cols a b))
+        [ (`SP, s, p); (`SO, s, o); (`PO, p, o) ]
+  in
+  QCheck.Test.make ~name:"flat tables: bucket order is fixed from the first read"
+    ~count:300 arb_table_ops (fun ops ->
+      let h = Rdf.Hash_backend.create () and eager = Rdf.Hash_backend.create () in
+      let same_order trs =
+        List.iter
+          (fun ((s, p, o) as tr) ->
+            if scans h tr <> scans eager tr then fail "scan order at (%d, %d, %d)" s p o)
+          trs
+      in
+      let read_yet =
+        List.fold_left
+          (fun read_yet op ->
+            match op with
+            | Probe3 i ->
+              let tr = hot_triples.(i) in
+              let before = Rdf.Hash_backend.resident_bytes h in
+              read h tr;
+              read eager tr;
+              let after = Rdf.Hash_backend.resident_bytes h in
+              if read_yet && after <> before then fail "a later read wrote the indexes";
+              if (not read_yet) && Rdf.Hash_backend.size h > 0 && after <= before then
+                fail "the first read indexed nothing";
+              same_order [ tr ];
+              true
+            | Add3 i | Remove3 i ->
+              let ((s, p, o) as tr) = hot_triples.(i) in
+              let write =
+                match op with
+                | Add3 _ -> Rdf.Hash_backend.add
+                | _ -> Rdf.Hash_backend.remove
+              in
+              ignore (write h s p o : bool);
+              ignore (write eager s p o : bool);
+              if read_yet then read eager tr;
+              if not (Rdf.Hash_backend.rows_consistent h) then
+                fail "inconsistent after op on %d" i;
+              read_yet)
+          false ops
+      in
+      if read_yet then same_order (Array.to_list hot_triples);
+      true)
+
+(* How a remove meets the hash backend, replayed on the model: before
+   the first read ([Probe3]) a live triple is in the triple set only,
+   after it in the six indexes too. *)
+type remove_kind = Of_unindexed | Of_indexed
 
 let remove_kinds ops =
-  let step (live, indexed, kinds) = function
-    | Add3 i -> (Int3_set.add hot_triples.(i) live, indexed, kinds)
+  let step (live, read, kinds) = function
+    | Add3 i -> (Int3_set.add hot_triples.(i) live, read, kinds)
     | Remove3 i ->
       let tr = hot_triples.(i) in
       let kind =
         if not (Int3_set.mem tr live) then []
-        else if not (Int3_set.mem tr indexed) then [ Of_pending ]
-        else if Int3_set.cardinal live > Int3_set.cardinal indexed then
-          [ Of_indexed_moving_pending ]
-        else [ Of_indexed ]
+        else if read then [ Of_indexed ]
+        else [ Of_unindexed ]
       in
-      (Int3_set.remove tr live, Int3_set.remove tr indexed, kind @ kinds)
-    | Probe3 _ -> (live, live, kinds)
+      (Int3_set.remove tr live, read, kind @ kinds)
+    | Probe3 _ -> (live, true, kinds)
   in
-  let _, _, kinds = List.fold_left step (Int3_set.empty, Int3_set.empty, []) ops in
+  let _, _, kinds = List.fold_left step (Int3_set.empty, false, []) ops in
   kinds
 
 (* The pending-rows property is only as strong as its sequences: a fixed
@@ -791,9 +923,8 @@ let test_ops_cover_pending_removes () =
         (Printf.sprintf "%d/300 sequences remove %s" hits name)
         true (hits >= 50))
     [
-      (Of_pending, "a pending row");
-      (Of_indexed, "an indexed row with none pending");
-      (Of_indexed_moving_pending, "an indexed row while rows are pending");
+      (Of_unindexed, "a row before the first read");
+      (Of_indexed, "a row after the first read");
     ]
 
 (* A store built by adds and then read holds every bucket in the order
@@ -837,13 +968,12 @@ let test_bulk_order () =
     (Rdf.Hash_backend.resident_bytes stepwise)
     (Rdf.Hash_backend.resident_bytes bulk);
   check_bool "consistent" true (Rdf.Hash_backend.rows_consistent bulk);
-  (* After a remove that meets pending rows the order is indexing
-     order, set by when the store was read.  X, B and C share the
-     bucket of predicate 5; A does not.  Removing indexed A while B and
-     C are pending moves C, the set's last row, into A's row and
-     indexes it there, ahead of B.  Without the read, A is pending too
-     and C takes its row before anything is indexed; read after every
-     op, the bucket keeps add order. *)
+  (* A bucket holds the triple set's order at the first read, then add
+     order.  X, B and C share the bucket of predicate 5; A does not.
+     Read after X and A, the store indexes B and C as they are added,
+     so removing A leaves the bucket in add order, as when read after
+     every add.  Never read, the remove moves C, the set's last row,
+     into A's row, and the first read indexes the set in that order. *)
   let x = (1, 5, 1) and a = (2, 6, 2) and b = (3, 5, 3) and c = (4, 5, 4) in
   let p5_after ~read_after =
     let h = Rdf.Hash_backend.create () in
@@ -864,13 +994,13 @@ let test_bulk_order () =
     (fun (name, read_after, want) ->
       Alcotest.(check (list int)) name (subjects want) (subjects (p5_after ~read_after)))
     [
-      ("read after x, a", (fun tr -> tr = a), [ x; c; b ]);
+      ("read after x, a", (fun tr -> tr = a), [ x; b; c ]);
       ("never read", (fun _ -> false), [ x; c; b ]);
       ("read after every add", (fun _ -> true), [ x; b; c ]);
     ]
 
-(* Plans and warm evaluations key on [Store.version]: a read that
-   indexes pending rows writes the backend but not the store's
+(* Plans and warm evaluations key on [Store.version]: a store's first
+   read, which indexes its rows, writes the backend but not the store's
    contents, so the version stays.  The resident bytes, which report
    what is indexed now, witness that the read did index. *)
 let test_indexing_read_keeps_version () =
@@ -1192,6 +1322,7 @@ let () =
           to_alcotest prop_rowset_model;
           to_alcotest prop_hash_backend_tables;
           to_alcotest prop_hash_backend_pending;
+          to_alcotest prop_hash_order_after_first_read;
           Alcotest.test_case "reads between removes" `Quick
             test_ops_cover_pending_removes;
           Alcotest.test_case "bulk adds keep bucket order" `Quick test_bulk_order;

@@ -135,9 +135,8 @@ let domain_constructors =
    path, so both [Term.uri] and [Rdf.Term.uri] hit. *)
 let domain_producers =
   [
-    ("Term", "uri"); ("Term", "blank"); ("Term", "literal");
-    ("Term", "of_string");
-    ("Qterm", "var"); ("Qterm", "cst"); ("Qterm", "uri");
+    ("Term", "uri"); ("Term", "of_string");
+    ("Qterm", "var"); ("Qterm", "cst");
     ("Atom", "make"); ("Triple", "make");
     ("View", "make");
     ("Cq", "make"); ("Cq", "freshen"); ("Cq", "minimize"); ("Cq", "rename");
