@@ -19,10 +19,15 @@
    exactly sized, never rewritten in place, so the executor's nested
    scans stay valid.
 
+   A write of (s, p, o) drops exactly the memoized scans whose
+   results it changes; every other memo entry stays exact.  A merge
+   changes no result's rows, so it drops none: a result memoized before
+   it keeps its row order, which no contract fixes.
+
    Locking: none.  One domain at a time reads or writes a store
    (CONCURRENCY.md), the same contract as the hash backend's, and a
    read may write here too: it fills the scan memo.  [cached_scan],
-   [scan_all] and [invalidate] are [@@coordinator_only], so
+   [scan_all] and [forget] are [@@coordinator_only], so
    tool/analyze proves no worker domain reaches them. *)
 
 let obs_merges = Obs.cached_counter "store.merges"
@@ -34,14 +39,15 @@ let obs_flushes = Obs.cached_counter "store.memtable_flushes"
    that keeps small stores from merging on every insert. *)
 let flush_floor = 16384
 
-(* scan_all results are memoized until the next mutation, but only up
+(* scan_all results are memoized until the next write, but only up
    to this many rows: a Barton-scale all-triples scan is decoded
    fresh rather than pinned (it would double the resident set). *)
 let all_cache_max_rows = 1 lsl 20
 
-(* scan1/scan2 results are memoized the same way (cleared on any
-   mutation), in one {!Rowset.Buckets} table per scan kind keyed by the
-   code or the code pair's [Rowset.Buckets.pair_key].  Query execution
+(* scan1/scan2 results are memoized too, in one {!Rowset.Buckets}
+   table per scan kind keyed by the code or the code pair's
+   [Rowset.Buckets.pair_key]; a write drops the six keys its triple
+   scans under ([forget]).  Query execution
    re-scans the same (column, code) keys constantly — the inner side of
    every join step, and every repetition of a cached plan — and a memo
    hit costs one int-table probe, like the hash backend's bucket
@@ -81,16 +87,29 @@ let create () =
     memo_keys = 0;
   }
 
-let clear_memo t =
-  if t.memo_keys > 0 then begin
-    Array.iter Rowset.Buckets.clear t.scan_memo;
-    t.memo_keys <- 0
+let forget_key t k key =
+  let memo = t.scan_memo.(k) in
+  let j = Rowset.Buckets.find memo key in
+  if j >= 0 then begin
+    Rowset.Buckets.set_rows memo j 0;
+    t.memo_keys <- t.memo_keys - 1
   end
 
-(* Drop every memoized scan result: every add, remove and merge. *)
-let invalidate t =
+(* Drop the memoized scans a write of (s, p, o) changes: the three
+   single-column keys and the three pair keys [scan2] reads it under,
+   and the all-triples scan.  Every other result stays exact: it is a
+   fresh array, never written in place, and no memtable aliases it.
+   A load writes with an empty memo and skips the probes. *)
+let forget t s p o =
   t.all_cache <- None;
-  clear_memo t
+  if t.memo_keys > 0 then begin
+    forget_key t 0 s;
+    forget_key t 1 p;
+    forget_key t 2 o;
+    forget_key t 3 (Rowset.Buckets.pair_key s p);
+    forget_key t 4 (Rowset.Buckets.pair_key p o);
+    forget_key t 5 (Rowset.Buckets.pair_key s o)
+  end
 [@@coordinator_only]
 
 let seg_mem t s p o = Segment.mem t.spo s p o
@@ -257,10 +276,7 @@ let merge t =
   t.pos <- pos;
   t.osp <- osp;
   t.mem_add <- Hash_backend.create ();
-  t.mem_del <- Hash_backend.create ();
-  (* contents are unchanged by a merge, but the memtable arrays the
-     memoized results referenced are gone with it *)
-  invalidate t
+  t.mem_del <- Hash_backend.create ()
 
 let maybe_flush t =
   let pending = Hash_backend.size t.mem_add + Hash_backend.size t.mem_del in
@@ -282,7 +298,7 @@ let add t s p o =
       (* resurrect a tombstoned segment row *)
       ignore (Hash_backend.remove t.mem_del s p o : bool)
     else ignore (Hash_backend.add t.mem_add s p o : bool);
-    invalidate t;
+    forget t s p o;
     if not tombstoned then maybe_flush t;
     true
   end
@@ -298,7 +314,7 @@ let remove t s p o =
     for i = 0 to 2 do
       if gone land (1 lsl i) <> 0 then t.distinct.(i) <- t.distinct.(i) - 1
     done;
-    invalidate t;
+    forget t s p o;
     if not added then maybe_flush t;
     true
   end
@@ -354,16 +370,21 @@ let assemble t seg ~pair a b ~da ~db ~dc ~ndel (mdata, mn) =
   r
 
 (* Look up / fill the scan memo of kind [k].  A hit costs one int-table
-   probe; a miss builds the result and records it, first resetting the
-   whole memo when it holds [scan_cache_max_keys] keys. *)
+   probe; a miss builds the result and records it, first installing six
+   fresh tables when the memo holds [scan_cache_max_keys] keys. *)
 let cached_scan t k key build =
   let memo = t.scan_memo.(k) in
   let j = Rowset.Buckets.find memo key in
   if j >= 0 then (Rowset.Buckets.data memo j, Rowset.Buckets.rows memo j)
   else begin
     let ((data, n) as r) = build () in
-    if t.memo_keys >= scan_cache_max_keys then clear_memo t;
-    Rowset.Buckets.replace memo key data n;
+    if t.memo_keys >= scan_cache_max_keys then begin
+      for i = 0 to 5 do
+        t.scan_memo.(i) <- Rowset.Buckets.create ()
+      done;
+      t.memo_keys <- 0
+    end;
+    Rowset.Buckets.replace t.scan_memo.(k) key data n;
     t.memo_keys <- t.memo_keys + 1;
     r
   end

@@ -6,8 +6,8 @@
     over flat int tables, so every count stays exact and one probe
     away; per-column distinct counts are kept up to date by each
     write, so they too are answered in O(1).  Scan results are
-    memoized between writes in one int-keyed {!Rowset.Buckets} table
-    per scan kind.
+    memoized in one int-keyed {!Rowset.Buckets} table per scan kind; a
+    write drops only the scans its triple is in.
     When the memtable outgrows a fraction of the segment, the three
     orders are merge-rebuilt in one streaming pass.  32.9x fewer
     resident bytes per triple than the hash layout at 2M triples and
@@ -17,4 +17,4 @@ include Backend.S
 
 val scan_cache_max_keys : int
 (** The scan memo holds at most this many keys over all six scan kinds;
-    a miss that finds it full empties it first. *)
+    a miss that finds it full empties it, and nothing else does. *)

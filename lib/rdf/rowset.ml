@@ -335,23 +335,6 @@ module Buckets = struct
       t.used.(last) <- 0
     end
 
-  (* A small table is emptied in place: the compact scan memo is
-     cleared on every write and refilled by the next reads, and a fresh
-     table would grow again on every refill. *)
-  let clear t =
-    let keys = t.keys in
-    if keys.mask >= 256 then begin
-      t.keys <- of_width 1 0;
-      t.data <- [||];
-      t.used <- [||]
-    end
-    else if keys.n > 0 then begin
-      Array.fill keys.slots 0 (keys.mask + 1) 0;
-      Array.fill t.data 0 keys.n empty;
-      Array.fill t.used 0 keys.n 0;
-      keys.n <- 0
-    end
-
   let fold t f init =
     let acc = ref init in
     for j = 0 to length t - 1 do

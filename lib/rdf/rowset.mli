@@ -120,10 +120,6 @@ module Buckets : sig
       at 0 the key is removed and the last key, with its bucket, takes
       index [j]. *)
 
-  val clear : t -> unit
-  (** Remove every key; a table past 256 slots shrinks back to the
-      initial few. *)
-
   val fold : t -> (int -> int array -> int -> 'a -> 'a) -> 'a -> 'a
   (** Over (key, bucket, rows) in index order. *)
 

@@ -280,6 +280,50 @@ let prop_differential =
         [ `S; `P; `O ];
       true)
 
+(* A compact write drops only the memoized scans of its triple's keys,
+   and a merge drops none, so a memo entry filled before a write must
+   still be exact after it.  After every op, every scan1/scan2 kind and
+   scan_all over the keys of the triples drawn so far (removes included,
+   read or not before) must hold the hash store's rows. *)
+let key_terms = function
+  | All -> []
+  | S t | P t | O t -> [ t ]
+  | SP (a, b) | SO (a, b) | PO (a, b) -> [ a; b ]
+
+let sorted_scan st key =
+  (* a term outside the dictionary matches no row *)
+  if List.for_all (fun term -> Rdf.Store.find_term st term <> None) (key_terms key)
+  then List.sort compare (scan_rows st key)
+  else []
+
+let prop_scans_fresh =
+  QCheck.Test.make ~name:"compact scans stay fresh across writes" ~count:150 arb_ops
+    (fun ops ->
+      let hash = Rdf.Store.create ~backend:Rdf.Backend.Hash () in
+      let compact = Rdf.Store.create ~backend:Rdf.Backend.Compact () in
+      let keys = Hashtbl.create 64 in
+      Hashtbl.replace keys All ();
+      List.iter
+        (fun op ->
+          (match op with
+          | Add t ->
+            ignore (Rdf.Store.add hash t : bool);
+            ignore (Rdf.Store.add compact t : bool);
+            List.iter (fun key -> Hashtbl.replace keys key ()) (bucket_keys t)
+          | Remove t ->
+            ignore (Rdf.Store.remove hash t : bool);
+            ignore (Rdf.Store.remove compact t : bool);
+            List.iter (fun key -> Hashtbl.replace keys key ()) (bucket_keys t)
+          | Merge -> Rdf.Store.compact compact);
+          Hashtbl.iter
+            (fun key () ->
+              if sorted_scan hash key <> sorted_scan compact key then
+                QCheck.Test.fail_reportf "a compact scan is stale after %s"
+                  (op_to_string op))
+            keys)
+        ops;
+      true)
+
 (* A merge must leave contents, counts and version untouched. *)
 let prop_merge_is_invisible =
   QCheck.Test.make ~name:"compact () preserves observable state" ~count:100
@@ -611,9 +655,12 @@ let block_counters reg =
 (* A compact scan that misses its memo locates and copies its rows
    through one segment reader.  The block counts are sums over the
    blocks read, so they are pinned: the same memo-missing scan1/scan2
-   calls over a merged Barton store, first with no tombstone, then with
-   tombstones in range, decode, hit and skip exactly as many blocks as
-   when the locate and the copy each ran a reader of their own. *)
+   calls over a merged Barton store decode, hit and skip exactly as
+   many blocks as when the locate and the copy each ran a reader of
+   their own.  Then tombstones: a write drops only the memoized scans
+   of its own triple's keys, so the scans of the keys the removals
+   touched read blocks again, and every other scan is a memo hit that
+   reads none. *)
 let test_scan_block_counts () =
   let triples = Rdf.Store.to_triples (Workload.Barton.store ~n_entities:300 ~seed:7 ()) in
   let hash, compact = store_pair triples in
@@ -625,21 +672,29 @@ let test_scan_block_counts () =
   let reg = Obs.create () in
   Obs.set_global reg;
   Fun.protect ~finally:(fun () -> Obs.set_global Obs.disabled) @@ fun () ->
-  let phase () =
+  let phase keys =
     let before = block_counters reg in
     check_scans_match hash compact keys;
     List.map2 ( - ) (block_counters reg) before
   in
-  Alcotest.(check (list int)) "merged: decodes, hits, skips" [ 27; 1878; 3185 ] (phase ());
+  Alcotest.(check (list int)) "merged: decodes, hits, skips" [ 27; 1878; 3185 ] (phase keys);
   (* tombstones over every fifth row, under the flush threshold *)
-  List.iteri
-    (fun i t ->
-      if i mod 5 = 0 then begin
-        ignore (Rdf.Store.remove hash t : bool);
-        ignore (Rdf.Store.remove compact t : bool)
-      end)
-    triples;
-  Alcotest.(check (list int)) "tombstoned: decodes, hits, skips" [ 0; 1872; 3185 ] (phase ())
+  let removed = List.filteri (fun i _ -> i mod 5 = 0) triples in
+  List.iter
+    (fun t ->
+      ignore (Rdf.Store.remove hash t : bool);
+      ignore (Rdf.Store.remove compact t : bool))
+    removed;
+  let code term = Option.get (Rdf.Store.find_term hash term) in
+  let written =
+    scan_keys (List.map (fun { Rdf.Triple.s; p; o } -> (code s, code p, code o)) removed)
+  in
+  let touched, untouched = List.partition (fun k -> List.mem k written) keys in
+  check_bool "some keys touched, some not" true (touched <> [] && untouched <> []);
+  Alcotest.(check (list int)) "tombstoned, touched keys: decodes, hits, skips" [ 0; 769; 1517 ]
+    (phase touched);
+  Alcotest.(check (list int)) "tombstoned, untouched keys: decodes, hits, skips" [ 0; 0; 0 ]
+    (phase untouched)
 
 (* More distinct scan keys than the memo holds, with no write between
    them: the memo resets itself when full, and every scan, before and
@@ -1204,12 +1259,11 @@ type bucket_op =
   | Drop of int * int
   | Replace of int * int
   | Empty of int
-  | Clear
 
 (* [Rowset.Buckets] alone, against a map from key to row list, with the
-   swap-remove the hash backend performs and the replace/clear the
-   compact scan memo performs.  [Empty k] drops every row of [k]: the
-   last key takes [k]'s index and brings its bucket along, and [k],
+   swap-remove the hash backend performs and the replace and key drop
+   the compact scan memo performs.  [Empty k] drops every row of [k]:
+   the last key takes [k]'s index and brings its bucket along, and [k],
    pushed again, comes back as the last key with a fresh bucket. *)
 let prop_buckets =
   let open QCheck.Gen in
@@ -1221,7 +1275,6 @@ let prop_buckets =
         (4, map2 (fun k i -> Drop (k, i)) key small_nat);
         (1, map2 (fun k n -> Replace (k, n)) key (int_bound 3));
         (2, map (fun k -> Empty k) key);
-        (1, return Clear);
       ]
   in
   let fail fmt = QCheck.Test.fail_reportf fmt in
@@ -1278,10 +1331,7 @@ let prop_buckets =
               if Rdf.Rowset.Buckets.push t k k (k + 1) (k + 2) <> 0 then
                 fail "re-added key %d: row" k;
               if Rdf.Rowset.Buckets.find t k <> last then fail "re-added key %d: index" k;
-              Hashtbl.replace model k [| k |])
-          | Clear ->
-            Rdf.Rowset.Buckets.clear t;
-            Hashtbl.reset model);
+              Hashtbl.replace model k [| k |]));
           if Rdf.Rowset.Buckets.length t <> Hashtbl.length model then fail "length";
           Array.iter
             (fun k ->
@@ -1312,6 +1362,7 @@ let () =
       ( "differential",
         [
           to_alcotest prop_differential;
+          to_alcotest prop_scans_fresh;
           to_alcotest prop_merge_is_invisible;
           Alcotest.test_case "ops resurrect across merges" `Quick
             test_ops_cover_resurrection;
