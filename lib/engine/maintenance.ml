@@ -184,9 +184,9 @@ let encode store (tr : Rdf.Triple.t) =
   | _ -> None
 
 let insert_triple store views triple =
-  if not (Rdf.Store.add store triple) then 0
+  let encoded = Rdf.Store.encode_triple store triple in
+  if not (Rdf.Store.add_encoded store encoded) then 0
   else
-    let encoded = Option.get (encode store triple) in
     let memo = memo_of store in
     List.fold_left
       (fun acc (cq, rel) ->

@@ -4,20 +4,23 @@
      - [mem_add] and the segments are disjoint triple sets;
      - [mem_del] is a subset of the segments' set, disjoint from
        [mem_add];
-     - the backend's contents = segments - mem_del + mem_add.
+     - the backend's contents = segments - mem_del + mem_add;
+     - [live.(i).(code)] is the number of live rows whose column [i]
+       (S = 0, P = 1, O = 2) carries [code], and [distinct.(i)] the
+       number of codes whose count is nonzero.
 
    The memtable and the tombstones are each a {!Hash_backend} (flat
-   open-addressed int tables), so counts come straight from rank
+   open-addressed int tables).  A successful add or remove moves the
+   triple's three live counts by one, and a merge moves rows without
+   changing any, so a single-column count and a column's distinct count
+   are one array read, and a write probes the memtable's triple set
+   only: it reads no memtable index, so a loading memtable stays
+   unindexed until its first scan or pair count.  Pair counts are rank
    arithmetic on the segments corrected by two one-probe memtable
-   counts.  Per-column distinct counts are kept in [distinct] and
-   adjusted by every add/remove whose code's live count in a column
-   crosses between 0 and 1 (a merge moves rows without changing any
-   live count), so the cost model reads them in O(1) as on the hash
-   backend.  Scans decode
-   the bracketed block range once, filter tombstones, and append the
-   memtable's bucket — every returned array is freshly allocated and
-   exactly sized, never rewritten in place, so the executor's nested
-   scans stay valid.
+   counts.  Scans decode the bracketed block range once, skip the
+   run's tombstones by a sorted merge, and append the memtable's bucket
+   — every returned array is freshly allocated and exactly sized, never
+   rewritten in place, so the executor's nested scans stay valid.
 
    A write of (s, p, o) drops exactly the memoized scans whose
    results it changes; every other memo entry stays exact.  A merge
@@ -64,8 +67,10 @@ type t = {
       (* triples added since the last merge (not in the segments) *)
   mutable mem_del : Hash_backend.t;
       (* tombstones: segment triples deleted since the last merge *)
-  distinct : int array;
-      (* live distinct codes per column, indexed S = 0, P = 1, O = 2 *)
+  live : int array array;
+      (* per column (S = 0, P = 1, O = 2), live rows by code; an array
+         doubles when a code past its end goes live *)
+  distinct : int array;  (* live distinct codes per column *)
   mutable all_cache : (int array * int) option;
   scan_memo : Rowset.Buckets.t array;
       (* memoized scan1/scan2 results, indexed S, P, O, SP, PO, SO;
@@ -81,6 +86,7 @@ let create () =
     osp = Segment.empty;
     mem_add = Hash_backend.create ();
     mem_del = Hash_backend.create ();
+    live = Array.make 3 [||];
     distinct = [| 0; 0; 0 |];
     all_cache = None;
     scan_memo = Array.init 6 (fun _ -> Rowset.Buckets.create ());
@@ -123,16 +129,45 @@ let size t =
 
 (* ---------- counts -------------------------------------------------------- *)
 
-(* Each single-column / column-pair lookup maps onto the segment whose
-   sort order leads with those columns; the rank interval is exact and
-   the memtable corrections are O(1) hash counts. *)
+let col_slot = function `S -> 0 | `P -> 1 | `O -> 2
 
-let seg_of_col t = function `S -> t.spo | `P -> t.pos | `O -> t.osp
+let live_count t i code =
+  let a = t.live.(i) in
+  if code < Array.length a then a.(code) else 0
 
-let seg_count1 t col code =
-  let lo, hi = Segment.locate1 (seg_of_col t col) code in
-  hi - lo
+(* Move [code]'s live count in column [i] by [d] (1 or -1); the column
+   gains a distinct code when the count leaves 0 and loses one when it
+   returns there. *)
+let bump t i code d =
+  let a = t.live.(i) in
+  let a =
+    if code < Array.length a then a
+    else begin
+      let len = ref (max 1 (Array.length a)) in
+      while !len <= code do
+        len := 2 * !len
+      done;
+      let bigger = Array.make !len 0 in
+      Array.blit a 0 bigger 0 (Array.length a);
+      t.live.(i) <- bigger;
+      bigger
+    end
+  in
+  let n = a.(code) in
+  a.(code) <- n + d;
+  if n = 0 then t.distinct.(i) <- t.distinct.(i) + 1
+  else if n + d = 0 then t.distinct.(i) <- t.distinct.(i) - 1
 
+let bump_all t s p o d =
+  bump t 0 s d;
+  bump t 1 p d;
+  bump t 2 o d
+
+let count1 t col code = live_count t (col_slot col) code
+
+(* A pair lookup maps onto the segment whose sort order leads with
+   those columns; the rank interval is exact and the memtable
+   corrections are O(1) hash counts. *)
 let seg_count2 t cols a b =
   match cols with
   | `SP ->
@@ -146,61 +181,63 @@ let seg_count2 t cols a b =
     let lo, hi = Segment.locate2 t.osp b a in
     hi - lo
 
-let count1 t col code =
-  seg_count1 t col code
-  - Hash_backend.count1 t.mem_del col code
-  + Hash_backend.count1 t.mem_add col code
-
 let count2 t cols a b =
   seg_count2 t cols a b
   - Hash_backend.count2 t.mem_del cols a b
   + Hash_backend.count2 t.mem_add cols a b
 
-(* ---------- distinct counts ----------------------------------------------- *)
-
-let col_slot = function `S -> 0 | `P -> 1 | `O -> 2
-
-(* Is [code] live in the column's segment, i.e. does at least one of
-   its rows survive the tombstones?  An empty segment (a bulk load
-   before its first merge) answers without a rank probe. *)
-let live_in_seg t col code =
-  Segment.n (seg_of_col t col) > 0
-  &&
-  let n = seg_count1 t col code in
-  n > 0 && n > Hash_backend.count1 t.mem_del col code
-
-(* A memtable row carrying [code] settles liveness without the segment
-   rank probe. *)
-let live t col code =
-  Hash_backend.count1 t.mem_add col code > 0 || live_in_seg t col code
-
-(* Bit [col_slot col] is set for each column whose code has no live
-   row.  Taken before a row enters the live set, those columns gain a
-   distinct value; taken after a row leaves it, they lose one.  Either
-   way they are exactly the columns whose code's live count crosses
-   between 0 and 1. *)
-let unseen t s p o =
-  (if live t `S s then 0 else 1)
-  lor (if live t `P p then 0 else 2)
-  lor if live t `O o then 0 else 4
-
 (* ---------- merge --------------------------------------------------------- *)
 
-(* Sort the [k]-row packed memtable dump for one segment order:
-   comparator reads through an index permutation, then the rows are
-   materialized permuted (leading column first) so the merge loop
-   compares plain lexicographic cells. *)
+(* The rotation sort's digit: [radix_bits] bits of a code, so the
+   count table has a fixed 2,048 cells however large the dictionary. *)
+let radix_bits = 11
+let radix_mask = (1 lsl radix_bits) - 1
+
+(* Sort the [k]-row packed memtable dump for one segment order, then
+   materialize it permuted (leading column first) so the merge loop
+   compares plain lexicographic cells.  An LSD radix sort of the row
+   indices: stable counting passes over one digit each, the third
+   column's digits first, then the second's, then the leading one's,
+   each column taking as many digits as its largest code needs.  Linear
+   in [k]; codes are nonnegative. *)
 let sorted_rotation rows k ~da ~db ~dc =
-  let idx = Array.init k (fun i -> i) in
-  let cmp i j =
-    let x = Int.compare rows.((3 * i) + da) rows.((3 * j) + da) in
-    if x <> 0 then x
-    else
-      let x = Int.compare rows.((3 * i) + db) rows.((3 * j) + db) in
-      if x <> 0 then x
-      else Int.compare rows.((3 * i) + dc) rows.((3 * j) + dc)
-  in
-  Array.sort cmp idx;
+  let top = [| 0; 0; 0 |] in
+  for i = 0 to k - 1 do
+    for c = 0 to 2 do
+      let v = rows.((3 * i) + c) in
+      if v > top.(c) then top.(c) <- v
+    done
+  done;
+  let idx = ref (Array.init k Fun.id) and spare = ref (Array.make k 0) in
+  let count = Array.make (radix_mask + 1) 0 in
+  List.iter
+    (fun col ->
+      let shift = ref 0 in
+      while top.(col) lsr !shift > 0 do
+        let src = !idx and dst = !spare and sh = !shift in
+        Array.fill count 0 (radix_mask + 1) 0;
+        for i = 0 to k - 1 do
+          let d = (rows.((3 * src.(i)) + col) lsr sh) land radix_mask in
+          count.(d) <- count.(d) + 1
+        done;
+        let sum = ref 0 in
+        for d = 0 to radix_mask do
+          let n = count.(d) in
+          count.(d) <- !sum;
+          sum := !sum + n
+        done;
+        for i = 0 to k - 1 do
+          let r = src.(i) in
+          let d = (rows.((3 * r) + col) lsr sh) land radix_mask in
+          dst.(count.(d)) <- r;
+          count.(d) <- count.(d) + 1
+        done;
+        idx := dst;
+        spare := src;
+        shift := sh + radix_bits
+      done)
+    [ dc; db; da ];
+  let idx = !idx in
   let out = Array.make (3 * k) 0 in
   for i = 0 to k - 1 do
     let r = idx.(i) in
@@ -290,10 +327,7 @@ let add t s p o =
   if Hash_backend.mem t.mem_add s p o || ((not tombstoned) && seg_mem t s p o)
   then false
   else begin
-    let fresh = unseen t s p o in
-    for i = 0 to 2 do
-      if fresh land (1 lsl i) <> 0 then t.distinct.(i) <- t.distinct.(i) + 1
-    done;
+    bump_all t s p o 1;
     if tombstoned then
       (* resurrect a tombstoned segment row *)
       ignore (Hash_backend.remove t.mem_del s p o : bool)
@@ -310,10 +344,7 @@ let remove t s p o =
     else
       (* tombstone a segment row *)
       ignore (Hash_backend.add t.mem_del s p o : bool);
-    let gone = unseen t s p o in
-    for i = 0 to 2 do
-      if gone land (1 lsl i) <> 0 then t.distinct.(i) <- t.distinct.(i) - 1
-    done;
+    bump_all t s p o (-1);
     forget t s p o;
     if not added then maybe_flush t;
     true
@@ -331,11 +362,14 @@ let empty_scan = ([||] : int array)
 (* Assemble one scan result: the rows of [seg] whose leading column is
    [a] (and whose second is [b], for a pair scan: [pair]) written
    through the column permutation (leading column of the segment lands
-   at [da] of each emitted [s; p; o] row), minus [ndel] tombstones,
-   then the memtable bucket appended.  One segment reader locates the
-   rows and copies them.  Exact-size allocation: the tombstone count is
-   known before decoding. *)
-let assemble t seg ~pair a b ~da ~db ~dc ~ndel (mdata, mn) =
+   at [da] of each emitted [s; p; o] row), minus the run's tombstones
+   [(ddata, ndel)] (the bucket of [mem_del] under the same key), then
+   the memtable bucket [(mdata, mn)] appended.  One segment reader
+   locates the rows and copies them; exact-size allocation.  The run is
+   sorted on its remaining columns, so the tombstones, keyed the same
+   way (the third column for a pair scan, the second and third packed
+   for a single-column one) and sorted once, are skipped by a merge. *)
+let assemble seg ~pair a b ~da ~db ~dc (ddata, ndel) (mdata, mn) =
   let rd = Segment.Reader.create seg in
   let lo, hi =
     if pair then Segment.Reader.locate2 rd a b else Segment.Reader.locate1 rd a
@@ -348,17 +382,20 @@ let assemble t seg ~pair a b ~da ~db ~dc ~ndel (mdata, mn) =
       let dst = Array.make (3 * total) 0 in
       if ndel = 0 then Segment.Reader.blit_range rd lo hi dst ~da ~db ~dc
       else begin
-        let del = t.mem_del in
-        let out = ref 0 in
-        Segment.Reader.iter_range rd lo hi (fun a bb c ->
-            let s = if da = 0 then a else if db = 0 then bb else c in
-            let p = if da = 1 then a else if db = 1 then bb else c in
-            let o = if da = 2 then a else if db = 2 then bb else c in
-            if not (Hash_backend.mem del s p o) then begin
+        let key y z = if pair then z else (y lsl 31) lor z in
+        let dead =
+          Array.init ndel (fun i ->
+              key ddata.((3 * i) + db) ddata.((3 * i) + dc))
+        in
+        Array.sort Int.compare dead;
+        let out = ref 0 and next = ref 0 in
+        Segment.Reader.iter_range rd lo hi (fun x y z ->
+            if !next < ndel && dead.(!next) = key y z then incr next
+            else begin
               let base = 3 * !out in
-              dst.(base) <- s;
-              dst.(base + 1) <- p;
-              dst.(base + 2) <- o;
+              dst.(base + da) <- x;
+              dst.(base + db) <- y;
+              dst.(base + dc) <- z;
               incr out
             end)
       end;
@@ -397,37 +434,37 @@ let scan1 t col code =
   match col with
   | `S ->
     cached_scan t 0 code @@ fun () ->
-    assemble t t.spo ~pair:false code 0 ~da:0 ~db:1 ~dc:2
-      ~ndel:(Hash_backend.count1 t.mem_del `S code)
+    assemble t.spo ~pair:false code 0 ~da:0 ~db:1 ~dc:2
+      (Hash_backend.scan1 t.mem_del `S code)
       (Hash_backend.scan1 t.mem_add `S code)
   | `P ->
     cached_scan t 1 code @@ fun () ->
-    assemble t t.pos ~pair:false code 0 ~da:1 ~db:2 ~dc:0
-      ~ndel:(Hash_backend.count1 t.mem_del `P code)
+    assemble t.pos ~pair:false code 0 ~da:1 ~db:2 ~dc:0
+      (Hash_backend.scan1 t.mem_del `P code)
       (Hash_backend.scan1 t.mem_add `P code)
   | `O ->
     cached_scan t 2 code @@ fun () ->
-    assemble t t.osp ~pair:false code 0 ~da:2 ~db:0 ~dc:1
-      ~ndel:(Hash_backend.count1 t.mem_del `O code)
+    assemble t.osp ~pair:false code 0 ~da:2 ~db:0 ~dc:1
+      (Hash_backend.scan1 t.mem_del `O code)
       (Hash_backend.scan1 t.mem_add `O code)
 
 let scan2 t cols a b =
   match cols with
   | `SP ->
     cached_scan t 3 (Rowset.Buckets.pair_key a b) @@ fun () ->
-    assemble t t.spo ~pair:true a b ~da:0 ~db:1 ~dc:2
-      ~ndel:(Hash_backend.count2 t.mem_del `SP a b)
+    assemble t.spo ~pair:true a b ~da:0 ~db:1 ~dc:2
+      (Hash_backend.scan2 t.mem_del `SP a b)
       (Hash_backend.scan2 t.mem_add `SP a b)
   | `PO ->
     cached_scan t 4 (Rowset.Buckets.pair_key a b) @@ fun () ->
-    assemble t t.pos ~pair:true a b ~da:1 ~db:2 ~dc:0
-      ~ndel:(Hash_backend.count2 t.mem_del `PO a b)
+    assemble t.pos ~pair:true a b ~da:1 ~db:2 ~dc:0
+      (Hash_backend.scan2 t.mem_del `PO a b)
       (Hash_backend.scan2 t.mem_add `PO a b)
   | `SO ->
     (* OSP order leads (o, s): arguments arrive as (s, o) *)
     cached_scan t 5 (Rowset.Buckets.pair_key a b) @@ fun () ->
-    assemble t t.osp ~pair:true b a ~da:2 ~db:0 ~dc:1
-      ~ndel:(Hash_backend.count2 t.mem_del `SO a b)
+    assemble t.osp ~pair:true b a ~da:2 ~db:0 ~dc:1
+      (Hash_backend.scan2 t.mem_del `SO a b)
       (Hash_backend.scan2 t.mem_add `SO a b)
 
 let build_all t =
@@ -477,6 +514,7 @@ let resident_bytes t =
   + Segment.resident_bytes t.osp
   + Hash_backend.resident_bytes t.mem_add
   + Hash_backend.resident_bytes t.mem_del
+  + Array.fold_left (fun acc a -> acc + (8 * Array.length a)) 0 t.live
   + (match t.all_cache with Some (a, _) -> 8 * Array.length a | None -> 0)
   + Array.fold_left
       (fun acc memo ->

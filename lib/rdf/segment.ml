@@ -52,7 +52,8 @@ let rows_in_block t i =
    allocated scratch buffer: cache hits (the common case — covered
    segments of bench stores fit the budget entirely) allocate nothing,
    and one operation touching several uncached blocks reuses the same
-   scratch.
+   scratch.  The reader remembers which block its scratch holds, so
+   reading that block again decodes nothing and counts as a hit.
    It counts block hits, decodes and zone-map skips in its own fields,
    and [finish] adds them to the sink when the operation returns: one
    handle use each (a closure call and two DLS reads), not one per
@@ -61,6 +62,7 @@ let rows_in_block t i =
 type reader = {
   seg : t;
   mutable scratch : int array;
+  mutable held : int;  (* the block [scratch] holds, or -1 *)
   mutable hits : int;
   mutable decodes : int;
   mutable skips : int;
@@ -68,7 +70,15 @@ type reader = {
 }
 
 let reader t =
-  { seg = t; scratch = [||]; hits = 0; decodes = 0; skips = 0; searched = false }
+  {
+    seg = t;
+    scratch = [||];
+    held = -1;
+    hits = 0;
+    decodes = 0;
+    skips = 0;
+    searched = false;
+  }
 
 let note_skips rd k =
   rd.skips <- rd.skips + k;
@@ -86,6 +96,10 @@ let block rd i =
     rd.hits <- rd.hits + 1;
     arr
   end
+  else if rd.held = i then begin
+    rd.hits <- rd.hits + 1;
+    rd.scratch
+  end
   else begin
     rd.decodes <- rd.decodes + 1;
     let rows = rows_in_block t i in
@@ -101,6 +115,7 @@ let block rd i =
         rd.scratch <- Array.make (3 * t.block_rows) 0;
       let buf = rd.scratch in
       ignore (Block.decode t.data ~pos:t.offsets.(i) ~rows buf : int);
+      rd.held <- i;
       buf
     end
   end

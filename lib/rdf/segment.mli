@@ -55,7 +55,9 @@ val mem : t -> int -> int -> int -> bool
     [store.block_decodes] and [store.block_skips]: a scan that locates
     its rows and then copies them uses one reader, so it resolves each
     telemetry handle once.  {!locate1}, {!locate2} and {!mem} each run
-    on a reader of their own. *)
+    on a reader of their own.  A block decoded past a full cache stays
+    in the reader's scratch until it decodes another, and reading it
+    again meanwhile counts as a cache hit. *)
 module Reader : sig
   type segment := t
   type t

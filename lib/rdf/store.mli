@@ -62,6 +62,10 @@ val decode_term : t -> int -> Term.t
 val add : t -> Triple.t -> bool
 (** Insert a triple; returns [false] when it was already present. *)
 
+val encode_triple : t -> Triple.t -> encoded
+(** Encode a triple's three terms, assigning fresh codes as {!add}
+    does. *)
+
 val add_encoded : t -> encoded -> bool
 
 val remove : t -> Triple.t -> bool

@@ -346,6 +346,109 @@ let prop_merge_is_invisible =
       && v = Rdf.Store.version st
       && counts = List.map (fun tpat -> count_pattern st tpat) (probe_patterns ops))
 
+(* ---------- live-code counts ------------------------------------------- *)
+
+(* Compact answers single-column counts and distinct counts from live
+   counts that every write moves and no merge touches.  After every op
+   they must equal the hash store's.  The first [Merge] of a sequence
+   is a flush: [flood_rows] fresh typed rows, the memtable's flush
+   floor, so the flush merges the pool's rows in the middle of the
+   flood; later ones are [Store.compact].  Removes then hit segment
+   rows (tombstones) and memtable rows, and re-adds resurrect. *)
+let flood_rows = 16_384
+
+let flood_triple i = triple (uri (Printf.sprintf "f%d" i)) rdf_type (uri "C0")
+
+(* How [ops] meets each path, replayed on plain sets as
+   [resurrects_after_merge] does: a remove of a merged row, a remove of
+   a memtable row, a resurrection, and a merge by [compact] after the
+   flush. *)
+let live_count_paths ops =
+  let rec go live merged flushed (seg, mem, res, compact) = function
+    | [] -> (seg, mem, res, compact)
+    | Add t :: rest ->
+      let res = res || ((not (Triple_set.mem t live)) && Triple_set.mem t merged) in
+      go (Triple_set.add t live) merged flushed (seg, mem, res, compact) rest
+    | Remove t :: rest ->
+      let here = Triple_set.mem t live in
+      let seg = seg || (here && Triple_set.mem t merged)
+      and mem = mem || (here && not (Triple_set.mem t merged)) in
+      go (Triple_set.remove t live) merged flushed (seg, mem, res, compact) rest
+    | Merge :: rest -> go live live true (seg, mem, res, compact || flushed) rest
+  in
+  go Triple_set.empty Triple_set.empty false (false, false, false, false) ops
+
+let test_ops_cover_live_counts () =
+  let sample =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 52 |]) ~n:200 gen_ops
+  in
+  let paths = List.map live_count_paths sample in
+  let all = List.filter (fun (a, b, c, d) -> a && b && c && d) paths in
+  check_bool
+    (Printf.sprintf "%d/200 sequences remove segment and memtable rows, resurrect and compact"
+       (List.length all))
+    true
+    (List.length all >= 50)
+
+let prop_live_counts =
+  QCheck.Test.make ~name:"compact counts and distincts agree after every op" ~count:40
+    arb_ops (fun ops ->
+      let hash = Rdf.Store.create ~backend:Rdf.Backend.Hash () in
+      let compact = Rdf.Store.create ~backend:Rdf.Backend.Compact () in
+      let both f t =
+        ignore (f hash t : bool);
+        ignore (f compact t : bool)
+      in
+      let flushed = ref false in
+      let terms =
+        List.sort_uniq compare
+          (uri "f0" :: rdf_type :: uri "C0"
+          :: List.concat_map
+               (function
+                 | Add t | Remove t -> [ t.Rdf.Triple.s; t.Rdf.Triple.p; t.Rdf.Triple.o ]
+                 | Merge -> [])
+               ops)
+      in
+      let check op =
+        List.iter
+          (fun term ->
+            List.iter
+              (fun tpat ->
+                let ch = count_pattern hash tpat and cc = count_pattern compact tpat in
+                if ch <> cc then
+                  QCheck.Test.fail_reportf "count of %s diverged after %s: %d vs %d"
+                    (Rdf.Term.to_string term) op ch cc)
+              [ (Some term, None, None); (None, Some term, None); (None, None, Some term) ])
+          terms;
+        List.iter
+          (fun col ->
+            let dh = Rdf.Store.distinct_in_column hash col in
+            let dc = Rdf.Store.distinct_in_column compact col in
+            if dh <> dc then
+              QCheck.Test.fail_reportf "distinct_in_column diverged after %s: %d vs %d" op
+                dh dc)
+          [ `S; `P; `O ]
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Add t -> both Rdf.Store.add t
+          | Remove t -> both Rdf.Store.remove t
+          | Merge when !flushed -> Rdf.Store.compact compact
+          | Merge ->
+            flushed := true;
+            let reg = Obs.create () in
+            Obs.set_global reg;
+            Fun.protect ~finally:(fun () -> Obs.set_global Obs.disabled) (fun () ->
+                for i = 0 to flood_rows - 1 do
+                  both Rdf.Store.add (flood_triple i)
+                done);
+            if Obs.find_counter reg "store.memtable_flushes" <> Some 1 then
+              QCheck.Test.fail_report "the flood did not flush the memtable once");
+          check (op_to_string op))
+        ops;
+      true)
+
 (* ---------- segment block-boundary edges --------------------------------- *)
 
 (* Brute-force oracle over a plain row list. *)
@@ -400,8 +503,8 @@ let rows_n n = List.init n (fun i -> (i / 4, i mod 4, (7 * i) mod 11))
    stride that jumps across the segment.  Every answer equals the
    sorted array's; the resident bytes never exceed the construction's
    by more than 1,024 decoded blocks and reach that bound; and once the
-   cache is full every block read past it is still counted as a
-   decode. *)
+   cache is full, an operation decodes an uncached block once however
+   often it reads it: the strided pass counts exactly 108,186 decodes. *)
 let test_segment_cache_bound () =
   let rows = 20_000 and block_rows = 4 in
   let arr = Array.make (3 * rows) 0 in
@@ -466,11 +569,9 @@ let test_segment_cache_bound () =
     read (j * stride mod keys)
   done;
   check_int "the cache stays full" bound (Rdf.Segment.resident_bytes seg - base);
-  check_bool
-    (Printf.sprintf "%d decodes past a full cache, for %d uncached blocks"
-       (decodes () - full) (blocks - 1_024))
-    true
-    (decodes () - full >= blocks - 1_024)
+  check_int
+    (Printf.sprintf "decodes past a full cache, for %d uncached blocks" (blocks - 1_024))
+    108_186 (decodes () - full)
 
 let segment_edge_tests =
   [
@@ -551,9 +652,10 @@ let test_barton_scale_parity () =
   check_bool "compact resident bytes below hash" true
     (Rdf.Store.resident_bytes compact < Rdf.Store.resident_bytes hash)
 
-(* Distinct counts on compact are kept on write: with a memtable of
-   over 10k adds and tombstones over a merged segment, answering them
-   decodes, hits and skips no segment block at all. *)
+(* Distinct counts and single-column counts on compact are kept on
+   write: with a memtable of over 10k adds and tombstones over a merged
+   segment, answering them decodes, hits and skips no segment block at
+   all, while a pair count still reads the segment. *)
 let test_distinct_reads_no_blocks () =
   let hash = Rdf.Store.create ~backend:Rdf.Backend.Hash () in
   let compact = Rdf.Store.create ~backend:Rdf.Backend.Compact () in
@@ -595,15 +697,87 @@ let test_distinct_reads_no_blocks () =
         (Rdf.Store.distinct_in_column compact col))
     [ `S; `P; `O ];
   Alcotest.(check (list int)) "no block touched" before (block_counters ());
-  (* the counters are live: one segment probe moves them *)
-  (match Rdf.Store.find_term compact (uri "s1") with
-  | Some code ->
-    ignore
-      (Rdf.Store.count_matching compact
-         { Rdf.Store.ps = Some code; pp = None; po = None }
-        : int)
-  | None -> Alcotest.fail "s1 must be in the dictionary");
-  check_bool "a probe touches blocks" true (block_counters () <> before)
+  let code term =
+    match Rdf.Store.find_term compact term with
+    | Some code -> code
+    | None -> Alcotest.failf "%s must be in the dictionary" (Rdf.Term.to_string term)
+  in
+  let counts_match pat =
+    check_int "count matches hash" (Rdf.Store.count_matching hash pat)
+      (Rdf.Store.count_matching compact pat)
+  in
+  List.iter counts_match
+    [
+      { Rdf.Store.ps = Some (code (uri "s1")); pp = None; po = None };
+      { Rdf.Store.ps = None; pp = Some (code (uri "p3")); po = None };
+      { Rdf.Store.ps = None; pp = None; po = Some (code (lit "o3")) };
+    ];
+  Alcotest.(check (list int)) "a single-column count touches no block" before
+    (block_counters ());
+  (* the counters are live: one pair probe reads the segment *)
+  counts_match { Rdf.Store.ps = Some (code (uri "s1")); pp = Some (code (uri "p3")); po = None };
+  check_bool "a pair probe touches blocks" true (block_counters () <> before)
+
+(* A compact write reads no memtable index, so a load with no read
+   leaves the memtable unindexed.  The first pair count indexes it, and
+   resident bytes grow by exactly what indexing the same rows costs a
+   lone hash backend: before that read the six indexes held nothing. *)
+let test_load_leaves_memtable_unindexed () =
+  let rows = 5_000 in
+  let row i = (i / 4, 5_000 + (i mod 11), 6_000 + (7 * i mod 1_009)) in
+  let st = Rdf.Store.create ~backend:Rdf.Backend.Compact () in
+  let h = Rdf.Hash_backend.create () in
+  for i = 0 to rows - 1 do
+    let s, p, o = row i in
+    ignore (Rdf.Store.add_encoded st (s, p, o) : bool);
+    ignore (Rdf.Hash_backend.add h s p o : bool)
+  done;
+  let unindexed = Rdf.Hash_backend.resident_bytes h in
+  Rdf.Hash_backend.compact h;
+  let indexing = Rdf.Hash_backend.resident_bytes h - unindexed in
+  check_bool "indexing costs bytes" true (indexing > 0);
+  let loaded = Rdf.Store.resident_bytes st in
+  let s, p, _ = row 0 in
+  check_int "pair count" 1
+    (Rdf.Store.count_matching st { Rdf.Store.ps = Some s; pp = Some p; po = None });
+  check_int "the first read indexes the memtable" indexing
+    (Rdf.Store.resident_bytes st - loaded)
+
+(* The merge's radix sort against [Array.sort compare], in all three
+   segment orders, on rows whose codes span the whole 31-bit range and
+   repeat: each cell comes from a pool of six codes half the time, so
+   leading columns (and whole rows) tie. *)
+let prop_sorted_rotation =
+  let open QCheck.Gen in
+  let code31 = map2 (fun hi lo -> (hi lsl 16) lor lo) (int_bound 0x7FFF) (int_bound 0xFFFF) in
+  let gen =
+    let* pool = array_repeat 6 code31 in
+    let pool = Array.append pool [| 0; (1 lsl 31) - 1 |] in
+    let cell = oneof [ map (Array.get pool) (int_bound (Array.length pool - 1)); code31 ] in
+    let* k = int_range 0 300 in
+    let+ cells = array_repeat (3 * k) cell in
+    (k, cells)
+  in
+  QCheck.Test.make ~name:"the rotation sort agrees with Array.sort" ~count:200
+    (QCheck.make
+       ~print:(fun (_, cells) ->
+         String.concat " " (Array.to_list (Array.map string_of_int cells)))
+       gen)
+    (fun (k, rows) ->
+      List.for_all
+        (fun (da, db, dc) ->
+          let want =
+            Array.init k (fun i -> (rows.((3 * i) + da), rows.((3 * i) + db), rows.((3 * i) + dc)))
+          in
+          Array.sort compare want;
+          let got = Rdf.Compact_backend.sorted_rotation rows k ~da ~db ~dc in
+          Array.length got = 3 * k
+          && Array.for_all Fun.id
+               (Array.mapi
+                  (fun i (a, b, c) ->
+                    got.(3 * i) = a && got.((3 * i) + 1) = b && got.((3 * i) + 2) = c)
+                  want))
+        [ (0, 1, 2); (1, 2, 0); (2, 0, 1) ])
 
 (* Two stores, one per backend, fed the same triples in the same order,
    so their dictionaries hand out the same codes. *)
@@ -1364,8 +1538,11 @@ let () =
           to_alcotest prop_differential;
           to_alcotest prop_scans_fresh;
           to_alcotest prop_merge_is_invisible;
+          to_alcotest prop_live_counts;
           Alcotest.test_case "ops resurrect across merges" `Quick
             test_ops_cover_resurrection;
+          Alcotest.test_case "ops cover the live-count paths" `Quick
+            test_ops_cover_live_counts;
         ] );
       ( "flat tables",
         [
@@ -1395,5 +1572,8 @@ let () =
             test_distinct_reads_no_blocks;
           Alcotest.test_case "scan block counts" `Quick test_scan_block_counts;
           Alcotest.test_case "scan memo overflow" `Quick test_scan_memo_overflow;
+          Alcotest.test_case "a load leaves the memtable unindexed" `Quick
+            test_load_leaves_memtable_unindexed;
+          to_alcotest prop_sorted_rotation;
         ] );
     ]
