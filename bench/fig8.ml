@@ -60,28 +60,17 @@ let run () =
     Core.Selector.select ~store
       ~reasoning:(Core.Selector.Pre_reformulation schema) ~options:opts q1
   in
-  let post_env, post_mat_time =
-    Harness.time_once (fun () ->
-        Engine.Materialize.materialize_views store post.Core.Selector.recommended)
+  let post_views, post_mat_time =
+    Harness.time_once (fun () -> Engine.Pipeline.materialize post)
   in
-  let pre_env, pre_mat_time =
-    Harness.time_once (fun () ->
-        Engine.Materialize.materialize_views store pre.Core.Selector.recommended)
+  let pre_views, pre_mat_time =
+    Harness.time_once (fun () -> Engine.Pipeline.materialize pre)
   in
   let initial_env, initial_mat_time =
     Harness.time_once (fun () ->
-        let env = Hashtbl.create 8 in
-        List.iter
-          (fun (q : Query.Cq.t) ->
-            (* the initial state materializes the reformulated queries *)
-            let u = Query.Reformulation.reformulate q schema in
-            let rel =
-              Engine.Materialize.materialize_ucq store
-                (Query.Ucq.make ~name:q.Query.Cq.name (Query.Ucq.disjuncts u))
-            in
-            Hashtbl.replace env q.Query.Cq.name rel)
-          q1;
-        env)
+        (* the initial state materializes the reformulated queries *)
+        Engine.Materialize.materialize_views store
+          (List.map (fun q -> Query.Reformulation.reformulate q schema) q1))
   in
   let restricted = restricted_store saturated q1 in
 
@@ -105,24 +94,16 @@ let run () =
     (Rdf.Store.size store)
     (Rdf.Store.size saturated - Rdf.Store.size store)
     saturation_time;
-  report_views "post-reformulation" post_env post_mat_time;
-  report_views "pre-reformulation" pre_env pre_mat_time;
+  report_views "post-reformulation" (Engine.Pipeline.views post_views) post_mat_time;
+  report_views "pre-reformulation" (Engine.Pipeline.views pre_views) pre_mat_time;
   report_views "initial state" initial_env initial_mat_time;
 
   (* per-query timing: one Bechamel test per (query, method) *)
   Harness.subsection "per-query execution time (ms, OLS estimate)";
   let methods (q : Query.Cq.t) =
     [
-      ( "views-post",
-        fun () ->
-          ignore
-            (Engine.Executor.execute store post_env
-               (List.assoc q.Query.Cq.name post.Core.Selector.rewritings)) );
-      ( "views-pre",
-        fun () ->
-          ignore
-            (Engine.Executor.execute store pre_env
-               (List.assoc q.Query.Cq.name pre.Core.Selector.rewritings)) );
+      ("views-post", fun () -> ignore (Engine.Pipeline.execute post_views q.Query.Cq.name));
+      ("views-pre", fun () -> ignore (Engine.Pipeline.execute pre_views q.Query.Cq.name));
       ( "saturated-tt",
         fun () -> ignore (Query.Evaluation.eval_cq saturated q) );
       ( "restricted-tt",
@@ -169,16 +150,9 @@ let run () =
     List.for_all
       (fun (q : Query.Cq.t) ->
         let expected = Query.Evaluation.eval_cq saturated q in
-        let via_post =
-          Engine.Executor.execute_query store post_env
-            (List.assoc q.Query.Cq.name post.Core.Selector.rewritings)
-        in
-        let via_pre =
-          Engine.Executor.execute_query store pre_env
-            (List.assoc q.Query.Cq.name pre.Core.Selector.rewritings)
-        in
-        Query.Evaluation.same_answers expected via_post
-        && Query.Evaluation.same_answers expected via_pre)
+        let via views = Engine.Pipeline.answer views q.Query.Cq.name in
+        Query.Evaluation.same_answers expected (via post_views)
+        && Query.Evaluation.same_answers expected (via pre_views))
       q1
   in
   Printf.printf "\n  all methods return complete answers: %b\n" complete

@@ -324,15 +324,15 @@ let select_cmd =
         (List.length states) file
     | None -> ());
     if materialize then begin
-      let mstore = result.Core.Selector.store_for_materialization in
-      let env = Engine.Materialize.materialize_views mstore result.Core.Selector.recommended in
+      let pipeline = Engine.Pipeline.materialize result in
+      let env = Engine.Pipeline.views pipeline in
       Printf.printf "\nmaterialized: %d tuples, %d bytes\n"
         (Engine.Materialize.total_cardinality env)
-        (Engine.Materialize.total_size_bytes mstore env);
+        (Engine.Materialize.total_size_bytes (Engine.Pipeline.store pipeline) env);
       List.iter
-        (fun (qname, rewriting) ->
-          let answers = Engine.Executor.execute_query mstore env rewriting in
-          Printf.printf "  %s: %d answers\n" qname (List.length answers))
+        (fun (qname, _) ->
+          Printf.printf "  %s: %d answers\n" qname
+            (List.length (Engine.Pipeline.answer pipeline qname)))
         result.Core.Selector.rewritings
     end
   in

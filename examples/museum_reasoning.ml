@@ -64,17 +64,8 @@ let run_mode label reasoning =
         (fun d -> Printf.printf "      %s\n" (Query.Cq.to_string d))
         (Query.Ucq.disjuncts u))
     result.Core.Selector.recommended;
-  let env =
-    Engine.Materialize.materialize_views
-      result.Core.Selector.store_for_materialization
-      result.Core.Selector.recommended
-  in
-  let answers =
-    Engine.Executor.execute_query result.Core.Selector.store_for_materialization
-      env
-      (List.assoc "q" result.Core.Selector.rewritings)
-  in
-  print_answers "answers" answers
+  print_answers "answers"
+    (Engine.Pipeline.answer (Engine.Pipeline.materialize result) "q")
 
 let () =
   (* plain evaluation misses the implicit answers *)

@@ -32,7 +32,8 @@ let () =
       workload
   in
   let views = result.Core.Selector.recommended in
-  let env = Engine.Materialize.materialize_views server_store views in
+  let pipeline = Engine.Pipeline.materialize result in
+  let env = Engine.Pipeline.views pipeline in
   Printf.printf "\nshipping %d views (%d tuples, %d bytes) to the client\n"
     (List.length views)
     (Engine.Materialize.total_cardinality env)
@@ -41,10 +42,7 @@ let () =
   (* the client answers queries offline: only [env] and the rewritings
      are needed; we prove it by answering before and after wiping the
      server *)
-  let answer qname =
-    Engine.Executor.execute_query server_store env
-      (List.assoc qname result.Core.Selector.rewritings)
-  in
+  let answer = Engine.Pipeline.answer pipeline in
   let before =
     List.map (fun (q : Query.Cq.t) -> (q.Query.Cq.name, answer q.Query.Cq.name)) workload
   in
@@ -57,16 +55,10 @@ let () =
      inserted facts instantiate the view patterns with fresh entities, so
      the maintenance has real work to do *)
   print_endline "\napplying updates with incremental view maintenance...";
-  let cq_views =
-    List.map
-      (fun (u : Query.Ucq.t) ->
-        (List.hd (Query.Ucq.disjuncts u), Hashtbl.find env (Query.Ucq.name u)))
-      views
-  in
   let instantiations =
     List.concat
       (List.mapi
-         (fun i (cq, _) ->
+         (fun i (cq : Query.Cq.t) ->
            let entity suffix = Rdf.Term.Uri (Printf.sprintf "ex:new%d%s" i suffix) in
            List.mapi
              (fun j (a : Query.Atom.t) ->
@@ -79,27 +71,22 @@ let () =
                  (term_of "_p" a.Query.Atom.p)
                  (term_of (Printf.sprintf "_o%d" j) a.Query.Atom.o))
              cq.Query.Cq.body)
-         cq_views)
+         (List.concat_map Query.Ucq.disjuncts views))
   in
   let added =
-    List.fold_left
-      (fun acc tr -> acc + Engine.Maintenance.insert_triple server_store cq_views tr)
-      0 instantiations
+    List.fold_left (fun acc tr -> acc + Engine.Pipeline.insert pipeline tr) 0 instantiations
   in
   let removed =
     match instantiations with
-    | first :: _ -> Engine.Maintenance.delete_triple server_store cq_views first
+    | first :: _ -> Engine.Pipeline.delete pipeline first
     | [] -> 0
   in
   Printf.printf "  view tuples added: %d, removed: %d\n" added removed;
 
   (* consistency check: the maintained views equal recomputation *)
+  let rows r = List.sort compare (Engine.Relation.fold_rows (fun row acc -> Array.to_list row :: acc) r []) in
+  let fresh = Engine.Pipeline.views (Engine.Pipeline.materialize result) in
   let consistent =
-    List.for_all
-      (fun (cq, rel) ->
-        let fresh = Engine.Materialize.materialize_cq server_store cq in
-        let sort r = List.sort compare (Engine.Relation.fold_rows (fun row acc -> Array.to_list row :: acc) r []) in
-        sort fresh = sort rel)
-      cq_views
+    Hashtbl.fold (fun name rel ok -> ok && rows rel = rows (Hashtbl.find fresh name)) env true
   in
   Printf.printf "  maintained views consistent with recomputation: %b\n" consistent

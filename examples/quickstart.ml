@@ -64,19 +64,15 @@ let () =
     result.Core.Selector.rewritings;
 
   (* 4. materialize the views and answer the workload from them *)
-  let env = Engine.Materialize.materialize_views store result.Core.Selector.recommended in
+  let pipeline = Engine.Pipeline.materialize result in
   print_endline "\nanswers from the materialized views:";
   List.iter
     (fun (q : Query.Cq.t) ->
-      let answers =
-        Engine.Executor.execute_query store env
-          (List.assoc q.Query.Cq.name result.Core.Selector.rewritings)
-      in
       Printf.printf "  %s:\n" q.Query.Cq.name;
       List.iter
         (fun tuple ->
           Printf.printf "    (%s)\n"
             (String.concat ", "
                (List.map Rdf.Term.to_string (Array.to_list tuple))))
-        answers)
+        (Engine.Pipeline.answer pipeline q.Query.Cq.name))
     [ q1; q2 ]

@@ -10,6 +10,7 @@ type result = {
   rewritings : (string * Rewriting.t) list;
   stats : Stats.Statistics.t;
   store_for_materialization : Rdf.Store.t;
+  reasoning : reasoning;
 }
 
 exception Unsupported_query of string
@@ -86,4 +87,5 @@ let select ?jobs ~store ~reasoning ~options workload =
     rewritings = simplified_rewritings report.Search.best;
     stats;
     store_for_materialization;
+    reasoning;
   }

@@ -32,7 +32,8 @@ type result = {
   store_for_materialization : Rdf.Store.t;
       (** the store against which [recommended] should be materialized:
           the saturated copy under [Saturation], the original store
-          otherwise *)
+          otherwise.  [Engine.Pipeline] is its reader. *)
+  reasoning : reasoning;  (** the scenario the selection ran under *)
 }
 
 exception Unsupported_query of string

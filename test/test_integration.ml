@@ -56,19 +56,10 @@ let run_scenario reasoning =
   Core.Selector.select ~store ~reasoning ~options workload
 
 let check_scenario_complete reasoning =
-  let result = run_scenario reasoning in
-  let env =
-    Engine.Materialize.materialize_views
-      result.Core.Selector.store_for_materialization result.Core.Selector.recommended
-  in
+  let pipeline = Engine.Pipeline.materialize (run_scenario reasoning) in
   List.iter
     (fun (qname, expected) ->
-      let via =
-        Engine.Executor.execute_query result.Core.Selector.store_for_materialization
-          env
-          (List.assoc qname result.Core.Selector.rewritings)
-      in
-      if not (same_answers expected via) then
+      if not (same_answers expected (Engine.Pipeline.answer pipeline qname)) then
         Alcotest.failf "%s: incomplete answers under %s" qname
           (Core.Selector.reasoning_name reasoning))
     (expected_answers ())
@@ -83,14 +74,9 @@ let test_pre_reformulation_complete () =
 
 let test_no_reasoning_misses_implicit () =
   (* sanity: without reasoning, implicit answers are (correctly) absent *)
-  let result = run_scenario Core.Selector.No_reasoning in
-  let store = result.Core.Selector.store_for_materialization in
-  let env = Engine.Materialize.materialize_views store result.Core.Selector.recommended in
-  let via =
-    Engine.Executor.execute_query store env
-      (List.assoc "qpic" result.Core.Selector.rewritings)
-  in
-  let direct = Query.Evaluation.eval_cq store q_pictures in
+  let pipeline = Engine.Pipeline.materialize (run_scenario Core.Selector.No_reasoning) in
+  let via = Engine.Pipeline.answer pipeline "qpic" in
+  let direct = Query.Evaluation.eval_cq (Engine.Pipeline.store pipeline) q_pictures in
   check_bool "matches plain evaluation" true (same_answers via direct);
   let _, expected = List.hd (expected_answers ()) in
   check_bool "fewer answers than with reasoning" true
@@ -173,20 +159,16 @@ let test_pre_reformulation_initial_state_is_union () =
 let test_views_answer_without_database () =
   (* the three-tier motivation of §1: after materialization, the original
      store is not consulted — we delete it and still answer *)
-  let result = run_scenario (Core.Selector.Saturation schema) in
-  let store = result.Core.Selector.store_for_materialization in
-  let env = Engine.Materialize.materialize_views store result.Core.Selector.recommended in
+  let pipeline = Engine.Pipeline.materialize (run_scenario (Core.Selector.Saturation schema)) in
+  let store = Engine.Pipeline.store pipeline in
   let expected = expected_answers () in
   (* simulate losing the database: empty every triple *)
   List.iter (fun tr -> ignore (Rdf.Store.remove store tr)) (Rdf.Store.to_triples store);
   check_int "database gone" 0 (Rdf.Store.size store);
   List.iter
     (fun (qname, expected) ->
-      let via =
-        Engine.Executor.execute_query store env
-          (List.assoc qname result.Core.Selector.rewritings)
-      in
-      check_bool (qname ^ " still answered") true (same_answers expected via))
+      check_bool (qname ^ " still answered") true
+        (same_answers expected (Engine.Pipeline.answer pipeline qname)))
     expected
 
 (* ---------- barton-scale end-to-end ---------------------------------------- *)
@@ -204,62 +186,164 @@ let test_barton_end_to_end () =
       }
   in
   let saturated = Rdf.Entailment.saturated_copy store schema in
-  let result =
-    Core.Selector.select ~store
-      ~reasoning:(Core.Selector.Post_reformulation schema)
-      ~options:{ options with time_budget = Some 3.0 }
-      queries
+  let pipeline =
+    Engine.Pipeline.materialize
+      (Core.Selector.select ~store
+         ~reasoning:(Core.Selector.Post_reformulation schema)
+         ~options:{ options with time_budget = Some 3.0 }
+         queries)
   in
-  let env = Engine.Materialize.materialize_views store result.Core.Selector.recommended in
   List.iter
     (fun q ->
       let expected = Query.Evaluation.eval_cq saturated q in
-      let via =
-        Engine.Executor.execute_query store env
-          (List.assoc q.Query.Cq.name result.Core.Selector.rewritings)
-      in
-      check_bool (q.Query.Cq.name ^ " complete") true (same_answers expected via))
+      check_bool (q.Query.Cq.name ^ " complete") true
+        (same_answers expected (Engine.Pipeline.answer pipeline q.Query.Cq.name)))
     queries
+
+(* ---------- maintenance through the pipeline ------------------------------ *)
+
+(* Whether the pipeline maintains a selection: every view is a CQ over
+   the explicit store, which the saturation's views never are. *)
+let maintainable (result : Core.Selector.result) =
+  match result.Core.Selector.reasoning with
+  | Core.Selector.Saturation _ -> false
+  | _ -> List.for_all (fun u -> Query.Ucq.cardinal u = 1) result.Core.Selector.recommended
+
+let museum_updates =
+  [
+    (`Insert, triple (uri "ex:starry") rdf_type (uri "ex:painting"));
+    (`Insert, triple (uri "ex:vanGogh") (uri "ex:hasPainted") (uri "ex:starry"));
+    (`Insert, triple (uri "ex:starry") (uri "ex:isExpIn") (uri "ex:moma"));
+    (`Delete, triple (uri "ex:mona") (uri "ex:isExpIn") (uri "ex:louvre"));
+    (`Delete, triple (uri "ex:picasso") (uri "ex:hasPainted") (uri "ex:guernica"));
+    (`Delete, triple (uri "ex:starry") rdf_type (uri "ex:painting"));
+  ]
+
+(* After each update, every maintained view equals a fresh
+   materialization of the updated store. *)
+let check_maintained_views reasoning =
+  let result = run_scenario reasoning in
+  let pipeline = Engine.Pipeline.materialize result in
+  let store = Engine.Pipeline.store pipeline in
+  let changed =
+    List.fold_left
+      (fun changed (op, tr) ->
+        let n =
+          match op with
+          | `Insert -> Engine.Pipeline.insert pipeline tr
+          | `Delete -> Engine.Pipeline.delete pipeline tr
+        in
+        let fresh = Engine.Pipeline.views (Engine.Pipeline.materialize result) in
+        Hashtbl.iter
+          (fun name rel ->
+            check_bool
+              (Printf.sprintf "%s after %s" name (Rdf.Triple.to_string tr))
+              true
+              (same_answers
+                 (Engine.Relation.to_term_rows store rel)
+                 (Engine.Relation.to_term_rows store (Hashtbl.find fresh name))))
+          (Engine.Pipeline.views pipeline);
+        changed + n)
+      0 museum_updates
+  in
+  check_bool "some view tuple changed" true (changed > 0)
+
+let test_no_reasoning_maintained () = check_maintained_views Core.Selector.No_reasoning
+
+let test_pre_reformulation_maintained () =
+  check_maintained_views (Core.Selector.Pre_reformulation schema)
+
+(* A selection whose views are not CQs over the explicit store is
+   refused before the store changes. *)
+let check_refused reasoning =
+  let result = run_scenario reasoning in
+  check_bool "not maintainable" false (maintainable result);
+  let pipeline = Engine.Pipeline.materialize result in
+  let store = Engine.Pipeline.store pipeline in
+  let size = Rdf.Store.size store in
+  let tr = snd (List.hd museum_updates) in
+  (match Engine.Pipeline.insert pipeline tr with
+  | _ -> Alcotest.fail "insert accepted"
+  | exception Engine.Pipeline.Not_maintainable reason ->
+    check_bool reason true
+      (String.starts_with ~prefix:(Core.Selector.reasoning_name reasoning ^ ": ") reason));
+  check_int "store size unchanged" size (Rdf.Store.size store);
+  check_bool "triple not added" false (Rdf.Store.mem store tr)
+
+let test_saturation_refused () = check_refused (Core.Selector.Saturation schema)
+
+let test_post_reformulation_union_refused () =
+  check_refused (Core.Selector.Post_reformulation schema)
+
+let test_unknown_query_named () =
+  let pipeline = Engine.Pipeline.materialize (run_scenario Core.Selector.No_reasoning) in
+  match Engine.Pipeline.answer pipeline "nope" with
+  | _ -> Alcotest.fail "unknown query answered"
+  | exception Engine.Pipeline.Unknown_query name -> check_string "named" "nope" name
 
 (* ---------- randomized cross-scenario agreement ---------------------------- *)
 
+(* An update stream: inserts of generated triples, and deletes of the
+   store's [i]-th triple (modulo its size). *)
+let arb_updates =
+  QCheck.make
+    ~print:(fun ops -> Printf.sprintf "<%d updates>" (List.length ops))
+    QCheck.Gen.(
+      list_size (int_range 1 6)
+        (oneof [ map (fun tr -> `Insert tr) gen_data_triple; map (fun i -> `Delete i) nat ]))
+
+(* Every scenario's pipeline answers as [Reference] on the saturation
+   (on the plain store without reasoning), before and after a random
+   update stream when it maintains its views; otherwise it refuses the
+   update. *)
 let prop_scenarios_agree =
   QCheck.Test.make
     ~name:"all reasoning scenarios produce complete answers" ~count:25
-    QCheck.(triple arb_store arb_schema (pair arb_cq arb_cq))
-    (fun (store, schema, (qa, qb)) ->
+    QCheck.(quad arb_store arb_schema (pair arb_cq arb_cq) arb_updates)
+    (fun (store, schema, (qa, qb), updates) ->
       let workload = [ Query.Cq.rename qa "qa"; Query.Cq.rename qb "qb" ] in
-      let saturated = Rdf.Entailment.saturated_copy store schema in
-      let expected =
-        List.map
-          (fun q -> (q.Query.Cq.name, Query.Evaluation.eval_cq saturated q))
-          workload
-      in
       let opts =
         { Core.Search.default_options with
           time_budget = Some 0.3;
           max_states = Some 500 }
       in
+      let agrees reasoning pipeline explicit =
+        let truth =
+          match reasoning with
+          | Core.Selector.No_reasoning -> explicit
+          | _ -> Rdf.Entailment.saturated_copy explicit schema
+        in
+        List.for_all
+          (fun q ->
+            same_answers
+              (Query.Evaluation.Reference.eval_cq truth q)
+              (Engine.Pipeline.answer pipeline q.Query.Cq.name))
+          workload
+      in
+      let update pipeline = function
+        | `Insert tr -> ignore (Engine.Pipeline.insert pipeline tr)
+        | `Delete i -> (
+          match Rdf.Store.to_triples (Engine.Pipeline.store pipeline) with
+          | [] -> ()
+          | trs -> ignore (Engine.Pipeline.delete pipeline (List.nth trs (i mod List.length trs))))
+      in
       List.for_all
         (fun reasoning ->
-          let result =
-            Core.Selector.select ~store:(Rdf.Store.copy store) ~reasoning
-              ~options:opts workload
-          in
-          let mstore = result.Core.Selector.store_for_materialization in
-          let env =
-            Engine.Materialize.materialize_views mstore
-              result.Core.Selector.recommended
-          in
-          List.for_all
-            (fun (qname, expected) ->
-              let via =
-                Engine.Executor.execute_query mstore env
-                  (List.assoc qname result.Core.Selector.rewritings)
-              in
-              same_answers expected via)
-            expected)
+          let explicit = Rdf.Store.copy store in
+          let result = Core.Selector.select ~store:explicit ~reasoning ~options:opts workload in
+          let pipeline = Engine.Pipeline.materialize result in
+          agrees reasoning pipeline explicit
+          &&
+          if maintainable result then begin
+            List.iter (update pipeline) updates;
+            agrees reasoning pipeline (Engine.Pipeline.store pipeline)
+          end
+          else
+            match Engine.Pipeline.insert pipeline (triple (uri "e0") (uri "P0") (uri "e1")) with
+            | _ -> false
+            | exception Engine.Pipeline.Not_maintainable _ -> true)
         [
+          Core.Selector.No_reasoning;
           Core.Selector.Saturation schema;
           Core.Selector.Post_reformulation schema;
           Core.Selector.Pre_reformulation schema;
@@ -291,6 +375,18 @@ let () =
         [
           Alcotest.test_case "views answer without the database" `Quick
             test_views_answer_without_database;
+        ] );
+      ( "pipeline",
+        [
+          Alcotest.test_case "no-reasoning views maintained" `Quick
+            test_no_reasoning_maintained;
+          Alcotest.test_case "pre-reformulation views maintained" `Quick
+            test_pre_reformulation_maintained;
+          Alcotest.test_case "saturation update refused" `Quick
+            test_saturation_refused;
+          Alcotest.test_case "post-reformulation union update refused" `Quick
+            test_post_reformulation_union_refused;
+          Alcotest.test_case "unknown query named" `Quick test_unknown_query_named;
         ] );
       ( "barton",
         [ Alcotest.test_case "end to end" `Slow test_barton_end_to_end ] );
