@@ -87,8 +87,9 @@ let run () =
   Fun.protect ~finally:(fun () -> Obs.set_global outer) @@ fun () ->
   let store = Lazy.force Harness.barton_store in
   let queries = workload store in
-  (* a fresh plan cache: earlier experiments in the same process must
-     not leave guarded re-orders behind *)
+  (* a fresh plan cache: the correctness gate below compiles every
+     query, so the pass starts from an empty cache whatever earlier
+     experiments in the same process compiled *)
   Query.Plan.reset_cache ();
   (* correctness gate (and warm-up): identical answer counts per query *)
   let counts evaluate =

@@ -321,37 +321,16 @@ let merge_into ~into src =
 
 (* ---------- the global sink ---------------------------------------------- *)
 
-(* The ambient sink and the caches of the [cached_counter] handles are
-   domain-local, so a domain that installs no sink never writes into
-   another's.  A freshly spawned domain starts [Disabled] at generation
-   0 — with a single domain the behaviour is exactly a global ref's.
-   Only the coordinating domain reads or installs the sink: a parallel
-   search's workers keep their books on their own engines. *)
+(* The ambient sink is domain-local, so a domain that installs no sink
+   never writes into another's.  A freshly spawned domain starts
+   [Disabled] — with a single domain the behaviour is exactly a global
+   ref's.  Only the coordinating domain reads or installs the sink: a
+   parallel search's workers keep their books on their own engines. *)
 let global_sink = Multicore.Dls.new_key (fun () -> Disabled)
 
-let global_gen = Multicore.Dls.new_key (fun () -> 0)
-
-let set_global t =
-  Multicore.Dls.set global_sink t;
-  Multicore.Dls.set global_gen (Multicore.Dls.get global_gen + 1)
-[@@coordinator_only]
+let set_global t = Multicore.Dls.set global_sink t [@@coordinator_only]
 
 let global () = Multicore.Dls.get global_sink [@@coordinator_only]
-
-(* Each cached handle owns a domain-local (generation, handle) pair: the
-   memo cell itself must be per-domain, or one domain would resolve
-   against another domain's sink. *)
-let cached_counter name =
-  let cache = Multicore.Dls.new_key (fun () -> (-1, noop_counter)) in
-  fun () ->
-    let gen = Multicore.Dls.get global_gen in
-    let seen, c = Multicore.Dls.get cache in
-    if seen = gen then c
-    else begin
-      let c = counter (Multicore.Dls.get global_sink) name in
-      Multicore.Dls.set cache (gen, c);
-      c
-    end
 
 (* ---------- JSON --------------------------------------------------------- *)
 

@@ -14,11 +14,12 @@
        no-op: incrementing a counter in hand is one predictable branch,
        timing a function is a single [if]) or an enabled registry.  The sink in
        effect is selected once at startup via {!set_global};}
-    {- {b cheap when enabled} — hot paths keep plain counts and add them
-       to a sink once per run (the search, its transitions and its cost
-       estimator), or resolve a {!cached_counter}, a handle that
-       re-resolves only when the global sink changes, once per
-       operation;}
+    {- {b cheap when enabled} — hot paths keep plain counts in locals
+       and add them to a sink once per run (the search, its transitions
+       and its cost estimator) or once per operation, when it returns:
+       one {!global} read, then one {!counter} lookup by name per count
+       ([let sink = Obs.global () in Obs.add (Obs.counter sink "name") n]),
+       never one per row, bucket or block;}
     {- {b deterministic accounting} — counters and span nesting are
        exact; only durations depend on the clock.}} *)
 
@@ -204,22 +205,14 @@ val merge_into : into:t -> t -> unit
     their own engines, which the coordinator merges and publishes. *)
 
 val set_global : t -> unit
-(** Install the registry as the calling domain's ambient sink; the
-    calling domain's {!cached_counter} handles re-resolve on their next
-    use. *)
+(** Install the registry as the calling domain's ambient sink. *)
 
 val global : unit -> t
 (** The calling domain's ambient sink; {!disabled} until the first
-    {!set_global} in this domain. *)
-
-val cached_counter : string -> unit -> counter
-(** [cached_counter name] returns a thunk resolving the counter [name]
-    against the {e current} global sink, memoized until the sink
-    changes.  Bind it at module level; call the thunk once per
-    operation, never per row, bucket or block: each call is a closure
-    call and two [Domain.DLS] reads, also on the disabled sink.  Count
-    per-event work in a local and add the sum when the operation
-    returns. *)
+    {!set_global} in this domain.  One [Domain.DLS] read: an
+    instrumented operation reads it once, when it returns, and adds its
+    counts by name.  On the disabled sink that lookup allocates
+    nothing. *)
 
 (** {1 JSON} *)
 

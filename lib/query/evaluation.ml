@@ -8,7 +8,10 @@
    query is run through both engines and the answer sets are compared
    — a mismatch raises, naming the query. *)
 
-let obs_evals = Obs.cached_counter "eval.queries"
+(* [eval.queries] counts evaluated CQs and UCQ shapes. *)
+let count_queries n =
+  let sink = Obs.global () in
+  Obs.add (Obs.counter sink "eval.queries") n
 
 let same_answers a b =
   let norm l =
@@ -31,10 +34,6 @@ module Reference = struct
      oracle: Plan must agree with it on every query. *)
 
   module SMap = Map.Make (String)
-
-  (* Join telemetry: bindings are complete assignments reaching the
-     head projection. *)
-  let obs_bindings = Obs.cached_counter "eval.bindings"
 
   type slot =
     | Bound of int
@@ -83,12 +82,16 @@ module Reference = struct
     let (s, p, o) = slots in
     extend (extend (extend (Some bindings) s ts) p tp) o to_
 
+  (* Join telemetry: [eval.bindings] counts the complete assignments
+     reaching the head projection, added once per evaluation.  The
+     store reads made here are not counted. *)
   let eval_bindings ?(bound = []) store (q : Cq.t) emit =
-    Obs.incr (obs_evals ());
+    count_queries 1;
+    let complete = ref 0 in
     let rec go bindings remaining =
       match remaining with
       | [] ->
-        Obs.incr (obs_bindings ());
+        incr complete;
         emit bindings
       | _ ->
         (* dynamic ordering: cheapest atom first *)
@@ -120,7 +123,11 @@ module Reference = struct
                 | None -> ())
           end)
     in
-    go (List.fold_left (fun env (x, code) -> SMap.add x code env) SMap.empty bound) q.body
+    go (List.fold_left (fun env (x, code) -> SMap.add x code env) SMap.empty bound) q.body;
+    if !complete > 0 then begin
+      let sink = Obs.global () in
+      Obs.add (Obs.counter sink "eval.bindings") !complete
+    end
 
   let eval_codes_into ?bound store (q : Cq.t) results =
     let project bindings =
@@ -186,7 +193,7 @@ let check_codes name compiled reference =
 (* ---------- compiled entry points ---------------------------------------- *)
 
 let plan_rows store (q : Cq.t) =
-  Obs.incr (obs_evals ());
+  count_queries 1;
   let plan = Plan.cached store q in
   let rows = Rdf.Rowset.create (max 64 (Plan.size_hint plan)) in
   Plan.exec_into plan store rows;
@@ -197,12 +204,12 @@ let plan_rows store (q : Cq.t) =
    bound when their answers overlap, which only lowers the load
    factor). *)
 let ucq_plan_rows ~cache store u =
+  let shapes = Ucq.shapes u in
+  count_queries (List.length shapes);
   let plans =
     List.map
-      (fun r ->
-        Obs.incr (obs_evals ());
-        if cache then Plan.cached_rcq store r else Plan.compile_rcq store r)
-      (Ucq.shapes u)
+      (fun r -> if cache then Plan.cached_rcq store r else Plan.compile_rcq store r)
+      shapes
   in
   let hint = List.fold_left (fun n p -> n + Plan.size_hint p) 0 plans in
   let rows = Rdf.Rowset.create (max 64 hint) in
@@ -230,7 +237,7 @@ let eval_cq_codes store q = Rdf.Rowset.elements (eval_cq_rowset store q)
 (* In strict mode the call's own rows are checked before they join the
    caller's, which may already hold rows of other calls. *)
 let eval_params_into store (q : Cq.t) plan ~params args rows =
-  Obs.incr (obs_evals ());
+  count_queries 1;
   if strict_enabled () then begin
     let own = Rdf.Rowset.create 16 in
     Plan.exec_into ~args plan store own;

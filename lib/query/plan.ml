@@ -34,11 +34,6 @@
 
 module SMap = Map.Make (String)
 
-let obs_cache_hits = Obs.cached_counter "eval.plan.cache_hits"
-let obs_cache_misses = Obs.cached_counter "eval.plan.cache_misses"
-let obs_extensions = Obs.cached_counter "eval.frame.extensions"
-let obs_bindings = Obs.cached_counter "eval.bindings"
-
 (* A value known before the step's bucket is scanned: a code resolved at
    compile time, or a slot bound by an earlier step. *)
 type src = Kconst of int | Kslot of int
@@ -109,7 +104,7 @@ let code_in env = function
 let count_with store probes env (s, p, o) =
   incr probes;
   float_of_int
-    (Rdf.Store.Uncounted.count_matching store
+    (Rdf.Store.count_matching store
        { Rdf.Store.ps = code_in env s; pp = code_in env p; po = code_in env o })
 
 (* Cardinality estimate of an atom given the compile-time constants and
@@ -325,7 +320,10 @@ let compile_rcq ?(params = []) store (r : Rcq.t) =
       let post_o = post ko o in
       steps := { iters; access; post_s; post_p; post_o } :: !steps
     done;
-    if !probes > 0 then Rdf.Store.add_count_probes !probes;
+    if !probes > 0 then begin
+      let sink = Obs.global () in
+      Obs.add (Obs.counter sink "store.count_probes") !probes
+    end;
     let head = Array.of_list (head_sources store !slots q.head) in
     {
       store_id = Rdf.Store.id store;
@@ -371,10 +369,10 @@ let exec ?(args = [||]) plan store emit =
     let head = plan.head in
     let arity = Array.length head in
     (* extension, binding and scanned-row counts are accumulated
-       locally and flushed on completion, one handle each: resolving a
-       handle per scan cost more than reading a short bucket.  The
-       scanned rows are added only if a step scanned, as a counted scan
-       would have added them. *)
+       locally and added by name on completion, after one sink read: a
+       sink read per scan would cost more than reading a short bucket.
+       The scanned rows are added only if a step scanned, so a walk of
+       membership tests alone registers no scan count. *)
     let tally = { ext = 0; bind = 0; rows = 0; scans = 0 } in
     (* one scratch row reused for every emission; exec_into copies it
        only when the row enters the result set *)
@@ -418,10 +416,10 @@ let exec ?(args = [||]) plan store emit =
       | _ ->
         let data, len =
           match st.access with
-          | All -> Rdf.Store.Uncounted.scan_all store
-          | One (col, a) -> Rdf.Store.Uncounted.scan1 store col (value a)
+          | All -> Rdf.Store.scan_all store
+          | One (col, a) -> Rdf.Store.scan1 store col (value a)
           | Two (cols, a, b) ->
-            Rdf.Store.Uncounted.scan2 store cols (value a) (value b)
+            Rdf.Store.scan2 store cols (value a) (value b)
           | Mem _ -> assert false
         in
         tally.rows <- tally.rows + len;
@@ -458,9 +456,11 @@ let exec ?(args = [||]) plan store emit =
         done
     in
     run 0;
-    if tally.scans > 0 then Rdf.Store.add_scanned tally.rows;
-    Obs.add (obs_extensions ()) tally.ext;
-    Obs.add (obs_bindings ()) tally.bind;
+    let sink = Obs.global () in
+    if tally.scans > 0 then
+      Obs.add (Obs.counter sink "store.scanned_triples") tally.rows;
+    Obs.add (Obs.counter sink "eval.frame.extensions") tally.ext;
+    Obs.add (Obs.counter sink "eval.bindings") tally.bind;
     plan.last_bindings <- tally.bind
   end
 
@@ -516,12 +516,14 @@ let cached_rcq store r =
     when not
            ((plan.impossible || plan.partial)
            && Rdf.Store.dict_size store <> plan.dict_size) ->
-    Obs.incr (obs_cache_hits ());
+    let sink = Obs.global () in
+    Obs.incr (Obs.counter sink "eval.plan.cache_hits");
     plan
   | Some _ | None ->
     (* missing, or stale: a constant the plan found absent (and proved
        the query empty, or dropped from a set) may now exist *)
-    Obs.incr (obs_cache_misses ());
+    let sink = Obs.global () in
+    Obs.incr (Obs.counter sink "eval.plan.cache_misses");
     let plan = compile_rcq store r in
     Forms.replace plans r plan;
     plan

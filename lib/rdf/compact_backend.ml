@@ -33,10 +33,6 @@
    [scan_all] and [forget] are [@@coordinator_only], so
    tool/analyze proves no worker domain reaches them. *)
 
-let obs_merges = Obs.cached_counter "store.merges"
-let obs_merge_rows = Obs.cached_counter "store.merge_rows"
-let obs_flushes = Obs.cached_counter "store.memtable_flushes"
-
 (* Memtable flush threshold: a quarter of the merged size (geometric,
    so ingest stays amortized O(1) merge passes per row) with a floor
    that keeps small stores from merging on every insert. *)
@@ -289,7 +285,6 @@ let merge t =
   let adds = Array.sub data 0 (3 * n) in
   let del = t.mem_del in
   let no_del = Hash_backend.size del = 0 in
-  Obs.incr (obs_merges ());
   let spo =
     rebuild_order t.spo
       ~mem_rows:(sorted_rotation adds n ~da:0 ~db:1 ~dc:2)
@@ -308,7 +303,9 @@ let merge t =
       ~k:n
       ~untombed:(fun o s p -> no_del || not (Hash_backend.mem del s p o))
   in
-  Obs.add (obs_merge_rows ()) (Segment.n spo);
+  let sink = Obs.global () in
+  Obs.incr (Obs.counter sink "store.merges");
+  Obs.add (Obs.counter sink "store.merge_rows") (Segment.n spo);
   t.spo <- spo;
   t.pos <- pos;
   t.osp <- osp;
@@ -318,7 +315,8 @@ let merge t =
 let maybe_flush t =
   let pending = Hash_backend.size t.mem_add + Hash_backend.size t.mem_del in
   if pending >= max flush_floor (Segment.n t.spo / 4) then begin
-    Obs.incr (obs_flushes ());
+    let sink = Obs.global () in
+    Obs.incr (Obs.counter sink "store.memtable_flushes");
     merge t
   end
 

@@ -3,8 +3,8 @@
    block indices come from the offset table and row ranks are clamped
    by [n].  The decoded-block cache is plain mutable state: one domain
    at a time reads a store (CONCURRENCY.md), and every block read ends
-   in [finish], whose telemetry handles tool/analyze keeps off worker
-   domains. *)
+   in [finish], whose read of the ambient sink ([Obs.global],
+   [@@coordinator_only]) tool/analyze keeps off worker domains. *)
 
 (* Small blocks keep the boundary searches cheap: a rank lookup
    decodes at most two blocks, and 128 rows * 3 varints is a few
@@ -16,10 +16,6 @@ let default_block_rows = 128
    segment never holds its whole decoded self).  128 rows * 3 cells *
    8 bytes * 1024 blocks = 3 MiB ceiling per segment. *)
 let cache_budget_blocks = 1024
-
-let obs_decodes = Obs.cached_counter "store.block_decodes"
-let obs_cache_hits = Obs.cached_counter "store.block_cache_hits"
-let obs_skips = Obs.cached_counter "store.block_skips"
 
 type t = {
   n : int;
@@ -55,10 +51,10 @@ let rows_in_block t i =
    scratch.  The reader remembers which block its scratch holds, so
    reading that block again decodes nothing and counts as a hit.
    It counts block hits, decodes and zone-map skips in its own fields,
-   and [finish] adds them to the sink when the operation returns: one
-   handle use each (a closure call and two DLS reads), not one per
-   block read.  Hits and decodes are added only when there was one;
-   skips whenever a zone-map search ran, even if it skipped nothing. *)
+   and [finish] adds them to the sink by name when the operation
+   returns: one sink read per operation, not one per block read.  Hits
+   and decodes are added only when there was one; skips whenever a
+   zone-map search ran, even if it skipped nothing. *)
 type reader = {
   seg : t;
   mutable scratch : int array;
@@ -85,9 +81,10 @@ let note_skips rd k =
   rd.searched <- true
 
 let finish rd =
-  if rd.hits > 0 then Obs.add (obs_cache_hits ()) rd.hits;
-  if rd.decodes > 0 then Obs.add (obs_decodes ()) rd.decodes;
-  if rd.searched then Obs.add (obs_skips ()) rd.skips
+  let sink = Obs.global () in
+  if rd.hits > 0 then Obs.add (Obs.counter sink "store.block_cache_hits") rd.hits;
+  if rd.decodes > 0 then Obs.add (Obs.counter sink "store.block_decodes") rd.decodes;
+  if rd.searched then Obs.add (Obs.counter sink "store.block_skips") rd.skips
 
 let block rd i =
   let t = rd.seg in

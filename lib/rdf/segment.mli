@@ -53,8 +53,8 @@ val mem : t -> int -> int -> int -> bool
     serves from the cache, decodes and skips by zone map, and
     {!Reader.finish} adds them to [store.block_cache_hits],
     [store.block_decodes] and [store.block_skips]: a scan that locates
-    its rows and then copies them uses one reader, so it resolves each
-    telemetry handle once.  {!locate1}, {!locate2} and {!mem} each run
+    its rows and then copies them uses one reader, so it reads the
+    ambient sink once.  {!locate1}, {!locate2} and {!mem} each run
     on a reader of their own.  A block decoded past a full cache stays
     in the reader's scratch until it decodes another, and reading it
     again meanwhile counts as a cache hit. *)

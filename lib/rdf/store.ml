@@ -2,14 +2,6 @@ type encoded = int * int * int
 
 type pattern = { ps : int option; pp : int option; po : int option }
 
-(* Index telemetry, hooked to the ambient Obs sink.  A "probe" is an
-   exact count lookup; a scan adds the triples it enumerates to
-   [store.scanned_triples].  Each use of a handle is a closure call and
-   two DLS reads, also on the disabled sink, so hot callers count
-   through [Uncounted] and add once per operation. *)
-let obs_count_probes = Obs.cached_counter "store.count_probes"
-let obs_scanned = Obs.cached_counter "store.scanned_triples"
-
 (* Both backends must satisfy the common signature — the dispatch
    below is a variant match (no functor at every call site), but the
    contract is machine-checked here. *)
@@ -111,67 +103,53 @@ let fold_all t f init =
    both stay valid across nested scans.  Treat them as read-only, and
    do not mutate the store while iterating.
 
-   One dispatch serves both kinds of caller: [Uncounted] for the
-   compiled executor, which sums the rows of an execution's scans (and
-   a compilation's count probes) and adds the sum once, and the counted
-   functions for everyone else. *)
-module Uncounted = struct
-  let scan_all t =
+   Reads count nothing: a caller that reports store work (the compiled
+   executor, the statistics' table scan) sums its own rows and probes
+   and adds them to the sink once per operation. *)
+let scan_all t =
+  match t.repr with
+  | Hash h -> Hash_backend.scan_all h
+  | Compact c -> Compact_backend.scan_all c
+
+let scan1 t col code =
+  match t.repr with
+  | Hash h -> Hash_backend.scan1 h col code
+  | Compact c -> Compact_backend.scan1 c col code
+
+let scan2 t cols a b =
+  match t.repr with
+  | Hash h -> Hash_backend.scan2 h cols a b
+  | Compact c -> Compact_backend.scan2 c cols a b
+
+let count_matching t pat =
+  match pat with
+  | { ps = None; pp = None; po = None } -> size t
+  | { ps = Some s; pp = Some p; po = Some o } ->
+    if mem_encoded t (s, p, o) then 1 else 0
+  | { ps = Some s; pp = Some p; po = None } -> (
     match t.repr with
-    | Hash h -> Hash_backend.scan_all h
-    | Compact c -> Compact_backend.scan_all c
-
-  let scan1 t col code =
+    | Hash h -> Hash_backend.count2 h `SP s p
+    | Compact c -> Compact_backend.count2 c `SP s p)
+  | { ps = Some s; pp = None; po = Some o } -> (
     match t.repr with
-    | Hash h -> Hash_backend.scan1 h col code
-    | Compact c -> Compact_backend.scan1 c col code
-
-  let scan2 t cols a b =
+    | Hash h -> Hash_backend.count2 h `SO s o
+    | Compact c -> Compact_backend.count2 c `SO s o)
+  | { ps = None; pp = Some p; po = Some o } -> (
     match t.repr with
-    | Hash h -> Hash_backend.scan2 h cols a b
-    | Compact c -> Compact_backend.scan2 c cols a b
-
-  let count_matching t pat =
-    match pat with
-    | { ps = None; pp = None; po = None } -> size t
-    | { ps = Some s; pp = Some p; po = Some o } ->
-      if mem_encoded t (s, p, o) then 1 else 0
-    | { ps = Some s; pp = Some p; po = None } -> (
-      match t.repr with
-      | Hash h -> Hash_backend.count2 h `SP s p
-      | Compact c -> Compact_backend.count2 c `SP s p)
-    | { ps = Some s; pp = None; po = Some o } -> (
-      match t.repr with
-      | Hash h -> Hash_backend.count2 h `SO s o
-      | Compact c -> Compact_backend.count2 c `SO s o)
-    | { ps = None; pp = Some p; po = Some o } -> (
-      match t.repr with
-      | Hash h -> Hash_backend.count2 h `PO p o
-      | Compact c -> Compact_backend.count2 c `PO p o)
-    | { ps = Some s; pp = None; po = None } -> (
-      match t.repr with
-      | Hash h -> Hash_backend.count1 h `S s
-      | Compact c -> Compact_backend.count1 c `S s)
-    | { ps = None; pp = Some p; po = None } -> (
-      match t.repr with
-      | Hash h -> Hash_backend.count1 h `P p
-      | Compact c -> Compact_backend.count1 c `P p)
-    | { ps = None; pp = None; po = Some o } -> (
-      match t.repr with
-      | Hash h -> Hash_backend.count1 h `O o
-      | Compact c -> Compact_backend.count1 c `O o)
-end
-
-let add_scanned n = Obs.add (obs_scanned ()) n
-let add_count_probes n = Obs.add (obs_count_probes ()) n
-
-let counted ((_, n) as r) =
-  add_scanned n;
-  r
-
-let scan_all t = counted (Uncounted.scan_all t)
-let scan1 t col code = counted (Uncounted.scan1 t col code)
-let scan2 t cols a b = counted (Uncounted.scan2 t cols a b)
+    | Hash h -> Hash_backend.count2 h `PO p o
+    | Compact c -> Compact_backend.count2 c `PO p o)
+  | { ps = Some s; pp = None; po = None } -> (
+    match t.repr with
+    | Hash h -> Hash_backend.count1 h `S s
+    | Compact c -> Compact_backend.count1 c `S s)
+  | { ps = None; pp = Some p; po = None } -> (
+    match t.repr with
+    | Hash h -> Hash_backend.count1 h `P p
+    | Compact c -> Compact_backend.count1 c `P p)
+  | { ps = None; pp = None; po = Some o } -> (
+    match t.repr with
+    | Hash h -> Hash_backend.count1 h `O o
+    | Compact c -> Compact_backend.count1 c `O o)
 
 (* ---------- pattern interface --------------------------------------------- *)
 
@@ -188,11 +166,8 @@ let fold_scan (data, n) f init =
 
 let fold_matching t pat f init =
   match pat with
-  | { ps = None; pp = None; po = None } ->
-    Obs.add (obs_scanned ()) (size t);
-    fold_all t f init
+  | { ps = None; pp = None; po = None } -> fold_all t f init
   | { ps = Some s; pp = Some p; po = Some o } ->
-    Obs.incr (obs_scanned ());
     if mem_encoded t (s, p, o) then f (s, p, o) init else init
   | { ps = Some s; pp = Some p; po = None } -> fold_scan (scan2 t `SP s p) f init
   | { ps = Some s; pp = None; po = Some o } -> fold_scan (scan2 t `SO s o) f init
@@ -202,10 +177,6 @@ let fold_matching t pat f init =
   | { ps = None; pp = None; po = Some o } -> fold_scan (scan1 t `O o) f init
 
 let iter_matching t pat f = fold_matching t pat (fun tr () -> f tr) ()
-
-let count_matching t pat =
-  Obs.incr (obs_count_probes ());
-  Uncounted.count_matching t pat
 
 let matching t pat = fold_matching t pat (fun tr acc -> tr :: acc) []
 

@@ -8,8 +8,11 @@
     sorted compressed-segment layout ([Compact], 32.9x fewer bytes per
     triple at 2M triples and 42.8x at 10M in
     [bench/baselines/BENCH_store.json], Barton-scale capable).  The
-    store owns the dictionary, the version stamp, and the telemetry;
-    everything else dispatches to the backend picked at creation. *)
+    store owns the dictionary and the version stamp; everything else
+    dispatches to the backend picked at creation.  Its reads count
+    nothing: a caller that reports store work counts its own rows and
+    probes and adds them to the sink once per operation, as
+    {!Query.Plan} does once per execution and once per compilation. *)
 
 type t
 
@@ -100,8 +103,7 @@ val matching : t -> pattern -> encoded list
     array is the {e live} bucket storage (zero-copy); on the compact
     backend it is a fresh exactly-sized copy of the bracketed block
     range.  Either way it stays valid across further scans — treat it
-    as read-only, and do not mutate the store while iterating.  Each
-    call adds the rows it returns to [store.scanned_triples].
+    as read-only, and do not mutate the store while iterating.
 
     A read may write the backend: a hash store indexes all its rows on
     its first [scan1], [scan2], count or {!distinct_in_column} (never
@@ -122,27 +124,6 @@ val scan1 : t -> [ `S | `P | `O ] -> int -> int array * int
 val scan2 : t -> [ `SP | `SO | `PO ] -> int -> int -> int array * int
 (** Triples with the given codes in two columns (arguments in the
     order named by the variant). *)
-
-val add_scanned : int -> unit
-(** Add rows read by {!Uncounted} scans to [store.scanned_triples]:
-    once per operation, with the operation's sum. *)
-
-val add_count_probes : int -> unit
-(** Add {!Uncounted.count_matching} calls to [store.count_probes]: once
-    per operation, with the operation's number of probes. *)
-
-(** The same dispatch as {!scan_all}, {!scan1}, {!scan2} and
-    {!count_matching}, without the counting: for a caller that counts
-    its own rows and probes and adds them with {!add_scanned} and
-    {!add_count_probes} once per operation, as {!Query.Plan} does once
-    per execution and once per compilation.  Each counted call resolves
-    a telemetry handle, which costs more than reading a short bucket. *)
-module Uncounted : sig
-  val scan_all : t -> int array * int
-  val scan1 : t -> [ `S | `P | `O ] -> int -> int array * int
-  val scan2 : t -> [ `SP | `SO | `PO ] -> int -> int -> int array * int
-  val count_matching : t -> pattern -> int
-end
 
 val distinct_in_column : t -> [ `S | `P | `O ] -> int
 (** Number of distinct codes in a column, as the query planner's join

@@ -61,7 +61,8 @@ let group_by_property codes (data, n) =
   { first; subj; obj }
 
 (* Built by [create].  Under [Plain] the rows are the store's triples,
-   read in place by one scan.  Under [Reformulated schema] (§4.3) they
+   read in place by one scan, whose rows are added to
+   [store.scanned_triples].  Under [Reformulated schema] (§4.3) they
    are the answers of the reformulation of t(_s,_p,_o), heading all
    three positions, evaluated on the explicit store: by Theorem 4.2
    those are exactly the triples of the saturated database, which is
@@ -72,7 +73,11 @@ let group_by_property codes (data, n) =
    some rule rewrites), so a statistic resolves its constants only
    after it. *)
 let build store = function
-  | Plain -> group_by_property (Rdf.Store.dict_size store) (Rdf.Store.scan_all store)
+  | Plain ->
+    let ((_, n) as rows) = Rdf.Store.scan_all store in
+    let sink = Obs.global () in
+    Obs.add (Obs.counter sink "store.scanned_triples") n;
+    group_by_property (Rdf.Store.dict_size store) rows
   | Reformulated schema ->
     let head = [ all_var_atom.s; all_var_atom.p; all_var_atom.o ] in
     let q = Query.Cq.make ~name:"saturation" ~head ~body:[ all_var_atom ] in

@@ -278,23 +278,29 @@ let test_reset_inside_span () =
   | Some nested -> check_int "post-reset nested span at depth 0" 0 nested.Obs.depth
   | None -> Alcotest.fail "nested span missing"
 
-(* ---------- cached handles and the global sink --------------------------- *)
+(* ---------- the global sink ----------------------------------------------- *)
 
-let test_cached_handles_follow_global () =
-  let handle = Obs.cached_counter "cached.c" in
+(* An operation reads the ambient sink when it returns and adds its
+   counts by name: the counts land in whichever sink is installed at
+   that moment, and nowhere while it is disabled. *)
+let test_counts_follow_global () =
+  let bump () =
+    let sink = Obs.global () in
+    Obs.incr (Obs.counter sink "global.c")
+  in
   Obs.set_global Obs.disabled;
-  Obs.incr (handle ());
-  check_int "disabled: stays zero" 0 (Obs.value (handle ()));
+  bump ();
+  check_int "disabled: stays zero" 0 (Obs.value (Obs.counter (Obs.global ()) "global.c"));
   let reg = Obs.create () in
   Obs.set_global reg;
-  Obs.incr (handle ());
-  Obs.incr (handle ());
+  bump ();
+  bump ();
   check_int "enabled after set_global" 2
-    (Option.get (Obs.find_counter reg "cached.c"));
+    (Option.get (Obs.find_counter reg "global.c"));
   Obs.set_global Obs.disabled;
-  Obs.incr (handle ());
+  bump ();
   check_int "re-disabled: registry unchanged" 2
-    (Option.get (Obs.find_counter reg "cached.c"))
+    (Option.get (Obs.find_counter reg "global.c"))
 
 (* ---------- integration: a real search run ------------------------------- *)
 
@@ -625,6 +631,47 @@ let test_exact_counts () =
   Alcotest.(check string) "an impossible plan is not" "absent"
     (scanned_by (cq [ v "X" ] [ atom (v "X") (c "p9") (c "ex:c1") ]))
 
+(* Store reads count no rows and no probes: only a caller that reports
+   store work adds to [store.scanned_triples], as one evaluation does
+   over the same store.  The compact backend still counts the segment
+   blocks a read touches. *)
+let test_store_reads_count_nothing () =
+  List.iter
+    (fun kind ->
+      let name = Rdf.Backend.kind_name kind in
+      let store = store_on kind (Rdf.Store.to_triples fig3_store) in
+      let code term = Option.get (Rdf.Store.find_term store term) in
+      let c1 = code (uri "ex:c1") and s1 = code (uri "s1") in
+      let reg =
+        counted (fun () ->
+            ignore (Rdf.Store.scan_all store : int array * int);
+            ignore (Rdf.Store.scan1 store `O c1 : int array * int);
+            ignore (Rdf.Store.scan2 store `SO s1 c1 : int array * int);
+            ignore
+              (Rdf.Store.count_matching store
+                 { Rdf.Store.ps = Some s1; pp = None; po = Some c1 }
+                : int);
+            ignore
+              (Rdf.Store.fold_matching store
+                 { Rdf.Store.ps = None; pp = None; po = Some c1 }
+                 (fun _ n -> n + 1) 0
+                : int))
+      in
+      let not_block (counter, _) =
+        not (String.starts_with ~prefix:"store.block_" counter)
+      in
+      Alcotest.(check (list string))
+        (name ^ ": reads register no row or probe count")
+        []
+        (List.map fst (List.filter not_block (Obs.counters reg)));
+      let reg =
+        counted (fun () ->
+            ignore (Query.Evaluation.eval_cq_codes store fig3_query : int array list))
+      in
+      check_bool (name ^ ": an evaluation adds its scanned rows") true
+        (Option.value ~default:0 (Obs.find_counter reg "store.scanned_triples") > 0))
+    [ Rdf.Backend.Hash; Rdf.Backend.Compact ]
+
 let () =
   Alcotest.run "obs"
     [
@@ -655,8 +702,8 @@ let () =
         ] );
       ( "global sink",
         [
-          Alcotest.test_case "cached handles" `Quick
-            test_cached_handles_follow_global;
+          Alcotest.test_case "counts follow the global sink" `Quick
+            test_counts_follow_global;
         ] );
       ( "integration",
         [
@@ -668,5 +715,7 @@ let () =
             test_raise_publishes_partial_counts;
           Alcotest.test_case "exact store and plan counts" `Quick
             test_exact_counts;
+          Alcotest.test_case "store reads count nothing" `Quick
+            test_store_reads_count_nothing;
         ] );
     ]

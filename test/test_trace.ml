@@ -25,12 +25,13 @@ let contains hay needle =
 (* ---------- the disabled path must not allocate --------------------------- *)
 
 (* Handles looked up on the disabled sink, as a search engine with a
-   disabled registry looks up its timings, and a module-level counter
-   resolved against the disabled ambient sink: every operation a hot
-   path performs on them is one branch, no allocation. *)
+   disabled registry looks up its timings, and a counter looked up by
+   name on the disabled ambient sink, as an instrumented operation adds
+   its counts when it returns: every operation a hot path performs on
+   them is one branch, no allocation. *)
 let test_disabled_handles_do_not_allocate () =
   Obs.set_global Obs.disabled;
-  let counter = Obs.cached_counter "noalloc.counter" in
+  let counter () = Obs.counter (Obs.global ()) "noalloc.counter" in
   let histogram () = Obs.histogram Obs.disabled "noalloc.histogram" in
   let gauge () = Obs.gauge Obs.disabled "noalloc.gauge" in
   let work () = () in

@@ -33,7 +33,6 @@ expect Fix_racy racy-global-write
 expect Fix_coordinator coordinator-escape
 expect Fix_domain_unsafe domain-unsafe
 expect Fix_dls dls-capture
-expect Fix_sink_handle coordinator-escape
 expect Fix_table_instance unguarded-write
 
 # The inventory lists each container field of a record, mutable or not.

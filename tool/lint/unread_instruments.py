@@ -2,9 +2,8 @@
 """Flag Obs instruments that nothing reads.
 
 Lists every string literal that a file under lib/ registers through
-Obs.cached_{counter,histogram,gauge} or Obs.{counter,histogram,gauge,series},
-and fails (exit 1) when a name occurs nowhere but on the lines that
-register it.  Readers are searched in the code and CI of the checkout:
+Obs.{counter,histogram,gauge,series}, and fails (exit 1) when a name
+occurs nowhere but on the lines that register it.  Readers are searched in the code and CI of the checkout:
 .ml and .py files under lib, bin, bench, test and ledger, and the
 workflow files.  Names built by concatenation are out of scope.
 
@@ -16,7 +15,7 @@ import re
 import sys
 
 REGISTER = re.compile(
-    r'\bObs\.(?:cached_counter|cached_histogram|cached_gauge|counter|histogram|gauge|series)'
+    r'\bObs\.(?:counter|histogram|gauge|series)'
     r'\s+(?:[a-z_][\w.]*\s+)?"([^"]+)"'
 )
 READER_DIRS = ("lib", "bin", "bench", "test", "ledger")
