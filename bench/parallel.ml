@@ -1,7 +1,7 @@
 (* Multicore scaling of the search: the baseline workload run by the
-   one work-stealing loop of [Core.Search.run ~jobs], first on one
-   domain (the "sequential" row: the same loop, spawning nothing), then
-   on 2 and 4 OCaml 5 domains.
+   one worklist loop of [Core.Search.run ~jobs], whose domains all pop
+   one shared frontier, first on one domain (the "sequential" row: the
+   same loop, spawning nothing), then on 2 and 4 OCaml 5 domains.
 
    Two kinds of numbers come out of this experiment and they are held to
    different standards.  The fixpoint flag

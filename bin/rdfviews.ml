@@ -233,8 +233,8 @@ let select_cmd =
       value & opt (int_at_least 0) 1
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Search with $(docv) parallel domains over work-stealing \
-             deques (requires an OCaml 5 build; 0 means the runtime's \
+            "Search with $(docv) parallel domains popping one shared \
+             frontier (requires an OCaml 5 build; 0 means the runtime's \
              recommended domain count). The default 1 is the sequential \
              engine; with more domains the counters depend on the \
              schedule, and a completed run reaches the sequential best \
@@ -461,7 +461,7 @@ let report_cmd =
         "Render a $(b,--metrics) dump: state totals, convergence curve \
          (best cost vs. wall time), time-to-within-x%-of-final-cost, \
          per-transition acceptance, stratum population, GC totals and \
-         per-domain work/steal/idle utilization."
+         per-domain work/idle utilization."
   in
   Cmd.v info Term.(const run $ input_arg)
 

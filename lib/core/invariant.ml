@@ -355,12 +355,16 @@ let check_edge ~parent ~child =
       };
     ]
 
+(* An ill-formed state (a scan of an unknown view, say) has no defined
+   cost, so its costs are checked only when its structure is sound. *)
 let check ?estimator reference state =
-  check_structure state
+  let structure = check_structure state in
+  structure
   @ check_equivalence reference state
-  @ (match estimator with
-    | None -> []
-    | Some e -> check_costs e state)
+  @
+  match (estimator, structure) with
+  | Some e, [] -> check_costs e state
+  | Some _, _ :: _ | None, _ -> []
 
 let assert_valid ?estimator reference state =
   match check ?estimator reference state with

@@ -66,7 +66,8 @@ val check_edge : parent:State.t -> child:State.t -> violation list
 
 val check : ?estimator:Cost.t -> reference -> State.t -> violation list
 (** All of the above except edges: structure, equivalence and — when an
-    estimator is supplied — costs. *)
+    estimator is supplied and the structure is sound — costs (an
+    ill-formed state has no defined cost). *)
 
 val assert_valid : ?estimator:Cost.t -> reference -> State.t -> unit
 (** @raise Violation on the first problem {!check} finds. *)

@@ -86,7 +86,7 @@ type engine = {
       (* Some in strict mode (read once per run): every accepted state
          is asserted equivalent to this reference *)
   stop : (View.t -> bool) option;  (* [stop_test options] *)
-  seen : Shard_tbl.t;
+  seen : Seen.t;
       (* state key -> lowest stratum rank; shared by the forks of a
          parallel run *)
   created : int array;
@@ -125,7 +125,7 @@ let timed_out engine =
 let memory_exceeded engine =
   match engine.options.max_states with
   | Some cap ->
-    if Shard_tbl.population engine.seen > cap then begin
+    if Seen.population engine.seen > cap then begin
       engine.oom <- true;
       true
     end
@@ -189,18 +189,18 @@ let cost_arrival engine ~parent ~delta state =
    lower stratum) and should be expanded further. *)
 let register engine ~rank ~parent ~delta state =
   bump engine.created rank 1;
-  match Shard_tbl.visit engine.seen (State.key state) rank with
-  | Shard_tbl.Duplicate ->
+  match Seen.visit engine.seen (State.key state) rank with
+  | Seen.Duplicate ->
     ignore (cost_arrival engine ~parent ~delta state : Cost.node);
     bump engine.duplicates rank 1;
     None
-  | Shard_tbl.Reopened ->
+  | Seen.Reopened ->
     (* reached again, but at a lower stratum: re-open *)
     let node = cost_arrival engine ~parent ~delta state in
     bump engine.duplicates rank 1;
     bump engine.reopened rank 1;
     Some (state, rank, node)
-  | Shard_tbl.New ->
+  | Seen.New ->
     let node =
       Cost.child ~strict:(strict engine) engine.estimator ~parent ~delta state
     in
@@ -272,125 +272,72 @@ let expand engine (state, rank, node) =
       admit engine ~rank:(rank_of engine.options kind) ~parent:state ~node kind)
     (allowed_kinds engine.options rank)
 
-(* ---------- the work-stealing worklist ------------------------------------ *)
+(* ---------- the shared worklist ------------------------------------------- *)
 
 (* EXNAIVE, EXSTR and DFS share one loop over [jobs] domains, slot 0
    being the coordinating domain; at [jobs = 1] it spawns nothing.
-   Each domain owns a deque and pops its own items, DFS the newest and
-   EXSTR/EXNAIVE the oldest; an idle domain steals the oldest item of
-   another.  One expansion's successors are pushed so that their owner
-   pops them in the order {!expand} returned them, so a single domain
-   expands exactly in the paper's depth-first (resp. breadth-first)
-   order.  An item is a state, its stratum rank and its cost node, so
-   whichever domain expands it costs the successors from that node.  The
-   other slots run on {!fork}s of the coordinator's engine, {!merge}d
-   back after the join. *)
+   Every domain pops the one frontier: under DFS a stack, under
+   EXSTR/EXNAIVE a FIFO queue.  One expansion's successors are pushed
+   so that they are popped in the order {!expand} returned them, so a
+   single domain expands exactly in the paper's depth-first (resp.
+   breadth-first) order, and several domains interleave that one order.
+   An item is a state, its stratum rank and its cost node, so whichever
+   domain expands it costs the successors from that node.  The other
+   slots run on {!fork}s of the coordinator's engine, {!merge}d back
+   after the join. *)
 
 type item = State.t * int * Cost.node
 
-(* A two-stack deque under a spinlock: [dq_old] oldest-first, [dq_young]
-   newest-first; reversals move elements between them amortized O(1). *)
-type dq = {
-  dq_lock : Multicore.Spinlock.t;
-  mutable dq_old : item list [@guarded_by "dq_lock"];
-  mutable dq_young : item list [@guarded_by "dq_lock"];
-}
-
-let dq_create () =
-  { dq_lock = Multicore.Spinlock.create (); dq_old = []; dq_young = [] }
-
-(* Under LIFO the block goes on the young end as is, its first item
-   newest; under FIFO its items go one by one, the first oldest. *)
-let dq_push_successors dq ~lifo items =
-  Multicore.Spinlock.with_lock dq.dq_lock (fun () ->
-      dq.dq_young <-
-        (if lifo then items @ dq.dq_young
-         else List.rev_append items dq.dq_young))
-
-let dq_take_newest dq =
-  Multicore.Spinlock.with_lock dq.dq_lock (fun () ->
-      match dq.dq_young with
-      | x :: r ->
-        dq.dq_young <- r;
-        Some x
-      | [] -> (
-        match List.rev dq.dq_old with
-        | x :: r ->
-          dq.dq_old <- [];
-          dq.dq_young <- r;
-          Some x
-        | [] -> None))
-
-let dq_take_oldest dq =
-  Multicore.Spinlock.with_lock dq.dq_lock (fun () ->
-      match dq.dq_old with
-      | x :: r ->
-        dq.dq_old <- r;
-        Some x
-      | [] -> (
-        match List.rev dq.dq_young with
-        | x :: r ->
-          dq.dq_young <- [];
-          dq.dq_old <- r;
-          Some x
-        | [] -> None))
-
-(* Everything the domains share.  [sh_outstanding] counts items pushed
-   but not yet fully expanded (all deques empty is not enough: an
-   in-flight expansion may still push).  [sh_stop] is set by the first
-   domain that hits the time budget or the state cap, or raises;
+(* Everything the domains share.  The frontier is under [sh_lock]; a
+   run uses one of its two containers, [sh_stack] (next item first)
+   under DFS and [sh_queue] otherwise.  [sh_outstanding] counts items
+   pushed but not yet fully expanded (an empty frontier is not enough:
+   an in-flight expansion may still push).  [sh_stop] is set by the
+   first domain that hits the time budget or the state cap, or raises;
    everyone else then drains. *)
 type shared = {
+  sh_lock : Multicore.Spinlock.t;
   sh_lifo : bool;
-  sh_deques : dq array;
+  mutable sh_stack : item list [@guarded_by "sh_lock"];
+  sh_queue : item Queue.t [@guarded_by "sh_lock"];
   sh_outstanding : int Atomic.t;
   sh_stop : bool Atomic.t;
 }
 
-(* One domain's view of the run: its slot, its engine, and its time
-   split for the utilization report. *)
-type worker = {
-  w_slot : int;
-  w_engine : engine;
-  mutable w_work_ns : int;
-  mutable w_steal_ns : int;
-}
+let push sh items =
+  Multicore.Spinlock.with_lock sh.sh_lock (fun () ->
+      if sh.sh_lifo then sh.sh_stack <- items @ sh.sh_stack
+      else List.iter (fun item -> Queue.push item sh.sh_queue) items)
 
-let take_own sh w =
-  let own = sh.sh_deques.(w.w_slot) in
-  if sh.sh_lifo then dq_take_newest own else dq_take_oldest own
+let pop sh =
+  Multicore.Spinlock.with_lock sh.sh_lock (fun () ->
+      if not sh.sh_lifo then Queue.take_opt sh.sh_queue
+      else
+        match sh.sh_stack with
+        | item :: rest ->
+          sh.sh_stack <- rest;
+          Some item
+        | [] -> None)
 
-(* Victims in a fixed order: slot+1, slot+2, ... *)
-let steal sh w =
-  let jobs = Array.length sh.sh_deques in
-  let rec try_victim k =
-    if k >= jobs then None
-    else
-      match dq_take_oldest sh.sh_deques.((w.w_slot + k) mod jobs) with
-      | Some _ as it -> it
-      | None -> try_victim (k + 1)
-  in
-  let s0 = Obs.now_ns () in
-  let stolen = try_victim 1 in
-  w.w_steal_ns <- w.w_steal_ns + (Obs.now_ns () - s0);
-  stolen
+(* One domain's view of the run: its engine, and its time inside
+   expansions for the utilization report. *)
+type worker = { w_engine : engine; mutable w_work_ns : int }
 
 let expand_item sh w item =
   let s0 = Obs.now_ns () in
   let successors = expand w.w_engine item in
   ignore (Atomic.fetch_and_add sh.sh_outstanding (List.length successors) : int);
-  dq_push_successors sh.sh_deques.(w.w_slot) ~lifo:sh.sh_lifo successors;
+  push sh successors;
   Atomic.decr sh.sh_outstanding;
   w.w_work_ns <- w.w_work_ns + (Obs.now_ns () - s0)
 
 let should_stop engine = timed_out engine || memory_exceeded engine
 
-(* Take, else steal, then expand; false when there was nothing to do
-   or the run must stop.  The budget is checked only when there is an
-   item to expand, so a run that exhausts the space is complete. *)
+(* Pop, then expand; false when there was nothing to do or the run
+   must stop.  The budget is checked only when there is an item to
+   expand, so a run that exhausts the space is complete. *)
 let step sh w =
-  let item = match take_own sh w with Some _ as it -> it | None -> steal sh w in
-  match item with
+  match pop sh with
   | None -> false
   | Some _ when should_stop w.w_engine ->
     Atomic.set sh.sh_stop true;
@@ -487,24 +434,23 @@ let merge ~into w =
 [@@coordinator_only]
 
 (* Per-domain utilization, folded into the coordinator's ambient sink
-   after the join, so workers never touch the shared sink.  Each entry
-   is [(slot, work_ns, steal_ns, total_ns)]: [work] is time inside
-   expansions, [steal] time probing other domains' deques, [idle] the
-   rest of the domain's wall clock (backoff, lock waits).  [rdfviews
-   report] renders them as the per-domain utilization table. *)
+   after the join, so workers never touch the shared sink.  Entry [i]
+   is slot [i]'s [(work_ns, total_ns)]: [work] is time inside
+   expansions, [idle] the rest of the domain's wall clock (backoff,
+   lock waits).  [rdfviews report] renders them as the per-domain
+   utilization table. *)
 let note_utilization entries =
   let sink = Obs.global () in
   if Obs.is_enabled sink then
-    List.iter
-      (fun (slot, work, steal, total) ->
+    List.iteri
+      (fun slot (work, total) ->
         let dom name v =
           Obs.add
             (Obs.counter sink (Printf.sprintf "parallel.domain.%d.%s" slot name))
             v
         in
         dom "work_ns" work;
-        dom "steal_ns" steal;
-        dom "idle_ns" (max 0 (total - work - steal)))
+        dom "idle_ns" (max 0 (total - work)))
       entries
 [@@coordinator_only]
 
@@ -515,21 +461,21 @@ let note_utilization entries =
 let worklist_search ~jobs ~lifo engine root =
   let sh =
     {
+      sh_lock = Multicore.Spinlock.create ();
       sh_lifo = lifo;
-      sh_deques = Array.init jobs (fun _ -> dq_create ());
+      sh_stack = [];
+      sh_queue = Queue.create ();
       sh_outstanding = Atomic.make 1;
       sh_stop = Atomic.make false;
     }
   in
-  let worker slot engine =
-    { w_slot = slot; w_engine = engine; w_work_ns = 0; w_steal_ns = 0 }
-  in
-  let coordinator = worker 0 engine in
-  dq_push_successors sh.sh_deques.(0) ~lifo [ root ];
+  let worker engine = { w_engine = engine; w_work_ns = 0 } in
+  let coordinator = worker engine in
+  push sh [ root ];
   (* The coordinator expands the initial state before any worker
-     exists, so the workers start with a frontier to steal from. *)
+     exists, so the workers start with a frontier to pop. *)
   ignore (step sh coordinator : bool);
-  let workers = List.init (jobs - 1) (fun i -> worker (i + 1) (fork engine)) in
+  let workers = List.init (jobs - 1) (fun _ -> worker (fork engine)) in
   let handles =
     List.map (fun w -> Multicore.spawn (fun () -> work sh w)) workers
   in
@@ -544,9 +490,7 @@ let worklist_search ~jobs ~lifo engine root =
   in
   if jobs > 1 then
     note_utilization
-      (List.map2
-         (fun w total -> (w.w_slot, w.w_work_ns, w.w_steal_ns, total))
-         (coordinator :: workers) totals);
+      (List.map2 (fun w total -> (w.w_work_ns, total)) (coordinator :: workers) totals);
   not (Atomic.get sh.sh_stop)
 [@@coordinator_only]
 
@@ -658,7 +602,7 @@ let run_from ?(jobs = 1) estimator options initial =
       options;
       strict_reference;
       stop = stop_test options;
-      seen = Shard_tbl.create ();
+      seen = Seen.create ();
       created = per_stratum ();
       duplicates = per_stratum ();
       reopened = per_stratum ();
@@ -699,7 +643,7 @@ let run_from ?(jobs = 1) estimator options initial =
   engine.trajectory <- [ (0., initial_cost) ];
   if engine.best_cost < initial_cost then
     engine.trajectory <- (0., engine.best_cost) :: engine.trajectory;
-  ignore (Shard_tbl.visit engine.seen (State.key initial) 0);
+  ignore (Seen.visit engine.seen (State.key initial) 0);
   (* OCaml 4.x cannot spawn domains: the loop runs on one *)
   let jobs = if Multicore.available then jobs else 1 in
   let root = (initial, 0, node) in

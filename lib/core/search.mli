@@ -72,17 +72,17 @@ val run_from : ?jobs:int -> Cost.t -> options -> State.t -> report
     initial state (used for pre-reformulation and by the competitor
     harness).
 
-    EXNAIVE, EXSTR and DFS run one work-stealing loop over [jobs]
-    domains, the coordinating one included (default 1: the same loop
-    on the calling domain, spawning nothing).  Each domain pops its own
-    deque, DFS the newest item and EXSTR/EXNAIVE the oldest, and pushes
-    one expansion's successors so that it pops them in the order they
-    were generated; an idle domain steals the oldest item of another.
-    An item carries its state's {!Cost.node}, computed when the state
-    arrived, so whichever domain expands it costs the successors from
-    that node; the estimator itself keeps no per-state cost.
-    At one domain the search is therefore the paper's depth-first
-    (resp. breadth-first) order.  Under several domains, counters and
+    EXNAIVE, EXSTR and DFS run one worklist loop over [jobs] domains,
+    the coordinating one included (default 1: the same loop on the
+    calling domain, spawning nothing).  Every domain pops one shared
+    frontier, under DFS a stack and under EXSTR/EXNAIVE a FIFO queue,
+    and one expansion's successors are pushed so that they are popped
+    in the order they were generated.  An item carries its state's
+    {!Cost.node}, computed when the state arrived, so whichever domain
+    expands it costs the successors from that node; the estimator
+    itself keeps no per-state cost.  At one domain the search is
+    therefore the paper's depth-first (resp. breadth-first) order;
+    several domains interleave that one order.  Their counters and
     exploration order are schedule-dependent, but a completed run
     accepts the same state set and, since every arrival of a key is
     costed, reaches the same best cost up to cost ties.  The run's

@@ -1,16 +1,15 @@
-(** Domain-safe dedup table over state keys.
+(** Domain-safe seen-table over state keys.
 
-    The search's seen-set, shared by its domains: a {!State.Tbl} split
-    into independently spinlocked shards selected by
-    {!State.hash_key}, so domains contend only on keys hashing to the
-    same shard.  Implements the rank-reopen rule — a state is
-    re-admitted only when rediscovered at a strictly lower stratum
-    rank. *)
+    The search's seen-set, at any job count: a {!State.Tbl} from state
+    key to the lowest stratum rank seen so far, behind one spinlock
+    shared by the search's domains.  Implements the rank-reopen rule — a
+    state is re-admitted only when rediscovered at a strictly lower
+    stratum rank. *)
 
 type t
 
 val create : unit -> t
-(** An empty table (16 shards, each with its own spinlock). *)
+(** An empty table. *)
 
 type outcome =
   | New  (** key never seen: admitted and recorded at [rank] *)
@@ -26,4 +25,4 @@ val visit : t -> State.key -> int -> outcome
     given fresh key. *)
 
 val population : t -> int
-(** Number of distinct keys across all shards (i.e. [New] outcomes). *)
+(** Number of distinct keys (i.e. [New] outcomes). *)

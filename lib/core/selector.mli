@@ -39,7 +39,10 @@ type result = {
 exception Unsupported_query of string
 (** Raised by {!select}, before the search, when a workload query (or,
     under [Pre_reformulation], one of its disjuncts) cannot be a view
-    ({!View.defect}).  The message names the query and the reason. *)
+    ({!View.defect}), or when a [Pre_reformulation] disjunct has a
+    constant in its head (reformulation bound a head variable, which no
+    rewriting can yet emit as a column).  The message names the query,
+    the reason and the query or disjunct. *)
 
 val reasoning_name : reasoning -> string
 (** Display name of the scenario ("none", "saturation", ...). *)

@@ -53,8 +53,8 @@ val equal_key : key -> key -> bool
 (** Structural key equality — the identity used by {!Tbl}. *)
 
 val hash_key : key -> int
-(** Hash consistent with {!equal_key}; also used to pick a
-    {!Shard_tbl} shard, so it must not depend on visit order. *)
+(** Hash consistent with {!equal_key}; it must not depend on visit
+    order. *)
 
 val key_to_string : key -> string
 (** Rendering of a key: the sorted high halves in hex, dot separated,

@@ -1003,19 +1003,17 @@ module Report = struct
     if domain_indices <> [] then begin
       Buffer.add_string b "\nper-domain utilization (last parallel search)\n";
       btable b
-        ([ "domain"; "work_ms"; "steal_ms"; "idle_ms"; "busy" ]
+        ([ "domain"; "work_ms"; "idle_ms"; "busy" ]
         :: List.map
              (fun i ->
                let g what = cd (Printf.sprintf "parallel.domain.%d.%s_ns" i what) in
-               let work = g "work" and steal = g "steal" and idle = g "idle" in
-               let total = work +. steal +. idle in
+               let work = g "work" and idle = g "idle" in
+               let total = work +. idle in
                [
                  string_of_int i;
                  fms work;
-                 fms steal;
                  fms idle;
-                 (if total > 0. then
-                    Printf.sprintf "%.1f%%" (100. *. (work +. steal) /. total)
+                 (if total > 0. then Printf.sprintf "%.1f%%" (100. *. work /. total)
                   else "-");
                ])
              domain_indices)

@@ -108,7 +108,10 @@ let test_post_reformulation_views_are_ucqs () =
 (* A query whose body is a Cartesian product, or whose head repeats a
    variable, is refused by name before the search, and so is a query
    whose reformulation has such a disjunct: binding the property
-   variable [P] to a constant disconnects the two atoms. *)
+   variable [P] to a constant disconnects the two atoms.  Under
+   pre-reformulation, so is a query whose reformulation binds a head
+   variable: the class variable [C] becomes [ex:picture] by the
+   subclass rule. *)
 let test_unviewable_queries_refused () =
   let cartesian =
     cq ~name:"q1" [ v "X"; v "Y" ]
@@ -120,6 +123,9 @@ let test_unviewable_queries_refused () =
   let property_var =
     cq ~name:"q1" [ v "X" ]
       [ atom (v "X") (v "P") (v "O"); atom (v "P") (c "ex:q") (v "L") ]
+  in
+  let class_var =
+    cq ~name:"q1" [ v "X"; v "C" ] [ atom (v "X") (Query.Qterm.Cst rdf_type) (v "C") ]
   in
   let pre = Core.Selector.Pre_reformulation schema in
   List.iter
@@ -138,6 +144,7 @@ let test_unviewable_queries_refused () =
       (repeated, Core.Selector.No_reasoning, "head repeats a variable");
       (repeated, pre, "head repeats a variable");
       (property_var, pre, "body is a Cartesian product");
+      (class_var, pre, "reformulation binds a head variable to a constant");
     ]
 
 let test_pre_reformulation_initial_state_is_union () =

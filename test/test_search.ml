@@ -113,8 +113,8 @@ let test_two_query_space_agreement () =
 
 (* The order in which one domain accepts the Figure 3 states.  The
    fixture was captured once from the dedicated one-domain worklist that
-   the work-stealing loop replaced (a list for DFS, a queue for EXSTR
-   and EXNAIVE); the loop at [~jobs:1] must reproduce it exactly.  A
+   the parallel loop replaced (a list for DFS, a queue for EXSTR and
+   EXNAIVE); the loop at [~jobs:1] must reproduce it exactly.  A
    state is named by its key; a fixture view is spelled as a query, and
    its id is equal to a state view's exactly when the two are renamings
    of one another, whatever the order of their head columns. *)
@@ -576,6 +576,43 @@ let test_competitor_oom_on_tight_memory () =
   check_bool "out of memory" true report.Core.Search.out_of_memory;
   check_bool "rcr is zero" true (Core.Search.rcr report = 0.)
 
+(* ---------- the seen-table ------------------------------------------------ *)
+
+(* The rank-reopen rule: a key is [New] once, then a [Duplicate] at an
+   equal or higher rank and [Reopened], its rank lowered, at a strictly
+   lower one; only [New] adds to the population. *)
+let test_seen_visit () =
+  let key cst =
+    Core.State.key
+      (Core.State.make
+         ~views:[ fig3_view [ v "X"; v "Y" ] [ atom (v "X") (v "Y") (c cst) ] ]
+         ~rewritings:[])
+  in
+  let outcome =
+    Alcotest.testable
+      (fun ppf o ->
+        Format.pp_print_string ppf
+          (match o with
+          | Core.Seen.New -> "New"
+          | Reopened -> "Reopened"
+          | Duplicate -> "Duplicate"))
+      ( = )
+  in
+  let seen = Core.Seen.create () in
+  let a = key "ex:c1" and b = key "ex:c2" in
+  let visit what k rank expected =
+    Alcotest.check outcome what expected (Core.Seen.visit seen k rank)
+  in
+  visit "first visit" a 2 New;
+  visit "equal rank" a 2 Duplicate;
+  visit "higher rank" a 3 Duplicate;
+  check_int "one key" 1 (Core.Seen.population seen);
+  visit "lower rank" a 1 Reopened;
+  visit "the lowered rank is kept" a 1 Duplicate;
+  visit "another key" b 3 New;
+  visit "another key, lower rank" b 0 Reopened;
+  check_int "population counts New only" 2 (Core.Seen.population seen)
+
 let () =
   Alcotest.run "search"
     [
@@ -591,6 +628,7 @@ let () =
           Alcotest.test_case "one-domain accept order" `Quick
             test_fig3_accept_order;
         ] );
+      ("seen-table", [ Alcotest.test_case "visit" `Quick test_seen_visit ]);
       ( "stop-conditions",
         [
           Alcotest.test_case "STV shrinks the space" `Quick

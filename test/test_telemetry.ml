@@ -126,7 +126,7 @@ let test_render_runtime () =
       List.iter
         (fun (what, ns) ->
           Obs.add (Obs.counter t (Printf.sprintf "parallel.domain.%d.%s_ns" d what)) ns)
-        [ ("work", 3_000_000); ("steal", 1_000_000); ("idle", 1_000_000) ])
+        [ ("work", 4_000_000); ("idle", 1_000_000) ])
     [ 0; 1 ];
   Gc.minor ();
   let dump = Obs.Json.of_string (Obs.Export.dump t) in
@@ -154,9 +154,13 @@ let test_render_runtime () =
       "promoted words";
       "top heap words";
       "per-domain utilization";
+      "work_ms";
+      "idle_ms";
+      "busy";
       "80.0%";
       "final best 559.25";
     ];
+  Alcotest.(check bool) "no steal column" false (contains rendered "steal");
   (* without GC gauges or per-domain series: no tables *)
   let bare = Obs.create () in
   Obs.add (Obs.counter bare "search.created") 1;

@@ -238,7 +238,7 @@ type cell_class =
   | Plain        (* unannotated mutable container *)
 
 type cell = {
-  cl_name : string;  (* display name, e.g. Shard_tbl.shards *)
+  cl_name : string;  (* display name, e.g. Seen.t.ranks *)
   cl_class : cell_class;
   cl_loc : Location.t;
   mutable cl_reads : int;
@@ -339,7 +339,10 @@ let buffer_mutators =
     "truncate";
   ]
 
-let queue_mutators = [ "add"; "push"; "pop"; "take"; "clear"; "transfer" ]
+let queue_mutators = [ "pop"; "pop_opt"; "take"; "take_opt"; "clear"; "transfer" ]
+
+(* [Queue.add x q] and [Queue.push x q] take the queue second *)
+let queue_adders = [ "add"; "push" ]
 
 (* Simple names of the modules bound to a [Hashtbl.Make] or
    [Hashtbl.MakeSeeded] application in any unit given to the analyzer,
@@ -362,6 +365,7 @@ let mutator_kind name =
   else if (m = "" || m = "Stdlib") && (f = "incr" || f = "decr") then Some 0
   else if is_table_module m && List.mem f hashtbl_mutators then Some 0
   else if m = "Buffer" && List.mem f buffer_mutators then Some 0
+  else if m = "Queue" && List.mem f queue_adders then Some 1
   else if m = "Queue" && List.mem f queue_mutators then Some 0
   else if (m = "Array" || m = "Bytes") && (f = "blit" || f = "unsafe_blit")
   then Some 2

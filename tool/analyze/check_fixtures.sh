@@ -35,6 +35,19 @@ expect Fix_domain_unsafe domain-unsafe
 expect Fix_dls dls-capture
 expect Fix_table_instance unguarded-write
 
+# Both of Fix_queue's unguarded queue writes are flagged: the push, whose
+# queue is the second argument, and the take.
+out=$(./analyze.exe "$objs/afix__Fix_queue.cmt" 2>&1)
+code=$?
+writes=$(printf '%s\n' "$out" | grep -c '\[unguarded-write\]')
+if [ "$code" -ne 1 ] || [ "$writes" -ne 2 ]; then
+  echo "FAIL Fix_queue: exit $code, $writes unguarded-write(s) (want 1 and 2)"
+  echo "$out"
+  fail=1
+else
+  echo "ok: Fix_queue -> 2 unguarded-write"
+fi
+
 # The inventory lists each container field of a record, mutable or not.
 out=$(./analyze.exe --inventory "$objs/afix__Fix_container_field.cmt" 2>&1)
 code=$?
