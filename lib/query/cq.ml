@@ -207,178 +207,377 @@ let is_connected q = List.length (components q) <= 1
 
 (* -- Canonical labeling --------------------------------------------------- *)
 
-(* A body position as the labelling sees it: a constant, by its key
-   (computed once per labelling), or a variable. *)
-type slot = Fixed of string | Free of string
-
-let slot = function Qterm.Cst c -> Fixed (Rdf.Term.key c) | Qterm.Var x -> Free x
-
-let slots (a : Atom.t) = [| slot a.s; slot a.p; slot a.o |]
-
-let position_names = [| "s"; "p"; "o" |]
-
-(* A constant's colour is its self-delimiting key, which starts with a
-   kind tag (U, B or L); a variable's colour starts with 0 or c.  The two
-   ranges are disjoint, and no label can run into the next slot. *)
-let slot_color colors = function Fixed k -> k | Free x -> SMap.find x colors
-
-let refine_colors body vars colors =
-  (* each atom's signature, built once per round *)
-  let signed =
-    List.map
-      (fun a ->
-        ( a,
-          "(" ^ slot_color colors a.(0) ^ "," ^ slot_color colors a.(1) ^ ","
-          ^ slot_color colors a.(2) ^ ")" ))
-      body
-  in
-  let signature v =
-    let occurrences =
-      List.concat_map
-        (fun (a, sg) ->
-          List.filter_map
-            (fun pos ->
-              match a.(pos) with
-              | Free x when String.equal x v ->
-                Some (position_names.(pos) ^ sg)
-              | Free _ | Fixed _ -> None)
-            [ 0; 1; 2 ])
-        signed
-    in
-    SMap.find v colors ^ "|" ^ String.concat ";" (List.sort String.compare occurrences)
-  in
-  let sigs = List.map (fun v -> (v, signature v)) vars in
-  let distinct = List.sort_uniq String.compare (List.map snd sigs) in
-  let rank s =
-    let rec index i = function
-      | [] -> assert false
-      | x :: rest -> if String.equal x s then i else index (i + 1) rest
-    in
-    index 0 distinct
-  in
-  List.fold_left
-    (fun acc (v, s) -> SMap.add v (Printf.sprintf "c%03d" (rank s)) acc)
-    SMap.empty sigs
-
-let rec refine_to_fixpoint body vars colors =
-  let next = refine_colors body vars colors in
-  if SMap.equal String.equal colors next then colors
-  else refine_to_fixpoint body vars next
-
 type head_mode = Ordered | Set | NoHead
 
-(* The form of a discrete colouring, and the label ("V<rank>") it gives
-   each variable.  A tagged variable's tag follows the form, in label
-   order. *)
-let render ~head_mode ~tags ~head ~body colors =
-  let var_rank =
-    let sorted =
-      List.sort
-        (fun (_, c1) (_, c2) -> String.compare c1 c2)
-        (SMap.bindings colors)
-    in
-    List.mapi (fun i (v, _) -> (v, Printf.sprintf "V%d" i)) sorted
-  in
-  let label = function Fixed k -> k | Free x -> List.assoc x var_rank in
-  let atom_str a =
-    "t(" ^ label a.(0) ^ "," ^ label a.(1) ^ "," ^ label a.(2) ^ ")"
-  in
-  let body_str = String.concat "&" (List.sort String.compare (List.map atom_str body)) in
-  let form =
-    match head_mode with
-    | Ordered -> "[" ^ String.concat "," (List.map label head) ^ "]<=" ^ body_str
-    | Set ->
-      "{" ^ String.concat ","
-        (List.sort String.compare (List.map label head)) ^ "}<=" ^ body_str
-    | NoHead -> body_str
-  in
-  let form =
-    if SMap.is_empty tags then form
-    else
-      List.fold_left
-        (fun acc (v, l) ->
-          match SMap.find_opt v tags with
-          | Some tag -> acc ^ "|" ^ l ^ "=" ^ tag
-          | None -> acc)
-        form var_rank
-  in
-  (form, var_rank)
+(* A labelling works on ints.  Variables are numbered [0 .. nv-1] in
+   order of first occurrence, and a constant is coded [-(r+1)], where [r]
+   is its rank by [Rdf.Term.compare] (kind, then label) among the
+   query's own constants: colours are [>= 0], so the two ranges never
+   meet, and constants of different kinds never share a code.  A slot
+   of [slots] is the code of one atom position, atom [i] at [3i .. 3i+2]. *)
+type coded = {
+  nv : int;
+  names : string array;  (* variable number -> name, [0 .. nv-1] *)
+  consts : Rdf.Term.t array;  (* constant rank -> constant *)
+  slots : int array;
+  head : int array;  (* head codes; empty under [NoHead] *)
+  sig_start : int array;
+      (* variable v's signature is sig_.(sig_start.(v) .. sig_start.(v+1)-1) *)
+  sig_ : int array;
+      (* scratch: each variable's own colour, then a (position, colour of
+         s, of p, of o) quadruple per occurrence *)
+  order : int array;  (* scratch: variables sorted by a comparison *)
+}
 
-(* The canonical form and the labelling that produced it.  A tag joins
-   its variable's initial colour (after a [#], which no head tag
-   holds), so only equally tagged variables can swap labels. *)
-let labelling ?(tags = SMap.empty) ~head_mode q =
-  let vars = body_vars q in
-  let head = List.map slot q.head in
-  let body = List.map slots q.body in
-  let render = render ~head_mode ~tags ~head ~body in
-  let initial =
-    let head_tags =
-      match head_mode with
-      | NoHead -> SMap.empty
-      | Set ->
-        (* heads compared as sets: every head variable gets the same tag *)
-        List.fold_left
-          (fun acc term ->
-            match term with
-            | Qterm.Var x -> SMap.add x "H" acc
-            | Qterm.Cst _ -> acc)
-          SMap.empty q.head
-      | Ordered ->
-        List.fold_left
-          (fun (acc, i) term ->
-            match term with
-            | Qterm.Var x ->
-              let prev = Option.value (SMap.find_opt x acc) ~default:"" in
-              (SMap.add x (prev ^ "H" ^ string_of_int i) acc, i + 1)
-            | Qterm.Cst _ -> (acc, i + 1))
-          (SMap.empty, 0) q.head
-        |> fst
-    in
-    List.fold_left
-      (fun acc v ->
-        let color = "0" ^ Option.value (SMap.find_opt v head_tags) ~default:"E" in
-        let color =
-          match SMap.find_opt v tags with Some tag -> color ^ "#" ^ tag | None -> color
-        in
-        SMap.add v color acc)
-      SMap.empty vars
+let no_term = Rdf.Term.Uri ""
+
+(* The index of a name or a constant among the first [n] cells of an
+   array, or [n] when it is not there. *)
+let rec find_var names n x i =
+  if i = n || String.equal names.(i) x then i else find_var names n x (i + 1)
+
+let rec find_const seen n c i =
+  if i = n || Rdf.Term.equal seen.(i) c then i else find_const seen n c (i + 1)
+
+(* A term's code, by first occurrence for a constant; [counts] holds
+   the variables and constants seen so far. *)
+let code names seen counts = function
+  | Qterm.Var x ->
+    let n = counts.(0) in
+    let i = find_var names n x 0 in
+    if i = n then begin
+      names.(i) <- x;
+      counts.(0) <- n + 1
+    end;
+    i
+  | Qterm.Cst c ->
+    let n = counts.(1) in
+    let i = find_const seen n c 0 in
+    if i = n then begin
+      seen.(i) <- c;
+      counts.(1) <- n + 1
+    end;
+    -i - 1
+
+let rec code_body names seen counts slots i = function
+  | [] -> ()
+  | (a : Atom.t) :: rest ->
+    slots.(3 * i) <- code names seen counts a.s;
+    slots.((3 * i) + 1) <- code names seen counts a.p;
+    slots.((3 * i) + 2) <- code names seen counts a.o;
+    code_body names seen counts slots (i + 1) rest
+
+(* Insertion sort of an int array by [cmp], in place: the arrays sorted
+   here hold one query's variables or constants.  (Not [Array.sort],
+   whose heap sort raises an exception per sift, each kept as the
+   domain's last exception while backtraces are on.) *)
+let sort_by cmp a =
+  for i = 1 to Array.length a - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && cmp a.(!j) x > 0 do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
+
+let code_query ~head_mode q =
+  let m = List.length q.body in
+  let head_terms = match head_mode with NoHead -> [] | Ordered | Set -> q.head in
+  let h = List.length head_terms in
+  let names = Array.make (3 * m) "" and seen = Array.make ((3 * m) + h) no_term in
+  let counts = [| 0; 0 |] in
+  let slots = Array.make (3 * m) 0 and head = Array.make h 0 in
+  code_body names seen counts slots 0 q.body;
+  List.iteri (fun i t -> head.(i) <- code names seen counts t) head_terms;
+  let nv = counts.(0) and nc = counts.(1) in
+  (* recode the constants from first occurrence to rank *)
+  let by_rank = Array.init nc Fun.id in
+  sort_by (fun i j -> Rdf.Term.compare seen.(i) seen.(j)) by_rank;
+  let consts = Array.make nc no_term and rank = Array.make nc 0 in
+  for r = 0 to nc - 1 do
+    consts.(r) <- seen.(by_rank.(r));
+    rank.(by_rank.(r)) <- r
+  done;
+  for j = 0 to (3 * m) - 1 do
+    let x = slots.(j) in
+    if x < 0 then slots.(j) <- -rank.(-x - 1) - 1
+  done;
+  for j = 0 to h - 1 do
+    let x = head.(j) in
+    if x < 0 then head.(j) <- -rank.(-x - 1) - 1
+  done;
+  let sig_start = Array.make (nv + 1) 0 in
+  for j = 0 to (3 * m) - 1 do
+    let x = slots.(j) in
+    if x >= 0 then sig_start.(x + 1) <- sig_start.(x + 1) + 4
+  done;
+  for v = 0 to nv - 1 do
+    sig_start.(v + 1) <- sig_start.(v + 1) + sig_start.(v) + 1
+  done;
+  {
+    nv;
+    names;
+    consts;
+    slots;
+    head;
+    sig_start;
+    sig_ = Array.make sig_start.(nv) 0;
+    order = Array.make nv 0;
+  }
+
+let rec compare_blocks a i j width k =
+  if k = width then 0
+  else
+    let c = Int.compare a.(i + k) a.(j + k) in
+    if c <> 0 then c else compare_blocks a i j width (k + 1)
+
+(* Sorts the [n] blocks of [width] ints from [a.(off)] lexicographically,
+   in place (insertion sort: a block count is an atom or occurrence
+   count). *)
+let sort_blocks a off width n =
+  for i = 1 to n - 1 do
+    let j = ref (off + (i * width)) in
+    while !j > off && compare_blocks a (!j - width) !j width 0 > 0 do
+      for k = 0 to width - 1 do
+        let x = a.(!j - width + k) in
+        a.(!j - width + k) <- a.(!j + k);
+        a.(!j + k) <- x
+      done;
+      j := !j - width
+    done
+  done
+
+(* Ranks the variables by [cmp] into [colors] (dense, from 0, equal
+   variables equal), through [cq.order]; returns the number of ranks. *)
+let rank_by cq cmp colors =
+  let order = cq.order in
+  for v = 0 to cq.nv - 1 do
+    order.(v) <- v
+  done;
+  sort_by cmp order;
+  let r = ref 0 in
+  if cq.nv > 0 then colors.(order.(0)) <- 0;
+  for i = 1 to cq.nv - 1 do
+    if cmp order.(i - 1) order.(i) <> 0 then incr r;
+    colors.(order.(i)) <- !r
+  done;
+  if cq.nv = 0 then 0 else !r + 1
+
+(* Each variable's tag, if it has one. *)
+let var_tags cq tags =
+  let tag = Array.make cq.nv None in
+  List.iter
+    (fun (x, t) ->
+      let v = find_var cq.names cq.nv x 0 in
+      if v < cq.nv then tag.(v) <- Some t)
+    tags;
+  tag
+
+(* The initial colouring into [colors]: ranks of what an isomorphism
+   keeps of each variable, its head positions ([Ordered]), whether it
+   is in the head ([Set]), and its tag.  Returns the number of classes. *)
+let initial_colors cq ~head_mode tag colors =
+  let head_pos = Array.make cq.nv [] in
+  (match head_mode with
+  | NoHead -> ()
+  | Ordered ->
+    for i = Array.length cq.head - 1 downto 0 do
+      let x = cq.head.(i) in
+      if x >= 0 then head_pos.(x) <- i :: head_pos.(x)
+    done
+  | Set ->
+    Array.iter (fun x -> if x >= 0 then head_pos.(x) <- [ 0 ]) cq.head);
+  rank_by cq
+    (fun u v ->
+      match List.compare Int.compare head_pos.(u) head_pos.(v) with
+      | 0 -> Option.compare String.compare tag.(u) tag.(v)
+      | c -> c)
+    colors
+
+let color colors x = if x >= 0 then colors.(x) else x
+
+let compare_signatures cq u v =
+  let su = cq.sig_start.(u) and sv = cq.sig_start.(v) in
+  let lu = cq.sig_start.(u + 1) - su and lv = cq.sig_start.(v + 1) - sv in
+  let rec go k =
+    if k = lu || k = lv then Int.compare lu lv
+    else
+      let c = Int.compare cq.sig_.(su + k) cq.sig_.(sv + k) in
+      if c <> 0 then c else go (k + 1)
   in
-  let discrete colors =
-    let values = List.map snd (SMap.bindings colors) in
-    List.length (List.sort_uniq String.compare values) = List.length values
-  in
-  let rec solve colors =
-    let colors = refine_to_fixpoint body vars colors in
-    if discrete colors then render colors
-    else begin
-      (* individualize each member of the first ambiguous class, keep the
-         lexicographically least outcome: canonical and order-independent *)
-      let by_color =
-        List.fold_left
-          (fun acc (v, c) ->
-            SMap.update c
-              (function None -> Some [ v ] | Some vs -> Some (v :: vs))
-              acc)
-          SMap.empty (SMap.bindings colors)
-      in
-      let _, clash =
-        List.find (fun (_, vs) -> List.length vs > 1) (SMap.bindings by_color)
-      in
-      let candidates =
-        List.map
-          (fun v -> solve (SMap.add v (SMap.find v colors ^ "!") colors))
-          clash
-      in
-      List.fold_left
-        (fun best c -> if String.compare (fst c) (fst best) < 0 then c else best)
-        (List.hd candidates) (List.tl candidates)
-    end
-  in
-  if vars = [] then render SMap.empty else solve initial
+  go 0
+
+(* One refinement round, from [colors] into [next]: a variable's
+   signature is its own colour and the sorted (position, colour of s, of
+   p, of o) of its occurrences, and its new colour is the rank of its
+   signature.  A signature starts with the old colour, so the new
+   colouring refines the old one and keeps its order.  Returns the
+   number of classes. *)
+let refine cq colors next =
+  let sg = cq.sig_ and slots = cq.slots in
+  for v = 0 to cq.nv - 1 do
+    let base = cq.sig_start.(v) in
+    sg.(base) <- colors.(v);
+    let at = ref (base + 1) in
+    for j = 0 to Array.length slots - 1 do
+      if slots.(j) = v then begin
+        let a = j - (j mod 3) in
+        sg.(!at) <- j mod 3;
+        sg.(!at + 1) <- color colors slots.(a);
+        sg.(!at + 2) <- color colors slots.(a + 1);
+        sg.(!at + 3) <- color colors slots.(a + 2);
+        at := !at + 4
+      end
+    done;
+    sort_blocks sg (base + 1) 4 ((!at - base - 1) / 4)
+  done;
+  rank_by cq (compare_signatures cq) next
+
+(* Refine until the number of classes stops growing; the result is
+   dense. *)
+let rec refine_to_fixpoint cq colors classes =
+  let next = Array.make cq.nv 0 in
+  let classes' = refine cq colors next in
+  if classes' > classes then refine_to_fixpoint cq next classes' else (next, classes')
+
+(* The int form of a discrete colouring: the atoms spelled in labels
+   (a variable's label is its colour, a constant's its code), sorted,
+   then the head, in order under [Ordered] and sorted under [Set]. *)
+let int_form cq ~head_mode colors =
+  let n = Array.length cq.slots and h = Array.length cq.head in
+  let form = Array.make (n + h) 0 in
+  for j = 0 to n - 1 do
+    form.(j) <- color colors cq.slots.(j)
+  done;
+  sort_blocks form 0 3 (n / 3);
+  for j = 0 to h - 1 do
+    form.(n + j) <- color colors cq.head.(j)
+  done;
+  (match head_mode with Set -> sort_blocks form n 1 h | Ordered | NoHead -> ());
+  form
+
+let rec compare_forms a b i =
+  if i = Array.length a then 0
+  else
+    let c = Int.compare a.(i) b.(i) in
+    if c <> 0 then c else compare_forms a b (i + 1)
+
+(* The least int form over the leaves of the individualization tree
+   below [colors], and the leaf's colouring.  After refinement, each
+   member of the first class of two or more variables is individualized
+   in turn: given a colour of its own just below its class's, which the
+   next refinement ranks. *)
+let rec solve cq ~head_mode colors classes =
+  let colors, classes = refine_to_fixpoint cq colors classes in
+  if classes = cq.nv then (int_form cq ~head_mode colors, colors)
+  else begin
+    (* colours are dense ranks: the first class holding two *)
+    let size = Array.make classes 0 in
+    Array.iter (fun c -> size.(c) <- size.(c) + 1) colors;
+    let c = ref 0 in
+    while size.(!c) < 2 do
+      incr c
+    done;
+    let best = ref None in
+    for v = 0 to cq.nv - 1 do
+      if colors.(v) = !c then begin
+        let split = Array.map (fun x -> (2 * x) + 1) colors in
+        split.(v) <- 2 * !c;
+        let ((form, _) as leaf) = solve cq ~head_mode split (classes + 1) in
+        match !best with
+        | Some (best_form, _) when compare_forms best_form form 0 <= 0 -> ()
+        | Some _ | None -> best := Some leaf
+      end
+    done;
+    Option.get !best
+  end
+
+let add_int b n =
+  if n < 10 then Buffer.add_char b (Char.unsafe_chr (48 + n))
+  else Buffer.add_string b (string_of_int n)
+
+(* A variable as V<label>, a constant by its self-delimiting
+   {!Rdf.Term.key}, so no label runs into the next. *)
+let add_label b cq x =
+  if x >= 0 then begin
+    Buffer.add_char b 'V';
+    add_int b x
+  end
+  else Rdf.Term.add_key b cq.consts.(-x - 1)
+
+(* The winning int form spelled once; a tagged variable's tag follows
+   the form, in label order, after its length. *)
+let render cq ~head_mode tag colors form =
+  let n = Array.length cq.slots and h = Array.length cq.head in
+  (* room for every label and the separator after it, so the buffer
+     never grows *)
+  let capacity = ref (8 + (2 * n)) in
+  Array.iter
+    (fun x -> capacity := !capacity + if x >= 0 then 10 else 26 + Rdf.Term.size cq.consts.(-x - 1))
+    form;
+  Array.iter
+    (function Some t -> capacity := !capacity + 32 + String.length t | None -> ())
+    tag;
+  let b = Buffer.create !capacity in
+  (match head_mode with
+  | NoHead -> ()
+  | Ordered | Set ->
+    let ordered = match head_mode with Ordered -> true | Set | NoHead -> false in
+    Buffer.add_char b (if ordered then '[' else '{');
+    for j = 0 to h - 1 do
+      if j > 0 then Buffer.add_char b ',';
+      add_label b cq form.(n + j)
+    done;
+    Buffer.add_string b (if ordered then "]<=" else "}<="));
+  for i = 0 to (n / 3) - 1 do
+    if i > 0 then Buffer.add_char b '&';
+    Buffer.add_string b "t(";
+    add_label b cq form.(3 * i);
+    Buffer.add_char b ',';
+    add_label b cq form.((3 * i) + 1);
+    Buffer.add_char b ',';
+    add_label b cq form.((3 * i) + 2);
+    Buffer.add_char b ')'
+  done;
+  if Array.exists Option.is_some tag then begin
+    let var_of_label = Array.make cq.nv 0 in
+    Array.iteri (fun v l -> var_of_label.(l) <- v) colors;
+    Array.iteri
+      (fun l v ->
+        match tag.(v) with
+        | Some t ->
+          Buffer.add_string b "|V";
+          add_int b l;
+          Buffer.add_char b '=';
+          add_int b (String.length t);
+          Buffer.add_char b ':';
+          Buffer.add_string b t
+        | None -> ())
+      var_of_label
+  end;
+  Buffer.contents b
+
+(* The canonical form, the coded query and the discrete colouring that
+   produced it (variable number -> label).  The individualization tree
+   and its int forms depend on the query only up to renaming, so the
+   least form is canonical; equal int forms spell alike, so which of
+   several equal leaves wins does not change the form. *)
+let labelling ?(tags = []) ~head_mode q =
+  let cq = code_query ~head_mode q in
+  let tag = var_tags cq tags in
+  let colors = Array.make cq.nv 0 in
+  let classes = initial_colors cq ~head_mode tag colors in
+  let form, colors = solve cq ~head_mode colors classes in
+  (render cq ~head_mode tag colors form, cq, colors)
+
+let form ?tags ~head_mode q =
+  let form, _, _ = labelling ?tags ~head_mode q in
+  form
 
 let canonical_string q =
-  if String.length q.canon = 0 then q.canon <- fst (labelling ~head_mode:Ordered q);
+  if String.length q.canon = 0 then q.canon <- form ~head_mode:Ordered q;
   q.canon
 
 (* FNV-1a, as [Rdf.Term.hash], with no polymorphic Hashtbl.hash *)
@@ -394,13 +593,11 @@ let canonical_hash q =
 
 let canonical_tagged q = function
   | [] -> canonical_string q
-  | tags ->
-    let tags = List.fold_left (fun acc (v, tag) -> SMap.add v tag acc) SMap.empty tags in
-    fst (labelling ~tags ~head_mode:Ordered q)
+  | tags -> form ~tags ~head_mode:Ordered q
 
-let canonical_body_string q = fst (labelling ~head_mode:NoHead q)
+let canonical_body_string q = form ~head_mode:NoHead q
 
-let canonical_head_set_string q = fst (labelling ~head_mode:Set q)
+let canonical_head_set_string q = form ~head_mode:Set q
 
 (* -- Body isomorphism (for view fusion) ---------------------------------- *)
 
@@ -408,12 +605,17 @@ let canonical_head_set_string q = fst (labelling ~head_mode:Set q)
    forms are the bodies spelled in those labels: composing the two
    labellings maps v2's body onto v1's. *)
 let body_isomorphism v1 v2 =
-  let form1, labels1 = labelling ~head_mode:NoHead v1 in
-  let form2, labels2 = labelling ~head_mode:NoHead v2 in
+  let form1, cq1, labels1 = labelling ~head_mode:NoHead v1 in
+  let form2, cq2, labels2 = labelling ~head_mode:NoHead v2 in
   if not (String.equal form1 form2) then None
   else
-    let var_of_label = List.map (fun (x1, l) -> (l, x1)) labels1 in
-    Some (List.map (fun (x2, l) -> (x2, List.assoc l var_of_label)) labels2)
+    let by_label cq labels =
+      let vars = Array.make cq.nv "" in
+      Array.iteri (fun v l -> vars.(l) <- cq.names.(v)) labels;
+      vars
+    in
+    let vars1 = by_label cq1 labels1 and vars2 = by_label cq2 labels2 in
+    Some (List.init cq2.nv (fun l -> (vars2.(l), vars1.(l))))
 
 let to_string q =
   Printf.sprintf "%s(%s) :- %s" q.name

@@ -84,11 +84,21 @@ val body_isomorphism : t -> t -> (string * string) list option
 val canonical_string : t -> string
 (** A string invariant under variable renaming and atom reordering:
     two queries have the same canonical string iff one can be renamed
-    into the other.  Computed by color refinement with individualization
-    backtracking; constants are spelled by their {!Rdf.Term.key}, so
-    two distinct constants never read alike.  Memoized on the query
-    value (head and body are immutable, so the labelling runs at most
-    once per value); the plan cache keys on it. *)
+    into the other.  Computed by colour refinement on ints with
+    individualization backtracking: variables are numbered, a constant
+    is coded by its rank among the query's own constants (by
+    {!Rdf.Term.compare}, so kinds stay apart) in a range disjoint from
+    the colours, a colour is an int and a round ranks each variable's
+    int signature (its colour, then the sorted position and colours of
+    each atom it occurs in).  The least int form (sorted atoms, then
+    the head) over the individualization leaves wins and is spelled
+    once: a variable as [V<label>], a constant by its {!Rdf.Term.key},
+    so two distinct constants never read alike.  Only equality of forms
+    is meaningful: the spelling is not stable across releases (it
+    changed when the refinement moved from strings to ints; which pairs
+    of queries get equal forms did not).  Memoized on the query value
+    (head and body are immutable, so the labelling runs at most once
+    per value); the plan cache keys on it. *)
 
 val canonical_hash : t -> int
 (** A hash of {!canonical_string}, memoized on the query value. *)
@@ -100,9 +110,11 @@ val canonical_tagged : t -> (string * string) list -> string
 (** [canonical_tagged q tags] is {!canonical_string} of [q] with each
     listed variable carrying its tag: two tagged queries get the same
     string iff a renaming maps one onto the other and every tagged
-    variable onto one with the same tag.  With no tag it is
-    {!canonical_string} (and its memo); otherwise nothing is memoized.
-    {!Rcq} keys its constant sets this way. *)
+    variable onto one with the same tag.  A tag joins its variable's
+    initial colour and is spelled after the form, length first, in
+    label order.  With no tag it is {!canonical_string} (and its memo);
+    otherwise nothing is memoized.  {!Rcq} keys its constant sets this
+    way. *)
 
 val canonical_body_string : t -> string
 (** Like {!canonical_string} but ignoring the head entirely; equal on two

@@ -509,6 +509,8 @@ let current_plans store =
     Rdf.Store.add_cache store (Plans tbl);
     tbl.plans
 
+let cache_cap = 4096
+
 let cached_rcq store r =
   let plans = current_plans store in
   match Forms.find_opt plans r with
@@ -519,12 +521,17 @@ let cached_rcq store r =
     let sink = Obs.global () in
     Obs.incr (Obs.counter sink "eval.plan.cache_hits");
     plan
-  | Some _ | None ->
+  | found ->
     (* missing, or stale: a constant the plan found absent (and proved
        the query empty, or dropped from a set) may now exist *)
     let sink = Obs.global () in
     Obs.incr (Obs.counter sink "eval.plan.cache_misses");
     let plan = compile_rcq store r in
+    if Option.is_none found && Forms.length plans >= cache_cap then begin
+      (* a new form past the cap: start the table over *)
+      Forms.reset plans;
+      Obs.incr (Obs.counter sink "eval.plan.cache_clears")
+    end;
     Forms.replace plans r plan;
     plan
 [@@coordinator_only]

@@ -63,6 +63,13 @@ val cached_rcq : Rdf.Store.t -> Rcq.t -> t
 (** {!cached} for a restricted CQ, keyed by its canonical form, sets
     included. *)
 
+val cache_cap : int
+(** The most plans a store's table holds: a miss on a new form when it
+    holds this many empties it first, counted by
+    [eval.plan.cache_clears].  Far above the distinct forms any
+    workload of the ledger or the bench compiles on one store (21 at
+    most), so they never clear. *)
+
 val exec : ?args:int array -> t -> Rdf.Store.t -> (int array -> unit) -> unit
 (** Stream every complete binding's projected row (duplicates
     included; set semantics is the caller's), with the parameters set

@@ -48,10 +48,18 @@ let to_string = function
 (* Kind tag, label length, ':', label: the length says where the label
    ends, so a label holding ',' ')' '&' '<' or ':' cannot run into what
    follows it. *)
+let kind_tag = function Uri _ -> "U" | Blank _ -> "B" | Literal _ -> "L"
+
 let key t =
-  let tag = match t with Uri _ -> "U" | Blank _ -> "B" | Literal _ -> "L" in
   let l = label t in
-  String.concat "" [ tag; string_of_int (String.length l); ":"; l ]
+  String.concat "" [ kind_tag t; string_of_int (String.length l); ":"; l ]
+
+let add_key b t =
+  let l = label t in
+  Buffer.add_string b (kind_tag t);
+  Buffer.add_string b (string_of_int (String.length l));
+  Buffer.add_char b ':';
+  Buffer.add_string b l
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 

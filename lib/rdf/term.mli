@@ -41,6 +41,9 @@ val key : t -> string
     {!equal}, and unlike {!to_string}, a key can be followed by any
     text without ambiguity. *)
 
+val add_key : Buffer.t -> t -> unit
+(** Appends {!key} to the buffer without building it as a string. *)
+
 val of_string : string -> t
 (** Inverse of {!to_string} on its image; bare words parse as URIs. *)
 

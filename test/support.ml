@@ -244,6 +244,214 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
+(* Words a call allocates: on the minor heap, and directly on the
+   major heap, where an array above 256 words goes and where
+   [Gc.minor_words] does not look.  The minor heap is emptied first, so
+   the promoted words in the window are the window's own; the two
+   [Gc.counters] reads, which allocate, sit outside the minor-words
+   window, so a call that allocates nothing reads 0. *)
+let words_allocated f =
+  Gc.minor ();
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  let x = f () in
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  (x, int_of_float (minor1 -. minor0 +. (major1 -. promoted1) -. (major0 -. promoted0)))
+
+(* ---------- canonical-form oracle -------------------------------------------- *)
+
+(* The string colour refinement {!Query.Cq} used before its labelling
+   moved to ints: colours are strings, a signature is the string of a
+   variable's colour and its sorted occurrences, and the least rendered
+   string over the individualization leaves is the form.  Its forms are
+   spelled differently from the library's, so tests compare which pairs
+   of queries get equal forms, never the forms themselves. *)
+module Canon_oracle = struct
+  open Query
+  module SMap = Map.Make (String)
+
+  type head_mode = Ordered | Set | NoHead
+
+  (* A body position as the labelling sees it: a constant, by its key
+     (computed once per labelling), or a variable. *)
+  type slot = Fixed of string | Free of string
+
+  let slot = function Qterm.Cst c -> Fixed (Rdf.Term.key c) | Qterm.Var x -> Free x
+
+  let slots (a : Atom.t) = [| slot a.s; slot a.p; slot a.o |]
+
+  let position_names = [| "s"; "p"; "o" |]
+
+  (* A constant's colour is its self-delimiting key, which starts with a
+     kind tag (U, B or L); a variable's colour starts with 0 or c.  The two
+     ranges are disjoint, and no label can run into the next slot. *)
+  let slot_color colors = function Fixed k -> k | Free x -> SMap.find x colors
+
+  let refine_colors body vars colors =
+    (* each atom's signature, built once per round *)
+    let signed =
+      List.map
+        (fun a ->
+          ( a,
+            "(" ^ slot_color colors a.(0) ^ "," ^ slot_color colors a.(1) ^ ","
+            ^ slot_color colors a.(2) ^ ")" ))
+        body
+    in
+    let signature v =
+      let occurrences =
+        List.concat_map
+          (fun (a, sg) ->
+            List.filter_map
+              (fun pos ->
+                match a.(pos) with
+                | Free x when String.equal x v ->
+                  Some (position_names.(pos) ^ sg)
+                | Free _ | Fixed _ -> None)
+              [ 0; 1; 2 ])
+          signed
+      in
+      SMap.find v colors ^ "|" ^ String.concat ";" (List.sort String.compare occurrences)
+    in
+    let sigs = List.map (fun v -> (v, signature v)) vars in
+    let distinct = List.sort_uniq String.compare (List.map snd sigs) in
+    let rank s =
+      let rec index i = function
+        | [] -> assert false
+        | x :: rest -> if String.equal x s then i else index (i + 1) rest
+      in
+      index 0 distinct
+    in
+    List.fold_left
+      (fun acc (v, s) -> SMap.add v (Printf.sprintf "c%03d" (rank s)) acc)
+      SMap.empty sigs
+
+  let rec refine_to_fixpoint body vars colors =
+    let next = refine_colors body vars colors in
+    if SMap.equal String.equal colors next then colors
+    else refine_to_fixpoint body vars next
+
+  (* The form of a discrete colouring, and the label ("V<rank>") it gives
+     each variable.  A tagged variable's tag follows the form, in label
+     order. *)
+  let render ~head_mode ~tags ~head ~body colors =
+    let var_rank =
+      let sorted =
+        List.sort
+          (fun (_, c1) (_, c2) -> String.compare c1 c2)
+          (SMap.bindings colors)
+      in
+      List.mapi (fun i (v, _) -> (v, Printf.sprintf "V%d" i)) sorted
+    in
+    let label = function Fixed k -> k | Free x -> List.assoc x var_rank in
+    let atom_str a =
+      "t(" ^ label a.(0) ^ "," ^ label a.(1) ^ "," ^ label a.(2) ^ ")"
+    in
+    let body_str = String.concat "&" (List.sort String.compare (List.map atom_str body)) in
+    let form =
+      match head_mode with
+      | Ordered -> "[" ^ String.concat "," (List.map label head) ^ "]<=" ^ body_str
+      | Set ->
+        "{" ^ String.concat ","
+          (List.sort String.compare (List.map label head)) ^ "}<=" ^ body_str
+      | NoHead -> body_str
+    in
+    let form =
+      if SMap.is_empty tags then form
+      else
+        List.fold_left
+          (fun acc (v, l) ->
+            match SMap.find_opt v tags with
+            | Some tag -> acc ^ "|" ^ l ^ "=" ^ tag
+            | None -> acc)
+          form var_rank
+    in
+    (form, var_rank)
+
+  (* The canonical form and the labelling that produced it.  A tag joins
+     its variable's initial colour (after a [#], which no head tag
+     holds), so only equally tagged variables can swap labels. *)
+  let labelling ?(tags = SMap.empty) ~head_mode (q : Cq.t) =
+    let vars = Cq.body_vars q in
+    let head = List.map slot q.head in
+    let body = List.map slots q.body in
+    let render = render ~head_mode ~tags ~head ~body in
+    let initial =
+      let head_tags =
+        match head_mode with
+        | NoHead -> SMap.empty
+        | Set ->
+          (* heads compared as sets: every head variable gets the same tag *)
+          List.fold_left
+            (fun acc term ->
+              match term with
+              | Qterm.Var x -> SMap.add x "H" acc
+              | Qterm.Cst _ -> acc)
+            SMap.empty q.head
+        | Ordered ->
+          List.fold_left
+            (fun (acc, i) term ->
+              match term with
+              | Qterm.Var x ->
+                let prev = Option.value (SMap.find_opt x acc) ~default:"" in
+                (SMap.add x (prev ^ "H" ^ string_of_int i) acc, i + 1)
+              | Qterm.Cst _ -> (acc, i + 1))
+            (SMap.empty, 0) q.head
+          |> fst
+      in
+      List.fold_left
+        (fun acc v ->
+          let color = "0" ^ Option.value (SMap.find_opt v head_tags) ~default:"E" in
+          let color =
+            match SMap.find_opt v tags with Some tag -> color ^ "#" ^ tag | None -> color
+          in
+          SMap.add v color acc)
+        SMap.empty vars
+    in
+    let discrete colors =
+      let values = List.map snd (SMap.bindings colors) in
+      List.length (List.sort_uniq String.compare values) = List.length values
+    in
+    let rec solve colors =
+      let colors = refine_to_fixpoint body vars colors in
+      if discrete colors then render colors
+      else begin
+        (* individualize each member of the first ambiguous class, keep the
+           lexicographically least outcome: canonical and order-independent *)
+        let by_color =
+          List.fold_left
+            (fun acc (v, c) ->
+              SMap.update c
+                (function None -> Some [ v ] | Some vs -> Some (v :: vs))
+                acc)
+            SMap.empty (SMap.bindings colors)
+        in
+        let _, clash =
+          List.find (fun (_, vs) -> List.length vs > 1) (SMap.bindings by_color)
+        in
+        let candidates =
+          List.map
+            (fun v -> solve (SMap.add v (SMap.find v colors ^ "!") colors))
+            clash
+        in
+        List.fold_left
+          (fun best c -> if String.compare (fst c) (fst best) < 0 then c else best)
+          (List.hd candidates) (List.tl candidates)
+      end
+    in
+    if vars = [] then render SMap.empty else solve initial
+
+  let canonical_string q = fst (labelling ~head_mode:Ordered q)
+
+  let canonical_tagged q tags =
+    let tags = List.fold_left (fun acc (v, tag) -> SMap.add v tag acc) SMap.empty tags in
+    fst (labelling ~tags ~head_mode:Ordered q)
+
+  let canonical_body_string q = fst (labelling ~head_mode:NoHead q)
+
+  let canonical_head_set_string q = fst (labelling ~head_mode:Set q)
+end
+
 (* ---------- reformulation oracle ------------------------------------------ *)
 
 (* Algorithm 1 one CQ at a time: a breadth-first search that applies

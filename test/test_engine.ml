@@ -153,19 +153,6 @@ let test_executor_unknown_view () =
     (fun () ->
       ignore (Engine.Executor.execute museum_store env (Core.Rewriting.Scan "nope")))
 
-(* Words a call allocates: on the minor heap, and directly on the
-   major heap, where an array above 256 words goes and where
-   [Gc.minor_words] does not look.  The minor heap is emptied first, so
-   the promoted words in the window are the window's own. *)
-let words_allocated f =
-  Gc.minor ();
-  let minor0 = Gc.minor_words () in
-  let _, promoted0, major0 = Gc.counters () in
-  let x = f () in
-  let _, promoted1, major1 = Gc.counters () in
-  let minor1 = Gc.minor_words () in
-  (x, int_of_float (minor1 -. minor0 +. (major1 -. promoted1) -. (major0 -. promoted0)))
-
 (* A 50k-row view: X is unique, Y cycles, C is one constant. *)
 let big_rows = 50_000
 

@@ -327,14 +327,12 @@ let test_rowset_probes_do_not_allocate () =
   in
   probes ();
   hits := 0;
-  let before = Gc.minor_words () in
-  probes ();
-  let allocated = Gc.minor_words () -. before in
+  let (), allocated = words_allocated probes in
   check_int "every probe of a present row hits" 20_000 !hits;
   check_int "the set is unchanged" 200 (Rdf.Rowset.cardinal set);
   check_bool
-    (Printf.sprintf "the probes allocate nothing (saw %.0f words)" allocated)
-    true (allocated = 0.)
+    (Printf.sprintf "the probes allocate nothing (saw %d words)" allocated)
+    true (allocated = 0)
 
 (* ---------- directed plan tests ------------------------------------------ *)
 
@@ -557,6 +555,31 @@ let test_dropped_stores_retain_nothing () =
     true
     (after_60 - after_20 < 4_000)
 
+(* A store's table holds at most [cache_cap] plans: a new form past the
+   cap empties it first, so the plans of ever more distinct queries do
+   not pile up on a store that lives on. *)
+let test_plan_table_bounded () =
+  with_registry (fun reg ->
+      let store = small_store () in
+      let cap = Query.Plan.cache_cap in
+      let compile first count =
+        for i = first to first + count - 1 do
+          let q = cq [ v "X" ] [ atom (v "X") (c "P0") (c (Printf.sprintf "k%06d" i)) ] in
+          ignore (Query.Plan.cached store q : Query.Plan.t)
+        done
+      in
+      compile 0 cap;
+      let after_cap = live_words () in
+      compile cap (2 * cap);
+      let after_3cap = live_words () in
+      check_bool "at most cap plans" true (Query.Plan.cached_plan_count store <= cap);
+      check_int "one clear per cap new forms" 2 (counter_value reg "eval.plan.cache_clears");
+      check_bool
+        (Printf.sprintf "live words %d after %d queries, %d after %d" after_cap cap
+           after_3cap (3 * cap))
+        true
+        (after_3cap - after_cap < cap))
+
 (* A plan is keyed by its query's canonical form on the store: the
    store holds the plans of the queries it evaluates. *)
 let test_evaluation_interns_nothing () =
@@ -600,6 +623,7 @@ let () =
       ( "cache",
         [
           Alcotest.test_case "hits on reuse" `Quick test_cache_hits_on_reuse;
+          Alcotest.test_case "the plan table is bounded" `Quick test_plan_table_bounded;
           Alcotest.test_case "isomorphic queries share a plan" `Quick
             test_isomorphic_queries_share_plan;
           Alcotest.test_case "a quoted URI has its own plan" `Quick

@@ -247,6 +247,159 @@ let prop_canonical_body_matches_isomorphism =
       in
       canon_eq = oracle && renaming_maps_b_onto_a)
 
+(* ---------- int forms against the string oracle ---------------------------- *)
+
+(* Tags as Rcq spells them: the concatenated keys of a constant set. *)
+let tag_pool =
+  List.map
+    (fun set -> String.concat "" (List.map Rdf.Term.key set))
+    [ [ lit "k"; uri "k" ]; [ uri "k"; blank "k" ]; [ uri "a,b"; lit "a,b" ];
+      [ lit "k"; uri "\"k\"" ] ]
+
+(* A query over colliding constants with a head of up to three terms
+   (variables, repeated or not, and constants) and a tag on about a
+   third of its variables. *)
+let gen_tagged_query =
+  let open QCheck.Gen in
+  let* body = gen_colliding_body in
+  let vars = List.sort_uniq String.compare (List.concat_map Query.Atom.vars body) in
+  let cst = map (fun k -> Query.Qterm.Cst k) (oneofl colliding_constants) in
+  let term = if vars = [] then cst else frequency [ (4, map v (oneofl vars)); (1, cst) ] in
+  let* head = list_size (int_range 0 3) term in
+  let* tags =
+    flatten_l
+      (List.map
+         (fun x ->
+           frequency
+             [ (2, return None); (1, map (fun t -> Some (x, t)) (oneofl tag_pool)) ])
+         vars)
+  in
+  return (cq head body, List.filter_map Fun.id tags)
+
+(* The same tagged query under a random renaming, its atoms shuffled. *)
+let gen_renamed (q, tags) =
+  let open QCheck.Gen in
+  let vars = Query.Cq.body_vars q in
+  let* shuffled = shuffle_l vars in
+  let mapping = List.combine vars (List.map (fun y -> "R" ^ y) shuffled) in
+  let renamed = Query.Cq.subst (fun x -> Option.map v (List.assoc_opt x mapping)) q in
+  let* body = shuffle_l renamed.Query.Cq.body in
+  return
+    ( cq renamed.Query.Cq.head body,
+      List.map (fun (x, t) -> (List.assoc x mapping, t)) tags )
+
+(* Disjoint directed cycles over one property, up to seven variables:
+   every variable has the same local view, so refinement alone cannot
+   tell them apart, and a 3-cycle beside a 4-cycle is no orbit, so the
+   individualization leaves differ and only the least one is canonical.
+   The head, if any, is one variable. *)
+let gen_cycles =
+  let open QCheck.Gen in
+  let* lengths = list_size (int_range 1 3) (int_range 1 4) in
+  let* with_head = bool in
+  let body =
+    List.concat
+      (List.mapi
+         (fun k n ->
+           List.init n (fun i ->
+               let x i = v (Printf.sprintf "C%d_%d" k (i mod n)) in
+               atom (x i) (c "p") (x (i + 1))))
+         lengths)
+  in
+  let head = if with_head then [ v "C0_0" ] else [] in
+  return (cq head body, [])
+
+(* Pairs that are unrelated, renamed, renamed with the head permuted,
+   renamed with one constant or one tag changed, or cycle bodies, either
+   renamed or unrelated. *)
+let gen_form_pair =
+  let open QCheck.Gen in
+  let* how = int_range 0 5 in
+  let* a = if how = 5 then gen_cycles else gen_tagged_query in
+  match how with
+  | 5 ->
+    let* renamed = bool in
+    map (fun b -> (a, b)) (if renamed then gen_renamed a else gen_cycles)
+  | 4 -> map (fun b -> (a, b)) (gen_renamed a)
+  | 0 -> map (fun b -> (a, b)) gen_tagged_query
+  | 1 -> map (fun b -> (a, b)) (gen_renamed a)
+  | 2 ->
+    let* qb, tb = gen_renamed a in
+    let* head = shuffle_l qb.Query.Cq.head in
+    return (a, (cq head qb.Query.Cq.body, tb))
+  | _ -> (
+    let* qb, tb = gen_renamed a in
+    let* swap = oneofl colliding_constants in
+    let* tag = oneofl tag_pool in
+    let* change_tag = bool in
+    match (change_tag, tb) with
+    | true, (x, _) :: rest -> return (a, (qb, (x, tag) :: rest))
+    | _ ->
+      let swapped =
+        List.map
+          (fun (at : Query.Atom.t) ->
+            match at.o with
+            | Query.Qterm.Cst _ -> atom at.s at.p (Query.Qterm.Cst swap)
+            | Query.Qterm.Var _ -> at)
+          qb.Query.Cq.body
+      in
+      return (a, (cq qb.Query.Cq.head swapped, tb)))
+
+let print_tagged (q, tags) =
+  Query.Cq.to_string q
+  ^ String.concat "" (List.map (fun (x, t) -> Printf.sprintf " %s=%S" x t) tags)
+
+(* The library's int refinement and the string refinement it replaced
+   give equal forms to exactly the same pairs, in every head mode and
+   with tags. *)
+let prop_int_forms_match_oracle =
+  QCheck.Test.make ~name:"int forms equal exactly when the string oracle's are"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (a, b) -> print_tagged a ^ "  vs  " ^ print_tagged b)
+       gen_form_pair)
+    (fun ((qa, ta), (qb, tb)) ->
+      let agree library oracle =
+        Bool.equal
+          (String.equal (library qa ta) (library qb tb))
+          (String.equal (oracle qa ta) (oracle qb tb))
+      in
+      let untagged f q _ = f q in
+      agree (untagged Query.Cq.canonical_string) (untagged Canon_oracle.canonical_string)
+      && agree
+           (untagged Query.Cq.canonical_head_set_string)
+           (untagged Canon_oracle.canonical_head_set_string)
+      && agree
+           (untagged Query.Cq.canonical_body_string)
+           (untagged Canon_oracle.canonical_body_string)
+      && agree Query.Cq.canonical_tagged Canon_oracle.canonical_tagged)
+
+(* One labelling of a 3-atom Barton-shaped star allocates a few hundred
+   words: colours, signatures and forms are int arrays, and the form is
+   spelled once (the string refinement took about 2,100). *)
+let test_labelling_allocation () =
+  let star i =
+    cq [ v "X"; v "Y" ]
+      [
+        atom (v "X") (Query.Qterm.Cst rdf_type) (c (Printf.sprintf "barton:Class%d" i));
+        atom (v "X") (c (Printf.sprintf "barton:prop%d" i)) (v "Y");
+        atom (v "X") (c (Printf.sprintf "barton:prop%d" (i + 7))) (v "Z");
+      ]
+  in
+  let queries = Array.init 100 star in
+  let label () =
+    Array.iter
+      (fun q ->
+        ignore (Sys.opaque_identity (Query.Cq.canonical_head_set_string q));
+        ignore (Sys.opaque_identity (Query.Cq.canonical_body_string q)))
+      queries
+  in
+  label ();
+  let (), words = words_allocated label in
+  let per_labelling = words / 200 in
+  if per_labelling > 450 then
+    Alcotest.failf "a labelling allocated %d words (want at most 450)" per_labelling
+
 let test_canonical_distinguishes () =
   let a = cq [ v "X" ] [ atom (v "X") (c "ex:p") (v "Y") ] in
   let b = cq [ v "X" ] [ atom (v "X") (c "ex:q") (v "Y") ] in
@@ -453,6 +606,8 @@ let () =
         [
           to_alcotest prop_canonical_invariant_under_renaming;
           to_alcotest prop_canonical_body_matches_isomorphism;
+          to_alcotest prop_int_forms_match_oracle;
+          Alcotest.test_case "labelling allocation" `Quick test_labelling_allocation;
           Alcotest.test_case "distinguishes" `Quick test_canonical_distinguishes;
           Alcotest.test_case "constant is not a variable" `Quick
             test_canonical_constant_not_variable;

@@ -30,6 +30,17 @@ let test_term_predicates () =
 (* [Term.hash] is FNV-1a over the label, seeded by the constructor
    rank; pinned against the recurrence written out here and against
    fixed values, so a faster loop cannot change a hash. *)
+(* A key written into a buffer is the key: the canonical forms spell
+   constants through [add_key]. *)
+let test_term_add_key () =
+  List.iter
+    (fun t ->
+      let b = Buffer.create 8 in
+      Buffer.add_string b "x";
+      Rdf.Term.add_key b t;
+      check_string (Rdf.Term.to_string t) ("x" ^ Rdf.Term.key t) (Buffer.contents b))
+    colliding_constants
+
 let test_term_hash_fnv () =
   let fnv1a rank label =
     String.fold_left
@@ -387,6 +398,7 @@ let () =
           Alcotest.test_case "ordering" `Quick test_term_order;
           Alcotest.test_case "predicates" `Quick test_term_predicates;
           Alcotest.test_case "hash is FNV-1a" `Quick test_term_hash_fnv;
+          Alcotest.test_case "add_key writes the key" `Quick test_term_add_key;
           to_alcotest prop_term_compare_total;
         ] );
       ( "triple",

@@ -344,6 +344,11 @@ let queue_mutators = [ "pop"; "pop_opt"; "take"; "take_opt"; "clear"; "transfer"
 (* [Queue.add x q] and [Queue.push x q] take the queue second *)
 let queue_adders = [ "add"; "push" ]
 
+let stack_mutators = [ "pop"; "pop_opt"; "drop"; "clear" ]
+
+(* [Stack.push x s] takes the stack second *)
+let stack_adders = [ "push" ]
+
 (* Simple names of the modules bound to a [Hashtbl.Make] or
    [Hashtbl.MakeSeeded] application in any unit given to the analyzer,
    whatever they are called ([Cost.Int_tbl], [Query.Plan.Forms]).
@@ -367,6 +372,8 @@ let mutator_kind name =
   else if m = "Buffer" && List.mem f buffer_mutators then Some 0
   else if m = "Queue" && List.mem f queue_adders then Some 1
   else if m = "Queue" && List.mem f queue_mutators then Some 0
+  else if m = "Stack" && List.mem f stack_adders then Some 1
+  else if m = "Stack" && List.mem f stack_mutators then Some 0
   else if (m = "Array" || m = "Bytes") && (f = "blit" || f = "unsafe_blit")
   then Some 2
   else if (m = "Array" || m = "Bytes") && (f = "set" || f = "unsafe_set" || f = "fill")
