@@ -171,41 +171,28 @@ let rec estimate t (s : State.t) expr =
     { e with dist = List.filter (fun (c, _) -> List.mem c cols) e.dist }
   | Rewriting.Rename (mapping, inner) ->
     let e = estimate t s inner in
-    let rename (c, d) =
-      match List.assoc_opt c mapping with Some c' -> (c', d) | None -> (c, d)
-    in
-    { e with dist = List.map rename e.dist }
+    { e with dist = List.map (fun (c, d) -> (Rewriting.rename mapping c, d)) e.dist }
   | Rewriting.Join (conds, l, r) ->
     let el = estimate t s l in
     let er = estimate t s r in
-    let pairs =
-      match conds with
-      | [] ->
-        let left_cols = List.map fst el.dist in
-        List.filter_map
-          (fun (c, _) -> if List.mem c left_cols then Some (c, c) else None)
-          er.dist
-      | _ :: _ -> conds
+    let layout =
+      Rewriting.join_layout (List.map fst el.dist) (List.map fst er.dist) conds
     in
     let selectivity =
       List.fold_left
         (fun acc (a, b) ->
           acc /. Float.max (dist_of el a) (dist_of er b))
-        1. pairs
+        1. layout.pairs
     in
     let card = Float.max (el.card *. er.card *. selectivity) 0. in
     let joined_dist =
-      let from_left = el.dist in
-      let from_right =
-        List.filter (fun (c, _) -> not (List.mem_assoc c from_left)) er.dist
-      in
       List.map
         (fun (c, d) ->
-          match List.assoc_opt c pairs with
+          match List.assoc_opt c layout.pairs with
           | Some b -> (c, Float.min d (dist_of er b))
           | None -> (c, d))
-        from_left
-      @ from_right
+        el.dist
+      @ List.map (List.nth er.dist) layout.kept
     in
     {
       card;

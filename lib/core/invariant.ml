@@ -15,25 +15,21 @@ exception Violation of violation
 let violation_to_string v =
   Printf.sprintf "[%s] %s" v.invariant v.detail
 
+(* An escaped violation prints its family and detail. *)
+let () =
+  Printexc.register_printer (function
+    | Violation v -> Some ("Core.Invariant.Violation " ^ violation_to_string v)
+    | _ -> None)
+
 (* ---------- unfolding ---------------------------------------------------- *)
 
 (* A branch of the unfolded expression: one conjunctive disjunct, with one
-   output term per column.  Mirrors Engine.Executor faithfully, including
-   its join column semantics: with explicit conditions, right columns
-   whose names already appear on the left are dropped without being
-   equated. *)
+   output term per column.  The columns follow {!Rewriting}'s rules, as
+   Engine.Executor's do. *)
 type branch = { terms : Query.Qterm.t list; body : Query.Atom.t list }
 
-exception Unfold_error of string
-
-let fail fmt = Printf.ksprintf (fun m -> raise (Unfold_error m)) fmt
-
-let column_index cols c =
-  let rec find i = function
-    | [] -> fail "unknown column %s" c
-    | c' :: rest -> if String.equal c c' then i else find (i + 1) rest
-  in
-  find 0 cols
+(* Every unfolding error is a [Failure], the column lookup's included. *)
+let fail fmt = Printf.ksprintf failwith fmt
 
 (* Substitute a variable by a query term across a branch. *)
 let subst_branch x replacement b =
@@ -65,14 +61,6 @@ let unify_constant b i term =
   | Query.Qterm.Var x -> Some (subst_branch x (Query.Qterm.Cst term) b)
   | Query.Qterm.Cst c -> if Rdf.Term.equal c term then Some b else None
 
-(* Column naming mirrors Engine.Materialize: head variable names, or
-   positional c0..cn when the head carries constants (reformulation rules
-   5 and 6 can bind head positions to constants). *)
-let scan_columns (cq : Query.Cq.t) =
-  let cols = List.filter_map Query.Qterm.var_name cq.head in
-  if List.length cols = List.length cq.head then cols
-  else List.mapi (fun i _ -> Printf.sprintf "c%d" i) cq.head
-
 let rec eval state expr : string list * branch list =
   match expr with
   | Rewriting.Scan name -> (
@@ -82,7 +70,7 @@ let rec eval state expr : string list * branch list =
       (* column names come from the view's declared head; the instance is
          freshened so repeated scans of one view never alias (freshening
          preserves head positions, keeping columns aligned) *)
-      let cols = scan_columns v.View.cq in
+      let cols = View.columns v in
       let cq = Query.Cq.freshen v.View.cq in
       (cols, [ { terms = cq.Query.Cq.head; body = cq.Query.Cq.body } ]))
   | Rewriting.Select (conds, inner) ->
@@ -91,9 +79,11 @@ let rec eval state expr : string list * branch list =
       match (b, cond) with
       | None, _ -> None
       | Some b, Rewriting.Eq_cst (c, term) ->
-        unify_constant b (column_index cols c) term
+        unify_constant b (Rewriting.column_index cols c) term
       | Some b, Rewriting.Eq_col (c1, c2) ->
-        unify_positions b (column_index cols c1) (column_index cols c2)
+        unify_positions b
+          (Rewriting.column_index cols c1)
+          (Rewriting.column_index cols c2)
     in
     ( cols,
       List.filter_map
@@ -101,44 +91,28 @@ let rec eval state expr : string list * branch list =
         branches )
   | Rewriting.Project (out_cols, inner) ->
     let cols, branches = eval state inner in
-    let idx = List.map (column_index cols) out_cols in
+    let idx = List.map (Rewriting.column_index cols) out_cols in
     ( out_cols,
       List.map
         (fun b -> { b with terms = List.map (List.nth b.terms) idx })
         branches )
   | Rewriting.Rename (mapping, inner) ->
     let cols, branches = eval state inner in
-    let renamed =
-      List.map
-        (fun c ->
-          match List.assoc_opt c mapping with Some c' -> c' | None -> c)
-        cols
-    in
-    (renamed, branches)
+    (List.map (Rewriting.rename mapping) cols, branches)
   | Rewriting.Join (conds, l, r) ->
     let lcols, lbranches = eval state l in
     let rcols, rbranches = eval state r in
-    let pairs =
-      match conds with
-      | [] ->
-        List.filter_map
-          (fun c -> if List.mem c lcols then Some (c, c) else None)
-          rcols
-      | _ :: _ -> conds
-    in
+    let layout = Rewriting.join_layout lcols rcols conds in
     let n_left = List.length lcols in
     let key_pairs =
       List.map
-        (fun (a, b) -> (column_index lcols a, n_left + column_index rcols b))
-        pairs
+        (fun (a, b) ->
+          (Rewriting.column_index lcols a, n_left + Rewriting.column_index rcols b))
+        layout.pairs
     in
-    let kept_right =
-      List.filter
-        (fun (_, c) -> not (List.mem c lcols))
-        (List.mapi (fun i c -> (n_left + i, c)) rcols)
+    let keep_idx =
+      List.init n_left (fun i -> i) @ List.map (fun i -> n_left + i) layout.kept
     in
-    let out_cols = lcols @ List.map snd kept_right in
-    let keep_idx = List.init n_left (fun i -> i) @ List.map fst kept_right in
     let joined =
       List.concat_map
         (fun lb ->
@@ -161,7 +135,7 @@ let rec eval state expr : string list * branch list =
             rbranches)
         lbranches
     in
-    (out_cols, joined)
+    (layout.out, joined)
   | Rewriting.Union parts -> (
     match List.map (eval state) parts with
     | [] -> fail "empty union"
@@ -177,15 +151,15 @@ let rec eval state expr : string list * branch list =
           results ))
 
 (* A rewriting unfolded into the union of conjunctive queries over the
-   triple table it computes, mirroring the reference executor
-   ({!Engine.Executor}) operation for operation.  A branch with an empty
+   triple table it computes, operation for operation as the executor
+   ({!Engine.Executor}) runs it.  A branch with an empty
    body can only arise from a view with an empty body, which Cq.make
    already forbids; Cq.make also rejects unsafe heads, which unfolding
    preserves (head variables always originate in some view head, hence
    appear in the body). *)
 let unfold state expr =
   match eval state expr with
-  | exception Unfold_error m -> Error m
+  | exception Failure m -> Error m
   | _, branches -> (
     match
       List.mapi

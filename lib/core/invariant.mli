@@ -29,9 +29,12 @@ type violation = {
 
 exception Violation of violation
 (** Raised by {!assert_valid} (and, through it, by the search in strict
-    mode) on the first violation found. *)
+    mode) on the first violation found.  A printer is registered with
+    [Printexc], so [Printexc.to_string] of a violation, and an uncaught
+    one, show its {!violation_to_string}. *)
 
 val violation_to_string : violation -> string
+(** ["[family] detail"]. *)
 
 type reference = (string * Query.Cq.t list) list
 (** Per-query reference semantics: query name → disjuncts.  Singleton

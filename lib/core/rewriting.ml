@@ -12,6 +12,37 @@ type t =
 
 type env = (string, string list) Hashtbl.t
 
+let column_index cols c =
+  let rec find i = function
+    | [] -> failwith ("unknown column " ^ c)
+    | c' :: rest -> if String.equal c c' then i else find (i + 1) rest
+  in
+  find 0 cols
+
+let rename mapping c =
+  match List.assoc_opt c mapping with Some c' -> c' | None -> c
+
+type join_layout = {
+  pairs : (string * string) list;
+  kept : int list;
+  out : string list;
+}
+
+let join_layout lcols rcols conds =
+  let pairs =
+    match conds with
+    | [] -> List.filter_map (fun c -> if List.mem c lcols then Some (c, c) else None) rcols
+    | _ :: _ -> conds
+  in
+  let rec keep i = function
+    | [] -> ([], [])
+    | c :: rest ->
+      let ((kept, names) as both) = keep (i + 1) rest in
+      if List.mem c lcols then both else (i :: kept, c :: names)
+  in
+  let kept, names = keep 0 rcols in
+  { pairs; kept; out = lcols @ names }
+
 let rec columns env = function
   | Scan name -> (
     match Hashtbl.find_opt env name with
@@ -19,14 +50,8 @@ let rec columns env = function
     | None -> failwith ("Rewriting.columns: unknown view " ^ name))
   | Select (_, e) -> columns env e
   | Project (cols, _) -> cols
-  | Join (_, l, r) ->
-    let lc = columns env l in
-    let rc = columns env r in
-    lc @ List.filter (fun c -> not (List.mem c lc)) rc
-  | Rename (mapping, e) ->
-    List.map
-      (fun c -> match List.assoc_opt c mapping with Some c' -> c' | None -> c)
-      (columns env e)
+  | Join (conds, l, r) -> (join_layout (columns env l) (columns env r) conds).out
+  | Rename (mapping, e) -> List.map (rename mapping) (columns env e)
   | Union [] -> failwith "Rewriting.columns: empty union"
   | Union (e :: _) -> columns env e
 

@@ -14,14 +14,14 @@ type cond =
 
 type t =
   | Scan of string
-      (** a view scan; columns are the view's head variables *)
+      (** a view scan; columns are the view's head variables
+          ({!View.columns}: a view's head holds no constant) *)
   | Select of cond list * t
   | Project of string list * t
       (** projection on the listed columns, in order *)
   | Join of (string * string) list * t * t
       (** equi-join; an empty condition list means natural join on all
-          shared column names.  Output columns: left columns then right
-          columns not already output. *)
+          shared column names ({!join_layout}) *)
   | Rename of (string * string) list * t
       (** simultaneous column renaming [(old, new)] *)
   | Union of t list
@@ -30,9 +30,37 @@ type t =
 type env = (string, string list) Hashtbl.t
 (** Maps view names to their column lists. *)
 
+(** {2 The column rules}
+
+    The one definition of every operator's output columns, read by the
+    executor, the strict-mode unfolder ({!Invariant}) and the cost
+    model ({!Cost}). *)
+
+val column_index : string list -> string -> int
+(** The position of a column in the list.  Raises
+    [Failure "unknown column c"], the library's one such failure. *)
+
+val rename : (string * string) list -> string -> string
+(** A column's name after [Rename mapping]. *)
+
+type join_layout = {
+  pairs : (string * string) list;
+      (** the equated (left, right) columns: the conditions, or for a
+          natural join each right column named like a left one *)
+  kept : int list;
+      (** the positions of the right columns named like no left column;
+          the others are dropped, unequated under explicit conditions *)
+  out : string list;  (** the left columns, then the kept ones *)
+}
+
+val join_layout : string list -> string list -> (string * string) list -> join_layout
+(** [join_layout lcols rcols conds] lays out [Join (conds, l, r)] for
+    [l] with columns [lcols] and [r] with [rcols]. *)
+
 val columns : env -> t -> string list
-(** Output columns of the expression.  Raises [Failure] on unknown view
-    symbols or column references. *)
+(** Output columns of the expression, by the rules above.  Raises
+    [Failure] on an unknown view symbol or an empty union; column
+    references are checked by {!well_formed}, not here. *)
 
 val equal : t -> t -> bool
 (** Structural equality, delegating constants to {!Rdf.Term.equal}. *)

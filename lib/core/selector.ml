@@ -52,20 +52,13 @@ let recommended_views reasoning state =
 (* The standard initial state of a workload, per mode (§5.1 / §4.3).
    Each query (or disjunct) it starts from must be a valid view. *)
 let initial_state reasoning workload =
-  let refuse name reason cq =
-    raise
-      (Unsupported_query
-         (Printf.sprintf "query %s: %s: %s" name reason (Query.Cq.to_string cq)))
-  in
-  let check name cq = Option.iter (fun reason -> refuse name reason cq) (View.defect cq) in
-  (* Reformulation rules 5/6 can bind a head variable to a constant.  The
-     disjunct's view would have a constant head column, which
-     {!View.columns} drops and no rewriting emits, so its union branch
-     would lose its alignment with the query head. *)
-  let check_disjunct name cq =
-    check name cq;
-    if List.exists (fun t -> Option.is_some (Query.Qterm.constant t)) cq.Query.Cq.head
-    then refuse name "reformulation binds a head variable to a constant" cq
+  let check name cq =
+    Option.iter
+      (fun reason ->
+        raise
+          (Unsupported_query
+             (Printf.sprintf "query %s: %s: %s" name reason (Query.Cq.to_string cq))))
+      (View.defect cq)
   in
   match reasoning with
   | No_reasoning | Saturation _ | Post_reformulation _ ->
@@ -79,7 +72,7 @@ let initial_state reasoning workload =
             Query.Ucq.disjuncts (Query.Reformulation.reformulate q schema) ))
         workload
     in
-    List.iter (fun (name, disjuncts) -> List.iter (check_disjunct name) disjuncts) groups;
+    List.iter (fun (name, disjuncts) -> List.iter (check name) disjuncts) groups;
     State.initial_union groups
 
 let select ?jobs ~store ~reasoning ~options workload =

@@ -26,12 +26,9 @@ let cond_preimage mapping cond =
 let compose_renames base_columns inner outer =
   (* Rename outer (Rename inner e): a column c goes c -> inner(c) -> outer(inner(c));
      only actual columns of [e] may appear as sources *)
-  let apply m col =
-    match List.assoc_opt col m with Some c -> c | None -> col
-  in
   List.filter_map
     (fun source ->
-      let target = apply outer (apply inner source) in
+      let target = Rewriting.rename outer (Rewriting.rename inner source) in
       if String.equal source target then None else Some (source, target))
     base_columns
 

@@ -28,13 +28,14 @@ type replacement = VB | SC | JC
 let counter = Atomic.make 0
 
 let defect cq =
+  let head_names = List.filter_map Query.Qterm.var_name cq.Query.Cq.head in
   if not (Query.Cq.is_connected cq) then Some "body is a Cartesian product"
-  else
-    let head_names = List.filter_map Query.Qterm.var_name cq.Query.Cq.head in
-    if List.length (List.sort_uniq String.compare head_names)
-       <> List.length head_names
-    then Some "head repeats a variable"
-    else None
+  else if List.length head_names <> List.length cq.Query.Cq.head then
+    Some "head holds a constant"
+  else if List.length (List.sort_uniq String.compare head_names)
+          <> List.length head_names
+  then Some "head repeats a variable"
+  else None
 
 let validate who cq =
   match defect cq with

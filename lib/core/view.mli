@@ -43,10 +43,14 @@ and fusion = { v3 : t; expr1 : Rewriting.t; expr2 : Rewriting.t }
 type replacement = VB | SC | JC  (** The transitions replacing one view. *)
 
 val defect : Query.Cq.t -> string option
-(** Why the query cannot be a view, if it cannot: its body is
-    disconnected (views with Cartesian products are disallowed, §3.1)
-    or two head variables share a name (view columns must be
-    unambiguous). *)
+(** Why the query cannot be a view, if it cannot, checked in this order:
+    - ["body is a Cartesian product"]: the body is disconnected (views
+      with Cartesian products are disallowed, §3.1);
+    - ["head holds a constant"]: a view's columns are its head
+      variables ({!columns}), so a constant head position would have no
+      column and no rewriting could emit it;
+    - ["head repeats a variable"]: two head variables share a name (view
+      columns must be unambiguous). *)
 
 val make : Query.Cq.t -> t
 (** Wrap a query as a view under a fresh name.  Raises
@@ -66,7 +70,8 @@ val head : t -> Query.Qterm.t list
 
 val columns : t -> string list
 (** The head variable names, in head order — the schema of the
-    materialized relation. *)
+    materialized relation and the columns of a
+    scan of the view ({!Rewriting.Scan}). *)
 
 val atom_count : t -> int
 

@@ -23,13 +23,6 @@ type chunk = {
   set : Rdf.Rowset.t option;  (* the set whose rows these are, if any *)
 }
 
-let column_index cols c =
-  let rec find i = function
-    | [] -> failwith ("Executor: unknown column " ^ c)
-    | c' :: rest -> if String.equal c c' then i else find (i + 1) rest
-  in
-  find 0 cols
-
 (* Codes per row. *)
 let width ch = List.length ch.cols
 
@@ -71,12 +64,13 @@ let rec eval store env expr : chunk =
            (fun cond ->
              match cond with
              | Core.Rewriting.Eq_cst (c, term) -> (
-               let i = column_index ch.cols c in
+               let i = Core.Rewriting.column_index ch.cols c in
                match Rdf.Store.find_term store term with
                | Some code -> fun r -> data.((w * r) + i) = code
                | None -> fun _ -> false)
              | Core.Rewriting.Eq_col (c1, c2) ->
-               let a = column_index ch.cols c1 and b = column_index ch.cols c2 in
+               let a = Core.Rewriting.column_index ch.cols c1
+               and b = Core.Rewriting.column_index ch.cols c2 in
                fun r -> data.((w * r) + a) = data.((w * r) + b))
            conds)
     in
@@ -111,7 +105,9 @@ let rec eval store env expr : chunk =
     let ch = eval store env inner in
     (* each projected row goes straight into the result set, hashed
        once *)
-    let idx = Array.of_list (List.map (column_index ch.cols) out_cols) in
+    let idx =
+      Array.of_list (List.map (Core.Rewriting.column_index ch.cols) out_cols)
+    in
     let rs = Rdf.Rowset.of_width (Array.length idx) ch.n in
     let key = Rdf.Rowset.key rs and w = width ch in
     for r = 0 to ch.n - 1 do
@@ -121,40 +117,18 @@ let rec eval store env expr : chunk =
     of_set out_cols rs
   | Core.Rewriting.Rename (mapping, inner) ->
     let ch = eval store env inner in
-    let renamed =
-      List.map
-        (fun c ->
-          match List.assoc_opt c mapping with Some c' -> c' | None -> c)
-        ch.cols
-    in
-    { ch with cols = renamed }
+    { ch with cols = List.map (Core.Rewriting.rename mapping) ch.cols }
   | Core.Rewriting.Join (conds, l, r) ->
     let lch = eval store env l in
     let rch = eval store env r in
-    let pairs =
-      match conds with
-      | [] ->
-        List.filter_map
-          (fun c -> if List.mem c lch.cols then Some (c, c) else None)
-          rch.cols
-      | _ :: _ -> conds
+    let layout = Core.Rewriting.join_layout lch.cols rch.cols conds in
+    let key_of cols pick =
+      Array.of_list
+        (List.map (fun pair -> Core.Rewriting.column_index cols (pick pair)) layout.pairs)
     in
-    let lkey =
-      Array.of_list (List.map (fun (a, _) -> column_index lch.cols a) pairs)
-    in
-    let rkey =
-      Array.of_list (List.map (fun (_, b) -> column_index rch.cols b) pairs)
-    in
-    (* output columns mirror Rewriting.columns: left columns, then the
-       right columns whose names are not already present on the left *)
-    let kept_right =
-      List.filter
-        (fun (_, c) -> not (List.mem c lch.cols))
-        (List.mapi (fun i c -> (i, c)) rch.cols)
-    in
-    let out_cols = lch.cols @ List.map snd kept_right in
+    let lkey = key_of lch.cols fst and rkey = key_of rch.cols snd in
+    let kept = Array.of_list layout.kept in
     let lw = width lch and rw = width rch in
-    let kept = Array.of_list (List.map fst kept_right) in
     (* hash join: the left rows' distinct join keys go into a row set;
        a key's index there heads its chain of left rows, latest first *)
     let keys = Rdf.Rowset.of_width (Array.length lkey) lch.n in
@@ -189,7 +163,7 @@ let rec eval store env expr : chunk =
         lr := next.(!lr)
       done
     done;
-    { cols = out_cols; data = !out; n = !n; set = None }
+    { cols = layout.out; data = !out; n = !n; set = None }
   | Core.Rewriting.Union branches -> (
     let results = List.map (eval store env) branches in
     match results with

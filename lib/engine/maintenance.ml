@@ -31,8 +31,11 @@ type prepared = {
 
 (* One store's prepared views, kept on the store.  A linear list: the
    views a store maintains are few and are passed as the same values on
-   every update, so the physical scan almost always hits. *)
+   every update, so the physical scan almost always hits.  It holds at
+   most [memo_cap] views. *)
 type memo = { mutable entries : prepared list; mutable compiles : int }
+
+let memo_cap = 256
 
 type Rdf.Store.cache += Memo of memo
 
@@ -113,6 +116,12 @@ let prepared memo store q =
     if e.absent >= 0 && e.absent <> Rdf.Store.dict_size store then resolve store e;
     e
   | None ->
+    if List.length memo.entries >= memo_cap then begin
+      (* a new view past the cap: start the memo over *)
+      memo.entries <- [];
+      let sink = Obs.global () in
+      Obs.incr (Obs.counter sink "maintenance.memo_clears")
+    end;
     let head_params, head_firsts = distinct_vars q.Query.Cq.head in
     let e = { cq = q; head_params; head_firsts; atoms = [||]; absent = -1; recheck = None } in
     resolve store e;

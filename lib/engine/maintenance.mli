@@ -26,7 +26,9 @@
     goes stale.  Only an entry that found a body constant absent (the
     view is then empty and has no plan) is prepared again, and only once
     the dictionary has grown.  Plans never re-order.  The memo lives on
-    the store ({!Rdf.Store.add_cache}) and dies with it.  It has no
+    the store ({!Rdf.Store.add_cache}) and dies with it, and holds at
+    most {!memo_cap} views: preparing a new view when it is full empties
+    it first, counted by [maintenance.memo_clears].  It has no
     lock, so only the coordinating domain maintains a store
     ([tool/analyze] checks the accessor's [@@coordinator_only]). *)
 
@@ -45,8 +47,13 @@ val delta_insert : Rdf.Store.t -> Query.Cq.t -> Rdf.Store.encoded -> int array l
 (** The tuples the view gains when the (already inserted) triple arrives;
     exposed for testing. *)
 
+val memo_cap : int
+(** The most views a store's memo holds.  Far above the views any
+    workload of the ledger or the bench maintains on one store (21 at
+    most), so they never clear. *)
+
 val prepared_count : Rdf.Store.t -> int
-(** Number of views prepared for this store. *)
+(** Number of views prepared for this store, at most {!memo_cap}. *)
 
 val compiled_count : Rdf.Store.t -> int
 (** Number of plans the memo has compiled for this store. *)

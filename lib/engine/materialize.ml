@@ -1,18 +1,12 @@
 type env = (string, Relation.t) Hashtbl.t
 
-(* The head variable names; a head with a constant position keeps
-   positional columns. *)
-let columns head =
-  let cols = List.filter_map Query.Qterm.var_name head in
-  if List.length cols = List.length head then cols
-  else List.mapi (fun i _ -> Printf.sprintf "c%d" i) head
-
+(* A relation's columns are the view's head variables. *)
 let materialize_cq store (q : Query.Cq.t) =
-  Relation.of_rowset ~name:q.name ~cols:(columns q.head)
+  Relation.of_rowset ~name:q.name ~cols:(Query.Cq.head_vars q)
     (Query.Evaluation.eval_cq_rowset store q)
 
 let materialize_ucq store (u : Query.Ucq.t) =
-  Relation.of_rowset ~name:(Query.Ucq.name u) ~cols:(columns (Query.Ucq.first u).Query.Cq.head)
+  Relation.of_rowset ~name:(Query.Ucq.name u) ~cols:(Query.Cq.head_vars (Query.Ucq.first u))
     (Query.Evaluation.eval_ucq_rowset store u)
 
 let env_of rels =

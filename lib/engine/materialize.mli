@@ -1,5 +1,10 @@
 (** View materialization (§6.6): evaluate view definitions against the
-    store and produce named relations ready for the executor. *)
+    store and produce named relations ready for the executor.
+
+    A relation's columns are the view's head variables, in head order:
+    the names {!Core.View.columns} gives and {!Core.Rewriting.Scan}
+    reads.  A head holding a constant has no such naming, so such a
+    query is not a view ({!Core.View.defect}) and is not materialized. *)
 
 type env = (string, Relation.t) Hashtbl.t
 

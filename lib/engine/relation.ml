@@ -16,16 +16,6 @@ let add_row t row = Rdf.Rowset.add t.rows row
 let remove_row t row = Rdf.Rowset.remove t.rows row
 let fold_rows f t init = Rdf.Rowset.fold f t.rows init
 
-let project_indices t cols =
-  List.map
-    (fun c ->
-      let rec find i = function
-        | [] -> failwith ("Relation.project_indices: unknown column " ^ c)
-        | c' :: rest -> if String.equal c c' then i else find (i + 1) rest
-      in
-      find 0 t.cols)
-    cols
-
 let size_bytes store t =
   fold_rows
     (fun row acc ->

@@ -5,7 +5,8 @@
     Membership, insertion and removal are the row set's own: a probe
     allocates nothing, and a removal moves the last tuple into the
     freed place.  Row enumeration order is unspecified (set
-    semantics). *)
+    semantics).  A relation only carries its column names: the position
+    of a column is {!Core.Rewriting.column_index}'s to find. *)
 
 type t
 
@@ -36,10 +37,6 @@ val remove_row : t -> int array -> bool
 (** Remove a tuple; [false] when absent. *)
 
 val fold_rows : (int array -> 'a -> 'a) -> t -> 'a -> 'a
-
-val project_indices : t -> string list -> int list
-(** Column indices of the given column names.  Raises [Failure] on an
-    unknown column. *)
 
 val size_bytes : Rdf.Store.t -> t -> int
 (** Actual storage footprint: the summed byte sizes of the decoded terms

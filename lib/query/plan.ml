@@ -173,7 +173,7 @@ let resolve_set store partial members =
            code)
          (Array.to_list members))
   in
-  Array.sort Int.compare codes;
+  Array.stable_sort Int.compare codes;
   codes
 
 let compile_rcq ?(params = []) store (r : Rcq.t) =

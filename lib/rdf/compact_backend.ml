@@ -385,7 +385,7 @@ let assemble seg ~pair a b ~da ~db ~dc (ddata, ndel) (mdata, mn) =
           Array.init ndel (fun i ->
               key ddata.((3 * i) + db) ddata.((3 * i) + dc))
         in
-        Array.sort Int.compare dead;
+        Array.stable_sort Int.compare dead;
         let out = ref 0 and next = ref 0 in
         Segment.Reader.iter_range rd lo hi (fun x y z ->
             if !next < ndel && dead.(!next) = key y z then incr next

@@ -244,6 +244,11 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
+let contains haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.equal (String.sub haystack i nn) needle || go (i + 1)) in
+  nn = 0 || go 0
+
 (* Words a call allocates: on the minor heap, and directly on the
    major heap, where an array above 256 words goes and where
    [Gc.minor_words] does not look.  The minor heap is emptied first, so

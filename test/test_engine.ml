@@ -30,10 +30,6 @@ let test_relation_add_remove () =
   check_bool "remove absent" false (Engine.Relation.remove_row rel [| 1 |]);
   check_int "one row" 1 (Engine.Relation.cardinality rel)
 
-let test_relation_projection_indices () =
-  let rel = Engine.Relation.make ~name:"r" ~cols:[ "a"; "b"; "c" ] [] in
-  check_bool "indices" true (Engine.Relation.project_indices rel [ "c"; "a" ] = [ 2; 0 ])
-
 (* ---------- materialization ----------------------------------------------- *)
 
 let test_materialize_single_atom () =
@@ -342,6 +338,9 @@ let arb_naive_case =
                 Printf.sprintf "%s: %d rows" name (List.length rows))
               naive_views rows)))
 
+(* The generator computes each tree's output columns itself, so the
+   executor's columns and [Rewriting.columns] are both checked against
+   it. *)
 let prop_executor_matches_naive =
   QCheck.Test.make ~name:"executor = naive interpreter" ~count:500 arb_naive_case
     (fun (rows, (expr, cols)) ->
@@ -361,8 +360,11 @@ let prop_executor_matches_naive =
       let result = Engine.Executor.execute naive_store env expr in
       let got = List.map Array.to_list (Engine.Relation.to_term_rows naive_store result) in
       let naive_cols, naive_rows = naive rels expr in
+      let col_env = Hashtbl.create 3 in
+      List.iter (fun (name, vcols) -> Hashtbl.replace col_env name vcols) naive_views;
       Engine.Relation.cols result = cols
       && naive_cols = cols
+      && Core.Rewriting.columns col_env expr = cols
       && List.length got = Engine.Relation.cardinality result
       && List.sort_uniq compare got = List.sort compare got
       && List.sort compare got = List.sort_uniq compare naive_rows)
@@ -641,6 +643,48 @@ let test_maintenance_memo_outlives_other_stores () =
   check_int "prepared views kept" prepared (Engine.Maintenance.prepared_count store);
   check_int "compiled plans kept" compiled (Engine.Maintenance.compiled_count store)
 
+(* A store's memo holds at most [memo_cap] views: preparing a new view
+   past the cap empties it first, so the views of ever more distinct
+   definitions do not pile up on a store that lives on. *)
+let test_maintenance_memo_bounded () =
+  let reg = Obs.create () in
+  Obs.set_global reg;
+  Fun.protect ~finally:(fun () -> Obs.set_global Obs.disabled) (fun () ->
+      let store = store_of museum in
+      let cap = Engine.Maintenance.memo_cap in
+      let present =
+        Rdf.Store.encode_triple store
+          (triple (uri "ex:vanGogh") (uri "ex:isParentOf") (uri "ex:vincentJr"))
+      in
+      (* distinct views, each matching the triple, so each compiles its
+         delta plan *)
+      let maintain first count =
+        for i = first to first + count - 1 do
+          let view =
+            cq ~name:"v" [ v "X"; v "Y" ]
+              [ atom (v "X") (c "ex:isParentOf") (v "Y");
+                atom (v "X") (c "ex:hasPainted") (v (Printf.sprintf "Z%d" i)) ]
+          in
+          ignore (Engine.Maintenance.delta_insert store view present : int array list)
+        done
+      in
+      let live_words () =
+        Gc.full_major ();
+        (Gc.stat ()).Gc.live_words
+      in
+      maintain 0 cap;
+      let after_cap = live_words () in
+      maintain cap (2 * cap);
+      let after_3cap = live_words () in
+      check_bool "at most cap views" true (Engine.Maintenance.prepared_count store <= cap);
+      check_int "one clear per cap new views" 2
+        (Option.value ~default:0 (Obs.find_counter reg "maintenance.memo_clears"));
+      check_bool
+        (Printf.sprintf "live words %d after %d views, %d after %d" after_cap cap
+           after_3cap (3 * cap))
+        true
+        (after_3cap - after_cap < cap))
+
 let () =
   Alcotest.run "engine"
     [
@@ -648,8 +692,6 @@ let () =
         [
           Alcotest.test_case "dedup" `Quick test_relation_dedup;
           Alcotest.test_case "add/remove" `Quick test_relation_add_remove;
-          Alcotest.test_case "projection indices" `Quick
-            test_relation_projection_indices;
         ] );
       ( "materialize",
         [
@@ -692,5 +734,7 @@ let () =
             test_maintenance_isomorphic_views;
           Alcotest.test_case "a memo outlives other stores" `Quick
             test_maintenance_memo_outlives_other_stores;
+          Alcotest.test_case "the memo is bounded" `Quick
+            test_maintenance_memo_bounded;
         ] );
     ]

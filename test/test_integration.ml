@@ -111,7 +111,8 @@ let test_post_reformulation_views_are_ucqs () =
    variable [P] to a constant disconnects the two atoms.  Under
    pre-reformulation, so is a query whose reformulation binds a head
    variable: the class variable [C] becomes [ex:picture] by the
-   subclass rule. *)
+   subclass rule.  A view's columns are its head variables, so a query
+   whose own head holds a constant is refused in every mode. *)
 let test_unviewable_queries_refused () =
   let cartesian =
     cq ~name:"q1" [ v "X"; v "Y" ]
@@ -126,6 +127,13 @@ let test_unviewable_queries_refused () =
   in
   let class_var =
     cq ~name:"q1" [ v "X"; v "C" ] [ atom (v "X") (Query.Qterm.Cst rdf_type) (v "C") ]
+  in
+  let constant_head =
+    cq ~name:"q1" [ v "X"; c "ex:starryNight" ]
+      [
+        atom (v "X") (c "ex:hasPainted") (c "ex:starryNight");
+        atom (v "X") (c "ex:isParentOf") (v "Y");
+      ]
   in
   let pre = Core.Selector.Pre_reformulation schema in
   List.iter
@@ -144,7 +152,10 @@ let test_unviewable_queries_refused () =
       (repeated, Core.Selector.No_reasoning, "head repeats a variable");
       (repeated, pre, "head repeats a variable");
       (property_var, pre, "body is a Cartesian product");
-      (class_var, pre, "reformulation binds a head variable to a constant");
+      (class_var, pre, "head holds a constant");
+      (constant_head, Core.Selector.No_reasoning, "head holds a constant");
+      (constant_head, Core.Selector.Saturation schema, "head holds a constant");
+      (constant_head, Core.Selector.Post_reformulation schema, "head holds a constant");
     ]
 
 let test_pre_reformulation_initial_state_is_union () =

@@ -214,6 +214,32 @@ let test_dangling_scan_rejected () =
        (Core.Invariant.check ~estimator:(estimator_for museum_store) reference
           broken))
 
+(* A projection on a column the view lacks does not unfold: the column
+   lookup's failure is the violation's detail.  An escaped violation
+   prints its family and detail, not [Violation(_)]. *)
+let test_unknown_column_named () =
+  let state = Core.State.initial [ q2_paper ] in
+  let scan = Core.Rewriting.Scan (Core.View.name (List.hd state.Core.State.views)) in
+  let broken =
+    Core.State.make ~views:state.Core.State.views
+      ~rewritings:[ ("q2", Core.Rewriting.Project ([ "nope" ], scan)) ]
+  in
+  let violations =
+    Core.Invariant.check (Core.Invariant.reference_of_workload [ q2_paper ]) broken
+  in
+  check_bool "the unfolding names the unknown column" true
+    (List.exists
+       (fun (viol : Core.Invariant.violation) ->
+         String.equal viol.invariant "rewriting"
+         && contains viol.detail "unknown column nope")
+       violations);
+  List.iter
+    (fun (viol : Core.Invariant.violation) ->
+      let printed = Printexc.to_string (Core.Invariant.Violation viol) in
+      check_bool printed true
+        (contains printed ("[" ^ viol.invariant ^ "]") && contains printed viol.detail))
+    violations
+
 let test_missing_rewriting_rejected () =
   let state = Core.State.initial [ q2_paper ] in
   let silenced = Core.State.make ~views:state.Core.State.views ~rewritings:[] in
@@ -323,6 +349,7 @@ let test_rejected_view_names_line () =
     [
       ("disconnected", "view v1(?x, ?y) :- t(?x, <ex:p>, ?z), t(?y, <ex:q>, ?w).");
       ("duplicate head", "view v1(?x, ?x) :- t(?x, <ex:p>, ?y).");
+      ("constant head", "view v1(?x, <ex:a>) :- t(?x, <ex:p>, <ex:a>).");
     ]
 
 (* ---------- strict mode --------------------------------------------------- *)
@@ -428,6 +455,8 @@ let () =
             test_dropped_selection_unsound;
           Alcotest.test_case "dangling scan rejected" `Quick
             test_dangling_scan_rejected;
+          Alcotest.test_case "unknown column named" `Quick
+            test_unknown_column_named;
           Alcotest.test_case "missing rewriting rejected" `Quick
             test_missing_rewriting_rejected;
           Alcotest.test_case "negative weights flagged" `Quick

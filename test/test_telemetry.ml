@@ -3,10 +3,7 @@
    The test that needs actual domains is gated on [Multicore.available]
    so the suite also passes on an OCaml 4.x build. *)
 
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.equal (String.sub haystack i nn) needle || go (i + 1)) in
-  nn = 0 || go 0
+let contains = Support.contains
 
 (* ---------- merge under real domains -------------------------------------- *)
 

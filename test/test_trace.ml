@@ -17,11 +17,6 @@ let read_dump path =
     ~finally:(fun () -> close_in ic)
     (fun () -> Obs.Json.of_string (really_input_string ic (in_channel_length ic)))
 
-let contains hay needle =
-  let lh = String.length hay and ln = String.length needle in
-  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
-  go 0
-
 (* ---------- the disabled path must not allocate --------------------------- *)
 
 (* Handles looked up on the disabled sink, as a search engine with a

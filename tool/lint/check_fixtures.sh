@@ -4,7 +4,9 @@
 #   fix_retained_row.ml   -> 5x retained-exec-row; fix_copied_row.ml clean
 #   fix_relation_write.ml -> 6x relation-write;    fix_relation_read.ml clean
 #   lib/fix_toplevel_table.ml -> 8x toplevel-table; lib/fix_owned_table.ml clean
-#     (toplevel-table is a library rule: its fixtures live under lib/)
+#   lib/fix_array_sort.ml -> 4x array-sort;     lib/fix_stable_sort.ml clean
+#     (toplevel-table and array-sort are library rules: their fixtures
+#     live under lib/)
 # Run from the directory holding lint.exe (dune runs it in
 # _build/default/tool/lint via runtest).
 set -u
@@ -47,5 +49,7 @@ seeded fix_relation_write relation-write 6
 clean fix_relation_read
 seeded lib/fix_toplevel_table toplevel-table 8
 clean lib/fix_owned_table
+seeded lib/fix_array_sort array-sort 4
+clean lib/fix_stable_sort
 
 exit $fail

@@ -149,6 +149,9 @@ let check_ident ~file ~is_lib txt loc =
     report ~file ~loc "poly-hash"
       "polymorphic Hashtbl.hash; use the domain module's hash"
   | "Obj", "magic" -> report ~file ~loc "obj-magic" "Obj.magic is banned"
+  | "Array", "sort" when is_lib ->
+    report ~file ~loc "array-sort"
+      "Array.sort raises an exception per sift; use Array.stable_sort"
   | "", name when is_lib && List.mem name Rules.stdout_idents ->
     report ~file ~loc "stdout-in-lib"
       (Printf.sprintf "`%s` writes to stdout from a library" name)

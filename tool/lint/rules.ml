@@ -105,6 +105,15 @@ let rules =
       scope = Lib_only;
     };
     {
+      id = "array-sort";
+      summary =
+        "Array.sort in a library: its heap sort raises an exception inside \
+         every sift, and with backtraces on the runtime keeps the last one \
+         alive, so a selection leaves words behind; use Array.stable_sort, \
+         a merge sort that raises nothing and orders ints the same";
+      scope = Lib_only;
+    };
+    {
       id = "stdout-in-lib";
       summary =
         "direct printing to stdout from a library (print_*, Printf.printf, \
