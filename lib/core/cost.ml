@@ -80,22 +80,12 @@ let stats t = t.stats
 
 (* The byte width of a head variable is the average term size of the
    column where it first occurs in the body. *)
-let var_width stats (cq : Query.Cq.t) x =
-  let column_of =
-    List.find_map
-      (fun a ->
-        List.find_map
-          (fun pos ->
-            match Query.Atom.term_at a pos with
-            | Query.Qterm.Var y when String.equal x y ->
-              Some (match pos with Query.Atom.S -> `S | Query.Atom.P -> `P | Query.Atom.O -> `O)
-            | Query.Qterm.Var _ | Query.Qterm.Cst _ -> None)
-          Query.Atom.positions)
-      cq.Query.Cq.body
-  in
-  match column_of with
-  | Some col -> Stats.Statistics.avg_term_size stats col
-  | None -> 8.
+let var_width stats occs x =
+  match Query.State_graph.places occs x with
+  | (_, pos) :: _ ->
+    Stats.Statistics.avg_term_size stats
+      (match pos with Query.Atom.S -> `S | Query.Atom.P -> `P | Query.Atom.O -> `O)
+  | [] -> 8.
 
 let profile t (v : View.t) =
   match Int_tbl.find_opt t.profiles v.View.id with
@@ -103,10 +93,9 @@ let profile t (v : View.t) =
   | None ->
     let cq = v.View.cq in
     let cols = View.columns v in
-    let cardinality, distincts = Stats.Cardinality.profile t.stats cq cols in
-    let width =
-      List.fold_left (fun acc x -> acc +. var_width t.stats cq x) 0. cols
-    in
+    let occs = Query.State_graph.occurrences cq in
+    let cardinality, distincts = Stats.Cardinality.profile t.stats cq occs cols in
+    let width = List.fold_left (fun acc x -> acc +. var_width t.stats occs x) 0. cols in
     let p = { cardinality; distincts; width } in
     Int_tbl.add t.profiles v.View.id p;
     p

@@ -178,7 +178,7 @@ let structural_violations t =
     t.views;
   List.iter
     (fun v ->
-      if not (Query.Cq.is_connected v.View.cq) then
+      if not (Query.State_graph.is_connected v.View.cq) then
         note
           (Printf.sprintf "view %s has a Cartesian product: %s" (View.name v)
              (View.to_string v)))

@@ -60,7 +60,7 @@ let replacement_candidates state kind derive =
 
 let sc_actions (v : View.t) : action list =
   List.map
-    (fun (edge : State_graph.selection_edge) ->
+    (fun (edge : Query.State_graph.selection_edge) ->
       let fresh = Query.Qterm.fresh_var () in
       let atom =
         Query.Atom.set_at
@@ -78,7 +78,7 @@ let sc_actions (v : View.t) : action list =
                 Rewriting.Scan (View.name v') ) )
       in
       ([ v' ], expr))
-    (State_graph.selection_edges v.View.cq)
+    (Query.State_graph.selection_edges v.View.cq)
 
 (* ---------------- Join cut --------------------------------------------- *)
 
@@ -96,7 +96,7 @@ let head_terms_for_component (v : View.t) body_atoms extra_vars =
   in
   from_head @ List.map (fun x -> Query.Qterm.Var x) extra_vars
 
-let join_cut_connected v (edge : State_graph.join_edge) (i, pos) : action =
+let join_cut_connected v (edge : Query.State_graph.join_edge) (i, pos) : action =
   let fresh = Query.Qterm.fresh_var () in
   let atom =
     Query.Atom.set_at (List.nth (body_of v) i) pos (Query.Qterm.Var fresh)
@@ -115,7 +115,7 @@ let join_cut_connected v (edge : State_graph.join_edge) (i, pos) : action =
   in
   ([ v' ], expr)
 
-let join_cut_split v (edge : State_graph.join_edge) comp_a comp_b : action =
+let join_cut_split v (edge : Query.State_graph.join_edge) comp_a comp_b : action =
   let body = Array.of_list (body_of v) in
   let atoms_of comp = List.map (fun i -> body.(i)) comp in
   let make_side comp =
@@ -141,15 +141,15 @@ let join_cut_split v (edge : State_graph.join_edge) comp_a comp_b : action =
 let jc_actions rejected (v : View.t) : action list =
   let cq = v.View.cq in
   List.concat_map
-    (fun (edge : State_graph.join_edge) ->
-      match State_graph.components_without_edge cq edge with
+    (fun (edge : Query.State_graph.join_edge) ->
+      match Query.State_graph.components_without_edge cq edge with
       | [ _ ] ->
         (* connected case: an orientation is only valid if replacing
            that occurrence (which removes all its edges) leaves the
            view connected — otherwise the new view would have a
            Cartesian product *)
         let orientation (i, pos) =
-          match State_graph.components_without_occurrence cq i pos with
+          match Query.State_graph.components_without_occurrence cq i pos with
           | [ _ ] -> [ join_cut_connected v edge (i, pos) ]
           | _ ->
             incr rejected;
@@ -159,7 +159,7 @@ let jc_actions rejected (v : View.t) : action list =
         @ orientation (edge.atom_b, edge.pos_b)
       | [ comp_a; comp_b ] -> [ join_cut_split v edge comp_a comp_b ]
       | _ -> [] (* cannot happen: removing one edge splits in ≤ 2 *))
-    (State_graph.join_edges cq)
+    (Query.State_graph.join_edges cq)
 
 (* ---------------- View break ------------------------------------------- *)
 
@@ -171,7 +171,7 @@ let split_candidates rejected (v : View.t) =
     let splits =
       if n < 3 then []
       else begin
-        let connected = State_graph.subset_checker cq in
+        let connected = Query.State_graph.subset_checker cq in
         let indices mask members =
           List.filteri (fun i _ -> mask land (1 lsl i) <> 0) members
         in

@@ -29,7 +29,7 @@ let counter = Atomic.make 0
 
 let defect cq =
   let head_names = List.filter_map Query.Qterm.var_name cq.Query.Cq.head in
-  if not (Query.Cq.is_connected cq) then Some "body is a Cartesian product"
+  if not (Query.State_graph.is_connected cq) then Some "body is a Cartesian product"
   else if List.length head_names <> List.length cq.Query.Cq.head then
     Some "head holds a constant"
   else if List.length (List.sort_uniq String.compare head_names)

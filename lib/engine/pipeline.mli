@@ -1,7 +1,9 @@
-(** The paper's pipeline after selection (§4.3, §6.6): the one place
-    that decides, per reasoning mode, which store the recommended views
-    are materialized on, how a query is answered (its rewriting over
-    them), and which views an update can maintain. *)
+(** The paper's pipeline after selection (§4.3, §6.6): it materializes
+    the recommended views on the store the selection chose for them
+    ({!Core.Selector.result}'s [store_for_materialization], decided per
+    reasoning mode by the selector's statistics step), and it is the one
+    place that decides how a query is answered (its rewriting over the
+    views) and which views an update can maintain. *)
 
 type t
 

@@ -54,9 +54,6 @@ let subst_var x v t = subst (fun y -> if String.equal x y then Some v else None)
 
 let rename_var x y t = subst_var x (Qterm.Var y) t
 
-let shares_var a b =
-  List.exists (fun x -> List.mem x (var_set b)) (var_set a)
-
 let to_string t =
   Printf.sprintf "t(%s, %s, %s)" (Qterm.to_string t.s) (Qterm.to_string t.p)
     (Qterm.to_string t.o)

@@ -40,7 +40,4 @@ val subst_var : string -> Qterm.t -> t -> t
 
 val rename_var : string -> string -> t -> t
 
-val shares_var : t -> t -> bool
-(** True when the two atoms have a variable in common (a join). *)
-
 val to_string : t -> string

@@ -173,38 +173,6 @@ let minimize q =
 
 let is_minimal q = atom_count (minimize q) = atom_count q
 
-(* -- Connectivity -------------------------------------------------------- *)
-
-let components q =
-  let atoms = Array.of_list q.body in
-  let n = Array.length atoms in
-  let visited = Array.make n false in
-  let adjacent i j = Atom.shares_var atoms.(i) atoms.(j) in
-  let rec bfs frontier acc =
-    match frontier with
-    | [] -> acc
-    | i :: rest ->
-      let fresh = ref [] in
-      for j = 0 to n - 1 do
-        if (not visited.(j)) && adjacent i j then begin
-          visited.(j) <- true;
-          fresh := j :: !fresh
-        end
-      done;
-      bfs (!fresh @ rest) (i :: acc)
-  in
-  let comps = ref [] in
-  for i = 0 to n - 1 do
-    if not visited.(i) then begin
-      visited.(i) <- true;
-      let comp = bfs [ i ] [] in
-      comps := List.map (fun j -> atoms.(j)) (List.sort Int.compare comp) :: !comps
-    end
-  done;
-  List.rev !comps
-
-let is_connected q = List.length (components q) <= 1
-
 (* -- Canonical labeling --------------------------------------------------- *)
 
 type head_mode = Ordered | Set | NoHead

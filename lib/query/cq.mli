@@ -66,13 +66,6 @@ val minimize : t -> t
 
 val is_minimal : t -> bool
 
-val is_connected : t -> bool
-(** True when every atom joins (shares a variable) transitively with every
-    other — i.e. the query has no Cartesian product. *)
-
-val components : t -> Atom.t list list
-(** The connected components of the body's join graph. *)
-
 val body_isomorphism : t -> t -> (string * string) list option
 (** [body_isomorphism v1 v2] returns a renaming of [v2]'s variables into
     [v1]'s making the bodies equal as atom sets ("their bodies are

@@ -7,6 +7,7 @@ type token =
   | Variable of string
   | Uri of string
   | Literal of string
+  | Blank of string      (* _:label *)
   | Lparen
   | Rparen
   | Comma
@@ -18,6 +19,7 @@ let token_to_string = function
   | Variable s -> "?" ^ s
   | Uri s -> "<" ^ s ^ ">"
   | Literal s -> "\"" ^ s ^ "\""
+  | Blank s -> "_:" ^ s
   | Lparen -> "("
   | Rparen -> ")"
   | Comma -> ","
@@ -91,6 +93,10 @@ let tokenize input =
       done;
       let word = String.sub input start (!j - start) in
       (if word.[0] >= 'A' && word.[0] <= 'Z' then push (Variable word)
+       else if String.starts_with ~prefix:"_:" word then begin
+         if String.length word = 2 then fail_at !line "empty blank node label";
+         push (Blank (String.sub word 2 (String.length word - 2)))
+       end
        else push (Ident word));
       i := !j
     end
@@ -134,6 +140,7 @@ let term_of_token s = function
   | Variable x -> Qterm.Var x
   | Uri u -> Qterm.Cst (Rdf.Term.Uri u)
   | Literal l -> Qterm.Cst (Rdf.Term.Literal l)
+  | Blank b -> Qterm.Cst (Rdf.Term.Blank b)
   | Ident w when String.equal w rdf_type_keyword ->
     Qterm.Cst Rdf.Vocabulary.rdf_type
   | Ident w -> Qterm.Cst (Rdf.Term.Uri w)
@@ -283,7 +290,7 @@ let term_to_text = function
   | Qterm.Cst t when Rdf.Term.equal t Rdf.Vocabulary.rdf_type -> rdf_type_keyword
   | Qterm.Cst (Rdf.Term.Uri u) -> "<" ^ u ^ ">"
   | Qterm.Cst (Rdf.Term.Literal l) -> "\"" ^ l ^ "\""
-  | Qterm.Cst (Rdf.Term.Blank b) -> "<_:" ^ b ^ ">"
+  | Qterm.Cst (Rdf.Term.Blank b) -> "_:" ^ b
 
 let rdf_term_to_text t = term_to_text (Qterm.Cst t)
 

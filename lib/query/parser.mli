@@ -10,9 +10,9 @@
 
     Identifiers starting with an uppercase letter (or prefixed with [?])
     are variables; [<...>] delimits URIs; ["..."] delimits literals;
-    bare lowercase words are URIs; the keyword [type] abbreviates
-    [rdf:type].  A workload is a sequence of such rules; the final [.]
-    of each rule is mandatory.
+    [_:label] is a blank node; bare lowercase words are URIs; the
+    keyword [type] abbreviates [rdf:type].  A workload is a sequence of
+    such rules; the final [.] of each rule is mandatory.
 
     {2 Schemas}
 

@@ -1,8 +1,8 @@
 type join_edge = {
   atom_a : int;
-  pos_a : Query.Atom.position;
+  pos_a : Atom.position;
   atom_b : int;
-  pos_b : Query.Atom.position;
+  pos_b : Atom.position;
   var : string;
 }
 
@@ -10,40 +10,47 @@ let compare_join_edge a b =
   let c = Int.compare a.atom_a b.atom_a in
   if c <> 0 then c
   else
-    let c = Query.Atom.compare_position a.pos_a b.pos_a in
+    let c = Atom.compare_position a.pos_a b.pos_a in
     if c <> 0 then c
     else
       let c = Int.compare a.atom_b b.atom_b in
       if c <> 0 then c
       else
-        let c = Query.Atom.compare_position a.pos_b b.pos_b in
+        let c = Atom.compare_position a.pos_b b.pos_b in
         if c <> 0 then c else String.compare a.var b.var
 
 let equal_join_edge a b = compare_join_edge a b = 0
 
 type selection_edge = {
   atom : int;
-  pos : Query.Atom.position;
+  pos : Atom.position;
   constant : Rdf.Term.t;
 }
 
-let occurrences (q : Query.Cq.t) =
+type place = int * Atom.position
+
+type occurrences = (string, place list) Hashtbl.t
+
+let occurrences (q : Cq.t) =
   let table = Hashtbl.create 16 in
   List.iteri
     (fun i a ->
       List.iter
         (fun pos ->
-          match Query.Atom.term_at a pos with
-          | Query.Qterm.Var x ->
+          match Atom.term_at a pos with
+          | Qterm.Var x ->
             let prev = Option.value (Hashtbl.find_opt table x) ~default:[] in
             Hashtbl.replace table x (prev @ [ (i, pos) ])
-          | Query.Qterm.Cst _ -> ())
-        Query.Atom.positions)
-    q.Query.Cq.body;
+          | Qterm.Cst _ -> ())
+        Atom.positions)
+    q.Cq.body;
   table
 
+let places table x = Option.value (Hashtbl.find_opt table x) ~default:[]
+
+let fold = Hashtbl.fold
+
 let join_edges q =
-  let table = occurrences q in
   let edges = ref [] in
   Hashtbl.iter
     (fun var places ->
@@ -61,7 +68,7 @@ let join_edges q =
           pairs rest
       in
       pairs places)
-    table;
+    (occurrences q);
   List.sort compare_join_edge !edges
 
 let selection_edges q =
@@ -70,11 +77,11 @@ let selection_edges q =
        (fun i a ->
          List.filter_map
            (fun pos ->
-             match Query.Atom.term_at a pos with
-             | Query.Qterm.Cst c -> Some { atom = i; pos; constant = c }
-             | Query.Qterm.Var _ -> None)
-           Query.Atom.positions)
-       q.Query.Cq.body)
+             match Atom.term_at a pos with
+             | Qterm.Cst c -> Some { atom = i; pos; constant = c }
+             | Qterm.Var _ -> None)
+           Atom.positions)
+       q.Cq.body)
 
 (* Connected components over a node set, given a multiset of undirected
    edges (atom index pairs). *)
@@ -109,21 +116,21 @@ let components nodes edges =
       end)
     nodes
 
-let edge_pairs q = List.map (fun e -> (e.atom_a, e.atom_b)) (join_edges q)
+let nodes q = List.mapi (fun i _ -> i) q.Cq.body
+
+let endpoints edges = List.map (fun e -> (e.atom_a, e.atom_b)) edges
 
 (* The VB enumeration calls the connectivity test O(2^n) times on one
    view; recomputing (and re-sorting) the edge list inside every call
    dominated its profile.  The checker closes over the edge pairs
    computed once. *)
 let subset_checker q =
-  let pairs = edge_pairs q in
-  fun nodes ->
-    match nodes with
-    | [] -> false
-    | _ -> List.length (components nodes pairs) = 1
+  let edges = endpoints (join_edges q) in
+  function [] -> false | subset -> List.length (components subset edges) = 1
+
+let is_connected q = subset_checker q (nodes q)
 
 let components_without_edge q edge =
-  let all = List.mapi (fun i _ -> i) q.Query.Cq.body in
   (* remove exactly one occurrence of the edge's endpoints pair *)
   let removed = ref false in
   let surviving =
@@ -136,23 +143,22 @@ let components_without_edge q edge =
         else true)
       (join_edges q)
   in
-  components all (List.map (fun e -> (e.atom_a, e.atom_b)) surviving)
+  components (nodes q) (endpoints surviving)
 
 let components_without_occurrence q i pos =
-  let all = List.mapi (fun k _ -> k) q.Query.Cq.body in
   let surviving =
     List.filter
       (fun e ->
         not
-          ((e.atom_a = i && Query.Atom.equal_position e.pos_a pos)
-          || (e.atom_b = i && Query.Atom.equal_position e.pos_b pos)))
+          ((e.atom_a = i && Atom.equal_position e.pos_a pos)
+          || (e.atom_b = i && Atom.equal_position e.pos_b pos)))
       (join_edges q)
   in
-  components all (List.map (fun e -> (e.atom_a, e.atom_b)) surviving)
+  components (nodes q) (endpoints surviving)
 
 let edge_to_string e =
   Printf.sprintf "n%d.%s=n%d.%s (%s)" e.atom_a
-    (Query.Atom.position_name e.pos_a)
+    (Atom.position_name e.pos_a)
     e.atom_b
-    (Query.Atom.position_name e.pos_b)
+    (Atom.position_name e.pos_b)
     e.var

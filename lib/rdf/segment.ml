@@ -23,16 +23,13 @@ type t = {
   nblocks : int;
   data : Bytes.t;
   offsets : int array;  (* nblocks + 1 byte offsets into [data] *)
-  (* zone maps, one cell per block; [first_]/[last_] are the values at
-     the block's first/last row (columns a and b are sorted within a
-     block only piecewise, but first/last still bound them), min/max
-     bound the unsorted third column *)
+  (* zone maps, one cell per block: the values at the block's first/last
+     row (columns a and b are sorted within a block only piecewise, but
+     first/last still bound them) *)
   first_a : int array;
   last_a : int array;
   first_b : int array;
   last_b : int array;
-  min_c : int array;
-  max_c : int array;
   cache : int array array;  (* decoded blocks; [||] until decoded *)
   mutable cached : int;  (* blocks currently cached, for the budget *)
 }
@@ -146,8 +143,6 @@ module Builder = struct
     b_last_a : grow;
     b_first_b : grow;
     b_last_b : grow;
-    b_min_c : grow;
-    b_max_c : grow;
   }
 
   let create ?(block_rows = default_block_rows) () =
@@ -163,8 +158,6 @@ module Builder = struct
       b_last_a = gmake ();
       b_first_b = gmake ();
       b_last_b = gmake ();
-      b_min_c = gmake ();
-      b_max_c = gmake ();
     }
 
   let flush b =
@@ -176,14 +169,6 @@ module Builder = struct
       gpush b.b_last_a b.cur.(3 * (k - 1));
       gpush b.b_first_b b.cur.(1);
       gpush b.b_last_b b.cur.((3 * (k - 1)) + 1);
-      let mn = ref b.cur.(2) and mx = ref b.cur.(2) in
-      for i = 1 to k - 1 do
-        let c = b.cur.((3 * i) + 2) in
-        if c < !mn then mn := c;
-        if c > !mx then mx := c
-      done;
-      gpush b.b_min_c !mn;
-      gpush b.b_max_c !mx;
       b.cur_n <- 0
     end
 
@@ -210,8 +195,6 @@ module Builder = struct
       last_a = gtrim b.b_last_a;
       first_b = gtrim b.b_first_b;
       last_b = gtrim b.b_last_b;
-      min_c = gtrim b.b_min_c;
-      max_c = gtrim b.b_max_c;
       cache = Array.make nblocks [||];
       cached = 0;
     }
@@ -407,8 +390,7 @@ let iter_all t f =
 let resident_bytes t =
   let word_arrays =
     Array.length t.offsets + Array.length t.first_a + Array.length t.last_a
-    + Array.length t.first_b + Array.length t.last_b + Array.length t.min_c
-    + Array.length t.max_c
+    + Array.length t.first_b + Array.length t.last_b
   in
   Bytes.length t.data
   + (8 * word_arrays)

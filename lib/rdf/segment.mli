@@ -4,10 +4,10 @@
     A segment holds [n] distinct rows [(a, b, c)] in lexicographic
     order, split into fixed-size blocks (the last may be short), each
     delta/varint-encoded by {!Block}.  Alongside the encoded bytes the
-    segment keeps per-block zone maps — first/last leading value,
-    first/last second value, min/max third value — so lookups bracket
-    the candidate block range by binary search over the zone arrays
-    and skip every other block, then gallop within the bracketed rows.
+    segment keeps per-block zone maps — first/last leading value and
+    first/last second value — so lookups bracket the candidate block
+    range by binary search over the zone arrays and skip every other
+    block, then gallop within the bracketed rows.
     Row positions double as ranks: [count = hi - lo] is exact without
     decoding interior blocks.
 

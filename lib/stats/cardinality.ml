@@ -18,35 +18,22 @@ let position_distinct stats (a : Query.Atom.t) pos =
   in
   Float.max 1. (Float.min raw (Float.max count 1.))
 
-(* occurrences of each variable across the body: (atom, position) list *)
-let occurrences (q : Query.Cq.t) =
-  let table = Hashtbl.create 16 in
-  List.iter
-    (fun a ->
-      List.iter
-        (fun pos ->
-          match Query.Atom.term_at a pos with
-          | Query.Qterm.Var x ->
-            let prev = Option.value (Hashtbl.find_opt table x) ~default:[] in
-            Hashtbl.replace table x ((a, pos) :: prev)
-          | Query.Qterm.Cst _ -> ())
-        Query.Atom.positions)
-    q.Query.Cq.body;
-  table
-
-let estimate_with stats (q : Query.Cq.t) occs =
-  let counts = List.map (Statistics.atom_count stats) q.Query.Cq.body in
-  if List.exists (fun c -> c = 0.) counts then 0.
+(* The factors of one variable are multiplied last place first, and
+   the variables in {!Query.State_graph.fold} order: products past 2^53
+   round differently in another order. *)
+let estimate_with stats atoms occs =
+  let counts = Array.map (Statistics.atom_count stats) atoms in
+  if Array.exists (fun c -> c = 0.) counts then 0.
   else
-    let cross = List.fold_left ( *. ) 1. counts in
+    let cross = Array.fold_left ( *. ) 1. counts in
     let selectivity =
-      Hashtbl.fold
+      Query.State_graph.fold
         (fun _var places acc ->
           match places with
           | [] | [ _ ] -> acc
           | _ :: _ :: _ ->
             let distincts =
-              List.map (fun (a, pos) -> position_distinct stats a pos) places
+              List.rev_map (fun (i, pos) -> position_distinct stats atoms.(i) pos) places
             in
             let product = List.fold_left ( *. ) 1. distincts in
             let smallest = List.fold_left Float.min Float.infinity distincts in
@@ -55,21 +42,22 @@ let estimate_with stats (q : Query.Cq.t) occs =
     in
     Float.max (cross *. selectivity) 1e-9
 
-let estimate_cq stats q = estimate_with stats q (occurrences q)
+let estimate_cq stats (q : Query.Cq.t) =
+  estimate_with stats (Array.of_list q.body) (Query.State_graph.occurrences q)
 
 let estimate_ucq stats u =
   List.fold_left (fun acc q -> acc +. estimate_cq stats q) 0. (Query.Ucq.disjuncts u)
 
-let profile stats q columns =
-  let occs = occurrences q in
-  let card = estimate_with stats q occs in
+let profile stats (q : Query.Cq.t) occs columns =
+  let atoms = Array.of_list q.body in
+  let card = estimate_with stats atoms occs in
   let distinct x =
-    match Hashtbl.find_opt occs x with
-    | None | Some [] -> 1.
-    | Some places ->
+    match Query.State_graph.places occs x with
+    | [] -> 1.
+    | places ->
       let per_place =
         List.fold_left
-          (fun acc (a, pos) -> Float.min acc (position_distinct stats a pos))
+          (fun acc (i, pos) -> Float.min acc (position_distinct stats atoms.(i) pos))
           Float.infinity places
       in
       Float.max 1. (Float.min per_place card)

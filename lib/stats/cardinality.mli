@@ -14,10 +14,16 @@ val estimate_cq : Statistics.t -> Query.Cq.t -> float
 val estimate_ucq : Statistics.t -> Query.Ucq.t -> float
 (** Upper-bound estimate for a UCQ view: sum of disjunct estimates. *)
 
-val profile : Statistics.t -> Query.Cq.t -> string list -> float * (string * float) list
-(** [profile stats q columns] is [estimate_cq stats q] paired with the
-    estimated number of distinct bindings of each of the [columns] in
-    the view's answers: the minimum distinct estimate over the
-    variable's occurrences, capped by the view cardinality (1 for a
-    variable that does not occur).  One occurrence table and one
-    estimate serve every column. *)
+val profile :
+  Statistics.t ->
+  Query.Cq.t ->
+  Query.State_graph.occurrences ->
+  string list ->
+  float * (string * float) list
+(** [profile stats q occs columns], where [occs] is
+    [Query.State_graph.occurrences q], is [estimate_cq stats q] paired
+    with the estimated number of distinct bindings of each of the
+    [columns] in the view's answers: the minimum distinct estimate over
+    the variable's occurrences, capped by the view cardinality (1 for a
+    variable that does not occur).  The caller's occurrence table and
+    one estimate serve every column. *)

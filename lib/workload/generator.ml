@@ -178,7 +178,7 @@ let ensure_constant rng spec body =
       let replaced = Query.Atom.set_at last Query.Atom.O (pick rng n_csts "c") in
       let candidate = List.rev (replaced :: rest) in
       let q = Query.Cq.make ~name:"tmp" ~head:[ List.hd (List.map var (body_vars candidate)) ] ~body:candidate in
-      if Query.Cq.is_connected q then candidate else body
+      if Query.State_graph.is_connected q then candidate else body
 
 let head_of rng anchor body =
   let vars = body_vars body in
@@ -242,7 +242,7 @@ let generate spec =
           in
           let merged = prefix @ List.filteri (fun i _ -> i >= List.length prefix) bridge in
           let q = Query.Cq.make ~name:"tmp" ~head:[List.hd (List.map var (body_vars merged))] ~body:merged in
-          if Query.Cq.is_connected q then merged else body
+          if Query.State_graph.is_connected q then merged else body
         | _ -> body
       in
       if !template = None then template := Some body;

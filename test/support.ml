@@ -550,3 +550,65 @@ module Oracle = struct
     done;
     List.rev !output
 end
+
+(* ---------- connectivity oracle ----------------------------------------- *)
+
+(* The shared-variable search [Query.Cq.components] ran before
+   {!Query.State_graph} became the one owner of a body's join graph: a
+   breadth-first search over atoms, two atoms adjacent when they have a
+   variable in common.  It never builds an occurrence table or an edge
+   list, so it checks the library's adjacency as well as its search. *)
+let components_oracle (body : Query.Atom.t list) =
+  let atoms = Array.of_list body in
+  let n = Array.length atoms in
+  let visited = Array.make n false in
+  let shares_var a b =
+    List.exists (fun x -> List.mem x (Query.Atom.var_set b)) (Query.Atom.var_set a)
+  in
+  let adjacent i j = shares_var atoms.(i) atoms.(j) in
+  let rec bfs frontier acc =
+    match frontier with
+    | [] -> acc
+    | i :: rest ->
+      let fresh = ref [] in
+      for j = 0 to n - 1 do
+        if (not visited.(j)) && adjacent i j then begin
+          visited.(j) <- true;
+          fresh := j :: !fresh
+        end
+      done;
+      bfs (!fresh @ rest) (i :: acc)
+  in
+  let comps = ref [] in
+  for i = 0 to n - 1 do
+    if not visited.(i) then begin
+      visited.(i) <- true;
+      let comp = bfs [ i ] [] in
+      comps := List.map (fun j -> atoms.(j)) (List.sort Int.compare comp) :: !comps
+    end
+  done;
+  List.rev !comps
+
+(* Bodies of 1-7 atoms over a pool of 1-6 variables, each position a
+   variable with probability 3/4: a small pool draws connected bodies,
+   parallel edges (two atoms sharing two variables) and a variable
+   repeated inside one atom; a large one draws disconnected bodies and
+   atoms joined to nothing. *)
+let gen_join_graph =
+  let open Gen in
+  let* n_atoms = int_range 1 7 in
+  let* pool = int_range 1 6 in
+  let term =
+    frequency
+      [
+        (3, map (fun i -> v (Printf.sprintf "X%d" i)) (int_range 0 (pool - 1)));
+        (1, map (fun i -> c (Printf.sprintf "k%d" i)) (int_range 0 2));
+      ]
+  in
+  let* body = list_repeat n_atoms (map3 atom term term term) in
+  let head =
+    match List.concat_map Query.Atom.vars body with x :: _ -> [ v x ] | [] -> []
+  in
+  return (cq head body)
+
+let arb_join_graph = make ~print:Query.Cq.to_string gen_join_graph

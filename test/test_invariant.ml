@@ -284,6 +284,33 @@ let test_state_file_round_trip () =
       (Core.Invariant.check reference successor')
   | states -> Alcotest.failf "expected 2 states, parsed %d" (List.length states)
 
+(* A view line and a rewrite line spell a blank constant alike, so both
+   read back as the same blank node. *)
+let test_state_file_blank_constants () =
+  let b = Query.Qterm.Cst (blank "b") in
+  let q = cq [ v "X" ] [ atom (v "X") (c "ex:p") b; atom (v "X") (c "ex:q") b ] in
+  let state = Core.State.initial [ q ] in
+  let text_of s = Core.State_io.states_to_text [ s ] in
+  (* an SC successor that selects on one [_:b] and keeps the other *)
+  let cut =
+    match
+      List.find_opt
+        (fun s ->
+          List.exists
+            (fun (_, r) -> contains (Core.State_io.expr_to_text r) "=_:b")
+            s.Core.State.rewritings)
+        (Core.Transition.successors state Core.Transition.SC)
+    with
+    | Some s -> s
+    | None -> Alcotest.fail "expected an SC successor selecting on _:b"
+  in
+  (match Core.State_io.parse_states (text_of cut) with
+   | [ cut' ] ->
+     check_string "state round-trips" (Core.State.key_string cut)
+       (Core.State.key_string cut')
+   | states -> Alcotest.failf "expected 1 state, parsed %d" (List.length states));
+  check_bool "no bracketed blank" false (contains (text_of cut) "<_:")
+
 let test_expr_round_trip () =
   let exprs =
     [
@@ -468,6 +495,8 @@ let () =
         [
           Alcotest.test_case "state file round trip" `Quick
             test_state_file_round_trip;
+          Alcotest.test_case "state file blank constants" `Quick
+            test_state_file_blank_constants;
           Alcotest.test_case "expression round trip" `Quick
             test_expr_round_trip;
           Alcotest.test_case "corrupted file rejected" `Quick

@@ -136,6 +136,30 @@ let test_triples_roundtrip () =
   check_bool "roundtrip" true
     (List.sort Rdf.Triple.compare triples = List.sort Rdf.Triple.compare again)
 
+let test_parse_blank_nodes () =
+  match Query.Parser.parse_triples "_:b <ex:p> <ex:o> ." with
+  | [ tr ] ->
+    check_bool "blank subject" true (Rdf.Term.equal tr.s (blank "b"));
+    check_bool "uri object" true (Rdf.Term.equal tr.o (uri "ex:o"))
+  | triples -> Alcotest.failf "expected one triple, parsed %d" (List.length triples)
+
+(* Blank nodes print as [_:label] and read back as the same terms. *)
+let test_blank_store_roundtrip () =
+  let store =
+    store_of
+      [
+        triple (blank "b1") (uri "ex:p") (uri "ex:o");
+        triple (uri "ex:a") (uri "ex:p") (blank "b1");
+        triple (blank "b2") rdf_type (uri "ex:C");
+        triple (blank "b2") (uri "ex:q") (lit "_:b3");
+      ]
+  in
+  let triples = List.sort Rdf.Triple.compare (Rdf.Store.to_triples store) in
+  let text = Query.Parser.triples_to_text triples in
+  let again = List.sort Rdf.Triple.compare (Query.Parser.parse_triples text) in
+  check_bool "roundtrip" true (List.equal Rdf.Triple.equal triples again);
+  check_bool "no bracketed blank" false (contains text "<_:")
+
 let test_triples_reject_variables () =
   match Query.Parser.parse_triples "<s> <p> X ." with
   | exception Query.Parser.Parse_error _ -> ()
@@ -289,6 +313,8 @@ let () =
         [
           Alcotest.test_case "parse" `Quick test_parse_triples;
           Alcotest.test_case "roundtrip" `Quick test_triples_roundtrip;
+          Alcotest.test_case "blank nodes" `Quick test_parse_blank_nodes;
+          Alcotest.test_case "blank nodes roundtrip" `Quick test_blank_store_roundtrip;
           Alcotest.test_case "variables rejected" `Quick
             test_triples_reject_variables;
           Alcotest.test_case "barton export/import" `Quick

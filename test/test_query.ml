@@ -17,13 +17,6 @@ let test_atom_subst () =
   let renamed = Query.Atom.rename_var "X" "Z" a in
   check_bool "rename" true (Query.Atom.var_set renamed = [ "Z" ])
 
-let test_atom_shares_var () =
-  let a = atom (v "X") (c "ex:p") (v "Y") in
-  let b = atom (v "Y") (c "ex:q") (v "Z") in
-  let d = atom (v "W") (c "ex:q") (v "U") in
-  check_bool "shares" true (Query.Atom.shares_var a b);
-  check_bool "disjoint" false (Query.Atom.shares_var a d)
-
 (* ---------- query construction ------------------------------------------ *)
 
 let q1_paper =
@@ -51,7 +44,7 @@ let test_cq_accessors () =
   check_int "constants" 4 (Query.Cq.constant_count q1_paper);
   check_bool "head vars" true (Query.Cq.head_vars q1_paper = [ "X"; "Z" ]);
   check_bool "existential" true (Query.Cq.existential_vars q1_paper = [ "Y" ]);
-  check_bool "connected" true (Query.Cq.is_connected q1_paper)
+  check_bool "connected" true (Query.State_graph.is_connected q1_paper)
 
 let test_cq_freshen_preserves_structure () =
   let fresh = Query.Cq.freshen q1_paper in
@@ -129,8 +122,31 @@ let test_components () =
           atom (v "A") (c "ex:p") (v "B");
         ]
   in
-  check_int "two components" 2 (List.length (Query.Cq.components q));
-  check_bool "not connected" false (Query.Cq.is_connected q)
+  check_bool "not connected" false (Query.State_graph.is_connected q);
+  check_bool "first two joined" true (Query.State_graph.subset_checker q [ 0; 1 ]);
+  check_bool "third apart" false (Query.State_graph.subset_checker q [ 1; 2 ]);
+  (* the third atom's subject carries no edge: removing its edges
+     leaves the graph's own two components *)
+  check_int "two components" 2
+    (List.length (Query.State_graph.components_without_occurrence q 2 Query.Atom.S))
+
+(* The one connectivity routine agrees with the shared-variable search
+   of [Support.components_oracle] on every body and on every non-empty
+   subset of its atoms. *)
+let prop_connectivity_matches_oracle =
+  QCheck.Test.make ~name:"matches the shared-variable search"
+    ~count:500 arb_join_graph (fun q ->
+      let atoms = Array.of_list q.Query.Cq.body in
+      let n = Array.length atoms in
+      let connected body = List.length (components_oracle body) = 1 in
+      let checker = Query.State_graph.subset_checker q in
+      let subset mask = List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init n Fun.id) in
+      Bool.equal (Query.State_graph.is_connected q) (connected q.Query.Cq.body)
+      && List.for_all
+           (fun mask ->
+             let nodes = subset mask in
+             Bool.equal (checker nodes) (connected (List.map (fun i -> atoms.(i)) nodes)))
+           (List.init ((1 lsl n) - 1) (fun m -> m + 1)))
 
 (* ---------- canonicalization -------------------------------------------- *)
 
@@ -574,7 +590,6 @@ let () =
         [
           Alcotest.test_case "accessors" `Quick test_atom_accessors;
           Alcotest.test_case "substitution" `Quick test_atom_subst;
-          Alcotest.test_case "shares_var" `Quick test_atom_shares_var;
         ] );
       ( "cq",
         [
@@ -601,7 +616,11 @@ let () =
           Alcotest.test_case "keeps minimal" `Quick test_minimize_keeps_minimal;
           to_alcotest prop_minimize_equivalent_and_idempotent;
         ] );
-      ("connectivity", [ Alcotest.test_case "components" `Quick test_components ]);
+      ( "connectivity",
+        [
+          Alcotest.test_case "components" `Quick test_components;
+          to_alcotest prop_connectivity_matches_oracle;
+        ] );
       ( "canonical",
         [
           to_alcotest prop_canonical_invariant_under_renaming;

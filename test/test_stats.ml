@@ -425,7 +425,8 @@ let prop_var_distinct_bounded =
       let stats = Stats.Statistics.create store in
       let card = Stats.Cardinality.estimate_cq stats q in
       let card', distincts =
-        Stats.Cardinality.profile stats q (Query.Cq.body_vars q)
+        Stats.Cardinality.profile stats q (Query.State_graph.occurrences q)
+          (Query.Cq.body_vars q)
       in
       Int64.equal (Int64.bits_of_float card) (Int64.bits_of_float card')
       && List.for_all

@@ -23,32 +23,32 @@ let museum_store =
 (* ---------- state graph -------------------------------------------------- *)
 
 let test_join_edges () =
-  let edges = Core.State_graph.join_edges q1_paper in
+  let edges = Query.State_graph.join_edges q1_paper in
   (* X joins atoms 0-1 on s; Y joins atoms 1-2 (o,s) *)
   check_int "two join edges" 2 (List.length edges);
-  let vars = List.map (fun (e : Core.State_graph.join_edge) -> e.var) edges in
+  let vars = List.map (fun (e : Query.State_graph.join_edge) -> e.var) edges in
   check_bool "X edge" true (List.mem "X" vars);
   check_bool "Y edge" true (List.mem "Y" vars)
 
 let test_selection_edges () =
-  let edges = Core.State_graph.selection_edges q1_paper in
+  let edges = Query.State_graph.selection_edges q1_paper in
   (* hasPainted ×2, isParentOf, starryNight *)
   check_int "four selection edges" 4 (List.length edges)
 
 let test_connected_subsets () =
-  let connected = Core.State_graph.subset_checker q1_paper in
+  let connected = Query.State_graph.subset_checker q1_paper in
   check_bool "0,1 connected" true (connected [ 0; 1 ]);
   check_bool "0,2 disconnected" false (connected [ 0; 2 ]);
   check_bool "all connected" true (connected [ 0; 1; 2 ])
 
 let test_components_without_edge () =
-  let edges = Core.State_graph.join_edges q1_paper in
+  let edges = Query.State_graph.join_edges q1_paper in
   List.iter
     (fun e ->
       check_int
-        ("cutting " ^ Core.State_graph.edge_to_string e)
+        ("cutting " ^ Query.State_graph.edge_to_string e)
         2
-        (List.length (Core.State_graph.components_without_edge q1_paper e)))
+        (List.length (Query.State_graph.components_without_edge q1_paper e)))
     edges
 
 let test_multi_edge_survives_cut () =
@@ -57,12 +57,12 @@ let test_multi_edge_survives_cut () =
     cq [ v "X" ]
       [ atom (v "X") (c "ex:p") (v "Y"); atom (v "Y") (c "ex:q") (v "X") ]
   in
-  let edges = Core.State_graph.join_edges q in
+  let edges = Query.State_graph.join_edges q in
   check_int "two edges" 2 (List.length edges);
   List.iter
     (fun e ->
       check_int "still one component" 1
-        (List.length (Core.State_graph.components_without_edge q e)))
+        (List.length (Query.State_graph.components_without_edge q e)))
     edges
 
 (* ---------- states ------------------------------------------------------- *)

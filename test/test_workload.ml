@@ -16,7 +16,7 @@ let well_formed_workload queries n =
   List.iter
     (fun q ->
       check_bool ("connected: " ^ Query.Cq.to_string q) true
-        (Query.Cq.is_connected q);
+        (Query.State_graph.is_connected q);
       check_bool ("has constant: " ^ Query.Cq.to_string q) true
         (Query.Cq.constant_count q > 0);
       check_bool ("nonempty head: " ^ Query.Cq.to_string q) true
