@@ -1,43 +1,55 @@
 (** Text serialization of states, for [rdfviews select --state-out] /
     [--trace-states] and [rdfviews check --state].
 
-    A file holds one or more states, each introduced by a line [state],
-    followed by one [view <query>.] line per view (workload query
-    syntax; the query's name is the view symbol) and one
-    [rewrite NAME := EXPR] line per workload query.  Expressions:
+    A state file is read as one stream of {!Query.Parser} tokens: any
+    whitespace, newlines included, may separate tokens, and [#] starts a
+    comment that runs to the end of its line.  It holds zero or more
+    states:
 
     {v
-    scan v1
-    select[x=<ex:c>, x=y](E)
-    project[x, y](E)
-    join[x=y](E, E)          join[](E, E) is the natural join
-    rename[x->y](E)
-    union(E, E, ...)
+    file      ::= state*
+    state     ::= "state" (view | rewrite)*
+    view      ::= "view" RULE                  a workload rule; its name is the view symbol
+    rewrite   ::= "rewrite" NAME ":=" expr     NAME is a workload query's name
+    expr      ::= "scan" NAME
+                | "select" "[" cond,* "]" "(" expr ")"
+                | "project" "[" col,* "]" "(" expr ")"
+                | "join" "[" (col "=" col),* "]" "(" expr "," expr ")"
+                | "rename" "[" (col "->" col),* "]" "(" expr ")"
+                | "union" "(" expr ("," expr)* ")"
+    cond      ::= col "=" constant | col "=" col
+    constant  ::= <uri> | "lit" | _:label
     v}
 
-    Constants in conditions are always bracketed ([<uri>], ["lit"],
-    [_:blank]); a bare identifier after [=] is a column name. *)
+    [join[](E, E)] is the natural join.  A name and a column are words
+    (a column may start with an uppercase letter); a constant is always
+    bracketed, so a bare word after [=] is a column.  Grammar position
+    decides what a word is, so no word is reserved: a query may be named
+    [state], [view] or [scan]. *)
 
 exception Syntax_error of string
+(** The message starts ["line N: "] with the line of the offending
+    token, once. *)
 
 val expr_to_text : Rewriting.t -> string
-(** Render one plan in the textual grammar accepted by
-    {!parse_expr}. *)
+(** Render one plan in the grammar accepted by {!parse_expr}. *)
 
 val parse_expr : string -> Rewriting.t
-(** @raise Syntax_error on malformed input. *)
+(** One [expr] and nothing after it.
+    @raise Syntax_error on malformed input. *)
 
 val states_to_text : State.t list -> string
-(** Each state (views then rewritings) in the file grammar,
-    ["---"]-separated — the on-disk format of [--state-out] /
-    [--trace-states]. *)
+(** The on-disk format of [--state-out] / [--trace-states]: a [#]
+    header line, then each state (its views, then its rewritings), the
+    states separated by a blank line.  A view of several atoms spans
+    several lines; each rewriting is one line. *)
 
 val parse_states : string -> State.t list
 (** Parse a whole file's contents.
     @raise Syntax_error on malformed input, including a view definition
     rejected by {!View.of_cq} ({!View.defect}: a disconnected body, a
-    constant in the head or a repeated head variable); the message
-    starts with the line number. *)
+    constant in the head or a repeated head variable), which names the
+    line of the rule's final [.]. *)
 
 val write_file : string -> State.t list -> unit
 (** {!states_to_text} to the named file (truncating). *)

@@ -3,16 +3,21 @@ exception Parse_error of string
 (* ---------- lexer -------------------------------------------------------- *)
 
 type token =
-  | Ident of string      (* bare word *)
+  | Ident of string
   | Variable of string
   | Uri of string
   | Literal of string
-  | Blank of string      (* _:label *)
+  | Blank of string
   | Lparen
   | Rparen
+  | Lbracket
+  | Rbracket
   | Comma
-  | Turnstile            (* :- *)
   | Dot
+  | Equal
+  | Turnstile
+  | Arrow
+  | Assign
 
 let token_to_string = function
   | Ident s -> s
@@ -22,9 +27,14 @@ let token_to_string = function
   | Blank s -> "_:" ^ s
   | Lparen -> "("
   | Rparen -> ")"
+  | Lbracket -> "["
+  | Rbracket -> "]"
   | Comma -> ","
-  | Turnstile -> ":-"
   | Dot -> "."
+  | Equal -> "="
+  | Turnstile -> ":-"
+  | Arrow -> "->"
+  | Assign -> ":="
 
 let fail_at line message =
   raise (Parse_error (Printf.sprintf "line %d: %s" line message))
@@ -41,6 +51,19 @@ let tokenize input =
   let line = ref 1 in
   let i = ref 0 in
   let push tok = tokens := (tok, !line) :: !tokens in
+  let pair_at j a b = j + 1 < n && input.[j] = a && input.[j + 1] = b in
+  (* a word stops before "->" and ":=", so "a->b" and "q:=e" split *)
+  let word_end start =
+    let j = ref start in
+    while
+      !j < n
+      && is_word_char input.[!j]
+      && not (pair_at !j '-' '>' || pair_at !j ':' '=')
+    do
+      incr j
+    done;
+    !j
+  in
   while !i < n do
     let ch = input.[!i] in
     if ch = '\n' then begin
@@ -55,12 +78,14 @@ let tokenize input =
     end
     else if ch = '(' then (push Lparen; incr i)
     else if ch = ')' then (push Rparen; incr i)
+    else if ch = '[' then (push Lbracket; incr i)
+    else if ch = ']' then (push Rbracket; incr i)
     else if ch = ',' then (push Comma; incr i)
-    else if ch = ':' && !i + 1 < n && input.[!i + 1] = '-' then begin
-      push Turnstile;
-      i := !i + 2
-    end
     else if ch = '.' then (push Dot; incr i)
+    else if ch = '=' then (push Equal; incr i)
+    else if pair_at !i ':' '-' then (push Turnstile; i := !i + 2)
+    else if pair_at !i '-' '>' then (push Arrow; i := !i + 2)
+    else if pair_at !i ':' '=' then (push Assign; i := !i + 2)
     else if ch = '<' then begin
       let close = try String.index_from input !i '>' with Not_found ->
         fail_at !line "unterminated URI"
@@ -77,28 +102,22 @@ let tokenize input =
     end
     else if ch = '?' then begin
       let start = !i + 1 in
-      let j = ref start in
-      while !j < n && is_word_char input.[!j] do
-        incr j
-      done;
-      if !j = start then fail_at !line "empty variable name";
-      push (Variable (String.sub input start (!j - start)));
-      i := !j
+      let j = word_end start in
+      if j = start then fail_at !line "empty variable name";
+      push (Variable (String.sub input start (j - start)));
+      i := j
     end
     else if is_word_char ch then begin
       let start = !i in
-      let j = ref start in
-      while !j < n && is_word_char input.[!j] do
-        incr j
-      done;
-      let word = String.sub input start (!j - start) in
+      let j = word_end start in
+      let word = String.sub input start (j - start) in
       (if word.[0] >= 'A' && word.[0] <= 'Z' then push (Variable word)
        else if String.starts_with ~prefix:"_:" word then begin
          if String.length word = 2 then fail_at !line "empty blank node label";
          push (Blank (String.sub word 2 (String.length word - 2)))
        end
        else push (Ident word));
-      i := !j
+      i := j
     end
     else fail_at !line (Printf.sprintf "unexpected character %c" ch)
   done;
@@ -117,7 +136,7 @@ let fail s message = fail_at s.line message
 
 let peek s = match s.tokens with [] -> None | (tok, _) :: _ -> Some tok
 
-let advance s =
+let next s =
   match s.tokens with
   | [] -> fail s "unexpected end of input"
   | (tok, line) :: rest ->
@@ -126,7 +145,7 @@ let advance s =
     tok
 
 let expect s expected =
-  let tok = advance s in
+  let tok = next s in
   if tok <> expected then
     fail s
       (Printf.sprintf "expected %s, found %s" (token_to_string expected)
@@ -146,7 +165,7 @@ let term_of_token s = function
   | Ident w -> Qterm.Cst (Rdf.Term.Uri w)
   | tok -> fail s (Printf.sprintf "expected a term, found %s" (token_to_string tok))
 
-let parse_term s = term_of_token s (advance s)
+let parse_term s = term_of_token s (next s)
 
 (* ---------- query parsing ------------------------------------------------- *)
 
@@ -154,7 +173,7 @@ let parse_term_list s =
   expect s Lparen;
   let rec loop acc =
     let term = parse_term s in
-    match advance s with
+    match next s with
     | Comma -> loop (term :: acc)
     | Rparen -> List.rev (term :: acc)
     | tok ->
@@ -164,7 +183,7 @@ let parse_term_list s =
   loop []
 
 let parse_atom s =
-  (match advance s with
+  (match next s with
   | Ident "t" -> ()
   | tok ->
     fail s
@@ -177,7 +196,7 @@ let parse_atom s =
 
 let parse_rule s =
   let name =
-    match advance s with
+    match next s with
     | Ident n -> n
     | tok ->
       fail s
@@ -187,7 +206,7 @@ let parse_rule s =
   expect s Turnstile;
   let rec body acc =
     let atom = parse_atom s in
-    match advance s with
+    match next s with
     | Comma -> body (atom :: acc)
     | Dot -> List.rev (atom :: acc)
     | tok ->
@@ -239,7 +258,7 @@ let parse_schema input =
     | Some _ ->
       let subject = parse_constant s in
       let statement =
-        match advance s with
+        match next s with
         | Ident r -> (
           match String.lowercase_ascii r with
           | "subclassof" -> fun obj -> Rdf.Schema.Subclass (subject, obj)
@@ -285,12 +304,15 @@ let parse_triples input =
 
 (* ---------- printers ------------------------------------------------------ *)
 
+let constant_to_text = function
+  | Rdf.Term.Uri u -> "<" ^ u ^ ">"
+  | Rdf.Term.Literal l -> "\"" ^ l ^ "\""
+  | Rdf.Term.Blank b -> "_:" ^ b
+
 let term_to_text = function
   | Qterm.Var x -> "?" ^ x
   | Qterm.Cst t when Rdf.Term.equal t Rdf.Vocabulary.rdf_type -> rdf_type_keyword
-  | Qterm.Cst (Rdf.Term.Uri u) -> "<" ^ u ^ ">"
-  | Qterm.Cst (Rdf.Term.Literal l) -> "\"" ^ l ^ "\""
-  | Qterm.Cst (Rdf.Term.Blank b) -> "_:" ^ b
+  | Qterm.Cst t -> constant_to_text t
 
 let rdf_term_to_text t = term_to_text (Qterm.Cst t)
 

@@ -1,4 +1,6 @@
-(** Text syntax for queries, schemas and data.
+(** Text syntax for queries, schemas and data, and the one lexer that
+    every text format of the library reads through ([Core.State_io]'s
+    state files included).
 
     {2 Queries (Datalog-style)}
 
@@ -30,10 +32,13 @@
     <ex:mona> type <ex:painting> .
     v}
 
-    Lines starting with [#] are comments everywhere. *)
+    Spaces, tabs, carriage returns and newlines separate tokens, and
+    [#] starts a comment that runs to the end of its line; {!token}
+    lists every token the lexer reads.  Any other character is a
+    located {!Parse_error}. *)
 
 exception Parse_error of string
-(** Raised with a message including the offending position. *)
+(** Raised with a message ["line N: ..."] naming the offending line once. *)
 
 val parse_query : string -> Cq.t
 (** Parse exactly one query. *)
@@ -45,9 +50,67 @@ val parse_schema : string -> Rdf.Schema.t
 
 val parse_triples : string -> Rdf.Triple.t list
 
+(** {2 Token streams}
+
+    A reader over one string, for formats built on these tokens. *)
+
+(** A word is a run of letters, digits, [_], [:] and [-] that stops
+    before [->] and [:=]. *)
+type token =
+  | Ident of string  (** a word not read as below *)
+  | Variable of string
+      (** [?word] (non-empty), or a word starting with an uppercase
+          letter; the name without [?] *)
+  | Uri of string  (** [<...>], up to the next [>] *)
+  | Literal of string  (** a double-quoted string, up to the next quote *)
+  | Blank of string  (** a word [_:label], the label non-empty *)
+  | Lparen
+  | Rparen
+  | Lbracket
+  | Rbracket
+  | Comma
+  | Dot
+  | Equal
+  | Turnstile  (** [:-] *)
+  | Arrow  (** [->] *)
+  | Assign  (** [:=] *)
+
+val token_to_string : token -> string
+
+type stream
+
+val stream_of : string -> stream
+(** Tokenizes the whole string.
+    @raise Parse_error on a lex error. *)
+
+val peek : stream -> token option
+(** The next token, not consumed; [None] at the end. *)
+
+val next : stream -> token
+(** Consumes the next token.
+    @raise Parse_error at the end of input. *)
+
+val expect : stream -> token -> unit
+(** Consumes the next token, which must be the given one. *)
+
+val fail : stream -> string -> 'a
+(** Raises {!Parse_error} with the message prefixed by the line of the
+    last token consumed. *)
+
+val parse_rule : stream -> Cq.t
+(** One query rule, [name(head) :- body.]; errors of {!Cq.make} name the
+    line of its final [.]. *)
+
+(** {2 Printers} *)
+
+val constant_to_text : Rdf.Term.t -> string
+(** [<uri>], ["lit"] or [_:label], always bracketed: a bare word would
+    read back as a name. *)
+
 val query_to_text : Cq.t -> string
 (** Render a query back into parsable syntax
-    ([parse_query (query_to_text q)] is syntactically [q]). *)
+    ([parse_query (query_to_text q)] is syntactically [q]).  A body of
+    several atoms spans several lines. *)
 
 val schema_to_text : Rdf.Schema.t -> string
 

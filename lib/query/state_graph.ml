@@ -83,36 +83,33 @@ let selection_edges q =
            Atom.positions)
        q.Cq.body)
 
-(* Connected components over a node set, given a multiset of undirected
-   edges (atom index pairs). *)
+(* Connected components over a node set (distinct atom indices), given a
+   multiset of undirected edges (atom index pairs); an edge with an end
+   outside the set is ignored.  Union-find over an array indexed by atom:
+   each component is sorted, and the components come in the order of
+   their first node in [nodes]. *)
 let components nodes edges =
-  let adjacency = Hashtbl.create 16 in
+  let size = 1 + List.fold_left max (-1) nodes in
+  (* [parent.(n)] is -1 for an atom outside the set *)
+  let parent = Array.make size (-1) in
+  List.iter (fun n -> parent.(n) <- n) nodes;
+  let rec root n = if parent.(n) = n then n else root parent.(n) in
+  let member n = n < size && parent.(n) >= 0 in
   List.iter
     (fun (a, b) ->
-      if List.mem a nodes && List.mem b nodes then begin
-        Hashtbl.add adjacency a b;
-        Hashtbl.add adjacency b a
-      end)
+      if member a && member b then
+        let ra = root a and rb = root b in
+        if ra <> rb then parent.(max ra rb) <- min ra rb)
     edges;
-  let visited = Hashtbl.create 16 in
-  let rec bfs frontier acc =
-    match frontier with
-    | [] -> acc
-    | n :: rest ->
-      let next =
-        List.filter
-          (fun m -> not (Hashtbl.mem visited m))
-          (Hashtbl.find_all adjacency n)
-      in
-      List.iter (fun m -> Hashtbl.replace visited m ()) next;
-      bfs (next @ rest) (n :: acc)
-  in
+  let sorted = List.sort_uniq Int.compare nodes in
+  let emitted = Array.make size false in
   List.filter_map
     (fun n ->
-      if Hashtbl.mem visited n then None
+      let r = root n in
+      if emitted.(r) then None
       else begin
-        Hashtbl.replace visited n ();
-        Some (List.sort_uniq Int.compare (bfs [ n ] []))
+        emitted.(r) <- true;
+        Some (List.filter (fun m -> root m = r) sorted)
       end)
     nodes
 
@@ -128,7 +125,23 @@ let subset_checker q =
   let edges = endpoints (join_edges q) in
   function [] -> false | subset -> List.length (components subset edges) = 1
 
-let is_connected q = subset_checker q (nodes q)
+(* A yes/no needs no edge records: one atom pair per two consecutive
+   places of a variable connects all its places. *)
+let is_connected q =
+  let pairs =
+    Hashtbl.fold
+      (fun _ places acc ->
+        let rec chain acc = function
+          | (i, _) :: ((j, _) :: _ as rest) ->
+            chain (if i = j then acc else (i, j) :: acc) rest
+          | _ -> acc
+        in
+        chain acc places)
+      (occurrences q) []
+  in
+  match nodes q with
+  | [] -> false
+  | nodes -> List.length (components nodes pairs) = 1
 
 let components_without_edge q edge =
   (* remove exactly one occurrence of the edge's endpoints pair *)

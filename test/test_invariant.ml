@@ -363,21 +363,147 @@ let test_corrupted_state_file_rejected () =
       (has_violation "structure" violations)
   | states -> Alcotest.failf "expected 1 state, parsed %d" (List.length states)
 
-(* A view the View layer rejects is a syntax error on its own line, not
-   a bare Invalid_argument with no position. *)
+(* A view the View layer or Cq.make rejects is a syntax error on its own
+   line, named once, not a bare Invalid_argument with no position. *)
 let test_rejected_view_names_line () =
   List.iter
     (fun (label, view) ->
       match Core.State_io.parse_states ("state\n" ^ view ^ "\n") with
       | exception Core.State_io.Syntax_error message ->
         check_bool (label ^ ": error names line 2") true
-          (String.length message >= 7 && String.sub message 0 7 = "line 2:")
+          (String.starts_with ~prefix:"line 2: " message);
+        check_bool (label ^ ": one location") false
+          (contains (String.sub message 8 (String.length message - 8)) "line ")
       | _ -> Alcotest.failf "%s view accepted" label)
     [
       ("disconnected", "view v1(?x, ?y) :- t(?x, <ex:p>, ?z), t(?y, <ex:q>, ?w).");
       ("duplicate head", "view v1(?x, ?x) :- t(?x, <ex:p>, ?y).");
       ("constant head", "view v1(?x, <ex:a>) :- t(?x, <ex:p>, <ex:a>).");
+      ("unsafe head", "view v1(?x, ?y) :- t(?x, <ex:p>, <ex:a>).");
     ]
+
+(* The states' keys, view names and rewritings survive the text. *)
+let round_trips states =
+  let states' = Core.State_io.parse_states (Core.State_io.states_to_text states) in
+  List.length states = List.length states'
+  && List.for_all2
+       (fun (s : Core.State.t) (s' : Core.State.t) ->
+         String.equal (Core.State.key_string s) (Core.State.key_string s')
+         && List.equal String.equal
+              (List.map Core.View.name s.views)
+              (List.map Core.View.name s'.views)
+         && List.equal
+              (fun (q, r) (q', r') -> String.equal q q' && Core.Rewriting.equal r r')
+              s.rewritings s'.rewritings)
+       states states'
+
+(* A query name may hold a ':', as the workload syntax allows. *)
+let test_colon_query_name_round_trips () =
+  let q = cq ~name:"ex:q1" [ v "X" ] [ atom (v "X") (c "ex:p") (c "ex:o") ] in
+  let initial = Core.State.initial [ q ] in
+  let states = initial :: Core.Transition.successors initial Core.Transition.SC in
+  check_bool "ex:q1 round-trips" true (round_trips states)
+
+(* A rewrite condition reads a blank label as the data and view lines do. *)
+let test_dashed_blank_in_condition () =
+  check_bool "select on _:b-1" true
+    (Core.Rewriting.equal
+       (Core.Rewriting.Select
+          ([ Core.Rewriting.Eq_cst ("y", blank "b-1") ], Core.Rewriting.Scan "v1"))
+       (Core.State_io.parse_expr "select[y=_:b-1](scan v1)"))
+
+(* A state file is one token stream: newlines are whitespace, and a word
+   ends before ":=" and "->". *)
+let test_state_file_is_one_token_stream () =
+  match
+    Core.State_io.parse_states
+      "state view v1(?x,\n ?y) :- t(?x, <ex:p>, ?y). rewrite ex:q1:=rename[x->a](\nscan v1)"
+  with
+  | [ state ] ->
+    check_bool "rewriting read" true
+      (List.equal
+         (fun (q, r) (q', r') -> String.equal q q' && Core.Rewriting.equal r r')
+         state.rewritings
+         [ ("ex:q1", Core.Rewriting.Rename ([ ("x", "a") ], Core.Rewriting.Scan "v1")) ])
+  | states -> Alcotest.failf "expected 1 state, parsed %d" (List.length states)
+
+(* Workloads whose query names, variables and constants use the whole
+   word alphabet, the reserved-looking words and the three constant
+   kinds, with a second query that sometimes repeats the first body so
+   that fusions apply. *)
+let gen_state_workload =
+  let open QCheck.Gen in
+  let word_char =
+    oneofl (List.of_seq (String.to_seq "abcXYZ019_:-"))
+  in
+  let random_name =
+    map2
+      (fun first rest -> String.make 1 first ^ String.of_seq (List.to_seq rest))
+      (oneofl [ 'q'; 'e'; '0'; '7' ])
+      (list_size (int_range 0 6) word_char)
+  in
+  let name =
+    oneof
+      [
+        oneofl [ "ex:q1"; "q-2"; "view"; "state"; "scan"; "rewrite"; "_q"; "-q"; ":q" ];
+        random_name;
+      ]
+  in
+  let var = oneofl [ "X"; "Y1"; "x"; "a-b"; "v:w"; "_u"; "type"; "scan" ] in
+  let constant =
+    oneofl
+      [ uri "ex:c"; uri "c"; blank "b-1"; blank "b:2"; lit "l 1"; lit "";
+        rdf_type ]
+  in
+  let term = oneof [ map v var; map (fun k -> Query.Qterm.Cst k) constant ] in
+  let property =
+    oneof [ map c (oneofl [ "ex:p"; "ex:q" ]); return (Query.Qterm.Cst rdf_type) ]
+  in
+  let body =
+    let* first = var in
+    let* n = int_range 1 3 in
+    let rec atoms vars k =
+      if k = 0 then return []
+      else
+        let* anchor = oneofl vars in
+        let* p = property in
+        let* other = term in
+        let* flip = bool in
+        let a = if flip then atom other p (v anchor) else atom (v anchor) p other in
+        let vars = Query.Atom.var_set a @ vars in
+        let* rest = atoms vars (k - 1) in
+        return (a :: rest)
+    in
+    atoms [ first ] n
+  in
+  let query name body =
+    let vars = List.sort_uniq String.compare (List.concat_map Query.Atom.var_set body) in
+    let* size = int_range 1 (List.length vars) in
+    let* head = map (List.filteri (fun i _ -> i < size)) (shuffle_l vars) in
+    return (cq ~name (List.map v head) body)
+  in
+  let* name1 = name in
+  let* name2 = name in
+  let* body1 = body in
+  let* body2 = oneof [ return body1; body ] in
+  let* q1 = query name1 body1 in
+  let* second = bool in
+  if second && not (String.equal name1 name2) then
+    let* q2 = query name2 body2 in
+    return [ q1; q2 ]
+  else return [ q1 ]
+
+let prop_state_file_round_trip =
+  QCheck.Test.make ~name:"state files round-trip" ~count:500
+    (QCheck.make
+       ~print:(fun w -> String.concat "\n" (List.map Query.Parser.query_to_text w))
+       gen_state_workload)
+    (fun workload ->
+      let initial = Core.State.initial workload in
+      round_trips
+        (initial
+        :: List.concat_map (Core.Transition.successors initial)
+             Core.Transition.all_kinds))
 
 (* ---------- strict mode --------------------------------------------------- *)
 
@@ -503,6 +629,13 @@ let () =
             test_corrupted_state_file_rejected;
           Alcotest.test_case "rejected view names its line" `Quick
             test_rejected_view_names_line;
+          Alcotest.test_case "query named ex:q1 round-trips" `Quick
+            test_colon_query_name_round_trips;
+          Alcotest.test_case "dashed blank in a condition" `Quick
+            test_dashed_blank_in_condition;
+          Alcotest.test_case "one token stream" `Quick
+            test_state_file_is_one_token_stream;
+          to_alcotest prop_state_file_round_trip;
         ] );
       ( "strict",
         [

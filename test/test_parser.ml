@@ -239,11 +239,18 @@ let arb_fuzz seed =
   QCheck.make ~print:(Printf.sprintf "%S")
     (QCheck.Gen.oneof [ gen_soup; QCheck.Gen.string; gen_mutation seed ])
 
-(* "line N: ..." *)
+(* The text after a leading "line N: ", if the message has one. *)
+let after_line message =
+  match Scanf.sscanf message "line %d: %n" (fun n k -> (n, k)) with
+  | n, k when n >= 1 -> Some (String.sub message k (String.length message - k))
+  | _ -> None
+  | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None
+
+(* "line N: ..." with exactly one location. *)
 let located message =
-  match Scanf.sscanf message "line %d: %_s@\n" (fun n -> n) with
-  | n -> n >= 1
-  | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> false
+  match after_line message with
+  | Some rest -> after_line rest = None
+  | None -> false
 
 let prop_parses_or_locates name seed parse =
   QCheck.Test.make ~name:(name ^ " parses or fails with a located Parse_error")
@@ -278,14 +285,13 @@ let prop_states_fuzz =
       | _ -> true
       | exception Core.State_io.Syntax_error message -> located message)
 
-(* An expression is one line: its errors quote the text, not a line. *)
 let prop_expr_fuzz =
   QCheck.Test.make ~name:"expression parses or fails with a Syntax_error"
     ~count:1000 (arb_fuzz (lazy expr_text))
     (fun text ->
       match Core.State_io.parse_expr text with
       | _ -> true
-      | exception Core.State_io.Syntax_error _ -> true)
+      | exception Core.State_io.Syntax_error message -> located message)
 
 let () =
   Alcotest.run "parser"
