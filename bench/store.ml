@@ -106,10 +106,12 @@ let copy_onto kind src =
   dst
 
 (* Bindings/sec of the shared eval workload (compiled plans) against
-   one store. *)
+   one store, on a copy of it that caches no plan yet: the copy is laid
+   out before the timed region and dropped after it. *)
 let eval_pass store queries =
   let reg = Obs.global () in
-  Query.Plan.reset_cache ();
+  let store = Rdf.Store.copy store in
+  Rdf.Store.compact store;
   let bindings_of () =
     Option.value ~default:0 (Obs.find_counter reg "eval.bindings")
   in

@@ -19,6 +19,10 @@ let read_file path =
   close_in ic;
   contents
 
+(* A store as data text, one triple a line. *)
+let triples_text store =
+  String.concat "\n" (List.map Rdf.Triple.to_string (Rdf.Store.to_triples store))
+
 let write_out path text =
   match path with
   | None -> print_endline text
@@ -304,12 +308,12 @@ let select_cmd =
     List.iter
       (fun u ->
         List.iter
-          (fun d -> Printf.printf "  %s\n" (Query.Parser.query_to_text d))
+          (fun d -> Printf.printf "  %s\n" (Query.Cq.to_string d))
           (Query.Ucq.disjuncts u))
       result.Core.Selector.recommended;
     print_endline "\nrewritings:";
     List.iter
-      (fun (q, r) -> Printf.printf "  %s = %s\n" q (Core.Rewriting.to_string r))
+      (fun (q, r) -> Printf.printf "  %s := %s\n" q (Core.Rewriting.to_string r))
       result.Core.Selector.rewritings;
     (match state_out with
     | Some file ->
@@ -481,7 +485,7 @@ let reformulate_cmd =
                (Query.Ucq.cardinal u)
                (List.length (Query.Ucq.shapes u))
                (String.concat "\n"
-                  (List.map Query.Parser.query_to_text (Query.Ucq.disjuncts u))))
+                  (List.map Query.Cq.to_string (Query.Ucq.disjuncts u))))
            queries)
     in
     write_out output text
@@ -508,7 +512,7 @@ let saturate_cmd =
       Printf.printf "%d explicit + %d implicit = %d triples\n" before added
         (Rdf.Store.size store)
     else
-      write_out output (Query.Parser.triples_to_text (Rdf.Store.to_triples store))
+      write_out output (triples_text store)
   in
   let info = Cmd.info "saturate" ~doc:"Saturate a dataset w.r.t. an RDFS." in
   Cmd.v info
@@ -614,7 +618,7 @@ let generate_cmd =
       | Some data -> Workload.Generator.generate_satisfiable (load_store data) spec
     in
     write_out output
-      (String.concat "\n" (List.map Query.Parser.query_to_text workload))
+      (String.concat "\n" (List.map Query.Cq.to_string workload))
   in
   let info = Cmd.info "generate" ~doc:"Generate a synthetic query workload." in
   Cmd.v info
@@ -638,10 +642,10 @@ let barton_cmd =
   let run entities seed schema_out output =
     handle_errors @@ fun () ->
     let store = Workload.Barton.store ~n_entities:entities ~seed () in
-    write_out output (Query.Parser.triples_to_text (Rdf.Store.to_triples store));
+    write_out output (triples_text store);
     match schema_out with
     | Some file ->
-      write_out (Some file) (Query.Parser.schema_to_text (Workload.Barton.schema ()))
+      write_out (Some file) (Rdf.Schema.to_string (Workload.Barton.schema ()))
     | None -> ()
   in
   let info =

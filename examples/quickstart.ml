@@ -55,12 +55,15 @@ let () =
 
   print_endline "recommended views:";
   List.iter
-    (fun u -> Printf.printf "  %s\n" (Query.Ucq.to_string u))
+    (fun u ->
+      List.iter
+        (fun d -> Printf.printf "  %s\n" (Query.Cq.to_string d))
+        (Query.Ucq.disjuncts u))
     result.Core.Selector.recommended;
 
   print_endline "\nrewritings:";
   List.iter
-    (fun (q, r) -> Printf.printf "  %s = %s\n" q (Core.Rewriting.to_string r))
+    (fun (q, r) -> Printf.printf "  %s := %s\n" q (Core.Rewriting.to_string r))
     result.Core.Selector.rewritings;
 
   (* 4. materialize the views and answer the workload from them *)

@@ -244,13 +244,13 @@ let check_equivalence reference state =
             note "equivalence"
               (Printf.sprintf
                  "rewriting of %s is unsound: no containment mapping \
-                  certifies unfolding ⊑ query"
+                  certifies unfolding ⊆ query"
                  qname)
           else if not (ucq_contained_in disjuncts unfolded) then
             note "equivalence"
               (Printf.sprintf
                  "rewriting of %s is incomplete: no containment mapping \
-                  certifies query ⊑ unfolding"
+                  certifies query ⊆ unfolding"
                  qname)))
     reference;
   let expected = List.map fst reference in

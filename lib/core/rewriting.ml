@@ -43,17 +43,54 @@ let join_layout lcols rcols conds =
   let kept, names = keep 0 rcols in
   { pairs; kept; out = lcols @ names }
 
+let check cols c = ignore (column_index cols c : int)
+
+let rec distinct what = function
+  | [] -> ()
+  | c :: rest ->
+    if List.mem c rest then
+      failwith ("Rewriting.columns: repeated " ^ what ^ " " ^ c);
+    distinct what rest
+
+(* The one column walk: each node's columns from its children's, with
+   every reference checked on the way up. *)
 let rec columns env = function
   | Scan name -> (
     match Hashtbl.find_opt env name with
     | Some cols -> cols
     | None -> failwith ("Rewriting.columns: unknown view " ^ name))
-  | Select (_, e) -> columns env e
-  | Project (cols, _) -> cols
-  | Join (conds, l, r) -> (join_layout (columns env l) (columns env r) conds).out
-  | Rename (mapping, e) -> List.map (rename mapping) (columns env e)
+  | Select (conds, e) ->
+    let cols = columns env e in
+    List.iter
+      (function
+        | Eq_cst (c, _) -> check cols c
+        | Eq_col (a, b) -> check cols a; check cols b)
+      conds;
+    cols
+  | Project (out, e) ->
+    let cols = columns env e in
+    List.iter (check cols) out;
+    out
+  | Join (conds, l, r) ->
+    let lcols = columns env l and rcols = columns env r in
+    List.iter (fun (a, b) -> check lcols a; check rcols b) conds;
+    (join_layout lcols rcols conds).out
+  | Rename (mapping, e) ->
+    let cols = columns env e in
+    List.iter (fun (a, _) -> check cols a) mapping;
+    distinct "rename target" (List.map snd mapping);
+    let out = List.map (rename mapping) cols in
+    distinct "column" out;
+    out
   | Union [] -> failwith "Rewriting.columns: empty union"
-  | Union (e :: _) -> columns env e
+  | Union (e :: rest) ->
+    let cols = columns env e in
+    List.iter
+      (fun b ->
+        if List.compare_lengths (columns env b) cols <> 0 then
+          failwith "Rewriting.columns: union branches differ in arity")
+      rest;
+    cols
 
 let equal_cond a b =
   match (a, b) with
@@ -107,88 +144,31 @@ let views_used expr =
   List.rev (collect [] expr)
 
 let well_formed env expr =
-  let ok = ref true in
-  let check_cols available cols =
-    List.iter (fun c -> if not (List.mem c available) then ok := false) cols
-  in
-  let rec walk e =
-    match e with
-    | Scan n -> if not (Hashtbl.mem env n) then ok := false
-    | Select (conds, inner) ->
-      walk inner;
-      if !ok then
-        let avail = columns env inner in
-        List.iter
-          (function
-            | Eq_cst (c, _) -> check_cols avail [ c ]
-            | Eq_col (c1, c2) -> check_cols avail [ c1; c2 ])
-          conds
-    | Project (cols, inner) ->
-      walk inner;
-      if !ok then check_cols (columns env inner) cols
-    | Join (conds, l, r) ->
-      walk l;
-      walk r;
-      if !ok then begin
-        let lc = columns env l in
-        let rc = columns env r in
-        List.iter
-          (fun (a, b) ->
-            check_cols lc [ a ];
-            check_cols rc [ b ])
-          conds
-      end
-    | Rename (mapping, inner) ->
-      walk inner;
-      if !ok then begin
-        check_cols (columns env inner) (List.map fst mapping);
-        let targets = List.map snd mapping in
-        if
-          List.length (List.sort_uniq String.compare targets)
-          <> List.length targets
-        then ok := false;
-        if !ok then begin
-          let out = columns env e in
-          if
-            List.length (List.sort_uniq String.compare out) <> List.length out
-          then ok := false
-        end
-      end
-    | Union branches ->
-      List.iter walk branches;
-      if !ok then
-        match branches with
-        | [] -> ok := false
-        | first :: rest ->
-          let a = List.length (columns env first) in
-          List.iter
-            (fun b -> if List.length (columns env b) <> a then ok := false)
-            rest
-  in
-  walk expr;
-  !ok
+  match columns env expr with _ -> true | exception Failure _ -> false
+
+(* A column prints bare where the state-file reader takes a word for a
+   column; one it would read as a blank node, or after [=] as the
+   keyword [type], prints as the variable [?c]. *)
+let column c =
+  if String.equal c "type" || String.starts_with ~prefix:"_:" c then "?" ^ c else c
+
+let list f items = String.concat ", " (List.map f items)
+
+let pair separator (a, b) = column a ^ separator ^ column b
 
 let cond_to_string = function
-  | Eq_cst (c, v) -> c ^ "=" ^ Rdf.Term.to_string v
-  | Eq_col (a, b) -> a ^ "=" ^ b
+  | Eq_cst (c, v) -> column c ^ "=" ^ Rdf.Term.to_string v
+  | Eq_col (a, b) -> pair "=" (a, b)
 
 let rec to_string = function
-  | Scan n -> n
+  | Scan name -> "scan " ^ name
   | Select (conds, e) ->
-    "σ[" ^ String.concat "," (List.map cond_to_string conds) ^ "](" ^ to_string e
-    ^ ")"
+    Printf.sprintf "select[%s](%s)" (list cond_to_string conds) (to_string e)
   | Project (cols, e) ->
-    "π[" ^ String.concat "," cols ^ "](" ^ to_string e ^ ")"
+    Printf.sprintf "project[%s](%s)" (list column cols) (to_string e)
   | Join (conds, l, r) ->
-    let tag =
-      match conds with
-      | [] -> "⋈"
-      | _ ->
-        "⋈[" ^ String.concat "," (List.map (fun (a, b) -> a ^ "=" ^ b) conds)
-        ^ "]"
-    in
-    "(" ^ to_string l ^ " " ^ tag ^ " " ^ to_string r ^ ")"
+    Printf.sprintf "join[%s](%s, %s)" (list (pair "=") conds) (to_string l)
+      (to_string r)
   | Rename (mapping, e) ->
-    "ρ[" ^ String.concat "," (List.map (fun (a, b) -> a ^ "→" ^ b) mapping)
-    ^ "](" ^ to_string e ^ ")"
-  | Union branches -> String.concat " ∪ " (List.map to_string branches)
+    Printf.sprintf "rename[%s](%s)" (list (pair "->") mapping) (to_string e)
+  | Union branches -> Printf.sprintf "union(%s)" (list to_string branches)

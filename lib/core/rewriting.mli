@@ -58,9 +58,12 @@ val join_layout : string list -> string list -> (string * string) list -> join_l
     [l] with columns [lcols] and [r] with [rcols]. *)
 
 val columns : env -> t -> string list
-(** Output columns of the expression, by the rules above.  Raises
-    [Failure] on an unknown view symbol or an empty union; column
-    references are checked by {!well_formed}, not here. *)
+(** Output columns of the expression, by the rules above, in one walk
+    that checks every node on the way: it raises [Failure] on an
+    unknown view symbol, a select, project, join or rename column its
+    operand lacks, a repeated rename target, a rename that outputs a
+    column twice, an empty union, or union branches of different
+    arities. *)
 
 val equal : t -> t -> bool
 (** Structural equality, delegating constants to {!Rdf.Term.equal}. *)
@@ -81,8 +84,10 @@ val views_used : t -> string list
     collapsed); order of first occurrence. *)
 
 val well_formed : env -> t -> bool
-(** Checks that all column references resolve and unions are
-    compatible. *)
+(** {!columns} does not raise. *)
 
 val to_string : t -> string
-(** Single-line rendering of the plan, innermost operator first. *)
+(** The expression in the state-file syntax that [State_io] reads, e.g.
+    [project[x](select[y=<c>](scan v1))]: constants by
+    {!Rdf.Term.to_string}, so a condition on a constant never prints
+    like one on a column. *)

@@ -16,7 +16,7 @@
     - nested unions flatten and duplicate branches collapse.
 
     The result is executor-equivalent (property-tested) and usually
-    reads like the paper's π(σ(v1 ⋈ v2)) examples. *)
+    reads like the paper's select-project-join examples. *)
 
 val simplify : Rewriting.env -> Rewriting.t -> Rewriting.t
 (** Normalize the expression.  The output columns (names and order) are

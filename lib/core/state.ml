@@ -186,11 +186,3 @@ let structural_violations t =
   List.rev !problems
 
 let invariants_hold t = structural_violations t = []
-
-let to_string t =
-  let views = String.concat "\n  " (List.map View.to_string t.views) in
-  let rewritings =
-    String.concat "\n  "
-      (List.map (fun (q, r) -> q ^ " = " ^ Rewriting.to_string r) t.rewritings)
-  in
-  "views:\n  " ^ views ^ "\nrewritings:\n  " ^ rewritings

@@ -88,6 +88,3 @@ val invariants_hold : t -> bool
 (** [structural_violations t = []]: all rewritings well-formed over the
     state's views; every view used by at least one rewriting; no view
     has a Cartesian product. *)
-
-val to_string : t -> string
-(** Multi-line rendering: the views, then the rewritings. *)

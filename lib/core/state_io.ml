@@ -1,5 +1,6 @@
-(* State files, read through Query.Parser's token stream; the grammar is
-   documented in state_io.mli. *)
+(* State files, written by View.to_string and Rewriting.to_string and
+   read through Query.Parser's token stream; the grammar is documented
+   in state_io.mli. *)
 
 module P = Query.Parser
 
@@ -7,40 +8,16 @@ exception Syntax_error of string
 
 (* ---------- writing ------------------------------------------------------ *)
 
-let cond_to_text = function
-  | Rewriting.Eq_cst (c, term) -> c ^ "=" ^ P.constant_to_text term
-  | Rewriting.Eq_col (a, b) -> a ^ "=" ^ b
-
-let rec expr_to_text = function
-  | Rewriting.Scan name -> "scan " ^ name
-  | Rewriting.Select (conds, e) ->
-    Printf.sprintf "select[%s](%s)"
-      (String.concat ", " (List.map cond_to_text conds))
-      (expr_to_text e)
-  | Rewriting.Project (cols, e) ->
-    Printf.sprintf "project[%s](%s)" (String.concat ", " cols) (expr_to_text e)
-  | Rewriting.Join (conds, l, r) ->
-    Printf.sprintf "join[%s](%s, %s)"
-      (String.concat ", " (List.map (fun (a, b) -> a ^ "=" ^ b) conds))
-      (expr_to_text l) (expr_to_text r)
-  | Rewriting.Rename (mapping, e) ->
-    Printf.sprintf "rename[%s](%s)"
-      (String.concat ", " (List.map (fun (a, b) -> a ^ "->" ^ b) mapping))
-      (expr_to_text e)
-  | Rewriting.Union branches ->
-    Printf.sprintf "union(%s)" (String.concat ", " (List.map expr_to_text branches))
-
 let state_to_text (s : State.t) =
   let buffer = Buffer.create 256 in
   Buffer.add_string buffer "state\n";
   List.iter
-    (fun v ->
-      Buffer.add_string buffer ("view " ^ P.query_to_text v.View.cq ^ "\n"))
+    (fun v -> Buffer.add_string buffer ("view " ^ View.to_string v ^ "\n"))
     s.State.views;
   List.iter
     (fun (q, r) ->
       Buffer.add_string buffer
-        (Printf.sprintf "rewrite %s := %s\n" q (expr_to_text r)))
+        (Printf.sprintf "rewrite %s := %s\n" q (Rewriting.to_string r)))
     s.State.rewritings;
   Buffer.contents buffer
 
@@ -92,6 +69,7 @@ let cond s =
   | P.Uri u -> Rewriting.Eq_cst (c, Rdf.Term.Uri u)
   | P.Literal l -> Rewriting.Eq_cst (c, Rdf.Term.Literal l)
   | P.Blank b -> Rewriting.Eq_cst (c, Rdf.Term.Blank b)
+  | P.Ident "type" -> Rewriting.Eq_cst (c, Rdf.Vocabulary.rdf_type)
   | P.Ident c' | P.Variable c' -> Rewriting.Eq_col (c, c')
   | tok ->
     P.fail s ("expected a column or a constant, found " ^ P.token_to_string tok)

@@ -41,3 +41,4 @@ val subst_var : string -> Qterm.t -> t -> t
 val rename_var : string -> string -> t -> t
 
 val to_string : t -> string
+(** [t(s, p, o)], each term by {!Qterm.to_string}. *)

@@ -586,6 +586,6 @@ let body_isomorphism v1 v2 =
     Some (List.init cq2.nv (fun l -> (vars2.(l), vars1.(l))))
 
 let to_string q =
-  Printf.sprintf "%s(%s) :- %s" q.name
+  Printf.sprintf "%s(%s) :- %s." q.name
     (String.concat ", " (List.map Qterm.to_string q.head))
     (String.concat ", " (List.map Atom.to_string q.body))

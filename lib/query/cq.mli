@@ -120,3 +120,5 @@ val canonical_head_set_string : t -> string
     is reached through both SC orders, which permute the head). *)
 
 val to_string : t -> string
+(** The query as one rule on one line, [q(?x) :- t(?x, <p>, ?y).], each
+    atom by {!Atom.to_string}: the syntax [Query.Parser] reads. *)

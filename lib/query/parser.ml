@@ -22,9 +22,9 @@ type token =
 let token_to_string = function
   | Ident s -> s
   | Variable s -> "?" ^ s
-  | Uri s -> "<" ^ s ^ ">"
-  | Literal s -> "\"" ^ s ^ "\""
-  | Blank s -> "_:" ^ s
+  | Uri s -> Rdf.Term.to_string (Rdf.Term.Uri s)
+  | Literal s -> Rdf.Term.to_string (Rdf.Term.Literal s)
+  | Blank s -> Rdf.Term.to_string (Rdf.Term.Blank s)
   | Lparen -> "("
   | Rparen -> ")"
   | Lbracket -> "["
@@ -153,15 +153,12 @@ let expect s expected =
 
 (* ---------- term parsing -------------------------------------------------- *)
 
-let rdf_type_keyword = "type"
-
 let term_of_token s = function
   | Variable x -> Qterm.Var x
   | Uri u -> Qterm.Cst (Rdf.Term.Uri u)
   | Literal l -> Qterm.Cst (Rdf.Term.Literal l)
   | Blank b -> Qterm.Cst (Rdf.Term.Blank b)
-  | Ident w when String.equal w rdf_type_keyword ->
-    Qterm.Cst Rdf.Vocabulary.rdf_type
+  | Ident "type" -> Qterm.Cst Rdf.Vocabulary.rdf_type
   | Ident w -> Qterm.Cst (Rdf.Term.Uri w)
   | tok -> fail s (Printf.sprintf "expected a term, found %s" (token_to_string tok))
 
@@ -301,49 +298,3 @@ let parse_triples input =
       loop (triple :: acc)
   in
   loop []
-
-(* ---------- printers ------------------------------------------------------ *)
-
-let constant_to_text = function
-  | Rdf.Term.Uri u -> "<" ^ u ^ ">"
-  | Rdf.Term.Literal l -> "\"" ^ l ^ "\""
-  | Rdf.Term.Blank b -> "_:" ^ b
-
-let term_to_text = function
-  | Qterm.Var x -> "?" ^ x
-  | Qterm.Cst t when Rdf.Term.equal t Rdf.Vocabulary.rdf_type -> rdf_type_keyword
-  | Qterm.Cst t -> constant_to_text t
-
-let rdf_term_to_text t = term_to_text (Qterm.Cst t)
-
-let query_to_text (q : Cq.t) =
-  Printf.sprintf "%s(%s) :- %s." q.name
-    (String.concat ", " (List.map term_to_text q.head))
-    (String.concat ",\n    "
-       (List.map
-          (fun (a : Atom.t) ->
-            Printf.sprintf "t(%s, %s, %s)" (term_to_text a.s) (term_to_text a.p)
-              (term_to_text a.o))
-          q.body))
-
-let schema_to_text schema =
-  let statement_to_text = function
-    | Rdf.Schema.Subclass (a, b) ->
-      Printf.sprintf "%s subClassOf %s ." (rdf_term_to_text a) (rdf_term_to_text b)
-    | Rdf.Schema.Subproperty (a, b) ->
-      Printf.sprintf "%s subPropertyOf %s ." (rdf_term_to_text a)
-        (rdf_term_to_text b)
-    | Rdf.Schema.Domain (p, cls) ->
-      Printf.sprintf "%s domain %s ." (rdf_term_to_text p) (rdf_term_to_text cls)
-    | Rdf.Schema.Range (p, cls) ->
-      Printf.sprintf "%s range %s ." (rdf_term_to_text p) (rdf_term_to_text cls)
-  in
-  String.concat "\n" (List.map statement_to_text (Rdf.Schema.statements schema))
-
-let triples_to_text triples =
-  String.concat "\n"
-    (List.map
-       (fun (tr : Rdf.Triple.t) ->
-         Printf.sprintf "%s %s %s ." (rdf_term_to_text tr.s) (rdf_term_to_text tr.p)
-           (rdf_term_to_text tr.o))
-       triples)

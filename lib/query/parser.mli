@@ -2,6 +2,15 @@
     every text format of the library reads through ([Core.State_io]'s
     state files included).
 
+    This module only reads ({!token_to_string} names tokens in its
+    messages, spelling a constant through {!Rdf.Term.to_string}).
+    Each value has one printer, the [to_string] of its own module, and
+    it writes this syntax: {!Rdf.Term.to_string},
+    {!Rdf.Triple.to_string}, {!Rdf.Schema.to_string},
+    {!Qterm.to_string}, {!Atom.to_string} and {!Cq.to_string} (one rule
+    on one line), so whatever the library prints reads back here as the
+    same value.
+
     {2 Queries (Datalog-style)}
 
     {v
@@ -100,18 +109,3 @@ val fail : stream -> string -> 'a
 val parse_rule : stream -> Cq.t
 (** One query rule, [name(head) :- body.]; errors of {!Cq.make} name the
     line of its final [.]. *)
-
-(** {2 Printers} *)
-
-val constant_to_text : Rdf.Term.t -> string
-(** [<uri>], ["lit"] or [_:label], always bracketed: a bare word would
-    read back as a name. *)
-
-val query_to_text : Cq.t -> string
-(** Render a query back into parsable syntax
-    ([parse_query (query_to_text q)] is syntactically [q]).  A body of
-    several atoms spans several lines. *)
-
-val schema_to_text : Rdf.Schema.t -> string
-
-val triples_to_text : Rdf.Triple.t list -> string

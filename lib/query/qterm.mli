@@ -25,3 +25,5 @@ val reset_fresh_counter : unit -> unit
 (** Reset the fresh-name counter; only for reproducible tests. *)
 
 val to_string : t -> string
+(** [?x] for a variable, {!Rdf.Term.to_string} for a constant: a term
+    of the query syntax. *)

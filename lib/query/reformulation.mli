@@ -6,8 +6,8 @@
 
     The algorithm applies the six backward rules of Fig. 2 to a fixpoint:
     + class inclusion: [t(s, rdf:type, c2)] ⇐ [t(s, rdf:type, c1)]
-      for [c1 ⊑ c2];
-    + property inclusion: [t(s, p2, o)] ⇐ [t(s, p1, o)] for [p1 ⊑p p2];
+      for [c1 subClassOf c2];
+    + property inclusion: [t(s, p2, o)] ⇐ [t(s, p1, o)] for [p1 subPropertyOf p2];
     + domain typing: [t(s, rdf:type, c)] ⇐ [∃X t(s, p, X)] for
       [domain(p) = c];
     + range typing: [t(o, rdf:type, c)] ⇐ [∃X t(X, p, o)] for

@@ -59,6 +59,3 @@ let atom_count t =
 
 let constant_count t =
   List.fold_left (fun acc q -> acc + Cq.constant_count q) 0 (disjuncts t)
-
-let to_string t =
-  String.concat "\n  UNION " (List.map Cq.to_string (disjuncts t))

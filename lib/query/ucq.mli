@@ -43,5 +43,3 @@ val atom_count : t -> int
 
 val constant_count : t -> int
 (** Total number of constants over all disjuncts (#c in Table 3). *)
-
-val to_string : t -> string

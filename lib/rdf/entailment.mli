@@ -30,8 +30,8 @@ val iter_closure : rules -> Store.encoded -> (Store.encoded -> unit) -> unit
 val saturate : Store.t -> Schema.t -> int
 (** Saturate the store in place w.r.t. the schema's instance-level rules:
     {ul
-    {- [(x, rdf:type, c1)] and [c1 ⊑ c2] entail [(x, rdf:type, c2)];}
-    {- [(x, p1, y)] and [p1 ⊑p p2] entail [(x, p2, y)];}
+    {- [(x, rdf:type, c1)] and [c1 subClassOf c2] entail [(x, rdf:type, c2)];}
+    {- [(x, p1, y)] and [p1 subPropertyOf p2] entail [(x, p2, y)];}
     {- [(x, p, y)] and [domain(p) = c] entail [(x, rdf:type, c)];}
     {- [(x, p, y)] and [range(p) = c] entail [(y, rdf:type, c)].}}
     An [rdf:type] triple fires the first rule only.  Returns the number

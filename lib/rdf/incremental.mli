@@ -17,8 +17,9 @@
 
     No update scans an index or runs a fixpoint, and the work does not
     depend on dictionary codes.  Counts come from explicit triples only,
-    so they are exact on cyclic hierarchies ([c1 ⊑ c2 ⊑ c1]).  Each
-    update writes the store once per triple it adds or removes. *)
+    so they are exact on cyclic hierarchies ([c1 subClassOf c2] and
+    [c2 subClassOf c1]).  Each update writes the store once per triple
+    it adds or removes. *)
 
 type t
 

@@ -129,13 +129,14 @@ let of_triples triples =
   in
   of_statements (List.filter_map stmt_of triples)
 
-let pp fmt t =
-  let pp_stmt fmt = function
-    | Subclass (a, b) -> Format.fprintf fmt "%a ⊑ %a" Term.pp a Term.pp b
-    | Subproperty (a, b) -> Format.fprintf fmt "%a ⊑p %a" Term.pp a Term.pp b
-    | Domain (p, c) -> Format.fprintf fmt "domain(%a) = %a" Term.pp p Term.pp c
-    | Range (p, c) -> Format.fprintf fmt "range(%a) = %a" Term.pp p Term.pp c
+let statement_to_string statement =
+  let a, relation, b =
+    match statement with
+    | Subclass (a, b) -> (a, "subClassOf", b)
+    | Subproperty (a, b) -> (a, "subPropertyOf", b)
+    | Domain (p, c) -> (p, "domain", c)
+    | Range (p, c) -> (p, "range", c)
   in
-  Format.fprintf fmt "@[<v>%a@]"
-    (Format.pp_print_list pp_stmt)
-    (statements t)
+  String.concat " " [ Term.to_string a; relation; Term.to_string b; "." ]
+
+let to_string t = String.concat "\n" (List.map statement_to_string (statements t))

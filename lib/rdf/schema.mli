@@ -65,4 +65,7 @@ val of_triples : Triple.t list -> t
 (** Extract the schema statements found among the given triples; triples
     that are not RDFS statements are ignored. *)
 
-val pp : Format.formatter -> t -> unit
+val to_string : t -> string
+(** One statement a line, [a subClassOf b .], [a subPropertyOf b .],
+    [p domain c .] or [p range c .], each term by {!Term.to_string}:
+    the schema syntax [Query.Parser] reads. *)

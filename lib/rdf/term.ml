@@ -28,20 +28,13 @@ let is_uri = function Uri _ -> true | Blank _ | Literal _ -> false
 let is_blank = function Blank _ -> true | Uri _ | Literal _ -> false
 let is_literal = function Literal _ -> true | Uri _ | Blank _ -> false
 
-let of_string s =
-  let n = String.length s in
-  if n >= 2 && s.[0] = '<' && s.[n - 1] = '>' then Uri (String.sub s 1 (n - 2))
-  else if n >= 2 && s.[0] = '_' && s.[1] = ':' then Blank (String.sub s 2 (n - 2))
-  else if n >= 2 && s.[0] = '"' && s.[n - 1] = '"' then
-    Literal (String.sub s 1 (n - 2))
-  else Uri s
+let rdf_type = Uri "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
-(* A URI prints bare only when [of_string] reads the bare text back as
-   that URI, so no two terms print alike. *)
+(* The text syntax of Query.Parser: the keyword [type] for rdf:type, and
+   every other URI bracketed, since a bare word reads as a variable, a
+   name or the keyword. *)
 let to_string = function
-  | Uri u as t ->
-    if String.contains u ':' || not (equal (of_string u) t) then "<" ^ u ^ ">"
-    else u
+  | Uri u as t -> if equal t rdf_type then "type" else "<" ^ u ^ ">"
   | Blank b -> "_:" ^ b
   | Literal l -> "\"" ^ l ^ "\""
 
@@ -60,8 +53,6 @@ let add_key b t =
   Buffer.add_string b (string_of_int (String.length l));
   Buffer.add_char b ':';
   Buffer.add_string b l
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 let size t = String.length (label t)
 

@@ -28,26 +28,26 @@ val is_literal : t -> bool
 val label : t -> string
 (** The raw label of the term, without any syntactic decoration. *)
 
+val rdf_type : t
+(** [rdf:type], the one URI with a keyword of its own in the text
+    syntax; {!Vocabulary.rdf_type} is this term. *)
+
 val to_string : t -> string
-(** Turtle-ish rendering: a URI bare when it has no [:] and
-    {!of_string} reads the bare text back as that URI, as [<u>]
-    otherwise; blank nodes as [_:b]; literals as ["l"].  Injective:
-    the URI [<"k">] and the literal ["k"] print apart. *)
+(** The term as [Query.Parser] reads it: [<u>], ["l"], [_:b], and the
+    keyword [type] for {!rdf_type}.  The one printer of terms: every
+    message and output of the library spells a term through it.  A
+    label holding the lexer's closing character (a [>] in a URI, a
+    double quote in a literal) does not read back; nothing is escaped. *)
 
 val key : t -> string
 (** An injective, self-delimiting rendering for canonical forms and memo
     keys: a kind tag ([U], [B] or [L]), the label's length, [:], then
     the label.  Two terms have the same key only when they are
-    {!equal}, and unlike {!to_string}, a key can be followed by any
-    text without ambiguity. *)
+    {!equal}, and a key can be followed by any text without
+    ambiguity. *)
 
 val add_key : Buffer.t -> t -> unit
 (** Appends {!key} to the buffer without building it as a string. *)
-
-val of_string : string -> t
-(** Inverse of {!to_string} on its image; bare words parse as URIs. *)
-
-val pp : Format.formatter -> t -> unit
 
 val size : t -> int
 (** Storage footprint of the term in bytes (its label length); used by the

@@ -15,3 +15,5 @@ val equal : t -> t -> bool
 val hash : t -> int
 
 val to_string : t -> string
+(** N-Triples-style, [s p o .], each term by {!Term.to_string}: one line
+    of the data syntax [Query.Parser] reads. *)

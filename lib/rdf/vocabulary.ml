@@ -1,7 +1,6 @@
-let rdf_ns = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 let rdfs_ns = "http://www.w3.org/2000/01/rdf-schema#"
 
-let rdf_type = Term.Uri (rdf_ns ^ "type")
+let rdf_type = Term.rdf_type
 let rdfs_subclassof = Term.Uri (rdfs_ns ^ "subClassOf")
 let rdfs_subpropertyof = Term.Uri (rdfs_ns ^ "subPropertyOf")
 let rdfs_domain = Term.Uri (rdfs_ns ^ "domain")

@@ -129,7 +129,7 @@ let gen_schema =
 
 let arb_schema =
   make
-    ~print:(fun s -> Format.asprintf "%a" Rdf.Schema.pp s)
+    ~print:Rdf.Schema.to_string
     gen_schema
 
 (* Larger schemas that always hold a class with two parents and a
@@ -152,7 +152,7 @@ let gen_rich_schema =
        @ extra))
 
 let arb_rich_schema =
-  make ~print:(fun s -> Format.asprintf "%a" Rdf.Schema.pp s) gen_rich_schema
+  make ~print:Rdf.Schema.to_string gen_rich_schema
 
 (* Small connected conjunctive queries.  Atom i ≥ 1 reuses a variable
    from the previous atoms so the query never has a Cartesian product. *)
@@ -237,6 +237,101 @@ let colliding_constants =
   [ lit "k"; uri "\"k\""; uri "k"; blank "k"; uri "<k>"; lit "<k>";
     uri "a,b"; lit "a,b"; uri "c)&t(V0"; lit "c)&t(V0"; uri "V1";
     lit "a\x00b"; uri "a\x00b"; uri "U1:k"; lit "1:k" ]
+
+(* ---------- the text syntax ----------------------------------------------- *)
+
+(* Data text, one triple a line. *)
+let triples_text triples = String.concat "\n" (List.map Rdf.Triple.to_string triples)
+
+(* One printed term read back by the parser, in the object position,
+   which takes every kind. *)
+let read_term text =
+  match Query.Parser.parse_triples ("<s> <p> " ^ text ^ " .") with
+  | [ tr ] -> tr.Rdf.Triple.o
+  | triples -> failwith (Printf.sprintf "read_term: %d triples" (List.length triples))
+
+(* Labels within what the lexer reads: no [>] or double quote, and no
+   "->" or ":=" inside a word.  Printed bare, Painting reads as a
+   variable, type as rdf:type and _:b-1 as a blank node; k is the URI
+   beside the literal "k", b-1 the label of the blank _:b-1, and a-b and
+   ex:q1 hold the dash and the colon a word may contain. *)
+let gen_label =
+  Gen.oneofl [ "Painting"; "type"; "k"; "a-b"; "ex:q1"; "_:b-1"; "b-1" ]
+
+(* Query, view and query-in-rewrite names: the labels that lex as a
+   plain word. *)
+let gen_name = Gen.oneofl [ "type"; "k"; "a-b"; "ex:q1"; "b-1" ]
+
+let gen_text_uri = Gen.oneof [ Gen.map uri gen_label; Gen.return rdf_type ]
+
+let gen_text_term =
+  Gen.oneof [ gen_text_uri; Gen.map lit gen_label; Gen.map blank gen_label ]
+
+let gen_text_triple =
+  Gen.map3 Rdf.Triple.make
+    (Gen.oneof [ gen_text_uri; Gen.map blank gen_label ])
+    gen_text_uri gen_text_term
+
+let gen_text_schema =
+  let open Gen in
+  let statement =
+    map3
+      (fun kind a b ->
+        match kind with
+        | 0 -> Rdf.Schema.Subclass (a, b)
+        | 1 -> Rdf.Schema.Subproperty (a, b)
+        | 2 -> Rdf.Schema.Domain (a, b)
+        | _ -> Rdf.Schema.Range (a, b))
+      (int_bound 3) gen_text_uri gen_text_uri
+  in
+  map Rdf.Schema.of_statements (list_size (int_range 0 6) statement)
+
+(* Safe queries over the labels: any term anywhere, a head of body
+   variables and constants. *)
+let gen_text_cq =
+  let open Gen in
+  let constant = map (fun t -> Query.Qterm.Cst t) gen_text_term in
+  let qterm = oneof [ map v gen_label; constant ] in
+  let* body = list_size (int_range 1 3) (map3 atom qterm qterm qterm) in
+  let vars = List.concat_map Query.Atom.var_set body in
+  let head_term =
+    match vars with
+    | [] -> constant
+    | _ :: _ -> oneof [ map v (oneofl vars); constant ]
+  in
+  let* head = list_size (int_range 1 3) head_term in
+  let* name = gen_name in
+  return (cq ~name head body)
+
+(* Rewritings of any shape over the labels; the parser reads them
+   whether or not their columns resolve. *)
+let gen_rewriting =
+  let open Gen in
+  let cond =
+    oneof
+      [
+        map2 (fun c t -> Core.Rewriting.Eq_cst (c, t)) gen_label gen_text_term;
+        map2 (fun a b -> Core.Rewriting.Eq_col (a, b)) gen_label gen_label;
+      ]
+  in
+  let pairs = list_size (int_range 0 2) (pair gen_label gen_label) in
+  let scan = map (fun n -> Core.Rewriting.Scan n) gen_name in
+  sized_size (int_bound 3)
+  @@ fix (fun self n ->
+         if n = 0 then scan
+         else
+           let sub = self (n - 1) in
+           oneof
+             [
+               scan;
+               map2 (fun cs e -> Core.Rewriting.Select (cs, e))
+                 (list_size (int_range 0 3) cond) sub;
+               map2 (fun cols e -> Core.Rewriting.Project (cols, e))
+                 (list_size (int_range 0 3) gen_label) sub;
+               map3 (fun cs l r -> Core.Rewriting.Join (cs, l, r)) pairs sub sub;
+               map2 (fun m e -> Core.Rewriting.Rename (m, e)) pairs sub;
+               map (fun bs -> Core.Rewriting.Union bs) (list_size (int_range 1 3) sub);
+             ])
 
 let to_alcotest = QCheck_alcotest.to_alcotest
 

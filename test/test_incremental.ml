@@ -298,7 +298,7 @@ let arb_cyclic_schema =
       ]
   in
   QCheck.make
-    ~print:(fun s -> Format.asprintf "%a" Rdf.Schema.pp s)
+    ~print:Rdf.Schema.to_string
     (QCheck.Gen.map
        (fun s -> Rdf.Schema.of_statements (Rdf.Schema.statements s @ cycles))
        gen_schema)

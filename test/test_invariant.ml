@@ -297,7 +297,7 @@ let test_state_file_blank_constants () =
       List.find_opt
         (fun s ->
           List.exists
-            (fun (_, r) -> contains (Core.State_io.expr_to_text r) "=_:b")
+            (fun (_, r) -> contains (Core.Rewriting.to_string r) "=_:b")
             s.Core.State.rewritings)
         (Core.Transition.successors state Core.Transition.SC)
     with
@@ -336,7 +336,7 @@ let test_expr_round_trip () =
   in
   List.iter
     (fun e ->
-      let text = Core.State_io.expr_to_text e in
+      let text = Core.Rewriting.to_string e in
       check_bool
         ("round-trip " ^ text)
         true
@@ -496,7 +496,7 @@ let gen_state_workload =
 let prop_state_file_round_trip =
   QCheck.Test.make ~name:"state files round-trip" ~count:500
     (QCheck.make
-       ~print:(fun w -> String.concat "\n" (List.map Query.Parser.query_to_text w))
+       ~print:(fun w -> String.concat "\n" (List.map Query.Cq.to_string w))
        gen_state_workload)
     (fun workload ->
       let initial = Core.State.initial workload in

@@ -40,13 +40,13 @@ let test_parse_workload () =
 
 let test_query_roundtrip () =
   let q = Query.Parser.parse_query q1_text in
-  let q' = Query.Parser.parse_query (Query.Parser.query_to_text q) in
+  let q' = Query.Parser.parse_query (Query.Cq.to_string q) in
   check_bool "roundtrip" true (Query.Cq.equal_syntactic q q')
 
 let prop_query_roundtrip =
   QCheck.Test.make ~name:"parser round-trips generated queries" ~count:200
     arb_cq (fun q ->
-      let q' = Query.Parser.parse_query (Query.Parser.query_to_text q) in
+      let q' = Query.Parser.parse_query (Query.Cq.to_string q) in
       Query.Cq.equal_syntactic q q')
 
 let test_parse_errors () =
@@ -111,7 +111,7 @@ let test_schema_roundtrip () =
     Query.Parser.parse_schema
       {|<a> subClassOf <b> . <p> domain <a> . <p> range <b> .|}
   in
-  let again = Query.Parser.parse_schema (Query.Parser.schema_to_text schema) in
+  let again = Query.Parser.parse_schema (Rdf.Schema.to_string schema) in
   check_bool "roundtrip" true
     (List.sort compare (Rdf.Schema.statements schema)
     = List.sort compare (Rdf.Schema.statements again))
@@ -132,7 +132,7 @@ let test_parse_triples () =
 let test_triples_roundtrip () =
   let text = {|<s> <p> <o> . <s> type <c> . <s> <q> "lit" .|} in
   let triples = Query.Parser.parse_triples text in
-  let again = Query.Parser.parse_triples (Query.Parser.triples_to_text triples) in
+  let again = Query.Parser.parse_triples (triples_text triples) in
   check_bool "roundtrip" true
     (List.sort Rdf.Triple.compare triples = List.sort Rdf.Triple.compare again)
 
@@ -155,7 +155,7 @@ let test_blank_store_roundtrip () =
       ]
   in
   let triples = List.sort Rdf.Triple.compare (Rdf.Store.to_triples store) in
-  let text = Query.Parser.triples_to_text triples in
+  let text = triples_text triples in
   let again = List.sort Rdf.Triple.compare (Query.Parser.parse_triples text) in
   check_bool "roundtrip" true (List.equal Rdf.Triple.equal triples again);
   check_bool "no bracketed blank" false (contains text "<_:")
@@ -167,9 +167,38 @@ let test_triples_reject_variables () =
 
 let test_barton_export_reimport () =
   let store = Workload.Barton.store ~n_entities:40 ~seed:3 () in
-  let text = Query.Parser.triples_to_text (Rdf.Store.to_triples store) in
+  let text = triples_text (Rdf.Store.to_triples store) in
   let again = Rdf.Store.of_triples (Query.Parser.parse_triples text) in
   check_int "same size" (Rdf.Store.size store) (Rdf.Store.size again)
+
+(* ---------- one printer per type reads back -------------------------------- *)
+
+(* Each type's to_string writes what the parser reads: the printed value
+   parses back to the same value, over labels that print bare as
+   something else. *)
+let round_trip name gen print equal read =
+  QCheck.Test.make ~name:(name ^ " print and read back") ~count:500
+    (QCheck.make ~print gen)
+    (fun x -> equal x (read (print x)))
+
+let statements schema = List.sort compare (Rdf.Schema.statements schema)
+
+let printed_round_trips =
+  [
+    round_trip "terms" gen_text_term Rdf.Term.to_string Rdf.Term.equal read_term;
+    round_trip "triples"
+      (QCheck.Gen.list_size (QCheck.Gen.int_range 0 5) gen_text_triple)
+      triples_text (List.equal Rdf.Triple.equal) Query.Parser.parse_triples;
+    round_trip "schemas" gen_text_schema Rdf.Schema.to_string
+      (fun a b -> statements a = statements b)
+      Query.Parser.parse_schema;
+    round_trip "queries" gen_text_cq Query.Cq.to_string
+      (fun a b ->
+        String.equal a.Query.Cq.name b.Query.Cq.name && Query.Cq.equal_syntactic a b)
+      Query.Parser.parse_query;
+    round_trip "rewritings" gen_rewriting Core.Rewriting.to_string
+      Core.Rewriting.equal Core.State_io.parse_expr;
+  ]
 
 (* ---------- the text boundaries under fuzzing ------------------------------ *)
 
@@ -326,6 +355,7 @@ let () =
           Alcotest.test_case "barton export/import" `Quick
             test_barton_export_reimport;
         ] );
+      ("printers", List.map to_alcotest printed_round_trips);
       ( "fuzz",
         List.map to_alcotest
           [

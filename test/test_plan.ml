@@ -71,7 +71,10 @@ let gen_plan_ucq =
     (fun qs -> Query.Ucq.make ~name:"u" (List.map unary qs))
     (list_size (int_range 1 3) gen_plan_cq)
 
-let arb_plan_ucq = QCheck.make ~print:Query.Ucq.to_string gen_plan_ucq
+let arb_plan_ucq =
+  QCheck.make
+    ~print:(fun u -> String.concat "\n" (List.map Query.Cq.to_string (Query.Ucq.disjuncts u)))
+    gen_plan_ucq
 
 (* ---------- differential properties -------------------------------------- *)
 
@@ -455,8 +458,8 @@ let test_isomorphic_queries_share_plan () =
   check_int "isomorphic queries share one plan" 1
     (Query.Plan.cached_plan_count store)
 
-(* The literal "k" and the URI <"k"> print alike through Term.to_string;
-   canonical forms spell constants by Term.key, so the two queries get
+(* The literal "k" and the URI <"k"> share a label; canonical forms
+   spell constants by Term.key, so the two queries get
    two forms and two plans, and each its own answer. *)
 let test_quoted_uri_own_plan () =
   let store =

@@ -5,14 +5,14 @@ open Support
 let test_term_roundtrip () =
   let terms =
     [
-      uri "http://example.org/a"; uri "bare"; blank "b1"; lit "hello world";
-      uri "\"k\""; uri "<k>"; uri ""; lit "a:b";
+      uri "http://example.org/a"; uri "bare"; uri "Painting"; uri "type";
+      rdf_type; blank "b1"; lit "hello world"; uri "\"k\""; uri ""; lit "a:b";
     ]
   in
   List.iter
     (fun t ->
       check_bool (Rdf.Term.to_string t) true
-        (Rdf.Term.equal t (Rdf.Term.of_string (Rdf.Term.to_string t))))
+        (Rdf.Term.equal t (read_term (Rdf.Term.to_string t))))
     terms
 
 let test_term_order () =
@@ -86,7 +86,7 @@ let test_triple_well_formed () =
 let test_triple_make_raises () =
   Alcotest.check_raises "ill-formed triple"
     (Invalid_argument
-       "Triple.make: ill-formed triple \"a\" <ex:p> \"x\"")
+       "Triple.make: ill-formed triple \"a\" <ex:p> \"x\" .")
     (fun () -> ignore (triple (lit "a") (uri "ex:p") (lit "x")))
 
 (* ---------- dictionary -------------------------------------------------- *)

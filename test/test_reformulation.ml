@@ -254,7 +254,7 @@ let gen_oracle_schema =
     | _ -> base)
 
 let arb_oracle_schema =
-  QCheck.make ~print:(fun s -> Format.asprintf "%a" Rdf.Schema.pp s) gen_oracle_schema
+  QCheck.make ~print:Rdf.Schema.to_string gen_oracle_schema
 
 (* Queries whose class and property positions may hold variables from
    a small pool, so that one variable can stand at several of them, in

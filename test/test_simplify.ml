@@ -179,6 +179,43 @@ let prop_simplify_never_grows =
           <= Core.Simplify.node_count rewriting)
         !state.Core.State.rewritings)
 
+(* Every node kind's check, each on its own: [columns] raises Failure
+   and [well_formed] is false, while the same shapes with the faults
+   taken out pass. *)
+let test_ill_formed_rejected () =
+  let open Core.Rewriting in
+  let v1 = scan "v1" and v2 = scan "v2" in
+  List.iter
+    (fun (label, expr) ->
+      check_bool (label ^ ": well_formed") false (well_formed sample_env expr);
+      match columns sample_env expr with
+      | exception Failure _ -> ()
+      | _ -> Alcotest.failf "%s: columns did not raise on %s" label (to_string expr))
+    [
+      ("unknown view", scan "v9");
+      ("unknown view under a project", Project ([ "a" ], scan "v9"));
+      ("select on a missing column", Select ([ Eq_cst ("c", uri "k") ], v1));
+      ("select equating a missing column", Select ([ Eq_col ("a", "c") ], v1));
+      ("project of a missing column", Project ([ "a"; "c" ], v1));
+      ("join on a missing left column", Join ([ ("c", "b") ], v1, v2));
+      ("join on a missing right column", Join ([ ("a", "a") ], v1, v2));
+      ("rename of a missing column", Rename ([ ("c", "d") ], v1));
+      ("repeated rename target", Rename ([ ("a", "x"); ("b", "x") ], v1));
+      ("rename onto a kept column", Rename ([ ("a", "b") ], v1));
+      ("empty union", Union []);
+      ("union arity", Union [ v1; Project ([ "a" ], v1) ]);
+      ("fault below a good node", Select ([], Project ([ "z" ], v1)));
+    ];
+  List.iter
+    (fun expr -> check_bool (to_string expr) true (well_formed sample_env expr))
+    [
+      Select ([ Eq_cst ("a", uri "k"); Eq_col ("a", "b") ], v1);
+      Project ([ "b"; "b" ], v1);
+      Join ([ ("a", "c") ], v1, v2);
+      Rename ([ ("a", "b"); ("b", "a") ], v1);
+      Union [ v1; Rename ([ ("a", "x") ], v1) ];
+    ]
+
 let () =
   Alcotest.run "simplify"
     [
@@ -202,6 +239,8 @@ let () =
           Alcotest.test_case "union flatten/dedup" `Quick
             test_union_flattens_and_dedups;
           Alcotest.test_case "columns preserved" `Quick test_columns_preserved;
+          Alcotest.test_case "ill-formed rewritings rejected" `Quick
+            test_ill_formed_rejected;
         ] );
       ( "equivalence",
         [

@@ -104,7 +104,7 @@ let check_state_equivalent store workload state =
       let via = answers_via_views store state q.Query.Cq.name in
       if not (same_answers direct via) then
         Alcotest.failf "rewriting of %s diverges:\nstate: %s" q.Query.Cq.name
-          (Core.State.to_string state))
+          (Core.State_io.states_to_text [ state ]))
     workload
 
 let test_sc_preserves_answers () =

@@ -144,7 +144,7 @@ let domain_constructors =
    path, so both [Term.uri] and [Rdf.Term.uri] hit. *)
 let domain_producers =
   [
-    ("Term", "uri"); ("Term", "of_string");
+    ("Term", "uri");
     ("Qterm", "var"); ("Qterm", "cst");
     ("Atom", "make"); ("Triple", "make");
     ("View", "make");
@@ -156,7 +156,7 @@ let domain_producers =
   ]
 
 (* Qualified domain constants (values, not functions). *)
-let domain_values = [ ("Vocabulary", "rdf_type") ]
+let domain_values = [ ("Vocabulary", "rdf_type"); ("Term", "rdf_type") ]
 
 (* Generic-Hashtbl operations whose second positional argument is the
    key. *)
