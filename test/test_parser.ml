@@ -355,7 +355,7 @@ let () =
           Alcotest.test_case "barton export/import" `Quick
             test_barton_export_reimport;
         ] );
-      ("printers", List.map to_alcotest printed_round_trips);
+      ("printer", List.map to_alcotest printed_round_trips);
       ( "fuzz",
         List.map to_alcotest
           [
